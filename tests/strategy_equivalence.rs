@@ -42,6 +42,8 @@ fn variants() -> Vec<(&'static str, Algorithm)> {
             },
         ),
         ("arsgd", Algorithm::ArSgd),
+        ("efsgd", Algorithm::ef_sgd(0.9)),
+        ("ecqsgd", Algorithm::ecq_sgd(0.05, 0.9, 0.9)),
     ]
 }
 
@@ -74,6 +76,11 @@ const EXPECTED: &[(&str, u64)] = &[
     // with N workers, and both paths sum in the same order — equal hashes
     // are expected, not a copy-paste error.
     ("arsgd", 0x7e98a67774c3cf42),
+    // Captured at commit 3124c70 (per-algorithm `EfSgdStrategy` /
+    // `EcqSgdStrategy`, the latter with its own scalar quantizer), before
+    // the PS strategies were merged into one engine.
+    ("efsgd", 0xedfcaef2212d9eff),
+    ("ecqsgd", 0x29f348e4ae12ec2d),
 ];
 
 fn expected(name: &str) -> u64 {
