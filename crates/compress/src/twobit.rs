@@ -22,11 +22,16 @@ use cdsgd_tensor::kernel;
 ///
 /// `with_residual(false)` disables error feedback; this is the ablation
 /// mode the benchmark suite uses to show why residuals matter.
+/// [`TwoBitQuantizer::with_feedback`] damps it instead (ECQ-SGD, Wu et
+/// al.): the carried error enters as `x = grad + α·residual` and is
+/// stored back as `β·(x − q)`.
 #[derive(Debug, Clone)]
 pub struct TwoBitQuantizer {
     threshold: f32,
     residuals: ResidualStore,
     use_residual: bool,
+    /// Residual feedback gains `(α, β)`; `(1, 1)` is plain error feedback.
+    feedback: (f32, f32),
     /// Reused symbol scratch so the encode path stays allocation-free.
     symbols: Vec<u8>,
 }
@@ -45,8 +50,17 @@ impl TwoBitQuantizer {
             threshold,
             residuals: ResidualStore::new(),
             use_residual: true,
+            feedback: (1.0, 1.0),
             symbols: Vec::new(),
         }
+    }
+
+    /// Scale the carried residual by `alpha` on the way into the scan and
+    /// by `beta` on the way out. A gain of exactly 1.0 skips its pass, so
+    /// `(1, 1)` is bit-identical to a quantizer this was never called on.
+    pub fn with_feedback(mut self, alpha: f32, beta: f32) -> Self {
+        self.feedback = (alpha, beta);
+        self
     }
 
     /// Enable/disable the residual (error-feedback) buffer. Ablation knob.
@@ -72,8 +86,15 @@ impl TwoBitQuantizer {
         self.symbols.clear();
         self.symbols.resize(grad.len(), 0);
         if self.use_residual {
+            let (alpha, beta) = self.feedback;
             let res = self.residuals.get_mut(key, grad.len());
+            if alpha != 1.0 {
+                kernel::scale(res, alpha);
+            }
             kernel::threshold_scan_residual(grad, thr, &mut self.symbols, res);
+            if beta != 1.0 {
+                kernel::scale(res, beta);
+            }
         } else {
             kernel::threshold_scan_plain(grad, thr, &mut self.symbols);
         }
@@ -181,6 +202,25 @@ mod tests {
         // Without error feedback the second 0.3 still reads 0.
         assert_eq!(decode(&c2), vec![0.0]);
         assert!(q.residuals().get(0).is_none());
+    }
+
+    #[test]
+    fn damped_feedback_scales_the_residual_in_and_out() {
+        // x = g + α·e, e ← β·(x − q), against the formula by hand.
+        let mut q = TwoBitQuantizer::new(0.5).with_feedback(0.5, 0.25);
+        q.compress(0, &[0.4, 0.9]);
+        assert_eq!(
+            q.residuals().get(0).unwrap(),
+            &[0.25 * 0.4, 0.25 * (0.9 - 0.5)]
+        );
+        // Second round: e = [0.1, 0.1]; x = [0.4 + 0.05, -0.6 + 0.05].
+        let c = q.compress(0, &[0.4, -0.6]);
+        assert_eq!(decode(&c), vec![0.0, -0.5]);
+        let e = q.residuals().get(0).unwrap();
+        assert_eq!(
+            e,
+            &[0.25 * (0.4 + 0.5 * 0.1), 0.25 * ((-0.6 + 0.5 * 0.1) + 0.5)]
+        );
     }
 
     #[test]

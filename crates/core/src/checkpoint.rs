@@ -45,35 +45,20 @@ impl From<serde_json::Error> for SaveError {
     }
 }
 
-/// Write `bytes` to `path` durably: a sibling temp file is written,
-/// fsynced, then renamed over `path`, so a crash mid-write can never
-/// leave a torn file under the final name.
+/// Write `bytes` to `path` durably (temp sibling + fsync + rename, see
+/// [`cdsgd_ps::recover::write_atomic`]). The parent directory must exist.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "path has no UTF-8 file name",
+        )
     })?;
-    let tmp = path.with_file_name(format!(
-        ".{}.tmp-{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    ));
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        std::fs::remove_file(&tmp).ok();
-        return Err(e);
-    }
-    // Make the rename itself durable where the platform allows it.
-    if let Some(dir) = dir {
-        if let Ok(d) = std::fs::File::open(dir) {
-            d.sync_all().ok();
-        }
-    }
-    Ok(())
+    let dir = path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    cdsgd_ps::recover::write_atomic(dir, name, bytes).map(drop)
 }
 
 /// On-disk weight envelope.
@@ -193,6 +178,11 @@ mod tests {
             "stray files: {entries:?}"
         );
         assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
+        // The JSON envelope's bytes, pinned.
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            r#"{"format":"cdsgd-checkpoint-v1","algo":"S-SGD","weights":[[1.0,2.0]]}"#
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -109,7 +109,13 @@ impl Codec {
 }
 
 /// Which distributed optimization algorithm to run (the four the paper
-/// compares in §4).
+/// compares in §4, plus extensions).
+///
+/// The parameter-server variants `SSgd`, `BitSgd`, `EcqSgd`, `EfSgd`,
+/// `OdSgd` and `CdSgd` are one worker-side engine configured two ways —
+/// what is pushed (raw / codec every round / codec with k-step
+/// correction, optionally behind worker momentum) and whether the pull
+/// is delayed (the local update); see DESIGN.md §11.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Algorithm {
     /// Synchronous SGD: raw gradients, blocking push/pull every iteration.
@@ -120,7 +126,8 @@ pub enum Algorithm {
         /// Learning rate of the local update (eq. 11).
         local_lr: f32,
     },
-    /// MXNet 2-bit quantization, blocking (the paper's BIT-SGD).
+    /// The paper's BIT-SGD: S-SGD with MXNet 2-bit threshold quantization
+    /// (residual feedback) on every push.
     BitSgd {
         /// Quantization threshold α.
         threshold: f32,
@@ -165,13 +172,14 @@ pub enum Algorithm {
     ArSgd,
     /// Error-compensated 2-bit quantized SGD after Wu et al., "Error
     /// Compensated Quantized SGD and its Applications to Large-scale
-    /// Distributed Optimization" (ECQ-SGD) — an extension leaf. Each
-    /// worker pushes a 2-bit threshold quantization of the *corrected*
-    /// gradient `c = g + α·e`, then decays the carried error
-    /// `e ← β·(c − decode(q(c)))`. With `α = β = 1` this degenerates to
-    /// plain error feedback (and is bit-identical to [`Algorithm::BitSgd`]
-    /// at the same threshold); `α, β < 1` damp the accumulated error so
-    /// stale compensation cannot destabilize the run.
+    /// Distributed Optimization" (ECQ-SGD) — BIT-SGD with damped
+    /// residual feedback. Each worker pushes a 2-bit threshold
+    /// quantization of the *corrected* gradient `c = g + α·e`, then
+    /// decays the carried error `e ← β·(c − decode(q(c)))`. With
+    /// `α = β = 1` this is plain error feedback (bit-identical to
+    /// [`Algorithm::BitSgd`] at the same threshold); `α, β < 1` damp the
+    /// accumulated error so stale compensation cannot destabilize the
+    /// run.
     EcqSgd {
         /// Quantization threshold of the 2-bit codec.
         threshold: f32,
@@ -182,12 +190,13 @@ pub enum Algorithm {
     },
     /// Blockwise momentum SGD with error feedback, after Zheng et al.,
     /// "Communication-Efficient Distributed Blockwise Momentum SGD with
-    /// Error-Feedback" (dist-EF-blockSGD) — the first extension variant
-    /// the strategy layer exists to host. Each worker keeps a per-key
-    /// momentum buffer `m ← μm + g` and pushes a 1-bit sign quantization
-    /// of `m + e` with a per-key (blockwise) L1 scale; the quantization
-    /// error `e` is fed back next round. The server applies plain SGD to
-    /// the decoded aggregate.
+    /// Error-Feedback" (dist-EF-blockSGD) — S-SGD with worker momentum in
+    /// front of a 1-bit codec. Each worker keeps a per-key momentum
+    /// buffer `m ← μm + g` and pushes a 1-bit sign quantization of
+    /// `m + e` with a per-key (blockwise) L1 scale; the quantization
+    /// error `e` is fed back next round. The server applies its
+    /// configured optimizer (plain SGD in Zheng et al.'s
+    /// single-momentum variant) to the decoded aggregate.
     EfSgd {
         /// Momentum factor μ (Zheng et al. use 0.9). Must be in `[0, 1)`.
         momentum: f32,

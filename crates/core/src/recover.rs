@@ -9,15 +9,15 @@
 //! so a restarted worker resumes bit-identically instead of silently
 //! dropping in-flight gradient mass.
 //!
-//! The format mirrors the server's shard checkpoints: versioned binary
-//! layout, trailing FNV-1a checksum, atomic temp-file + fsync + rename
-//! writes. Worker and server checkpoints use distinct magic tags
+//! The file is the same sealed envelope as the server's shard
+//! checkpoints (`cdsgd_ps::recover::{seal, open, write_atomic}`:
+//! versioned, FNV-1a checksummed, written temp-file + fsync + rename).
+//! Worker and server checkpoints use distinct magic tags
 //! (`CDWK` vs `CDCK`) and file extensions so a misdirected
 //! `--checkpoint-dir` fails loudly instead of misreading bytes.
 
-use cdsgd_net::wire::{put_f32, put_u32, put_u64, Cursor};
-use cdsgd_ps::recover::{fnv1a64, CheckpointError};
-use std::io::Write;
+use cdsgd_net::wire::{put_f32, put_u32, put_u64};
+use cdsgd_ps::recover::{open, seal, write_atomic, CheckpointError};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every worker checkpoint file.
@@ -44,11 +44,13 @@ pub struct WorkerCheckpoint {
     pub round: u64,
     /// The local model replica's parameters, one vector per key.
     pub model: Vec<Vec<f32>>,
-    /// Opaque strategy state from `UpdateStrategy::export_state` —
+    /// Strategy state from `UpdateStrategy::export_state` —
     /// error-feedback velocities, compressor residuals, Local SGD
     /// accumulators. The slot layout is private to the strategy (e.g.
-    /// EF-SGD stores two vectors per key); empty vectors mean "no state
-    /// for this slot".
+    /// EF-SGD stores two vectors per key) and carries no tag here; the
+    /// strategy's `import_state` checks it against its own layout and
+    /// the model on the way back in. Empty vectors mean "no state for
+    /// this slot".
     pub strategy: Vec<Vec<f32>>,
 }
 
@@ -71,107 +73,59 @@ impl WorkerCheckpoint {
     /// strategy vectors as two length-prefixed lists, and a trailing
     /// FNV-1a checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        put_u32(&mut buf, FORMAT_VERSION);
-        put_u32(&mut buf, self.worker as u32);
-        put_u32(&mut buf, self.num_workers as u32);
-        put_u64(&mut buf, self.epoch as u64);
-        put_u64(&mut buf, self.round);
-        for list in [&self.model, &self.strategy] {
-            put_u32(&mut buf, list.len() as u32);
-            for v in list {
-                put_u32(&mut buf, v.len() as u32);
-                for &x in v {
-                    put_f32(&mut buf, x);
+        seal(MAGIC, FORMAT_VERSION, |buf| {
+            put_u32(buf, self.worker as u32);
+            put_u32(buf, self.num_workers as u32);
+            put_u64(buf, self.epoch as u64);
+            put_u64(buf, self.round);
+            for list in [&self.model, &self.strategy] {
+                put_u32(buf, list.len() as u32);
+                for v in list {
+                    put_u32(buf, v.len() as u32);
+                    for &x in v {
+                        put_f32(buf, x);
+                    }
                 }
             }
-        }
-        let sum = fnv1a64(&buf);
-        put_u64(&mut buf, sum);
-        buf
+        })
     }
 
     /// Decode and validate a worker checkpoint file body.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} bytes is too short for a worker checkpoint",
-                bytes.len()
-            )));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        let actual = fnv1a64(body);
-        if stored != actual {
-            return Err(CheckpointError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
-        let corrupt = |e: cdsgd_net::NetError| CheckpointError::Corrupt(e.to_string());
-        let mut cur = Cursor::new(body);
-        if cur.take(4).map_err(corrupt)? != MAGIC {
-            return Err(CheckpointError::Corrupt(
-                "bad magic (not a worker checkpoint)".into(),
-            ));
-        }
-        let format = cur.u32().map_err(corrupt)?;
-        if format != FORMAT_VERSION {
-            return Err(CheckpointError::Corrupt(format!(
-                "unknown format version {format} (this build reads {FORMAT_VERSION})"
-            )));
-        }
-        let worker = cur.u32().map_err(corrupt)? as usize;
-        let num_workers = cur.u32().map_err(corrupt)? as usize;
-        let epoch = cur.u64().map_err(corrupt)? as usize;
-        let round = cur.u64().map_err(corrupt)?;
-        let mut lists = [Vec::new(), Vec::new()];
-        for list in &mut lists {
-            let n = cur.u32().map_err(corrupt)? as usize;
-            list.reserve(n);
-            for _ in 0..n {
-                let len = cur.u32().map_err(corrupt)? as usize;
-                list.push(cur.f32s(len).map_err(corrupt)?);
+        open(MAGIC, FORMAT_VERSION, bytes, |cur| {
+            let worker = cur.u32()? as usize;
+            let num_workers = cur.u32()? as usize;
+            let epoch = cur.u64()? as usize;
+            let round = cur.u64()?;
+            let mut lists = [Vec::new(), Vec::new()];
+            for list in &mut lists {
+                let n = cur.u32()? as usize;
+                list.reserve(n);
+                for _ in 0..n {
+                    let len = cur.u32()? as usize;
+                    list.push(cur.f32s(len)?);
+                }
             }
-        }
-        let [model, strategy] = lists;
-        if cur.remaining() != 0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after worker checkpoint body",
-                cur.remaining()
-            )));
-        }
-        Ok(Self {
-            worker,
-            num_workers,
-            epoch,
-            round,
-            model,
-            strategy,
+            let [model, strategy] = lists;
+            Ok(Self {
+                worker,
+                num_workers,
+                epoch,
+                round,
+                model,
+                strategy,
+            })
         })
     }
 
-    /// Write this checkpoint into `dir` atomically (temp sibling, then
-    /// fsync, then rename), so a crash mid-write leaves the previous
-    /// epoch's file intact, never a torn one. Returns the final path.
+    /// Write this checkpoint into `dir` atomically (see
+    /// [`write_atomic`]), creating `dir` if needed, so a crash mid-write
+    /// leaves the previous epoch's file intact, never a torn one. Returns
+    /// the final path.
     pub fn save_atomic(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
         std::fs::create_dir_all(dir)?;
         let name = worker_file_name(self.worker, self.epoch);
-        let final_path = dir.join(&name);
-        let tmp_path = dir.join(format!(".{}.tmp-{}", name, std::process::id()));
-        let bytes = self.encode();
-        let mut f = std::fs::File::create(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        if let Err(e) = std::fs::rename(&tmp_path, &final_path) {
-            std::fs::remove_file(&tmp_path).ok();
-            return Err(e.into());
-        }
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(final_path)
+        Ok(write_atomic(dir, &name, &self.encode())?)
     }
 }
 
@@ -257,6 +211,30 @@ mod tests {
     fn encode_decode_round_trips() {
         let c = sample(2, 5);
         assert_eq!(WorkerCheckpoint::decode(&c.encode()).unwrap(), c);
+    }
+
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        // The CDWK layout, byte for byte: magic, version, worker,
+        // num_workers, epoch, round, the model list then the strategy
+        // list (count, then u32-length-prefixed f32 runs), then FNV-1a of
+        // all of the above.
+        let c = WorkerCheckpoint {
+            worker: 1,
+            num_workers: 2,
+            epoch: 3,
+            round: 18,
+            model: vec![vec![1.0]],
+            strategy: vec![vec![], vec![-0.5]],
+        };
+        let hex: String = c.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4344574b01000000010000000200000003000000000000001200000000000000\
+             01000000010000000000803f\
+             020000000000000001000000000000bf\
+             90873e8964db5e36"
+        );
     }
 
     #[test]

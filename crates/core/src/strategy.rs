@@ -18,6 +18,10 @@
 //!    model (adopt the pulled globals, apply the local update of eq. 11,
 //!    or apply the reduced gradient locally).
 //!
+//! S-SGD, BIT-SGD, ECQ-SGD, EF-SGD, OD-SGD and CD-SGD are all
+//! [`PsStrategy`], configured in [`build_strategy`]; Local SGD, AR-SGD and
+//! the decentralized topology synchronize differently and stay separate.
+//!
 //! The split is *bit-exact* with the pre-refactor monolithic loop:
 //! `tests/strategy_equivalence.rs` pins the final-weight hashes captured
 //! from the old code for every variant on two backends.
@@ -25,11 +29,12 @@
 use crate::config::{Algorithm, Topology, TrainConfig};
 use crate::profile::{OpKind, WorkerProfile};
 use cdsgd_compress::{
-    decompress_add, pack_2bit_into, BufferPool, CodecSpans, Compressed, GradientCompressor,
+    decompress_add, BufferPool, CodecSpans, Compressed, GradientCompressor, NoCompression,
     OneBitQuantizer, TwoBitQuantizer,
 };
 use cdsgd_net::{decode_compressed, encode_compressed_into};
 use cdsgd_nn::Sequential;
+use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::{Collective, NetError, ParamClient, PendingPull};
 use std::sync::Arc;
 
@@ -151,10 +156,14 @@ pub(crate) trait UpdateStrategy: Send {
         Vec::new()
     }
 
-    /// Restore state captured by [`UpdateStrategy::export_state`].
-    /// Called once, before the first batch of a resumed run.
-    fn import_state(&mut self, state: &[Vec<f32>]) {
+    /// Restore state captured by [`UpdateStrategy::export_state`] and
+    /// read back from disk. Called once, before the first batch of a
+    /// resumed run. `Err` means the state does not fit this strategy (a
+    /// directory written by another algorithm or model); the strategy is
+    /// then left untouched.
+    fn import_state(&mut self, state: &[Vec<f32>]) -> Result<(), CheckpointError> {
         let _ = state;
+        Ok(())
     }
 
     /// Re-establish the strategy's server attachment for a run resuming
@@ -176,35 +185,11 @@ pub(crate) trait UpdateStrategy: Send {
     }
 }
 
-/// Sparse residual entries (`(key, buffer)` pairs) → one dense vector
-/// per key, the worker-checkpoint slot layout.
-fn residuals_to_dense(entries: Vec<(usize, Vec<f32>)>, num_keys: usize) -> Vec<Vec<f32>> {
-    let mut dense = vec![Vec::new(); num_keys];
-    for (k, v) in entries {
-        if k < num_keys {
-            dense[k] = v;
-        }
-    }
-    dense
-}
-
-/// Inverse of [`residuals_to_dense`]: empty slots mean "no buffer yet".
-fn dense_to_residuals(dense: &[Vec<f32>]) -> Vec<(usize, Vec<f32>)> {
-    dense
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(k, v)| (k, v.clone()))
-        .collect()
-}
-
 /// The parameter-server attachment shared by every PS-based strategy:
-/// the connection, the payload pool, the adopted global snapshot, and the
-/// staged outbound payloads.
+/// the connection (and through it the payload pool it shares with the
+/// server), the adopted global snapshot, and the staged outbound payloads.
 struct PsLink {
     client: Box<dyn ParamClient>,
-    pool: BufferPool,
-    num_keys: usize,
     /// Most recently adopted global weights (initially the shared init).
     /// `Arc` snapshots shared with the server and every same-version
     /// puller — adopting a pull is a pointer move.
@@ -214,58 +199,35 @@ struct PsLink {
 }
 
 impl PsLink {
-    fn new(client: Box<dyn ParamClient>, init: Vec<Arc<[f32]>>) -> Self {
-        let pool = client.pool().clone();
-        Self {
-            client,
-            pool,
-            num_keys: init.len(),
-            base: init,
-            staged: Vec::new(),
-        }
-    }
-
-    /// Stage one raw payload per key. Storage is drawn from the shared
-    /// pool, so steady-state rounds allocate nothing on the push path.
-    fn stage_raw(&mut self, grads: &[Vec<f32>]) {
-        self.staged.clear();
-        self.staged.extend(grads.iter().map(|g| {
-            let mut raw = self.pool.take_f32();
-            raw.extend_from_slice(g);
-            Compressed::Raw(raw)
-        }));
-    }
-
-    /// Stage one compressed payload per key. With profiling on, the
-    /// codec itself records one [`OpKind::Compress`] interval per key
-    /// (via [`ProfiledCodec`]), so encode time is attributed at the
-    /// codec boundary rather than around the staging loop.
-    fn stage_compressed(
+    /// Stage one payload per key: through `codec` when there is one, raw
+    /// f32 otherwise. Storage is drawn from the shared pool, so
+    /// steady-state rounds allocate nothing on the push path. With
+    /// profiling on, the codec itself records one [`OpKind::Compress`]
+    /// interval per key (via [`ProfiledCodec`]), so encode time is
+    /// attributed at the codec boundary rather than around the staging
+    /// loop.
+    fn stage(
         &mut self,
-        compressor: &mut dyn GradientCompressor,
+        mut codec: Option<&mut dyn GradientCompressor>,
         grads: &[Vec<f32>],
         ctx: &StepCtx,
     ) {
+        let spans = ctx.profiler.map(|profile| ProfiledCodec {
+            profile,
+            round: ctx.round,
+        });
+        let pool = self.client.pool();
         self.staged.clear();
-        if let Some(profile) = ctx.profiler {
-            let spans = ProfiledCodec {
-                profile,
-                round: ctx.round,
-            };
-            self.staged.extend(
-                grads
-                    .iter()
-                    .enumerate()
-                    .map(|(key, g)| compressor.compress_into_traced(key, g, &self.pool, &spans)),
-            );
-        } else {
-            self.staged.extend(
-                grads
-                    .iter()
-                    .enumerate()
-                    .map(|(key, g)| compressor.compress_into(key, g, &self.pool)),
-            );
-        }
+        self.staged.extend(
+            grads
+                .iter()
+                .enumerate()
+                .map(|(key, g)| match (&mut codec, &spans) {
+                    (Some(c), Some(spans)) => c.compress_into_traced(key, g, pool, spans),
+                    (Some(c), None) => c.compress_into(key, g, pool),
+                    (None, _) => NoCompression.compress_into(key, g, pool),
+                }),
+        );
     }
 
     /// Push the staged payloads, key by key.
@@ -285,7 +247,7 @@ impl PsLink {
         record_round: u64,
     ) -> Result<(), NetError> {
         let t = ctx.now();
-        self.base = self.client.pull_all(self.num_keys, version)?;
+        self.base = self.client.pull_all(self.base.len(), version)?;
         ctx.record(OpKind::PullWait, record_round, t);
         Ok(())
     }
@@ -293,7 +255,7 @@ impl PsLink {
     /// Fire one async pull per key at `version`; the transfers overlap
     /// the next iteration's computation.
     fn fire_pulls(&self, version: u64) -> Result<Vec<PendingPull>, NetError> {
-        (0..self.num_keys)
+        (0..self.base.len())
             .map(|k| self.client.pull_async(k, version))
             .collect()
     }
@@ -302,123 +264,14 @@ impl PsLink {
     /// per-iteration profiling protocol (the resume path runs before the
     /// first batch, so there is no round to charge the wait to).
     fn pull_version(&mut self, version: u64) -> Result<(), NetError> {
-        self.base = self.client.pull_all(self.num_keys, version)?;
+        self.base = self.client.pull_all(self.base.len(), version)?;
         Ok(())
     }
 }
 
-/// S-SGD: raw gradients, blocking push/pull every iteration.
-struct SSgdStrategy {
-    link: PsLink,
-}
-
-impl UpdateStrategy for SSgdStrategy {
-    fn name(&self) -> &'static str {
-        "ssgd"
-    }
-
-    fn prepare_push(
-        &mut self,
-        _model: &mut Sequential,
-        grads: &[Vec<f32>],
-        _ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        self.link.stage_raw(grads);
-        Ok(())
-    }
-
-    fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
-        self.link.push_staged(ctx.id)?;
-        self.link.pull_blocking(ctx.round + 1, ctx, ctx.round)
-    }
-
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        _grads: &[Vec<f32>],
-        _ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
-
-    fn eval_base(&self) -> Option<&[Arc<[f32]>]> {
-        Some(&self.link.base)
-    }
-
-    fn resume(
-        &mut self,
-        model: &mut Sequential,
-        round: u64,
-        _has_model: bool,
-    ) -> Result<(), NetError> {
-        // Blocking strategies hold model == base at every round boundary,
-        // so re-pulling the globals reconstructs the whole state.
-        self.link.pull_version(round)?;
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
-}
-
-/// BIT-SGD: 2-bit quantized gradients, otherwise the blocking S-SGD
-/// protocol.
-struct BitSgdStrategy {
-    link: PsLink,
-    quantizer: TwoBitQuantizer,
-}
-
-impl UpdateStrategy for BitSgdStrategy {
-    fn name(&self) -> &'static str {
-        "bitsgd"
-    }
-
-    fn prepare_push(
-        &mut self,
-        _model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        self.link.stage_compressed(&mut self.quantizer, grads, ctx);
-        Ok(())
-    }
-
-    fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
-        self.link.push_staged(ctx.id)?;
-        self.link.pull_blocking(ctx.round + 1, ctx, ctx.round)
-    }
-
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        _grads: &[Vec<f32>],
-        _ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
-
-    fn eval_base(&self) -> Option<&[Arc<[f32]>]> {
-        Some(&self.link.base)
-    }
-
-    fn export_state(&self) -> Vec<Vec<f32>> {
-        residuals_to_dense(self.quantizer.export_state(), self.link.num_keys)
-    }
-
-    fn import_state(&mut self, state: &[Vec<f32>]) {
-        self.quantizer.import_state(&dense_to_residuals(state));
-    }
-
-    fn resume(
-        &mut self,
-        model: &mut Sequential,
-        round: u64,
-        _has_model: bool,
-    ) -> Result<(), NetError> {
-        self.link.pull_version(round)?;
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
+/// Wait for every reply of one round's async pulls, in key order.
+fn wait_all(receivers: Vec<PendingPull>) -> Result<Vec<Arc<[f32]>>, NetError> {
+    receivers.into_iter().map(|r| r.wait()).collect()
 }
 
 /// Does CD-SGD compress at round `r`? Warm-up rounds push raw; in the
@@ -428,23 +281,124 @@ fn cd_compresses(warmup: u64, k: u64, r: u64) -> bool {
     r >= warmup && !(r - warmup).is_multiple_of(k)
 }
 
-/// The delayed (local-update) engine shared by OD-SGD and CD-SGD:
-/// warm-up of plain blocking S-SGD, then the formal phase where the pull
-/// of round r's globals is deferred to round r+1 (overlapping this
-/// round's computation) and the model runs one step ahead on local
-/// weights `W^loc_{r+1} = W_r − lr_loc · grad_r` (eq. 11).
-struct DelayedStrategy {
-    link: PsLink,
+/// The single place that knows how gradients become payloads: optional
+/// worker momentum, then an optional codec, bypassed (raw push) on the
+/// rounds the correction schedule names. All worker-private push state —
+/// velocities and the codec's error-feedback residuals — lives here, so
+/// there is one checkpoint layout: velocity slots (iff momentum), then
+/// residual slots (iff codec), one per key each.
+#[derive(Default)]
+struct PushStage {
+    /// Worker momentum `m ← μm + g` (dist-EF-blockSGD, Zheng et al.):
+    /// `(μ, per-key velocity)`. The codec then sees `m`, not `g`.
+    momentum: Option<(f32, Vec<Vec<f32>>)>,
+    /// `None` pushes raw f32 every round.
+    codec: Option<Box<dyn GradientCompressor>>,
+    /// CD-SGD's `(warmup, k)`: the codec is bypassed on the rounds
+    /// [`cd_compresses`] rejects. `None` compresses every round.
+    correction: Option<(u64, u64)>,
+}
+
+impl PushStage {
+    /// Stage this round's payloads for `grads` into `link`.
+    fn stage(&mut self, link: &mut PsLink, grads: &[Vec<f32>], ctx: &StepCtx) {
+        let grads = match &mut self.momentum {
+            Some((mu, velocity)) => {
+                for (v, g) in velocity.iter_mut().zip(grads) {
+                    for (vi, gi) in v.iter_mut().zip(g) {
+                        *vi = *mu * *vi + gi;
+                    }
+                }
+                velocity.as_slice()
+            }
+            None => grads,
+        };
+        let compress = self
+            .correction
+            .is_none_or(|(warmup, k)| cd_compresses(warmup, k, ctx.round));
+        match &mut self.codec {
+            Some(codec) if compress => link.stage(Some(codec.as_mut()), grads, ctx),
+            _ => link.stage(None, grads, ctx),
+        }
+    }
+
+    fn export_state(&self, num_keys: usize) -> Vec<Vec<f32>> {
+        let mut state = Vec::new();
+        if let Some((_, velocity)) = &self.momentum {
+            state.extend(velocity.iter().cloned());
+        }
+        if let Some(codec) = &self.codec {
+            // The codec's sparse `(key, residual)` entries → one dense
+            // slot per key; a key with no buffer yet stays empty.
+            let at = state.len();
+            state.resize(at + num_keys, Vec::new());
+            for (k, v) in codec.export_state() {
+                if k < num_keys {
+                    state[at + k] = v;
+                }
+            }
+        }
+        state
+    }
+
+    /// Restore [`PushStage::export_state`] output read back from disk,
+    /// after checking it against this stage's layout and the model's
+    /// per-key lengths (`base`): a checkpoint directory written by a
+    /// different algorithm or model must be refused, not reinterpreted.
+    fn import_state(
+        &mut self,
+        state: &[Vec<f32>],
+        base: &[Arc<[f32]>],
+    ) -> Result<(), CheckpointError> {
+        let n = base.len();
+        let want = n * (usize::from(self.momentum.is_some()) + usize::from(self.codec.is_some()));
+        if state.len() != want {
+            return Err(CheckpointError::Corrupt(format!(
+                "strategy state has {} slots, but this algorithm keeps {want} for {n} keys \
+                 (was the checkpoint written by a different --algo?)",
+                state.len()
+            )));
+        }
+        let (velocity, residuals) = state.split_at(if self.momentum.is_some() { n } else { 0 });
+        // A residual slot may be empty (the codec has no buffer for that
+        // key yet); a velocity slot never is.
+        let fits = |slots: &[Vec<f32>], may_be_empty: bool| {
+            let empty_ok = |s: &[f32]| may_be_empty && s.is_empty();
+            slots
+                .iter()
+                .zip(base)
+                .all(|(s, b)| s.len() == b.len() || empty_ok(s))
+        };
+        if !fits(velocity, false) || !fits(residuals, true) {
+            return Err(CheckpointError::Corrupt(
+                "strategy state does not match the model's per-key lengths".into(),
+            ));
+        }
+        if let Some((_, v)) = &mut self.momentum {
+            *v = velocity.to_vec();
+        }
+        if let Some(codec) = &mut self.codec {
+            let filled = residuals.iter().cloned().enumerate();
+            codec.import_state(&filled.filter(|(_, v)| !v.is_empty()).collect::<Vec<_>>());
+        }
+        Ok(())
+    }
+}
+
+/// The delay part of a PS strategy (the OD-SGD local update): after
+/// `warmup` blocking rounds, the pull of round r's globals is deferred to
+/// round r+1 (overlapping this round's computation) and the model runs
+/// one step ahead on local weights `W^loc_{r+1} = W_r − lr_loc · grad_r`
+/// (eq. 11).
+#[derive(Default)]
+struct Delay {
     local_lr: f32,
     warmup: u64,
-    /// `Some((k, codec))` enables CD-SGD's compression schedule; `None`
-    /// (OD-SGD) always pushes raw.
-    compressor: Option<(u64, Box<dyn GradientCompressor>)>,
     /// DC-ASGD delay-compensation strength λ (0 disables).
     dc_lambda: f32,
     /// Async pulls fired last round for this round's base.
     pending: Option<Vec<PendingPull>>,
-    /// Replies already received by an epoch-end [`DelayedStrategy::settle`],
+    /// Replies already received by an epoch-end [`PsStrategy::settle`],
     /// held for the next round's adoption.
     settled: Option<Vec<Arc<[f32]>>>,
     // Scratch reused every round.
@@ -452,19 +406,20 @@ struct DelayedStrategy {
     w_loc: Vec<Vec<f32>>,
 }
 
-impl DelayedStrategy {
-    fn formal(&self, round: u64) -> bool {
-        round >= self.warmup
-    }
+/// Every parameter-server algorithm of the S-SGD family: a PS algorithm
+/// is a row of `build_strategy`'s (push stage × delay part) table, not a
+/// struct (DESIGN.md §11). Algorithm 1's warm-up *is* blocking S-SGD, so
+/// a strategy with no delay part simply never leaves the warm-up path.
+struct PsStrategy {
+    name: &'static str,
+    link: PsLink,
+    stage: PushStage,
+    delay: Option<Delay>,
 }
 
-impl UpdateStrategy for DelayedStrategy {
+impl UpdateStrategy for PsStrategy {
     fn name(&self) -> &'static str {
-        if self.compressor.is_some() {
-            "cdsgd"
-        } else {
-            "odsgd"
-        }
+        self.name
     }
 
     fn prepare_push(
@@ -478,71 +433,58 @@ impl UpdateStrategy for DelayedStrategy {
         // one-step-newer global weight; correct it with the diagonal
         // Hessian approximation g̃ = g + λ·g⊙g⊙(W_base − W_loc). Without
         // DC the raw gradients are staged as-is (no copy).
-        let use_dc = self.dc_lambda > 0.0 && self.formal(ctx.round);
-        if use_dc {
-            model.export_params_into(&mut self.w_loc);
-            self.dc_grads.resize_with(grads.len(), Vec::new);
-            for (d, (g, (b, wl))) in self
-                .dc_grads
-                .iter_mut()
-                .zip(grads.iter().zip(self.link.base.iter().zip(&self.w_loc)))
-            {
-                d.clear();
-                d.extend(
-                    g.iter()
-                        .zip(b.iter().zip(wl))
-                        .map(|(&gi, (&bi, &wi))| gi + self.dc_lambda * gi * gi * (bi - wi)),
-                );
+        let dc = self
+            .delay
+            .as_mut()
+            .filter(|d| d.dc_lambda > 0.0 && ctx.round >= d.warmup);
+        let push_grads: &[Vec<f32>] = match dc {
+            Some(d) => {
+                model.export_params_into(&mut d.w_loc);
+                d.dc_grads.resize_with(grads.len(), Vec::new);
+                for (dg, (g, (b, wl))) in d
+                    .dc_grads
+                    .iter_mut()
+                    .zip(grads.iter().zip(self.link.base.iter().zip(&d.w_loc)))
+                {
+                    dg.clear();
+                    dg.extend(
+                        g.iter()
+                            .zip(b.iter().zip(wl))
+                            .map(|(&gi, (&bi, &wi))| gi + d.dc_lambda * gi * gi * (bi - wi)),
+                    );
+                }
+                &d.dc_grads
             }
-        }
-        let push_grads: &[Vec<f32>] = if use_dc { &self.dc_grads } else { grads };
-
-        let compress = match &self.compressor {
-            Some((k, _)) => cd_compresses(self.warmup, *k, ctx.round),
-            None => false,
+            None => grads,
         };
-        if compress {
-            let (_, codec) = self
-                .compressor
-                .as_mut()
-                .expect("compress is only true with a codec");
-            self.link.stage_compressed(codec.as_mut(), push_grads, ctx);
-        } else {
-            self.link.stage_raw(push_grads);
-        }
+        self.stage.stage(&mut self.link, push_grads, ctx);
         Ok(())
     }
 
     fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
         self.link.push_staged(ctx.id)?;
         let round = ctx.round;
-        if self.formal(round) {
-            // Deferred pull: the local update for this iteration needs
-            // W_round (the result of the previous round), which the
-            // warm-up's final pull or the previous formal iteration left
-            // outstanding.
-            if round > self.warmup {
-                let t = ctx.now();
-                self.link.base = match self.settled.take() {
-                    // An epoch-end settle already received the replies.
-                    Some(base) => base,
-                    None => {
-                        let receivers = self.pending.take().expect("async pull fired last round");
-                        receivers
-                            .into_iter()
-                            .map(|r| r.wait())
-                            .collect::<Result<_, _>>()?
-                    }
-                };
-                ctx.record(OpKind::PullWait, round, t);
-            }
-            // Request next round's base (version round+1) now; the
-            // transfer overlaps the next iteration's computation.
-            self.pending = Some(self.link.fire_pulls(round + 1)?);
-        } else {
-            // Warm-up: plain blocking S-SGD synchronization.
-            self.link.pull_blocking(round + 1, ctx, round)?;
+        let Some(d) = self.delay.as_mut().filter(|d| round >= d.warmup) else {
+            // Warm-up (for a strategy with no delay part, every round):
+            // plain blocking S-SGD synchronization.
+            return self.link.pull_blocking(round + 1, ctx, round);
+        };
+        // Deferred pull: the local update for this iteration needs
+        // W_round (the result of the previous round), which the
+        // warm-up's final pull or the previous formal iteration left
+        // outstanding.
+        if round > d.warmup {
+            let t = ctx.now();
+            self.link.base = match d.settled.take() {
+                // An epoch-end settle already received the replies.
+                Some(base) => base,
+                None => wait_all(d.pending.take().expect("async pull fired last round"))?,
+            };
+            ctx.record(OpKind::PullWait, round, t);
         }
+        // Request next round's base (version round+1) now; the
+        // transfer overlaps the next iteration's computation.
+        d.pending = Some(self.link.fire_pulls(round + 1)?);
         Ok(())
     }
 
@@ -552,11 +494,11 @@ impl UpdateStrategy for DelayedStrategy {
         grads: &[Vec<f32>],
         ctx: &StepCtx,
     ) -> Result<(), NetError> {
-        if self.formal(ctx.round) {
+        if let Some(d) = self.delay.as_ref().filter(|d| ctx.round >= d.warmup) {
             // W^loc_{r+1} = W_r − lr_loc · grad_r (eq. 11).
             let t = ctx.now();
             model.import_params_from(&self.link.base);
-            model.axpy_params(-self.local_lr, grads);
+            model.axpy_params(-d.local_lr, grads);
             ctx.record(OpKind::LocalUpdate, ctx.round, t);
         } else {
             model.import_params_from(&self.link.base);
@@ -575,14 +517,12 @@ impl UpdateStrategy for DelayedStrategy {
         // settle, every push/pull of the epoch has been counted on both
         // the server and the client side. The wait is real pull-wait
         // time, charged to the round that would have adopted the reply.
-        if let Some(receivers) = self.pending.take() {
+        let Some(d) = &mut self.delay else {
+            return Ok(());
+        };
+        if let Some(receivers) = d.pending.take() {
             let t = ctx.now();
-            self.settled = Some(
-                receivers
-                    .into_iter()
-                    .map(|r| r.wait())
-                    .collect::<Result<_, _>>()?,
-            );
+            d.settled = Some(wait_all(receivers)?);
             ctx.record(OpKind::PullWait, ctx.round, t);
         }
         Ok(())
@@ -594,25 +534,18 @@ impl UpdateStrategy for DelayedStrategy {
         // worker's last push is applied, so returning from here
         // guarantees the server group holds the fully-aggregated final
         // weights.
-        if let Some(receivers) = self.pending.take() {
-            for r in receivers {
-                r.wait()?;
-            }
+        if let Some(receivers) = self.delay.as_mut().and_then(|d| d.pending.take()) {
+            wait_all(receivers)?;
         }
         Ok(())
     }
 
     fn export_state(&self) -> Vec<Vec<f32>> {
-        match &self.compressor {
-            Some((_, codec)) => residuals_to_dense(codec.export_state(), self.link.num_keys),
-            None => Vec::new(),
-        }
+        self.stage.export_state(self.link.base.len())
     }
 
-    fn import_state(&mut self, state: &[Vec<f32>]) {
-        if let Some((_, codec)) = &mut self.compressor {
-            codec.import_state(&dense_to_residuals(state));
-        }
+    fn import_state(&mut self, state: &[Vec<f32>]) -> Result<(), CheckpointError> {
+        self.stage.import_state(state, &self.link.base)
     }
 
     fn resume(
@@ -627,17 +560,18 @@ impl UpdateStrategy for DelayedStrategy {
         // a bit-identical resume re-materializes it as `settled`; the
         // model holds the one-step-ahead local weights W^loc_round, which
         // only a worker checkpoint can supply (`has_model`). At or before
-        // the warm-up boundary the protocol is still blocking S-SGD:
-        // `base` is the pulled globals and nothing is deferred.
+        // the warm-up boundary (for a strategy with no delay part,
+        // always) the protocol is blocking S-SGD: `base` is the pulled
+        // globals, the model equals them, and nothing is deferred.
         self.link.pull_version(round)?;
         if !has_model {
             // Without a worker checkpoint the local replica restarts from
-            // the globals — the warm-up-exact state; in the formal phase
+            // the globals — the blocking-exact state; in the formal phase
             // an approximation that costs one local-update term.
             model.import_params_from(&self.link.base);
         }
-        if self.formal(round) && round > self.warmup {
-            self.settled = Some(self.link.base.clone());
+        if let Some(d) = self.delay.as_mut().filter(|d| round > d.warmup) {
+            d.settled = Some(self.link.base.clone());
         }
         Ok(())
     }
@@ -682,7 +616,7 @@ impl UpdateStrategy for LocalSgdStrategy {
             }
         }
         if self.syncs_now(ctx.round) {
-            self.link.stage_raw(&self.acc);
+            self.link.stage(None, &self.acc, ctx);
         }
         Ok(())
     }
@@ -727,10 +661,11 @@ impl UpdateStrategy for LocalSgdStrategy {
         self.acc.clone()
     }
 
-    fn import_state(&mut self, state: &[Vec<f32>]) {
+    fn import_state(&mut self, state: &[Vec<f32>]) -> Result<(), CheckpointError> {
         if !state.is_empty() {
             self.acc = state.to_vec();
         }
+        Ok(())
     }
 
     fn resume(
@@ -984,210 +919,6 @@ impl UpdateStrategy for DecentralizedStrategy {
     }
 }
 
-/// Error-compensated 2-bit quantized SGD (ECQ-SGD, Wu et al.): the
-/// blocking BIT-SGD protocol, but the carried quantization error is
-/// scaled by α on the way in (`c = g + α·e`) and decayed by β on the way
-/// out (`e ← β·(c − decode(q(c)))`). With `α = β = 1` the symbol stream
-/// and residuals are bit-identical to [`BitSgdStrategy`] at the same
-/// threshold (pinned by `tests/topology_equivalence.rs`); damping them
-/// bounds how much stale error a slow round can re-inject.
-struct EcqSgdStrategy {
-    link: PsLink,
-    threshold: f32,
-    alpha: f32,
-    beta: f32,
-    /// Per-key carried quantization error, lazily sized from the first
-    /// gradients.
-    err: Vec<Vec<f32>>,
-    // Scratch reused every round.
-    corrected: Vec<f32>,
-    symbols: Vec<u8>,
-}
-
-impl UpdateStrategy for EcqSgdStrategy {
-    fn name(&self) -> &'static str {
-        "ecqsgd"
-    }
-
-    fn prepare_push(
-        &mut self,
-        _model: &mut Sequential,
-        grads: &[Vec<f32>],
-        _ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        if self.err.is_empty() {
-            self.err = grads.iter().map(|g| vec![0.0f32; g.len()]).collect();
-        }
-        self.link.staged.clear();
-        let (thr, alpha, beta) = (self.threshold, self.alpha, self.beta);
-        for (g, e) in grads.iter().zip(self.err.iter_mut()) {
-            self.corrected.clear();
-            self.corrected
-                .extend(g.iter().zip(e.iter()).map(|(&gi, &ei)| gi + alpha * ei));
-            self.symbols.clear();
-            // Same comparison ladder as the 2-bit kernel scan, so the
-            // α = β = 1 case reproduces BIT-SGD's symbols exactly.
-            for (ei, &c) in e.iter_mut().zip(&self.corrected) {
-                let (sym, q) = if c >= thr {
-                    (1u8, thr)
-                } else if c <= -thr {
-                    (2u8, -thr)
-                } else {
-                    (0u8, 0.0)
-                };
-                self.symbols.push(sym);
-                *ei = beta * (c - q);
-            }
-            let mut packed = self.link.pool.take_bytes();
-            pack_2bit_into(&self.symbols, &mut packed);
-            self.link.staged.push(Compressed::TwoBit {
-                threshold: thr,
-                packed,
-                len: g.len(),
-            });
-        }
-        Ok(())
-    }
-
-    fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
-        self.link.push_staged(ctx.id)?;
-        self.link.pull_blocking(ctx.round + 1, ctx, ctx.round)
-    }
-
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        _grads: &[Vec<f32>],
-        _ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
-
-    fn eval_base(&self) -> Option<&[Arc<[f32]>]> {
-        Some(&self.link.base)
-    }
-
-    fn export_state(&self) -> Vec<Vec<f32>> {
-        self.err.clone()
-    }
-
-    fn import_state(&mut self, state: &[Vec<f32>]) {
-        if !state.is_empty() {
-            self.err = state.to_vec();
-        }
-    }
-
-    fn resume(
-        &mut self,
-        model: &mut Sequential,
-        round: u64,
-        _has_model: bool,
-    ) -> Result<(), NetError> {
-        self.link.pull_version(round)?;
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
-}
-
-/// Blockwise momentum SGD with error feedback (dist-EF-blockSGD, Zheng
-/// et al.): worker momentum `m ← μm + g`, then a 1-bit sign quantization
-/// of `m + e` with a per-key (blockwise) L1 scale is pushed; the
-/// quantization error `e` feeds back next round (the
-/// [`OneBitQuantizer`]'s residual store). The server applies its
-/// configured optimizer to the decoded aggregate — plain SGD in Zheng et
-/// al.'s single-momentum variant.
-struct EfSgdStrategy {
-    link: PsLink,
-    momentum: f32,
-    /// Per-key momentum buffers, lazily sized from the first gradients.
-    velocity: Vec<Vec<f32>>,
-    quantizer: OneBitQuantizer,
-}
-
-impl UpdateStrategy for EfSgdStrategy {
-    fn name(&self) -> &'static str {
-        "efsgd"
-    }
-
-    fn prepare_push(
-        &mut self,
-        _model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        if self.velocity.is_empty() {
-            self.velocity = grads.iter().map(|g| vec![0.0f32; g.len()]).collect();
-        }
-        for (v, g) in self.velocity.iter_mut().zip(grads) {
-            for (vi, gi) in v.iter_mut().zip(g) {
-                *vi = self.momentum * *vi + gi;
-            }
-        }
-        self.link
-            .stage_compressed(&mut self.quantizer, &self.velocity, ctx);
-        Ok(())
-    }
-
-    fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
-        self.link.push_staged(ctx.id)?;
-        self.link.pull_blocking(ctx.round + 1, ctx, ctx.round)
-    }
-
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        _grads: &[Vec<f32>],
-        _ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
-
-    fn eval_base(&self) -> Option<&[Arc<[f32]>]> {
-        Some(&self.link.base)
-    }
-
-    fn export_state(&self) -> Vec<Vec<f32>> {
-        // Two vectors per key: the momentum velocity, then the 1-bit
-        // quantizer's error-feedback residual.
-        if self.velocity.is_empty() {
-            return Vec::new();
-        }
-        let mut state = self.velocity.clone();
-        state.extend(residuals_to_dense(
-            self.quantizer.export_state(),
-            self.link.num_keys,
-        ));
-        state
-    }
-
-    fn import_state(&mut self, state: &[Vec<f32>]) {
-        if state.is_empty() {
-            return;
-        }
-        assert_eq!(
-            state.len(),
-            2 * self.link.num_keys,
-            "EF-SGD state is two vectors per key"
-        );
-        let (velocity, residuals) = state.split_at(self.link.num_keys);
-        self.velocity = velocity.to_vec();
-        self.quantizer.import_state(&dense_to_residuals(residuals));
-    }
-
-    fn resume(
-        &mut self,
-        model: &mut Sequential,
-        round: u64,
-        _has_model: bool,
-    ) -> Result<(), NetError> {
-        self.link.pull_version(round)?;
-        model.import_params_from(&self.link.base);
-        Ok(())
-    }
-}
-
 /// Resolve the algorithm to its strategy — the single construction-time
 /// dispatch on [`Algorithm`]. `collective` must be `Some` exactly when
 /// [`Algorithm::uses_ring`] says so (the trainer guarantees it); the
@@ -1210,72 +941,85 @@ pub(crate) fn build_strategy(
             mean: Vec::new(),
         });
     }
-    let link = PsLink::new(client, init);
-    match algo {
+    let link = PsLink {
+        client,
+        base: init,
+        staged: Vec::new(),
+    };
+    let codec_stage = |codec: Box<dyn GradientCompressor>| PushStage {
+        codec: Some(codec),
+        ..PushStage::default()
+    };
+    let delay = |local_lr: f32, warmup: u64, dc_lambda: f32| Delay {
+        local_lr,
+        warmup,
+        dc_lambda,
+        ..Delay::default()
+    };
+    // One row per algorithm: (name, how gradients become payloads,
+    // whether the pull is delayed).
+    let (name, stage, delay) = match algo {
         Algorithm::ArSgd => unreachable!("AR-SGD requires a collective"),
-        Algorithm::SSgd => Box::new(SSgdStrategy { link }),
-        Algorithm::BitSgd { threshold } => Box::new(BitSgdStrategy {
-            link,
-            quantizer: TwoBitQuantizer::new(*threshold),
-        }),
-        Algorithm::OdSgd { local_lr } => Box::new(DelayedStrategy {
-            link,
-            local_lr: *local_lr,
-            warmup: 0,
-            compressor: None,
-            dc_lambda: 0.0,
-            pending: None,
-            settled: None,
-            dc_grads: Vec::new(),
-            w_loc: Vec::new(),
-        }),
+        Algorithm::LocalSgd {
+            local_lr,
+            sync_period,
+        } => {
+            return Box::new(LocalSgdStrategy {
+                link,
+                local_lr: *local_lr,
+                sync_period: *sync_period as u64,
+                acc: Vec::new(),
+                syncs: 0,
+            })
+        }
+        Algorithm::SSgd => ("ssgd", PushStage::default(), None),
+        Algorithm::BitSgd { threshold } => (
+            "bitsgd",
+            codec_stage(Box::new(TwoBitQuantizer::new(*threshold))),
+            None,
+        ),
+        Algorithm::EcqSgd {
+            threshold,
+            alpha,
+            beta,
+        } => {
+            let codec = TwoBitQuantizer::new(*threshold).with_feedback(*alpha, *beta);
+            ("ecqsgd", codec_stage(Box::new(codec)), None)
+        }
+        Algorithm::EfSgd { momentum } => {
+            let velocity = link.base.iter().map(|b| vec![0.0f32; b.len()]).collect();
+            let stage = PushStage {
+                momentum: Some((*momentum, velocity)),
+                ..codec_stage(Box::new(OneBitQuantizer::new()))
+            };
+            ("efsgd", stage, None)
+        }
+        Algorithm::OdSgd { local_lr } => (
+            "odsgd",
+            PushStage::default(),
+            Some(delay(*local_lr, 0, 0.0)),
+        ),
         Algorithm::CdSgd {
             local_lr,
             codec,
             k,
             warmup,
             dc_lambda,
-        } => Box::new(DelayedStrategy {
-            link,
-            local_lr: *local_lr,
-            warmup: *warmup as u64,
-            compressor: Some((*k as u64, codec.build())),
-            dc_lambda: *dc_lambda,
-            pending: None,
-            settled: None,
-            dc_grads: Vec::new(),
-            w_loc: Vec::new(),
-        }),
-        Algorithm::LocalSgd {
-            local_lr,
-            sync_period,
-        } => Box::new(LocalSgdStrategy {
-            link,
-            local_lr: *local_lr,
-            sync_period: *sync_period as u64,
-            acc: Vec::new(),
-            syncs: 0,
-        }),
-        Algorithm::EfSgd { momentum } => Box::new(EfSgdStrategy {
-            link,
-            momentum: *momentum,
-            velocity: Vec::new(),
-            quantizer: OneBitQuantizer::new(),
-        }),
-        Algorithm::EcqSgd {
-            threshold,
-            alpha,
-            beta,
-        } => Box::new(EcqSgdStrategy {
-            link,
-            threshold: *threshold,
-            alpha: *alpha,
-            beta: *beta,
-            err: Vec::new(),
-            corrected: Vec::new(),
-            symbols: Vec::new(),
-        }),
-    }
+        } => {
+            let stage = PushStage {
+                correction: Some((*warmup as u64, *k as u64)),
+                ..codec_stage(codec.build())
+            };
+            let delay = delay(*local_lr, *warmup as u64, *dc_lambda);
+            ("cdsgd", stage, Some(delay))
+        }
+    };
+    Box::new(PsStrategy {
+        name,
+        link,
+        stage,
+        delay,
+    })
 }
 
 /// The learning rate in effect at `round`, honoring the epoch-indexed
@@ -1344,6 +1088,65 @@ mod tests {
                 assert!(s.eval_base().is_some(), "{name} adopts a server base");
             });
         }
+    }
+
+    /// One staged push of `algo` over keys of 4 and 2 values, then the
+    /// state a worker checkpoint would carry.
+    fn state_after_one_push(algo: &Algorithm) -> (Box<dyn UpdateStrategy>, Vec<Vec<f32>>) {
+        let init: Vec<Arc<[f32]>> = vec![Arc::from(vec![0.0f32; 4]), Arc::from(vec![0.0f32; 2])];
+        let cfg = TrainConfig::new(algo.clone(), 1);
+        let ctx = StepCtx {
+            id: 0,
+            round: 0,
+            cfg: &cfg,
+            iters_per_epoch: 1,
+            profiler: None,
+        };
+        let mut built = None;
+        with_client(|client| {
+            let mut s = build_strategy(algo, &Topology::Ps, client, None, init);
+            let grads = vec![vec![0.3f32; 4], vec![-0.2f32; 2]];
+            s.prepare_push(&mut Sequential::new(), &grads, &ctx)
+                .unwrap();
+            built = Some(s);
+        });
+        let s = built.unwrap();
+        let state = s.export_state();
+        (s, state)
+    }
+
+    #[test]
+    fn state_from_another_algorithm_is_refused_not_reinterpreted() {
+        let (mut bit, bit_state) = state_after_one_push(&Algorithm::BitSgd { threshold: 0.5 });
+        let (mut ef, ef_state) = state_after_one_push(&Algorithm::ef_sgd(0.9));
+        let (mut ssgd, ssgd_state) = state_after_one_push(&Algorithm::SSgd);
+        // The pinned layouts: residuals; velocities then residuals; none.
+        assert_eq!(bit_state, vec![vec![0.3; 4], vec![-0.2; 2]]);
+        assert_eq!(ef_state.len(), 4);
+        assert_eq!(ef_state[..2], [vec![0.3; 4], vec![-0.2; 2]]);
+        assert!(ssgd_state.is_empty());
+
+        // Both cross-algorithm directions are typed errors (the first
+        // used to panic, the second loaded velocities as residuals)...
+        let refused = |s: &mut dyn UpdateStrategy, foreign: &[Vec<f32>]| {
+            let before = s.export_state();
+            let err = s.import_state(foreign).expect_err("foreign layout");
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+            assert_eq!(s.export_state(), before, "a refused import changes nothing");
+        };
+        refused(ef.as_mut(), &bit_state);
+        refused(bit.as_mut(), &ef_state);
+        refused(ssgd.as_mut(), &bit_state);
+        refused(bit.as_mut(), &ssgd_state);
+        // ...as is the right slot count for a different model shape.
+        let (mut ecq, _) = state_after_one_push(&Algorithm::ecq_sgd(0.5, 0.9, 0.9));
+        assert!(ecq.import_state(&[vec![0.1; 4], vec![0.1; 3]]).is_err());
+
+        // The matching layout round-trips.
+        ef.import_state(&ef_state).unwrap();
+        assert_eq!(ef.export_state(), ef_state);
+        ecq.import_state(&bit_state).unwrap();
+        assert_eq!(ecq.export_state(), bit_state);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::strategy::{build_strategy, StepCtx};
 use crate::supervise::PoisonBarrier;
 use cdsgd_data::{augment, Batch, Dataset};
 use cdsgd_nn::{Layer, Mode, Sequential, SoftmaxCrossEntropy};
+use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::{Collective, NetError, ParamClient};
 use cdsgd_tensor::SmallRng64;
 use crossbeam::channel::Sender;
@@ -111,17 +112,25 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
         round = (start_epoch * a.iters_per_epoch) as u64;
         let mut has_model = false;
         if let Some(dir) = &a.cfg.worker_ckpt_dir {
-            match crate::recover::load_worker(dir, a.id, a.cfg.num_workers, start_epoch) {
-                Ok(ckpt) if ckpt.round == round => {
-                    a.model.import_params(&ckpt.model);
-                    strategy.import_state(&ckpt.strategy);
+            // The strategy state is validated before the model is
+            // touched, so a checkpoint from another round, algorithm or
+            // model is refused whole, never half-applied.
+            let loaded = crate::recover::load_worker(dir, a.id, a.cfg.num_workers, start_epoch)
+                .and_then(|ckpt| {
+                    if ckpt.round != round {
+                        return Err(CheckpointError::Corrupt(format!(
+                            "taken at round {} but this run resumes at round {round}",
+                            ckpt.round
+                        )));
+                    }
+                    strategy.import_state(&ckpt.strategy)?;
+                    Ok(ckpt.model)
+                });
+            match loaded {
+                Ok(model) => {
+                    a.model.import_params(&model);
                     has_model = true;
                 }
-                Ok(ckpt) => eprintln!(
-                    "worker {}: checkpoint for epoch {start_epoch} was taken at round {} \
-                     but this run resumes at round {round}; ignoring it",
-                    a.id, ckpt.round
-                ),
                 Err(e) => eprintln!(
                     "worker {}: no usable checkpoint for epoch {start_epoch} ({e}); \
                      resuming from the server's globals alone",

@@ -143,16 +143,98 @@ pub struct ShardCheckpoint {
 }
 
 /// FNV-1a over `bytes` — the same hash the equivalence tests use, here
-/// guarding checkpoint payloads against torn or bit-rotted files. Public
-/// so the worker-side checkpoint codec (`cd_sgd::recover`) shares one
-/// checksum implementation.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// guarding checkpoint payloads against torn or bit-rotted files.
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Frame a checkpoint file: `magic`, `version`, whatever `body` appends,
+/// then FNV-1a over all three. The one envelope every binary checkpoint
+/// format (`CDCK` shards here, `CDWK` workers in `cd_sgd::recover`) is
+/// written in and [`open`]ed from.
+pub fn seal(magic: &[u8; 4], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(magic);
+    put_u32(&mut buf, version);
+    body(&mut buf);
+    let sum = fnv1a64(&buf);
+    put_u64(&mut buf, sum);
+    buf
+}
+
+/// Inverse of [`seal`]: verify the checksum, the magic and the version,
+/// hand the body to `parse`, and reject anything `parse` leaves unread.
+/// Every way the bytes can be wrong is a [`CheckpointError::Corrupt`].
+pub fn open<T>(
+    magic: &[u8; 4],
+    version: u32,
+    bytes: &[u8],
+    parse: impl FnOnce(&mut Cursor) -> Result<T, cdsgd_net::NetError>,
+) -> Result<T, CheckpointError> {
+    if bytes.len() < magic.len() + 8 {
+        return Err(CheckpointError::Corrupt(format!(
+            "{} bytes is too short for a checkpoint",
+            bytes.len()
+        )));
+    }
+    let (sealed, tail) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(tail.try_into().expect("split off 8 bytes"));
+    let actual = fnv1a64(sealed);
+    if stored != actual {
+        return Err(CheckpointError::Corrupt(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+        )));
+    }
+    let corrupt = |e: cdsgd_net::NetError| CheckpointError::Corrupt(e.to_string());
+    let mut cur = Cursor::new(sealed);
+    if cur.take(4).map_err(corrupt)? != magic {
+        return Err(CheckpointError::Corrupt(format!(
+            "bad magic (not a {} checkpoint)",
+            String::from_utf8_lossy(magic)
+        )));
+    }
+    let format = cur.u32().map_err(corrupt)?;
+    if format != version {
+        return Err(CheckpointError::Corrupt(format!(
+            "unknown format version {format} (this build reads {version})"
+        )));
+    }
+    let parsed = parse(&mut cur).map_err(corrupt)?;
+    if cur.remaining() != 0 {
+        return Err(CheckpointError::Corrupt(format!(
+            "{} trailing bytes after checkpoint body",
+            cur.remaining()
+        )));
+    }
+    Ok(parsed)
+}
+
+/// Write `bytes` to `dir/name` durably: a temporary sibling is written
+/// and fsynced, then renamed over the final name, so a crash at any point
+/// leaves either the old file or the new one — never a truncated hybrid.
+/// `dir` must exist. Returns the final path.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    let final_path = dir.join(name);
+    let tmp_path = dir.join(format!(".{name}.tmp-{}", std::process::id()));
+    let mut f = std::fs::File::create(&tmp_path)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    if let Err(e) = std::fs::rename(&tmp_path, &final_path) {
+        std::fs::remove_file(&tmp_path).ok();
+        return Err(e);
+    }
+    // Make the rename itself durable. Directory fsync is best-effort:
+    // some platforms refuse to open directories.
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(final_path)
 }
 
 /// Canonical file name of a shard checkpoint.
@@ -179,106 +261,56 @@ impl ShardCheckpoint {
             self.opt_state.len(),
             "one optimizer state blob per key"
         );
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        put_u32(&mut buf, FORMAT_VERSION);
-        put_u32(&mut buf, self.shard as u32);
-        put_u32(&mut buf, self.num_shards as u32);
-        put_u64(&mut buf, self.round);
-        put_u32(&mut buf, self.weights.len() as u32);
-        for (w, o) in self.weights.iter().zip(&self.opt_state) {
-            put_u32(&mut buf, w.len() as u32);
-            for &x in w {
-                put_f32(&mut buf, x);
+        seal(MAGIC, FORMAT_VERSION, |buf| {
+            put_u32(buf, self.shard as u32);
+            put_u32(buf, self.num_shards as u32);
+            put_u64(buf, self.round);
+            put_u32(buf, self.weights.len() as u32);
+            for (w, o) in self.weights.iter().zip(&self.opt_state) {
+                put_u32(buf, w.len() as u32);
+                for &x in w {
+                    put_f32(buf, x);
+                }
+                put_u32(buf, o.len() as u32);
+                for &x in o {
+                    put_f32(buf, x);
+                }
             }
-            put_u32(&mut buf, o.len() as u32);
-            for &x in o {
-                put_f32(&mut buf, x);
-            }
-        }
-        let sum = fnv1a64(&buf);
-        put_u64(&mut buf, sum);
-        buf
+        })
     }
 
     /// Decode and validate a checkpoint file body.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} bytes is too short for a checkpoint",
-                bytes.len()
-            )));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        let actual = fnv1a64(body);
-        if stored != actual {
-            return Err(CheckpointError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
-        let corrupt = |e: cdsgd_net::NetError| CheckpointError::Corrupt(e.to_string());
-        let mut cur = Cursor::new(body);
-        if cur.take(4).map_err(corrupt)? != MAGIC {
-            return Err(CheckpointError::Corrupt("bad magic".into()));
-        }
-        let format = cur.u32().map_err(corrupt)?;
-        if format != FORMAT_VERSION {
-            return Err(CheckpointError::Corrupt(format!(
-                "unknown format version {format} (this build reads {FORMAT_VERSION})"
-            )));
-        }
-        let shard = cur.u32().map_err(corrupt)? as usize;
-        let num_shards = cur.u32().map_err(corrupt)? as usize;
-        let round = cur.u64().map_err(corrupt)?;
-        let nkeys = cur.u32().map_err(corrupt)? as usize;
-        let mut weights = Vec::with_capacity(nkeys);
-        let mut opt_state = Vec::with_capacity(nkeys);
-        for _ in 0..nkeys {
-            let wlen = cur.u32().map_err(corrupt)? as usize;
-            weights.push(cur.f32s(wlen).map_err(corrupt)?);
-            let olen = cur.u32().map_err(corrupt)? as usize;
-            opt_state.push(cur.f32s(olen).map_err(corrupt)?);
-        }
-        if cur.remaining() != 0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after checkpoint body",
-                cur.remaining()
-            )));
-        }
-        Ok(Self {
-            shard,
-            num_shards,
-            round,
-            weights,
-            opt_state,
+        open(MAGIC, FORMAT_VERSION, bytes, |cur| {
+            let shard = cur.u32()? as usize;
+            let num_shards = cur.u32()? as usize;
+            let round = cur.u64()?;
+            let nkeys = cur.u32()? as usize;
+            let mut weights = Vec::with_capacity(nkeys);
+            let mut opt_state = Vec::with_capacity(nkeys);
+            for _ in 0..nkeys {
+                let wlen = cur.u32()? as usize;
+                weights.push(cur.f32s(wlen)?);
+                let olen = cur.u32()? as usize;
+                opt_state.push(cur.f32s(olen)?);
+            }
+            Ok(Self {
+                shard,
+                num_shards,
+                round,
+                weights,
+                opt_state,
+            })
         })
     }
 
-    /// Write this checkpoint into `dir` atomically: encode to a
-    /// temporary sibling, fsync it, then rename over the final name, so
-    /// a crash at any point leaves either the old file or the new one —
-    /// never a truncated hybrid. Returns the final path.
+    /// Write this checkpoint into `dir` atomically (see
+    /// [`write_atomic`]), creating `dir` if needed. Returns the final
+    /// path.
     pub fn save_atomic(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
         std::fs::create_dir_all(dir)?;
-        let final_path = dir.join(checkpoint_file_name(self.shard, self.round));
-        let tmp_path = dir.join(format!(
-            ".{}.tmp-{}",
-            checkpoint_file_name(self.shard, self.round),
-            std::process::id()
-        ));
-        let bytes = self.encode();
-        let mut f = std::fs::File::create(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp_path, &final_path)?;
-        // Make the rename itself durable. Directory fsync is
-        // best-effort: some platforms refuse to open directories.
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(final_path)
+        let name = checkpoint_file_name(self.shard, self.round);
+        Ok(write_atomic(dir, &name, &self.encode())?)
     }
 
     /// The [`RestoredState`] this checkpoint describes.
@@ -481,6 +513,10 @@ mod tests {
         d
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     fn sample(shard: usize, num_shards: usize, round: u64) -> ShardCheckpoint {
         ShardCheckpoint {
             shard,
@@ -495,6 +531,26 @@ mod tests {
     fn encode_decode_round_trips() {
         let c = sample(1, 4, 24);
         assert_eq!(ShardCheckpoint::decode(&c.encode()).unwrap(), c);
+    }
+
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        // The CDCK layout, byte for byte: magic, version, shard,
+        // num_shards, round, key count, per key (weights, opt state) as
+        // u32-length-prefixed f32 runs, then FNV-1a of all of the above.
+        let c = ShardCheckpoint {
+            shard: 1,
+            num_shards: 2,
+            round: 3,
+            weights: vec![vec![1.0]],
+            opt_state: vec![vec![]],
+        };
+        assert_eq!(
+            hex(&c.encode()),
+            "4344434b0100000001000000020000000300000000000000\
+             01000000010000000000803f00000000\
+             54ace587bf05e0e9"
+        );
     }
 
     #[test]

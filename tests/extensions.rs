@@ -175,30 +175,36 @@ fn nesterov_server_opt_trains_end_to_end() {
 }
 
 #[test]
-fn profiling_records_all_op_kinds_for_delayed_algorithms() {
-    use cd_sgd::profile::OpKind;
-    let data = toy::gaussian_blobs(120, 6, 3, 0.5, 22);
-    let cfg = TrainConfig::new(Algorithm::cd_sgd(0.05, 0.1, 2, 3), 2)
-        .with_lr(0.2)
-        .with_batch_size(10)
-        .with_epochs(2)
-        .with_seed(22)
-        .with_profiling(true);
-    let h = Trainer::new(cfg, |rng| models::mlp(&[6, 8, 3], rng), data, None).run();
-    let events = h.profile.expect("profiling on");
-    for kind in [
-        OpKind::Forward,
-        OpKind::Backward,
-        OpKind::Compress,
-        OpKind::LocalUpdate,
-        OpKind::PullWait,
+fn profiling_records_compress_spans_for_every_compressing_algorithm() {
+    // Every algorithm that pushes codec payloads goes through the one
+    // profiled, kernel-backed staging path; the delayed one (CD-SGD)
+    // additionally records its local updates.
+    use cd_sgd::profile::OpKind::{Backward, Compress, Forward, LocalUpdate, PullWait};
+    let blocking = vec![Forward, Backward, Compress, PullWait];
+    let delayed = vec![Forward, Backward, Compress, PullWait, LocalUpdate];
+    for (name, algo, kinds) in [
+        ("bitsgd", Algorithm::BitSgd { threshold: 0.1 }, &blocking),
+        ("ecqsgd", Algorithm::ecq_sgd(0.1, 0.9, 0.9), &blocking),
+        ("efsgd", Algorithm::ef_sgd(0.9), &blocking),
+        ("cdsgd", Algorithm::cd_sgd(0.05, 0.1, 2, 3), &delayed),
     ] {
-        assert!(
-            events.iter().any(|e| e.op == kind),
-            "missing {kind:?} events"
-        );
+        let data = toy::gaussian_blobs(120, 6, 3, 0.5, 22);
+        let cfg = TrainConfig::new(algo, 2)
+            .with_lr(0.2)
+            .with_batch_size(10)
+            .with_epochs(2)
+            .with_seed(22)
+            .with_profiling(true);
+        let h = Trainer::new(cfg, |rng| models::mlp(&[6, 8, 3], rng), data, None).run();
+        let events = h.profile.expect("profiling on");
+        for kind in kinds {
+            assert!(
+                events.iter().any(|e| e.op == *kind),
+                "{name}: missing {kind:?} events"
+            );
+        }
+        // Events from both workers.
+        assert!(events.iter().any(|e| e.worker == 0), "{name}");
+        assert!(events.iter().any(|e| e.worker == 1), "{name}");
     }
-    // Events from both workers.
-    assert!(events.iter().any(|e| e.worker == 0));
-    assert!(events.iter().any(|e| e.worker == 1));
 }
