@@ -28,6 +28,19 @@ fn trainer(cfg: TrainConfig) -> Trainer {
 /// The model of the fixture: 8→32→4 MLP, 420 floats total.
 const MODEL_FLOATS: u64 = 8 * 32 + 32 + 32 * 4 + 4;
 
+/// FNV-1a over the little-endian bit patterns of all final weights, in
+/// key order (the `strategy_equivalence` hash).
+fn weight_hash(h: &TrainingHistory) -> u64 {
+    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in h.final_weights.iter().flatten() {
+        for b in w.to_bits().to_le_bytes() {
+            acc ^= b as u64;
+            acc = acc.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    acc
+}
+
 #[test]
 fn allreduce_bit_identical_across_transports_and_topologies() {
     // The reduction-order contract makes every backend exact: chunk c
@@ -37,6 +50,13 @@ fn allreduce_bit_identical_across_transports_and_topologies() {
     assert!(
         reference.final_test_acc().unwrap() > 0.85,
         "fixture must actually learn"
+    );
+    // Captured at commit dc4c259, when the trainer's fallback ring was
+    // the crossbeam-channel `RingMember`; holds on both kernel backends.
+    assert_eq!(
+        weight_hash(&reference),
+        0xe494d145d35042fc,
+        "the trainer's fallback ring left the pinned reduction order"
     );
 
     let variants: Vec<(&str, TrainingHistory)> = vec![
