@@ -16,7 +16,7 @@
 //! (`CDWK` vs `CDCK`) and file extensions so a misdirected
 //! `--checkpoint-dir` fails loudly instead of misreading bytes.
 
-use cdsgd_net::wire::{put_f32, put_u32, put_u64};
+use cdsgd_net::wire::{put_f32s, put_u32, put_u64};
 use cdsgd_ps::recover::{open, seal, write_atomic, CheckpointError};
 use std::path::{Path, PathBuf};
 
@@ -82,9 +82,7 @@ impl WorkerCheckpoint {
                 put_u32(buf, list.len() as u32);
                 for v in list {
                     put_u32(buf, v.len() as u32);
-                    for &x in v {
-                        put_f32(buf, x);
-                    }
+                    put_f32s(buf, v);
                 }
             }
         })

@@ -691,7 +691,7 @@ impl UpdateStrategy for LocalSgdStrategy {
 /// AR-SGD: no parameter server; every round the workers mean-reduce raw
 /// gradients through the collective and apply the update locally. The
 /// model *is* the global state. Which topology carries the reduction
-/// (in-memory ring, wire ring, tree) is invisible here: every
+/// (ring or tree, loopback or TCP) is invisible here: every
 /// [`Collective`] honors the same pinned reduction order, so the bits
 /// are identical.
 struct ArSgdStrategy {
@@ -1151,7 +1151,7 @@ mod tests {
 
     #[test]
     fn ring_member_wins_resolution() {
-        let (members, _stats) = cdsgd_ps::allreduce::ring_group(1);
+        let (members, _stats) = cdsgd_ps::WireRing::loopback(1);
         with_client(|client| {
             let s = build_strategy(
                 &Algorithm::ArSgd,
@@ -1170,7 +1170,7 @@ mod tests {
 
     #[test]
     fn decentralized_topology_wins_resolution() {
-        let (members, _stats) = cdsgd_ps::allreduce::ring_group(1);
+        let (members, _stats) = cdsgd_ps::WireRing::loopback(1);
         with_client(|client| {
             let s = build_strategy(
                 &Algorithm::ArSgd,

@@ -199,8 +199,8 @@ impl Trainer {
         // Server-less algorithms get one collective handle per worker.
         // A backend that *owns* the collectives (AllReduceBackend /
         // DecentralizedBackend over loopback or TCP) surrenders them
-        // here; otherwise the trainer builds the group itself on the
-        // topology the config names.
+        // here; otherwise the trainer builds the group itself, over
+        // loopback, on the topology the config names.
         let use_ring = self.cfg.algo.uses_ring();
         type Members = Vec<Option<Box<dyn Collective>>>;
         let (mut ring_members, ring_stats): (Members, Option<Arc<TrafficStats>>) = if use_ring {
@@ -208,7 +208,7 @@ impl Trainer {
                 Some(g) => Ok(g),
                 None => match self.cfg.topology {
                     Topology::Tree => build_tree_group(n, WireMode::Loopback),
-                    _ => build_ring_group(n, WireMode::Memory),
+                    _ => build_ring_group(n, WireMode::Loopback),
                 },
             };
             let group = match group {

@@ -48,7 +48,7 @@ pub(crate) struct WorkerArgs {
     pub client: Box<dyn ParamClient>,
     /// Collective handle for the server-less algorithms (AR-SGD and the
     /// decentralized topology); `None` for the PS-based algorithms. Which
-    /// topology (in-memory ring, wire ring, tree) is the trainer's /
+    /// topology (ring or tree, loopback or TCP) is the trainer's /
     /// deployment's choice — the worker is agnostic.
     pub collective: Option<Box<dyn Collective>>,
     pub iters_per_epoch: usize,

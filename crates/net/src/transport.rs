@@ -119,10 +119,12 @@ pub trait Transport: Send {
     /// Blocks until the frame is fully written.
     fn send_frame(&mut self, body: &[u8]) -> Result<(), NetError>;
 
-    /// Receive one frame body into `out` (cleared first). Returns
-    /// [`NetError::Timeout`] if the receive deadline elapses — partial
-    /// progress is preserved and the call may simply be retried — and
-    /// [`NetError::Closed`] on clean EOF at a frame boundary.
+    /// Receive one frame body into `out`, replacing its contents (a
+    /// transport may keep `out`'s old allocation for its own reuse and
+    /// hand back a different one). Returns [`NetError::Timeout`] if the
+    /// receive deadline elapses — partial progress is preserved and the
+    /// call may simply be retried — and [`NetError::Closed`] on clean
+    /// EOF at a frame boundary.
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError>;
 
     /// Replace the receive deadline (`None` blocks forever).
@@ -156,8 +158,8 @@ pub trait Transport: Send {
         Ok(())
     }
 
-    /// Non-blocking receive: if a complete frame is available it is
-    /// copied into `out` (cleared first) and `Ok(true)` returned;
+    /// Non-blocking receive: if a complete frame is available it
+    /// replaces `out`'s contents and `Ok(true)` is returned;
     /// `Ok(false)` means no complete frame yet — partial progress is
     /// buffered internally, exactly like a [`NetError::Timeout`] from
     /// [`Transport::recv_frame`]. Clean EOF at a frame boundary is
@@ -491,11 +493,21 @@ impl TcpAcceptor {
 // in-memory loopback backend
 // ---------------------------------------------------------------------------
 
+/// Spare frame buffers one direction of a loopback connection keeps for
+/// its sender. A lock-step exchange needs one; the rest absorb bursts.
+const MAX_SPARE_FRAMES: usize = 4;
+
 /// One direction of a loopback connection: a condvar-guarded frame queue.
 ///
 /// Built by hand (rather than on channels) because the transport needs
 /// `recv_timeout` and multi-handle close semantics, and keeping it local
 /// means the loopback path exercises the exact framing contract TCP does.
+///
+/// Frame buffers change owner instead of being copied: a receive swaps
+/// the queued buffer into the caller's `out` and keeps the caller's old
+/// buffer as a spare, which the sender's next frame is written into. In
+/// steady state a connection therefore copies each frame once (into the
+/// queue) and allocates nothing.
 struct FrameQueue {
     inner: Mutex<FrameQueueInner>,
     ready: Condvar,
@@ -503,8 +515,25 @@ struct FrameQueue {
 
 struct FrameQueueInner {
     frames: VecDeque<Vec<u8>>,
+    /// Buffers handed back by receives, at most [`MAX_SPARE_FRAMES`].
+    spares: Vec<Vec<u8>>,
     /// True once every sender handle for this direction has dropped.
     closed: bool,
+}
+
+impl FrameQueueInner {
+    /// Move the oldest queued frame into `out`, keeping `out`'s previous
+    /// buffer as a spare. `false` if no frame is queued.
+    fn pop_into(&mut self, out: &mut Vec<u8>) -> bool {
+        let Some(frame) = self.frames.pop_front() else {
+            return false;
+        };
+        let old = std::mem::replace(out, frame);
+        if old.capacity() > 0 && self.spares.len() < MAX_SPARE_FRAMES {
+            self.spares.push(old);
+        }
+        true
+    }
 }
 
 impl FrameQueue {
@@ -512,13 +541,20 @@ impl FrameQueue {
         Arc::new(Self {
             inner: Mutex::new(FrameQueueInner {
                 frames: VecDeque::new(),
+                spares: Vec::new(),
                 closed: false,
             }),
             ready: Condvar::new(),
         })
     }
 
-    fn push(&self, frame: Vec<u8>) -> Result<(), NetError> {
+    /// Queue a copy of `body`, written into a spare buffer when one is
+    /// available. The copy runs outside the lock so a polling receiver
+    /// is never held up by it.
+    fn push(&self, body: &[u8]) -> Result<(), NetError> {
+        let mut frame = self.inner.lock().unwrap().spares.pop().unwrap_or_default();
+        frame.clear();
+        frame.extend_from_slice(body);
         let mut inner = self.inner.lock().unwrap();
         if inner.closed {
             // The receiving endpoint dropped: mirror a TCP write against
@@ -531,12 +567,13 @@ impl FrameQueue {
         Ok(())
     }
 
-    fn pop(&self, timeout: Option<Duration>) -> Result<Vec<u8>, NetError> {
+    /// Blocking receive into `out` (see [`FrameQueueInner::pop_into`]).
+    fn pop(&self, timeout: Option<Duration>, out: &mut Vec<u8>) -> Result<(), NetError> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut inner = self.inner.lock().unwrap();
         loop {
-            if let Some(f) = inner.frames.pop_front() {
-                return Ok(f);
+            if inner.pop_into(out) {
+                return Ok(());
             }
             if inner.closed {
                 return Err(NetError::Closed);
@@ -555,18 +592,18 @@ impl FrameQueue {
         }
     }
 
-    /// Non-blocking pop: `Ok(Some)` if a frame was waiting, `Ok(None)`
-    /// if the queue is empty but open, `Err(Closed)` once drained *and*
-    /// closed.
-    fn try_pop(&self) -> Result<Option<Vec<u8>>, NetError> {
+    /// Non-blocking receive: `Ok(true)` if a frame was waiting and is now
+    /// in `out`, `Ok(false)` if the queue is empty but open, `Err(Closed)`
+    /// once drained *and* closed.
+    fn try_pop(&self, out: &mut Vec<u8>) -> Result<bool, NetError> {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(f) = inner.frames.pop_front() {
-            return Ok(Some(f));
+        if inner.pop_into(out) {
+            return Ok(true);
         }
         if inner.closed {
             return Err(NetError::Closed);
         }
-        Ok(None)
+        Ok(false)
     }
 
     fn close(&self) {
@@ -643,14 +680,11 @@ impl Transport for LoopbackTransport {
                 body.len()
             )));
         }
-        self.send.push(body.to_vec())
+        self.send.push(body)
     }
 
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
-        let frame = self.recv.pop(self.timeout)?;
-        out.clear();
-        out.extend_from_slice(&frame);
-        Ok(())
+        self.recv.pop(self.timeout, out)
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
@@ -681,14 +715,7 @@ impl Transport for LoopbackTransport {
     // (delegating to `send_frame`) and `poll_flush` (always drained) are
     // already correct; only the receive side needs a true poll.
     fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
-        match self.recv.try_pop()? {
-            Some(frame) => {
-                out.clear();
-                out.extend_from_slice(&frame);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.recv.try_pop(out)
     }
 }
 
@@ -771,6 +798,75 @@ mod tests {
         assert_eq!(buf, b"still alive");
         drop(a2);
         assert_eq!(b.recv_frame(&mut buf), Err(NetError::Closed));
+    }
+
+    #[test]
+    fn loopback_ping_pong_reuses_its_buffers() {
+        // Frames change owner instead of being copied out, so after a
+        // warm-up the same few allocations circulate: before every send
+        // a spare big enough for the frame is waiting (the send
+        // allocates nothing), and every buffer a receive hands over was
+        // already seen during warm-up.
+        let (mut a, mut b) = loopback_pair();
+        let queues = [Arc::clone(&a.send), Arc::clone(&b.send)];
+        let body = vec![0x5au8; 1 << 20];
+        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+        let mut exchange = |seen: &mut Vec<*const u8>| {
+            a.send_frame(&body).unwrap();
+            b.recv_frame(&mut at_b).unwrap();
+            b.send_frame(&at_b).unwrap();
+            a.recv_frame(&mut at_a).unwrap();
+            assert_eq!(at_a, body);
+            seen.extend([at_a.as_ptr(), at_b.as_ptr()]);
+        };
+        let mut warm = Vec::new();
+        for _ in 0..3 {
+            exchange(&mut warm);
+        }
+        let mut steady = Vec::new();
+        for _ in 0..20 {
+            for q in &queues {
+                let spares = &q.inner.lock().unwrap().spares;
+                assert!(spares.iter().any(|s| s.capacity() >= body.len()));
+            }
+            exchange(&mut steady);
+        }
+        assert!(
+            steady.iter().all(|p| warm.contains(p)),
+            "steady-state exchange allocated a fresh frame buffer"
+        );
+    }
+
+    #[test]
+    fn loopback_spares_are_bounded_when_one_side_only_sends() {
+        // The sender never sends again, so nothing drains the spares its
+        // peer's receives hand back: the list must stop at its bound
+        // instead of keeping every buffer ever received into.
+        let (mut a, mut b) = loopback_pair();
+        for _ in 0..3 * MAX_SPARE_FRAMES {
+            a.send_frame(b"one way").unwrap();
+        }
+        for _ in 0..3 * MAX_SPARE_FRAMES {
+            let mut out = Vec::with_capacity(64);
+            b.recv_frame(&mut out).unwrap();
+            assert_eq!(out, b"one way");
+        }
+        assert_eq!(a.send.inner.lock().unwrap().spares.len(), MAX_SPARE_FRAMES);
+    }
+
+    #[test]
+    fn loopback_recv_replaces_stale_longer_contents() {
+        let (mut a, mut b) = loopback_pair();
+        let mut out = vec![0xeeu8; 100];
+        a.send_frame(b"abc").unwrap();
+        b.recv_frame(&mut out).unwrap();
+        assert_eq!(out, b"abc");
+        // The spare `out` left behind carries its stale bytes into the
+        // next send, which must not leak them either.
+        let mut out = vec![0xeeu8; 100];
+        a.send_frame(b"").unwrap();
+        assert!(b.poll_recv_frame(&mut out).unwrap());
+        assert_eq!(out, b"");
     }
 
     #[test]

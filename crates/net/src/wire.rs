@@ -204,9 +204,7 @@ pub fn encode_collective_into(phase: u8, index: u32, values: &[f32], buf: &mut V
     buf.push(phase);
     put_u32(buf, index);
     put_u32(buf, values.len() as u32);
-    for &v in values {
-        put_f32(buf, v);
-    }
+    put_f32s(buf, values);
 }
 
 /// Append a [`COLLECTIVE_EXCHANGE`] (or [`COLLECTIVE_HELLO`]) frame body
@@ -245,9 +243,9 @@ impl<'a> CollectiveFrame<'a> {
         self.payload
     }
 
-    /// Decode the f32 payload into `out`, overwriting it. Errors if the
-    /// frame is not a chunk phase of exactly `out.len()` elements.
-    pub fn read_f32_into(&self, out: &mut [f32]) -> Result<(), NetError> {
+    /// The payload as 4-byte little-endian f32 windows. Errors if the
+    /// frame is not a chunk phase of exactly `n` elements.
+    fn f32_windows(&self, n: usize) -> Result<std::slice::ChunksExact<'a, u8>, NetError> {
         if self.payload.len() != 4 * self.count {
             return Err(NetError::Decode(format!(
                 "collective chunk of {} elems carries {} payload bytes",
@@ -255,15 +253,33 @@ impl<'a> CollectiveFrame<'a> {
                 self.payload.len()
             )));
         }
-        if out.len() != self.count {
+        if n != self.count {
             return Err(NetError::Decode(format!(
-                "collective chunk of {} elems, expected {}",
-                self.count,
-                out.len()
+                "collective chunk of {} elems, expected {n}",
+                self.count
             )));
         }
-        for (o, raw) in out.iter_mut().zip(self.payload.chunks_exact(4)) {
+        Ok(self.payload.chunks_exact(4))
+    }
+
+    /// Decode the f32 payload into `out`, overwriting it. Errors if the
+    /// frame is not a chunk phase of exactly `out.len()` elements.
+    pub fn read_f32_into(&self, out: &mut [f32]) -> Result<(), NetError> {
+        let windows = self.f32_windows(out.len())?;
+        for (o, raw) in out.iter_mut().zip(windows) {
             *o = f32::from_le_bytes(raw.try_into().unwrap());
+        }
+        Ok(())
+    }
+
+    /// `acc[i] += payload[i]`, read straight from the frame: one IEEE
+    /// add per element in index order, so the result has the bits of
+    /// [`CollectiveFrame::read_f32_into`] followed by an elementwise
+    /// add. Same length check as `read_f32_into`.
+    pub fn add_f32_into(&self, acc: &mut [f32]) -> Result<(), NetError> {
+        let windows = self.f32_windows(acc.len())?;
+        for (a, raw) in acc.iter_mut().zip(windows) {
+            *a += f32::from_le_bytes(raw.try_into().unwrap());
         }
         Ok(())
     }
@@ -334,6 +350,14 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// Append a little-endian `f32` to `buf`.
 pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `values` as little-endian `f32`s to `buf`, byte for byte what
+/// one [`put_f32`] per element writes. The exact-size iterator lets
+/// `extend` reserve once and compile to a block copy, where a `put_f32`
+/// loop pays a capacity check per element.
+pub fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
 }
 
 /// A bounds-checked little-endian reader over a byte slice. Every read
@@ -422,9 +446,7 @@ pub fn encode_compressed_into(c: &Compressed, buf: &mut Vec<u8>) {
     match c {
         Compressed::Raw(v) => {
             put_u32(buf, header(TAG_RAW, v.len()));
-            for &x in v {
-                put_f32(buf, x);
-            }
+            put_f32s(buf, v);
         }
         Compressed::TwoBit {
             threshold,
@@ -656,9 +678,7 @@ pub fn encode_pull_reply_into(key: u32, min_version: u64, weights: &[f32], buf: 
     buf.push(OP_PULL_REPLY);
     put_u32(buf, key);
     put_u64(buf, min_version);
-    for &w in weights {
-        put_f32(buf, w);
-    }
+    put_f32s(buf, weights);
 }
 
 /// Encode a set-lr body into `buf` (cleared first).
@@ -684,9 +704,7 @@ pub fn encode_snapshot_reply_into(weights: &[Vec<f32>], versions: &[u64], buf: &
     for (w, &v) in weights.iter().zip(versions) {
         put_u64(buf, v);
         put_u32(buf, w.len() as u32);
-        for &x in w {
-            put_f32(buf, x);
-        }
+        put_f32s(buf, w);
     }
 }
 

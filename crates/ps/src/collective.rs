@@ -1,36 +1,53 @@
-//! Topology-agnostic collectives: one [`Collective`] trait over the
-//! in-memory ring ([`crate::allreduce::RingMember`]), a ring all-reduce
-//! running on real [`Transport`] links ([`WireRing`], loopback or TCP),
+//! Topology-agnostic collectives: one [`Collective`] trait with two
+//! implementations over [`Transport`] links — the bandwidth-optimal ring
+//! all-reduce ([`WireRing`]: `N−1` scatter-reduce steps, then `N−1`
+//! all-gather steps, every member sending `2·(N−1)/N` of the vector)
 //! and an order-pinned tree reduce-broadcast ([`WireTree`]) — plus the
 //! [`PsBackend`] adapters ([`AllReduceBackend`], [`DecentralizedBackend`])
 //! that let `Trainer::run_with` drive server-less topologies with the
-//! same update strategies it uses against a parameter server.
+//! same update strategies it uses against a parameter server. The
+//! substrate is the transport, not the algorithm: loopback queues inside
+//! one process, localhost TCP, or TCP between processes.
 //!
-//! # Bit-identity across backends
+//! # Reduction-order contract
 //!
-//! All three implementations honor the reduction-order contract pinned in
-//! [`crate::allreduce`]: chunk `c` sums in ring order starting at rank
-//! `c`, gathers copy bytes verbatim, and the mean divides elementwise
-//! after the sum. Wire frames carry little-endian f32 (exact round trip),
-//! so an all-reduce over TCP produces the same bits as the in-memory
-//! ring. The tree gathers *raw per-rank vectors* to the root — not
-//! subtree partial sums, which would reassociate the fold — and the root
-//! applies the same ring-ordered sum before broadcasting, trading the
-//! ring's bandwidth optimality for `O(log N)` latency hops (the
-//! `cdsgd-simtime` allreduce cost model quantifies the crossover).
+//! Like `kernel::dot`'s striped-order contract, the summation order is
+//! **pinned** so results are bit-identical across ranks, substrates and
+//! topologies:
+//!
+//! * chunk `c` (boundaries from [`chunk_range`]) accumulates in ring
+//!   order starting at rank `c`: `((x_c + x_{c+1}) + x_{c+2}) + …
+//!   + x_{c+N−1}` (ranks mod `N`, one `+` per scatter step);
+//! * the all-gather phase copies the reduced chunks verbatim, so every
+//!   rank ends with the same bits;
+//! * the mean is one elementwise multiply of the finished sum by `1/N`
+//!   (the ring's owner of a chunk does it once, before the gather
+//!   copies the quotients; the tree does it after its broadcast).
+//!
+//! Every fold is elementwise (one IEEE add per element, no
+//! reassociation): the ring adds each received chunk straight from its
+//! frame, the tree root uses `kernel::add_assign`, whose SIMD and scalar
+//! twins are elementwise too — so the contract holds under
+//! `CDSGD_FORCE_SCALAR=0/1` alike. Wire frames carry little-endian f32
+//! (exact round trip). The tree gathers *raw per-rank vectors* to the
+//! root — not subtree partial sums, which would reassociate the fold —
+//! and the root applies the same ring-ordered sum before broadcasting,
+//! trading the ring's bandwidth optimality for `O(log N)` latency hops
+//! (the `cdsgd-simtime` allreduce cost model quantifies the crossover).
+//! [`ring_ordered_sum`] is the executable statement of the contract;
+//! tests pin both collectives against it bit for bit.
 //!
 //! # Frames and telemetry
 //!
-//! Wire collectives speak the `cdsgd-net` collective frame family
+//! Collectives speak the `cdsgd-net` collective frame family
 //! (`[tag][phase][index][count][payload]`, length-prefixed like every
 //! other frame). Every frame is recorded as a conn-tagged
 //! [`cdsgd_telemetry::Event::FrameSent`]/`FrameReceived` pair through the
 //! group's shared [`TrafficStats`], so sent and received byte totals
-//! balance exactly, and payload bytes are recorded through the same
-//! `Push` accounting the in-memory ring uses — which is what lets tests
-//! prove the `2·(N−1)/N` bandwidth-optimality claim on real TCP runs.
+//! balance exactly, and payload bytes are recorded as `Push` events —
+//! which is what lets tests prove the `2·(N−1)/N` bandwidth-optimality
+//! claim on real TCP runs.
 
-use crate::allreduce::{chunk_range, ring_group, RingMember};
 use crate::api::{ParamClient, PsBackend};
 use crate::client::PendingPull;
 use crate::stats::TrafficStats;
@@ -49,6 +66,34 @@ use std::time::{Duration, Instant};
 /// How long a member waits for a peer's frame (or accept) before the
 /// collective fails with [`NetError::Timeout`] instead of hanging.
 const STEP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Chunk boundaries: `n` near-equal contiguous ranges over `len`.
+/// Part of the reduction-order contract — all backends must chunk
+/// identically or their step payloads (and bits) diverge.
+pub fn chunk_range(len: usize, n: usize, i: usize) -> std::ops::Range<usize> {
+    let start = i * len / n;
+    let end = (i + 1) * len / n;
+    start..end
+}
+
+/// The executable reduction-order contract: the sum every backend must
+/// produce, computed serially. Chunk `c` folds inputs in ring order
+/// starting at rank `c`; the result is the full summed vector (no mean).
+pub fn ring_ordered_sum(inputs: &[Vec<f32>]) -> Vec<f32> {
+    let n = inputs.len();
+    assert!(n > 0);
+    let len = inputs[0].len();
+    let mut out = vec![0.0f32; len];
+    for c in 0..n {
+        let range = chunk_range(len, n, c);
+        out[range.clone()].copy_from_slice(&inputs[c][range.clone()]);
+        for j in 1..n {
+            let src = &inputs[(c + j) % n][range.clone()];
+            kernel::add_assign(&mut out[range.clone()], src);
+        }
+    }
+    out
+}
 
 /// One member's handle on a synchronization group. All members must call
 /// the same operation concurrently (from their own threads/processes);
@@ -100,41 +145,6 @@ pub trait Collective: Send {
         Err(NetError::Io(
             "neighbor exchange requires a ring topology".into(),
         ))
-    }
-}
-
-impl Collective for RingMember {
-    fn rank(&self) -> usize {
-        RingMember::rank(self)
-    }
-
-    fn world(&self) -> usize {
-        self.group_size()
-    }
-
-    fn reduce_scatter(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        RingMember::reduce_scatter(self, data);
-        Ok(())
-    }
-
-    fn all_gather(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        RingMember::all_gather(self, data);
-        Ok(())
-    }
-
-    fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        RingMember::allreduce_mean(self, data);
-        Ok(())
-    }
-
-    fn neighbor_exchange(
-        &mut self,
-        send: &[u8],
-        from_prev: &mut Vec<u8>,
-        from_next: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
-        RingMember::neighbor_exchange(self, send, from_prev, from_next);
-        Ok(())
     }
 }
 
@@ -253,6 +263,34 @@ fn recv_hello(link: &mut dyn Transport, stats: &TrafficStats) -> Result<usize, N
     Ok(frame.index as usize)
 }
 
+/// Accept one inbound link per rank in `expected` and label each by the
+/// rank its hello announces; the links come back ordered by that rank.
+/// `topology` and `rank` name the accepting member, and `want` the
+/// peers it listens for, in the wiring error.
+fn accept_labelled(
+    acceptor: &TcpAcceptor,
+    topology: &str,
+    rank: usize,
+    expected: &[usize],
+    want: impl std::fmt::Display,
+    stats: &TrafficStats,
+) -> Result<Vec<Box<dyn Transport>>, NetError> {
+    let mut links: Vec<(usize, Box<dyn Transport>)> = Vec::with_capacity(expected.len());
+    for _ in expected {
+        let mut link = acceptor.accept(STEP_TIMEOUT)?;
+        let hello = recv_hello(&mut link, stats)?;
+        if !expected.contains(&hello) {
+            return Err(NetError::Decode(format!(
+                "{topology} wiring error: rank {rank} accepted a link from rank {hello}, \
+                 want {want}"
+            )));
+        }
+        links.push((hello, Box::new(link)));
+    }
+    links.sort_by_key(|(r, _)| *r);
+    Ok(links.into_iter().map(|(_, t)| t).collect())
+}
+
 /// Decode a received chunk frame, validating phase and chunk index.
 fn expect_chunk<'a>(
     buf: &'a [u8],
@@ -274,11 +312,14 @@ fn expect_chunk<'a>(
 // ring all-reduce over Transport
 // ---------------------------------------------------------------------------
 
-/// A ring member whose neighbor links are real [`Transport`]s: the same
-/// two-phase, order-pinned ring as [`RingMember`], but each chunk travels
-/// as a length-prefixed collective frame over loopback queues or TCP
-/// sockets. Both links are bidirectional, so the same member also
-/// supports [`Collective::neighbor_exchange`] for decentralized training.
+/// A member of the two-phase, order-pinned ring all-reduce. Its neighbor
+/// links are [`Transport`]s: each chunk travels as a length-prefixed
+/// collective frame over loopback queues or TCP sockets. Both links are
+/// bidirectional, so the same member also supports
+/// [`Collective::neighbor_exchange`] for decentralized training.
+///
+/// A dead neighbor surfaces as a typed error from the next operation
+/// ([`NetError::Closed`] as soon as its endpoint drops), never a panic.
 pub struct WireRing {
     rank: usize,
     n: usize,
@@ -292,19 +333,28 @@ pub struct WireRing {
     frame2: Vec<u8>,
     rbuf: Vec<u8>,
     rbuf2: Vec<u8>,
-    scratch: Vec<f32>,
 }
 
 impl WireRing {
+    /// Wrap the two neighbor links. Sockets (`nonblocking`) are switched
+    /// to the polled mode [`duplex_step`] pumps; queue-backed links stay
+    /// blocking with [`STEP_TIMEOUT`] as their receive deadline.
     fn new(
         rank: usize,
         n: usize,
-        next: Box<dyn Transport>,
-        prev: Box<dyn Transport>,
+        mut next: Box<dyn Transport>,
+        mut prev: Box<dyn Transport>,
         nonblocking: bool,
         stats: Arc<TrafficStats>,
-    ) -> Self {
-        Self {
+    ) -> Result<Self, NetError> {
+        for link in [&mut next, &mut prev] {
+            if nonblocking {
+                link.set_nonblocking(true)?;
+            } else {
+                link.set_recv_timeout(Some(STEP_TIMEOUT))?;
+            }
+        }
+        Ok(Self {
             rank,
             n,
             next,
@@ -315,8 +365,7 @@ impl WireRing {
             frame2: Vec::new(),
             rbuf: Vec::new(),
             rbuf2: Vec::new(),
-            scratch: Vec::new(),
-        }
+        })
     }
 
     /// Build an `n`-member ring over in-process loopback transports.
@@ -335,21 +384,9 @@ impl WireRing {
             .map(|rank| {
                 let next = sides[rank].0.take().expect("side used once");
                 let prev = sides[(rank + n - 1) % n].1.take().expect("side used once");
-                let mut m = WireRing::new(
-                    rank,
-                    n,
-                    Box::new(next),
-                    Box::new(prev),
-                    false,
-                    Arc::clone(&stats),
-                );
-                m.next
-                    .set_recv_timeout(Some(STEP_TIMEOUT))
-                    .expect("loopback timeout");
-                m.prev
-                    .set_recv_timeout(Some(STEP_TIMEOUT))
-                    .expect("loopback timeout");
-                m
+                let stats = Arc::clone(&stats);
+                WireRing::new(rank, n, Box::new(next), Box::new(prev), false, stats)
+                    .expect("loopback links accept a receive deadline")
             })
             .collect();
         (members, stats)
@@ -377,31 +414,27 @@ impl WireRing {
         for rank in 0..n {
             let mut t = TcpTransport::connect(addrs[(rank + 1) % n], &cfg)?;
             send_hello(&mut t, rank, &stats)?;
-            nexts.push(Some(t));
+            nexts.push(t);
         }
         let mut members = Vec::with_capacity(n);
-        for (rank, next) in nexts.iter_mut().enumerate() {
-            let mut prev = acceptors[rank].accept(STEP_TIMEOUT)?;
-            let hello = recv_hello(&mut prev, &stats)?;
-            let want = (rank + n - 1) % n;
-            if hello != want {
-                return Err(NetError::Decode(format!(
-                    "ring wiring error: rank {rank} accepted a link from rank {hello}, want {want}"
-                )));
-            }
-            let mut m = WireRing::new(
-                rank,
-                n,
-                Box::new(next.take().expect("dialed once")),
-                Box::new(prev),
-                true,
-                Arc::clone(&stats),
-            );
-            m.next.set_nonblocking(true)?;
-            m.prev.set_nonblocking(true)?;
-            members.push(m);
+        for (rank, next) in nexts.into_iter().enumerate() {
+            let prev = Self::accept_prev(&acceptors[rank], rank, n, &stats)?;
+            let stats = Arc::clone(&stats);
+            members.push(WireRing::new(rank, n, Box::new(next), prev, true, stats)?);
         }
         Ok((members, stats))
+    }
+
+    /// Accept the predecessor's link on `acceptor`.
+    fn accept_prev(
+        acceptor: &TcpAcceptor,
+        rank: usize,
+        n: usize,
+        stats: &TrafficStats,
+    ) -> Result<Box<dyn Transport>, NetError> {
+        let want = (rank + n - 1) % n;
+        let mut links = accept_labelled(acceptor, "ring", rank, &[want], want, stats)?;
+        Ok(links.pop().expect("one link per expected rank"))
     }
 
     /// Join a multi-process ring as `rank`: bind `peers[rank]`, dial the
@@ -419,30 +452,13 @@ impl WireRing {
         if n == 1 {
             // Degenerate single-member ring: all collectives early-return.
             let (a, b) = loopback_pair();
-            return Ok(WireRing::new(
-                rank,
-                n,
-                Box::new(a),
-                Box::new(b),
-                false,
-                stats,
-            ));
+            return WireRing::new(rank, n, Box::new(a), Box::new(b), false, stats);
         }
         let (acceptor, _) = TcpAcceptor::bind(peers[rank].as_str(), cfg.clone())?;
         let mut next = TcpTransport::connect(peers[(rank + 1) % n].as_str(), cfg)?;
         send_hello(&mut next, rank, &stats)?;
-        let mut prev = acceptor.accept(STEP_TIMEOUT)?;
-        let hello = recv_hello(&mut prev, &stats)?;
-        let want = (rank + n - 1) % n;
-        if hello != want {
-            return Err(NetError::Decode(format!(
-                "ring wiring error: rank {rank} accepted a link from rank {hello}, want {want}"
-            )));
-        }
-        let mut m = WireRing::new(rank, n, Box::new(next), Box::new(prev), true, stats);
-        m.next.set_nonblocking(true)?;
-        m.prev.set_nonblocking(true)?;
-        Ok(m)
+        let prev = Self::accept_prev(&acceptor, rank, n, &stats)?;
+        WireRing::new(rank, n, Box::new(next), prev, true, stats)
     }
 }
 
@@ -483,12 +499,10 @@ impl Collective for WireRing {
                     },
                 ],
             )?;
-            let frame = expect_chunk(&self.rbuf, COLLECTIVE_SCATTER, recv_idx)?;
-            let dst = &mut data[chunk_range(len, n, recv_idx)];
-            self.scratch.clear();
-            self.scratch.resize(dst.len(), 0.0);
-            frame.read_f32_into(&mut self.scratch)?;
-            kernel::add_assign(dst, &self.scratch);
+            // One add per element in index order: the bits of decoding
+            // the chunk and `kernel::add_assign`-ing it, without the copy.
+            expect_chunk(&self.rbuf, COLLECTIVE_SCATTER, recv_idx)?
+                .add_f32_into(&mut data[chunk_range(len, n, recv_idx)])?;
         }
         Ok(())
     }
@@ -533,8 +547,12 @@ impl Collective for WireRing {
             return Ok(());
         }
         self.reduce_scatter(data)?;
+        // Each owner divides its reduced chunk once and the gather copies
+        // the quotients verbatim: the bits of scaling the whole vector
+        // after the gather, for 1/N of the multiplies.
+        let owned = chunk_range(data.len(), self.n, (self.rank + 1) % self.n);
+        kernel::scale(&mut data[owned], 1.0 / self.n as f32);
         self.all_gather(data)?;
-        kernel::scale(data, 1.0 / self.n as f32);
         self.stats.record_collective(self.rank, self.n, {
             let len = data.len() as u64;
             2 * (self.n as u64 - 1) * (4 * len) / self.n as u64
@@ -710,30 +728,23 @@ impl WireTree {
             parents[r] = Some(Box::new(t));
         }
         let mut members = Vec::with_capacity(n);
-        for (rank, parent) in parents.iter_mut().enumerate() {
-            let expected = tree_children(rank, n);
-            let mut kids: Vec<(usize, Box<dyn Transport>)> = Vec::with_capacity(expected.len());
-            for _ in &expected {
-                let mut link = acceptors[rank].accept(STEP_TIMEOUT)?;
-                let hello = recv_hello(&mut link, &stats)?;
-                if !expected.contains(&hello) {
-                    return Err(NetError::Decode(format!(
-                        "tree wiring error: rank {rank} accepted a link from rank {hello}, \
-                         want one of {expected:?}"
-                    )));
-                }
-                kids.push((hello, Box::new(link)));
-            }
-            kids.sort_by_key(|(r, _)| *r);
-            members.push(WireTree::new(
-                rank,
-                n,
-                parent.take(),
-                kids.into_iter().map(|(_, t)| t).collect(),
-                Arc::clone(&stats),
-            ));
+        for (rank, parent) in parents.into_iter().enumerate() {
+            let children = Self::accept_children(&acceptors[rank], rank, n, &stats)?;
+            members.push(WireTree::new(rank, n, parent, children, Arc::clone(&stats)));
         }
         Ok((members, stats))
+    }
+
+    /// Accept the links of `rank`'s children, ordered by child rank.
+    fn accept_children(
+        acceptor: &TcpAcceptor,
+        rank: usize,
+        n: usize,
+        stats: &TrafficStats,
+    ) -> Result<Vec<Box<dyn Transport>>, NetError> {
+        let expected = tree_children(rank, n);
+        let want = format_args!("one of {expected:?}");
+        accept_labelled(acceptor, "tree", rank, &expected, want, stats)
     }
 
     /// Join a multi-process tree as `rank`: bind `peers[rank]`, dial the
@@ -747,8 +758,8 @@ impl WireTree {
     ) -> Result<WireTree, NetError> {
         let n = peers.len();
         assert!(rank < n, "rank {rank} outside peer list of {n}");
-        let expected = tree_children(rank, n);
-        let acceptor = if expected.is_empty() {
+        // A leaf accepts nobody and binds nothing.
+        let acceptor = if tree_children(rank, n).is_empty() {
             None
         } else {
             Some(TcpAcceptor::bind(peers[rank].as_str(), cfg.clone())?.0)
@@ -760,28 +771,11 @@ impl WireTree {
             send_hello(&mut t, rank, &stats)?;
             Some(Box::new(t) as Box<dyn Transport>)
         };
-        let mut kids: Vec<(usize, Box<dyn Transport>)> = Vec::with_capacity(expected.len());
-        if let Some(acc) = &acceptor {
-            for _ in &expected {
-                let mut link = acc.accept(STEP_TIMEOUT)?;
-                let hello = recv_hello(&mut link, &stats)?;
-                if !expected.contains(&hello) {
-                    return Err(NetError::Decode(format!(
-                        "tree wiring error: rank {rank} accepted a link from rank {hello}, \
-                         want one of {expected:?}"
-                    )));
-                }
-                kids.push((hello, Box::new(link)));
-            }
-        }
-        kids.sort_by_key(|(r, _)| *r);
-        Ok(WireTree::new(
-            rank,
-            n,
-            parent,
-            kids.into_iter().map(|(_, t)| t).collect(),
-            Arc::clone(&stats),
-        ))
+        let children = match &acceptor {
+            Some(acc) => Self::accept_children(acc, rank, n, &stats)?,
+            None => Vec::new(),
+        };
+        Ok(WireTree::new(rank, n, parent, children, stats))
     }
 
     /// Tree sum: gather raw per-rank vectors to the root, apply the
@@ -1007,64 +1001,41 @@ pub struct CollectiveGroup {
 /// Which substrate a collective group runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireMode {
-    /// Crossbeam channels inside the process (ring only).
-    Memory,
     /// Loopback [`Transport`] queues — real frames, no sockets.
     Loopback,
     /// Localhost TCP sockets.
     Tcp,
 }
 
-/// Build an `n`-member ring group on `mode`.
-pub fn build_ring_group(n: usize, mode: WireMode) -> Result<CollectiveGroup, NetError> {
-    Ok(match mode {
-        WireMode::Memory => {
-            let (members, stats) = ring_group(n);
-            CollectiveGroup {
-                members: members
-                    .into_iter()
-                    .map(|m| Box::new(m) as Box<dyn Collective>)
-                    .collect(),
-                stats,
-            }
-        }
-        WireMode::Loopback => {
-            let (members, stats) = WireRing::loopback(n);
-            CollectiveGroup {
-                members: members
-                    .into_iter()
-                    .map(|m| Box::new(m) as Box<dyn Collective>)
-                    .collect(),
-                stats,
-            }
-        }
-        WireMode::Tcp => {
-            let (members, stats) = WireRing::tcp(n)?;
-            CollectiveGroup {
-                members: members
-                    .into_iter()
-                    .map(|m| Box::new(m) as Box<dyn Collective>)
-                    .collect(),
-                stats,
-            }
-        }
-    })
-}
-
-/// Build an `n`-member tree group on `mode` ([`WireMode::Memory`] falls
-/// back to loopback — the tree always runs on transports).
-pub fn build_tree_group(n: usize, mode: WireMode) -> Result<CollectiveGroup, NetError> {
-    let (members, stats) = match mode {
-        WireMode::Memory | WireMode::Loopback => WireTree::loopback(n),
-        WireMode::Tcp => WireTree::tcp(n)?,
-    };
-    Ok(CollectiveGroup {
+fn boxed_group<C: Collective + 'static>(
+    members: Vec<C>,
+    stats: Arc<TrafficStats>,
+) -> CollectiveGroup {
+    CollectiveGroup {
         members: members
             .into_iter()
             .map(|m| Box::new(m) as Box<dyn Collective>)
             .collect(),
         stats,
-    })
+    }
+}
+
+/// Build an `n`-member ring group on `mode`.
+pub fn build_ring_group(n: usize, mode: WireMode) -> Result<CollectiveGroup, NetError> {
+    let (members, stats) = match mode {
+        WireMode::Loopback => WireRing::loopback(n),
+        WireMode::Tcp => WireRing::tcp(n)?,
+    };
+    Ok(boxed_group(members, stats))
+}
+
+/// Build an `n`-member tree group on `mode`.
+pub fn build_tree_group(n: usize, mode: WireMode) -> Result<CollectiveGroup, NetError> {
+    let (members, stats) = match mode {
+        WireMode::Loopback => WireTree::loopback(n),
+        WireMode::Tcp => WireTree::tcp(n)?,
+    };
+    Ok(boxed_group(members, stats))
 }
 
 /// A [`ParamClient`] for server-less topologies: workers synchronize
@@ -1237,25 +1208,30 @@ impl PsBackend for DecentralizedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allreduce::ring_ordered_sum;
 
-    fn run_group(group: CollectiveGroup, inputs: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
+    /// Run `op` on every member concurrently (one thread each) and
+    /// return the results in rank order.
+    fn on_all<C: Send, T: Send>(members: Vec<C>, op: impl Fn(usize, C) -> T + Sync) -> Vec<T> {
         std::thread::scope(|s| {
-            let handles: Vec<_> = group
-                .members
+            let op = &op;
+            let handles: Vec<_> = members
                 .into_iter()
-                .zip(inputs)
-                .map(|(mut m, mut v)| {
-                    s.spawn(move || {
-                        m.allreduce_mean(&mut v).expect("collective failed");
-                        v
-                    })
-                })
+                .enumerate()
+                .map(|(rank, m)| s.spawn(move || op(rank, m)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
     }
 
+    fn run_group(group: CollectiveGroup, inputs: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
+        on_all(group.members, |rank, mut m| {
+            let mut v = inputs[rank].clone();
+            m.allreduce_mean(&mut v).expect("collective failed");
+            v
+        })
+    }
+
+    /// Adversarial magnitudes, so any reassociation changes the bits.
     fn adversarial_inputs(n: usize, len: usize) -> Vec<Vec<f32>> {
         (0..n)
             .map(|r| {
@@ -1275,6 +1251,19 @@ mod tests {
         expect
     }
 
+    fn assert_all_ranks_bit_equal(label: &str, out: &[Vec<f32>], expect: &[f32]) {
+        for (rank, o) in out.iter().enumerate() {
+            assert_eq!(o.len(), expect.len(), "{label}: rank={rank} length");
+            for (i, (a, b)) in o.iter().zip(expect).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{label}: rank={rank} i={i}: {a} vs {b}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn every_backend_matches_the_order_contract_bit_for_bit() {
         for n in [2usize, 3, 4, 5] {
@@ -1282,10 +1271,6 @@ mod tests {
                 let inputs = adversarial_inputs(n, len);
                 let expect = reference_mean(&inputs);
                 for (label, group) in [
-                    (
-                        "memory ring",
-                        build_ring_group(n, WireMode::Memory).unwrap(),
-                    ),
                     (
                         "loopback ring",
                         build_ring_group(n, WireMode::Loopback).unwrap(),
@@ -1298,18 +1283,123 @@ mod tests {
                     ("tcp tree", build_tree_group(n, WireMode::Tcp).unwrap()),
                 ] {
                     let out = run_group(group, inputs.clone());
-                    for (rank, o) in out.iter().enumerate() {
-                        for (i, (a, b)) in o.iter().zip(&expect).enumerate() {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "{label}: n={n} len={len} rank={rank} i={i}: {a} vs {b}"
-                            );
-                        }
-                    }
+                    assert_all_ranks_bit_equal(&format!("{label} n={n} len={len}"), &out, &expect);
                 }
             }
         }
+    }
+
+    #[test]
+    fn loopback_ring_handles_every_small_group_and_degenerate_length() {
+        // Lengths 0, below N (some chunks empty) and not divisible by N:
+        // every rank must still end on the contract's bits, and a
+        // single member must return its input untouched.
+        for n in 1usize..=5 {
+            for len in [0usize, 1, 2, 3, 4, 7, 16, 33] {
+                let inputs = adversarial_inputs(n, len);
+                let expect = if n == 1 {
+                    inputs[0].clone()
+                } else {
+                    reference_mean(&inputs)
+                };
+                let group = build_ring_group(n, WireMode::Loopback).unwrap();
+                let stats = Arc::clone(&group.stats);
+                let out = run_group(group, inputs);
+                assert_all_ranks_bit_equal(&format!("n={n} len={len}"), &out, &expect);
+                // Each member sends 2(n−1) chunks that tile the vector
+                // (n−1)/n·2 times: exact for every length.
+                let expect_bytes: usize = (0..n)
+                    .map(|c| 2 * (n - 1) * 4 * chunk_range(len, n, c).len())
+                    .sum();
+                assert_eq!(stats.bytes_pushed(), expect_bytes as u64, "n={n} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn loopback_ring_computes_the_plain_mean() {
+        let group = build_ring_group(2, WireMode::Loopback).unwrap();
+        let out = run_group(
+            group,
+            vec![vec![1.0, 2.0, 3.0, 4.0], vec![3.0, 2.0, 1.0, 0.0]],
+        );
+        for o in &out {
+            assert_eq!(o, &vec![2.0, 2.0, 2.0, 2.0]);
+        }
+    }
+
+    #[test]
+    fn fold_from_frame_equals_decode_then_add_assign_on_both_backends() {
+        // ±0, subnormals, ±inf, NaNs with payloads, on either side of the
+        // add; every accumulator value meets every chunk value. Two NaNs
+        // with *different* payloads never meet: IEEE 754 leaves which
+        // payload an add propagates to the implementation.
+        let nan_a = f32::from_bits(0x7fc1_2345);
+        let nan_b = f32::from_bits(0xffa0_0001);
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -1.0e-3,
+            1.0 + f32::EPSILON,
+        ];
+        let mut pairs: Vec<(f32, f32)> = Vec::new();
+        for &a in &specials {
+            for &b in &specials {
+                pairs.push((a, b));
+            }
+            for nan in [nan_a, nan_b] {
+                pairs.push((a, nan));
+                pairs.push((nan, a));
+            }
+        }
+        pairs.push((nan_a, nan_a));
+        // Past one AVX2 lane width and not a multiple of it.
+        assert!(!pairs.len().is_multiple_of(8) && pairs.len() > 64);
+        let (acc, chunk): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
+
+        let mut frame = Vec::new();
+        encode_collective_into(COLLECTIVE_SCATTER, 3, &chunk, &mut frame);
+        let frame = expect_chunk(&frame, COLLECTIVE_SCATTER, 3).unwrap();
+
+        let mut folded = acc.clone();
+        frame.add_f32_into(&mut folded).unwrap();
+
+        let mut decoded = vec![0.0f32; chunk.len()];
+        frame.read_f32_into(&mut decoded).unwrap();
+        let mut dispatched = acc.clone();
+        kernel::add_assign(&mut dispatched, &decoded);
+        let mut scalar = acc.clone();
+        kernel::scalar::add_assign(&mut scalar, &decoded);
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&folded),
+            bits(&dispatched),
+            "vs {:?}",
+            kernel::backend()
+        );
+        assert_eq!(bits(&folded), bits(&scalar), "vs the scalar reference");
+        // A chunk of the wrong length is refused, not partially added.
+        assert!(frame.add_f32_into(&mut folded[1..]).is_err());
+    }
+
+    #[test]
+    fn a_dropped_ring_member_fails_its_neighbours_with_closed_not_a_hang() {
+        let (mut members, _stats) = WireRing::loopback(3);
+        drop(members.remove(1));
+        let t0 = Instant::now();
+        let results = on_all(members, |_, mut m| m.allreduce_mean(&mut [1.0f32; 12]));
+        assert_eq!(results, vec![Err(NetError::Closed), Err(NetError::Closed)]);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "a dead neighbour must not cost the {STEP_TIMEOUT:?} step timeout"
+        );
     }
 
     #[test]
@@ -1318,14 +1408,10 @@ mod tests {
         let len = 1024usize;
         let rounds = 3usize;
         let (members, stats) = WireRing::tcp(n).unwrap();
-        std::thread::scope(|s| {
-            for mut m in members {
-                s.spawn(move || {
-                    let mut v = vec![1.0f32; len];
-                    for _ in 0..rounds {
-                        m.allreduce_mean(&mut v).unwrap();
-                    }
-                });
+        on_all(members, |_, mut m| {
+            let mut v = vec![1.0f32; len];
+            for _ in 0..rounds {
+                m.allreduce_mean(&mut v).unwrap();
             }
         });
         // Message layer: every member pays 2(n−1)/n of the vector per
@@ -1338,35 +1424,37 @@ mod tests {
         assert_eq!(stats.bytes_sent(), stats.bytes_received());
     }
 
+    /// Every member gossips `[rank; 8]`; returns `(from_prev, from_next)`
+    /// per rank.
+    fn exchange_ranks(members: Vec<WireRing>) -> Vec<(Vec<u8>, Vec<u8>)> {
+        on_all(members, |rank, mut m| {
+            assert_eq!(Collective::rank(&m), rank);
+            let (mut prev, mut next) = (vec![0xee; 3], vec![0xee; 30]);
+            m.neighbor_exchange(&[rank as u8; 8], &mut prev, &mut next)
+                .unwrap();
+            (prev, next)
+        })
+    }
+
     #[test]
-    fn wire_ring_neighbor_exchange_works_over_tcp() {
-        let n = 4usize;
-        let (members, stats) = WireRing::tcp(n).unwrap();
-        let got: Vec<(usize, Vec<u8>, Vec<u8>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = members
-                .into_iter()
-                .map(|mut m| {
-                    s.spawn(move || {
-                        let send = vec![m.rank() as u8; 8];
-                        let mut prev = Vec::new();
-                        let mut next = Vec::new();
-                        m.neighbor_exchange(&send, &mut prev, &mut next).unwrap();
-                        (Collective::rank(&m), prev, next)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (rank, prev, next) in got {
-            assert_eq!(prev, vec![((rank + n - 1) % n) as u8; 8]);
-            assert_eq!(next, vec![((rank + 1) % n) as u8; 8]);
+    fn wire_ring_neighbor_exchange_delivers_both_directions() {
+        for (label, n, (members, stats)) in [
+            ("tcp", 4usize, WireRing::tcp(4).unwrap()),
+            ("loopback", 3, WireRing::loopback(3)),
+            // N = 1 gossips with itself: both outputs are the payload.
+            ("loopback", 1, WireRing::loopback(1)),
+        ] {
+            for (rank, (prev, next)) in exchange_ranks(members).into_iter().enumerate() {
+                assert_eq!(prev, vec![((rank + n - 1) % n) as u8; 8], "{label} n={n}");
+                assert_eq!(next, vec![((rank + 1) % n) as u8; 8], "{label} n={n}");
+            }
+            assert_eq!(stats.bytes_sent(), stats.bytes_received());
         }
-        assert_eq!(stats.bytes_sent(), stats.bytes_received());
     }
 
     #[test]
     fn backends_surrender_their_group_once() {
-        let backend = AllReduceBackend::ring(3, WireMode::Memory).unwrap();
+        let backend = AllReduceBackend::ring(3, WireMode::Loopback).unwrap();
         let g = backend.take_collectives(3).expect("first take");
         assert_eq!(g.members.len(), 3);
         assert!(backend.take_collectives(3).is_none(), "second take");

@@ -25,6 +25,10 @@
 //!   the trainer agnostic of the deployment shape, and the wire protocol
 //!   is bit-deterministic, so loopback, TCP, and in-process runs produce
 //!   identical weights.
+//! * The [`collective`] module synchronizes workers with no server at
+//!   all: one ring and one tree all-reduce over those same transports,
+//!   bit-identical to each other by a pinned reduction order whose
+//!   executable statement is [`ring_ordered_sum`].
 //!
 //! ```
 //! use cdsgd_ps::{ParamServer, ServerConfig};
@@ -38,7 +42,6 @@
 //! ps.shutdown();
 //! ```
 
-pub mod allreduce;
 mod api;
 mod client;
 pub mod collective;
@@ -50,13 +53,12 @@ mod server;
 mod sharded;
 mod stats;
 
-pub use allreduce::{chunk_range, ring_group, ring_ordered_sum, RingMember};
 pub use api::{InProcessBackend, ParamClient, PsBackend, RebasedClient};
 pub use cdsgd_net::NetError;
 pub use client::{PendingPull, PsClient};
 pub use collective::{
-    build_ring_group, build_tree_group, AllReduceBackend, Collective, CollectiveGroup,
-    DecentralizedBackend, NullClient, WireMode, WireRing, WireTree,
+    build_ring_group, build_tree_group, chunk_range, ring_ordered_sum, AllReduceBackend,
+    Collective, CollectiveGroup, DecentralizedBackend, NullClient, WireMode, WireRing, WireTree,
 };
 pub use fault::{FaultyClient, WorkerFault};
 pub use net::{NetCluster, PsNetServer, ReconnectingClient, RemoteClient};

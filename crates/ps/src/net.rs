@@ -1341,19 +1341,16 @@ impl ShardDialer {
 /// [`PsBackend`] the trainer uses to run *identical* training over
 /// loopback, local TCP, or external `psd` server processes.
 pub struct NetCluster {
-    conns: Vec<ShardConn>,
+    /// How to reach every shard; worker clients dial through it (and
+    /// take its armed fault plan), control clients open plain links.
+    dialer: ShardDialer,
     /// Locally-owned shard servers (empty when connecting to external
     /// processes).
     local: Vec<Arc<PsNetServer>>,
     /// Send [`WireMsg::Shutdown`] on shutdown (external `psd` processes).
     remote_shutdown: bool,
     num_keys: usize,
-    net: NetConfig,
-    stats: Arc<TrafficStats>,
     control: Vec<RemoteClient>,
-    /// Fault plan for the next worker client dialed (tests / chaos
-    /// flags); control clients never see it.
-    chaos: Arc<Mutex<Option<FaultPlan>>>,
 }
 
 impl NetCluster {
@@ -1467,65 +1464,43 @@ impl NetCluster {
         net: NetConfig,
         telemetry: cdsgd_telemetry::Telemetry,
     ) -> Result<Self, NetError> {
-        let mut cluster = Self {
+        let dialer = ShardDialer {
             conns,
-            local,
-            remote_shutdown,
-            num_keys,
             net,
             stats: Arc::new(TrafficStats::with_telemetry(telemetry)),
-            control: Vec::new(),
             chaos: Arc::new(Mutex::new(None)),
         };
         let pool = BufferPool::new();
-        cluster.control = cluster
+        let control = dialer
             .conns
             .iter()
-            .map(|c| cluster.open_client(c, pool.clone()))
+            .map(|c| RemoteClient::new(dialer.open(c)?, Arc::clone(&dialer.stats), pool.clone()))
             .collect::<Result<_, _>>()?;
-        Ok(cluster)
-    }
-
-    fn open(&self, conn: &ShardConn) -> Result<Box<dyn Transport>, NetError> {
-        match conn {
-            ShardConn::Loopback(server) => {
-                let (client_end, server_end) = loopback_pair();
-                server.attach(Box::new(server_end))?;
-                Ok(Box::new(client_end))
-            }
-            ShardConn::Tcp(addr) => Ok(Box::new(TcpTransport::connect(addr.as_str(), &self.net)?)),
-        }
-    }
-
-    fn open_client(&self, conn: &ShardConn, pool: BufferPool) -> Result<RemoteClient, NetError> {
-        RemoteClient::new(self.open(conn)?, Arc::clone(&self.stats), pool)
+        Ok(Self {
+            dialer,
+            local,
+            remote_shutdown,
+            num_keys,
+            control,
+        })
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.conns.len()
+        self.dialer.conns.len()
     }
 
     /// Client-side aggregate traffic counters (all shards, all clients
     /// handed out by this cluster).
     pub fn stats(&self) -> &TrafficStats {
-        &self.stats
+        &self.dialer.stats
     }
 
     /// Shared ownership of the client-side counters, so a caller can
     /// keep reading them after the cluster has been consumed (e.g. to
     /// check final accounting once a training run shuts it down).
     pub fn shared_stats(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.stats)
-    }
-
-    fn dialer(&self) -> ShardDialer {
-        ShardDialer {
-            conns: self.conns.clone(),
-            net: self.net.clone(),
-            stats: Arc::clone(&self.stats),
-            chaos: Arc::clone(&self.chaos),
-        }
+        Arc::clone(&self.dialer.stats)
     }
 
     /// Arm a one-shot [`FaultPlan`] for the *next* worker client dialed
@@ -1535,7 +1510,7 @@ impl NetCluster {
     /// counters. Subsequent dials — including the reconnect redial after
     /// the injected drop — get clean transports unless re-armed.
     pub fn arm_chaos(&self, plan: FaultPlan) {
-        *self.chaos.lock().unwrap() = Some(plan);
+        *self.dialer.chaos.lock().unwrap() = Some(plan);
     }
 
     /// A worker client that survives transient link drops: see
@@ -1547,7 +1522,7 @@ impl NetCluster {
         worker: usize,
         rc: ReconnectConfig,
     ) -> Result<ReconnectingClient, NetError> {
-        ReconnectingClient::new(self.dialer(), worker, self.num_keys, rc)
+        ReconnectingClient::new(self.dialer.clone(), worker, self.num_keys, rc)
     }
 }
 
@@ -1557,7 +1532,7 @@ impl PsBackend for NetCluster {
     /// ordered push stream), mirroring a real deployment.
     fn client(&self) -> Result<Box<dyn ParamClient>, NetError> {
         let pool = BufferPool::new();
-        let clients = self.dialer().dial(&pool)?;
+        let clients = self.dialer.dial(&pool)?;
         Ok(Box::new(ShardedClient::from_clients(clients, pool)))
     }
 
@@ -1578,11 +1553,11 @@ impl PsBackend for NetCluster {
     }
 
     fn bytes_pushed(&self) -> u64 {
-        self.stats.bytes_pushed()
+        self.dialer.stats.bytes_pushed()
     }
 
     fn bytes_pulled(&self) -> u64 {
-        self.stats.bytes_pulled()
+        self.dialer.stats.bytes_pulled()
     }
 
     fn failure(&self) -> Option<NetError> {

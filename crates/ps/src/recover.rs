@@ -22,7 +22,7 @@
 //!   *all* shards have a valid file — torn or version-skewed sets are
 //!   rejected wholesale.
 
-use cdsgd_net::wire::{put_f32, put_u32, put_u64, Cursor};
+use cdsgd_net::wire::{put_f32s, put_u32, put_u64, Cursor};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -268,13 +268,9 @@ impl ShardCheckpoint {
             put_u32(buf, self.weights.len() as u32);
             for (w, o) in self.weights.iter().zip(&self.opt_state) {
                 put_u32(buf, w.len() as u32);
-                for &x in w {
-                    put_f32(buf, x);
-                }
+                put_f32s(buf, w);
                 put_u32(buf, o.len() as u32);
-                for &x in o {
-                    put_f32(buf, x);
-                }
+                put_f32s(buf, o);
             }
         })
     }

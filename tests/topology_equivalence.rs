@@ -1,5 +1,5 @@
 //! Topology equivalence (DESIGN.md §16): every allreduce transport —
-//! in-memory channels, loopback wire, real TCP, ring or tree — must
+//! loopback queues or real TCP, ring or tree — must
 //! produce *bit-identical* training runs, because all of them fold
 //! chunks in the same pinned ring order. The decentralized compressed
 //! topology is approximate by construction (gossip consensus instead of
@@ -51,8 +51,8 @@ fn allreduce_bit_identical_across_transports_and_topologies() {
         reference.final_test_acc().unwrap() > 0.85,
         "fixture must actually learn"
     );
-    // Captured at commit dc4c259, when the trainer's fallback ring was
-    // the crossbeam-channel `RingMember`; holds on both kernel backends.
+    // Captured at commit dc4c259, when the trainer's fallback ring still
+    // ran over crossbeam channels; holds on both kernel backends.
     assert_eq!(
         weight_hash(&reference),
         0xe494d145d35042fc,
@@ -158,7 +158,7 @@ fn decentralized_compressed_within_tolerance_of_ps_baseline() {
 #[test]
 fn decentralized_is_deterministic_across_transports() {
     // Approximate versus the PS — but still bit-deterministic: the same
-    // seeds through memory channels and TCP sockets give the same run.
+    // seeds through loopback queues and TCP sockets give the same run.
     let mk = || {
         cfg(Algorithm::ArSgd, 3, 2).with_topology(Topology::Decentralized {
             codec: Codec::TwoBit { threshold: 0.05 },
