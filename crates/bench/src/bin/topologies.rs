@@ -25,7 +25,7 @@ use cd_sgd::{Algorithm, Codec, Topology, TrainConfig, Trainer, TrainingHistory};
 use cdsgd_bench::arg_usize;
 use cdsgd_data::toy;
 use cdsgd_nn::models;
-use cdsgd_ps::{AllReduceBackend, DecentralizedBackend, WireMode};
+use cdsgd_ps::{AllReduceBackend, WireMode};
 use cdsgd_simtime::ClusterSpec;
 
 /// One trained configuration → one JSON record.
@@ -64,7 +64,7 @@ fn train(
             .run_with(|_, _| Ok(Box::new(AllReduceBackend::tree(workers, WireMode::Tcp)?) as _))
             .expect("tree run"),
         Topology::Decentralized { .. } => trainer
-            .run_with(|_, _| Ok(Box::new(DecentralizedBackend::ring(workers, WireMode::Tcp)?) as _))
+            .run_with(|_, _| Ok(Box::new(AllReduceBackend::ring(workers, WireMode::Tcp)?) as _))
             .expect("decentralized run"),
     };
     (history, t0.elapsed().as_secs_f64())

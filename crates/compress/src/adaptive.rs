@@ -10,7 +10,7 @@
 //! header).
 
 use crate::compressed::Compressed;
-use crate::packing::{pack_2bit, pack_2bit_into};
+use crate::packing::pack_2bit_into;
 use crate::pool::BufferPool;
 use crate::residual::ResidualStore;
 use crate::GradientCompressor;
@@ -67,8 +67,7 @@ impl AdaptiveTwoBit {
     }
 
     /// Quantize `grad + residual` into `self.symbols`, updating the
-    /// residual state; returns the adaptive threshold. Shared by both
-    /// compress paths.
+    /// residual state; returns the adaptive threshold.
     fn encode_symbols(&mut self, key: usize, grad: &[f32]) -> f32 {
         let res = self.residuals.get_mut(key, grad.len());
         self.corrected.clear();
@@ -83,15 +82,6 @@ impl AdaptiveTwoBit {
 }
 
 impl GradientCompressor for AdaptiveTwoBit {
-    fn compress(&mut self, key: usize, grad: &[f32]) -> Compressed {
-        let thr = self.encode_symbols(key, grad);
-        Compressed::TwoBit {
-            threshold: thr,
-            packed: pack_2bit(&self.symbols),
-            len: grad.len(),
-        }
-    }
-
     fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
         let thr = self.encode_symbols(key, grad);
         let mut packed = pool.take_bytes();

@@ -75,22 +75,21 @@ pub trait CodecSpans {
 /// A stateful gradient compressor.
 ///
 /// Implementations may hold per-key residual (error-feedback) state, so
-/// `compress` takes `&mut self` and a `key` identifying the parameter
+/// `compress_into` takes `&mut self` and a `key` identifying the parameter
 /// tensor (layer) the gradient belongs to.
 pub trait GradientCompressor: Send {
     /// Compress one gradient tensor, updating any internal residual state
-    /// for `key`.
-    fn compress(&mut self, key: usize, grad: &[f32]) -> Compressed;
+    /// for `key`. The payload's backing storage is drawn from `pool`
+    /// instead of allocated, so steady-state iteration loops run
+    /// allocation-free; every byte of it is overwritten, whatever the
+    /// recycled buffer held.
+    fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed;
 
-    /// Like [`GradientCompressor::compress`], but drawing the payload's
-    /// backing storage from `pool` instead of allocating, so steady-state
-    /// iteration loops run allocation-free. Must produce a payload equal
-    /// to what `compress` would for the same state and input (the codecs'
-    /// encode math is shared between the two paths). The default
-    /// implementation ignores the pool and delegates to `compress`.
-    fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
-        let _ = pool;
-        self.compress(key, grad)
+    /// [`GradientCompressor::compress_into`] with freshly allocated
+    /// storage (a throwaway pool) — for one-off calls outside a training
+    /// loop.
+    fn compress(&mut self, key: usize, grad: &[f32]) -> Compressed {
+        self.compress_into(key, grad, &BufferPool::new())
     }
 
     /// [`GradientCompressor::compress_into`] wrapped in one
@@ -144,10 +143,6 @@ pub trait GradientCompressor: Send {
 pub struct NoCompression;
 
 impl GradientCompressor for NoCompression {
-    fn compress(&mut self, _key: usize, grad: &[f32]) -> Compressed {
-        Compressed::Raw(grad.to_vec())
-    }
-
     fn compress_into(&mut self, _key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
         let mut v = pool.take_f32();
         v.extend_from_slice(grad);

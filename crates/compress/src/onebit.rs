@@ -3,7 +3,7 @@
 //! cites (§1, [26]).
 
 use crate::compressed::Compressed;
-use crate::packing::{pack_1bit, pack_1bit_into};
+use crate::packing::pack_1bit_into;
 use crate::pool::BufferPool;
 use crate::residual::ResidualStore;
 use crate::GradientCompressor;
@@ -33,7 +33,7 @@ impl OneBitQuantizer {
     }
 
     /// Quantize `grad + residual` into `self.bits`, updating the residual
-    /// state; returns the scale. Shared by both compress paths.
+    /// state; returns the scale.
     fn encode_bits(&mut self, key: usize, grad: &[f32]) -> f32 {
         let res = self.residuals.get_mut(key, grad.len());
         self.corrected.clear();
@@ -52,15 +52,6 @@ impl OneBitQuantizer {
 }
 
 impl GradientCompressor for OneBitQuantizer {
-    fn compress(&mut self, key: usize, grad: &[f32]) -> Compressed {
-        let scale = self.encode_bits(key, grad);
-        Compressed::OneBit {
-            scale,
-            signs: pack_1bit(&self.bits),
-            len: grad.len(),
-        }
-    }
-
     fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
         let scale = self.encode_bits(key, grad);
         let mut signs = pool.take_bytes();

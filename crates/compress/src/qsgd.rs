@@ -38,7 +38,7 @@ impl QsgdQuantizer {
     }
 
     /// Quantize `grad` into `codes` (cleared and refilled); returns the
-    /// L2 norm. Shared by both compress paths (identical RNG draws).
+    /// L2 norm.
     fn encode_codes(&mut self, grad: &[f32], codes: &mut Vec<i8>) -> f32 {
         let norm = grad.iter().map(|x| x * x).sum::<f32>().sqrt();
         let l = self.levels as f32;
@@ -59,17 +59,6 @@ impl QsgdQuantizer {
 }
 
 impl GradientCompressor for QsgdQuantizer {
-    fn compress(&mut self, _key: usize, grad: &[f32]) -> Compressed {
-        let mut codes = Vec::new();
-        let norm = self.encode_codes(grad, &mut codes);
-        Compressed::Qsgd {
-            norm,
-            levels: self.levels,
-            codes,
-            len: grad.len(),
-        }
-    }
-
     fn compress_into(&mut self, _key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
         let mut codes = pool.take_i8();
         let norm = self.encode_codes(grad, &mut codes);

@@ -1,7 +1,7 @@
 //! TernGrad (Wen et al. 2017): unbiased stochastic ternarization.
 
 use crate::compressed::Compressed;
-use crate::packing::{pack_2bit, pack_2bit_into};
+use crate::packing::pack_2bit_into;
 use crate::pool::BufferPool;
 use crate::GradientCompressor;
 use rand::rngs::StdRng;
@@ -31,7 +31,6 @@ impl TernGradQuantizer {
     }
 
     /// Ternarize `grad` into `self.symbols`; returns the scale `s_max`.
-    /// Shared by both compress paths (identical RNG draw sequence).
     fn encode_symbols(&mut self, grad: &[f32]) -> f32 {
         let s_max = grad.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         self.symbols.clear();
@@ -49,15 +48,6 @@ impl TernGradQuantizer {
 }
 
 impl GradientCompressor for TernGradQuantizer {
-    fn compress(&mut self, _key: usize, grad: &[f32]) -> Compressed {
-        let s_max = self.encode_symbols(grad);
-        Compressed::Tern {
-            scale: s_max,
-            packed: pack_2bit(&self.symbols),
-            len: grad.len(),
-        }
-    }
-
     fn compress_into(&mut self, _key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
         let s_max = self.encode_symbols(grad);
         let mut packed = pool.take_bytes();

@@ -78,8 +78,7 @@ impl TopKSparsifier {
     }
 
     /// Select the top-k of `grad + residual` into `indices`/`values`
-    /// (cleared and refilled), updating residual/momentum state — the
-    /// math shared by both compress paths.
+    /// (cleared and refilled), updating residual/momentum state.
     fn encode(&mut self, key: usize, grad: &[f32], indices: &mut Vec<u32>, values: &mut Vec<f32>) {
         let k = self.k_for(grad.len());
         // With momentum correction, the "gradient" folded into the
@@ -136,17 +135,6 @@ impl TopKSparsifier {
 }
 
 impl GradientCompressor for TopKSparsifier {
-    fn compress(&mut self, key: usize, grad: &[f32]) -> Compressed {
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        self.encode(key, grad, &mut indices, &mut values);
-        Compressed::TopK {
-            indices,
-            values,
-            len: grad.len(),
-        }
-    }
-
     fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
         let mut indices = pool.take_u32();
         let mut values = pool.take_f32();

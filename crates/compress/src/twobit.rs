@@ -2,7 +2,7 @@
 //! accumulation — the compressor used by the paper's BIT-SGD and CD-SGD.
 
 use crate::compressed::Compressed;
-use crate::packing::{pack_2bit, pack_2bit_into};
+use crate::packing::pack_2bit_into;
 use crate::pool::BufferPool;
 use crate::residual::ResidualStore;
 use crate::GradientCompressor;
@@ -80,7 +80,7 @@ impl TwoBitQuantizer {
     }
 
     /// Quantize `grad + residual` into `self.symbols`, updating the
-    /// residual state — the math shared by both compress paths.
+    /// residual state.
     fn encode_symbols(&mut self, key: usize, grad: &[f32]) {
         let thr = self.threshold;
         self.symbols.clear();
@@ -102,15 +102,6 @@ impl TwoBitQuantizer {
 }
 
 impl GradientCompressor for TwoBitQuantizer {
-    fn compress(&mut self, key: usize, grad: &[f32]) -> Compressed {
-        self.encode_symbols(key, grad);
-        Compressed::TwoBit {
-            threshold: self.threshold,
-            packed: pack_2bit(&self.symbols),
-            len: grad.len(),
-        }
-    }
-
     fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
         self.encode_symbols(key, grad);
         let mut packed = pool.take_bytes();

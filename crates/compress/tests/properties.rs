@@ -156,12 +156,12 @@ proptest! {
 
     #[test]
     fn compress_into_is_bit_identical_and_recycle_safe(stream in grads(12, 8)) {
-        // For every codec: the pooled path (compress_into, payloads
-        // recycled between rounds through a pre-dirtied pool) produces
-        // payloads identical to the allocating path, and decompress_add
-        // over those recycled-buffer payloads matches decompress-then-add
-        // bit for bit. This is the "not one ULP" contract the server's
-        // buffer reuse relies on.
+        // For every codec: compress_into over payloads recycled between
+        // rounds through a pre-dirtied pool produces payloads identical
+        // to `compress` (the same encode over fresh storage), and
+        // decompress_add over those recycled-buffer payloads matches
+        // decompress-then-add bit for bit. This is the "not one ULP"
+        // contract the server's buffer reuse relies on.
         let pairs: Vec<(Box<dyn GradientCompressor>, Box<dyn GradientCompressor>)> = vec![
             (Box::new(NoCompression), Box::new(NoCompression)),
             (Box::new(TwoBitQuantizer::new(0.5)), Box::new(TwoBitQuantizer::new(0.5))),

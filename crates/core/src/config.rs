@@ -26,6 +26,15 @@ pub enum ConfigError {
     InvalidErrorDecay(f32),
     /// A training run needs at least one worker.
     NoWorkers,
+    /// The algorithm was handed the wrong kind of worker link: a
+    /// parameter-server algorithm a collective, or a server-less one
+    /// (AR-SGD) a parameter-server client.
+    LinkMismatch {
+        /// [`Algorithm::name`] of the algorithm.
+        algo: String,
+        /// The kind of link it was handed.
+        link: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -40,6 +49,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "error decay beta must be in [0, 1], got {b}")
             }
             ConfigError::NoWorkers => write!(f, "need at least one worker"),
+            ConfigError::LinkMismatch { algo, link } => {
+                write!(f, "{algo} cannot synchronize over a {link} link")
+            }
         }
     }
 }

@@ -55,5 +55,6 @@ pub use config::{Algorithm, Codec, ConfigError, Topology, TrainConfig};
 pub use lr::LrSchedule;
 pub use metrics::{AbortRecord, EpochMetrics, TrainingHistory};
 pub use recover::WorkerCheckpoint;
+pub use strategy::Link;
 pub use supervise::{PoisonBarrier, RestartBudget, RestartPolicy};
-pub use trainer::{run_standalone_collective, run_standalone_worker, TrainFailure, Trainer};
+pub use trainer::{run_standalone_worker, TrainFailure, Trainer};

@@ -26,7 +26,7 @@
 //! `tests/strategy_equivalence.rs` pins the final-weight hashes captured
 //! from the old code for every variant on two backends.
 
-use crate::config::{Algorithm, Topology, TrainConfig};
+use crate::config::{Algorithm, ConfigError, Topology, TrainConfig};
 use crate::profile::{OpKind, WorkerProfile};
 use cdsgd_compress::{
     decompress_add, BufferPool, CodecSpans, Compressed, GradientCompressor, NoCompression,
@@ -86,6 +86,16 @@ impl CodecSpans for ProfiledCodec<'_> {
     fn record(&self, op: OpKind, start_s: f64) {
         self.profile.record(op, self.round, start_s);
     }
+}
+
+/// How a worker reaches the rest of the run, from attach to goodbye: a
+/// parameter-server client or a member handle of a server-less
+/// collective — never both, never neither.
+pub enum Link {
+    /// In-process, loopback or TCP; the worker is agnostic.
+    Ps(Arc<dyn ParamClient>),
+    /// Ring or tree, loopback or TCP; the worker is agnostic.
+    Collective(Box<dyn Collective>),
 }
 
 /// One algorithm's worker-side step protocol. Implementations own all the
@@ -189,7 +199,7 @@ pub(crate) trait UpdateStrategy: Send {
 /// the connection (and through it the payload pool it shares with the
 /// server), the adopted global snapshot, and the staged outbound payloads.
 struct PsLink {
-    client: Box<dyn ParamClient>,
+    client: Arc<dyn ParamClient>,
     /// Most recently adopted global weights (initially the shared init).
     /// `Arc` snapshots shared with the server and every same-version
     /// puller — adopting a pull is a pointer move.
@@ -920,31 +930,40 @@ impl UpdateStrategy for DecentralizedStrategy {
 }
 
 /// Resolve the algorithm to its strategy — the single construction-time
-/// dispatch on [`Algorithm`]. `collective` must be `Some` exactly when
-/// [`Algorithm::uses_ring`] says so (the trainer guarantees it); the
-/// topology then picks between the synchronous all-reduce family and the
-/// decentralized gossip leaf. `init` is the shared initial weights every
-/// replica starts from.
+/// dispatch on [`Algorithm`] and on the kind of [`Link`]. A collective
+/// carries the server-less family (the topology picks between the
+/// synchronous all-reduce and the decentralized gossip leaf), a
+/// parameter-server client every other algorithm; the wrong pairing is a
+/// [`ConfigError::LinkMismatch`]. `init` is the shared initial weights
+/// every replica starts from.
 pub(crate) fn build_strategy(
     algo: &Algorithm,
     topology: &Topology,
-    client: Box<dyn ParamClient>,
-    collective: Option<Box<dyn Collective>>,
+    link: Link,
     init: Vec<Arc<[f32]>>,
-) -> Box<dyn UpdateStrategy> {
-    if let Some(ring) = collective {
-        if let Topology::Decentralized { codec } = topology {
-            return Box::new(DecentralizedStrategy::new(ring, codec, &init));
+) -> Result<Box<dyn UpdateStrategy>, ConfigError> {
+    let mismatch = |link: &'static str| ConfigError::LinkMismatch {
+        algo: algo.name(),
+        link,
+    };
+    let link = match link {
+        Link::Collective(_) if !algo.uses_ring() => return Err(mismatch("collective")),
+        Link::Collective(ring) => {
+            return Ok(match topology {
+                Topology::Decentralized { codec } => {
+                    Box::new(DecentralizedStrategy::new(ring, codec, &init))
+                }
+                _ => Box::new(ArSgdStrategy {
+                    ring,
+                    mean: Vec::new(),
+                }),
+            })
         }
-        return Box::new(ArSgdStrategy {
-            ring,
-            mean: Vec::new(),
-        });
-    }
-    let link = PsLink {
-        client,
-        base: init,
-        staged: Vec::new(),
+        Link::Ps(client) => PsLink {
+            client,
+            base: init,
+            staged: Vec::new(),
+        },
     };
     let codec_stage = |codec: Box<dyn GradientCompressor>| PushStage {
         codec: Some(codec),
@@ -959,18 +978,18 @@ pub(crate) fn build_strategy(
     // One row per algorithm: (name, how gradients become payloads,
     // whether the pull is delayed).
     let (name, stage, delay) = match algo {
-        Algorithm::ArSgd => unreachable!("AR-SGD requires a collective"),
+        Algorithm::ArSgd => return Err(mismatch("parameter-server")),
         Algorithm::LocalSgd {
             local_lr,
             sync_period,
         } => {
-            return Box::new(LocalSgdStrategy {
+            return Ok(Box::new(LocalSgdStrategy {
                 link,
                 local_lr: *local_lr,
                 sync_period: *sync_period as u64,
                 acc: Vec::new(),
                 syncs: 0,
-            })
+            }))
         }
         Algorithm::SSgd => ("ssgd", PushStage::default(), None),
         Algorithm::BitSgd { threshold } => (
@@ -1014,12 +1033,12 @@ pub(crate) fn build_strategy(
             ("cdsgd", stage, Some(delay))
         }
     };
-    Box::new(PsStrategy {
+    Ok(Box::new(PsStrategy {
         name,
         link,
         stage,
         delay,
-    })
+    }))
 }
 
 /// The learning rate in effect at `round`, honoring the epoch-indexed
@@ -1058,10 +1077,16 @@ mod tests {
         assert!((0..8).all(|r| !cd_compresses(0, 1, r)));
     }
 
-    fn with_client(f: impl FnOnce(Box<dyn ParamClient>)) {
+    fn with_client(f: impl FnOnce(Link)) {
         let ps = ParamServer::start(vec![vec![0.0; 4]], ServerConfig::new(1, 0.1));
-        f(Box::new(ps.client()));
+        f(Link::Ps(Arc::new(ps.client())));
         ps.shutdown();
+    }
+
+    /// A one-member loopback ring as a worker link.
+    fn solo_ring() -> Link {
+        let (mut members, _stats) = cdsgd_ps::WireRing::loopback(1);
+        Link::Collective(Box::new(members.remove(0)))
     }
 
     #[test]
@@ -1082,8 +1107,8 @@ mod tests {
             (Algorithm::ef_sgd(0.9), "efsgd"),
             (Algorithm::ecq_sgd(0.5, 1.0, 1.0), "ecqsgd"),
         ] {
-            with_client(|client| {
-                let s = build_strategy(&algo, &Topology::Ps, client, None, init.clone());
+            with_client(|link| {
+                let s = build_strategy(&algo, &Topology::Ps, link, init.clone()).unwrap();
                 assert_eq!(s.name(), name);
                 assert!(s.eval_base().is_some(), "{name} adopts a server base");
             });
@@ -1103,8 +1128,8 @@ mod tests {
             profiler: None,
         };
         let mut built = None;
-        with_client(|client| {
-            let mut s = build_strategy(algo, &Topology::Ps, client, None, init);
+        with_client(|link| {
+            let mut s = build_strategy(algo, &Topology::Ps, link, init).unwrap();
             let grads = vec![vec![0.3f32; 4], vec![-0.2f32; 2]];
             s.prepare_push(&mut Sequential::new(), &grads, &ctx)
                 .unwrap();
@@ -1150,42 +1175,38 @@ mod tests {
     }
 
     #[test]
-    fn ring_member_wins_resolution() {
-        let (members, _stats) = cdsgd_ps::WireRing::loopback(1);
-        with_client(|client| {
-            let s = build_strategy(
-                &Algorithm::ArSgd,
-                &Topology::Ps,
-                client,
-                members
-                    .into_iter()
-                    .next()
-                    .map(|m| Box::new(m) as Box<dyn Collective>),
-                vec![Arc::from(vec![0.0f32; 4])],
-            );
-            assert_eq!(s.name(), "arsgd");
-            assert!(s.eval_base().is_none(), "ring mode evaluates the model");
-        });
+    fn collective_link_resolves_by_topology() {
+        let init = || vec![Arc::from(vec![0.0f32; 4])];
+        let s = build_strategy(&Algorithm::ArSgd, &Topology::Ps, solo_ring(), init()).unwrap();
+        assert_eq!(s.name(), "arsgd");
+        assert!(s.eval_base().is_none(), "ring mode evaluates the model");
+        let gossip = Topology::Decentralized {
+            codec: crate::config::Codec::TwoBit { threshold: 0.5 },
+        };
+        let s = build_strategy(&Algorithm::ArSgd, &gossip, solo_ring(), init()).unwrap();
+        assert_eq!(s.name(), "decentralized");
+        assert!(s.eval_base().is_none(), "gossip mode evaluates the model");
     }
 
     #[test]
-    fn decentralized_topology_wins_resolution() {
-        let (members, _stats) = cdsgd_ps::WireRing::loopback(1);
-        with_client(|client| {
-            let s = build_strategy(
-                &Algorithm::ArSgd,
-                &Topology::Decentralized {
-                    codec: crate::config::Codec::TwoBit { threshold: 0.5 },
-                },
-                client,
-                members
-                    .into_iter()
-                    .next()
-                    .map(|m| Box::new(m) as Box<dyn Collective>),
-                vec![Arc::from(vec![0.0f32; 4])],
+    fn mismatched_link_is_a_typed_error() {
+        let init = || vec![Arc::from(vec![0.0f32; 4])];
+        let ps_algo = Algorithm::BitSgd { threshold: 0.5 };
+        assert_eq!(
+            build_strategy(&ps_algo, &Topology::Ps, solo_ring(), init()).err(),
+            Some(ConfigError::LinkMismatch {
+                algo: ps_algo.name(),
+                link: "collective",
+            })
+        );
+        with_client(|link| {
+            assert_eq!(
+                build_strategy(&Algorithm::ArSgd, &Topology::Ps, link, init()).err(),
+                Some(ConfigError::LinkMismatch {
+                    algo: Algorithm::ArSgd.name(),
+                    link: "parameter-server",
+                })
             );
-            assert_eq!(s.name(), "decentralized");
-            assert!(s.eval_base().is_none(), "gossip mode evaluates the model");
         });
     }
 

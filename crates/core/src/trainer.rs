@@ -4,14 +4,14 @@
 use crate::config::{Topology, TrainConfig};
 use crate::metrics::{AbortRecord, EpochMetrics, TrainingHistory};
 use crate::profile::Profiler;
+use crate::strategy::Link;
 use crate::supervise::{PoisonBarrier, RestartBudget};
 use crate::worker::{run_worker, EpochReport, WorkerArgs};
 use cdsgd_data::Dataset;
 use cdsgd_nn::Sequential;
 use cdsgd_ps::{
-    build_ring_group, build_tree_group, Collective, CollectiveGroup, ElasticConfig, FaultyClient,
-    InProcessBackend, NetError, NullClient, ParamClient, ParamServer, PsBackend, ServerConfig,
-    TrafficStats, WireMode,
+    AllReduceBackend, Durability, ElasticConfig, FaultyClient, InProcessBackend, NetError,
+    ParamServer, PsBackend, ServerConfig, WireMode,
 };
 use cdsgd_telemetry::{Event, Telemetry};
 use cdsgd_tensor::SmallRng64;
@@ -92,19 +92,36 @@ impl Trainer {
             .unwrap_or(0)
     }
 
-    /// Run to completion on an in-process parameter server, returning
-    /// the per-epoch history.
+    /// Run to completion in this process — on an in-process parameter
+    /// server, or for a server-less algorithm on the loopback collective
+    /// the topology names — returning the per-epoch history.
     ///
     /// # Panics
     /// Panics if any shard is smaller than one batch.
     pub fn run(&self) -> TrainingHistory {
-        let telemetry = self.cfg.telemetry.clone();
-        self.run_with(move |init, cfg| {
-            Ok(Box::new(InProcessBackend::new(ParamServer::start_traced(
-                init, cfg, telemetry,
-            ))))
+        self.run_with(|init, cfg| {
+            Ok(if self.cfg.algo.uses_ring() {
+                Box::new(self.loopback_collectives()?)
+            } else {
+                Box::new(InProcessBackend::new(ParamServer::start_with(
+                    init,
+                    cfg,
+                    self.cfg.telemetry.clone(),
+                    Durability::default(),
+                )))
+            })
         })
         .expect("in-process backend cannot fail to connect")
+    }
+
+    /// The in-process collective group of a server-less run: a loopback
+    /// tree when the topology asks for one, a loopback ring otherwise.
+    fn loopback_collectives(&self) -> Result<AllReduceBackend, NetError> {
+        let n = self.cfg.num_workers;
+        match self.cfg.topology {
+            Topology::Tree => AllReduceBackend::tree(n, WireMode::Loopback),
+            _ => AllReduceBackend::ring(n, WireMode::Loopback),
+        }
     }
 
     /// Run to completion against a parameter-server deployment produced
@@ -197,19 +214,17 @@ impl Trainer {
             Err(e) => return Err(fail(history, e, 0, 0, &self.cfg.telemetry)),
         };
         // Server-less algorithms get one collective handle per worker.
-        // A backend that *owns* the collectives (AllReduceBackend /
-        // DecentralizedBackend over loopback or TCP) surrenders them
-        // here; otherwise the trainer builds the group itself, over
+        // A backend that *owns* the collectives (AllReduceBackend over
+        // loopback or TCP) surrenders them here; handed a parameter-server
+        // backend instead, the trainer builds the group itself, over
         // loopback, on the topology the config names.
         let use_ring = self.cfg.algo.uses_ring();
-        type Members = Vec<Option<Box<dyn Collective>>>;
-        let (mut ring_members, ring_stats): (Members, Option<Arc<TrafficStats>>) = if use_ring {
-            let group: Result<CollectiveGroup, NetError> = match ps.take_collectives(n) {
+        let (mut ring_members, ring_stats) = if use_ring {
+            let group = match ps.take_collectives(n) {
                 Some(g) => Ok(g),
-                None => match self.cfg.topology {
-                    Topology::Tree => build_tree_group(n, WireMode::Loopback),
-                    _ => build_ring_group(n, WireMode::Loopback),
-                },
+                None => self
+                    .loopback_collectives()
+                    .map(|own| own.take_collectives(n).expect("first take")),
             };
             let group = match group {
                 Ok(g) => g,
@@ -219,10 +234,9 @@ impl Trainer {
                     return Err(fail(history, e, 0, 0, &self.cfg.telemetry));
                 }
             };
-            let stats = Arc::clone(&group.stats);
-            (group.members.into_iter().map(Some).collect(), Some(stats))
+            (group.members.into_iter(), Some(group.stats))
         } else {
-            (Vec::new(), None)
+            (Vec::new().into_iter(), None)
         };
         let profiler = self
             .cfg
@@ -232,12 +246,24 @@ impl Trainer {
         let (report_tx, report_rx) = crossbeam::channel::unbounded::<EpochReport>();
 
         let mut handles: Vec<Option<JoinHandle<Result<(), NetError>>>> = Vec::with_capacity(n);
-        #[allow(clippy::needless_range_loop)]
         for w in 0..n {
             let mut wrng = SmallRng64::new(self.cfg.seed);
             let model = (self.builder)(&mut wrng);
-            let client = match ps.client() {
-                Ok(c) => c,
+            // One member per worker when server-less, none otherwise.
+            let link =
+                match ring_members.next() {
+                    Some(member) => Ok(Link::Collective(member)),
+                    // Scripted chaos: the designated victim gets a client
+                    // that executes the fault.
+                    None => ps.client().map(|client| match self.cfg.fault {
+                        Some((victim, fault)) if victim == w => Link::Ps(Arc::new(
+                            FaultyClient::new(Arc::from(client), fault, num_keys),
+                        )),
+                        _ => Link::Ps(Arc::from(client)),
+                    }),
+                };
+            let link = match link {
+                Ok(link) => link,
                 Err(e) => {
                     return Err(abort(
                         ps,
@@ -251,26 +277,13 @@ impl Trainer {
                     ));
                 }
             };
-            // Scripted chaos: the designated victim gets a client that
-            // executes the fault.
-            let client: Box<dyn ParamClient> = match self.cfg.fault {
-                Some((victim, fault)) if victim == w => {
-                    Box::new(FaultyClient::new(client, fault, num_keys))
-                }
-                _ => client,
-            };
             let args = WorkerArgs {
                 id: w,
                 cfg: self.cfg.clone(),
                 model,
                 shard: self.train.shard(w, n),
                 test: if w == 0 { self.test.clone() } else { None },
-                client,
-                collective: if use_ring {
-                    ring_members[w].take()
-                } else {
-                    None
-                },
+                link,
                 iters_per_epoch: ipe,
                 barrier: Arc::clone(&barrier),
                 report: report_tx.clone(),
@@ -626,8 +639,7 @@ impl Respawner<'_> {
             model,
             shard: self.train.shard(w, n),
             test: if w == 0 { self.test.clone() } else { None },
-            client,
-            collective: None,
+            link: Link::Ps(Arc::from(client)),
             iters_per_epoch: self.ipe,
             barrier: Arc::clone(self.barrier),
             report: self.report.clone(),
@@ -722,13 +734,17 @@ fn abort(
     fail(history, error, epoch, ipe, tel)
 }
 
-/// Run one worker as its own OS process against remote parameter-server
-/// shards (the engine of the `worker` binary).
+/// Run one worker as its own OS process (the engine of the `worker`
+/// binary), synchronizing through `link`: a parameter-server client —
+/// typically [`cdsgd_ps::AttachedWorker::client`] from
+/// [`cdsgd_ps::NetCluster::attach`] — or, for a *server-less* deployment
+/// (`worker --topology ring|tree|decentralized`), a collective handle
+/// such as a [`cdsgd_ps::WireRing`] or [`cdsgd_ps::WireTree`] connected
+/// to the peer workers over TCP. A link of the wrong kind for the
+/// algorithm is refused with an error.
 ///
-/// `client` is this worker's connection (typically from
-/// [`cdsgd_ps::NetCluster::connect`] via [`PsBackend::client`]). Data
-/// sharding, iteration counts, model init, and the update sequence are
-/// identical to the in-process [`Trainer::run`], so a multi-process
+/// Data sharding, iteration counts, model init, and the update sequence
+/// are identical to the in-process [`Trainer::run`], so a multi-process
 /// deployment with the same seed reaches the same weights bit-for-bit.
 ///
 /// Returns per-epoch `(mean train loss, test accuracy)` — the accuracy is
@@ -739,55 +755,7 @@ pub fn run_standalone_worker(
     builder: impl Fn(&mut SmallRng64) -> Sequential,
     train: &Dataset,
     test: Option<Dataset>,
-    client: Box<dyn ParamClient>,
-) -> Result<Vec<(f32, Option<f32>)>, NetError> {
-    run_standalone(cfg, id, builder, train, test, client, None)
-}
-
-/// Run one worker as its own OS process as a member of a *server-less*
-/// collective deployment (`worker --topology ring|tree|decentralized`):
-/// no parameter server exists, so the worker's only communication is the
-/// `collective` handle — typically a [`cdsgd_ps::WireRing`] or
-/// [`cdsgd_ps::WireTree`] connected to the peer workers over TCP.
-/// Everything else (sharding, iteration counts, model init, update
-/// sequence) matches [`run_standalone_worker`], so a multi-process ring
-/// all-reduce run reaches bit-identical weights to the in-process one.
-///
-/// # Panics
-/// Panics unless [`crate::Algorithm::uses_ring`] holds — a PS algorithm
-/// handed a collective would train against the erroring [`NullClient`].
-pub fn run_standalone_collective(
-    cfg: TrainConfig,
-    id: usize,
-    builder: impl Fn(&mut SmallRng64) -> Sequential,
-    train: &Dataset,
-    test: Option<Dataset>,
-    collective: Box<dyn Collective>,
-) -> Result<Vec<(f32, Option<f32>)>, NetError> {
-    assert!(
-        cfg.algo.uses_ring(),
-        "{} is a parameter-server algorithm; a collective topology needs arsgd",
-        cfg.algo.name()
-    );
-    run_standalone(
-        cfg,
-        id,
-        builder,
-        train,
-        test,
-        Box::new(NullClient::new()),
-        Some(collective),
-    )
-}
-
-fn run_standalone(
-    cfg: TrainConfig,
-    id: usize,
-    builder: impl Fn(&mut SmallRng64) -> Sequential,
-    train: &Dataset,
-    test: Option<Dataset>,
-    client: Box<dyn ParamClient>,
-    collective: Option<Box<dyn Collective>>,
+    link: Link,
 ) -> Result<Vec<(f32, Option<f32>)>, NetError> {
     let n = cfg.num_workers;
     assert!(id < n, "worker id {id} out of range for {n} workers");
@@ -840,8 +808,7 @@ fn run_standalone(
         test: if id == 0 { test } else { None },
         cfg,
         model,
-        client,
-        collective,
+        link,
         iters_per_epoch: ipe,
         // No trainer thread to rendezvous with: a 1-party barrier makes
         // every `wait` a no-op.

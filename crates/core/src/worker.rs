@@ -8,13 +8,13 @@
 
 use crate::config::TrainConfig;
 use crate::profile::{OpKind, WorkerProfile};
-use crate::strategy::{build_strategy, StepCtx};
+use crate::strategy::{build_strategy, Link, StepCtx};
 
 use crate::supervise::PoisonBarrier;
 use cdsgd_data::{augment, Batch, Dataset};
 use cdsgd_nn::{Layer, Mode, Sequential, SoftmaxCrossEntropy};
 use cdsgd_ps::recover::CheckpointError;
-use cdsgd_ps::{Collective, NetError, ParamClient};
+use cdsgd_ps::NetError;
 use cdsgd_tensor::SmallRng64;
 use crossbeam::channel::Sender;
 use std::sync::Arc;
@@ -43,14 +43,11 @@ pub(crate) struct WorkerArgs {
     pub shard: Dataset,
     /// Test set; `Some` only for worker 0.
     pub test: Option<Dataset>,
-    /// Connection to the parameter server — in-process, loopback, or TCP;
-    /// the worker is agnostic.
-    pub client: Box<dyn ParamClient>,
-    /// Collective handle for the server-less algorithms (AR-SGD and the
-    /// decentralized topology); `None` for the PS-based algorithms. Which
-    /// topology (ring or tree, loopback or TCP) is the trainer's /
-    /// deployment's choice — the worker is agnostic.
-    pub collective: Option<Box<dyn Collective>>,
+    /// How this worker synchronizes: a parameter-server client, or a
+    /// collective handle for the server-less algorithms (AR-SGD and the
+    /// decentralized topology). Which deployment is behind it is the
+    /// trainer's choice — the worker is agnostic.
+    pub link: Link,
     pub iters_per_epoch: usize,
     /// Epoch rendezvous with the trainer; poisoned by the supervisor when
     /// another worker is lost, so `wait` is fallible.
@@ -74,24 +71,21 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
     // with the server and every same-version puller.
     let init: Vec<Arc<[f32]>> = a.model.export_params().into_iter().map(Arc::from).collect();
 
-    // A scripted departure needs the client twice: the strategy owns one
-    // handle for the training rounds, and this loop keeps another to
-    // announce `Leave` on the *same ordered stream* the pushes rode (so
-    // the server sees every push of the final round before the goodbye).
     let depart = a
         .cfg
         .departures
         .iter()
         .find(|&&(w, _)| w == a.id)
         .map(|&(_, e)| e);
-    let (client, shared): (Box<dyn ParamClient>, Option<Arc<dyn ParamClient>>) = match depart {
-        Some(_) => {
-            let arc: Arc<dyn ParamClient> = Arc::from(a.client);
-            (Box::new(Arc::clone(&arc)), Some(arc))
-        }
-        None => (a.client, None),
+    // A scripted departure announces `Leave` through the very client the
+    // strategy pushes through — one ordered stream, so the server sees
+    // every push of the final round before the goodbye.
+    let ps = match &a.link {
+        Link::Ps(client) => Some(Arc::clone(client)),
+        Link::Collective(_) => None,
     };
-    let mut strategy = build_strategy(&a.cfg.algo, &a.cfg.topology, client, a.collective, init);
+    let mut strategy = build_strategy(&a.cfg.algo, &a.cfg.topology, a.link, init)
+        .map_err(|e| NetError::Io(e.to_string()))?;
     let mut round: u64 = 0;
     // Per-iteration gradient scratch, allocated once and reused.
     let mut grads: Vec<Vec<f32>> = Vec::new();
@@ -148,8 +142,8 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
             // Draining and re-sizes the quorum), and withdraw from the
             // epoch rendezvous so the survivors stop waiting for us.
             strategy.finish()?;
-            if let Some(c) = &shared {
-                c.leave(a.id)?;
+            if let Some(client) = &ps {
+                client.leave(a.id)?;
             }
             a.barrier.leave();
             return Ok(());

@@ -16,7 +16,7 @@ use cdsgd_net::NetError;
 use std::sync::Arc;
 
 /// What a worker needs from a parameter-server connection. Object-safe so
-/// workers hold `Box<dyn ParamClient>` and stay agnostic of the backend;
+/// workers hold an `Arc<dyn ParamClient>` and stay agnostic of the backend;
 /// `Send + Sync` because every method takes `&self` and a client handle
 /// may be shared across a worker's compute threads.
 ///
@@ -33,16 +33,16 @@ pub trait ParamClient: Send + Sync {
     }
 
     /// Fire-and-forget pull: returns a handle resolving once the server
-    /// reaches `min_version`, so transfers overlap computation.
+    /// reaches `min_version`, so transfers overlap computation. The
+    /// server keeps only the latest two versions of a key: a
+    /// `min_version` further behind, or a `key` it does not own, fails
+    /// this pull alone with an error.
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError>;
 
     /// Pull every key at `min_version` (warm-up / eval convenience).
     fn pull_all(&self, num_keys: usize, min_version: u64) -> Result<Vec<Arc<[f32]>>, NetError> {
         (0..num_keys).map(|k| self.pull(k, min_version)).collect()
     }
-
-    /// Change the server-side learning rate.
-    fn set_lr(&self, lr: f32) -> Result<(), NetError>;
 
     /// Elastic membership: register `worker` with the server's membership
     /// table and block for the per-key version ack — the versions the
@@ -91,16 +91,8 @@ impl ParamClient for PsClient {
         PsClient::push(self, worker, key, payload)
     }
 
-    fn pull(&self, key: Key, min_version: u64) -> Result<Arc<[f32]>, NetError> {
-        PsClient::pull(self, key, min_version)
-    }
-
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
         PsClient::pull_async(self, key, min_version)
-    }
-
-    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        PsClient::set_lr(self, lr)
     }
 
     fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
@@ -124,120 +116,15 @@ impl ParamClient for PsClient {
     }
 }
 
-/// Shared ownership of a client (`Arc` delegation): a worker that must
-/// announce its own departure needs the connection in two places — inside
-/// its update strategy (which consumed a `Box<dyn ParamClient>`) and in
-/// the departure path that sends `leave` *after* the strategy's final
-/// pushes. Routing both through one `Arc` keeps every message on a single
-/// ordered stream, so a `leave` can never overtake an in-flight push on a
-/// second connection.
-impl ParamClient for Arc<dyn ParamClient> {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        (**self).push(worker, key, payload)
-    }
-
-    fn pull(&self, key: Key, min_version: u64) -> Result<Arc<[f32]>, NetError> {
-        (**self).pull(key, min_version)
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        (**self).pull_async(key, min_version)
-    }
-
-    fn pull_all(&self, num_keys: usize, min_version: u64) -> Result<Vec<Arc<[f32]>>, NetError> {
-        (**self).pull_all(num_keys, min_version)
-    }
-
-    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        (**self).set_lr(lr)
-    }
-
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        (**self).register(worker)
-    }
-
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        (**self).leave(worker)
-    }
-
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        (**self).cancel_join(worker)
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        (**self).heartbeat(worker)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        (**self).pool()
-    }
-}
-
-/// A mid-run joiner's view of the server: every pull's `min_version` is
-/// rebased by the per-key versions the server acked at registration.
-///
-/// Update strategies count rounds locally from zero, but a worker that
-/// joins an elastic run at global round `V` participates in rounds
-/// `V+1, V+2, …` — and the server serves only the latest two versions,
-/// panicking on pulls further behind. Registration's ack is *exact* (no
-/// round completes after the join without the joiner), so local round
-/// `r` maps to global version `base[key] + r` with no race window.
-pub struct RebasedClient {
-    inner: Box<dyn ParamClient>,
-    /// Per-key global version at admission (the `RegisterAck` payload).
-    base: Vec<u64>,
-}
-
-impl RebasedClient {
-    /// Wrap `inner` for a worker admitted when each key was at
-    /// `base[key]` aggregates (the vector [`ParamClient::register`]
-    /// returned).
-    pub fn new(inner: Box<dyn ParamClient>, base: Vec<u64>) -> Self {
-        Self { inner, base }
-    }
-}
-
-impl ParamClient for RebasedClient {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        self.inner.push(worker, key, payload)
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        self.inner.pull_async(key, min_version + self.base[key])
-    }
-
-    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.inner.set_lr(lr)
-    }
-
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        self.inner.register(worker)
-    }
-
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        self.inner.leave(worker)
-    }
-
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        self.inner.cancel_join(worker)
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        self.inner.heartbeat(worker)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        self.inner.pool()
-    }
-}
-
 /// A running parameter-server deployment the trainer can drive: hands out
 /// worker connections and answers the control-plane requests the trainer
 /// makes between epochs. Implementations: [`InProcessBackend`] (server
 /// threads in this process) and [`crate::net::NetCluster`] (loopback or
 /// TCP shards, possibly in other OS processes).
 pub trait PsBackend {
-    /// A fresh client connection for one worker (or the control plane).
+    /// A fresh client connection for one worker. The trainer asks only
+    /// when the algorithm talks to a parameter server; a server-less
+    /// backend answers with an error.
     fn client(&self) -> Result<Box<dyn ParamClient>, NetError>;
 
     /// Broadcast a learning-rate change to every shard.
@@ -266,9 +153,8 @@ pub trait PsBackend {
     /// deployment (exactly once; `n` must match the group size). Server
     /// backends return `None` and the trainer builds its own in-process
     /// group when the algorithm asks for one — see
-    /// [`crate::collective::AllReduceBackend`] /
-    /// [`crate::collective::DecentralizedBackend`] for backends that
-    /// answer here.
+    /// [`crate::collective::AllReduceBackend`] for the backend that
+    /// answers here.
     fn take_collectives(&self, _n: usize) -> Option<crate::collective::CollectiveGroup> {
         None
     }
@@ -277,8 +163,7 @@ pub trait PsBackend {
     fn shutdown(self: Box<Self>);
 }
 
-/// The classic single-process deployment: one [`ParamServer`] thread (or a
-/// sharded group, via [`crate::ShardedParamServer`] wrapped similarly) in
+/// The classic single-process deployment: one [`ParamServer`] thread in
 /// the trainer's own process, clients talking over channels.
 pub struct InProcessBackend {
     ps: ParamServer,
@@ -345,35 +230,6 @@ mod tests {
         assert_eq!(v, vec![1]);
         assert!(backend.bytes_pushed() > 0);
         backend.shutdown();
-    }
-
-    #[test]
-    fn rebased_client_joins_an_elastic_run_mid_stream() {
-        use crate::ElasticConfig;
-        let ps = ParamServer::start(
-            vec![vec![0.0]],
-            ServerConfig::new(1, 1.0).with_elastic(ElasticConfig::new(1)),
-        );
-        // Worker 0 trains solo for three rounds.
-        let c0 = ps.client();
-        for v in 1..=3u64 {
-            c0.push(0, 0, Compressed::Raw(vec![1.0])).unwrap();
-            c0.pull(0, v).unwrap();
-        }
-        // Worker 1 joins at global version 3; its local round counter
-        // starts at zero, so its pulls must be rebased — an un-rebased
-        // pull of version 1 would panic the server.
-        let raw = ps.client();
-        let base = ParamClient::register(&raw, 1).unwrap();
-        assert_eq!(base, vec![3]);
-        let c1 = RebasedClient::new(Box::new(raw), base);
-        c1.push(1, 0, Compressed::Raw(vec![1.0])).unwrap();
-        c0.push(0, 0, Compressed::Raw(vec![1.0])).unwrap();
-        // Local round 1 for the joiner is global round 4 for worker 0:
-        // both see the same aggregate (divisor 2 now).
-        assert_eq!(*c1.pull(0, 1).unwrap(), [-4.0]);
-        assert_eq!(*c0.pull(0, 4).unwrap(), [-4.0]);
-        ps.shutdown();
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! all-reduce ([`WireRing`]: `N−1` scatter-reduce steps, then `N−1`
 //! all-gather steps, every member sending `2·(N−1)/N` of the vector)
 //! and an order-pinned tree reduce-broadcast ([`WireTree`]) — plus the
-//! [`PsBackend`] adapters ([`AllReduceBackend`], [`DecentralizedBackend`])
-//! that let `Trainer::run_with` drive server-less topologies with the
+//! [`PsBackend`] adapter ([`AllReduceBackend`]) that lets
+//! `Trainer::run_with` drive server-less topologies with the
 //! same update strategies it uses against a parameter server. The
 //! substrate is the transport, not the algorithm: loopback queues inside
 //! one process, localhost TCP, or TCP between processes.
@@ -49,10 +49,7 @@
 //! claim on real TCP runs.
 
 use crate::api::{ParamClient, PsBackend};
-use crate::client::PendingPull;
 use crate::stats::TrafficStats;
-use crate::Key;
-use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::{
     decode_collective, encode_collective_bytes_into, encode_collective_into, loopback_pair,
     NetConfig, NetError, TcpAcceptor, TcpTransport, Transport, COLLECTIVE_EXCHANGE,
@@ -988,7 +985,7 @@ impl Collective for WireTree {
 }
 
 // ---------------------------------------------------------------------------
-// PsBackend adapters
+// PsBackend adapter
 // ---------------------------------------------------------------------------
 
 /// The per-worker collective handles of a server-less deployment, plus
@@ -1007,59 +1004,6 @@ pub enum WireMode {
     Tcp,
 }
 
-fn boxed_group<C: Collective + 'static>(
-    members: Vec<C>,
-    stats: Arc<TrafficStats>,
-) -> CollectiveGroup {
-    CollectiveGroup {
-        members: members
-            .into_iter()
-            .map(|m| Box::new(m) as Box<dyn Collective>)
-            .collect(),
-        stats,
-    }
-}
-
-/// Build an `n`-member ring group on `mode`.
-pub fn build_ring_group(n: usize, mode: WireMode) -> Result<CollectiveGroup, NetError> {
-    let (members, stats) = match mode {
-        WireMode::Loopback => WireRing::loopback(n),
-        WireMode::Tcp => WireRing::tcp(n)?,
-    };
-    Ok(boxed_group(members, stats))
-}
-
-/// Build an `n`-member tree group on `mode`.
-pub fn build_tree_group(n: usize, mode: WireMode) -> Result<CollectiveGroup, NetError> {
-    let (members, stats) = match mode {
-        WireMode::Loopback => WireTree::loopback(n),
-        WireMode::Tcp => WireTree::tcp(n)?,
-    };
-    Ok(boxed_group(members, stats))
-}
-
-/// A [`ParamClient`] for server-less topologies: workers synchronize
-/// through their [`Collective`] and must never touch the (nonexistent)
-/// parameter server, so every data-plane call errors loudly instead of
-/// silently doing nothing.
-pub struct NullClient {
-    pool: BufferPool,
-}
-
-impl NullClient {
-    pub fn new() -> Self {
-        Self {
-            pool: BufferPool::new(),
-        }
-    }
-}
-
-impl Default for NullClient {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 fn no_server<T>() -> Result<T, NetError> {
     Err(NetError::Io(
         "server-less topology: this run synchronizes through a collective, \
@@ -1068,43 +1012,81 @@ fn no_server<T>() -> Result<T, NetError> {
     ))
 }
 
-impl ParamClient for NullClient {
-    fn push(&self, _worker: usize, _key: Key, _payload: Compressed) -> Result<(), NetError> {
-        no_server()
-    }
-
-    fn pull_async(&self, _key: Key, _min_version: u64) -> Result<PendingPull, NetError> {
-        no_server()
-    }
-
-    fn set_lr(&self, _lr: f32) -> Result<(), NetError> {
-        // Server-less runs apply the learning-rate schedule worker-side;
-        // accepting the broadcast keeps the trainer's epoch loop uniform.
-        Ok(())
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-}
-
-/// Shared plumbing of the server-less backends: a lazily-surrendered
-/// [`CollectiveGroup`] plus its stats.
-struct CollectiveCore {
+/// The server-less [`PsBackend`]: workers synchronize through a ring or
+/// tree of [`Collective`] handles — all-reduce for AR-SGD, neighbor
+/// gossip over the ring for the decentralized topology — instead of
+/// pushing to a parameter server. The trainer obtains the per-worker
+/// handles through [`PsBackend::take_collectives`]; there is no server,
+/// so `client()` and `snapshot()` answer with an error.
+pub struct AllReduceBackend {
+    /// Surrendered to the trainer exactly once.
     group: Mutex<Option<CollectiveGroup>>,
     stats: Arc<TrafficStats>,
 }
 
-impl CollectiveCore {
-    fn new(group: CollectiveGroup) -> Self {
-        let stats = Arc::clone(&group.stats);
+impl AllReduceBackend {
+    fn new<C: Collective + 'static>((members, stats): (Vec<C>, Arc<TrafficStats>)) -> Self {
+        let members = members
+            .into_iter()
+            .map(|m| Box::new(m) as Box<dyn Collective>)
+            .collect();
         Self {
-            group: Mutex::new(Some(group)),
+            group: Mutex::new(Some(CollectiveGroup {
+                members,
+                stats: Arc::clone(&stats),
+            })),
             stats,
         }
     }
 
-    fn take(&self, n: usize) -> Option<CollectiveGroup> {
+    /// A ring deployment for `n` workers on `mode`.
+    pub fn ring(n: usize, mode: WireMode) -> Result<Self, NetError> {
+        Ok(Self::new(match mode {
+            WireMode::Loopback => WireRing::loopback(n),
+            WireMode::Tcp => WireRing::tcp(n)?,
+        }))
+    }
+
+    /// A tree reduce-broadcast deployment for `n` workers on `mode`
+    /// (all-reduce only: neighbor exchange has no tree analogue).
+    pub fn tree(n: usize, mode: WireMode) -> Result<Self, NetError> {
+        Ok(Self::new(match mode {
+            WireMode::Loopback => WireTree::loopback(n),
+            WireMode::Tcp => WireTree::tcp(n)?,
+        }))
+    }
+
+    /// The group's traffic counters (live even after the members are
+    /// taken by the trainer).
+    pub fn stats(&self) -> Arc<TrafficStats> {
+        Arc::clone(&self.stats)
+    }
+}
+
+impl PsBackend for AllReduceBackend {
+    fn client(&self) -> Result<Box<dyn ParamClient>, NetError> {
+        no_server()
+    }
+
+    /// Server-less runs apply the learning-rate schedule worker-side;
+    /// accepting the broadcast keeps the trainer's epoch loop uniform.
+    fn set_lr(&self, _lr: f32) -> Result<(), NetError> {
+        Ok(())
+    }
+
+    fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
+        no_server()
+    }
+
+    fn bytes_pushed(&self) -> u64 {
+        self.stats.bytes_pushed()
+    }
+
+    fn bytes_pulled(&self) -> u64 {
+        self.stats.bytes_pulled()
+    }
+
+    fn take_collectives(&self, n: usize) -> Option<CollectiveGroup> {
         let g = self.group.lock().unwrap().take()?;
         assert_eq!(
             g.members.len(),
@@ -1114,95 +1096,8 @@ impl CollectiveCore {
         );
         Some(g)
     }
-}
 
-macro_rules! collective_backend_impl {
-    () => {
-        fn client(&self) -> Result<Box<dyn ParamClient>, NetError> {
-            Ok(Box::new(NullClient::new()))
-        }
-
-        fn set_lr(&self, _lr: f32) -> Result<(), NetError> {
-            Ok(())
-        }
-
-        fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-            no_server()
-        }
-
-        fn bytes_pushed(&self) -> u64 {
-            self.core.stats.bytes_pushed()
-        }
-
-        fn bytes_pulled(&self) -> u64 {
-            self.core.stats.bytes_pulled()
-        }
-
-        fn take_collectives(&self, n: usize) -> Option<CollectiveGroup> {
-            self.core.take(n)
-        }
-
-        fn shutdown(self: Box<Self>) {}
-    };
-}
-
-/// A server-less [`PsBackend`]: workers synchronize with a ring or tree
-/// all-reduce instead of pushing to a parameter server. `client()` hands
-/// out [`NullClient`]s; the trainer obtains the per-worker collectives
-/// through [`PsBackend::take_collectives`].
-pub struct AllReduceBackend {
-    core: CollectiveCore,
-}
-
-impl AllReduceBackend {
-    /// A ring all-reduce deployment for `n` workers on `mode`.
-    pub fn ring(n: usize, mode: WireMode) -> Result<Self, NetError> {
-        Ok(Self {
-            core: CollectiveCore::new(build_ring_group(n, mode)?),
-        })
-    }
-
-    /// A tree reduce-broadcast deployment for `n` workers on `mode`.
-    pub fn tree(n: usize, mode: WireMode) -> Result<Self, NetError> {
-        Ok(Self {
-            core: CollectiveCore::new(build_tree_group(n, mode)?),
-        })
-    }
-
-    /// The group's traffic counters (live even after the members are
-    /// taken by the trainer).
-    pub fn stats(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.core.stats)
-    }
-}
-
-impl PsBackend for AllReduceBackend {
-    collective_backend_impl!();
-}
-
-/// A server-less [`PsBackend`] for decentralized compressed training
-/// (Tang et al.): workers gossip codec-compressed model differences with
-/// their ring neighbors via [`Collective::neighbor_exchange`]. Always a
-/// ring — neighbor exchange has no tree analogue.
-pub struct DecentralizedBackend {
-    core: CollectiveCore,
-}
-
-impl DecentralizedBackend {
-    /// A decentralized ring for `n` workers on `mode`.
-    pub fn ring(n: usize, mode: WireMode) -> Result<Self, NetError> {
-        Ok(Self {
-            core: CollectiveCore::new(build_ring_group(n, mode)?),
-        })
-    }
-
-    pub fn stats(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.core.stats)
-    }
-}
-
-impl PsBackend for DecentralizedBackend {
-    collective_backend_impl!();
+    fn shutdown(self: Box<Self>) {}
 }
 
 #[cfg(test)]
@@ -1221,6 +1116,16 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
+    }
+
+    fn ring_group(n: usize, mode: WireMode) -> CollectiveGroup {
+        let backend = AllReduceBackend::ring(n, mode).unwrap();
+        backend.take_collectives(n).unwrap()
+    }
+
+    fn tree_group(n: usize, mode: WireMode) -> CollectiveGroup {
+        let backend = AllReduceBackend::tree(n, mode).unwrap();
+        backend.take_collectives(n).unwrap()
     }
 
     fn run_group(group: CollectiveGroup, inputs: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
@@ -1271,16 +1176,10 @@ mod tests {
                 let inputs = adversarial_inputs(n, len);
                 let expect = reference_mean(&inputs);
                 for (label, group) in [
-                    (
-                        "loopback ring",
-                        build_ring_group(n, WireMode::Loopback).unwrap(),
-                    ),
-                    ("tcp ring", build_ring_group(n, WireMode::Tcp).unwrap()),
-                    (
-                        "loopback tree",
-                        build_tree_group(n, WireMode::Loopback).unwrap(),
-                    ),
-                    ("tcp tree", build_tree_group(n, WireMode::Tcp).unwrap()),
+                    ("loopback ring", ring_group(n, WireMode::Loopback)),
+                    ("tcp ring", ring_group(n, WireMode::Tcp)),
+                    ("loopback tree", tree_group(n, WireMode::Loopback)),
+                    ("tcp tree", tree_group(n, WireMode::Tcp)),
                 ] {
                     let out = run_group(group, inputs.clone());
                     assert_all_ranks_bit_equal(&format!("{label} n={n} len={len}"), &out, &expect);
@@ -1302,7 +1201,7 @@ mod tests {
                 } else {
                     reference_mean(&inputs)
                 };
-                let group = build_ring_group(n, WireMode::Loopback).unwrap();
+                let group = ring_group(n, WireMode::Loopback);
                 let stats = Arc::clone(&group.stats);
                 let out = run_group(group, inputs);
                 assert_all_ranks_bit_equal(&format!("n={n} len={len}"), &out, &expect);
@@ -1318,7 +1217,7 @@ mod tests {
 
     #[test]
     fn loopback_ring_computes_the_plain_mean() {
-        let group = build_ring_group(2, WireMode::Loopback).unwrap();
+        let group = ring_group(2, WireMode::Loopback);
         let out = run_group(
             group,
             vec![vec![1.0, 2.0, 3.0, 4.0], vec![3.0, 2.0, 1.0, 0.0]],
@@ -1458,17 +1357,8 @@ mod tests {
         let g = backend.take_collectives(3).expect("first take");
         assert_eq!(g.members.len(), 3);
         assert!(backend.take_collectives(3).is_none(), "second take");
-        let c = backend.client().unwrap();
-        assert!(c.push(0, 0, Compressed::Raw(vec![1.0])).is_err());
-        assert!(c.set_lr(0.1).is_ok());
+        assert!(matches!(backend.client(), Err(NetError::Io(_))));
+        assert!(backend.set_lr(0.1).is_ok());
         Box::new(backend).shutdown();
-    }
-
-    #[test]
-    fn null_client_pool_is_usable() {
-        let c = NullClient::new();
-        let buf = c.pool().take_f32();
-        c.pool().put_f32(buf);
-        assert!(ParamClient::pull(&c, 0, 0).is_err());
     }
 }

@@ -20,6 +20,7 @@ use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::NetError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A scripted worker failure, keyed on the aggregate round.
@@ -38,7 +39,7 @@ pub enum WorkerFault {
 /// A [`ParamClient`] that executes a [`WorkerFault`] on top of an inner
 /// client.
 pub struct FaultyClient {
-    inner: Box<dyn ParamClient>,
+    inner: Arc<dyn ParamClient>,
     fault: WorkerFault,
     /// Keys per round, to convert the push counter into a round number.
     num_keys: u64,
@@ -50,7 +51,7 @@ pub struct FaultyClient {
 impl FaultyClient {
     /// Wrap `inner` with the scripted `fault`. `num_keys` is the number
     /// of push calls the worker makes per round (one per parameter key).
-    pub fn new(inner: Box<dyn ParamClient>, fault: WorkerFault, num_keys: usize) -> Self {
+    pub fn new(inner: Arc<dyn ParamClient>, fault: WorkerFault, num_keys: usize) -> Self {
         Self {
             inner,
             fault,
@@ -100,11 +101,6 @@ impl ParamClient for FaultyClient {
         self.inner.pull_async(key, min_version)
     }
 
-    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.check_dead()?;
-        self.inner.set_lr(lr)
-    }
-
     fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
         self.check_dead()?;
         self.inner.register(worker)
@@ -145,7 +141,7 @@ mod tests {
         // first push of round 2 — and everything after — fails.
         let ps = ParamServer::start(vec![vec![0.0], vec![0.0]], ServerConfig::new(1, 1.0));
         let c = FaultyClient::new(
-            Box::new(ps.client()),
+            Arc::new(ps.client()),
             WorkerFault::KillAtRound { round: 2 },
             2,
         );
@@ -156,7 +152,7 @@ mod tests {
         assert_eq!(c.push(0, 0, raw(1.0)), Err(NetError::ServerGone));
         // Dead for every call, not just pushes.
         assert_eq!(c.pull(0, 2).unwrap_err(), NetError::ServerGone);
-        assert_eq!(c.set_lr(0.1), Err(NetError::ServerGone));
+        assert_eq!(c.heartbeat(0), Err(NetError::ServerGone));
         // The server never saw the round-2 push.
         assert_eq!(*ps.client().pull(0, 2).unwrap(), [-2.0]);
         ps.shutdown();
@@ -166,7 +162,7 @@ mod tests {
     fn kill_at_round_zero_never_pushes() {
         let ps = ParamServer::start(vec![vec![0.0]], ServerConfig::new(1, 1.0));
         let c = FaultyClient::new(
-            Box::new(ps.client()),
+            Arc::new(ps.client()),
             WorkerFault::KillAtRound { round: 0 },
             1,
         );
@@ -179,7 +175,7 @@ mod tests {
     fn stall_fires_once_then_continues() {
         let ps = ParamServer::start(vec![vec![0.0]], ServerConfig::new(1, 1.0));
         let c = FaultyClient::new(
-            Box::new(ps.client()),
+            Arc::new(ps.client()),
             WorkerFault::StallAtRound {
                 round: 1,
                 stall: Duration::from_millis(30),

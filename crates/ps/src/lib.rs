@@ -30,6 +30,18 @@
 //!   bit-identical to each other by a pinned reduction order whose
 //!   executable statement is [`ring_ordered_sum`].
 //!
+//! How a run is stood up, and how a worker attaches to it, is decided
+//! here once. Each server type has a short constructor and one full form
+//! taking a telemetry handle (and [`Durability`] for the two server
+//! types): [`ParamServer::start`] / [`ParamServer::start_with`],
+//! [`PsNetServer::start`] / [`PsNetServer::start_with`], and
+//! [`NetCluster::start_loopback`] / [`NetCluster::start_tcp_local`] /
+//! [`NetCluster::connect`] with [`NetCluster::traced`].
+//! [`AllReduceBackend`] is the one server-less backend. A networked
+//! worker's client stack (dial → register → rebase → heartbeat → fault)
+//! is layered by [`NetCluster::attach`], whose [`AttachedWorker`] owns the
+//! heartbeat thread and says goodbye on the stream the pushes rode.
+//!
 //! ```
 //! use cdsgd_ps::{ParamServer, ServerConfig};
 //! use cdsgd_compress::Compressed;
@@ -43,6 +55,7 @@
 //! ```
 
 mod api;
+mod attach;
 mod client;
 pub mod collective;
 mod fault;
@@ -53,19 +66,20 @@ mod server;
 mod sharded;
 mod stats;
 
-pub use api::{InProcessBackend, ParamClient, PsBackend, RebasedClient};
+pub use api::{InProcessBackend, ParamClient, PsBackend};
+pub use attach::{Attach, AttachedWorker};
 pub use cdsgd_net::NetError;
 pub use client::{PendingPull, PsClient};
 pub use collective::{
-    build_ring_group, build_tree_group, chunk_range, ring_ordered_sum, AllReduceBackend,
-    Collective, CollectiveGroup, DecentralizedBackend, NullClient, WireMode, WireRing, WireTree,
+    chunk_range, ring_ordered_sum, AllReduceBackend, Collective, CollectiveGroup, WireMode,
+    WireRing, WireTree,
 };
 pub use fault::{FaultyClient, WorkerFault};
-pub use net::{NetCluster, PsNetServer, ReconnectingClient, RemoteClient};
+pub use net::{NetCluster, PsNetServer, RemoteClient};
 pub use opt::{HeavyBall, Nesterov, PlainSgd, ServerOpt, ServerOptKind};
 pub use recover::{CheckpointError, CheckpointPolicy, Durability, RestoredState, ShardCheckpoint};
 pub use server::{ElasticConfig, ParamServer, ServerConfig};
-pub use sharded::{partition_keys, reassemble_snapshots, ShardedClient, ShardedParamServer};
+pub use sharded::{partition_keys, reassemble_snapshots, ShardedClient};
 pub use stats::TrafficStats;
 
 /// Parameter key: index of a parameter tensor (layer) in the model's

@@ -34,7 +34,7 @@ use cdsgd_net::{
     loopback_pair, FaultPlan, FaultyTransport, NetConfig, NetError, ReconnectConfig, TcpAcceptor,
     TcpTransport, Transport,
 };
-use cdsgd_telemetry::Event;
+use cdsgd_telemetry::{Event, Telemetry};
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -65,7 +65,7 @@ const READ_BURST: usize = 32;
 /// to keep an idle server off the scheduler.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-fn spawn_err(e: std::io::Error) -> NetError {
+pub(crate) fn spawn_err(e: std::io::Error) -> NetError {
     NetError::Io(format!("spawn connection thread: {e}"))
 }
 
@@ -122,33 +122,24 @@ impl PsNetServer {
     /// Start a server thread owning `init` and ready to accept
     /// connections.
     pub fn start(init: Vec<Vec<f32>>, cfg: ServerConfig) -> Arc<Self> {
-        Self::start_traced(init, cfg, cdsgd_telemetry::Telemetry::disabled())
+        Self::start_with(init, cfg, Telemetry::disabled(), Durability::default())
     }
 
-    /// [`PsNetServer::start`] with a telemetry sink attached: every
-    /// protocol-, transport- and round-lifecycle event this shard
-    /// produces is forwarded to `telemetry` in addition to the counters.
-    pub fn start_traced(
+    /// The full form of [`PsNetServer::start`]: every protocol-,
+    /// transport- and round-lifecycle event this shard produces is also
+    /// forwarded to `telemetry`, and `durability` wires the recovery
+    /// subsystem into the inner server (see [`ParamServer::start_with`]).
+    /// This is the engine of `psd --trace` and
+    /// `psd --checkpoint-dir/--checkpoint-every/--resume`.
+    pub fn start_with(
         init: Vec<Vec<f32>>,
         cfg: ServerConfig,
-        telemetry: cdsgd_telemetry::Telemetry,
-    ) -> Arc<Self> {
-        Self::start_durable(init, cfg, telemetry, Durability::default())
-    }
-
-    /// [`PsNetServer::start_traced`] with the recovery subsystem wired
-    /// in: optionally restore the inner server from a shard checkpoint
-    /// and/or write new checkpoints (see [`crate::recover`]). This is
-    /// the engine of `psd --checkpoint-dir/--checkpoint-every/--resume`.
-    pub fn start_durable(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        telemetry: cdsgd_telemetry::Telemetry,
+        telemetry: Telemetry,
         durability: Durability,
     ) -> Arc<Self> {
-        let ps = ParamServer::start_durable(init, cfg, telemetry, durability);
+        let ps = ParamServer::start_with(init, cfg, telemetry, durability);
         let client = ps.client();
-        let stats = ps.stats_arc();
+        let stats = ps.shared_stats();
         let stop = Arc::new(AtomicBool::new(false));
         let signal = Arc::new((Mutex::new(false), Condvar::new()));
         let mut threads = Vec::new();
@@ -678,6 +669,12 @@ impl RemoteClient {
         rx.recv().map_err(|_| NetError::ServerGone)
     }
 
+    /// Change this shard's learning rate ([`WireMsg::SetLr`]; takes
+    /// effect on its next aggregate update).
+    pub fn set_lr(&self, lr: f32) -> Result<(), NetError> {
+        self.send(&WireMsg::SetLr { lr }).map(|_| ())
+    }
+
     /// Tell the remote server process to exit ([`WireMsg::Shutdown`]).
     pub fn shutdown_server(&self) -> Result<(), NetError> {
         self.send(&WireMsg::Shutdown).map(|_| ())
@@ -718,10 +715,6 @@ impl ParamClient for RemoteClient {
             return Err(e);
         }
         Ok(PendingPull(rx))
-    }
-
-    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.send(&WireMsg::SetLr { lr }).map(|_| ())
     }
 
     /// Register over this connection. A second register while one is
@@ -1034,8 +1027,7 @@ fn issue_pull(
             // Clamp a pull the server can no longer serve exactly (only
             // reachable through CD-SGD's one-round-deep deferred pulls
             // when the drop ate the reply): `version - 1` is the oldest
-            // the server keeps, and anything older would trip its
-            // staleness panic.
+            // the server keeps, and it fails any older pull.
             let issued = match &s.acked {
                 Some(a) if version + 1 < a[key] => a[key] - 1,
                 _ => version,
@@ -1189,10 +1181,6 @@ impl ParamClient for ReconnectingClient {
             })
             .map_err(|_| NetError::ServerGone)?;
         Ok(PendingPull(rx))
-    }
-
-    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.ctx.session.lock().unwrap().inner.set_lr(lr)
     }
 
     /// Registers on the current connections (retrying through a
@@ -1349,7 +1337,7 @@ pub struct NetCluster {
     local: Vec<Arc<PsNetServer>>,
     /// Send [`WireMsg::Shutdown`] on shutdown (external `psd` processes).
     remote_shutdown: bool,
-    num_keys: usize,
+    pub(crate) num_keys: usize,
     control: Vec<RemoteClient>,
 }
 
@@ -1361,22 +1349,6 @@ impl NetCluster {
         cfg: ServerConfig,
         num_shards: usize,
     ) -> Result<Self, NetError> {
-        Self::start_loopback_traced(
-            init,
-            cfg,
-            num_shards,
-            cdsgd_telemetry::Telemetry::disabled(),
-        )
-    }
-
-    /// [`NetCluster::start_loopback`] with a telemetry sink attached to
-    /// the cluster's client-side traffic accounting.
-    pub fn start_loopback_traced(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        num_shards: usize,
-        telemetry: cdsgd_telemetry::Telemetry,
-    ) -> Result<Self, NetError> {
         let num_keys = init.len();
         let local: Vec<_> = partition_keys(init, num_shards)
             .into_iter()
@@ -1386,14 +1358,8 @@ impl NetCluster {
             .iter()
             .map(|s| ShardConn::Loopback(Arc::clone(s)))
             .collect();
-        Self::assemble(
-            conns,
-            local,
-            false,
-            num_keys,
-            NetConfig::default(),
-            telemetry,
-        )
+        let net = NetConfig::default();
+        Self::assemble(conns, local, false, num_keys, net, Telemetry::disabled())
     }
 
     /// Shards in this process, each listening on an ephemeral localhost
@@ -1403,24 +1369,6 @@ impl NetCluster {
         cfg: ServerConfig,
         num_shards: usize,
         net: NetConfig,
-    ) -> Result<Self, NetError> {
-        Self::start_tcp_local_traced(
-            init,
-            cfg,
-            num_shards,
-            net,
-            cdsgd_telemetry::Telemetry::disabled(),
-        )
-    }
-
-    /// [`NetCluster::start_tcp_local`] with a telemetry sink attached to
-    /// the cluster's client-side traffic accounting.
-    pub fn start_tcp_local_traced(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        num_shards: usize,
-        net: NetConfig,
-        telemetry: cdsgd_telemetry::Telemetry,
     ) -> Result<Self, NetError> {
         let num_keys = init.len();
         let mut local = Vec::new();
@@ -1432,28 +1380,48 @@ impl NetCluster {
             conns.push(ShardConn::Tcp(addr.to_string()));
             local.push(server);
         }
-        Self::assemble(conns, local, false, num_keys, net, telemetry)
+        Self::assemble(conns, local, false, num_keys, net, Telemetry::disabled())
     }
 
     /// Connect to already-running `psd` shard processes, `addrs[i]`
     /// serving global keys `{k : k % addrs.len() == i}`. Shutdown frames
     /// are sent to every shard when this cluster shuts down.
     pub fn connect(addrs: &[String], num_keys: usize, net: NetConfig) -> Result<Self, NetError> {
-        Self::connect_traced(addrs, num_keys, net, cdsgd_telemetry::Telemetry::disabled())
-    }
-
-    /// [`NetCluster::connect`] with a telemetry sink attached to the
-    /// client-side traffic accounting: every push/pull/frame event any
-    /// client of this cluster records is forwarded to `telemetry`.
-    pub fn connect_traced(
-        addrs: &[String],
-        num_keys: usize,
-        net: NetConfig,
-        telemetry: cdsgd_telemetry::Telemetry,
-    ) -> Result<Self, NetError> {
         assert!(!addrs.is_empty(), "need at least one shard address");
         let conns = addrs.iter().map(|a| ShardConn::Tcp(a.clone())).collect();
-        Self::assemble(conns, Vec::new(), true, num_keys, net, telemetry)
+        Self::assemble(
+            conns,
+            Vec::new(),
+            true,
+            num_keys,
+            net,
+            Telemetry::disabled(),
+        )
+    }
+
+    /// The full form of all three constructors: the same cluster with a
+    /// telemetry sink attached to its client-side traffic accounting, so
+    /// every push/pull/frame event any client of this cluster records is
+    /// also forwarded to `telemetry`. Call it on the freshly built
+    /// cluster, before any client is handed out: the counters restart
+    /// from zero and the control links are re-opened under them.
+    pub fn traced(self, telemetry: Telemetry) -> Result<Self, NetError> {
+        let Self {
+            dialer,
+            local,
+            remote_shutdown,
+            num_keys,
+            control,
+        } = self;
+        drop(control);
+        Self::assemble(
+            dialer.conns,
+            local,
+            remote_shutdown,
+            num_keys,
+            dialer.net,
+            telemetry,
+        )
     }
 
     fn assemble(
@@ -1462,7 +1430,7 @@ impl NetCluster {
         remote_shutdown: bool,
         num_keys: usize,
         net: NetConfig,
-        telemetry: cdsgd_telemetry::Telemetry,
+        telemetry: Telemetry,
     ) -> Result<Self, NetError> {
         let dialer = ShardDialer {
             conns,
@@ -1505,19 +1473,17 @@ impl NetCluster {
 
     /// Arm a one-shot [`FaultPlan`] for the *next* worker client dialed
     /// from this cluster (via [`PsBackend::client`] or
-    /// [`NetCluster::reconnecting_client`]): every transport of that
-    /// dial is wrapped in a [`FaultyTransport`] sharing the plan's
-    /// counters. Subsequent dials — including the reconnect redial after
-    /// the injected drop — get clean transports unless re-armed.
+    /// [`NetCluster::attach`]): every transport of that dial is wrapped
+    /// in a [`FaultyTransport`] sharing the plan's counters. Subsequent
+    /// dials — including the reconnect redial after the injected drop —
+    /// get clean transports unless re-armed.
     pub fn arm_chaos(&self, plan: FaultPlan) {
         *self.dialer.chaos.lock().unwrap() = Some(plan);
     }
 
     /// A worker client that survives transient link drops: see
-    /// [`ReconnectingClient`]. Requires the shards to be elastic
-    /// (`--min-quorum` / [`ElasticConfig`](crate::ElasticConfig)),
-    /// since recovery re-registers.
-    pub fn reconnecting_client(
+    /// [`ReconnectingClient`].
+    pub(crate) fn reconnecting_client(
         &self,
         worker: usize,
         rc: ReconnectConfig,
@@ -1538,7 +1504,7 @@ impl PsBackend for NetCluster {
 
     fn set_lr(&self, lr: f32) -> Result<(), NetError> {
         for c in &self.control {
-            ParamClient::set_lr(c, lr)?;
+            c.set_lr(lr)?;
         }
         Ok(())
     }
@@ -1583,6 +1549,7 @@ impl PsBackend for NetCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attach::Attach;
     use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes};
 
     fn init(keys: usize) -> Vec<Vec<f32>> {
@@ -1796,10 +1763,10 @@ mod tests {
         use crate::recover::{self, CheckpointPolicy};
         let dir = std::env::temp_dir().join(format!("cdsgd-net-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let server = PsNetServer::start_durable(
+        let server = PsNetServer::start_with(
             init(2),
             ServerConfig::new(1, 1.0),
-            cdsgd_telemetry::Telemetry::disabled(),
+            Telemetry::disabled(),
             Durability {
                 restore: None,
                 checkpoint: Some(CheckpointPolicy::new(&dir, None, 0, 1)),
@@ -1847,6 +1814,11 @@ mod tests {
     /// the divisor-N aggregate of N unit gradients steps exactly 1.0.
     fn run_rounds_as(c: &dyn ParamClient, worker: usize, rounds: u64) {
         c.register(worker).unwrap();
+        rounds_as(c, worker, rounds);
+    }
+
+    /// [`run_rounds_as`] for a worker that is already registered.
+    fn rounds_as(c: &dyn ParamClient, worker: usize, rounds: u64) {
         for r in 1..=rounds {
             for k in 0..2 {
                 c.push(worker, k, Compressed::Raw(vec![1.0; 3])).unwrap();
@@ -1918,10 +1890,23 @@ mod tests {
         };
         let cluster = elastic_cluster();
         cluster.arm_chaos(cdsgd_net::FaultPlan::new().kill_after_sends(kill_after_sends));
-        let c = cluster.reconnecting_client(0, fast_rc()).unwrap();
-        run_rounds(&c, 4);
-        assert!(c.reconnects() >= 1, "the armed drop never fired");
-        drop(c);
+        let attached = cluster
+            .attach(
+                0,
+                Attach {
+                    register: true,
+                    reconnect: Some(fast_rc()),
+                    ..Attach::default()
+                },
+            )
+            .unwrap();
+        rounds_as(attached.client().as_ref(), 0, 4);
+        assert_eq!(
+            attached.reconnects(),
+            1,
+            "the armed drop fires exactly once"
+        );
+        drop(attached);
         assert_eq!(PsBackend::snapshot(&cluster).unwrap(), reference);
         Box::new(cluster).shutdown();
     }
@@ -2098,6 +2083,109 @@ mod tests {
         assert!(c0.reconnects() >= 1, "the armed drop never fired");
         drop((c0, c1));
         assert_eq!(PsBackend::snapshot(&cluster).unwrap(), reference);
+        Box::new(cluster).shutdown();
+    }
+
+    #[test]
+    fn unservable_pull_retires_its_connection_not_the_shard() {
+        let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+        let good = loopback_client(&server);
+        for v in 1..=2u64 {
+            good.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+            good.pull(0, v).unwrap();
+        }
+        // Version 0 is two aggregates behind; key 7 is out of range. Each
+        // fails its own caller (the shard drops that connection)...
+        let stale = loopback_client(&server);
+        assert_eq!(stale.pull(0, 0).unwrap_err(), NetError::ServerGone);
+        let wild = loopback_client(&server);
+        assert_eq!(wild.pull(7, 0).unwrap_err(), NetError::ServerGone);
+        // ...while the shard keeps serving everyone else.
+        good.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+        assert_eq!(*good.pull(0, 3).unwrap(), [-3.0; 3]);
+        assert_eq!(server.failure(), None);
+        drop((good, stale, wild));
+        server.shutdown();
+    }
+
+    #[test]
+    fn attached_joiner_is_rebased_onto_the_acked_versions() {
+        let cluster = elastic_cluster();
+        // Worker 0 (in the initial set) trains solo for three rounds.
+        let attached0 = cluster.attach(0, Attach::default()).unwrap();
+        assert_eq!(attached0.acked(), None);
+        let c0 = attached0.client();
+        rounds_as(c0.as_ref(), 0, 3);
+        // Worker 1 joins at global version 3 on both shards; its local
+        // round counter starts at zero, so attach rebases its pulls.
+        let attached1 = cluster
+            .attach(
+                1,
+                Attach {
+                    register: true,
+                    ..Attach::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(attached1.acked(), Some(&[3, 3][..]));
+        let c1 = attached1.client();
+        for k in 0..2 {
+            c1.push(1, k, Compressed::Raw(vec![1.0; 3])).unwrap();
+            c0.push(0, k, Compressed::Raw(vec![1.0; 3])).unwrap();
+        }
+        // Local round 1 for the joiner is global round 4 for worker 0:
+        // both see the same aggregate (divisor 2 now) on every shard.
+        for k in 0..2 {
+            let joined = c1.pull(k, 1).unwrap();
+            assert_eq!(*joined, [k as f32 - 4.0; 3], "key {k}");
+            assert_eq!(joined, c0.pull(k, 4).unwrap(), "key {k}");
+        }
+        drop((c0, c1, attached0, attached1));
+        Box::new(cluster).shutdown();
+    }
+
+    #[test]
+    fn finish_leaves_after_the_final_push() {
+        use crate::ElasticConfig;
+        let cluster = NetCluster::start_loopback(
+            init(2),
+            ServerConfig::new(2, 1.0).with_elastic(ElasticConfig::new(1)),
+            2,
+        )
+        .unwrap();
+        let c0 = cluster.attach(0, Attach::default()).unwrap().client();
+        let attached1 = cluster
+            .attach(
+                1,
+                Attach {
+                    register: true,
+                    heartbeat: Some(Duration::from_millis(5)),
+                    ..Attach::default()
+                },
+            )
+            .unwrap();
+        // An initial member registering afresh needs no rebase.
+        assert_eq!(attached1.acked(), Some(&[0, 0][..]));
+        let c1 = attached1.client();
+        for k in 0..2 {
+            c1.push(1, k, Compressed::Raw(vec![4.0; 3])).unwrap();
+        }
+        drop(c1);
+        // The goodbye rides the stream of worker 1's last pushes, so
+        // each shard aggregates that round with both contributions
+        // (divisor 2) before its quorum shrinks...
+        attached1.finish().unwrap();
+        for k in 0..2 {
+            c0.push(0, k, Compressed::Raw(vec![2.0; 3])).unwrap();
+            assert_eq!(*c0.pull(k, 1).unwrap(), [k as f32 - 3.0; 3], "key {k}");
+        }
+        // ...and from then on worker 0 alone completes rounds.
+        for k in 0..2 {
+            c0.push(0, k, Compressed::Raw(vec![2.0; 3])).unwrap();
+            assert_eq!(*c0.pull(k, 2).unwrap(), [k as f32 - 5.0; 3], "key {k}");
+        }
+        assert_eq!(PsBackend::failure(&cluster), None);
+        drop(c0);
         Box::new(cluster).shutdown();
     }
 

@@ -4,7 +4,6 @@
 use crate::client::PsClient;
 use crate::opt::{ServerOpt, ServerOptKind};
 use crate::recover::{CheckpointTracker, Durability, ShardCheckpoint};
-use crate::sharded::ShardedParamServer;
 use crate::stats::TrafficStats;
 use crate::Key;
 use cdsgd_compress::{decompress_add, decompress_add_traced, BufferPool, CodecSpans, Compressed};
@@ -385,54 +384,27 @@ impl ParamServer {
     /// Start a server owning `init` as the initial weights (one vector per
     /// key, keys are the indices).
     pub fn start(init: Vec<Vec<f32>>, cfg: ServerConfig) -> Self {
-        Self::start_traced(init, cfg, Telemetry::disabled())
+        Self::start_with(init, cfg, Telemetry::disabled(), Durability::default())
     }
 
-    /// Like [`ParamServer::start`], additionally forwarding every traffic
-    /// and round-lifecycle event this server observes to `telemetry`
-    /// (e.g. a `JsonlSink` trace). [`ServerConfig`] stays `Copy`, so the
-    /// handle rides in explicitly rather than in the config.
-    pub fn start_traced(init: Vec<Vec<f32>>, cfg: ServerConfig, telemetry: Telemetry) -> Self {
-        Self::start_with_pool(init, cfg, BufferPool::new(), telemetry)
-    }
-
-    /// Like [`ParamServer::start_traced`] but sharing `pool` with the
-    /// caller — a sharded group passes one pool to every shard so payload
-    /// buffers recycle across the whole group instead of fragmenting per
-    /// shard.
-    pub(crate) fn start_with_pool(
+    /// The full form of [`ParamServer::start`]: every traffic and
+    /// round-lifecycle event this server observes is also forwarded to
+    /// `telemetry` (e.g. a `JsonlSink` trace), and `durability` wires in
+    /// the recovery subsystem — optionally restoring state from a shard
+    /// checkpoint and/or writing new checkpoints at round boundaries (see
+    /// [`crate::recover`]). Both are inert at their defaults.
+    /// [`ServerConfig`] stays `Copy`, so they ride in explicitly rather
+    /// than in the config.
+    pub fn start_with(
         init: Vec<Vec<f32>>,
         cfg: ServerConfig,
-        pool: BufferPool,
-        telemetry: Telemetry,
-    ) -> Self {
-        Self::start_durable_with_pool(init, cfg, pool, telemetry, Durability::default())
-    }
-
-    /// Like [`ParamServer::start_traced`], additionally participating in
-    /// the recovery subsystem: optionally restoring state from a shard
-    /// checkpoint and/or writing new checkpoints at round boundaries
-    /// (see [`crate::recover`]). With a default [`Durability`] this is
-    /// exactly [`ParamServer::start_traced`].
-    pub fn start_durable(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        telemetry: Telemetry,
-        durability: Durability,
-    ) -> Self {
-        Self::start_durable_with_pool(init, cfg, BufferPool::new(), telemetry, durability)
-    }
-
-    pub(crate) fn start_durable_with_pool(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        pool: BufferPool,
         telemetry: Telemetry,
         durability: Durability,
     ) -> Self {
         let (tx, rx) = unbounded();
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
         let failure = Arc::new(Mutex::new(None));
+        let pool = BufferPool::new();
         let stats2 = Arc::clone(&stats);
         let failure2 = Arc::clone(&failure);
         let pool2 = pool.clone();
@@ -449,37 +421,6 @@ impl ParamServer {
         }
     }
 
-    /// Start a key-sharded server group: `num_shards` independent server
-    /// threads, each owning the keys congruent to its index (the real PS
-    /// deployment shape, where shards live on different nodes and keys
-    /// are spread across them). Returns one handle whose clients route by
-    /// key.
-    ///
-    /// # Panics
-    /// Panics if `num_shards == 0`.
-    pub fn start_sharded(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        num_shards: usize,
-    ) -> ShardedParamServer {
-        ShardedParamServer::start(init, cfg, num_shards, Telemetry::disabled())
-    }
-
-    /// Like [`ParamServer::start_sharded`], with every shard forwarding
-    /// its events to `telemetry` (shards share the one handle, so a
-    /// single trace sees the whole group).
-    ///
-    /// # Panics
-    /// Panics if `num_shards == 0`.
-    pub fn start_sharded_traced(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        num_shards: usize,
-        telemetry: Telemetry,
-    ) -> ShardedParamServer {
-        ShardedParamServer::start(init, cfg, num_shards, telemetry)
-    }
-
     /// A client handle usable from any thread.
     pub fn client(&self) -> PsClient {
         PsClient::new(self.tx.clone(), Arc::clone(&self.stats), self.pool.clone())
@@ -490,17 +431,11 @@ impl ParamServer {
         &self.stats
     }
 
-    /// Shared ownership of the traffic counters, for glue (like the
-    /// networked front-end) that outlives any one borrow of the server.
-    pub(crate) fn stats_arc(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// Shared ownership of the traffic counters, so a caller can keep
     /// reading them after the server itself has been consumed (e.g. to
     /// check final accounting once a training run shuts it down).
     pub fn shared_stats(&self) -> Arc<TrafficStats> {
-        self.stats_arc()
+        Arc::clone(&self.stats)
     }
 
     /// The payload buffer pool shared between this server and its
@@ -776,7 +711,13 @@ fn server_loop(
                     let _ = reply.send(Err(err.clone()));
                     continue;
                 }
-                let ks = &mut keys[key];
+                let Some(ks) = keys.get_mut(key) else {
+                    let _ = reply.send(Err(NetError::Io(format!(
+                        "pull of key {key}: this server owns keys 0..{}",
+                        keys.len()
+                    ))));
+                    continue;
+                };
                 if ks.version == min_version {
                     let frame = pull_reply_frame_bytes(ks.weights.len());
                     stats.record_pull(frame);
@@ -790,11 +731,14 @@ fn server_loop(
                     net_delay(cfg.delay_per_byte, frame);
                     let _ = reply.send(Ok(Arc::clone(&ks.prev_weights)));
                 } else if ks.version > min_version {
-                    panic!(
+                    // Only the latest two versions are kept; a request
+                    // from a socket must not take the shard down, so the
+                    // stale pull alone fails.
+                    let _ = reply.send(Err(NetError::Io(format!(
                         "pull of version {min_version} for key {key} arrived after \
                          version {} — workers may lag at most one round",
                         ks.version
-                    );
+                    ))));
                 } else {
                     ks.waiting.push((min_version, reply));
                 }
@@ -1194,6 +1138,23 @@ mod tests {
     }
 
     #[test]
+    fn unservable_pull_fails_its_caller_not_the_server() {
+        let ps = ParamServer::start(vec![vec![0.0]], ServerConfig::new(1, 1.0));
+        let c = ps.client();
+        for v in 1..=2u64 {
+            c.push(0, 0, Compressed::Raw(vec![1.0])).unwrap();
+            c.pull(0, v).unwrap();
+        }
+        // Version 0 is two aggregates behind; key 1 does not exist.
+        assert!(matches!(c.pull(0, 0), Err(NetError::Io(_))));
+        assert!(matches!(c.pull(1, 0), Err(NetError::Io(_))));
+        // The server thread survived both and keeps serving.
+        assert_eq!(*c.pull(0, 1).unwrap(), [-1.0]);
+        assert_eq!(*c.pull(0, 2).unwrap(), [-2.0]);
+        ps.shutdown();
+    }
+
+    #[test]
     fn multiple_keys_progress_independently() {
         let ps = ParamServer::start(vec![vec![0.0], vec![0.0]], ServerConfig::new(1, 1.0));
         let c = ps.client();
@@ -1340,10 +1301,11 @@ mod tests {
     fn round_lifecycle_events_reach_an_attached_sink() {
         use cdsgd_telemetry::MemorySink;
         let mem = Arc::new(MemorySink::new());
-        let ps = ParamServer::start_traced(
+        let ps = ParamServer::start_with(
             vec![vec![0.0]],
             ServerConfig::new(2, 1.0),
             Telemetry::new(mem.clone()),
+            Durability::default(),
         );
         let c = ps.client();
         c.push(0, 0, Compressed::Raw(vec![1.0])).unwrap();
@@ -1368,10 +1330,11 @@ mod tests {
     fn expired_round_emits_round_expired() {
         use cdsgd_telemetry::MemorySink;
         let mem = Arc::new(MemorySink::new());
-        let ps = ParamServer::start_traced(
+        let ps = ParamServer::start_with(
             vec![vec![0.0]],
             ServerConfig::new(2, 1.0).with_round_deadline(Duration::from_millis(50)),
             Telemetry::new(mem.clone()),
+            Durability::default(),
         );
         let c = ps.client();
         c.push(0, 0, Compressed::Raw(vec![1.0])).unwrap();
@@ -1540,12 +1503,13 @@ mod tests {
     fn heartbeat_timeout_forces_out_a_silent_worker() {
         use cdsgd_telemetry::MemorySink;
         let mem = Arc::new(MemorySink::new());
-        let ps = ParamServer::start_traced(
+        let ps = ParamServer::start_with(
             vec![vec![0.0]],
             ServerConfig::new(2, 1.0).with_elastic(
                 ElasticConfig::new(1).with_heartbeat_timeout(Duration::from_millis(50)),
             ),
             Telemetry::new(mem.clone()),
+            Durability::default(),
         );
         let c = ps.client();
         // Worker 0 stays live via heartbeats while worker 1 goes silent;
@@ -1618,7 +1582,7 @@ mod tests {
                 restore: None,
                 checkpoint: Some(CheckpointPolicy::new(&dir, Some(2), 0, 1)),
             };
-            let ps = ParamServer::start_durable(
+            let ps = ParamServer::start_with(
                 vec![vec![0.0, 1.0]],
                 cfg,
                 Telemetry::disabled(),
@@ -1640,12 +1604,8 @@ mod tests {
             restore: Some(restored.into_restored()),
             checkpoint: None,
         };
-        let ps = ParamServer::start_durable(
-            vec![vec![0.0, 1.0]],
-            cfg,
-            Telemetry::disabled(),
-            durability,
-        );
+        let ps =
+            ParamServer::start_with(vec![vec![0.0, 1.0]], cfg, Telemetry::disabled(), durability);
         let c = ps.client();
         for _ in 0..2 {
             c.push(0, 0, Compressed::Raw(vec![1.0, -1.0])).unwrap();
@@ -1673,7 +1633,7 @@ mod tests {
             // On-demand only: no interval.
             checkpoint: Some(CheckpointPolicy::new(&dir, None, 0, 1)),
         };
-        let ps = ParamServer::start_durable(
+        let ps = ParamServer::start_with(
             vec![vec![0.0], vec![0.0]],
             ServerConfig::new(1, 1.0),
             Telemetry::disabled(),

@@ -1,41 +1,30 @@
-//! Key-sharded parameter-server group: the deployment shape MXNet uses
-//! (one server process per node, keys spread across them), so the server
-//! is not a single-thread bottleneck for many-key models.
+//! Key sharding: the deployment shape MXNet uses (one server process per
+//! node, keys spread across them), so the server is not a single-thread
+//! bottleneck for many-key models.
 //!
 //! Shard `s` owns the global keys `{k : k % num_shards == s}`; clients
 //! route each request to the owning shard and translate the key into the
 //! shard's local index space. [`ShardedClient`] is generic over the
-//! per-shard client, so the same router drives in-process shards
-//! ([`PsClient`]) and remote shards over a transport
-//! ([`crate::net::RemoteClient`]).
+//! per-shard client; deployments route over
+//! [`crate::net::RemoteClient`]s ([`crate::NetCluster`]).
 
 use crate::api::ParamClient;
-use crate::client::{PendingPull, PsClient};
-use crate::server::{ParamServer, ServerConfig};
+use crate::client::PendingPull;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::NetError;
 use std::sync::Arc;
 
-/// A group of independent single-thread servers with keys interleaved
-/// across them. All shards share one payload [`BufferPool`], so buffers
-/// recycled by any shard are reusable for pushes to any other.
-pub struct ShardedParamServer {
-    shards: Vec<ParamServer>,
-    num_keys: usize,
-    pool: BufferPool,
-}
-
 /// A client that routes by key to the owning shard. Generic over the
-/// per-shard client type (defaults to the in-process [`PsClient`]).
+/// per-shard client type.
 #[derive(Clone)]
-pub struct ShardedClient<C = PsClient> {
+pub struct ShardedClient<C> {
     clients: Vec<C>,
     pool: BufferPool,
 }
 
 /// Split `init` round-robin: shard `s` gets global keys `s, s+S, s+2S, …`
-/// in local order. Shared by the in-process group and the `psd` server
+/// in local order. Shared by [`crate::NetCluster`] and the `psd` server
 /// binary so every deployment partitions identically.
 pub fn partition_keys(init: Vec<Vec<f32>>, num_shards: usize) -> Vec<Vec<Vec<f32>>> {
     assert!(num_shards > 0, "need at least one shard");
@@ -64,82 +53,6 @@ pub fn reassemble_snapshots(
     (weights, versions)
 }
 
-impl ShardedParamServer {
-    pub(crate) fn start(
-        init: Vec<Vec<f32>>,
-        cfg: ServerConfig,
-        num_shards: usize,
-        telemetry: cdsgd_telemetry::Telemetry,
-    ) -> Self {
-        let num_keys = init.len();
-        let pool = BufferPool::new();
-        let shards = partition_keys(init, num_shards)
-            .into_iter()
-            .map(|shard_init| {
-                ParamServer::start_with_pool(shard_init, cfg, pool.clone(), telemetry.clone())
-            })
-            .collect();
-        Self {
-            shards,
-            num_keys,
-            pool,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total number of keys across shards.
-    pub fn num_keys(&self) -> usize {
-        self.num_keys
-    }
-
-    /// A routing client handle.
-    pub fn client(&self) -> ShardedClient {
-        ShardedClient {
-            clients: self.shards.iter().map(|s| s.client()).collect(),
-            pool: self.pool.clone(),
-        }
-    }
-
-    /// Aggregate traffic across all shards.
-    pub fn total_bytes_pushed(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats().bytes_pushed()).sum()
-    }
-
-    /// Aggregate pull-reply traffic across all shards.
-    pub fn total_bytes_pulled(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats().bytes_pulled()).sum()
-    }
-
-    /// Per-shard pushed bytes (load-balance diagnostics).
-    pub fn pushed_bytes_per_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.stats().bytes_pushed())
-            .collect()
-    }
-
-    /// Globally-ordered snapshot reassembled from every shard.
-    pub fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| s.client().snapshot())
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(reassemble_snapshots(shards, self.num_keys))
-    }
-
-    /// Stop all shard threads.
-    pub fn shutdown(self) {
-        for s in self.shards {
-            s.shutdown();
-        }
-    }
-}
-
 impl<C> ShardedClient<C> {
     /// Assemble a router from per-shard clients (index = shard id) and
     /// the payload pool compressors should draw from.
@@ -152,6 +65,32 @@ impl<C> ShardedClient<C> {
         let s = key % self.clients.len();
         (s, key / self.clients.len())
     }
+
+    /// Best-effort `op` on *every* shard — a failure on shard `k` does
+    /// not skip shards `k+1..` — with the per-shard failures aggregated
+    /// into one [`NetError::Membership`].
+    fn on_every_shard(
+        &self,
+        op: &'static str,
+        f: impl Fn(&C) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        let mut failed = Vec::new();
+        let mut last = None;
+        for (shard, c) in self.clients.iter().enumerate() {
+            if let Err(e) = f(c) {
+                failed.push(shard);
+                last = Some(e);
+            }
+        }
+        match last {
+            None => Ok(()),
+            Some(e) => Err(NetError::Membership {
+                op,
+                shards: failed,
+                last: Box::new(e),
+            }),
+        }
+    }
 }
 
 impl<C: ParamClient> ParamClient for ShardedClient<C> {
@@ -162,7 +101,7 @@ impl<C: ParamClient> ParamClient for ShardedClient<C> {
     }
 
     /// Pull global `key` at exactly `min_version` aggregates. Snapshots
-    /// are shared by reference, same as [`PsClient::pull`].
+    /// are shared by reference, same as [`crate::PsClient::pull`].
     fn pull(&self, key: Key, min_version: u64) -> Result<Arc<[f32]>, NetError> {
         let (shard, local) = self.route(key);
         self.clients[shard].pull(local, min_version)
@@ -171,14 +110,6 @@ impl<C: ParamClient> ParamClient for ShardedClient<C> {
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
         let (shard, local) = self.route(key);
         self.clients[shard].pull_async(local, min_version)
-    }
-
-    /// Set the learning rate on every shard.
-    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        for c in &self.clients {
-            c.set_lr(lr)?;
-        }
-        Ok(())
     }
 
     /// Two-phase join: tentatively register with every shard in shard
@@ -217,50 +148,18 @@ impl<C: ParamClient> ParamClient for ShardedClient<C> {
         Ok((0..num_keys).map(|k| per[k % s][k / s]).collect())
     }
 
-    /// Best-effort departure from *every* shard: a failed leave on shard
-    /// `k` no longer skips shards `k+1..` (which would block their
-    /// rounds on a departed member until heartbeat eviction). Per-shard
-    /// failures are aggregated into one [`NetError::Membership`].
+    /// Best-effort departure from *every* shard: a shard skipped after
+    /// an earlier failure would block its rounds on a departed member
+    /// until heartbeat eviction.
     fn leave(&self, worker: usize) -> Result<(), NetError> {
-        let mut failed = Vec::new();
-        let mut last = None;
-        for (shard, c) in self.clients.iter().enumerate() {
-            if let Err(e) = c.leave(worker) {
-                failed.push(shard);
-                last = Some(e);
-            }
-        }
-        match last {
-            None => Ok(()),
-            Some(e) => Err(NetError::Membership {
-                op: "leave",
-                shards: failed,
-                last: Box::new(e),
-            }),
-        }
+        self.on_every_shard("leave", |c| c.leave(worker))
     }
 
-    /// Best-effort join rollback on *every* shard, aggregating failures
-    /// like [`ShardedClient::leave`]. Safe to spray across shards that
-    /// never admitted the worker: each server's `joined_by` fence makes
-    /// the cancel a no-op there.
+    /// Best-effort join rollback on *every* shard. Safe to spray across
+    /// shards that never admitted the worker: each server's `joined_by`
+    /// fence makes the cancel a no-op there.
     fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        let mut failed = Vec::new();
-        let mut last = None;
-        for (shard, c) in self.clients.iter().enumerate() {
-            if let Err(e) = c.cancel_join(worker) {
-                failed.push(shard);
-                last = Some(e);
-            }
-        }
-        match last {
-            None => Ok(()),
-            Some(e) => Err(NetError::Membership {
-                op: "cancel_join",
-                shards: failed,
-                last: Box::new(e),
-            }),
-        }
+        self.on_every_shard("cancel_join", |c| c.cancel_join(worker))
     }
 
     fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
@@ -278,38 +177,62 @@ impl<C: ParamClient> ParamClient for ShardedClient<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::PsClient;
+    use crate::server::{ParamServer, ServerConfig};
 
     fn init(keys: usize) -> Vec<Vec<f32>> {
         (0..keys).map(|k| vec![k as f32; 2]).collect()
     }
 
+    /// `num_shards` plain in-process servers with `init`'s keys
+    /// interleaved across them.
+    fn start(init: Vec<Vec<f32>>, cfg: ServerConfig, num_shards: usize) -> Vec<ParamServer> {
+        partition_keys(init, num_shards)
+            .into_iter()
+            .map(|shard_init| ParamServer::start(shard_init, cfg))
+            .collect()
+    }
+
+    fn client(shards: &[ParamServer]) -> ShardedClient<PsClient> {
+        ShardedClient::from_clients(
+            shards.iter().map(ParamServer::client).collect(),
+            BufferPool::new(),
+        )
+    }
+
+    fn shutdown(shards: Vec<ParamServer>) {
+        for s in shards {
+            s.shutdown();
+        }
+    }
+
     #[test]
     fn routing_preserves_key_identity() {
-        let ps = ParamServer::start_sharded(init(7), ServerConfig::new(1, 1.0), 3);
-        let c = ps.client();
+        let ps = start(init(7), ServerConfig::new(1, 1.0), 3);
+        let c = client(&ps);
         for k in 0..7 {
             assert_eq!(*c.pull(k, 0).unwrap(), [k as f32; 2], "key {k}");
         }
-        ps.shutdown();
+        shutdown(ps);
     }
 
     #[test]
     fn updates_apply_to_the_right_key() {
-        let ps = ParamServer::start_sharded(init(5), ServerConfig::new(1, 0.5), 2);
-        let c = ps.client();
+        let ps = start(init(5), ServerConfig::new(1, 0.5), 2);
+        let c = client(&ps);
         c.push(0, 3, Compressed::Raw(vec![2.0, 4.0])).unwrap();
         // key 3 updated: 3 − 0.5·2 = 2, 3 − 0.5·4 = 1.
         assert_eq!(*c.pull(3, 1).unwrap(), [2.0, 1.0]);
         // Other keys untouched (still version 0).
         assert_eq!(*c.pull(0, 0).unwrap(), [0.0, 0.0]);
         assert_eq!(*c.pull(4, 0).unwrap(), [4.0, 4.0]);
-        ps.shutdown();
+        shutdown(ps);
     }
 
     #[test]
     fn shards_progress_independently_and_concurrently() {
-        let ps = ParamServer::start_sharded(init(4), ServerConfig::new(2, 1.0), 2);
-        let clients: Vec<ShardedClient> = (0..2).map(|_| ps.client()).collect();
+        let ps = start(init(4), ServerConfig::new(2, 1.0), 2);
+        let clients: Vec<_> = (0..2).map(|_| client(&ps)).collect();
         std::thread::scope(|s| {
             for (w, c) in clients.iter().enumerate() {
                 s.spawn(move || {
@@ -321,55 +244,58 @@ mod tests {
             }
         });
         // Every key advanced one version: k − 1.0/2·(1+1) = k − 1.
-        let c = ps.client();
+        let c = client(&ps);
         for k in 0..4 {
             assert_eq!(*c.pull(k, 1).unwrap(), [k as f32 - 1.0; 2]);
         }
-        ps.shutdown();
+        shutdown(ps);
     }
 
     #[test]
     fn load_spreads_across_shards() {
-        let ps = ParamServer::start_sharded(init(8), ServerConfig::new(1, 1.0), 4);
-        let c = ps.client();
+        let ps = start(init(8), ServerConfig::new(1, 1.0), 4);
+        let c = client(&ps);
         for k in 0..8 {
             c.push(0, k, Compressed::Raw(vec![1.0, 1.0])).unwrap();
             c.pull(k, 1).unwrap();
         }
-        let per = ps.pushed_bytes_per_shard();
+        let per: Vec<u64> = ps.iter().map(|s| s.stats().bytes_pushed()).collect();
         assert_eq!(per.len(), 4);
-        assert!(per.iter().all(|&b| b == per[0]), "balanced: {per:?}");
-        assert_eq!(ps.total_bytes_pushed(), per.iter().sum::<u64>());
-        ps.shutdown();
+        assert!(
+            per[0] > 0 && per.iter().all(|&b| b == per[0]),
+            "balanced: {per:?}"
+        );
+        shutdown(ps);
     }
 
     #[test]
     fn single_shard_equals_plain_server() {
-        let sharded = ParamServer::start_sharded(init(3), ServerConfig::new(1, 0.1), 1);
+        let sharded = start(init(3), ServerConfig::new(1, 0.1), 1);
         let plain = ParamServer::start(init(3), ServerConfig::new(1, 0.1));
-        let sc = sharded.client();
+        let sc = client(&sharded);
         let pc = plain.client();
         for k in 0..3 {
             sc.push(0, k, Compressed::Raw(vec![1.0, 2.0])).unwrap();
             pc.push(0, k, Compressed::Raw(vec![1.0, 2.0])).unwrap();
             assert_eq!(sc.pull(k, 1).unwrap(), pc.pull(k, 1).unwrap());
         }
-        sharded.shutdown();
+        shutdown(sharded);
         plain.shutdown();
     }
 
     #[test]
     fn snapshot_reassembles_global_key_order() {
-        let ps = ParamServer::start_sharded(init(5), ServerConfig::new(1, 1.0), 2);
-        let c = ps.client();
+        let ps = start(init(5), ServerConfig::new(1, 1.0), 2);
+        let c = client(&ps);
         c.push(0, 2, Compressed::Raw(vec![1.0, 1.0])).unwrap();
         c.pull(2, 1).unwrap();
-        let (w, v) = ps.snapshot().unwrap();
+        let per_shard = ps.iter().map(|s| s.client().snapshot().unwrap()).collect();
+        let (w, v) = reassemble_snapshots(per_shard, 5);
         assert_eq!(w.len(), 5);
         assert_eq!(v, vec![0, 0, 1, 0, 0]);
         assert_eq!(w[2], vec![1.0, 1.0]);
         assert_eq!(w[3], vec![3.0, 3.0]);
-        ps.shutdown();
+        shutdown(ps);
     }
 
     /// A scripted per-shard client: records membership calls and fails
@@ -403,9 +329,6 @@ mod tests {
         }
         fn pull_async(&self, _: Key, _: u64) -> Result<PendingPull, NetError> {
             unimplemented!("membership tests never pull")
-        }
-        fn set_lr(&self, _: f32) -> Result<(), NetError> {
-            Ok(())
         }
         fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
             if self.fail_register {
@@ -497,14 +420,17 @@ mod tests {
 
     #[test]
     fn shards_share_one_payload_pool() {
-        let ps = ParamServer::start_sharded(init(4), ServerConfig::new(1, 1.0), 2);
-        let c = ps.client();
-        // Push through shard 0; after decoding, its payload buffer lands
-        // in the group-wide pool and is reusable for a shard-1 push.
-        c.push(0, 0, Compressed::Raw(vec![1.0, 1.0])).unwrap();
-        c.pull(0, 1).unwrap();
+        // The router and its per-shard connections draw from one pool: a
+        // payload pushed to shard 1 is recycled, once encoded, into the
+        // pool the router hands to compressors for a push to any shard.
+        use crate::{NetCluster, PsBackend};
+        let cluster = NetCluster::start_loopback(init(4), ServerConfig::new(1, 1.0), 2).unwrap();
+        let c = cluster.client().unwrap();
+        c.push(0, 1, Compressed::Raw(vec![1.0, 1.0])).unwrap();
+        c.pull(1, 1).unwrap();
         let buf = c.pool().take_f32();
         assert!(buf.capacity() >= 2, "recycled capacity {}", buf.capacity());
-        ps.shutdown();
+        drop(c);
+        Box::new(cluster).shutdown();
     }
 }

@@ -22,6 +22,14 @@ run_tests() {
 echo "==> cargo build --release"
 cargo build --release
 
+# The criterion benches (crates/bench/benches/, `harness = false`) are
+# built by neither `cargo build` nor `cargo test`, yet they sit on the
+# public API (`ParamServer`, `NetCluster::client`, the
+# `GradientCompressor` trait): compile them, run nothing, so a stale
+# bench fails here instead of rotting.
+echo "==> cargo bench --workspace --no-run"
+cargo bench --workspace --no-run
+
 echo "==> cargo test -q --workspace"
 run_tests cargo test -q --workspace
 

@@ -157,7 +157,7 @@ fn main() {
     // final contract line.
     let trace = trace_telemetry();
     let telemetry = Telemetry::new(Arc::new(Console::new())).and(&trace);
-    let server = PsNetServer::start_durable(shard_init, cfg, telemetry, durability);
+    let server = PsNetServer::start_with(shard_init, cfg, telemetry, durability);
     let (acceptor, addr) =
         TcpAcceptor::bind(("127.0.0.1", port), NetConfig::default()).expect("bind TCP listener");
 

@@ -78,23 +78,16 @@
 //! from epoch N, restoring that state when a matching checkpoint exists
 //! and re-basing on the server's globals otherwise.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cd_sgd::{
-    run_standalone_collective, run_standalone_worker, Console, Telemetry, Topology, TrainConfig,
-    WorkerFault,
-};
+use cd_sgd::{run_standalone_worker, Console, Link, Telemetry, Topology, TrainConfig, WorkerFault};
 use cd_sgd_repro::deploy::{
     arg, arg_or, build_dataset, build_model, flag, initial_weights, parse_algorithm,
     parse_reconnect, parse_topology, trace_telemetry, AlgoDefaults,
 };
 use cdsgd_net::{FaultPlan, NetConfig};
-use cdsgd_ps::{
-    Collective, FaultyClient, NetCluster, ParamClient, PsBackend, RebasedClient, TrafficStats,
-    WireRing, WireTree,
-};
+use cdsgd_ps::{Attach, Collective, NetCluster, PsBackend, TrafficStats, WireRing, WireTree};
 
 fn main() {
     let console = Console::new();
@@ -290,13 +283,13 @@ fn main() {
             ),
         };
         let spec = model.clone();
-        let report = match run_standalone_collective(
+        let report = match run_standalone_worker(
             cfg,
             id,
             move |rng| build_model(&spec, rng),
             &train,
             Some(test),
-            collective,
+            Link::Collective(collective),
         ) {
             Ok(report) => report,
             Err(e) => {
@@ -324,7 +317,8 @@ fn main() {
         train.len(),
         servers.len()
     ));
-    let cluster = NetCluster::connect_traced(&servers, num_keys, NetConfig::default(), telemetry)
+    let cluster = NetCluster::connect(&servers, num_keys, NetConfig::default())
+        .and_then(|cluster| cluster.traced(telemetry))
         .expect("connect to servers");
     if let Some(n) = chaos_drop_sends {
         console.status(format_args!(
@@ -332,88 +326,35 @@ fn main() {
         ));
         cluster.arm_chaos(FaultPlan::new().kill_after_sends(n));
     }
-    // With reconnect armed the training client survives link drops by
-    // redialing + re-registering + replaying (DESIGN.md §13); without
-    // the flags this is the exact legacy single-dial client.
-    let client: Box<dyn ParamClient> = match &reconnect {
-        Some(rc) => Box::new(
-            cluster
-                .reconnecting_client(id, rc.clone())
-                .expect("open shard connections"),
-        ),
-        None => cluster.client().expect("open shard connections"),
-    };
-    // `--register` / `--heartbeat-ms`: keep a shared handle so the
-    // goodbye after training and the background heartbeats ride the
-    // same ordered connections the pushes use (the server then sees
-    // every push of the final round before the Leave).
-    let (client, membership): (Box<dyn ParamClient>, Option<Arc<dyn ParamClient>>) =
-        if register || heartbeat_ms > 0 {
-            let shared: Arc<dyn ParamClient> = Arc::from(client);
-            (Box::new(Arc::clone(&shared)), Some(shared))
-        } else {
-            (client, None)
-        };
-    let client: Box<dyn ParamClient> = if register {
-        let shared = membership.as_ref().expect("register keeps a shared handle");
-        let versions = shared.register(id).unwrap_or_else(|e| {
-            console.error(format_args!("worker {id}: registration failed: {e}"));
+    if let Some(round) = chaos_kill_round {
+        console.status(format_args!(
+            "worker {id}: chaos — will die silently at round {round}"
+        ));
+    }
+    // The flags map one-to-one onto the attach options; the layering of
+    // the client stack they select is `NetCluster::attach`'s decision
+    // (DESIGN.md §13). With none of them set this is a plain dial.
+    let attached = cluster
+        .attach(
+            id,
+            Attach {
+                register,
+                heartbeat: (heartbeat_ms > 0).then(|| Duration::from_millis(heartbeat_ms)),
+                reconnect,
+                fault: chaos_kill_round.map(|round| WorkerFault::KillAtRound { round }),
+            },
+        )
+        .unwrap_or_else(|e| {
+            console.error(format_args!("worker {id}: attaching failed: {e}"));
             std::process::exit(1);
         });
+    if let Some(versions) = attached.acked() {
         console.status(format_args!(
             "worker {id}: registered with {} shards at round {}",
             servers.len(),
             versions.iter().copied().min().unwrap_or(0)
         ));
-        // A mid-run joiner counts rounds from zero while the server is
-        // already at the acked versions: rebase every pull onto them.
-        if versions.iter().any(|&v| v > 0) {
-            Box::new(RebasedClient::new(client, versions))
-        } else {
-            client
-        }
-    } else {
-        client
-    };
-    // Liveness emission for the servers' heartbeat-timeout eviction
-    // sweep: a background thread, so a worker blocked in a long local
-    // computation (or a slow pull) still proves it is alive. Sending is
-    // mutex-serialised with the training pushes inside the client.
-    let hb_stop = Arc::new(AtomicBool::new(false));
-    let hb_thread = (heartbeat_ms > 0).then(|| {
-        let shared = Arc::clone(
-            membership
-                .as_ref()
-                .expect("heartbeat keeps a shared handle"),
-        );
-        let stop = Arc::clone(&hb_stop);
-        std::thread::Builder::new()
-            .name("heartbeat".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    // A failed send means the connection is gone; the
-                    // training thread will surface the real error.
-                    if shared.heartbeat(id).is_err() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(heartbeat_ms));
-                }
-            })
-            .expect("spawn heartbeat thread")
-    });
-    let client: Box<dyn ParamClient> = match chaos_kill_round {
-        Some(round) => {
-            console.status(format_args!(
-                "worker {id}: chaos — will die silently at round {round}"
-            ));
-            Box::new(FaultyClient::new(
-                client,
-                WorkerFault::KillAtRound { round },
-                num_keys,
-            ))
-        }
-        None => client,
-    };
+    }
 
     let spec = model.clone();
     let report = match run_standalone_worker(
@@ -422,7 +363,7 @@ fn main() {
         move |rng| build_model(&spec, rng),
         &train,
         Some(test),
-        client,
+        Link::Ps(attached.client()),
     ) {
         Ok(report) => report,
         Err(e) => {
@@ -434,18 +375,17 @@ fn main() {
         "worker {id}: finished {} epochs",
         report.len()
     ));
-    if let Some(t) = hb_thread {
-        hb_stop.store(true, Ordering::Relaxed);
-        let _ = t.join();
-    }
-    // A scripted departure already said goodbye from inside the run.
-    if register && depart_epoch.is_none() {
-        if let Some(shared) = &membership {
-            if let Err(e) = shared.leave(id) {
+    match depart_epoch {
+        // A scripted departure already said goodbye from inside the run.
+        Some(_) => drop(attached),
+        None => {
+            if let Err(e) = attached.finish() {
                 console.error(format_args!("worker {id}: leave failed: {e}"));
                 std::process::exit(1);
             }
-            console.status(format_args!("worker {id}: left the membership"));
+            if register {
+                console.status(format_args!("worker {id}: left the membership"));
+            }
         }
     }
 

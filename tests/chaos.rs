@@ -17,7 +17,7 @@ use cdsgd_net::{
     TcpTransport,
 };
 use cdsgd_ps::{
-    partition_keys, ElasticConfig, InProcessBackend, NetCluster, ParamClient, ParamServer,
+    partition_keys, Attach, ElasticConfig, InProcessBackend, NetCluster, ParamClient, ParamServer,
     PsBackend, PsNetServer, RemoteClient, ServerConfig, ShardedClient, TrafficStats,
 };
 
@@ -683,10 +683,17 @@ fn tcp_link_drop_reconnects_and_stays_bit_exact() {
             retries: 5,
             backoff: Duration::from_millis(10),
         };
-        let client = cluster
-            .reconnecting_client(0, rc)
-            .expect("open connections");
-        client.register(0).expect("register");
+        let attached = cluster
+            .attach(
+                0,
+                Attach {
+                    register: true,
+                    reconnect: Some(rc),
+                    ..Attach::default()
+                },
+            )
+            .expect("open connections and register");
+        let client = attached.client();
         for round in 1..=ROUNDS {
             for key in 0..2 {
                 client
@@ -702,8 +709,8 @@ fn tcp_link_drop_reconnects_and_stays_bit_exact() {
                 assert_eq!(&*w, &[w0[0] - round as f32; KEY_LEN][..]);
             }
         }
-        let reconnects = client.reconnects();
-        drop(client);
+        let reconnects = attached.reconnects();
+        drop((client, attached));
         let (weights, versions) = cluster.snapshot().expect("snapshot");
         Box::new(cluster).shutdown();
         (weights, versions, reconnects)

@@ -232,13 +232,9 @@ fn worker_traces_account_for_every_server_byte() {
     // workers did, then shut the group down.
     let controller = Arc::new(AggregateSink::new());
     let num_keys = deploy::initial_weights(MODEL, SEED).len();
-    let cluster = NetCluster::connect_traced(
-        &addrs,
-        num_keys,
-        NetConfig::default(),
-        Telemetry::new(Arc::clone(&controller) as _),
-    )
-    .expect("connect controller");
+    let cluster = NetCluster::connect(&addrs, num_keys, NetConfig::default())
+        .and_then(|c| c.traced(Telemetry::new(Arc::clone(&controller) as _)))
+        .expect("connect controller");
     cluster.snapshot().expect("snapshot");
     Box::new(cluster).shutdown();
 

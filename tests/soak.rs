@@ -210,7 +210,7 @@ fn reconnecting_worker_survives_repeated_link_drops_exactly() {
     use std::time::Duration;
 
     use cdsgd_net::{FaultPlan, ReconnectConfig};
-    use cdsgd_ps::{ElasticConfig, ParamClient};
+    use cdsgd_ps::{Attach, ElasticConfig};
 
     const KEY_LEN: usize = 8;
     const ROUNDS: u64 = 40;
@@ -232,13 +232,20 @@ fn reconnecting_worker_survives_repeated_link_drops_exactly() {
             retries: 5,
             backoff: Duration::from_millis(10),
         };
-        let client = cluster
-            .reconnecting_client(0, rc)
-            .expect("open connections");
+        let attached = cluster
+            .attach(
+                0,
+                Attach {
+                    register: true,
+                    reconnect: Some(rc),
+                    ..Attach::default()
+                },
+            )
+            .expect("open connections and register");
+        let client = attached.client();
         cluster.arm_chaos(drop_plan());
         let mut armed = 2u64;
 
-        client.register(0).expect("register");
         for round in 1..=ROUNDS {
             for key in 0..2 {
                 client
@@ -255,13 +262,13 @@ fn reconnecting_worker_survives_repeated_link_drops_exactly() {
             }
             // A redial consumed the armed plan: arm the next one until
             // the drop quota is reached.
-            if client.reconnects() >= armed - 1 && armed < DROPS {
+            if attached.reconnects() >= armed - 1 && armed < DROPS {
                 cluster.arm_chaos(drop_plan());
                 armed += 1;
             }
         }
-        let reconnects = client.reconnects();
-        drop(client);
+        let reconnects = attached.reconnects();
+        drop((client, attached));
         let (weights, versions) = cluster.snapshot().expect("snapshot");
         Box::new(cluster).shutdown();
         (weights, versions, reconnects)

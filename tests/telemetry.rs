@@ -15,7 +15,7 @@ use cd_sgd::{
 };
 use cd_sgd_repro::deploy;
 use cdsgd_net::NetConfig;
-use cdsgd_ps::{InProcessBackend, NetCluster, ParamServer, TrafficStats};
+use cdsgd_ps::{Durability, InProcessBackend, NetCluster, ParamServer, TrafficStats};
 use cdsgd_telemetry::Op;
 
 fn blob_config() -> TrainConfig {
@@ -81,7 +81,7 @@ fn aggregate_sink_matches_traffic_stats_on_every_backend() {
     let slot = Arc::clone(&in_proc_slot);
     let in_proc = blob_trainer(blob_config())
         .run_with(move |init, cfg| {
-            let ps = ParamServer::start_traced(init, cfg, in_proc_tel.clone());
+            let ps = ParamServer::start_with(init, cfg, in_proc_tel.clone(), Durability::default());
             *slot.lock().unwrap() = Some(ps.shared_stats());
             Ok(Box::new(InProcessBackend::new(ps)))
         })
@@ -95,7 +95,7 @@ fn aggregate_sink_matches_traffic_stats_on_every_backend() {
     let slot = Arc::clone(&loop_slot);
     let loopback = blob_trainer(blob_config())
         .run_with(move |init, cfg| {
-            let cluster = NetCluster::start_loopback_traced(init, cfg, 2, loop_tel.clone())?;
+            let cluster = NetCluster::start_loopback(init, cfg, 2)?.traced(loop_tel.clone())?;
             *slot.lock().unwrap() = Some(cluster.shared_stats());
             Ok(Box::new(cluster))
         })
@@ -107,13 +107,8 @@ fn aggregate_sink_matches_traffic_stats_on_every_backend() {
     let slot = Arc::clone(&tcp_slot);
     let tcp = blob_trainer(blob_config())
         .run_with(move |init, cfg| {
-            let cluster = NetCluster::start_tcp_local_traced(
-                init,
-                cfg,
-                2,
-                NetConfig::default(),
-                tcp_tel.clone(),
-            )?;
+            let cluster = NetCluster::start_tcp_local(init, cfg, 2, NetConfig::default())?
+                .traced(tcp_tel.clone())?;
             *slot.lock().unwrap() = Some(cluster.shared_stats());
             Ok(Box::new(cluster))
         })

@@ -9,7 +9,7 @@
 use cd_sgd::{Algorithm, Codec, Topology, TrainConfig, Trainer, TrainingHistory};
 use cdsgd_data::toy;
 use cdsgd_nn::models;
-use cdsgd_ps::{AllReduceBackend, DecentralizedBackend, WireMode};
+use cdsgd_ps::{AllReduceBackend, WireMode};
 
 fn cfg(algo: Algorithm, workers: usize, epochs: usize) -> TrainConfig {
     TrainConfig::new(algo, workers)
@@ -144,7 +144,7 @@ fn decentralized_compressed_within_tolerance_of_ps_baseline() {
     let codec = Codec::TwoBit { threshold: 0.05 };
     let ps = trainer(cfg(Algorithm::cd_sgd_with(0.05, codec.clone(), 2, 6), 4, 4)).run();
     let dec = trainer(cfg(Algorithm::ArSgd, 4, 4).with_topology(Topology::Decentralized { codec }))
-        .run_with(|_, _| Ok(Box::new(DecentralizedBackend::ring(4, WireMode::Tcp)?) as _))
+        .run_with(|_, _| Ok(Box::new(AllReduceBackend::ring(4, WireMode::Tcp)?) as _))
         .unwrap();
 
     let (p, d) = (ps.final_test_acc().unwrap(), dec.final_test_acc().unwrap());
@@ -166,7 +166,7 @@ fn decentralized_is_deterministic_across_transports() {
     };
     let mem = trainer(mk()).run();
     let tcp = trainer(mk())
-        .run_with(|_, _| Ok(Box::new(DecentralizedBackend::ring(3, WireMode::Tcp)?) as _))
+        .run_with(|_, _| Ok(Box::new(AllReduceBackend::ring(3, WireMode::Tcp)?) as _))
         .unwrap();
     assert_eq!(mem.final_weights, tcp.final_weights);
 }
