@@ -16,7 +16,9 @@
 //! exists to catch.
 
 use crate::error::NetError;
-use crate::transport::Transport;
+use crate::sys::Waker;
+use crate::transport::{Tail, Transport};
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -113,13 +115,15 @@ impl FaultyTransport {
 }
 
 impl Transport for FaultyTransport {
-    fn send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
+    /// One frame, one send against the plan, however many parts it
+    /// travels in and whether the inner transport blocks or queues.
+    fn send_parts(&mut self, head: &[u8], tail: Tail<'_>) -> Result<(), NetError> {
         self.check_dead()?;
         if let Some(d) = self.plan.send_delay {
             std::thread::sleep(d);
         }
         self.count(&self.state.sends, self.plan.kill_after_sends)?;
-        self.inner.send_frame(body)
+        self.inner.send_parts(head, tail)
     }
 
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
@@ -133,6 +137,18 @@ impl Transport for FaultyTransport {
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
         self.inner.set_recv_timeout(timeout)
+    }
+
+    fn set_recv_limit(&mut self, bytes: usize) {
+        self.inner.set_recv_limit(bytes)
+    }
+
+    fn close(&mut self) {
+        self.inner.close()
+    }
+
+    fn register(&mut self, waker: &Waker) -> Option<RawFd> {
+        self.inner.register(waker)
     }
 
     fn try_clone(&self) -> Result<Box<dyn Transport>, NetError> {
@@ -168,15 +184,6 @@ impl Transport for FaultyTransport {
         }
         self.count(&self.state.recvs, self.plan.kill_after_recvs)?;
         Ok(true)
-    }
-
-    fn poll_send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
-        self.check_dead()?;
-        if let Some(d) = self.plan.send_delay {
-            std::thread::sleep(d);
-        }
-        self.count(&self.state.sends, self.plan.kill_after_sends)?;
-        self.inner.poll_send_frame(body)
     }
 
     fn poll_flush(&mut self) -> Result<bool, NetError> {
@@ -217,6 +224,45 @@ mod tests {
         b.recv_frame(&mut buf).unwrap();
         b.recv_frame(&mut buf).unwrap();
         assert_eq!(buf, b"two");
+    }
+
+    #[test]
+    fn a_two_part_send_is_one_send_against_the_plan() {
+        let (a, mut b) = loopback_pair();
+        let mut a = FaultyTransport::new(Box::new(a), FaultPlan::new().kill_after_sends(2));
+        let weights: std::sync::Arc<[f32]> = vec![1.0f32].into();
+        a.send_parts(b"head", Tail::Bytes(b"+tail")).unwrap();
+        a.send_parts(b"w", Tail::F32s(&weights)).unwrap();
+        assert_eq!(a.send_parts(b"x", Tail::NONE), Err(NetError::Closed));
+        let mut buf = Vec::new();
+        b.recv_frame(&mut buf).unwrap();
+        assert_eq!(buf, b"head+tail");
+        b.recv_frame(&mut buf).unwrap();
+        assert_eq!(buf, [b'w', 0, 0, 0x80, 0x3f]);
+    }
+
+    #[test]
+    fn readiness_and_limits_reach_the_inner_transport() {
+        let (a, b) = loopback_pair();
+        let mut b = FaultyTransport::new(Box::new(b), FaultPlan::new());
+        let mut a = FaultyTransport::new(Box::new(a), FaultPlan::new());
+        // The wrapped loopback has no descriptor; it keeps the waker and
+        // calls it when a frame lands.
+        let (waker, rx) = crate::sys::wake_pair().unwrap();
+        assert_eq!(b.register(&waker), None);
+        let mut poller = crate::sys::Poller::new();
+        poller.add(rx.fd(), false);
+        assert_eq!(poller.wait(Some(Duration::ZERO)).unwrap(), 0);
+        a.send_frame(b"12345").unwrap();
+        assert_eq!(poller.wait(Some(Duration::from_secs(5))).unwrap(), 1);
+        b.set_recv_limit(4);
+        assert!(matches!(
+            b.poll_recv_frame(&mut Vec::new()),
+            Err(NetError::Decode(_))
+        ));
+        // Closing through the wrapper closes the connection under it.
+        b.close();
+        assert_eq!(a.send_frame(b"late"), Err(NetError::Closed));
     }
 
     #[test]

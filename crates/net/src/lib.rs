@@ -1,7 +1,8 @@
 //! `cdsgd-net`: the wire protocol and pluggable transports that let the
 //! CD-SGD parameter server move gradients over real byte streams.
 //!
-//! The crate has two layers:
+//! The crate has two layers, over one small module of what safe `std`
+//! lacks:
 //!
 //! - [`wire`] — byte-exact codecs for [`cdsgd_compress::Compressed`]
 //!   payloads (invariant: `encode(c).len() == c.wire_bytes()`) and the
@@ -11,6 +12,9 @@
 //!   `TCP_NODELAY`, bounded retry with exponential backoff) and an
 //!   in-memory loopback backend ([`transport::loopback_pair`]) that moves
 //!   the *same* frames through condvar-guarded queues.
+//! - [`sys`] — `poll(2)` with a wake pipe, so an event loop blocks on
+//!   readiness instead of sleeping, and the `f32`-slice-as-wire-bytes
+//!   view behind the two-part send. All of the crate's `unsafe` is here.
 //!
 //! The parameter-server glue (server acceptor loop, remote client) lives
 //! in `cdsgd-ps::net`, keeping this crate dependent only on
@@ -18,13 +22,15 @@
 
 pub mod error;
 pub mod fault;
+pub mod sys;
 pub mod transport;
 pub mod wire;
 
 pub use error::NetError;
 pub use fault::{FaultPlan, FaultyTransport};
+pub use sys::{wake_pair, Poller, WakeRx, Waker};
 pub use transport::{
-    loopback_pair, LoopbackTransport, NetConfig, ReconnectConfig, TcpAcceptor, TcpTransport,
+    loopback_pair, LoopbackTransport, NetConfig, ReconnectConfig, Tail, TcpAcceptor, TcpTransport,
     Transport, RECONNECT_BACKOFF_CAP,
 };
 pub use wire::{
@@ -38,7 +44,7 @@ pub use wire::{
 
 pub use wire::{
     collective_frame_bytes, decode_collective, encode_collective_bytes_into,
-    encode_collective_into, CollectiveFrame, COLLECTIVE_EXCHANGE, COLLECTIVE_GATHER,
-    COLLECTIVE_HEADER_BYTES, COLLECTIVE_HELLO, COLLECTIVE_SCATTER, COLLECTIVE_TREE_DOWN,
-    COLLECTIVE_TREE_UP, TAG_COLLECTIVE_FRAME,
+    encode_collective_into, encode_collective_parts, CollectiveFrame, COLLECTIVE_EXCHANGE,
+    COLLECTIVE_GATHER, COLLECTIVE_HEADER_BYTES, COLLECTIVE_HELLO, COLLECTIVE_SCATTER,
+    COLLECTIVE_TREE_DOWN, COLLECTIVE_TREE_UP, TAG_COLLECTIVE_FRAME,
 };

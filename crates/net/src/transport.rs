@@ -6,17 +6,34 @@
 //! server glue is written once against `Box<dyn Transport>` and runs
 //! bit-identically over a socket or a pair of in-process queues.
 //!
-//! The TCP receive path keeps an internal buffer that preserves
-//! partial-frame state across [`NetError::Timeout`] returns: a poll loop
-//! with a short receive deadline can never desynchronise the framing,
-//! because bytes consumed from the socket stay owned by the transport
-//! until a whole frame is available.
+//! A frame crosses the TCP backend with one copy per side, the kernel's:
+//!
+//! - **Receive** is one state machine shared by the blocking and the
+//!   polled call: read the 4-byte prefix, bound it by the connection's
+//!   inbound limit *before* reserving anything, then read the body
+//!   straight into the frame buffer that is handed to the caller by
+//!   swapping allocations. Progress survives [`NetError::Timeout`] and
+//!   `WouldBlock`, so a poll loop with a short deadline can never
+//!   desynchronise the framing; exact-length reads mean no byte of the
+//!   next frame is ever taken early, so there is nothing to shift.
+//! - **Send** is two-part ([`Transport::send_parts`]): a small encoded
+//!   head plus a borrowed tail go to the socket in one vectored write.
+//!   Only what a non-blocking socket refuses is queued — and a refused
+//!   [`Tail::F32s`] is queued as the shared snapshot plus an offset, so N
+//!   connections behind one snapshot hold N references, not N copies.
+//!
+//! An event loop blocks on readiness through [`Transport::register`]: a
+//! socket hands out its descriptor for `poll(2)`, a queue-backed
+//! transport keeps the loop's [`Waker`] and calls it when a frame lands.
 
 use crate::error::NetError;
-use crate::wire::{FRAME_PREFIX_BYTES, MAX_FRAME_BYTES};
+use crate::sys::{f32s_as_le_bytes, wake_pair, Poller, WakeRx, Waker};
+use crate::wire::{put_f32s, FRAME_PREFIX_BYTES, MAX_FRAME_BYTES};
+use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{IoSlice, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -102,37 +119,104 @@ impl ReconnectConfig {
     }
 }
 
+/// The borrowed second part of a two-part send
+/// ([`Transport::send_parts`]).
+#[derive(Clone, Copy)]
+pub enum Tail<'a> {
+    /// Bytes that are already their own wire encoding.
+    Bytes(&'a [u8]),
+    /// A shared weight snapshot, sent as little-endian `f32`s. A
+    /// transport that has to queue part of it keeps a reference to the
+    /// snapshot and an offset instead of copying the remainder.
+    F32s(&'a Arc<[f32]>),
+}
+
+impl<'a> Tail<'a> {
+    /// No second part.
+    pub const NONE: Tail<'static> = Tail::Bytes(&[]);
+
+    /// The bytes this tail puts on the wire (borrowed, except for
+    /// `F32s` on a big-endian host, where they have to be encoded).
+    pub fn bytes(self) -> Cow<'a, [u8]> {
+        match self {
+            Tail::Bytes(b) => Cow::Borrowed(b),
+            Tail::F32s(w) => f32s_as_le_bytes(w).map_or_else(
+                || {
+                    let mut encoded = Vec::new();
+                    put_f32s(&mut encoded, w);
+                    Cow::Owned(encoded)
+                },
+                Cow::Borrowed,
+            ),
+        }
+    }
+}
+
+fn oversize(len: usize) -> NetError {
+    NetError::Io(format!(
+        "refusing to send {len}-byte frame over the {MAX_FRAME_BYTES}-byte limit"
+    ))
+}
+
 /// A bidirectional, connection-oriented frame transport.
 ///
 /// Implementations are `Send` so one endpoint can be driven from a
 /// dedicated thread; [`Transport::try_clone`] produces an independent
 /// handle to the *same* connection so reads and writes can run on
 /// separate threads (the standard reader-thread / writer-thread split).
-/// Receive buffers are per-handle: exactly one handle should receive.
+/// Receive state and queued output are per-handle: exactly one handle
+/// should receive, and exactly one should send in non-blocking mode.
 pub trait Transport: Send {
     /// A process-unique identifier for the underlying connection, stable
     /// across [`Transport::try_clone`] — so telemetry can attribute
     /// frame traffic per connection even under a reader/writer split.
     fn conn_id(&self) -> u64;
 
-    /// Send one frame (`body` must be at most [`MAX_FRAME_BYTES`]).
-    /// Blocks until the frame is fully written.
-    fn send_frame(&mut self, body: &[u8]) -> Result<(), NetError>;
+    /// Send one frame whose body is `head` followed by `tail` (together
+    /// at most [`MAX_FRAME_BYTES`]) without first joining them: the bulk
+    /// of a push or a pull reply is already its own encoding, so only
+    /// the few header bytes in front of it are ever built.
+    ///
+    /// In blocking mode this returns once the frame is fully written.
+    /// In non-blocking mode ([`Transport::set_nonblocking`]) it never
+    /// blocks: whatever the peer cannot accept yet stays queued (visible
+    /// through [`Transport::pending_out_bytes`] for backpressure
+    /// decisions) until a later [`Transport::poll_flush`] drains it.
+    fn send_parts(&mut self, head: &[u8], tail: Tail<'_>) -> Result<(), NetError>;
+
+    /// Send one frame: [`Transport::send_parts`] with no tail.
+    fn send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
+        self.send_parts(body, Tail::NONE)
+    }
 
     /// Receive one frame body into `out`, replacing its contents (a
     /// transport may keep `out`'s old allocation for its own reuse and
     /// hand back a different one). Returns [`NetError::Timeout`] if the
     /// receive deadline elapses — partial progress is preserved and the
-    /// call may simply be retried — and [`NetError::Closed`] on clean
-    /// EOF at a frame boundary.
+    /// call may simply be retried — [`NetError::Closed`] on clean EOF at
+    /// a frame boundary, and [`NetError::Decode`] for a frame longer
+    /// than the inbound limit, before anything is reserved for it.
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError>;
 
     /// Replace the receive deadline (`None` blocks forever).
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError>;
 
+    /// Lower the largest inbound frame body this handle accepts from the
+    /// global [`MAX_FRAME_BYTES`] to `bytes` — what a server that knows
+    /// the largest frame a legitimate peer can send installs, so four
+    /// hostile prefix bytes cannot make it reserve a gigabyte.
+    fn set_recv_limit(&mut self, bytes: usize);
+
     /// An independent handle to the same connection, for splitting
     /// send and receive across threads.
     fn try_clone(&self) -> Result<Box<dyn Transport>, NetError>;
+
+    /// Shut the connection down in both directions, for every handle of
+    /// it: a receive blocked on another handle returns at once (clean
+    /// EOF), and the peer sees EOF after the frames already sent. This
+    /// is how an owner stops its own reader thread without waiting out
+    /// a timer.
+    fn close(&mut self);
 
     /// Human-readable peer description for error messages.
     fn peer(&self) -> String;
@@ -143,13 +227,15 @@ pub trait Transport: Send {
     // of them ever parks the caller. A transport that supports them is
     // driven by an event loop as a pair of state machines — a read side
     // (`poll_recv_frame`) accumulating bytes until a frame completes,
-    // and a write side (`poll_send_frame`/`poll_flush`) draining a
-    // bounded internal queue as the peer accepts bytes.
+    // and a write side (`send_parts`/`poll_flush`) draining a bounded
+    // internal queue as the peer accepts bytes — and tells the loop when
+    // to look through `register`.
 
-    /// Switch the connection into (or out of) non-blocking mode. In
-    /// non-blocking mode only the `poll_*` methods below may be used;
-    /// the blocking [`Transport::send_frame`]/[`Transport::recv_frame`]
-    /// calls would spuriously fail with [`NetError::Timeout`].
+    /// Switch the connection into (or out of) non-blocking mode, where
+    /// sends queue what the peer refuses and only
+    /// [`Transport::poll_recv_frame`] may receive (a blocking
+    /// [`Transport::recv_frame`] would spuriously fail with
+    /// [`NetError::Timeout`]).
     ///
     /// The default is a no-op: queue-backed transports (loopback) never
     /// block on the poll path anyway.
@@ -158,40 +244,36 @@ pub trait Transport: Send {
         Ok(())
     }
 
+    /// Tell an event loop how to wait for this connection: either
+    /// return the descriptor it should `poll(2)` (readable when a frame
+    /// may be waiting or the peer hung up, writable when queued output
+    /// can move), or return `None` and keep `waker`, calling it whenever
+    /// a frame is queued for this endpoint or its peer closes.
+    fn register(&mut self, waker: &Waker) -> Option<RawFd>;
+
     /// Non-blocking receive: if a complete frame is available it
     /// replaces `out`'s contents and `Ok(true)` is returned;
     /// `Ok(false)` means no complete frame yet — partial progress is
-    /// buffered internally, exactly like a [`NetError::Timeout`] from
+    /// kept internally, exactly like a [`NetError::Timeout`] from
     /// [`Transport::recv_frame`]. Clean EOF at a frame boundary is
     /// [`NetError::Closed`].
-    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
-        let _ = out;
-        Err(NetError::Io(
-            "transport does not support non-blocking receive".into(),
-        ))
-    }
+    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError>;
 
-    /// Non-blocking send: queue `body` as one frame and opportunistically
-    /// push queued bytes to the peer. Never blocks; bytes the peer cannot
-    /// yet accept stay in the internal write buffer (visible through
-    /// [`Transport::pending_out_bytes`] for backpressure decisions) until
-    /// a later [`Transport::poll_flush`] drains them.
-    ///
-    /// The default delegates to the blocking [`Transport::send_frame`],
-    /// which is correct for transports whose sends never block.
+    /// [`Transport::send_frame`] under the name event loops call it by:
+    /// on a non-blocking connection it queues what the peer refuses.
     fn poll_send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
         self.send_frame(body)
     }
 
     /// Drive previously queued output toward the peer without blocking.
-    /// `Ok(true)` when the write buffer is fully drained.
+    /// `Ok(true)` when the queue is fully drained.
     fn poll_flush(&mut self) -> Result<bool, NetError> {
         Ok(true)
     }
 
-    /// Bytes accepted by [`Transport::poll_send_frame`] but not yet on
-    /// the wire. Event loops use this as the per-connection backpressure
-    /// signal.
+    /// Bytes accepted by a non-blocking send but not yet on the wire (a
+    /// queued snapshot remainder counts by its bytes). Event loops use
+    /// this as the per-connection backpressure signal.
     fn pending_out_bytes(&self) -> usize {
         0
     }
@@ -201,20 +283,164 @@ pub trait Transport: Send {
 // TCP backend
 // ---------------------------------------------------------------------------
 
+/// One piece of output a non-blocking socket refused.
+enum Queued {
+    Bytes(Vec<u8>),
+    /// The rest of a [`Tail::F32s`]: the snapshot itself, not a copy.
+    /// Only ever queued where [`f32s_as_le_bytes`] is a view.
+    F32s(Arc<[f32]>),
+}
+
+impl Queued {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Queued::Bytes(b) => b,
+            Queued::F32s(w) => f32s_as_le_bytes(w).expect("queued only where the view exists"),
+        }
+    }
+}
+
+fn would_block(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+fn wrote_zero() -> NetError {
+    NetError::Io("peer accepted zero bytes on write".into())
+}
+
+/// `parts` with their first `done` bytes (counted across all of them)
+/// dropped — where a vectored write that was cut short resumes.
+fn skip(parts: [&[u8]; 3], mut done: usize) -> [&[u8]; 3] {
+    parts.map(|p| {
+        let k = done.min(p.len());
+        done -= k;
+        &p[k..]
+    })
+}
+
+/// The send side of a connection: frames go straight to the writer, and
+/// only what it refuses (`WouldBlock`) waits here, in send order. Generic
+/// over the writer so the resume arithmetic is testable against a writer
+/// that cuts where the test says.
+#[derive(Default)]
+struct OutQueue {
+    chunks: VecDeque<Queued>,
+    /// Bytes of the front chunk already written.
+    pos: usize,
+    /// Bytes still to write across all chunks.
+    bytes: usize,
+    /// A drained `Queued::Bytes` buffer, kept for the next refusal.
+    spare: Vec<u8>,
+}
+
+impl OutQueue {
+    /// Queue a copy of `bytes` behind whatever is already waiting.
+    fn push_bytes(&mut self, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        self.bytes += bytes.len();
+        if let Some(Queued::Bytes(b)) = self.chunks.back_mut() {
+            b.extend_from_slice(bytes);
+        } else {
+            let mut b = std::mem::take(&mut self.spare);
+            b.extend_from_slice(bytes);
+            self.chunks.push_back(Queued::Bytes(b));
+        }
+    }
+
+    /// Send one frame: `prefix`, `head` and `tail` go out in one vectored
+    /// write unless earlier output is still queued (frames must not
+    /// overtake each other). A blocking writer takes everything; a
+    /// non-blocking one stops at `WouldBlock`, and what it refused is
+    /// queued — the few prefix/head bytes by copy, a snapshot tail by
+    /// reference.
+    fn send(&mut self, w: &mut impl Write, head: &[u8], tail: Tail<'_>) -> Result<(), NetError> {
+        let tail_bytes = tail.bytes();
+        let body_len = head.len() + tail_bytes.len();
+        if body_len > MAX_FRAME_BYTES {
+            return Err(oversize(body_len));
+        }
+        let prefix = (body_len as u32).to_le_bytes();
+        let parts = [&prefix[..], head, &tail_bytes[..]];
+        let total = FRAME_PREFIX_BYTES + body_len;
+        let mut done = 0;
+        while self.chunks.is_empty() && done < total {
+            match w.write_vectored(&skip(parts, done).map(IoSlice::new)) {
+                Ok(0) => return Err(wrote_zero()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if would_block(&e) => break,
+                Err(e) => return Err(e.into()),
+            }
+        }
+        if done == total {
+            return Ok(());
+        }
+        let [prefix_rest, head_rest, tail_rest] = skip(parts, done);
+        self.push_bytes(prefix_rest);
+        self.push_bytes(head_rest);
+        match tail {
+            Tail::F32s(w) if !tail_rest.is_empty() && f32s_as_le_bytes(w).is_some() => {
+                if self.chunks.is_empty() {
+                    // The head went out whole, so this chunk is the
+                    // queue's front: resume inside it.
+                    self.pos = tail_bytes.len() - tail_rest.len();
+                }
+                self.bytes += tail_rest.len();
+                self.chunks.push_back(Queued::F32s(Arc::clone(w)));
+            }
+            _ => self.push_bytes(tail_rest),
+        }
+        Ok(())
+    }
+
+    /// Move queued output toward the writer without blocking. `Ok(true)`
+    /// when nothing is left.
+    fn flush(&mut self, w: &mut impl Write) -> Result<bool, NetError> {
+        while let Some(front) = self.chunks.front() {
+            let chunk = front.bytes();
+            match w.write(&chunk[self.pos..]) {
+                Ok(0) => return Err(wrote_zero()),
+                Ok(n) => {
+                    self.pos += n;
+                    self.bytes -= n;
+                    if self.pos == chunk.len() {
+                        self.pos = 0;
+                        if let Some(Queued::Bytes(mut b)) = self.chunks.pop_front() {
+                            b.clear();
+                            self.spare = b;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if would_block(&e) => return Ok(false),
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(true)
+    }
+}
+
 /// A TCP connection carrying length-prefixed frames.
 pub struct TcpTransport {
     stream: TcpStream,
     peer: String,
     timeout: Option<Duration>,
     conn: u64,
-    /// Bytes read off the socket but not yet returned as a frame.
-    /// Survives timeouts so polling cannot desync the frame stream.
-    rbuf: Vec<u8>,
-    /// Bytes queued by `poll_send_frame` but not yet written; `wpos` is
-    /// the drained prefix (compacted once the buffer empties, so the
-    /// frame stream never re-sends).
-    wbuf: Vec<u8>,
-    wpos: usize,
+    /// Receive state machine: the prefix bytes read so far, then the
+    /// frame buffer the body is read straight into (`rbody.len()` is the
+    /// progress). Survives timeouts so polling cannot desync the frames.
+    rprefix: [u8; FRAME_PREFIX_BYTES],
+    rprefix_len: usize,
+    rbody: Vec<u8>,
+    /// Largest body accepted, checked before `rbody` grows.
+    rlimit: usize,
+    /// Output the (non-blocking) socket refused.
+    out: OutQueue,
 }
 
 impl TcpTransport {
@@ -262,58 +488,97 @@ impl TcpTransport {
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".into());
-        Ok(Self {
+        Ok(Self::with_stream(
             stream,
             peer,
-            timeout: cfg.io_timeout,
-            conn: next_conn_id(),
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-        })
+            cfg.io_timeout,
+            next_conn_id(),
+        ))
     }
 
-    /// If `rbuf` holds a complete frame, pop it into `out`.
-    fn take_buffered_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
-        if self.rbuf.len() < FRAME_PREFIX_BYTES {
-            return Ok(false);
+    fn with_stream(stream: TcpStream, peer: String, timeout: Option<Duration>, conn: u64) -> Self {
+        Self {
+            stream,
+            peer,
+            timeout,
+            conn,
+            rprefix: [0; FRAME_PREFIX_BYTES],
+            rprefix_len: 0,
+            rbody: Vec::new(),
+            rlimit: MAX_FRAME_BYTES,
+            out: OutQueue::default(),
         }
-        let len = u32::from_le_bytes(self.rbuf[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_BYTES {
+    }
+
+    fn closed_mid_frame(&self) -> NetError {
+        NetError::Io(format!(
+            "peer {} closed mid-frame with {} bytes pending",
+            self.peer,
+            self.rprefix_len + self.rbody.len()
+        ))
+    }
+
+    /// One step of the receive state machine: at most one read of the
+    /// prefix, or reads of the body until it is complete or the socket
+    /// has no more. `Ok(true)` hands the finished frame to `out`;
+    /// `Ok(false)` means call again; `WouldBlock`/`TimedOut` surface as
+    /// [`NetError::Timeout`] with all progress kept.
+    fn advance(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
+        if self.rprefix_len < FRAME_PREFIX_BYTES {
+            let n = match self.stream.read(&mut self.rprefix[self.rprefix_len..]) {
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return Ok(false),
+                Err(e) => return Err(e.into()),
+            };
+            if n == 0 {
+                return Err(if self.rprefix_len == 0 {
+                    NetError::Closed
+                } else {
+                    self.closed_mid_frame()
+                });
+            }
+            self.rprefix_len += n;
+            if self.rprefix_len < FRAME_PREFIX_BYTES {
+                return Ok(false);
+            }
+            self.rbody.clear();
+        }
+        let len = u32::from_le_bytes(self.rprefix) as usize;
+        // Checked on every step, not only when the prefix completes: an
+        // over-limit prefix must stay an error if the caller retries.
+        if len > self.rlimit {
             return Err(NetError::Decode(format!(
-                "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
+                "frame length {len} exceeds the {}-byte limit",
+                self.rlimit
             )));
         }
-        if self.rbuf.len() < FRAME_PREFIX_BYTES + len {
-            return Ok(false);
+        let missing = len - self.rbody.len();
+        if missing > 0 {
+            // Reserves once per frame (a no-op on later steps). The
+            // exact-length reader appends into the reserved space, and
+            // what it read before an error stays appended.
+            self.rbody.reserve(missing);
+            (&self.stream)
+                .take(missing as u64)
+                .read_to_end(&mut self.rbody)?;
+            if self.rbody.len() < len {
+                return Err(self.closed_mid_frame());
+            }
         }
-        out.clear();
-        out.extend_from_slice(&self.rbuf[FRAME_PREFIX_BYTES..FRAME_PREFIX_BYTES + len]);
-        self.rbuf.drain(..FRAME_PREFIX_BYTES + len);
+        std::mem::swap(out, &mut self.rbody);
+        self.rprefix_len = 0;
         Ok(true)
     }
 }
 
 impl Transport for TcpTransport {
-    fn send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
-        if body.len() > MAX_FRAME_BYTES {
-            return Err(NetError::Io(format!(
-                "refusing to send {}-byte frame over the {MAX_FRAME_BYTES}-byte limit",
-                body.len()
-            )));
-        }
-        self.stream.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.stream.write_all(body)?;
-        Ok(())
+    fn send_parts(&mut self, head: &[u8], tail: Tail<'_>) -> Result<(), NetError> {
+        self.out.send(&mut &self.stream, head, tail)
     }
 
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
         let deadline = self.timeout.map(|t| Instant::now() + t);
-        let mut chunk = [0u8; 64 * 1024];
         loop {
-            if self.take_buffered_frame(out)? {
-                return Ok(());
-            }
             if let Some(d) = deadline {
                 let remaining = d.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
@@ -323,20 +588,8 @@ impl Transport for TcpTransport {
                 // platforms; remaining is non-zero here.
                 self.stream.set_read_timeout(Some(remaining))?;
             }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.rbuf.is_empty() {
-                        Err(NetError::Closed)
-                    } else {
-                        Err(NetError::Io(format!(
-                            "peer {} closed mid-frame with {} bytes pending",
-                            self.peer,
-                            self.rbuf.len()
-                        )))
-                    };
-                }
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(e.into()),
+            if self.advance(out)? {
+                return Ok(());
             }
         }
     }
@@ -349,18 +602,27 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
+    fn set_recv_limit(&mut self, bytes: usize) {
+        self.rlimit = bytes.min(MAX_FRAME_BYTES);
+    }
+
     fn try_clone(&self) -> Result<Box<dyn Transport>, NetError> {
-        // Like the receive buffer, the poll write queue is per-handle:
-        // exactly one handle should poll-send on a connection.
-        Ok(Box::new(Self {
-            stream: self.stream.try_clone()?,
-            peer: self.peer.clone(),
-            timeout: self.timeout,
-            conn: self.conn,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-        }))
+        // Receive state and queued output are per-handle: exactly one
+        // handle should receive, and one poll-send, on a connection.
+        let mut clone = Self::with_stream(
+            self.stream.try_clone()?,
+            self.peer.clone(),
+            self.timeout,
+            self.conn,
+        );
+        clone.rlimit = self.rlimit;
+        Ok(Box::new(clone))
+    }
+
+    fn close(&mut self) {
+        // Already-disconnected is the only failure; either way no
+        // handle can move another byte.
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 
     fn conn_id(&self) -> u64 {
@@ -376,75 +638,27 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if self.take_buffered_frame(out)? {
-                return Ok(true);
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.rbuf.is_empty() {
-                        Err(NetError::Closed)
-                    } else {
-                        Err(NetError::Io(format!(
-                            "peer {} closed mid-frame with {} bytes pending",
-                            self.peer,
-                            self.rbuf.len()
-                        )))
-                    };
-                }
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(false)
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+    fn register(&mut self, _waker: &Waker) -> Option<RawFd> {
+        Some(self.stream.as_raw_fd())
     }
 
-    fn poll_send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
-        if body.len() > MAX_FRAME_BYTES {
-            return Err(NetError::Io(format!(
-                "refusing to send {}-byte frame over the {MAX_FRAME_BYTES}-byte limit",
-                body.len()
-            )));
+    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
+        loop {
+            match self.advance(out) {
+                Ok(true) => return Ok(true),
+                Ok(false) => {}
+                Err(NetError::Timeout) => return Ok(false),
+                Err(e) => return Err(e),
+            }
         }
-        self.wbuf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(body);
-        self.poll_flush().map(|_| ())
     }
 
     fn poll_flush(&mut self) -> Result<bool, NetError> {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    return Err(NetError::Io(format!(
-                        "peer {} accepted zero bytes on write",
-                        self.peer
-                    )))
-                }
-                Ok(n) => self.wpos += n,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(false)
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.wbuf.clear();
-        self.wpos = 0;
-        Ok(true)
+        self.out.flush(&mut &self.stream)
     }
 
     fn pending_out_bytes(&self) -> usize {
-        self.wbuf.len() - self.wpos
+        self.out.bytes
     }
 }
 
@@ -452,6 +666,10 @@ impl Transport for TcpTransport {
 pub struct TcpAcceptor {
     listener: TcpListener,
     cfg: NetConfig,
+    /// Wake pipe behind [`TcpAcceptor::closer`]; never drained, so one
+    /// wake closes the acceptor for good.
+    closer: Waker,
+    closed: WakeRx,
 }
 
 impl TcpAcceptor {
@@ -459,16 +677,33 @@ impl TcpAcceptor {
     /// acceptor plus the actual bound address.
     pub fn bind<A: ToSocketAddrs>(addr: A, cfg: NetConfig) -> Result<(Self, SocketAddr), NetError> {
         let listener = TcpListener::bind(addr)?;
-        // Nonblocking so `accept` can poll against a caller deadline
-        // instead of parking forever when a peer never arrives.
+        // Nonblocking so `accept` waits in `poll(2)`, where a deadline
+        // and the closer can end it, instead of parking in `accept(2)`.
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        Ok((Self { listener, cfg }, local))
+        let (closer, closed) = wake_pair()?;
+        let acceptor = Self {
+            listener,
+            cfg,
+            closer,
+            closed,
+        };
+        Ok((acceptor, local))
     }
 
-    /// Accept one connection, polling until `timeout` elapses.
+    /// A handle whose [`Waker::wake`] makes the `accept` in progress,
+    /// and every later one, return [`NetError::Closed`] at once — how a
+    /// server stops its accept thread without waiting out a timer.
+    pub fn closer(&self) -> Waker {
+        self.closer.clone()
+    }
+
+    /// Accept one connection, waiting at most `timeout` for a peer.
     pub fn accept(&self, timeout: Duration) -> Result<TcpTransport, NetError> {
         let deadline = Instant::now() + timeout;
+        let mut poller = Poller::new();
+        poller.add(self.closed.fd(), false);
+        poller.add(self.listener.as_raw_fd(), false);
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -477,13 +712,16 @@ impl TcpAcceptor {
                     stream.set_nonblocking(false)?;
                     return TcpTransport::from_stream(stream, &self.cfg);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(NetError::Timeout);
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) => return Err(e.into()),
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(NetError::Timeout);
+            }
+            poller.wait(Some(remaining))?;
+            if poller.is_ready(0) {
+                return Err(NetError::Closed);
             }
         }
     }
@@ -519,6 +757,9 @@ struct FrameQueueInner {
     spares: Vec<Vec<u8>>,
     /// True once every sender handle for this direction has dropped.
     closed: bool,
+    /// The event loop polling the receiving endpoint, if it registered:
+    /// woken after every push and on close.
+    waker: Option<Waker>,
 }
 
 impl FrameQueueInner {
@@ -543,18 +784,21 @@ impl FrameQueue {
                 frames: VecDeque::new(),
                 spares: Vec::new(),
                 closed: false,
+                waker: None,
             }),
             ready: Condvar::new(),
         })
     }
 
-    /// Queue a copy of `body`, written into a spare buffer when one is
-    /// available. The copy runs outside the lock so a polling receiver
-    /// is never held up by it.
-    fn push(&self, body: &[u8]) -> Result<(), NetError> {
+    /// Queue a copy of `head ++ tail`, written into a spare buffer when
+    /// one is available. The copy runs outside the lock so a polling
+    /// receiver is never held up by it.
+    fn push(&self, head: &[u8], tail: &[u8]) -> Result<(), NetError> {
         let mut frame = self.inner.lock().unwrap().spares.pop().unwrap_or_default();
         frame.clear();
-        frame.extend_from_slice(body);
+        frame.reserve(head.len() + tail.len());
+        frame.extend_from_slice(head);
+        frame.extend_from_slice(tail);
         let mut inner = self.inner.lock().unwrap();
         if inner.closed {
             // The receiving endpoint dropped: mirror a TCP write against
@@ -562,8 +806,13 @@ impl FrameQueue {
             return Err(NetError::Closed);
         }
         inner.frames.push_back(frame);
+        let waker = inner.waker.clone();
         drop(inner);
         self.ready.notify_one();
+        // After the frame is visible, so the woken loop finds it.
+        if let Some(w) = waker {
+            w.wake();
+        }
         Ok(())
     }
 
@@ -607,8 +856,14 @@ impl FrameQueue {
     }
 
     fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        let mut inner = self.inner.lock().unwrap();
+        inner.closed = true;
+        let waker = inner.waker.clone();
+        drop(inner);
         self.ready.notify_all();
+        if let Some(w) = waker {
+            w.wake();
+        }
     }
 }
 
@@ -636,9 +891,26 @@ pub struct LoopbackTransport {
     send: Arc<FrameQueue>,
     recv: Arc<FrameQueue>,
     timeout: Option<Duration>,
+    /// Largest inbound frame accepted ([`Transport::set_recv_limit`]).
+    rlimit: usize,
     conn: u64,
     _close: Arc<CloseOnDrop>,
     peer: &'static str,
+}
+
+impl LoopbackTransport {
+    /// The queue has no length prefix to vet before the frame exists, so
+    /// the inbound limit is applied to the frame as it is handed over.
+    fn check_limit(&self, frame: &[u8]) -> Result<(), NetError> {
+        if frame.len() > self.rlimit {
+            return Err(NetError::Decode(format!(
+                "frame length {} exceeds the {}-byte limit",
+                frame.len(),
+                self.rlimit
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Create a connected pair of loopback endpoints. Frames sent on one
@@ -651,6 +923,7 @@ pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
         send: Arc::clone(&a_to_b),
         recv: Arc::clone(&b_to_a),
         timeout: None,
+        rlimit: MAX_FRAME_BYTES,
         conn: next_conn_id(),
         _close: Arc::new(CloseOnDrop {
             send: Arc::clone(&a_to_b),
@@ -662,6 +935,7 @@ pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
         send: Arc::clone(&b_to_a),
         recv: Arc::clone(&a_to_b),
         timeout: None,
+        rlimit: MAX_FRAME_BYTES,
         conn: next_conn_id(),
         _close: Arc::new(CloseOnDrop {
             send: b_to_a,
@@ -673,18 +947,17 @@ pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
 }
 
 impl Transport for LoopbackTransport {
-    fn send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
-        if body.len() > MAX_FRAME_BYTES {
-            return Err(NetError::Io(format!(
-                "refusing to send {}-byte frame over the {MAX_FRAME_BYTES}-byte limit",
-                body.len()
-            )));
+    fn send_parts(&mut self, head: &[u8], tail: Tail<'_>) -> Result<(), NetError> {
+        let tail = tail.bytes();
+        if head.len() + tail.len() > MAX_FRAME_BYTES {
+            return Err(oversize(head.len() + tail.len()));
         }
-        self.send.push(body)
+        self.send.push(head, &tail)
     }
 
     fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
-        self.recv.pop(self.timeout, out)
+        self.recv.pop(self.timeout, out)?;
+        self.check_limit(out)
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
@@ -692,15 +965,25 @@ impl Transport for LoopbackTransport {
         Ok(())
     }
 
+    fn set_recv_limit(&mut self, bytes: usize) {
+        self.rlimit = bytes.min(MAX_FRAME_BYTES);
+    }
+
     fn try_clone(&self) -> Result<Box<dyn Transport>, NetError> {
         Ok(Box::new(Self {
             send: Arc::clone(&self.send),
             recv: Arc::clone(&self.recv),
             timeout: self.timeout,
+            rlimit: self.rlimit,
             conn: self.conn,
             _close: Arc::clone(&self._close),
             peer: self.peer,
         }))
+    }
+
+    fn close(&mut self) {
+        self.send.close();
+        self.recv.close();
     }
 
     fn conn_id(&self) -> u64 {
@@ -711,11 +994,20 @@ impl Transport for LoopbackTransport {
         self.peer.to_string()
     }
 
-    // Queue pushes never block, so the default `poll_send_frame`
-    // (delegating to `send_frame`) and `poll_flush` (always drained) are
-    // already correct; only the receive side needs a true poll.
+    fn register(&mut self, waker: &Waker) -> Option<RawFd> {
+        self.recv.inner.lock().unwrap().waker = Some(waker.clone());
+        None
+    }
+
+    // Queue pushes never block, so sends never queue and the default
+    // `poll_flush` (always drained) is already correct; only the receive
+    // side needs a true poll.
     fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
-        self.recv.try_pop(out)
+        if !self.recv.try_pop(out)? {
+            return Ok(false);
+        }
+        self.check_limit(out)?;
+        Ok(true)
     }
 }
 
@@ -1070,5 +1362,246 @@ mod tests {
             Err(NetError::Decode(_))
         ));
         drop(handle.join().unwrap());
+    }
+    /// A connected (client, server) TCP pair, both blocking.
+    fn tcp_pair() -> (TcpTransport, TcpTransport) {
+        let cfg = fast_cfg();
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let client = TcpTransport::connect(addr, &cfg).unwrap();
+        let server = acceptor.accept(Duration::from_secs(5)).unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn tcp_frame_dribbled_one_byte_at_a_time_across_polls() {
+        // Every byte of the prefix and the body arrives in its own read:
+        // the prefix splits 1+1+1+1, the body wherever the bytes fall.
+        let (client, mut server) = tcp_pair();
+        server.set_nonblocking(true).unwrap();
+        let mut raw = client.stream.try_clone().unwrap();
+        let body: Vec<u8> = (0u8..23).collect();
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        let mut out = vec![0xee; 5];
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (i, byte) in wire.iter().enumerate() {
+            raw.write_all(&[*byte]).unwrap();
+            let last = i + 1 == wire.len();
+            // Poll until this byte has been taken in (the progress
+            // counters are the synchronisation, not a sleep).
+            loop {
+                let done = server.poll_recv_frame(&mut out).unwrap();
+                assert_eq!(
+                    done,
+                    last && out == body,
+                    "frame complete only on the last byte"
+                );
+                if done || server.rprefix_len + server.rbody.len() == i + 1 {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "byte {i} never arrived");
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(out, body);
+        assert!(!server.poll_recv_frame(&mut out).unwrap());
+    }
+
+    #[test]
+    fn tcp_frames_sharing_a_segment_arrive_in_order_with_nothing_lost() {
+        // Three frames — one of them empty — written back to back in one
+        // call: exact-length reads must stop at each frame's end.
+        let (client, mut server) = tcp_pair();
+        let mut raw = client.stream.try_clone().unwrap();
+        let mut wire = Vec::new();
+        for body in [&b"first"[..], b"", b"third-and-longer"] {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        raw.write_all(&wire).unwrap();
+        let mut out = vec![0xee; 64];
+        for body in [&b"first"[..], b"", b"third-and-longer"] {
+            server.recv_frame(&mut out).unwrap();
+            assert_eq!(out, body);
+        }
+        drop((client, raw));
+        assert_eq!(server.recv_frame(&mut out), Err(NetError::Closed));
+    }
+
+    #[test]
+    fn tcp_recv_limit_rejects_the_prefix_before_reserving_or_reading_a_body() {
+        let (client, mut server) = tcp_pair();
+        server.set_recv_limit(1 << 10);
+        let mut raw = client.stream.try_clone().unwrap();
+        // A frame at the limit passes...
+        raw.write_all(&(1u32 << 10).to_le_bytes()).unwrap();
+        raw.write_all(&[7u8; 1 << 10]).unwrap();
+        let mut out = Vec::new();
+        server.recv_frame(&mut out).unwrap();
+        assert_eq!(out, [7u8; 1 << 10]);
+        // ...and four hostile bytes announcing 512 MiB are an error at
+        // once — not a timeout waiting for a body, not an allocation.
+        raw.write_all(&(512u32 << 20).to_le_bytes()).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                server.recv_frame(&mut out),
+                Err(NetError::Decode(_))
+            ));
+            assert!(server.rbody.capacity() <= 1 << 10);
+        }
+    }
+
+    #[test]
+    fn loopback_recv_limit_rejects_an_oversized_frame() {
+        let (mut a, mut b) = loopback_pair();
+        b.set_recv_limit(8);
+        a.send_frame(b"12345678").unwrap();
+        a.send_frame(b"123456789").unwrap();
+        let mut out = Vec::new();
+        b.recv_frame(&mut out).unwrap();
+        assert_eq!(out, b"12345678");
+        assert!(matches!(
+            b.poll_recv_frame(&mut out),
+            Err(NetError::Decode(_))
+        ));
+    }
+
+    #[test]
+    fn two_part_send_is_the_frame_send_frame_produces() {
+        let weights: Arc<[f32]> = vec![1.5f32, -2.25, 0.0, 1.0e-8].into();
+        let tail_bytes: Vec<u8> = weights.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut whole = b"head".to_vec();
+        whole.extend_from_slice(&tail_bytes);
+
+        let (mut client, mut server) = tcp_pair();
+        let (mut la, mut lb) = loopback_pair();
+        let ends: [(&mut dyn Transport, &mut dyn Transport); 2] =
+            [(&mut client, &mut server), (&mut la, &mut lb)];
+        for (tx, rx) in ends {
+            let mut out = Vec::new();
+            tx.send_parts(b"head", Tail::Bytes(&tail_bytes)).unwrap();
+            rx.recv_frame(&mut out).unwrap();
+            assert_eq!(out, whole);
+            tx.send_parts(b"head", Tail::F32s(&weights)).unwrap();
+            rx.recv_frame(&mut out).unwrap();
+            assert_eq!(out, whole);
+            tx.send_parts(b"", Tail::NONE).unwrap();
+            rx.recv_frame(&mut out).unwrap();
+            assert_eq!(out, b"");
+        }
+    }
+
+    /// A writer that accepts `budget` more bytes, then refuses.
+    struct CutWriter {
+        budget: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for CutWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let before = self.got.len();
+            for b in bufs {
+                let k = b.len().min(self.budget);
+                self.got.extend_from_slice(&b[..k]);
+                self.budget -= k;
+            }
+            Ok(self.got.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    mod cut {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Wherever the vectored write of a two-part send is cut —
+            /// inside the prefix, the head or the tail, or exactly on a
+            /// boundary — and however the drain is then cut again, the
+            /// bytes that reach the writer are the uncut frame, and a
+            /// refused snapshot tail is held by reference.
+            #[test]
+            fn a_cut_two_part_send_resumes_at_the_right_byte(
+                head in prop::collection::vec(any::<u8>(), 0..12),
+                floats in prop::collection::vec(-4.0f32..4.0, 0..12),
+                cut in 0usize..80,
+                drain in 1usize..9,
+                shared in any::<bool>(),
+            ) {
+                let weights: Arc<[f32]> = floats.into();
+                let tail_bytes: Vec<u8> = weights.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let tail = if shared { Tail::F32s(&weights) } else { Tail::Bytes(&tail_bytes) };
+
+                let mut uncut = CutWriter { budget: usize::MAX, got: Vec::new() };
+                let mut q = OutQueue::default();
+                q.send(&mut uncut, &head, tail).unwrap();
+                prop_assert_eq!(q.bytes, 0);
+                let frame = uncut.got;
+                prop_assert_eq!(frame.len(), FRAME_PREFIX_BYTES + head.len() + tail_bytes.len());
+
+                let mut w = CutWriter { budget: cut, got: Vec::new() };
+                let mut q = OutQueue::default();
+                q.send(&mut w, &head, tail).unwrap();
+                // A second frame queues behind the first's remainder.
+                q.send(&mut w, b"next", Tail::NONE).unwrap();
+                prop_assert_eq!(q.bytes, (frame.len() + 8).saturating_sub(cut));
+                let queued_by_ref = q.chunks.iter().any(|c| matches!(c, Queued::F32s(_)));
+                let tail_cut = cut < frame.len() && !tail_bytes.is_empty();
+                prop_assert_eq!(
+                    queued_by_ref,
+                    shared && tail_cut && cfg!(target_endian = "little")
+                );
+                while q.bytes > 0 {
+                    w.budget = drain;
+                    q.flush(&mut w).unwrap();
+                }
+                prop_assert!(q.flush(&mut w).unwrap());
+                let mut expected = frame.clone();
+                expected.extend_from_slice(&4u32.to_le_bytes());
+                expected.extend_from_slice(b"next");
+                prop_assert_eq!(w.got, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn acceptor_closer_ends_a_parked_accept_at_once_and_for_good() {
+        let (acceptor, _addr) = TcpAcceptor::bind("127.0.0.1:0", fast_cfg()).unwrap();
+        let closer = acceptor.closer();
+        let t0 = Instant::now();
+        let parked = std::thread::spawn(move || {
+            let first = acceptor.accept(Duration::from_secs(30)).err();
+            let second = acceptor.accept(Duration::from_secs(30)).err();
+            (first, second)
+        });
+        closer.wake();
+        let (first, second) = parked.join().unwrap();
+        assert_eq!(first, Some(NetError::Closed));
+        assert_eq!(second, Some(NetError::Closed));
+        assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn close_wakes_a_reader_blocked_on_another_handle() {
+        let (mut client, _server) = tcp_pair();
+        let (mut la, _lb) = loopback_pair();
+        let ends: [&mut dyn Transport; 2] = [&mut client, &mut la];
+        for t in ends {
+            let mut reader = t.try_clone().unwrap();
+            reader.set_recv_timeout(None).unwrap();
+            let blocked = std::thread::spawn(move || reader.recv_frame(&mut Vec::new()));
+            t.close();
+            assert_eq!(blocked.join().unwrap(), Err(NetError::Closed));
+        }
     }
 }

@@ -24,7 +24,9 @@
 //! use real frame sizes instead of estimates.
 
 use crate::error::NetError;
-use cdsgd_compress::Compressed;
+use crate::sys::f32s_as_le_bytes;
+use cdsgd_compress::{BufferPool, Compressed};
+use std::sync::Arc;
 
 /// Variant tags carried in the top 3 bits of the payload header.
 const TAG_RAW: u32 = 0;
@@ -81,11 +83,13 @@ pub enum WireMsg {
     Pull { key: u32, min_version: u64 },
     /// Server → worker: the weights answering a [`WireMsg::Pull`]; echoes
     /// the *requested* version so the client can match outstanding pulls
-    /// even when the server raced one aggregate ahead.
+    /// even when the server raced one aggregate ahead. The weights are
+    /// decoded once, straight into the shared snapshot a waiting pull is
+    /// handed.
     PullReply {
         key: u32,
         min_version: u64,
-        weights: Vec<f32>,
+        weights: Arc<[f32]>,
     },
     /// Control → server: change the global learning rate.
     SetLr { lr: f32 },
@@ -150,6 +154,17 @@ pub fn pull_reply_frame_bytes(n: usize) -> usize {
     FRAME_PREFIX_BYTES + 1 + 4 + 8 + 4 * n
 }
 
+/// Largest frame body a worker or controller can legitimately send a
+/// shard whose longest key holds `max_key_len` weights: a push of the
+/// most verbose payload for that key (Top-k keeping every element, 8
+/// bytes each; a raw f32 push is half that). Its 13 header bytes alone
+/// already cover every control frame (the longest, a pull request, is 13
+/// bytes). A server bounds its inbound connections by this, so a hostile
+/// length prefix is refused before anything is reserved for it.
+pub fn max_inbound_body_bytes(max_key_len: usize) -> usize {
+    1 + 4 + 4 + 4 + 8 * max_key_len
+}
+
 // ---------------------------------------------------------------------------
 // Collective chunk frames
 // ---------------------------------------------------------------------------
@@ -200,11 +215,29 @@ pub fn collective_frame_bytes(n: usize) -> usize {
 /// Append a collective f32-chunk frame body (`phase` one of the chunk
 /// phases) to `buf` (not cleared).
 pub fn encode_collective_into(phase: u8, index: u32, values: &[f32], buf: &mut Vec<u8>) {
+    let tail = encode_collective_parts(phase, index, values, buf);
+    buf.extend_from_slice(tail);
+}
+
+/// A collective f32-chunk frame body in two parts, for
+/// [`crate::Transport::send_parts`]: the 10-byte header is appended to
+/// `buf` (not cleared) and the returned tail is `values`' own bytes, so a
+/// chunk goes from the gradient buffer to the socket without a staging
+/// copy. `buf ++ tail` is what [`encode_collective_into`] appends.
+pub fn encode_collective_parts<'a>(
+    phase: u8,
+    index: u32,
+    values: &'a [f32],
+    buf: &mut Vec<u8>,
+) -> &'a [u8] {
     buf.push(TAG_COLLECTIVE_FRAME);
     buf.push(phase);
     put_u32(buf, index);
     put_u32(buf, values.len() as u32);
-    put_f32s(buf, values);
+    f32s_as_le_bytes(values).unwrap_or_else(|| {
+        put_f32s(buf, values);
+        &[]
+    })
 }
 
 /// Append a [`COLLECTIVE_EXCHANGE`] (or [`COLLECTIVE_HELLO`]) frame body
@@ -353,11 +386,21 @@ pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
 }
 
 /// Append `values` as little-endian `f32`s to `buf`, byte for byte what
-/// one [`put_f32`] per element writes. The exact-size iterator lets
-/// `extend` reserve once and compile to a block copy, where a `put_f32`
-/// loop pays a capacity check per element.
+/// one [`put_f32`] per element writes: a block copy of the slice's own
+/// bytes where the host is little-endian, a per-element encode (the
+/// exact-size iterator lets `extend` reserve once) where it is not.
 pub fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
-    buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    match f32s_as_le_bytes(values) {
+        Some(bytes) => buf.extend_from_slice(bytes),
+        None => buf.extend(values.iter().flat_map(|v| v.to_le_bytes())),
+    }
+}
+
+/// The `f32`s a run of little-endian bytes encodes (`raw.len()` must be
+/// a multiple of 4). Exact-size, so collecting it allocates once.
+fn le_f32s(raw: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
+    raw.chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
 }
 
 /// A bounds-checked little-endian reader over a byte slice. Every read
@@ -406,11 +449,7 @@ impl<'a> Cursor<'a> {
     }
 
     pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, NetError> {
-        let raw = self.take(4 * n)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(le_f32s(self.take(4 * n)?).collect())
     }
 }
 
@@ -438,15 +477,32 @@ fn header(tag: u32, len: usize) -> u32 {
 /// cleared). Appends precisely [`Compressed::wire_bytes`] bytes.
 ///
 /// # Panics
+/// As [`encode_compressed_parts`].
+pub fn encode_compressed_into(c: &Compressed, buf: &mut Vec<u8>) {
+    let tail = encode_compressed_parts(c, buf);
+    buf.extend_from_slice(tail);
+}
+
+/// The wire encoding of `c` in two parts, for a two-part send: the
+/// header (and whatever has to be transformed to be encoded) is appended
+/// to `buf`, and the returned tail — borrowed from `c`, possibly empty —
+/// is the rest. `buf ++ tail` is byte for byte what
+/// [`encode_compressed_into`] appends: the bulk of a raw, 2-bit, 1-bit
+/// or ternary payload is already its own encoding and is never copied.
+///
+/// # Panics
 /// Panics if the payload violates its own construction invariants
 /// (element count over 2^29 − 1, QSGD code outside `[-levels, levels]`,
 /// or a Top-k index/value length mismatch) — these cannot come from the
 /// codecs in `cdsgd-compress`, only from hand-built payloads.
-pub fn encode_compressed_into(c: &Compressed, buf: &mut Vec<u8>) {
+pub fn encode_compressed_parts<'a>(c: &'a Compressed, buf: &mut Vec<u8>) -> &'a [u8] {
     match c {
         Compressed::Raw(v) => {
             put_u32(buf, header(TAG_RAW, v.len()));
-            put_f32s(buf, v);
+            f32s_as_le_bytes(v).unwrap_or_else(|| {
+                put_f32s(buf, v);
+                &[]
+            })
         }
         Compressed::TwoBit {
             threshold,
@@ -455,17 +511,17 @@ pub fn encode_compressed_into(c: &Compressed, buf: &mut Vec<u8>) {
         } => {
             put_u32(buf, header(TAG_TWO_BIT, *len));
             put_f32(buf, *threshold);
-            buf.extend_from_slice(packed);
+            packed
         }
         Compressed::OneBit { scale, signs, len } => {
             put_u32(buf, header(TAG_ONE_BIT, *len));
             put_f32(buf, *scale);
-            buf.extend_from_slice(signs);
+            signs
         }
         Compressed::Tern { scale, packed, len } => {
             put_u32(buf, header(TAG_TERN, *len));
             put_f32(buf, *scale);
-            buf.extend_from_slice(packed);
+            packed
         }
         Compressed::Qsgd {
             norm,
@@ -499,6 +555,7 @@ pub fn encode_compressed_into(c: &Compressed, buf: &mut Vec<u8>) {
             if nbits > 0 {
                 buf.push(acc as u8);
             }
+            &[]
         }
         Compressed::TopK {
             indices,
@@ -515,6 +572,7 @@ pub fn encode_compressed_into(c: &Compressed, buf: &mut Vec<u8>) {
                 put_u32(buf, i);
                 put_f32(buf, v);
             }
+            &[]
         }
     }
 }
@@ -528,10 +586,22 @@ pub fn encode_compressed_into(c: &Compressed, buf: &mut Vec<u8>) {
 /// element count, Top-k indices in range) is validated here so a hostile
 /// or corrupted frame cannot panic the server.
 pub fn decode_compressed(bytes: &[u8]) -> Result<Compressed, NetError> {
+    decode_compressed_in(bytes, None)
+}
+
+/// [`decode_compressed`] with the payload's storage drawn from `pool`
+/// when there is one — the server decodes pushes into the buffers its
+/// aggregation loop recycles, so a steady-state round allocates nothing.
+fn decode_compressed_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<Compressed, NetError> {
     let mut cur = Cursor::new(bytes);
     let head = cur.u32()?;
     let tag = head >> LEN_BITS;
     let len = (head & LEN_MASK) as usize;
+    let byte_vec = |raw: &[u8]| {
+        let mut v = pool.map_or_else(Vec::new, BufferPool::take_bytes);
+        v.extend_from_slice(raw);
+        v
+    };
     match tag {
         TAG_RAW => {
             if cur.remaining() != 4 * len {
@@ -541,17 +611,20 @@ pub fn decode_compressed(bytes: &[u8]) -> Result<Compressed, NetError> {
                     cur.remaining()
                 )));
             }
-            Ok(Compressed::Raw(cur.f32s(len)?))
+            let mut v = pool.map_or_else(Vec::new, BufferPool::take_f32);
+            v.extend(le_f32s(cur.take(4 * len)?));
+            Ok(Compressed::Raw(v))
         }
         TAG_TWO_BIT | TAG_TERN => {
             let scalar = cur.f32()?;
-            let packed = cur.take(cur.remaining())?.to_vec();
-            if packed.len() * 4 < len {
+            let raw = cur.take(cur.remaining())?;
+            if raw.len() * 4 < len {
                 return Err(NetError::Decode(format!(
                     "{} packed bytes cannot hold {len} 2-bit symbols",
-                    packed.len()
+                    raw.len()
                 )));
             }
+            let packed = byte_vec(raw);
             Ok(if tag == TAG_TWO_BIT {
                 Compressed::TwoBit {
                     threshold: scalar,
@@ -568,14 +641,18 @@ pub fn decode_compressed(bytes: &[u8]) -> Result<Compressed, NetError> {
         }
         TAG_ONE_BIT => {
             let scale = cur.f32()?;
-            let signs = cur.take(cur.remaining())?.to_vec();
-            if signs.len() * 8 < len {
+            let raw = cur.take(cur.remaining())?;
+            if raw.len() * 8 < len {
                 return Err(NetError::Decode(format!(
                     "{} sign bytes cannot hold {len} 1-bit symbols",
-                    signs.len()
+                    raw.len()
                 )));
             }
-            Ok(Compressed::OneBit { scale, signs, len })
+            Ok(Compressed::OneBit {
+                scale,
+                signs: byte_vec(raw),
+                len,
+            })
         }
         TAG_QSGD => {
             let norm = cur.f32()?;
@@ -589,7 +666,8 @@ pub fn decode_compressed(bytes: &[u8]) -> Result<Compressed, NetError> {
                 )));
             }
             let packed = cur.take(expect)?;
-            let mut codes = Vec::with_capacity(len);
+            let mut codes = pool.map_or_else(Vec::new, BufferPool::take_i8);
+            codes.reserve(len);
             let mut acc: u64 = 0;
             let mut nbits: usize = 0;
             let mut next = 0usize;
@@ -626,8 +704,10 @@ pub fn decode_compressed(bytes: &[u8]) -> Result<Compressed, NetError> {
                 )));
             }
             let k = cur.remaining() / 8;
-            let mut indices = Vec::with_capacity(k);
-            let mut values = Vec::with_capacity(k);
+            let mut indices = pool.map_or_else(Vec::new, BufferPool::take_u32);
+            let mut values = pool.map_or_else(Vec::new, BufferPool::take_f32);
+            indices.reserve(k);
+            values.reserve(k);
             for _ in 0..k {
                 let i = cur.u32()?;
                 if i as usize >= len {
@@ -652,14 +732,28 @@ pub fn decode_compressed(bytes: &[u8]) -> Result<Compressed, NetError> {
 // message codec
 // ---------------------------------------------------------------------------
 
-/// Encode a push message body into `buf` (cleared first). Zero-copy over
-/// the payload reference — this is the worker hot path.
+/// Encode a push message body into `buf` (cleared first).
 pub fn encode_push_into(worker: u32, key: u32, payload: &Compressed, buf: &mut Vec<u8>) {
+    let tail = encode_push_parts(worker, key, payload, buf);
+    buf.extend_from_slice(tail);
+}
+
+/// A push message body in two parts, for [`crate::Transport::send_parts`]
+/// — the worker hot path: the head (opcode, routing, payload header) goes
+/// into `buf` (cleared first), the returned tail is the payload's bulk,
+/// borrowed from `payload` (see [`encode_compressed_parts`]). `buf ++
+/// tail` is exactly what [`encode_push_into`] produces.
+pub fn encode_push_parts<'a>(
+    worker: u32,
+    key: u32,
+    payload: &'a Compressed,
+    buf: &mut Vec<u8>,
+) -> &'a [u8] {
     buf.clear();
     buf.push(OP_PUSH);
     put_u32(buf, worker);
     put_u32(buf, key);
-    encode_compressed_into(payload, buf);
+    encode_compressed_parts(payload, buf)
 }
 
 /// Encode a pull request body into `buf` (cleared first).
@@ -674,11 +768,19 @@ pub fn encode_pull_into(key: u32, min_version: u64, buf: &mut Vec<u8>) {
 /// slice by reference so the server can frame an `Arc<[f32]>` snapshot
 /// without materialising a `Vec`.
 pub fn encode_pull_reply_into(key: u32, min_version: u64, weights: &[f32], buf: &mut Vec<u8>) {
+    encode_pull_reply_head_into(key, min_version, buf);
+    put_f32s(buf, weights);
+}
+
+/// Encode everything of a pull-reply body *before* the weights into
+/// `buf` (cleared first): the head of a two-part send whose tail is the
+/// shared snapshot itself ([`crate::Tail::F32s`]), so one snapshot
+/// answers any number of connections without being encoded once.
+pub fn encode_pull_reply_head_into(key: u32, min_version: u64, buf: &mut Vec<u8>) {
     buf.clear();
     buf.push(OP_PULL_REPLY);
     put_u32(buf, key);
     put_u64(buf, min_version);
-    put_f32s(buf, weights);
 }
 
 /// Encode a set-lr body into `buf` (cleared first).
@@ -807,13 +909,23 @@ pub fn encode_msg_into(msg: &WireMsg, buf: &mut Vec<u8>) {
 
 /// Decode one frame body into a [`WireMsg`], consuming the entire slice.
 pub fn decode_msg(bytes: &[u8]) -> Result<WireMsg, NetError> {
+    decode_msg_in(bytes, None)
+}
+
+/// [`decode_msg`] with a push payload's storage drawn from `pool` (the
+/// one the receiver recycles aggregated payloads into).
+pub fn decode_msg_pooled(bytes: &[u8], pool: &BufferPool) -> Result<WireMsg, NetError> {
+    decode_msg_in(bytes, Some(pool))
+}
+
+fn decode_msg_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<WireMsg, NetError> {
     let mut cur = Cursor::new(bytes);
     let op = cur.u8()?;
     let msg = match op {
         OP_PUSH => {
             let worker = cur.u32()?;
             let key = cur.u32()?;
-            let payload = decode_compressed(cur.take(cur.remaining())?)?;
+            let payload = decode_compressed_in(cur.take(cur.remaining())?, pool)?;
             WireMsg::Push {
                 worker,
                 key,
@@ -833,11 +945,12 @@ pub fn decode_msg(bytes: &[u8]) -> Result<WireMsg, NetError> {
                     cur.remaining()
                 )));
             }
-            let n = cur.remaining() / 4;
+            // One pass from the frame into the shared allocation the
+            // waiting pull is handed (exact-size collect: no `Vec` between).
             WireMsg::PullReply {
                 key,
                 min_version,
-                weights: cur.f32s(n)?,
+                weights: le_f32s(cur.take(cur.remaining())?).collect(),
             }
         }
         OP_SET_LR => WireMsg::SetLr { lr: cur.f32()? },
@@ -1014,7 +1127,7 @@ mod tests {
             WireMsg::PullReply {
                 key: 2,
                 min_version: 40,
-                weights: vec![1.0, 2.0, 3.0],
+                weights: vec![1.0, 2.0, 3.0].into(),
             },
             WireMsg::SetLr { lr: 0.05 },
             WireMsg::Snapshot,
@@ -1062,6 +1175,40 @@ mod tests {
             buf.len() + FRAME_PREFIX_BYTES,
             pull_reply_frame_bytes(weights.len())
         );
+    }
+
+    #[test]
+    fn inbound_limit_covers_every_client_to_server_frame() {
+        // The most verbose push of an n-element key, and every control
+        // frame even when the shard's longest key is empty.
+        let n = 5usize;
+        let dense_topk = Compressed::TopK {
+            indices: (0..n as u32).collect(),
+            values: vec![1.0; n],
+            len: n,
+        };
+        let mut buf = Vec::new();
+        for payload in [dense_topk, Compressed::Raw(vec![1.0; n])] {
+            encode_push_into(u32::MAX, u32::MAX, &payload, &mut buf);
+            assert!(buf.len() <= max_inbound_body_bytes(n));
+        }
+        for msg in [
+            WireMsg::Pull {
+                key: u32::MAX,
+                min_version: u64::MAX,
+            },
+            WireMsg::SetLr { lr: 0.5 },
+            WireMsg::Snapshot,
+            WireMsg::Shutdown,
+            WireMsg::Register { worker: u32::MAX },
+            WireMsg::Heartbeat { worker: u32::MAX },
+            WireMsg::Leave { worker: u32::MAX },
+            WireMsg::CancelJoin { worker: u32::MAX },
+            WireMsg::Checkpoint,
+        ] {
+            encode_msg_into(&msg, &mut buf);
+            assert!(buf.len() <= max_inbound_body_bytes(0), "{msg:?}");
+        }
     }
 
     #[test]

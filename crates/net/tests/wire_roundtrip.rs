@@ -3,9 +3,10 @@
 //! `encode(c).len() == c.wire_bytes()` so the traffic counters account
 //! exactly the bytes that cross a transport.
 
-use cdsgd_compress::{pack_1bit, pack_2bit, Compressed};
+use cdsgd_compress::{pack_1bit, pack_2bit, BufferPool, Compressed};
 use cdsgd_net::wire::{
-    decode_compressed, decode_msg, encode_compressed_into, encode_msg_into, pull_reply_frame_bytes,
+    decode_compressed, decode_msg, decode_msg_pooled, encode_compressed_into,
+    encode_compressed_parts, encode_msg_into, encode_push_parts, pull_reply_frame_bytes,
     push_frame_bytes, WireMsg, FRAME_PREFIX_BYTES,
 };
 use proptest::prelude::*;
@@ -20,6 +21,11 @@ fn assert_round_trip(c: &Compressed) {
         "encoded length must equal wire_bytes for {c:?}"
     );
     assert_eq!(&decode_compressed(&buf).unwrap(), c, "round trip of {c:?}");
+    // The two-part encoding is the same byte string, split.
+    let mut head = Vec::new();
+    let tail = encode_compressed_parts(c, &mut head);
+    head.extend_from_slice(tail);
+    assert_eq!(head, buf, "head ++ tail of {c:?}");
 }
 
 proptest! {
@@ -111,12 +117,22 @@ proptest! {
             buf.len() + FRAME_PREFIX_BYTES,
             push_frame_bytes(payload.wire_bytes())
         );
-        prop_assert_eq!(decode_msg(&buf).unwrap(), msg);
+        prop_assert_eq!(decode_msg(&buf).unwrap(), msg.clone());
+        let mut head = Vec::new();
+        let tail = encode_push_parts(worker, key, &payload, &mut head);
+        head.extend_from_slice(tail);
+        prop_assert_eq!(&head, &buf);
+        // Decoding into pooled storage gives the same message and uses
+        // the buffer the pool was holding.
+        let pool = BufferPool::new();
+        pool.put_f32(Vec::with_capacity(64));
+        prop_assert_eq!(decode_msg_pooled(&buf, &pool).unwrap(), msg);
+        prop_assert_eq!((pool.hits(), pool.misses()), (1, 0));
     }
 
     #[test]
     fn pull_reply_frames_round_trip_with_exact_sizes(w in prop::collection::vec(-2.0f32..2.0, 0..32), key in 0u32..64, version in 0u64..1000) {
-        let msg = WireMsg::PullReply { key, min_version: version, weights: w.clone() };
+        let msg = WireMsg::PullReply { key, min_version: version, weights: w.clone().into() };
         let mut buf = Vec::new();
         encode_msg_into(&msg, &mut buf);
         prop_assert_eq!(buf.len() + FRAME_PREFIX_BYTES, pull_reply_frame_bytes(w.len()));

@@ -4,12 +4,51 @@ use crate::server::Msg;
 use crate::stats::TrafficStats;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
-use cdsgd_net::NetError;
+use cdsgd_net::{NetError, Waker};
 use crossbeam_channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
 
 /// A snapshot reply: all weights plus the per-key versions.
 pub(crate) type Snapshot = (Vec<Vec<f32>>, Vec<u64>);
+
+/// The sending half of a reply the server thread owes a requester.
+///
+/// A requester that blocks on the receiver needs nothing more. An event
+/// loop that parks in `poll(2)` instead passes its [`Waker`] along, and
+/// is woken once the reply is resolved *either way*: sent, or dropped
+/// unsent (how the server fails a registration or dies with pulls
+/// parked). Dropping is what fires the wake, so neither path can forget
+/// it.
+pub(crate) struct ReplyTx<T> {
+    // Field order is load-bearing: fields drop in declaration order, so
+    // the sender is gone (value delivered, or channel disconnected)
+    // before the wake that makes the loop look at the receiver.
+    tx: Sender<T>,
+    _wake: Option<WakeOnDrop>,
+}
+
+struct WakeOnDrop(Waker);
+
+impl Drop for WakeOnDrop {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
+impl<T> ReplyTx<T> {
+    /// A one-shot reply channel; `waker` is the requester's event loop,
+    /// if it has one.
+    fn channel(waker: Option<&Waker>) -> (Self, Receiver<T>) {
+        let (tx, rx) = bounded(1);
+        let _wake = waker.cloned().map(WakeOnDrop);
+        (Self { tx, _wake }, rx)
+    }
+
+    /// Deliver the reply (a requester that stopped waiting is fine).
+    pub(crate) fn send(self, value: T) {
+        let _ = self.tx.send(value);
+    }
+}
 
 /// An outstanding asynchronous pull: resolves to the requested weight
 /// snapshot once the server reaches the version. Uniform across the
@@ -50,11 +89,26 @@ pub struct PsClient {
     tx: Sender<Msg>,
     stats: Arc<TrafficStats>,
     pool: BufferPool,
+    /// Woken whenever a reply to one of this handle's `*_async` requests
+    /// is resolved. `None` for callers that block on the reply.
+    waker: Option<Waker>,
 }
 
 impl PsClient {
     pub(crate) fn new(tx: Sender<Msg>, stats: Arc<TrafficStats>, pool: BufferPool) -> Self {
-        Self { tx, stats, pool }
+        Self {
+            tx,
+            stats,
+            pool,
+            waker: None,
+        }
+    }
+
+    /// This handle for an event loop: every reply it is owed wakes
+    /// `waker` when the server thread resolves it.
+    pub(crate) fn waking(mut self, waker: Waker) -> Self {
+        self.waker = Some(waker);
+        self
     }
 
     /// Push a gradient payload for `key` on behalf of `worker`.
@@ -97,7 +151,7 @@ impl PsClient {
     /// algorithms overlap the pull transfer with the next iteration's
     /// computation (MXNet's engine issues pulls asynchronously too).
     pub fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
         self.tx
             .send(Msg::Pull {
                 key,
@@ -132,7 +186,7 @@ impl PsClient {
     /// receiver resolves once the server replies, and disconnects if the
     /// server dies (or entered the failed state) first.
     pub(crate) fn snapshot_async(&self) -> Result<Receiver<Snapshot>, NetError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
         self.tx
             .send(Msg::Snapshot { reply: reply_tx })
             .map_err(|_| NetError::ServerGone)?;
@@ -161,7 +215,7 @@ impl PsClient {
         conn: u64,
         worker: usize,
     ) -> Result<Receiver<Vec<u64>>, NetError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
         self.tx
             .send(Msg::Join {
                 worker,
@@ -210,7 +264,7 @@ impl PsClient {
 
     /// Fire-and-forget checkpoint request (event-loop support).
     pub(crate) fn checkpoint_async(&self) -> Result<Receiver<Option<u64>>, NetError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
         self.tx
             .send(Msg::Checkpoint { reply: reply_tx })
             .map_err(|_| NetError::ServerGone)?;

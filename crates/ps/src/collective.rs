@@ -51,10 +51,10 @@
 use crate::api::{ParamClient, PsBackend};
 use crate::stats::TrafficStats;
 use cdsgd_net::{
-    decode_collective, encode_collective_bytes_into, encode_collective_into, loopback_pair,
-    NetConfig, NetError, TcpAcceptor, TcpTransport, Transport, COLLECTIVE_EXCHANGE,
-    COLLECTIVE_GATHER, COLLECTIVE_HELLO, COLLECTIVE_SCATTER, COLLECTIVE_TREE_DOWN,
-    COLLECTIVE_TREE_UP, FRAME_PREFIX_BYTES,
+    decode_collective, encode_collective_bytes_into, encode_collective_into,
+    encode_collective_parts, loopback_pair, NetConfig, NetError, Tail, TcpAcceptor, TcpTransport,
+    Transport, COLLECTIVE_EXCHANGE, COLLECTIVE_GATHER, COLLECTIVE_HELLO, COLLECTIVE_SCATTER,
+    COLLECTIVE_TREE_DOWN, COLLECTIVE_TREE_UP, FRAME_PREFIX_BYTES,
 };
 use cdsgd_tensor::kernel;
 use std::sync::{Arc, Mutex};
@@ -170,12 +170,13 @@ fn recv_recorded(
     Ok(())
 }
 
-/// One link's part in a collective step: optionally a frame to write and
-/// optionally a buffer expecting one inbound frame. Each transport
-/// appears in at most one descriptor per step.
+/// One link's part in a collective step: optionally a frame to write
+/// (as the head and borrowed tail of a two-part send) and optionally a
+/// buffer expecting one inbound frame. Each transport appears in at most
+/// one descriptor per step.
 struct LinkIo<'a> {
     link: &'a mut dyn Transport,
-    send: Option<&'a [u8]>,
+    send: Option<(&'a [u8], &'a [u8])>,
     recv: Option<&'a mut Vec<u8>>,
 }
 
@@ -183,32 +184,29 @@ struct LinkIo<'a> {
 /// into every expecting buffer, without requiring any global
 /// send/receive ordering across the group. In blocking mode (loopback:
 /// queue-backed sends never block) this is sequential send-then-receive.
-/// In non-blocking mode (TCP) the sends are queued and both directions
-/// are pumped together, so a full socket buffer on the send side can
-/// never deadlock against a peer doing the same.
+/// In non-blocking mode (TCP) a send writes what the socket takes and
+/// queues the rest, and both directions are pumped together, so a full
+/// socket buffer on the send side can never deadlock against a peer
+/// doing the same.
 fn duplex_step(
     stats: &TrafficStats,
     nonblocking: bool,
     links: &mut [LinkIo<'_>],
 ) -> Result<(), NetError> {
-    if !nonblocking {
-        for l in links.iter_mut() {
-            if let Some(frame) = l.send {
-                send_recorded(l.link, frame, stats)?;
-            }
+    for l in links.iter_mut() {
+        if let Some((head, tail)) = l.send {
+            let frame = FRAME_PREFIX_BYTES + head.len() + tail.len();
+            stats.record_sent(l.link.conn_id(), frame);
+            l.link.send_parts(head, Tail::Bytes(tail))?;
         }
+    }
+    if !nonblocking {
         for l in links.iter_mut() {
             if let Some(out) = l.recv.as_deref_mut() {
                 recv_recorded(l.link, out, stats)?;
             }
         }
         return Ok(());
-    }
-    for l in links.iter_mut() {
-        if let Some(frame) = l.send {
-            stats.record_sent(l.link.conn_id(), FRAME_PREFIX_BYTES + frame.len());
-            l.link.poll_send_frame(frame)?;
-        }
     }
     let deadline = Instant::now() + STEP_TIMEOUT;
     let mut flushed: Vec<bool> = links.iter().map(|l| l.send.is_none()).collect();
@@ -477,8 +475,10 @@ impl Collective for WireRing {
             let send_idx = (self.rank + n - s) % n;
             let recv_idx = (self.rank + n - s - 1) % n;
             let src = &data[chunk_range(len, n, send_idx)];
+            // Header into `frame`; the chunk goes out from `data` itself.
             self.frame.clear();
-            encode_collective_into(COLLECTIVE_SCATTER, send_idx as u32, src, &mut self.frame);
+            let tail =
+                encode_collective_parts(COLLECTIVE_SCATTER, send_idx as u32, src, &mut self.frame);
             self.stats.record_push(4 * src.len());
             duplex_step(
                 &self.stats,
@@ -486,7 +486,7 @@ impl Collective for WireRing {
                 &mut [
                     LinkIo {
                         link: self.next.as_mut(),
-                        send: Some(&self.frame),
+                        send: Some((&self.frame, tail)),
                         recv: None,
                     },
                     LinkIo {
@@ -513,8 +513,10 @@ impl Collective for WireRing {
             let send_idx = (self.rank + 1 + n - s) % n;
             let recv_idx = (self.rank + n - s) % n;
             let src = &data[chunk_range(len, n, send_idx)];
+            // Header into `frame`; the chunk goes out from `data` itself.
             self.frame.clear();
-            encode_collective_into(COLLECTIVE_GATHER, send_idx as u32, src, &mut self.frame);
+            let tail =
+                encode_collective_parts(COLLECTIVE_GATHER, send_idx as u32, src, &mut self.frame);
             self.stats.record_push(4 * src.len());
             duplex_step(
                 &self.stats,
@@ -522,7 +524,7 @@ impl Collective for WireRing {
                 &mut [
                     LinkIo {
                         link: self.next.as_mut(),
-                        send: Some(&self.frame),
+                        send: Some((&self.frame, tail)),
                         recv: None,
                     },
                     LinkIo {
@@ -584,12 +586,12 @@ impl Collective for WireRing {
             &mut [
                 LinkIo {
                     link: self.next.as_mut(),
-                    send: Some(&self.frame),
+                    send: Some((&self.frame, &[])),
                     recv: Some(&mut self.rbuf2),
                 },
                 LinkIo {
                     link: self.prev.as_mut(),
-                    send: Some(&self.frame2),
+                    send: Some((&self.frame2, &[])),
                     recv: Some(&mut self.rbuf),
                 },
             ],

@@ -10,16 +10,32 @@
 //! preserved because each worker's pushes travel one ordered connection.
 //!
 //! The server side multiplexes every connection onto a small fixed pool
-//! of I/O threads (readiness polling over non-blocking transports — see
-//! [`Transport::poll_recv_frame`] and friends) instead of spawning a
-//! reader/writer thread pair per connection, so one `psd` process
-//! sustains hundreds of workers with a constant thread count. Each
-//! connection keeps a per-connection read buffer and a FIFO of pending
-//! replies with a bounded outbound queue: replies go out in request
-//! order, and a pull for a not-yet-reached version delays later replies
-//! on *that connection only* — harmless for the training workload, where
-//! workers request versions in nondecreasing order and never gate a push
-//! on an outstanding reply.
+//! of I/O threads instead of spawning a reader/writer thread pair per
+//! connection, so one `psd` process sustains hundreds of workers with a
+//! constant thread count. An I/O thread blocks in exactly one place —
+//! `poll(2)` over its wake pipe plus the descriptor of every socket it
+//! owns — so an idle server makes no passes at all, and a busy one adds
+//! no latency floor of its own. Whatever can create work without
+//! touching one of those sockets writes the wake pipe: the shard thread
+//! resolving a parked pull/snapshot/register/checkpoint reply (the reply
+//! sender carries the waker — see `ReplyTx`), [`PsNetServer::attach`],
+//! [`PsNetServer::shutdown`], and a descriptor-less transport's inbound
+//! queue (loopback). The wake is level-triggered, so work that appears
+//! between a pass and the wait that follows it ends that wait at once.
+//!
+//! Each connection keeps a per-connection read buffer and a FIFO of
+//! pending replies with a bounded outbound queue: replies go out in
+//! request order, and a pull for a not-yet-reached version delays later
+//! replies on *that connection only* — harmless for the training
+//! workload, where workers request versions in nondecreasing order and
+//! never gate a push on an outstanding reply.
+//!
+//! Bulk bytes are copied as often as the socket requires and no more: a
+//! pull reply leaves as a 13-byte head plus the shard's own `Arc<[f32]>`
+//! snapshot ([`Tail::F32s`]), a push as its header plus the payload's own
+//! storage, and on arrival a push is decoded into [`BufferPool`] storage
+//! and a pull reply into the `Arc<[f32]>` its waiter receives (DESIGN.md
+//! §3 has the per-direction copy table).
 
 use crate::api::{ParamClient, PsBackend};
 use crate::client::{PendingPull, PsClient};
@@ -31,19 +47,22 @@ use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::wire::{self, WireMsg, FRAME_PREFIX_BYTES};
 use cdsgd_net::{
-    loopback_pair, FaultPlan, FaultyTransport, NetConfig, NetError, ReconnectConfig, TcpAcceptor,
-    TcpTransport, Transport,
+    loopback_pair, wake_pair, FaultPlan, FaultyTransport, NetConfig, NetError, Poller,
+    ReconnectConfig, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx, Waker,
 };
 use cdsgd_telemetry::{Event, Telemetry};
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Poll interval for stoppable blocking reads. Short enough that
-/// shutdown feels instant, long enough to stay off the scheduler.
+/// Poll interval for the blocking waits that still run on a timer (the
+/// accept loop's deadline, the reconnect supervisor's idle park). Every
+/// one of them is also woken explicitly, so this bounds nothing a user
+/// waits for.
 const POLL: Duration = Duration::from_millis(200);
 
 /// Number of I/O threads a [`PsNetServer`] multiplexes its connections
@@ -59,11 +78,6 @@ const MAX_CONN_WBUF: usize = 1 << 20;
 /// Frames read from one connection per event-loop visit, so a firehose
 /// connection cannot starve its neighbours on the same I/O thread.
 const READ_BURST: usize = 32;
-
-/// Event-loop sleep when a full pass over all connections moved no
-/// bytes. Short enough to keep added latency in the noise, long enough
-/// to keep an idle server off the scheduler.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 pub(crate) fn spawn_err(e: std::io::Error) -> NetError {
     NetError::Io(format!("spawn connection thread: {e}"))
@@ -90,10 +104,20 @@ enum Reply {
 /// transport, a reusable read buffer, and the FIFO of replies owed.
 struct Conn {
     t: Box<dyn Transport>,
+    /// The descriptor the I/O thread polls for this connection; `None`
+    /// for a transport that wakes the thread itself.
+    fd: Option<RawFd>,
     rbuf: Vec<u8>,
     replies: VecDeque<Reply>,
     /// Transport connection id, tagged onto frame events.
     id: u64,
+}
+
+/// The handles a [`PsNetServer`] keeps on one of its I/O threads: where
+/// to hand it a new connection, and how to end its wait.
+struct IoThread {
+    conns: Sender<Conn>,
+    waker: Waker,
 }
 
 /// One parameter-server shard served over transports: wraps an ordinary
@@ -113,9 +137,17 @@ pub struct PsNetServer {
     shutdown_signal: Arc<(Mutex<bool>, Condvar)>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// New connections are handed to I/O threads round-robin.
-    conn_txs: Vec<Sender<Conn>>,
+    io: Vec<IoThread>,
     next_io: AtomicUsize,
+    /// Closers of the listeners being served, woken on shutdown.
+    listeners: Mutex<Vec<Waker>>,
+    /// Largest frame body a legitimate client can send this shard; the
+    /// inbound limit of every attached connection.
+    recv_limit: usize,
     rejected: Arc<AtomicU64>,
+    /// Passes the I/O threads have made over their connections.
+    #[cfg(test)]
+    passes: Arc<AtomicU64>,
 }
 
 impl PsNetServer {
@@ -137,24 +169,34 @@ impl PsNetServer {
         telemetry: Telemetry,
         durability: Durability,
     ) -> Arc<Self> {
+        let longest_key = init.iter().map(Vec::len).max().unwrap_or(0);
         let ps = ParamServer::start_with(init, cfg, telemetry, durability);
-        let client = ps.client();
         let stats = ps.shared_stats();
         let stop = Arc::new(AtomicBool::new(false));
         let signal = Arc::new((Mutex::new(false), Condvar::new()));
+        #[cfg(test)]
+        let passes = Arc::new(AtomicU64::new(0));
         let mut threads = Vec::new();
-        let mut conn_txs = Vec::new();
+        let mut io = Vec::new();
         for i in 0..IO_THREADS {
             let (tx, rx) = unbounded::<Conn>();
-            conn_txs.push(tx);
-            let client = client.clone();
-            let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
-            let signal = Arc::clone(&signal);
+            let (waker, wake_rx) = wake_pair().expect("create I/O thread wake pipe");
+            let io_loop = IoLoop {
+                conns: rx,
+                wake: wake_rx,
+                // Replies this thread is owed end its wait.
+                client: ps.client().waking(waker.clone()),
+                stats: Arc::clone(&stats),
+                stop: Arc::clone(&stop),
+                signal: Arc::clone(&signal),
+                #[cfg(test)]
+                passes: Arc::clone(&passes),
+            };
+            io.push(IoThread { conns: tx, waker });
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("psd-io-{i}"))
-                    .spawn(move || io_loop(rx, client, stats, stop, signal))
+                    .spawn(move || io_loop.run())
                     .expect("spawn I/O thread"),
             );
         }
@@ -165,27 +207,34 @@ impl PsNetServer {
             stop,
             shutdown_signal: signal,
             threads: Mutex::new(threads),
-            conn_txs,
+            io,
             next_io: AtomicUsize::new(0),
+            listeners: Mutex::new(Vec::new()),
+            recv_limit: wire::max_inbound_body_bytes(longest_key),
             rejected: Arc::new(AtomicU64::new(0)),
+            #[cfg(test)]
+            passes,
         })
     }
 
-    /// Serve one established connection: switch it to non-blocking mode
-    /// and hand it to an I/O thread (round-robin).
+    /// Serve one established connection: switch it to non-blocking mode,
+    /// bound its inbound frames by the largest a legitimate client of
+    /// this shard can send, and hand it to an I/O thread (round-robin).
     pub fn attach(&self, transport: Box<dyn Transport>) -> Result<(), NetError> {
+        let io = &self.io[self.next_io.fetch_add(1, Ordering::Relaxed) % self.io.len()];
         let mut t = transport;
         t.set_nonblocking(true)?;
+        t.set_recv_limit(self.recv_limit);
         let conn = Conn {
             id: t.conn_id(),
+            fd: t.register(&io.waker),
             t,
             rbuf: Vec::new(),
             replies: VecDeque::new(),
         };
-        let i = self.next_io.fetch_add(1, Ordering::Relaxed) % self.conn_txs.len();
-        self.conn_txs[i]
-            .send(conn)
-            .map_err(|_| NetError::ServerGone)
+        io.conns.send(conn).map_err(|_| NetError::ServerGone)?;
+        io.waker.wake();
+        Ok(())
     }
 
     /// Accept connections from `acceptor` until shutdown. A connection
@@ -193,11 +242,12 @@ impl PsNetServer {
     /// and reported as a [`Event::ConnRejected`] instead of silently
     /// dropped — and does not tear down the acceptor.
     pub fn listen(self: &Arc<Self>, acceptor: TcpAcceptor) {
+        self.listeners.lock().unwrap().push(acceptor.closer());
         let me = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name("psd-accept".into())
             .spawn(move || loop {
-                if me.stop.load(Ordering::Relaxed) {
+                if me.stop.load(Ordering::SeqCst) {
                     break;
                 }
                 match acceptor.accept(POLL) {
@@ -207,12 +257,12 @@ impl PsNetServer {
                         }
                     }
                     Err(NetError::Timeout) => continue,
+                    // Shutdown woke the closer.
+                    Err(NetError::Closed) => break,
                     Err(e) => {
                         // The listener itself is broken; report once and
-                        // stop accepting (unless this is just shutdown).
-                        if !me.stop.load(Ordering::Relaxed) {
-                            me.reject(&e);
-                        }
+                        // stop accepting.
+                        me.reject(&e);
                         break;
                     }
                 }
@@ -232,7 +282,7 @@ impl PsNetServer {
     /// Number of I/O threads multiplexing this server's connections —
     /// fixed at startup, independent of how many workers attach.
     pub fn io_threads(&self) -> usize {
-        self.conn_txs.len()
+        self.io.len()
     }
 
     /// Connection attempts that failed to attach (see
@@ -277,15 +327,20 @@ impl PsNetServer {
         &self.stats
     }
 
-    /// Stop serving: drop all connections, then stop the server thread.
-    /// Idempotent (connection threads may already be gone).
+    /// Stop serving: wake the accept and I/O threads out of their waits
+    /// (they drop all connections), stop the server thread, join them.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         let (flag, cv) = &*self.shutdown_signal;
         *flag.lock().unwrap() = true;
         cv.notify_all();
-        // Stopping the inner server first unblocks writer threads parked
-        // in `PendingPull::wait` on versions that will never arrive.
+        for listener in self.listeners.lock().unwrap().drain(..) {
+            listener.wake();
+        }
+        for io in &self.io {
+            io.waker.wake();
+        }
         if let Some(ps) = self.ps.lock().unwrap().take() {
             ps.shutdown();
         }
@@ -302,174 +357,190 @@ impl Drop for PsNetServer {
     }
 }
 
-/// One I/O thread: adopt connections from `rx`, then loop over all of
-/// them — read ready frames, dispatch to the in-process client, pop
-/// resolved replies (FIFO, bounded outbound queue), flush. Sleeps only
-/// when a full pass moved nothing.
-fn io_loop(
-    rx: Receiver<Conn>,
+/// One I/O thread: block until something can have changed, adopt new
+/// connections, then visit every connection — read ready frames,
+/// dispatch to the in-process client, pop resolved replies (FIFO, bounded
+/// outbound queue), flush.
+struct IoLoop {
+    conns: Receiver<Conn>,
+    wake: WakeRx,
     client: PsClient,
     stats: Arc<TrafficStats>,
     stop: Arc<AtomicBool>,
     signal: Arc<(Mutex<bool>, Condvar)>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut wbuf = Vec::new();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        while let Ok(c) = rx.try_recv() {
-            conns.push(c);
-        }
-        if conns.is_empty() {
-            // Nothing to poll: park until a connection arrives (bounded,
-            // so the stop flag stays responsive).
-            match rx.recv_timeout(POLL) {
-                Ok(c) => conns.push(c),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let mut progress = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match service_conn(&mut conns[i], &client, &stats, &signal, &mut wbuf) {
-                Ok(p) => {
-                    progress |= p;
-                    i += 1;
-                }
-                // Dead connection (peer hung up, protocol violation, or
-                // server gone): drop it; its transport closes on drop.
-                Err(_) => {
-                    conns.swap_remove(i);
-                }
-            }
-        }
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
-        }
-    }
+    #[cfg(test)]
+    passes: Arc<AtomicU64>,
 }
 
-/// One event-loop visit to one connection. `Ok(true)` if any frame moved
-/// in either direction; `Err` retires the connection.
-fn service_conn(
-    c: &mut Conn,
-    client: &PsClient,
-    stats: &TrafficStats,
-    signal: &(Mutex<bool>, Condvar),
-    wbuf: &mut Vec<u8>,
-) -> Result<bool, NetError> {
-    let mut progress = false;
-    // Inbound: drain up to READ_BURST ready frames.
-    for _ in 0..READ_BURST {
-        if !c.t.poll_recv_frame(&mut c.rbuf)? {
-            break;
+impl IoLoop {
+    fn run(self) {
+        let mut conns: Vec<Conn> = Vec::new();
+        let mut head = Vec::new();
+        let mut poller = Poller::new();
+        // Set when a visit stopped at its read burst with frames possibly
+        // left in a queue no descriptor reports: pass again, don't wait.
+        let mut more = false;
+        loop {
+            if !more {
+                poller.clear();
+                poller.add(self.wake.fd(), false);
+                for c in &conns {
+                    if let Some(fd) = c.fd {
+                        // Writability only matters while output is queued.
+                        poller.add(fd, c.t.pending_out_bytes() > 0);
+                    }
+                }
+                // Only a broken descriptor set can fail here, and the
+                // pass below retires whichever connection broke it.
+                let _ = poller.wait(None);
+                // Drain before looking for work: a wake that races the
+                // pass is then kept for the next wait instead of lost.
+                if poller.is_ready(0) {
+                    self.wake.drain();
+                }
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            while let Ok(c) = self.conns.try_recv() {
+                conns.push(c);
+            }
+            #[cfg(test)]
+            self.passes.fetch_add(1, Ordering::Relaxed);
+            more = false;
+            let mut i = 0;
+            while i < conns.len() {
+                match self.service(&mut conns[i], &mut head) {
+                    Ok(burst_spent) => {
+                        more |= burst_spent;
+                        i += 1;
+                    }
+                    // Dead connection (peer hung up, protocol violation,
+                    // or server gone): drop it; its transport closes on
+                    // drop.
+                    Err(_) => {
+                        conns.swap_remove(i);
+                    }
+                }
+            }
         }
-        progress = true;
-        stats.record_received(c.id, FRAME_PREFIX_BYTES + c.rbuf.len());
-        match wire::decode_msg(&c.rbuf)? {
-            WireMsg::Push {
-                worker,
-                key,
-                payload,
-            } => client.push_from(c.id, worker as usize, key as usize, payload)?,
-            WireMsg::Pull { key, min_version } => {
-                let pending = client.pull_async(key as usize, min_version)?;
-                c.replies.push_back(Reply::Pull {
+    }
+
+    /// One visit to one connection. `Ok(true)` if the read burst was
+    /// spent (more frames may be waiting); `Err` retires the connection.
+    fn service(&self, c: &mut Conn, head: &mut Vec<u8>) -> Result<bool, NetError> {
+        let (client, stats) = (&self.client, &*self.stats);
+        // Inbound: drain up to READ_BURST ready frames.
+        let mut burst_spent = true;
+        for _ in 0..READ_BURST {
+            if !c.t.poll_recv_frame(&mut c.rbuf)? {
+                burst_spent = false;
+                break;
+            }
+            stats.record_received(c.id, FRAME_PREFIX_BYTES + c.rbuf.len());
+            // A push payload is decoded into the storage the shard
+            // recycles aggregated payloads into.
+            match wire::decode_msg_pooled(&c.rbuf, client.pool())? {
+                WireMsg::Push {
+                    worker,
+                    key,
+                    payload,
+                } => client.push_from(c.id, worker as usize, key as usize, payload)?,
+                WireMsg::Pull { key, min_version } => {
+                    let pending = client.pull_async(key as usize, min_version)?;
+                    c.replies.push_back(Reply::Pull {
+                        key,
+                        min_version,
+                        pending,
+                    });
+                }
+                WireMsg::SetLr { lr } => client.set_lr(lr)?,
+                WireMsg::Snapshot => c
+                    .replies
+                    .push_back(Reply::Snapshot(client.snapshot_async()?)),
+                WireMsg::Register { worker } => c.replies.push_back(Reply::Register(
+                    client.join_async_from(c.id, worker as usize)?,
+                )),
+                WireMsg::Heartbeat { worker } => client.heartbeat(worker as usize)?,
+                WireMsg::Leave { worker } => client.leave(worker as usize)?,
+                WireMsg::CancelJoin { worker } => client.cancel_join_from(c.id, worker as usize)?,
+                WireMsg::Checkpoint => c
+                    .replies
+                    .push_back(Reply::Checkpoint(client.checkpoint_async()?)),
+                WireMsg::Shutdown => {
+                    let (flag, cv) = &*self.signal;
+                    *flag.lock().unwrap() = true;
+                    cv.notify_all();
+                    return Err(NetError::ServerGone);
+                }
+                // Server-to-client messages arriving at the server are a
+                // protocol violation; drop the connection.
+                WireMsg::PullReply { .. }
+                | WireMsg::SnapshotReply { .. }
+                | WireMsg::RegisterAck { .. }
+                | WireMsg::CheckpointAck { .. } => {
+                    return Err(NetError::Io("unexpected server-to-client frame".into()))
+                }
+            }
+        }
+        // Move queued output toward the socket without blocking.
+        if c.t.pending_out_bytes() > 0 {
+            c.t.poll_flush()?;
+        }
+        // Outbound: pop resolved replies in request order while the
+        // transport's queued output stays under the per-connection bound.
+        while c.t.pending_out_bytes() < MAX_CONN_WBUF {
+            // Each arm encodes the frame's head; a pull reply's bulk is
+            // the shard's snapshot itself, sent (and if need be queued)
+            // by reference.
+            let snapshot: Option<Arc<[f32]>> = match c.replies.front() {
+                None => break,
+                Some(Reply::Pull {
                     key,
                     min_version,
                     pending,
-                });
-            }
-            WireMsg::SetLr { lr } => client.set_lr(lr)?,
-            WireMsg::Snapshot => c
-                .replies
-                .push_back(Reply::Snapshot(client.snapshot_async()?)),
-            WireMsg::Register { worker } => c.replies.push_back(Reply::Register(
-                client.join_async_from(c.id, worker as usize)?,
-            )),
-            WireMsg::Heartbeat { worker } => client.heartbeat(worker as usize)?,
-            WireMsg::Leave { worker } => client.leave(worker as usize)?,
-            WireMsg::CancelJoin { worker } => client.cancel_join_from(c.id, worker as usize)?,
-            WireMsg::Checkpoint => c
-                .replies
-                .push_back(Reply::Checkpoint(client.checkpoint_async()?)),
-            WireMsg::Shutdown => {
-                let (flag, cv) = signal;
-                *flag.lock().unwrap() = true;
-                cv.notify_all();
-                return Err(NetError::ServerGone);
-            }
-            // Server-to-client messages arriving at the server are a
-            // protocol violation; drop the connection.
-            WireMsg::PullReply { .. }
-            | WireMsg::SnapshotReply { .. }
-            | WireMsg::RegisterAck { .. }
-            | WireMsg::CheckpointAck { .. } => {
-                return Err(NetError::Io("unexpected server-to-client frame".into()))
-            }
-        }
-    }
-    // Outbound: pop resolved replies in request order while the
-    // transport's queued output stays under the per-connection bound.
-    while c.t.pending_out_bytes() < MAX_CONN_WBUF {
-        let ready = match c.replies.front() {
-            None => break,
-            Some(Reply::Pull {
-                key,
-                min_version,
-                pending,
-            }) => match pending.try_wait() {
-                None => break,
-                // A typed failure (round deadline, shutdown) kills the
-                // connection; the remote client surfaces ServerGone,
-                // same as the old writer-thread behaviour.
-                Some(Err(e)) => return Err(e),
-                Some(Ok(w)) => {
-                    wire::encode_pull_reply_into(*key, *min_version, &w, wbuf);
-                    true
-                }
-            },
-            Some(Reply::Snapshot(rx)) => match rx.try_recv() {
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
-                Ok((w, v)) => {
-                    wire::encode_snapshot_reply_into(&w, &v, wbuf);
-                    true
-                }
-            },
-            Some(Reply::Register(rx)) => match rx.try_recv() {
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
-                Ok(versions) => {
-                    wire::encode_register_ack_into(&versions, wbuf);
-                    true
-                }
-            },
-            Some(Reply::Checkpoint(rx)) => match rx.try_recv() {
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
-                Ok(round) => {
-                    wire::encode_checkpoint_ack_into(round, wbuf);
-                    true
-                }
-            },
-        };
-        if ready {
+                }) => match pending.try_wait() {
+                    None => break,
+                    // A typed failure (round deadline, shutdown) kills the
+                    // connection; the remote client surfaces ServerGone.
+                    Some(Err(e)) => return Err(e),
+                    Some(Ok(w)) => {
+                        wire::encode_pull_reply_head_into(*key, *min_version, head);
+                        Some(w)
+                    }
+                },
+                Some(Reply::Snapshot(rx)) => match rx.try_recv() {
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
+                    Ok((w, v)) => {
+                        wire::encode_snapshot_reply_into(&w, &v, head);
+                        None
+                    }
+                },
+                Some(Reply::Register(rx)) => match rx.try_recv() {
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
+                    Ok(versions) => {
+                        wire::encode_register_ack_into(&versions, head);
+                        None
+                    }
+                },
+                Some(Reply::Checkpoint(rx)) => match rx.try_recv() {
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
+                    Ok(round) => {
+                        wire::encode_checkpoint_ack_into(round, head);
+                        None
+                    }
+                },
+            };
             c.replies.pop_front();
-            c.t.poll_send_frame(wbuf)?;
-            stats.record_sent(c.id, FRAME_PREFIX_BYTES + wbuf.len());
-            progress = true;
+            let tail_bytes = snapshot.as_ref().map_or(0, |w| 4 * w.len());
+            c.t.send_parts(head, snapshot.as_ref().map_or(Tail::NONE, Tail::F32s))?;
+            stats.record_sent(c.id, FRAME_PREFIX_BYTES + head.len() + tail_bytes);
         }
+        Ok(burst_spent)
     }
-    // Move queued output toward the socket without blocking.
-    if c.t.pending_out_bytes() > 0 {
-        c.t.poll_flush()?;
-        progress = true;
-    }
-    Ok(progress)
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +580,6 @@ pub struct RemoteClient {
     pending: Arc<Mutex<Pending>>,
     stats: Arc<TrafficStats>,
     pool: BufferPool,
-    stop: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
     /// Transport connection id, tagged onto frame events.
     conn: u64,
@@ -524,23 +594,20 @@ impl RemoteClient {
         stats: Arc<TrafficStats>,
         pool: BufferPool,
     ) -> Result<Self, NetError> {
+        // The reader blocks with no deadline: it ends when the
+        // connection does, and `Drop` ends the connection.
         let mut read_t = transport.try_clone()?;
-        read_t.set_recv_timeout(Some(POLL))?;
+        read_t.set_recv_timeout(None)?;
         let conn = transport.conn_id();
         let pending = Arc::new(Mutex::new(Pending::default()));
-        let stop = Arc::new(AtomicBool::new(false));
 
         let pending2 = Arc::clone(&pending);
-        let stop2 = Arc::clone(&stop);
         let stats2 = Arc::clone(&stats);
         let reader = std::thread::Builder::new()
             .name("ps-client-read".into())
             .spawn(move || {
                 let mut buf = Vec::new();
                 loop {
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
                     match read_t.recv_frame(&mut buf) {
                         Ok(()) => {}
                         Err(NetError::Timeout) => continue,
@@ -564,7 +631,7 @@ impl RemoteClient {
                             };
                             if let Some(tx) = sender {
                                 // The waiter may have been dropped; fine.
-                                let _ = tx.send(Ok(weights.into()));
+                                let _ = tx.send(Ok(weights));
                             }
                         }
                         Ok(WireMsg::SnapshotReply { weights, versions }) => {
@@ -608,7 +675,6 @@ impl RemoteClient {
             pending,
             stats,
             pool,
-            stop,
             reader: Some(reader),
             conn,
         })
@@ -686,9 +752,11 @@ impl ParamClient for RemoteClient {
         let n = {
             let mut w = self.writer.lock().unwrap();
             let WriteHalf { t, buf } = &mut *w;
-            wire::encode_push_into(worker as u32, key as u32, &payload, buf);
-            t.send_frame(buf)?;
-            FRAME_PREFIX_BYTES + buf.len()
+            // Header into `buf`; the payload's bulk goes to the socket
+            // from its own storage.
+            let tail = wire::encode_push_parts(worker as u32, key as u32, &payload, buf);
+            t.send_parts(buf, Tail::Bytes(tail))?;
+            FRAME_PREFIX_BYTES + buf.len() + tail.len()
         };
         // Same formula the in-process server charges, so histories match
         // across backends bit-for-bit.
@@ -773,7 +841,14 @@ impl ParamClient for RemoteClient {
 
 impl Drop for RemoteClient {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Closing the connection is what wakes the reader out of its
+        // blocking receive; it then fails every outstanding request with
+        // `ServerGone` and exits.
+        self.writer
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .t
+            .close();
         if let Some(r) = self.reader.take() {
             let _ = r.join();
         }
@@ -1804,6 +1879,269 @@ mod tests {
         }
         assert_eq!(server.io_threads(), n);
         drop(clients);
+        server.shutdown();
+    }
+
+    /// A TCP client of `server`, through a listener of its own.
+    fn tcp_client(server: &Arc<PsNetServer>) -> RemoteClient {
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let t = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
+        let accepted = acceptor.accept(Duration::from_secs(5)).unwrap();
+        server.attach(Box::new(accepted)).unwrap();
+        RemoteClient::new(
+            Box::new(t),
+            Arc::new(TrafficStats::new()),
+            BufferPool::new(),
+        )
+        .unwrap()
+    }
+
+    /// Run `f` on its own thread and fail, instead of hanging the test
+    /// binary, if it takes longer than `limit`.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = bounded(1);
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let out = rx
+            .recv_timeout(limit)
+            .expect("event loop wedged: the operation never completed");
+        handle.join().unwrap();
+        out
+    }
+
+    #[test]
+    fn idle_server_makes_no_passes() {
+        let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+        let tcp = tcp_client(&server);
+        let loopback = loopback_client(&server);
+        // Both connections are adopted and have been served...
+        assert_eq!(*tcp.pull(0, 0).unwrap(), [0.0; 3]);
+        assert_eq!(*loopback.pull(0, 0).unwrap(), [0.0; 3]);
+        // ...and with nothing to do the I/O threads stay parked: a whole
+        // 100 ms window passes without a single pass (the sleep is the
+        // observation window; trailing passes from the traffic above
+        // just restart it). A sleep-polling loop never gets there.
+        let passes = || server.passes.load(Ordering::Relaxed);
+        let quiet = (0..50).any(|_| {
+            let before = passes();
+            std::thread::sleep(Duration::from_millis(100));
+            passes() == before
+        });
+        assert!(quiet, "I/O threads kept making passes while idle");
+        // Still responsive afterwards.
+        assert_eq!(*tcp.pull(0, 0).unwrap(), [0.0; 3]);
+        drop((tcp, loopback));
+        server.shutdown();
+    }
+
+    #[test]
+    fn parked_pull_is_answered_by_a_push_on_a_connection_of_the_same_thread() {
+        let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+        assert_eq!(server.io_threads(), 2);
+        // Round-robin: `a` and `b` share I/O thread 0, `other` is alone
+        // on thread 1. A thread that blocked on `a`'s parked reply (or on
+        // any one connection) would never read `b`'s push.
+        let a = tcp_client(&server);
+        let other = loopback_client(&server);
+        let b = loopback_client(&server);
+        let parked = a.pull_async(0, 1).unwrap();
+        // Once thread 0 has taken the request off `a` it hands it to the
+        // shard before it reads anything from `b`: the pull is parked.
+        within(Duration::from_secs(20), {
+            let server = Arc::clone(&server);
+            move || {
+                while server.stats().bytes_received() == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        b.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+        let w = within(Duration::from_secs(20), move || parked.wait().unwrap());
+        assert_eq!(*w, [-1.0; 3]);
+        assert_eq!(*other.pull(0, 1).unwrap(), [-1.0; 3]);
+        drop((a, b, other));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_resolved_between_a_pass_and_the_wait_is_not_lost() {
+        // Each round parks a pull and then completes it with a push, so
+        // the shard thread resolves the reply at an arbitrary point of
+        // the I/O thread's pass/wait cycle — including right after the
+        // pass found nothing and before the wait began. The wake is
+        // level-triggered, so that wait returns at once; an
+        // edge-triggered or check-then-sleep loop would hang a round.
+        for client in [tcp_client, loopback_client] {
+            let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+            let c = client(&server);
+            within(Duration::from_secs(60), move || {
+                for round in 1..=1000u64 {
+                    let parked = c.pull_async(0, round).unwrap();
+                    c.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+                    assert_eq!(*parked.wait().unwrap(), [-(round as f32); 3]);
+                }
+            });
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn backpressure_counts_a_queued_snapshot_by_its_bytes() {
+        const KEY_LEN: usize = 1 << 20;
+        const REPLIES: usize = 8;
+        let ps = ParamServer::start(vec![vec![0.5; KEY_LEN]], ServerConfig::new(1, 1.0));
+        let (waker, wake) = wake_pair().unwrap();
+        let (_conn_tx, conn_rx) = unbounded();
+        let io = IoLoop {
+            conns: conn_rx,
+            wake,
+            client: ps.client().waking(waker.clone()),
+            stats: ps.shared_stats(),
+            stop: Arc::new(AtomicBool::new(false)),
+            signal: Arc::new((Mutex::new(false), Condvar::new())),
+            passes: Arc::new(AtomicU64::new(0)),
+        };
+        // A reader that is not draining: the peer never reads.
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let mut peer = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
+        let mut t: Box<dyn Transport> = Box::new(acceptor.accept(Duration::from_secs(5)).unwrap());
+        t.set_nonblocking(true).unwrap();
+        let mut conn = Conn {
+            id: t.conn_id(),
+            fd: t.register(&waker),
+            t,
+            rbuf: Vec::new(),
+            replies: VecDeque::new(),
+        };
+        for _ in 0..REPLIES {
+            conn.replies.push_back(Reply::Pull {
+                key: 0,
+                min_version: 0,
+                pending: io.client.pull_async(0, 0).unwrap(),
+            });
+        }
+        // FIFO on the shard's queue: once this returns, all are resolved.
+        io.client.snapshot().unwrap();
+
+        let mut head = Vec::new();
+        io.service(&mut conn, &mut head).unwrap();
+        // 32 MiB of resolved replies, a socket that takes a fraction: a
+        // refused reply is queued — as the snapshot, by reference — and
+        // its bytes stop the popping: at most one reply is taken past
+        // the bound. Were the remainder not counted, every reply would
+        // have been popped onto the queue.
+        let queued = conn.t.pending_out_bytes();
+        assert!(queued >= MAX_CONN_WBUF, "only {queued} bytes queued");
+        assert!(
+            queued < MAX_CONN_WBUF + pull_reply_frame_bytes(KEY_LEN),
+            "{queued} bytes queued"
+        );
+        assert!(conn.replies.len() >= REPLIES - 3, "{}", conn.replies.len());
+        // A visit with the reader still stuck changes nothing...
+        let left = conn.replies.len();
+        io.service(&mut conn, &mut head).unwrap();
+        assert_eq!(conn.replies.len(), left);
+        // ...and once it drains, every reply arrives whole and in order.
+        let reader = std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            for _ in 0..REPLIES {
+                peer.recv_frame(&mut buf).unwrap();
+                match wire::decode_msg(&buf).unwrap() {
+                    WireMsg::PullReply {
+                        key: 0,
+                        min_version: 0,
+                        weights,
+                    } => assert!(weights.len() == KEY_LEN && weights.iter().all(|w| *w == 0.5)),
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+        });
+        let mut poller = Poller::new();
+        while !conn.replies.is_empty() || conn.t.pending_out_bytes() > 0 {
+            poller.clear();
+            poller.add(conn.fd.unwrap(), true);
+            assert_eq!(poller.wait(Some(Duration::from_secs(20))).unwrap(), 1);
+            io.service(&mut conn, &mut head).unwrap();
+        }
+        reader.join().unwrap();
+        ps.shutdown();
+    }
+
+    #[test]
+    fn teardown_does_not_wait_out_timers() {
+        let cluster: Box<dyn PsBackend> = Box::new(
+            NetCluster::start_tcp_local(
+                init(2),
+                ServerConfig::new(2, 1.0),
+                1,
+                NetConfig::default(),
+            )
+            .unwrap(),
+        );
+        let workers: Vec<_> = (0..2).map(|_| cluster.client().unwrap()).collect();
+        std::thread::scope(|s| {
+            for (w, c) in workers.iter().enumerate() {
+                s.spawn(move || {
+                    for k in 0..2 {
+                        c.push(w, k, Compressed::Raw(vec![1.0; 3])).unwrap();
+                    }
+                    c.pull_all(2, 1).unwrap()
+                });
+            }
+        });
+        // Left outstanding across the teardown: must fail, not hang.
+        let orphan = workers[0].pull_async(0, 9).unwrap();
+        let t0 = std::time::Instant::now();
+        drop(workers);
+        cluster.shutdown();
+        let took = t0.elapsed();
+        // Two worker clients, the control client and the acceptor used to
+        // cost up to one 200 ms POLL each, serially.
+        assert!(took < POLL / 2, "teardown took {took:?}");
+        assert_eq!(orphan.wait().unwrap_err(), NetError::ServerGone);
+    }
+
+    #[test]
+    fn hostile_length_prefix_retires_its_connection_not_the_shard() {
+        use std::io::{Read, Write};
+        let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+        assert_eq!(server.recv_limit, 13 + 8 * 3);
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        server.listen(acceptor);
+        // TCP: four bytes announcing a 512 MiB body, and not one byte of
+        // it. The server must hang up on the prefix alone.
+        let mut hostile = std::net::TcpStream::connect(addr).unwrap();
+        hostile.write_all(&(512u32 << 20).to_le_bytes()).unwrap();
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let hung_up = match hostile.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(hung_up, "server kept a connection with a hostile prefix");
+        // Loopback has no prefix to vet; the oversized frame itself is
+        // refused when the server takes it off the queue.
+        let (mut hostile, server_end) = loopback_pair();
+        server.attach(Box::new(server_end)).unwrap();
+        hostile.send_frame(&[0u8; 65]).unwrap();
+        hostile
+            .set_recv_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        assert_eq!(hostile.recv_frame(&mut Vec::new()), Err(NetError::Closed));
+        // Every other connection of the shard is served as before.
+        let t = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
+        let good = RemoteClient::new(
+            Box::new(t),
+            Arc::new(TrafficStats::new()),
+            BufferPool::new(),
+        )
+        .unwrap();
+        good.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+        assert_eq!(*good.pull(0, 1).unwrap(), [-1.0; 3]);
+        assert_eq!(server.failure(), None);
+        drop(good);
         server.shutdown();
     }
 

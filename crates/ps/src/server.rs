@@ -1,7 +1,7 @@
 //! The server thread: key-sharded weight store with synchronous
 //! aggregation.
 
-use crate::client::PsClient;
+use crate::client::{PsClient, ReplyTx, Snapshot};
 use crate::opt::{ServerOpt, ServerOptKind};
 use crate::recover::{CheckpointTracker, Durability, ShardCheckpoint};
 use crate::stats::TrafficStats;
@@ -165,12 +165,12 @@ pub(crate) enum Msg {
     Pull {
         key: Key,
         min_version: u64,
-        reply: Sender<Result<Arc<[f32]>, NetError>>,
+        reply: ReplyTx<Result<Arc<[f32]>, NetError>>,
     },
     SetLr(f32),
     /// Read all weights and per-key versions (test/diagnostic support).
     Snapshot {
-        reply: Sender<(Vec<Vec<f32>>, Vec<u64>)>,
+        reply: ReplyTx<Snapshot>,
     },
     /// Elastic membership: admit `worker` into the active set and reply
     /// with the per-key versions at admission (the versions the joiner's
@@ -182,7 +182,7 @@ pub(crate) enum Msg {
         /// in-process); becomes the worker's owning connection for push
         /// fencing on an elastic server.
         conn: u64,
-        reply: Sender<Vec<u64>>,
+        reply: ReplyTx<Vec<u64>>,
     },
     /// Elastic membership: `worker` departs gracefully. Its queued
     /// pushes still feed the rounds they were computed for; once
@@ -211,13 +211,13 @@ pub(crate) enum Msg {
     /// no checkpoint directory, the key versions are skewed (a round is
     /// mid-flight), or the write failed.
     Checkpoint {
-        reply: Sender<Option<u64>>,
+        reply: ReplyTx<Option<u64>>,
     },
     Shutdown,
 }
 
 /// A parked pull: the version it waits for and where to send the reply.
-type WaitingPull = (u64, Sender<Result<Arc<[f32]>, NetError>>);
+type WaitingPull = (u64, ReplyTx<Result<Arc<[f32]>, NetError>>);
 
 /// Membership state machine: `Register → Active → Draining → Gone`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -642,7 +642,7 @@ fn server_loop(
                 // complete without the joiner from here on, so these are
                 // exactly the versions its first pulls must target.
                 let versions = keys.iter().map(|k| k.version).collect();
-                let _ = reply.send(versions);
+                reply.send(versions);
             }
             Some(Msg::Leave { worker }) if failed.is_none() && members.is_active(worker) => {
                 if let Some(e) = cfg.elastic {
@@ -708,11 +708,11 @@ fn server_loop(
                 reply,
             }) => {
                 if let Some(err) = &failed {
-                    let _ = reply.send(Err(err.clone()));
+                    reply.send(Err(err.clone()));
                     continue;
                 }
                 let Some(ks) = keys.get_mut(key) else {
-                    let _ = reply.send(Err(NetError::Io(format!(
+                    reply.send(Err(NetError::Io(format!(
                         "pull of key {key}: this server owns keys 0..{}",
                         keys.len()
                     ))));
@@ -722,19 +722,19 @@ fn server_loop(
                     let frame = pull_reply_frame_bytes(ks.weights.len());
                     stats.record_pull(frame);
                     net_delay(cfg.delay_per_byte, frame);
-                    let _ = reply.send(Ok(Arc::clone(&ks.weights)));
+                    reply.send(Ok(Arc::clone(&ks.weights)));
                 } else if ks.version == min_version + 1 {
                     // The puller raced one aggregate behind; serve the
                     // exact requested version from the history.
                     let frame = pull_reply_frame_bytes(ks.prev_weights.len());
                     stats.record_pull(frame);
                     net_delay(cfg.delay_per_byte, frame);
-                    let _ = reply.send(Ok(Arc::clone(&ks.prev_weights)));
+                    reply.send(Ok(Arc::clone(&ks.prev_weights)));
                 } else if ks.version > min_version {
                     // Only the latest two versions are kept; a request
                     // from a socket must not take the shard down, so the
                     // stale pull alone fails.
-                    let _ = reply.send(Err(NetError::Io(format!(
+                    reply.send(Err(NetError::Io(format!(
                         "pull of version {min_version} for key {key} arrived after \
                          version {} — workers may lag at most one round",
                         ks.version
@@ -747,7 +747,7 @@ fn server_loop(
             Some(Msg::Snapshot { reply }) => {
                 let w = keys.iter().map(|k| k.weights.to_vec()).collect();
                 let v = keys.iter().map(|k| k.version).collect();
-                let _ = reply.send((w, v));
+                reply.send((w, v));
             }
             Some(Msg::Checkpoint { reply }) => {
                 let round = min_version(&keys);
@@ -777,7 +777,7 @@ fn server_loop(
                         }
                     }
                 };
-                let _ = reply.send(result);
+                reply.send(result);
             }
             Some(Msg::Shutdown) => break,
             None => {}
@@ -988,7 +988,7 @@ fn pump_key(
             let frame = pull_reply_frame_bytes(ks.weights.len());
             stats.record_pull(frame);
             net_delay(cfg.delay_per_byte, frame);
-            let _ = reply.send(Ok(Arc::clone(&ks.weights)));
+            reply.send(Ok(Arc::clone(&ks.weights)));
         }
     }
     // Start (or clear) the partial-round clock for this key. The
@@ -1026,7 +1026,7 @@ fn fail_now(
     *failure.lock().expect("failure cell poisoned") = Some(err.clone());
     for ks in keys.iter_mut() {
         for (_, reply) in ks.waiting.drain(..) {
-            let _ = reply.send(Err(err.clone()));
+            reply.send(Err(err.clone()));
         }
     }
     *failed = Some(err);

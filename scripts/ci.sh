@@ -54,6 +54,15 @@ RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native cargo build --re
 echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
 run_tests cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+# The committed baseline (BENCH_baseline.json: `benchmark all --repeats
+# 10`, host block included) compared against itself: `compare` exits 1
+# when a workload or end-to-end metric BENCHMARK.json names is missing
+# from a file, so schema drift fails here instead of rotting the
+# trajectory's first point. No timing is judged.
+echo "==> benchmark compare BENCH_baseline.json BENCH_baseline.json"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    compare BENCH_baseline.json BENCH_baseline.json
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
