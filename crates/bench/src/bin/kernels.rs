@@ -1,7 +1,10 @@
 //! Kernel-layer dispatch sweep: the same primitive ops timed on the
-//! scalar reference, the SIMD backend, and SIMD + rayon tiling, across
-//! gradient sizes from 4 Ki to 1 Mi elements. Emits `BENCH_kernels.json`
-//! and prints a speedup table.
+//! scalar reference, the SIMD backend, and SIMD + rayon tiling. The
+//! streaming ops run across gradient sizes from 4 Ki to 1 Mi elements;
+//! the three GEMM layouts run at the shapes a training step of the
+//! benchmark's MLP (batch 16, 784-1024-1024-10) and ResNet-8 actually
+//! issues, with dense and with ReLU-sparse (half exact zeros) A. Emits
+//! `BENCH_kernels.json` and prints a speedup table plus a GFLOP/s table.
 //!
 //! The backend choice is cached per process (`CDSGD_FORCE_SCALAR` is
 //! read once), so each mode runs in a child process: the parent
@@ -30,13 +33,7 @@ const SIZES: [(usize, &str); 4] = [
     (1024 * 1024, "1Mi"),
 ];
 
-const OPS: [&str; 5] = [
-    "gemm",
-    "pack_2bit",
-    "unpack_2bit",
-    "residual",
-    "apply_update",
-];
+const OPS: [&str; 4] = ["pack_2bit", "unpack_2bit", "residual", "apply_update"];
 
 /// The three dispatch modes, with the environment that selects each.
 /// `CDSGD_PAR_THRESHOLD=off` isolates SIMD from tiling; the last mode
@@ -48,6 +45,70 @@ const MODES: [(&str, &[(&str, &str)]); 3] = [
     ),
     ("simd", &[("CDSGD_PAR_THRESHOLD", "off")]),
     ("simd+rayon", &[]),
+];
+
+/// GEMM layout of a [`SHAPES`] row, named as `kernel` names them.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// `C[m,n] += A[m,k] · B[k,n]` — every forward product.
+    Nn,
+    /// `C[m,n] += A[m,k] · B[n,k]ᵀ` — `dX = dY·Wᵀ`, conv `dW`.
+    Nt,
+    /// `C[m,n] += A[k,m]ᵀ · B[k,n]` — dense `dW = Xᵀ·dY`, conv `dcol`.
+    Tn,
+}
+
+impl Layout {
+    fn op(self) -> &'static str {
+        match self {
+            Layout::Nn => "gemm_nn",
+            Layout::Nt => "gemm_nt",
+            Layout::Tn => "gemm_tn",
+        }
+    }
+}
+
+/// `(layout, m, k, n, which product of which model)`: every GEMM one
+/// step of the benchmark MLP (batch 16) issues, and every GEMM of
+/// ResNet-8 (`resnet_cifar(8, 1, 10)`; per sample `W·col`, `dy·colᵀ`,
+/// `Wᵀ·dy` for each convolution, then the dense head).
+const SHAPES: [(Layout, usize, usize, usize, &str); 36] = [
+    (Layout::Nn, 16, 784, 1024, "mlp fwd 1"),
+    (Layout::Nn, 16, 1024, 1024, "mlp fwd 2"),
+    (Layout::Nn, 16, 1024, 10, "mlp fwd 3"),
+    (Layout::Nt, 16, 10, 1024, "mlp dX 3"),
+    (Layout::Nt, 16, 1024, 1024, "mlp dX 2"),
+    (Layout::Nt, 16, 1024, 784, "mlp dX 1"),
+    (Layout::Tn, 1024, 16, 10, "mlp dW 3"),
+    (Layout::Tn, 1024, 16, 1024, "mlp dW 2"),
+    (Layout::Tn, 784, 16, 1024, "mlp dW 1"),
+    (Layout::Nn, 8, 27, 1024, "resnet8 fwd 3>8 @32"),
+    (Layout::Nn, 8, 72, 1024, "resnet8 fwd 8>8 @32"),
+    (Layout::Nn, 16, 72, 256, "resnet8 fwd 8>16 @16"),
+    (Layout::Nn, 16, 144, 256, "resnet8 fwd 16>16 @16"),
+    (Layout::Nn, 16, 8, 256, "resnet8 fwd 1x1 8>16"),
+    (Layout::Nn, 32, 144, 64, "resnet8 fwd 16>32 @8"),
+    (Layout::Nn, 32, 288, 64, "resnet8 fwd 32>32 @8"),
+    (Layout::Nn, 32, 16, 64, "resnet8 fwd 1x1 16>32"),
+    (Layout::Nn, 16, 32, 10, "resnet8 fwd head"),
+    (Layout::Nt, 8, 1024, 27, "resnet8 dW 3>8 @32"),
+    (Layout::Nt, 8, 1024, 72, "resnet8 dW 8>8 @32"),
+    (Layout::Nt, 16, 256, 72, "resnet8 dW 8>16 @16"),
+    (Layout::Nt, 16, 256, 144, "resnet8 dW 16>16 @16"),
+    (Layout::Nt, 16, 256, 8, "resnet8 dW 1x1 8>16"),
+    (Layout::Nt, 32, 64, 144, "resnet8 dW 16>32 @8"),
+    (Layout::Nt, 32, 64, 288, "resnet8 dW 32>32 @8"),
+    (Layout::Nt, 32, 64, 16, "resnet8 dW 1x1 16>32"),
+    (Layout::Nt, 16, 10, 32, "resnet8 dX head"),
+    (Layout::Tn, 27, 8, 1024, "resnet8 dcol 3>8 @32"),
+    (Layout::Tn, 72, 8, 1024, "resnet8 dcol 8>8 @32"),
+    (Layout::Tn, 72, 16, 256, "resnet8 dcol 8>16 @16"),
+    (Layout::Tn, 144, 16, 256, "resnet8 dcol 16>16 @16"),
+    (Layout::Tn, 8, 16, 256, "resnet8 dcol 1x1 8>16"),
+    (Layout::Tn, 144, 32, 64, "resnet8 dcol 16>32 @8"),
+    (Layout::Tn, 288, 32, 64, "resnet8 dcol 32>32 @8"),
+    (Layout::Tn, 16, 32, 64, "resnet8 dcol 1x1 16>32"),
+    (Layout::Tn, 32, 16, 10, "resnet8 dW head"),
 ];
 
 fn pseudo(n: usize, seed: u64) -> Vec<f32> {
@@ -76,27 +137,45 @@ fn median_s(iters: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// One mode's measurements: a record per (op, size).
+/// Median seconds of one `kernel::gemm*` call at a [`SHAPES`] row. The
+/// small shapes finish in microseconds, so a sample is as many calls as
+/// fill about two milliseconds.
+fn time_gemm(layout: Layout, m: usize, k: usize, n: usize, relu: bool, iters: usize) -> f64 {
+    let mut a = pseudo(m * k, 11);
+    if relu {
+        // `pseudo` is centred on zero: half of A becomes exactly +0.0.
+        a.iter_mut().for_each(|v| *v = v.max(0.0));
+    }
+    let b = pseudo(k * n, 23);
+    let mut c = vec![0.0f32; m * n];
+    let mut call = || {
+        let (a, b) = (black_box(&a), black_box(&b));
+        match layout {
+            Layout::Nn => kernel::gemm(a, b, &mut c, m, k, n),
+            Layout::Nt => kernel::gemm_nt(a, b, &mut c, m, k, n),
+            Layout::Tn => kernel::gemm_tn(a, b, &mut c, m, k, n),
+        }
+        black_box(&c);
+    };
+    let once = median_s(3, &mut call);
+    let reps = ((2e-3 / once.max(1e-9)) as usize).clamp(1, 10_000);
+    median_s(iters, || (0..reps).for_each(|_| call())) / reps as f64
+}
+
+/// One mode's measurements: a record per (op, size) and per GEMM shape.
 fn run_child(iters: usize) -> Vec<serde_json::Value> {
     let mut records = Vec::new();
+    for (layout, m, k, n, what) in SHAPES {
+        for relu in [false, true] {
+            let s = time_gemm(layout, m, k, n, relu, iters);
+            records.push(serde_json::json!({
+                "op": layout.op(), "shape": format!("{m}x{k}x{n}"), "what": what,
+                "a": if relu { "relu" } else { "dense" }, "median_s": s,
+                "gflops": 2.0 * (m * k * n) as f64 / s / 1e9,
+            }));
+        }
+    }
     for (n, label) in SIZES {
-        // GEMM over square matrices whose output has n elements.
-        let side = (n as f64).sqrt() as usize;
-        let a = pseudo(side * side, 11);
-        let b = pseudo(side * side, 23);
-        let mut c = vec![0.0f32; side * side];
-        // Scalar 1024^3 GEMM runs ~seconds per iteration; fewer
-        // repetitions keep the sweep tractable without losing the median.
-        let gemm_iters = if side >= 512 { 3.min(iters) } else { iters };
-        let gemm_s = median_s(gemm_iters, || {
-            kernel::gemm(black_box(&a), black_box(&b), &mut c, side, side, side);
-            black_box(&c);
-        });
-        records.push(serde_json::json!({
-            "op": "gemm", "n": n, "label": label, "median_s": gemm_s,
-            "work": format!("{side}x{side}x{side}"),
-        }));
-
         let symbols: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
         let mut packed = vec![0u8; n.div_ceil(4)];
         let pack_s = median_s(iters, || {
@@ -213,6 +292,31 @@ fn main() {
                 s / r
             );
         }
+    }
+
+    // GEMM table: GFLOP/s (nominal `2·m·k·n`, zeros in A counted) per
+    // shape and A density, one thread in the first two modes.
+    println!(
+        "\n{:>8} {:>14} {:>6} {:>24} {:>9} {:>9} {:>11}",
+        "op", "m x k x n", "A", "issued by", "scalar", "simd", "simd+rayon"
+    );
+    for (row, s) in scalar.iter().enumerate() {
+        if s["gflops"].is_null() {
+            continue;
+        }
+        let text = |key: &str| s[key].as_str().unwrap_or("?").to_string();
+        let gflops =
+            |records: &[serde_json::Value]| records[row]["gflops"].as_f64().unwrap_or(f64::NAN);
+        println!(
+            "{:>8} {:>14} {:>6} {:>24} {:>9.2} {:>9.2} {:>11.2}",
+            text("op"),
+            text("shape"),
+            text("a"),
+            text("what"),
+            gflops(&scalar),
+            gflops(&simd),
+            gflops(&rayon)
+        );
     }
 
     let out = serde_json::json!({

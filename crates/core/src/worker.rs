@@ -172,7 +172,7 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
             acc_sum += loss_fn.accuracy(&logits, &batch.y) as f64;
             batches += 1;
             let t_bp = a.profiler.as_ref().map(|p| p.now());
-            a.model.backward(&dlogits);
+            a.model.backward_params(&dlogits);
             a.model.export_grads_into(&mut grads);
             if let (Some(p), Some(t)) = (&a.profiler, t_bp) {
                 p.record(OpKind::Backward, round, t);

@@ -62,6 +62,60 @@ impl Conv2d {
             pad: self.pad,
         }
     }
+
+    /// Fill `dW`/`db` from ∂loss/∂output and, when `want_dx`, also
+    /// compute ∂loss/∂input (`Wᵀ·dy` per sample plus the `col2im`
+    /// scatter — the part a first layer has no reader for).
+    fn backprop(&mut self, dy: &Tensor, want_dx: bool) -> Option<Tensor> {
+        let (g, cols) = self.cache.take().expect("backward without forward");
+        let n = dy.shape()[0];
+        assert_eq!(dy.shape()[1], self.out_c);
+        let out_plane = g.out_h() * g.out_w();
+        assert_eq!(dy.len(), n * self.out_c * out_plane, "dy size mismatch");
+        let img_len = g.c * g.h * g.w;
+        let fan_in = g.col_rows();
+
+        self.weight.grad.fill_zero();
+        self.bias.grad.fill_zero();
+        // ∂loss/∂input and the per-sample column gradient it is built from.
+        let mut dx_dcol = want_dx.then(|| {
+            (
+                Tensor::zeros(&[n, g.c, g.h, g.w]),
+                Tensor::zeros(&[fan_in, out_plane]),
+            )
+        });
+        for (s, col) in cols.iter().enumerate() {
+            let dy_s = &dy.data()[s * self.out_c * out_plane..(s + 1) * self.out_c * out_plane];
+            // dW += dy_s · colᵀ, accumulated in place.
+            kernel::gemm_nt(
+                dy_s,
+                col.data(),
+                self.weight.grad.data_mut(),
+                self.out_c,
+                out_plane,
+                fan_in,
+            );
+            // db += Σ_spatial dy (sequential, order-pinned)
+            for oc in 0..self.out_c {
+                self.bias.grad.data_mut()[oc] +=
+                    kernel::reduce_sum(&dy_s[oc * out_plane..(oc + 1) * out_plane]);
+            }
+            if let Some((dx, dcol)) = &mut dx_dcol {
+                // dcol = Wᵀ · dy_s, scattered back through col2im.
+                dcol.fill_zero();
+                kernel::gemm_tn(
+                    self.weight.value.data(),
+                    dy_s,
+                    dcol.data_mut(),
+                    fan_in,
+                    self.out_c,
+                    out_plane,
+                );
+                col2im(dcol, &g, &mut dx.data_mut()[s * img_len..(s + 1) * img_len]);
+            }
+        }
+        dx_dcol.map(|(dx, _)| dx)
+    }
 }
 
 impl Layer for Conv2d {
@@ -94,36 +148,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (g, cols) = self.cache.take().expect("backward without forward");
-        let n = dy.shape()[0];
-        assert_eq!(dy.shape()[1], self.out_c);
-        let out_plane = g.out_h() * g.out_w();
-        let img_len = g.c * g.h * g.w;
+        self.backprop(dy, true)
+            .expect("backprop returns dx when asked")
+    }
 
-        self.weight.grad.fill_zero();
-        self.bias.grad.fill_zero();
-        let mut dx = Tensor::zeros(&[n, g.c, g.h, g.w]);
-        for (s, col) in cols.iter().enumerate() {
-            let dy_s = Tensor::from_vec(
-                vec![self.out_c, out_plane],
-                dy.data()[s * self.out_c * out_plane..(s + 1) * self.out_c * out_plane].to_vec(),
-            );
-            // dW += dy_s · colᵀ
-            self.weight.grad.add_assign(&dy_s.matmul_nt(col));
-            // db += Σ_spatial dy (sequential, order-pinned)
-            for oc in 0..self.out_c {
-                self.bias.grad.data_mut()[oc] +=
-                    kernel::reduce_sum(&dy_s.data()[oc * out_plane..(oc + 1) * out_plane]);
-            }
-            // dcol = Wᵀ · dy_s, scattered back through col2im.
-            let dcol = self.weight.value.matmul_tn(&dy_s);
-            col2im(
-                &dcol,
-                &g,
-                &mut dx.data_mut()[s * img_len..(s + 1) * img_len],
-            );
-        }
-        dx
+    fn backward_params(&mut self, dy: &Tensor) {
+        self.backprop(dy, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::layer::{Layer, Mode, Param};
-use cdsgd_tensor::{xavier_std, SmallRng64, Tensor};
+use cdsgd_tensor::{kernel, xavier_std, SmallRng64, Tensor};
 
 /// Fully-connected layer: `y = x·W + b`, `x: [N, in]`, `W: [in, out]`.
 #[derive(Debug)]
@@ -44,11 +44,26 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self.cached_x.take().expect("backward without forward");
-        // dW = xᵀ·dy ; db = Σ_rows dy ; dx = dy·Wᵀ
-        self.weight.grad = x.matmul_tn(dy);
-        self.bias.grad = dy.sum_rows();
+        self.backward_params(dy);
+        // dx = dy·Wᵀ
         dy.matmul_nt(&self.weight.value)
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) {
+        let x = self.cached_x.take().expect("backward without forward");
+        let (batch, inputs, outputs) = (x.shape()[0], self.in_features(), self.out_features());
+        assert_eq!(dy.shape(), &[batch, outputs], "dy shape mismatch");
+        // dW = xᵀ·dy, straight into the gradient buffer ; db = Σ_rows dy
+        self.weight.grad.fill_zero();
+        kernel::gemm_tn(
+            x.data(),
+            dy.data(),
+            self.weight.grad.data_mut(),
+            inputs,
+            batch,
+            outputs,
+        );
+        self.bias.grad = dy.sum_rows();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

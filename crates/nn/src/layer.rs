@@ -48,7 +48,8 @@ impl Param {
 /// * `forward` caches whatever activations `backward` needs. One
 ///   `backward` consumes the most recent `forward`'s cache.
 /// * `backward` receives ∂loss/∂output and returns ∂loss/∂input, writing
-///   ∂loss/∂params into each [`Param::grad`] (overwriting, not adding).
+///   ∂loss/∂params into each [`Param::grad`] (overwriting, not adding);
+///   `backward_params` does the same and returns nothing.
 /// * `visit_params` exposes parameters in a stable order; the parameter
 ///   server keys layers by visitation index, so the order must not change
 ///   between calls.
@@ -59,6 +60,15 @@ pub trait Layer: Send {
     /// Back-propagate: given ∂loss/∂output return ∂loss/∂input and fill
     /// parameter gradients.
     fn backward(&mut self, dy: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] for a caller with no use for ∂loss/∂input —
+    /// the first layer of a model under training: fills every
+    /// [`Param::grad`] with exactly the bits `backward` would, once per
+    /// `forward` like it. Layers whose input gradient is a separate
+    /// product override this to skip it.
+    fn backward_params(&mut self, dy: &Tensor) {
+        self.backward(dy);
+    }
 
     /// Visit all learnable parameters in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -157,6 +157,21 @@ impl Layer for Sequential {
         cur
     }
 
+    /// Walks in reverse like `backward` and stops at the first layer
+    /// that owns parameters: that layer is asked for its parameter
+    /// gradients only, and the parameter-free prefix before it (a
+    /// `Flatten`, say) is never entered.
+    fn backward_params(&mut self, dy: &Tensor) {
+        let Some(first) = self.layers.iter_mut().position(|l| l.num_params() > 0) else {
+            return;
+        };
+        let mut cur = dy.clone();
+        for layer in self.layers[first + 1..].iter_mut().rev() {
+            cur = layer.backward(&cur);
+        }
+        self.layers[first].backward_params(&cur);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

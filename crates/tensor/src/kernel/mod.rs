@@ -28,14 +28,24 @@
 //! # Bit-identity contract
 //!
 //! Every dispatched kernel must produce **bit-identical** output to its
-//! scalar reference for all inputs, including `±0.0`, `NaN`, and
-//! `±inf`. This is what keeps the pinned FNV weight hashes in
+//! scalar reference for all inputs, including `±0.0`, `±inf` and NaN
+//! operands. This is what keeps the pinned FNV weight hashes in
 //! `tests/strategy_equivalence.rs` stable across backends. The rules
 //! that make it hold are documented in `avx2`; the short version: no
 //! FMA, vectorize across independent outputs only, keep every
 //! zero-skip, and express true sequential reductions either scalar-only
 //! ([`reduce_sum`] and friends) or under an explicitly striped order
 //! contract ([`dot`]).
+//!
+//! One thing is *not* pinned, because neither Rust nor LLVM pins it:
+//! which NaN comes out of an addition whose two operands are both NaN.
+//! The hardware returns the first operand's payload and the optimizer is
+//! free to swap operands, so the same source yields different payloads
+//! in debug and release builds. It only shows in kernels that add two
+//! computed values — [`dot`] and the three GEMMs; for those the contract
+//! (and `tests/kernel_identity.rs`, which feeds all of them NaN/Inf
+//! specials in both profiles) is: a NaN exactly where the reference has
+//! a NaN, every other value bit-equal.
 //!
 //! Tail handling: vector bodies process the largest lane-width multiple
 //! and fall back to the scalar loop for the remainder, so
@@ -45,11 +55,14 @@
 //!
 //! Large inputs are tiled across threads with rayon behind a single
 //! size threshold, `CDSGD_PAR_THRESHOLD` (work items; default `65536`,
-//! `off` disables). GEMM counts `m·n·k` flops against it and splits C
-//! into row blocks; elementwise kernels count elements and split into
-//! 16 Ki-element tiles. Tiling never changes results: every tile is an
-//! independent output range. Packing, quantizer scans, and reductions
-//! never tile — they are memory-bound or order-pinned.
+//! `off` disables). Elementwise kernels count elements and split into
+//! 16 Ki-element tiles. GEMM counts `m·n·k` and hands each thread one
+//! contiguous range of C rows, and only when every spawned thread takes
+//! at least the threshold off the caller's critical path (a `t`-way
+//! split saves `m·n·k·(1 − 1/t)` and costs `t` spawns). Tiling never
+//! changes results: every tile is an independent output range. Packing,
+//! quantizer scans, and reductions never tile — they are memory-bound
+//! or order-pinned.
 
 pub mod scalar;
 
@@ -124,27 +137,50 @@ pub fn par_threshold() -> usize {
 /// Elementwise tile size (elements per rayon task).
 const ELEM_TILE: usize = 16 * 1024;
 
-/// C row-block granularity for parallel GEMM.
+/// Fewest C rows a GEMM thread is handed.
 const ROW_BLOCK: usize = 32;
 
+/// How many threads an `m`×`n`×`k` GEMM is split over on a host with
+/// `cores` of them: 1 (no split) unless every spawned thread is worth
+/// its spawn, judged from the shape alone. With `t` threads the caller's
+/// critical path shrinks from `m·n·k` work items to its `1/t` share, and
+/// that saving is what `t` spawns buy; each must buy at least
+/// `threshold` items. (Counting the total against the threshold, as this
+/// used to, spawned two threads for the MLP's last `dW`,
+/// `[1024,16]ᵀ×[16,10]`, and doubled its time.)
+fn gemm_threads(m: usize, n: usize, k: usize, cores: usize, threshold: usize) -> usize {
+    let work = m.saturating_mul(n).saturating_mul(k);
+    let t = cores.min(m / ROW_BLOCK);
+    if t < 2 || (work - work / t) / t < threshold {
+        1
+    } else {
+        t
+    }
+}
+
 /// Run `body(rows, c_rows)` over the `m` rows of the row-major `m`×`n`
-/// output `c`, splitting into [`ROW_BLOCK`]-row chunks across threads
-/// when `m·n·k` work items reach [`par_threshold`].
+/// output `c`: in one call, or as one contiguous row range per thread
+/// ([`gemm_threads`]), so a packing backend packs once per thread, not
+/// once per block.
 fn parallel_rows<F>(c: &mut [f32], m: usize, n: usize, k: usize, body: F)
 where
     F: Fn(Range<usize>, &mut [f32]) + Sync,
 {
-    let work = m.saturating_mul(n).saturating_mul(k);
-    if work < par_threshold() || m < 2 {
+    // Cached: the query is a syscall plus cgroup file reads, several
+    // microseconds — more than a small GEMM.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()));
+    let threads = gemm_threads(m, n, k, cores, par_threshold());
+    if threads == 1 {
         body(0..m, c);
         return;
     }
-    c.par_chunks_mut(ROW_BLOCK * n)
+    let rows_each = m.div_ceil(threads);
+    c.par_chunks_mut(rows_each * n)
         .enumerate()
-        .for_each(|(blk, chunk)| {
-            let start = blk * ROW_BLOCK;
-            let rows = chunk.len() / n;
-            body(start..start + rows, chunk);
+        .for_each(|(t, chunk)| {
+            let start = t * rows_each;
+            body(start..start + chunk.len() / n, chunk);
         });
 }
 
@@ -384,7 +420,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 // GEMM
 // ---------------------------------------------------------------------------
 
-/// `C[m,n] += A[m,k] · B[k,n]`, row-major, parallel over C row blocks.
+/// `C[m,n] += A[m,k] · B[k,n]`, row-major, parallel over C row ranges.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "kernel::gemm A size");
     assert_eq!(b.len(), k * n, "kernel::gemm B size");
@@ -566,4 +602,27 @@ pub fn unpack_1bit_add(signs: &[u8], scale: f32, out: &mut [f32]) {
         avx2::unpack_1bit_add(signs, scale, out),
         scalar::unpack_1bit_add(signs, scale, out)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gemm_threads;
+
+    #[test]
+    fn gemm_splits_only_when_a_spawned_thread_is_worth_it() {
+        let threshold = 64 * 1024;
+        // The MLP's last dW and last forward product: tiny, never split.
+        assert_eq!(gemm_threads(1024, 10, 16, 2, threshold), 1);
+        assert_eq!(gemm_threads(16, 10, 1024, 2, threshold), 1);
+        // Fewer than two ROW_BLOCKs of rows: nothing to hand out.
+        assert_eq!(gemm_threads(63, 4096, 4096, 8, threshold), 1);
+        // The MLP's big dW: one range per core, at most one per block.
+        assert_eq!(gemm_threads(1024, 1024, 16, 2, threshold), 2);
+        assert_eq!(gemm_threads(64, 1024, 1024, 8, threshold), 2);
+        // More cores must each still be worth a spawn.
+        assert_eq!(gemm_threads(1024, 64, 16, 2, threshold), 2);
+        assert_eq!(gemm_threads(1024, 64, 16, 16, threshold), 1);
+        assert_eq!(gemm_threads(1024, 10, 16, 2, usize::MAX), 1);
+        assert_eq!(gemm_threads(1 << 20, 1 << 20, 1 << 30, 2, usize::MAX), 1);
+    }
 }

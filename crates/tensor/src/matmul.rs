@@ -1,7 +1,7 @@
 //! Matrix multiplication entry points.
 //!
-//! The actual microkernels (register-blocked AVX2 + scalar reference,
-//! rayon row-block tiling) live in [`crate::kernel`]; this module keeps
+//! The actual microkernels (packed AVX2 + scalar reference, rayon
+//! row-range tiling) live in [`crate::kernel`]; this module keeps
 //! the shape-checked `Tensor` methods and the raw-slice `gemm*` API
 //! other crates already use.
 //!
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn large_parallel_path_matches_naive() {
         // Big enough to cross the kernel's parallel threshold and
-        // exercise the rayon row-block split.
+        // exercise the rayon row-range split.
         let mut rng = SmallRng64::new(5);
         let a = Tensor::randn(&[128, 96], 1.0, &mut rng);
         let b = Tensor::randn(&[96, 80], 1.0, &mut rng);

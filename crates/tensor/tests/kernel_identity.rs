@@ -5,6 +5,13 @@
 //! SIMD backend, so these tests are the per-kernel half of the
 //! bit-identity contract (the end-to-end half is the pinned weight
 //! hashes in `tests/strategy_equivalence.rs`).
+//!
+//! One narrowing, for the kernels that add two computed values (`dot`
+//! and the three GEMMs): when both addends are NaN, *which* NaN comes
+//! out depends on operand order, which the optimizer may swap, so the
+//! same source gives different payloads in debug and release. There a
+//! NaN must land on a NaN and every other value must match bit for bit
+//! ([`assert_same_values`]).
 
 use cdsgd_tensor::kernel::{self, scalar};
 use proptest::prelude::*;
@@ -58,6 +65,18 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
             w.to_bits(),
             "{what}: bit mismatch at {i}: {g:?} vs {w:?}"
         );
+    }
+}
+
+/// Bit-equal, except that any NaN matches any NaN (module docs).
+fn same_value(got: f32, want: f32) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+fn assert_same_values(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+        assert!(same_value(g, w), "{what}: mismatch at {i}: {g:?} vs {w:?}");
     }
 }
 
@@ -165,11 +184,8 @@ proptest! {
     fn dot_identity(seed in 0u64..5000, len in 0usize..70) {
         let a = fill(seed, len, true);
         let b = fill(seed + 1, len, true);
-        assert_eq!(
-            kernel::dot(&a, &b).to_bits(),
-            scalar::dot(&a, &b).to_bits(),
-            "dot"
-        );
+        let (got, want) = (kernel::dot(&a, &b), scalar::dot(&a, &b));
+        prop_assert!(same_value(got, want), "dot: {got:?} vs {want:?}");
     }
 
     #[test]
@@ -184,35 +200,35 @@ proptest! {
 
     #[test]
     fn gemm_identity(seed in 0u64..2000, m in 1usize..7, k in 1usize..9, n in 1usize..40) {
-        let a = fill(seed, m * k, false);
-        let b = fill(seed + 1, k * n, false);
-        let mut c1 = fill(seed + 2, m * n, false);
+        let a = fill(seed, m * k, true);
+        let b = fill(seed + 1, k * n, true);
+        let mut c1 = fill(seed + 2, m * n, true);
         let mut c2 = c1.clone();
         kernel::gemm(&a, &b, &mut c1, m, k, n);
         scalar::gemm_block(&a, &b, 0..m, &mut c2, k, n);
-        assert_bits_eq(&c1, &c2, "gemm");
+        assert_same_values(&c1, &c2, "gemm");
     }
 
     #[test]
     fn gemm_nt_identity(seed in 0u64..2000, m in 1usize..7, k in 1usize..20, n in 1usize..20) {
-        let a = fill(seed, m * k, false);
-        let b = fill(seed + 1, n * k, false);
-        let mut c1 = fill(seed + 2, m * n, false);
+        let a = fill(seed, m * k, true);
+        let b = fill(seed + 1, n * k, true);
+        let mut c1 = fill(seed + 2, m * n, true);
         let mut c2 = c1.clone();
         kernel::gemm_nt(&a, &b, &mut c1, m, k, n);
         scalar::gemm_nt_block(&a, &b, 0..m, &mut c2, k, n);
-        assert_bits_eq(&c1, &c2, "gemm_nt");
+        assert_same_values(&c1, &c2, "gemm_nt");
     }
 
     #[test]
     fn gemm_tn_identity(seed in 0u64..2000, m in 1usize..7, k in 1usize..9, n in 1usize..40) {
-        let a = fill(seed, k * m, false);
-        let b = fill(seed + 1, k * n, false);
-        let mut c1 = fill(seed + 2, m * n, false);
+        let a = fill(seed, k * m, true);
+        let b = fill(seed + 1, k * n, true);
+        let mut c1 = fill(seed + 2, m * n, true);
         let mut c2 = c1.clone();
         kernel::gemm_tn(&a, &b, &mut c1, m, k, n);
         scalar::gemm_tn_block(&a, &b, 0..m, &mut c2, m, k, n);
-        assert_bits_eq(&c1, &c2, "gemm_tn");
+        assert_same_values(&c1, &c2, "gemm_tn");
     }
 
     #[test]
@@ -338,9 +354,8 @@ fn edge_lengths_elementwise() {
         scalar::axpy(1.5, &x, &mut b);
         assert_bits_eq(&a, &b, "axpy edge");
 
-        assert_eq!(
-            kernel::dot(&x, &a).to_bits(),
-            scalar::dot(&x, &a).to_bits(),
+        assert!(
+            same_value(kernel::dot(&x, &a), scalar::dot(&x, &a)),
             "dot edge len {len}"
         );
 
@@ -378,7 +393,9 @@ fn large_tiled_elementwise_identity() {
 
 #[test]
 fn large_parallel_gemm_identity() {
-    let (m, k, n) = (64, 64, 64); // 256 Ki flops > default threshold
+    // Above the default threshold on two or more cores, and not a
+    // multiple of the per-thread row range: the last range is short.
+    let (m, k, n) = (130, 64, 64);
     let a = fill(5, m * k, false);
     let b = fill(6, k * n, false);
     let mut c1 = vec![0.0; m * n];
@@ -398,6 +415,106 @@ fn large_parallel_gemm_identity() {
     kernel::gemm_tn(&a, &b, &mut c5, m, k, n);
     scalar::gemm_tn_block(&a, &b, 0..m, &mut c6, m, k, n);
     assert_bits_eq(&c5, &c6, "gemm_tn large");
+}
+
+/// A with every other element (by a seeded coin) an exact zero of
+/// either sign, the rest ordinary values: what a ReLU layer hands the
+/// next GEMM, plus the `-0.0` a backward mask can produce.
+fn half_zero(seed: u64, len: usize) -> Vec<f32> {
+    let mut v = fill(seed, len, false);
+    let coins = fill_bytes(seed + 99, len);
+    for (x, c) in v.iter_mut().zip(coins) {
+        match c % 4 {
+            0 => *x = 0.0,
+            1 => *x = -0.0,
+            _ => {}
+        }
+    }
+    v
+}
+
+/// C pre-filled with `-0.0` (which a skipped zero must leave alone and
+/// an added `+0.0` would flip) and ordinary values.
+fn signed_zero_c(seed: u64, len: usize) -> Vec<f32> {
+    let mut c = fill(seed, len, false);
+    for x in c.iter_mut().step_by(3) {
+        *x = -0.0;
+    }
+    c
+}
+
+/// The shapes training issues, which cross every boundary of the packed
+/// AVX2 GEMM (32-column panels, 8-lane groups, 128-deep k-slices,
+/// 64-row bands) that the small proptests above never reach: the MLP's
+/// skinny products, all-remainder `n = 10`, `n = 33`, `k` one short of /
+/// one past a slice and spanning several, the conv shapes — and `k = 0`,
+/// where NT still adds its empty sum (`+0.0`) to C.
+const BOUNDARY_SHAPES: [(usize, usize, usize); 13] = [
+    (3, 0, 5),
+    (16, 784, 1024),
+    (16, 1024, 1024),
+    (16, 1024, 10),
+    (16, 10, 1024),
+    (5, 127, 33),
+    (5, 129, 33),
+    (3, 700, 40),
+    (8, 72, 1024),
+    (32, 288, 64),
+    (8, 1024, 72),
+    (70, 9, 17),
+    (130, 40, 96),
+];
+
+#[test]
+fn gemm_identity_at_training_shapes_with_signed_zeros() {
+    for (case, &(m, k, n)) in BOUNDARY_SHAPES.iter().enumerate() {
+        let seed = 1000 + case as u64 * 10;
+        for a in [fill(seed, m * k, false), half_zero(seed, m * k)] {
+            let what = format!("{m}x{k}x{n}");
+            let c0 = signed_zero_c(seed + 3, m * n);
+
+            let b = fill(seed + 1, k * n, false);
+            let (mut c1, mut c2) = (c0.clone(), c0.clone());
+            kernel::gemm(&a, &b, &mut c1, m, k, n);
+            scalar::gemm_block(&a, &b, 0..m, &mut c2, k, n);
+            assert_bits_eq(&c1, &c2, &format!("gemm {what}"));
+
+            // Same buffers read as B[n,k]: every (m, k, n) is also an NT
+            // case.
+            let (mut c1, mut c2) = (c0.clone(), c0.clone());
+            kernel::gemm_nt(&a, &b, &mut c1, m, k, n);
+            scalar::gemm_nt_block(&a, &b, 0..m, &mut c2, k, n);
+            assert_bits_eq(&c1, &c2, &format!("gemm_nt {what}"));
+        }
+    }
+}
+
+#[test]
+fn gemm_tn_identity_at_training_shapes_with_signed_zeros() {
+    // (m, k, n) with A stored [k, m]: the dense layers' `dW = Xᵀ·dY`
+    // (k = batch) and the convolutions' `dcol = Wᵀ·dy`.
+    for (case, &(m, k, n)) in [
+        (1024, 16, 1024),
+        (784, 16, 1024),
+        (1024, 16, 10),
+        (288, 32, 64),
+        (72, 8, 1024),
+        (67, 129, 33),
+        (9, 300, 41),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let seed = 2000 + case as u64 * 10;
+        for a in [fill(seed, k * m, false), half_zero(seed, k * m)] {
+            let b = fill(seed + 1, k * n, false);
+            let mut c1 = signed_zero_c(seed + 3, m * n);
+            let mut c2 = c1.clone();
+            kernel::gemm_tn(&a, &b, &mut c1, m, k, n);
+            scalar::gemm_tn_block(&a, &b, 0..m, &mut c2, m, k, n);
+            assert_bits_eq(&c1, &c2, &format!("gemm_tn {m}x{k}x{n}"));
+        }
+    }
 }
 
 #[test]

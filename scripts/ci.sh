@@ -41,6 +41,16 @@ run_tests cargo test -q --workspace
 echo "==> CDSGD_FORCE_SCALAR=1 cargo test -q --workspace"
 run_tests env CDSGD_FORCE_SCALAR=1 cargo test -q --workspace
 
+# The profile the benchmark measures. Optimization decides how LLVM
+# orders, fuses and vectorizes float code, so a kernel can match its
+# scalar twin in debug and drift in release (the striped `dot` did, on
+# NaN payloads): the identity suites and the pinned-hash runs again,
+# optimized.
+echo "==> cargo test --release -q -p cdsgd-tensor"
+run_tests cargo test --release -q -p cdsgd-tensor
+echo "==> cargo test --release -q --test strategy_equivalence --test kernel_parity"
+run_tests cargo test --release -q --test strategy_equivalence --test kernel_parity
+
 # The release build once more with the host's full ISA enabled — the
 # configuration benchmark numbers are quoted from — to catch
 # target-feature-dependent compile errors the portable build skips.
