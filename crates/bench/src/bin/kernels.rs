@@ -1,5 +1,5 @@
 //! Kernel-layer dispatch sweep: the same primitive ops timed on the
-//! scalar reference, the SIMD backend, and SIMD + rayon tiling. The
+//! scalar reference and on the SIMD backend, one thread each. The
 //! streaming ops run across gradient sizes from 4 Ki to 1 Mi elements;
 //! the three GEMM layouts run at the shapes a training step of the
 //! benchmark's MLP (batch 16, 784-1024-1024-10) and ResNet-8 actually
@@ -35,17 +35,9 @@ const SIZES: [(usize, &str); 4] = [
 
 const OPS: [&str; 4] = ["pack_2bit", "unpack_2bit", "residual", "apply_update"];
 
-/// The three dispatch modes, with the environment that selects each.
-/// `CDSGD_PAR_THRESHOLD=off` isolates SIMD from tiling; the last mode
-/// leaves the defaults so rayon engages on the sizes over the threshold.
-const MODES: [(&str, &[(&str, &str)]); 3] = [
-    (
-        "scalar",
-        &[("CDSGD_FORCE_SCALAR", "1"), ("CDSGD_PAR_THRESHOLD", "off")],
-    ),
-    ("simd", &[("CDSGD_PAR_THRESHOLD", "off")]),
-    ("simd+rayon", &[]),
-];
+/// The two dispatch modes, with the `CDSGD_FORCE_SCALAR` value (if any)
+/// that selects each.
+const MODES: [(&str, Option<&str>); 2] = [("scalar", Some("1")), ("simd", None)];
 
 /// GEMM layout of a [`SHAPES`] row, named as `kernel` names them.
 #[derive(Clone, Copy)]
@@ -247,14 +239,13 @@ fn main() {
 
     let exe = std::env::current_exe().expect("bench binary path");
     let mut modes = Vec::new();
-    for (mode, env) in MODES {
+    for (mode, force_scalar) in MODES {
         let mut cmd = Command::new(&exe);
         cmd.args(["--iters", &iters.to_string()])
             .env(CHILD_ENV, "1")
-            .env_remove("CDSGD_FORCE_SCALAR")
-            .env_remove("CDSGD_PAR_THRESHOLD");
-        for (k, v) in env {
-            cmd.env(k, v);
+            .env_remove("CDSGD_FORCE_SCALAR");
+        if let Some(v) = force_scalar {
+            cmd.env("CDSGD_FORCE_SCALAR", v);
         }
         eprintln!("running mode {mode} ...");
         let out = cmd.output().expect("spawn child");
@@ -273,32 +264,26 @@ fn main() {
     }
 
     // Comparison table: per (op, size), median seconds per mode and the
-    // speedup of each non-scalar mode over the scalar reference.
+    // speedup of SIMD over the scalar reference.
     println!(
-        "{:>14} {:>7} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "op", "size", "scalar_s", "simd_s", "simd+ray_s", "simd_x", "ray_x"
+        "{:>14} {:>7} {:>12} {:>12} {:>8}",
+        "op", "size", "scalar_s", "simd_s", "simd_x"
     );
     let scalar = modes[0].1["records"].as_array().expect("records").clone();
     let simd = modes[1].1["records"].as_array().expect("records").clone();
-    let rayon = modes[2].1["records"].as_array().expect("records").clone();
     for op in OPS {
         for (n, label) in SIZES {
             let s = median_of(&scalar, op, n).unwrap_or(f64::NAN);
             let v = median_of(&simd, op, n).unwrap_or(f64::NAN);
-            let r = median_of(&rayon, op, n).unwrap_or(f64::NAN);
-            println!(
-                "{op:>14} {label:>7} {s:>12.6} {v:>12.6} {r:>12.6} {:>8.2} {:>8.2}",
-                s / v,
-                s / r
-            );
+            println!("{op:>14} {label:>7} {s:>12.6} {v:>12.6} {:>8.2}", s / v);
         }
     }
 
     // GEMM table: GFLOP/s (nominal `2·m·k·n`, zeros in A counted) per
-    // shape and A density, one thread in the first two modes.
+    // shape and A density.
     println!(
-        "\n{:>8} {:>14} {:>6} {:>24} {:>9} {:>9} {:>11}",
-        "op", "m x k x n", "A", "issued by", "scalar", "simd", "simd+rayon"
+        "\n{:>8} {:>14} {:>6} {:>24} {:>9} {:>9}",
+        "op", "m x k x n", "A", "issued by", "scalar", "simd"
     );
     for (row, s) in scalar.iter().enumerate() {
         if s["gflops"].is_null() {
@@ -308,14 +293,13 @@ fn main() {
         let gflops =
             |records: &[serde_json::Value]| records[row]["gflops"].as_f64().unwrap_or(f64::NAN);
         println!(
-            "{:>8} {:>14} {:>6} {:>24} {:>9.2} {:>9.2} {:>11.2}",
+            "{:>8} {:>14} {:>6} {:>24} {:>9.2} {:>9.2}",
             text("op"),
             text("shape"),
             text("a"),
             text("what"),
             gflops(&scalar),
-            gflops(&simd),
-            gflops(&rayon)
+            gflops(&simd)
         );
     }
 

@@ -16,11 +16,10 @@
 //! tests can assert the once-per-epoch bound.
 
 use cdsgd_telemetry::{Event, Telemetry};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// The op categories the worker loop distinguishes — the paper's Fig. 5
@@ -112,7 +111,8 @@ impl Profiler {
     /// (the trainer joins them first, and [`WorkerProfile`] flushes on
     /// drop).
     pub fn take(&self) -> Vec<OpEvent> {
-        let mut ev = std::mem::take(&mut *self.inner.events.lock());
+        let events = self.inner.events.lock();
+        let mut ev = std::mem::take(&mut *events.unwrap_or_else(PoisonError::into_inner));
         ev.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
         ev
     }
@@ -168,7 +168,11 @@ impl WorkerProfile {
                 end_s: e.end_s,
             });
         }
-        shared.events.lock().extend(drained);
+        shared
+            .events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(drained);
         shared.merges.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -15,7 +15,7 @@ use cdsgd_ps::{
 };
 use cdsgd_telemetry::{Event, Telemetry};
 use cdsgd_tensor::SmallRng64;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -243,7 +243,7 @@ impl Trainer {
             .profile
             .then(|| Profiler::with_telemetry(self.cfg.telemetry.clone()));
         let barrier = Arc::new(PoisonBarrier::new(n + 1));
-        let (report_tx, report_rx) = crossbeam::channel::unbounded::<EpochReport>();
+        let (report_tx, report_rx) = mpsc::channel::<EpochReport>();
 
         let mut handles: Vec<Option<JoinHandle<Result<(), NetError>>>> = Vec::with_capacity(n);
         for w in 0..n {
@@ -772,7 +772,7 @@ pub fn run_standalone_worker(
     let model = (builder)(&mut wrng);
     let epochs = cfg.epochs;
     let telemetry = cfg.telemetry.clone();
-    let (report_tx, report_rx) = crossbeam::channel::unbounded::<EpochReport>();
+    let (report_tx, report_rx) = mpsc::channel::<EpochReport>();
     // Drain reports as they arrive, so epoch rollup events stream out
     // live (with real per-epoch wall-clock) instead of all at exit. Push
     // and pull byte totals are zero here: a standalone worker's traffic

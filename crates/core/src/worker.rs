@@ -16,7 +16,7 @@ use cdsgd_nn::{Layer, Mode, Sequential, SoftmaxCrossEntropy};
 use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::NetError;
 use cdsgd_tensor::SmallRng64;
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// What a worker reports at the end of each epoch.

@@ -5,7 +5,7 @@ use crate::stats::TrafficStats;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::{NetError, Waker};
-use crossbeam_channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 
 /// A snapshot reply: all weights plus the per-key versions.
@@ -23,7 +23,7 @@ pub(crate) struct ReplyTx<T> {
     // Field order is load-bearing: fields drop in declaration order, so
     // the sender is gone (value delivered, or channel disconnected)
     // before the wake that makes the loop look at the receiver.
-    tx: Sender<T>,
+    tx: SyncSender<T>,
     _wake: Option<WakeOnDrop>,
 }
 
@@ -39,7 +39,7 @@ impl<T> ReplyTx<T> {
     /// A one-shot reply channel; `waker` is the requester's event loop,
     /// if it has one.
     fn channel(waker: Option<&Waker>) -> (Self, Receiver<T>) {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let _wake = waker.cloned().map(WakeOnDrop);
         (Self { tx, _wake }, rx)
     }
@@ -69,7 +69,6 @@ impl PendingPull {
     /// still in flight, `Some(..)` once it resolved — or once the server
     /// died, surfacing [`NetError::ServerGone`] like [`PendingPull::wait`].
     pub(crate) fn try_wait(&self) -> Option<Result<Arc<[f32]>, NetError>> {
-        use crossbeam_channel::TryRecvError;
         match self.0.try_recv() {
             Ok(r) => Some(r),
             Err(TryRecvError::Empty) => None,

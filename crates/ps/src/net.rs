@@ -51,10 +51,10 @@ use cdsgd_net::{
     ReconnectConfig, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx, Waker,
 };
 use cdsgd_telemetry::{Event, Telemetry};
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -179,7 +179,7 @@ impl PsNetServer {
         let mut threads = Vec::new();
         let mut io = Vec::new();
         for i in 0..IO_THREADS {
-            let (tx, rx) = unbounded::<Conn>();
+            let (tx, rx) = mpsc::channel::<Conn>();
             let (waker, wake_rx) = wake_pair().expect("create I/O thread wake pipe");
             let io_loop = IoLoop {
                 conns: rx,
@@ -553,7 +553,7 @@ struct WriteHalf {
 }
 
 /// One outstanding pull: its `(key, version)` and the reply channel.
-type PendingPullEntry = ((u32, u64), Sender<Result<Arc<[f32]>, NetError>>);
+type PendingPullEntry = ((u32, u64), SyncSender<Result<Arc<[f32]>, NetError>>);
 /// A full server snapshot: per-key weights and per-key versions.
 type SnapshotReply = (Vec<Vec<f32>>, Vec<u64>);
 
@@ -561,11 +561,11 @@ type SnapshotReply = (Vec<Vec<f32>>, Vec<u64>);
 struct Pending {
     /// Outstanding pulls in request order, matched by `(key, version)`.
     pulls: VecDeque<PendingPullEntry>,
-    snapshot: Option<Sender<SnapshotReply>>,
+    snapshot: Option<SyncSender<SnapshotReply>>,
     /// Outstanding membership registration, resolved by `RegisterAck`.
-    register: Option<Sender<Vec<u64>>>,
+    register: Option<SyncSender<Vec<u64>>>,
     /// Outstanding checkpoint request, resolved by `CheckpointAck`.
-    checkpoint: Option<Sender<Option<u64>>>,
+    checkpoint: Option<SyncSender<Option<u64>>>,
 }
 
 /// A [`ParamClient`] talking to one remote shard over a transport.
@@ -696,7 +696,7 @@ impl RemoteClient {
     /// [`RemoteClient::register`], a concurrent second request is
     /// rejected instead of silently dropping the first caller's slot.
     pub fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         {
             let mut p = self.pending.lock().unwrap();
             if p.snapshot.is_some() {
@@ -718,7 +718,7 @@ impl RemoteClient {
     /// if the shard refused (see [`PsClient::checkpoint_now`]). Subject
     /// to the same single-outstanding-request guard as `snapshot`.
     pub fn checkpoint_now(&self) -> Result<Option<u64>, NetError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         {
             let mut p = self.pending.lock().unwrap();
             if p.checkpoint.is_some() {
@@ -768,7 +768,7 @@ impl ParamClient for RemoteClient {
 
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
         let id = (key as u32, min_version);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         // Register before sending: the reply may race back before we
         // would re-acquire the pending lock.
         self.pending.lock().unwrap().pulls.push_back((id, tx));
@@ -790,7 +790,7 @@ impl ParamClient for RemoteClient {
     /// single reply slot would otherwise silently drop the first
     /// caller's sender, leaving it to starve and misdeliver the ack.
     fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         {
             let mut p = self.pending.lock().unwrap();
             if p.register.is_some() {
@@ -876,14 +876,14 @@ struct OutstandingPull {
     /// epoch must not trigger a redundant reconnect of the newer one.
     epoch: u64,
     pending: PendingPull,
-    out: Sender<Result<Arc<[f32]>, NetError>>,
+    out: SyncSender<Result<Arc<[f32]>, NetError>>,
 }
 
 enum PullCmd {
     Pull {
         key: Key,
         version: u64,
-        out: Sender<Result<Arc<[f32]>, NetError>>,
+        out: SyncSender<Result<Arc<[f32]>, NetError>>,
     },
 }
 
@@ -1064,7 +1064,7 @@ impl ReconnectingClient {
             rc,
             reconnects: AtomicU64::new(0),
         });
-        let (cmd_tx, cmd_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = mpsc::channel();
         let stop = Arc::new(AtomicBool::new(false));
         let supervisor = spawn_supervisor(Arc::clone(&ctx), cmd_rx, Arc::clone(&stop))?;
         Ok(Self {
@@ -1089,7 +1089,7 @@ fn issue_pull(
     ctx: &ReconnectCtx,
     key: Key,
     version: u64,
-    out: Sender<Result<Arc<[f32]>, NetError>>,
+    out: SyncSender<Result<Arc<[f32]>, NetError>>,
     outstanding: &mut Vec<OutstandingPull>,
 ) {
     loop {
@@ -1247,7 +1247,7 @@ impl ParamClient for ReconnectingClient {
     }
 
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         self.cmd_tx
             .send(PullCmd::Pull {
                 key,
@@ -1899,7 +1899,7 @@ mod tests {
     /// Run `f` on its own thread and fail, instead of hanging the test
     /// binary, if it takes longer than `limit`.
     fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let handle = std::thread::spawn(move || {
             let _ = tx.send(f());
         });
@@ -1992,7 +1992,7 @@ mod tests {
         const REPLIES: usize = 8;
         let ps = ParamServer::start(vec![vec![0.5; KEY_LEN]], ServerConfig::new(1, 1.0));
         let (waker, wake) = wake_pair().unwrap();
-        let (_conn_tx, conn_rx) = unbounded();
+        let (_conn_tx, conn_rx) = mpsc::channel();
         let io = IoLoop {
             conns: conn_rx,
             wake,

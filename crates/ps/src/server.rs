@@ -10,7 +10,7 @@ use cdsgd_compress::{decompress_add, decompress_add_traced, BufferPool, CodecSpa
 use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes};
 use cdsgd_net::NetError;
 use cdsgd_telemetry::{Event, Op, Telemetry};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -401,7 +401,7 @@ impl ParamServer {
         telemetry: Telemetry,
         durability: Durability,
     ) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
         let failure = Arc::new(Mutex::new(None));
         let pool = BufferPool::new();

@@ -351,6 +351,13 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
+/// Drop the calling thread's scratch; whether it had one, i.e. has run
+/// a GEMM since the last call.
+#[cfg(test)]
+pub(super) fn take_scratch() -> bool {
+    SCRATCH.with(|cell| cell.borrow_mut().take().is_some())
+}
+
 /// Accumulator vectors a block of `nb` columns is computed with: 1, 2,
 /// 4 or 8, so the row cores exist in four widths, not eight. Columns
 /// `nb..8·vectors(nb)` are zero in the panel and never stored.

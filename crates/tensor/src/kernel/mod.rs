@@ -51,26 +51,19 @@
 //! and fall back to the scalar loop for the remainder, so
 //! non-multiple-of-8 lengths exercise both paths in one call.
 //!
-//! # Parallel tiling
+//! # Threading
 //!
-//! Large inputs are tiled across threads with rayon behind a single
-//! size threshold, `CDSGD_PAR_THRESHOLD` (work items; default `65536`,
-//! `off` disables). Elementwise kernels count elements and split into
-//! 16 Ki-element tiles. GEMM counts `m·n·k` and hands each thread one
-//! contiguous range of C rows, and only when every spawned thread takes
-//! at least the threshold off the caller's critical path (a `t`-way
-//! split saves `m·n·k·(1 − 1/t)` and costs `t` spawns). Tiling never
-//! changes results: every tile is an independent output range. Packing,
-//! quantizer scans, and reductions never tile — they are memory-bound
-//! or order-pinned.
+//! Every kernel runs to completion on the caller's thread: none spawns,
+//! tiles or takes a lock, so a call costs its arithmetic and nothing
+//! else, and the thread-local GEMM scratch in `avx2` has exactly one
+//! user per thread. Parallelism lives one level up — one thread per
+//! worker, one per server shard.
 
 pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Which kernel backend this process dispatches to.
@@ -120,83 +113,12 @@ fn simd_active() -> bool {
     backend() == Backend::Avx2
 }
 
-/// Work-item threshold above which kernels tile across threads.
-///
-/// Read once from `CDSGD_PAR_THRESHOLD` (`off` → never parallelize,
-/// otherwise a count; default 65536) and cached.
+/// Always `usize::MAX` — "never tiles", what `CDSGD_PAR_THRESHOLD=off`
+/// used to select; the variable is no longer read. Kept only because
+/// `benchmark/src/host.rs` records it: the next `benchmark`-archetype PR
+/// removes this function together with the benchmark's `par_off` pin.
 pub fn par_threshold() -> usize {
-    static THRESHOLD: OnceLock<usize> = OnceLock::new();
-    const DEFAULT: usize = 64 * 1024;
-    *THRESHOLD.get_or_init(|| match std::env::var("CDSGD_PAR_THRESHOLD") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("off") => usize::MAX,
-        Ok(v) => v.trim().parse().unwrap_or(DEFAULT),
-        Err(_) => DEFAULT,
-    })
-}
-
-/// Elementwise tile size (elements per rayon task).
-const ELEM_TILE: usize = 16 * 1024;
-
-/// Fewest C rows a GEMM thread is handed.
-const ROW_BLOCK: usize = 32;
-
-/// How many threads an `m`×`n`×`k` GEMM is split over on a host with
-/// `cores` of them: 1 (no split) unless every spawned thread is worth
-/// its spawn, judged from the shape alone. With `t` threads the caller's
-/// critical path shrinks from `m·n·k` work items to its `1/t` share, and
-/// that saving is what `t` spawns buy; each must buy at least
-/// `threshold` items. (Counting the total against the threshold, as this
-/// used to, spawned two threads for the MLP's last `dW`,
-/// `[1024,16]ᵀ×[16,10]`, and doubled its time.)
-fn gemm_threads(m: usize, n: usize, k: usize, cores: usize, threshold: usize) -> usize {
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let t = cores.min(m / ROW_BLOCK);
-    if t < 2 || (work - work / t) / t < threshold {
-        1
-    } else {
-        t
-    }
-}
-
-/// Run `body(rows, c_rows)` over the `m` rows of the row-major `m`×`n`
-/// output `c`: in one call, or as one contiguous row range per thread
-/// ([`gemm_threads`]), so a packing backend packs once per thread, not
-/// once per block.
-fn parallel_rows<F>(c: &mut [f32], m: usize, n: usize, k: usize, body: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    // Cached: the query is a syscall plus cgroup file reads, several
-    // microseconds — more than a small GEMM.
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()));
-    let threads = gemm_threads(m, n, k, cores, par_threshold());
-    if threads == 1 {
-        body(0..m, c);
-        return;
-    }
-    let rows_each = m.div_ceil(threads);
-    c.par_chunks_mut(rows_each * n)
-        .enumerate()
-        .for_each(|(t, chunk)| {
-            let start = t * rows_each;
-            body(start..start + chunk.len() / n, chunk);
-        });
-}
-
-/// Tile an elementwise kernel over `y` (and any same-length inputs,
-/// addressed by the tile's element offset) when it is large enough.
-fn tiled<F>(y: &mut [f32], body: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if y.len() < par_threshold() {
-        body(0, y);
-        return;
-    }
-    y.par_chunks_mut(ELEM_TILE)
-        .enumerate()
-        .for_each(|(t, chunk)| body(t * ELEM_TILE, chunk));
+    usize::MAX
 }
 
 // ---------------------------------------------------------------------------
@@ -217,58 +139,40 @@ macro_rules! dispatch {
 /// `y[i] += alpha * x[i]`.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "kernel::axpy length mismatch");
-    tiled(y, |off, chunk| {
-        let x = &x[off..off + chunk.len()];
-        dispatch!(avx2::axpy(alpha, x, chunk), scalar::axpy(alpha, x, chunk))
-    });
+    dispatch!(avx2::axpy(alpha, x, y), scalar::axpy(alpha, x, y))
 }
 
 /// `y[i] *= s`.
 pub fn scale(y: &mut [f32], s: f32) {
-    tiled(y, |_, chunk| {
-        dispatch!(avx2::scale(chunk, s), scalar::scale(chunk, s))
-    });
+    dispatch!(avx2::scale(y, s), scalar::scale(y, s))
 }
 
 /// `y[i] += x[i]`.
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(x.len(), y.len(), "kernel::add_assign length mismatch");
-    tiled(y, |off, chunk| {
-        let x = &x[off..off + chunk.len()];
-        dispatch!(avx2::add_assign(chunk, x), scalar::add_assign(chunk, x))
-    });
+    dispatch!(avx2::add_assign(y, x), scalar::add_assign(y, x))
 }
 
 /// `y[i] += b`.
 pub fn add_scalar(y: &mut [f32], b: f32) {
-    tiled(y, |_, chunk| {
-        dispatch!(avx2::add_scalar(chunk, b), scalar::add_scalar(chunk, b))
-    });
+    dispatch!(avx2::add_scalar(y, b), scalar::add_scalar(y, b))
 }
 
 /// `out[i] = a[i] + b[i]`.
 pub fn add_into(out: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(out.len(), a.len(), "kernel::add_into length mismatch");
     assert_eq!(out.len(), b.len(), "kernel::add_into length mismatch");
-    tiled(out, |off, chunk| {
-        let a = &a[off..off + chunk.len()];
-        let b = &b[off..off + chunk.len()];
-        dispatch!(avx2::add_into(chunk, a, b), scalar::add_into(chunk, a, b))
-    });
+    dispatch!(avx2::add_into(out, a, b), scalar::add_into(out, a, b))
 }
 
 /// `out[i] = a[i] + alpha * b[i]`.
 pub fn scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]) {
     assert_eq!(out.len(), a.len(), "kernel::scale_add length mismatch");
     assert_eq!(out.len(), b.len(), "kernel::scale_add length mismatch");
-    tiled(out, |off, chunk| {
-        let a = &a[off..off + chunk.len()];
-        let b = &b[off..off + chunk.len()];
-        dispatch!(
-            avx2::scale_add(chunk, a, alpha, b),
-            scalar::scale_add(chunk, a, alpha, b)
-        )
-    });
+    dispatch!(
+        avx2::scale_add(out, a, alpha, b),
+        scalar::scale_add(out, a, alpha, b)
+    )
 }
 
 /// `out[i] = w[i] - step * g[i]` — kept as its own primitive (rather
@@ -277,26 +181,16 @@ pub fn scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]) {
 pub fn sgd_step(out: &mut [f32], w: &[f32], g: &[f32], step: f32) {
     assert_eq!(out.len(), w.len(), "kernel::sgd_step length mismatch");
     assert_eq!(out.len(), g.len(), "kernel::sgd_step length mismatch");
-    tiled(out, |off, chunk| {
-        let w = &w[off..off + chunk.len()];
-        let g = &g[off..off + chunk.len()];
-        dispatch!(
-            avx2::sgd_step(chunk, w, g, step),
-            scalar::sgd_step(chunk, w, g, step)
-        )
-    });
+    dispatch!(
+        avx2::sgd_step(out, w, g, step),
+        scalar::sgd_step(out, w, g, step)
+    )
 }
 
 /// `v[i] = mu * v[i] + g[i]` (momentum decay-accumulate).
 pub fn decay_add(v: &mut [f32], mu: f32, g: &[f32]) {
     assert_eq!(v.len(), g.len(), "kernel::decay_add length mismatch");
-    tiled(v, |off, chunk| {
-        let g = &g[off..off + chunk.len()];
-        dispatch!(
-            avx2::decay_add(chunk, mu, g),
-            scalar::decay_add(chunk, mu, g)
-        )
-    });
+    dispatch!(avx2::decay_add(v, mu, g), scalar::decay_add(v, mu, g))
 }
 
 /// `out[i] = w[i] - step * (g[i] + mu * v[i])` (Nesterov lookahead).
@@ -304,75 +198,59 @@ pub fn nesterov_step(out: &mut [f32], w: &[f32], g: &[f32], v: &[f32], step: f32
     assert_eq!(out.len(), w.len(), "kernel::nesterov_step length mismatch");
     assert_eq!(out.len(), g.len(), "kernel::nesterov_step length mismatch");
     assert_eq!(out.len(), v.len(), "kernel::nesterov_step length mismatch");
-    tiled(out, |off, chunk| {
-        let w = &w[off..off + chunk.len()];
-        let g = &g[off..off + chunk.len()];
-        let v = &v[off..off + chunk.len()];
-        dispatch!(
-            avx2::nesterov_step(chunk, w, g, v, step, mu),
-            scalar::nesterov_step(chunk, w, g, v, step, mu)
-        )
-    });
+    dispatch!(
+        avx2::nesterov_step(out, w, g, v, step, mu),
+        scalar::nesterov_step(out, w, g, v, step, mu)
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Generic map / zip
 // ---------------------------------------------------------------------------
 
-/// `y[i] = f(y[i])`, tiled across threads for large `y`. No SIMD path:
-/// `f` is opaque, but the single implementation still deduplicates the
-/// loop and picks up tiling.
+/// `y[i] = f(y[i])`. No SIMD path: `f` is opaque, but the single
+/// implementation still deduplicates the loop.
 pub fn map_inplace<F>(y: &mut [f32], f: F)
 where
-    F: Fn(f32) -> f32 + Sync,
+    F: Fn(f32) -> f32,
 {
-    tiled(y, |_, chunk| {
-        for v in chunk.iter_mut() {
-            *v = f(*v);
-        }
-    });
+    for v in y.iter_mut() {
+        *v = f(*v);
+    }
 }
 
 /// `out[i] = f(x[i])`.
 pub fn map_into<F>(out: &mut [f32], x: &[f32], f: F)
 where
-    F: Fn(f32) -> f32 + Sync,
+    F: Fn(f32) -> f32,
 {
     assert_eq!(out.len(), x.len(), "kernel::map_into length mismatch");
-    tiled(out, |off, chunk| {
-        let x = &x[off..off + chunk.len()];
-        for (o, &v) in chunk.iter_mut().zip(x) {
-            *o = f(v);
-        }
-    });
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = f(v);
+    }
 }
 
 /// `y[i] = f(y[i], x[i])`.
 pub fn zip_inplace<F>(y: &mut [f32], x: &[f32], f: F)
 where
-    F: Fn(f32, f32) -> f32 + Sync,
+    F: Fn(f32, f32) -> f32,
 {
     assert_eq!(y.len(), x.len(), "kernel::zip_inplace length mismatch");
-    tiled(y, |off, chunk| {
-        let x = &x[off..off + chunk.len()];
-        for (o, &v) in chunk.iter_mut().zip(x) {
-            *o = f(*o, v);
-        }
-    });
+    for (o, &v) in y.iter_mut().zip(x) {
+        *o = f(*o, v);
+    }
 }
 
 /// `out[i] = f(a[i], b[i])`.
 pub fn zip_into<F>(out: &mut [f32], a: &[f32], b: &[f32], f: F)
 where
-    F: Fn(f32, f32) -> f32 + Sync,
+    F: Fn(f32, f32) -> f32,
 {
     assert_eq!(out.len(), a.len(), "kernel::zip_into length mismatch");
     assert_eq!(out.len(), b.len(), "kernel::zip_into length mismatch");
-    tiled(out, |off, chunk| {
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = f(a[off + i], b[off + i]);
-        }
-    });
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -420,17 +298,15 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 // GEMM
 // ---------------------------------------------------------------------------
 
-/// `C[m,n] += A[m,k] · B[k,n]`, row-major, parallel over C row ranges.
+/// `C[m,n] += A[m,k] · B[k,n]`, row-major.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "kernel::gemm A size");
     assert_eq!(b.len(), k * n, "kernel::gemm B size");
     assert_eq!(c.len(), m * n, "kernel::gemm C size");
-    parallel_rows(c, m, n, k, |rows, chunk| {
-        dispatch!(
-            avx2::gemm_block(a, b, rows, chunk, k, n),
-            scalar::gemm_block(a, b, rows, chunk, k, n)
-        )
-    });
+    dispatch!(
+        avx2::gemm_block(a, b, 0..m, c, k, n),
+        scalar::gemm_block(a, b, 0..m, c, k, n)
+    )
 }
 
 /// `C[m,n] += A[m,k] · B[n,k]ᵀ`.
@@ -438,12 +314,10 @@ pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     assert_eq!(a.len(), m * k, "kernel::gemm_nt A size");
     assert_eq!(b.len(), n * k, "kernel::gemm_nt B size");
     assert_eq!(c.len(), m * n, "kernel::gemm_nt C size");
-    parallel_rows(c, m, n, k, |rows, chunk| {
-        dispatch!(
-            avx2::gemm_nt_block(a, b, rows, chunk, k, n),
-            scalar::gemm_nt_block(a, b, rows, chunk, k, n)
-        )
-    });
+    dispatch!(
+        avx2::gemm_nt_block(a, b, 0..m, c, k, n),
+        scalar::gemm_nt_block(a, b, 0..m, c, k, n)
+    )
 }
 
 /// `C[m,n] += A[k,m]ᵀ · B[k,n]`.
@@ -451,12 +325,10 @@ pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     assert_eq!(a.len(), k * m, "kernel::gemm_tn A size");
     assert_eq!(b.len(), k * n, "kernel::gemm_tn B size");
     assert_eq!(c.len(), m * n, "kernel::gemm_tn C size");
-    parallel_rows(c, m, n, k, |rows, chunk| {
-        dispatch!(
-            avx2::gemm_tn_block(a, b, rows, chunk, m, k, n),
-            scalar::gemm_tn_block(a, b, rows, chunk, m, k, n)
-        )
-    });
+    dispatch!(
+        avx2::gemm_tn_block(a, b, 0..m, c, m, k, n),
+        scalar::gemm_tn_block(a, b, 0..m, c, m, k, n)
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -606,23 +478,27 @@ pub fn unpack_1bit_add(signs: &[u8], scale: f32, out: &mut [f32]) {
 
 #[cfg(test)]
 mod tests {
-    use super::gemm_threads;
-
+    /// The contract the thread-local GEMM scratch relies on, at sizes
+    /// large enough that a tiling kernel would have split them.
     #[test]
-    fn gemm_splits_only_when_a_spawned_thread_is_worth_it() {
-        let threshold = 64 * 1024;
-        // The MLP's last dW and last forward product: tiny, never split.
-        assert_eq!(gemm_threads(1024, 10, 16, 2, threshold), 1);
-        assert_eq!(gemm_threads(16, 10, 1024, 2, threshold), 1);
-        // Fewer than two ROW_BLOCKs of rows: nothing to hand out.
-        assert_eq!(gemm_threads(63, 4096, 4096, 8, threshold), 1);
-        // The MLP's big dW: one range per core, at most one per block.
-        assert_eq!(gemm_threads(1024, 1024, 16, 2, threshold), 2);
-        assert_eq!(gemm_threads(64, 1024, 1024, 8, threshold), 2);
-        // More cores must each still be worth a spawn.
-        assert_eq!(gemm_threads(1024, 64, 16, 2, threshold), 2);
-        assert_eq!(gemm_threads(1024, 64, 16, 16, threshold), 1);
-        assert_eq!(gemm_threads(1024, 10, 16, 2, usize::MAX), 1);
-        assert_eq!(gemm_threads(1 << 20, 1 << 20, 1 << 30, 2, usize::MAX), 1);
+    fn kernels_run_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let mut y = vec![1.0f32; 1 << 20];
+        super::map_inplace(&mut y, |v| {
+            assert_eq!(std::thread::current().id(), caller, "left its caller");
+            v + 1.0
+        });
+
+        // A GEMM takes no closure to report from; what shows where it ran
+        // is whose scratch it filled.
+        #[cfg(target_arch = "x86_64")]
+        if super::simd_active() {
+            let (m, k, n) = (1024, 16, 1024);
+            let (a, b) = (vec![1.0f32; k * m], vec![1.0f32; k * n]);
+            let mut c = vec![0.0f32; m * n];
+            super::avx2::take_scratch();
+            super::gemm_tn(&a, &b, &mut c, m, k, n);
+            assert!(super::avx2::take_scratch(), "gemm_tn left its caller");
+        }
     }
 }

@@ -163,7 +163,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 // GEMM row-block microkernels
 // ---------------------------------------------------------------------------
 // All three operate on a block of output rows (`rows`) whose storage is
-// `c_chunk` (so the rayon splitter can hand out disjoint row bands). The
+// `c_chunk` (the dispatcher passes `0..m` and all of C). The
 // accumulation order per output element is strictly increasing `p`, and
 // `a` elements equal to 0.0 skip their contribution entirely — both are
 // load-bearing for bit-identity (skipping avoids `-0.0 + 0.0` flips on

@@ -1,8 +1,8 @@
 //! # cdsgd-tensor
 //!
 //! A small, self-contained N-dimensional `f32` tensor library that provides
-//! exactly the math kernels the CD-SGD reproduction needs: blocked and
-//! rayon-parallel matrix multiplication, im2col-based convolution kernels,
+//! exactly the math kernels the CD-SGD reproduction needs: packed
+//! matrix multiplication, im2col-based convolution kernels,
 //! elementwise arithmetic, reductions, and seeded random initialization.
 //!
 //! The library is deliberately minimal — it is the substrate standing in for

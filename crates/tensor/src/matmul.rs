@@ -1,8 +1,7 @@
 //! Matrix multiplication entry points.
 //!
-//! The actual microkernels (packed AVX2 + scalar reference, rayon
-//! row-range tiling) live in [`crate::kernel`]; this module keeps
-//! the shape-checked `Tensor` methods and the raw-slice `gemm*` API
+//! The actual microkernels (packed AVX2 + scalar reference) live in
+//! [`crate::kernel`]; this module keeps the shape-checked `Tensor` methods and the raw-slice `gemm*` API
 //! other crates already use.
 //!
 //! Three layout variants cover everything the NN backward passes need
@@ -141,8 +140,8 @@ mod tests {
 
     #[test]
     fn large_parallel_path_matches_naive() {
-        // Big enough to cross the kernel's parallel threshold and
-        // exercise the rayon row-range split.
+        // Big enough to cross the packed kernel's 64-row band, 64-column
+        // panel and 64-deep k-slice boundaries.
         let mut rng = SmallRng64::new(5);
         let a = Tensor::randn(&[128, 96], 1.0, &mut rng);
         let b = Tensor::randn(&[96, 80], 1.0, &mut rng);

@@ -28,19 +28,19 @@ impl Tensor {
     }
 
     /// Elementwise map (allocates).
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = Tensor::zeros(self.shape());
         kernel::map_into(out.data_mut(), self.data(), f);
         out
     }
 
     /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         kernel::map_inplace(self.data_mut(), f);
     }
 
     /// Elementwise zip-map with shape check (allocates).
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in binary op");
         let mut out = Tensor::zeros(self.shape());
         kernel::zip_into(out.data_mut(), self.data(), other.data(), f);

@@ -371,9 +371,8 @@ fn edge_lengths_elementwise() {
     }
 }
 
-/// Exercise the rayon-tiled paths: sizes above `CDSGD_PAR_THRESHOLD`
-/// (default 65536) must still be bit-identical — tiles are independent
-/// output ranges, so threading cannot reassociate anything.
+/// Inputs far larger than any cache or vector group: one call, still
+/// bit-identical end to end.
 #[test]
 fn large_tiled_elementwise_identity() {
     let n = 200_000;
@@ -393,8 +392,7 @@ fn large_tiled_elementwise_identity() {
 
 #[test]
 fn large_parallel_gemm_identity() {
-    // Above the default threshold on two or more cores, and not a
-    // multiple of the per-thread row range: the last range is short.
+    // Three 64-row bands, the last one short (two rows).
     let (m, k, n) = (130, 64, 64);
     let a = fill(5, m * k, false);
     let b = fill(6, k * n, false);

@@ -19,14 +19,30 @@ run_tests() {
     }
 }
 
+# Every crate under vendor/ must be depended on: by a member manifest
+# through its [workspace.dependencies] entry, or by a sibling shim's
+# `path = "../<name>"`. An unused shim is dead code that still compiles,
+# tests and shows up in Cargo.lock.
+echo "==> vendor/ holds no unused crate"
+for dir in vendor/*/; do
+    name=$(basename "$dir")
+    if grep -q "^$name = { path = \"vendor/$name\" }" Cargo.toml &&
+        grep -qs "^$name = { workspace = true" Cargo.toml crates/*/Cargo.toml; then
+        continue
+    fi
+    grep -qs "^$name = { path = \"\.\./$name\" }" vendor/*/Cargo.toml && continue
+    echo "ERROR: vendor/$name is used by no manifest — delete it" >&2
+    exit 1
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
 # The criterion benches (crates/bench/benches/, `harness = false`) are
 # built by neither `cargo build` nor `cargo test`, yet they sit on the
-# public API (`ParamServer`, `NetCluster::client`, the
-# `GradientCompressor` trait): compile them, run nothing, so a stale
-# bench fails here instead of rotting.
+# public API (`Trainer`, `Telemetry`, the `GradientCompressor` trait,
+# `kernel::scalar`): compile them, run nothing, so a stale bench fails
+# here instead of rotting.
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 

@@ -52,7 +52,7 @@ fn allreduce_bit_identical_across_transports_and_topologies() {
         "fixture must actually learn"
     );
     // Captured at commit dc4c259, when the trainer's fallback ring still
-    // ran over crossbeam channels; holds on both kernel backends.
+    // ran over in-process channels; holds on both kernel backends.
     assert_eq!(
         weight_hash(&reference),
         0xe494d145d35042fc,
