@@ -3,8 +3,8 @@
 //! hides; these numbers quantify it on this machine.
 
 use cdsgd_compress::{
-    decompress, GradientCompressor, NoCompression, OneBitQuantizer, QsgdQuantizer,
-    TernGradQuantizer, TopKSparsifier, TwoBitQuantizer,
+    decompress, GradientCompressor, NoCompression, OneBitQuantizer, QsgdQuantizer, TopKSparsifier,
+    TwoBitQuantizer,
 };
 use cdsgd_tensor::kernel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -26,10 +26,6 @@ fn bench_encode(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("1bit", n), &grad, |b, grad| {
             let mut q = OneBitQuantizer::new();
-            b.iter(|| q.compress(0, grad));
-        });
-        g.bench_with_input(BenchmarkId::new("terngrad", n), &grad, |b, grad| {
-            let mut q = TernGradQuantizer::new(7);
             b.iter(|| q.compress(0, grad));
         });
         g.bench_with_input(BenchmarkId::new("qsgd4", n), &grad, |b, grad| {

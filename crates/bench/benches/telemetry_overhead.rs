@@ -1,16 +1,18 @@
 //! What the telemetry layer costs on the training hot path.
 //!
-//! Three variants of the same profiled CD-SGD epoch: telemetry
-//! *disabled* (the `Telemetry::emit` fast path — the event closure is
-//! never even run), a `NullSink` (every event constructed, then
-//! dropped), and a `JsonlSink` (every event serialized to disk). The
-//! disabled and null variants should be indistinguishable from each
-//! other at epoch granularity; the JSONL variant pays for serialization
-//! and buffered I/O. A second group measures the bare emit call.
+//! Four variants of the same CD-SGD epoch: telemetry *disabled* (one
+//! `Option` test per site — no event built, no clock read), a
+//! `NullSink` (every op span timed and every event constructed, then
+//! dropped), a `MemorySink` (each cloned into a locked `Vec`) and a
+//! `JsonlSink` (each serialized to disk). The first three should be
+//! indistinguishable at epoch granularity — emitting each span where
+//! it is timed costs a traced run nothing measurable; the JSONL variant
+//! pays for serialization and buffered I/O. A second group measures the
+//! bare emit call.
 
 use std::sync::Arc;
 
-use cd_sgd::{Algorithm, Event, JsonlSink, NullSink, Telemetry, TrainConfig, Trainer};
+use cd_sgd::{Algorithm, Event, JsonlSink, MemorySink, NullSink, Telemetry, TrainConfig, Trainer};
 use cdsgd_data::toy;
 use cdsgd_nn::models;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -25,6 +27,10 @@ fn bench_epoch(c: &mut Criterion) {
     let variants: Vec<(&str, Box<dyn Fn() -> Telemetry>)> = vec![
         ("disabled", Box::new(Telemetry::disabled)),
         ("null_sink", Box::new(|| Telemetry::new(Arc::new(NullSink)))),
+        (
+            "memory_sink",
+            Box::new(|| Telemetry::new(Arc::new(MemorySink::new()))),
+        ),
         ("jsonl_sink", {
             let path = jsonl_path.clone();
             Box::new(move || {
@@ -40,7 +46,6 @@ fn bench_epoch(c: &mut Criterion) {
                     .with_batch_size(32)
                     .with_epochs(1)
                     .with_seed(9)
-                    .with_profiling(true)
                     .with_telemetry(make());
                 Trainer::new(
                     cfg,

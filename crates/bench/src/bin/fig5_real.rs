@@ -14,8 +14,10 @@
 //! Usage: `cargo run --release -p cdsgd-bench --bin fig5_real
 //!         [--epochs 2] [--samples 1200] [--mibps 5]`
 
-use cd_sgd::profile::{summarize, to_chrome_json};
-use cd_sgd::{Algorithm, TrainConfig, Trainer};
+use std::sync::Arc;
+
+use cd_sgd::telemetry::{summarize, to_chrome_json};
+use cd_sgd::{Algorithm, MemorySink, Telemetry, TrainConfig, Trainer};
 use cdsgd_bench::arg_usize;
 use cdsgd_data::synth;
 use cdsgd_nn::models;
@@ -39,21 +41,22 @@ fn main() {
         Algorithm::cd_sgd(0.05, 0.5, 4, warmup),
     ] {
         let name = algo.name();
+        let mem = Arc::new(MemorySink::new());
         let cfg = TrainConfig::new(algo, workers)
             .with_lr(0.4)
             .with_batch_size(32)
             .with_epochs(epochs)
             .with_seed(3)
-            .with_profiling(true)
+            .with_telemetry(Telemetry::new(mem.clone()))
             .with_emulated_network(mibps as f64 * 1024.0 * 1024.0);
-        let h = Trainer::new(
+        Trainer::new(
             cfg,
             |rng| models::resnet_cifar(8, 1, 10, rng),
             train.clone(),
             None,
         )
         .run();
-        let events = h.profile.expect("profiling enabled");
+        let events = mem.take();
         let summary = summarize(&events);
         println!("-- {name} --");
         for (op, total) in &summary.totals {

@@ -26,13 +26,6 @@ pub enum Compressed {
         signs: Vec<u8>,
         len: usize,
     },
-    /// TernGrad stochastic ternarization: symbols decode to
-    /// `{0, +scale, -scale}`.
-    Tern {
-        scale: f32,
-        packed: Vec<u8>,
-        len: usize,
-    },
     /// QSGD stochastic uniform quantization: per-element signed level in
     /// `[-levels, +levels]`, decoded as `norm * level / levels`.
     Qsgd {
@@ -56,7 +49,6 @@ impl Compressed {
             Compressed::Raw(v) => v.len(),
             Compressed::TwoBit { len, .. }
             | Compressed::OneBit { len, .. }
-            | Compressed::Tern { len, .. }
             | Compressed::Qsgd { len, .. }
             | Compressed::TopK { len, .. } => *len,
         }
@@ -80,8 +72,6 @@ impl Compressed {
             Compressed::TwoBit { packed, .. } => 4 + packed.len(),
             // scale (4) + sign bits
             Compressed::OneBit { signs, .. } => 4 + signs.len(),
-            // scale (4) + packed 2-bit codes
-            Compressed::Tern { packed, .. } => 4 + packed.len(),
             // norm (4) + levels (1) + fixed-width codes. Real QSGD uses
             // Elias coding; fixed ceil(log2(2L+1))-bit codes are a
             // conservative stand-in.
@@ -108,9 +98,7 @@ impl Compressed {
     pub fn recycle(self, pool: &BufferPool) {
         match self {
             Compressed::Raw(v) => pool.put_f32(v),
-            Compressed::TwoBit { packed, .. } | Compressed::Tern { packed, .. } => {
-                pool.put_bytes(packed)
-            }
+            Compressed::TwoBit { packed, .. } => pool.put_bytes(packed),
             Compressed::OneBit { signs, .. } => pool.put_bytes(signs),
             Compressed::Qsgd { codes, .. } => pool.put_i8(codes),
             Compressed::TopK {
@@ -144,7 +132,6 @@ pub fn decompress_add(c: &Compressed, out: &mut [f32]) {
             threshold, packed, ..
         } => kernel::unpack_2bit_add(packed, *threshold, out),
         Compressed::OneBit { scale, signs, .. } => kernel::unpack_1bit_add(signs, *scale, out),
-        Compressed::Tern { scale, packed, .. } => kernel::unpack_2bit_add(packed, *scale, out),
         Compressed::Qsgd {
             norm,
             levels,
@@ -164,15 +151,6 @@ pub fn decompress_add(c: &Compressed, out: &mut [f32]) {
             }
         }
     }
-}
-
-/// [`decompress_add`] wrapped in one [`cdsgd_telemetry::Op::Decompress`]
-/// span on `spans` — the codec-layer "dequant" interval the server's
-/// aggregation loop records when tracing is on.
-pub fn decompress_add_traced(c: &Compressed, out: &mut [f32], spans: &dyn crate::CodecSpans) {
-    let t = spans.now();
-    decompress_add(c, out);
-    spans.record(cdsgd_telemetry::Op::Decompress, t);
 }
 
 #[cfg(test)]
@@ -207,15 +185,6 @@ mod tests {
         assert_eq!(
             Compressed::TwoBit {
                 threshold: 0.5,
-                packed: packed.clone(),
-                len: n
-            }
-            .wire_bytes(),
-            4 + 4 + 16 // 24
-        );
-        assert_eq!(
-            Compressed::Tern {
-                scale: 1.0,
                 packed,
                 len: n
             }

@@ -12,8 +12,8 @@
 //!
 //! Baseline codecs used in the paper's related-work comparisons are also
 //! provided: 1-bit sign quantization with error feedback (signSGD/1-bit
-//! SGD), TernGrad's stochastic ternarization, QSGD's stochastic uniform
-//! quantization, and DGC-style Top-k sparsification.
+//! SGD), QSGD's stochastic uniform quantization, and DGC-style Top-k
+//! sparsification.
 //!
 //! All codecs implement [`GradientCompressor`] and produce a [`Compressed`]
 //! payload that knows its exact wire size, so the parameter server can
@@ -37,40 +37,18 @@ mod packing;
 mod pool;
 mod qsgd;
 mod residual;
-mod terngrad;
 mod topk;
 mod twobit;
 
 pub use adaptive::AdaptiveTwoBit;
-pub use compressed::{decompress, decompress_add, decompress_add_traced, Compressed};
+pub use compressed::{decompress, decompress_add, Compressed};
 pub use onebit::OneBitQuantizer;
 pub use packing::{pack_1bit, pack_1bit_into, pack_2bit, pack_2bit_into, unpack_1bit, unpack_2bit};
 pub use pool::BufferPool;
 pub use qsgd::QsgdQuantizer;
 pub use residual::ResidualStore;
-pub use terngrad::TernGradQuantizer;
 pub use topk::TopKSparsifier;
 pub use twobit::TwoBitQuantizer;
-
-use cdsgd_telemetry::Op;
-
-/// An observer for codec-layer op spans.
-///
-/// Encode ([`Op::Compress`], "quant") and decode ([`Op::Decompress`],
-/// "dequant") intervals are timed *here*, at the codec boundary, rather
-/// than by whichever loop happens to call the codec — so a `--trace`
-/// breakdown attributes kernel time to the codec no matter which layer
-/// (worker push path, server aggregation) drove it. Implementations
-/// supply the clock (`now`, seconds since their origin) and decide how a
-/// closed interval is recorded; the codec never touches wall-clock APIs
-/// itself, which keeps tracing fully inert when no observer is passed.
-pub trait CodecSpans {
-    /// Current time on the observer's clock, in seconds.
-    fn now(&self) -> f64;
-
-    /// Record that `op` ran over the interval `[start_s, self.now()]`.
-    fn record(&self, op: Op, start_s: f64);
-}
 
 /// A stateful gradient compressor.
 ///
@@ -90,22 +68,6 @@ pub trait GradientCompressor: Send {
     /// loop.
     fn compress(&mut self, key: usize, grad: &[f32]) -> Compressed {
         self.compress_into(key, grad, &BufferPool::new())
-    }
-
-    /// [`GradientCompressor::compress_into`] wrapped in one
-    /// [`Op::Compress`] span on `spans` — the codec-layer "quant"
-    /// interval callers use when tracing is on.
-    fn compress_into_traced(
-        &mut self,
-        key: usize,
-        grad: &[f32],
-        pool: &BufferPool,
-        spans: &dyn CodecSpans,
-    ) -> Compressed {
-        let t = spans.now();
-        let c = self.compress_into(key, grad, pool);
-        spans.record(Op::Compress, t);
-        c
     }
 
     /// Human-readable codec name (used in benchmark tables).

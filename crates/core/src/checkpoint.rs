@@ -240,7 +240,6 @@ mod tests {
                 epoch_pull_bytes: 84,
             }],
             final_weights: vec![vec![1.0]],
-            profile: None,
             aborted: None,
         };
         let path = tmp("history.json");

@@ -392,9 +392,6 @@ pub struct TrainConfig {
     /// Apply random crop + flip augmentation to training batches
     /// (requires NCHW data).
     pub augment: bool,
-    /// Record wall-clock op intervals in every worker (the Fig. 5
-    /// profiler methodology applied to this implementation).
-    pub profile: bool,
     /// Emulated network bandwidth in bytes/second shared through the
     /// server thread (`None` = in-process speed). Lets the real trainer
     /// reproduce the paper's communication-bound regimes.
@@ -423,10 +420,10 @@ pub struct TrainConfig {
     /// default) trains with fixed membership, bit-identical to a run
     /// without this field.
     pub departures: Vec<(usize, usize)>,
-    /// Cross-layer telemetry sink: every layer of the run (server rounds,
-    /// traffic, epoch rollups, aborts — and op spans when
-    /// [`TrainConfig::profile`] is on) emits typed events into it.
-    /// Disabled by default, in which case no event is even constructed.
+    /// Cross-layer telemetry sink: every layer of the run (the workers'
+    /// Fig. 5 op spans, server rounds and dequant spans, traffic, epoch
+    /// rollups, aborts) emits typed events into it. Disabled by default,
+    /// in which case no event is constructed and no clock is read.
     pub telemetry: Telemetry,
     /// Hot worker replacement (DESIGN.md §14): when a worker dies mid-run
     /// and the budget grants a restart, the supervisor respawns a
@@ -481,7 +478,6 @@ impl TrainConfig {
             seed: 42,
             lr_schedule: Vec::new(),
             augment: false,
-            profile: false,
             net_bytes_per_sec: None,
             fault: None,
             epoch_deadline: None,
@@ -587,12 +583,6 @@ impl TrainConfig {
     /// Enable data augmentation.
     pub fn with_augment(mut self, on: bool) -> Self {
         self.augment = on;
-        self
-    }
-
-    /// Enable per-op wall-clock profiling.
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 

@@ -38,7 +38,6 @@ pub mod config;
 pub mod convergence;
 pub mod lr;
 pub mod metrics;
-pub mod profile;
 pub mod recover;
 mod strategy;
 pub mod supervise;

@@ -1,7 +1,6 @@
 //! Per-epoch training metrics and run histories — the data behind every
 //! learning-curve figure.
 
-use crate::profile::OpEvent;
 use serde::Serialize;
 
 /// Metrics of one epoch, aggregated across workers.
@@ -56,8 +55,6 @@ pub struct TrainingHistory {
     /// The final global weights, one vector per parameter key (snapshot
     /// of the server after the last round).
     pub final_weights: Vec<Vec<f32>>,
-    /// Per-op wall-clock intervals, if profiling was enabled.
-    pub profile: Option<Vec<OpEvent>>,
     /// `Some` if the run aborted early (a worker died, the server failed
     /// a round); the epochs recorded above are the ones that completed.
     pub aborted: Option<AbortRecord>,
@@ -126,7 +123,6 @@ mod tests {
             algo: "S-SGD".into(),
             num_workers: 2,
             final_weights: vec![vec![0.0; 3]],
-            profile: None,
             aborted: None,
             epochs: vec![
                 EpochMetrics {
@@ -194,7 +190,6 @@ mod tests {
             num_workers: 1,
             epochs: vec![],
             final_weights: vec![],
-            profile: None,
             aborted: None,
         };
         assert_eq!(h.final_test_acc(), None);

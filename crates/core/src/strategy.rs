@@ -27,19 +27,20 @@
 //! from the old code for every variant on two backends.
 
 use crate::config::{Algorithm, ConfigError, Topology, TrainConfig};
-use crate::profile::{OpKind, WorkerProfile};
 use cdsgd_compress::{
-    decompress_add, BufferPool, CodecSpans, Compressed, GradientCompressor, NoCompression,
-    OneBitQuantizer, TwoBitQuantizer,
+    decompress_add, BufferPool, Compressed, GradientCompressor, NoCompression, OneBitQuantizer,
+    TwoBitQuantizer,
 };
 use cdsgd_net::{decode_compressed, encode_compressed_into};
 use cdsgd_nn::Sequential;
 use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::{Collective, NetError, ParamClient, PendingPull};
+use cdsgd_telemetry::Op;
 use std::sync::Arc;
 
 /// Per-iteration context handed to every strategy phase: identity,
-/// position in training, config, and the optional profiler.
+/// position in training, and the config (whose telemetry handle times
+/// the step's op intervals).
 pub(crate) struct StepCtx<'a> {
     /// Worker id.
     pub id: usize,
@@ -49,42 +50,19 @@ pub(crate) struct StepCtx<'a> {
     pub cfg: &'a TrainConfig,
     /// Iterations per epoch (AR-SGD's worker-side lr schedule needs it).
     pub iters_per_epoch: usize,
-    /// This worker's recording handle, present when op-interval
-    /// profiling is enabled. Recording is a local buffer push — no lock.
-    pub profiler: Option<&'a WorkerProfile>,
 }
 
 impl StepCtx<'_> {
-    /// Start an op interval (`None` when profiling is off).
+    /// Start an op interval (`None` when the run has no telemetry sink).
     fn now(&self) -> Option<f64> {
-        self.profiler.map(|p| p.now())
+        self.cfg.telemetry.span_start()
     }
 
-    /// Close an op interval opened by [`StepCtx::now`], attributing it to
-    /// `round` (which some strategies report post-increment).
-    fn record(&self, op: OpKind, round: u64, start: Option<f64>) {
-        if let (Some(p), Some(t)) = (self.profiler, start) {
-            p.record(op, round, t);
-        }
-    }
-}
-
-/// [`CodecSpans`] adapter over a worker's profiling handle: the codec's
-/// own quant intervals land in the same per-worker buffer as the
-/// loop-level ops, attributed to `round` — one span per key, timed at
-/// the codec boundary instead of around the whole staging loop.
-struct ProfiledCodec<'a> {
-    profile: &'a WorkerProfile,
-    round: u64,
-}
-
-impl CodecSpans for ProfiledCodec<'_> {
-    fn now(&self) -> f64 {
-        self.profile.now()
-    }
-
-    fn record(&self, op: OpKind, start_s: f64) {
-        self.profile.record(op, self.round, start_s);
+    /// Close an op interval opened by [`StepCtx::now`] as one span on
+    /// this worker's lane, attributed to `round` (which some strategies
+    /// report post-increment).
+    fn record(&self, op: Op, round: u64, start: Option<f64>) {
+        self.cfg.telemetry.span_end(self.id, op, round, start);
     }
 }
 
@@ -211,33 +189,28 @@ struct PsLink {
 impl PsLink {
     /// Stage one payload per key: through `codec` when there is one, raw
     /// f32 otherwise. Storage is drawn from the shared pool, so
-    /// steady-state rounds allocate nothing on the push path. With
-    /// profiling on, the codec itself records one [`OpKind::Compress`]
-    /// interval per key (via [`ProfiledCodec`]), so encode time is
-    /// attributed at the codec boundary rather than around the staging
-    /// loop.
+    /// steady-state rounds allocate nothing on the push path. Each
+    /// codec call is one [`Op::Compress`] span — per key, at the codec
+    /// boundary rather than around the staging loop; a raw push stages
+    /// a copy, which is not quantization and is not timed.
     fn stage(
         &mut self,
         mut codec: Option<&mut dyn GradientCompressor>,
         grads: &[Vec<f32>],
         ctx: &StepCtx,
     ) {
-        let spans = ctx.profiler.map(|profile| ProfiledCodec {
-            profile,
-            round: ctx.round,
-        });
         let pool = self.client.pool();
         self.staged.clear();
-        self.staged.extend(
-            grads
-                .iter()
-                .enumerate()
-                .map(|(key, g)| match (&mut codec, &spans) {
-                    (Some(c), Some(spans)) => c.compress_into_traced(key, g, pool, spans),
-                    (Some(c), None) => c.compress_into(key, g, pool),
-                    (None, _) => NoCompression.compress_into(key, g, pool),
-                }),
-        );
+        self.staged
+            .extend(grads.iter().enumerate().map(|(key, g)| match &mut codec {
+                Some(c) => {
+                    let t = ctx.now();
+                    let payload = c.compress_into(key, g, pool);
+                    ctx.record(Op::Compress, ctx.round, t);
+                    payload
+                }
+                None => NoCompression.compress_into(key, g, pool),
+            }));
     }
 
     /// Push the staged payloads, key by key.
@@ -249,7 +222,7 @@ impl PsLink {
     }
 
     /// Blocking pull of every key at `version` into `base`, recorded as
-    /// one [`OpKind::PullWait`] interval attributed to `record_round`.
+    /// one [`Op::PullWait`] interval attributed to `record_round`.
     fn pull_blocking(
         &mut self,
         version: u64,
@@ -258,7 +231,7 @@ impl PsLink {
     ) -> Result<(), NetError> {
         let t = ctx.now();
         self.base = self.client.pull_all(self.base.len(), version)?;
-        ctx.record(OpKind::PullWait, record_round, t);
+        ctx.record(Op::PullWait, record_round, t);
         Ok(())
     }
 
@@ -271,7 +244,7 @@ impl PsLink {
     }
 
     /// Blocking pull of every key at `version` into `base`, outside the
-    /// per-iteration profiling protocol (the resume path runs before the
+    /// per-iteration span protocol (the resume path runs before the
     /// first batch, so there is no round to charge the wait to).
     fn pull_version(&mut self, version: u64) -> Result<(), NetError> {
         self.base = self.client.pull_all(self.base.len(), version)?;
@@ -490,7 +463,7 @@ impl UpdateStrategy for PsStrategy {
                 Some(base) => base,
                 None => wait_all(d.pending.take().expect("async pull fired last round"))?,
             };
-            ctx.record(OpKind::PullWait, round, t);
+            ctx.record(Op::PullWait, round, t);
         }
         // Request next round's base (version round+1) now; the
         // transfer overlaps the next iteration's computation.
@@ -509,7 +482,7 @@ impl UpdateStrategy for PsStrategy {
             let t = ctx.now();
             model.import_params_from(&self.link.base);
             model.axpy_params(-d.local_lr, grads);
-            ctx.record(OpKind::LocalUpdate, ctx.round, t);
+            ctx.record(Op::LocalUpdate, ctx.round, t);
         } else {
             model.import_params_from(&self.link.base);
         }
@@ -533,7 +506,7 @@ impl UpdateStrategy for PsStrategy {
         if let Some(receivers) = d.pending.take() {
             let t = ctx.now();
             d.settled = Some(wait_all(receivers)?);
-            ctx.record(OpKind::PullWait, ctx.round, t);
+            ctx.record(Op::PullWait, ctx.round, t);
         }
         Ok(())
     }
@@ -734,7 +707,7 @@ impl UpdateStrategy for ArSgdStrategy {
         for m in self.mean.iter_mut() {
             self.ring.allreduce_mean(m)?;
         }
-        ctx.record(OpKind::PullWait, ctx.round, t);
+        ctx.record(Op::PullWait, ctx.round, t);
         Ok(())
     }
 
@@ -865,7 +838,7 @@ impl UpdateStrategy for DecentralizedStrategy {
         let lr = current_lr(ctx.cfg, ctx.round, ctx.iters_per_epoch);
         let t = ctx.now();
         model.axpy_params(-lr, grads);
-        ctx.record(OpKind::LocalUpdate, ctx.round, t);
+        ctx.record(Op::LocalUpdate, ctx.round, t);
 
         // Compress the model movement since the last exchange and
         // advance our own replica by exactly the decoded diff — the
@@ -892,7 +865,7 @@ impl UpdateStrategy for DecentralizedStrategy {
         let t = ctx.now();
         self.ring
             .neighbor_exchange(&self.payload, &mut self.from_prev, &mut self.from_next)?;
-        ctx.record(OpKind::PullWait, ctx.round, t);
+        ctx.record(Op::PullWait, ctx.round, t);
         Ok(())
     }
 
@@ -916,7 +889,7 @@ impl UpdateStrategy for DecentralizedStrategy {
             }
         }
         model.import_params(&self.params);
-        ctx.record(OpKind::LocalUpdate, ctx.round, t);
+        ctx.record(Op::LocalUpdate, ctx.round, t);
         Ok(())
     }
 
@@ -1125,7 +1098,6 @@ mod tests {
             round: 0,
             cfg: &cfg,
             iters_per_epoch: 1,
-            profiler: None,
         };
         let mut built = None;
         with_client(|link| {

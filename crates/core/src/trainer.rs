@@ -3,7 +3,6 @@
 
 use crate::config::{Topology, TrainConfig};
 use crate::metrics::{AbortRecord, EpochMetrics, TrainingHistory};
-use crate::profile::Profiler;
 use crate::strategy::Link;
 use crate::supervise::{PoisonBarrier, RestartBudget};
 use crate::worker::{run_worker, EpochReport, WorkerArgs};
@@ -205,7 +204,6 @@ impl Trainer {
             num_workers: n,
             epochs: Vec::with_capacity(self.cfg.epochs),
             final_weights: Vec::new(),
-            profile: None,
             aborted: None,
         };
         // No workers are running yet: setup errors fail without cleanup.
@@ -238,10 +236,6 @@ impl Trainer {
         } else {
             (Vec::new().into_iter(), None)
         };
-        let profiler = self
-            .cfg
-            .profile
-            .then(|| Profiler::with_telemetry(self.cfg.telemetry.clone()));
         let barrier = Arc::new(PoisonBarrier::new(n + 1));
         let (report_tx, report_rx) = mpsc::channel::<EpochReport>();
 
@@ -287,7 +281,6 @@ impl Trainer {
                 iters_per_epoch: ipe,
                 barrier: Arc::clone(&barrier),
                 report: report_tx.clone(),
-                profiler: profiler.as_ref().map(|p| p.worker(w)),
             };
             handles.push(Some(
                 std::thread::Builder::new()
@@ -316,7 +309,6 @@ impl Trainer {
                 test: &self.test,
                 barrier: &barrier,
                 report: report_tx.clone(),
-                profiler: &profiler,
                 ipe,
                 budget: self.cfg.restart.budget(),
             }
@@ -472,7 +464,6 @@ impl Trainer {
                 }
             }
         }
-        history.profile = profiler.map(|p| p.take());
         ps.shutdown();
         self.cfg.telemetry.flush();
         Ok(history)
@@ -595,7 +586,6 @@ struct Respawner<'a> {
     test: &'a Option<Dataset>,
     barrier: &'a Arc<PoisonBarrier>,
     report: Sender<EpochReport>,
-    profiler: &'a Option<Profiler>,
     ipe: usize,
     budget: RestartBudget,
 }
@@ -643,7 +633,6 @@ impl Respawner<'_> {
             iters_per_epoch: self.ipe,
             barrier: Arc::clone(self.barrier),
             report: self.report.clone(),
-            profiler: self.profiler.as_ref().map(|p| p.worker(w)),
         };
         std::thread::Builder::new()
             .name(format!("worker-{w}r{}", self.budget.used()))
@@ -814,7 +803,6 @@ pub fn run_standalone_worker(
         // every `wait` a no-op.
         barrier: Arc::new(PoisonBarrier::new(1)),
         report: report_tx,
-        profiler: None,
     };
     // `args` (and with it the report sender) drops when the worker
     // returns, ending the drainer's loop — join it even on error so the

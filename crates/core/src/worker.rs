@@ -7,7 +7,6 @@
 //! evaluation and reporting.
 
 use crate::config::TrainConfig;
-use crate::profile::{OpKind, WorkerProfile};
 use crate::strategy::{build_strategy, Link, StepCtx};
 
 use crate::supervise::PoisonBarrier;
@@ -15,6 +14,7 @@ use cdsgd_data::{augment, Batch, Dataset};
 use cdsgd_nn::{Layer, Mode, Sequential, SoftmaxCrossEntropy};
 use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::NetError;
+use cdsgd_telemetry::Op;
 use cdsgd_tensor::SmallRng64;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -53,10 +53,6 @@ pub(crate) struct WorkerArgs {
     /// another worker is lost, so `wait` is fallible.
     pub barrier: Arc<PoisonBarrier>,
     pub report: Sender<EpochReport>,
-    /// When present, record wall-clock op intervals into this worker's
-    /// local buffer (merged into the shared profiler at the epoch
-    /// barrier, so recording never contends with other workers).
-    pub profiler: Option<WorkerProfile>,
 }
 
 /// Run one worker to completion. See the crate docs for the exact
@@ -162,21 +158,20 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
             };
 
             // ---- FP/BP on the current (local or global) weights ----
-            let t_fp = a.profiler.as_ref().map(|p| p.now());
+            // Each op interval is one span on this worker's lane, on the
+            // run's telemetry (no sink: no clock read, no event).
+            let tel = &a.cfg.telemetry;
+            let t_fp = tel.span_start();
             let logits = a.model.forward(&batch.x, Mode::Train);
-            if let (Some(p), Some(t)) = (&a.profiler, t_fp) {
-                p.record(OpKind::Forward, round, t);
-            }
+            tel.span_end(a.id, Op::Forward, round, t_fp);
             let (loss, dlogits) = loss_fn.loss_and_grad(&logits, &batch.y);
             loss_sum += loss as f64;
             acc_sum += loss_fn.accuracy(&logits, &batch.y) as f64;
             batches += 1;
-            let t_bp = a.profiler.as_ref().map(|p| p.now());
+            let t_bp = tel.span_start();
             a.model.backward_params(&dlogits);
             a.model.export_grads_into(&mut grads);
-            if let (Some(p), Some(t)) = (&a.profiler, t_bp) {
-                p.record(OpKind::Backward, round, t);
-            }
+            tel.span_end(a.id, Op::Backward, round, t_bp);
 
             // ---- the algorithm's step: stage, synchronize, adopt ----
             let ctx = StepCtx {
@@ -184,7 +179,6 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
                 round,
                 cfg: &a.cfg,
                 iters_per_epoch: a.iters_per_epoch,
-                profiler: a.profiler.as_ref(),
             };
             strategy.prepare_push(&mut a.model, &grads, &ctx)?;
             strategy.communicate(&ctx)?;
@@ -201,7 +195,6 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
             round,
             cfg: &a.cfg,
             iters_per_epoch: a.iters_per_epoch,
-            profiler: a.profiler.as_ref(),
         };
         strategy.settle(&ctx)?;
 
@@ -261,12 +254,6 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
         // failure.
         if a.report.send(report).is_err() {
             return Ok(());
-        }
-        // Merge this epoch's locally-buffered profile intervals while the
-        // other workers are also at the barrier — the one shared-lock
-        // acquisition per epoch the profiler allows.
-        if let Some(p) = &a.profiler {
-            p.flush();
         }
         a.barrier.wait()?;
     }

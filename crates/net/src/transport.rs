@@ -259,12 +259,6 @@ pub trait Transport: Send {
     /// [`NetError::Closed`].
     fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError>;
 
-    /// [`Transport::send_frame`] under the name event loops call it by:
-    /// on a non-blocking connection it queues what the peer refuses.
-    fn poll_send_frame(&mut self, body: &[u8]) -> Result<(), NetError> {
-        self.send_frame(body)
-    }
-
     /// Drive previously queued output toward the peer without blocking.
     /// `Ok(true)` when the queue is fully drained.
     fn poll_flush(&mut self) -> Result<bool, NetError> {
@@ -1220,7 +1214,7 @@ mod tests {
         let (mut a, mut b) = loopback_pair();
         let mut buf = Vec::new();
         assert!(!b.poll_recv_frame(&mut buf).unwrap());
-        a.poll_send_frame(b"polled").unwrap();
+        a.send_frame(b"polled").unwrap();
         assert_eq!(a.pending_out_bytes(), 0, "loopback sends never queue");
         assert!(b.poll_recv_frame(&mut buf).unwrap());
         assert_eq!(buf, b"polled");
@@ -1252,7 +1246,7 @@ mod tests {
         }
         assert_eq!(buf, b"ping");
 
-        server.poll_send_frame(b"pong").unwrap();
+        server.send_frame(b"pong").unwrap();
         while !server.poll_flush().unwrap() {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1264,7 +1258,7 @@ mod tests {
     #[test]
     fn tcp_poll_send_buffers_under_backpressure_without_losing_bytes() {
         // A peer that never reads: the kernel socket buffer fills and
-        // poll_send_frame must queue (not block, not error) until the
+        // send_frame must queue (not block, not error) until the
         // peer drains. Frames must arrive intact and in order.
         let cfg = fast_cfg();
         let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
@@ -1277,7 +1271,7 @@ mod tests {
         let frame = vec![0xabu8; 256 * 1024];
         let frames = 16;
         for _ in 0..frames {
-            server.poll_send_frame(&frame).unwrap();
+            server.send_frame(&frame).unwrap();
         }
         assert!(
             server.pending_out_bytes() > 0,

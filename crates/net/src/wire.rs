@@ -28,11 +28,11 @@ use crate::sys::f32s_as_le_bytes;
 use cdsgd_compress::{BufferPool, Compressed};
 use std::sync::Arc;
 
-/// Variant tags carried in the top 3 bits of the payload header.
+/// Variant tags carried in the top 3 bits of the payload header. Tag 3
+/// is reserved (a retired codec's): it decodes to [`NetError::Decode`].
 const TAG_RAW: u32 = 0;
 const TAG_TWO_BIT: u32 = 1;
 const TAG_ONE_BIT: u32 = 2;
-const TAG_TERN: u32 = 3;
 const TAG_QSGD: u32 = 4;
 const TAG_TOPK: u32 = 5;
 
@@ -518,11 +518,6 @@ pub fn encode_compressed_parts<'a>(c: &'a Compressed, buf: &mut Vec<u8>) -> &'a 
             put_f32(buf, *scale);
             signs
         }
-        Compressed::Tern { scale, packed, len } => {
-            put_u32(buf, header(TAG_TERN, *len));
-            put_f32(buf, *scale);
-            packed
-        }
         Compressed::Qsgd {
             norm,
             levels,
@@ -615,8 +610,8 @@ fn decode_compressed_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<Compr
             v.extend(le_f32s(cur.take(4 * len)?));
             Ok(Compressed::Raw(v))
         }
-        TAG_TWO_BIT | TAG_TERN => {
-            let scalar = cur.f32()?;
+        TAG_TWO_BIT => {
+            let threshold = cur.f32()?;
             let raw = cur.take(cur.remaining())?;
             if raw.len() * 4 < len {
                 return Err(NetError::Decode(format!(
@@ -624,19 +619,10 @@ fn decode_compressed_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<Compr
                     raw.len()
                 )));
             }
-            let packed = byte_vec(raw);
-            Ok(if tag == TAG_TWO_BIT {
-                Compressed::TwoBit {
-                    threshold: scalar,
-                    packed,
-                    len,
-                }
-            } else {
-                Compressed::Tern {
-                    scale: scalar,
-                    packed,
-                    len,
-                }
+            Ok(Compressed::TwoBit {
+                threshold,
+                packed: byte_vec(raw),
+                len,
             })
         }
         TAG_ONE_BIT => {
@@ -1028,11 +1014,6 @@ mod tests {
                 scale: 1.25,
                 signs: vec![0b1010_1010],
                 len: 8,
-            },
-            Compressed::Tern {
-                scale: 0.75,
-                packed: vec![0b01],
-                len: 1,
             },
             Compressed::Qsgd {
                 norm: 3.0,

@@ -55,16 +55,6 @@ proptest! {
     }
 
     #[test]
-    fn tern_round_trips(syms in prop::collection::vec(0u8..3, 0..130), scale in 0.01f32..4.0) {
-        let c = Compressed::Tern {
-            scale,
-            packed: pack_2bit(&syms),
-            len: syms.len(),
-        };
-        assert_round_trip(&c);
-    }
-
-    #[test]
     fn qsgd_round_trips(raw in prop::collection::vec(any::<u8>(), 0..90), levels in 1u8..120, norm in 0.01f32..8.0) {
         // Derive codes in [-levels, levels] from arbitrary bytes.
         let span = 2 * levels as i32 + 1;
@@ -153,11 +143,6 @@ fn one_element_payloads_round_trip() {
         signs: pack_1bit(&[true]),
         len: 1,
     });
-    assert_round_trip(&Compressed::Tern {
-        scale: 1.0,
-        packed: pack_2bit(&[1]),
-        len: 1,
-    });
     assert_round_trip(&Compressed::Qsgd {
         norm: 1.0,
         levels: 4,
@@ -169,4 +154,19 @@ fn one_element_payloads_round_trip() {
         values: vec![-1.5],
         len: 1,
     });
+}
+
+#[test]
+fn reserved_tag_3_is_a_decode_error() {
+    // Tag 3 belonged to a retired codec. A well-formed payload of that
+    // shape (header, scalar, packed symbols) must be refused, not
+    // reinterpreted as one of the live 2-bit variants.
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&((3u32 << 29) | 4).to_le_bytes());
+    buf.extend_from_slice(&1.0f32.to_le_bytes());
+    buf.push(0b01_10_00_01);
+    assert!(matches!(
+        decode_compressed(&buf),
+        Err(cdsgd_net::NetError::Decode(_))
+    ));
 }

@@ -2,8 +2,8 @@
 
 use cdsgd_tensor::Tensor;
 
-/// Forward-pass mode: training (batch statistics, dropout active) or
-/// evaluation (running statistics, dropout off).
+/// Forward-pass mode: training (batch statistics) or evaluation
+/// (running statistics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Training mode.

@@ -9,7 +9,7 @@
 //! * [`Layer`] — the forward/backward/params contract.
 //! * Layers: [`Dense`], [`Conv2d`], [`MaxPool2d`], [`AvgPool2d`],
 //!   [`GlobalAvgPool`], [`BatchNorm2d`], [`Relu`], [`Sigmoid`], [`Tanh`],
-//!   [`Dropout`], [`Flatten`], [`ResidualBlock`], [`InceptionBlock`].
+//!   [`Flatten`], [`ResidualBlock`], [`InceptionBlock`].
 //! * [`Sequential`] — container with stable per-parameter keys, the unit
 //!   the parameter server shards by.
 //! * [`SoftmaxCrossEntropy`] — the classification loss used throughout
@@ -31,12 +31,10 @@
 //! ```
 
 mod activation;
-mod activation_ext;
 mod batchnorm;
 mod blocks;
 mod conv2d;
 mod dense;
-mod dropout;
 mod flatten;
 mod layer;
 mod loss;
@@ -46,12 +44,10 @@ mod sequential;
 mod util;
 
 pub use activation::{Relu, Sigmoid, Tanh};
-pub use activation_ext::{Elu, Gelu, LeakyRelu, Softplus};
 pub use batchnorm::BatchNorm2d;
 pub use blocks::{InceptionBlock, ResidualBlock};
 pub use conv2d::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use layer::{Layer, Mode, Param};
 pub use loss::SoftmaxCrossEntropy;

@@ -75,7 +75,7 @@ pub use collective::{
     WireRing, WireTree,
 };
 pub use fault::{FaultyClient, WorkerFault};
-pub use net::{NetCluster, PsNetServer, RemoteClient};
+pub use net::{NetCluster, PsNetServer, RemoteClient, MAX_ELASTIC_WORKERS};
 pub use opt::{HeavyBall, Nesterov, PlainSgd, ServerOpt, ServerOptKind};
 pub use recover::{CheckpointError, CheckpointPolicy, Durability, RestoredState, ShardCheckpoint};
 pub use server::{ElasticConfig, ParamServer, ServerConfig};

@@ -79,6 +79,12 @@ const MAX_CONN_WBUF: usize = 1 << 20;
 /// connection cannot starve its neighbours on the same I/O thread.
 const READ_BURST: usize = 32;
 
+/// Worker ids an *elastic* shard admits over the wire are
+/// `0..MAX_ELASTIC_WORKERS`. Admission sizes the membership tables and
+/// every key's queue table to the id, so an unchecked `Register` could
+/// make the shard allocate whatever a socket asks for.
+pub const MAX_ELASTIC_WORKERS: usize = 4096;
+
 pub(crate) fn spawn_err(e: std::io::Error) -> NetError {
     NetError::Io(format!("spawn connection thread: {e}"))
 }
@@ -169,7 +175,15 @@ impl PsNetServer {
         telemetry: Telemetry,
         durability: Durability,
     ) -> Arc<Self> {
-        let longest_key = init.iter().map(Vec::len).max().unwrap_or(0);
+        // What a frame may name on this shard, checked at the wire
+        // boundary (the inner server `assert`s the same for its trusted
+        // in-process callers).
+        let key_lens: Arc<[usize]> = init.iter().map(Vec::len).collect();
+        let longest_key = key_lens.iter().copied().max().unwrap_or(0);
+        let max_workers = match cfg.elastic {
+            Some(_) => MAX_ELASTIC_WORKERS,
+            None => cfg.num_workers,
+        };
         let ps = ParamServer::start_with(init, cfg, telemetry, durability);
         let stats = ps.shared_stats();
         let stop = Arc::new(AtomicBool::new(false));
@@ -186,6 +200,8 @@ impl PsNetServer {
                 wake: wake_rx,
                 // Replies this thread is owed end its wait.
                 client: ps.client().waking(waker.clone()),
+                key_lens: Arc::clone(&key_lens),
+                max_workers,
                 stats: Arc::clone(&stats),
                 stop: Arc::clone(&stop),
                 signal: Arc::clone(&signal),
@@ -365,6 +381,12 @@ struct IoLoop {
     conns: Receiver<Conn>,
     wake: WakeRx,
     client: PsClient,
+    /// Per-key weight lengths of this shard: a push must name one of
+    /// these keys and decode to exactly its length.
+    key_lens: Arc<[usize]>,
+    /// Worker ids a frame may name are `0..max_workers`: the fixed
+    /// quorum, or [`MAX_ELASTIC_WORKERS`] on an elastic shard.
+    max_workers: usize,
     stats: Arc<TrafficStats>,
     stop: Arc<AtomicBool>,
     signal: Arc<(Mutex<bool>, Condvar)>,
@@ -373,6 +395,20 @@ struct IoLoop {
 }
 
 impl IoLoop {
+    /// A worker id decoded off the wire, or the [`NetError::Decode`]
+    /// that retires its connection.
+    fn worker(&self, worker: u32) -> Result<usize, NetError> {
+        let w = worker as usize;
+        if w < self.max_workers {
+            Ok(w)
+        } else {
+            Err(NetError::Decode(format!(
+                "worker id {w} out of range: this shard admits ids 0..{}",
+                self.max_workers
+            )))
+        }
+    }
+
     fn run(self) {
         let mut conns: Vec<Conn> = Vec::new();
         let mut head = Vec::new();
@@ -415,8 +451,9 @@ impl IoLoop {
                         more |= burst_spent;
                         i += 1;
                     }
-                    // Dead connection (peer hung up, protocol violation,
-                    // or server gone): drop it; its transport closes on
+                    // Dead connection (peer hung up, a frame naming a key,
+                    // length or worker this shard does not have, or
+                    // server gone): drop it; its transport closes on
                     // drop.
                     Err(_) => {
                         conns.swap_remove(i);
@@ -445,7 +482,19 @@ impl IoLoop {
                     worker,
                     key,
                     payload,
-                } => client.push_from(c.id, worker as usize, key as usize, payload)?,
+                } => {
+                    let key = key as usize;
+                    let holds = self.key_lens.get(key);
+                    if holds != Some(&payload.len()) {
+                        return Err(NetError::Decode(format!(
+                            "push of {} elements to key {key}, which holds {holds:?} \
+                             on this shard of {} keys",
+                            payload.len(),
+                            self.key_lens.len()
+                        )));
+                    }
+                    client.push_from(c.id, self.worker(worker)?, key, payload)?
+                }
                 WireMsg::Pull { key, min_version } => {
                     let pending = client.pull_async(key as usize, min_version)?;
                     c.replies.push_back(Reply::Pull {
@@ -459,7 +508,7 @@ impl IoLoop {
                     .replies
                     .push_back(Reply::Snapshot(client.snapshot_async()?)),
                 WireMsg::Register { worker } => c.replies.push_back(Reply::Register(
-                    client.join_async_from(c.id, worker as usize)?,
+                    client.join_async_from(c.id, self.worker(worker)?)?,
                 )),
                 WireMsg::Heartbeat { worker } => client.heartbeat(worker as usize)?,
                 WireMsg::Leave { worker } => client.leave(worker as usize)?,
@@ -1997,6 +2046,8 @@ mod tests {
             conns: conn_rx,
             wake,
             client: ps.client().waking(waker.clone()),
+            key_lens: Arc::new([KEY_LEN]),
+            max_workers: 1,
             stats: ps.shared_stats(),
             stop: Arc::new(AtomicBool::new(false)),
             signal: Arc::new((Mutex::new(false), Condvar::new())),
@@ -2143,6 +2194,61 @@ mod tests {
         assert_eq!(server.failure(), None);
         drop(good);
         server.shutdown();
+    }
+
+    #[test]
+    fn malformed_frames_retire_their_connection_not_the_shard() {
+        use crate::ElasticConfig;
+        // One frame each on its own connection; every one must be hung
+        // up on (a `NetError::Decode` inside the loop), none may reach
+        // the shard thread's `assert`s or size a table from the wire.
+        let hang_up = |server: &Arc<PsNetServer>, what: &str, msg: WireMsg| {
+            let (mut hostile, server_end) = loopback_pair();
+            server.attach(Box::new(server_end)).unwrap();
+            let mut frame = Vec::new();
+            wire::encode_msg_into(&msg, &mut frame);
+            hostile.send_frame(&frame).unwrap();
+            hostile
+                .set_recv_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            assert_eq!(
+                hostile.recv_frame(&mut Vec::new()),
+                Err(NetError::Closed),
+                "{what}"
+            );
+        };
+        let push = |worker, key, n| WireMsg::Push {
+            worker,
+            key,
+            payload: Compressed::Raw(vec![1.0; n]),
+        };
+        let fixed = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+        hang_up(&fixed, "key out of range", push(0, 7, 3));
+        hang_up(&fixed, "wrong payload length", push(0, 0, 2));
+        hang_up(&fixed, "worker out of range", push(1, 0, 3));
+        let elastic = PsNetServer::start(
+            init(1),
+            ServerConfig::new(1, 1.0).with_elastic(ElasticConfig::new(1)),
+        );
+        let worker = u32::MAX;
+        hang_up(
+            &elastic,
+            "register past the cap",
+            WireMsg::Register { worker },
+        );
+        // The last admissible id is still admitted.
+        let edge = loopback_client(&elastic);
+        assert_eq!(edge.register(MAX_ELASTIC_WORKERS - 1).unwrap(), vec![0]);
+        edge.leave(MAX_ELASTIC_WORKERS - 1).unwrap();
+        // A well-formed client of either shard completes a round.
+        for server in [&fixed, &elastic] {
+            let good = loopback_client(server);
+            good.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+            assert_eq!(*good.pull(0, 1).unwrap(), [-1.0; 3]);
+            assert_eq!(server.failure(), None);
+            drop(good);
+            server.shutdown();
+        }
     }
 
     /// `rounds` synchronous rounds as `worker` over two shards; asserts

@@ -6,12 +6,12 @@ use crate::opt::{ServerOpt, ServerOptKind};
 use crate::recover::{CheckpointTracker, Durability, ShardCheckpoint};
 use crate::stats::TrafficStats;
 use crate::Key;
-use cdsgd_compress::{decompress_add, decompress_add_traced, BufferPool, CodecSpans, Compressed};
+use cdsgd_compress::{decompress_add, BufferPool, Compressed};
 use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes};
 use cdsgd_net::NetError;
 use cdsgd_telemetry::{Event, Op, Telemetry};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -875,45 +875,6 @@ fn demote_member(
     }
 }
 
-/// Seconds since the first server-side span was timed. The server has no
-/// per-run profiler; one process-wide origin keeps its span timestamps
-/// monotonic and mutually comparable across shards and runs.
-fn server_clock() -> f64 {
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    ORIGIN.get_or_init(Instant::now).elapsed().as_secs_f64()
-}
-
-/// [`CodecSpans`] adapter for the aggregation loop: decode intervals
-/// stream straight out as [`Event::OpSpan`]s ("dequant") on the server's
-/// own span lane. The lane index is one past the last real worker
-/// (`worker == worker count`): worker lanes are buffered per-worker and
-/// flushed in profiler-clock order at epoch barriers, so injecting
-/// immediately-emitted server spans into a worker's lane would break the
-/// lane's monotonic-timestamp invariant. `round` carries the version the
-/// decode feeds.
-struct DequantSpans<'a> {
-    telemetry: &'a Telemetry,
-    lane: usize,
-    round: u64,
-}
-
-impl CodecSpans for DequantSpans<'_> {
-    fn now(&self) -> f64 {
-        server_clock()
-    }
-
-    fn record(&self, op: Op, start_s: f64) {
-        let end_s = server_clock();
-        self.telemetry.emit(|| Event::OpSpan {
-            worker: self.lane,
-            op,
-            round: self.round,
-            start_s,
-            end_s,
-        });
-    }
-}
-
 /// Complete every round this key can: a round fires when all *active*
 /// workers have a queued push, and aggregates one push from every worker
 /// with a non-empty queue (active and draining alike, in worker-id order
@@ -942,21 +903,15 @@ fn pump_key(
             break;
         }
         ks.acc.fill(0.0);
-        let traced = stats.telemetry().is_enabled();
-        let spans = DequantSpans {
-            telemetry: stats.telemetry(),
-            lane: ks.pending.len(),
-            round: ks.version,
-        };
+        // Each decode is one "dequant" span on the server's lane — one
+        // past the last worker's — for the round it feeds.
+        let (tel, lane) = (stats.telemetry(), ks.pending.len());
         let mut contributors = 0usize;
         for q in ks.pending.iter_mut() {
             if let Some(p) = q.pop_front() {
-                if traced {
-                    // The codec records each decode as one "dequant" span.
-                    decompress_add_traced(&p, &mut ks.acc, &spans);
-                } else {
-                    decompress_add(&p, &mut ks.acc);
-                }
+                let t = tel.span_start();
+                decompress_add(&p, &mut ks.acc);
+                tel.span_end(lane, Op::Decompress, ks.version, t);
                 // Payload storage goes back to the shared pool so the
                 // next compress_into can reuse it.
                 p.recycle(pool);

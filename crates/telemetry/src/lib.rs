@@ -24,16 +24,26 @@
 //! bit-determinism suites run with telemetry off while production runs
 //! trace every frame, without two code paths.
 //!
-//! This crate sits below every other `cdsgd` crate (it depends only on
-//! the vendored `serde` shims), so `core`, `ps`, and the binaries can
-//! all emit into the same stream.
+//! Op intervals (the Fig. 5 lanes) take the same road as every other
+//! event: a timed site brackets its work with [`Telemetry::span_start`]
+//! / [`Telemetry::span_end`] on the handle it already holds and one
+//! [`Event::OpSpan`] goes to the sink at once, stamped on the one
+//! process-wide clock ([`now_s`]). [`summarize`] and [`to_chrome_json`]
+//! read any `&[Event]` — a [`MemorySink`]'s buffer or a parsed
+//! [`JsonlSink`] file from any process.
+//!
+//! This crate sits below `core`, `ps` and the binaries (it depends only
+//! on the vendored `serde` shims), so they all emit into the same
+//! stream; the compute crates (`tensor`, `nn`, `compress`) stay below
+//! it and are timed by the layer that calls them.
 
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -80,8 +90,10 @@ impl Op {
 /// which is what [`JsonlSink`] writes per line.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Event {
-    /// A timed worker operation: `worker` spent `[start_s, end_s]`
-    /// (seconds since the run's origin) doing `op` in round `round`.
+    /// A timed operation: lane `worker` spent `[start_s, end_s]`
+    /// (seconds on the emitting process's clock, [`now_s`]) doing `op`
+    /// in round `round`. Worker lanes are worker ids; a server's lane
+    /// is its worker count.
     OpSpan {
         worker: usize,
         op: Op,
@@ -158,6 +170,15 @@ pub enum Event {
     },
 }
 
+/// Seconds since this process first timed anything — the one clock
+/// every [`Event::OpSpan`] of a process is stamped on, whichever layer
+/// or thread emits it, so spans from workers and server shards in one
+/// process are causally comparable, run after run.
+pub fn now_s() -> f64 {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    ORIGIN.get_or_init(Instant::now).elapsed().as_secs_f64()
+}
+
 /// A destination for events. Implementations must be cheap and
 /// non-blocking where possible: `record` runs on hot paths (per frame,
 /// per span).
@@ -200,6 +221,29 @@ impl Telemetry {
     pub fn emit(&self, f: impl FnOnce() -> Event) {
         if let Some(sink) = &self.0 {
             sink.record(&f());
+        }
+    }
+
+    /// Open an op interval: the current [`now_s`] — or `None`, without
+    /// reading the clock, when no sink is attached.
+    #[inline]
+    pub fn span_start(&self) -> Option<f64> {
+        self.is_enabled().then(now_s)
+    }
+
+    /// Close an interval opened by [`Telemetry::span_start`]: emit one
+    /// [`Event::OpSpan`] on `lane` ending now. A `None` start (disabled
+    /// telemetry) emits nothing.
+    #[inline]
+    pub fn span_end(&self, lane: usize, op: Op, round: u64, start: Option<f64>) {
+        if let (Some(sink), Some(start_s)) = (&self.0, start) {
+            sink.record(&Event::OpSpan {
+                worker: lane,
+                op,
+                round,
+                start_s,
+                end_s: now_s(),
+            });
         }
     }
 
@@ -347,6 +391,75 @@ impl Drop for JsonlSink {
 /// Parse one [`JsonlSink`] line back into its event.
 pub fn parse_jsonl_line(line: &str) -> Result<Event, serde_json::Error> {
     serde_json::from_str(line)
+}
+
+/// Per-op totals over the [`Event::OpSpan`]s of an event stream.
+#[derive(Clone, Debug, Serialize)]
+pub struct SpanSummary {
+    /// Total seconds per worker-side op ([`Op::name`]), summed across
+    /// lanes.
+    pub totals: Vec<(String, f64)>,
+    /// Fraction of total worker-time spent blocked on pulls.
+    pub pull_wait_fraction: f64,
+}
+
+/// The `(lane, op, round, start_s, end_s)` of every [`Event::OpSpan`]
+/// in `events`, in stream order.
+pub fn op_spans(events: &[Event]) -> impl Iterator<Item = (usize, Op, u64, f64, f64)> + '_ {
+    events.iter().filter_map(|e| match *e {
+        Event::OpSpan {
+            worker,
+            op,
+            round,
+            start_s,
+            end_s,
+        } => Some((worker, op, round, start_s, end_s)),
+        _ => None,
+    })
+}
+
+/// Summarize a trace's worker-side op spans (the server's dequant lane
+/// is not worker time): per-op totals and the blocked fraction.
+pub fn summarize(events: &[Event]) -> SpanSummary {
+    use Op::*;
+    let mut totals = [Forward, Backward, Compress, LocalUpdate, PullWait].map(|op| (op, 0.0f64));
+    for (_, op, _, start_s, end_s) in op_spans(events) {
+        if let Some(t) = totals.iter_mut().find(|t| t.0 == op) {
+            t.1 += end_s - start_s;
+        }
+    }
+    let all: f64 = totals.iter().map(|t| t.1).sum();
+    let wait = totals.iter().find(|t| t.0 == PullWait).map_or(0.0, |t| t.1);
+    SpanSummary {
+        totals: totals
+            .into_iter()
+            .map(|(k, v)| (k.name().to_string(), v))
+            .collect(),
+        pull_wait_fraction: if all > 0.0 { wait / all } else { 0.0 },
+    }
+}
+
+/// Export a trace's op spans as Chrome `trace_event` JSON (one tid per
+/// lane), sorted by start time.
+pub fn to_chrome_json(events: &[Event], process_name: &str) -> String {
+    let mut spans: Vec<_> = op_spans(events).collect();
+    spans.sort_by(|a, b| a.3.total_cmp(&b.3));
+    let mut out: Vec<serde_json::Value> = vec![serde_json::json!({
+        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
+        "args": {"name": process_name}
+    })];
+    for (lane, op, round, start_s, end_s) in spans {
+        out.push(serde_json::json!({
+            "name": format!("{}#{}", op.name(), round),
+            "cat": op.name(),
+            "ph": "X",
+            "ts": start_s * 1e6,
+            "dur": (end_s - start_s) * 1e6,
+            "pid": 0,
+            "tid": lane as u32,
+        }));
+    }
+    serde_json::to_string_pretty(&out).expect("serialize trace")
 }
 
 /// Folds byte-carrying events into atomic totals — the accounting the
@@ -539,6 +652,67 @@ mod tests {
         assert!(!tel.is_enabled());
         tel.emit(|| unreachable!("disabled telemetry must not construct events"));
         tel.flush();
+    }
+
+    #[test]
+    fn disabled_span_never_reads_the_clock_or_emits() {
+        let tel = Telemetry::disabled();
+        assert_eq!(tel.span_start(), None);
+        tel.span_end(0, Op::Forward, 0, None);
+        // A start taken elsewhere still emits nothing without a sink.
+        tel.span_end(0, Op::Forward, 0, Some(1.0));
+    }
+
+    #[test]
+    fn span_helpers_emit_one_op_span_on_the_process_clock() {
+        let mem = Arc::new(MemorySink::new());
+        let tel = Telemetry::new(mem.clone());
+        let before = now_s();
+        let t = tel.span_start();
+        tel.span_end(3, Op::Compress, 7, t);
+        let after = now_s();
+        let [Event::OpSpan {
+            worker: 3,
+            op: Op::Compress,
+            round: 7,
+            start_s,
+            end_s,
+        }] = mem.events()[..]
+        else {
+            panic!("expected exactly one OpSpan, got {:?}", mem.events());
+        };
+        assert!(before <= start_s && start_s <= end_s && end_s <= after);
+    }
+
+    #[test]
+    fn summary_fractions() {
+        let events = vec![
+            span(0, Op::Forward, 0.0),
+            span(0, Op::PullWait, 1.0),
+            span(1, Op::Backward, 0.0),
+            span(1, Op::Backward, 0.25),
+            // Neither the server lane nor non-span events count.
+            span(2, Op::Decompress, 0.0),
+            Event::Push { bytes: 81 },
+        ];
+        let s = summarize(&events);
+        assert!((s.pull_wait_fraction - 0.25).abs() < 1e-9);
+        let fwd = s.totals.iter().find(|t| t.0 == "FP").unwrap().1;
+        assert_eq!(fwd, 0.25);
+    }
+
+    #[test]
+    fn chrome_json_holds_one_entry_per_span_sorted_by_start() {
+        let events = vec![
+            span(2, Op::Compress, 0.5),
+            Event::Pull { bytes: 17 },
+            span(0, Op::Forward, 0.125),
+        ];
+        let v: serde_json::Value = serde_json::from_str(&to_chrome_json(&events, "t")).unwrap();
+        let entries = v.as_array().unwrap();
+        assert_eq!(entries.len(), 3, "metadata + two spans");
+        assert_eq!(entries[1]["name"], "FP#3");
+        assert_eq!(entries[2]["tid"], 2);
     }
 
     #[test]

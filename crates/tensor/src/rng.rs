@@ -9,8 +9,8 @@
 
 /// A small, fast, seedable PRNG (xorshift64* core with splitmix64 seeding).
 ///
-/// Statistically good enough for weight init, synthetic data and dropout
-/// masks; *not* cryptographic.
+/// Statistically good enough for weight init and synthetic data; *not*
+/// cryptographic.
 #[derive(Clone, Debug)]
 pub struct SmallRng64 {
     state: u64,

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example compression_codecs`
 
 use cdsgd_compress::{
-    decompress, GradientCompressor, NoCompression, OneBitQuantizer, QsgdQuantizer,
-    TernGradQuantizer, TopKSparsifier, TwoBitQuantizer,
+    decompress, GradientCompressor, NoCompression, OneBitQuantizer, QsgdQuantizer, TopKSparsifier,
+    TwoBitQuantizer,
 };
 use cdsgd_tensor::{SmallRng64, Tensor};
 
@@ -27,7 +27,6 @@ fn main() {
         Box::new(NoCompression),
         Box::new(TwoBitQuantizer::new(0.5)),
         Box::new(OneBitQuantizer::new()),
-        Box::new(TernGradQuantizer::new(7)),
         Box::new(QsgdQuantizer::new(4, 7)),
         Box::new(TopKSparsifier::new(0.01)),
     ];

@@ -38,6 +38,31 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
+# A `--trace` run with no second flag must carry every lane: both
+# workers' op spans and the server's (lane = worker count). The same
+# command's trace is parsed back line by line through
+# `parse_jsonl_line` by `cdsgd_train_trace_alone_carries_every_lane`
+# (tests/net_processes.rs, run by the workspace pass below).
+echo "==> cdsgd train --trace carries OpSpan lanes 0, 1 and 2"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+target/release/cdsgd train --algo cdsgd --dataset blobs --epochs 1 --workers 2 \
+    --trace "$tmp/t.jsonl" >/dev/null
+for lane in 0 1 2; do
+    grep -q "^{\"OpSpan\":{\"worker\":$lane," "$tmp/t.jsonl" || {
+        echo "ERROR: --trace alone wrote no OpSpan on lane $lane" >&2
+        exit 1
+    }
+done
+
+# Instrumentation stays in the layers that own a `Telemetry` handle: the
+# compute crates are timed by their callers.
+echo "==> compress/tensor/nn do not depend on cdsgd-telemetry"
+if grep -l "cdsgd-telemetry" crates/compress/Cargo.toml crates/tensor/Cargo.toml crates/nn/Cargo.toml; then
+    echo "ERROR: a compute crate names cdsgd-telemetry in its manifest" >&2
+    exit 1
+fi
+
 # The criterion benches (crates/bench/benches/, `harness = false`) are
 # built by neither `cargo build` nor `cargo test`, yet they sit on the
 # public API (`Trainer`, `Telemetry`, the `GradientCompressor` trait,

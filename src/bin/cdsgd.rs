@@ -10,8 +10,7 @@
 //!                [--lr 0.1] [--momentum 0 [--nesterov]] \
 //!                [--batch 32] [--samples 4000] [--seed 42] \
 //!                [--max-restarts 0] [--restart-backoff-ms 250] \
-//!                [--save ckpt.json] [--history hist.json] [--profile] \
-//!                [--trace trace.jsonl]
+//!                [--save ckpt.json] [--history hist.json] [--trace trace.jsonl]
 //! cdsgd simulate --model resnet50 --gpu v100 --batch 32 [--k 5] [--gbps 56]
 //! cdsgd codecs   [--n 1000000]
 //! cdsgd orchestrate [--epochs 6] [--depart-epoch 3] [--join-delay-ms 300] \
@@ -44,8 +43,7 @@
 use cd_sgd::checkpoint::{save_history, Checkpoint};
 use cd_sgd::{RestartPolicy, Topology, TrainConfig, Trainer};
 use cd_sgd_repro::deploy::{
-    arg, arg_or, flag, parse_algorithm, parse_server_opt, parse_topology, trace_telemetry,
-    AlgoDefaults,
+    arg, arg_or, parse_algorithm, parse_server_opt, parse_topology, trace_telemetry, AlgoDefaults,
 };
 use cd_sgd_repro::simtime::pipeline::{AlgoKind, PipelineSim};
 use cd_sgd_repro::simtime::{zoo, ClusterSpec, ModelSpec};
@@ -371,9 +369,6 @@ fn cmd_train() {
         .with_seed(seed)
         .with_server_opt(server_opt)
         .with_topology(topology);
-    if flag("profile") {
-        cfg = cfg.with_profiling(true);
-    }
     // `--max-restarts N` arms hot worker replacement (DESIGN.md §14):
     // a lost worker is respawned in place, resuming at the first epoch
     // it never finished, instead of aborting the run.
@@ -385,9 +380,10 @@ fn cmd_train() {
             std::time::Duration::from_millis(backoff_ms),
         ));
     }
-    // `--trace <path>` streams the whole telemetry event model — op
-    // spans (with --profile), epoch rollups, server round lifecycle —
-    // as JSONL. Disabled (zero-cost) without the flag.
+    // `--trace <path>` streams the whole telemetry event model — every
+    // worker's Fig. 5 op spans, the server's dequant spans and round
+    // lifecycle, epoch rollups — as JSONL. Disabled (zero-cost) without
+    // the flag.
     cfg = cfg.with_telemetry(trace_telemetry());
     if let Some(mibps) = arg("net-mibps") {
         let m: f64 = mibps.parse().unwrap_or_else(|_| {
@@ -478,7 +474,7 @@ fn cmd_simulate() {
 fn cmd_codecs() {
     use cdsgd_compress::{
         decompress, AdaptiveTwoBit, GradientCompressor, OneBitQuantizer, QsgdQuantizer,
-        TernGradQuantizer, TopKSparsifier, TwoBitQuantizer,
+        TopKSparsifier, TwoBitQuantizer,
     };
     let n: usize = arg_or("n", 1_000_000);
     let mut rng = SmallRng64::new(7);
@@ -487,7 +483,6 @@ fn cmd_codecs() {
         Box::new(TwoBitQuantizer::new(0.5)),
         Box::new(AdaptiveTwoBit::new(1.0)),
         Box::new(OneBitQuantizer::new()),
-        Box::new(TernGradQuantizer::new(7)),
         Box::new(QsgdQuantizer::new(4, 7)),
         Box::new(TopKSparsifier::new(0.01)),
     ];

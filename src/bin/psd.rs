@@ -23,7 +23,9 @@
 //! frame bytes on both directions, plus the push/pull payload
 //! accounting the paper's eq. 4–9 compare). `--trace <path>` streams
 //! every telemetry event — per-frame wire bytes tagged by connection,
-//! round lifecycle, supervision verdicts — to a JSONL file.
+//! one dequant span per aggregated push on the server lane (lane
+//! `--workers`), round lifecycle, supervision verdicts — to a JSONL
+//! file.
 //!
 //! With `--round-deadline-ms N` the shard refuses to wait forever on a
 //! worker that stopped pushing: once an aggregation round stays partial

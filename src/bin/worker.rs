@@ -34,8 +34,9 @@
 //! `DONE worker <id>` line that process harnesses wait on; everything
 //! human-facing (epoch progress, lifecycle status, errors) goes to
 //! **stderr** through the telemetry [`Console`] sink. `--trace <path>`
-//! additionally streams every telemetry event — op spans, per-frame
-//! wire bytes, epoch rollups — to a JSONL file.
+//! additionally streams every telemetry event — this replica's Fig. 5
+//! op spans (FP, BP, quant, pull-wait, local update) on lane `--id`,
+//! per-frame wire bytes, epoch rollups — to a JSONL file.
 //!
 //! Workers never shut the servers down: a controller (or `--shutdown`
 //! on exactly one worker) sends the shutdown frames once all replicas

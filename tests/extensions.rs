@@ -177,9 +177,13 @@ fn nesterov_server_opt_trains_end_to_end() {
 #[test]
 fn profiling_records_compress_spans_for_every_compressing_algorithm() {
     // Every algorithm that pushes codec payloads goes through the one
-    // profiled, kernel-backed staging path; the delayed one (CD-SGD)
-    // additionally records its local updates.
-    use cd_sgd::profile::OpKind::{Backward, Compress, Forward, LocalUpdate, PullWait};
+    // timed, kernel-backed staging path; the delayed one (CD-SGD)
+    // additionally records its local updates. A sink is all it takes.
+    use cd_sgd::telemetry::{
+        op_spans,
+        Op::{Backward, Compress, Forward, LocalUpdate, PullWait},
+    };
+    use cd_sgd::{MemorySink, Telemetry};
     let blocking = vec![Forward, Backward, Compress, PullWait];
     let delayed = vec![Forward, Backward, Compress, PullWait, LocalUpdate];
     for (name, algo, kinds) in [
@@ -189,22 +193,24 @@ fn profiling_records_compress_spans_for_every_compressing_algorithm() {
         ("cdsgd", Algorithm::cd_sgd(0.05, 0.1, 2, 3), &delayed),
     ] {
         let data = toy::gaussian_blobs(120, 6, 3, 0.5, 22);
+        let mem = std::sync::Arc::new(MemorySink::new());
         let cfg = TrainConfig::new(algo, 2)
             .with_lr(0.2)
             .with_batch_size(10)
             .with_epochs(2)
             .with_seed(22)
-            .with_profiling(true);
-        let h = Trainer::new(cfg, |rng| models::mlp(&[6, 8, 3], rng), data, None).run();
-        let events = h.profile.expect("profiling on");
+            .with_telemetry(Telemetry::new(mem.clone()));
+        Trainer::new(cfg, |rng| models::mlp(&[6, 8, 3], rng), data, None).run();
+        let events = mem.events();
+        let spans: Vec<_> = op_spans(&events).map(|s| (s.0, s.1)).collect();
         for kind in kinds {
             assert!(
-                events.iter().any(|e| e.op == *kind),
+                spans.iter().any(|(_, op)| op == kind),
                 "{name}: missing {kind:?} events"
             );
         }
         // Events from both workers.
-        assert!(events.iter().any(|e| e.worker == 0), "{name}");
-        assert!(events.iter().any(|e| e.worker == 1), "{name}");
+        assert!(spans.iter().any(|(w, _)| *w == 0), "{name}");
+        assert!(spans.iter().any(|(w, _)| *w == 1), "{name}");
     }
 }

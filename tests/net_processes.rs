@@ -214,13 +214,20 @@ fn worker_traces_account_for_every_server_byte() {
     for id in 0..WORKERS {
         let path = trace_path(id);
         let text = std::fs::read_to_string(&path).expect("read worker trace");
+        let mut spans = 0;
         for line in text.lines() {
             match parse_jsonl_line(line).expect("worker trace line parses") {
                 Event::FrameSent { bytes, .. } => traced_sent += bytes,
                 Event::FrameReceived { bytes, .. } => traced_received += bytes,
+                // `--trace` alone carries the replica's Fig. 5 lane.
+                Event::OpSpan { worker, .. } => {
+                    assert_eq!(worker, id, "worker {id}'s trace carries another lane");
+                    spans += 1;
+                }
                 _ => {}
             }
         }
+        assert!(spans > 0, "worker {id}'s trace carries no op spans");
         std::fs::remove_file(&path).ok();
     }
     assert!(
@@ -267,5 +274,50 @@ fn worker_traces_account_for_every_server_byte() {
         traced_received + controller.bytes_received(),
         server_sent,
         "downlink: bytes the servers sent vs bytes the clients received"
+    );
+}
+
+#[test]
+fn cdsgd_train_trace_alone_carries_every_lane() {
+    // `cdsgd train --trace` with no other flag: every line parses back,
+    // both worker lanes hold every Fig. 5 category and the server lane
+    // (= worker count) holds dequant. `scripts/ci.sh` greps the release
+    // binary's trace for the same three lanes.
+    use cd_sgd::telemetry::{op_spans, Op};
+    let path = std::env::temp_dir().join(format!("cdsgd_{}_train.jsonl", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_cdsgd"))
+        .args(["train", "--algo", "cdsgd", "--dataset", "blobs"])
+        // The CLI's default warm-up is one epoch of raw pushes: the
+        // second epoch is the one that quantizes.
+        .args(["--epochs", "2", "--workers", "2", "--trace"])
+        .arg(&path)
+        .stdout(Stdio::null())
+        .status()
+        .expect("run cdsgd train");
+    assert!(status.success(), "cdsgd train exited with {status}");
+    let text = std::fs::read_to_string(&path).expect("read trace");
+    std::fs::remove_file(&path).ok();
+    let events: Vec<Event> = text
+        .lines()
+        .map(|l| parse_jsonl_line(l).expect("trace line parses"))
+        .collect();
+    let spans: Vec<(usize, Op)> = op_spans(&events).map(|s| (s.0, s.1)).collect();
+    for lane in 0..2 {
+        for op in [
+            Op::Forward,
+            Op::Backward,
+            Op::Compress,
+            Op::PullWait,
+            Op::LocalUpdate,
+        ] {
+            assert!(
+                spans.contains(&(lane, op)),
+                "lane {lane} has no {op:?} span"
+            );
+        }
+    }
+    assert!(
+        spans.contains(&(2, Op::Decompress)),
+        "no server-lane dequant"
     );
 }

@@ -3,19 +3,24 @@
 //! backend. An attached [`AggregateSink`] folds the same events the
 //! internal `TrafficStats` counters fold, so the two views must be
 //! bit-for-bit equal — in-process, over loopback transports, and over
-//! real TCP sockets. Profiled runs must stream the paper's Fig. 5 op
-//! spans, and a JSONL trace must round-trip through the parser without
-//! losing an event.
+//! real TCP sockets. A run with a sink — and nothing else — must stream
+//! the paper's Fig. 5 op spans, in-process and per process, on one
+//! causally consistent clock, and a JSONL trace must round-trip through
+//! the parser without losing an event.
 
 use std::sync::{Arc, Mutex};
 
 use cd_sgd::{
-    telemetry::parse_jsonl_line, AggregateSink, Algorithm, Event, JsonlSink, MemorySink, Telemetry,
-    TrainConfig, Trainer,
+    run_standalone_worker,
+    telemetry::{now_s, op_spans, parse_jsonl_line},
+    AggregateSink, Algorithm, Event, JsonlSink, Link, MemorySink, Telemetry, TrainConfig, Trainer,
 };
 use cd_sgd_repro::deploy;
-use cdsgd_net::NetConfig;
-use cdsgd_ps::{Durability, InProcessBackend, NetCluster, ParamServer, TrafficStats};
+use cdsgd_net::{loopback_pair, NetConfig};
+use cdsgd_ps::{
+    Durability, InProcessBackend, NetCluster, ParamServer, PsNetServer, RemoteClient, ServerConfig,
+    TrafficStats,
+};
 use cdsgd_telemetry::Op;
 
 fn blob_config() -> TrainConfig {
@@ -149,25 +154,11 @@ fn aggregate_sink_matches_traffic_stats_on_every_backend() {
 #[test]
 fn profiled_run_streams_op_spans_with_monotonic_timestamps() {
     let mem = Arc::new(MemorySink::new());
-    let cfg = blob_config()
-        .with_profiling(true)
-        .with_telemetry(Telemetry::new(Arc::clone(&mem) as _));
-    let history = blob_trainer(cfg).run();
-    assert!(history.profile.is_some(), "profiling was enabled");
+    let cfg = blob_config().with_telemetry(Telemetry::new(Arc::clone(&mem) as _));
+    blob_trainer(cfg).run();
 
-    let spans: Vec<(usize, Op, f64, f64)> = mem
-        .events()
-        .into_iter()
-        .filter_map(|e| match e {
-            Event::OpSpan {
-                worker,
-                op,
-                start_s,
-                end_s,
-                ..
-            } => Some((worker, op, start_s, end_s)),
-            _ => None,
-        })
+    let spans: Vec<(usize, Op, f64, f64)> = op_spans(&mem.events())
+        .map(|(worker, op, _, start_s, end_s)| (worker, op, start_s, end_s))
         .collect();
 
     // The paper's Fig. 5 categories all appear for CD-SGD: forward,
@@ -208,7 +199,7 @@ fn jsonl_trace_round_trips_every_event() {
     let jsonl = Telemetry::new(Arc::new(JsonlSink::create(&path).expect("create trace")) as _);
     let tel = Telemetry::new(Arc::clone(&mem) as _).and(&jsonl);
 
-    let history = blob_trainer(blob_config().with_profiling(true).with_telemetry(tel)).run();
+    let history = blob_trainer(blob_config().with_telemetry(tel)).run();
     jsonl.flush();
 
     let text = std::fs::read_to_string(&path).expect("read trace");
@@ -220,7 +211,7 @@ fn jsonl_trace_round_trips_every_event() {
     // The file holds exactly the event stream the memory sink saw,
     // value for value (f32/f64 survive the JSON round trip exactly).
     // Compared as sorted multisets: the two sinks receive every event,
-    // but concurrent worker flushes may interleave differently.
+    // but concurrent emitters may interleave differently.
     let canon = |events: &[Event]| -> Vec<String> {
         let mut v: Vec<String> = events
             .iter()
@@ -258,4 +249,136 @@ fn jsonl_trace_round_trips_every_event() {
         assert_eq!(*pull_bytes, row.cumulative_pull_bytes);
     }
     std::fs::remove_file(&path).ok();
+}
+
+const FIG5: [Op; 5] = [
+    Op::Forward,
+    Op::Backward,
+    Op::Compress,
+    Op::PullWait,
+    Op::LocalUpdate,
+];
+
+#[test]
+fn standalone_worker_and_net_server_trace_their_own_lanes() {
+    // The multi-process shape, in one test process: a `PsNetServer`
+    // shard and two `run_standalone_worker`s, each with its *own* sink —
+    // what `psd --trace` and `worker --trace` write. Every worker's
+    // trace holds all five Fig. 5 categories on its own lane and nothing
+    // on any other; the shard's holds dequant on the server lane.
+    let cfg = blob_config();
+    let init = deploy::initial_weights("mlp:8,32,4", cfg.seed);
+    let server_mem = Arc::new(MemorySink::new());
+    let server = PsNetServer::start_with(
+        init,
+        ServerConfig::new(2, cfg.global_lr),
+        Telemetry::new(Arc::clone(&server_mem) as _),
+        Durability::default(),
+    );
+    let (train, test) = deploy::build_dataset("blobs", 480, 5);
+    let traces: Vec<Vec<Event>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|id| {
+                let (client_end, server_end) = loopback_pair();
+                server.attach(Box::new(server_end)).unwrap();
+                let client = RemoteClient::new(
+                    Box::new(client_end),
+                    Arc::new(TrafficStats::new()),
+                    Default::default(),
+                )
+                .unwrap();
+                let mem = Arc::new(MemorySink::new());
+                let cfg = cfg
+                    .clone()
+                    .with_telemetry(Telemetry::new(Arc::clone(&mem) as _));
+                let (train, test) = (&train, test.clone());
+                s.spawn(move || {
+                    run_standalone_worker(
+                        cfg,
+                        id,
+                        |rng| deploy::build_model("mlp:8,32,4", rng),
+                        train,
+                        Some(test),
+                        Link::Ps(Arc::new(client)),
+                    )
+                    .expect("standalone worker");
+                    mem.events()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    server.shutdown();
+
+    for (id, trace) in traces.iter().enumerate() {
+        let spans: Vec<_> = op_spans(trace).collect();
+        for op in FIG5 {
+            assert!(
+                spans.iter().any(|s| s.0 == id && s.1 == op),
+                "worker {id}'s trace has no {op:?} span on its own lane"
+            );
+        }
+        assert!(
+            spans.iter().all(|s| s.0 == id),
+            "worker {id}'s trace carries another lane"
+        );
+    }
+    let server_spans: Vec<_> = op_spans(&server_mem.events()).collect();
+    assert!(!server_spans.is_empty(), "the shard traced no dequant");
+    assert!(
+        server_spans
+            .iter()
+            .all(|s| s.0 == 2 && s.1 == Op::Decompress),
+        "a shard's spans are dequant on lane = worker count"
+    );
+}
+
+#[test]
+fn back_to_back_runs_share_one_causal_clock() {
+    // Two traced in-process trainings in one process. In each, the
+    // server cannot dequantize a round's first key before the slowest
+    // worker finished quantizing it — so on one clock every server-lane
+    // span of a compressed round starts after the latest first-key
+    // quant end of that round — and every lane's timestamps lie inside
+    // the run's own wall-clock window (no per-run origin, no offset
+    // that grows with every earlier run).
+    for run in 0..2 {
+        let mem = Arc::new(MemorySink::new());
+        let cfg = blob_config().with_telemetry(Telemetry::new(Arc::clone(&mem) as _));
+        let begin = now_s();
+        blob_trainer(cfg).run();
+        let end = now_s();
+        let events = mem.events();
+        let spans: Vec<_> = op_spans(&events).collect();
+        for &(lane, op, _, start_s, end_s) in &spans {
+            assert!(
+                begin <= start_s && start_s <= end_s && end_s <= end,
+                "run {run}: lane {lane} {op:?} span [{start_s}, {end_s}] \
+                 outside the run's window [{begin}, {end}]"
+            );
+        }
+        // Per round and worker, the end of the first (key 0) quant span.
+        let mut first_quant_end = std::collections::BTreeMap::<(u64, usize), f64>::new();
+        for &(lane, op, round, _, end_s) in &spans {
+            if op == Op::Compress {
+                first_quant_end.entry((round, lane)).or_insert(end_s);
+            }
+        }
+        let mut checked = 0;
+        for &(lane, op, round, start_s, _) in &spans {
+            if lane != 2 || op != Op::Decompress {
+                continue;
+            }
+            let quant_done = (0..2)
+                .filter_map(|w| first_quant_end.get(&(round, w)))
+                .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+            assert!(
+                start_s >= quant_done,
+                "run {run}: dequant of round {round} started at {start_s}, \
+                 before its quant finished at {quant_done}"
+            );
+            checked += quant_done.is_finite() as usize;
+        }
+        assert!(checked > 0, "run {run}: no compressed round was checked");
+    }
 }
