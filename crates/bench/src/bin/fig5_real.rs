@@ -4,8 +4,10 @@
 //! workers' pull-wait collapses to ~zero because the deferred pull is
 //! already satisfied when requested.
 //!
-//! Prints per-op wall-clock totals and the blocked fraction, and writes
-//! Chrome traces of the real worker timelines.
+//! Prints per-op wall-clock totals, the blocked fraction and, per
+//! worker, how much of its quantize + push time ran inside BP (each key
+//! leaves the moment its layer's gradient exists), and writes Chrome
+//! traces of the real worker timelines.
 //!
 //! An emulated shared network (default 5 MiB/s, `--mibps`) puts the run
 //! in the paper's communication-visible regime; without it the in-process
@@ -16,11 +18,38 @@
 
 use std::sync::Arc;
 
-use cd_sgd::telemetry::{summarize, to_chrome_json};
-use cd_sgd::{Algorithm, MemorySink, Telemetry, TrainConfig, Trainer};
+use cd_sgd::telemetry::{op_spans, summarize, to_chrome_json, Op};
+use cd_sgd::{Algorithm, Event, MemorySink, Telemetry, TrainConfig, Trainer};
 use cdsgd_bench::arg_usize;
 use cdsgd_data::synth;
 use cdsgd_nn::models;
+use std::collections::BTreeMap;
+
+/// Per worker lane: the share of its `Compress` + `Push` time that lies
+/// inside the BP window of the same round — from the start of the
+/// round's first per-layer `Backward` span to the end of its last.
+fn share_inside_bp(events: &[Event], workers: usize) -> Vec<f64> {
+    let mut window = BTreeMap::<(usize, u64), (f64, f64)>::new();
+    for (lane, op, round, start_s, end_s) in op_spans(events) {
+        if op == Op::Backward {
+            let w = window.entry((lane, round)).or_insert((start_s, end_s));
+            *w = (w.0.min(start_s), w.1.max(end_s));
+        }
+    }
+    let mut inside = vec![0.0f64; workers];
+    let mut total = vec![0.0f64; workers];
+    for (lane, op, round, start_s, end_s) in op_spans(events) {
+        if lane < workers && matches!(op, Op::Compress | Op::Push) {
+            total[lane] += end_s - start_s;
+            if let Some(&(bp_start, bp_end)) = window.get(&(lane, round)) {
+                inside[lane] += (end_s.min(bp_end) - start_s.max(bp_start)).max(0.0);
+            }
+        }
+    }
+    (inside.iter().zip(&total))
+        .map(|(i, t)| if *t > 0.0 { i / t } else { 0.0 })
+        .collect()
+}
 
 fn main() {
     let epochs = arg_usize("epochs", 2);
@@ -66,6 +95,12 @@ fn main() {
             "  blocked on pulls: {:.1}% of worker time",
             summary.pull_wait_fraction * 100.0
         );
+        for (w, share) in share_inside_bp(&events, workers).iter().enumerate() {
+            println!(
+                "  worker {w}: {:.1}% of quant + push time inside its BP window",
+                share * 100.0
+            );
+        }
         let path = format!(
             "fig5_real_{}.trace.json",
             name.to_lowercase().replace(['(', ')', '='], "_")

@@ -7,13 +7,16 @@
 //! per-algorithm branching. Each iteration drives the same three-phase
 //! protocol:
 //!
-//! 1. [`UpdateStrategy::prepare_push`] — turn the raw gradients into the
-//!    outbound payloads (delay compensation, compression, momentum,
-//!    local-step accumulation — whatever the algorithm prescribes).
-//! 2. [`UpdateStrategy::communicate`] — move bytes: push the staged
-//!    payloads and perform whatever pull/reduce the algorithm's
-//!    synchronization model requires (blocking pull, deferred async pull,
-//!    ring all-reduce, or nothing).
+//! 1. [`UpdateStrategy::grad_ready`] — called from inside
+//!    back-propagation, once per key, the moment that key's gradient is
+//!    final: turn it into the outbound payload (delay compensation,
+//!    momentum, compression, local-step accumulation — whatever the
+//!    algorithm prescribes) and send it, so the server or the ring peer
+//!    works on the last layers while BP of the first still runs.
+//! 2. [`UpdateStrategy::communicate`] — after BP, wait for (or defer)
+//!    whatever the algorithm's synchronization model still owes: the
+//!    blocking pulls fired behind each push, Algorithm 1's deferred pull,
+//!    the gossip exchange, or nothing.
 //! 3. [`UpdateStrategy::adopt`] — install the resulting weights into the
 //!    model (adopt the pulled globals, apply the local update of eq. 11,
 //!    or apply the reduced gradient locally).
@@ -22,9 +25,10 @@
 //! [`PsStrategy`], configured in [`build_strategy`]; Local SGD, AR-SGD and
 //! the decentralized topology synchronize differently and stay separate.
 //!
-//! The split is *bit-exact* with the pre-refactor monolithic loop:
-//! `tests/strategy_equivalence.rs` pins the final-weight hashes captured
-//! from the old code for every variant on two backends.
+//! Every piece of push state is per key, so the hand-off order changes
+//! no arithmetic: `tests/strategy_equivalence.rs` pins the final-weight
+//! hashes captured from the original monolithic loop for every variant
+//! on two backends.
 
 use crate::config::{Algorithm, ConfigError, Topology, TrainConfig};
 use cdsgd_compress::{
@@ -32,10 +36,11 @@ use cdsgd_compress::{
     TwoBitQuantizer,
 };
 use cdsgd_net::{decode_compressed, encode_compressed_into};
-use cdsgd_nn::Sequential;
+use cdsgd_nn::{Layer, Param, Sequential};
 use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::{Collective, NetError, ParamClient, PendingPull};
 use cdsgd_telemetry::Op;
+use cdsgd_tensor::Tensor;
 use std::sync::Arc;
 
 /// Per-iteration context handed to every strategy phase: identity,
@@ -85,26 +90,20 @@ pub(crate) trait UpdateStrategy: Send {
     #[cfg_attr(not(test), allow(dead_code))]
     fn name(&self) -> &'static str;
 
-    /// Phase 1: stage this iteration's outbound payloads from the fresh
-    /// gradients (and, for delay compensation, the model's local weights).
-    fn prepare_push(
-        &mut self,
-        model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError>;
+    /// Phase 1, once per key from inside back-propagation
+    /// ([`Sequential::backward_params_each`]): `param.grad` is final,
+    /// the layers below have yet to run. Send it on its way — `param.value`
+    /// still holds the weights the gradient was computed at.
+    fn grad_ready(&mut self, key: usize, param: &mut Param, ctx: &StepCtx) -> Result<(), NetError>;
 
-    /// Phase 2: push the staged payloads and run the algorithm's
-    /// synchronization (blocking pull, deferred pull, ring reduce).
+    /// Phase 2, after back-propagation: run what is left of the
+    /// algorithm's synchronization (wait for the blocking pulls, take
+    /// and re-fire the deferred pull, exchange with the neighbours).
     fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError>;
 
-    /// Phase 3: install the iteration's resulting weights into `model`.
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError>;
+    /// Phase 3: install the iteration's resulting weights into `model`,
+    /// whose gradient tensors still hold what phase 1 left in them.
+    fn adopt(&mut self, model: &mut Sequential, ctx: &StepCtx) -> Result<(), NetError>;
 
     /// The global-weight snapshot a worker should evaluate at epoch end,
     /// or `None` when the model itself holds the globals (ring mode).
@@ -173,74 +172,106 @@ pub(crate) trait UpdateStrategy: Send {
     }
 }
 
+/// One iteration's step of `strategy` on `model`, from the loss gradient
+/// `dy`: back-propagate, handing each key to [`UpdateStrategy::grad_ready`]
+/// as its layer finishes, then `communicate` and `adopt`. The walk hands
+/// keys over ascending within a layer, layers last first, so a smaller
+/// key opens a new layer: one [`Op::Backward`] span per layer, closed
+/// before the strategy's spans for that layer's keys open. After a
+/// failed hand-off the rest of BP runs unobserved and the step fails.
+pub(crate) fn step(
+    strategy: &mut dyn UpdateStrategy,
+    model: &mut Sequential,
+    dy: &Tensor,
+    ctx: &StepCtx,
+) -> Result<(), NetError> {
+    let (mut t_bp, mut below, mut handed) = (ctx.now(), usize::MAX, Ok(()));
+    model.backward_params_each(dy, |key, param| {
+        if key < std::mem::replace(&mut below, key) {
+            ctx.record(Op::Backward, ctx.round, t_bp);
+        }
+        if handed.is_ok() {
+            handed = strategy.grad_ready(key, param, ctx);
+        }
+        t_bp = ctx.now();
+    });
+    handed?;
+    strategy.communicate(ctx)?;
+    strategy.adopt(model, ctx)
+}
+
 /// The parameter-server attachment shared by every PS-based strategy:
 /// the connection (and through it the payload pool it shares with the
-/// server), the adopted global snapshot, and the staged outbound payloads.
+/// server), the adopted global snapshot, and the pulls in flight.
 struct PsLink {
     client: Arc<dyn ParamClient>,
     /// Most recently adopted global weights (initially the shared init).
     /// `Arc` snapshots shared with the server and every same-version
     /// puller — adopting a pull is a pointer move.
     base: Vec<Arc<[f32]>>,
-    /// Payloads staged by `prepare_push`, consumed by `push_staged`.
-    staged: Vec<Compressed>,
+    /// The outstanding async pull of each key: fired behind that key's
+    /// push on a blocking round, or all at once for a deferred round.
+    inflight: Vec<Option<PendingPull>>,
 }
 
 impl PsLink {
-    /// Stage one payload per key: through `codec` when there is one, raw
-    /// f32 otherwise. Storage is drawn from the shared pool, so
-    /// steady-state rounds allocate nothing on the push path. Each
-    /// codec call is one [`Op::Compress`] span — per key, at the codec
-    /// boundary rather than around the staging loop; a raw push stages
-    /// a copy, which is not quantization and is not timed.
-    fn stage(
-        &mut self,
-        mut codec: Option<&mut dyn GradientCompressor>,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) {
-        let pool = self.client.pool();
-        self.staged.clear();
-        self.staged
-            .extend(grads.iter().enumerate().map(|(key, g)| match &mut codec {
-                Some(c) => {
-                    let t = ctx.now();
-                    let payload = c.compress_into(key, g, pool);
-                    ctx.record(Op::Compress, ctx.round, t);
-                    payload
-                }
-                None => NoCompression.compress_into(key, g, pool),
-            }));
-    }
-
-    /// Push the staged payloads, key by key.
-    fn push_staged(&mut self, worker: usize) -> Result<(), NetError> {
-        for (key, payload) in self.staged.drain(..).enumerate() {
-            self.client.push(worker, key, payload)?;
+    fn new(client: Arc<dyn ParamClient>, base: Vec<Arc<[f32]>>) -> Self {
+        let inflight = base.iter().map(|_| None).collect();
+        Self {
+            client,
+            base,
+            inflight,
         }
-        Ok(())
     }
 
-    /// Blocking pull of every key at `version` into `base`, recorded as
-    /// one [`Op::PullWait`] interval attributed to `record_round`.
-    fn pull_blocking(
+    /// Push `key`'s payload — one [`Op::Push`] span: where the worker
+    /// blocks in the transport's write while BP waits — and, given a
+    /// `pull` version, request that key's next globals right behind it.
+    fn push(
         &mut self,
-        version: u64,
+        key: usize,
+        payload: Compressed,
+        pull: Option<u64>,
         ctx: &StepCtx,
-        record_round: u64,
     ) -> Result<(), NetError> {
         let t = ctx.now();
-        self.base = self.client.pull_all(self.base.len(), version)?;
-        ctx.record(Op::PullWait, record_round, t);
+        self.client.push(ctx.id, key, payload)?;
+        ctx.record(Op::Push, ctx.round, t);
+        if let Some(version) = pull {
+            self.inflight[key] = Some(self.client.pull_async(key, version)?);
+        }
         Ok(())
     }
 
     /// Fire one async pull per key at `version`; the transfers overlap
     /// the next iteration's computation.
-    fn fire_pulls(&self, version: u64) -> Result<Vec<PendingPull>, NetError> {
-        (0..self.base.len())
-            .map(|k| self.client.pull_async(k, version))
+    fn fire_pulls(&mut self, version: u64) -> Result<(), NetError> {
+        for (key, slot) in self.inflight.iter_mut().enumerate() {
+            *slot = Some(self.client.pull_async(key, version)?);
+        }
+        Ok(())
+    }
+
+    /// Is a round of pulls outstanding?
+    fn pulls_in_flight(&self) -> bool {
+        self.inflight.iter().any(Option::is_some)
+    }
+
+    /// Wait for the outstanding pull of every key, in key order.
+    fn wait_pulls(&mut self) -> Result<Vec<Arc<[f32]>>, NetError> {
+        let pulls = self.inflight.iter_mut();
+        pulls
+            .map(|p| p.take().expect("a pull in flight for every key").wait())
             .collect()
+    }
+
+    /// [`PsLink::wait_pulls`] into `base`, recorded as one
+    /// [`Op::PullWait`] interval attributed to `record_round`.
+    fn adopt_pulls(&mut self, ctx: &StepCtx, record_round: u64) -> Result<(), NetError> {
+        let t = ctx.now();
+        self.base = self.wait_pulls()?;
+        ctx.record(Op::PullWait, record_round, t);
+        Ok(())
     }
 
     /// Blocking pull of every key at `version` into `base`, outside the
@@ -252,9 +283,19 @@ impl PsLink {
     }
 }
 
-/// Wait for every reply of one round's async pulls, in key order.
-fn wait_all(receivers: Vec<PendingPull>) -> Result<Vec<Arc<[f32]>>, NetError> {
-    receivers.into_iter().map(|r| r.wait()).collect()
+/// `W ← from + α·∇` per key, from the model's own gradient tensors;
+/// with no `from`, the step starts at the weights the model holds.
+fn step_from_grads(model: &mut Sequential, from: Option<&[Arc<[f32]>]>, alpha: f32) {
+    let mut key = 0usize;
+    model.visit_params(&mut |p| {
+        if let Some(from) = from {
+            p.value.data_mut().copy_from_slice(&from[key]);
+        }
+        for (v, &g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
+            *v += alpha * g;
+        }
+        key += 1;
+    });
 }
 
 /// Does CD-SGD compress at round `r`? Warm-up rounds push raw; in the
@@ -283,25 +324,33 @@ struct PushStage {
 }
 
 impl PushStage {
-    /// Stage this round's payloads for `grads` into `link`.
-    fn stage(&mut self, link: &mut PsLink, grads: &[Vec<f32>], ctx: &StepCtx) {
-        let grads = match &mut self.momentum {
+    /// This round's payload for `key`'s gradient `g`. Storage is drawn
+    /// from the pool shared with the server, so steady-state rounds
+    /// allocate nothing on the push path. The codec call is one
+    /// [`Op::Compress`] span; a raw push is a copy into pooled storage,
+    /// which is not quantization and is not timed.
+    fn payload(&mut self, key: usize, g: &[f32], pool: &BufferPool, ctx: &StepCtx) -> Compressed {
+        let g = match &mut self.momentum {
             Some((mu, velocity)) => {
-                for (v, g) in velocity.iter_mut().zip(grads) {
-                    for (vi, gi) in v.iter_mut().zip(g) {
-                        *vi = *mu * *vi + gi;
-                    }
+                let v = &mut velocity[key];
+                for (vi, gi) in v.iter_mut().zip(g) {
+                    *vi = *mu * *vi + gi;
                 }
-                velocity.as_slice()
+                v.as_slice()
             }
-            None => grads,
+            None => g,
         };
         let compress = self
             .correction
             .is_none_or(|(warmup, k)| cd_compresses(warmup, k, ctx.round));
         match &mut self.codec {
-            Some(codec) if compress => link.stage(Some(codec.as_mut()), grads, ctx),
-            _ => link.stage(None, grads, ctx),
+            Some(codec) if compress => {
+                let t = ctx.now();
+                let payload = codec.compress_into(key, g, pool);
+                ctx.record(Op::Compress, ctx.round, t);
+                payload
+            }
+            _ => NoCompression.compress_into(key, g, pool),
         }
     }
 
@@ -334,29 +383,12 @@ impl PushStage {
         base: &[Arc<[f32]>],
     ) -> Result<(), CheckpointError> {
         let n = base.len();
-        let want = n * (usize::from(self.momentum.is_some()) + usize::from(self.codec.is_some()));
-        if state.len() != want {
-            return Err(CheckpointError::Corrupt(format!(
-                "strategy state has {} slots, but this algorithm keeps {want} for {n} keys \
-                 (was the checkpoint written by a different --algo?)",
-                state.len()
-            )));
-        }
-        let (velocity, residuals) = state.split_at(if self.momentum.is_some() { n } else { 0 });
+        let groups = usize::from(self.momentum.is_some()) + usize::from(self.codec.is_some());
+        let velocities = if self.momentum.is_some() { n } else { 0 };
         // A residual slot may be empty (the codec has no buffer for that
         // key yet); a velocity slot never is.
-        let fits = |slots: &[Vec<f32>], may_be_empty: bool| {
-            let empty_ok = |s: &[f32]| may_be_empty && s.is_empty();
-            slots
-                .iter()
-                .zip(base)
-                .all(|(s, b)| s.len() == b.len() || empty_ok(s))
-        };
-        if !fits(velocity, false) || !fits(residuals, true) {
-            return Err(CheckpointError::Corrupt(
-                "strategy state does not match the model's per-key lengths".into(),
-            ));
-        }
+        check_slots(state, base, groups, |slot| slot >= velocities)?;
+        let (velocity, residuals) = state.split_at(velocities);
         if let Some((_, v)) = &mut self.momentum {
             *v = velocity.to_vec();
         }
@@ -366,6 +398,35 @@ impl PushStage {
         }
         Ok(())
     }
+}
+
+/// Does checkpointed `state` hold exactly `groups` runs of one slot per
+/// key of `base`, each as long as its key — or empty, for the slot
+/// indices `may_be_empty` allows? A checkpoint directory written by a
+/// different algorithm or model must be refused, not reinterpreted.
+fn check_slots(
+    state: &[Vec<f32>],
+    base: &[Arc<[f32]>],
+    groups: usize,
+    may_be_empty: impl Fn(usize) -> bool,
+) -> Result<(), CheckpointError> {
+    let (n, want) = (base.len(), base.len() * groups);
+    if state.len() != want {
+        return Err(CheckpointError::Corrupt(format!(
+            "strategy state has {} slots, but this algorithm keeps {want} for {n} keys \
+             (was the checkpoint written by a different --algo?)",
+            state.len()
+        )));
+    }
+    let fits = |(i, s): (usize, &Vec<f32>)| {
+        s.len() == base[i % n].len() || (s.is_empty() && may_be_empty(i))
+    };
+    if !state.iter().enumerate().all(fits) {
+        return Err(CheckpointError::Corrupt(
+            "strategy state does not match the model's per-key lengths".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// The delay part of a PS strategy (the OD-SGD local update): after
@@ -379,14 +440,11 @@ struct Delay {
     warmup: u64,
     /// DC-ASGD delay-compensation strength λ (0 disables).
     dc_lambda: f32,
-    /// Async pulls fired last round for this round's base.
-    pending: Option<Vec<PendingPull>>,
     /// Replies already received by an epoch-end [`PsStrategy::settle`],
     /// held for the next round's adoption.
     settled: Option<Vec<Arc<[f32]>>>,
-    // Scratch reused every round.
-    dc_grads: Vec<Vec<f32>>,
-    w_loc: Vec<Vec<f32>>,
+    /// The compensated gradient of the key in hand; reused for every key.
+    dc_grad: Vec<f32>,
 }
 
 /// Every parameter-server algorithm of the S-SGD family: a PS algorithm
@@ -405,83 +463,61 @@ impl UpdateStrategy for PsStrategy {
         self.name
     }
 
-    fn prepare_push(
-        &mut self,
-        model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
+    fn grad_ready(&mut self, key: usize, param: &mut Param, ctx: &StepCtx) -> Result<(), NetError> {
+        let delay = self.delay.as_mut().filter(|d| ctx.round >= d.warmup);
+        // A blocking round (warm-up; for a strategy with no delay part,
+        // every round) pulls this key's next globals right behind its
+        // push; a delayed round leaves Algorithm 1's pull to
+        // `communicate`.
+        let pull = delay.is_none().then_some(ctx.round + 1);
         // DC-ASGD-style delay compensation (extension, λ > 0 only): the
         // gradient was computed at W^loc but will be applied to a
         // one-step-newer global weight; correct it with the diagonal
         // Hessian approximation g̃ = g + λ·g⊙g⊙(W_base − W_loc). Without
-        // DC the raw gradients are staged as-is (no copy).
-        let dc = self
-            .delay
-            .as_mut()
-            .filter(|d| d.dc_lambda > 0.0 && ctx.round >= d.warmup);
-        let push_grads: &[Vec<f32>] = match dc {
+        // DC the payload is built straight from the gradient tensor.
+        let g = match delay.filter(|d| d.dc_lambda > 0.0) {
             Some(d) => {
-                model.export_params_into(&mut d.w_loc);
-                d.dc_grads.resize_with(grads.len(), Vec::new);
-                for (dg, (g, (b, wl))) in d
-                    .dc_grads
-                    .iter_mut()
-                    .zip(grads.iter().zip(self.link.base.iter().zip(&d.w_loc)))
-                {
-                    dg.clear();
-                    dg.extend(
-                        g.iter()
-                            .zip(b.iter().zip(wl))
-                            .map(|(&gi, (&bi, &wi))| gi + d.dc_lambda * gi * gi * (bi - wi)),
-                    );
-                }
-                &d.dc_grads
+                let w = self.link.base[key].iter().zip(param.value.data());
+                d.dc_grad.clear();
+                d.dc_grad.extend(
+                    (param.grad.data().iter().zip(w))
+                        .map(|(&gi, (&bi, &wi))| gi + d.dc_lambda * gi * gi * (bi - wi)),
+                );
+                d.dc_grad.as_slice()
             }
-            None => grads,
+            None => param.grad.data(),
         };
-        self.stage.stage(&mut self.link, push_grads, ctx);
-        Ok(())
+        let payload = self.stage.payload(key, g, self.link.client.pool(), ctx);
+        self.link.push(key, payload, pull, ctx)
     }
 
     fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
-        self.link.push_staged(ctx.id)?;
         let round = ctx.round;
         let Some(d) = self.delay.as_mut().filter(|d| round >= d.warmup) else {
-            // Warm-up (for a strategy with no delay part, every round):
-            // plain blocking S-SGD synchronization.
-            return self.link.pull_blocking(round + 1, ctx, round);
+            // Plain blocking S-SGD synchronization.
+            return self.link.adopt_pulls(ctx, round);
         };
         // Deferred pull: the local update for this iteration needs
         // W_round (the result of the previous round), which the
         // warm-up's final pull or the previous formal iteration left
         // outstanding.
         if round > d.warmup {
-            let t = ctx.now();
-            self.link.base = match d.settled.take() {
+            match d.settled.take() {
                 // An epoch-end settle already received the replies.
-                Some(base) => base,
-                None => wait_all(d.pending.take().expect("async pull fired last round"))?,
-            };
-            ctx.record(Op::PullWait, round, t);
+                Some(base) => self.link.base = base,
+                None => self.link.adopt_pulls(ctx, round)?,
+            }
         }
         // Request next round's base (version round+1) now; the
         // transfer overlaps the next iteration's computation.
-        d.pending = Some(self.link.fire_pulls(round + 1)?);
-        Ok(())
+        self.link.fire_pulls(round + 1)
     }
 
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
+    fn adopt(&mut self, model: &mut Sequential, ctx: &StepCtx) -> Result<(), NetError> {
         if let Some(d) = self.delay.as_ref().filter(|d| ctx.round >= d.warmup) {
             // W^loc_{r+1} = W_r − lr_loc · grad_r (eq. 11).
             let t = ctx.now();
-            model.import_params_from(&self.link.base);
-            model.axpy_params(-d.local_lr, grads);
+            step_from_grads(model, Some(&self.link.base), -d.local_lr);
             ctx.record(Op::LocalUpdate, ctx.round, t);
         } else {
             model.import_params_from(&self.link.base);
@@ -500,12 +536,9 @@ impl UpdateStrategy for PsStrategy {
         // settle, every push/pull of the epoch has been counted on both
         // the server and the client side. The wait is real pull-wait
         // time, charged to the round that would have adopted the reply.
-        let Some(d) = &mut self.delay else {
-            return Ok(());
-        };
-        if let Some(receivers) = d.pending.take() {
+        if let Some(d) = self.delay.as_mut().filter(|_| self.link.pulls_in_flight()) {
             let t = ctx.now();
-            d.settled = Some(wait_all(receivers)?);
+            d.settled = Some(self.link.wait_pulls()?);
             ctx.record(Op::PullWait, ctx.round, t);
         }
         Ok(())
@@ -517,8 +550,8 @@ impl UpdateStrategy for PsStrategy {
         // worker's last push is applied, so returning from here
         // guarantees the server group holds the fully-aggregated final
         // weights.
-        if let Some(receivers) = self.delay.as_mut().and_then(|d| d.pending.take()) {
-            wait_all(receivers)?;
+        if self.link.pulls_in_flight() {
+            self.link.wait_pulls()?;
         }
         Ok(())
     }
@@ -584,41 +617,27 @@ impl UpdateStrategy for LocalSgdStrategy {
         "localsgd"
     }
 
-    fn prepare_push(
-        &mut self,
-        _model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
-        if self.acc.is_empty() {
-            self.acc = grads.iter().map(|g| vec![0.0f32; g.len()]).collect();
+    fn grad_ready(&mut self, key: usize, param: &mut Param, ctx: &StepCtx) -> Result<(), NetError> {
+        let acc = &mut self.acc[key];
+        for (ai, gi) in acc.iter_mut().zip(param.grad.data()) {
+            *ai += gi;
         }
-        for (av, g) in self.acc.iter_mut().zip(grads) {
-            for (ai, gi) in av.iter_mut().zip(g) {
-                *ai += gi;
-            }
+        if !self.syncs_now(ctx.round) {
+            return Ok(());
         }
-        if self.syncs_now(ctx.round) {
-            self.link.stage(None, &self.acc, ctx);
-        }
-        Ok(())
+        let payload = NoCompression.compress_into(key, &self.acc[key], self.link.client.pool());
+        self.link.push(key, payload, Some(self.syncs + 1), ctx)
     }
 
     fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
         if self.syncs_now(ctx.round) {
-            self.link.push_staged(ctx.id)?;
             self.syncs += 1;
-            self.link.pull_blocking(self.syncs, ctx, ctx.round + 1)?;
+            self.link.adopt_pulls(ctx, ctx.round + 1)?;
         }
         Ok(())
     }
 
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
+    fn adopt(&mut self, model: &mut Sequential, ctx: &StepCtx) -> Result<(), NetError> {
         if self.syncs_now(ctx.round) {
             // Adopt the averaged aggregate; it replaces every local step,
             // so the local update for this round is skipped (the old loop
@@ -629,7 +648,7 @@ impl UpdateStrategy for LocalSgdStrategy {
             }
         } else {
             // Purely local step on the worker's own model.
-            model.axpy_params(-self.local_lr, grads);
+            step_from_grads(model, None, -self.local_lr);
         }
         Ok(())
     }
@@ -645,9 +664,8 @@ impl UpdateStrategy for LocalSgdStrategy {
     }
 
     fn import_state(&mut self, state: &[Vec<f32>]) -> Result<(), CheckpointError> {
-        if !state.is_empty() {
-            self.acc = state.to_vec();
-        }
+        check_slots(state, &self.link.base, 1, |_| false)?;
+        self.acc = state.to_vec();
         Ok(())
     }
 
@@ -679,8 +697,6 @@ impl UpdateStrategy for LocalSgdStrategy {
 /// are identical.
 struct ArSgdStrategy {
     ring: Box<dyn Collective>,
-    /// Reduce buffers (allreduce is in-place), reused every round.
-    mean: Vec<Vec<f32>>,
 }
 
 impl UpdateStrategy for ArSgdStrategy {
@@ -688,39 +704,30 @@ impl UpdateStrategy for ArSgdStrategy {
         "arsgd"
     }
 
-    fn prepare_push(
+    fn grad_ready(
         &mut self,
-        _model: &mut Sequential,
-        grads: &[Vec<f32>],
-        _ctx: &StepCtx,
+        _key: usize,
+        param: &mut Param,
+        ctx: &StepCtx,
     ) -> Result<(), NetError> {
-        self.mean.resize_with(grads.len(), Vec::new);
-        for (m, g) in self.mean.iter_mut().zip(grads) {
-            m.clear();
-            m.extend_from_slice(g);
-        }
-        Ok(())
-    }
-
-    fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
+        // Mean-reduced where BP left it: the gradient tensor is the
+        // reduce buffer, and the ring works on the last layers while BP
+        // of the first still runs.
         let t = ctx.now();
-        for m in self.mean.iter_mut() {
-            self.ring.allreduce_mean(m)?;
-        }
+        self.ring.allreduce_mean(param.grad.data_mut())?;
         ctx.record(Op::PullWait, ctx.round, t);
         Ok(())
     }
 
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        _grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
+    fn communicate(&mut self, _ctx: &StepCtx) -> Result<(), NetError> {
+        Ok(())
+    }
+
+    fn adopt(&mut self, model: &mut Sequential, ctx: &StepCtx) -> Result<(), NetError> {
         // Eq. 1 applied locally; the lr schedule is applied worker-side
         // because there is no server to own it.
         let lr = current_lr(ctx.cfg, ctx.round, ctx.iters_per_epoch);
-        model.axpy_params(-lr, &self.mean);
+        step_from_grads(model, None, -lr);
         Ok(())
     }
 
@@ -741,7 +748,7 @@ impl UpdateStrategy for ArSgdStrategy {
 /// everyone exchanges — so all three replicas of any worker agree
 /// bit-for-bit across the ring. One iteration:
 ///
-/// 1. local step `x ← x − lr·g`,
+/// 1. local step `x ← x − lr·g` (per key, as BP hands each over),
 /// 2. compress `x − x̂_self`, advance `x̂_self` by the *decoded* diff
 ///    (exactly what the neighbors will apply), send the payload both
 ///    ways around the ring,
@@ -766,7 +773,8 @@ struct DecentralizedStrategy {
     payload: Vec<u8>,
     from_prev: Vec<u8>,
     from_next: Vec<u8>,
-    // Scratch reused every round.
+    /// The model's weights after the local step; then the gossip
+    /// average `adopt` installs. Reused every round.
     params: Vec<Vec<f32>>,
     diff: Vec<f32>,
 }
@@ -780,11 +788,11 @@ impl DecentralizedStrategy {
             pool: BufferPool::new(),
             hat_self: hat.clone(),
             hat_prev: hat.clone(),
-            hat_next: hat,
+            hat_next: hat.clone(),
             payload: Vec::new(),
             from_prev: Vec::new(),
             from_next: Vec::new(),
-            params: Vec::new(),
+            params: hat,
             diff: Vec::new(),
         }
     }
@@ -828,22 +836,22 @@ impl UpdateStrategy for DecentralizedStrategy {
         "decentralized"
     }
 
-    fn prepare_push(
-        &mut self,
-        model: &mut Sequential,
-        grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
+    fn grad_ready(&mut self, key: usize, param: &mut Param, ctx: &StepCtx) -> Result<(), NetError> {
         // Local step first (the lr schedule is worker-side: no server).
         let lr = current_lr(ctx.cfg, ctx.round, ctx.iters_per_epoch);
         let t = ctx.now();
-        model.axpy_params(-lr, grads);
+        let x = &mut self.params[key];
+        x.clear();
+        x.extend((param.value.data().iter().zip(param.grad.data())).map(|(&v, &g)| v - lr * g));
         ctx.record(Op::LocalUpdate, ctx.round, t);
+        Ok(())
+    }
 
+    fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
         // Compress the model movement since the last exchange and
         // advance our own replica by exactly the decoded diff — the
         // same value both neighbors will apply to their copy of us.
-        model.export_params_into(&mut self.params);
+        // One payload, keys in key order: the wire format is positional.
         self.payload.clear();
         for (key, p) in self.params.iter().enumerate() {
             self.diff.clear();
@@ -858,10 +866,6 @@ impl UpdateStrategy for DecentralizedStrategy {
             self.payload[at..at + 4].copy_from_slice(&n.to_le_bytes());
             c.recycle(&self.pool);
         }
-        Ok(())
-    }
-
-    fn communicate(&mut self, ctx: &StepCtx) -> Result<(), NetError> {
         let t = ctx.now();
         self.ring
             .neighbor_exchange(&self.payload, &mut self.from_prev, &mut self.from_next)?;
@@ -869,12 +873,7 @@ impl UpdateStrategy for DecentralizedStrategy {
         Ok(())
     }
 
-    fn adopt(
-        &mut self,
-        model: &mut Sequential,
-        _grads: &[Vec<f32>],
-        ctx: &StepCtx,
-    ) -> Result<(), NetError> {
+    fn adopt(&mut self, model: &mut Sequential, ctx: &StepCtx) -> Result<(), NetError> {
         Self::apply_diffs(&self.from_prev, &self.pool, &mut self.hat_prev)?;
         Self::apply_diffs(&self.from_next, &self.pool, &mut self.hat_next)?;
         // Gossip average with uniform weights over the ring neighborhood.
@@ -926,17 +925,10 @@ pub(crate) fn build_strategy(
                 Topology::Decentralized { codec } => {
                     Box::new(DecentralizedStrategy::new(ring, codec, &init))
                 }
-                _ => Box::new(ArSgdStrategy {
-                    ring,
-                    mean: Vec::new(),
-                }),
+                _ => Box::new(ArSgdStrategy { ring }),
             })
         }
-        Link::Ps(client) => PsLink {
-            client,
-            base: init,
-            staged: Vec::new(),
-        },
+        Link::Ps(client) => PsLink::new(client, init),
     };
     let codec_stage = |codec: Box<dyn GradientCompressor>| PushStage {
         codec: Some(codec),
@@ -957,10 +949,10 @@ pub(crate) fn build_strategy(
             sync_period,
         } => {
             return Ok(Box::new(LocalSgdStrategy {
+                acc: link.base.iter().map(|b| vec![0.0f32; b.len()]).collect(),
                 link,
                 local_lr: *local_lr,
                 sync_period: *sync_period as u64,
-                acc: Vec::new(),
                 syncs: 0,
             }))
         }
@@ -1050,8 +1042,9 @@ mod tests {
         assert!((0..8).all(|r| !cd_compresses(0, 1, r)));
     }
 
+    /// A link to a one-worker server holding keys of 4 and 2 values.
     fn with_client(f: impl FnOnce(Link)) {
-        let ps = ParamServer::start(vec![vec![0.0; 4]], ServerConfig::new(1, 0.1));
+        let ps = ParamServer::start(vec![vec![0.0; 4], vec![0.0; 2]], ServerConfig::new(1, 0.1));
         f(Link::Ps(Arc::new(ps.client())));
         ps.shutdown();
     }
@@ -1088,8 +1081,9 @@ mod tests {
         }
     }
 
-    /// One staged push of `algo` over keys of 4 and 2 values, then the
-    /// state a worker checkpoint would carry.
+    /// One round's hand-off of `algo` over keys of 4 and 2 values, last
+    /// key first as BP would, then the state a worker checkpoint would
+    /// carry.
     fn state_after_one_push(algo: &Algorithm) -> (Box<dyn UpdateStrategy>, Vec<Vec<f32>>) {
         let init: Vec<Arc<[f32]>> = vec![Arc::from(vec![0.0f32; 4]), Arc::from(vec![0.0f32; 2])];
         let cfg = TrainConfig::new(algo.clone(), 1);
@@ -1102,9 +1096,11 @@ mod tests {
         let mut built = None;
         with_client(|link| {
             let mut s = build_strategy(algo, &Topology::Ps, link, init).unwrap();
-            let grads = vec![vec![0.3f32; 4], vec![-0.2f32; 2]];
-            s.prepare_push(&mut Sequential::new(), &grads, &ctx)
-                .unwrap();
+            for (key, (len, g)) in [(4, 0.3f32), (2, -0.2)].into_iter().enumerate().rev() {
+                let mut param = Param::new(Tensor::zeros(&[len]));
+                param.grad.data_mut().fill(g);
+                s.grad_ready(key, &mut param, &ctx).unwrap();
+            }
             built = Some(s);
         });
         let s = built.unwrap();
@@ -1125,16 +1121,10 @@ mod tests {
 
         // Both cross-algorithm directions are typed errors (the first
         // used to panic, the second loaded velocities as residuals)...
-        let refused = |s: &mut dyn UpdateStrategy, foreign: &[Vec<f32>]| {
-            let before = s.export_state();
-            let err = s.import_state(foreign).expect_err("foreign layout");
-            assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
-            assert_eq!(s.export_state(), before, "a refused import changes nothing");
-        };
-        refused(ef.as_mut(), &bit_state);
-        refused(bit.as_mut(), &ef_state);
-        refused(ssgd.as_mut(), &bit_state);
-        refused(bit.as_mut(), &ssgd_state);
+        assert_refused(ef.as_mut(), &bit_state);
+        assert_refused(bit.as_mut(), &ef_state);
+        assert_refused(ssgd.as_mut(), &bit_state);
+        assert_refused(bit.as_mut(), &ssgd_state);
         // ...as is the right slot count for a different model shape.
         let (mut ecq, _) = state_after_one_push(&Algorithm::ecq_sgd(0.5, 0.9, 0.9));
         assert!(ecq.import_state(&[vec![0.1; 4], vec![0.1; 3]]).is_err());
@@ -1144,6 +1134,49 @@ mod tests {
         assert_eq!(ef.export_state(), ef_state);
         ecq.import_state(&bit_state).unwrap();
         assert_eq!(ecq.export_state(), bit_state);
+    }
+
+    /// Local SGD after one purely local step: its accumulator holds
+    /// that step's gradients.
+    fn local_sgd_after_one_step() -> Box<dyn UpdateStrategy> {
+        let algo = Algorithm::LocalSgd {
+            local_lr: 0.1,
+            sync_period: 2,
+        };
+        let (s, state) = state_after_one_push(&algo);
+        assert_eq!(state, vec![vec![0.3; 4], vec![-0.2; 2]]);
+        s
+    }
+
+    fn assert_refused(s: &mut dyn UpdateStrategy, foreign: &[Vec<f32>]) {
+        let before = s.export_state();
+        let err = s.import_state(foreign).expect_err("foreign layout");
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+        assert_eq!(s.export_state(), before, "a refused import changes nothing");
+    }
+
+    #[test]
+    fn local_sgd_refuses_state_with_the_wrong_key_count() {
+        // Another model's checkpoint (one key too many, one too few) or
+        // a stateless algorithm's (none): the accumulator is indexed by
+        // key mid-BP, so a short one would panic there.
+        let mut s = local_sgd_after_one_step();
+        assert_refused(s.as_mut(), &[vec![0.1; 4], vec![0.1; 2], vec![0.1; 2]]);
+        assert_refused(s.as_mut(), &[vec![0.1; 4]]);
+        assert_refused(s.as_mut(), &[]);
+        // The matching layout round-trips.
+        let state = vec![vec![0.5; 4], vec![0.25; 2]];
+        s.import_state(&state).unwrap();
+        assert_eq!(s.export_state(), state);
+    }
+
+    #[test]
+    fn local_sgd_refuses_state_with_the_wrong_length() {
+        // The right slot count for a different model shape used to be
+        // zip-truncated into the accumulator; an empty slot is no better.
+        let mut s = local_sgd_after_one_step();
+        assert_refused(s.as_mut(), &[vec![0.1; 4], vec![0.1; 3]]);
+        assert_refused(s.as_mut(), &[vec![0.1; 4], vec![]]);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! All per-algorithm behaviour lives behind
 //! [`crate::strategy::UpdateStrategy`]; this loop is the algorithm-
-//! agnostic pipeline — batch, forward, backward, then the strategy's
-//! three-phase step (prepare → communicate → adopt) — plus epoch-end
-//! evaluation and reporting.
+//! agnostic pipeline — batch, forward, then the strategy's step
+//! ([`crate::strategy::step`]: a backward that hands each layer's
+//! gradient over the moment it exists, communicate, adopt) — plus
+//! epoch-end evaluation and reporting.
 
 use crate::config::TrainConfig;
-use crate::strategy::{build_strategy, Link, StepCtx};
-
+use crate::strategy::{build_strategy, step, Link, StepCtx};
 use crate::supervise::PoisonBarrier;
 use cdsgd_data::{augment, Batch, Dataset};
 use cdsgd_nn::{Layer, Mode, Sequential, SoftmaxCrossEntropy};
@@ -83,8 +83,6 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
     let mut strategy = build_strategy(&a.cfg.algo, &a.cfg.topology, a.link, init)
         .map_err(|e| NetError::Io(e.to_string()))?;
     let mut round: u64 = 0;
-    // Per-iteration gradient scratch, allocated once and reused.
-    let mut grads: Vec<Vec<f32>> = Vec::new();
     let mut saved: Vec<Vec<f32>> = Vec::new();
 
     // ---- resume (DESIGN.md §14): skip the completed epochs ----
@@ -131,6 +129,12 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
         strategy.resume(&mut a.model, round, has_model)?;
     }
 
+    let step_ctx = |round| StepCtx {
+        id: a.id,
+        round,
+        cfg: &a.cfg,
+        iters_per_epoch: a.iters_per_epoch,
+    };
     for epoch in start_epoch..a.cfg.epochs {
         if Some(epoch) == depart {
             // Graceful departure at the start of this epoch: drain any
@@ -157,7 +161,7 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
                 batch
             };
 
-            // ---- FP/BP on the current (local or global) weights ----
+            // ---- FP on the current (local or global) weights ----
             // Each op interval is one span on this worker's lane, on the
             // run's telemetry (no sink: no clock read, no event).
             let tel = &a.cfg.telemetry;
@@ -168,21 +172,9 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
             loss_sum += loss as f64;
             acc_sum += loss_fn.accuracy(&logits, &batch.y) as f64;
             batches += 1;
-            let t_bp = tel.span_start();
-            a.model.backward_params(&dlogits);
-            a.model.export_grads_into(&mut grads);
-            tel.span_end(a.id, Op::Backward, round, t_bp);
 
-            // ---- the algorithm's step: stage, synchronize, adopt ----
-            let ctx = StepCtx {
-                id: a.id,
-                round,
-                cfg: &a.cfg,
-                iters_per_epoch: a.iters_per_epoch,
-            };
-            strategy.prepare_push(&mut a.model, &grads, &ctx)?;
-            strategy.communicate(&ctx)?;
-            strategy.adopt(&mut a.model, &grads, &ctx)?;
+            // ---- BP and the algorithm's step, key by key ----
+            step(strategy.as_mut(), &mut a.model, &dlogits, &step_ctx(round))?;
             round += 1;
         }
 
@@ -190,13 +182,7 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
         // reporting, so the byte counters the trainer samples at the
         // epoch boundary are final — deterministic run to run and
         // bit-identical across backends.
-        let ctx = StepCtx {
-            id: a.id,
-            round,
-            cfg: &a.cfg,
-            iters_per_epoch: a.iters_per_epoch,
-        };
-        strategy.settle(&ctx)?;
+        strategy.settle(&step_ctx(round))?;
 
         // ---- durable snapshot: worker state is consistent here ----
         // (all pushes settled, no pulls in flight). A failed write warns

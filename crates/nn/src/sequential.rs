@@ -121,6 +121,41 @@ impl Sequential {
         assert_eq!(i, values.len(), "too many parameter vectors");
     }
 
+    /// Back-propagate like [`Layer::backward_params`] and hand every
+    /// parameter to `f(key, param)` the moment its gradient is final:
+    /// after each top-level layer's backward, that layer's keys in
+    /// ascending order — so layers arrive last first, and a composite
+    /// block hands its keys over when the whole block is done. Every key
+    /// is visited exactly once, while the layers below it have yet to
+    /// run; keys are the [`Layer::visit_params`] indices. The
+    /// parameter-free prefix before the first parameterized layer (a
+    /// `Flatten`, say) is never entered, and that layer is asked for its
+    /// parameter gradients only.
+    pub fn backward_params_each(&mut self, dy: &Tensor, mut f: impl FnMut(usize, &mut Param)) {
+        // Keys not yet handed over: the layers still to run own `0..end`.
+        let mut end = 0usize;
+        self.visit_params(&mut |_| end += 1);
+        let mut cur = dy.clone();
+        for layer in self.layers.iter_mut().rev() {
+            if end == 0 {
+                break;
+            }
+            let mut owned = 0usize;
+            layer.visit_params(&mut |_| owned += 1);
+            end -= owned;
+            if end == 0 {
+                layer.backward_params(&cur);
+            } else {
+                cur = layer.backward(&cur);
+            }
+            let mut key = end;
+            layer.visit_params(&mut |p| {
+                f(key, p);
+                key += 1;
+            });
+        }
+    }
+
     /// Apply `value[key] += alpha * delta[key]` for all keys.
     pub fn axpy_params(&mut self, alpha: f32, deltas: &[Vec<f32>]) {
         let mut i = 0usize;
@@ -157,19 +192,10 @@ impl Layer for Sequential {
         cur
     }
 
-    /// Walks in reverse like `backward` and stops at the first layer
-    /// that owns parameters: that layer is asked for its parameter
-    /// gradients only, and the parameter-free prefix before it (a
-    /// `Flatten`, say) is never entered.
+    /// [`Sequential::backward_params_each`] with nobody waiting for the
+    /// gradients.
     fn backward_params(&mut self, dy: &Tensor) {
-        let Some(first) = self.layers.iter_mut().position(|l| l.num_params() > 0) else {
-            return;
-        };
-        let mut cur = dy.clone();
-        for layer in self.layers[first + 1..].iter_mut().rev() {
-            cur = layer.backward(&cur);
-        }
-        self.layers[first].backward_params(&cur);
+        self.backward_params_each(dy, |_, _| {});
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

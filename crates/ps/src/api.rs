@@ -39,9 +39,15 @@ pub trait ParamClient: Send + Sync {
     /// this pull alone with an error.
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError>;
 
-    /// Pull every key at `min_version` (warm-up / eval convenience).
+    /// Pull every key at `min_version` (resume / eval convenience):
+    /// every request is on its way before the first reply is waited
+    /// for — one round trip, not `num_keys` — then the replies are taken
+    /// in key order.
     fn pull_all(&self, num_keys: usize, min_version: u64) -> Result<Vec<Arc<[f32]>>, NetError> {
-        (0..num_keys).map(|k| self.pull(k, min_version)).collect()
+        let pending: Vec<PendingPull> = (0..num_keys)
+            .map(|k| self.pull_async(k, min_version))
+            .collect::<Result<_, _>>()?;
+        pending.iter().map(PendingPull::wait).collect()
     }
 
     /// Elastic membership: register `worker` with the server's membership

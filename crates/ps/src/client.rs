@@ -161,11 +161,6 @@ impl PsClient {
         Ok(PendingPull(reply_rx))
     }
 
-    /// Pull every key at `min_version` (convenience for warm-up and eval).
-    pub fn pull_all(&self, num_keys: usize, min_version: u64) -> Result<Vec<Arc<[f32]>>, NetError> {
-        (0..num_keys).map(|k| self.pull(k, min_version)).collect()
-    }
-
     /// Change the server's global learning rate (takes effect on the next
     /// aggregate update).
     pub fn set_lr(&self, lr: f32) -> Result<(), NetError> {
@@ -292,7 +287,7 @@ impl PsClient {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ParamServer, ServerConfig};
+    use crate::{ParamClient, ParamServer, ServerConfig};
     use cdsgd_compress::Compressed;
     use cdsgd_net::NetError;
 

@@ -1721,6 +1721,47 @@ mod tests {
     }
 
     #[test]
+    fn pull_all_puts_every_request_on_the_wire_before_taking_a_reply() {
+        // The test is the server: it answers nothing until it has read
+        // all three requests, which a request → wait → request chain
+        // could never send (the second `recv_frame` would time out).
+        let (client_end, mut server_end) = loopback_pair();
+        server_end
+            .set_recv_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let stats = Arc::new(TrafficStats::new());
+        let c = RemoteClient::new(Box::new(client_end), stats, BufferPool::new()).unwrap();
+        let pulled = std::thread::spawn(move || c.pull_all(3, 7));
+        let mut frame = Vec::new();
+        let requests: Vec<WireMsg> = (0..3)
+            .map(|_| {
+                server_end
+                    .recv_frame(&mut frame)
+                    .expect("the next pull was never requested");
+                wire::decode_msg(&frame).unwrap()
+            })
+            .collect();
+        let pull = |key| WireMsg::Pull {
+            key,
+            min_version: 7,
+        };
+        assert_eq!(requests, [pull(0), pull(1), pull(2)]);
+        // Replies in any order resolve the right keys.
+        let weights = init(3);
+        for key in [2u32, 0, 1] {
+            let reply = WireMsg::PullReply {
+                key,
+                min_version: 7,
+                weights: Arc::from(weights[key as usize].clone()),
+            };
+            wire::encode_msg_into(&reply, &mut frame);
+            server_end.send_frame(&frame).unwrap();
+        }
+        let got = pulled.join().unwrap().unwrap();
+        assert_eq!(got.iter().map(|w| w.to_vec()).collect::<Vec<_>>(), weights);
+    }
+
+    #[test]
     fn client_side_stats_use_frame_formulas() {
         let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
         let stats = Arc::new(TrafficStats::new());

@@ -53,7 +53,9 @@ use serde::{Deserialize, Serialize};
 pub enum Op {
     /// Forward propagation.
     Forward,
-    /// Backward propagation.
+    /// Backward propagation of one top-level layer: a step's BP is one
+    /// span per layer, so the spans of the keys each layer hands over
+    /// (`Compress`, `Push`) sit between them.
     Backward,
     /// Gradient quantization/encoding (the paper's "quant").
     Compress,
@@ -66,6 +68,9 @@ pub enum Op {
     /// Blocking on a parameter pull (the paper's "pull wait" — the cost
     /// eq. 2 models and compression + local updates shrink).
     PullWait,
+    /// Handing one key's payload to the transport: on TCP, where the
+    /// worker thread blocks in the socket write while BP waits.
+    Push,
 }
 
 impl Op {
@@ -79,6 +84,7 @@ impl Op {
             Op::Decompress => "dequant",
             Op::LocalUpdate => "local_update",
             Op::PullWait => "pull_wait",
+            Op::Push => "push",
         }
     }
 }
@@ -422,7 +428,8 @@ pub fn op_spans(events: &[Event]) -> impl Iterator<Item = (usize, Op, u64, f64, 
 /// is not worker time): per-op totals and the blocked fraction.
 pub fn summarize(events: &[Event]) -> SpanSummary {
     use Op::*;
-    let mut totals = [Forward, Backward, Compress, LocalUpdate, PullWait].map(|op| (op, 0.0f64));
+    let mut totals =
+        [Forward, Backward, Compress, Push, LocalUpdate, PullWait].map(|op| (op, 0.0f64));
     for (_, op, _, start_s, end_s) in op_spans(events) {
         if let Some(t) = totals.iter_mut().find(|t| t.0 == op) {
             t.1 += end_s - start_s;
@@ -691,14 +698,16 @@ mod tests {
             span(0, Op::PullWait, 1.0),
             span(1, Op::Backward, 0.0),
             span(1, Op::Backward, 0.25),
+            span(1, Op::Push, 0.5),
             // Neither the server lane nor non-span events count.
             span(2, Op::Decompress, 0.0),
             Event::Push { bytes: 81 },
         ];
         let s = summarize(&events);
-        assert!((s.pull_wait_fraction - 0.25).abs() < 1e-9);
-        let fwd = s.totals.iter().find(|t| t.0 == "FP").unwrap().1;
-        assert_eq!(fwd, 0.25);
+        assert!((s.pull_wait_fraction - 0.2).abs() < 1e-9);
+        for op in ["FP", "push"] {
+            assert_eq!(s.totals.iter().find(|t| t.0 == op).unwrap().1, 0.25);
+        }
     }
 
     #[test]
@@ -707,12 +716,14 @@ mod tests {
             span(2, Op::Compress, 0.5),
             Event::Pull { bytes: 17 },
             span(0, Op::Forward, 0.125),
+            span(1, Op::Push, 0.75),
         ];
         let v: serde_json::Value = serde_json::from_str(&to_chrome_json(&events, "t")).unwrap();
         let entries = v.as_array().unwrap();
-        assert_eq!(entries.len(), 3, "metadata + two spans");
+        assert_eq!(entries.len(), 4, "metadata + three spans");
         assert_eq!(entries[1]["name"], "FP#3");
         assert_eq!(entries[2]["tid"], 2);
+        assert_eq!(entries[3]["cat"], "push");
     }
 
     #[test]
@@ -866,6 +877,7 @@ mod tests {
         assert_eq!(Op::Decompress.name(), "dequant");
         assert_eq!(Op::LocalUpdate.name(), "local_update");
         assert_eq!(Op::PullWait.name(), "pull_wait");
+        assert_eq!(Op::Push.name(), "push");
     }
 
     #[test]

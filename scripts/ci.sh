@@ -38,12 +38,24 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
+# One step path (DESIGN.md §11): BP hands each key to the strategy as it
+# is produced. The export-then-stage-then-push chain it replaced must not
+# grow back beside it — not in the worker loop, not in the strategies
+# (their unit tests, below `#[cfg(test)]`, may say what they like).
+echo "==> core/{worker,strategy}.rs hold no export-then-stage step path"
+if grep -n "export_grads\|prepare_push" crates/core/src/worker.rs ||
+    sed '/^#\[cfg(test)\]/,$d' crates/core/src/strategy.rs | grep -n "export_grads\|prepare_push"; then
+    echo "ERROR: the old step chain is back in the worker's step path" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through
 # `parse_jsonl_line` by `cdsgd_train_trace_alone_carries_every_lane`
-# (tests/net_processes.rs, run by the workspace pass below).
-echo "==> cdsgd train --trace carries OpSpan lanes 0, 1 and 2"
+# (tests/net_processes.rs, run by the workspace pass below). Every worker
+# lane must also hold a `push` span: the per-key hand-off from inside BP.
+echo "==> cdsgd train --trace carries OpSpan lanes 0, 1 and 2, and each worker's pushes"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 target/release/cdsgd train --algo cdsgd --dataset blobs --epochs 1 --workers 2 \
@@ -51,6 +63,12 @@ target/release/cdsgd train --algo cdsgd --dataset blobs --epochs 1 --workers 2 \
 for lane in 0 1 2; do
     grep -q "^{\"OpSpan\":{\"worker\":$lane," "$tmp/t.jsonl" || {
         echo "ERROR: --trace alone wrote no OpSpan on lane $lane" >&2
+        exit 1
+    }
+done
+for lane in 0 1; do
+    grep -q "^{\"OpSpan\":{\"worker\":$lane,\"op\":\"Push\"," "$tmp/t.jsonl" || {
+        echo "ERROR: worker lane $lane traced no push span" >&2
         exit 1
     }
 done
@@ -86,11 +104,13 @@ run_tests env CDSGD_FORCE_SCALAR=1 cargo test -q --workspace
 # orders, fuses and vectorizes float code, so a kernel can match its
 # scalar twin in debug and drift in release (the striped `dot` did, on
 # NaN payloads): the identity suites and the pinned-hash runs again,
-# optimized.
+# optimized — the ring and the wire path included, which stream each
+# key from inside BP like the rest.
 echo "==> cargo test --release -q -p cdsgd-tensor"
 run_tests cargo test --release -q -p cdsgd-tensor
-echo "==> cargo test --release -q --test strategy_equivalence --test kernel_parity"
-run_tests cargo test --release -q --test strategy_equivalence --test kernel_parity
+echo "==> cargo test --release -q --test strategy_equivalence --test kernel_parity --test topology_equivalence --test net_equivalence"
+run_tests cargo test --release -q --test strategy_equivalence --test kernel_parity \
+    --test topology_equivalence --test net_equivalence
 
 # The release build once more with the host's full ISA enabled — the
 # configuration benchmark numbers are quoted from — to catch

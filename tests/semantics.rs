@@ -5,11 +5,16 @@
 //! bug in the PS versioning, push/pull ordering, warm-up handoff or the
 //! deferred pull shows up as a weight mismatch.
 
-use cd_sgd::{Algorithm, TrainConfig, Trainer};
-use cdsgd_compress::{decompress, GradientCompressor, TwoBitQuantizer};
+use cd_sgd::{
+    run_standalone_worker, Algorithm, Event, Link, Sink, Telemetry, TrainConfig, Trainer,
+};
+use cdsgd_compress::{decompress, BufferPool, Compressed, GradientCompressor, TwoBitQuantizer};
 use cdsgd_data::{toy, Dataset};
-use cdsgd_nn::{models, Layer, Mode, Sequential, SoftmaxCrossEntropy};
-use cdsgd_tensor::SmallRng64;
+use cdsgd_nn::{models, Dense, Layer, Mode, Relu, Sequential, SoftmaxCrossEntropy};
+use cdsgd_ps::{NetError, ParamClient, ParamServer, PendingPull, PsClient, ServerConfig};
+use cdsgd_telemetry::Op;
+use cdsgd_tensor::{SmallRng64, Tensor};
+use std::sync::{Arc, Mutex};
 
 const WORKER_RNG_MUL: u64 = 0xA076_1D64_78BD_642F;
 
@@ -253,4 +258,135 @@ fn two_workers_average_gradients_per_eq10() {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
     }
+}
+
+/// What the worker's thread did, in program order. One log is shared by
+/// a probe layer inside the model (BP reached it), the recording client
+/// (a push or a pull request left) and a telemetry sink (a pull wait
+/// returned) — all three are called on the worker's own thread, so the
+/// log is a sequence, not a timeline.
+#[derive(Clone, Debug, PartialEq)]
+enum Did {
+    /// BP reached the probe below the layer owning `key` and `key + 1`:
+    /// the layers under it have produced no gradient yet.
+    BackwardBelow(usize),
+    Push(usize),
+    PullAsync(usize, u64),
+    /// A `PullWait` span attributed to this round closed.
+    PullWaited(u64),
+}
+
+type Log = Arc<Mutex<Vec<Did>>>;
+
+/// Identity layer that logs when back-propagation passes through it.
+struct Probe(usize, Log);
+
+impl Layer for Probe {
+    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        x.clone()
+    }
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.1.lock().unwrap().push(Did::BackwardBelow(self.0));
+        dy.clone()
+    }
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+}
+
+struct RecordingClient(PsClient, Log);
+
+impl ParamClient for RecordingClient {
+    fn push(&self, worker: usize, key: usize, payload: Compressed) -> Result<(), NetError> {
+        self.1.lock().unwrap().push(Did::Push(key));
+        self.0.push(worker, key, payload)
+    }
+    fn pull_async(&self, key: usize, min_version: u64) -> Result<PendingPull, NetError> {
+        self.1
+            .lock()
+            .unwrap()
+            .push(Did::PullAsync(key, min_version));
+        self.0.pull_async(key, min_version)
+    }
+    fn pool(&self) -> &BufferPool {
+        self.0.pool()
+    }
+}
+
+struct PullWaits(Log);
+
+impl Sink for PullWaits {
+    fn record(&self, event: &Event) {
+        if let Event::OpSpan {
+            op: Op::PullWait,
+            round,
+            ..
+        } = event
+        {
+            self.0.lock().unwrap().push(Did::PullWaited(*round));
+        }
+    }
+}
+
+#[test]
+fn each_key_is_pushed_the_moment_bp_produces_it() {
+    // Three dense layers (keys 0-1, 2-3, 4-5) with a probe under the
+    // upper two, one worker, one epoch of 12 rounds of CD-SGD: three
+    // blocking warm-up rounds, then Algorithm 1's delayed rounds.
+    let (warmup, rounds, keys) = (3u64, 12u64, 6usize);
+    let log: Log = Default::default();
+    let build = |rng: &mut SmallRng64| {
+        Sequential::new()
+            .push(Dense::new(6, 8, rng))
+            .push(Probe(2, log.clone()))
+            .push(Relu::new())
+            .push(Dense::new(8, 8, rng))
+            .push(Probe(4, log.clone()))
+            .push(Relu::new())
+            .push(Dense::new(8, 3, rng))
+    };
+    let (data, base_cfg) = setup();
+    let cfg = TrainConfig {
+        algo: Algorithm::cd_sgd(0.05, 0.2, 2, warmup as usize),
+        epochs: 1,
+        ..base_cfg
+    }
+    .with_telemetry(Telemetry::new(Arc::new(PullWaits(log.clone()))));
+    let init = build(&mut SmallRng64::new(cfg.seed)).export_params();
+    let ps = ParamServer::start(init, ServerConfig::new(1, cfg.global_lr));
+    let client = RecordingClient(ps.client(), log.clone());
+    let link = Link::Ps(Arc::new(client));
+    run_standalone_worker(cfg, 0, build, &data, None, link).unwrap();
+    ps.shutdown();
+
+    let mut want = Vec::new();
+    for r in 0..rounds {
+        let blocking = r < warmup;
+        // BP order: the last layer's keys first, each key's push before
+        // BP reaches the layer below — and on a blocking round that
+        // key's pull right behind its push.
+        for layer_key in [4, 2, 0] {
+            for key in [layer_key, layer_key + 1] {
+                want.push(Did::Push(key));
+                if blocking {
+                    want.push(Did::PullAsync(key, r + 1));
+                }
+            }
+            if layer_key > 0 {
+                want.push(Did::BackwardBelow(layer_key));
+            }
+        }
+        // A blocking round then waits for its own pulls; a delayed
+        // round first receives W_r (fired a round ago) and only then
+        // requests W_{r+1}, in key order — Algorithm 1 untouched.
+        if r != warmup {
+            want.push(Did::PullWaited(r));
+        }
+        if !blocking {
+            want.extend((0..keys).map(|k| Did::PullAsync(k, r + 1)));
+        }
+    }
+    // The epoch-end settle receives the last round's deferred pull.
+    want.push(Did::PullWaited(rounds));
+    assert_eq!(*log.lock().unwrap(), want);
 }

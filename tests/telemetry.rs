@@ -157,13 +157,21 @@ fn profiled_run_streams_op_spans_with_monotonic_timestamps() {
     let cfg = blob_config().with_telemetry(Telemetry::new(Arc::clone(&mem) as _));
     blob_trainer(cfg).run();
 
-    let spans: Vec<(usize, Op, f64, f64)> = op_spans(&mem.events())
+    let events = mem.events();
+    let spans: Vec<(usize, Op, f64, f64)> = op_spans(&events)
         .map(|(worker, op, _, start_s, end_s)| (worker, op, start_s, end_s))
         .collect();
 
     // The paper's Fig. 5 categories all appear for CD-SGD: forward,
-    // backward, quantization, and the pull wait it tries to hide.
-    for op in [Op::Forward, Op::Backward, Op::Compress, Op::PullWait] {
+    // backward, quantization, the push and the pull wait it tries to
+    // hide.
+    for op in [
+        Op::Forward,
+        Op::Backward,
+        Op::Compress,
+        Op::Push,
+        Op::PullWait,
+    ] {
         assert!(
             spans.iter().any(|(_, o, _, _)| *o == op),
             "no {op:?} ({}) span in a profiled CD-SGD run",
@@ -189,6 +197,37 @@ fn profiled_run_streams_op_spans_with_monotonic_timestamps() {
             count += 1;
         }
         assert!(count > 0, "worker {w} recorded no spans");
+    }
+
+    // The measured Fig. 5 overlap: BP is one span per layer, and on this
+    // two-layer model every compressing round quantizes its last layer
+    // (the first `Compress` span of the round, in stream order) before
+    // BP of the first layer (the lane's last `Backward` span) is over.
+    let mut first_quant_start = std::collections::BTreeMap::<(usize, u64), f64>::new();
+    let mut last_bp_end = std::collections::BTreeMap::<(usize, u64), f64>::new();
+    for (lane, op, round, start_s, end_s) in op_spans(&events) {
+        match op {
+            Op::Compress => {
+                first_quant_start.entry((lane, round)).or_insert(start_s);
+            }
+            Op::Backward => {
+                last_bp_end.insert((lane, round), end_s);
+            }
+            _ => {}
+        }
+    }
+    // Warm-up 3, k = 2: the formal rounds 4, 6, 8, … compress, on both
+    // lanes.
+    let rounds = 1 + last_bp_end.keys().map(|&(_, r)| r).max().expect("BP spans");
+    let compressing = (0..2).flat_map(|lane| (4..rounds).step_by(2).map(move |r| (lane, r)));
+    assert!(rounds > 8, "too few rounds to have checked anything");
+    assert!(first_quant_start.keys().copied().eq(compressing));
+    for (at, quant) in &first_quant_start {
+        assert!(
+            *quant < last_bp_end[at],
+            "(lane, round) {at:?}: the first quant started at {quant}, after BP ended at {}",
+            last_bp_end[at]
+        );
     }
 }
 
@@ -225,6 +264,20 @@ fn jsonl_trace_round_trips_every_event() {
         canon(&mem.events()),
         "JSONL trace diverged from the event stream"
     );
+    // Every `Op` variant a worker lane emits crosses the file, the
+    // per-key push among them, under its variant name.
+    for (op, tag) in [
+        (Op::Forward, "Forward"),
+        (Op::Backward, "Backward"),
+        (Op::Compress, "Compress"),
+        (Op::Push, "Push"),
+        (Op::PullWait, "PullWait"),
+        (Op::LocalUpdate, "LocalUpdate"),
+    ] {
+        assert!(op_spans(&parsed).any(|s| s.1 == op), "no {op:?} span");
+        let tag = format!(r#""op":"{tag}""#);
+        assert!(text.lines().any(|l| l.contains(&tag)), "no {tag} line");
+    }
 
     // And the epoch rollups in the trace match the history rows.
     let epochs: Vec<&Event> = parsed
@@ -251,10 +304,11 @@ fn jsonl_trace_round_trips_every_event() {
     std::fs::remove_file(&path).ok();
 }
 
-const FIG5: [Op; 5] = [
+const FIG5: [Op; 6] = [
     Op::Forward,
     Op::Backward,
     Op::Compress,
+    Op::Push,
     Op::PullWait,
     Op::LocalUpdate,
 ];
@@ -264,7 +318,7 @@ fn standalone_worker_and_net_server_trace_their_own_lanes() {
     // The multi-process shape, in one test process: a `PsNetServer`
     // shard and two `run_standalone_worker`s, each with its *own* sink —
     // what `psd --trace` and `worker --trace` write. Every worker's
-    // trace holds all five Fig. 5 categories on its own lane and nothing
+    // trace holds all six Fig. 5 categories on its own lane and nothing
     // on any other; the shard's holds dequant on the server lane.
     let cfg = blob_config();
     let init = deploy::initial_weights("mlp:8,32,4", cfg.seed);
