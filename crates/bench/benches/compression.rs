@@ -69,7 +69,6 @@ fn bench_kernel_paths(c: &mut Criterion) {
         let grad = gradient(n);
         let symbols: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
         let mut packed = vec![0u8; n.div_ceil(4)];
-        let mut syms = vec![0u8; n];
         let mut res = vec![0.0f32; n];
         let backend = kernel::backend().name();
         g.throughput(Throughput::Bytes((4 * n) as u64));
@@ -103,21 +102,19 @@ fn bench_kernel_paths(c: &mut Criterion) {
             },
         );
         g.bench_with_input(
-            BenchmarkId::new(format!("residual_scan/{backend}"), n),
+            BenchmarkId::new(format!("quantize_2bit/{backend}"), n),
             &grad,
             |b, grad| {
-                b.iter(|| kernel::threshold_scan_residual(grad, 0.5, &mut syms, &mut res));
+                b.iter(|| kernel::quantize_2bit(grad, 0.5, Some(&mut res), &mut packed));
             },
         );
-        let mut syms2 = vec![0u8; n];
         let mut res2 = vec![0.0f32; n];
+        let mut packed2 = vec![0u8; n.div_ceil(4)];
         g.bench_with_input(
-            BenchmarkId::new("residual_scan/scalar", n),
+            BenchmarkId::new("quantize_2bit/scalar", n),
             &grad,
             |b, grad| {
-                b.iter(|| {
-                    kernel::scalar::threshold_scan_residual(grad, 0.5, &mut syms2, &mut res2)
-                });
+                b.iter(|| kernel::scalar::quantize_2bit(grad, 0.5, Some(&mut res2), &mut packed2));
             },
         );
     }

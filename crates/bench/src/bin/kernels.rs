@@ -33,7 +33,7 @@ const SIZES: [(usize, &str); 4] = [
     (1024 * 1024, "1Mi"),
 ];
 
-const OPS: [&str; 4] = ["pack_2bit", "unpack_2bit", "residual", "apply_update"];
+const OPS: [&str; 4] = ["pack_2bit", "unpack_2bit", "quantize_2bit", "apply_update"];
 
 /// The two dispatch modes, with the `CDSGD_FORCE_SCALAR` value (if any)
 /// that selects each.
@@ -187,16 +187,17 @@ fn run_child(iters: usize) -> Vec<serde_json::Value> {
             "op": "unpack_2bit", "n": n, "label": label, "median_s": unpack_s,
         }));
 
-        // The 2-bit codec's hot loop: threshold scan + residual update.
         let grad = pseudo(n, 37);
-        let mut syms = vec![0u8; n];
         let mut res = vec![0.0f32; n];
-        let residual_s = median_s(iters, || {
-            kernel::threshold_scan_residual(black_box(&grad), 0.5, &mut syms, &mut res);
-            black_box(&res);
+        // The 2-bit codec's hot loop: threshold scan, residual update
+        // and packing in one pass — gradient and residual in, packed
+        // bytes out.
+        let quantize_s = median_s(iters, || {
+            kernel::quantize_2bit(black_box(&grad), 0.5, Some(&mut res), &mut packed);
+            black_box(&packed);
         });
         records.push(serde_json::json!({
-            "op": "residual", "n": n, "label": label, "median_s": residual_s,
+            "op": "quantize_2bit", "n": n, "label": label, "median_s": quantize_s,
         }));
 
         // The server's apply path: w - step * g into a fresh snapshot.

@@ -111,14 +111,27 @@ impl Compressed {
     }
 }
 
-/// Decode a payload into `out`, overwriting it.
+/// Decode a payload into `out`, overwriting it: the bits of
+/// `out.fill(0.0)` followed by [`decompress_add`] (so `0.0 + x`, signed
+/// zeros included), which the dense variants reach in one pass without
+/// reading `out`. The server stores a round's first payload this way
+/// and adds the rest.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the encoded length.
 pub fn decompress(c: &Compressed, out: &mut [f32]) {
     assert_eq!(out.len(), c.len(), "decode buffer length mismatch");
-    out.fill(0.0);
-    decompress_add(c, out);
+    match c {
+        Compressed::Raw(v) => kernel::zero_add(out, v),
+        Compressed::TwoBit {
+            threshold, packed, ..
+        } => kernel::unpack_2bit_store(packed, *threshold, out),
+        Compressed::OneBit { scale, signs, .. } => kernel::unpack_1bit_store(signs, *scale, out),
+        Compressed::Qsgd { .. } | Compressed::TopK { .. } => {
+            out.fill(0.0);
+            decompress_add(c, out);
+        }
+    }
 }
 
 /// Decode a payload into `out`, *adding* to the existing contents.

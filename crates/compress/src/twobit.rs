@@ -2,7 +2,6 @@
 //! accumulation — the compressor used by the paper's BIT-SGD and CD-SGD.
 
 use crate::compressed::Compressed;
-use crate::packing::pack_2bit_into;
 use crate::pool::BufferPool;
 use crate::residual::ResidualStore;
 use crate::GradientCompressor;
@@ -32,8 +31,6 @@ pub struct TwoBitQuantizer {
     use_residual: bool,
     /// Residual feedback gains `(α, β)`; `(1, 1)` is plain error feedback.
     feedback: (f32, f32),
-    /// Reused symbol scratch so the encode path stays allocation-free.
-    symbols: Vec<u8>,
 }
 
 impl TwoBitQuantizer {
@@ -51,7 +48,6 @@ impl TwoBitQuantizer {
             residuals: ResidualStore::new(),
             use_residual: true,
             feedback: (1.0, 1.0),
-            symbols: Vec::new(),
         }
     }
 
@@ -78,34 +74,28 @@ impl TwoBitQuantizer {
     pub fn residuals(&self) -> &ResidualStore {
         &self.residuals
     }
+}
 
-    /// Quantize `grad + residual` into `self.symbols`, updating the
-    /// residual state.
-    fn encode_symbols(&mut self, key: usize, grad: &[f32]) {
-        let thr = self.threshold;
-        self.symbols.clear();
-        self.symbols.resize(grad.len(), 0);
+impl GradientCompressor for TwoBitQuantizer {
+    /// One pass over `grad` and the key's residual, straight into the
+    /// packed payload; the ECQ gains, when not 1, are a scale pass each
+    /// side of it.
+    fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
+        let mut packed = pool.take_bytes();
+        packed.resize(grad.len().div_ceil(4), 0);
         if self.use_residual {
             let (alpha, beta) = self.feedback;
             let res = self.residuals.get_mut(key, grad.len());
             if alpha != 1.0 {
                 kernel::scale(res, alpha);
             }
-            kernel::threshold_scan_residual(grad, thr, &mut self.symbols, res);
+            kernel::quantize_2bit(grad, self.threshold, Some(res), &mut packed);
             if beta != 1.0 {
                 kernel::scale(res, beta);
             }
         } else {
-            kernel::threshold_scan_plain(grad, thr, &mut self.symbols);
+            kernel::quantize_2bit(grad, self.threshold, None, &mut packed);
         }
-    }
-}
-
-impl GradientCompressor for TwoBitQuantizer {
-    fn compress_into(&mut self, key: usize, grad: &[f32], pool: &BufferPool) -> Compressed {
-        self.encode_symbols(key, grad);
-        let mut packed = pool.take_bytes();
-        pack_2bit_into(&self.symbols, &mut packed);
         Compressed::TwoBit {
             threshold: self.threshold,
             packed,

@@ -40,7 +40,7 @@ use cdsgd_nn::{Layer, Param, Sequential};
 use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::{Collective, NetError, ParamClient, PendingPull};
 use cdsgd_telemetry::Op;
-use cdsgd_tensor::Tensor;
+use cdsgd_tensor::{kernel, Tensor};
 use std::sync::Arc;
 
 /// Per-iteration context handed to every strategy phase: identity,
@@ -283,16 +283,16 @@ impl PsLink {
     }
 }
 
-/// `W ← from + α·∇` per key, from the model's own gradient tensors;
-/// with no `from`, the step starts at the weights the model holds.
-fn step_from_grads(model: &mut Sequential, from: Option<&[Arc<[f32]>]>, alpha: f32) {
+/// `W ← from − lr·∇` per key, from the model's own gradient tensors, in
+/// one pass: `from` is read where it is (never copied in first) and the
+/// parameter ends up owning the result. With no `from`, the step starts
+/// at the weights the model holds.
+fn step_from_grads(model: &mut Sequential, from: Option<&[Arc<[f32]>]>, lr: f32) {
     let mut key = 0usize;
     model.visit_params(&mut |p| {
-        if let Some(from) = from {
-            p.value.data_mut().copy_from_slice(&from[key]);
-        }
-        for (v, &g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
-            *v += alpha * g;
+        match from {
+            Some(from) => kernel::sgd_step(p.value.data_overwrite(), &from[key], p.grad.data(), lr),
+            None => kernel::axpy(-lr, p.grad.data(), p.value.data_mut()),
         }
         key += 1;
     });
@@ -517,10 +517,11 @@ impl UpdateStrategy for PsStrategy {
         if let Some(d) = self.delay.as_ref().filter(|d| ctx.round >= d.warmup) {
             // W^loc_{r+1} = W_r − lr_loc · grad_r (eq. 11).
             let t = ctx.now();
-            step_from_grads(model, Some(&self.link.base), -d.local_lr);
+            step_from_grads(model, Some(&self.link.base), d.local_lr);
             ctx.record(Op::LocalUpdate, ctx.round, t);
         } else {
-            model.import_params_from(&self.link.base);
+            // The model reads the pulled snapshots where they are.
+            model.adopt_params(&self.link.base);
         }
         Ok(())
     }
@@ -584,7 +585,7 @@ impl UpdateStrategy for PsStrategy {
             // Without a worker checkpoint the local replica restarts from
             // the globals — the blocking-exact state; in the formal phase
             // an approximation that costs one local-update term.
-            model.import_params_from(&self.link.base);
+            model.adopt_params(&self.link.base);
         }
         if let Some(d) = self.delay.as_mut().filter(|d| round > d.warmup) {
             d.settled = Some(self.link.base.clone());
@@ -642,13 +643,13 @@ impl UpdateStrategy for LocalSgdStrategy {
             // Adopt the averaged aggregate; it replaces every local step,
             // so the local update for this round is skipped (the old loop
             // applied then immediately overwrote it — same bits).
-            model.import_params_from(&self.link.base);
+            model.adopt_params(&self.link.base);
             for av in self.acc.iter_mut() {
                 av.fill(0.0);
             }
         } else {
             // Purely local step on the worker's own model.
-            step_from_grads(model, None, -self.local_lr);
+            step_from_grads(model, None, self.local_lr);
         }
         Ok(())
     }
@@ -683,7 +684,7 @@ impl UpdateStrategy for LocalSgdStrategy {
             // Local steps since the last sync are only in the worker
             // checkpoint; without one the replica restarts from the last
             // synced aggregate.
-            model.import_params_from(&self.link.base);
+            model.adopt_params(&self.link.base);
         }
         Ok(())
     }
@@ -727,7 +728,7 @@ impl UpdateStrategy for ArSgdStrategy {
         // Eq. 1 applied locally; the lr schedule is applied worker-side
         // because there is no server to own it.
         let lr = current_lr(ctx.cfg, ctx.round, ctx.iters_per_epoch);
-        step_from_grads(model, None, -lr);
+        step_from_grads(model, None, lr);
         Ok(())
     }
 

@@ -15,7 +15,7 @@ use cdsgd_nn::{Layer, Mode, Sequential, SoftmaxCrossEntropy};
 use cdsgd_ps::recover::CheckpointError;
 use cdsgd_ps::NetError;
 use cdsgd_telemetry::Op;
-use cdsgd_tensor::SmallRng64;
+use cdsgd_tensor::{SmallRng64, Tensor};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -83,7 +83,6 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
     let mut strategy = build_strategy(&a.cfg.algo, &a.cfg.topology, a.link, init)
         .map_err(|e| NetError::Io(e.to_string()))?;
     let mut round: u64 = 0;
-    let mut saved: Vec<Vec<f32>> = Vec::new();
 
     // ---- resume (DESIGN.md §14): skip the completed epochs ----
     let start_epoch = a.cfg.start_epoch.min(a.cfg.epochs);
@@ -211,15 +210,8 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
         let test_acc = match (a.test.as_ref(), strategy.eval_base()) {
             // Server-less: the model holds the globals; evaluate directly.
             (Some(test), None) => Some(evaluate(&mut a.model, test)),
-            // PS-based: evaluate the adopted global snapshot, then
-            // restore whatever (possibly local) weights the model held.
-            (Some(test), Some(base)) => {
-                a.model.export_params_into(&mut saved);
-                a.model.import_params_from(base);
-                let acc = evaluate(&mut a.model, test);
-                a.model.import_params(&saved);
-                Some(acc)
-            }
+            // PS-based: evaluate the adopted global snapshot.
+            (Some(test), Some(base)) => Some(evaluate_at(&mut a.model, base, test)),
             (None, _) => None,
         };
 
@@ -249,6 +241,31 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
     // standalone worker process can exit and let an external controller
     // snapshot without racing the last round.
     strategy.finish()
+}
+
+/// Accuracy of the global snapshots `base` on `model`'s layers: the
+/// parameters are pointed at the snapshots for the evaluation and get
+/// their own (possibly local) tensors back after it — pointers move, no
+/// weight is copied. A model that already reads `base` is evaluated as
+/// it stands.
+fn evaluate_at(model: &mut Sequential, base: &[Arc<[f32]>], data: &Dataset) -> f32 {
+    let (mut key, mut reads_base) = (0usize, true);
+    model.visit_params(&mut |p| {
+        reads_base &= std::ptr::eq(p.value.data().as_ptr(), base[key].as_ptr());
+        key += 1;
+    });
+    if reads_base {
+        return evaluate(model, data);
+    }
+    let mut held = Vec::with_capacity(base.len());
+    model.visit_params(&mut |p| {
+        let global = Tensor::from_shared(p.value.shape().to_vec(), Arc::clone(&base[held.len()]));
+        held.push(std::mem::replace(&mut p.value, global));
+    });
+    let acc = evaluate(model, data);
+    let mut held = held.into_iter();
+    model.visit_params(&mut |p| p.value = held.next().expect("one held tensor per parameter"));
+    acc
 }
 
 /// Accuracy of `model` (eval mode) over a dataset, batched.

@@ -895,16 +895,32 @@ pub fn encode_msg_into(msg: &WireMsg, buf: &mut Vec<u8>) {
 
 /// Decode one frame body into a [`WireMsg`], consuming the entire slice.
 pub fn decode_msg(bytes: &[u8]) -> Result<WireMsg, NetError> {
-    decode_msg_in(bytes, None)
+    decode_msg_in(bytes, None, None)
 }
 
 /// [`decode_msg`] with a push payload's storage drawn from `pool` (the
 /// one the receiver recycles aggregated payloads into).
 pub fn decode_msg_pooled(bytes: &[u8], pool: &BufferPool) -> Result<WireMsg, NetError> {
-    decode_msg_in(bytes, Some(pool))
+    decode_msg_in(bytes, Some(pool), None)
 }
 
-fn decode_msg_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<WireMsg, NetError> {
+/// Where a pull reply's weights may be decoded: given the reply's key and
+/// element count, a snapshot of that length that nobody else holds — or
+/// `None`, and the reply allocates its own.
+pub type SnapshotSlot<'a> = &'a mut dyn FnMut(u32, usize) -> Option<Arc<[f32]>>;
+
+/// [`decode_msg`] with a pull reply's weights written into the snapshot
+/// `slot` supplies instead of a fresh allocation (one that is shared or
+/// of another length is ignored, and the reply allocates as ever).
+pub fn decode_msg_reusing(bytes: &[u8], slot: SnapshotSlot) -> Result<WireMsg, NetError> {
+    decode_msg_in(bytes, None, Some(slot))
+}
+
+fn decode_msg_in(
+    bytes: &[u8],
+    pool: Option<&BufferPool>,
+    slot: Option<SnapshotSlot>,
+) -> Result<WireMsg, NetError> {
     let mut cur = Cursor::new(bytes);
     let op = cur.u8()?;
     let msg = match op {
@@ -932,11 +948,21 @@ fn decode_msg_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<WireMsg, Net
                 )));
             }
             // One pass from the frame into the shared allocation the
-            // waiting pull is handed (exact-size collect: no `Vec` between).
+            // waiting pull is handed: the caller's recycled snapshot, or
+            // a fresh one (exact-size collect: no `Vec` between).
+            let values = le_f32s(cur.take(cur.remaining())?);
+            let mut reused = slot.and_then(|slot| slot(key, values.len()));
+            let weights = match reused.as_mut().and_then(Arc::get_mut) {
+                Some(out) if out.len() == values.len() => {
+                    out.iter_mut().zip(values).for_each(|(o, v)| *o = v);
+                    reused.expect("just written through")
+                }
+                _ => values.collect(),
+            };
             WireMsg::PullReply {
                 key,
                 min_version,
-                weights: le_f32s(cur.take(cur.remaining())?).collect(),
+                weights,
             }
         }
         OP_SET_LR => WireMsg::SetLr { lr: cur.f32()? },
@@ -1190,6 +1216,44 @@ mod tests {
             encode_msg_into(&msg, &mut buf);
             assert!(buf.len() <= max_inbound_body_bytes(0), "{msg:?}");
         }
+    }
+
+    #[test]
+    fn a_pull_reply_is_decoded_into_the_offered_snapshot_only_if_it_is_free() {
+        let mut frame = Vec::new();
+        encode_pull_reply_into(3, 9, &[1.0, -0.0, f32::INFINITY], &mut frame);
+        let want = decode_msg(&frame).unwrap();
+        let weights_at = |msg: &WireMsg| match msg {
+            WireMsg::PullReply { weights, .. } => weights.as_ptr(),
+            other => panic!("not a pull reply: {other:?}"),
+        };
+
+        // A free snapshot of the reply's length is written through; the
+        // slot is asked for by key and element count.
+        let mut free = Some(Arc::<[f32]>::from([7.0f32; 3]));
+        let at = free.as_ref().unwrap().as_ptr();
+        let msg = decode_msg_reusing(&frame, &mut |key, n| {
+            assert_eq!((key, n), (3, 3));
+            free.take()
+        });
+        assert_eq!(msg.as_ref(), Ok(&want));
+        assert_eq!(weights_at(&msg.unwrap()), at);
+
+        // One somebody still reads is left alone, bit for bit...
+        let held: Arc<[f32]> = Arc::from([7.0f32; 3]);
+        let msg = decode_msg_reusing(&frame, &mut |_, _| Some(Arc::clone(&held))).unwrap();
+        assert_eq!(msg, want);
+        assert_ne!(weights_at(&msg), held.as_ptr());
+        assert_eq!(*held, [7.0; 3]);
+        // ...and so is one of another length.
+        let mut short = Some(Arc::<[f32]>::from([7.0f32; 2]));
+        let msg = decode_msg_reusing(&frame, &mut |_, _| short.take());
+        assert_eq!(msg, Ok(want));
+
+        // Every other message decodes as ever, its slot never asked.
+        encode_pull_into(3, 9, &mut frame);
+        let msg = decode_msg_reusing(&frame, &mut |_, _| panic!("not a reply"));
+        assert_eq!(msg, decode_msg(&frame));
     }
 
     #[test]

@@ -63,6 +63,9 @@ impl Layer for BatchNorm2d {
         let mut out = Tensor::zeros(&shape);
         let mut xhat = Tensor::zeros(&shape);
         let mut stds = vec![0.0f32; self.channels];
+        // The slices once, outside the per-element loops: an accessor
+        // call per element (a storage-kind check each) keeps them scalar.
+        let (xs, outs, xhats) = (x.data(), out.data_mut(), xhat.data_mut());
 
         #[allow(clippy::needless_range_loop)]
         for c in 0..self.channels {
@@ -70,12 +73,12 @@ impl Layer for BatchNorm2d {
                 Mode::Train => {
                     let mut sum = 0.0f32;
                     for i in Self::channel_indices(&shape, c) {
-                        sum += x.data()[i];
+                        sum += xs[i];
                     }
                     let mean = sum / m;
                     let mut var = 0.0f32;
                     for i in Self::channel_indices(&shape, c) {
-                        let d = x.data()[i] - mean;
+                        let d = xs[i] - mean;
                         var += d * d;
                     }
                     let var = var / m;
@@ -92,9 +95,9 @@ impl Layer for BatchNorm2d {
             let g = self.gamma.value.data()[c];
             let b = self.beta.value.data()[c];
             for i in Self::channel_indices(&shape, c) {
-                let xn = (x.data()[i] - mean) / std;
-                xhat.data_mut()[i] = xn;
-                out.data_mut()[i] = g * xn + b;
+                let xn = (xs[i] - mean) / std;
+                xhats[i] = xn;
+                outs[i] = g * xn + b;
             }
         }
         if mode == Mode::Train {
@@ -108,6 +111,7 @@ impl Layer for BatchNorm2d {
         assert_eq!(dy.shape(), shape.as_slice());
         let m = Self::plane(&shape) as f32;
         let mut dx = Tensor::zeros(&shape);
+        let (dys, xhats, dxs) = (dy.data(), xhat.data(), dx.data_mut());
 
         #[allow(clippy::needless_range_loop)]
         for c in 0..self.channels {
@@ -117,8 +121,8 @@ impl Layer for BatchNorm2d {
             let mut sum_dy = 0.0f32;
             let mut sum_dy_xhat = 0.0f32;
             for i in Self::channel_indices(&shape, c) {
-                sum_dy += dy.data()[i];
-                sum_dy_xhat += dy.data()[i] * xhat.data()[i];
+                sum_dy += dys[i];
+                sum_dy_xhat += dys[i] * xhats[i];
             }
             self.beta.grad.data_mut()[c] = sum_dy;
             self.gamma.grad.data_mut()[c] = sum_dy_xhat;
@@ -127,7 +131,7 @@ impl Layer for BatchNorm2d {
             let mean_dy = sum_dy / m;
             let mean_dy_xhat = sum_dy_xhat / m;
             for i in Self::channel_indices(&shape, c) {
-                dx.data_mut()[i] = scale * (dy.data()[i] - mean_dy - xhat.data()[i] * mean_dy_xhat);
+                dxs[i] = scale * (dys[i] - mean_dy - xhats[i] * mean_dy_xhat);
             }
         }
         dx

@@ -3,6 +3,7 @@
 
 use crate::layer::{Layer, Mode, Param};
 use cdsgd_tensor::Tensor;
+use std::sync::Arc;
 
 /// An ordered stack of layers applied one after another.
 ///
@@ -115,7 +116,24 @@ impl Sequential {
             assert!(i < values.len(), "too few parameter vectors");
             let v = values[i].as_ref();
             assert_eq!(v.len(), p.len(), "param {i} length mismatch");
-            p.value.data_mut().copy_from_slice(v);
+            p.value.data_overwrite().copy_from_slice(v);
+            i += 1;
+        });
+        assert_eq!(i, values.len(), "too many parameter vectors");
+    }
+
+    /// Point every parameter at its shared snapshot
+    /// ([`Tensor::adopt_shared`]): the model reads the pulled weights
+    /// where they are, and the storage it owned is dropped. What
+    /// [`Sequential::import_params_from`] does by copying.
+    ///
+    /// # Panics
+    /// Panics if the number of keys or any length mismatches.
+    pub fn adopt_params(&mut self, values: &[Arc<[f32]>]) {
+        let mut i = 0usize;
+        self.visit_params(&mut |p| {
+            assert!(i < values.len(), "too few parameter vectors");
+            p.value.adopt_shared(Arc::clone(&values[i]));
             i += 1;
         });
         assert_eq!(i, values.len(), "too many parameter vectors");
@@ -303,7 +321,6 @@ mod tests {
 
     #[test]
     fn import_from_accepts_shared_slices() {
-        use std::sync::Arc;
         let mut rng = SmallRng64::new(10);
         let mut m = tiny_model(&mut rng);
         let snapshot: Vec<Arc<[f32]>> = m.export_params().into_iter().map(Arc::from).collect();
@@ -314,6 +331,40 @@ mod tests {
         for (r, s) in restored.iter().zip(&snapshot) {
             assert_eq!(r.as_slice(), s.as_ref());
         }
+    }
+
+    #[test]
+    fn adopted_params_are_read_in_place_and_compute_like_imported_ones() {
+        let mut rng = SmallRng64::new(11);
+        let mut adopted = tiny_model(&mut rng);
+        let mut imported = tiny_model(&mut rng);
+        let snapshot: Vec<Arc<[f32]>> = tiny_model(&mut rng)
+            .export_params()
+            .into_iter()
+            .map(Arc::from)
+            .collect();
+        adopted.adopt_params(&snapshot);
+        imported.import_params_from(&snapshot);
+        let mut key = 0;
+        adopted.visit_params(&mut |p| {
+            assert!(std::ptr::eq(
+                p.value.data().as_ptr(),
+                snapshot[key].as_ptr()
+            ));
+            key += 1;
+        });
+        let x = Tensor::randn(&[5, 3], 1.0, &mut rng);
+        let (ya, yi) = (
+            adopted.forward(&x, Mode::Train),
+            imported.forward(&x, Mode::Train),
+        );
+        assert_eq!(ya, yi);
+        // A later write (a local step) lands in the model, not the snapshot.
+        let before = snapshot[0].to_vec();
+        let ones: Vec<Vec<f32>> = snapshot.iter().map(|v| vec![1.0; v.len()]).collect();
+        adopted.axpy_params(-0.5, &ones);
+        assert_eq!(*snapshot[0], before[..]);
+        assert_ne!(adopted.export_params()[0], before);
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod opt;
 pub mod recover;
 mod server;
 mod sharded;
+mod spares;
 mod stats;
 
 pub use api::{InProcessBackend, ParamClient, PsBackend};

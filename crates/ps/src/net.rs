@@ -42,6 +42,7 @@ use crate::client::{PendingPull, PsClient};
 use crate::recover::Durability;
 use crate::server::{ParamServer, ServerConfig};
 use crate::sharded::{partition_keys, reassemble_snapshots, ShardedClient};
+use crate::spares::Spares;
 use crate::stats::TrafficStats;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
@@ -51,7 +52,7 @@ use cdsgd_net::{
     ReconnectConfig, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx, Waker,
 };
 use cdsgd_telemetry::{Event, Telemetry};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
@@ -656,6 +657,12 @@ impl RemoteClient {
             .name("ps-client-read".into())
             .spawn(move || {
                 let mut buf = Vec::new();
+                // Per key, the snapshots this reader handed out: a reply
+                // is decoded into one the worker has let go of again
+                // (the server's own rule, `crate::spares`), so a
+                // steady-state round allocates none. Only keys the
+                // worker pulled get an entry.
+                let mut spares: HashMap<u32, Spares> = HashMap::new();
                 loop {
                     match read_t.recv_frame(&mut buf) {
                         Ok(()) => {}
@@ -663,7 +670,8 @@ impl RemoteClient {
                         Err(_) => break,
                     }
                     stats2.record_received(conn, FRAME_PREFIX_BYTES + buf.len());
-                    match wire::decode_msg(&buf) {
+                    let mut slot = |key, len| Some(spares.get_mut(&key)?.take(len));
+                    match wire::decode_msg_reusing(&buf, &mut slot) {
                         Ok(WireMsg::PullReply {
                             key,
                             min_version,
@@ -679,6 +687,7 @@ impl RemoteClient {
                                     .map(|(_, tx)| tx)
                             };
                             if let Some(tx) = sender {
+                                spares.entry(key).or_default().retire(Arc::clone(&weights));
                                 // The waiter may have been dropped; fine.
                                 let _ = tx.send(Ok(weights));
                             }

@@ -7,6 +7,7 @@
 //! plug in behind the same trait so adding another server-side rule never
 //! touches the aggregation loop.
 
+use crate::spares::zeroed_snapshot;
 use cdsgd_tensor::kernel;
 use std::sync::Arc;
 
@@ -14,13 +15,22 @@ use std::sync::Arc;
 /// momentum buffer is key-local), driven once per completed aggregate
 /// round by the server loop.
 pub trait ServerOpt: Send {
-    /// Build the next weight snapshot from the current `weights` and the
-    /// aggregated (summed, not averaged) gradient `acc`. `step` is the
-    /// effective rate `η / N`, so plain SGD is `w − step · g`.
-    ///
-    /// Returns a fresh shared snapshot: the server replaces the key's
-    /// `Arc` wholesale so outstanding pulls keep their old version.
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]>;
+    /// Build the next weights into `next` — every element is written,
+    /// none is read — from the current `weights` and the aggregated
+    /// (summed, not averaged) gradient `acc`. `step` is the effective
+    /// rate `η / N`, so plain SGD is `w − step · g`. The server hands in
+    /// a snapshot nobody else holds, so outstanding pulls keep their old
+    /// version.
+    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32);
+
+    /// [`ServerOpt::apply_into`] a fresh shared snapshot: one allocation,
+    /// written once.
+    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]> {
+        let mut next = zeroed_snapshot(weights.len());
+        let slot = Arc::get_mut(&mut next).expect("a fresh snapshot has one owner");
+        self.apply_into(slot, weights, acc, step);
+        next
+    }
 
     /// Human-readable optimizer name (run labels / logs).
     fn name(&self) -> &'static str;
@@ -41,10 +51,8 @@ pub trait ServerOpt: Send {
 pub struct PlainSgd;
 
 impl ServerOpt for PlainSgd {
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]> {
-        let mut next = vec![0.0; weights.len()];
-        kernel::sgd_step(&mut next, weights, acc, step);
-        next.into()
+    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32) {
+        kernel::sgd_step(next, weights, acc, step);
     }
 
     fn name(&self) -> &'static str {
@@ -71,14 +79,12 @@ impl HeavyBall {
 }
 
 impl ServerOpt for HeavyBall {
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]> {
+    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32) {
         if self.velocity.len() != weights.len() {
             self.velocity = vec![0.0; weights.len()];
         }
         kernel::decay_add(&mut self.velocity, self.momentum, acc);
-        let mut next = vec![0.0; weights.len()];
-        kernel::sgd_step(&mut next, weights, &self.velocity, step);
-        next.into()
+        kernel::sgd_step(next, weights, &self.velocity, step);
     }
 
     fn name(&self) -> &'static str {
@@ -115,14 +121,12 @@ impl Nesterov {
 }
 
 impl ServerOpt for Nesterov {
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]> {
+    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32) {
         if self.velocity.len() != weights.len() {
             self.velocity = vec![0.0; weights.len()];
         }
         kernel::decay_add(&mut self.velocity, self.momentum, acc);
-        let mut next = vec![0.0; weights.len()];
-        kernel::nesterov_step(&mut next, weights, acc, &self.velocity, step, self.momentum);
-        next.into()
+        kernel::nesterov_step(next, weights, acc, &self.velocity, step, self.momentum);
     }
 
     fn name(&self) -> &'static str {
@@ -235,6 +239,30 @@ mod tests {
 
         // Stateless SGD exports nothing.
         assert!(PlainSgd.export_state().is_empty());
+    }
+
+    #[test]
+    fn apply_into_a_dirty_snapshot_is_apply_bit_for_bit() {
+        // Three rounds per optimizer, `apply` on one instance and
+        // `apply_into` a buffer full of NaN on its twin: same weights,
+        // same exported state, specials included.
+        let acc = [1.0f32, -0.0, f32::INFINITY, -3.5, f32::NAN];
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in [
+            ServerOptKind::PlainSgd,
+            ServerOptKind::HeavyBall { momentum: 0.9 },
+            ServerOptKind::Nesterov { momentum: 0.9 },
+        ] {
+            let (mut a, mut b) = (kind.build(), kind.build());
+            let mut w: Arc<[f32]> = Arc::from([0.5f32, -0.0, 2.0, 0.0, 1.0]);
+            for _ in 0..3 {
+                let mut next = [f32::NAN; 5];
+                b.apply_into(&mut next, &w, &acc, 0.1);
+                w = a.apply(&w, &acc, 0.1);
+                assert_eq!(bits(&w), bits(&next), "{}", kind.name());
+                assert_eq!(bits(&a.export_state()), bits(&b.export_state()));
+            }
+        }
     }
 
     #[test]

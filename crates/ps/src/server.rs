@@ -4,9 +4,10 @@
 use crate::client::{PsClient, ReplyTx, Snapshot};
 use crate::opt::{ServerOpt, ServerOptKind};
 use crate::recover::{CheckpointTracker, Durability, ShardCheckpoint};
+use crate::spares::Spares;
 use crate::stats::TrafficStats;
 use crate::Key;
-use cdsgd_compress::{decompress_add, BufferPool, Compressed};
+use cdsgd_compress::{decompress, decompress_add, BufferPool, Compressed};
 use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes};
 use cdsgd_net::NetError;
 use cdsgd_telemetry::{Event, Op, Telemetry};
@@ -336,9 +337,10 @@ impl Members {
 }
 
 struct KeyState {
-    /// Current weight snapshot. Immutable once built: every pull of this
-    /// version shares the same allocation (`Arc` bump, zero copies), and
-    /// the aggregate update *replaces* the Arc rather than mutating it.
+    /// Current weight snapshot. Immutable once served: every pull of
+    /// this version shares the same allocation (`Arc` bump, zero copies),
+    /// and the aggregate update *replaces* the Arc rather than mutating
+    /// it.
     weights: Arc<[f32]>,
     /// Weights as of `version − 1`, kept so pulls can be served at an
     /// *exact* version. A worker that pushes round r and then pulls
@@ -348,8 +350,11 @@ struct KeyState {
     /// round r+1 yet. Exact-version pulls keep delayed algorithms
     /// bit-deterministic and faithful to Algorithm 1.
     prev_weights: Arc<[f32]>,
-    /// Reusable aggregation buffer, zeroed at the start of each round
-    /// instead of reallocated.
+    /// Snapshots rotated out of `prev_weights`: the next version is built
+    /// in one that no puller, reply queue or model still holds.
+    spares: Spares,
+    /// Reusable aggregation buffer: each round's first payload is stored
+    /// into it, the rest are added.
     acc: Vec<f32>,
     /// Pending pushes, one FIFO per worker. Delayed algorithms (OD-SGD /
     /// CD-SGD) legitimately run ahead: a fast worker may push round r+1
@@ -518,6 +523,7 @@ fn server_loop(
             KeyState {
                 prev_weights: Arc::clone(&weights),
                 weights,
+                spares: Spares::default(),
                 acc: vec![0.0; len],
                 pending: vec![std::collections::VecDeque::new(); cfg.num_workers],
                 version: start_round,
@@ -902,15 +908,20 @@ fn pump_key(
         if !complete {
             break;
         }
-        ks.acc.fill(0.0);
         // Each decode is one "dequant" span on the server's lane — one
-        // past the last worker's — for the round it feeds.
+        // past the last worker's — for the round it feeds. The first
+        // payload is stored over whatever the last round left in `acc`
+        // (as `0.0 + x`: the bits of zeroing it and adding), the rest add.
         let (tel, lane) = (stats.telemetry(), ks.pending.len());
         let mut contributors = 0usize;
         for q in ks.pending.iter_mut() {
             if let Some(p) = q.pop_front() {
                 let t = tel.span_start();
-                decompress_add(&p, &mut ks.acc);
+                if contributors == 0 {
+                    decompress(&p, &mut ks.acc);
+                } else {
+                    decompress_add(&p, &mut ks.acc);
+                }
                 tel.span_end(lane, Op::Decompress, ks.version, t);
                 // Payload storage goes back to the shared pool so the
                 // next compress_into can reuse it.
@@ -928,18 +939,8 @@ fn pump_key(
         stats
             .telemetry()
             .emit(|| Event::RoundComplete { key, version });
-        // Release any pulls now satisfied.
-        let mut rest = Vec::new();
-        let mut ready = Vec::new();
-        for w in ks.waiting.drain(..) {
-            if w.0 <= version {
-                ready.push(w.1);
-            } else {
-                rest.push(w);
-            }
-        }
-        ks.waiting = rest;
-        for reply in ready {
+        // Release any pulls now satisfied, in the order they parked.
+        for (_, reply) in ks.waiting.extract_if(.., |w| w.0 <= version) {
             let frame = pull_reply_frame_bytes(ks.weights.len());
             stats.record_pull(frame);
             net_delay(cfg.delay_per_byte, frame);
@@ -1042,15 +1043,25 @@ fn net_delay(delay_per_byte: f64, bytes: usize) {
 /// of workers whose pushes fed this round (`contributors`). Fixed
 /// membership makes that always `cfg.num_workers`.
 ///
-/// The optimizer builds the new version as a fresh `Arc<[f32]>` snapshot
-/// (the one copy per round, counted in [`TrafficStats::bytes_copied`])
-/// which rotates the old snapshot into `prev_weights` — pulls of either
-/// version are then served by reference-count bumps alone.
+/// The optimizer writes the new version (the one build per round,
+/// counted in [`TrafficStats::bytes_copied`]) into a snapshot nobody
+/// else holds — one this key rotated out earlier, so a steady-state
+/// round allocates nothing — which rotates the old snapshot into
+/// `prev_weights`; pulls of either version are then served by
+/// reference-count bumps alone.
 fn apply_update(ks: &mut KeyState, cfg: &ServerConfig, contributors: usize, stats: &TrafficStats) {
     let step = cfg.global_lr / contributors as f32;
-    let new = ks.opt.apply(&ks.weights, &ks.acc, step);
-    stats.record_copy(4 * new.len());
-    ks.prev_weights = std::mem::replace(&mut ks.weights, new);
+    let mut next = ks.spares.take(ks.weights.len());
+    let slot = Arc::get_mut(&mut next).expect("a taken spare has one owner");
+    ks.opt.apply_into(slot, &ks.weights, &ks.acc, step);
+    stats.record_copy(4 * next.len());
+    let current = std::mem::replace(&mut ks.weights, next);
+    let retired = std::mem::replace(&mut ks.prev_weights, current);
+    // Until the first update both slots hold the initial snapshot: its
+    // second handle is no spare, it could never become unique.
+    if !Arc::ptr_eq(&retired, &ks.prev_weights) {
+        ks.spares.retire(retired);
+    }
 }
 
 #[cfg(test)]
@@ -1617,5 +1628,89 @@ mod tests {
         c.push(0, 0, payload).unwrap();
         assert_eq!(*c.pull(0, 1).unwrap(), [-0.5, 0.5, 0.0]);
         ps.shutdown();
+    }
+
+    #[test]
+    fn a_held_snapshot_is_never_rewritten_and_a_released_one_is_recycled() {
+        let ps = ParamServer::start(vec![vec![0.0; 8]], ServerConfig::new(1, 1.0));
+        let c = ps.client();
+        let round = |r: u64| {
+            c.push(0, 0, Compressed::Raw(vec![r as f32 + 1.0; 8]))
+                .unwrap();
+            c.pull(0, r + 1).unwrap()
+        };
+        round(0);
+        // A reader (a lagging puller, a model that adopted it) keeps
+        // version 2 while the server builds versions 3..=6.
+        let held = round(1);
+        let (at, bits) = (held.as_ptr(), held.to_vec());
+        for r in 2..6 {
+            assert_ne!(
+                round(r).as_ptr(),
+                at,
+                "version {} built over a reader",
+                r + 1
+            );
+            assert_eq!(*held, bits[..], "a held snapshot changed under its reader");
+        }
+        // Released, its storage carries a later version.
+        drop(held);
+        assert!(
+            (6..10).any(|r| round(r).as_ptr() == at),
+            "the released snapshot was never built in again"
+        );
+        ps.shutdown();
+    }
+
+    #[test]
+    fn storing_the_first_payload_is_zeroing_then_adding_it() {
+        // Rounds of two workers, every dense payload kind first in turn,
+        // over values where `0.0 + x` and `x` differ or could be
+        // mistaken: ±0.0, NaN, ±Inf. The reference zeroes and adds. (A
+        // `-0.0` stored as it stands would survive the 2-bit code 0
+        // behind it and flip the sign of the `-0.0` weight.)
+        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5];
+        let n = specials.len();
+        let raw = Compressed::Raw(specials.to_vec());
+        let two_bit = Compressed::TwoBit {
+            threshold: 0.25,
+            packed: vec![0b10_01_00_11, 0b01_10],
+            len: n,
+        };
+        let one_bit = Compressed::OneBit {
+            scale: 0.5,
+            signs: vec![0b10_1101],
+            len: n,
+        };
+        let init: Vec<f32> = vec![0.0, -0.0, 1.0, -2.0, 3.0, -0.0];
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for order in [
+            [raw.clone(), two_bit.clone()],
+            [two_bit.clone(), raw.clone()],
+            [one_bit.clone(), two_bit],
+            [raw, one_bit],
+        ] {
+            let mut acc = vec![0.0f32; n];
+            order.iter().for_each(|p| decompress_add(p, &mut acc));
+            let step = |w: &[f32]| {
+                let mut next = vec![0.0f32; n];
+                cdsgd_tensor::kernel::sgd_step(&mut next, w, &acc, 0.5 / 2.0);
+                next
+            };
+
+            let ps = ParamServer::start(vec![init.clone()], ServerConfig::new(2, 0.5));
+            let c = ps.client();
+            // A finished round leaves the buffer dirty for the next: the
+            // same round twice.
+            for _ in 0..2 {
+                for (worker, p) in order.iter().enumerate() {
+                    c.push(worker, 0, p.clone()).unwrap();
+                }
+            }
+            let v1 = step(&init);
+            assert_eq!(bits(&c.pull(0, 1).unwrap()), bits(&v1), "{order:?}");
+            assert_eq!(bits(&c.pull(0, 2).unwrap()), bits(&step(&v1)), "{order:?}");
+            ps.shutdown();
+        }
     }
 }

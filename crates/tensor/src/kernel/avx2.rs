@@ -897,9 +897,9 @@ pub unsafe fn unpack_1bit(bytes: &[u8], out: &mut [bool]) {
 // Quantizer scans
 // ---------------------------------------------------------------------------
 
-/// Shared body of the 2-bit threshold scans: given the corrected vector
-/// `x`, emit `q`, store `x - q` through `res_out`, and write symbols
-/// from the two compare masks.
+/// Body of the symbol-emitting 2-bit threshold scan: given the
+/// corrected vector `x`, emit `q`, store `x - q` through `res_out`, and
+/// write symbols from the two compare masks.
 #[target_feature(enable = "avx2")]
 unsafe fn threshold_core(
     x: __m256,
@@ -916,31 +916,6 @@ unsafe fn threshold_core(
     let m2 = _mm256_movemask_ps(mneg) as u32;
     for (l, s) in symbols.iter_mut().enumerate() {
         *s = (((m1 >> l) & 1) | (((m2 >> l) & 1) << 1)) as u8;
-    }
-}
-
-/// [`super::scalar::threshold_scan_residual`] (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn threshold_scan_residual(grad: &[f32], thr: f32, symbols: &mut [u8], res: &mut [f32]) {
-    debug_assert_eq!(grad.len(), symbols.len());
-    debug_assert_eq!(grad.len(), res.len());
-    let n8 = blocks(grad.len(), 8);
-    let vthr = _mm256_set1_ps(thr);
-    let vnthr = _mm256_set1_ps(-thr);
-    let (gp, rp) = (grad.as_ptr(), res.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let x = _mm256_add_ps(_mm256_loadu_ps(gp.add(i)), _mm256_loadu_ps(rp.add(i)));
-        threshold_core(x, vthr, vnthr, rp.add(i), &mut symbols[i..i + 8]);
-        i += 8;
-    }
-    if n8 < grad.len() {
-        super::scalar::threshold_scan_residual(
-            &grad[n8..],
-            thr,
-            &mut symbols[n8..],
-            &mut res[n8..],
-        );
     }
 }
 
@@ -974,26 +949,51 @@ pub unsafe fn threshold_scan_store(
     }
 }
 
-/// [`super::scalar::threshold_scan_plain`] (AVX2).
+/// [`super::scalar::quantize_2bit`] (AVX2): eight elements per
+/// iteration. The two compare masks come out as 8-bit movemasks; a
+/// Morton spread moves bit `l` of each to bit `2l`, so `pos | neg << 1`
+/// is the eight 2-bit symbols in wire order — two packed bytes, stored
+/// directly.
 #[target_feature(enable = "avx2")]
-pub unsafe fn threshold_scan_plain(grad: &[f32], thr: f32, symbols: &mut [u8]) {
-    debug_assert_eq!(grad.len(), symbols.len());
+pub unsafe fn quantize_2bit(
+    grad: &[f32],
+    thr: f32,
+    mut res: Option<&mut [f32]>,
+    packed: &mut [u8],
+) {
+    debug_assert_eq!(packed.len(), grad.len().div_ceil(4));
+    debug_assert!(res.as_ref().is_none_or(|r| r.len() == grad.len()));
     let n8 = blocks(grad.len(), 8);
     let vthr = _mm256_set1_ps(thr);
     let vnthr = _mm256_set1_ps(-thr);
     let gp = grad.as_ptr();
+    let rp = res.as_deref_mut().map(<[f32]>::as_mut_ptr);
     let mut i = 0;
     while i < n8 {
-        let x = _mm256_loadu_ps(gp.add(i));
-        let m1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(x, vthr)) as u32;
-        let m2 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(x, vnthr)) as u32;
-        for (l, s) in symbols[i..i + 8].iter_mut().enumerate() {
-            *s = (((m1 >> l) & 1) | (((m2 >> l) & 1) << 1)) as u8;
+        // SAFETY: `i + 8 <= n8 <= grad.len()`, and `res`, when given, is
+        // as long as `grad` and exclusively borrowed for this call.
+        let mut x = _mm256_loadu_ps(gp.add(i));
+        if let Some(rp) = rp {
+            x = _mm256_add_ps(x, _mm256_loadu_ps(rp.add(i)));
         }
+        let mpos = _mm256_cmp_ps::<_CMP_GE_OQ>(x, vthr);
+        let mneg = _mm256_cmp_ps::<_CMP_LE_OQ>(x, vnthr);
+        if let Some(rp) = rp {
+            let q = _mm256_or_ps(_mm256_and_ps(mpos, vthr), _mm256_and_ps(mneg, vnthr));
+            _mm256_storeu_ps(rp.add(i), _mm256_sub_ps(x, q));
+        }
+        let m = _mm256_movemask_ps(mpos) as u32 | (_mm256_movemask_ps(mneg) as u32) << 16;
+        let m = (m | m << 4) & 0x0F0F_0F0F;
+        let m = (m | m << 2) & 0x3333_3333;
+        let m = (m | m << 1) & 0x5555_5555;
+        let codes = (m & 0xFFFF) | (m >> 16) << 1;
+        packed[i / 4..i / 4 + 2].copy_from_slice(&(codes as u16).to_le_bytes());
         i += 8;
     }
     if n8 < grad.len() {
-        super::scalar::threshold_scan_plain(&grad[n8..], thr, &mut symbols[n8..]);
+        // `n8` is a multiple of 4: the tail starts on a byte boundary.
+        let res = res.map(|r| &mut r[n8..]);
+        super::scalar::quantize_2bit(&grad[n8..], thr, res, &mut packed[n8 / 4..]);
     }
 }
 
@@ -1033,42 +1033,49 @@ pub unsafe fn sign_residual(corrected: &[f32], scale: f32, bits: &mut [bool], re
 /// accumulator bits back, never `acc + 0.0`.
 #[target_feature(enable = "avx2")]
 pub unsafe fn unpack_2bit_add(packed: &[u8], thr: f32, out: &mut [f32]) {
+    unpack_2bit_acc::<false>(packed, thr, out)
+}
+
+/// [`super::scalar::unpack_2bit_store`] (AVX2): the same lanes over an
+/// accumulator of `+0.0` that is never loaded.
+#[target_feature(enable = "avx2")]
+pub unsafe fn unpack_2bit_store(packed: &[u8], thr: f32, out: &mut [f32]) {
+    unpack_2bit_acc::<true>(packed, thr, out)
+}
+
+/// 2-bit decode into `out`'s contents, or (`STORE`) into `+0.0`. A
+/// lane's code is the low two bits of its shifted word, which is all
+/// `vpermilps` reads of a control element: one permute looks the addend
+/// up in `[0, thr, -thr, 0]`, a second the "touched" blend mask.
+#[target_feature(enable = "avx2")]
+unsafe fn unpack_2bit_acc<const STORE: bool>(packed: &[u8], thr: f32, out: &mut [f32]) {
     debug_assert!(packed.len() * 4 >= out.len());
     let n8 = blocks(out.len(), 8);
-    let vthr = _mm256_set1_ps(thr);
-    let vnthr = _mm256_set1_ps(-thr);
+    let addends = _mm256_setr_ps(0.0, thr, -thr, 0.0, 0.0, thr, -thr, 0.0);
+    let touches = _mm256_castsi256_ps(_mm256_setr_epi32(0, -1, -1, 0, 0, -1, -1, 0));
     let shifts = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
-    let three = _mm256_set1_epi32(3);
-    let one = _mm256_set1_epi32(1);
-    let two = _mm256_set1_epi32(2);
     let op = out.as_mut_ptr();
     let mut i = 0;
     while i < n8 {
         let w = (packed[i / 4] as u32 | (packed[i / 4 + 1] as u32) << 8) as i32;
-        let codes = _mm256_and_si256(_mm256_srlv_epi32(_mm256_set1_epi32(w), shifts), three);
-        let mpos = _mm256_cmpeq_epi32(codes, one);
-        let mneg = _mm256_cmpeq_epi32(codes, two);
-        let addend = _mm256_or_ps(
-            _mm256_and_ps(_mm256_castsi256_ps(mpos), vthr),
-            _mm256_and_ps(_mm256_castsi256_ps(mneg), vnthr),
-        );
-        let touched = _mm256_castsi256_ps(_mm256_or_si256(mpos, mneg));
-        let cur = _mm256_loadu_ps(op.add(i));
-        let sum = _mm256_add_ps(cur, addend);
-        _mm256_storeu_ps(op.add(i), _mm256_blendv_ps(cur, sum, touched));
+        let codes = _mm256_srlv_epi32(_mm256_set1_epi32(w), shifts);
+        let addend = _mm256_permutevar_ps(addends, codes);
+        if STORE {
+            _mm256_storeu_ps(op.add(i), _mm256_add_ps(_mm256_setzero_ps(), addend));
+        } else {
+            let cur = _mm256_loadu_ps(op.add(i));
+            let sum = _mm256_add_ps(cur, addend);
+            let touched = _mm256_permutevar_ps(touches, codes);
+            _mm256_storeu_ps(op.add(i), _mm256_blendv_ps(cur, sum, touched));
+        }
         i += 8;
     }
-    if n8 < out.len() {
-        // Scalar tail re-derives its own byte offsets from the absolute
-        // element index, so slicing `out` is enough.
-        for (idx, o) in out[n8..].iter_mut().enumerate() {
-            let i = n8 + idx;
-            match (packed[i / 4] >> (2 * (i % 4))) & 0b11 {
-                1 => *o += thr,
-                2 => *o -= thr,
-                _ => {}
-            }
-        }
+    // The scalar twins re-derive their byte offsets from the element
+    // index; `n8` is a multiple of 4, so the tail starts on a byte.
+    if STORE {
+        super::scalar::unpack_2bit_store(&packed[n8 / 4..], thr, &mut out[n8..]);
+    } else {
+        super::scalar::unpack_2bit_add(&packed[n8 / 4..], thr, &mut out[n8..]);
     }
 }
 
@@ -1076,6 +1083,18 @@ pub unsafe fn unpack_2bit_add(packed: &[u8], thr: f32, out: &mut [f32]) {
 /// (`±scale`), matching the scalar decoder.
 #[target_feature(enable = "avx2")]
 pub unsafe fn unpack_1bit_add(signs: &[u8], scale: f32, out: &mut [f32]) {
+    unpack_1bit_acc::<false>(signs, scale, out)
+}
+
+/// [`super::scalar::unpack_1bit_store`] (AVX2).
+#[target_feature(enable = "avx2")]
+pub unsafe fn unpack_1bit_store(signs: &[u8], scale: f32, out: &mut [f32]) {
+    unpack_1bit_acc::<true>(signs, scale, out)
+}
+
+/// 1-bit decode into `out`'s contents, or (`STORE`) into `+0.0`.
+#[target_feature(enable = "avx2")]
+unsafe fn unpack_1bit_acc<const STORE: bool>(signs: &[u8], scale: f32, out: &mut [f32]) {
     debug_assert!(signs.len() * 8 >= out.len());
     let n8 = blocks(out.len(), 8);
     let vpos = _mm256_set1_ps(scale);
@@ -1088,15 +1107,17 @@ pub unsafe fn unpack_1bit_add(signs: &[u8], scale: f32, out: &mut [f32]) {
         let b = _mm256_set1_epi32(signs[i / 8] as i32);
         let hit = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_srlv_epi32(b, shifts), one), one);
         let addend = _mm256_blendv_ps(vneg, vpos, _mm256_castsi256_ps(hit));
-        _mm256_storeu_ps(op.add(i), _mm256_add_ps(_mm256_loadu_ps(op.add(i)), addend));
+        let cur = if STORE {
+            _mm256_setzero_ps()
+        } else {
+            _mm256_loadu_ps(op.add(i))
+        };
+        _mm256_storeu_ps(op.add(i), _mm256_add_ps(cur, addend));
         i += 8;
     }
-    for (idx, o) in out[n8..].iter_mut().enumerate() {
-        let i = n8 + idx;
-        *o += if (signs[i / 8] >> (i % 8)) & 1 == 1 {
-            scale
-        } else {
-            -scale
-        };
+    if STORE {
+        super::scalar::unpack_1bit_store(&signs[n8 / 8..], scale, &mut out[n8..]);
+    } else {
+        super::scalar::unpack_1bit_add(&signs[n8 / 8..], scale, &mut out[n8..]);
     }
 }

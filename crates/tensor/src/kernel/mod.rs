@@ -165,6 +165,14 @@ pub fn add_into(out: &mut [f32], a: &[f32], b: &[f32]) {
     dispatch!(avx2::add_into(out, a, b), scalar::add_into(out, a, b))
 }
 
+/// `out[i] = 0.0 + x[i]`: one pass for `out.fill(0.0)` followed by
+/// [`add_assign`], same bits. Scalar in every backend — two streams and
+/// one add, which the compiler vectorizes as it stands.
+pub fn zero_add(out: &mut [f32], x: &[f32]) {
+    assert_eq!(out.len(), x.len(), "kernel::zero_add length mismatch");
+    scalar::zero_add(out, x)
+}
+
 /// `out[i] = a[i] + alpha * b[i]`.
 pub fn scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]) {
     assert_eq!(out.len(), a.len(), "kernel::scale_add length mismatch");
@@ -388,26 +396,6 @@ pub fn unpack_1bit(bytes: &[u8], out: &mut [bool]) {
 // Quantizer scans and decode-accumulate
 // ---------------------------------------------------------------------------
 
-/// 2-bit threshold scan with residual feedback: per element,
-/// `x = grad[i] + res[i]`; symbol 1 (`q = thr`) if `x ≥ thr`, symbol 2
-/// (`q = -thr`) if `x ≤ -thr`, else symbol 0 (`q = 0`); `res[i] = x - q`.
-pub fn threshold_scan_residual(grad: &[f32], thr: f32, symbols: &mut [u8], res: &mut [f32]) {
-    assert_eq!(
-        grad.len(),
-        symbols.len(),
-        "kernel::threshold_scan_residual size"
-    );
-    assert_eq!(
-        grad.len(),
-        res.len(),
-        "kernel::threshold_scan_residual size"
-    );
-    dispatch!(
-        avx2::threshold_scan_residual(grad, thr, symbols, res),
-        scalar::threshold_scan_residual(grad, thr, symbols, res)
-    )
-}
-
 /// 2-bit threshold scan over an already-corrected vector, storing the
 /// new residual `x - q` into `res`.
 pub fn threshold_scan_store(corrected: &[f32], thr: f32, symbols: &mut [u8], res: &mut [f32]) {
@@ -427,16 +415,26 @@ pub fn threshold_scan_store(corrected: &[f32], thr: f32, symbols: &mut [u8], res
     )
 }
 
-/// 2-bit threshold scan without residual tracking.
-pub fn threshold_scan_plain(grad: &[f32], thr: f32, symbols: &mut [u8]) {
+/// The 2-bit quantizer in one pass: per element `x = grad[i] + res[i]`;
+/// symbol 1 (`q = thr`) if `x ≥ thr`, symbol 2 (`q = -thr`) if
+/// `x ≤ -thr`, else symbol 0 (`q = 0`); `res[i] = x - q`; and the
+/// symbols come out already packed four per byte like [`pack_2bit`] —
+/// [`scalar::threshold_scan_residual`] then `pack_2bit`, with no symbol
+/// array in between. Without `res` (the error-feedback
+/// ablation) `grad[i]` itself is scanned and only `packed` is written.
+/// `packed.len()` must be `grad.len().div_ceil(4)`; fully overwritten.
+pub fn quantize_2bit(grad: &[f32], thr: f32, res: Option<&mut [f32]>, packed: &mut [u8]) {
     assert_eq!(
-        grad.len(),
-        symbols.len(),
-        "kernel::threshold_scan_plain size"
+        packed.len(),
+        grad.len().div_ceil(4),
+        "kernel::quantize_2bit output size"
     );
+    if let Some(res) = &res {
+        assert_eq!(grad.len(), res.len(), "kernel::quantize_2bit size");
+    }
     dispatch!(
-        avx2::threshold_scan_plain(grad, thr, symbols),
-        scalar::threshold_scan_plain(grad, thr, symbols)
+        avx2::quantize_2bit(grad, thr, res, packed),
+        scalar::quantize_2bit(grad, thr, res, packed)
     )
 }
 
@@ -464,6 +462,20 @@ pub fn unpack_2bit_add(packed: &[u8], thr: f32, out: &mut [f32]) {
     )
 }
 
+/// [`unpack_2bit_add`] into an accumulator taken as all `+0.0`: every
+/// element is written and none is read, with the bits `out.fill(0.0)`
+/// followed by `unpack_2bit_add` leaves.
+pub fn unpack_2bit_store(packed: &[u8], thr: f32, out: &mut [f32]) {
+    assert!(
+        packed.len() * 4 >= out.len(),
+        "kernel::unpack_2bit_store byte stream too short"
+    );
+    dispatch!(
+        avx2::unpack_2bit_store(packed, thr, out),
+        scalar::unpack_2bit_store(packed, thr, out)
+    )
+}
+
 /// Fused 1-bit decode + accumulate: every element gets `±scale`.
 pub fn unpack_1bit_add(signs: &[u8], scale: f32, out: &mut [f32]) {
     assert!(
@@ -473,6 +485,18 @@ pub fn unpack_1bit_add(signs: &[u8], scale: f32, out: &mut [f32]) {
     dispatch!(
         avx2::unpack_1bit_add(signs, scale, out),
         scalar::unpack_1bit_add(signs, scale, out)
+    )
+}
+
+/// [`unpack_1bit_add`] into an accumulator taken as all `+0.0`.
+pub fn unpack_1bit_store(signs: &[u8], scale: f32, out: &mut [f32]) {
+    assert!(
+        signs.len() * 8 >= out.len(),
+        "kernel::unpack_1bit_store byte stream too short"
+    );
+    dispatch!(
+        avx2::unpack_1bit_store(signs, scale, out),
+        scalar::unpack_1bit_store(signs, scale, out)
     )
 }
 

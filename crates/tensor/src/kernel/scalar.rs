@@ -58,6 +58,16 @@ pub fn add_into(out: &mut [f32], a: &[f32], b: &[f32]) {
     }
 }
 
+/// `out[i] = 0.0 + x[i]` — the bits `out.fill(0.0)` then [`add_assign`]
+/// leave (a `-0.0` comes out `+0.0`), in one pass: how a server round
+/// stores its first raw payload into the aggregation buffer.
+pub fn zero_add(out: &mut [f32], x: &[f32]) {
+    debug_assert_eq!(out.len(), x.len());
+    for (o, &xv) in out.iter_mut().zip(x) {
+        *o = 0.0 + xv;
+    }
+}
+
 /// `out[i] = a[i] + alpha * b[i]` (out-of-place axpy).
 pub fn scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]) {
     debug_assert_eq!(out.len(), a.len());
@@ -336,18 +346,47 @@ pub fn threshold_scan_store(corrected: &[f32], thr: f32, symbols: &mut [u8], res
     }
 }
 
-/// Residual-free 2-bit threshold scan (the error-feedback ablation):
-/// symbols only, no state update.
-pub fn threshold_scan_plain(grad: &[f32], thr: f32, symbols: &mut [u8]) {
-    debug_assert_eq!(grad.len(), symbols.len());
-    for (s, &g) in symbols.iter_mut().zip(grad) {
-        *s = if g >= thr {
-            1
-        } else if g <= -thr {
-            2
-        } else {
-            0
-        };
+/// The 2-bit quantizer in one pass: [`threshold_scan_residual`] and
+/// [`pack_2bit`] fused, so no symbol array exists in between. Per
+/// element `x = grad[i] + res[i]` is scanned as there, `res[i] = x - q`
+/// is stored back and the symbol lands at bits `2*(i%4)` of
+/// `packed[i/4]`; `packed.len()` must be `grad.len().div_ceil(4)` and
+/// every byte of it is overwritten. With no `res` (the error-feedback
+/// ablation) `x = grad[i]` and nothing but the symbols is written.
+pub fn quantize_2bit(grad: &[f32], thr: f32, mut res: Option<&mut [f32]>, packed: &mut [u8]) {
+    debug_assert_eq!(packed.len(), grad.len().div_ceil(4));
+    debug_assert!(res.as_ref().is_none_or(|r| r.len() == grad.len()));
+    // One byte: up to four elements starting at `at`. Symbol and quantum
+    // are selected, not branched to, so the loop compiles to
+    // straight-line code the optimizer can vectorize.
+    let mut quad = |at: usize, g4: &[f32]| {
+        let mut byte = 0u8;
+        for (lane, &g) in g4.iter().enumerate() {
+            let x = match &res {
+                Some(res) => g + res[at + lane],
+                None => g,
+            };
+            let (pos, neg) = (x >= thr, x <= -thr);
+            let q = if pos {
+                thr
+            } else if neg {
+                -thr
+            } else {
+                0.0
+            };
+            if let Some(res) = &mut res {
+                res[at + lane] = x - q;
+            }
+            byte |= (pos as u8 | ((!pos && neg) as u8) << 1) << (2 * lane);
+        }
+        byte
+    };
+    let (quads, tail) = grad.as_chunks::<4>();
+    for (j, g4) in quads.iter().enumerate() {
+        packed[j] = quad(4 * j, g4);
+    }
+    if !tail.is_empty() {
+        packed[quads.len()] = quad(4 * quads.len(), tail);
     }
 }
 
@@ -394,5 +433,33 @@ pub fn unpack_1bit_add(signs: &[u8], scale: f32, out: &mut [f32]) {
         } else {
             -scale
         };
+    }
+}
+
+/// [`unpack_2bit_add`] into a buffer taken as all `+0.0`, whatever it
+/// holds: `0.0 + thr` for code 1, `0.0 - thr` for code 2, `0.0` for code
+/// 0 — every element is written, none is read.
+pub fn unpack_2bit_store(packed: &[u8], thr: f32, out: &mut [f32]) {
+    debug_assert!(packed.len() * 4 >= out.len());
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = match (packed[i / 4] >> (2 * (i % 4))) & 0b11 {
+            1 => 0.0 + thr,
+            2 => 0.0 - thr,
+            _ => 0.0,
+        };
+    }
+}
+
+/// [`unpack_1bit_add`] into a buffer taken as all `+0.0`: `0.0 + scale`
+/// for a set bit, `0.0 + -scale` otherwise.
+pub fn unpack_1bit_store(signs: &[u8], scale: f32, out: &mut [f32]) {
+    debug_assert!(signs.len() * 8 >= out.len());
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = 0.0
+            + if (signs[i / 8] >> (i % 8)) & 1 == 1 {
+                scale
+            } else {
+                -scale
+            };
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::rng::SmallRng64;
 use crate::shape::{contiguous_strides, linear_index, numel, Shape};
+use std::sync::Arc;
 
 /// A dense N-dimensional `f32` tensor with contiguous row-major storage.
 ///
@@ -9,10 +10,29 @@ use crate::shape::{contiguous_strides, linear_index, numel, Shape};
 /// sendable across threads, and exposes its backing slice directly so the
 /// compression codecs and parameter-server can treat parameters/gradients as
 /// flat `&[f32]` without copies.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The elements are either owned or a shared, immutable snapshot
+/// ([`Tensor::adopt_shared`]): reads see no difference, the first write
+/// to a shared tensor copies it (or, through [`Tensor::data_overwrite`],
+/// just replaces it). `Clone` and `==` are over the logical contents.
+#[derive(Clone, Debug)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Storage,
+}
+
+/// Where a tensor's elements live.
+#[derive(Clone, Debug)]
+enum Storage {
+    Owned(Vec<f32>),
+    /// Somebody else's snapshot, read in place and never written.
+    Shared(Arc<[f32]>),
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data() == other.data()
+    }
 }
 
 impl Tensor {
@@ -29,15 +49,27 @@ impl Tensor {
             numel(&shape),
             data.len()
         );
-        Self { shape, data }
+        Self {
+            shape,
+            data: Storage::Owned(data),
+        }
+    }
+
+    /// A tensor reading the shared snapshot `data` in place (no copy).
+    ///
+    /// # Panics
+    /// Panics if `data.len()` does not match the shape's element count.
+    pub fn from_shared(shape: Shape, data: Arc<[f32]>) -> Self {
+        assert_eq!(numel(&shape), data.len(), "shape {shape:?} vs snapshot");
+        Self {
+            shape,
+            data: Storage::Shared(data),
+        }
     }
 
     /// An all-zeros tensor of the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
-        Self {
-            shape: shape.to_vec(),
-            data: vec![0.0; numel(shape)],
-        }
+        Self::from_vec(shape.to_vec(), vec![0.0; numel(shape)])
     }
 
     /// An all-ones tensor of the given shape.
@@ -47,10 +79,7 @@ impl Tensor {
 
     /// A tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        Self {
-            shape: shape.to_vec(),
-            data: vec![value; numel(shape)],
-        }
+        Self::from_vec(shape.to_vec(), vec![value; numel(shape)])
     }
 
     /// A tensor of i.i.d. samples from `N(0, std^2)` drawn from `rng`.
@@ -60,10 +89,7 @@ impl Tensor {
         for _ in 0..n {
             data.push(rng.gauss() * std);
         }
-        Self {
-            shape: shape.to_vec(),
-            data,
-        }
+        Self::from_vec(shape.to_vec(), data)
     }
 
     /// A tensor of i.i.d. samples from `U(lo, hi)`.
@@ -73,10 +99,7 @@ impl Tensor {
         for _ in 0..n {
             data.push(lo + (hi - lo) * rng.unit_f32());
         }
-        Self {
-            shape: shape.to_vec(),
-            data,
-        }
+        Self::from_vec(shape.to_vec(), data)
     }
 
     /// The shape (dimension sizes, outermost first).
@@ -94,13 +117,13 @@ impl Tensor {
     /// Total number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// True if the tensor has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data().is_empty()
     }
 
     /// Row-major strides of the (contiguous) storage.
@@ -111,30 +134,70 @@ impl Tensor {
     /// Immutable view of the backing storage.
     #[inline]
     pub fn data(&self) -> &[f32] {
-        &self.data
+        match &self.data {
+            Storage::Owned(v) => v,
+            Storage::Shared(s) => s,
+        }
     }
 
-    /// Mutable view of the backing storage.
+    /// Mutable view of the backing storage. A shared tensor first copies
+    /// its snapshot into storage of its own; the snapshot is untouched.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        if let Storage::Shared(s) = &self.data {
+            self.data = Storage::Owned(s.to_vec());
+        }
+        self.owned_mut()
     }
 
-    /// Consume the tensor, returning its backing storage.
+    /// [`Tensor::data_mut`] for a caller that writes every element: a
+    /// shared tensor lets go of its snapshot *without* copying it in, so
+    /// the elements read as zero until written.
+    pub fn data_overwrite(&mut self) -> &mut [f32] {
+        if let Storage::Shared(s) = &self.data {
+            self.data = Storage::Owned(vec![0.0; s.len()]);
+        }
+        self.owned_mut()
+    }
+
+    #[inline]
+    fn owned_mut(&mut self) -> &mut [f32] {
+        match &mut self.data {
+            Storage::Owned(v) => v,
+            Storage::Shared(_) => unreachable!("made owned by the caller"),
+        }
+    }
+
+    /// Read `data` in place from now on — a pointer move; whatever
+    /// storage the tensor owned is dropped.
+    ///
+    /// # Panics
+    /// Panics if `data.len()` differs from the tensor's element count.
+    pub fn adopt_shared(&mut self, data: Arc<[f32]>) {
+        assert_eq!(data.len(), self.len(), "adopted snapshot length mismatch");
+        self.data = Storage::Shared(data);
+    }
+
+    /// Consume the tensor, returning its elements (copied out of a
+    /// shared snapshot).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        match self.data {
+            Storage::Owned(v) => v,
+            Storage::Shared(s) => s.to_vec(),
+        }
     }
 
     /// Element access by multi-dimensional index.
     #[inline]
     pub fn at(&self, idx: &[usize]) -> f32 {
-        self.data[linear_index(&self.shape, idx)]
+        self.data()[linear_index(&self.shape, idx)]
     }
 
     /// Mutable element access by multi-dimensional index.
     #[inline]
     pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        &mut self.data[linear_index(&self.shape, idx)]
+        let i = linear_index(&self.shape, idx);
+        &mut self.data_mut()[i]
     }
 
     /// Reinterpret the tensor with a new shape of equal element count.
@@ -150,18 +213,18 @@ impl Tensor {
         if holes == 1 {
             let known: usize = new_shape.iter().filter(|&&d| d != 0).product();
             assert!(
-                known > 0 && self.data.len().is_multiple_of(known),
+                known > 0 && self.len().is_multiple_of(known),
                 "cannot infer dimension"
             );
             for d in new_shape.iter_mut() {
                 if *d == 0 {
-                    *d = self.data.len() / known;
+                    *d = self.len() / known;
                 }
             }
         }
         assert_eq!(
             numel(&new_shape),
-            self.data.len(),
+            self.len(),
             "reshape must preserve element count"
         );
         self.shape = new_shape;
@@ -175,26 +238,20 @@ impl Tensor {
     pub fn transpose2d(&self) -> Self {
         assert_eq!(self.ndim(), 2, "transpose2d requires a matrix");
         let (r, c) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; r * c];
+        let (src, mut out) = (self.data(), vec![0.0f32; r * c]);
         for i in 0..r {
             for j in 0..c {
-                out[j * r + i] = self.data[i * c + j];
+                out[j * r + i] = src[i * c + j];
             }
         }
-        Self {
-            shape: vec![c, r],
-            data: out,
-        }
+        Self::from_vec(vec![c, r], out)
     }
 
     /// Copy of row `i` of a 2-D tensor as a new 1-D tensor.
     pub fn row(&self, i: usize) -> Self {
         assert_eq!(self.ndim(), 2, "row() requires a matrix");
         let c = self.shape[1];
-        Self {
-            shape: vec![c],
-            data: self.data[i * c..(i + 1) * c].to_vec(),
-        }
+        Self::from_vec(vec![c], self.data()[i * c..(i + 1) * c].to_vec())
     }
 
     /// Stack 1-D/row tensors of identical length into a 2-D tensor.
@@ -206,10 +263,7 @@ impl Tensor {
             assert_eq!(r.len(), c, "all stacked rows must have equal length");
             data.extend_from_slice(r.data());
         }
-        Self {
-            shape: vec![rows.len(), c],
-            data,
-        }
+        Self::from_vec(vec![rows.len(), c], data)
     }
 }
 

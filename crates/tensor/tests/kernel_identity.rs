@@ -273,19 +273,6 @@ proptest! {
     }
 
     #[test]
-    fn threshold_scan_residual_identity(seed in 0u64..5000, len in 0usize..70, thr in 0.001f32..1.0) {
-        let grad = fill(seed, len, true);
-        let mut res_a = fill(seed + 1, len, true);
-        let mut res_b = res_a.clone();
-        let mut sym_a = vec![9u8; len];
-        let mut sym_b = vec![7u8; len];
-        kernel::threshold_scan_residual(&grad, thr, &mut sym_a, &mut res_a);
-        scalar::threshold_scan_residual(&grad, thr, &mut sym_b, &mut res_b);
-        assert_eq!(sym_a, sym_b, "threshold_scan_residual symbols");
-        assert_bits_eq(&res_a, &res_b, "threshold_scan_residual residuals");
-    }
-
-    #[test]
     fn threshold_scan_store_identity(seed in 0u64..5000, len in 0usize..70, thr in 0.001f32..1.0) {
         let corrected = fill(seed, len, true);
         let mut res_a = fill(seed + 1, len, true);
@@ -299,13 +286,31 @@ proptest! {
     }
 
     #[test]
-    fn threshold_scan_plain_identity(seed in 0u64..5000, len in 0usize..70, thr in 0.001f32..1.0) {
+    fn quantize_2bit_is_scan_then_pack(seed in 0u64..5000, len in 0usize..140, thr in 0.001f32..1.0) {
+        // The fused quantizer against the two kernels it replaces, on
+        // both backends: packed bytes and residual bits.
         let grad = fill(seed, len, true);
-        let mut sym_a = vec![9u8; len];
-        let mut sym_b = vec![7u8; len];
-        kernel::threshold_scan_plain(&grad, thr, &mut sym_a);
-        scalar::threshold_scan_plain(&grad, thr, &mut sym_b);
-        assert_eq!(sym_a, sym_b, "threshold_scan_plain");
+        let res = fill(seed + 1, len, true);
+        let (mut res_want, mut syms) = (res.clone(), vec![9u8; len]);
+        scalar::threshold_scan_residual(&grad, thr, &mut syms, &mut res_want);
+        let mut want = vec![0u8; len.div_ceil(4)];
+        scalar::pack_2bit(&syms, &mut want);
+        let (mut res_a, mut a) = (res.clone(), vec![0xAAu8; len.div_ceil(4)]);
+        kernel::quantize_2bit(&grad, thr, Some(&mut res_a), &mut a);
+        let (mut res_b, mut b) = (res.clone(), vec![0x55u8; len.div_ceil(4)]);
+        scalar::quantize_2bit(&grad, thr, Some(&mut res_b), &mut b);
+        assert_eq!(&a, &want, "quantize_2bit packed");
+        assert_eq!(&b, &want, "scalar quantize_2bit packed");
+        assert_bits_eq(&res_a, &res_want, "quantize_2bit residuals");
+        assert_bits_eq(&res_b, &res_want, "scalar quantize_2bit residuals");
+
+        // Without error feedback: the symbols of the gradient itself.
+        scalar::threshold_scan_store(&grad, thr, &mut syms, &mut res_want);
+        scalar::pack_2bit(&syms, &mut want);
+        kernel::quantize_2bit(&grad, thr, None, &mut a);
+        scalar::quantize_2bit(&grad, thr, None, &mut b);
+        assert_eq!(&a, &want, "quantize_2bit packed, no residual");
+        assert_eq!(&b, &want, "scalar quantize_2bit packed, no residual");
     }
 
     #[test]
@@ -340,6 +345,38 @@ proptest! {
         scalar::unpack_1bit_add(&signs, s, &mut b);
         assert_bits_eq(&a, &b, "unpack_1bit_add");
     }
+
+    #[test]
+    fn store_kernels_are_zero_fill_then_add(seed in 0u64..5000, len in 0usize..300, s in 0.001f32..2.0) {
+        // Each store kernel, on both backends, against `fill(0.0)` + its
+        // add twin — over a destination full of NaN/Inf/-0.0 it must
+        // not read.
+        let dirty = fill(seed + 1, len, true);
+        let zeroed_then = |add: &dyn Fn(&mut [f32])| {
+            let mut out = vec![0.0f32; len];
+            add(&mut out);
+            out
+        };
+        let stored = |store: &dyn Fn(&mut [f32])| {
+            let mut out = dirty.clone();
+            store(&mut out);
+            out
+        };
+
+        let x = fill(seed, len, true);
+        let want = zeroed_then(&|o| scalar::add_assign(o, &x));
+        assert_bits_eq(&stored(&|o| kernel::zero_add(o, &x)), &want, "zero_add");
+
+        let packed = fill_bytes(seed, len.div_ceil(4));
+        let want = zeroed_then(&|o| scalar::unpack_2bit_add(&packed, s, o));
+        assert_bits_eq(&stored(&|o| kernel::unpack_2bit_store(&packed, s, o)), &want, "unpack_2bit_store");
+        assert_bits_eq(&stored(&|o| scalar::unpack_2bit_store(&packed, s, o)), &want, "scalar unpack_2bit_store");
+
+        let signs = fill_bytes(seed + 2, len.div_ceil(8));
+        let want = zeroed_then(&|o| scalar::unpack_1bit_add(&signs, s, o));
+        assert_bits_eq(&stored(&|o| kernel::unpack_1bit_store(&signs, s, o)), &want, "unpack_1bit_store");
+        assert_bits_eq(&stored(&|o| scalar::unpack_1bit_store(&signs, s, o)), &want, "scalar unpack_1bit_store");
+    }
 }
 
 /// Pin the exact boundary lengths (empty, 1, ±1 around the 8/32 lane
@@ -368,6 +405,15 @@ fn edge_lengths_elementwise() {
         kernel::pack_2bit(&syms, &mut pa);
         scalar::pack_2bit(&syms, &mut pb);
         assert_eq!(pa, pb, "pack_2bit edge len {len}");
+
+        // The fused quantizer: scan-then-pack bytes and residual bits.
+        let (mut res_a, mut res_b) = (a.clone(), a.clone());
+        let mut scanned = vec![0u8; len];
+        scalar::threshold_scan_residual(&x, 0.5, &mut scanned, &mut res_b);
+        scalar::pack_2bit(&scanned, &mut pb);
+        kernel::quantize_2bit(&x, 0.5, Some(&mut res_a), &mut pa);
+        assert_eq!(pa, pb, "quantize_2bit edge len {len}");
+        assert_bits_eq(&res_a, &res_b, "quantize_2bit residual edge");
     }
 }
 

@@ -3,12 +3,55 @@
 
 use cdsgd_tensor::{col2im, contiguous_strides, im2col, numel, Conv2dGeom, SmallRng64, Tensor};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn small_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, 1..max_len)
 }
 
 proptest! {
+    #[test]
+    fn shared_storage_is_read_in_place_and_copied_on_write(v in small_vec(64), at in 0usize..64, how in 0u8..3) {
+        let (n, at) = (v.len(), at % v.len());
+        let snapshot: Arc<[f32]> = v.clone().into();
+        let mut t = Tensor::zeros(&[n]);
+        t.adopt_shared(Arc::clone(&snapshot));
+        // Adoption is a pointer move; clone and == see the contents.
+        prop_assert!(std::ptr::eq(t.data().as_ptr(), snapshot.as_ptr()));
+        prop_assert_eq!(&t, &Tensor::from_vec(vec![n], v.clone()));
+        prop_assert_eq!(&t.clone(), &t);
+        prop_assert_eq!(&Tensor::from_shared(vec![n], Arc::clone(&snapshot)), &t);
+
+        // Any write lands in a private copy equal to the mutated
+        // contents; the snapshot keeps its bits.
+        let mut want = v.clone();
+        want[at] = -7.5;
+        let got = match how {
+            0 => { t.data_mut()[at] = -7.5; t.data().to_vec() }
+            1 => { *t.at_mut(&[at]) = -7.5; t.data().to_vec() }
+            _ => { let mut out = t.into_vec(); out[at] = -7.5; out }
+        };
+        prop_assert_eq!(got, want);
+        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&snapshot), bits(&v));
+    }
+
+    #[test]
+    fn overwrite_lets_go_of_the_snapshot_without_reading_it(v in small_vec(64)) {
+        let snapshot: Arc<[f32]> = v.iter().map(|x| x + 1000.0).collect();
+        let mut t = Tensor::from_shared(vec![v.len()], Arc::clone(&snapshot));
+        let out = t.data_overwrite();
+        // Nothing of the snapshot was copied in, and nothing still holds it.
+        prop_assert!(out.iter().all(|&x| x == 0.0));
+        out.copy_from_slice(&v);
+        prop_assert_eq!(t.data(), &v[..]);
+        prop_assert_eq!(Arc::strong_count(&snapshot), 1);
+        // On owned storage it is `data_mut`: same buffer, contents kept.
+        let own = t.data().as_ptr();
+        prop_assert!(std::ptr::eq(t.data_overwrite().as_ptr(), own));
+        prop_assert_eq!(t.data(), &v[..]);
+    }
+
     #[test]
     fn add_commutes(v in small_vec(64)) {
         let n = v.len();

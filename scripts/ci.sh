@@ -49,6 +49,21 @@ if grep -n "export_grads\|prepare_push" crates/core/src/worker.rs ||
     exit 1
 fi
 
+# One copy chain less per stage (DESIGN.md §3): the strategies adopt
+# pulled weights by pointer — at every site: adopt, the Local SGD sync and
+# both resume paths — and the 2-bit quantizer emits packed bytes in one
+# pass. Neither the import copy nor the symbol scratch may grow back
+# beside the new path.
+echo "==> core/strategy.rs imports no pulled weights by copy; compress/twobit.rs keeps no symbol scratch"
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/strategy.rs | grep -n "import_params_from"; then
+    echo "ERROR: a strategy copies the pulled snapshot into the model again" >&2
+    exit 1
+fi
+if grep -n "symbols" crates/compress/src/twobit.rs; then
+    echo "ERROR: TwoBitQuantizer names a symbol scratch again" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through
@@ -108,9 +123,9 @@ run_tests env CDSGD_FORCE_SCALAR=1 cargo test -q --workspace
 # key from inside BP like the rest.
 echo "==> cargo test --release -q -p cdsgd-tensor"
 run_tests cargo test --release -q -p cdsgd-tensor
-echo "==> cargo test --release -q --test strategy_equivalence --test kernel_parity --test topology_equivalence --test net_equivalence"
+echo "==> cargo test --release -q --test strategy_equivalence --test kernel_parity --test topology_equivalence --test net_equivalence --test semantics"
 run_tests cargo test --release -q --test strategy_equivalence --test kernel_parity \
-    --test topology_equivalence --test net_equivalence
+    --test topology_equivalence --test net_equivalence --test semantics
 
 # The release build once more with the host's full ISA enabled — the
 # configuration benchmark numbers are quoted from — to catch

@@ -390,3 +390,129 @@ fn each_key_is_pushed_the_moment_bp_produces_it() {
     want.push(Did::PullWaited(rounds));
     assert_eq!(*log.lock().unwrap(), want);
 }
+
+/// What [`Spy`] saw at one training forward: the round, the version the
+/// model should be reading (or have stepped from), whether the weight
+/// tensor *is* the server's snapshot of it, and that snapshot's bits.
+type Sighting = (u64, u64, bool, Vec<u32>);
+
+fn bits(w: &[f32]) -> Vec<u32> {
+    w.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A dense layer (keys 0, 1) that, entering each training forward,
+/// pulls the snapshot behind its weights — the same `Arc` every puller
+/// of that version gets — and records where its own weight tensor lives.
+struct Spy {
+    inner: Dense,
+    client: PsClient,
+    warmup: u64,
+    round: u64,
+    seen: Arc<Mutex<Vec<Sighting>>>,
+}
+
+impl Layer for Spy {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let r = self.round;
+        self.round += 1;
+        if mode == Mode::Train && r > 0 {
+            // A blocking round adopted W_r; a delayed round stepped to
+            // W^loc_r from the base W_{r-1} (eq. 11).
+            let version = if r <= self.warmup { r } else { r - 1 };
+            let snapshot = self.client.pull(0, version).unwrap();
+            let mut weight = std::ptr::null::<f32>();
+            self.inner.visit_params(&mut |p| {
+                if weight.is_null() {
+                    weight = p.value.data().as_ptr();
+                }
+            });
+            let reads = std::ptr::eq(weight, snapshot.as_ptr());
+            let sighting = (r, version, reads, bits(&snapshot));
+            self.seen.lock().unwrap().push(sighting);
+        }
+        self.inner.forward(x, mode)
+    }
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.inner.backward(dy)
+    }
+    fn backward_params(&mut self, dy: &Tensor) {
+        self.inner.backward_params(dy)
+    }
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut cdsgd_nn::Param)) {
+        self.inner.visit_params(f)
+    }
+    fn name(&self) -> &'static str {
+        "spy"
+    }
+}
+
+/// Forwards to the server, keeping every gradient pushed for key 0.
+struct Key0Pushes(PsClient, Arc<Mutex<Vec<Vec<f32>>>>);
+
+impl ParamClient for Key0Pushes {
+    fn push(&self, worker: usize, key: usize, payload: Compressed) -> Result<(), NetError> {
+        if key == 0 {
+            let mut g = vec![0.0; payload.len()];
+            decompress(&payload, &mut g);
+            self.1.lock().unwrap().push(g);
+        }
+        self.0.push(worker, key, payload)
+    }
+    fn pull_async(&self, key: usize, min_version: u64) -> Result<PendingPull, NetError> {
+        self.0.pull_async(key, min_version)
+    }
+    fn pool(&self) -> &BufferPool {
+        self.0.pool()
+    }
+}
+
+#[test]
+fn blocking_rounds_read_the_pulled_snapshot_in_place_and_delayed_rounds_leave_it_alone() {
+    // One worker, one epoch of 12 rounds of CD-SGD: three blocking
+    // warm-up rounds, then Algorithm 1's delayed rounds.
+    let (warmup, rounds) = (3u64, 12u64);
+    let (data, base_cfg) = setup();
+    let cfg = TrainConfig {
+        algo: Algorithm::cd_sgd(0.05, 0.2, 2, warmup as usize),
+        epochs: 1,
+        ..base_cfg
+    };
+    let lr = cfg.global_lr;
+    let init = build_model(cfg.seed).export_params();
+    let ps = ParamServer::start(init.clone(), ServerConfig::new(1, lr));
+    let seen: Arc<Mutex<Vec<Sighting>>> = Default::default();
+    let pushes: Arc<Mutex<Vec<Vec<f32>>>> = Default::default();
+    let build = |rng: &mut SmallRng64| {
+        let spy = Spy {
+            inner: Dense::new(6, 10, rng),
+            client: ps.client(),
+            warmup,
+            round: 0,
+            seen: seen.clone(),
+        };
+        Sequential::new()
+            .push(spy)
+            .push(Relu::new())
+            .push(Dense::new(10, 3, rng))
+    };
+    let link = Link::Ps(Arc::new(Key0Pushes(ps.client(), pushes.clone())));
+    run_standalone_worker(cfg, 0, build, &data, None, link).unwrap();
+    ps.shutdown();
+
+    // Every version of key 0, re-derived from the pushes (eq. 10, N = 1).
+    let mut versions = vec![init[0].clone()];
+    for g in pushes.lock().unwrap().iter() {
+        let w = versions.last().unwrap();
+        versions.push(w.iter().zip(g).map(|(w, g)| w - lr * g).collect());
+    }
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len() as u64, rounds - 1);
+    for (r, version, reads, snapshot) in seen.iter() {
+        // Adoption moved a pointer; the local update (eq. 11) wrote a
+        // tensor of the model's own.
+        assert_eq!(*reads, *r <= warmup, "round {r}");
+        // ...and whoever read the snapshot since — the local update
+        // among them — left W_version exactly as the server built it.
+        assert_eq!(*snapshot, bits(&versions[*version as usize]), "round {r}");
+    }
+}
