@@ -438,7 +438,8 @@ pub struct TrainConfig {
     /// RNG, and the strategy re-bases on the server's weights at round
     /// `start_epoch * iters_per_epoch` before the first batch.
     pub start_epoch: usize,
-    /// Directory for per-worker durable snapshots ([`crate::recover`]).
+    /// Directory for per-worker durable snapshots
+    /// ([`cdsgd_ps::recover`], kind `worker`).
     /// `None` (the default) writes nothing.
     pub worker_ckpt_dir: Option<PathBuf>,
     /// Write a worker checkpoint every this many *epochs* (worker state

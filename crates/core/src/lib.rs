@@ -33,12 +33,10 @@
 //! println!("final test acc {:?}", history.final_test_acc());
 //! ```
 
-pub mod checkpoint;
 pub mod config;
 pub mod convergence;
 pub mod lr;
 pub mod metrics;
-pub mod recover;
 mod strategy;
 pub mod supervise;
 pub mod trainer;
@@ -49,11 +47,9 @@ pub use cdsgd_telemetry as telemetry;
 pub use cdsgd_telemetry::{
     AggregateSink, Console, Event, JsonlSink, MemorySink, NullSink, Sink, Telemetry,
 };
-pub use checkpoint::SaveError;
 pub use config::{Algorithm, Codec, ConfigError, Topology, TrainConfig};
 pub use lr::LrSchedule;
-pub use metrics::{AbortRecord, EpochMetrics, TrainingHistory};
-pub use recover::WorkerCheckpoint;
+pub use metrics::{save_history, AbortRecord, EpochMetrics, TrainingHistory};
 pub use strategy::Link;
 pub use supervise::{PoisonBarrier, RestartBudget, RestartPolicy};
 pub use trainer::{run_standalone_worker, TrainFailure, Trainer};

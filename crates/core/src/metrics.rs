@@ -2,6 +2,7 @@
 //! learning-curve figure.
 
 use serde::Serialize;
+use std::path::Path;
 
 /// Metrics of one epoch, aggregated across workers.
 #[derive(Clone, Debug, Serialize)]
@@ -114,9 +115,33 @@ impl TrainingHistory {
     }
 }
 
+/// Export a run history as pretty JSON (for plotting scripts), written
+/// atomically like every checkpoint
+/// ([`cdsgd_ps::recover::write_atomic`]). The parent directory must
+/// exist.
+pub fn save_history(history: &TrainingHistory, path: impl AsRef<Path>) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(history).map_err(std::io::Error::other)?;
+    cdsgd_ps::recover::write_atomic(path.as_ref(), json.as_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn history_exports_as_json() {
+        let mut h = history();
+        h.algo = "CD-SGD(k=2)".into();
+        let path = std::env::temp_dir().join(format!("cdsgd_history_{}.json", std::process::id()));
+        save_history(&h, &path).unwrap();
+        let v: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(v["algo"], "CD-SGD(k=2)");
+        assert_eq!(v["epochs"][0]["epoch"], 0);
+        std::fs::remove_file(&path).ok();
+        // A missing directory is a typed error, not a panic.
+        assert!(save_history(&h, path.join("absent").join("h.json")).is_err());
+    }
 
     fn history() -> TrainingHistory {
         TrainingHistory {

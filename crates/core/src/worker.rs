@@ -12,7 +12,7 @@ use crate::strategy::{build_strategy, step, Link, StepCtx};
 use crate::supervise::PoisonBarrier;
 use cdsgd_data::{augment, Batch, Dataset};
 use cdsgd_nn::{Layer, Mode, Sequential, SoftmaxCrossEntropy};
-use cdsgd_ps::recover::CheckpointError;
+use cdsgd_ps::recover::{self, Checkpoint, CheckpointError, Kind};
 use cdsgd_ps::NetError;
 use cdsgd_telemetry::Op;
 use cdsgd_tensor::{SmallRng64, Tensor};
@@ -102,17 +102,17 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
             // The strategy state is validated before the model is
             // touched, so a checkpoint from another round, algorithm or
             // model is refused whole, never half-applied.
-            let loaded = crate::recover::load_worker(dir, a.id, a.cfg.num_workers, start_epoch)
-                .and_then(|ckpt| {
-                    if ckpt.round != round {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "taken at round {} but this run resumes at round {round}",
-                            ckpt.round
-                        )));
-                    }
-                    strategy.import_state(&ckpt.strategy)?;
-                    Ok(ckpt.model)
-                });
+            let (n, epoch) = (a.cfg.num_workers, start_epoch as u64);
+            let loaded = recover::load(dir, Kind::Worker, a.id, n, epoch).and_then(|ckpt| {
+                if ckpt.round != round {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "taken at round {} but this run resumes at round {round}",
+                        ckpt.round
+                    )));
+                }
+                strategy.import_state(&ckpt.strategy)?;
+                Ok(ckpt.weights)
+            });
             match loaded {
                 Ok(model) => {
                     a.model.import_params(&model);
@@ -188,13 +188,15 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
         // and continues: losing a checkpoint must not kill training.
         if let Some(dir) = &a.cfg.worker_ckpt_dir {
             if (epoch + 1).is_multiple_of(a.cfg.worker_ckpt_every) {
-                let ckpt = crate::recover::WorkerCheckpoint {
-                    worker: a.id,
-                    num_workers: a.cfg.num_workers,
-                    epoch: epoch + 1,
+                let ckpt = Checkpoint {
+                    kind: Kind::Worker,
+                    index: a.id,
+                    count: a.cfg.num_workers,
                     round,
-                    model: a.model.export_params(),
+                    epoch: epoch + 1,
+                    weights: a.model.export_params(),
                     strategy: strategy.export_state(),
+                    ..Default::default()
                 };
                 if let Err(e) = ckpt.save_atomic(dir) {
                     eprintln!(

@@ -78,7 +78,7 @@ pub use collective::{
 pub use fault::{FaultyClient, WorkerFault};
 pub use net::{NetCluster, PsNetServer, RemoteClient, MAX_ELASTIC_WORKERS};
 pub use opt::{HeavyBall, Nesterov, PlainSgd, ServerOpt, ServerOptKind};
-pub use recover::{CheckpointError, CheckpointPolicy, Durability, RestoredState, ShardCheckpoint};
+pub use recover::{Checkpoint, CheckpointError, CheckpointPolicy, Durability};
 pub use server::{ElasticConfig, ParamServer, ServerConfig};
 pub use sharded::{partition_keys, reassemble_snapshots, ShardedClient};
 pub use stats::TrafficStats;

@@ -56,7 +56,7 @@ use std::collections::{HashMap, VecDeque};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -1471,7 +1471,9 @@ pub struct NetCluster {
     /// Send [`WireMsg::Shutdown`] on shutdown (external `psd` processes).
     remote_shutdown: bool,
     pub(crate) num_keys: usize,
-    control: Vec<RemoteClient>,
+    /// One control link per shard, opened on first use
+    /// ([`NetCluster::control`]).
+    control: OnceLock<Vec<RemoteClient>>,
 }
 
 impl NetCluster {
@@ -1492,7 +1494,7 @@ impl NetCluster {
             .map(|s| ShardConn::Loopback(Arc::clone(s)))
             .collect();
         let net = NetConfig::default();
-        Self::assemble(conns, local, false, num_keys, net, Telemetry::disabled())
+        Ok(Self::assemble(conns, local, false, num_keys, net))
     }
 
     /// Shards in this process, each listening on an ephemeral localhost
@@ -1513,23 +1515,17 @@ impl NetCluster {
             conns.push(ShardConn::Tcp(addr.to_string()));
             local.push(server);
         }
-        Self::assemble(conns, local, false, num_keys, net, Telemetry::disabled())
+        Ok(Self::assemble(conns, local, false, num_keys, net))
     }
 
-    /// Connect to already-running `psd` shard processes, `addrs[i]`
-    /// serving global keys `{k : k % addrs.len() == i}`. Shutdown frames
-    /// are sent to every shard when this cluster shuts down.
+    /// Reach already-running `psd` shard processes, `addrs[i]` serving
+    /// global keys `{k : k % addrs.len() == i}`; every link is dialed when
+    /// first needed. Shutdown frames are sent to every shard when this
+    /// cluster shuts down.
     pub fn connect(addrs: &[String], num_keys: usize, net: NetConfig) -> Result<Self, NetError> {
         assert!(!addrs.is_empty(), "need at least one shard address");
         let conns = addrs.iter().map(|a| ShardConn::Tcp(a.clone())).collect();
-        Self::assemble(
-            conns,
-            Vec::new(),
-            true,
-            num_keys,
-            net,
-            Telemetry::disabled(),
-        )
+        Ok(Self::assemble(conns, Vec::new(), true, num_keys, net))
     }
 
     /// The full form of all three constructors: the same cluster with a
@@ -1537,24 +1533,10 @@ impl NetCluster {
     /// every push/pull/frame event any client of this cluster records is
     /// also forwarded to `telemetry`. Call it on the freshly built
     /// cluster, before any client is handed out: the counters restart
-    /// from zero and the control links are re-opened under them.
-    pub fn traced(self, telemetry: Telemetry) -> Result<Self, NetError> {
-        let Self {
-            dialer,
-            local,
-            remote_shutdown,
-            num_keys,
-            control,
-        } = self;
-        drop(control);
-        Self::assemble(
-            dialer.conns,
-            local,
-            remote_shutdown,
-            num_keys,
-            dialer.net,
-            telemetry,
-        )
+    /// from zero. No constructor dials a link, so none is dialed twice.
+    pub fn traced(mut self, telemetry: Telemetry) -> Result<Self, NetError> {
+        self.dialer.stats = Arc::new(TrafficStats::with_telemetry(telemetry));
+        Ok(self)
     }
 
     fn assemble(
@@ -1563,27 +1545,39 @@ impl NetCluster {
         remote_shutdown: bool,
         num_keys: usize,
         net: NetConfig,
-        telemetry: Telemetry,
-    ) -> Result<Self, NetError> {
+    ) -> Self {
         let dialer = ShardDialer {
             conns,
             net,
-            stats: Arc::new(TrafficStats::with_telemetry(telemetry)),
+            stats: Arc::new(TrafficStats::default()),
             chaos: Arc::new(Mutex::new(None)),
         };
-        let pool = BufferPool::new();
-        let control = dialer
-            .conns
-            .iter()
-            .map(|c| RemoteClient::new(dialer.open(c)?, Arc::clone(&dialer.stats), pool.clone()))
-            .collect::<Result<_, _>>()?;
-        Ok(Self {
+        Self {
             dialer,
             local,
             remote_shutdown,
             num_keys,
-            control,
-        })
+            control: OnceLock::new(),
+        }
+    }
+
+    /// The control links (learning rate, snapshot, shutdown), one per
+    /// shard, dialed by the first call that needs them.
+    fn control(&self) -> Result<&[RemoteClient], NetError> {
+        if let Some(control) = self.control.get() {
+            return Ok(control);
+        }
+        let pool = BufferPool::new();
+        let control = self
+            .dialer
+            .conns
+            .iter()
+            .map(|c| {
+                let t = self.dialer.open(c)?;
+                RemoteClient::new(t, Arc::clone(&self.dialer.stats), pool.clone())
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(self.control.get_or_init(|| control))
     }
 
     /// Number of shards.
@@ -1636,7 +1630,7 @@ impl PsBackend for NetCluster {
     }
 
     fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        for c in &self.control {
+        for c in self.control()? {
             c.set_lr(lr)?;
         }
         Ok(())
@@ -1644,7 +1638,7 @@ impl PsBackend for NetCluster {
 
     fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
         let shards = self
-            .control
+            .control()?
             .iter()
             .map(|c| c.snapshot())
             .collect::<Result<Vec<_>, _>>()?;
@@ -1665,7 +1659,7 @@ impl PsBackend for NetCluster {
 
     fn shutdown(self: Box<Self>) {
         if self.remote_shutdown {
-            for c in &self.control {
+            for c in self.control().unwrap_or_default() {
                 let _ = c.shutdown_server();
             }
         }
@@ -1930,6 +1924,20 @@ mod tests {
         // resolves the first caller with ServerGone instead of hanging.
         drop(quiet_peer);
         assert_eq!(first.join().unwrap(), Err(NetError::ServerGone));
+    }
+
+    #[test]
+    fn traced_cluster_dials_one_control_link_per_shard() {
+        let cluster = NetCluster::start_loopback(init(4), ServerConfig::new(1, 1.0), 2)
+            .and_then(|c| c.traced(Telemetry::disabled()))
+            .unwrap();
+        cluster.set_lr(0.5).unwrap();
+        cluster.snapshot().unwrap();
+        // Every link a shard serves came through `attach`, which counts.
+        for server in &cluster.local {
+            assert_eq!(server.next_io.load(Ordering::Relaxed), 1);
+        }
+        Box::new(cluster).shutdown();
     }
 
     #[test]

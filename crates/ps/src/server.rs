@@ -3,7 +3,7 @@
 
 use crate::client::{PsClient, ReplyTx, Snapshot};
 use crate::opt::{ServerOpt, ServerOptKind};
-use crate::recover::{CheckpointTracker, Durability, ShardCheckpoint};
+use crate::recover::{CheckpointTracker, Durability};
 use crate::spares::Spares;
 use crate::stats::TrafficStats;
 use crate::Key;
@@ -503,7 +503,13 @@ fn server_loop(
     }
     let start_round = restore.as_ref().map_or(0, |r| r.round);
     let restored: Vec<Option<(Vec<f32>, Vec<f32>)>> = match restore {
-        Some(r) => r.weights.into_iter().zip(r.opt_state).map(Some).collect(),
+        Some(r) => {
+            let mut opt_state = r.opt_state.into_iter();
+            r.weights
+                .into_iter()
+                .map(|w| Some((w, opt_state.next().unwrap_or_default())))
+                .collect()
+        }
         None => vec![None; init.len()],
     };
     let mut keys: Vec<KeyState> = init
@@ -767,20 +773,10 @@ fn server_loop(
                         None
                     }
                     Some(p) => {
-                        let snap = ShardCheckpoint {
-                            shard: p.shard,
-                            num_shards: p.num_shards,
-                            round,
-                            weights: keys.iter().map(|k| k.weights.to_vec()).collect(),
-                            opt_state: keys.iter().map(|k| k.opt.export_state()).collect(),
-                        };
-                        match snap.save_atomic(&p.dir) {
-                            Ok(_) => Some(round),
-                            Err(e) => {
-                                eprintln!("checkpoint: on-demand write failed: {e}");
-                                None
-                            }
-                        }
+                        let snap = keys
+                            .iter()
+                            .map(|k| (k.weights.to_vec(), k.opt.export_state()));
+                        p.write(round, snap).then_some(round)
                     }
                 };
                 reply.send(result);
@@ -1567,7 +1563,7 @@ mod tests {
         // remaining 2 rounds: bit-identical to the uninterrupted run.
         let restored = recover::load_latest(&dir, 0, 1).unwrap().unwrap();
         let durability = Durability {
-            restore: Some(restored.into_restored()),
+            restore: Some(restored),
             checkpoint: None,
         };
         let ps =

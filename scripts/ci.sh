@@ -64,6 +64,18 @@ if grep -n "symbols" crates/compress/src/twobit.rs; then
     exit 1
 fi
 
+# One checkpoint container (DESIGN.md §14): `ps::recover` owns the
+# on-disk format, its magic and its one durable writer. Nothing else's
+# program half (above `#[cfg(test)]`) may name a checkpoint magic, fsync
+# a file, or define a second `write_atomic`.
+echo "==> only ps/recover.rs holds a checkpoint format or a durable writer"
+for f in $(git ls-files '*.rs' | grep -v '^crates/ps/src/recover\.rs$'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'b"CD\|sync_all\|fn write_atomic'; then
+        echo "ERROR: a checkpoint format or durable writer outside ps/recover.rs" >&2
+        exit 1
+    fi
+done
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through

@@ -10,7 +10,7 @@
 //!                [--lr 0.1] [--momentum 0 [--nesterov]] \
 //!                [--batch 32] [--samples 4000] [--seed 42] \
 //!                [--max-restarts 0] [--restart-backoff-ms 250] \
-//!                [--save ckpt.json] [--history hist.json] [--trace trace.jsonl]
+//!                [--save final.ckpt] [--history hist.json] [--trace trace.jsonl]
 //! cdsgd simulate --model resnet50 --gpu v100 --batch 32 [--k 5] [--gbps 56]
 //! cdsgd codecs   [--n 1000000]
 //! cdsgd orchestrate [--epochs 6] [--depart-epoch 3] [--join-delay-ms 300] \
@@ -40,8 +40,7 @@
 //! §13): a worker whose shard connection drops mid-run redials,
 //! re-registers, and replays instead of exiting nonzero.
 
-use cd_sgd::checkpoint::{save_history, Checkpoint};
-use cd_sgd::{RestartPolicy, Topology, TrainConfig, Trainer};
+use cd_sgd::{save_history, RestartPolicy, Topology, TrainConfig, Trainer};
 use cd_sgd_repro::deploy::{
     arg, arg_or, parse_algorithm, parse_server_opt, parse_topology, trace_telemetry, AlgoDefaults,
 };
@@ -49,7 +48,9 @@ use cd_sgd_repro::simtime::pipeline::{AlgoKind, PipelineSim};
 use cd_sgd_repro::simtime::{zoo, ClusterSpec, ModelSpec};
 use cdsgd_data::{synth, toy, Dataset};
 use cdsgd_nn::{models, Sequential};
+use cdsgd_ps::recover::{write_atomic, Checkpoint, Kind};
 use cdsgd_tensor::SmallRng64;
+use std::path::Path;
 
 /// A seeded model constructor, one per dataset choice.
 type ModelBuilder = Box<dyn Fn(&mut SmallRng64) -> Sequential + Send + Sync>;
@@ -399,7 +400,9 @@ fn cmd_train() {
         train.len(),
         test.len()
     );
-    let history = Trainer::new(cfg, move |rng| builder(rng), train, Some(test)).run();
+    let trainer = Trainer::new(cfg, move |rng| builder(rng), train, Some(test));
+    let iters_per_epoch = trainer.iters_per_epoch();
+    let history = trainer.run();
     print!("{}", history.to_tsv());
     println!(
         "final test acc: {}",
@@ -409,9 +412,15 @@ fn cmd_train() {
     );
 
     if let Some(path) = arg("save") {
-        Checkpoint::new(history.algo.clone(), history.final_weights.clone())
-            .save(&path)
-            .expect("write checkpoint");
+        let ckpt = Checkpoint {
+            kind: Kind::Final,
+            count: 1,
+            round: (history.epochs.len() * iters_per_epoch) as u64,
+            algo: history.algo.clone(),
+            weights: history.final_weights.clone(),
+            ..Default::default()
+        };
+        write_atomic(Path::new(&path), &ckpt.encode()).expect("write checkpoint");
         println!("checkpoint written to {path}");
     }
     if let Some(path) = arg("history") {

@@ -130,7 +130,7 @@ fn main() {
                         "psd shard {shard}: resuming from checkpoint at round {}",
                         ckpt.round
                     ));
-                    durability.restore = Some(ckpt.into_restored());
+                    durability.restore = Some(ckpt);
                 }
                 Ok(None) => console.status(format_args!(
                     "psd shard {shard}: no complete checkpoint set in {}; starting fresh",

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use cd_sgd::{Algorithm, TrainConfig, Trainer};
 use cd_sgd_repro::deploy;
 use cdsgd_net::NetConfig;
-use cdsgd_ps::recover::{latest_complete_round, ShardCheckpoint};
+use cdsgd_ps::recover::{latest_complete_round, Checkpoint, Kind};
 use cdsgd_ps::{NetCluster, PsBackend};
 
 const SEED: u64 = 5;
@@ -229,12 +229,14 @@ fn torn_checkpoint_sets_are_never_resumed() {
     // shard's file exists. A torn set (one shard crashed before its
     // write) must be skipped in favour of the older complete one.
     let dir = fresh_dir("torn");
-    let ck = |shard: usize, round: u64| ShardCheckpoint {
-        shard,
-        num_shards: 2,
+    let ck = |shard: usize, round: u64| Checkpoint {
+        kind: Kind::Shard,
+        index: shard,
+        count: 2,
         round,
         weights: vec![vec![round as f32]],
         opt_state: vec![vec![]],
+        ..Default::default()
     };
     ck(0, 4).save_atomic(&dir).unwrap();
     ck(1, 4).save_atomic(&dir).unwrap();
@@ -267,5 +269,36 @@ fn resume_with_empty_directory_starts_fresh() {
     let status = reap.0[0].wait().expect("wait psd");
     assert!(status.success(), "psd exited with {status}");
     reap.0.clear();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_save_reads_back_through_the_checkpoint_loader() {
+    // `cdsgd train --save` writes the final weights as a `final`
+    // checkpoint: the same container the shards and workers write, read
+    // back through the same decoder, bit-equal to the in-process run.
+    let (expected, ipe) = reference_run(Algorithm::SSgd, 2);
+    let dir = fresh_dir("save");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("final.ckpt");
+    let status = Command::new(env!("CARGO_BIN_EXE_cdsgd"))
+        .args(["train", "--algo", "ssgd", "--dataset", "blobs"])
+        .args(["--workers", &WORKERS.to_string(), "--epochs", "2"])
+        .args(["--samples", "480", "--batch", "16", "--lr", "0.2"])
+        .args(["--seed", &SEED.to_string()])
+        .arg("--save")
+        .arg(&path)
+        .stdout(Stdio::null())
+        .status()
+        .expect("run cdsgd train");
+    assert!(status.success(), "cdsgd train exited with {status}");
+    let ckpt = Checkpoint::read(&path).expect("read the saved checkpoint");
+    assert_eq!(ckpt.kind, Kind::Final);
+    assert_eq!(ckpt.algo, "S-SGD");
+    assert_eq!(ckpt.round, (2 * ipe) as u64);
+    assert_eq!(
+        ckpt.weights, expected,
+        "saved weights differ from the run's"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
