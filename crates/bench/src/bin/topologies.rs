@@ -57,15 +57,11 @@ fn train(
     let t0 = Instant::now();
     let history = match &topology {
         Topology::Ps => trainer.run(),
-        Topology::Ring => trainer
-            .run_with(|_, _| Ok(Box::new(AllReduceBackend::ring(workers, WireMode::Tcp)?) as _))
-            .expect("ring run"),
-        Topology::Tree => trainer
-            .run_with(|_, _| Ok(Box::new(AllReduceBackend::tree(workers, WireMode::Tcp)?) as _))
-            .expect("tree run"),
-        Topology::Decentralized { .. } => trainer
-            .run_with(|_, _| Ok(Box::new(AllReduceBackend::ring(workers, WireMode::Tcp)?) as _))
-            .expect("decentralized run"),
+        t => trainer
+            .run_with(|_, _| {
+                Ok(Box::new(AllReduceBackend::new(t.shape(), workers, WireMode::Tcp)?) as _)
+            })
+            .unwrap_or_else(|e| panic!("{} run: {e}", t.name())),
     };
     (history, t0.elapsed().as_secs_f64())
 }

@@ -5,7 +5,7 @@ use cdsgd_compress::{
     AdaptiveTwoBit, GradientCompressor, OneBitQuantizer, QsgdQuantizer, TopKSparsifier,
     TwoBitQuantizer,
 };
-use cdsgd_ps::{ServerOptKind, WorkerFault};
+use cdsgd_ps::{ServerOptKind, Shape, WorkerFault};
 use cdsgd_telemetry::Telemetry;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -363,6 +363,16 @@ impl Topology {
             Topology::Ring => "ring".into(),
             Topology::Tree => "tree".into(),
             Topology::Decentralized { codec } => format!("decentralized/{}", codec.name()),
+        }
+    }
+
+    /// The collective shape a server-less run on this topology wires:
+    /// the tree for [`Topology::Tree`], the ring otherwise (gossip rides
+    /// the ring's neighbor links).
+    pub fn shape(&self) -> Shape {
+        match self {
+            Topology::Tree => Shape::Tree,
+            _ => Shape::Ring,
         }
     }
 }

@@ -1024,7 +1024,7 @@ fn current_lr(cfg: &TrainConfig, round: u64, iters_per_epoch: usize) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdsgd_ps::{ParamServer, ServerConfig};
+    use cdsgd_ps::{AllReduceBackend, ParamServer, PsBackend, ServerConfig, WireMode};
 
     #[test]
     fn cd_compression_schedule_matches_algorithm1() {
@@ -1052,8 +1052,9 @@ mod tests {
 
     /// A one-member loopback ring as a worker link.
     fn solo_ring() -> Link {
-        let (mut members, _stats) = cdsgd_ps::WireRing::loopback(1);
-        Link::Collective(Box::new(members.remove(0)))
+        let backend = AllReduceBackend::ring(1, WireMode::Loopback).unwrap();
+        let mut group = backend.take_collectives(1).unwrap();
+        Link::Collective(group.members.remove(0))
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The trainer: spawns the parameter server and N worker threads, runs
 //! the full training, and aggregates metrics.
 
-use crate::config::{Topology, TrainConfig};
+use crate::config::TrainConfig;
 use crate::metrics::{AbortRecord, EpochMetrics, TrainingHistory};
 use crate::strategy::Link;
 use crate::supervise::{PoisonBarrier, RestartBudget};
@@ -113,14 +113,11 @@ impl Trainer {
         .expect("in-process backend cannot fail to connect")
     }
 
-    /// The in-process collective group of a server-less run: a loopback
-    /// tree when the topology asks for one, a loopback ring otherwise.
+    /// The in-process collective group of a server-less run: the
+    /// topology's shape over loopback.
     fn loopback_collectives(&self) -> Result<AllReduceBackend, NetError> {
-        let n = self.cfg.num_workers;
-        match self.cfg.topology {
-            Topology::Tree => AllReduceBackend::tree(n, WireMode::Loopback),
-            _ => AllReduceBackend::ring(n, WireMode::Loopback),
-        }
+        let shape = self.cfg.topology.shape();
+        AllReduceBackend::new(shape, self.cfg.num_workers, WireMode::Loopback)
     }
 
     /// Run to completion against a parameter-server deployment produced
@@ -727,10 +724,9 @@ fn abort(
 /// binary), synchronizing through `link`: a parameter-server client —
 /// typically [`cdsgd_ps::AttachedWorker::client`] from
 /// [`cdsgd_ps::NetCluster::attach`] — or, for a *server-less* deployment
-/// (`worker --topology ring|tree|decentralized`), a collective handle
-/// such as a [`cdsgd_ps::WireRing`] or [`cdsgd_ps::WireTree`] connected
-/// to the peer workers over TCP. A link of the wrong kind for the
-/// algorithm is refused with an error.
+/// (`worker --topology ring|tree|decentralized`), the collective handle
+/// [`cdsgd_ps::Shape::join`] wires to the peer workers over TCP. A link
+/// of the wrong kind for the algorithm is refused with an error.
 ///
 /// Data sharding, iteration counts, model init, and the update sequence
 /// are identical to the in-process [`Trainer::run`], so a multi-process

@@ -1,13 +1,20 @@
-//! Topology-agnostic collectives: one [`Collective`] trait with two
-//! implementations over [`Transport`] links — the bandwidth-optimal ring
-//! all-reduce ([`WireRing`]: `N−1` scatter-reduce steps, then `N−1`
-//! all-gather steps, every member sending `2·(N−1)/N` of the vector)
-//! and an order-pinned tree reduce-broadcast ([`WireTree`]) — plus the
+//! Topology-agnostic collectives: one two-verb [`Collective`] trait with
+//! two step algorithms over [`Transport`] links — the bandwidth-optimal
+//! ring all-reduce ([`WireRing`]: `N−1` scatter-reduce steps, then `N−1`
+//! all-gather steps, every member sending `2·(N−1)/N` of the vector) and
+//! an order-pinned tree reduce-broadcast ([`WireTree`]) — plus the
 //! [`PsBackend`] adapter ([`AllReduceBackend`]) that lets
-//! `Trainer::run_with` drive server-less topologies with the
-//! same update strategies it uses against a parameter server. The
-//! substrate is the transport, not the algorithm: loopback queues inside
-//! one process, localhost TCP, or TCP between processes.
+//! `Trainer::run_with` drive server-less topologies with the same update
+//! strategies it uses against a parameter server.
+//!
+//! A topology is a [`Shape`]: the rank each member dials (ring: its
+//! successor; tree: its parent), from which the accepting side follows.
+//! One link builder per substrate wires either shape — loopback queues
+//! inside one process, localhost TCP inside one process
+//! ([`AllReduceBackend::new`]), or one rank of a multi-process group
+//! joining a shared peer list ([`Shape::join`]) — and the two TCP
+//! substrates share one dial (connect + rank hello) and one labelled
+//! accept.
 //!
 //! # Reduction-order contract
 //!
@@ -57,6 +64,7 @@ use cdsgd_net::{
     COLLECTIVE_TREE_DOWN, COLLECTIVE_TREE_UP, FRAME_PREFIX_BYTES,
 };
 use cdsgd_tensor::kernel;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -95,43 +103,15 @@ pub fn ring_ordered_sum(inputs: &[Vec<f32>]) -> Vec<f32> {
 /// One member's handle on a synchronization group. All members must call
 /// the same operation concurrently (from their own threads/processes);
 /// calls block until the collective completes.
-///
-/// Operations and their contracts:
-/// * [`Collective::reduce_scatter`] — after the call, the member's owned
-///   chunk (`(rank + 1) % world`, boundaries from [`chunk_range`]) holds
-///   the ring-ordered sum of all members' data. Implementations may
-///   reduce *more* than the owned chunk (the tree reduces everything).
-/// * [`Collective::all_gather`] — each member contributes its owned
-///   chunk; afterwards every member holds the full vector, bit-identical.
-/// * [`Collective::allreduce_mean`] — elementwise mean, bit-identical
-///   across ranks and implementations (the reduction-order contract).
-/// * [`Collective::neighbor_exchange`] — ring-topology gossip: send an
-///   opaque byte payload to both ring neighbors, receive theirs.
 pub trait Collective: Send {
-    /// This member's rank in `[0, world)`.
-    fn rank(&self) -> usize;
+    /// In-place elementwise mean all-reduce, bit-identical across ranks
+    /// and shapes (the reduction-order contract).
+    fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), NetError>;
 
-    /// Group size.
-    fn world(&self) -> usize;
-
-    /// Scatter-reduce: the member's owned chunk ends fully reduced.
-    fn reduce_scatter(&mut self, data: &mut [f32]) -> Result<(), NetError>;
-
-    /// All-gather of the owned chunks: every member ends with the full
-    /// vector.
-    fn all_gather(&mut self, data: &mut [f32]) -> Result<(), NetError>;
-
-    /// In-place mean all-reduce; bit-identical across ranks/backends.
-    fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        self.reduce_scatter(data)?;
-        self.all_gather(data)?;
-        kernel::scale(data, 1.0 / self.world() as f32);
-        Ok(())
-    }
-
-    /// Exchange `send` with both ring neighbors; `from_prev`/`from_next`
-    /// are overwritten with the payloads of ranks `rank ∓ 1`. Only ring
-    /// topologies support this; others return an error.
+    /// Ring gossip: send an opaque byte payload to both ring neighbors;
+    /// `from_prev`/`from_next` are overwritten with the payloads of ranks
+    /// `rank ∓ 1`. Only the ring supports this; the tree returns an
+    /// error.
     fn neighbor_exchange(
         &mut self,
         send: &[u8],
@@ -218,8 +198,7 @@ fn duplex_step(
                 flushed[i] = l.link.poll_flush()?;
                 done &= flushed[i];
             }
-            if !got[i] {
-                let out = l.recv.as_deref_mut().expect("recv buffer present");
+            if let Some(out) = l.recv.as_deref_mut().filter(|_| !got[i]) {
                 got[i] = l.link.poll_recv_frame(out)?;
                 if got[i] {
                     stats.record_received(l.link.conn_id(), FRAME_PREFIX_BYTES + out.len());
@@ -237,8 +216,8 @@ fn duplex_step(
     }
 }
 
-/// First frame on every collective link: announce the sender's rank so
-/// accepters can label inbound connections regardless of accept order.
+/// First frame on every TCP collective link: announce the sender's rank
+/// so accepters can label inbound connections regardless of accept order.
 fn send_hello(link: &mut dyn Transport, rank: usize, stats: &TrafficStats) -> Result<(), NetError> {
     let mut buf = Vec::with_capacity(16);
     encode_collective_bytes_into(COLLECTIVE_HELLO, rank as u32, &[], &mut buf);
@@ -258,34 +237,6 @@ fn recv_hello(link: &mut dyn Transport, stats: &TrafficStats) -> Result<usize, N
     Ok(frame.index as usize)
 }
 
-/// Accept one inbound link per rank in `expected` and label each by the
-/// rank its hello announces; the links come back ordered by that rank.
-/// `topology` and `rank` name the accepting member, and `want` the
-/// peers it listens for, in the wiring error.
-fn accept_labelled(
-    acceptor: &TcpAcceptor,
-    topology: &str,
-    rank: usize,
-    expected: &[usize],
-    want: impl std::fmt::Display,
-    stats: &TrafficStats,
-) -> Result<Vec<Box<dyn Transport>>, NetError> {
-    let mut links: Vec<(usize, Box<dyn Transport>)> = Vec::with_capacity(expected.len());
-    for _ in expected {
-        let mut link = acceptor.accept(STEP_TIMEOUT)?;
-        let hello = recv_hello(&mut link, stats)?;
-        if !expected.contains(&hello) {
-            return Err(NetError::Decode(format!(
-                "{topology} wiring error: rank {rank} accepted a link from rank {hello}, \
-                 want {want}"
-            )));
-        }
-        links.push((hello, Box::new(link)));
-    }
-    links.sort_by_key(|(r, _)| *r);
-    Ok(links.into_iter().map(|(_, t)| t).collect())
-}
-
 /// Decode a received chunk frame, validating phase and chunk index.
 fn expect_chunk<'a>(
     buf: &'a [u8],
@@ -301,6 +252,220 @@ fn expect_chunk<'a>(
         )));
     }
     Ok(frame)
+}
+
+// ---------------------------------------------------------------------------
+// shapes and the link builders
+// ---------------------------------------------------------------------------
+
+/// A collective topology, stated as the one link each member dials: a
+/// ring member dials its successor, a tree member its parent
+/// (`(rank − 1) / 2`; the root dials nobody). Who accepts whom follows,
+/// so one builder per substrate wires either shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// The ring all-reduce ([`WireRing`]), which also carries
+    /// decentralized neighbor gossip.
+    Ring,
+    /// The binary-tree reduce-broadcast ([`WireTree`]); all-reduce only.
+    Tree,
+}
+
+/// One member's wired links: the one it dialed, if any, and the ones it
+/// accepted, ordered by the dialing rank.
+#[derive(Default)]
+struct Links {
+    dialed: Option<Box<dyn Transport>>,
+    accepted: Vec<Box<dyn Transport>>,
+}
+
+impl Shape {
+    /// The rank `rank` dials in an `n`-member group (a one-member ring
+    /// dials itself).
+    fn dials(self, rank: usize, n: usize) -> Option<usize> {
+        match self {
+            Shape::Ring => Some((rank + 1) % n),
+            Shape::Tree => rank.checked_sub(1).map(|r| r / 2),
+        }
+    }
+
+    /// The ranks that dial `rank`, ascending.
+    fn dialed_by(self, rank: usize, n: usize) -> Vec<usize> {
+        (0..n).filter(|&r| self.dials(r, n) == Some(rank)).collect()
+    }
+
+    /// Join an `n`-member group of this shape as `rank`, where
+    /// `n = peers.len()` and the other ranks are other processes doing
+    /// the same: bind `peers[rank]` if any rank dials it (a tree leaf
+    /// binds nothing), dial the rank this one dials, accept the ranks
+    /// that dial it. Every process must list the same `peers` in the same
+    /// order.
+    pub fn join(
+        self,
+        rank: usize,
+        peers: &[String],
+        cfg: &NetConfig,
+        stats: Arc<TrafficStats>,
+    ) -> Result<Box<dyn Collective>, NetError> {
+        let n = peers.len();
+        assert!(rank < n, "rank {rank} outside peer list of {n}");
+        let listener = self.listen(rank, n, peers[rank].as_str(), cfg)?;
+        let dialed = self
+            .dials(rank, n)
+            .map(|to| dial(peers[to].as_str(), rank, cfg, &stats))
+            .transpose()?;
+        let accepted = self.accept_labelled(rank, n, listener.as_ref(), &stats)?;
+        self.member(rank, n, Links { dialed, accepted }, true, stats)
+    }
+
+    /// Bind `addr` for `rank`'s inbound links, if any rank dials it.
+    fn listen(
+        self,
+        rank: usize,
+        n: usize,
+        addr: impl ToSocketAddrs,
+        cfg: &NetConfig,
+    ) -> Result<Option<(TcpAcceptor, SocketAddr)>, NetError> {
+        if self.dialed_by(rank, n).is_empty() {
+            return Ok(None);
+        }
+        TcpAcceptor::bind(addr, cfg.clone()).map(Some)
+    }
+
+    /// Accept one link from every rank that dials `rank` and label each
+    /// by the rank its hello announces, so accept order does not matter;
+    /// the links come back ordered by that rank. A hello from a rank that
+    /// does not dial `rank`, or a second one from a rank already taken,
+    /// is a wiring error naming it.
+    fn accept_labelled(
+        self,
+        rank: usize,
+        n: usize,
+        listener: Option<&(TcpAcceptor, SocketAddr)>,
+        stats: &TrafficStats,
+    ) -> Result<Vec<Box<dyn Transport>>, NetError> {
+        let Some((acceptor, _)) = listener else {
+            return Ok(Vec::new());
+        };
+        let expected = self.dialed_by(rank, n);
+        let mut links: Vec<(usize, Box<dyn Transport>)> = Vec::with_capacity(expected.len());
+        for _ in &expected {
+            let mut link = acceptor.accept(STEP_TIMEOUT)?;
+            let hello = recv_hello(&mut link, stats)?;
+            let wiring_error = |what: &str| {
+                NetError::Decode(format!(
+                    "{self:?} wiring error: rank {rank} accepted {what} from rank {hello}, \
+                     want one each from {expected:?}"
+                ))
+            };
+            if !expected.contains(&hello) {
+                return Err(wiring_error("a link"));
+            }
+            if links.iter().any(|(r, _)| *r == hello) {
+                return Err(wiring_error("a second link"));
+            }
+            links.push((hello, Box::new(link)));
+        }
+        links.sort_by_key(|(r, _)| *r);
+        Ok(links.into_iter().map(|(_, t)| t).collect())
+    }
+
+    /// Wrap one member's wired links in this shape's step algorithm. A
+    /// ring over sockets runs in the polled mode [`duplex_step`] pumps;
+    /// every other link blocks, with [`STEP_TIMEOUT`] as its receive
+    /// deadline.
+    fn member(
+        self,
+        rank: usize,
+        n: usize,
+        links: Links,
+        sockets: bool,
+        stats: Arc<TrafficStats>,
+    ) -> Result<Box<dyn Collective>, NetError> {
+        let nonblocking = sockets && self == Shape::Ring;
+        let Links {
+            mut dialed,
+            mut accepted,
+        } = links;
+        for link in dialed.iter_mut().chain(&mut accepted) {
+            if nonblocking {
+                link.set_nonblocking(true)?;
+            } else {
+                link.set_recv_timeout(Some(STEP_TIMEOUT))?;
+            }
+        }
+        match self {
+            Shape::Ring => match (dialed, accepted.pop()) {
+                (Some(next), Some(prev)) => Ok(Box::new(WireRing::new(
+                    rank,
+                    n,
+                    next,
+                    prev,
+                    nonblocking,
+                    stats,
+                ))),
+                _ => Err(NetError::Decode(format!(
+                    "Ring wiring error: rank {rank} lacks a neighbor link"
+                ))),
+            },
+            Shape::Tree => Ok(Box::new(WireTree::new(rank, n, dialed, accepted, stats))),
+        }
+    }
+}
+
+/// Dial `addr` and announce `rank` on the new link.
+fn dial(
+    addr: impl ToSocketAddrs + std::fmt::Display,
+    rank: usize,
+    cfg: &NetConfig,
+    stats: &TrafficStats,
+) -> Result<Box<dyn Transport>, NetError> {
+    let mut link = TcpTransport::connect(addr, cfg)?;
+    send_hello(&mut link, rank, stats)?;
+    Ok(Box::new(link))
+}
+
+/// Every member's links of an `n`-member `shape` over in-process
+/// loopback queues: one pair per dial, no hellos.
+fn loopback_links(shape: Shape, n: usize) -> Vec<Links> {
+    let mut links: Vec<Links> = (0..n).map(|_| Links::default()).collect();
+    for rank in 0..n {
+        if let Some(to) = shape.dials(rank, n) {
+            let (dialer, accepter) = loopback_pair();
+            links[rank].dialed = Some(Box::new(dialer));
+            links[to].accepted.push(Box::new(accepter));
+        }
+    }
+    links
+}
+
+/// Every member's links of an `n`-member `shape` over localhost TCP, all
+/// endpoints in this process.
+fn tcp_links(shape: Shape, n: usize, stats: &TrafficStats) -> Result<Vec<Links>, NetError> {
+    let cfg = NetConfig::default();
+    let listeners = (0..n)
+        .map(|rank| shape.listen(rank, n, "127.0.0.1:0", &cfg))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Dial every link first: TCP connects complete against the listener
+    // backlog, so no accept has to run concurrently, and the tiny hello
+    // frames fit in socket buffers unread.
+    let mut dialed = Vec::with_capacity(n);
+    for rank in 0..n {
+        let to = shape.dials(rank, n).and_then(|to| listeners[to].as_ref());
+        dialed.push(
+            to.map(|(_, addr)| dial(*addr, rank, &cfg, stats))
+                .transpose()?,
+        );
+    }
+    dialed
+        .into_iter()
+        .zip(&listeners)
+        .enumerate()
+        .map(|(rank, (dialed, listener))| {
+            let accepted = shape.accept_labelled(rank, n, listener.as_ref(), stats)?;
+            Ok(Links { dialed, accepted })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -331,25 +496,15 @@ pub struct WireRing {
 }
 
 impl WireRing {
-    /// Wrap the two neighbor links. Sockets (`nonblocking`) are switched
-    /// to the polled mode [`duplex_step`] pumps; queue-backed links stay
-    /// blocking with [`STEP_TIMEOUT`] as their receive deadline.
     fn new(
         rank: usize,
         n: usize,
-        mut next: Box<dyn Transport>,
-        mut prev: Box<dyn Transport>,
+        next: Box<dyn Transport>,
+        prev: Box<dyn Transport>,
         nonblocking: bool,
         stats: Arc<TrafficStats>,
-    ) -> Result<Self, NetError> {
-        for link in [&mut next, &mut prev] {
-            if nonblocking {
-                link.set_nonblocking(true)?;
-            } else {
-                link.set_recv_timeout(Some(STEP_TIMEOUT))?;
-            }
-        }
-        Ok(Self {
+    ) -> Self {
+        Self {
             rank,
             n,
             next,
@@ -360,198 +515,73 @@ impl WireRing {
             frame2: Vec::new(),
             rbuf: Vec::new(),
             rbuf2: Vec::new(),
-        })
+        }
     }
 
-    /// Build an `n`-member ring over in-process loopback transports.
-    pub fn loopback(n: usize) -> (Vec<WireRing>, Arc<TrafficStats>) {
-        assert!(n > 0, "a ring needs at least one member");
-        let stats = Arc::new(TrafficStats::new());
-        // Pair i connects rank i (side a, its `next`) to rank (i+1) % n
-        // (side b, its `prev`).
-        let mut sides: Vec<(Option<_>, Option<_>)> = (0..n)
-            .map(|_| {
-                let (a, b) = loopback_pair();
-                (Some(a), Some(b))
-            })
-            .collect();
-        let members = (0..n)
-            .map(|rank| {
-                let next = sides[rank].0.take().expect("side used once");
-                let prev = sides[(rank + n - 1) % n].1.take().expect("side used once");
-                let stats = Arc::clone(&stats);
-                WireRing::new(rank, n, Box::new(next), Box::new(prev), false, stats)
-                    .expect("loopback links accept a receive deadline")
-            })
-            .collect();
-        (members, stats)
-    }
-
-    /// Build an `n`-member ring over localhost TCP, all endpoints in this
-    /// process (the trainer's threaded deployment). Each member dials its
-    /// successor and accepts its predecessor, with a rank handshake on
-    /// every link.
-    pub fn tcp(n: usize) -> Result<(Vec<WireRing>, Arc<TrafficStats>), NetError> {
-        assert!(n > 0, "a ring needs at least one member");
-        let stats = Arc::new(TrafficStats::new());
-        let cfg = NetConfig::default();
-        let mut acceptors = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (acc, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone())?;
-            acceptors.push(acc);
-            addrs.push(addr);
+    /// One phase of `n − 1` steps, each sending a chunk to the successor
+    /// and taking one from the predecessor. The scatter starts from the
+    /// member's own chunk and folds what it takes into `data`, leaving
+    /// chunk `(rank + 1) % n` fully reduced; the gather starts from that
+    /// chunk and copies what it takes verbatim.
+    fn phase(&mut self, phase: u8, data: &mut [f32]) -> Result<(), NetError> {
+        let (len, n) = (data.len(), self.n);
+        let start = if phase == COLLECTIVE_SCATTER {
+            self.rank
+        } else {
+            self.rank + 1
+        };
+        for s in 0..n - 1 {
+            let send_idx = (start + n - s) % n;
+            let recv_idx = (start + n - s - 1) % n;
+            let src = &data[chunk_range(len, n, send_idx)];
+            // Header into `frame`; the chunk goes out from `data` itself.
+            self.frame.clear();
+            let tail = encode_collective_parts(phase, send_idx as u32, src, &mut self.frame);
+            self.stats.record_push(4 * src.len());
+            duplex_step(
+                &self.stats,
+                self.nonblocking,
+                &mut [
+                    LinkIo {
+                        link: self.next.as_mut(),
+                        send: Some((&self.frame, tail)),
+                        recv: None,
+                    },
+                    LinkIo {
+                        link: self.prev.as_mut(),
+                        send: None,
+                        recv: Some(&mut self.rbuf),
+                    },
+                ],
+            )?;
+            let frame = expect_chunk(&self.rbuf, phase, recv_idx)?;
+            let dst = &mut data[chunk_range(len, n, recv_idx)];
+            if phase == COLLECTIVE_SCATTER {
+                // One add per element in index order: the bits of decoding
+                // the chunk and `kernel::add_assign`-ing it, without the
+                // copy.
+                frame.add_f32_into(dst)?;
+            } else {
+                // Gather copies bytes verbatim: decode straight into place.
+                frame.read_f32_into(dst)?;
+            }
         }
-        // Dial every successor first: TCP connects complete against the
-        // listener backlog, so no accept has to run concurrently, and the
-        // tiny hello frames fit in socket buffers unread.
-        let mut nexts = Vec::with_capacity(n);
-        for rank in 0..n {
-            let mut t = TcpTransport::connect(addrs[(rank + 1) % n], &cfg)?;
-            send_hello(&mut t, rank, &stats)?;
-            nexts.push(t);
-        }
-        let mut members = Vec::with_capacity(n);
-        for (rank, next) in nexts.into_iter().enumerate() {
-            let prev = Self::accept_prev(&acceptors[rank], rank, n, &stats)?;
-            let stats = Arc::clone(&stats);
-            members.push(WireRing::new(rank, n, Box::new(next), prev, true, stats)?);
-        }
-        Ok((members, stats))
-    }
-
-    /// Accept the predecessor's link on `acceptor`.
-    fn accept_prev(
-        acceptor: &TcpAcceptor,
-        rank: usize,
-        n: usize,
-        stats: &TrafficStats,
-    ) -> Result<Box<dyn Transport>, NetError> {
-        let want = (rank + n - 1) % n;
-        let mut links = accept_labelled(acceptor, "ring", rank, &[want], want, stats)?;
-        Ok(links.pop().expect("one link per expected rank"))
-    }
-
-    /// Join a multi-process ring as `rank`: bind `peers[rank]`, dial the
-    /// successor `peers[(rank + 1) % n]`, accept the predecessor, and
-    /// handshake ranks. Every process must list the same `peers` in the
-    /// same order.
-    pub fn connect(
-        rank: usize,
-        peers: &[String],
-        cfg: &NetConfig,
-        stats: Arc<TrafficStats>,
-    ) -> Result<WireRing, NetError> {
-        let n = peers.len();
-        assert!(rank < n, "rank {rank} outside peer list of {n}");
-        if n == 1 {
-            // Degenerate single-member ring: all collectives early-return.
-            let (a, b) = loopback_pair();
-            return WireRing::new(rank, n, Box::new(a), Box::new(b), false, stats);
-        }
-        let (acceptor, _) = TcpAcceptor::bind(peers[rank].as_str(), cfg.clone())?;
-        let mut next = TcpTransport::connect(peers[(rank + 1) % n].as_str(), cfg)?;
-        send_hello(&mut next, rank, &stats)?;
-        let prev = Self::accept_prev(&acceptor, rank, n, &stats)?;
-        WireRing::new(rank, n, Box::new(next), prev, true, stats)
+        Ok(())
     }
 }
 
 impl Collective for WireRing {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world(&self) -> usize {
-        self.n
-    }
-
-    fn reduce_scatter(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let (len, n) = (data.len(), self.n);
-        for s in 0..n - 1 {
-            let send_idx = (self.rank + n - s) % n;
-            let recv_idx = (self.rank + n - s - 1) % n;
-            let src = &data[chunk_range(len, n, send_idx)];
-            // Header into `frame`; the chunk goes out from `data` itself.
-            self.frame.clear();
-            let tail =
-                encode_collective_parts(COLLECTIVE_SCATTER, send_idx as u32, src, &mut self.frame);
-            self.stats.record_push(4 * src.len());
-            duplex_step(
-                &self.stats,
-                self.nonblocking,
-                &mut [
-                    LinkIo {
-                        link: self.next.as_mut(),
-                        send: Some((&self.frame, tail)),
-                        recv: None,
-                    },
-                    LinkIo {
-                        link: self.prev.as_mut(),
-                        send: None,
-                        recv: Some(&mut self.rbuf),
-                    },
-                ],
-            )?;
-            // One add per element in index order: the bits of decoding
-            // the chunk and `kernel::add_assign`-ing it, without the copy.
-            expect_chunk(&self.rbuf, COLLECTIVE_SCATTER, recv_idx)?
-                .add_f32_into(&mut data[chunk_range(len, n, recv_idx)])?;
-        }
-        Ok(())
-    }
-
-    fn all_gather(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let (len, n) = (data.len(), self.n);
-        for s in 0..n - 1 {
-            let send_idx = (self.rank + 1 + n - s) % n;
-            let recv_idx = (self.rank + n - s) % n;
-            let src = &data[chunk_range(len, n, send_idx)];
-            // Header into `frame`; the chunk goes out from `data` itself.
-            self.frame.clear();
-            let tail =
-                encode_collective_parts(COLLECTIVE_GATHER, send_idx as u32, src, &mut self.frame);
-            self.stats.record_push(4 * src.len());
-            duplex_step(
-                &self.stats,
-                self.nonblocking,
-                &mut [
-                    LinkIo {
-                        link: self.next.as_mut(),
-                        send: Some((&self.frame, tail)),
-                        recv: None,
-                    },
-                    LinkIo {
-                        link: self.prev.as_mut(),
-                        send: None,
-                        recv: Some(&mut self.rbuf),
-                    },
-                ],
-            )?;
-            let frame = expect_chunk(&self.rbuf, COLLECTIVE_GATHER, recv_idx)?;
-            // Gather copies bytes verbatim: decode straight into place.
-            frame.read_f32_into(&mut data[chunk_range(len, n, recv_idx)])?;
-        }
-        Ok(())
-    }
-
     fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), NetError> {
         if self.n == 1 {
             return Ok(());
         }
-        self.reduce_scatter(data)?;
+        self.phase(COLLECTIVE_SCATTER, data)?;
         // Each owner divides its reduced chunk once and the gather copies
         // the quotients verbatim: the bits of scaling the whole vector
         // after the gather, for 1/N of the multiplies.
         let owned = chunk_range(data.len(), self.n, (self.rank + 1) % self.n);
         kernel::scale(&mut data[owned], 1.0 / self.n as f32);
-        self.all_gather(data)?;
+        self.phase(COLLECTIVE_GATHER, data)?;
         self.stats.record_collective(self.rank, self.n, {
             let len = data.len() as u64;
             2 * (self.n as u64 - 1) * (4 * len) / self.n as u64
@@ -635,14 +665,6 @@ pub struct WireTree {
     scratch: Vec<f32>,
 }
 
-/// Ranks of `rank`'s children in an `n`-member heap tree.
-fn tree_children(rank: usize, n: usize) -> Vec<usize> {
-    [2 * rank + 1, 2 * rank + 2]
-        .into_iter()
-        .filter(|&c| c < n)
-        .collect()
-}
-
 /// Number of ranks in the subtree rooted at `rank`.
 fn subtree_size(rank: usize, n: usize) -> usize {
     if rank >= n {
@@ -672,119 +694,11 @@ impl WireTree {
         }
     }
 
-    /// Build an `n`-member tree over in-process loopback transports.
-    pub fn loopback(n: usize) -> (Vec<WireTree>, Arc<TrafficStats>) {
-        assert!(n > 0, "a tree needs at least one member");
-        let stats = Arc::new(TrafficStats::new());
-        // Edge r (for r in 1..n) connects rank r to its parent.
-        let mut up: Vec<Option<Box<dyn Transport>>> = (0..n).map(|_| None).collect();
-        let mut down: Vec<Vec<(usize, Box<dyn Transport>)>> = (0..n).map(|_| Vec::new()).collect();
-        for r in 1..n {
-            let (child_side, parent_side) = loopback_pair();
-            up[r] = Some(Box::new(child_side));
-            down[(r - 1) / 2].push((r, Box::new(parent_side)));
-        }
-        let members = (0..n)
-            .map(|rank| {
-                let mut kids = std::mem::take(&mut down[rank]);
-                kids.sort_by_key(|(r, _)| *r);
-                let mut m = WireTree::new(
-                    rank,
-                    n,
-                    up[rank].take(),
-                    kids.into_iter().map(|(_, t)| t).collect(),
-                    Arc::clone(&stats),
-                );
-                if let Some(p) = m.parent.as_mut() {
-                    p.set_recv_timeout(Some(STEP_TIMEOUT)).expect("timeout");
-                }
-                for c in m.children.iter_mut() {
-                    c.set_recv_timeout(Some(STEP_TIMEOUT)).expect("timeout");
-                }
-                m
-            })
-            .collect();
-        (members, stats)
-    }
-
-    /// Build an `n`-member tree over localhost TCP, all endpoints in this
-    /// process. Children dial parents; hellos label the links.
-    pub fn tcp(n: usize) -> Result<(Vec<WireTree>, Arc<TrafficStats>), NetError> {
-        assert!(n > 0, "a tree needs at least one member");
-        let stats = Arc::new(TrafficStats::new());
-        let cfg = NetConfig::default();
-        let mut acceptors = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (acc, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone())?;
-            acceptors.push(acc);
-            addrs.push(addr);
-        }
-        let mut parents: Vec<Option<Box<dyn Transport>>> = (0..n).map(|_| None).collect();
-        for r in 1..n {
-            let mut t = TcpTransport::connect(addrs[(r - 1) / 2], &cfg)?;
-            send_hello(&mut t, r, &stats)?;
-            parents[r] = Some(Box::new(t));
-        }
-        let mut members = Vec::with_capacity(n);
-        for (rank, parent) in parents.into_iter().enumerate() {
-            let children = Self::accept_children(&acceptors[rank], rank, n, &stats)?;
-            members.push(WireTree::new(rank, n, parent, children, Arc::clone(&stats)));
-        }
-        Ok((members, stats))
-    }
-
-    /// Accept the links of `rank`'s children, ordered by child rank.
-    fn accept_children(
-        acceptor: &TcpAcceptor,
-        rank: usize,
-        n: usize,
-        stats: &TrafficStats,
-    ) -> Result<Vec<Box<dyn Transport>>, NetError> {
-        let expected = tree_children(rank, n);
-        let want = format_args!("one of {expected:?}");
-        accept_labelled(acceptor, "tree", rank, &expected, want, stats)
-    }
-
-    /// Join a multi-process tree as `rank`: bind `peers[rank]`, dial the
-    /// parent, accept the children. Every process must list the same
-    /// `peers` in the same order.
-    pub fn connect(
-        rank: usize,
-        peers: &[String],
-        cfg: &NetConfig,
-        stats: Arc<TrafficStats>,
-    ) -> Result<WireTree, NetError> {
-        let n = peers.len();
-        assert!(rank < n, "rank {rank} outside peer list of {n}");
-        // A leaf accepts nobody and binds nothing.
-        let acceptor = if tree_children(rank, n).is_empty() {
-            None
-        } else {
-            Some(TcpAcceptor::bind(peers[rank].as_str(), cfg.clone())?.0)
-        };
-        let parent = if rank == 0 {
-            None
-        } else {
-            let mut t = TcpTransport::connect(peers[(rank - 1) / 2].as_str(), cfg)?;
-            send_hello(&mut t, rank, &stats)?;
-            Some(Box::new(t) as Box<dyn Transport>)
-        };
-        let children = match &acceptor {
-            Some(acc) => Self::accept_children(acc, rank, n, &stats)?,
-            None => Vec::new(),
-        };
-        Ok(WireTree::new(rank, n, parent, children, stats))
-    }
-
     /// Tree sum: gather raw per-rank vectors to the root, apply the
     /// ring-ordered fold there, broadcast the sum; on return every
     /// member's `data` holds the full sum (no mean). Blocking I/O is
     /// safe here: each phase's communication graph is a DAG.
     fn tree_reduce(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        if self.n == 1 {
-            return Ok(());
-        }
         let len = data.len();
         // Up phase: forward every subtree vector (tagged by source rank).
         if self.rank == 0 {
@@ -798,7 +712,7 @@ impl WireTree {
             send_recorded(parent.as_mut(), &self.frame, &self.stats)?;
         }
         for ci in 0..self.children.len() {
-            let child_rank = tree_children(self.rank, self.n)[ci];
+            let child_rank = 2 * self.rank + 1 + ci;
             for _ in 0..subtree_size(child_rank, self.n) {
                 recv_recorded(self.children[ci].as_mut(), &mut self.rbuf, &self.stats)?;
                 let frame = decode_collective(&self.rbuf)?;
@@ -843,26 +757,14 @@ impl WireTree {
             }
             for c in 0..self.n {
                 let range = chunk_range(len, self.n, c);
-                let first = (c) % self.n;
-                {
-                    let (dst, src): (&mut [f32], &[f32]) = if first == 0 {
-                        (&mut data[range.clone()], &self.scratch[range.clone()])
-                    } else {
-                        (
-                            &mut data[range.clone()],
-                            &self.gathered[first][range.clone()],
-                        )
-                    };
-                    dst.copy_from_slice(src);
-                }
+                // Rank `r`'s slice of chunk `c`: the root's own in `scratch`.
+                let input = |r: usize| match r {
+                    0 => &self.scratch[range.clone()],
+                    r => &self.gathered[r][range.clone()],
+                };
+                data[range.clone()].copy_from_slice(input(c));
                 for j in 1..self.n {
-                    let src_rank = (c + j) % self.n;
-                    let src: &[f32] = if src_rank == 0 {
-                        &self.scratch[range.clone()]
-                    } else {
-                        &self.gathered[src_rank][range.clone()]
-                    };
-                    kernel::add_assign(&mut data[range.clone()], src);
+                    kernel::add_assign(&mut data[range.clone()], input((c + j) % self.n));
                 }
             }
         }
@@ -891,87 +793,6 @@ impl WireTree {
 }
 
 impl Collective for WireTree {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world(&self) -> usize {
-        self.n
-    }
-
-    /// Tree reduce leaves *every* chunk fully reduced on every member —
-    /// a superset of the reduce-scatter contract.
-    fn reduce_scatter(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        self.tree_reduce(data)
-    }
-
-    /// Gather the owned chunks to the root, reassemble, broadcast.
-    fn all_gather(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let len = data.len();
-        let own_chunk = (self.rank + 1) % self.n;
-        if self.rank == 0 {
-            self.gathered.clear();
-            self.gathered.resize(self.n, Vec::new());
-        } else {
-            let src = &data[chunk_range(len, self.n, own_chunk)];
-            self.frame.clear();
-            encode_collective_into(COLLECTIVE_TREE_UP, own_chunk as u32, src, &mut self.frame);
-            self.stats.record_push(4 * src.len());
-            let parent = self.parent.as_mut().expect("non-root has a parent");
-            send_recorded(parent.as_mut(), &self.frame, &self.stats)?;
-        }
-        for ci in 0..self.children.len() {
-            let child_rank = tree_children(self.rank, self.n)[ci];
-            for _ in 0..subtree_size(child_rank, self.n) {
-                recv_recorded(self.children[ci].as_mut(), &mut self.rbuf, &self.stats)?;
-                let frame = decode_collective(&self.rbuf)?;
-                if frame.phase != COLLECTIVE_TREE_UP {
-                    return Err(NetError::Decode(format!(
-                        "tree gather expected an up frame, got phase {}",
-                        frame.phase
-                    )));
-                }
-                if self.rank == 0 {
-                    let chunk = frame.index as usize;
-                    if chunk >= self.n {
-                        return Err(NetError::Decode(format!(
-                            "tree gather saw chunk {chunk} of {}",
-                            self.n
-                        )));
-                    }
-                    frame.read_f32_into(&mut data[chunk_range(len, self.n, chunk)])?;
-                } else {
-                    self.stats.record_push(4 * frame.len());
-                    let parent = self.parent.as_mut().expect("non-root has a parent");
-                    send_recorded(parent.as_mut(), &self.rbuf, &self.stats)?;
-                }
-            }
-        }
-        // Root's own chunk was already in place; broadcast the assembly.
-        if self.rank == 0 {
-            self.frame.clear();
-            encode_collective_into(COLLECTIVE_TREE_DOWN, 0, data, &mut self.frame);
-            for ci in 0..self.children.len() {
-                self.stats.record_push(4 * len);
-                send_recorded(self.children[ci].as_mut(), &self.frame, &self.stats)?;
-            }
-        } else {
-            let parent = self.parent.as_mut().expect("non-root has a parent");
-            recv_recorded(parent.as_mut(), &mut self.rbuf, &self.stats)?;
-            let frame = expect_chunk(&self.rbuf, COLLECTIVE_TREE_DOWN, 0)?;
-            frame.read_f32_into(data)?;
-            for ci in 0..self.children.len() {
-                self.stats.record_push(4 * len);
-                let buf = self.rbuf.clone();
-                send_recorded(self.children[ci].as_mut(), &buf, &self.stats)?;
-            }
-        }
-        Ok(())
-    }
-
     fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), NetError> {
         if self.n == 1 {
             return Ok(());
@@ -1027,35 +848,32 @@ pub struct AllReduceBackend {
 }
 
 impl AllReduceBackend {
-    fn new<C: Collective + 'static>((members, stats): (Vec<C>, Arc<TrafficStats>)) -> Self {
-        let members = members
+    /// An `n`-member group of `shape` on `mode`, every member in this
+    /// process.
+    pub fn new(shape: Shape, n: usize, mode: WireMode) -> Result<Self, NetError> {
+        assert!(n > 0, "a collective group needs at least one member");
+        let stats = Arc::new(TrafficStats::new());
+        let links = match mode {
+            WireMode::Loopback => loopback_links(shape, n),
+            WireMode::Tcp => tcp_links(shape, n, &stats)?,
+        };
+        let members = links
             .into_iter()
-            .map(|m| Box::new(m) as Box<dyn Collective>)
-            .collect();
-        Self {
+            .enumerate()
+            .map(|(rank, l)| shape.member(rank, n, l, mode == WireMode::Tcp, Arc::clone(&stats)))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
             group: Mutex::new(Some(CollectiveGroup {
                 members,
                 stats: Arc::clone(&stats),
             })),
             stats,
-        }
+        })
     }
 
-    /// A ring deployment for `n` workers on `mode`.
+    /// A ring group: [`AllReduceBackend::new`] with [`Shape::Ring`].
     pub fn ring(n: usize, mode: WireMode) -> Result<Self, NetError> {
-        Ok(Self::new(match mode {
-            WireMode::Loopback => WireRing::loopback(n),
-            WireMode::Tcp => WireRing::tcp(n)?,
-        }))
-    }
-
-    /// A tree reduce-broadcast deployment for `n` workers on `mode`
-    /// (all-reduce only: neighbor exchange has no tree analogue).
-    pub fn tree(n: usize, mode: WireMode) -> Result<Self, NetError> {
-        Ok(Self::new(match mode {
-            WireMode::Loopback => WireTree::loopback(n),
-            WireMode::Tcp => WireTree::tcp(n)?,
-        }))
+        Self::new(Shape::Ring, n, mode)
     }
 
     /// The group's traffic counters (live even after the members are
@@ -1120,14 +938,34 @@ mod tests {
         })
     }
 
-    fn ring_group(n: usize, mode: WireMode) -> CollectiveGroup {
-        let backend = AllReduceBackend::ring(n, mode).unwrap();
+    fn group(shape: Shape, n: usize, mode: WireMode) -> CollectiveGroup {
+        let backend = AllReduceBackend::new(shape, n, mode).unwrap();
         backend.take_collectives(n).unwrap()
     }
 
-    fn tree_group(n: usize, mode: WireMode) -> CollectiveGroup {
-        let backend = AllReduceBackend::tree(n, mode).unwrap();
-        backend.take_collectives(n).unwrap()
+    /// `n` distinct localhost addresses nobody listens on: bound all at
+    /// once so the OS hands out distinct ports, then released.
+    fn free_peers(n: usize) -> Vec<String> {
+        let held: Vec<_> = (0..n)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        held.iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect()
+    }
+
+    /// Every rank of an `n`-member `shape` joining one shared peer list
+    /// from its own thread, as the processes of a multi-process
+    /// deployment do.
+    fn peers_group(shape: Shape, n: usize) -> CollectiveGroup {
+        let peers = free_peers(n);
+        let stats = Arc::new(TrafficStats::new());
+        let members = on_all(vec![(); n], |rank, ()| {
+            shape
+                .join(rank, &peers, &NetConfig::default(), Arc::clone(&stats))
+                .unwrap()
+        });
+        CollectiveGroup { members, stats }
     }
 
     fn run_group(group: CollectiveGroup, inputs: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
@@ -1173,21 +1011,48 @@ mod tests {
 
     #[test]
     fn every_backend_matches_the_order_contract_bit_for_bit() {
-        for n in [2usize, 3, 4, 5] {
+        // N = 1 included: a lone member of either shape, on every
+        // substrate, returns its input (the mean of one).
+        for n in [1usize, 2, 3, 4, 5] {
             for len in [8usize, 33, 130] {
                 let inputs = adversarial_inputs(n, len);
                 let expect = reference_mean(&inputs);
                 for (label, group) in [
-                    ("loopback ring", ring_group(n, WireMode::Loopback)),
-                    ("tcp ring", ring_group(n, WireMode::Tcp)),
-                    ("loopback tree", tree_group(n, WireMode::Loopback)),
-                    ("tcp tree", tree_group(n, WireMode::Tcp)),
+                    ("loopback ring", group(Shape::Ring, n, WireMode::Loopback)),
+                    ("tcp ring", group(Shape::Ring, n, WireMode::Tcp)),
+                    ("peers ring", peers_group(Shape::Ring, n)),
+                    ("loopback tree", group(Shape::Tree, n, WireMode::Loopback)),
+                    ("tcp tree", group(Shape::Tree, n, WireMode::Tcp)),
+                    ("peers tree", peers_group(Shape::Tree, n)),
                 ] {
                     let out = run_group(group, inputs.clone());
                     assert_all_ranks_bit_equal(&format!("{label} n={n} len={len}"), &out, &expect);
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_rank_joining_twice_fails_its_parents_wiring_by_name() {
+        // Tree leaves bind nothing, so two processes started as rank 1
+        // (and none as rank 2) both reach the root. Its second hello from
+        // rank 1 is refused at wiring, not by the first step's length
+        // check; each leaf's own wiring (dial + hello) succeeds.
+        let peers = free_peers(3);
+        let stats = Arc::new(TrafficStats::new());
+        let results = on_all(vec![0usize, 1, 1], |_, rank| {
+            Shape::Tree
+                .join(rank, &peers, &NetConfig::default(), Arc::clone(&stats))
+                .map(drop)
+        });
+        match &results[0] {
+            Err(NetError::Decode(msg)) => assert!(
+                msg.contains("rank 0 accepted a second link from rank 1"),
+                "{msg}"
+            ),
+            other => panic!("the root's wiring must refuse the repeat, got {other:?}"),
+        }
+        assert_eq!(results[1..], [Ok(()), Ok(())]);
     }
 
     #[test]
@@ -1203,7 +1068,7 @@ mod tests {
                 } else {
                     reference_mean(&inputs)
                 };
-                let group = ring_group(n, WireMode::Loopback);
+                let group = group(Shape::Ring, n, WireMode::Loopback);
                 let stats = Arc::clone(&group.stats);
                 let out = run_group(group, inputs);
                 assert_all_ranks_bit_equal(&format!("n={n} len={len}"), &out, &expect);
@@ -1219,7 +1084,7 @@ mod tests {
 
     #[test]
     fn loopback_ring_computes_the_plain_mean() {
-        let group = ring_group(2, WireMode::Loopback);
+        let group = group(Shape::Ring, 2, WireMode::Loopback);
         let out = run_group(
             group,
             vec![vec![1.0, 2.0, 3.0, 4.0], vec![3.0, 2.0, 1.0, 0.0]],
@@ -1292,7 +1157,7 @@ mod tests {
 
     #[test]
     fn a_dropped_ring_member_fails_its_neighbours_with_closed_not_a_hang() {
-        let (mut members, _stats) = WireRing::loopback(3);
+        let mut members = group(Shape::Ring, 3, WireMode::Loopback).members;
         drop(members.remove(1));
         let t0 = Instant::now();
         let results = on_all(members, |_, mut m| m.allreduce_mean(&mut [1.0f32; 12]));
@@ -1308,7 +1173,7 @@ mod tests {
         let n = 4usize;
         let len = 1024usize;
         let rounds = 3usize;
-        let (members, stats) = WireRing::tcp(n).unwrap();
+        let CollectiveGroup { members, stats } = group(Shape::Ring, n, WireMode::Tcp);
         on_all(members, |_, mut m| {
             let mut v = vec![1.0f32; len];
             for _ in 0..rounds {
@@ -1327,9 +1192,8 @@ mod tests {
 
     /// Every member gossips `[rank; 8]`; returns `(from_prev, from_next)`
     /// per rank.
-    fn exchange_ranks(members: Vec<WireRing>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    fn exchange_ranks(members: Vec<Box<dyn Collective>>) -> Vec<(Vec<u8>, Vec<u8>)> {
         on_all(members, |rank, mut m| {
-            assert_eq!(Collective::rank(&m), rank);
             let (mut prev, mut next) = (vec![0xee; 3], vec![0xee; 30]);
             m.neighbor_exchange(&[rank as u8; 8], &mut prev, &mut next)
                 .unwrap();
@@ -1339,12 +1203,13 @@ mod tests {
 
     #[test]
     fn wire_ring_neighbor_exchange_delivers_both_directions() {
-        for (label, n, (members, stats)) in [
-            ("tcp", 4usize, WireRing::tcp(4).unwrap()),
-            ("loopback", 3, WireRing::loopback(3)),
+        for (label, n, mode) in [
+            ("tcp", 4usize, WireMode::Tcp),
+            ("loopback", 3, WireMode::Loopback),
             // N = 1 gossips with itself: both outputs are the payload.
-            ("loopback", 1, WireRing::loopback(1)),
+            ("loopback", 1, WireMode::Loopback),
         ] {
+            let CollectiveGroup { members, stats } = group(Shape::Ring, n, mode);
             for (rank, (prev, next)) in exchange_ranks(members).into_iter().enumerate() {
                 assert_eq!(prev, vec![((rank + n - 1) % n) as u8; 8], "{label} n={n}");
                 assert_eq!(next, vec![((rank + 1) % n) as u8; 8], "{label} n={n}");

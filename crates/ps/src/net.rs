@@ -953,14 +953,12 @@ struct Session {
     /// one redial, not one each.
     epoch: u64,
     inner: ShardedClient<RemoteClient>,
-    /// Global per-key versions at the caller's registration (zeros for a
-    /// worker in the server's initial set): local round `r` of key `k`
-    /// is global version `base[k] + r`. Fixed for the client's lifetime —
-    /// replay guarantees reconnects never shift the mapping.
-    base: Vec<u64>,
-    /// Per-key count of pushes sent — the local round cursor.
+    /// Per-key global version of the last push sent: starts at the
+    /// caller's register ack (zeros for a worker in the server's initial
+    /// set, or one that never registers) and counts up one per push.
+    /// Replay guarantees reconnects never shift it.
     pushed: Vec<u64>,
-    /// Per-key unconfirmed pushes as `(local_round, payload)`: kept
+    /// Per-key unconfirmed pushes as `(global_version, payload)`: kept
     /// until a pull (or a re-register ack) proves the round aggregated,
     /// replayed after a reconnect.
     replay: Vec<VecDeque<(u64, Compressed)>>,
@@ -1044,11 +1042,10 @@ fn reconnect_session(ctx: &ReconnectCtx, observed_epoch: u64) -> Result<(), NetE
         // lost between sessions.
         let mut guard = ctx.session.lock().unwrap();
         let s = &mut *guard;
-        // Prune: local rounds at or below the acked version were
-        // aggregated before the drop and must not be re-sent.
+        // Prune: versions at or below the acked one were aggregated
+        // before the drop and must not be re-sent.
         for (k, q) in s.replay.iter_mut().enumerate() {
-            let done = acked[k].saturating_sub(s.base[k]);
-            while q.front().is_some_and(|(r, _)| *r <= done) {
+            while q.front().is_some_and(|(v, _)| *v <= acked[k]) {
                 let (_, payload) = q.pop_front().expect("front checked");
                 payload.recycle(&ctx.pool);
             }
@@ -1109,7 +1106,6 @@ impl ReconnectingClient {
             session: Mutex::new(Session {
                 epoch: 0,
                 inner,
-                base: vec![0; num_keys],
                 pushed: vec![0; num_keys],
                 replay: vec![VecDeque::new(); num_keys],
                 acked: None,
@@ -1242,13 +1238,11 @@ fn spawn_supervisor(
                         Some(Ok(weights)) => {
                             let o = outstanding.swap_remove(i);
                             {
-                                // Round `issued` completed, so every
-                                // local round at or below it was
-                                // aggregated: confirm (drop) those
-                                // replay entries.
+                                // Version `issued` completed, so every
+                                // push at or below it was aggregated:
+                                // confirm (drop) those replay entries.
                                 let mut s = ctx.session.lock().unwrap();
-                                let done = o.issued.saturating_sub(s.base[o.key]);
-                                while s.replay[o.key].front().is_some_and(|(r, _)| *r <= done) {
+                                while s.replay[o.key].front().is_some_and(|(v, _)| *v <= o.issued) {
                                     let (_, payload) =
                                         s.replay[o.key].pop_front().expect("front checked");
                                     payload.recycle(&ctx.pool);
@@ -1284,8 +1278,8 @@ impl ParamClient for ReconnectingClient {
                 return Err(e.clone());
             }
             s.pushed[key] += 1;
-            let round = s.pushed[key];
-            s.replay[key].push_back((round, payload.clone()));
+            let version = s.pushed[key];
+            s.replay[key].push_back((version, payload.clone()));
             if s.replay[key].len() > REPLAY_DEPTH {
                 // Keep the buffer bounded for keys that are pushed but
                 // never pulled; under the normal ≤2-round lag this never
@@ -1317,8 +1311,8 @@ impl ParamClient for ReconnectingClient {
     }
 
     /// Registers on the current connections (retrying through a
-    /// reconnect) and fixes the local→global version mapping to the
-    /// ack. Must precede the first push, which the worker binary's flow
+    /// reconnect) and starts the per-key push versions at the ack. Must
+    /// precede the first push, which the worker binary's flow
     /// guarantees.
     fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
         debug_assert_eq!(
@@ -1332,7 +1326,7 @@ impl ParamClient for ReconnectingClient {
             }
             match s.inner.register(worker) {
                 Ok(acked) => {
-                    s.base = acked.clone();
+                    s.pushed = acked.clone();
                     s.acked = Some(acked.clone());
                     return Ok(acked);
                 }
@@ -1342,7 +1336,7 @@ impl ParamClient for ReconnectingClient {
         reconnect_session(&self.ctx, epoch)?;
         let mut s = self.ctx.session.lock().unwrap();
         let acked = s.acked.clone().expect("reconnect stores the ack");
-        s.base = acked.clone();
+        s.pushed = acked.clone();
         Ok(acked)
     }
 
@@ -2321,15 +2315,31 @@ mod tests {
 
     /// [`run_rounds_as`] for a worker that is already registered.
     fn rounds_as(c: &dyn ParamClient, worker: usize, rounds: u64) {
-        for r in 1..=rounds {
+        rounds_from(c, worker, 1..=rounds, 0)
+    }
+
+    /// One round per pulled version `r` in `pulls`, where `r` is global
+    /// round `base + r` (`base` is a rebased joiner's ack, else 0). A
+    /// round that never completes (a lost push) fails within seconds.
+    fn rounds_from(
+        c: &dyn ParamClient,
+        worker: usize,
+        pulls: std::ops::RangeInclusive<u64>,
+        base: u64,
+    ) {
+        for r in pulls {
             for k in 0..2 {
                 c.push(worker, k, Compressed::Raw(vec![1.0; 3])).unwrap();
             }
             for k in 0..2 {
-                let w = c.pull_async(k, r).unwrap().wait().unwrap();
+                let pending = c.pull_async(k, r).unwrap();
+                let Ok(w) = pending.0.recv_timeout(Duration::from_secs(10)) else {
+                    panic!("worker {worker} key {k} round {r} never completed");
+                };
+                let w = w.unwrap();
                 assert_eq!(
                     *w,
-                    [k as f32 - r as f32; 3],
+                    [k as f32 - (base + r) as f32; 3],
                     "worker {worker} key {k} round {r}"
                 );
             }
@@ -2644,6 +2654,50 @@ mod tests {
         }
         drop((c0, c1, attached0, attached1));
         Box::new(cluster).shutdown();
+    }
+
+    /// A joiner rebased onto acked version 3 whose link drops mid-run:
+    /// its reconnecting stream counts pushes in global versions from the
+    /// ack, so the prune after the re-register and the confirm on each
+    /// (rebased) pull line up with the server's rounds, and both workers
+    /// end on the fault-free weights.
+    #[test]
+    fn rebased_joiner_survives_a_link_drop_bit_exact() {
+        let run = |kill_after_sends: Option<u64>| {
+            let cluster = elastic_cluster();
+            let c0 = cluster.client().unwrap();
+            rounds_as(c0.as_ref(), 0, 3);
+            if let Some(n) = kill_after_sends {
+                cluster.arm_chaos(cdsgd_net::FaultPlan::new().kill_after_sends(n));
+            }
+            let joiner = cluster
+                .attach(
+                    1,
+                    Attach {
+                        register: true,
+                        reconnect: Some(fast_rc()),
+                        ..Attach::default()
+                    },
+                )
+                .unwrap();
+            assert_eq!(joiner.acked(), Some(&[3, 3][..]));
+            let c1 = joiner.client();
+            std::thread::scope(|s| {
+                s.spawn(|| rounds_from(c0.as_ref(), 0, 4..=7, 0));
+                s.spawn(|| rounds_from(c1.as_ref(), 1, 1..=4, 3));
+            });
+            let reconnects = joiner.reconnects();
+            drop((c0, c1, joiner));
+            let snap = PsBackend::snapshot(&cluster).unwrap();
+            Box::new(cluster).shutdown();
+            (snap, reconnects)
+        };
+        let (reference, _) = run(None);
+        // Per shard: register, then push + pull per round; the drop
+        // lands on the joiner's third push.
+        let (faulty, reconnects) = run(Some(5));
+        assert_eq!(reconnects, 1, "the armed drop fires exactly once");
+        assert_eq!(faulty, reference);
     }
 
     #[test]

@@ -76,6 +76,24 @@ for f in $(git ls-files '*.rs' | grep -v '^crates/ps/src/recover\.rs$'); do
     fi
 done
 
+# One collective wiring (DESIGN.md §16): ring and tree are two shapes
+# over one link builder, so the program half of ps/collective.rs dials a
+# TCP link and sends a rank hello in exactly one place, and `Collective`
+# keeps its two verbs (the ring's scatter and gather are private steps).
+echo "==> ps/collective.rs dials and says hello in one place; Collective has two verbs"
+prog=$(sed '/^#\[cfg(test)\]/,$d' crates/ps/src/collective.rs | grep -v '^ *//')
+for call in 'TcpTransport::connect(' 'send_hello('; do
+    sites=$(grep -F "$call" <<<"$prog" | grep -vc 'fn ' || true)
+    if [ "$sites" -gt 1 ]; then
+        echo "ERROR: ps/collective.rs calls $call at $sites sites; dial through \`dial\`" >&2
+        exit 1
+    fi
+done
+if sed -n '/^pub trait Collective/,/^}/p' <<<"$prog" | grep -n 'fn reduce_scatter\|fn all_gather'; then
+    echo "ERROR: trait Collective declares reduce_scatter/all_gather again" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through

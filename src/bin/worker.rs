@@ -16,10 +16,12 @@
 //!
 //! Server-less deployment: `--topology ring|tree|decentralized` (with
 //! `--algo arsgd`) skips the parameter server entirely. Every replica
-//! lists the same `--peers addr0,addr1,...` (its own slot is
-//! `--id`), the processes wire themselves into a TCP ring or binary
-//! tree, and each round synchronizes by chunked allreduce — or, for
-//! `decentralized`, by codec-compressed neighbor gossip
+//! lists the same `--peers addr0,addr1,...` (its own slot is `--id`)
+//! and joins the topology's collective shape (`cdsgd_ps::Shape::join`:
+//! bind its slot if any rank dials it, dial its ring successor or tree
+//! parent, accept the ranks that dial it), and each round synchronizes
+//! by chunked allreduce — or, for `decentralized`, by codec-compressed
+//! neighbor gossip over the ring
 //! (`--codec 2bit|1bit|topk|qsgd`). `--servers` and the PS-only flags
 //! (register/heartbeat/reconnect/chaos/depart) are rejected in this
 //! mode.
@@ -88,7 +90,7 @@ use cd_sgd_repro::deploy::{
     parse_reconnect, parse_topology, trace_telemetry, AlgoDefaults,
 };
 use cdsgd_net::{FaultPlan, NetConfig};
-use cdsgd_ps::{Attach, Collective, NetCluster, PsBackend, TrafficStats, WireRing, WireTree};
+use cdsgd_ps::{Attach, NetCluster, PsBackend, TrafficStats};
 
 fn main() {
     let console = Console::new();
@@ -267,22 +269,16 @@ fn main() {
         // the PS path uses, so `--trace` shows per-frame wire accounting
         // for collective runs too.
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
-        let collective: Box<dyn Collective> = match &topology {
-            Topology::Tree => Box::new(
-                WireTree::connect(id, &peers, &NetConfig::default(), Arc::clone(&stats))
-                    .unwrap_or_else(|e| {
-                        console.error(format_args!("worker {id}: tree wiring failed: {e}"));
-                        std::process::exit(1)
-                    }),
-            ),
-            _ => Box::new(
-                WireRing::connect(id, &peers, &NetConfig::default(), Arc::clone(&stats))
-                    .unwrap_or_else(|e| {
-                        console.error(format_args!("worker {id}: ring wiring failed: {e}"));
-                        std::process::exit(1)
-                    }),
-            ),
-        };
+        let collective = topology
+            .shape()
+            .join(id, &peers, &NetConfig::default(), Arc::clone(&stats))
+            .unwrap_or_else(|e| {
+                console.error(format_args!(
+                    "worker {id}: {} wiring failed: {e}",
+                    topology.name()
+                ));
+                std::process::exit(1)
+            });
         let spec = model.clone();
         let report = match run_standalone_worker(
             cfg,

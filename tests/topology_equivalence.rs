@@ -9,7 +9,7 @@
 use cd_sgd::{Algorithm, Codec, Topology, TrainConfig, Trainer, TrainingHistory};
 use cdsgd_data::toy;
 use cdsgd_nn::models;
-use cdsgd_ps::{AllReduceBackend, WireMode};
+use cdsgd_ps::{AllReduceBackend, Shape, WireMode};
 
 fn cfg(algo: Algorithm, workers: usize, epochs: usize) -> TrainConfig {
     TrainConfig::new(algo, workers)
@@ -75,13 +75,17 @@ fn allreduce_bit_identical_across_transports_and_topologies() {
         (
             "tree/loopback",
             trainer(cfg(Algorithm::ArSgd, 4, 3))
-                .run_with(|_, _| Ok(Box::new(AllReduceBackend::tree(4, WireMode::Loopback)?) as _))
+                .run_with(|_, _| {
+                    Ok(Box::new(AllReduceBackend::new(Shape::Tree, 4, WireMode::Loopback)?) as _)
+                })
                 .unwrap(),
         ),
         (
             "tree/tcp",
             trainer(cfg(Algorithm::ArSgd, 4, 3))
-                .run_with(|_, _| Ok(Box::new(AllReduceBackend::tree(4, WireMode::Tcp)?) as _))
+                .run_with(|_, _| {
+                    Ok(Box::new(AllReduceBackend::new(Shape::Tree, 4, WireMode::Tcp)?) as _)
+                })
                 .unwrap(),
         ),
         (
