@@ -82,6 +82,33 @@ impl BufferPool {
     take_put!(take_i8, put_i8, i8s, i8);
     take_put!(take_u32, put_u32, u32s, u32);
 
+    /// A buffer of exactly `len` elements with unspecified contents, for
+    /// a caller that overwrites every one (a receive landing a payload
+    /// straight from a socket). The shortest retired buffer at least
+    /// `len` long is sized by truncation alone, so once payloads of each
+    /// length circulate no element is written twice; failing that, a
+    /// buffer is filled out with zeros.
+    pub fn take_f32_len(&self, len: usize) -> Vec<f32> {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let fit = (0..inner.f32s.len())
+            .filter(|&i| inner.f32s[i].len() >= len)
+            .min_by_key(|&i| inner.f32s[i].len());
+        let mut v = match fit.or(inner.f32s.len().checked_sub(1)) {
+            Some(i) => {
+                inner.hits += 1;
+                inner.f32s.swap_remove(i)
+            }
+            None => {
+                inner.misses += 1;
+                Vec::new()
+            }
+        };
+        drop(inner);
+        v.truncate(len);
+        v.resize(len, 0.0);
+        v
+    }
+
     /// Number of takes served from the free lists.
     pub fn hits(&self) -> u64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).hits
@@ -109,6 +136,22 @@ mod tests {
         assert_eq!(pool.hits(), 1);
         assert!(v2.is_empty(), "recycled buffers come back cleared");
         assert_eq!(v2.capacity(), cap, "capacity survives recycling");
+    }
+
+    #[test]
+    fn a_sized_take_prefers_the_shortest_buffer_long_enough() {
+        let pool = BufferPool::new();
+        for n in [8, 3, 5] {
+            pool.put_f32(vec![n as f32; n]);
+        }
+        // Truncated, not refilled: the stale values are still there.
+        assert_eq!(pool.take_f32_len(4), [5.0; 4]);
+        assert_eq!(pool.take_f32_len(8), [8.0; 8]);
+        // Nothing long enough: the last buffer, filled out with zeros.
+        assert_eq!(pool.take_f32_len(4), [3.0, 3.0, 3.0, 0.0]);
+        assert_eq!((pool.hits(), pool.misses()), (3, 0));
+        assert_eq!(pool.take_f32_len(2), [0.0; 2]);
+        assert_eq!(pool.misses(), 1);
     }
 
     #[test]

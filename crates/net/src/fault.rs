@@ -17,7 +17,7 @@
 
 use crate::error::NetError;
 use crate::sys::Waker;
-use crate::transport::{Tail, Transport};
+use crate::transport::{Landing, Tail, Transport};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,7 +126,7 @@ impl Transport for FaultyTransport {
         self.inner.send_parts(head, tail)
     }
 
-    fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
+    fn recv_frame(&mut self, out: &mut dyn Landing) -> Result<(), NetError> {
         self.check_dead()?;
         if let Some(d) = self.plan.recv_delay {
             std::thread::sleep(d);
@@ -171,7 +171,7 @@ impl Transport for FaultyTransport {
         self.inner.set_nonblocking(nonblocking)
     }
 
-    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
+    fn poll_recv_frame(&mut self, out: &mut dyn Landing) -> Result<bool, NetError> {
         self.check_dead()?;
         // Only a frame that actually arrives counts against the plan —
         // empty polls are free, matching the blocking API where every

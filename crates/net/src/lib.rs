@@ -14,7 +14,8 @@
 //!   the *same* frames through condvar-guarded queues.
 //! - [`sys`] — `poll(2)` with a wake pipe, so an event loop blocks on
 //!   readiness instead of sleeping, and the `f32`-slice-as-wire-bytes
-//!   view behind the two-part send. All of the crate's `unsafe` is here.
+//!   views behind the two-part send and the landed receive
+//!   ([`transport::Landing`]). All of the crate's `unsafe` is here.
 //!
 //! The parameter-server glue (server acceptor loop, remote client) lives
 //! in `cdsgd-ps::net`, keeping this crate dependent only on
@@ -30,8 +31,8 @@ pub use error::NetError;
 pub use fault::{FaultPlan, FaultyTransport};
 pub use sys::{wake_pair, Poller, WakeRx, Waker};
 pub use transport::{
-    loopback_pair, LoopbackTransport, NetConfig, ReconnectConfig, Tail, TcpAcceptor, TcpTransport,
-    Transport, RECONNECT_BACKOFF_CAP,
+    loopback_pair, Landing, LoopbackTransport, NetConfig, ReconnectConfig, Tail, TcpAcceptor,
+    TcpTransport, Transport, RECONNECT_BACKOFF_CAP,
 };
 pub use wire::{
     decode_compressed, decode_msg, encode_compressed_into, encode_msg_into, pull_reply_frame_bytes,

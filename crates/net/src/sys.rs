@@ -12,7 +12,9 @@
 //!   [`f32s_as_le_bytes`] borrows a weight or gradient slice as its
 //!   little-endian encoding, which on a little-endian host is the memory
 //!   itself; it returns `None` elsewhere and callers fall back to
-//!   [`crate::wire::put_f32s`].
+//!   [`crate::wire::put_f32s`]. [`f32s_as_le_bytes_mut`] is the receive
+//!   side's twin: a frame's bulk is read straight into typed storage
+//!   through it, and where it is `None` the frame takes the byte path.
 
 use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
@@ -160,6 +162,31 @@ pub fn f32s_as_le_bytes(values: &[f32]) -> Option<&[u8]> {
     }
 }
 
+/// The mutable twin of [`f32s_as_le_bytes`]: `values` as bytes a `read`
+/// can fill with little-endian `f32`s, which then *are* the values — how
+/// a received bulk lands in typed storage with no pass of its own
+/// ([`crate::Landing`]). `None` on a big-endian host.
+pub fn f32s_as_le_bytes_mut(values: &mut [f32]) -> Option<&mut [u8]> {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: as in `f32s_as_le_bytes`, and every bit pattern is a
+        // valid `f32`, so any bytes written through the view leave valid
+        // values; the exclusive borrow of `values` is held for as long as
+        // the view lives, so nothing else reads or writes them meanwhile.
+        Some(unsafe {
+            std::slice::from_raw_parts_mut(
+                values.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(values),
+            )
+        })
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let _ = values;
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +202,16 @@ mod tests {
         assert_eq!(view.is_some(), cfg!(target_endian = "little"));
         assert_eq!(view.unwrap_or(&encoded), encoded);
         assert_eq!(f32s_as_le_bytes(&[]).map(<[u8]>::len), Some(0));
+        // Bytes written through the mutable view decode as those values.
+        let mut landed = [0.0f32; 5];
+        if let Some(bytes) = f32s_as_le_bytes_mut(&mut landed) {
+            bytes.copy_from_slice(&encoded);
+            assert_eq!(landed.map(f32::to_bits), values.map(f32::to_bits));
+        }
+        assert_eq!(
+            f32s_as_le_bytes_mut(&mut landed).is_some(),
+            cfg!(target_endian = "little")
+        );
     }
 
     #[test]

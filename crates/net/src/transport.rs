@@ -12,10 +12,13 @@
 //!   polled call: read the 4-byte prefix, bound it by the connection's
 //!   inbound limit *before* reserving anything, then read the body
 //!   straight into the frame buffer that is handed to the caller by
-//!   swapping allocations. Progress survives [`NetError::Timeout`] and
-//!   `WouldBlock`, so a poll loop with a short deadline can never
-//!   desynchronise the framing; exact-length reads mean no byte of the
-//!   next frame is ever taken early, so there is nothing to shift.
+//!   swapping allocations. A [`Landing`] that asks for it sees the body's
+//!   head first and may offer typed storage for the rest, which is then
+//!   read straight into that storage instead. Progress survives
+//!   [`NetError::Timeout`] and `WouldBlock`, so a poll loop with a short
+//!   deadline can never desynchronise the framing; exact-length reads
+//!   mean no byte of the next frame is ever taken early, so there is
+//!   nothing to shift.
 //! - **Send** is two-part ([`Transport::send_parts`]): a small encoded
 //!   head plus a borrowed tail go to the socket in one vectored write.
 //!   Only what a non-blocking socket refuses is queued — and a refused
@@ -27,7 +30,7 @@
 //! transport keeps the loop's [`Waker`] and calls it when a frame lands.
 
 use crate::error::NetError;
-use crate::sys::{f32s_as_le_bytes, wake_pair, Poller, WakeRx, Waker};
+use crate::sys::{f32s_as_le_bytes, f32s_as_le_bytes_mut, wake_pair, Poller, WakeRx, Waker};
 use crate::wire::{put_f32s, FRAME_PREFIX_BYTES, MAX_FRAME_BYTES};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -152,6 +155,77 @@ impl<'a> Tail<'a> {
     }
 }
 
+/// Where a received frame lands: what the caller of
+/// [`Transport::recv_frame`] / [`Transport::poll_recv_frame`] hands the
+/// transport. A plain `Vec<u8>` is a landing that offers nothing: the
+/// whole body arrives in it, read exactly as it always was. A landing that
+/// knows the protocol can instead take a frame's *bulk* — the run of
+/// little-endian `f32`s after a fixed head — into typed storage of its
+/// own, which the socket's `read` then fills with no copy in between.
+pub trait Landing {
+    /// The buffer a finished frame is handed over in, replacing its
+    /// contents: the whole body, or only the head when the bulk landed in
+    /// storage from [`Landing::land`].
+    fn frame(&mut self) -> &mut Vec<u8>;
+
+    /// Body bytes to read before asking [`Landing::land`] for storage; 0
+    /// (the default) never asks. A frame no longer than this arrives
+    /// whole.
+    fn head_len(&self) -> usize {
+        0
+    }
+
+    /// Storage for the rest of a frame whose first [`Landing::head_len`]
+    /// body bytes are `head` and whose other `rest` bytes are still to
+    /// come: exactly `rest / 4` `f32`s, filled with those bytes as the
+    /// little-endian encoding they are, or `None` to take the whole frame
+    /// into [`Landing::frame`] instead. Asked when the head is in and, once
+    /// it offered storage, again on every later step of the same frame,
+    /// where it must offer the same storage. A transport never asks where
+    /// [`crate::sys::f32s_as_le_bytes_mut`] is not a view (big-endian
+    /// hosts): there every frame takes the byte path.
+    fn land(&mut self, head: &[u8], rest: usize) -> Option<&mut [f32]> {
+        let _ = (head, rest);
+        None
+    }
+}
+
+impl Landing for Vec<u8> {
+    fn frame(&mut self) -> &mut Vec<u8> {
+        self
+    }
+}
+
+/// Body bytes of a `len`-byte frame to read into the frame buffer before
+/// `landing` is asked for the rest: all of them unless it has a head to
+/// decide from and the frame is longer than that head.
+fn split_at(landing: &dyn Landing, len: usize) -> usize {
+    // The big-endian decline: the bulk's bytes are not the f32s there.
+    let head = if cfg!(target_endian = "little") {
+        landing.head_len()
+    } else {
+        0
+    };
+    if head > 0 && len > head {
+        head
+    } else {
+        len
+    }
+}
+
+/// `storage` (what [`Landing::land`] offered) as the `rest` bytes it must
+/// take, or the [`NetError::Decode`] for storage of another size.
+fn landing_bytes(storage: &mut [f32], rest: usize) -> Result<&mut [u8], NetError> {
+    let offered = 4 * storage.len();
+    f32s_as_le_bytes_mut(storage)
+        .filter(|b| b.len() == rest)
+        .ok_or_else(|| {
+            NetError::Decode(format!(
+                "landing offered {offered} bytes of storage for a {rest}-byte bulk"
+            ))
+        })
+}
+
 fn oversize(len: usize) -> NetError {
     NetError::Io(format!(
         "refusing to send {len}-byte frame over the {MAX_FRAME_BYTES}-byte limit"
@@ -189,14 +263,15 @@ pub trait Transport: Send {
         self.send_parts(body, Tail::NONE)
     }
 
-    /// Receive one frame body into `out`, replacing its contents (a
-    /// transport may keep `out`'s old allocation for its own reuse and
-    /// hand back a different one). Returns [`NetError::Timeout`] if the
-    /// receive deadline elapses — partial progress is preserved and the
-    /// call may simply be retried — [`NetError::Closed`] on clean EOF at
-    /// a frame boundary, and [`NetError::Decode`] for a frame longer
-    /// than the inbound limit, before anything is reserved for it.
-    fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError>;
+    /// Receive one frame into `out` (a `&mut Vec<u8>` takes the whole
+    /// body, replacing its contents; a transport may keep the old
+    /// allocation for its own reuse and hand back a different one).
+    /// Returns [`NetError::Timeout`] if the receive deadline elapses —
+    /// partial progress is preserved and the call may simply be retried
+    /// with the same landing — [`NetError::Closed`] on clean EOF at a
+    /// frame boundary, and [`NetError::Decode`] for a frame longer than
+    /// the inbound limit, before anything is reserved for it.
+    fn recv_frame(&mut self, out: &mut dyn Landing) -> Result<(), NetError>;
 
     /// Replace the receive deadline (`None` blocks forever).
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError>;
@@ -251,13 +326,12 @@ pub trait Transport: Send {
     /// a frame is queued for this endpoint or its peer closes.
     fn register(&mut self, waker: &Waker) -> Option<RawFd>;
 
-    /// Non-blocking receive: if a complete frame is available it
-    /// replaces `out`'s contents and `Ok(true)` is returned;
-    /// `Ok(false)` means no complete frame yet — partial progress is
-    /// kept internally, exactly like a [`NetError::Timeout`] from
-    /// [`Transport::recv_frame`]. Clean EOF at a frame boundary is
-    /// [`NetError::Closed`].
-    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError>;
+    /// Non-blocking receive: if a complete frame is available it lands
+    /// in `out` and `Ok(true)` is returned; `Ok(false)` means no complete
+    /// frame yet — partial progress is kept internally, exactly like a
+    /// [`NetError::Timeout`] from [`Transport::recv_frame`]. Clean EOF at
+    /// a frame boundary is [`NetError::Closed`].
+    fn poll_recv_frame(&mut self, out: &mut dyn Landing) -> Result<bool, NetError>;
 
     /// Drive previously queued output toward the peer without blocking.
     /// `Ok(true)` when the queue is fully drained.
@@ -426,11 +500,15 @@ pub struct TcpTransport {
     timeout: Option<Duration>,
     conn: u64,
     /// Receive state machine: the prefix bytes read so far, then the
-    /// frame buffer the body is read straight into (`rbody.len()` is the
-    /// progress). Survives timeouts so polling cannot desync the frames.
+    /// frame buffer the body — or, when the landing took the bulk, its
+    /// first `rsplit` bytes — is read straight into (`rbody.len()` is the
+    /// progress), then the bulk bytes landed so far. Survives timeouts so
+    /// polling cannot desync the frames.
     rprefix: [u8; FRAME_PREFIX_BYTES],
     rprefix_len: usize,
     rbody: Vec<u8>,
+    rsplit: usize,
+    rlanded: Option<usize>,
     /// Largest body accepted, checked before `rbody` grows.
     rlimit: usize,
     /// Output the (non-blocking) socket refused.
@@ -499,6 +577,8 @@ impl TcpTransport {
             rprefix: [0; FRAME_PREFIX_BYTES],
             rprefix_len: 0,
             rbody: Vec::new(),
+            rsplit: 0,
+            rlanded: None,
             rlimit: MAX_FRAME_BYTES,
             out: OutQueue::default(),
         }
@@ -508,16 +588,19 @@ impl TcpTransport {
         NetError::Io(format!(
             "peer {} closed mid-frame with {} bytes pending",
             self.peer,
-            self.rprefix_len + self.rbody.len()
+            self.rprefix_len + self.rbody.len() + self.rlanded.unwrap_or(0)
         ))
     }
 
     /// One step of the receive state machine: at most one read of the
     /// prefix, or reads of the body until it is complete or the socket
-    /// has no more. `Ok(true)` hands the finished frame to `out`;
-    /// `Ok(false)` means call again; `WouldBlock`/`TimedOut` surface as
+    /// has no more — first into the frame buffer up to the landing's
+    /// split, then the bulk straight into the storage the landing offered
+    /// for it (or, when it offered none, on into the frame buffer).
+    /// `Ok(true)` hands the finished frame to `landing`; `Ok(false)` means
+    /// call again; `WouldBlock`/`TimedOut` surface as
     /// [`NetError::Timeout`] with all progress kept.
-    fn advance(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
+    fn advance(&mut self, landing: &mut dyn Landing) -> Result<bool, NetError> {
         if self.rprefix_len < FRAME_PREFIX_BYTES {
             let n = match self.stream.read(&mut self.rprefix[self.rprefix_len..]) {
                 Ok(n) => n,
@@ -536,6 +619,8 @@ impl TcpTransport {
                 return Ok(false);
             }
             self.rbody.clear();
+            self.rsplit = split_at(landing, u32::from_le_bytes(self.rprefix) as usize);
+            self.rlanded = None;
         }
         let len = u32::from_le_bytes(self.rprefix) as usize;
         // Checked on every step, not only when the prefix completes: an
@@ -546,7 +631,7 @@ impl TcpTransport {
                 self.rlimit
             )));
         }
-        let missing = len - self.rbody.len();
+        let missing = self.rsplit - self.rbody.len();
         if missing > 0 {
             // Reserves once per frame (a no-op on later steps). The
             // exact-length reader appends into the reserved space, and
@@ -555,11 +640,34 @@ impl TcpTransport {
             (&self.stream)
                 .take(missing as u64)
                 .read_to_end(&mut self.rbody)?;
-            if self.rbody.len() < len {
+            if self.rbody.len() < self.rsplit {
                 return Err(self.closed_mid_frame());
             }
         }
-        std::mem::swap(out, &mut self.rbody);
+        if self.rsplit < len {
+            let rest = len - self.rsplit;
+            let Some(storage) = landing.land(&self.rbody, rest) else {
+                if self.rlanded.is_some() {
+                    return Err(NetError::Decode(
+                        "landing withdrew its storage mid-frame".into(),
+                    ));
+                }
+                // Declined: the rest arrives in the frame buffer too.
+                self.rsplit = len;
+                return Ok(false);
+            };
+            let bulk = landing_bytes(storage, rest)?;
+            let done = self.rlanded.get_or_insert(0);
+            while *done < rest {
+                match self.stream.read(&mut bulk[*done..]) {
+                    Ok(0) => return Err(self.closed_mid_frame()),
+                    Ok(n) => *done += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+        std::mem::swap(landing.frame(), &mut self.rbody);
         self.rprefix_len = 0;
         Ok(true)
     }
@@ -570,7 +678,7 @@ impl Transport for TcpTransport {
         self.out.send(&mut &self.stream, head, tail)
     }
 
-    fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
+    fn recv_frame(&mut self, out: &mut dyn Landing) -> Result<(), NetError> {
         let deadline = self.timeout.map(|t| Instant::now() + t);
         loop {
             if let Some(d) = deadline {
@@ -636,7 +744,7 @@ impl Transport for TcpTransport {
         Some(self.stream.as_raw_fd())
     }
 
-    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
+    fn poll_recv_frame(&mut self, out: &mut dyn Landing) -> Result<bool, NetError> {
         loop {
             match self.advance(out) {
                 Ok(true) => return Ok(true),
@@ -893,17 +1001,33 @@ pub struct LoopbackTransport {
 }
 
 impl LoopbackTransport {
-    /// The queue has no length prefix to vet before the frame exists, so
-    /// the inbound limit is applied to the frame as it is handed over.
-    fn check_limit(&self, frame: &[u8]) -> Result<(), NetError> {
-        if frame.len() > self.rlimit {
+    /// Finish a receive whose queued frame was just swapped into
+    /// `out.frame()`. The queue has no length prefix to vet before the
+    /// frame exists, so the inbound limit is applied to the frame as it is
+    /// handed over; then a landing that takes the bulk gets it copied in,
+    /// once, and the frame buffer keeps only the head.
+    fn hand_over(&self, out: &mut dyn Landing) -> Result<(), NetError> {
+        let len = out.frame().len();
+        if len > self.rlimit {
             return Err(NetError::Decode(format!(
-                "frame length {} exceeds the {}-byte limit",
-                frame.len(),
+                "frame length {len} exceeds the {}-byte limit",
                 self.rlimit
             )));
         }
-        Ok(())
+        let split = split_at(out, len);
+        if split == len {
+            return Ok(());
+        }
+        let mut frame = std::mem::take(out.frame());
+        let (head, bulk) = frame.split_at(split);
+        let landed = out
+            .land(head, bulk.len())
+            .map(|storage| landing_bytes(storage, bulk.len()).map(|b| b.copy_from_slice(bulk)));
+        if landed.is_some() {
+            frame.truncate(split);
+        }
+        *out.frame() = frame;
+        landed.unwrap_or(Ok(()))
     }
 }
 
@@ -949,9 +1073,9 @@ impl Transport for LoopbackTransport {
         self.send.push(head, &tail)
     }
 
-    fn recv_frame(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
-        self.recv.pop(self.timeout, out)?;
-        self.check_limit(out)
+    fn recv_frame(&mut self, out: &mut dyn Landing) -> Result<(), NetError> {
+        self.recv.pop(self.timeout, out.frame())?;
+        self.hand_over(out)
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
@@ -996,11 +1120,11 @@ impl Transport for LoopbackTransport {
     // Queue pushes never block, so sends never queue and the default
     // `poll_flush` (always drained) is already correct; only the receive
     // side needs a true poll.
-    fn poll_recv_frame(&mut self, out: &mut Vec<u8>) -> Result<bool, NetError> {
-        if !self.recv.try_pop(out)? {
+    fn poll_recv_frame(&mut self, out: &mut dyn Landing) -> Result<bool, NetError> {
+        if !self.recv.try_pop(out.frame())? {
             return Ok(false);
         }
-        self.check_limit(out)?;
+        self.hand_over(out)?;
         Ok(true)
     }
 }
@@ -1482,6 +1606,159 @@ mod tests {
             tx.send_parts(b"", Tail::NONE).unwrap();
             rx.recv_frame(&mut out).unwrap();
             assert_eq!(out, b"");
+        }
+    }
+
+    /// A landing that reads `head` bytes first and takes the rest of a
+    /// longer frame, when it is whole f32s, into storage of its own
+    /// (`extra` more elements than asked for, to offer the wrong size).
+    struct Offer {
+        frame: Vec<u8>,
+        head: usize,
+        extra: usize,
+        bulk: Option<Vec<f32>>,
+    }
+
+    impl Offer {
+        fn new(head: usize) -> Self {
+            Offer {
+                frame: Vec::new(),
+                head,
+                extra: 0,
+                bulk: None,
+            }
+        }
+
+        /// The finished frame: its buffer, and the bulk's bytes if one
+        /// landed (taken, so the next frame starts afresh).
+        fn take(&mut self) -> (Vec<u8>, Option<Vec<u8>>) {
+            let bulk = self.bulk.take();
+            let bytes = bulk.map(|b| b.iter().flat_map(|v| v.to_le_bytes()).collect());
+            (self.frame.clone(), bytes)
+        }
+    }
+
+    impl Landing for Offer {
+        fn frame(&mut self) -> &mut Vec<u8> {
+            &mut self.frame
+        }
+
+        fn head_len(&self) -> usize {
+            self.head
+        }
+
+        fn land(&mut self, _head: &[u8], rest: usize) -> Option<&mut [f32]> {
+            if !rest.is_multiple_of(4) {
+                return None;
+            }
+            let n = rest / 4 + self.extra;
+            Some(self.bulk.get_or_insert_with(|| vec![f32::NAN; n]))
+        }
+    }
+
+    /// Frame bodies around a 13-byte head: none, shorter, exactly the
+    /// head, a head and whole f32s (small and socket-buffer sized), and a
+    /// head and a bulk that is not whole f32s.
+    fn landing_bodies() -> Vec<Vec<u8>> {
+        [0usize, 5, 13, 13 + 8, 13 + (1 << 20), 13 + 3]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
+            .collect()
+    }
+
+    #[test]
+    fn loopback_and_tcp_land_the_same_frames() {
+        let bodies = landing_bodies();
+        let (mut client, mut server) = tcp_pair();
+        let (mut la, mut lb) = loopback_pair();
+        let mut got = Vec::new();
+        let ends: [(&mut dyn Transport, &mut dyn Transport); 2] =
+            [(&mut client, &mut server), (&mut la, &mut lb)];
+        for (tx, rx) in ends {
+            let mut landed = Vec::new();
+            std::thread::scope(|s| {
+                // Its own thread: the megabyte frame outgrows a socket
+                // buffer nobody reads.
+                s.spawn(|| bodies.iter().for_each(|b| tx.send_frame(b).unwrap()));
+                for body in &bodies {
+                    let mut offer = Offer::new(13);
+                    rx.recv_frame(&mut offer).unwrap();
+                    let (frame, bulk) = offer.take();
+                    // Head plus landed bulk is the frame that was sent.
+                    let mut whole = frame.clone();
+                    whole.extend_from_slice(bulk.as_deref().unwrap_or_default());
+                    assert_eq!(&whole, body);
+                    let lands = body.len() > 13 && (body.len() - 13) % 4 == 0;
+                    assert_eq!(bulk.is_some(), lands, "{}-byte body", body.len());
+                    landed.push((frame, bulk));
+                }
+            });
+            got.push(landed);
+        }
+        assert_eq!(got[0], got[1]);
+    }
+
+    #[test]
+    fn tcp_bulk_dribbled_across_polls_lands_in_the_offered_storage() {
+        let (client, mut server) = tcp_pair();
+        server.set_nonblocking(true).unwrap();
+        let mut raw = client.stream.try_clone().unwrap();
+        let body: Vec<u8> = (0u8..13 + 4 * 6).collect();
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        let mut offer = Offer::new(13);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (i, byte) in wire.iter().enumerate() {
+            raw.write_all(&[*byte]).unwrap();
+            loop {
+                let done = server.poll_recv_frame(&mut offer).unwrap();
+                assert_eq!(done, i + 1 == wire.len());
+                let progress =
+                    server.rprefix_len + server.rbody.len() + server.rlanded.unwrap_or(0);
+                if done || progress == i + 1 {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "byte {i} never arrived");
+                std::thread::yield_now();
+            }
+            // The storage is offered once the head is in, never earlier.
+            assert_eq!(offer.bulk.is_some(), i + 1 >= 4 + 13);
+        }
+        assert_eq!(
+            offer.take(),
+            (body[..13].to_vec(), Some(body[13..].to_vec()))
+        );
+    }
+
+    #[test]
+    fn a_peer_closing_mid_bulk_is_a_mid_frame_error() {
+        let (client, mut server) = tcp_pair();
+        let mut raw = client.stream.try_clone().unwrap();
+        raw.write_all(&(13u32 + 400).to_le_bytes()).unwrap();
+        raw.write_all(&[0u8; 13 + 200]).unwrap();
+        drop((client, raw));
+        match server.recv_frame(&mut Offer::new(13)) {
+            Err(NetError::Io(e)) => assert!(e.contains("closed mid-frame with 217 bytes"), "{e}"),
+            other => panic!("expected the mid-frame error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn storage_of_the_wrong_size_is_a_decode_error() {
+        let (mut client, mut server) = tcp_pair();
+        let (mut la, mut lb) = loopback_pair();
+        let ends: [(&mut dyn Transport, &mut dyn Transport); 2] =
+            [(&mut client, &mut server), (&mut la, &mut lb)];
+        for (tx, rx) in ends {
+            tx.send_frame(&[0u8; 13 + 8]).unwrap();
+            let mut offer = Offer {
+                extra: 1,
+                ..Offer::new(13)
+            };
+            assert!(matches!(
+                rx.recv_frame(&mut offer),
+                Err(NetError::Decode(_))
+            ));
         }
     }
 

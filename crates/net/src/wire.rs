@@ -84,8 +84,8 @@ pub enum WireMsg {
     /// Server → worker: the weights answering a [`WireMsg::Pull`]; echoes
     /// the *requested* version so the client can match outstanding pulls
     /// even when the server raced one aggregate ahead. The weights are
-    /// decoded once, straight into the shared snapshot a waiting pull is
-    /// handed.
+    /// the shared snapshot a waiting pull is handed: landed there by the
+    /// socket's read, or decoded into it once.
     PullReply {
         key: u32,
         min_version: u64,
@@ -643,6 +643,11 @@ fn decode_compressed_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<Compr
         TAG_QSGD => {
             let norm = cur.f32()?;
             let levels = cur.u8()?;
+            // 0 levels would make every symbol 0 bits wide: no payload
+            // byte could bound `len`, and the codes below are `len` long.
+            if levels == 0 {
+                return Err(NetError::Decode("QSGD payload with 0 levels".into()));
+            }
             let bits = qsgd_bits(levels);
             let expect = (len * bits).div_ceil(8);
             if cur.remaining() != expect {
@@ -657,7 +662,7 @@ fn decode_compressed_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<Compr
             let mut acc: u64 = 0;
             let mut nbits: usize = 0;
             let mut next = 0usize;
-            let mask: u64 = if bits == 0 { 0 } else { (1 << bits) - 1 };
+            let mask: u64 = (1 << bits) - 1;
             for _ in 0..len {
                 while nbits < bits {
                     acc |= (packed[next] as u64) << nbits;
@@ -895,32 +900,115 @@ pub fn encode_msg_into(msg: &WireMsg, buf: &mut Vec<u8>) {
 
 /// Decode one frame body into a [`WireMsg`], consuming the entire slice.
 pub fn decode_msg(bytes: &[u8]) -> Result<WireMsg, NetError> {
-    decode_msg_in(bytes, None, None)
+    decode_msg_in(bytes, None)
 }
 
 /// [`decode_msg`] with a push payload's storage drawn from `pool` (the
 /// one the receiver recycles aggregated payloads into).
 pub fn decode_msg_pooled(bytes: &[u8], pool: &BufferPool) -> Result<WireMsg, NetError> {
-    decode_msg_in(bytes, Some(pool), None)
+    decode_msg_in(bytes, Some(pool))
 }
 
-/// Where a pull reply's weights may be decoded: given the reply's key and
-/// element count, a snapshot of that length that nobody else holds — or
-/// `None`, and the reply allocates its own.
-pub type SnapshotSlot<'a> = &'a mut dyn FnMut(u32, usize) -> Option<Arc<[f32]>>;
-
-/// [`decode_msg`] with a pull reply's weights written into the snapshot
-/// `slot` supplies instead of a fresh allocation (one that is shared or
-/// of another length is ignored, and the reply allocates as ever).
-pub fn decode_msg_reusing(bytes: &[u8], slot: SnapshotSlot) -> Result<WireMsg, NetError> {
-    decode_msg_in(bytes, None, Some(slot))
+/// What the head of a push or a pull reply says, read before the rest of
+/// its frame: enough to route it and to size — or refuse — storage for
+/// its payload. A frame whose bulk landed outside the frame buffer (see
+/// [`crate::Landing`]) is decoded as its head plus the storage the bulk
+/// landed in: `Push { .. raw: true }` and `len` f32s make
+/// `WireMsg::Push` with a `Compressed::Raw` payload, `PullReply` and `len`
+/// weights make `WireMsg::PullReply`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameHead {
+    /// A push whose payload header declares `len` elements, whatever its
+    /// codec; `raw` when the payload is those `len` f32s themselves.
+    Push {
+        worker: u32,
+        key: u32,
+        len: usize,
+        raw: bool,
+    },
+    /// A pull reply of `len` weights.
+    PullReply {
+        key: u32,
+        min_version: u64,
+        len: usize,
+    },
 }
 
-fn decode_msg_in(
-    bytes: &[u8],
-    pool: Option<&BufferPool>,
-    slot: Option<SnapshotSlot>,
-) -> Result<WireMsg, NetError> {
+impl FrameHead {
+    /// Body bytes of the head: opcode, worker, key and payload header, or
+    /// opcode, key and version — 13 either way.
+    pub const BYTES: usize = 13;
+}
+
+/// The landed decode: the [`FrameHead`] of a frame whose first
+/// [`FrameHead::BYTES`] body bytes are `head` and whose other `rest`
+/// bytes are still to come. A raw push must declare exactly `rest / 4`
+/// elements and a pull reply bring whole f32s; any other frame or a head
+/// that does not parse is a [`NetError::Decode`] — such a frame is read,
+/// and decoded or refused, whole. Reads the head only: nothing is
+/// reserved, whatever `rest` claims.
+pub fn decode_head(head: &[u8], rest: usize) -> Result<FrameHead, NetError> {
+    let mut cur = Cursor::new(head);
+    let parsed = match cur.u8()? {
+        OP_PUSH => {
+            let (worker, key, header) = (cur.u32()?, cur.u32()?, cur.u32()?);
+            let (tag, len) = (header >> LEN_BITS, (header & LEN_MASK) as usize);
+            if tag == TAG_RAW && rest != 4 * len {
+                return Err(NetError::Decode(format!(
+                    "raw push of {len} elements followed by {rest} bytes"
+                )));
+            }
+            FrameHead::Push {
+                worker,
+                key,
+                len,
+                raw: tag == TAG_RAW,
+            }
+        }
+        OP_PULL_REPLY => {
+            let (key, min_version) = (cur.u32()?, cur.u64()?);
+            if !rest.is_multiple_of(4) {
+                return Err(NetError::Decode(format!(
+                    "pull reply followed by {rest} bytes, not whole f32s"
+                )));
+            }
+            FrameHead::PullReply {
+                key,
+                min_version,
+                len: rest / 4,
+            }
+        }
+        op => {
+            return Err(NetError::Decode(format!(
+                "opcode {op} has no head to land a bulk after"
+            )))
+        }
+    };
+    if cur.remaining() != 0 {
+        return Err(NetError::Decode(format!(
+            "{}-byte head, want {}",
+            head.len(),
+            FrameHead::BYTES
+        )));
+    }
+    Ok(parsed)
+}
+
+/// `count` entries of at least `each` bytes from `cur`, or the
+/// [`NetError::Decode`] for a count the bytes left cannot hold — checked
+/// before anything is reserved for them.
+fn bounded(cur: &Cursor, count: u32, each: usize) -> Result<usize, NetError> {
+    let count = count as usize;
+    if count > cur.remaining() / each {
+        return Err(NetError::Decode(format!(
+            "{count} entries of at least {each} bytes in {} bytes",
+            cur.remaining()
+        )));
+    }
+    Ok(count)
+}
+
+fn decode_msg_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<WireMsg, NetError> {
     let mut cur = Cursor::new(bytes);
     let op = cur.u8()?;
     let msg = match op {
@@ -948,27 +1036,20 @@ fn decode_msg_in(
                 )));
             }
             // One pass from the frame into the shared allocation the
-            // waiting pull is handed: the caller's recycled snapshot, or
-            // a fresh one (exact-size collect: no `Vec` between).
-            let values = le_f32s(cur.take(cur.remaining())?);
-            let mut reused = slot.and_then(|slot| slot(key, values.len()));
-            let weights = match reused.as_mut().and_then(Arc::get_mut) {
-                Some(out) if out.len() == values.len() => {
-                    out.iter_mut().zip(values).for_each(|(o, v)| *o = v);
-                    reused.expect("just written through")
-                }
-                _ => values.collect(),
-            };
+            // waiting pull is handed (exact-size collect: no `Vec`
+            // between).
             WireMsg::PullReply {
                 key,
                 min_version,
-                weights,
+                weights: le_f32s(cur.take(cur.remaining())?).collect(),
             }
         }
         OP_SET_LR => WireMsg::SetLr { lr: cur.f32()? },
         OP_SNAPSHOT => WireMsg::Snapshot,
         OP_SNAPSHOT_REPLY => {
-            let keys = cur.u32()? as usize;
+            // Per key at least its version and length.
+            let count = cur.u32()?;
+            let keys = bounded(&cur, count, 12)?;
             let mut weights = Vec::with_capacity(keys);
             let mut versions = Vec::with_capacity(keys);
             for _ in 0..keys {
@@ -981,7 +1062,8 @@ fn decode_msg_in(
         OP_SHUTDOWN => WireMsg::Shutdown,
         OP_REGISTER => WireMsg::Register { worker: cur.u32()? },
         OP_REGISTER_ACK => {
-            let keys = cur.u32()? as usize;
+            let count = cur.u32()?;
+            let keys = bounded(&cur, count, 8)?;
             let mut versions = Vec::with_capacity(keys);
             for _ in 0..keys {
                 versions.push(cur.u64()?);
@@ -1219,41 +1301,82 @@ mod tests {
     }
 
     #[test]
-    fn a_pull_reply_is_decoded_into_the_offered_snapshot_only_if_it_is_free() {
+    fn a_head_is_read_as_the_message_its_landed_bulk_completes() {
+        let weights = [1.0f32, -0.0, f32::INFINITY];
         let mut frame = Vec::new();
-        encode_pull_reply_into(3, 9, &[1.0, -0.0, f32::INFINITY], &mut frame);
-        let want = decode_msg(&frame).unwrap();
-        let weights_at = |msg: &WireMsg| match msg {
-            WireMsg::PullReply { weights, .. } => weights.as_ptr(),
-            other => panic!("not a pull reply: {other:?}"),
+        encode_pull_reply_into(3, 9, &weights, &mut frame);
+        let (head, bulk) = frame.split_at(FrameHead::BYTES);
+        let reply = FrameHead::PullReply {
+            key: 3,
+            min_version: 9,
+            len: 3,
         };
-
-        // A free snapshot of the reply's length is written through; the
-        // slot is asked for by key and element count.
-        let mut free = Some(Arc::<[f32]>::from([7.0f32; 3]));
-        let at = free.as_ref().unwrap().as_ptr();
-        let msg = decode_msg_reusing(&frame, &mut |key, n| {
-            assert_eq!((key, n), (3, 3));
-            free.take()
-        });
-        assert_eq!(msg.as_ref(), Ok(&want));
-        assert_eq!(weights_at(&msg.unwrap()), at);
-
-        // One somebody still reads is left alone, bit for bit...
-        let held: Arc<[f32]> = Arc::from([7.0f32; 3]);
-        let msg = decode_msg_reusing(&frame, &mut |_, _| Some(Arc::clone(&held))).unwrap();
-        assert_eq!(msg, want);
-        assert_ne!(weights_at(&msg), held.as_ptr());
-        assert_eq!(*held, [7.0; 3]);
-        // ...and so is one of another length.
-        let mut short = Some(Arc::<[f32]>::from([7.0f32; 2]));
-        let msg = decode_msg_reusing(&frame, &mut |_, _| short.take());
-        assert_eq!(msg, Ok(want));
-
-        // Every other message decodes as ever, its slot never asked.
+        assert_eq!(decode_head(head, bulk.len()), Ok(reply));
+        encode_push_into(4, 2, &Compressed::Raw(weights.to_vec()), &mut frame);
+        let (head, bulk) = frame.split_at(FrameHead::BYTES);
+        let push = |len, raw| FrameHead::Push {
+            worker: 4,
+            key: 2,
+            len,
+            raw,
+        };
+        assert_eq!(decode_head(head, bulk.len()), Ok(push(3, true)));
+        // A raw push's declared length must be what follows; a
+        // compressed one declares its element count, whatever follows.
+        assert!(decode_head(head, bulk.len() - 4).is_err());
+        let two_bit = Compressed::TwoBit {
+            threshold: 0.5,
+            packed: vec![0; 2],
+            len: 7,
+        };
+        encode_push_into(4, 2, &two_bit, &mut frame);
+        assert_eq!(decode_head(&frame[..13], 6), Ok(push(7, false)));
+        // A reply of part-f32s, a head of the wrong size, and every other
+        // message are not landed.
+        encode_pull_reply_into(3, 9, &weights, &mut frame);
+        assert!(decode_head(&frame[..13], 5).is_err());
+        assert!(decode_head(&frame[..12], 12).is_err());
+        assert!(decode_head(&frame[..14], 12).is_err());
         encode_pull_into(3, 9, &mut frame);
-        let msg = decode_msg_reusing(&frame, &mut |_, _| panic!("not a reply"));
-        assert_eq!(msg, decode_msg(&frame));
+        assert!(decode_head(&frame, 8).is_err());
+    }
+
+    #[test]
+    fn qsgd_with_zero_levels_is_refused_before_anything_is_reserved() {
+        // 18 bytes declaring 2^29 - 1 codes of 0 bits each: every length
+        // check passes with no packed byte, so the decoder used to
+        // reserve and fill half a gigabyte of codes.
+        let mut bytes = ((TAG_QSGD << LEN_BITS) | LEN_MASK).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&1.0f32.to_le_bytes());
+        bytes.push(0);
+        assert!(matches!(
+            decode_compressed(&bytes),
+            Err(NetError::Decode(_))
+        ));
+    }
+
+    #[test]
+    fn a_register_ack_count_past_its_bytes_is_refused() {
+        // Five bytes claiming 2^32 - 1 versions used to abort the
+        // process: the reservation for them could not be made.
+        let frame = [OP_REGISTER_ACK, 0xff, 0xff, 0xff, 0xff];
+        assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
+        // One version short of the count is refused too.
+        let mut frame = Vec::new();
+        encode_register_ack_into(&[1, 2], &mut frame);
+        frame[1] = 3;
+        assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
+    }
+
+    #[test]
+    fn a_snapshot_reply_count_past_its_bytes_is_refused() {
+        let frame = [OP_SNAPSHOT_REPLY, 0xff, 0xff, 0xff, 0xff];
+        assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
+        // Two empty keys take 24 bytes; a third cannot fit in them.
+        let mut frame = Vec::new();
+        encode_snapshot_reply_into(&[vec![], vec![]], &[1, 2], &mut frame);
+        frame[1] = 3;
+        assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
     }
 
     #[test]

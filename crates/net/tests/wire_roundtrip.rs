@@ -5,9 +5,9 @@
 
 use cdsgd_compress::{pack_1bit, pack_2bit, BufferPool, Compressed};
 use cdsgd_net::wire::{
-    decode_compressed, decode_msg, decode_msg_pooled, encode_compressed_into,
+    decode_compressed, decode_head, decode_msg, decode_msg_pooled, encode_compressed_into,
     encode_compressed_parts, encode_msg_into, encode_push_parts, pull_reply_frame_bytes,
-    push_frame_bytes, WireMsg, FRAME_PREFIX_BYTES,
+    push_frame_bytes, FrameHead, WireMsg, FRAME_PREFIX_BYTES,
 };
 use proptest::prelude::*;
 
@@ -118,6 +118,10 @@ proptest! {
         pool.put_f32(Vec::with_capacity(64));
         prop_assert_eq!(decode_msg_pooled(&buf, &pool).unwrap(), msg);
         prop_assert_eq!((pool.hits(), pool.misses()), (1, 0));
+        // What a landing reads first: the head the bulk completes.
+        let (head, bulk) = buf.split_at(FrameHead::BYTES);
+        let len = payload.len();
+        prop_assert_eq!(decode_head(head, bulk.len()), Ok(FrameHead::Push { worker, key, len, raw: true }));
     }
 
     #[test]
@@ -127,6 +131,9 @@ proptest! {
         encode_msg_into(&msg, &mut buf);
         prop_assert_eq!(buf.len() + FRAME_PREFIX_BYTES, pull_reply_frame_bytes(w.len()));
         prop_assert_eq!(decode_msg(&buf).unwrap(), msg);
+        let (head, bulk) = buf.split_at(FrameHead::BYTES);
+        let len = w.len();
+        prop_assert_eq!(decode_head(head, bulk.len()), Ok(FrameHead::PullReply { key, min_version: version, len }));
     }
 }
 

@@ -33,9 +33,11 @@
 //! Bulk bytes are copied as often as the socket requires and no more: a
 //! pull reply leaves as a 13-byte head plus the shard's own `Arc<[f32]>`
 //! snapshot ([`Tail::F32s`]), a push as its header plus the payload's own
-//! storage, and on arrival a push is decoded into [`BufferPool`] storage
-//! and a pull reply into the `Arc<[f32]>` its waiter receives (DESIGN.md
-//! §3 has the per-direction copy table).
+//! storage, and on arrival each lands where it is consumed — through a
+//! [`Landing`] that reads the frame's head first, the bulk of a raw push
+//! is read straight into [`BufferPool`] storage and that of a pull reply
+//! into the `Arc<[f32]>` its waiter receives (DESIGN.md §3 has the
+//! per-direction copy table).
 
 use crate::api::{ParamClient, PsBackend};
 use crate::client::{PendingPull, PsClient};
@@ -46,9 +48,9 @@ use crate::spares::Spares;
 use crate::stats::TrafficStats;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
-use cdsgd_net::wire::{self, WireMsg, FRAME_PREFIX_BYTES};
+use cdsgd_net::wire::{self, FrameHead, WireMsg, FRAME_PREFIX_BYTES};
 use cdsgd_net::{
-    loopback_pair, wake_pair, FaultPlan, FaultyTransport, NetConfig, NetError, Poller,
+    loopback_pair, wake_pair, FaultPlan, FaultyTransport, Landing, NetConfig, NetError, Poller,
     ReconnectConfig, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx, Waker,
 };
 use cdsgd_telemetry::{Event, Telemetry};
@@ -108,16 +110,112 @@ enum Reply {
 }
 
 /// Per-connection state owned by one I/O thread: the non-blocking
-/// transport, a reusable read buffer, and the FIFO of replies owed.
+/// transport, a reusable read buffer, what the head of the frame in
+/// progress decided, and the FIFO of replies owed.
 struct Conn {
     t: Box<dyn Transport>,
     /// The descriptor the I/O thread polls for this connection; `None`
     /// for a transport that wakes the thread itself.
     fd: Option<RawFd>,
     rbuf: Vec<u8>,
+    bulk: Bulk,
     replies: VecDeque<Reply>,
     /// Transport connection id, tagged onto frame events.
     id: u64,
+}
+
+impl Conn {
+    fn new(mut t: Box<dyn Transport>, waker: &Waker) -> Self {
+        Self {
+            id: t.conn_id(),
+            fd: t.register(waker),
+            t,
+            rbuf: Vec::new(),
+            bulk: Bulk::Bytes,
+            replies: VecDeque::new(),
+        }
+    }
+}
+
+/// What a frame's head decided about the rest of it, before any of it is
+/// read ([`HeadFirst`]).
+#[derive(Default)]
+enum Bulk {
+    /// The frame arrives whole in the read buffer and is decoded there.
+    #[default]
+    Bytes,
+    /// The message the head starts, its f32 bulk landing in its own
+    /// storage: a raw push's pooled payload, a pull reply's snapshot.
+    Landed(WireMsg),
+    /// A push naming a key, length or worker this shard does not have:
+    /// the frame is read whole and its connection retired, nothing
+    /// reserved for the payload it declares.
+    Refused(NetError),
+}
+
+impl Bulk {
+    /// The finished frame's message — the landed one, or the read buffer
+    /// `rbuf` through `decode` — and the frame's size on the wire.
+    fn finish(
+        mut self,
+        rbuf: &[u8],
+        decode: impl FnOnce(&[u8]) -> Result<WireMsg, NetError>,
+    ) -> (usize, Result<WireMsg, NetError>) {
+        let landed = match &mut self {
+            Bulk::Landed(msg) => landing_storage(msg).map_or(0, |s| 4 * s.len()),
+            _ => 0,
+        };
+        let msg = match self {
+            Bulk::Bytes => decode(rbuf),
+            Bulk::Landed(msg) => Ok(msg),
+            Bulk::Refused(e) => Err(e),
+        };
+        (FRAME_PREFIX_BYTES + rbuf.len() + landed, msg)
+    }
+}
+
+/// Where the f32 bulk of a message built from its head lands: a raw
+/// push's payload, or a pull reply's weights while nobody else holds them.
+fn landing_storage(msg: &mut WireMsg) -> Option<&mut [f32]> {
+    match msg {
+        WireMsg::Push {
+            payload: Compressed::Raw(values),
+            ..
+        } => Some(values),
+        WireMsg::PullReply { weights, .. } => Arc::get_mut(weights),
+        _ => None,
+    }
+}
+
+/// A receive that reads a push's or pull reply's 13-byte head first and
+/// lets `decide` say where the rest goes; every other frame, and one
+/// whose head does not parse, arrives whole in `rbuf`.
+struct HeadFirst<'a, F> {
+    rbuf: &'a mut Vec<u8>,
+    bulk: &'a mut Bulk,
+    decide: F,
+}
+
+impl<F: FnMut(FrameHead) -> Bulk> Landing for HeadFirst<'_, F> {
+    fn frame(&mut self) -> &mut Vec<u8> {
+        self.rbuf
+    }
+
+    fn head_len(&self) -> usize {
+        FrameHead::BYTES
+    }
+
+    fn land(&mut self, head: &[u8], rest: usize) -> Option<&mut [f32]> {
+        if matches!(self.bulk, Bulk::Bytes) {
+            if let Ok(head) = wire::decode_head(head, rest) {
+                *self.bulk = (self.decide)(head);
+            }
+        }
+        match self.bulk {
+            Bulk::Landed(msg) => landing_storage(msg),
+            _ => None,
+        }
+    }
 }
 
 /// The handles a [`PsNetServer`] keeps on one of its I/O threads: where
@@ -242,13 +340,7 @@ impl PsNetServer {
         let mut t = transport;
         t.set_nonblocking(true)?;
         t.set_recv_limit(self.recv_limit);
-        let conn = Conn {
-            id: t.conn_id(),
-            fd: t.register(&io.waker),
-            t,
-            rbuf: Vec::new(),
-            replies: VecDeque::new(),
-        };
+        let conn = Conn::new(t, &io.waker);
         io.conns.send(conn).map_err(|_| NetError::ServerGone)?;
         io.waker.wake();
         Ok(())
@@ -410,6 +502,51 @@ impl IoLoop {
         }
     }
 
+    /// The `(worker, key)` of a push of `len` elements, or the
+    /// [`NetError::Decode`] that retires its connection: the key must be
+    /// one of this shard's and hold exactly `len` weights. Checked on the
+    /// head, before anything is reserved for the payload, and again on
+    /// every push the loop hands on — the only check a frame no longer
+    /// than its head meets.
+    fn check_push(&self, worker: u32, key: u32, len: usize) -> Result<(usize, usize), NetError> {
+        let key = key as usize;
+        let holds = self.key_lens.get(key);
+        if holds != Some(&len) {
+            return Err(NetError::Decode(format!(
+                "push of {len} elements to key {key}, which holds {holds:?} \
+                 on this shard of {} keys",
+                self.key_lens.len()
+            )));
+        }
+        Ok((self.worker(worker)?, key))
+    }
+
+    /// What a push's head decides ([`Bulk`]): refused unless it names
+    /// one of this shard's keys at that key's length and an admissible
+    /// worker; a raw one lands in a pooled buffer of the key's length
+    /// (one the shard recycled, sized without a pass); a compressed one
+    /// and every other frame is decoded whole.
+    fn land_push(&self, head: FrameHead) -> Bulk {
+        let FrameHead::Push {
+            worker,
+            key,
+            len,
+            raw,
+        } = head
+        else {
+            return Bulk::Bytes;
+        };
+        match self.check_push(worker, key, len) {
+            Err(e) => Bulk::Refused(e),
+            Ok(_) if raw => Bulk::Landed(WireMsg::Push {
+                worker,
+                key,
+                payload: Compressed::Raw(self.client.pool().take_f32_len(len)),
+            }),
+            Ok(_) => Bulk::Bytes,
+        }
+    }
+
     fn run(self) {
         let mut conns: Vec<Conn> = Vec::new();
         let mut head = Vec::new();
@@ -471,30 +608,30 @@ impl IoLoop {
         // Inbound: drain up to READ_BURST ready frames.
         let mut burst_spent = true;
         for _ in 0..READ_BURST {
-            if !c.t.poll_recv_frame(&mut c.rbuf)? {
+            let mut landing = HeadFirst {
+                rbuf: &mut c.rbuf,
+                bulk: &mut c.bulk,
+                decide: |head| self.land_push(head),
+            };
+            if !c.t.poll_recv_frame(&mut landing)? {
                 burst_spent = false;
                 break;
             }
-            stats.record_received(c.id, FRAME_PREFIX_BYTES + c.rbuf.len());
-            // A push payload is decoded into the storage the shard
-            // recycles aggregated payloads into.
-            match wire::decode_msg_pooled(&c.rbuf, client.pool())? {
+            // A raw push's payload is already in the storage the shard
+            // recycles aggregated payloads into; any other push is
+            // decoded into it.
+            let (frame, msg) = std::mem::take(&mut c.bulk).finish(&c.rbuf, |bytes| {
+                wire::decode_msg_pooled(bytes, client.pool())
+            });
+            stats.record_received(c.id, frame);
+            match msg? {
                 WireMsg::Push {
                     worker,
                     key,
                     payload,
                 } => {
-                    let key = key as usize;
-                    let holds = self.key_lens.get(key);
-                    if holds != Some(&payload.len()) {
-                        return Err(NetError::Decode(format!(
-                            "push of {} elements to key {key}, which holds {holds:?} \
-                             on this shard of {} keys",
-                            payload.len(),
-                            self.key_lens.len()
-                        )));
-                    }
-                    client.push_from(c.id, self.worker(worker)?, key, payload)?
+                    let (worker, key) = self.check_push(worker, key, payload.len())?;
+                    client.push_from(c.id, worker, key, payload)?
                 }
                 WireMsg::Pull { key, min_version } => {
                     let pending = client.pull_async(key as usize, min_version)?;
@@ -658,26 +795,46 @@ impl RemoteClient {
             .spawn(move || {
                 let mut buf = Vec::new();
                 // Per key, the snapshots this reader handed out: a reply
-                // is decoded into one the worker has let go of again
-                // (the server's own rule, `crate::spares`), so a
-                // steady-state round allocates none. Only keys the
-                // worker pulled get an entry.
+                // lands in one the worker has let go of again (the
+                // server's own rule, `crate::spares`), so a steady-state
+                // reply neither allocates nor decodes. Only keys the
+                // worker pulled get an entry: a key's first reply is
+                // decoded whole.
                 let mut spares: HashMap<u32, Spares> = HashMap::new();
+                let mut bulk = Bulk::Bytes;
                 loop {
-                    match read_t.recv_frame(&mut buf) {
+                    let mut landing = HeadFirst {
+                        rbuf: &mut buf,
+                        bulk: &mut bulk,
+                        decide: |head| match head {
+                            FrameHead::PullReply {
+                                key,
+                                min_version,
+                                len,
+                            } => spares.get_mut(&key).map_or(Bulk::Bytes, |s| {
+                                Bulk::Landed(WireMsg::PullReply {
+                                    key,
+                                    min_version,
+                                    weights: s.take(len),
+                                })
+                            }),
+                            FrameHead::Push { .. } => Bulk::Bytes,
+                        },
+                    };
+                    match read_t.recv_frame(&mut landing) {
                         Ok(()) => {}
                         Err(NetError::Timeout) => continue,
                         Err(_) => break,
                     }
-                    stats2.record_received(conn, FRAME_PREFIX_BYTES + buf.len());
-                    let mut slot = |key, len| Some(spares.get_mut(&key)?.take(len));
-                    match wire::decode_msg_reusing(&buf, &mut slot) {
+                    let (frame, msg) = std::mem::take(&mut bulk).finish(&buf, wire::decode_msg);
+                    stats2.record_received(conn, frame);
+                    match msg {
                         Ok(WireMsg::PullReply {
                             key,
                             min_version,
                             weights,
                         }) => {
-                            stats2.record_pull(FRAME_PREFIX_BYTES + buf.len());
+                            stats2.record_pull(frame);
                             let sender = {
                                 let mut p = pending2.lock().unwrap();
                                 p.pulls
@@ -2087,36 +2244,220 @@ mod tests {
         }
     }
 
-    #[test]
-    fn backpressure_counts_a_queued_snapshot_by_its_bytes() {
-        const KEY_LEN: usize = 1 << 20;
-        const REPLIES: usize = 8;
-        let ps = ParamServer::start(vec![vec![0.5; KEY_LEN]], ServerConfig::new(1, 1.0));
+    /// An I/O loop serving the one-worker shard `ps`, driven by hand
+    /// through `service`, and its waker.
+    fn io_loop_of(ps: &ParamServer, key_len: usize) -> (IoLoop, Waker) {
         let (waker, wake) = wake_pair().unwrap();
         let (_conn_tx, conn_rx) = mpsc::channel();
         let io = IoLoop {
             conns: conn_rx,
             wake,
             client: ps.client().waking(waker.clone()),
-            key_lens: Arc::new([KEY_LEN]),
+            key_lens: Arc::new([key_len]),
             max_workers: 1,
             stats: ps.shared_stats(),
             stop: Arc::new(AtomicBool::new(false)),
             signal: Arc::new((Mutex::new(false), Condvar::new())),
             passes: Arc::new(AtomicU64::new(0)),
         };
+        (io, waker)
+    }
+
+    /// The server end of a fresh TCP connection, non-blocking as `attach`
+    /// makes it, and the peer's socket to write raw bytes into.
+    fn tcp_conn(waker: &Waker) -> (Conn, std::net::TcpStream) {
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let peer = std::net::TcpStream::connect(addr).unwrap();
+        let mut t: Box<dyn Transport> = Box::new(acceptor.accept(Duration::from_secs(5)).unwrap());
+        t.set_nonblocking(true).unwrap();
+        (Conn::new(t, waker), peer)
+    }
+
+    /// `body` as a frame on the wire, written in pieces of 1–7 bytes with
+    /// a pause every few pieces: no two reads see the same split.
+    fn dribble(peer: &mut impl std::io::Write, body: &[u8]) {
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(body);
+        let mut rest = &wire[..];
+        for piece in 0usize.. {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at((1 + piece % 7).min(rest.len()));
+            peer.write_all(now).unwrap();
+            rest = later;
+            if piece % 5 == 4 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    /// Values whose every bit must survive the trip: signed zero,
+    /// infinities, a NaN payload, subnormals, and ordinary numbers.
+    fn awkward_f32s(n: usize, salt: u32) -> Vec<f32> {
+        let specials = [-0.0, f32::INFINITY, f32::from_bits(0x7fc0_1234), 1.0e-40];
+        (0..n as u32)
+            .map(|i| match i % 8 {
+                j @ 0..=3 => specials[j as usize],
+                _ => (i * 31 + salt) as f32 * 0.125 - 17.0,
+            })
+            .collect()
+    }
+
+    fn bits(w: &[f32]) -> Vec<u32> {
+        w.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_dribbled_raw_push_lands_in_the_pool_buffer_it_was_offered() {
+        const N: usize = 300;
+        let grad = awkward_f32s(N, 1);
+        // The same push through the in-process client is the reference.
+        let reference = ParamServer::start(vec![vec![0.5; N]], ServerConfig::new(1, 1.0));
+        let c = reference.client();
+        c.push(0, 0, Compressed::Raw(grad.clone())).unwrap();
+        let want = bits(&c.pull(0, 1).unwrap());
+        reference.shutdown();
+
+        let ps = ParamServer::start(vec![vec![0.5; N]], ServerConfig::new(1, 1.0));
+        let (io, waker) = io_loop_of(&ps, N);
+        // The one buffer of the key's length in the shard's pool.
+        let offered = vec![0.0f32; N];
+        let at = offered.as_ptr();
+        io.client.pool().put_f32(offered);
+        let (mut conn, mut peer) = tcp_conn(&waker);
+        let mut frame = Vec::new();
+        wire::encode_push_into(0, 0, &Compressed::Raw(grad), &mut frame);
+        // The writer hands its socket back instead of closing it: the loop
+        // must not meet EOF before it has looked.
+        let writer = std::thread::spawn(move || {
+            dribble(&mut peer, &frame);
+            peer
+        });
+        // The non-blocking loop, visit by visit: from the moment the head
+        // is in, the bulk lands in the pool's buffer; once the frame is
+        // complete, the push is handed to the shard.
+        let mut landed_at = None;
+        let mut head = Vec::new();
+        let mut poller = Poller::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while landed_at.is_none() || !matches!(conn.bulk, Bulk::Bytes) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the push never landed"
+            );
+            poller.clear();
+            poller.add(conn.fd.unwrap(), false);
+            poller.wait(Some(Duration::from_millis(50))).unwrap();
+            io.service(&mut conn, &mut head).unwrap();
+            if let Bulk::Landed(msg) = &mut conn.bulk {
+                landed_at = landing_storage(msg).map(|s| s.as_ptr());
+            }
+        }
+        drop(writer.join().unwrap());
+        assert_eq!(landed_at, Some(at));
+        assert_eq!(bits(&io.client.pull(0, 1).unwrap()), want);
+        ps.shutdown();
+    }
+
+    #[test]
+    fn a_dribbled_pull_reply_lands_in_the_snapshot_handed_out_if_it_is_free() {
+        use std::io::Read;
+        const N: usize = 257;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let t = TcpTransport::connect(addr, &NetConfig::default()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let c = RemoteClient::new(
+            Box::new(t),
+            Arc::new(TrafficStats::new()),
+            BufferPool::new(),
+        )
+        .unwrap();
+        // Pull version `v` of key 0, answered by a reply dribbled into the
+        // blocking reader.
+        let mut pull = |v: u64| {
+            let pending = c.pull_async(0, v).unwrap();
+            let mut request = [0u8; 17];
+            server.read_exact(&mut request).unwrap();
+            let asked = wire::decode_msg(&request[4..]).unwrap();
+            assert_eq!(
+                asked,
+                WireMsg::Pull {
+                    key: 0,
+                    min_version: v
+                }
+            );
+            let mut frame = Vec::new();
+            wire::encode_pull_reply_into(0, v, &awkward_f32s(N, v as u32), &mut frame);
+            dribble(&mut server, &frame);
+            pending.wait().unwrap()
+        };
+        // A key's first reply takes the byte path: the reader has handed
+        // out no snapshot for it yet.
+        let first = pull(1);
+        assert_eq!(bits(&first), bits(&awkward_f32s(N, 1)));
+        let at = first.as_ptr();
+        drop(first);
+        // Let go of, that snapshot is the storage the next reply lands in.
+        let second = pull(2);
+        assert_eq!(second.as_ptr(), at);
+        assert_eq!(bits(&second), bits(&awkward_f32s(N, 2)));
+        // Still held, it is left alone, bit for bit.
+        let third = pull(3);
+        assert_ne!(third.as_ptr(), at);
+        assert_eq!(bits(&third), bits(&awkward_f32s(N, 3)));
+        assert_eq!(bits(&second), bits(&awkward_f32s(N, 2)));
+    }
+
+    #[test]
+    fn a_peer_closing_mid_bulk_retires_only_its_connection() {
+        use std::io::{Read, Write};
+        let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        server.listen(acceptor);
+        // The head of a raw push to a real key, half its f32s, then EOF.
+        let mut frame = Vec::new();
+        wire::encode_push_into(0, 0, &Compressed::Raw(vec![9.0; 3]), &mut frame);
+        let mut hostile = std::net::TcpStream::connect(addr).unwrap();
+        hostile
+            .write_all(&(frame.len() as u32).to_le_bytes())
+            .unwrap();
+        hostile.write_all(&frame[..frame.len() - 6]).unwrap();
+        hostile.shutdown(std::net::Shutdown::Write).unwrap();
+        // The server hangs up on it once it has seen the EOF mid-frame.
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        assert_eq!(hostile.read(&mut [0u8; 1]).unwrap(), 0);
+        // A good client of the same shard completes a round, and nothing
+        // of the half push reached it.
+        let t = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
+        let good = RemoteClient::new(
+            Box::new(t),
+            Arc::new(TrafficStats::new()),
+            BufferPool::new(),
+        )
+        .unwrap();
+        good.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+        assert_eq!(*good.pull(0, 1).unwrap(), [-1.0; 3]);
+        assert_eq!(server.failure(), None);
+        drop(good);
+        server.shutdown();
+    }
+
+    #[test]
+    fn backpressure_counts_a_queued_snapshot_by_its_bytes() {
+        const KEY_LEN: usize = 1 << 20;
+        const REPLIES: usize = 8;
+        let ps = ParamServer::start(vec![vec![0.5; KEY_LEN]], ServerConfig::new(1, 1.0));
+        let (io, waker) = io_loop_of(&ps, KEY_LEN);
         // A reader that is not draining: the peer never reads.
         let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
         let mut peer = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
         let mut t: Box<dyn Transport> = Box::new(acceptor.accept(Duration::from_secs(5)).unwrap());
         t.set_nonblocking(true).unwrap();
-        let mut conn = Conn {
-            id: t.conn_id(),
-            fd: t.register(&waker),
-            t,
-            rbuf: Vec::new(),
-            replies: VecDeque::new(),
-        };
+        let mut conn = Conn::new(t, &waker);
         for _ in 0..REPLIES {
             conn.replies.push_back(Reply::Pull {
                 key: 0,
@@ -2251,33 +2592,72 @@ mod tests {
     #[test]
     fn malformed_frames_retire_their_connection_not_the_shard() {
         use crate::ElasticConfig;
-        // One frame each on its own connection; every one must be hung
-        // up on (a `NetError::Decode` inside the loop), none may reach
-        // the shard thread's `assert`s or size a table from the wire.
-        let hang_up = |server: &Arc<PsNetServer>, what: &str, msg: WireMsg| {
-            let (mut hostile, server_end) = loopback_pair();
+        // One frame each on its own connection, over loopback and over
+        // TCP; every one must be hung up on (a `NetError::Decode` inside
+        // the loop), none may reach the shard thread's `assert`s, size a
+        // table from the wire, or have payload storage reserved for it.
+        let hang_up = |server: &Arc<PsNetServer>, what: &str, frame: &[u8]| {
+            let (hostile, server_end) = loopback_pair();
             server.attach(Box::new(server_end)).unwrap();
+            let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+            let tcp = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
+            server
+                .attach(Box::new(acceptor.accept(Duration::from_secs(5)).unwrap()))
+                .unwrap();
+            let ends: [Box<dyn Transport>; 2] = [Box::new(hostile), Box::new(tcp)];
+            for mut hostile in ends {
+                hostile.send_frame(frame).unwrap();
+                hostile
+                    .set_recv_timeout(Some(Duration::from_secs(20)))
+                    .unwrap();
+                assert_eq!(
+                    hostile.recv_frame(&mut Vec::new()),
+                    Err(NetError::Closed),
+                    "{what} over {}",
+                    hostile.peer()
+                );
+            }
+        };
+        let encoded = |msg: WireMsg| {
             let mut frame = Vec::new();
             wire::encode_msg_into(&msg, &mut frame);
-            hostile.send_frame(&frame).unwrap();
-            hostile
-                .set_recv_timeout(Some(Duration::from_secs(20)))
-                .unwrap();
-            assert_eq!(
-                hostile.recv_frame(&mut Vec::new()),
-                Err(NetError::Closed),
-                "{what}"
-            );
+            frame
         };
-        let push = |worker, key, n| WireMsg::Push {
-            worker,
-            key,
-            payload: Compressed::Raw(vec![1.0; n]),
+        let push = |worker, key, payload| {
+            encoded(WireMsg::Push {
+                worker,
+                key,
+                payload,
+            })
         };
+        let raw = |n| Compressed::Raw(vec![1.0; n]);
         let fixed = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
-        hang_up(&fixed, "key out of range", push(0, 7, 3));
-        hang_up(&fixed, "wrong payload length", push(0, 0, 2));
-        hang_up(&fixed, "worker out of range", push(1, 0, 3));
+        // Heads the landing declines: the frame is read whole and refused.
+        hang_up(&fixed, "key out of range", &push(0, 7, raw(3)));
+        hang_up(&fixed, "wrong payload length", &push(0, 0, raw(2)));
+        hang_up(&fixed, "worker out of range", &push(1, 0, raw(3)));
+        let two_bit = Compressed::TwoBit {
+            threshold: 0.5,
+            packed: vec![0; 2],
+            len: 5,
+        };
+        hang_up(
+            &fixed,
+            "2-bit push of the wrong length",
+            &push(0, 0, two_bit),
+        );
+        // QSGD with 0 levels declaring 2^29 - 1 codes: refused on its head
+        // (and by the decoder), never sized.
+        let mut qsgd = vec![0u8; 9];
+        qsgd.extend_from_slice(&((4u32 << 29) | ((1 << 29) - 1)).to_le_bytes());
+        qsgd.extend_from_slice(&1.0f32.to_le_bytes());
+        qsgd.push(0);
+        hang_up(&fixed, "QSGD with 0 levels", &qsgd);
+        // A raw header declaring more f32s than follow: not landed, and
+        // the byte path's decode refuses it.
+        let mut short = push(0, 0, raw(2));
+        short[9..13].copy_from_slice(&3u32.to_le_bytes());
+        hang_up(&fixed, "raw push shorter than its header", &short);
         let elastic = PsNetServer::start(
             init(1),
             ServerConfig::new(1, 1.0).with_elastic(ElasticConfig::new(1)),
@@ -2286,7 +2666,7 @@ mod tests {
         hang_up(
             &elastic,
             "register past the cap",
-            WireMsg::Register { worker },
+            &encoded(WireMsg::Register { worker }),
         );
         // The last admissible id is still admitted.
         let edge = loopback_client(&elastic);

@@ -94,6 +94,16 @@ if sed -n '/^pub trait Collective/,/^}/p' <<<"$prog" | grep -n 'fn reduce_scatte
     exit 1
 fi
 
+# Bulk frames land where they are consumed (DESIGN.md §3, §9): a raw
+# push's f32s are read straight into pool storage and a pull reply's into
+# the snapshot its waiter is handed, through `Landing`. The decode-then-
+# copy path into a reused snapshot must not grow back beside it.
+echo "==> net/wire.rs defines no decode-into-a-reused-snapshot path"
+if grep -n "fn decode_msg_reusing\|type SnapshotSlot\|SnapshotSlot<" crates/net/src/wire.rs; then
+    echo "ERROR: wire.rs decodes pull replies into an offered snapshot again; land them" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through
@@ -150,12 +160,13 @@ run_tests env CDSGD_FORCE_SCALAR=1 cargo test -q --workspace
 # scalar twin in debug and drift in release (the striped `dot` did, on
 # NaN payloads): the identity suites and the pinned-hash runs again,
 # optimized — the ring and the wire path included, which stream each
-# key from inside BP like the rest.
+# key from inside BP like the rest, and the real `psd`/`worker` processes,
+# whose bulk frames land straight from the socket.
 echo "==> cargo test --release -q -p cdsgd-tensor"
 run_tests cargo test --release -q -p cdsgd-tensor
-echo "==> cargo test --release -q --test strategy_equivalence --test kernel_parity --test topology_equivalence --test net_equivalence --test semantics"
+echo "==> cargo test --release -q --test strategy_equivalence --test kernel_parity --test topology_equivalence --test net_equivalence --test net_processes --test semantics"
 run_tests cargo test --release -q --test strategy_equivalence --test kernel_parity \
-    --test topology_equivalence --test net_equivalence --test semantics
+    --test topology_equivalence --test net_equivalence --test net_processes --test semantics
 
 # The release build once more with the host's full ISA enabled — the
 # configuration benchmark numbers are quoted from — to catch
