@@ -52,10 +52,6 @@ pub enum NetError {
         /// The last underlying per-shard failure.
         last: Box<NetError>,
     },
-    /// A `Register` was issued on a connection that already has one
-    /// outstanding: the single reply slot would silently drop the first
-    /// caller's ack, so the second request is rejected instead.
-    RegisterPending,
 }
 
 impl fmt::Display for NetError {
@@ -79,12 +75,6 @@ impl fmt::Display for NetError {
             }
             NetError::Membership { op, shards, last } => {
                 write!(f, "membership {op} failed on shard(s) {shards:?}: {last}")
-            }
-            NetError::RegisterPending => {
-                write!(
-                    f,
-                    "a registration is already outstanding on this connection"
-                )
             }
         }
     }
@@ -147,9 +137,6 @@ mod tests {
             s.contains("register") && s.contains('1') && s.contains('3') && s.contains("closed"),
             "{s}"
         );
-        assert!(NetError::RegisterPending
-            .to_string()
-            .contains("outstanding"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Worker-side client handle.
 
+use crate::remote::Reissue;
 use crate::server::Msg;
 use crate::stats::TrafficStats;
 use crate::Key;
@@ -54,22 +55,34 @@ impl<T> ReplyTx<T> {
 /// snapshot once the server reaches the version. Uniform across the
 /// in-process client and the networked [`crate::net::RemoteClient`] —
 /// both deliver the decoded snapshot through this handle.
-pub struct PendingPull(pub(crate) Receiver<Result<Arc<[f32]>, NetError>>);
+pub struct PendingPull {
+    pub(crate) rx: Receiver<Result<Arc<[f32]>, NetError>>,
+    /// Set on a pull through a [`crate::net::ReconnectingClient`]: what
+    /// issues it again if its connection dies before the reply.
+    pub(crate) reissue: Option<Reissue>,
+}
 
 impl PendingPull {
     /// Block until the snapshot arrives. [`NetError::ServerGone`] if the
     /// server (or the connection to it) died before replying; a typed
     /// error (e.g. [`NetError::WorkerLost`] from the server's round
-    /// deadline) if the server answered but the round failed.
+    /// deadline) if the server answered but the round failed. Through a
+    /// [`crate::net::ReconnectingClient`], a pull whose connection died
+    /// is redialed and issued again by this call.
     pub fn wait(&self) -> Result<Arc<[f32]>, NetError> {
-        self.0.recv().map_err(|_| NetError::ServerGone)?
+        let got = self.rx.recv().unwrap_or(Err(NetError::ServerGone));
+        match &self.reissue {
+            None => got,
+            Some(reissue) => reissue.settle(got),
+        }
     }
 
     /// Non-blocking probe (event-loop support): `None` while the pull is
     /// still in flight, `Some(..)` once it resolved — or once the server
     /// died, surfacing [`NetError::ServerGone`] like [`PendingPull::wait`].
+    /// Only `wait` re-issues a pull, so this is for in-process pulls.
     pub(crate) fn try_wait(&self) -> Option<Result<Arc<[f32]>, NetError>> {
-        match self.0.try_recv() {
+        match self.rx.try_recv() {
             Ok(r) => Some(r),
             Err(TryRecvError::Empty) => None,
             Err(TryRecvError::Disconnected) => Some(Err(NetError::ServerGone)),
@@ -158,7 +171,10 @@ impl PsClient {
                 reply: reply_tx,
             })
             .map_err(|_| NetError::ServerGone)?;
-        Ok(PendingPull(reply_rx))
+        Ok(PendingPull {
+            rx: reply_rx,
+            reissue: None,
+        })
     }
 
     /// Change the server's global learning rate (takes effect on the next

@@ -64,6 +64,7 @@ mod fault;
 pub mod net;
 pub mod opt;
 pub mod recover;
+mod remote;
 mod server;
 mod sharded;
 mod spares;

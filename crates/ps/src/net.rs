@@ -1,6 +1,8 @@
 //! Networked front-end: serve a [`ParamServer`] over any
 //! [`Transport`], talk to one through [`RemoteClient`], and deploy whole
-//! sharded groups with [`NetCluster`].
+//! sharded groups with [`NetCluster`]. This file holds the `psd` event
+//! loop and the deployments; the client half ([`RemoteClient`],
+//! [`ReconnectingClient`]) has a module of its own, re-exported here.
 //!
 //! The protocol is the frame vocabulary of [`cdsgd_net::wire`]; encoding
 //! is deterministic and f32 round-trips are bit-exact, so training over
@@ -25,7 +27,7 @@
 //!
 //! Each connection keeps a per-connection read buffer and a FIFO of
 //! pending replies with a bounded outbound queue: replies go out in
-//! request order, and a pull for a not-yet-reached version delays later
+//! request order — the order a [`RemoteClient`] matches them in — and a pull for a not-yet-reached version delays later
 //! replies on *that connection only* — harmless for the training
 //! workload, where workers request versions in nondecreasing order and
 //! never gate a push on an outstanding reply.
@@ -44,9 +46,7 @@ use crate::client::{PendingPull, PsClient};
 use crate::recover::Durability;
 use crate::server::{ParamServer, ServerConfig};
 use crate::sharded::{partition_keys, reassemble_snapshots, ShardedClient};
-use crate::spares::Spares;
 use crate::stats::TrafficStats;
-use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::wire::{self, FrameHead, WireMsg, FRAME_PREFIX_BYTES};
 use cdsgd_net::{
@@ -54,17 +54,18 @@ use cdsgd_net::{
     ReconnectConfig, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx, Waker,
 };
 use cdsgd_telemetry::{Event, Telemetry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Poll interval for the blocking waits that still run on a timer (the
-/// accept loop's deadline, the reconnect supervisor's idle park). Every
-/// one of them is also woken explicitly, so this bounds nothing a user
+pub use crate::remote::{ReconnectingClient, RemoteClient};
+
+/// The accept loop's deadline, the one wait that still runs on a timer.
+/// Shutdown also wakes it explicitly, so this bounds nothing a user
 /// waits for.
 const POLL: Duration = Duration::from_millis(200);
 
@@ -140,7 +141,7 @@ impl Conn {
 /// What a frame's head decided about the rest of it, before any of it is
 /// read ([`HeadFirst`]).
 #[derive(Default)]
-enum Bulk {
+pub(crate) enum Bulk {
     /// The frame arrives whole in the read buffer and is decoded there.
     #[default]
     Bytes,
@@ -156,7 +157,7 @@ enum Bulk {
 impl Bulk {
     /// The finished frame's message — the landed one, or the read buffer
     /// `rbuf` through `decode` — and the frame's size on the wire.
-    fn finish(
+    pub(crate) fn finish(
         mut self,
         rbuf: &[u8],
         decode: impl FnOnce(&[u8]) -> Result<WireMsg, NetError>,
@@ -190,10 +191,10 @@ fn landing_storage(msg: &mut WireMsg) -> Option<&mut [f32]> {
 /// A receive that reads a push's or pull reply's 13-byte head first and
 /// lets `decide` say where the rest goes; every other frame, and one
 /// whose head does not parse, arrives whole in `rbuf`.
-struct HeadFirst<'a, F> {
-    rbuf: &'a mut Vec<u8>,
-    bulk: &'a mut Bulk,
-    decide: F,
+pub(crate) struct HeadFirst<'a, F> {
+    pub(crate) rbuf: &'a mut Vec<u8>,
+    pub(crate) bulk: &'a mut Bulk,
+    pub(crate) decide: F,
 }
 
 impl<F: FnMut(FrameHead) -> Bulk> Landing for HeadFirst<'_, F> {
@@ -731,828 +732,6 @@ impl IoLoop {
 }
 
 // ---------------------------------------------------------------------------
-// client side
-// ---------------------------------------------------------------------------
-
-struct WriteHalf {
-    t: Box<dyn Transport>,
-    buf: Vec<u8>,
-}
-
-/// One outstanding pull: its `(key, version)` and the reply channel.
-type PendingPullEntry = ((u32, u64), SyncSender<Result<Arc<[f32]>, NetError>>);
-/// A full server snapshot: per-key weights and per-key versions.
-type SnapshotReply = (Vec<Vec<f32>>, Vec<u64>);
-
-#[derive(Default)]
-struct Pending {
-    /// Outstanding pulls in request order, matched by `(key, version)`.
-    pulls: VecDeque<PendingPullEntry>,
-    snapshot: Option<SyncSender<SnapshotReply>>,
-    /// Outstanding membership registration, resolved by `RegisterAck`.
-    register: Option<SyncSender<Vec<u64>>>,
-    /// Outstanding checkpoint request, resolved by `CheckpointAck`.
-    checkpoint: Option<SyncSender<Option<u64>>>,
-}
-
-/// A [`ParamClient`] talking to one remote shard over a transport.
-///
-/// Requests are encoded under a small writer lock; replies arrive on a
-/// dedicated reader thread that resolves the matching [`PendingPull`], so
-/// the blocking/overlap semantics are identical to the in-process
-/// [`PsClient`]. If the connection dies, outstanding and future requests
-/// surface [`NetError`]s instead of panicking.
-pub struct RemoteClient {
-    writer: Mutex<WriteHalf>,
-    pending: Arc<Mutex<Pending>>,
-    stats: Arc<TrafficStats>,
-    pool: BufferPool,
-    reader: Option<JoinHandle<()>>,
-    /// Transport connection id, tagged onto frame events.
-    conn: u64,
-}
-
-impl RemoteClient {
-    /// Wrap an established connection. `stats` aggregates client-side
-    /// traffic (shared across shards of a cluster); `pool` recycles push
-    /// payload storage after encoding.
-    pub fn new(
-        transport: Box<dyn Transport>,
-        stats: Arc<TrafficStats>,
-        pool: BufferPool,
-    ) -> Result<Self, NetError> {
-        // The reader blocks with no deadline: it ends when the
-        // connection does, and `Drop` ends the connection.
-        let mut read_t = transport.try_clone()?;
-        read_t.set_recv_timeout(None)?;
-        let conn = transport.conn_id();
-        let pending = Arc::new(Mutex::new(Pending::default()));
-
-        let pending2 = Arc::clone(&pending);
-        let stats2 = Arc::clone(&stats);
-        let reader = std::thread::Builder::new()
-            .name("ps-client-read".into())
-            .spawn(move || {
-                let mut buf = Vec::new();
-                // Per key, the snapshots this reader handed out: a reply
-                // lands in one the worker has let go of again (the
-                // server's own rule, `crate::spares`), so a steady-state
-                // reply neither allocates nor decodes. Only keys the
-                // worker pulled get an entry: a key's first reply is
-                // decoded whole.
-                let mut spares: HashMap<u32, Spares> = HashMap::new();
-                let mut bulk = Bulk::Bytes;
-                loop {
-                    let mut landing = HeadFirst {
-                        rbuf: &mut buf,
-                        bulk: &mut bulk,
-                        decide: |head| match head {
-                            FrameHead::PullReply {
-                                key,
-                                min_version,
-                                len,
-                            } => spares.get_mut(&key).map_or(Bulk::Bytes, |s| {
-                                Bulk::Landed(WireMsg::PullReply {
-                                    key,
-                                    min_version,
-                                    weights: s.take(len),
-                                })
-                            }),
-                            FrameHead::Push { .. } => Bulk::Bytes,
-                        },
-                    };
-                    match read_t.recv_frame(&mut landing) {
-                        Ok(()) => {}
-                        Err(NetError::Timeout) => continue,
-                        Err(_) => break,
-                    }
-                    let (frame, msg) = std::mem::take(&mut bulk).finish(&buf, wire::decode_msg);
-                    stats2.record_received(conn, frame);
-                    match msg {
-                        Ok(WireMsg::PullReply {
-                            key,
-                            min_version,
-                            weights,
-                        }) => {
-                            stats2.record_pull(frame);
-                            let sender = {
-                                let mut p = pending2.lock().unwrap();
-                                p.pulls
-                                    .iter()
-                                    .position(|(id, _)| *id == (key, min_version))
-                                    .and_then(|i| p.pulls.remove(i))
-                                    .map(|(_, tx)| tx)
-                            };
-                            if let Some(tx) = sender {
-                                spares.entry(key).or_default().retire(Arc::clone(&weights));
-                                // The waiter may have been dropped; fine.
-                                let _ = tx.send(Ok(weights));
-                            }
-                        }
-                        Ok(WireMsg::SnapshotReply { weights, versions }) => {
-                            let tx = pending2.lock().unwrap().snapshot.take();
-                            if let Some(tx) = tx {
-                                let _ = tx.send((weights, versions));
-                            }
-                        }
-                        Ok(WireMsg::RegisterAck { versions }) => {
-                            let tx = pending2.lock().unwrap().register.take();
-                            if let Some(tx) = tx {
-                                let _ = tx.send(versions);
-                            }
-                        }
-                        Ok(WireMsg::CheckpointAck { round }) => {
-                            let tx = pending2.lock().unwrap().checkpoint.take();
-                            if let Some(tx) = tx {
-                                let _ = tx.send(round);
-                            }
-                        }
-                        // Anything else from the server is a protocol
-                        // violation; treat as a dead connection.
-                        _ => break,
-                    }
-                }
-                // Dropping the registered senders makes every outstanding
-                // wait return `NetError::ServerGone`.
-                let mut p = pending2.lock().unwrap();
-                p.pulls.clear();
-                p.snapshot = None;
-                p.register = None;
-                p.checkpoint = None;
-            })
-            .map_err(spawn_err)?;
-
-        Ok(Self {
-            writer: Mutex::new(WriteHalf {
-                t: transport,
-                buf: Vec::new(),
-            }),
-            pending,
-            stats,
-            pool,
-            reader: Some(reader),
-            conn,
-        })
-    }
-
-    /// Encode and send one frame; returns the full frame size.
-    fn send(&self, msg: &WireMsg) -> Result<usize, NetError> {
-        let mut w = self.writer.lock().unwrap();
-        let WriteHalf { t, buf } = &mut *w;
-        wire::encode_msg_into(msg, buf);
-        t.send_frame(buf)?;
-        let n = FRAME_PREFIX_BYTES + buf.len();
-        drop(w);
-        self.stats.record_sent(self.conn, n);
-        Ok(n)
-    }
-
-    /// Fetch all weights + versions from this shard. Like
-    /// [`RemoteClient::register`], a concurrent second request is
-    /// rejected instead of silently dropping the first caller's slot.
-    pub fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
-            let mut p = self.pending.lock().unwrap();
-            if p.snapshot.is_some() {
-                return Err(NetError::Io(
-                    "a snapshot request is already outstanding on this connection".into(),
-                ));
-            }
-            p.snapshot = Some(tx);
-        }
-        if let Err(e) = self.send(&WireMsg::Snapshot) {
-            self.pending.lock().unwrap().snapshot = None;
-            return Err(e);
-        }
-        rx.recv().map_err(|_| NetError::ServerGone)
-    }
-
-    /// Ask this shard to write a durable checkpoint of its current state
-    /// ([`WireMsg::Checkpoint`]). Returns the captured round, or `None`
-    /// if the shard refused (see [`PsClient::checkpoint_now`]). Subject
-    /// to the same single-outstanding-request guard as `snapshot`.
-    pub fn checkpoint_now(&self) -> Result<Option<u64>, NetError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
-            let mut p = self.pending.lock().unwrap();
-            if p.checkpoint.is_some() {
-                return Err(NetError::Io(
-                    "a checkpoint request is already outstanding on this connection".into(),
-                ));
-            }
-            p.checkpoint = Some(tx);
-        }
-        if let Err(e) = self.send(&WireMsg::Checkpoint) {
-            self.pending.lock().unwrap().checkpoint = None;
-            return Err(e);
-        }
-        rx.recv().map_err(|_| NetError::ServerGone)
-    }
-
-    /// Change this shard's learning rate ([`WireMsg::SetLr`]; takes
-    /// effect on its next aggregate update).
-    pub fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.send(&WireMsg::SetLr { lr }).map(|_| ())
-    }
-
-    /// Tell the remote server process to exit ([`WireMsg::Shutdown`]).
-    pub fn shutdown_server(&self) -> Result<(), NetError> {
-        self.send(&WireMsg::Shutdown).map(|_| ())
-    }
-}
-
-impl ParamClient for RemoteClient {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        let n = {
-            let mut w = self.writer.lock().unwrap();
-            let WriteHalf { t, buf } = &mut *w;
-            // Header into `buf`; the payload's bulk goes to the socket
-            // from its own storage.
-            let tail = wire::encode_push_parts(worker as u32, key as u32, &payload, buf);
-            t.send_parts(buf, Tail::Bytes(tail))?;
-            FRAME_PREFIX_BYTES + buf.len() + tail.len()
-        };
-        // Same formula the in-process server charges, so histories match
-        // across backends bit-for-bit.
-        self.stats.record_push(n);
-        self.stats.record_sent(self.conn, n);
-        payload.recycle(&self.pool);
-        Ok(())
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let id = (key as u32, min_version);
-        let (tx, rx) = mpsc::sync_channel(1);
-        // Register before sending: the reply may race back before we
-        // would re-acquire the pending lock.
-        self.pending.lock().unwrap().pulls.push_back((id, tx));
-        if let Err(e) = self.send(&WireMsg::Pull {
-            key: id.0,
-            min_version,
-        }) {
-            let mut p = self.pending.lock().unwrap();
-            if let Some(i) = p.pulls.iter().position(|(pid, _)| *pid == id) {
-                p.pulls.remove(i);
-            }
-            return Err(e);
-        }
-        Ok(PendingPull(rx))
-    }
-
-    /// Register over this connection. A second register while one is
-    /// outstanding is rejected with [`NetError::RegisterPending`]: the
-    /// single reply slot would otherwise silently drop the first
-    /// caller's sender, leaving it to starve and misdeliver the ack.
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
-            let mut p = self.pending.lock().unwrap();
-            if p.register.is_some() {
-                return Err(NetError::RegisterPending);
-            }
-            p.register = Some(tx);
-        }
-        if let Err(e) = self.send(&WireMsg::Register {
-            worker: worker as u32,
-        }) {
-            // Nothing went out, so no ack can arrive: reclaim the slot
-            // (still ours — concurrent registers were rejected above).
-            self.pending.lock().unwrap().register = None;
-            return Err(e);
-        }
-        rx.recv().map_err(|_| NetError::ServerGone)
-    }
-
-    /// Rides the same ordered stream as this client's pushes, so a leave
-    /// can never overtake an in-flight push.
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        self.send(&WireMsg::Leave {
-            worker: worker as u32,
-        })
-        .map(|_| ())
-    }
-
-    /// Rides the same ordered stream as this connection's register, so
-    /// the cancel can never overtake the registration it revokes.
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        self.send(&WireMsg::CancelJoin {
-            worker: worker as u32,
-        })
-        .map(|_| ())
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        self.send(&WireMsg::Heartbeat {
-            worker: worker as u32,
-        })
-        .map(|_| ())
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-}
-
-impl Drop for RemoteClient {
-    fn drop(&mut self) {
-        // Closing the connection is what wakes the reader out of its
-        // blocking receive; it then fails every outstanding request with
-        // `ServerGone` and exits.
-        self.writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .t
-            .close();
-        if let Some(r) = self.reader.take() {
-            let _ = r.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// reconnect layer
-// ---------------------------------------------------------------------------
-
-/// Per-key bound on the reconnect replay buffer. Workers lag the server
-/// by at most one round (two for the deferred pulls of CD-SGD), so the
-/// unconfirmed suffix stays tiny; the bound only guards against a
-/// pathological run that pushes a key it never pulls.
-const REPLAY_DEPTH: usize = 8;
-
-/// One pull owned by the reconnect supervisor: the caller-requested
-/// global version, the (possibly clamped) version actually on the wire,
-/// the in-flight inner pull, and the channel the caller waits on.
-struct OutstandingPull {
-    key: Key,
-    version: u64,
-    issued: u64,
-    /// Session epoch the pull was issued under: a failure from an older
-    /// epoch must not trigger a redundant reconnect of the newer one.
-    epoch: u64,
-    pending: PendingPull,
-    out: SyncSender<Result<Arc<[f32]>, NetError>>,
-}
-
-enum PullCmd {
-    Pull {
-        key: Key,
-        version: u64,
-        out: SyncSender<Result<Arc<[f32]>, NetError>>,
-    },
-}
-
-/// The mutable half of a [`ReconnectingClient`]: the live connections
-/// plus the bookkeeping that makes a reconnect exactly-once.
-struct Session {
-    /// Bumped on every successful (or terminally failed) reconnect, so
-    /// concurrent failure observers of the *same* dead session trigger
-    /// one redial, not one each.
-    epoch: u64,
-    inner: ShardedClient<RemoteClient>,
-    /// Per-key global version of the last push sent: starts at the
-    /// caller's register ack (zeros for a worker in the server's initial
-    /// set, or one that never registers) and counts up one per push.
-    /// Replay guarantees reconnects never shift it.
-    pushed: Vec<u64>,
-    /// Per-key unconfirmed pushes as `(global_version, payload)`: kept
-    /// until a pull (or a re-register ack) proves the round aggregated,
-    /// replayed after a reconnect.
-    replay: Vec<VecDeque<(u64, Compressed)>>,
-    /// The most recent register ack (global versions), used to clamp
-    /// re-issued pulls the server can no longer serve exactly.
-    acked: Option<Vec<u64>>,
-    /// Terminal failure once the retry budget is exhausted; every
-    /// subsequent operation returns it.
-    failed: Option<NetError>,
-}
-
-/// The shared core of a [`ReconnectingClient`]: the session under its
-/// own lock, plus everything a redial needs. Held in an `Arc` by the
-/// client handle and its supervisor thread.
-struct ReconnectCtx {
-    /// The mutable session state. Never held across a backoff sleep or
-    /// a dial — pushes and heartbeats must stay responsive while a
-    /// redial is in flight, or a starved heartbeat could trip the
-    /// server's liveness eviction before the reconnect lands.
-    session: Mutex<Session>,
-    /// Serializes redials. With the session lock released during the
-    /// dial, two unserialized observers of the same dead epoch would
-    /// race fresh registrations: the loser's discarded connection would
-    /// end up the server-side push-fence owner, silently dropping the
-    /// winner's pushes. The epoch is only ever advanced while holding
-    /// this lock, so a staleness check taken under it cannot be raced.
-    redial: Mutex<()>,
-    dialer: ShardDialer,
-    pool: BufferPool,
-    worker: usize,
-    rc: ReconnectConfig,
-    reconnects: AtomicU64,
-}
-
-/// Redial every shard, re-register, prune + replay unconfirmed pushes.
-/// `observed_epoch` is the epoch the caller saw the failure under: if
-/// the session has moved on since, another thread already reconnected
-/// and this call is a no-op. Callers must NOT hold the session lock —
-/// the backoff schedule (up to `retries × RECONNECT_BACKOFF_CAP`) runs
-/// outside it, and only the final prune/replay/install reacquires it.
-fn reconnect_session(ctx: &ReconnectCtx, observed_epoch: u64) -> Result<(), NetError> {
-    let _redial = ctx.redial.lock().unwrap();
-    {
-        let s = ctx.session.lock().unwrap();
-        if let Some(e) = &s.failed {
-            return Err(e.clone());
-        }
-        if s.epoch != observed_epoch {
-            return Ok(());
-        }
-    }
-    let mut last = NetError::ServerGone;
-    for attempt in 0..ctx.rc.retries {
-        // Session lock released across the slow parts: heartbeats keep
-        // flowing (best-effort, on the dead link) and pushes keep
-        // buffering into the replay queue meanwhile.
-        std::thread::sleep(ctx.rc.backoff_for(attempt));
-        let fresh = match ctx.dialer.dial(&ctx.pool) {
-            Ok(clients) => ShardedClient::from_clients(clients, ctx.pool.clone()),
-            Err(e) => {
-                last = e;
-                continue;
-            }
-        };
-        // Re-register: re-admits the worker on every shard (the server
-        // clears the slot's stale queued pushes at admission) and acks
-        // the current global versions. Transactional, so a partial
-        // failure rolls itself back (a `CancelJoin`, which cannot demote
-        // the still-active member) before we retry.
-        let acked = match fresh.register(ctx.worker) {
-            Ok(v) => v,
-            Err(e) => {
-                last = e;
-                continue;
-            }
-        };
-        // Prune, replay and install under one continuous session-lock
-        // hold: a concurrently-buffered push is either already in
-        // `replay` here (and is re-sent below) or buffered after the
-        // install (and goes out on the fresh session directly) — never
-        // lost between sessions.
-        let mut guard = ctx.session.lock().unwrap();
-        let s = &mut *guard;
-        // Prune: versions at or below the acked one were aggregated
-        // before the drop and must not be re-sent.
-        for (k, q) in s.replay.iter_mut().enumerate() {
-            while q.front().is_some_and(|(v, _)| *v <= acked[k]) {
-                let (_, payload) = q.pop_front().expect("front checked");
-                payload.recycle(&ctx.pool);
-            }
-        }
-        // Replay the unconsumed suffix in round order per key. The
-        // payloads stay buffered (re-cloned) in case this session drops
-        // too.
-        let mut replay_err = None;
-        'replay: for (k, q) in s.replay.iter().enumerate() {
-            for (_, payload) in q {
-                if let Err(e) = fresh.push(ctx.worker, k, payload.clone()) {
-                    replay_err = Some(e);
-                    break 'replay;
-                }
-            }
-        }
-        if let Some(e) = replay_err {
-            last = e;
-            continue;
-        }
-        s.inner = fresh;
-        s.acked = Some(acked);
-        s.epoch += 1;
-        ctx.reconnects.fetch_add(1, Ordering::Relaxed);
-        return Ok(());
-    }
-    let mut s = ctx.session.lock().unwrap();
-    s.failed = Some(last.clone());
-    s.epoch += 1;
-    Err(last)
-}
-
-/// A [`ParamClient`] that survives transient link drops: any send
-/// failure (or an outstanding pull resolving [`NetError::ServerGone`])
-/// triggers a bounded-backoff redial of every shard, a re-`Register`,
-/// and an exactly-once replay of the pushes the completed rounds did not
-/// consume; outstanding pulls are re-issued on the fresh connections by
-/// a supervisor thread. Requires an elastic server (re-registration is
-/// what clears the server-side queues); see DESIGN.md §13. Never built
-/// unless reconnect flags are set, so fault-free runs are untouched.
-pub struct ReconnectingClient {
-    ctx: Arc<ReconnectCtx>,
-    cmd_tx: Sender<PullCmd>,
-    supervisor: Option<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-}
-
-impl ReconnectingClient {
-    pub(crate) fn new(
-        dialer: ShardDialer,
-        worker: usize,
-        num_keys: usize,
-        rc: ReconnectConfig,
-    ) -> Result<Self, NetError> {
-        let pool = BufferPool::new();
-        let inner = ShardedClient::from_clients(dialer.dial(&pool)?, pool.clone());
-        let ctx = Arc::new(ReconnectCtx {
-            session: Mutex::new(Session {
-                epoch: 0,
-                inner,
-                pushed: vec![0; num_keys],
-                replay: vec![VecDeque::new(); num_keys],
-                acked: None,
-                failed: None,
-            }),
-            redial: Mutex::new(()),
-            dialer,
-            pool,
-            worker,
-            rc,
-            reconnects: AtomicU64::new(0),
-        });
-        let (cmd_tx, cmd_rx) = mpsc::channel();
-        let stop = Arc::new(AtomicBool::new(false));
-        let supervisor = spawn_supervisor(Arc::clone(&ctx), cmd_rx, Arc::clone(&stop))?;
-        Ok(Self {
-            ctx,
-            cmd_tx,
-            supervisor: Some(supervisor),
-            stop,
-        })
-    }
-
-    /// How many times this client successfully reconnected (diagnostics
-    /// and test hooks).
-    pub fn reconnects(&self) -> u64 {
-        self.ctx.reconnects.load(Ordering::Relaxed)
-    }
-}
-
-/// Issue one pull on the current session, reconnecting as needed; on
-/// success the in-flight pull joins `outstanding`, on terminal failure
-/// the caller's channel gets the error.
-fn issue_pull(
-    ctx: &ReconnectCtx,
-    key: Key,
-    version: u64,
-    out: SyncSender<Result<Arc<[f32]>, NetError>>,
-    outstanding: &mut Vec<OutstandingPull>,
-) {
-    loop {
-        let epoch = {
-            let s = ctx.session.lock().unwrap();
-            if let Some(e) = &s.failed {
-                let _ = out.send(Err(e.clone()));
-                return;
-            }
-            // Clamp a pull the server can no longer serve exactly (only
-            // reachable through CD-SGD's one-round-deep deferred pulls
-            // when the drop ate the reply): `version - 1` is the oldest
-            // the server keeps, and it fails any older pull.
-            let issued = match &s.acked {
-                Some(a) if version + 1 < a[key] => a[key] - 1,
-                _ => version,
-            };
-            match s.inner.pull_async(key, issued) {
-                Ok(pending) => {
-                    outstanding.push(OutstandingPull {
-                        key,
-                        version,
-                        issued,
-                        epoch: s.epoch,
-                        pending,
-                        out,
-                    });
-                    return;
-                }
-                Err(_) => s.epoch,
-            }
-        };
-        // Redial with the session lock released (see `reconnect_session`).
-        if reconnect_session(ctx, epoch).is_err() {
-            let e = ctx
-                .session
-                .lock()
-                .unwrap()
-                .failed
-                .clone()
-                .unwrap_or(NetError::ServerGone);
-            let _ = out.send(Err(e));
-            return;
-        }
-        // Retry on the fresh session.
-    }
-}
-
-fn spawn_supervisor(
-    ctx: Arc<ReconnectCtx>,
-    cmd_rx: Receiver<PullCmd>,
-    stop: Arc<AtomicBool>,
-) -> Result<JoinHandle<()>, NetError> {
-    std::thread::Builder::new()
-        .name("ps-reconnect".into())
-        .spawn(move || {
-            let mut outstanding: Vec<OutstandingPull> = Vec::new();
-            loop {
-                if stop.load(Ordering::Relaxed) {
-                    // Dropping `outstanding` drops the out-senders, so
-                    // any remaining waiters resolve ServerGone.
-                    break;
-                }
-                // Adopt queued pull requests; park briefly when idle.
-                loop {
-                    let cmd = if outstanding.is_empty() {
-                        match cmd_rx.recv_timeout(POLL) {
-                            Ok(c) => Some(c),
-                            Err(RecvTimeoutError::Timeout) => None,
-                            Err(RecvTimeoutError::Disconnected) => return,
-                        }
-                    } else {
-                        match cmd_rx.try_recv() {
-                            Ok(c) => Some(c),
-                            Err(TryRecvError::Empty) => None,
-                            Err(TryRecvError::Disconnected) => return,
-                        }
-                    };
-                    match cmd {
-                        Some(PullCmd::Pull { key, version, out }) => {
-                            issue_pull(&ctx, key, version, out, &mut outstanding)
-                        }
-                        None => break,
-                    }
-                }
-                // Poll the in-flight pulls.
-                let mut progress = false;
-                let mut i = 0;
-                while i < outstanding.len() {
-                    match outstanding[i].pending.try_wait() {
-                        None => i += 1,
-                        Some(Ok(weights)) => {
-                            let o = outstanding.swap_remove(i);
-                            {
-                                // Version `issued` completed, so every
-                                // push at or below it was aggregated:
-                                // confirm (drop) those replay entries.
-                                let mut s = ctx.session.lock().unwrap();
-                                while s.replay[o.key].front().is_some_and(|(v, _)| *v <= o.issued) {
-                                    let (_, payload) =
-                                        s.replay[o.key].pop_front().expect("front checked");
-                                    payload.recycle(&ctx.pool);
-                                }
-                            }
-                            let _ = o.out.send(Ok(weights));
-                            progress = true;
-                        }
-                        Some(Err(_)) => {
-                            // The connection died under this pull:
-                            // reconnect (a no-op if a newer epoch
-                            // already did) and re-issue it verbatim.
-                            let o = outstanding.swap_remove(i);
-                            let _ = reconnect_session(&ctx, o.epoch);
-                            issue_pull(&ctx, o.key, o.version, o.out, &mut outstanding);
-                            progress = true;
-                        }
-                    }
-                }
-                if !progress && !outstanding.is_empty() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        })
-        .map_err(spawn_err)
-}
-
-impl ParamClient for ReconnectingClient {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        let epoch = {
-            let mut s = self.ctx.session.lock().unwrap();
-            if let Some(e) = &s.failed {
-                return Err(e.clone());
-            }
-            s.pushed[key] += 1;
-            let version = s.pushed[key];
-            s.replay[key].push_back((version, payload.clone()));
-            if s.replay[key].len() > REPLAY_DEPTH {
-                // Keep the buffer bounded for keys that are pushed but
-                // never pulled; under the normal ≤2-round lag this never
-                // trips.
-                let (_, stale) = s.replay[key].pop_front().expect("len checked");
-                stale.recycle(&self.ctx.pool);
-            }
-            match s.inner.push(worker, key, payload) {
-                Ok(()) => return Ok(()),
-                Err(_) => s.epoch,
-            }
-        };
-        // The replay buffer holds this push: it was buffered under the
-        // session lock, strictly before any install, so whichever redial
-        // installs the next session replays it.
-        reconnect_session(&self.ctx, epoch)
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.cmd_tx
-            .send(PullCmd::Pull {
-                key,
-                version: min_version,
-                out: tx,
-            })
-            .map_err(|_| NetError::ServerGone)?;
-        Ok(PendingPull(rx))
-    }
-
-    /// Registers on the current connections (retrying through a
-    /// reconnect) and starts the per-key push versions at the ack. Must
-    /// precede the first push, which the worker binary's flow
-    /// guarantees.
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        debug_assert_eq!(
-            worker, self.ctx.worker,
-            "one reconnecting client per worker"
-        );
-        let epoch = {
-            let mut s = self.ctx.session.lock().unwrap();
-            if let Some(e) = &s.failed {
-                return Err(e.clone());
-            }
-            match s.inner.register(worker) {
-                Ok(acked) => {
-                    s.pushed = acked.clone();
-                    s.acked = Some(acked.clone());
-                    return Ok(acked);
-                }
-                Err(_) => s.epoch,
-            }
-        };
-        reconnect_session(&self.ctx, epoch)?;
-        let mut s = self.ctx.session.lock().unwrap();
-        let acked = s.acked.clone().expect("reconnect stores the ack");
-        s.pushed = acked.clone();
-        Ok(acked)
-    }
-
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        let epoch = {
-            let s = self.ctx.session.lock().unwrap();
-            if let Some(e) = &s.failed {
-                return Err(e.clone());
-            }
-            match s.inner.leave(worker) {
-                Ok(()) => return Ok(()),
-                Err(_) => s.epoch,
-            }
-        };
-        reconnect_session(&self.ctx, epoch)?;
-        self.ctx.session.lock().unwrap().inner.leave(worker)
-    }
-
-    /// Forwarded to the current session without a redial on failure: a
-    /// cancel is only honoured from the connections whose registration
-    /// it rolls back, so re-sending it on a fresh session would be a
-    /// server-side no-op anyway.
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        let s = self.ctx.session.lock().unwrap();
-        if let Some(e) = &s.failed {
-            return Err(e.clone());
-        }
-        s.inner.cancel_join(worker)
-    }
-
-    /// Best-effort: a failed heartbeat means the link is down, and the
-    /// push or pull that discovers that triggers the reconnect — the
-    /// heartbeat thread must not die (or redial) over it. Takes only a
-    /// brief session-lock hold, so heartbeats stay responsive even while
-    /// a redial sleeps through its backoff schedule.
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        let s = self.ctx.session.lock().unwrap();
-        if let Some(e) = &s.failed {
-            return Err(e.clone());
-        }
-        let _ = s.inner.heartbeat(worker);
-        Ok(())
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.ctx.pool
-    }
-}
-
-impl Drop for ReconnectingClient {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.supervisor.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // deployment
 // ---------------------------------------------------------------------------
 
@@ -1594,7 +773,7 @@ impl ShardDialer {
     /// Fresh connections to every shard, in shard order. When a chaos
     /// plan is armed, this dial takes it and wraps every transport in a
     /// [`FaultyTransport`] sharing that plan's counters.
-    fn dial(&self, pool: &BufferPool) -> Result<Vec<RemoteClient>, NetError> {
+    pub(crate) fn dial(&self, pool: &BufferPool) -> Result<Vec<RemoteClient>, NetError> {
         let plan = self.chaos.lock().unwrap().take();
         self.conns
             .iter()
@@ -1672,9 +851,11 @@ impl NetCluster {
     /// Reach already-running `psd` shard processes, `addrs[i]` serving
     /// global keys `{k : k % addrs.len() == i}`; every link is dialed when
     /// first needed. Shutdown frames are sent to every shard when this
-    /// cluster shuts down.
+    /// cluster shuts down. An empty `addrs` is an error.
     pub fn connect(addrs: &[String], num_keys: usize, net: NetConfig) -> Result<Self, NetError> {
-        assert!(!addrs.is_empty(), "need at least one shard address");
+        if addrs.is_empty() {
+            return Err(NetError::Io("need at least one shard address".into()));
+        }
         let conns = addrs.iter().map(|a| ShardConn::Tcp(a.clone())).collect();
         Ok(Self::assemble(conns, Vec::new(), true, num_keys, net))
     }
@@ -1685,9 +866,9 @@ impl NetCluster {
     /// also forwarded to `telemetry`. Call it on the freshly built
     /// cluster, before any client is handed out: the counters restart
     /// from zero. No constructor dials a link, so none is dialed twice.
-    pub fn traced(mut self, telemetry: Telemetry) -> Result<Self, NetError> {
+    pub fn traced(mut self, telemetry: Telemetry) -> Self {
         self.dialer.stats = Arc::new(TrafficStats::with_telemetry(telemetry));
-        Ok(self)
+        self
     }
 
     fn assemble(
@@ -1900,9 +1081,10 @@ mod tests {
             min_version: 7,
         };
         assert_eq!(requests, [pull(0), pull(1), pull(2)]);
-        // Replies in any order resolve the right keys.
+        // Answered in request order, as `psd` answers, each resolves its
+        // own key.
         let weights = init(3);
-        for key in [2u32, 0, 1] {
+        for key in 0..3u32 {
             let reply = WireMsg::PullReply {
                 key,
                 min_version: 7,
@@ -2045,43 +1227,109 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_register_is_rejected_not_silently_dropped() {
-        // A peer that never answers keeps the first register parked in
-        // the reply slot while the second one arrives.
-        let (a, quiet_peer) = loopback_pair();
-        let c = Arc::new(
-            RemoteClient::new(
-                Box::new(a),
-                Arc::new(TrafficStats::new()),
-                BufferPool::new(),
-            )
-            .unwrap(),
-        );
-        let c2 = Arc::clone(&c);
-        let first = std::thread::spawn(move || c2.register(1));
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while c.pending.lock().unwrap().register.is_none() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "first register never claimed the reply slot"
-            );
-            std::thread::yield_now();
+    fn overlapping_requests_on_one_connection_are_all_answered() {
+        use crate::ElasticConfig;
+        /// `call` for workers 1 and 2 at once, behind a pull of `round`
+        /// parked on `c`: `psd` answers in request order, so no reply can
+        /// come before the pull's and both requests (`frame` bytes each)
+        /// are outstanding together. Once both are on the wire, workers
+        /// 0–2 push, the round answers the pull, and both replies follow.
+        fn overlapped<T: Send>(
+            c: &RemoteClient,
+            stats: &TrafficStats,
+            (round, frame): (u64, usize),
+            call: impl Fn(usize) -> T + Sync,
+        ) -> Vec<T> {
+            let parked = c.pull_async(0, round).unwrap();
+            let both_sent = stats.bytes_sent() + 2 * frame as u64;
+            std::thread::scope(|s| {
+                let call = &call;
+                let calls: Vec<_> = (1..=2).map(|w| s.spawn(move || call(w))).collect();
+                // A request that never goes out shows in the results; the
+                // round below still releases the one that did.
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while stats.bytes_sent() < both_sent && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                for w in 0..3 {
+                    c.push(w, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+                }
+                assert_eq!(*parked.wait().unwrap(), [-(round as f32); 3]);
+                calls.into_iter().map(|h| h.join().unwrap()).collect()
+            })
         }
-        // The overlapping register is rejected with the typed error;
-        // the first caller's slot is untouched.
-        assert_eq!(c.register(2), Err(NetError::RegisterPending));
-        assert!(c.pending.lock().unwrap().register.is_some());
-        // Closing the peer wakes the reader, which clears the slot and
-        // resolves the first caller with ServerGone instead of hanging.
-        drop(quiet_peer);
-        assert_eq!(first.join().unwrap(), Err(NetError::ServerGone));
+        let frame = |msg: WireMsg| {
+            let mut body = Vec::new();
+            wire::encode_msg_into(&msg, &mut body);
+            FRAME_PREFIX_BYTES + body.len()
+        };
+        let server = PsNetServer::start(
+            init(1),
+            ServerConfig::new(1, 1.0).with_elastic(ElasticConfig::new(1)),
+        );
+        let (a, b) = loopback_pair();
+        server.attach(Box::new(b)).unwrap();
+        let stats = Arc::new(TrafficStats::new());
+        let c = RemoteClient::new(Box::new(a), Arc::clone(&stats), BufferPool::new()).unwrap();
+        let register = (1, frame(WireMsg::Register { worker: 1 }));
+        let acks = overlapped(&c, &stats, register, |w| c.register(w));
+        assert_eq!(acks, [Ok(vec![0]), Ok(vec![0])]);
+        // Both snapshots were taken before round 2's pushes arrived.
+        let snapshots = overlapped(&c, &stats, (2, frame(WireMsg::Snapshot)), |_| c.snapshot());
+        let round_1 = Ok((vec![vec![-1.0; 3]], vec![1]));
+        assert_eq!(snapshots, [round_1.clone(), round_1]);
+        drop(c);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_the_client_did_not_ask_for_retires_the_connection() {
+        let peer_of = || {
+            let (client_end, mut peer) = loopback_pair();
+            peer.set_recv_timeout(Some(Duration::from_secs(5))).unwrap();
+            let stats = Arc::new(TrafficStats::new());
+            let c = RemoteClient::new(Box::new(client_end), stats, BufferPool::new()).unwrap();
+            (c, peer)
+        };
+        let answer = |peer: &mut dyn Transport, reply: WireMsg| {
+            let mut frame = Vec::new();
+            wire::encode_msg_into(&reply, &mut frame);
+            peer.send_frame(&frame).unwrap();
+        };
+        let mut frame = Vec::new();
+        // A pending pull answered for another key.
+        let (c, mut peer) = peer_of();
+        let pending = c.pull_async(0, 7).unwrap();
+        peer.recv_frame(&mut frame).unwrap();
+        let weights = Arc::from(vec![1.0f32; 3]);
+        let other_key = WireMsg::PullReply {
+            key: 1,
+            min_version: 7,
+            weights,
+        };
+        answer(&mut peer, other_key);
+        let got = within(Duration::from_secs(5), move || pending.wait());
+        assert_eq!(got, Err(NetError::ServerGone));
+        assert_eq!(peer.recv_frame(&mut frame), Err(NetError::Closed));
+        // A reply with no request outstanding.
+        let (c, mut peer) = peer_of();
+        answer(&mut peer, WireMsg::RegisterAck { versions: vec![0] });
+        assert_eq!(peer.recv_frame(&mut frame), Err(NetError::Closed));
+        let got = within(Duration::from_secs(5), move || c.pull(0, 0));
+        assert_eq!(got, Err(NetError::ServerGone));
+    }
+
+    #[test]
+    fn connecting_to_no_shards_is_an_error() {
+        let none = NetCluster::connect(&[], 1, NetConfig::default());
+        assert!(matches!(none, Err(NetError::Io(_))));
     }
 
     #[test]
     fn traced_cluster_dials_one_control_link_per_shard() {
         let cluster = NetCluster::start_loopback(init(4), ServerConfig::new(1, 1.0), 2)
-            .and_then(|c| c.traced(Telemetry::disabled()))
-            .unwrap();
+            .unwrap()
+            .traced(Telemetry::disabled());
         cluster.set_lr(0.5).unwrap();
         cluster.snapshot().unwrap();
         // Every link a shard serves came through `attach`, which counts.
@@ -2154,18 +1402,24 @@ mod tests {
         .unwrap()
     }
 
-    /// Run `f` on its own thread and fail, instead of hanging the test
-    /// binary, if it takes longer than `limit`.
-    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    /// Run `f` on its own thread; `None`, instead of a hung test binary,
+    /// if it takes longer than `limit`.
+    fn bounded<T: Send + 'static>(
+        limit: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Option<T> {
         let (tx, rx) = mpsc::sync_channel(1);
         let handle = std::thread::spawn(move || {
             let _ = tx.send(f());
         });
-        let out = rx
-            .recv_timeout(limit)
-            .expect("event loop wedged: the operation never completed");
+        let out = rx.recv_timeout(limit).ok()?;
         handle.join().unwrap();
-        out
+        Some(out)
+    }
+
+    /// [`bounded`], failing the test if `f` does not finish in time.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        bounded(limit, f).expect("event loop wedged: the operation never completed")
     }
 
     #[test]
@@ -2712,8 +1966,9 @@ mod tests {
                 c.push(worker, k, Compressed::Raw(vec![1.0; 3])).unwrap();
             }
             for k in 0..2 {
+                // Through `wait`, which re-issues a pull the drop cut off.
                 let pending = c.pull_async(k, r).unwrap();
-                let Ok(w) = pending.0.recv_timeout(Duration::from_secs(10)) else {
+                let Some(w) = bounded(Duration::from_secs(10), move || pending.wait()) else {
                     panic!("worker {worker} key {k} round {r} never completed");
                 };
                 let w = w.unwrap();
@@ -2812,9 +2067,31 @@ mod tests {
 
     #[test]
     fn link_drop_on_pull_reconnects_bit_exact() {
-        // The 4th send is round 2's pull: the supervisor thread hits the
-        // failure, reconnects, and re-issues the pull itself.
+        // The 4th send is round 2's pull: `pull_async` hits the failure,
+        // reconnects, and issues the pull again on the fresh session.
         drop_and_reconnect_is_bit_exact(4);
+    }
+
+    #[test]
+    fn a_pull_the_drop_cut_off_is_issued_again_by_its_waiter() {
+        let cluster = elastic_cluster();
+        // Per shard, the link carries the register and one parked pull.
+        cluster.arm_chaos(cdsgd_net::FaultPlan::new().kill_after_sends(2));
+        let c = cluster.reconnecting_client(0, fast_rc()).unwrap();
+        ParamClient::register(&c, 0).unwrap();
+        let parked: Vec<_> = (0..2).map(|k| c.pull_async(k, 1).unwrap()).collect();
+        // The first push finds the link dead: the redial replays it on
+        // the fresh session and closes the old one under both pulls.
+        for k in 0..2 {
+            c.push(0, k, Compressed::Raw(vec![1.0; 3])).unwrap();
+        }
+        for (k, pending) in parked.into_iter().enumerate() {
+            let w = within(Duration::from_secs(10), move || pending.wait()).unwrap();
+            assert_eq!(*w, [k as f32 - 1.0; 3], "key {k}");
+        }
+        assert_eq!(c.reconnects(), 1);
+        drop(c);
+        Box::new(cluster).shutdown();
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::client::PendingPull;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::NetError;
-use std::sync::Arc;
 
 /// A client that routes by key to the owning shard. Generic over the
 /// per-shard client type.
@@ -98,13 +97,6 @@ impl<C: ParamClient> ParamClient for ShardedClient<C> {
     fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
         let (shard, local) = self.route(key);
         self.clients[shard].push(worker, local, payload)
-    }
-
-    /// Pull global `key` at exactly `min_version` aggregates. Snapshots
-    /// are shared by reference, same as [`crate::PsClient::pull`].
-    fn pull(&self, key: Key, min_version: u64) -> Result<Arc<[f32]>, NetError> {
-        let (shard, local) = self.route(key);
-        self.clients[shard].pull(local, min_version)
     }
 
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {

@@ -104,6 +104,23 @@ if grep -n "fn decode_msg_reusing\|type SnapshotSlot\|SnapshotSlot<" crates/net/
     exit 1
 fi
 
+# One reply path per PS connection (DESIGN.md §13): a `RemoteClient`
+# matches replies to one FIFO of waiters, and a pull whose connection
+# died is re-issued by the thread waiting on it. Neither the reconnect
+# supervisor thread nor the single-slot register guard may grow back.
+echo "==> ps/ runs no reconnect supervisor; NetError has no RegisterPending"
+for f in $(git ls-files 'crates/ps/src/*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -Hn --label="$f" 'ps-reconnect\|\(struct\|enum\|type\) \(PullCmd\|OutstandingPull\)\b'; then
+        echo "ERROR: the reconnect supervisor is back; let the waiting thread re-issue" >&2
+        exit 1
+    fi
+done
+if grep -n 'RegisterPending' crates/net/src/error.rs; then
+    echo "ERROR: NetError declares RegisterPending again; replies are matched in order" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through

@@ -315,8 +315,13 @@ fn main() {
         servers.len()
     ));
     let cluster = NetCluster::connect(&servers, num_keys, NetConfig::default())
-        .and_then(|cluster| cluster.traced(telemetry))
-        .expect("connect to servers");
+        .unwrap_or_else(|e| {
+            console.error(format_args!(
+                "worker {id}: connecting to servers failed: {e}"
+            ));
+            std::process::exit(1);
+        })
+        .traced(telemetry);
     if let Some(n) = chaos_drop_sends {
         console.status(format_args!(
             "worker {id}: chaos — every shard connection dies after {n} sent frames"

@@ -240,8 +240,8 @@ fn worker_traces_account_for_every_server_byte() {
     let controller = Arc::new(AggregateSink::new());
     let num_keys = deploy::initial_weights(MODEL, SEED).len();
     let cluster = NetCluster::connect(&addrs, num_keys, NetConfig::default())
-        .and_then(|c| c.traced(Telemetry::new(Arc::clone(&controller) as _)))
-        .expect("connect controller");
+        .expect("connect controller")
+        .traced(Telemetry::new(Arc::clone(&controller) as _));
     cluster.snapshot().expect("snapshot");
     Box::new(cluster).shutdown();
 

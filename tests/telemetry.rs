@@ -100,7 +100,7 @@ fn aggregate_sink_matches_traffic_stats_on_every_backend() {
     let slot = Arc::clone(&loop_slot);
     let loopback = blob_trainer(blob_config())
         .run_with(move |init, cfg| {
-            let cluster = NetCluster::start_loopback(init, cfg, 2)?.traced(loop_tel.clone())?;
+            let cluster = NetCluster::start_loopback(init, cfg, 2)?.traced(loop_tel.clone());
             *slot.lock().unwrap() = Some(cluster.shared_stats());
             Ok(Box::new(cluster))
         })
@@ -113,7 +113,7 @@ fn aggregate_sink_matches_traffic_stats_on_every_backend() {
     let tcp = blob_trainer(blob_config())
         .run_with(move |init, cfg| {
             let cluster = NetCluster::start_tcp_local(init, cfg, 2, NetConfig::default())?
-                .traced(tcp_tel.clone())?;
+                .traced(tcp_tel.clone());
             *slot.lock().unwrap() = Some(cluster.shared_stats());
             Ok(Box::new(cluster))
         })
