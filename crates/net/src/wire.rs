@@ -867,8 +867,8 @@ pub fn encode_checkpoint_ack_into(round: Option<u64>, buf: &mut Vec<u8>) {
 }
 
 /// Encode any [`WireMsg`] into `buf` (cleared first). The per-message
-/// `encode_*_into` helpers are the zero-copy hot paths; this exists for
-/// symmetry with [`decode_msg`] and for tests.
+/// `encode_*_into` helpers are the zero-copy hot paths; this encodes the
+/// small replies, and exists for symmetry with [`decode_msg`].
 pub fn encode_msg_into(msg: &WireMsg, buf: &mut Vec<u8>) {
     match msg {
         WireMsg::Push {

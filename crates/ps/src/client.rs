@@ -1,30 +1,31 @@
 //! Worker-side client handle.
 
 use crate::remote::Reissue;
-use crate::server::Msg;
+use crate::shard::answered;
 use crate::stats::TrafficStats;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
+use cdsgd_net::wire::WireMsg;
 use cdsgd_net::{NetError, Waker};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvError, Sender, SyncSender};
 use std::sync::Arc;
 
-/// A snapshot reply: all weights plus the per-key versions.
-pub(crate) type Snapshot = (Vec<Vec<f32>>, Vec<u64>);
+/// What a request resolves to: the server's reply, or the typed failure
+/// it answered with.
+pub(crate) type Answer = Result<WireMsg, NetError>;
 
-/// The sending half of a reply the server thread owes a requester.
+/// The sending half of an answer the server thread owes a requester.
 ///
 /// A requester that blocks on the receiver needs nothing more. An event
 /// loop that parks in `poll(2)` instead passes its [`Waker`] along, and
-/// is woken once the reply is resolved *either way*: sent, or dropped
-/// unsent (how the server fails a registration or dies with pulls
-/// parked). Dropping is what fires the wake, so neither path can forget
-/// it.
-pub(crate) struct ReplyTx<T> {
+/// is woken once the answer is resolved *either way*: sent, or dropped
+/// unsent (how a server that stops with pulls parked fails them).
+/// Dropping is what fires the wake, so neither path can forget it.
+pub(crate) struct ReplyTx {
     // Field order is load-bearing: fields drop in declaration order, so
     // the sender is gone (value delivered, or channel disconnected)
     // before the wake that makes the loop look at the receiver.
-    tx: SyncSender<T>,
+    tx: SyncSender<Answer>,
     _wake: Option<WakeOnDrop>,
 }
 
@@ -36,27 +37,73 @@ impl Drop for WakeOnDrop {
     }
 }
 
-impl<T> ReplyTx<T> {
-    /// A one-shot reply channel; `waker` is the requester's event loop,
-    /// if it has one.
-    fn channel(waker: Option<&Waker>) -> (Self, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let _wake = waker.cloned().map(WakeOnDrop);
-        (Self { tx, _wake }, rx)
+impl ReplyTx {
+    /// Deliver the answer (a requester that stopped waiting is fine).
+    pub(crate) fn send(self, answer: Answer) {
+        let _ = self.tx.send(answer);
     }
+}
 
-    /// Deliver the reply (a requester that stopped waiting is fine).
-    pub(crate) fn send(self, value: T) {
-        let _ = self.tx.send(value);
+/// The sending half of a shard thread's request channel. A request is the
+/// connection it arrived on (0 = in-process), the message, and — for the
+/// kinds the shard answers — where the answer goes.
+#[derive(Clone)]
+pub(crate) struct ShardTx(pub(crate) Sender<(u64, WireMsg, Option<ReplyTx>)>);
+
+impl ShardTx {
+    /// Hand `msg` from connection `conn` to the shard. For a message the
+    /// shard answers, the receiver its answer arrives on; `waker` is the
+    /// requester's event loop, if it has one.
+    pub(crate) fn send(
+        &self,
+        conn: u64,
+        msg: WireMsg,
+        waker: Option<&Waker>,
+    ) -> Result<Option<Receiver<Answer>>, NetError> {
+        let (reply, rx) = if answered(&msg) {
+            let (tx, rx) = mpsc::sync_channel(1);
+            let _wake = waker.cloned().map(WakeOnDrop);
+            (Some(ReplyTx { tx, _wake }), Some(rx))
+        } else {
+            (None, None)
+        };
+        self.0
+            .send((conn, msg, reply))
+            .map_err(|_| NetError::ServerGone)?;
+        Ok(rx)
     }
+}
+
+/// The value `take` finds in a received answer, or the error the answer
+/// carries. A requester whose server died before answering gets
+/// [`NetError::ServerGone`]; a reply of another kind than the request
+/// asked for breaks the protocol and is a [`NetError::Decode`].
+pub(crate) fn settle<T>(
+    got: Result<Answer, RecvError>,
+    take: impl FnOnce(WireMsg) -> Option<T>,
+) -> Result<T, NetError> {
+    match got {
+        Err(RecvError) => Err(NetError::ServerGone),
+        Ok(Err(err)) => Err(err),
+        Ok(Ok(reply)) => {
+            take(reply).ok_or_else(|| NetError::Decode("a reply to another request".into()))
+        }
+    }
+}
+
+/// A worker id or key as a [`WireMsg`] carries it. One no `u32` can hold
+/// becomes `u32::MAX`, which no shard admits or owns, instead of wrapping
+/// onto a real one.
+fn wire_id(id: usize) -> u32 {
+    u32::try_from(id).unwrap_or(u32::MAX)
 }
 
 /// An outstanding asynchronous pull: resolves to the requested weight
 /// snapshot once the server reaches the version. Uniform across the
 /// in-process client and the networked [`crate::net::RemoteClient`] —
-/// both deliver the decoded snapshot through this handle.
+/// both deliver the server's pull reply through this handle.
 pub struct PendingPull {
-    pub(crate) rx: Receiver<Result<Arc<[f32]>, NetError>>,
+    pub(crate) rx: Receiver<Answer>,
     /// Set on a pull through a [`crate::net::ReconnectingClient`]: what
     /// issues it again if its connection dies before the reply.
     pub(crate) reissue: Option<Reissue>,
@@ -70,84 +117,64 @@ impl PendingPull {
     /// [`crate::net::ReconnectingClient`], a pull whose connection died
     /// is redialed and issued again by this call.
     pub fn wait(&self) -> Result<Arc<[f32]>, NetError> {
-        let got = self.rx.recv().unwrap_or(Err(NetError::ServerGone));
+        let got = settle(self.rx.recv(), |reply| match reply {
+            WireMsg::PullReply { weights, .. } => Some(weights),
+            _ => None,
+        });
         match &self.reissue {
             None => got,
             Some(reissue) => reissue.settle(got),
-        }
-    }
-
-    /// Non-blocking probe (event-loop support): `None` while the pull is
-    /// still in flight, `Some(..)` once it resolved — or once the server
-    /// died, surfacing [`NetError::ServerGone`] like [`PendingPull::wait`].
-    /// Only `wait` re-issues a pull, so this is for in-process pulls.
-    pub(crate) fn try_wait(&self) -> Option<Result<Arc<[f32]>, NetError>> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(NetError::ServerGone)),
         }
     }
 }
 
 /// A cloneable, thread-safe handle for talking to a [`crate::ParamServer`].
 ///
-/// Every request returns `Result<_, NetError>`: a dead server surfaces as
-/// [`NetError::ServerGone`] instead of a worker-thread panic, so callers
-/// degrade gracefully (and the networked client slots in behind the same
-/// signatures via [`crate::ParamClient`]).
+/// Every method builds one [`WireMsg`] — the server's only request
+/// vocabulary — and every request returns `Result<_, NetError>`: a dead
+/// server surfaces as [`NetError::ServerGone`] instead of a worker-thread
+/// panic, so callers degrade gracefully (and the networked client slots
+/// in behind the same signatures via [`crate::ParamClient`]).
 #[derive(Clone)]
 pub struct PsClient {
-    tx: Sender<Msg>,
+    shard: ShardTx,
     stats: Arc<TrafficStats>,
     pool: BufferPool,
-    /// Woken whenever a reply to one of this handle's `*_async` requests
-    /// is resolved. `None` for callers that block on the reply.
-    waker: Option<Waker>,
 }
 
 impl PsClient {
-    pub(crate) fn new(tx: Sender<Msg>, stats: Arc<TrafficStats>, pool: BufferPool) -> Self {
-        Self {
-            tx,
-            stats,
-            pool,
-            waker: None,
-        }
+    pub(crate) fn new(shard: ShardTx, stats: Arc<TrafficStats>, pool: BufferPool) -> Self {
+        Self { shard, stats, pool }
     }
 
-    /// This handle for an event loop: every reply it is owed wakes
-    /// `waker` when the server thread resolves it.
-    pub(crate) fn waking(mut self, waker: Waker) -> Self {
-        self.waker = Some(waker);
-        self
+    /// Send a message the shard does not answer.
+    fn send(&self, msg: WireMsg) -> Result<(), NetError> {
+        self.shard.send(0, msg, None).map(drop)
+    }
+
+    /// Send a request and the receiver its answer arrives on.
+    fn request(&self, msg: WireMsg) -> Result<Receiver<Answer>, NetError> {
+        self.shard.send(0, msg, None)?.ok_or(NetError::ServerGone)
+    }
+
+    /// Send a request and wait for the value `take` finds in its answer.
+    fn call<T>(
+        &self,
+        msg: WireMsg,
+        take: impl FnOnce(WireMsg) -> Option<T>,
+    ) -> Result<T, NetError> {
+        settle(self.request(msg)?.recv(), take)
     }
 
     /// Push a gradient payload for `key` on behalf of `worker`.
     /// Non-blocking: aggregation happens on the server thread.
     pub fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        self.push_from(0, worker, key, payload)
-    }
-
-    /// [`PsClient::push`] attributed to a transport connection, so an
-    /// elastic server can fence stragglers from a connection the
-    /// worker's latest registration superseded (0 = in-process, never
-    /// fenced against).
-    pub(crate) fn push_from(
-        &self,
-        conn: u64,
-        worker: usize,
-        key: Key,
-        payload: Compressed,
-    ) -> Result<(), NetError> {
-        self.tx
-            .send(Msg::Push {
-                worker,
-                key,
-                payload,
-                conn,
-            })
-            .map_err(|_| NetError::ServerGone)
+        let (worker, key) = (wire_id(worker), wire_id(key));
+        self.send(WireMsg::Push {
+            worker,
+            key,
+            payload,
+        })
     }
 
     /// Pull the weights for `key`, blocking until exactly `min_version`
@@ -163,16 +190,9 @@ impl PsClient {
     /// algorithms overlap the pull transfer with the next iteration's
     /// computation (MXNet's engine issues pulls asynchronously too).
     pub fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
-        self.tx
-            .send(Msg::Pull {
-                key,
-                min_version,
-                reply: reply_tx,
-            })
-            .map_err(|_| NetError::ServerGone)?;
+        let key = wire_id(key);
         Ok(PendingPull {
-            rx: reply_rx,
+            rx: self.request(WireMsg::Pull { key, min_version })?,
             reissue: None,
         })
     }
@@ -180,68 +200,33 @@ impl PsClient {
     /// Change the server's global learning rate (takes effect on the next
     /// aggregate update).
     pub fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.tx
-            .send(Msg::SetLr(lr))
-            .map_err(|_| NetError::ServerGone)
+        self.send(WireMsg::SetLr { lr })
     }
 
     /// Snapshot all weights and per-key versions (diagnostics).
     pub fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-        self.snapshot_async()?
-            .recv()
-            .map_err(|_| NetError::ServerGone)
-    }
-
-    /// Fire-and-forget snapshot request (event-loop support): the
-    /// receiver resolves once the server replies, and disconnects if the
-    /// server dies (or entered the failed state) first.
-    pub(crate) fn snapshot_async(&self) -> Result<Receiver<Snapshot>, NetError> {
-        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
-        self.tx
-            .send(Msg::Snapshot { reply: reply_tx })
-            .map_err(|_| NetError::ServerGone)?;
-        Ok(reply_rx)
+        self.call(WireMsg::Snapshot, |reply| match reply {
+            WireMsg::SnapshotReply { weights, versions } => Some((weights, versions)),
+            _ => None,
+        })
     }
 
     /// Register `worker` with the membership table, blocking for the
     /// per-key version ack (see [`crate::ElasticConfig`]). On a
     /// fixed-membership server this is just the version handshake.
     pub fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        self.join_async(worker)?
-            .recv()
-            .map_err(|_| NetError::ServerGone)
-    }
-
-    /// Fire-and-forget registration (event-loop support).
-    pub(crate) fn join_async(&self, worker: usize) -> Result<Receiver<Vec<u64>>, NetError> {
-        self.join_async_from(0, worker)
-    }
-
-    /// [`PsClient::join_async`] attributed to a transport connection:
-    /// on an elastic server the registering connection becomes the
-    /// worker's owner for push fencing (0 = in-process, fences nothing).
-    pub(crate) fn join_async_from(
-        &self,
-        conn: u64,
-        worker: usize,
-    ) -> Result<Receiver<Vec<u64>>, NetError> {
-        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
-        self.tx
-            .send(Msg::Join {
-                worker,
-                conn,
-                reply: reply_tx,
-            })
-            .map_err(|_| NetError::ServerGone)?;
-        Ok(reply_rx)
+        let worker = wire_id(worker);
+        self.call(WireMsg::Register { worker }, |reply| match reply {
+            WireMsg::RegisterAck { versions } => Some(versions),
+            _ => None,
+        })
     }
 
     /// Graceful departure: `worker` stops gating round completion once
     /// its queued pushes drain. No-op on a fixed-membership server.
     pub fn leave(&self, worker: usize) -> Result<(), NetError> {
-        self.tx
-            .send(Msg::Leave { worker })
-            .map_err(|_| NetError::ServerGone)
+        let worker = wire_id(worker);
+        self.send(WireMsg::Leave { worker })
     }
 
     /// Roll back a tentative registration of `worker`: the two-phase
@@ -251,15 +236,8 @@ impl PsClient {
     /// a rollback that trails a reconnect's re-registration is a no-op
     /// (unlike [`PsClient::leave`], which demotes unconditionally).
     pub fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        self.cancel_join_from(0, worker)
-    }
-
-    /// [`PsClient::cancel_join`] attributed to a transport connection
-    /// (0 = in-process).
-    pub(crate) fn cancel_join_from(&self, conn: u64, worker: usize) -> Result<(), NetError> {
-        self.tx
-            .send(Msg::CancelJoin { worker, conn })
-            .map_err(|_| NetError::ServerGone)
+        let worker = wire_id(worker);
+        self.send(WireMsg::CancelJoin { worker })
     }
 
     /// Ask the server to write a durable shard checkpoint of its current
@@ -267,25 +245,16 @@ impl PsClient {
     /// if the server refused (no checkpoint directory configured, a
     /// round mid-flight, or the write failed — see its stderr).
     pub fn checkpoint_now(&self) -> Result<Option<u64>, NetError> {
-        self.checkpoint_async()?
-            .recv()
-            .map_err(|_| NetError::ServerGone)
-    }
-
-    /// Fire-and-forget checkpoint request (event-loop support).
-    pub(crate) fn checkpoint_async(&self) -> Result<Receiver<Option<u64>>, NetError> {
-        let (reply_tx, reply_rx) = ReplyTx::channel(self.waker.as_ref());
-        self.tx
-            .send(Msg::Checkpoint { reply: reply_tx })
-            .map_err(|_| NetError::ServerGone)?;
-        Ok(reply_rx)
+        self.call(WireMsg::Checkpoint, |reply| match reply {
+            WireMsg::CheckpointAck { round } => Some(round),
+            _ => None,
+        })
     }
 
     /// Liveness signal for the heartbeat timeout (pushes also count).
     pub fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        self.tx
-            .send(Msg::Heartbeat { worker })
-            .map_err(|_| NetError::ServerGone)
+        let worker = wire_id(worker);
+        self.send(WireMsg::Heartbeat { worker })
     }
 
     /// Shared traffic counters.

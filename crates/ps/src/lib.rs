@@ -5,7 +5,11 @@
 //! over InfiniBand (DESIGN.md §2).
 //!
 //! * One server thread owns the global weights, sharded by integer key
-//!   (one key per layer parameter).
+//!   (one key per layer parameter). It only moves messages: every decision
+//!   — aggregation, the pull window, membership, deadlines — is made by
+//!   an I/O-free shard core that takes [`cdsgd_net::wire::WireMsg`]s,
+//!   the one request vocabulary of the in-process client, `psd` and the
+//!   wire alike, and is tested under seeded schedules on a fake clock.
 //! * Workers [`PsClient::push`] gradients — raw f32 or any
 //!   [`cdsgd_compress::Compressed`] payload; the server decodes before
 //!   aggregating (exactly as the paper notes: "server nodes must decode
@@ -66,6 +70,7 @@ pub mod opt;
 pub mod recover;
 mod remote;
 mod server;
+mod shard;
 mod sharded;
 mod spares;
 mod stats;
@@ -78,10 +83,11 @@ pub use collective::{
     chunk_range, ring_ordered_sum, AllReduceBackend, Collective, CollectiveGroup, Shape, WireMode,
 };
 pub use fault::{FaultyClient, WorkerFault};
-pub use net::{NetCluster, PsNetServer, RemoteClient, MAX_ELASTIC_WORKERS};
+pub use net::{NetCluster, PsNetServer, RemoteClient};
 pub use opt::{HeavyBall, Nesterov, PlainSgd, ServerOpt, ServerOptKind};
 pub use recover::{Checkpoint, CheckpointError, CheckpointPolicy, Durability};
 pub use server::{ElasticConfig, ParamServer, ServerConfig};
+pub use shard::MAX_ELASTIC_WORKERS;
 pub use sharded::{partition_keys, reassemble_snapshots, ShardedClient};
 pub use stats::TrafficStats;
 

@@ -42,9 +42,10 @@
 //! per-direction copy table).
 
 use crate::api::{ParamClient, PsBackend};
-use crate::client::{PendingPull, PsClient};
+use crate::client::{Answer, ShardTx};
 use crate::recover::Durability;
-use crate::server::{ParamServer, ServerConfig};
+use crate::server::{Outcome, ParamServer, ServerConfig};
+use crate::shard::Admission;
 use crate::sharded::{partition_keys, reassemble_snapshots, ShardedClient};
 use crate::stats::TrafficStats;
 use cdsgd_compress::{BufferPool, Compressed};
@@ -58,7 +59,7 @@ use std::collections::VecDeque;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -83,12 +84,6 @@ const MAX_CONN_WBUF: usize = 1 << 20;
 /// connection cannot starve its neighbours on the same I/O thread.
 const READ_BURST: usize = 32;
 
-/// Worker ids an *elastic* shard admits over the wire are
-/// `0..MAX_ELASTIC_WORKERS`. Admission sizes the membership tables and
-/// every key's queue table to the id, so an unchecked `Register` could
-/// make the shard allocate whatever a socket asks for.
-pub const MAX_ELASTIC_WORKERS: usize = 4096;
-
 pub(crate) fn spawn_err(e: std::io::Error) -> NetError {
     NetError::Io(format!("spawn connection thread: {e}"))
 }
@@ -97,22 +92,9 @@ pub(crate) fn spawn_err(e: std::io::Error) -> NetError {
 // server side
 // ---------------------------------------------------------------------------
 
-/// A reply owed to a connection, queued in request order. Only the front
-/// of a connection's queue is ever polled, so replies can never reorder.
-enum Reply {
-    Pull {
-        key: u32,
-        min_version: u64,
-        pending: PendingPull,
-    },
-    Snapshot(Receiver<(Vec<Vec<f32>>, Vec<u64>)>),
-    Register(Receiver<Vec<u64>>),
-    Checkpoint(Receiver<Option<u64>>),
-}
-
 /// Per-connection state owned by one I/O thread: the non-blocking
 /// transport, a reusable read buffer, what the head of the frame in
-/// progress decided, and the FIFO of replies owed.
+/// progress decided, and the FIFO of answers owed.
 struct Conn {
     t: Box<dyn Transport>,
     /// The descriptor the I/O thread polls for this connection; `None`
@@ -120,7 +102,9 @@ struct Conn {
     fd: Option<RawFd>,
     rbuf: Vec<u8>,
     bulk: Bulk,
-    replies: VecDeque<Reply>,
+    /// Answers owed, in request order. Only the front is ever polled, so
+    /// replies can never reorder.
+    replies: VecDeque<Receiver<Answer>>,
     /// Transport connection id, tagged onto frame events.
     id: u64,
 }
@@ -238,9 +222,8 @@ struct IoThread {
 pub struct PsNetServer {
     ps: Mutex<Option<ParamServer>>,
     stats: Arc<TrafficStats>,
-    failure: Arc<Mutex<Option<NetError>>>,
+    outcome: Arc<Outcome>,
     stop: Arc<AtomicBool>,
-    shutdown_signal: Arc<(Mutex<bool>, Condvar)>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// New connections are handed to I/O threads round-robin.
     io: Vec<IoThread>,
@@ -275,19 +258,9 @@ impl PsNetServer {
         telemetry: Telemetry,
         durability: Durability,
     ) -> Arc<Self> {
-        // What a frame may name on this shard, checked at the wire
-        // boundary (the inner server `assert`s the same for its trusted
-        // in-process callers).
-        let key_lens: Arc<[usize]> = init.iter().map(Vec::len).collect();
-        let longest_key = key_lens.iter().copied().max().unwrap_or(0);
-        let max_workers = match cfg.elastic {
-            Some(_) => MAX_ELASTIC_WORKERS,
-            None => cfg.num_workers,
-        };
         let ps = ParamServer::start_with(init, cfg, telemetry, durability);
         let stats = ps.shared_stats();
         let stop = Arc::new(AtomicBool::new(false));
-        let signal = Arc::new((Mutex::new(false), Condvar::new()));
         #[cfg(test)]
         let passes = Arc::new(AtomicU64::new(0));
         let mut threads = Vec::new();
@@ -298,13 +271,12 @@ impl PsNetServer {
             let io_loop = IoLoop {
                 conns: rx,
                 wake: wake_rx,
-                // Replies this thread is owed end its wait.
-                client: ps.client().waking(waker.clone()),
-                key_lens: Arc::clone(&key_lens),
-                max_workers,
+                waker: waker.clone(),
+                shard: ps.shard.clone(),
+                admission: ps.admission.clone(),
+                pool: ps.pool().clone(),
                 stats: Arc::clone(&stats),
                 stop: Arc::clone(&stop),
-                signal: Arc::clone(&signal),
                 #[cfg(test)]
                 passes: Arc::clone(&passes),
             };
@@ -318,15 +290,14 @@ impl PsNetServer {
         }
         Arc::new(Self {
             stats,
-            failure: ps.failure_arc(),
+            outcome: Arc::clone(&ps.outcome),
+            recv_limit: wire::max_inbound_body_bytes(ps.admission.longest_key()),
             ps: Mutex::new(Some(ps)),
             stop,
-            shutdown_signal: signal,
             threads: Mutex::new(threads),
             io,
             next_io: AtomicUsize::new(0),
             listeners: Mutex::new(Vec::new()),
-            recv_limit: wire::max_inbound_body_bytes(longest_key),
             rejected: Arc::new(AtomicU64::new(0)),
             #[cfg(test)]
             passes,
@@ -404,31 +375,16 @@ impl PsNetServer {
     /// The failure that ended aggregation (the inner server's round
     /// deadline fired), if any.
     pub fn failure(&self) -> Option<NetError> {
-        self.failure.lock().unwrap().clone()
+        self.outcome.failure()
     }
 
     /// Block until some client sends a [`WireMsg::Shutdown`] frame (the
     /// `psd` binary parks its main thread here) — `Ok(())` — or the inner
     /// server's round deadline declares a worker lost — `Err(WorkerLost)`,
     /// so the hosting process can exit nonzero instead of serving a dead
-    /// round forever.
+    /// round forever. The shard thread wakes it either way.
     pub fn wait_for_shutdown(&self) -> Result<(), NetError> {
-        let (flag, cv) = &*self.shutdown_signal;
-        let mut stopped = flag.lock().unwrap();
-        loop {
-            if let Some(err) = self.failure() {
-                return Err(err);
-            }
-            if *stopped {
-                return Ok(());
-            }
-            // Timed wait: the failure cell is written by the server
-            // thread, which does not signal this condvar.
-            let (guard, _) = cv
-                .wait_timeout(stopped, Duration::from_millis(100))
-                .unwrap();
-            stopped = guard;
-        }
+        self.outcome.wait()
     }
 
     /// Traffic counters (shared with the inner server: protocol-level
@@ -442,9 +398,6 @@ impl PsNetServer {
     /// Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let (flag, cv) = &*self.shutdown_signal;
-        *flag.lock().unwrap() = true;
-        cv.notify_all();
         for listener in self.listeners.lock().unwrap().drain(..) {
             listener.wake();
         }
@@ -469,62 +422,29 @@ impl Drop for PsNetServer {
 
 /// One I/O thread: block until something can have changed, adopt new
 /// connections, then visit every connection — read ready frames,
-/// dispatch to the in-process client, pop resolved replies (FIFO, bounded
+/// dispatch to the shard thread, pop resolved replies (FIFO, bounded
 /// outbound queue), flush.
 struct IoLoop {
     conns: Receiver<Conn>,
     wake: WakeRx,
-    client: PsClient,
-    /// Per-key weight lengths of this shard: a push must name one of
-    /// these keys and decode to exactly its length.
-    key_lens: Arc<[usize]>,
-    /// Worker ids a frame may name are `0..max_workers`: the fixed
-    /// quorum, or [`MAX_ELASTIC_WORKERS`] on an elastic shard.
-    max_workers: usize,
+    /// This thread's own waker: every answer it is owed ends its wait.
+    waker: Waker,
+    shard: ShardTx,
+    /// Checked on every push frame's head, before anything is reserved
+    /// for its payload, and on every push handed on — the only check a
+    /// frame no longer than its head meets. A push that fails it retires
+    /// its connection.
+    admission: Admission,
+    pool: BufferPool,
     stats: Arc<TrafficStats>,
     stop: Arc<AtomicBool>,
-    signal: Arc<(Mutex<bool>, Condvar)>,
     #[cfg(test)]
     passes: Arc<AtomicU64>,
 }
 
 impl IoLoop {
-    /// A worker id decoded off the wire, or the [`NetError::Decode`]
-    /// that retires its connection.
-    fn worker(&self, worker: u32) -> Result<usize, NetError> {
-        let w = worker as usize;
-        if w < self.max_workers {
-            Ok(w)
-        } else {
-            Err(NetError::Decode(format!(
-                "worker id {w} out of range: this shard admits ids 0..{}",
-                self.max_workers
-            )))
-        }
-    }
-
-    /// The `(worker, key)` of a push of `len` elements, or the
-    /// [`NetError::Decode`] that retires its connection: the key must be
-    /// one of this shard's and hold exactly `len` weights. Checked on the
-    /// head, before anything is reserved for the payload, and again on
-    /// every push the loop hands on — the only check a frame no longer
-    /// than its head meets.
-    fn check_push(&self, worker: u32, key: u32, len: usize) -> Result<(usize, usize), NetError> {
-        let key = key as usize;
-        let holds = self.key_lens.get(key);
-        if holds != Some(&len) {
-            return Err(NetError::Decode(format!(
-                "push of {len} elements to key {key}, which holds {holds:?} \
-                 on this shard of {} keys",
-                self.key_lens.len()
-            )));
-        }
-        Ok((self.worker(worker)?, key))
-    }
-
-    /// What a push's head decides ([`Bulk`]): refused unless it names
-    /// one of this shard's keys at that key's length and an admissible
-    /// worker; a raw one lands in a pooled buffer of the key's length
+    /// What a push's head decides ([`Bulk`]): refused unless the shard
+    /// admits it; a raw one lands in a pooled buffer of the key's length
     /// (one the shard recycled, sized without a pass); a compressed one
     /// and every other frame is decoded whole.
     fn land_push(&self, head: FrameHead) -> Bulk {
@@ -537,12 +457,12 @@ impl IoLoop {
         else {
             return Bulk::Bytes;
         };
-        match self.check_push(worker, key, len) {
+        match self.admission.push(worker, key, len) {
             Err(e) => Bulk::Refused(e),
             Ok(_) if raw => Bulk::Landed(WireMsg::Push {
                 worker,
                 key,
-                payload: Compressed::Raw(self.client.pool().take_f32_len(len)),
+                payload: Compressed::Raw(self.pool.take_f32_len(len)),
             }),
             Ok(_) => Bulk::Bytes,
         }
@@ -605,7 +525,7 @@ impl IoLoop {
     /// One visit to one connection. `Ok(true)` if the read burst was
     /// spent (more frames may be waiting); `Err` retires the connection.
     fn service(&self, c: &mut Conn, head: &mut Vec<u8>) -> Result<bool, NetError> {
-        let (client, stats) = (&self.client, &*self.stats);
+        let stats = &*self.stats;
         // Inbound: drain up to READ_BURST ready frames.
         let mut burst_spent = true;
         for _ in 0..READ_BURST {
@@ -621,108 +541,60 @@ impl IoLoop {
             // A raw push's payload is already in the storage the shard
             // recycles aggregated payloads into; any other push is
             // decoded into it.
-            let (frame, msg) = std::mem::take(&mut c.bulk).finish(&c.rbuf, |bytes| {
-                wire::decode_msg_pooled(bytes, client.pool())
-            });
+            let (frame, msg) = std::mem::take(&mut c.bulk)
+                .finish(&c.rbuf, |bytes| wire::decode_msg_pooled(bytes, &self.pool));
             stats.record_received(c.id, frame);
-            match msg? {
-                WireMsg::Push {
-                    worker,
-                    key,
-                    payload,
-                } => {
-                    let (worker, key) = self.check_push(worker, key, payload.len())?;
-                    client.push_from(c.id, worker, key, payload)?
-                }
-                WireMsg::Pull { key, min_version } => {
-                    let pending = client.pull_async(key as usize, min_version)?;
-                    c.replies.push_back(Reply::Pull {
-                        key,
-                        min_version,
-                        pending,
-                    });
-                }
-                WireMsg::SetLr { lr } => client.set_lr(lr)?,
-                WireMsg::Snapshot => c
-                    .replies
-                    .push_back(Reply::Snapshot(client.snapshot_async()?)),
-                WireMsg::Register { worker } => c.replies.push_back(Reply::Register(
-                    client.join_async_from(c.id, self.worker(worker)?)?,
-                )),
-                WireMsg::Heartbeat { worker } => client.heartbeat(worker as usize)?,
-                WireMsg::Leave { worker } => client.leave(worker as usize)?,
-                WireMsg::CancelJoin { worker } => client.cancel_join_from(c.id, worker as usize)?,
-                WireMsg::Checkpoint => c
-                    .replies
-                    .push_back(Reply::Checkpoint(client.checkpoint_async()?)),
-                WireMsg::Shutdown => {
-                    let (flag, cv) = &*self.signal;
-                    *flag.lock().unwrap() = true;
-                    cv.notify_all();
-                    return Err(NetError::ServerGone);
-                }
-                // Server-to-client messages arriving at the server are a
-                // protocol violation; drop the connection.
-                WireMsg::PullReply { .. }
-                | WireMsg::SnapshotReply { .. }
-                | WireMsg::RegisterAck { .. }
-                | WireMsg::CheckpointAck { .. } => {
-                    return Err(NetError::Io("unexpected server-to-client frame".into()))
-                }
+            let msg = msg?;
+            if let WireMsg::Push {
+                worker,
+                key,
+                payload,
+            } = &msg
+            {
+                self.admission.push(*worker, *key, payload.len())?;
+            }
+            // Every frame goes to the shard as it is; the answer to one
+            // it answers is owed in arrival order.
+            if let Some(answer) = self.shard.send(c.id, msg, Some(&self.waker))? {
+                c.replies.push_back(answer);
             }
         }
         // Move queued output toward the socket without blocking.
         if c.t.pending_out_bytes() > 0 {
             c.t.poll_flush()?;
         }
-        // Outbound: pop resolved replies in request order while the
+        // Outbound: pop resolved answers in request order while the
         // transport's queued output stays under the per-connection bound.
         while c.t.pending_out_bytes() < MAX_CONN_WBUF {
-            // Each arm encodes the frame's head; a pull reply's bulk is
-            // the shard's snapshot itself, sent (and if need be queued)
-            // by reference.
-            let snapshot: Option<Arc<[f32]>> = match c.replies.front() {
-                None => break,
-                Some(Reply::Pull {
-                    key,
-                    min_version,
-                    pending,
-                }) => match pending.try_wait() {
-                    None => break,
-                    // A typed failure (round deadline, shutdown) kills the
-                    // connection; the remote client surfaces ServerGone.
-                    Some(Err(e)) => return Err(e),
-                    Some(Ok(w)) => {
-                        wire::encode_pull_reply_head_into(*key, *min_version, head);
-                        Some(w)
-                    }
-                },
-                Some(Reply::Snapshot(rx)) => match rx.try_recv() {
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
-                    Ok((w, v)) => {
-                        wire::encode_snapshot_reply_into(&w, &v, head);
-                        None
-                    }
-                },
-                Some(Reply::Register(rx)) => match rx.try_recv() {
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
-                    Ok(versions) => {
-                        wire::encode_register_ack_into(&versions, head);
-                        None
-                    }
-                },
-                Some(Reply::Checkpoint(rx)) => match rx.try_recv() {
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
-                    Ok(round) => {
-                        wire::encode_checkpoint_ack_into(round, head);
-                        None
-                    }
-                },
+            let Some(front) = c.replies.front() else {
+                break;
+            };
+            let reply = match front.try_recv() {
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
+                // A typed failure (round deadline, stale pull, a frame
+                // the shard refused) kills the connection; the remote
+                // client surfaces ServerGone.
+                Ok(answer) => answer?,
             };
             c.replies.pop_front();
+            // A pull reply's bulk is the shard's snapshot itself, sent
+            // (and if need be queued) by reference; every other reply is
+            // encoded whole.
+            let snapshot = match reply {
+                WireMsg::PullReply {
+                    key,
+                    min_version,
+                    weights,
+                } => {
+                    wire::encode_pull_reply_head_into(key, min_version, head);
+                    Some(weights)
+                }
+                other => {
+                    wire::encode_msg_into(&other, head);
+                    None
+                }
+            };
             let tail_bytes = snapshot.as_ref().map_or(0, |w| 4 * w.len());
             c.t.send_parts(head, snapshot.as_ref().map_or(Tail::NONE, Tail::F32s))?;
             stats.record_sent(c.id, FRAME_PREFIX_BYTES + head.len() + tail_bytes);
@@ -1498,20 +1370,20 @@ mod tests {
         }
     }
 
-    /// An I/O loop serving the one-worker shard `ps`, driven by hand
-    /// through `service`, and its waker.
-    fn io_loop_of(ps: &ParamServer, key_len: usize) -> (IoLoop, Waker) {
+    /// An I/O loop serving the shard `ps`, driven by hand through
+    /// `service`, and its waker.
+    fn io_loop_of(ps: &ParamServer) -> (IoLoop, Waker) {
         let (waker, wake) = wake_pair().unwrap();
         let (_conn_tx, conn_rx) = mpsc::channel();
         let io = IoLoop {
             conns: conn_rx,
             wake,
-            client: ps.client().waking(waker.clone()),
-            key_lens: Arc::new([key_len]),
-            max_workers: 1,
+            waker: waker.clone(),
+            shard: ps.shard.clone(),
+            admission: ps.admission.clone(),
+            pool: ps.pool().clone(),
             stats: ps.shared_stats(),
             stop: Arc::new(AtomicBool::new(false)),
-            signal: Arc::new((Mutex::new(false), Condvar::new())),
             passes: Arc::new(AtomicU64::new(0)),
         };
         (io, waker)
@@ -1574,11 +1446,11 @@ mod tests {
         reference.shutdown();
 
         let ps = ParamServer::start(vec![vec![0.5; N]], ServerConfig::new(1, 1.0));
-        let (io, waker) = io_loop_of(&ps, N);
+        let (io, waker) = io_loop_of(&ps);
         // The one buffer of the key's length in the shard's pool.
         let offered = vec![0.0f32; N];
         let at = offered.as_ptr();
-        io.client.pool().put_f32(offered);
+        io.pool.put_f32(offered);
         let (mut conn, mut peer) = tcp_conn(&waker);
         let mut frame = Vec::new();
         wire::encode_push_into(0, 0, &Compressed::Raw(grad), &mut frame);
@@ -1610,7 +1482,7 @@ mod tests {
         }
         drop(writer.join().unwrap());
         assert_eq!(landed_at, Some(at));
-        assert_eq!(bits(&io.client.pull(0, 1).unwrap()), want);
+        assert_eq!(bits(&ps.client().pull(0, 1).unwrap()), want);
         ps.shutdown();
     }
 
@@ -1705,7 +1577,7 @@ mod tests {
         const KEY_LEN: usize = 1 << 20;
         const REPLIES: usize = 8;
         let ps = ParamServer::start(vec![vec![0.5; KEY_LEN]], ServerConfig::new(1, 1.0));
-        let (io, waker) = io_loop_of(&ps, KEY_LEN);
+        let (io, waker) = io_loop_of(&ps);
         // A reader that is not draining: the peer never reads.
         let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
         let mut peer = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
@@ -1713,14 +1585,15 @@ mod tests {
         t.set_nonblocking(true).unwrap();
         let mut conn = Conn::new(t, &waker);
         for _ in 0..REPLIES {
-            conn.replies.push_back(Reply::Pull {
+            let pull = WireMsg::Pull {
                 key: 0,
                 min_version: 0,
-                pending: io.client.pull_async(0, 0).unwrap(),
-            });
+            };
+            let answer = io.shard.send(conn.id, pull, Some(&waker)).unwrap();
+            conn.replies.push_back(answer.unwrap());
         }
         // FIFO on the shard's queue: once this returns, all are resolved.
-        io.client.snapshot().unwrap();
+        ps.client().snapshot().unwrap();
 
         let mut head = Vec::new();
         io.service(&mut conn, &mut head).unwrap();
@@ -1924,8 +1797,11 @@ mod tests {
         );
         // The last admissible id is still admitted.
         let edge = loopback_client(&elastic);
-        assert_eq!(edge.register(MAX_ELASTIC_WORKERS - 1).unwrap(), vec![0]);
-        edge.leave(MAX_ELASTIC_WORKERS - 1).unwrap();
+        assert_eq!(
+            edge.register(crate::MAX_ELASTIC_WORKERS - 1).unwrap(),
+            vec![0]
+        );
+        edge.leave(crate::MAX_ELASTIC_WORKERS - 1).unwrap();
         // A well-formed client of either shard completes a round.
         for server in [&fixed, &elastic] {
             let good = loopback_client(server);

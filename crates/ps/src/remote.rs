@@ -246,17 +246,11 @@ impl ParamClient for RemoteClient {
 
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
         let key = key as u32;
-        let rx = self.request(
-            &WireMsg::Pull { key, min_version },
-            move |reply| match reply {
-                WireMsg::PullReply {
-                    key: k,
-                    min_version: v,
-                    weights,
-                } if (k, v) == (key, min_version) => Some(Ok(weights)),
-                _ => None,
-            },
-        )?;
+        let rx = self.request(&WireMsg::Pull { key, min_version }, move |reply| {
+            let asked = matches!(&reply, WireMsg::PullReply { key: k, min_version: v, .. }
+                if (*k, *v) == (key, min_version));
+            asked.then_some(Ok(reply))
+        })?;
         Ok(PendingPull { rx, reissue: None })
     }
 

@@ -1,18 +1,22 @@
-//! The server thread: key-sharded weight store with synchronous
-//! aggregation.
+//! The server thread: a thin loop around one [`Shard`].
+//!
+//! The `param-server` thread receives a request, charges the emulated
+//! NIC for a push, hands the request to the core, and for each reply the
+//! core owes charges the pull-reply bytes, then sends it. Every decision
+//! — aggregation, the version window, membership, deadlines — is the
+//! core's (`crate::shard`).
 
-use crate::client::{PsClient, ReplyTx, Snapshot};
-use crate::opt::{ServerOpt, ServerOptKind};
-use crate::recover::{CheckpointTracker, Durability};
-use crate::spares::Spares;
+use crate::client::{PsClient, ReplyTx, ShardTx};
+use crate::opt::ServerOptKind;
+use crate::recover::Durability;
+use crate::shard::{Admission, Shard};
 use crate::stats::TrafficStats;
-use crate::Key;
-use cdsgd_compress::{decompress, decompress_add, BufferPool, Compressed};
-use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes};
+use cdsgd_compress::BufferPool;
+use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes, WireMsg};
 use cdsgd_net::NetError;
-use cdsgd_telemetry::{Event, Op, Telemetry};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use cdsgd_telemetry::Telemetry;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -152,236 +156,51 @@ impl ServerConfig {
     }
 }
 
-pub(crate) enum Msg {
-    Push {
-        worker: usize,
-        key: Key,
-        payload: Compressed,
-        /// Transport connection the push arrived on (0 = in-process).
-        /// On an elastic server, pushes from a connection superseded by
-        /// a later registration of the same worker are dropped — see
-        /// the fencing note on `Members::owner`.
-        conn: u64,
-    },
-    Pull {
-        key: Key,
-        min_version: u64,
-        reply: ReplyTx<Result<Arc<[f32]>, NetError>>,
-    },
-    SetLr(f32),
-    /// Read all weights and per-key versions (test/diagnostic support).
-    Snapshot {
-        reply: ReplyTx<Snapshot>,
-    },
-    /// Elastic membership: admit `worker` into the active set and reply
-    /// with the per-key versions at admission (the versions the joiner's
-    /// first pulls must target). On a fixed-membership server this is
-    /// just the version handshake — the membership table is untouched.
-    Join {
-        worker: usize,
-        /// Transport connection the registration arrived on (0 =
-        /// in-process); becomes the worker's owning connection for push
-        /// fencing on an elastic server.
-        conn: u64,
-        reply: ReplyTx<Vec<u64>>,
-    },
-    /// Elastic membership: `worker` departs gracefully. Its queued
-    /// pushes still feed the rounds they were computed for; once
-    /// drained it is gone and the quorum shrinks.
-    Leave {
-        worker: usize,
-    },
-    /// Elastic membership: roll back a tentative registration — the
-    /// two-phase cross-shard join revoking a shard it admitted after a
-    /// later shard failed. Honoured only when `conn` is the connection
-    /// whose registration *promoted* the slot into the active set (see
-    /// `Members::joined_by`): a cancel that trails a re-registration of
-    /// an existing member is a no-op, so a rollback can never shrink the
-    /// quorum below its pre-join size.
-    CancelJoin {
-        worker: usize,
-        /// Transport connection the cancel arrived on (0 = in-process).
-        conn: u64,
-    },
-    /// Elastic membership: liveness signal (pushes also count).
-    Heartbeat {
-        worker: usize,
-    },
-    /// Recovery: write a durable shard checkpoint of the current state
-    /// now. Replies with the captured round, or `None` if the server has
-    /// no checkpoint directory, the key versions are skewed (a round is
-    /// mid-flight), or the write failed.
-    Checkpoint {
-        reply: ReplyTx<Option<u64>>,
-    },
-    Shutdown,
+/// How a shard ended, for whoever waits on it: the failure that ended
+/// aggregation, and whether the shard thread has stopped. The shard
+/// thread signals both through one condvar.
+#[derive(Default)]
+pub(crate) struct Outcome {
+    /// `(failure, stopped)`.
+    state: Mutex<(Option<NetError>, bool)>,
+    changed: Condvar,
 }
 
-/// A parked pull: the version it waits for and where to send the reply.
-type WaitingPull = (u64, ReplyTx<Result<Arc<[f32]>, NetError>>);
-
-/// Membership state machine: `Register → Active → Draining → Gone`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum MemberState {
-    /// Gates round completion; its pushes are aggregated.
-    Active,
-    /// Departed, but queued pushes still feed the rounds they were
-    /// computed for. No longer gates completion.
-    Draining,
-    /// Fully drained (or never joined). Slot may be re-admitted.
-    Gone,
-}
-
-/// The server-side membership table. Indexed by worker id; grows on
-/// `Join` of an unseen id, never shrinks (a departed worker's slot stays
-/// `Gone` so ids remain stable).
-struct Members {
-    state: Vec<MemberState>,
-    /// Last push or heartbeat per slot, for the liveness timeout.
-    last_seen: Vec<Instant>,
-    /// Per slot, the transport connection (`Transport::conn_id`) of the
-    /// worker's most recent registration; 0 = never registered over the
-    /// wire, accept pushes from anywhere. A registration *fences* the
-    /// slot: a push for this worker from any other connection is a
-    /// straggler from a superseded session (a link the reconnect layer
-    /// abandoned, or a replaced worker's last gasp) whose unconsumed
-    /// rounds the owner replays itself — aggregating the straggler too
-    /// would double-count it. The in-process sentinel (conn 0) is never
-    /// fenced on the push side either: it marks trusted same-process
-    /// callers, not a supersedable wire session.
-    owner: Vec<u64>,
-    /// Per slot, the connection whose registration *promoted* it into
-    /// the active set ([`NEVER_JOINED`] for the construction-time worker
-    /// set). A join rollback (`Msg::CancelJoin`) is honoured only from
-    /// this connection: it exactly undoes a tentative admission, while a
-    /// cancel trailing a mere re-registration (a reconnect refreshing an
-    /// already-active member) matches the *original* promoter and is
-    /// therefore a no-op.
-    joined_by: Vec<u64>,
-}
-
-/// Sentinel for `Members::joined_by`: the slot has been active since
-/// construction (the initial worker set), so no registration promoted it
-/// and no rollback may demote it.
-const NEVER_JOINED: u64 = u64::MAX;
-
-impl Members {
-    fn new(n: usize) -> Self {
-        Self {
-            state: vec![MemberState::Active; n],
-            last_seen: vec![Instant::now(); n],
-            owner: vec![0; n],
-            joined_by: vec![NEVER_JOINED; n],
-        }
+impl Outcome {
+    fn update(&self, f: impl FnOnce(&mut (Option<NetError>, bool))) {
+        f(&mut self.state.lock().expect("outcome poisoned"));
+        self.changed.notify_all();
     }
 
-    fn active(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| **s == MemberState::Active)
-            .count()
+    pub(crate) fn failure(&self) -> Option<NetError> {
+        self.state.lock().expect("outcome poisoned").0.clone()
     }
 
-    fn any_active(&self) -> bool {
-        self.state.contains(&MemberState::Active)
-    }
-
-    fn is_active(&self, w: usize) -> bool {
-        w < self.state.len() && self.state[w] == MemberState::Active
-    }
-
-    /// Admit (or re-admit) `w` into the active set, growing the table if
-    /// the id is new.
-    fn admit(&mut self, w: usize, conn: u64) {
-        if w >= self.state.len() {
-            self.state.resize(w + 1, MemberState::Gone);
-            self.last_seen.resize(w + 1, Instant::now());
-            self.owner.resize(w + 1, 0);
-            self.joined_by.resize(w + 1, NEVER_JOINED);
-        }
-        // Record the promoter only when this registration actually grew
-        // the active set; a re-registration of an already-active member
-        // keeps the original promoter, so its rollback is a no-op.
-        if self.state[w] != MemberState::Active {
-            self.joined_by[w] = conn;
-        }
-        self.state[w] = MemberState::Active;
-        self.last_seen[w] = Instant::now();
-        self.owner[w] = conn;
-    }
-
-    /// Would a push for `w` arriving on `conn` come from a connection
-    /// superseded by a later registration? The in-process sentinel
-    /// (`conn == 0`) is never fenced — see the note on `owner`.
-    fn fenced(&self, w: usize, conn: u64) -> bool {
-        conn != 0 && self.owner[w] != 0 && self.owner[w] != conn
-    }
-
-    /// First active worker silent past `timeout`, if any.
-    fn timed_out(&self, timeout: Duration) -> Option<usize> {
-        self.state.iter().enumerate().find_map(|(w, s)| {
-            (*s == MemberState::Active && self.last_seen[w].elapsed() > timeout).then_some(w)
-        })
-    }
-
-    /// Retire every draining worker whose queues are empty on all keys.
-    fn sweep(&mut self, keys: &[KeyState]) {
-        for w in 0..self.state.len() {
-            if self.state[w] == MemberState::Draining
-                && keys.iter().all(|k| k.pending[w].is_empty())
-            {
-                self.state[w] = MemberState::Gone;
+    /// Block until the shard fails — `Err` with the verdict — or its
+    /// thread stops — `Ok(())`.
+    pub(crate) fn wait(&self) -> Result<(), NetError> {
+        let mut state = self.state.lock().expect("outcome poisoned");
+        loop {
+            match &*state {
+                (Some(err), _) => return Err(err.clone()),
+                (None, true) => return Ok(()),
+                (None, false) => state = self.changed.wait(state).expect("outcome poisoned"),
             }
         }
     }
 }
 
-struct KeyState {
-    /// Current weight snapshot. Immutable once served: every pull of
-    /// this version shares the same allocation (`Arc` bump, zero copies),
-    /// and the aggregate update *replaces* the Arc rather than mutating
-    /// it.
-    weights: Arc<[f32]>,
-    /// Weights as of `version − 1`, kept so pulls can be served at an
-    /// *exact* version. A worker that pushes round r and then pulls
-    /// version r can race the server applying round r (its own push may
-    /// complete the round), so the served version may already have moved
-    /// one step ahead — never more, because the puller has not pushed
-    /// round r+1 yet. Exact-version pulls keep delayed algorithms
-    /// bit-deterministic and faithful to Algorithm 1.
-    prev_weights: Arc<[f32]>,
-    /// Snapshots rotated out of `prev_weights`: the next version is built
-    /// in one that no puller, reply queue or model still holds.
-    spares: Spares,
-    /// Reusable aggregation buffer: each round's first payload is stored
-    /// into it, the rest are added.
-    acc: Vec<f32>,
-    /// Pending pushes, one FIFO per worker. Delayed algorithms (OD-SGD /
-    /// CD-SGD) legitimately run ahead: a fast worker may push round r+1
-    /// before a slow worker has pushed round r, so rounds are matched by
-    /// queue position, not arrival time.
-    pending: Vec<std::collections::VecDeque<Compressed>>,
-    /// Number of completed aggregate updates.
-    version: u64,
-    /// This key's optimizer instance (owns any momentum state), built
-    /// from [`ServerConfig::opt`] at server start.
-    opt: Box<dyn ServerOpt>,
-    /// Pulls waiting for a version that doesn't exist yet.
-    waiting: Vec<WaitingPull>,
-    /// When the current round first became partial (some workers' pushes
-    /// arrived, others' missing). `None` while no round is in flight.
-    /// Drives [`ServerConfig::round_deadline`].
-    partial_since: Option<Instant>,
-}
-
 /// Handle to a running parameter server. Dropping without calling
-/// [`ParamServer::shutdown`] detaches the server thread (it exits when all
-/// clients disconnect).
+/// [`ParamServer::shutdown`] stops the server thread too.
 pub struct ParamServer {
-    tx: Sender<Msg>,
+    /// Where requests to the shard thread go — also for front-ends that
+    /// serve it over transports, which run its `admission` check on frame
+    /// heads and wait on its `outcome`.
+    pub(crate) shard: ShardTx,
+    pub(crate) admission: Admission,
+    pub(crate) outcome: Arc<Outcome>,
     stats: Arc<TrafficStats>,
     pool: BufferPool,
-    failure: Arc<Mutex<Option<NetError>>>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -408,27 +227,39 @@ impl ParamServer {
     ) -> Self {
         let (tx, rx) = mpsc::channel();
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
-        let failure = Arc::new(Mutex::new(None));
         let pool = BufferPool::new();
-        let stats2 = Arc::clone(&stats);
-        let failure2 = Arc::clone(&failure);
-        let pool2 = pool.clone();
-        let handle = std::thread::Builder::new()
-            .name("param-server".into())
-            .spawn(move || server_loop(init, cfg, rx, stats2, pool2, failure2, durability))
-            .expect("spawn server thread");
+        let admission = Admission::new(&init, &cfg);
+        let outcome = Arc::new(Outcome::default());
+        let handle = {
+            let (stats, outcome, pool) = (Arc::clone(&stats), Arc::clone(&outcome), pool.clone());
+            // The shard is built on its own thread, overlapping whatever
+            // the caller sets up next.
+            std::thread::Builder::new()
+                .name("param-server".into())
+                .spawn(move || {
+                    let now = Instant::now();
+                    let shard = Shard::new(init, cfg, durability, Arc::clone(&stats), pool, now);
+                    serve(shard, rx, cfg.delay_per_byte, &stats, &outcome)
+                })
+                .expect("spawn server thread")
+        };
         Self {
-            tx,
+            shard: ShardTx(tx),
             stats,
             pool,
-            failure,
+            admission,
+            outcome,
             handle: Some(handle),
         }
     }
 
     /// A client handle usable from any thread.
     pub fn client(&self) -> PsClient {
-        PsClient::new(self.tx.clone(), Arc::clone(&self.stats), self.pool.clone())
+        PsClient::new(
+            self.shard.clone(),
+            Arc::clone(&self.stats),
+            self.pool.clone(),
+        )
     }
 
     /// Traffic counters.
@@ -451,618 +282,91 @@ impl ParamServer {
         &self.pool
     }
 
-    /// The failure that ended aggregation, if the
-    /// [`ServerConfig::round_deadline`] fired. `None` while healthy.
+    /// The failure that ended aggregation (a round deadline fired, a
+    /// departure broke the quorum, a trusted caller pushed what the shard
+    /// cannot take). `None` while healthy.
     pub fn failure(&self) -> Option<NetError> {
-        self.failure.lock().expect("failure cell poisoned").clone()
+        self.outcome.failure()
     }
 
-    /// Shared ownership of the failure cell, for front-ends (like the
-    /// networked server) that surface the verdict after this handle is
-    /// consumed.
-    pub(crate) fn failure_arc(&self) -> Arc<Mutex<Option<NetError>>> {
-        Arc::clone(&self.failure)
-    }
-
-    /// Stop the server thread and wait for it to exit.
-    pub fn shutdown(mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop the server thread and wait for it to exit (what dropping the
+    /// handle does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ParamServer {
     fn drop(&mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
+        let _ = self.shard.send(0, WireMsg::Shutdown, None);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
 
-fn server_loop(
-    init: Vec<Vec<f32>>,
-    mut cfg: ServerConfig,
-    rx: Receiver<Msg>,
-    stats: Arc<TrafficStats>,
-    pool: BufferPool,
-    failure: Arc<Mutex<Option<NetError>>>,
-    durability: Durability,
+/// The `param-server` thread: feed the core each request (or a tick when
+/// its timers are due), publish a failure the moment the core reaches
+/// one, and deliver what it owes — emulated-NIC time charged for the push
+/// on the way in and for each pull reply on the way out. Stops on
+/// [`WireMsg::Shutdown`] or once every request sender is gone.
+fn serve(
+    mut shard: Shard<ReplyTx>,
+    requests: Receiver<(u64, WireMsg, Option<ReplyTx>)>,
+    delay_per_byte: f64,
+    stats: &TrafficStats,
+    outcome: &Outcome,
 ) {
-    // A restore replaces the initial weights, versions, and optimizer
-    // state wholesale: the server picks up exactly where the checkpoint
-    // captured it (key count and shapes must match the model).
-    let restore = durability.restore;
-    if let Some(r) = &restore {
-        assert_eq!(r.weights.len(), init.len(), "restored key count mismatch");
-        for (k, (res, ini)) in r.weights.iter().zip(&init).enumerate() {
-            assert_eq!(res.len(), ini.len(), "restored length mismatch on key {k}");
-        }
-    }
-    let start_round = restore.as_ref().map_or(0, |r| r.round);
-    let restored: Vec<Option<(Vec<f32>, Vec<f32>)>> = match restore {
-        Some(r) => {
-            let mut opt_state = r.opt_state.into_iter();
-            r.weights
-                .into_iter()
-                .map(|w| Some((w, opt_state.next().unwrap_or_default())))
-                .collect()
-        }
-        None => vec![None; init.len()],
-    };
-    let mut keys: Vec<KeyState> = init
-        .into_iter()
-        .zip(restored)
-        .map(|(weights, restored)| {
-            let mut opt = cfg.opt.build();
-            let weights = match restored {
-                Some((w, o)) => {
-                    opt.import_state(&o);
-                    w
-                }
-                None => weights,
-            };
-            let len = weights.len();
-            let weights: Arc<[f32]> = weights.into();
-            KeyState {
-                prev_weights: Arc::clone(&weights),
-                weights,
-                spares: Spares::default(),
-                acc: vec![0.0; len],
-                pending: vec![std::collections::VecDeque::new(); cfg.num_workers],
-                version: start_round,
-                opt,
-                waiting: Vec::new(),
-                partial_since: None,
-            }
-        })
-        .collect();
-    let mut ckpt = CheckpointTracker::new(durability.checkpoint, keys.len(), start_round);
-    // Membership table. Without `cfg.elastic` it is frozen at
-    // construction (workers 0..num_workers active forever), so every
-    // round aggregates exactly `num_workers` pushes — the historical
-    // behaviour, bit-for-bit.
-    let mut members = Members::new(cfg.num_workers);
-    // Once a round deadline fires, aggregation is over: `failed` holds the
-    // verdict, every queued or future pull is answered with it, and pushes
-    // are discarded. The loop keeps draining messages (so clients get
-    // errors, not hangs) until shutdown.
-    let mut failed: Option<NetError> = None;
-
     loop {
-        // With a round deadline or heartbeat timeout armed, wake
-        // periodically so a missing push or a silent worker is noticed
-        // even when no message ever arrives again.
-        let heartbeat = cfg.elastic.and_then(|e| e.heartbeat_timeout);
-        let tick_source = match (cfg.round_deadline, heartbeat) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        let request = match shard.tick_every() {
+            Some(every) => requests.recv_timeout(every),
+            None => requests.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-        let msg = match tick_source {
-            Some(deadline) if failed.is_none() => {
-                let tick =
-                    (deadline / 4).clamp(Duration::from_millis(5), Duration::from_millis(100));
-                match rx.recv_timeout(tick) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            _ => match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => break,
-            },
-        };
-        match msg {
-            Some(Msg::Push {
-                worker,
-                key,
-                payload,
-                conn,
-            }) => {
+        let owed = match request {
+            Err(RecvTimeoutError::Timeout) => shard.tick(Instant::now()),
+            Err(RecvTimeoutError::Disconnected) | Ok((_, WireMsg::Shutdown, _)) => break,
+            Ok((conn, msg, reply)) => {
                 // Traffic is charged at the full encoded frame size (the
                 // same bytes `cdsgd-net` puts on a socket: length prefix +
                 // opcode + routing fields + payload), so in-process and
                 // TCP runs report identical communication volume.
-                let frame = push_frame_bytes(payload.wire_bytes());
-                stats.record_push(frame);
-                net_delay(cfg.delay_per_byte, frame);
-                if failed.is_some() {
-                    payload.recycle(&pool);
-                    continue;
+                if let WireMsg::Push { payload, .. } = &msg {
+                    let frame = push_frame_bytes(payload.wire_bytes());
+                    stats.record_push(frame);
+                    net_delay(delay_per_byte, frame);
                 }
-                if cfg.elastic.is_some() {
-                    // A push from a worker the server no longer knows
-                    // (e.g. racing its own forced departure) is dropped
-                    // rather than panicking the server thread.
-                    if worker >= members.state.len() || members.state[worker] == MemberState::Gone {
-                        payload.recycle(&pool);
-                        continue;
-                    }
-                    // A straggler from a connection this worker's latest
-                    // registration superseded: the new session replays
-                    // whatever the completed rounds did not consume, so
-                    // aggregating this copy too would double-count it.
-                    if members.fenced(worker, conn) {
-                        payload.recycle(&pool);
-                        continue;
-                    }
-                    // Pushes also count as liveness.
-                    members.last_seen[worker] = Instant::now();
-                } else {
-                    assert!(worker < cfg.num_workers, "worker id out of range");
-                }
-                let ks = &mut keys[key];
-                assert_eq!(payload.len(), ks.weights.len(), "gradient length mismatch");
-                ks.pending[worker].push_back(payload);
-                pump_key(key, ks, &members, &cfg, &stats, &pool, &mut ckpt);
-                members.sweep(&keys);
+                shard.on(conn, msg, reply, Instant::now())
             }
-            Some(Msg::Join {
-                worker,
-                conn,
-                reply,
-            }) => {
-                if failed.is_some() {
-                    // Dropping `reply` fails the registration.
-                    continue;
-                }
-                if cfg.elastic.is_some() {
-                    members.admit(worker, conn);
-                    for ks in &mut keys {
-                        ks.pending
-                            .resize_with(members.state.len(), Default::default);
-                        // Admission clears the slot's queued pushes — a
-                        // no-op for fresh joiners (empty queues), but
-                        // load-bearing for re-admissions: a reconnecting
-                        // worker replays every push the completed rounds
-                        // did not consume, and a replacement must not
-                        // inherit a dead predecessor's leftovers. Either
-                        // way, stale queued pushes would double-count.
-                        for stale in ks.pending[worker].drain(..) {
-                            stale.recycle(&pool);
-                        }
-                    }
-                    let active = members.active();
-                    stats
-                        .telemetry()
-                        .emit(|| Event::WorkerJoined { worker, active });
-                }
-                // Ack the per-key versions at admission: no round can
-                // complete without the joiner from here on, so these are
-                // exactly the versions its first pulls must target.
-                let versions = keys.iter().map(|k| k.version).collect();
-                reply.send(versions);
-            }
-            Some(Msg::Leave { worker }) if failed.is_none() && members.is_active(worker) => {
-                if let Some(e) = cfg.elastic {
-                    demote_member(
-                        worker,
-                        e,
-                        &mut keys,
-                        &mut members,
-                        &cfg,
-                        &stats,
-                        &pool,
-                        &mut ckpt,
-                        &failure,
-                        &mut failed,
-                    );
-                }
-            }
-            // A two-phase join rollback: the registering client revokes
-            // its own tentative admission. The `joined_by` fence makes
-            // this exact — only the connection whose registration
-            // *promoted* the slot may demote it, so a cancel that trails
-            // a re-registration of an established member (a reconnect
-            // refresh) falls through to the ignore arm below and cannot
-            // shrink the quorum past its pre-join size.
-            Some(Msg::CancelJoin { worker, conn })
-                if failed.is_none()
-                    && members.is_active(worker)
-                    && members.joined_by[worker] == conn =>
-            {
-                if let Some(e) = cfg.elastic {
-                    demote_member(
-                        worker,
-                        e,
-                        &mut keys,
-                        &mut members,
-                        &cfg,
-                        &stats,
-                        &pool,
-                        &mut ckpt,
-                        &failure,
-                        &mut failed,
-                    );
-                }
-            }
-            // Only an *Active* slot's liveness is refreshed: a heartbeat
-            // that trails a Leave (or arrives for an evicted/unknown id)
-            // must not touch a Draining or Gone slot — the goodbye wins.
-            Some(Msg::Heartbeat { worker })
-                if cfg.elastic.is_some() && members.is_active(worker) =>
-            {
-                members.last_seen[worker] = Instant::now();
-            }
-            // Leave/CancelJoin/Heartbeat from an unknown or inactive
-            // worker, a cancel from a connection that didn't promote the
-            // slot, or anything after the run already failed: ignored
-            // (the guards above filtered them out).
-            Some(Msg::Leave { .. })
-            | Some(Msg::CancelJoin { .. })
-            | Some(Msg::Heartbeat { .. }) => {}
-            Some(Msg::Pull {
-                key,
-                min_version,
-                reply,
-            }) => {
-                if let Some(err) = &failed {
-                    reply.send(Err(err.clone()));
-                    continue;
-                }
-                let Some(ks) = keys.get_mut(key) else {
-                    reply.send(Err(NetError::Io(format!(
-                        "pull of key {key}: this server owns keys 0..{}",
-                        keys.len()
-                    ))));
-                    continue;
-                };
-                if ks.version == min_version {
-                    let frame = pull_reply_frame_bytes(ks.weights.len());
-                    stats.record_pull(frame);
-                    net_delay(cfg.delay_per_byte, frame);
-                    reply.send(Ok(Arc::clone(&ks.weights)));
-                } else if ks.version == min_version + 1 {
-                    // The puller raced one aggregate behind; serve the
-                    // exact requested version from the history.
-                    let frame = pull_reply_frame_bytes(ks.prev_weights.len());
-                    stats.record_pull(frame);
-                    net_delay(cfg.delay_per_byte, frame);
-                    reply.send(Ok(Arc::clone(&ks.prev_weights)));
-                } else if ks.version > min_version {
-                    // Only the latest two versions are kept; a request
-                    // from a socket must not take the shard down, so the
-                    // stale pull alone fails.
-                    reply.send(Err(NetError::Io(format!(
-                        "pull of version {min_version} for key {key} arrived after \
-                         version {} — workers may lag at most one round",
-                        ks.version
-                    ))));
-                } else {
-                    ks.waiting.push((min_version, reply));
-                }
-            }
-            Some(Msg::SetLr(lr)) => cfg.global_lr = lr,
-            Some(Msg::Snapshot { reply }) => {
-                let w = keys.iter().map(|k| k.weights.to_vec()).collect();
-                let v = keys.iter().map(|k| k.version).collect();
-                reply.send((w, v));
-            }
-            Some(Msg::Checkpoint { reply }) => {
-                let round = min_version(&keys);
-                let result = match ckpt.policy() {
-                    None => {
-                        eprintln!("checkpoint: refused: server has no checkpoint directory");
-                        None
-                    }
-                    Some(_) if keys.iter().any(|k| k.version != round) => {
-                        eprintln!("checkpoint: refused: key versions are skewed (round in flight)");
-                        None
-                    }
-                    Some(p) => {
-                        let snap = keys
-                            .iter()
-                            .map(|k| (k.weights.to_vec(), k.opt.export_state()));
-                        p.write(round, snap).then_some(round)
-                    }
-                };
-                reply.send(result);
-            }
-            Some(Msg::Shutdown) => break,
-            None => {}
-        }
-        if failed.is_none() {
-            if let Some(deadline) = cfg.round_deadline {
-                if let Some((key, err)) = check_round_deadline(&keys, &members, deadline) {
-                    if let NetError::WorkerLost { id, round } = err {
-                        stats.telemetry().emit(|| Event::RoundExpired {
-                            key,
-                            round,
-                            victim: id,
-                        });
-                    }
-                    fail_now(&mut keys, &failure, &mut failed, err);
-                }
-            }
-        }
-        // Liveness sweep: force out active workers silent past the
-        // heartbeat timeout (an ungraceful departure — same drain
-        // semantics as `Leave`, but flagged in telemetry).
-        if failed.is_none() {
-            if let Some(e) = cfg.elastic {
-                if let Some(timeout) = e.heartbeat_timeout {
-                    while let Some(w) = members.timed_out(timeout) {
-                        if members.active().saturating_sub(1) < e.min_quorum {
-                            let round = min_version(&keys);
-                            fail_now(
-                                &mut keys,
-                                &failure,
-                                &mut failed,
-                                NetError::WorkerLost { id: w, round },
-                            );
-                            break;
-                        }
-                        members.state[w] = MemberState::Draining;
-                        let active = members.active();
-                        stats.telemetry().emit(|| Event::WorkerLeft {
-                            worker: w,
-                            active,
-                            graceful: false,
-                        });
-                        for (key, ks) in keys.iter_mut().enumerate() {
-                            pump_key(key, ks, &members, &cfg, &stats, &pool, &mut ckpt);
-                        }
-                        members.sweep(&keys);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Demote an active `worker` to `Draining` — the shared tail of a
-/// graceful `Leave` and a join rollback's `CancelJoin`. A *partial*
-/// membership below the quorum fails the run; a full graceful drain to
-/// zero is a valid end state — the server idles, ready for new joins or
-/// a controller's shutdown. (A pool of min_quorum q can only reach zero
-/// gracefully when q == 1, stepping 1 → 0.)
-#[allow(clippy::too_many_arguments)]
-fn demote_member(
-    worker: usize,
-    e: ElasticConfig,
-    keys: &mut [KeyState],
-    members: &mut Members,
-    cfg: &ServerConfig,
-    stats: &TrafficStats,
-    pool: &BufferPool,
-    ckpt: &mut CheckpointTracker,
-    failure: &Mutex<Option<NetError>>,
-    failed: &mut Option<NetError>,
-) {
-    members.state[worker] = MemberState::Draining;
-    let active = members.active();
-    stats.telemetry().emit(|| Event::WorkerLeft {
-        worker,
-        active,
-        graceful: true,
-    });
-    if active > 0 && active < e.min_quorum {
-        let round = min_version(keys);
-        fail_now(
-            keys,
-            failure,
-            failed,
-            NetError::WorkerLost { id: worker, round },
-        );
-    } else {
-        // The departed worker no longer gates round completion: pump
-        // every key.
-        for (key, ks) in keys.iter_mut().enumerate() {
-            pump_key(key, ks, members, cfg, stats, pool, ckpt);
-        }
-        members.sweep(keys);
-    }
-}
-
-/// Complete every round this key can: a round fires when all *active*
-/// workers have a queued push, and aggregates one push from every worker
-/// with a non-empty queue (active and draining alike, in worker-id order
-/// — fixed iteration order keeps f32 summation bit-deterministic). The
-/// update divides by the actual contributor count. With fixed membership
-/// every worker is always active, so this is exactly the historical
-/// `while all non-empty` loop with divisor `num_workers`.
-#[allow(clippy::too_many_arguments)]
-fn pump_key(
-    key: Key,
-    ks: &mut KeyState,
-    members: &Members,
-    cfg: &ServerConfig,
-    stats: &TrafficStats,
-    pool: &BufferPool,
-    ckpt: &mut CheckpointTracker,
-) {
-    loop {
-        let complete = members.any_active()
-            && members
-                .state
-                .iter()
-                .zip(&ks.pending)
-                .all(|(s, q)| *s != MemberState::Active || !q.is_empty());
-        if !complete {
-            break;
-        }
-        // Each decode is one "dequant" span on the server's lane — one
-        // past the last worker's — for the round it feeds. The first
-        // payload is stored over whatever the last round left in `acc`
-        // (as `0.0 + x`: the bits of zeroing it and adding), the rest add.
-        let (tel, lane) = (stats.telemetry(), ks.pending.len());
-        let mut contributors = 0usize;
-        for q in ks.pending.iter_mut() {
-            if let Some(p) = q.pop_front() {
-                let t = tel.span_start();
-                if contributors == 0 {
-                    decompress(&p, &mut ks.acc);
-                } else {
-                    decompress_add(&p, &mut ks.acc);
-                }
-                tel.span_end(lane, Op::Decompress, ks.version, t);
-                // Payload storage goes back to the shared pool so the
-                // next compress_into can reuse it.
-                p.recycle(pool);
-                contributors += 1;
-            }
-        }
-        apply_update(ks, cfg, contributors, stats);
-        ks.version += 1;
-        // Scheduled checkpoints capture each key the instant it crosses
-        // the boundary round (versions advance one at a time, so every
-        // boundary is observed); the file is written once all keys have.
-        ckpt.observe(key, ks.version, &ks.weights, ks.opt.as_ref());
-        let version = ks.version;
-        stats
-            .telemetry()
-            .emit(|| Event::RoundComplete { key, version });
-        // Release any pulls now satisfied, in the order they parked.
-        for (_, reply) in ks.waiting.extract_if(.., |w| w.0 <= version) {
-            let frame = pull_reply_frame_bytes(ks.weights.len());
-            stats.record_pull(frame);
-            net_delay(cfg.delay_per_byte, frame);
-            reply.send(Ok(Arc::clone(&ks.weights)));
-        }
-    }
-    // Start (or clear) the partial-round clock for this key. The
-    // lifecycle event fires only on the empty→partial transition, once
-    // per round, not per straggling push.
-    let partial = ks.pending.iter().any(|q| !q.is_empty());
-    if partial {
-        if ks.partial_since.is_none() {
-            ks.partial_since = Some(Instant::now());
-            let round = ks.version;
-            stats
-                .telemetry()
-                .emit(|| Event::RoundPartial { key, round });
-        }
-    } else {
-        ks.partial_since = None;
-    }
-}
-
-/// Lowest completed version across keys — the round a failure is
-/// attributed to.
-fn min_version(keys: &[KeyState]) -> u64 {
-    keys.iter().map(|k| k.version).min().unwrap_or(0)
-}
-
-/// Enter the failed state: publish the verdict, fail every parked pull
-/// (they would otherwise block forever on rounds that can no longer
-/// complete), and remember it so future messages fail fast.
-fn fail_now(
-    keys: &mut [KeyState],
-    failure: &Mutex<Option<NetError>>,
-    failed: &mut Option<NetError>,
-    err: NetError,
-) {
-    *failure.lock().expect("failure cell poisoned") = Some(err.clone());
-    for ks in keys.iter_mut() {
-        for (_, reply) in ks.waiting.drain(..) {
-            reply.send(Err(err.clone()));
-        }
-    }
-    *failed = Some(err);
-}
-
-/// If any key's round has been partial past `deadline`, name the victim:
-/// the lowest-id *active* worker whose push for that round never arrived
-/// (draining and gone workers legitimately have empty queues). The
-/// unfinishable round is `version` (rounds are 0-indexed; `version`
-/// counts completed ones). Returns the offending key alongside the error
-/// so the caller can attribute the expiry in telemetry.
-fn check_round_deadline(
-    keys: &[KeyState],
-    members: &Members,
-    deadline: Duration,
-) -> Option<(Key, NetError)> {
-    for (key, ks) in keys.iter().enumerate() {
-        let since = match ks.partial_since {
-            Some(t) => t,
-            None => continue,
         };
-        if since.elapsed() < deadline {
-            continue;
+        // Published before any reply goes out: a caller failed by the
+        // verdict finds it on the handle.
+        if let Some(err) = shard.failure() {
+            outcome.update(|s| {
+                s.0.get_or_insert_with(|| err.clone());
+            });
         }
-        let id = match ks
-            .pending
-            .iter()
-            .enumerate()
-            .position(|(w, q)| members.is_active(w) && q.is_empty())
-        {
-            Some(id) => id,
-            // Every active worker has pushed; the round completes on the
-            // next pump, so there is nothing to expire.
-            None => continue,
-        };
-        return Some((
-            key,
-            NetError::WorkerLost {
-                id,
-                round: ks.version,
-            },
-        ));
+        for (reply, answer) in owed {
+            if let Ok(WireMsg::PullReply { weights, .. }) = &answer {
+                let frame = pull_reply_frame_bytes(weights.len());
+                stats.record_pull(frame);
+                net_delay(delay_per_byte, frame);
+            }
+            reply.send(answer);
+        }
     }
-    None
+    outcome.update(|s| s.1 = true);
 }
 
 /// Emulated transfer time for `bytes` at the configured delay.
 fn net_delay(delay_per_byte: f64, bytes: usize) {
     if delay_per_byte > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(
-            delay_per_byte * bytes as f64,
-        ));
-    }
-}
-
-/// `W ← W − η/N · opt(acc)`, eq. 10 generalized over the key's
-/// [`ServerOpt`] (plain SGD for the paper's rule), with `N` the number
-/// of workers whose pushes fed this round (`contributors`). Fixed
-/// membership makes that always `cfg.num_workers`.
-///
-/// The optimizer writes the new version (the one build per round,
-/// counted in [`TrafficStats::bytes_copied`]) into a snapshot nobody
-/// else holds — one this key rotated out earlier, so a steady-state
-/// round allocates nothing — which rotates the old snapshot into
-/// `prev_weights`; pulls of either version are then served by
-/// reference-count bumps alone.
-fn apply_update(ks: &mut KeyState, cfg: &ServerConfig, contributors: usize, stats: &TrafficStats) {
-    let step = cfg.global_lr / contributors as f32;
-    let mut next = ks.spares.take(ks.weights.len());
-    let slot = Arc::get_mut(&mut next).expect("a taken spare has one owner");
-    ks.opt.apply_into(slot, &ks.weights, &ks.acc, step);
-    stats.record_copy(4 * next.len());
-    let current = std::mem::replace(&mut ks.weights, next);
-    let retired = std::mem::replace(&mut ks.prev_weights, current);
-    // Until the first update both slots hold the initial snapshot: its
-    // second handle is no spare, it could never become unique.
-    if !Arc::ptr_eq(&retired, &ks.prev_weights) {
-        ks.spares.retire(retired);
+        std::thread::sleep(Duration::from_secs_f64(delay_per_byte * bytes as f64));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdsgd_compress::{decompress_add, Compressed};
+    use cdsgd_telemetry::Event;
 
     #[test]
     fn single_worker_update_rule() {
@@ -1227,25 +531,25 @@ mod tests {
     }
 
     #[test]
-    fn round_deadline_names_the_missing_worker() {
-        // Two workers; only worker 0 pushes. The round stays partial past
-        // the deadline, so pulls fail with WorkerLost { id: 1 } instead of
-        // blocking forever — and the verdict is queryable on the handle.
-        let ps = ParamServer::start(
-            vec![vec![0.0]],
-            ServerConfig::new(2, 1.0).with_round_deadline(Duration::from_millis(50)),
-        );
-        let c = ps.client();
-        c.push(0, 0, Compressed::Raw(vec![1.0])).unwrap();
-        let err = c.pull(0, 1).unwrap_err();
-        assert_eq!(err, NetError::WorkerLost { id: 1, round: 0 });
-        assert_eq!(ps.failure(), Some(NetError::WorkerLost { id: 1, round: 0 }));
-        // Later pulls fail fast with the same verdict.
-        assert_eq!(
-            c.pull(0, 0).unwrap_err(),
-            NetError::WorkerLost { id: 1, round: 0 }
-        );
-        ps.shutdown();
+    fn an_inadmissible_in_process_push_fails_the_shard_not_its_thread() {
+        // A key the shard does not own, a known key at the wrong length,
+        // a worker past a 2-worker fixed quorum: each is a broken trusted
+        // caller. The shard fails with the typed error naming the push,
+        // and its thread keeps answering with it.
+        for (worker, key, len) in [(0, 9, 2), (0, 0, 3), (7, 0, 2)] {
+            let ps = ParamServer::start(vec![vec![0.0; 2]], ServerConfig::new(2, 1.0));
+            let c = ps.client();
+            c.push(worker, key, Compressed::Raw(vec![1.0; len]))
+                .unwrap();
+            let err = c.pull(0, 0).unwrap_err();
+            assert!(
+                matches!(&err, NetError::Decode(m) if m.contains("push")),
+                "{err:?}"
+            );
+            assert_eq!(ps.failure(), Some(err.clone()));
+            assert_eq!(c.register(0).unwrap_err(), err);
+            ps.shutdown();
+        }
     }
 
     #[test]
@@ -1285,27 +589,6 @@ mod tests {
         // Byte accounting flows through the very same stream.
         assert!(events.iter().any(|e| matches!(e, Event::Push { .. })));
         assert!(events.iter().any(|e| matches!(e, Event::Pull { .. })));
-        ps.shutdown();
-    }
-
-    #[test]
-    fn expired_round_emits_round_expired() {
-        use cdsgd_telemetry::MemorySink;
-        let mem = Arc::new(MemorySink::new());
-        let ps = ParamServer::start_with(
-            vec![vec![0.0]],
-            ServerConfig::new(2, 1.0).with_round_deadline(Duration::from_millis(50)),
-            Telemetry::new(mem.clone()),
-            Durability::default(),
-        );
-        let c = ps.client();
-        c.push(0, 0, Compressed::Raw(vec![1.0])).unwrap();
-        c.pull(0, 1).unwrap_err();
-        assert!(mem.events().contains(&Event::RoundExpired {
-            key: 0,
-            round: 0,
-            victim: 1,
-        }));
         ps.shutdown();
     }
 
@@ -1429,16 +712,24 @@ mod tests {
             ServerConfig::new(1, 1.0).with_elastic(ElasticConfig::new(1)),
         );
         let c = ps.client();
+        // A message as the I/O loop forwards it, from connection `conn`.
+        let from = |conn, msg| ps.shard.send(conn, msg, None).unwrap();
+        let push = |value| WireMsg::Push {
+            worker: 0,
+            key: 0,
+            payload: Compressed::Raw(vec![value]),
+        };
         // Worker 0 registers over a transport connection (id 7), which
         // fences pushes from *other wire connections*…
-        assert_eq!(c.join_async_from(7, 0).unwrap().recv().unwrap(), vec![0]);
+        let ack = from(7, WireMsg::Register { worker: 0 }).unwrap().recv();
+        assert_eq!(ack.unwrap(), Ok(WireMsg::RegisterAck { versions: vec![0] }));
         // …but never the in-process sentinel: conn 0 marks a trusted
         // same-process caller, not a supersedable wire session.
         c.push(0, 0, Compressed::Raw(vec![2.0])).unwrap();
         assert_eq!(*c.pull(0, 1).unwrap(), [-2.0]);
         // A straggler from a superseded wire connection is still dropped.
-        c.push_from(3, 0, 0, Compressed::Raw(vec![100.0])).unwrap();
-        c.push_from(7, 0, 0, Compressed::Raw(vec![2.0])).unwrap();
+        from(3, push(100.0));
+        from(7, push(2.0));
         assert_eq!(*c.pull(0, 2).unwrap(), [-4.0]);
         ps.shutdown();
     }
@@ -1458,46 +749,6 @@ mod tests {
         }
         assert_eq!(ps.failure(), Some(NetError::WorkerLost { id: 1, round: 0 }));
         assert!(c.pull(0, 1).is_err());
-        ps.shutdown();
-    }
-
-    #[test]
-    fn heartbeat_timeout_forces_out_a_silent_worker() {
-        use cdsgd_telemetry::MemorySink;
-        let mem = Arc::new(MemorySink::new());
-        let ps = ParamServer::start_with(
-            vec![vec![0.0]],
-            ServerConfig::new(2, 1.0).with_elastic(
-                ElasticConfig::new(1).with_heartbeat_timeout(Duration::from_millis(50)),
-            ),
-            Telemetry::new(mem.clone()),
-            Durability::default(),
-        );
-        let c = ps.client();
-        // Worker 0 stays live via heartbeats while worker 1 goes silent;
-        // once it's forced out, worker 0 alone completes rounds.
-        let alive = {
-            let c = c.clone();
-            std::thread::spawn(move || {
-                for _ in 0..20 {
-                    let _ = c.heartbeat(0);
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            })
-        };
-        c.push(0, 0, Compressed::Raw(vec![2.0])).unwrap();
-        assert_eq!(*c.pull(0, 1).unwrap(), [-2.0]);
-        alive.join().unwrap();
-        assert!(
-            mem.events().contains(&Event::WorkerLeft {
-                worker: 1,
-                active: 1,
-                graceful: false,
-            }),
-            "forced departure must be reported: {:?}",
-            mem.events()
-        );
-        assert_eq!(ps.failure(), None, "quorum still satisfied");
         ps.shutdown();
     }
 

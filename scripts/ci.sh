@@ -121,6 +121,25 @@ if grep -n 'RegisterPending' crates/net/src/error.rs; then
     exit 1
 fi
 
+# One shard core, one message vocabulary (DESIGN.md §13): a shard's
+# requests are `WireMsg`s, decided by `Shard` in one match. No private
+# request enum, no psd reply enum and no connection-attributed or async
+# client variants may grow back beside it, and the core's rules stay
+# methods, not free functions with long argument lists.
+echo "==> ps/ hands its shard WireMsgs; no Msg, Reply or *_async/*_from variants"
+for f in $(git ls-files 'crates/ps/src/*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" \
+        -e '\benum \(Msg\|Reply\)\b' \
+        -e '\bfn \(push_from\|join_async\|join_async_from\|snapshot_async\|checkpoint_async\|cancel_join_from\|waking\)\b'; then
+        echo "ERROR: a second request vocabulary is back in ps/; send the shard a WireMsg" >&2
+        exit 1
+    fi
+done
+if grep -n 'too_many_arguments' crates/ps/src/server.rs crates/ps/src/shard.rs; then
+    echo "ERROR: a shard rule takes its state as arguments again; make it a Shard method" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through
