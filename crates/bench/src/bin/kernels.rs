@@ -3,8 +3,12 @@
 //! streaming ops run across gradient sizes from 4 Ki to 1 Mi elements;
 //! the three GEMM layouts run at the shapes a training step of the
 //! benchmark's MLP (batch 16, 784-1024-1024-10) and ResNet-8 actually
-//! issues, with dense and with ReLU-sparse (half exact zeros) A. Emits
-//! `BENCH_kernels.json` and prints a speedup table plus a GFLOP/s table.
+//! issues, with dense and with ReLU-sparse (half exact zeros) A. The
+//! `server_round` rows time where those kernels run on the server: one
+//! aggregate round of the MLP's six keys, pushed by two contributors
+//! (2-bit and raw) and pulled back through an in-process `ParamServer`.
+//! Emits `BENCH_kernels.json` and prints a speedup table, a GFLOP/s table
+//! and the server-round quartiles.
 //!
 //! The backend choice is cached per process (`CDSGD_FORCE_SCALAR` is
 //! read once), so each mode runs in a child process: the parent
@@ -20,6 +24,8 @@ use std::process::Command;
 use std::time::Instant;
 
 use cdsgd_bench::arg_usize;
+use cdsgd_compress::{Compressed, GradientCompressor, NoCompression, TwoBitQuantizer};
+use cdsgd_ps::{ParamServer, ServerConfig};
 use cdsgd_tensor::kernel;
 
 const CHILD_ENV: &str = "CDSGD_KERNELS_CHILD";
@@ -154,9 +160,66 @@ fn time_gemm(layout: Layout, m: usize, k: usize, n: usize, relu: bool, iters: us
     median_s(iters, || (0..reps).for_each(|_| call())) / reps as f64
 }
 
-/// One mode's measurements: a record per (op, size) and per GEMM shape.
+/// The benchmark MLP's keys (784-1024-1024-10; weight, then bias, per
+/// layer).
+const MLP_KEYS: [usize; 6] = [784 * 1024, 1024, 1024 * 1024, 1024, 1024 * 10, 10];
+
+/// `[q1, median, q3]` seconds of one server round: both contributors'
+/// pushes of every [`MLP_KEYS`] key (2-bit at threshold 0.5, or raw),
+/// then a pull of each key at the new version. Each round's payloads
+/// are encoded into the server's buffer pool before the clock starts,
+/// as a worker's are, so the storage the server recycles comes back;
+/// two untimed rounds first let the server settle into recycled
+/// snapshots.
+fn time_server_round(two_bit: bool, iters: usize) -> [f64; 3] {
+    let init: Vec<Vec<f32>> = (MLP_KEYS.iter().zip(100..))
+        .map(|(&n, seed)| pseudo(n, seed))
+        .collect();
+    let grads: Vec<[Vec<f32>; 2]> = (MLP_KEYS.iter().zip(200..))
+        .map(|(&n, seed)| [pseudo(n, 2 * seed), pseudo(n, 2 * seed + 1)])
+        .collect();
+    let mut codecs: [Box<dyn GradientCompressor>; 2] = if two_bit {
+        [0, 1].map(|_| Box::new(TwoBitQuantizer::new(0.5)) as _)
+    } else {
+        [0, 1].map(|_| Box::new(NoCompression) as _)
+    };
+    let ps = ParamServer::start(init, ServerConfig::new(2, 0.01));
+    let client = ps.client();
+    let mut version = 0;
+    let mut round = || {
+        let batch: Vec<[Compressed; 2]> = (grads.iter().enumerate())
+            .map(|(key, pair)| [0, 1].map(|w| codecs[w].compress_into(key, &pair[w], ps.pool())))
+            .collect();
+        version += 1;
+        let t = Instant::now();
+        for (key, [a, b]) in batch.into_iter().enumerate() {
+            client.push(0, key, a).expect("push");
+            client.push(1, key, b).expect("push");
+        }
+        for key in 0..MLP_KEYS.len() {
+            black_box(client.pull(key, version).expect("pull"));
+        }
+        t.elapsed().as_secs_f64()
+    };
+    round();
+    round();
+    let mut times: Vec<f64> = (0..iters).map(|_| round()).collect();
+    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let n = times.len();
+    [times[n / 4], times[n / 2], times[3 * n / 4]]
+}
+
+/// One mode's measurements: a record per (op, size), per GEMM shape and
+/// per server-round payload.
 fn run_child(iters: usize) -> Vec<serde_json::Value> {
     let mut records = Vec::new();
+    for (two_bit, payload) in [(true, "2bit"), (false, "raw")] {
+        let [q1, median, q3] = time_server_round(two_bit, iters.max(7));
+        records.push(serde_json::json!({
+            "op": "server_round", "payload": payload, "keys": MLP_KEYS.len(),
+            "workers": 2, "median_s": median, "q1_s": q1, "q3_s": q3,
+        }));
+    }
     for (layout, m, k, n, what) in SHAPES {
         for relu in [false, true] {
             let s = time_gemm(layout, m, k, n, relu, iters);
@@ -301,6 +364,27 @@ fn main() {
             text("what"),
             gflops(&scalar),
             gflops(&simd)
+        );
+    }
+
+    // Server rounds: milliseconds, median with quartiles, per mode.
+    println!(
+        "\n{:>14} {:>8} {:>24} {:>24}",
+        "op", "payload", "scalar_ms q1-med-q3", "simd_ms q1-med-q3"
+    );
+    for payload in ["2bit", "raw"] {
+        let cell = |records: &[serde_json::Value]| {
+            let r = records
+                .iter()
+                .find(|r| r["op"] == "server_round" && r["payload"] == payload);
+            let ms = |key: &str| r.and_then(|r| r[key].as_f64()).unwrap_or(f64::NAN) * 1e3;
+            format!("{:.2}-{:.2}-{:.2}", ms("q1_s"), ms("median_s"), ms("q3_s"))
+        };
+        println!(
+            "{:>14} {payload:>8} {:>24} {:>24}",
+            "server_round",
+            cell(&scalar),
+            cell(&simd)
         );
     }
 

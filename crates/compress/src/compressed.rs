@@ -114,37 +114,70 @@ impl Compressed {
 /// Decode a payload into `out`, overwriting it: the bits of
 /// `out.fill(0.0)` followed by [`decompress_add`] (so `0.0 + x`, signed
 /// zeros included), which the dense variants reach in one pass without
-/// reading `out`. The server stores a round's first payload this way
-/// and adds the rest.
+/// reading `out`. [`decompress_block`] at offset 0.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the encoded length.
 pub fn decompress(c: &Compressed, out: &mut [f32]) {
     assert_eq!(out.len(), c.len(), "decode buffer length mismatch");
+    decompress_block(c, 0, out);
+}
+
+/// Decode a payload into `out`, *adding* to the existing contents.
+/// [`decompress_add_block`] at offset 0.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the encoded length.
+pub fn decompress_add(c: &Compressed, out: &mut [f32]) {
+    assert_eq!(out.len(), c.len(), "decode buffer length mismatch");
+    decompress_add_block(c, 0, out);
+}
+
+/// Decode elements `at..at + out.len()` of a payload into `out`,
+/// overwriting it, with the bits [`decompress`] leaves there. The server
+/// stores a round's first payload this way, one block at a time, and adds
+/// the rest.
+///
+/// # Panics
+/// Panics if the block runs past the encoded length, or if `at` does not
+/// start on a packed byte (a multiple of 4 for 2-bit, of 8 for 1-bit).
+pub fn decompress_block(c: &Compressed, at: usize, out: &mut [f32]) {
+    check_block(c, at, out.len());
     match c {
-        Compressed::Raw(v) => kernel::zero_add(out, v),
+        Compressed::Raw(v) => kernel::zero_add(out, &v[at..at + out.len()]),
         Compressed::TwoBit {
             threshold, packed, ..
-        } => kernel::unpack_2bit_store(packed, *threshold, out),
-        Compressed::OneBit { scale, signs, .. } => kernel::unpack_1bit_store(signs, *scale, out),
+        } => kernel::unpack_2bit_store(&packed[at / 4..], *threshold, out),
+        Compressed::OneBit { scale, signs, .. } => {
+            kernel::unpack_1bit_store(&signs[at / 8..], *scale, out)
+        }
         Compressed::Qsgd { .. } | Compressed::TopK { .. } => {
             out.fill(0.0);
-            decompress_add(c, out);
+            decompress_add_block(c, at, out);
         }
     }
 }
 
-/// Decode a payload into `out`, *adding* to the existing contents.
-/// This is what the server's aggregation loop uses: it decodes each
-/// worker's payload straight into the accumulation buffer.
-pub fn decompress_add(c: &Compressed, out: &mut [f32]) {
-    assert_eq!(out.len(), c.len(), "decode buffer length mismatch");
+/// Decode elements `at..at + out.len()` of a payload into `out`,
+/// *adding* to the existing contents: per element exactly what
+/// [`decompress_add`] does there. A Top-k payload's indices must ascend
+/// strictly (what `TopKSparsifier` emits and the wire decoder checks):
+/// the block's first pair is found by binary search and the pairs are
+/// walked from there until one falls past the block.
+///
+/// # Panics
+/// As [`decompress_block`].
+pub fn decompress_add_block(c: &Compressed, at: usize, out: &mut [f32]) {
+    check_block(c, at, out.len());
+    let end = at + out.len();
     match c {
-        Compressed::Raw(v) => kernel::add_assign(out, v),
+        Compressed::Raw(v) => kernel::add_assign(out, &v[at..end]),
         Compressed::TwoBit {
             threshold, packed, ..
-        } => kernel::unpack_2bit_add(packed, *threshold, out),
-        Compressed::OneBit { scale, signs, .. } => kernel::unpack_1bit_add(signs, *scale, out),
+        } => kernel::unpack_2bit_add(&packed[at / 4..], *threshold, out),
+        Compressed::OneBit { scale, signs, .. } => {
+            kernel::unpack_1bit_add(&signs[at / 8..], *scale, out)
+        }
         Compressed::Qsgd {
             norm,
             levels,
@@ -152,18 +185,41 @@ pub fn decompress_add(c: &Compressed, out: &mut [f32]) {
             ..
         } => {
             let inv = norm / *levels as f32;
-            for (o, &c) in out.iter_mut().zip(codes) {
+            for (o, &c) in out.iter_mut().zip(&codes[at..end]) {
                 *o += c as f32 * inv;
             }
         }
         Compressed::TopK {
             indices, values, ..
         } => {
-            for (&i, &v) in indices.iter().zip(values) {
-                out[i as usize] += v;
+            let from = indices.partition_point(|&i| (i as usize) < at);
+            for (&i, &v) in indices[from..].iter().zip(&values[from..]) {
+                if i as usize >= end {
+                    break;
+                }
+                out[i as usize - at] += v;
             }
         }
     }
+}
+
+/// The block contract of [`decompress_block`] and
+/// [`decompress_add_block`].
+fn check_block(c: &Compressed, at: usize, n: usize) {
+    assert!(
+        at.checked_add(n).is_some_and(|end| end <= c.len()),
+        "decode block {at}+{n} runs past the payload's {} elements",
+        c.len()
+    );
+    let align = match c {
+        Compressed::TwoBit { .. } => 4,
+        Compressed::OneBit { .. } => 8,
+        _ => 1,
+    };
+    assert!(
+        at.is_multiple_of(align),
+        "decode block at {at} does not start on a packed byte"
+    );
 }
 
 #[cfg(test)]
@@ -330,6 +386,62 @@ mod tests {
         decompress(&c, &mut out);
         assert_eq!(out, vec![-2.5, 0.0, 0.0, 1.5, 0.0]);
         assert_eq!(c.wire_bytes(), 4 + 16);
+    }
+
+    #[test]
+    fn blocks_decode_what_the_whole_payload_decodes() {
+        // 19 elements in blocks of 8 (a packed-byte boundary for every
+        // codec), stored then added, against the whole-payload forms.
+        let n = 19;
+        let symbols: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
+        let signs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+        let payloads = [
+            Compressed::Raw((0..n).map(|i| i as f32 - 9.5).collect()),
+            Compressed::TwoBit {
+                threshold: 0.5,
+                packed: pack_2bit(&symbols),
+                len: n,
+            },
+            Compressed::OneBit {
+                scale: 2.0,
+                signs: pack_1bit(&signs),
+                len: n,
+            },
+            Compressed::Qsgd {
+                norm: 3.0,
+                levels: 4,
+                codes: (0..n).map(|i| (i % 9) as i8 - 4).collect(),
+                len: n,
+            },
+            Compressed::TopK {
+                indices: vec![0, 7, 8, 15, 18],
+                values: vec![1.0, -2.0, 3.0, -0.0, 5.0],
+                len: n,
+            },
+        ];
+        for c in &payloads {
+            let mut whole = vec![0.0; n];
+            decompress(c, &mut whole);
+            decompress_add(c, &mut whole);
+            let mut blocks = vec![f32::NAN; n];
+            for (b, out) in blocks.chunks_mut(8).enumerate() {
+                decompress_block(c, 8 * b, out);
+                decompress_add_block(c, 8 * b, out);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&blocks), bits(&whole), "{c:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed byte")]
+    fn a_block_inside_a_packed_byte_panics() {
+        let c = Compressed::TwoBit {
+            threshold: 1.0,
+            packed: vec![0; 2],
+            len: 8,
+        };
+        decompress_block(&c, 2, &mut [0.0; 4]);
     }
 
     #[test]

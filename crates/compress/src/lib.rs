@@ -41,7 +41,9 @@ mod topk;
 mod twobit;
 
 pub use adaptive::AdaptiveTwoBit;
-pub use compressed::{decompress, decompress_add, Compressed};
+pub use compressed::{
+    decompress, decompress_add, decompress_add_block, decompress_block, Compressed,
+};
 pub use onebit::OneBitQuantizer;
 pub use packing::{pack_1bit, pack_1bit_into, pack_2bit, pack_2bit_into, unpack_1bit, unpack_2bit};
 pub use pool::BufferPool;

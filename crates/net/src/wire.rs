@@ -706,6 +706,12 @@ fn decode_compressed_in(bytes: &[u8], pool: Option<&BufferPool>) -> Result<Compr
                         "Top-k index {i} out of range for {len} elements"
                     )));
                 }
+                // The server's block pass walks the pairs in index order.
+                if let Some(&prev) = indices.last().filter(|&&prev| prev >= i) {
+                    return Err(NetError::Decode(format!(
+                        "Top-k index {i} follows {prev}; indices must ascend strictly"
+                    )));
+                }
                 indices.push(i);
                 values.push(cur.f32()?);
             }

@@ -8,8 +8,10 @@
 //! length, and often exactly the bytes that header's codec wants — since
 //! that is where a count read off the wire can size an allocation.
 
-use cdsgd_compress::BufferPool;
-use cdsgd_net::wire::{decode_collective, decode_head, decode_msg, decode_msg_pooled, FrameHead};
+use cdsgd_compress::{BufferPool, Compressed};
+use cdsgd_net::wire::{
+    decode_collective, decode_head, decode_msg, decode_msg_pooled, FrameHead, WireMsg,
+};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -167,6 +169,32 @@ proptest! {
         }
         frame.extend(fill.iter().copied().cycle().take(rest));
         decode_everywhere(&frame, &BufferPool::new());
+    }
+
+    #[test]
+    fn top_k_pushes_decode_only_with_strictly_ascending_indices(
+        len in 1u32..64,
+        raw in prop::collection::vec(any::<u32>(), 0..12),
+        value in any::<u32>(),
+    ) {
+        // In-range indices in any order, repeats included: a push decodes
+        // exactly when they ascend strictly, and then as sent.
+        let indices: Vec<u32> = raw.iter().map(|i| i % len).collect();
+        let mut frame = vec![0u8, 1, 0, 0, 0, 2, 0, 0, 0];
+        frame.extend_from_slice(&((5u32 << 29) | len).to_le_bytes());
+        for &i in &indices {
+            frame.extend_from_slice(&i.to_le_bytes());
+            frame.extend_from_slice(&value.to_le_bytes());
+        }
+        decode_everywhere(&frame, &BufferPool::new());
+        let ascending = indices.windows(2).all(|w| w[0] < w[1]);
+        match decode_msg(&frame) {
+            Ok(WireMsg::Push { payload: Compressed::TopK { indices: got, .. }, .. }) => {
+                prop_assert!(ascending, "decoded unordered indices {:?}", got);
+                prop_assert_eq!(got, indices);
+            }
+            other => prop_assert!(!ascending, "{:?} refused: {:?}", indices, other),
+        }
     }
 
     #[test]

@@ -86,12 +86,16 @@ proptest! {
 
     #[test]
     fn topk_round_trips(values in prop::collection::vec(-4.0f32..4.0, 0..40), idx_raw in prop::collection::vec(any::<u32>(), 0..40), extra in 1usize..16) {
+        // Strictly ascending indices, as `TopKSparsifier` emits them and
+        // the decoder requires.
         let k = values.len().min(idx_raw.len());
         let len = k + extra;
-        let indices: Vec<u32> = idx_raw[..k].iter().map(|&r| r % len as u32).collect();
+        let mut indices: Vec<u32> = idx_raw[..k].iter().map(|&r| r % len as u32).collect();
+        indices.sort_unstable();
+        indices.dedup();
         let c = Compressed::TopK {
+            values: values[..indices.len()].to_vec(),
             indices,
-            values: values[..k].to_vec(),
             len,
         };
         assert_round_trip(&c);
@@ -161,6 +165,25 @@ fn one_element_payloads_round_trip() {
         values: vec![-1.5],
         len: 1,
     });
+}
+
+#[test]
+fn top_k_indices_that_do_not_ascend_strictly_are_a_decode_error() {
+    // A descending pair and a repeated index: both encode, neither
+    // decodes — the server's block pass walks the pairs in index order.
+    for indices in [vec![3, 0], vec![2, 2]] {
+        let c = Compressed::TopK {
+            indices,
+            values: vec![1.0, -1.0],
+            len: 5,
+        };
+        let mut buf = Vec::new();
+        encode_compressed_into(&c, &mut buf);
+        assert!(
+            matches!(decode_compressed(&buf), Err(cdsgd_net::NetError::Decode(_))),
+            "{c:?} decoded"
+        );
+    }
 }
 
 #[test]

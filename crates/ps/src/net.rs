@@ -551,7 +551,7 @@ impl IoLoop {
                 payload,
             } = &msg
             {
-                self.admission.push(*worker, *key, payload.len())?;
+                self.admission.push_payload(*worker, *key, payload)?;
             }
             // Every frame goes to the shard as it is; the answer to one
             // it answers is owed in arrival order.

@@ -6,6 +6,12 @@
 //! [`Nesterov`] are extension optimizers for the benchmark harness; they
 //! plug in behind the same trait so adding another server-side rule never
 //! touches the aggregation loop.
+//!
+//! The shard runs a round as one pass over its key, block by block: each
+//! block's gradient is summed into a small stack buffer and handed to
+//! [`ServerOpt::apply_block`] with the block's offset, so the summed
+//! gradient never exists key-sized. Per-element state (a velocity) is
+//! indexed by that offset.
 
 use crate::spares::zeroed_snapshot;
 use cdsgd_tensor::kernel;
@@ -15,13 +21,19 @@ use std::sync::Arc;
 /// momentum buffer is key-local), driven once per completed aggregate
 /// round by the server loop.
 pub trait ServerOpt: Send {
-    /// Build the next weights into `next` — every element is written,
-    /// none is read — from the current `weights` and the aggregated
-    /// (summed, not averaged) gradient `acc`. `step` is the effective
-    /// rate `η / N`, so plain SGD is `w − step · g`. The server hands in
-    /// a snapshot nobody else holds, so outstanding pulls keep their old
-    /// version.
-    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32);
+    /// Build elements `at..at + next.len()` of the next weights into
+    /// `next` — every element is written, none is read — from the same
+    /// elements of the current weights (`weights`) and of the aggregated
+    /// (summed, not averaged) gradient (`acc`). `step` is the effective
+    /// rate `η / N`, so plain SGD is `w − step · g`. A round hands in each
+    /// block of its key once; the server builds into a snapshot nobody
+    /// else holds, so outstanding pulls keep their old version.
+    fn apply_block(&mut self, at: usize, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32);
+
+    /// Build the whole next snapshot into `next`: one block at offset 0.
+    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32) {
+        self.apply_block(0, next, weights, acc, step);
+    }
 
     /// [`ServerOpt::apply_into`] a fresh shared snapshot: one allocation,
     /// written once.
@@ -51,7 +63,14 @@ pub trait ServerOpt: Send {
 pub struct PlainSgd;
 
 impl ServerOpt for PlainSgd {
-    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32) {
+    fn apply_block(
+        &mut self,
+        _at: usize,
+        next: &mut [f32],
+        weights: &[f32],
+        acc: &[f32],
+        step: f32,
+    ) {
         kernel::sgd_step(next, weights, acc, step);
     }
 
@@ -79,12 +98,17 @@ impl HeavyBall {
 }
 
 impl ServerOpt for HeavyBall {
-    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32) {
-        if self.velocity.len() != weights.len() {
-            self.velocity = vec![0.0; weights.len()];
-        }
-        kernel::decay_add(&mut self.velocity, self.momentum, acc);
-        kernel::sgd_step(next, weights, &self.velocity, step);
+    fn apply_block(
+        &mut self,
+        at: usize,
+        next: &mut [f32],
+        weights: &[f32],
+        acc: &[f32],
+        step: f32,
+    ) {
+        let v = velocity_block(&mut self.velocity, at, acc.len());
+        kernel::decay_add(v, self.momentum, acc);
+        kernel::sgd_step(next, weights, v, step);
     }
 
     fn name(&self) -> &'static str {
@@ -121,12 +145,17 @@ impl Nesterov {
 }
 
 impl ServerOpt for Nesterov {
-    fn apply_into(&mut self, next: &mut [f32], weights: &[f32], acc: &[f32], step: f32) {
-        if self.velocity.len() != weights.len() {
-            self.velocity = vec![0.0; weights.len()];
-        }
-        kernel::decay_add(&mut self.velocity, self.momentum, acc);
-        kernel::nesterov_step(next, weights, acc, &self.velocity, step, self.momentum);
+    fn apply_block(
+        &mut self,
+        at: usize,
+        next: &mut [f32],
+        weights: &[f32],
+        acc: &[f32],
+        step: f32,
+    ) {
+        let v = velocity_block(&mut self.velocity, at, acc.len());
+        kernel::decay_add(v, self.momentum, acc);
+        kernel::nesterov_step(next, weights, acc, v, step, self.momentum);
     }
 
     fn name(&self) -> &'static str {
@@ -140,6 +169,17 @@ impl ServerOpt for Nesterov {
     fn import_state(&mut self, state: &[f32]) {
         self.velocity = state.to_vec();
     }
+}
+
+/// Elements `at..at + n` of a momentum velocity. A fresh key's velocity
+/// is empty and grows with zeros as its first round walks the blocks; a
+/// restored one already covers the key (`Shard::new` refuses any other
+/// length).
+fn velocity_block(velocity: &mut Vec<f32>, at: usize, n: usize) -> &mut [f32] {
+    if velocity.len() < at + n {
+        velocity.resize(at + n, 0.0);
+    }
+    &mut velocity[at..at + n]
 }
 
 /// A copyable optimizer *choice*, carried in [`crate::ServerConfig`]

@@ -17,6 +17,13 @@
 //! two-version pull window Algorithm 1's deferred pulls need, and the
 //! membership and fencing rules that keep each push counted once
 //! (DESIGN.md §13).
+//!
+//! A completed round is one pass over its key ([`round_pass`]): block by
+//! block, the first payload is decoded into a [`BLOCK`]-element stack
+//! buffer, the others are added in worker order, and the key's optimizer
+//! writes that block of the next snapshot. No key-sized sum exists, so a
+//! 2-bit round streams the model twice (old weights in, new weights out)
+//! and a raw round adds one read per contributor.
 
 use crate::opt::ServerOpt;
 use crate::recover::{CheckpointTracker, Durability};
@@ -24,7 +31,7 @@ use crate::server::ServerConfig;
 use crate::spares::Spares;
 use crate::stats::TrafficStats;
 use crate::Key;
-use cdsgd_compress::{decompress, decompress_add, BufferPool, Compressed};
+use cdsgd_compress::{decompress_add_block, decompress_block, BufferPool, Compressed};
 use cdsgd_net::wire::WireMsg;
 use cdsgd_net::NetError;
 use cdsgd_telemetry::{Event, Op};
@@ -112,6 +119,33 @@ impl Admission {
             )));
         }
         Ok((self.worker("push", worker)?, key))
+    }
+
+    /// [`Admission::push`] of a whole payload: a Top-k payload's indices
+    /// must also ascend strictly and stay inside the key — the order
+    /// [`round_pass`] walks them in.
+    pub(crate) fn push_payload(
+        &self,
+        worker: u32,
+        key: u32,
+        payload: &Compressed,
+    ) -> Result<(usize, Key), NetError> {
+        let at = self.push(worker, key, payload.len())?;
+        if let Compressed::TopK { indices, len, .. } = payload {
+            let unordered = indices.windows(2).find(|w| w[0] >= w[1]);
+            if let Some(w) = unordered {
+                return Err(NetError::Decode(format!(
+                    "push to key {key}: Top-k index {} follows {}; indices must ascend strictly",
+                    w[1], w[0]
+                )));
+            }
+            if let Some(&last) = indices.last().filter(|&&i| i as usize >= *len) {
+                return Err(NetError::Decode(format!(
+                    "push to key {key}: Top-k index {last} out of range for {len} elements"
+                )));
+            }
+        }
+        Ok(at)
     }
 }
 
@@ -245,9 +279,6 @@ struct KeyState<R> {
     /// Snapshots rotated out of `prev_weights`: the next version is built
     /// in one that no puller, reply queue or model still holds.
     spares: Spares,
-    /// Reusable aggregation buffer: each round's first payload is stored
-    /// into it, the rest are added.
-    acc: Vec<f32>,
     /// Pending pushes, one FIFO per worker. Delayed algorithms (OD-SGD /
     /// CD-SGD) legitimately run ahead: a fast worker may push round r+1
     /// before a slow worker has pushed round r, so rounds are matched by
@@ -287,10 +318,16 @@ pub(crate) struct Shard<R> {
     stats: Arc<TrafficStats>,
     /// Where aggregated payloads' storage is recycled.
     pool: BufferPool,
+    /// The payloads of the round in progress, in worker order; reused, so
+    /// a steady-state round allocates nothing.
+    round: Vec<Compressed>,
     /// The caller's clock for the request or tick in progress.
     now: Instant,
     /// The answers the request or tick in progress made due.
     owed: Vec<Owed<R>>,
+    /// Payloads aggregated so far, for the exactly-once checks.
+    #[cfg(test)]
+    aggregated: usize,
 }
 
 impl<R> Shard<R> {
@@ -299,7 +336,8 @@ impl<R> Shard<R> {
     ///
     /// # Panics
     /// Panics if a restored checkpoint's key count or shapes differ from
-    /// `init`'s.
+    /// `init`'s, or if a restored optimizer state is neither empty nor
+    /// exactly its key's length.
     pub(crate) fn new(
         init: Vec<Vec<f32>>,
         cfg: ServerConfig,
@@ -317,6 +355,16 @@ impl<R> Shard<R> {
             assert_eq!(r.weights.len(), init.len(), "restored key count mismatch");
             for (k, (res, ini)) in r.weights.iter().zip(&init).enumerate() {
                 assert_eq!(res.len(), ini.len(), "restored length mismatch on key {k}");
+            }
+            // A velocity is indexed by block offset: one of another
+            // length would be sliced out of bounds, or silently restart.
+            for (k, (state, ini)) in r.opt_state.iter().zip(&init).enumerate() {
+                assert!(
+                    state.is_empty() || state.len() == ini.len(),
+                    "restored optimizer state of {} elements on key {k}, which holds {}",
+                    state.len(),
+                    ini.len()
+                );
             }
         }
         let start_round = restore.as_ref().map_or(0, |r| r.round);
@@ -342,13 +390,11 @@ impl<R> Shard<R> {
                     }
                     None => weights,
                 };
-                let len = weights.len();
                 let weights: Arc<[f32]> = weights.into();
                 KeyState {
                     prev_weights: Arc::clone(&weights),
                     weights,
                     spares: Spares::default(),
-                    acc: vec![0.0; len],
                     pending: vec![VecDeque::new(); cfg.num_workers],
                     version: start_round,
                     opt,
@@ -366,8 +412,11 @@ impl<R> Shard<R> {
             failed: None,
             stats,
             pool,
+            round: Vec::new(),
             now,
             owed: Vec::new(),
+            #[cfg(test)]
+            aggregated: 0,
         }
     }
 
@@ -483,7 +532,7 @@ impl<R> Shard<R> {
             payload.recycle(&self.pool);
             return;
         }
-        let (worker, key) = match self.admission.push(worker, key, payload.len()) {
+        let (worker, key) = match self.admission.push_payload(worker, key, &payload) {
             Ok(at) => at,
             // The wire path never gets here (the I/O loop refuses the
             // frame and retires its connection); a trusted in-process
@@ -748,29 +797,24 @@ impl<R> Shard<R> {
             if !complete {
                 break;
             }
-            // Each decode is one "dequant" span on the server's lane —
-            // one past the last worker's — for the round it feeds. The
-            // first payload is stored over whatever the last round left
-            // in `acc` (as `0.0 + x`: the bits of zeroing it and adding),
-            // the rest add.
+            // The round's pass is one "dequant" span on the server's
+            // lane — one past the last worker's — covering decode, sum
+            // and step.
             let lane = ks.pending.len();
-            let mut contributors = 0usize;
-            for q in ks.pending.iter_mut() {
-                if let Some(p) = q.pop_front() {
-                    let t = tel.span_start();
-                    if contributors == 0 {
-                        decompress(&p, &mut ks.acc);
-                    } else {
-                        decompress_add(&p, &mut ks.acc);
-                    }
-                    tel.span_end(lane, Op::Decompress, ks.version, t);
-                    // Payload storage goes back to the shared pool so the
-                    // next compress_into can reuse it.
-                    p.recycle(&self.pool);
-                    contributors += 1;
-                }
+            self.round
+                .extend(ks.pending.iter_mut().filter_map(VecDeque::pop_front));
+            let t = tel.span_start();
+            ks.advance(&self.round, self.cfg.global_lr, &self.stats);
+            tel.span_end(lane, Op::Decompress, ks.version, t);
+            #[cfg(test)]
+            {
+                self.aggregated += self.round.len();
             }
-            apply_update(ks, self.cfg.global_lr, contributors, &self.stats);
+            // Payload storage goes back to the shared pool so the next
+            // compress_into can reuse it.
+            for p in self.round.drain(..) {
+                p.recycle(&self.pool);
+            }
             ks.version += 1;
             // Scheduled checkpoints capture each key the instant it
             // crosses the boundary round (versions advance one at a time,
@@ -811,34 +855,67 @@ fn pull_reply(key: u32, min_version: u64, weights: Arc<[f32]>) -> Result<WireMsg
     })
 }
 
-/// `W ← W − η/N · opt(acc)`, eq. 10 generalized over the key's
-/// [`ServerOpt`] (plain SGD for the paper's rule), with `η = global_lr`
-/// and `N` the number of workers whose pushes fed this round
-/// (`contributors`). Fixed membership makes that always `num_workers`.
-///
-/// The optimizer writes the new version (the one build per round,
-/// counted in [`TrafficStats::bytes_copied`]) into a snapshot nobody
-/// else holds — one this key rotated out earlier, so a steady-state
-/// round allocates nothing — which rotates the old snapshot into
-/// `prev_weights`; pulls of either version are then served by
-/// reference-count bumps alone.
-fn apply_update<R>(
-    ks: &mut KeyState<R>,
-    global_lr: f32,
-    contributors: usize,
-    stats: &TrafficStats,
+impl<R> KeyState<R> {
+    /// `W ← W − η/N · opt(Σ decode(p))`, eq. 10 generalized over the
+    /// key's [`ServerOpt`] (plain SGD for the paper's rule), with
+    /// `η = global_lr` and `N` the number of workers whose pushes fed this
+    /// round (`payloads`, in worker order). Fixed membership makes that
+    /// always `num_workers`.
+    ///
+    /// The pass writes the new version (the one build per round, counted
+    /// in [`TrafficStats::bytes_copied`]) into a snapshot nobody else
+    /// holds — one this key rotated out earlier, so a steady-state round
+    /// allocates nothing — which rotates the old snapshot into
+    /// `prev_weights`; pulls of either version are then served by
+    /// reference-count bumps alone.
+    fn advance(&mut self, payloads: &[Compressed], global_lr: f32, stats: &TrafficStats) {
+        let step = global_lr / payloads.len() as f32;
+        let mut next = self.spares.take(self.weights.len());
+        let slot = Arc::get_mut(&mut next).expect("a taken spare has one owner");
+        round_pass(payloads, &self.weights, slot, self.opt.as_mut(), step);
+        stats.record_copy(4 * next.len());
+        let current = std::mem::replace(&mut self.weights, next);
+        let retired = std::mem::replace(&mut self.prev_weights, current);
+        // Until the first update both slots hold the initial snapshot: its
+        // second handle is no spare, it could never become unique.
+        if !Arc::ptr_eq(&retired, &self.prev_weights) {
+            self.spares.retire(retired);
+        }
+    }
+}
+
+/// Elements per block of a round's pass: 8 KiB of f32, so the block's
+/// sum stays in L1 from its first decode to the optimizer step. A
+/// multiple of 8, so every block starts on a packed byte of every codec
+/// and on an AVX2 lane group.
+const BLOCK: usize = 2048;
+
+/// One round of one key in one pass. For each block of [`BLOCK`]
+/// elements: decode the first payload into a stack buffer (`0.0 + x`,
+/// the bits of zeroing and adding), add the others in their order, and
+/// let `opt` write that block of `next` from the same block of
+/// `weights`. Every element gets the operations, in the order, that
+/// decoding every payload into one key-sized sum and stepping over it
+/// would give it — the same kernels, on sub-slices.
+fn round_pass(
+    payloads: &[Compressed],
+    weights: &[f32],
+    next: &mut [f32],
+    opt: &mut dyn ServerOpt,
+    step: f32,
 ) {
-    let step = global_lr / contributors as f32;
-    let mut next = ks.spares.take(ks.weights.len());
-    let slot = Arc::get_mut(&mut next).expect("a taken spare has one owner");
-    ks.opt.apply_into(slot, &ks.weights, &ks.acc, step);
-    stats.record_copy(4 * next.len());
-    let current = std::mem::replace(&mut ks.weights, next);
-    let retired = std::mem::replace(&mut ks.prev_weights, current);
-    // Until the first update both slots hold the initial snapshot: its
-    // second handle is no spare, it could never become unique.
-    if !Arc::ptr_eq(&retired, &ks.prev_weights) {
-        ks.spares.retire(retired);
+    let mut block = [0.0f32; BLOCK];
+    for (b, out) in next.chunks_mut(BLOCK).enumerate() {
+        let at = b * BLOCK;
+        let sum = &mut block[..out.len()];
+        for (i, p) in payloads.iter().enumerate() {
+            if i == 0 {
+                decompress_block(p, at, sum);
+            } else {
+                decompress_add_block(p, at, sum);
+            }
+        }
+        opt.apply_block(at, out, &weights[at..at + sum.len()], sum, step);
     }
 }
 
@@ -1028,7 +1105,6 @@ mod tests {
     /// checks the shard's invariants after every event.
     struct Sim {
         shard: Shard<usize>,
-        mem: Arc<MemorySink>,
         rng: Rng,
         now: Instant,
         /// In-flight messages per connection id (index 0 is the unused
@@ -1043,8 +1119,6 @@ mod tests {
         /// Weights seen per key and version; all sightings must agree.
         history: Vec<BTreeMap<u64, Vec<f32>>>,
         versions: Vec<u64>,
-        /// Decode spans seen: one per aggregated payload.
-        aggregations: usize,
         events: usize,
         seed: u64,
     }
@@ -1054,7 +1128,7 @@ mod tests {
             let now = Instant::now();
             let elastic = ElasticConfig::new(1).with_heartbeat_timeout(Duration::from_secs(3600));
             let cfg = ServerConfig::new(INITIAL, 1.0).with_elastic(elastic);
-            let (shard, mem) = shard_of(vec![vec![0.0; KEY_LEN]; KEYS], cfg, now);
+            let (shard, _) = shard_of(vec![vec![0.0; KEY_LEN]; KEYS], cfg, now);
             let clients = (0..WORKERS)
                 .map(|w| Client {
                     phase: if w < INITIAL {
@@ -1071,7 +1145,6 @@ mod tests {
                 .collect();
             Self {
                 shard,
-                mem,
                 rng: Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1),
                 now,
                 wires: vec![VecDeque::new(); WORKERS + 1],
@@ -1081,7 +1154,6 @@ mod tests {
                 promoted_by: vec![None; WORKERS],
                 history: vec![BTreeMap::new(); KEYS],
                 versions: vec![0; KEYS],
-                aggregations: 0,
                 events: 0,
                 seed,
             }
@@ -1241,28 +1313,14 @@ mod tests {
             for (token, answer) in owed {
                 self.answer(token, answer, &at);
             }
-            // Exactly once: one decode per aggregated payload, and every
-            // payload owns a coordinate, so the decodes equal the
-            // coordinates moved off zero — a second aggregation of any
-            // push would decode once more and move nothing new.
-            self.aggregations += self
-                .mem
-                .take()
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e,
-                        Event::OpSpan {
-                            op: Op::Decompress,
-                            ..
-                        }
-                    )
-                })
-                .count();
+            // Exactly once: every payload owns a coordinate, so the
+            // payloads aggregated equal the coordinates moved off zero —
+            // a second aggregation of any push would count once more and
+            // move nothing new.
             let moved: usize = (self.shard.keys.iter())
                 .map(|ks| ks.weights.iter().filter(|x| **x != 0.0).count())
                 .sum();
-            assert_eq!(self.aggregations, moved, "a push aggregated twice {at}");
+            assert_eq!(self.shard.aggregated, moved, "a push aggregated twice {at}");
             // No worker is Active without an uncancelled Register (or
             // the initial set), or after its Leave.
             for w in 0..WORKERS {
@@ -1394,6 +1452,158 @@ mod tests {
     fn seeded_schedules_aggregate_each_push_once() {
         for seed in 0..256 {
             Sim::new(seed).run();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "restored optimizer state of 2 elements on key 0, which holds 3")]
+    fn a_restored_velocity_must_fit_its_key() {
+        let restore = crate::Checkpoint {
+            weights: vec![vec![0.0; 3]],
+            opt_state: vec![vec![1.0, 2.0]],
+            ..Default::default()
+        };
+        let durability = Durability {
+            restore: Some(restore),
+            checkpoint: None,
+        };
+        let cfg = ServerConfig::new(1, 1.0).with_momentum(0.9);
+        let stats = Arc::new(TrafficStats::default());
+        let init = vec![vec![0.0; 3]];
+        Shard::<usize>::new(
+            init,
+            cfg,
+            durability,
+            stats,
+            BufferPool::new(),
+            Instant::now(),
+        );
+    }
+
+    #[test]
+    fn an_in_process_top_k_push_must_ascend_strictly() {
+        // The same rule the wire decoder applies: an unordered in-process
+        // push fails the shard with the typed error.
+        let t0 = Instant::now();
+        let (mut shard, _) = shard_of(vec![vec![0.0; 4]], ServerConfig::new(1, 1.0), t0);
+        let payload = Compressed::TopK {
+            indices: vec![2, 1],
+            values: vec![1.0, 1.0],
+            len: 4,
+        };
+        let msg = WireMsg::Push {
+            worker: 0,
+            key: 0,
+            payload,
+        };
+        shard.on(0, msg, None, t0);
+        assert!(
+            matches!(shard.failure(), Some(NetError::Decode(e)) if e.contains("ascend")),
+            "{:?}",
+            shard.failure()
+        );
+    }
+
+    /// Values where `0.0 + x` and `x`, or two NaNs, could be told apart,
+    /// beside ordinary ones.
+    fn special(rng: &mut Rng) -> f32 {
+        const SPECIALS: [f32; 5] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        match rng.below(8) {
+            i @ 0..=4 => SPECIALS[i],
+            _ => rng.below(4001) as f32 / 1000.0 - 2.0,
+        }
+    }
+
+    /// A payload of `len` elements of codec `kind` (0 raw, 1 2-bit,
+    /// 2 1-bit, 3 QSGD, 4 Top-k).
+    fn payload_of(kind: usize, len: usize, rng: &mut Rng) -> Compressed {
+        match kind {
+            0 => Compressed::Raw((0..len).map(|_| special(rng)).collect()),
+            1 => {
+                let symbols: Vec<u8> = (0..len).map(|_| rng.below(3) as u8).collect();
+                Compressed::TwoBit {
+                    threshold: special(rng),
+                    packed: cdsgd_compress::pack_2bit(&symbols),
+                    len,
+                }
+            }
+            2 => {
+                let signs: Vec<bool> = (0..len).map(|_| rng.one_in(2)).collect();
+                Compressed::OneBit {
+                    scale: special(rng),
+                    signs: cdsgd_compress::pack_1bit(&signs),
+                    len,
+                }
+            }
+            3 => {
+                let levels = 1 + rng.below(8) as u8;
+                let span = 2 * levels as usize + 1;
+                let codes = (0..len)
+                    .map(|_| (rng.below(span) as i32 - levels as i32) as i8)
+                    .collect();
+                Compressed::Qsgd {
+                    norm: special(rng),
+                    levels,
+                    codes,
+                    len,
+                }
+            }
+            _ => {
+                let indices: Vec<u32> = (0..len as u32).filter(|_| rng.one_in(4)).collect();
+                let values = indices.iter().map(|_| special(rng)).collect();
+                Compressed::TopK {
+                    indices,
+                    values,
+                    len,
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn the_block_pass_is_decode_sum_then_step_bit_for_bit(
+            len_at in 0usize..8,
+            kinds in proptest::collection::vec(0usize..5, 1..=4),
+            opt_at in 0usize..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // The composed reference over a whole-key sum, against the
+            // pass, for two rounds (a velocity carried into the second):
+            // the next snapshots and the exported optimizer states must
+            // agree bit for bit.
+            let len = [0, 1, 7, 8, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5][len_at];
+            let kind = [
+                crate::ServerOptKind::PlainSgd,
+                crate::ServerOptKind::HeavyBall { momentum: 0.9 },
+                crate::ServerOptKind::Nesterov { momentum: 0.9 },
+            ][opt_at];
+            let mut rng = Rng(seed | 1);
+            let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut reference, mut pass) = (kind.build(), kind.build());
+            let mut weights: Vec<f32> = (0..len).map(|_| special(&mut rng)).collect();
+            for _ in 0..2 {
+                let payloads: Vec<Compressed> =
+                    kinds.iter().map(|&k| payload_of(k, len, &mut rng)).collect();
+                let step = 0.5 / payloads.len() as f32;
+                let mut sum = vec![f32::NAN; len];
+                cdsgd_compress::decompress(&payloads[0], &mut sum);
+                for p in &payloads[1..] {
+                    cdsgd_compress::decompress_add(p, &mut sum);
+                }
+                let mut want = vec![f32::NAN; len];
+                reference.apply_into(&mut want, &weights, &sum, step);
+                let mut got = vec![f32::NAN; len];
+                round_pass(&payloads, &weights, &mut got, pass.as_mut(), step);
+                proptest::prop_assert_eq!(bits(&got), bits(&want));
+                proptest::prop_assert_eq!(
+                    bits(&pass.export_state()),
+                    bits(&reference.export_state())
+                );
+                weights = got;
+            }
         }
     }
 }

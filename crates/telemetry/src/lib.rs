@@ -59,9 +59,10 @@ pub enum Op {
     Backward,
     /// Gradient quantization/encoding (the paper's "quant").
     Compress,
-    /// Gradient dequantization/decoding (the server-side "dequant" —
-    /// the decode half of the codec). Emitted on the server's own span
-    /// lane, whose `worker` index is one past the last real worker.
+    /// The server-side "dequant": one span per key-round, covering the
+    /// round's one pass — decode, sum and optimizer step. Emitted on the
+    /// server's own span lane, whose `worker` index is one past the last
+    /// real worker.
     Decompress,
     /// The local update of eq. 11 (CD-SGD's delay-hiding step).
     LocalUpdate,

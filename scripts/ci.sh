@@ -140,6 +140,17 @@ if grep -n 'too_many_arguments' crates/ps/src/server.rs crates/ps/src/shard.rs; 
     exit 1
 fi
 
+# One pass per server round (DESIGN.md §3): a round decodes, sums and
+# steps block by block through a stack buffer. The program half of
+# ps/shard.rs may neither name a key-sized `acc` nor decode a whole
+# payload at once; the block forms are the only decoders it calls.
+echo "==> ps/shard.rs keeps no key-sized accumulator and decodes by block"
+if sed '/^#\[cfg(test)\]/,$d' crates/ps/src/shard.rs |
+    grep -n '\bacc\b\|\bdecompress(\|\bdecompress_add('; then
+    echo "ERROR: ps/shard.rs aggregates into a key-sized buffer again; use round_pass" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through

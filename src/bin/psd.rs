@@ -23,7 +23,7 @@
 //! frame bytes on both directions, plus the push/pull payload
 //! accounting the paper's eq. 4–9 compare). `--trace <path>` streams
 //! every telemetry event — per-frame wire bytes tagged by connection,
-//! one dequant span per aggregated push on the server lane (lane
+//! one dequant span per key-round on the server lane (lane
 //! `--workers`), round lifecycle, supervision verdicts — to a JSONL
 //! file.
 //!
