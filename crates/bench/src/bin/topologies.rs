@@ -1,7 +1,7 @@
 //! Topology sweep (DESIGN.md §16): the same workload trained through
-//! every synchronization topology — parameter server, ring allreduce,
-//! tree reduce-broadcast, and decentralized compressed gossip — across
-//! worker counts and codecs, into `BENCH_topologies.json`.
+//! every synchronization topology — parameter server, ring allreduce and
+//! decentralized compressed gossip — across worker counts and codecs,
+//! into `BENCH_topologies.json`.
 //!
 //! Two claims are pinned here:
 //!
@@ -58,9 +58,7 @@ fn train(
     let history = match &topology {
         Topology::Ps => trainer.run(),
         t => trainer
-            .run_with(|_, _| {
-                Ok(Box::new(AllReduceBackend::new(t.shape(), workers, WireMode::Tcp)?) as _)
-            })
+            .run_with(|_, _| Ok(Box::new(AllReduceBackend::ring(workers, WireMode::Tcp)?) as _))
             .unwrap_or_else(|e| panic!("{} run: {e}", t.name())),
     };
     (history, t0.elapsed().as_secs_f64())
@@ -140,20 +138,12 @@ fn main() {
                 cname,
             ));
         }
-        // Uncompressed collectives: ring and tree allreduce over TCP.
+        // The uncompressed collective: ring allreduce over TCP.
         records.push(row(
             workers,
             epochs,
             samples,
             Topology::Ring,
-            Algorithm::ArSgd,
-            "none",
-        ));
-        records.push(row(
-            workers,
-            epochs,
-            samples,
-            Topology::Tree,
             Algorithm::ArSgd,
             "none",
         ));
@@ -199,14 +189,10 @@ fn main() {
         "workers": cluster.num_workers(),
         "model_bytes": model_bytes,
         "ring_allreduce_s": cluster.ring_allreduce_time(model_bytes),
-        "tree_allreduce_s": cluster.tree_allreduce_time(model_bytes),
-        "crossover_bytes": cluster.allreduce_crossover_bytes(),
     });
     println!(
-        "\ncost model (N=4, 56 Gbps): ring {:.1} µs, tree {:.1} µs, crossover at {:.0} KiB",
-        cluster.ring_allreduce_time(model_bytes) * 1e6,
-        cluster.tree_allreduce_time(model_bytes) * 1e6,
-        cluster.allreduce_crossover_bytes() / 1024.0
+        "\ncost model (N=4, 56 Gbps): ring {:.1} µs",
+        cluster.ring_allreduce_time(model_bytes) * 1e6
     );
 
     let out = serde_json::json!({

@@ -5,7 +5,7 @@ use cdsgd_compress::{
     AdaptiveTwoBit, GradientCompressor, OneBitQuantizer, QsgdQuantizer, TopKSparsifier,
     TwoBitQuantizer,
 };
-use cdsgd_ps::{ServerOptKind, Shape, WorkerFault};
+use cdsgd_ps::{ServerOptKind, WorkerFault};
 use cdsgd_telemetry::Telemetry;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -328,9 +328,10 @@ impl Algorithm {
 /// family) run's collective exchanges. Ignored by parameter-server
 /// algorithms, which always talk to the PS regardless of this field.
 ///
-/// All three synchronous topologies produce *bit-identical* weights:
-/// the reduction order is pinned per chunk (see `cdsgd_ps::collective`),
-/// so switching topology is purely a performance/deployment decision.
+/// Every server-less run but the decentralized one synchronizes through
+/// the ring all-reduce, whose reduction order is pinned per chunk (see
+/// `cdsgd_ps::collective`), so its weights are bit-identical on every
+/// substrate.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum Topology {
     /// Default: the in-process ring (or the parameter server, for PS
@@ -341,14 +342,10 @@ pub enum Topology {
     /// Bandwidth-optimal ring all-reduce: each member sends
     /// `2·(N−1)/N` of the vector per round.
     Ring,
-    /// Binary-tree reduce + broadcast: `O(log N)` latency hops at the
-    /// cost of `(N−1)×` vector ingest at the root. Wins for small
-    /// vectors on high-latency links (see DESIGN.md §16).
-    Tree,
     /// Decentralized compressed training (Tang et al.): no global
     /// reduction at all — each worker exchanges codec-compressed model
     /// differences with its two ring neighbors and gossip-averages.
-    /// Approximate (not bit-identical to the synchronous topologies).
+    /// Approximate (not bit-identical to the ring).
     Decentralized {
         /// Codec compressing the exchanged model differences.
         codec: Codec,
@@ -361,18 +358,7 @@ impl Topology {
         match self {
             Topology::Ps => "ps".into(),
             Topology::Ring => "ring".into(),
-            Topology::Tree => "tree".into(),
             Topology::Decentralized { codec } => format!("decentralized/{}", codec.name()),
-        }
-    }
-
-    /// The collective shape a server-less run on this topology wires:
-    /// the tree for [`Topology::Tree`], the ring otherwise (gossip rides
-    /// the ring's neighbor links).
-    pub fn shape(&self) -> Shape {
-        match self {
-            Topology::Tree => Shape::Tree,
-            _ => Shape::Ring,
         }
     }
 }
@@ -928,7 +914,6 @@ mod tests {
         assert_eq!(cfg.topology, Topology::Ps);
         for topo in [
             Topology::Ring,
-            Topology::Tree,
             Topology::Decentralized {
                 codec: Codec::TwoBit { threshold: 0.5 },
             },
@@ -945,7 +930,6 @@ mod tests {
     fn topology_names() {
         assert_eq!(Topology::Ps.name(), "ps");
         assert_eq!(Topology::Ring.name(), "ring");
-        assert_eq!(Topology::Tree.name(), "tree");
         assert_eq!(
             Topology::Decentralized {
                 codec: Codec::TwoBit { threshold: 0.5 }

@@ -77,7 +77,7 @@ impl StepCtx<'_> {
 pub enum Link {
     /// In-process, loopback or TCP; the worker is agnostic.
     Ps(Arc<dyn ParamClient>),
-    /// Ring or tree, loopback or TCP; the worker is agnostic.
+    /// A ring member over loopback or TCP; the worker is agnostic.
     Collective(Box<dyn Collective>),
 }
 
@@ -692,10 +692,9 @@ impl UpdateStrategy for LocalSgdStrategy {
 
 /// AR-SGD: no parameter server; every round the workers mean-reduce raw
 /// gradients through the collective and apply the update locally. The
-/// model *is* the global state. Which topology carries the reduction
-/// (ring or tree, loopback or TCP) is invisible here: every
-/// [`Collective`] honors the same pinned reduction order, so the bits
-/// are identical.
+/// model *is* the global state. Which substrate carries the reduction
+/// (loopback or TCP) is invisible here: the ring honors the same pinned
+/// reduction order on both, so the bits are identical.
 struct ArSgdStrategy {
     ring: Box<dyn Collective>,
 }

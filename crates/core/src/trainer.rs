@@ -113,11 +113,10 @@ impl Trainer {
         .expect("in-process backend cannot fail to connect")
     }
 
-    /// The in-process collective group of a server-less run: the
-    /// topology's shape over loopback.
+    /// The in-process collective group of a server-less run: the ring
+    /// over loopback.
     fn loopback_collectives(&self) -> Result<AllReduceBackend, NetError> {
-        let shape = self.cfg.topology.shape();
-        AllReduceBackend::new(shape, self.cfg.num_workers, WireMode::Loopback)
+        AllReduceBackend::ring(self.cfg.num_workers, WireMode::Loopback)
     }
 
     /// Run to completion against a parameter-server deployment produced
@@ -724,8 +723,8 @@ fn abort(
 /// binary), synchronizing through `link`: a parameter-server client —
 /// typically [`cdsgd_ps::AttachedWorker::client`] from
 /// [`cdsgd_ps::NetCluster::attach`] — or, for a *server-less* deployment
-/// (`worker --topology ring|tree|decentralized`), the collective handle
-/// [`cdsgd_ps::Shape::join`] wires to the peer workers over TCP. A link
+/// (`worker --topology ring|decentralized`), the ring member
+/// [`cdsgd_ps::WireRing::join`] wires to the peer workers over TCP. A link
 /// of the wrong kind for the algorithm is refused with an error.
 ///
 /// Data sharding, iteration counts, model init, and the update sequence

@@ -47,5 +47,5 @@ pub use wire::{
     collective_frame_bytes, decode_collective, encode_collective_bytes_into,
     encode_collective_into, encode_collective_parts, CollectiveFrame, COLLECTIVE_EXCHANGE,
     COLLECTIVE_GATHER, COLLECTIVE_HEADER_BYTES, COLLECTIVE_HELLO, COLLECTIVE_SCATTER,
-    COLLECTIVE_TREE_DOWN, COLLECTIVE_TREE_UP, TAG_COLLECTIVE_FRAME,
+    TAG_COLLECTIVE_FRAME,
 };

@@ -169,13 +169,13 @@ pub fn max_inbound_body_bytes(max_key_len: usize) -> usize {
 // Collective chunk frames
 // ---------------------------------------------------------------------------
 //
-// Collective links (ring / tree all-reduce, decentralized neighbor
+// Collective links (ring all-reduce, decentralized neighbor
 // exchange — see `cdsgd_ps::collective`) carry their own frame family,
 // deliberately disjoint from the parameter-server opcodes above: a
 // peer-to-peer link accidentally wired into a PS port fails decoding
 // immediately instead of mis-parsing. The body is
 // `[tag][phase][index u32][count u32][payload]` where `index` is a
-// chunk index, a source rank, or a hello rank depending on `phase`,
+// chunk index or the sender's rank depending on `phase`,
 // and `count` is the f32 element count for chunk phases (payload is
 // `4·count` little-endian f32s) or the raw byte length for
 // [`COLLECTIVE_EXCHANGE`] payloads.
@@ -185,8 +185,8 @@ pub fn max_inbound_body_bytes(max_key_len: usize) -> usize {
 pub const TAG_COLLECTIVE_FRAME: u8 = 0xC5;
 
 /// Handshake: `index` carries the sender's rank, no payload. The first
-/// frame on every collective link, so accepters can label inbound
-/// connections by peer rank regardless of accept order.
+/// frame on every TCP collective link, so the accepting member can check
+/// which rank dialed it.
 pub const COLLECTIVE_HELLO: u8 = 0;
 /// Ring scatter-reduce step: `index` is the chunk index, payload f32s.
 pub const COLLECTIVE_SCATTER: u8 = 1;
@@ -195,12 +195,8 @@ pub const COLLECTIVE_GATHER: u8 = 2;
 /// Decentralized neighbor exchange: payload is an opaque byte blob
 /// (typically an encoded [`Compressed`] stream), `count` its length.
 pub const COLLECTIVE_EXCHANGE: u8 = 3;
-/// Tree reduce, leaf/inner → root direction: `index` is the *source
-/// rank* of the forwarded vector, payload f32s.
-pub const COLLECTIVE_TREE_UP: u8 = 4;
-/// Tree broadcast, root → leaves direction: `index` is the chunk index
-/// (or 0 for a full-vector broadcast), payload f32s.
-pub const COLLECTIVE_TREE_DOWN: u8 = 5;
+// Phases 4 and 5 are reserved: a retired tree all-reduce sent them, so
+// they are refused on decode and never given a new meaning.
 
 /// Fixed header bytes of a collective frame body (tag + phase + index +
 /// count), before the payload.
@@ -337,7 +333,7 @@ pub fn decode_collective(bytes: &[u8]) -> Result<CollectiveFrame<'_>, NetError> 
         )));
     }
     let phase = cur.u8()?;
-    if phase > COLLECTIVE_TREE_DOWN {
+    if phase > COLLECTIVE_EXCHANGE {
         return Err(NetError::Decode(format!(
             "unknown collective phase {phase}"
         )));

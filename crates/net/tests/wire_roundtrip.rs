@@ -200,3 +200,24 @@ fn reserved_tag_3_is_a_decode_error() {
         Err(cdsgd_net::NetError::Decode(_))
     ));
 }
+
+#[test]
+fn reserved_collective_phases_4_and_5_are_a_decode_error() {
+    // Phases 4 and 5 belonged to a retired tree all-reduce. A well-formed
+    // f32 frame in either must be refused, while the same frame in a live
+    // chunk phase decodes.
+    use cdsgd_net::wire::{decode_collective, encode_collective_into, COLLECTIVE_GATHER};
+    for phase in [COLLECTIVE_GATHER, 4, 5] {
+        let mut buf = Vec::new();
+        encode_collective_into(phase, 0, &[1.0, -2.0, 0.5], &mut buf);
+        let decoded = decode_collective(&buf);
+        if phase == COLLECTIVE_GATHER {
+            assert_eq!(decoded.map(|f| f.len()).ok(), Some(3));
+        } else {
+            assert!(
+                matches!(decoded, Err(cdsgd_net::NetError::Decode(_))),
+                "phase {phase} decoded"
+            );
+        }
+    }
+}

@@ -1,48 +1,43 @@
-//! Topology-agnostic collectives: one two-verb [`Collective`] trait with
-//! two step algorithms over [`Transport`] links — the bandwidth-optimal
-//! ring all-reduce ([`WireRing`]: `N−1` scatter-reduce steps, then `N−1`
-//! all-gather steps, every member sending `2·(N−1)/N` of the vector) and
-//! an order-pinned tree reduce-broadcast ([`WireTree`]) — plus the
-//! [`PsBackend`] adapter ([`AllReduceBackend`]) that lets
-//! `Trainer::run_with` drive server-less topologies with the same update
-//! strategies it uses against a parameter server.
+//! Server-less synchronization: one two-verb [`Collective`] trait, the
+//! bandwidth-optimal ring that implements it over [`Transport`] links
+//! ([`WireRing`]: `N−1` scatter-reduce steps, then `N−1` all-gather
+//! steps, every member sending `2·(N−1)/N` of the vector; the same two
+//! links carry decentralized neighbor gossip), and the [`PsBackend`]
+//! adapter ([`AllReduceBackend`]) that lets `Trainer::run_with` drive a
+//! server-less run with the same update strategies it uses against a
+//! parameter server.
 //!
-//! A topology is a [`Shape`]: the rank each member dials (ring: its
-//! successor; tree: its parent), from which the accepting side follows.
-//! One link builder per substrate wires either shape — loopback queues
-//! inside one process, localhost TCP inside one process
-//! ([`AllReduceBackend::new`]), or one rank of a multi-process group
-//! joining a shared peer list ([`Shape::join`]) — and the two TCP
+//! Every member dials its successor and accepts its predecessor. One
+//! builder per substrate yields each member's `(next, prev)` links —
+//! loopback queues inside one process, localhost TCP inside one process
+//! ([`AllReduceBackend::ring`]), or one rank of a multi-process group
+//! joining a shared peer list ([`WireRing::join`]) — and the two TCP
 //! substrates share one dial (connect + rank hello) and one labelled
-//! accept.
+//! accept. Both substrates then run one step loop: a step that cannot
+//! finish at once yields its CPU between looks for its first
+//! millisecond, then sleeps in `poll(2)` on its sockets, or on the wake
+//! pipe a loopback queue signals.
 //!
 //! # Reduction-order contract
 //!
 //! Like `kernel::dot`'s striped-order contract, the summation order is
-//! **pinned** so results are bit-identical across ranks, substrates and
-//! topologies:
+//! **pinned** so results are bit-identical across ranks and substrates:
 //!
 //! * chunk `c` (boundaries from [`chunk_range`]) accumulates in ring
 //!   order starting at rank `c`: `((x_c + x_{c+1}) + x_{c+2}) + …
 //!   + x_{c+N−1}` (ranks mod `N`, one `+` per scatter step);
 //! * the all-gather phase copies the reduced chunks verbatim, so every
 //!   rank ends with the same bits;
-//! * the mean is one elementwise multiply of the finished sum by `1/N`
-//!   (the ring's owner of a chunk does it once, before the gather
-//!   copies the quotients; the tree does it after its broadcast).
+//! * the mean is one elementwise multiply of the finished sum by `1/N`,
+//!   done once by a chunk's owner before the gather copies the quotients.
 //!
 //! Every fold is elementwise (one IEEE add per element, no
 //! reassociation): the ring adds each received chunk straight from its
-//! frame, the tree root uses `kernel::add_assign`, whose SIMD and scalar
+//! frame, with the bits of `kernel::add_assign`, whose SIMD and scalar
 //! twins are elementwise too — so the contract holds under
 //! `CDSGD_FORCE_SCALAR=0/1` alike. Wire frames carry little-endian f32
-//! (exact round trip). The tree gathers *raw per-rank vectors* to the
-//! root — not subtree partial sums, which would reassociate the fold —
-//! and the root applies the same ring-ordered sum before broadcasting,
-//! trading the ring's bandwidth optimality for `O(log N)` latency hops
-//! (the `cdsgd-simtime` allreduce cost model quantifies the crossover).
-//! [`ring_ordered_sum`] is the executable statement of the contract;
-//! tests pin both collectives against it bit for bit.
+//! (exact round trip). [`ring_ordered_sum`] is the executable statement
+//! of the contract; tests pin the ring against it bit for bit.
 //!
 //! # Frames and telemetry
 //!
@@ -58,19 +53,30 @@
 use crate::api::{ParamClient, PsBackend};
 use crate::stats::TrafficStats;
 use cdsgd_net::{
-    decode_collective, encode_collective_bytes_into, encode_collective_into,
-    encode_collective_parts, loopback_pair, NetConfig, NetError, Tail, TcpAcceptor, TcpTransport,
-    Transport, COLLECTIVE_EXCHANGE, COLLECTIVE_GATHER, COLLECTIVE_HELLO, COLLECTIVE_SCATTER,
-    COLLECTIVE_TREE_DOWN, COLLECTIVE_TREE_UP, FRAME_PREFIX_BYTES,
+    decode_collective, encode_collective_bytes_into, encode_collective_parts, loopback_pair,
+    wake_pair, NetConfig, NetError, Poller, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx,
+    Waker, COLLECTIVE_EXCHANGE, COLLECTIVE_GATHER, COLLECTIVE_HELLO, COLLECTIVE_SCATTER,
+    FRAME_PREFIX_BYTES,
 };
 use cdsgd_tensor::kernel;
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::ToSocketAddrs;
+use std::os::fd::RawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a member waits for a peer's frame (or accept) before the
 /// collective fails with [`NetError::Timeout`] instead of hanging.
 const STEP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long into a step a member waits awake, yielding its CPU between
+/// looks, before it sleeps in `poll(2)`. Most steps wait on a neighbour a
+/// few microseconds behind, and a thread that sleeps for such a wait can
+/// lose its CPU for far longer on a shared host (on the 2-vCPU TCP ring
+/// workload, sleeping at once cost 3–33 % of throughput). Yielding, not
+/// busy-polling, keeps the window free for a neighbour that shares the
+/// CPU (a 4-member loopback ring on 2 CPUs ran 40× slower when the window
+/// polled without yielding).
+const SPIN: Duration = Duration::from_millis(1);
 
 /// Chunk boundaries: `n` near-equal contiguous ranges over `len`.
 /// Part of the reduction-order contract — all backends must chunk
@@ -105,128 +111,124 @@ pub fn ring_ordered_sum(inputs: &[Vec<f32>]) -> Vec<f32> {
 /// calls block until the collective completes.
 pub trait Collective: Send {
     /// In-place elementwise mean all-reduce, bit-identical across ranks
-    /// and shapes (the reduction-order contract).
+    /// and substrates (the reduction-order contract).
     fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), NetError>;
 
     /// Ring gossip: send an opaque byte payload to both ring neighbors;
     /// `from_prev`/`from_next` are overwritten with the payloads of ranks
-    /// `rank ∓ 1`. Only the ring supports this; the tree returns an
-    /// error.
+    /// `rank ∓ 1`.
     fn neighbor_exchange(
         &mut self,
         send: &[u8],
         from_prev: &mut Vec<u8>,
         from_next: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
-        let _ = (send, from_prev, from_next);
-        Err(NetError::Io(
-            "neighbor exchange requires a ring topology".into(),
-        ))
-    }
+    ) -> Result<(), NetError>;
 }
 
 // ---------------------------------------------------------------------------
-// shared wire-link plumbing
+// wire-link plumbing
 // ---------------------------------------------------------------------------
-
-/// Send `frame` on `link` and record the conn-tagged frame bytes.
-fn send_recorded(
-    link: &mut dyn Transport,
-    frame: &[u8],
-    stats: &TrafficStats,
-) -> Result<(), NetError> {
-    stats.record_sent(link.conn_id(), FRAME_PREFIX_BYTES + frame.len());
-    link.send_frame(frame)
-}
-
-/// Receive one frame from `link` into `out` and record it.
-fn recv_recorded(
-    link: &mut dyn Transport,
-    out: &mut Vec<u8>,
-    stats: &TrafficStats,
-) -> Result<(), NetError> {
-    link.recv_frame(out)?;
-    stats.record_received(link.conn_id(), FRAME_PREFIX_BYTES + out.len());
-    Ok(())
-}
 
 /// One link's part in a collective step: optionally a frame to write
 /// (as the head and borrowed tail of a two-part send) and optionally a
-/// buffer expecting one inbound frame. Each transport appears in at most
-/// one descriptor per step.
+/// buffer expecting one inbound frame.
 struct LinkIo<'a> {
     link: &'a mut dyn Transport,
     send: Option<(&'a [u8], &'a [u8])>,
     recv: Option<&'a mut Vec<u8>>,
 }
 
-/// One full-duplex step: write every pending frame and read one frame
-/// into every expecting buffer, without requiring any global
-/// send/receive ordering across the group. In blocking mode (loopback:
-/// queue-backed sends never block) this is sequential send-then-receive.
-/// In non-blocking mode (TCP) a send writes what the socket takes and
-/// queues the rest, and both directions are pumped together, so a full
-/// socket buffer on the send side can never deadlock against a peer
-/// doing the same.
+/// What a ring step waits on when neither link can move: each link's
+/// descriptor from [`Transport::register`] — `None` for a loopback
+/// queue, which writes the wake pipe instead — and that pipe.
+struct Wait {
+    fds: [Option<RawFd>; 2],
+    /// Held so the pipe stays open: a pipe whose last writer closed
+    /// would read as ready forever.
+    _waker: Waker,
+    woken: WakeRx,
+    poller: Poller,
+}
+
+/// One full-duplex step over a member's two links: write every pending
+/// frame and read one frame into every expecting buffer, without any
+/// global send/receive ordering across the group. A send writes what the
+/// link takes and queues the rest, and both directions are pumped
+/// together, so a full socket buffer on the send side can never deadlock
+/// against a peer doing the same. While the step is unfinished it yields
+/// between looks for the first [`SPIN`] of the step, then sleeps in
+/// `poll(2)` until the step deadline, on the descriptor of every link
+/// that still has a send or a receive pending and on the wake pipe.
 fn duplex_step(
     stats: &TrafficStats,
-    nonblocking: bool,
-    links: &mut [LinkIo<'_>],
+    wait: &mut Wait,
+    mut links: [LinkIo<'_>; 2],
 ) -> Result<(), NetError> {
-    for l in links.iter_mut() {
+    for l in &mut links {
         if let Some((head, tail)) = l.send {
             let frame = FRAME_PREFIX_BYTES + head.len() + tail.len();
             stats.record_sent(l.link.conn_id(), frame);
             l.link.send_parts(head, Tail::Bytes(tail))?;
         }
     }
-    if !nonblocking {
-        for l in links.iter_mut() {
-            if let Some(out) = l.recv.as_deref_mut() {
-                recv_recorded(l.link, out, stats)?;
-            }
-        }
-        return Ok(());
-    }
-    let deadline = Instant::now() + STEP_TIMEOUT;
-    let mut flushed: Vec<bool> = links.iter().map(|l| l.send.is_none()).collect();
-    let mut got: Vec<bool> = links.iter().map(|l| l.recv.is_none()).collect();
+    let start = Instant::now();
+    let (spin_end, deadline) = (start + SPIN, start + STEP_TIMEOUT);
+    let mut flushed = links.each_ref().map(|l| l.send.is_none());
+    let mut got = links.each_ref().map(|l| l.recv.is_none());
     loop {
-        let mut done = true;
         for (i, l) in links.iter_mut().enumerate() {
             if !flushed[i] {
                 flushed[i] = l.link.poll_flush()?;
-                done &= flushed[i];
             }
             if let Some(out) = l.recv.as_deref_mut().filter(|_| !got[i]) {
                 got[i] = l.link.poll_recv_frame(out)?;
                 if got[i] {
                     stats.record_received(l.link.conn_id(), FRAME_PREFIX_BYTES + out.len());
                 }
-                done &= got[i];
             }
         }
-        if done {
+        if flushed == [true; 2] && got == [true; 2] {
             return Ok(());
         }
-        if Instant::now() >= deadline {
+        let now = Instant::now();
+        if now < spin_end {
+            std::thread::yield_now();
+            continue;
+        }
+        let remaining = deadline.saturating_duration_since(now);
+        if remaining.is_zero() {
             return Err(NetError::Timeout);
         }
-        std::thread::yield_now();
+        wait.poller.clear();
+        wait.poller.add(wait.woken.fd(), false);
+        for (i, fd) in wait.fds.iter().enumerate() {
+            if let Some(fd) = fd.filter(|_| !(flushed[i] && got[i])) {
+                wait.poller.add(fd, !flushed[i]);
+            }
+        }
+        wait.poller.wait(Some(remaining))?;
+        // Drained after the wait and before the next look, so a wake
+        // that races the look ends the following wait instead of being
+        // lost; a stale wake from an earlier step costs one extra look.
+        if wait.poller.is_ready(0) {
+            wait.woken.drain();
+        }
     }
 }
 
 /// First frame on every TCP collective link: announce the sender's rank
-/// so accepters can label inbound connections regardless of accept order.
+/// so the accepting member can check who dialed it.
 fn send_hello(link: &mut dyn Transport, rank: usize, stats: &TrafficStats) -> Result<(), NetError> {
     let mut buf = Vec::with_capacity(16);
     encode_collective_bytes_into(COLLECTIVE_HELLO, rank as u32, &[], &mut buf);
-    send_recorded(link, &buf, stats)
+    stats.record_sent(link.conn_id(), FRAME_PREFIX_BYTES + buf.len());
+    link.send_frame(&buf)
 }
 
 fn recv_hello(link: &mut dyn Transport, stats: &TrafficStats) -> Result<usize, NetError> {
     let mut buf = Vec::with_capacity(16);
-    recv_recorded(link, &mut buf, stats)?;
+    link.recv_frame(&mut buf)?;
+    stats.record_received(link.conn_id(), FRAME_PREFIX_BYTES + buf.len());
     let frame = decode_collective(&buf)?;
     if frame.phase != COLLECTIVE_HELLO {
         return Err(NetError::Decode(format!(
@@ -255,163 +257,11 @@ fn expect_chunk<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// shapes and the link builders
+// the link builders
 // ---------------------------------------------------------------------------
 
-/// A collective topology, stated as the one link each member dials: a
-/// ring member dials its successor, a tree member its parent
-/// (`(rank − 1) / 2`; the root dials nobody). Who accepts whom follows,
-/// so one builder per substrate wires either shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Shape {
-    /// The ring all-reduce ([`WireRing`]), which also carries
-    /// decentralized neighbor gossip.
-    Ring,
-    /// The binary-tree reduce-broadcast ([`WireTree`]); all-reduce only.
-    Tree,
-}
-
-/// One member's wired links: the one it dialed, if any, and the ones it
-/// accepted, ordered by the dialing rank.
-#[derive(Default)]
-struct Links {
-    dialed: Option<Box<dyn Transport>>,
-    accepted: Vec<Box<dyn Transport>>,
-}
-
-impl Shape {
-    /// The rank `rank` dials in an `n`-member group (a one-member ring
-    /// dials itself).
-    fn dials(self, rank: usize, n: usize) -> Option<usize> {
-        match self {
-            Shape::Ring => Some((rank + 1) % n),
-            Shape::Tree => rank.checked_sub(1).map(|r| r / 2),
-        }
-    }
-
-    /// The ranks that dial `rank`, ascending.
-    fn dialed_by(self, rank: usize, n: usize) -> Vec<usize> {
-        (0..n).filter(|&r| self.dials(r, n) == Some(rank)).collect()
-    }
-
-    /// Join an `n`-member group of this shape as `rank`, where
-    /// `n = peers.len()` and the other ranks are other processes doing
-    /// the same: bind `peers[rank]` if any rank dials it (a tree leaf
-    /// binds nothing), dial the rank this one dials, accept the ranks
-    /// that dial it. Every process must list the same `peers` in the same
-    /// order.
-    pub fn join(
-        self,
-        rank: usize,
-        peers: &[String],
-        cfg: &NetConfig,
-        stats: Arc<TrafficStats>,
-    ) -> Result<Box<dyn Collective>, NetError> {
-        let n = peers.len();
-        assert!(rank < n, "rank {rank} outside peer list of {n}");
-        let listener = self.listen(rank, n, peers[rank].as_str(), cfg)?;
-        let dialed = self
-            .dials(rank, n)
-            .map(|to| dial(peers[to].as_str(), rank, cfg, &stats))
-            .transpose()?;
-        let accepted = self.accept_labelled(rank, n, listener.as_ref(), &stats)?;
-        self.member(rank, n, Links { dialed, accepted }, true, stats)
-    }
-
-    /// Bind `addr` for `rank`'s inbound links, if any rank dials it.
-    fn listen(
-        self,
-        rank: usize,
-        n: usize,
-        addr: impl ToSocketAddrs,
-        cfg: &NetConfig,
-    ) -> Result<Option<(TcpAcceptor, SocketAddr)>, NetError> {
-        if self.dialed_by(rank, n).is_empty() {
-            return Ok(None);
-        }
-        TcpAcceptor::bind(addr, cfg.clone()).map(Some)
-    }
-
-    /// Accept one link from every rank that dials `rank` and label each
-    /// by the rank its hello announces, so accept order does not matter;
-    /// the links come back ordered by that rank. A hello from a rank that
-    /// does not dial `rank`, or a second one from a rank already taken,
-    /// is a wiring error naming it.
-    fn accept_labelled(
-        self,
-        rank: usize,
-        n: usize,
-        listener: Option<&(TcpAcceptor, SocketAddr)>,
-        stats: &TrafficStats,
-    ) -> Result<Vec<Box<dyn Transport>>, NetError> {
-        let Some((acceptor, _)) = listener else {
-            return Ok(Vec::new());
-        };
-        let expected = self.dialed_by(rank, n);
-        let mut links: Vec<(usize, Box<dyn Transport>)> = Vec::with_capacity(expected.len());
-        for _ in &expected {
-            let mut link = acceptor.accept(STEP_TIMEOUT)?;
-            let hello = recv_hello(&mut link, stats)?;
-            let wiring_error = |what: &str| {
-                NetError::Decode(format!(
-                    "{self:?} wiring error: rank {rank} accepted {what} from rank {hello}, \
-                     want one each from {expected:?}"
-                ))
-            };
-            if !expected.contains(&hello) {
-                return Err(wiring_error("a link"));
-            }
-            if links.iter().any(|(r, _)| *r == hello) {
-                return Err(wiring_error("a second link"));
-            }
-            links.push((hello, Box::new(link)));
-        }
-        links.sort_by_key(|(r, _)| *r);
-        Ok(links.into_iter().map(|(_, t)| t).collect())
-    }
-
-    /// Wrap one member's wired links in this shape's step algorithm. A
-    /// ring over sockets runs in the polled mode [`duplex_step`] pumps;
-    /// every other link blocks, with [`STEP_TIMEOUT`] as its receive
-    /// deadline.
-    fn member(
-        self,
-        rank: usize,
-        n: usize,
-        links: Links,
-        sockets: bool,
-        stats: Arc<TrafficStats>,
-    ) -> Result<Box<dyn Collective>, NetError> {
-        let nonblocking = sockets && self == Shape::Ring;
-        let Links {
-            mut dialed,
-            mut accepted,
-        } = links;
-        for link in dialed.iter_mut().chain(&mut accepted) {
-            if nonblocking {
-                link.set_nonblocking(true)?;
-            } else {
-                link.set_recv_timeout(Some(STEP_TIMEOUT))?;
-            }
-        }
-        match self {
-            Shape::Ring => match (dialed, accepted.pop()) {
-                (Some(next), Some(prev)) => Ok(Box::new(WireRing::new(
-                    rank,
-                    n,
-                    next,
-                    prev,
-                    nonblocking,
-                    stats,
-                ))),
-                _ => Err(NetError::Decode(format!(
-                    "Ring wiring error: rank {rank} lacks a neighbor link"
-                ))),
-            },
-            Shape::Tree => Ok(Box::new(WireTree::new(rank, n, dialed, accepted, stats))),
-        }
-    }
-}
+/// One member's wired links: `(next, prev)`, to ranks `rank ± 1 (mod n)`.
+type Links = (Box<dyn Transport>, Box<dyn Transport>);
 
 /// Dial `addr` and announce `rank` on the new link.
 fn dial(
@@ -425,47 +275,58 @@ fn dial(
     Ok(Box::new(link))
 }
 
-/// Every member's links of an `n`-member `shape` over in-process
-/// loopback queues: one pair per dial, no hellos.
-fn loopback_links(shape: Shape, n: usize) -> Vec<Links> {
-    let mut links: Vec<Links> = (0..n).map(|_| Links::default()).collect();
-    for rank in 0..n {
-        if let Some(to) = shape.dials(rank, n) {
-            let (dialer, accepter) = loopback_pair();
-            links[rank].dialed = Some(Box::new(dialer));
-            links[to].accepted.push(Box::new(accepter));
-        }
+/// Accept the one link `rank` takes: its predecessor's. A hello from any
+/// other rank is a wiring error naming both, so a process whose peer list
+/// or rank disagrees with the group's fails at wiring, not at the first
+/// step.
+fn accept_prev(
+    acceptor: &TcpAcceptor,
+    rank: usize,
+    n: usize,
+    stats: &TrafficStats,
+) -> Result<Box<dyn Transport>, NetError> {
+    let prev = (rank + n - 1) % n;
+    let mut link = acceptor.accept(STEP_TIMEOUT)?;
+    let hello = recv_hello(&mut link, stats)?;
+    if hello != prev {
+        return Err(NetError::Decode(format!(
+            "ring wiring error: rank {rank} accepted a link from rank {hello}, \
+             want one from rank {prev}"
+        )));
     }
-    links
+    Ok(Box::new(link))
 }
 
-/// Every member's links of an `n`-member `shape` over localhost TCP, all
+/// Every member's links of an `n`-member ring over in-process loopback
+/// queues: one pair per link, no hellos.
+fn loopback_links(n: usize) -> Vec<Links> {
+    let (next, mut prev): (Vec<_>, Vec<_>) = (0..n).map(|_| loopback_pair()).unzip();
+    // Pair `r` joins rank `r` to `r + 1`, so rank `r`'s `prev` is the
+    // accepting end of pair `r − 1`.
+    prev.rotate_right(1);
+    next.into_iter()
+        .zip(prev)
+        .map(|(next, prev)| (Box::new(next) as _, Box::new(prev) as _))
+        .collect()
+}
+
+/// Every member's links of an `n`-member ring over localhost TCP, all
 /// endpoints in this process.
-fn tcp_links(shape: Shape, n: usize, stats: &TrafficStats) -> Result<Vec<Links>, NetError> {
+fn tcp_links(n: usize, stats: &TrafficStats) -> Result<Vec<Links>, NetError> {
     let cfg = NetConfig::default();
     let listeners = (0..n)
-        .map(|rank| shape.listen(rank, n, "127.0.0.1:0", &cfg))
+        .map(|_| TcpAcceptor::bind("127.0.0.1:0", cfg.clone()))
         .collect::<Result<Vec<_>, _>>()?;
     // Dial every link first: TCP connects complete against the listener
     // backlog, so no accept has to run concurrently, and the tiny hello
     // frames fit in socket buffers unread.
-    let mut dialed = Vec::with_capacity(n);
-    for rank in 0..n {
-        let to = shape.dials(rank, n).and_then(|to| listeners[to].as_ref());
-        dialed.push(
-            to.map(|(_, addr)| dial(*addr, rank, &cfg, stats))
-                .transpose()?,
-        );
-    }
-    dialed
-        .into_iter()
-        .zip(&listeners)
-        .enumerate()
-        .map(|(rank, (dialed, listener))| {
-            let accepted = shape.accept_labelled(rank, n, listener.as_ref(), stats)?;
-            Ok(Links { dialed, accepted })
-        })
-        .collect()
+    let next = (0..n)
+        .map(|rank| dial(listeners[(rank + 1) % n].1, rank, &cfg, stats))
+        .collect::<Result<Vec<_>, _>>()?;
+    let prev = (0..n)
+        .map(|rank| accept_prev(&listeners[rank].0, rank, n, stats))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(next.into_iter().zip(prev).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -475,11 +336,13 @@ fn tcp_links(shape: Shape, n: usize, stats: &TrafficStats) -> Result<Vec<Links>,
 /// A member of the two-phase, order-pinned ring all-reduce. Its neighbor
 /// links are [`Transport`]s: each chunk travels as a length-prefixed
 /// collective frame over loopback queues or TCP sockets. Both links are
-/// bidirectional, so the same member also supports
+/// bidirectional, so the same member also serves
 /// [`Collective::neighbor_exchange`] for decentralized training.
 ///
 /// A dead neighbor surfaces as a typed error from the next operation
-/// ([`NetError::Closed`] as soon as its endpoint drops), never a panic.
+/// ([`NetError::Closed`] as soon as its endpoint drops, or the I/O error
+/// of writing to a reset socket), never a panic or a wait for the step
+/// timeout.
 pub struct WireRing {
     rank: usize,
     n: usize,
@@ -487,35 +350,62 @@ pub struct WireRing {
     next: Box<dyn Transport>,
     /// Link to rank `(rank − 1) % n`; all-reduce chunks come in here.
     prev: Box<dyn Transport>,
-    nonblocking: bool,
+    wait: Wait,
     stats: Arc<TrafficStats>,
     frame: Vec<u8>,
-    frame2: Vec<u8>,
     rbuf: Vec<u8>,
     rbuf2: Vec<u8>,
 }
 
 impl WireRing {
+    /// Join an `n`-member ring as `rank`, where `n = peers.len()` and the
+    /// other ranks are other processes doing the same: bind
+    /// `peers[rank]`, dial the successor, accept the predecessor. Every
+    /// process must list the same `peers` in the same order.
+    pub fn join(
+        rank: usize,
+        peers: &[String],
+        cfg: &NetConfig,
+        stats: Arc<TrafficStats>,
+    ) -> Result<Self, NetError> {
+        let n = peers.len();
+        assert!(rank < n, "rank {rank} outside peer list of {n}");
+        let (acceptor, _) = TcpAcceptor::bind(peers[rank].as_str(), cfg.clone())?;
+        let next = dial(peers[(rank + 1) % n].as_str(), rank, cfg, &stats)?;
+        let prev = accept_prev(&acceptor, rank, n, &stats)?;
+        Self::new(rank, n, (next, prev), stats)
+    }
+
+    /// Put both links in the polled mode [`duplex_step`] pumps and
+    /// register them once for its wait.
     fn new(
         rank: usize,
         n: usize,
-        next: Box<dyn Transport>,
-        prev: Box<dyn Transport>,
-        nonblocking: bool,
+        (mut next, mut prev): Links,
         stats: Arc<TrafficStats>,
-    ) -> Self {
-        Self {
+    ) -> Result<Self, NetError> {
+        let (waker, woken) = wake_pair()?;
+        let mut fds = [None; 2];
+        for (fd, link) in fds.iter_mut().zip([&mut next, &mut prev]) {
+            link.set_nonblocking(true)?;
+            *fd = link.register(&waker);
+        }
+        Ok(Self {
             rank,
             n,
             next,
             prev,
-            nonblocking,
+            wait: Wait {
+                fds,
+                _waker: waker,
+                woken,
+                poller: Poller::new(),
+            },
             stats,
             frame: Vec::new(),
-            frame2: Vec::new(),
             rbuf: Vec::new(),
             rbuf2: Vec::new(),
-        }
+        })
     }
 
     /// One phase of `n − 1` steps, each sending a chunk to the successor
@@ -540,8 +430,8 @@ impl WireRing {
             self.stats.record_push(4 * src.len());
             duplex_step(
                 &self.stats,
-                self.nonblocking,
-                &mut [
+                &mut self.wait,
+                [
                     LinkIo {
                         link: self.next.as_mut(),
                         send: Some((&self.frame, tail)),
@@ -604,16 +494,15 @@ impl Collective for WireRing {
         }
         self.frame.clear();
         encode_collective_bytes_into(COLLECTIVE_EXCHANGE, self.rank as u32, send, &mut self.frame);
-        self.frame2.clear();
-        self.frame2.extend_from_slice(&self.frame);
         self.stats.record_push(send.len());
         self.stats.record_push(send.len());
-        // Both links are bidirectional: send to the successor on `next`
-        // and to the predecessor back along `prev`, then collect both.
+        // Both links are bidirectional: send the one frame to the
+        // successor on `next` and to the predecessor back along `prev`,
+        // then collect both.
         duplex_step(
             &self.stats,
-            self.nonblocking,
-            &mut [
+            &mut self.wait,
+            [
                 LinkIo {
                     link: self.next.as_mut(),
                     send: Some((&self.frame, &[])),
@@ -621,7 +510,7 @@ impl Collective for WireRing {
                 },
                 LinkIo {
                     link: self.prev.as_mut(),
-                    send: Some((&self.frame2, &[])),
+                    send: Some((&self.frame, &[])),
                     recv: Some(&mut self.rbuf),
                 },
             ],
@@ -634,175 +523,6 @@ impl Collective for WireRing {
         from_next.extend_from_slice(f.bytes());
         self.stats
             .record_collective(self.rank, self.n, 2 * send.len() as u64);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// tree reduce-broadcast over Transport
-// ---------------------------------------------------------------------------
-
-/// A binary-heap-shaped tree collective (`parent(r) = (r−1)/2`, root 0)
-/// over [`Transport`] links. The reduce phase forwards *raw per-rank
-/// vectors* to the root, which applies the same ring-ordered sum as the
-/// ring backends — so results stay bit-identical — then broadcasts the
-/// sum back down. Compared to the ring this costs `(N−1)·L` ingest at
-/// the root but only `2·⌈log₂N⌉` latency hops, which wins for small
-/// vectors on high-latency links (see the `simtime` allreduce model).
-pub struct WireTree {
-    rank: usize,
-    n: usize,
-    /// Link toward `(rank − 1) / 2`; `None` at the root.
-    parent: Option<Box<dyn Transport>>,
-    /// Links to children `2·rank + 1` and `2·rank + 2` (when `< n`),
-    /// ordered by child rank.
-    children: Vec<Box<dyn Transport>>,
-    stats: Arc<TrafficStats>,
-    frame: Vec<u8>,
-    rbuf: Vec<u8>,
-    /// Root-only: the per-rank vectors of the current reduce.
-    gathered: Vec<Vec<f32>>,
-    scratch: Vec<f32>,
-}
-
-/// Number of ranks in the subtree rooted at `rank`.
-fn subtree_size(rank: usize, n: usize) -> usize {
-    if rank >= n {
-        return 0;
-    }
-    1 + subtree_size(2 * rank + 1, n) + subtree_size(2 * rank + 2, n)
-}
-
-impl WireTree {
-    fn new(
-        rank: usize,
-        n: usize,
-        parent: Option<Box<dyn Transport>>,
-        children: Vec<Box<dyn Transport>>,
-        stats: Arc<TrafficStats>,
-    ) -> Self {
-        Self {
-            rank,
-            n,
-            parent,
-            children,
-            stats,
-            frame: Vec::new(),
-            rbuf: Vec::new(),
-            gathered: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Tree sum: gather raw per-rank vectors to the root, apply the
-    /// ring-ordered fold there, broadcast the sum; on return every
-    /// member's `data` holds the full sum (no mean). Blocking I/O is
-    /// safe here: each phase's communication graph is a DAG.
-    fn tree_reduce(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        let len = data.len();
-        // Up phase: forward every subtree vector (tagged by source rank).
-        if self.rank == 0 {
-            self.gathered.clear();
-            self.gathered.resize(self.n, Vec::new());
-        } else {
-            self.frame.clear();
-            encode_collective_into(COLLECTIVE_TREE_UP, self.rank as u32, data, &mut self.frame);
-            self.stats.record_push(4 * len);
-            let parent = self.parent.as_mut().expect("non-root has a parent");
-            send_recorded(parent.as_mut(), &self.frame, &self.stats)?;
-        }
-        for ci in 0..self.children.len() {
-            let child_rank = 2 * self.rank + 1 + ci;
-            for _ in 0..subtree_size(child_rank, self.n) {
-                recv_recorded(self.children[ci].as_mut(), &mut self.rbuf, &self.stats)?;
-                let frame = decode_collective(&self.rbuf)?;
-                if frame.phase != COLLECTIVE_TREE_UP {
-                    return Err(NetError::Decode(format!(
-                        "tree reduce expected an up frame, got phase {}",
-                        frame.phase
-                    )));
-                }
-                let src = frame.index as usize;
-                if self.rank == 0 {
-                    if src == 0 || src >= self.n {
-                        return Err(NetError::Decode(format!(
-                            "tree reduce saw source rank {src} of {}",
-                            self.n
-                        )));
-                    }
-                    let slot = &mut self.gathered[src];
-                    slot.clear();
-                    slot.resize(frame.len(), 0.0);
-                    frame.read_f32_into(slot)?;
-                } else {
-                    // Forward verbatim: re-sending the received body
-                    // keeps the payload bits untouched.
-                    self.stats.record_push(4 * frame.len());
-                    let parent = self.parent.as_mut().expect("non-root has a parent");
-                    send_recorded(parent.as_mut(), &self.rbuf, &self.stats)?;
-                }
-            }
-        }
-        // Root: ring-ordered fold (the reduction-order contract).
-        if self.rank == 0 {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(data);
-            for src in 1..self.n {
-                if self.gathered[src].len() != len {
-                    return Err(NetError::Decode(format!(
-                        "tree members disagree on length: rank {src} sent {}, root has {len}",
-                        self.gathered[src].len()
-                    )));
-                }
-            }
-            for c in 0..self.n {
-                let range = chunk_range(len, self.n, c);
-                // Rank `r`'s slice of chunk `c`: the root's own in `scratch`.
-                let input = |r: usize| match r {
-                    0 => &self.scratch[range.clone()],
-                    r => &self.gathered[r][range.clone()],
-                };
-                data[range.clone()].copy_from_slice(input(c));
-                for j in 1..self.n {
-                    kernel::add_assign(&mut data[range.clone()], input((c + j) % self.n));
-                }
-            }
-        }
-        // Down phase: broadcast the sum along the tree.
-        if self.rank == 0 {
-            self.frame.clear();
-            encode_collective_into(COLLECTIVE_TREE_DOWN, 0, data, &mut self.frame);
-            for ci in 0..self.children.len() {
-                self.stats.record_push(4 * len);
-                send_recorded(self.children[ci].as_mut(), &self.frame, &self.stats)?;
-            }
-        } else {
-            let parent = self.parent.as_mut().expect("non-root has a parent");
-            recv_recorded(parent.as_mut(), &mut self.rbuf, &self.stats)?;
-            let frame = expect_chunk(&self.rbuf, COLLECTIVE_TREE_DOWN, 0)?;
-            frame.read_f32_into(data)?;
-            for ci in 0..self.children.len() {
-                self.stats.record_push(4 * len);
-                // Forward the received frame verbatim.
-                let buf = self.rbuf.clone();
-                send_recorded(self.children[ci].as_mut(), &buf, &self.stats)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Collective for WireTree {
-    fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), NetError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        self.tree_reduce(data)?;
-        // Same elementwise scale as the ring backends, applied locally
-        // to the identical sum bits — so the mean is identical too.
-        kernel::scale(data, 1.0 / self.n as f32);
-        self.stats
-            .record_collective(self.rank, self.n, 4 * data.len() as u64);
         Ok(())
     }
 }
@@ -835,12 +555,12 @@ fn no_server<T>() -> Result<T, NetError> {
     ))
 }
 
-/// The server-less [`PsBackend`]: workers synchronize through a ring or
-/// tree of [`Collective`] handles — all-reduce for AR-SGD, neighbor
-/// gossip over the ring for the decentralized topology — instead of
-/// pushing to a parameter server. The trainer obtains the per-worker
-/// handles through [`PsBackend::take_collectives`]; there is no server,
-/// so `client()` and `snapshot()` answer with an error.
+/// The server-less [`PsBackend`]: workers synchronize through a ring of
+/// [`Collective`] handles — all-reduce for AR-SGD, neighbor gossip for
+/// the decentralized topology — instead of pushing to a parameter
+/// server. The trainer obtains the per-worker handles through
+/// [`PsBackend::take_collectives`]; there is no server, so `client()`
+/// and `snapshot()` answer with an error.
 pub struct AllReduceBackend {
     /// Surrendered to the trainer exactly once.
     group: Mutex<Option<CollectiveGroup>>,
@@ -848,20 +568,22 @@ pub struct AllReduceBackend {
 }
 
 impl AllReduceBackend {
-    /// An `n`-member group of `shape` on `mode`, every member in this
-    /// process.
-    pub fn new(shape: Shape, n: usize, mode: WireMode) -> Result<Self, NetError> {
+    /// An `n`-member ring on `mode`, every member in this process.
+    pub fn ring(n: usize, mode: WireMode) -> Result<Self, NetError> {
         assert!(n > 0, "a collective group needs at least one member");
         let stats = Arc::new(TrafficStats::new());
         let links = match mode {
-            WireMode::Loopback => loopback_links(shape, n),
-            WireMode::Tcp => tcp_links(shape, n, &stats)?,
+            WireMode::Loopback => loopback_links(n),
+            WireMode::Tcp => tcp_links(n, &stats)?,
         };
         let members = links
             .into_iter()
             .enumerate()
-            .map(|(rank, l)| shape.member(rank, n, l, mode == WireMode::Tcp, Arc::clone(&stats)))
-            .collect::<Result<_, _>>()?;
+            .map(|(rank, l)| {
+                let member = WireRing::new(rank, n, l, Arc::clone(&stats))?;
+                Ok(Box::new(member) as Box<dyn Collective>)
+            })
+            .collect::<Result<_, NetError>>()?;
         Ok(Self {
             group: Mutex::new(Some(CollectiveGroup {
                 members,
@@ -869,11 +591,6 @@ impl AllReduceBackend {
             })),
             stats,
         })
-    }
-
-    /// A ring group: [`AllReduceBackend::new`] with [`Shape::Ring`].
-    pub fn ring(n: usize, mode: WireMode) -> Result<Self, NetError> {
-        Self::new(Shape::Ring, n, mode)
     }
 
     /// The group's traffic counters (live even after the members are
@@ -923,6 +640,7 @@ impl PsBackend for AllReduceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdsgd_net::encode_collective_into;
 
     /// Run `op` on every member concurrently (one thread each) and
     /// return the results in rank order.
@@ -938,8 +656,8 @@ mod tests {
         })
     }
 
-    fn group(shape: Shape, n: usize, mode: WireMode) -> CollectiveGroup {
-        let backend = AllReduceBackend::new(shape, n, mode).unwrap();
+    fn group(n: usize, mode: WireMode) -> CollectiveGroup {
+        let backend = AllReduceBackend::ring(n, mode).unwrap();
         backend.take_collectives(n).unwrap()
     }
 
@@ -954,16 +672,15 @@ mod tests {
             .collect()
     }
 
-    /// Every rank of an `n`-member `shape` joining one shared peer list
+    /// Every rank of an `n`-member ring joining one shared peer list
     /// from its own thread, as the processes of a multi-process
     /// deployment do.
-    fn peers_group(shape: Shape, n: usize) -> CollectiveGroup {
+    fn peers_group(n: usize) -> CollectiveGroup {
         let peers = free_peers(n);
         let stats = Arc::new(TrafficStats::new());
         let members = on_all(vec![(); n], |rank, ()| {
-            shape
-                .join(rank, &peers, &NetConfig::default(), Arc::clone(&stats))
-                .unwrap()
+            let member = WireRing::join(rank, &peers, &NetConfig::default(), Arc::clone(&stats));
+            Box::new(member.unwrap()) as Box<dyn Collective>
         });
         CollectiveGroup { members, stats }
     }
@@ -1011,19 +728,16 @@ mod tests {
 
     #[test]
     fn every_backend_matches_the_order_contract_bit_for_bit() {
-        // N = 1 included: a lone member of either shape, on every
-        // substrate, returns its input (the mean of one).
+        // N = 1 included: a lone member, on every substrate, returns its
+        // input (the mean of one).
         for n in [1usize, 2, 3, 4, 5] {
             for len in [8usize, 33, 130] {
                 let inputs = adversarial_inputs(n, len);
                 let expect = reference_mean(&inputs);
                 for (label, group) in [
-                    ("loopback ring", group(Shape::Ring, n, WireMode::Loopback)),
-                    ("tcp ring", group(Shape::Ring, n, WireMode::Tcp)),
-                    ("peers ring", peers_group(Shape::Ring, n)),
-                    ("loopback tree", group(Shape::Tree, n, WireMode::Loopback)),
-                    ("tcp tree", group(Shape::Tree, n, WireMode::Tcp)),
-                    ("peers tree", peers_group(Shape::Tree, n)),
+                    ("loopback ring", group(n, WireMode::Loopback)),
+                    ("tcp ring", group(n, WireMode::Tcp)),
+                    ("peers ring", peers_group(n)),
                 ] {
                     let out = run_group(group, inputs.clone());
                     assert_all_ranks_bit_equal(&format!("{label} n={n} len={len}"), &out, &expect);
@@ -1033,26 +747,29 @@ mod tests {
     }
 
     #[test]
-    fn a_rank_joining_twice_fails_its_parents_wiring_by_name() {
-        // Tree leaves bind nothing, so two processes started as rank 1
-        // (and none as rank 2) both reach the root. Its second hello from
-        // rank 1 is refused at wiring, not by the first step's length
-        // check; each leaf's own wiring (dial + hello) succeeds.
+    fn a_stranger_dialing_a_ring_member_fails_its_wiring_by_name() {
+        // Rank 0 of three takes one link, from rank 2. A process that
+        // dials it announcing rank 1 (started with the wrong `--id`, say)
+        // is refused at wiring, by name, not by the first step's checks.
         let peers = free_peers(3);
+        // Rank 0's successor: a bare listener, so its dial completes
+        // against the backlog.
+        let _successor = std::net::TcpListener::bind(&peers[1]).unwrap();
         let stats = Arc::new(TrafficStats::new());
-        let results = on_all(vec![0usize, 1, 1], |_, rank| {
-            Shape::Tree
-                .join(rank, &peers, &NetConfig::default(), Arc::clone(&stats))
-                .map(drop)
+        let joined = std::thread::scope(|s| {
+            let member = s.spawn(|| {
+                WireRing::join(0, &peers, &NetConfig::default(), Arc::clone(&stats)).map(drop)
+            });
+            let _stranger = dial(peers[0].as_str(), 1, &NetConfig::default(), &stats).unwrap();
+            member.join().unwrap()
         });
-        match &results[0] {
+        match joined {
             Err(NetError::Decode(msg)) => assert!(
-                msg.contains("rank 0 accepted a second link from rank 1"),
+                msg.contains("rank 0 accepted a link from rank 1, want one from rank 2"),
                 "{msg}"
             ),
-            other => panic!("the root's wiring must refuse the repeat, got {other:?}"),
+            other => panic!("rank 0's wiring must refuse the stranger, got {other:?}"),
         }
-        assert_eq!(results[1..], [Ok(()), Ok(())]);
     }
 
     #[test]
@@ -1068,7 +785,7 @@ mod tests {
                 } else {
                     reference_mean(&inputs)
                 };
-                let group = group(Shape::Ring, n, WireMode::Loopback);
+                let group = group(n, WireMode::Loopback);
                 let stats = Arc::clone(&group.stats);
                 let out = run_group(group, inputs);
                 assert_all_ranks_bit_equal(&format!("n={n} len={len}"), &out, &expect);
@@ -1084,7 +801,7 @@ mod tests {
 
     #[test]
     fn loopback_ring_computes_the_plain_mean() {
-        let group = group(Shape::Ring, 2, WireMode::Loopback);
+        let group = group(2, WireMode::Loopback);
         let out = run_group(
             group,
             vec![vec![1.0, 2.0, 3.0, 4.0], vec![3.0, 2.0, 1.0, 0.0]],
@@ -1157,15 +874,63 @@ mod tests {
 
     #[test]
     fn a_dropped_ring_member_fails_its_neighbours_with_closed_not_a_hang() {
-        let mut members = group(Shape::Ring, 3, WireMode::Loopback).members;
-        drop(members.remove(1));
-        let t0 = Instant::now();
-        let results = on_all(members, |_, mut m| m.allreduce_mean(&mut [1.0f32; 12]));
-        assert_eq!(results, vec![Err(NetError::Closed), Err(NetError::Closed)]);
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "a dead neighbour must not cost the {STEP_TIMEOUT:?} step timeout"
-        );
+        for mode in [WireMode::Loopback, WireMode::Tcp] {
+            let mut members = group(3, mode).members;
+            drop(members.remove(1));
+            let t0 = Instant::now();
+            let results = on_all(members, |_, mut m| m.allreduce_mean(&mut [1.0f32; 12]));
+            // Rank 2 reads from the dead rank: EOF at a frame boundary.
+            assert_eq!(results[1], Err(NetError::Closed), "{mode:?}");
+            // Rank 0 writes to it. A loopback queue refuses at once; a
+            // socket may take the first chunk and refuse a later one
+            // with the I/O error of writing to a reset connection, unless
+            // rank 2's own exit closes its read side first.
+            match (mode, &results[0]) {
+                (_, Err(NetError::Closed)) | (WireMode::Tcp, Err(NetError::Io(_))) => {}
+                (_, other) => panic!("{mode:?}: rank 0 got {other:?}"),
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "{mode:?}: a dead neighbour must not cost the {STEP_TIMEOUT:?} step timeout"
+            );
+        }
+    }
+
+    /// CPU time the calling thread has used so far: utime + stime from
+    /// `/proc/thread-self/stat`, in ticks of `USER_HZ` (100 on Linux).
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_time() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        // Fields after the parenthesised command name start at field 3
+        // (state); utime and stime are fields 14 and 15.
+        let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+        let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+        Duration::from_millis(10 * ticks)
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_member_waiting_for_a_late_peer_sleeps_instead_of_spinning() {
+        let late = Duration::from_millis(500);
+        for mode in [WireMode::Loopback, WireMode::Tcp] {
+            let waits = on_all(group(2, mode).members, |rank, mut m| {
+                if rank == 1 {
+                    std::thread::sleep(late);
+                }
+                let (cpu0, t0) = (thread_cpu_time(), Instant::now());
+                m.allreduce_mean(&mut [1.0f32; 64]).unwrap();
+                (thread_cpu_time() - cpu0, t0.elapsed())
+            });
+            let (cpu, waited) = waits[0];
+            assert!(
+                waited >= late / 2,
+                "{mode:?}: rank 0 waited only {waited:?}"
+            );
+            assert!(
+                cpu <= waited / 5,
+                "{mode:?}: rank 0 burned {cpu:?} of CPU in a {waited:?} wait"
+            );
+        }
     }
 
     #[test]
@@ -1173,7 +938,7 @@ mod tests {
         let n = 4usize;
         let len = 1024usize;
         let rounds = 3usize;
-        let CollectiveGroup { members, stats } = group(Shape::Ring, n, WireMode::Tcp);
+        let CollectiveGroup { members, stats } = group(n, WireMode::Tcp);
         on_all(members, |_, mut m| {
             let mut v = vec![1.0f32; len];
             for _ in 0..rounds {
@@ -1209,7 +974,7 @@ mod tests {
             // N = 1 gossips with itself: both outputs are the payload.
             ("loopback", 1, WireMode::Loopback),
         ] {
-            let CollectiveGroup { members, stats } = group(Shape::Ring, n, mode);
+            let CollectiveGroup { members, stats } = group(n, mode);
             for (rank, (prev, next)) in exchange_ranks(members).into_iter().enumerate() {
                 assert_eq!(prev, vec![((rank + n - 1) % n) as u8; 8], "{label} n={n}");
                 assert_eq!(next, vec![((rank + 1) % n) as u8; 8], "{label} n={n}");

@@ -30,10 +30,11 @@
 //!   is bit-deterministic, so loopback, TCP, and in-process runs produce
 //!   identical weights.
 //! * The [`collective`] module synchronizes workers with no server at
-//!   all: a two-verb [`Collective`] whose ring and tree [`Shape`]s are
-//!   wired by one link builder over those same transports, bit-identical
-//!   to each other by a pinned reduction order whose executable
-//!   statement is [`ring_ordered_sum`].
+//!   all: a two-verb [`Collective`] served by one ring, [`WireRing`],
+//!   over those same transports, bit-identical across substrates by a
+//!   pinned reduction order whose executable statement is
+//!   [`ring_ordered_sum`]. Its step yields for at most a millisecond,
+//!   then sleeps in `poll(2)`, on both kinds of link.
 //!
 //! How a run is stood up, and how a worker attaches to it, is decided
 //! here once. Each server type has a short constructor and one full form
@@ -42,8 +43,8 @@
 //! [`PsNetServer::start`] / [`PsNetServer::start_with`], and
 //! [`NetCluster::start_loopback`] / [`NetCluster::start_tcp_local`] /
 //! [`NetCluster::connect`] with [`NetCluster::traced`].
-//! [`AllReduceBackend::new`] is the one server-less backend, and
-//! [`Shape::join`] wires one rank of a multi-process group. A networked
+//! [`AllReduceBackend::ring`] is the one server-less backend, and
+//! [`WireRing::join`] wires one rank of a multi-process group. A networked
 //! worker's client stack (dial → register → rebase → heartbeat → fault)
 //! is layered by [`NetCluster::attach`], whose [`AttachedWorker`] owns the
 //! heartbeat thread and says goodbye on the stream the pushes rode.
@@ -80,7 +81,8 @@ pub use attach::{Attach, AttachedWorker};
 pub use cdsgd_net::NetError;
 pub use client::{PendingPull, PsClient};
 pub use collective::{
-    chunk_range, ring_ordered_sum, AllReduceBackend, Collective, CollectiveGroup, Shape, WireMode,
+    chunk_range, ring_ordered_sum, AllReduceBackend, Collective, CollectiveGroup, WireMode,
+    WireRing,
 };
 pub use fault::{FaultyClient, WorkerFault};
 pub use net::{NetCluster, PsNetServer, RemoteClient};

@@ -162,42 +162,6 @@ impl ClusterSpec {
         }
         2.0 * (n - 1.0) * self.latency_s + 2.0 * (n - 1.0) / n * bytes / self.worker_bandwidth()
     }
-
-    /// Time for a binary-tree allreduce (`--topology tree`): leaves send
-    /// raw vectors up ⌈log₂N⌉ levels, the root folds them in the pinned
-    /// ring order, and the result broadcasts back down. Latency scales
-    /// with the tree depth (2⌈log₂N⌉ hops), but the root's NIC receives
-    /// N−1 whole vectors — bandwidth-suboptimal by a factor ~N/2 versus
-    /// the ring, which is exactly the trade the crossover point captures.
-    pub fn tree_allreduce_time(&self, bytes: f64) -> f64 {
-        let n = self.num_workers() as f64;
-        if n <= 1.0 {
-            return 0.0;
-        }
-        let depth = (self.num_workers() as f64).log2().ceil();
-        2.0 * depth * self.latency_s + ((n - 1.0) + depth) * bytes / self.worker_bandwidth()
-    }
-
-    /// The vector size (bytes) at which the ring allreduce becomes
-    /// faster than the tree: below this, the tree's ⌈log₂N⌉-deep latency
-    /// beats the ring's 2(N−1) serial hops; above it, the ring's
-    /// 2(N−1)/N bandwidth optimality wins. Solves
-    /// `ring_allreduce_time(b) == tree_allreduce_time(b)` for `b`;
-    /// returns 0 when the ring is never slower (N ≤ 2, where both
-    /// topologies degenerate to the same exchange).
-    pub fn allreduce_crossover_bytes(&self) -> f64 {
-        let n = self.num_workers() as f64;
-        if n <= 1.0 {
-            return 0.0;
-        }
-        let depth = (self.num_workers() as f64).log2().ceil();
-        let lat_gap = 2.0 * (n - 1.0 - depth) * self.latency_s;
-        let bw_gap = ((n - 1.0) + depth - 2.0 * (n - 1.0) / n) / self.worker_bandwidth();
-        if lat_gap <= 0.0 || bw_gap <= 0.0 {
-            return 0.0;
-        }
-        lat_gap / bw_gap
-    }
 }
 
 #[cfg(test)]
@@ -267,35 +231,11 @@ mod tests {
         let ideal = 2.0 * (n - 1.0) / n * bytes / c.worker_bandwidth();
         let t = c.ring_allreduce_time(bytes);
         assert!(t > ideal && t < ideal * 1.01, "t={t} ideal={ideal}");
-        // The tree pays ~N/2× the root-NIC bytes at this size.
-        assert!(c.tree_allreduce_time(bytes) > 3.0 * t);
-    }
-
-    #[test]
-    fn tree_wins_small_vectors_ring_wins_large() {
-        let c = ClusterSpec::k80_cluster().with_single_gpu_nodes(16);
-        let cross = c.allreduce_crossover_bytes();
-        assert!(cross > 0.0, "16 workers must have a crossover");
-        assert!(
-            c.tree_allreduce_time(cross / 10.0) < c.ring_allreduce_time(cross / 10.0),
-            "below crossover the tree's log-depth latency wins"
-        );
-        assert!(
-            c.ring_allreduce_time(cross * 10.0) < c.tree_allreduce_time(cross * 10.0),
-            "above crossover the ring's bandwidth optimality wins"
-        );
-        // At the crossover itself the two are equal by construction.
-        let (r, t) = (c.ring_allreduce_time(cross), c.tree_allreduce_time(cross));
-        assert!((r - t).abs() < 1e-12 * r.max(t));
     }
 
     #[test]
     fn degenerate_allreduce_worlds() {
         let c = ClusterSpec::k80_cluster().with_single_gpu_nodes(1);
         assert_eq!(c.ring_allreduce_time(1e9), 0.0);
-        assert_eq!(c.tree_allreduce_time(1e9), 0.0);
-        let two = ClusterSpec::k80_cluster().with_single_gpu_nodes(2);
-        // N=2: both topologies are a single exchange; ring never loses.
-        assert_eq!(two.allreduce_crossover_bytes(), 0.0);
     }
 }

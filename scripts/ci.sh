@@ -76,9 +76,9 @@ for f in $(git ls-files '*.rs' | grep -v '^crates/ps/src/recover\.rs$'); do
     fi
 done
 
-# One collective wiring (DESIGN.md §16): ring and tree are two shapes
-# over one link builder, so the program half of ps/collective.rs dials a
-# TCP link and sends a rank hello in exactly one place, and `Collective`
+# One collective wiring (DESIGN.md §16): the ring's two TCP builders
+# share one dial, so the program half of ps/collective.rs dials a TCP
+# link and sends a rank hello in exactly one place, and `Collective`
 # keeps its two verbs (the ring's scatter and gather are private steps).
 echo "==> ps/collective.rs dials and says hello in one place; Collective has two verbs"
 prog=$(sed '/^#\[cfg(test)\]/,$d' crates/ps/src/collective.rs | grep -v '^ *//')
@@ -91,6 +91,28 @@ for call in 'TcpTransport::connect(' 'send_hello('; do
 done
 if sed -n '/^pub trait Collective/,/^}/p' <<<"$prog" | grep -n 'fn reduce_scatter\|fn all_gather'; then
     echo "ERROR: trait Collective declares reduce_scatter/all_gather again" >&2
+    exit 1
+fi
+
+# One all-reduce, one step loop (DESIGN.md §16): the ring is the only
+# collective, and every ring step, loopback or TCP, runs one loop that
+# yields for at most `SPIN` and then sleeps in poll(2). The tree
+# collective (its type, shape, topology, frame phases or cost model) may
+# not grow back in the program half of the files that held it, and
+# ps/collective.rs yields in that one bounded place only: no second,
+# unbounded spin beside it.
+echo "==> no tree collective; the ring step yields in one bounded place"
+for f in crates/ps/src/collective.rs crates/net/src/wire.rs crates/core/src/config.rs \
+    crates/simtime/src/cluster.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" \
+        'WireTree\|Shape::Tree\|Topology::Tree\|COLLECTIVE_TREE_\|tree_allreduce_time'; then
+        echo "ERROR: the tree collective is back; the ring is the one all-reduce" >&2
+        exit 1
+    fi
+done
+if [ "$(grep -c 'yield_now' <<<"$prog")" -ne 1 ] ||
+    ! grep -B1 'yield_now' <<<"$prog" | grep -q 'if now < spin_end'; then
+    echo "ERROR: ps/collective.rs yields outside the step's bounded SPIN window" >&2
     exit 1
 fi
 

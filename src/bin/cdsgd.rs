@@ -3,7 +3,7 @@
 //! ```text
 //! cdsgd train    --algo <ssgd|odsgd|bitsgd|cdsgd|localsgd|arsgd|efsgd|ecqsgd> \
 //!                --dataset mnist --workers 4 --epochs 5 \
-//!                [--topology ps|ring|tree|decentralized [--codec 2bit]] \
+//!                [--topology ps|ring|decentralized [--codec 2bit]] \
 //!                [--k 2] [--threshold 0.5] [--local-lr 0.1] [--warmup N] \
 //!                [--dc-lambda 0] [--sync-period 4] [--ef-momentum 0.9] \
 //!                [--ecq-alpha 1] [--ecq-beta 1] \

@@ -14,12 +14,11 @@
 //!        [--trace trace.jsonl]
 //! ```
 //!
-//! Server-less deployment: `--topology ring|tree|decentralized` (with
+//! Server-less deployment: `--topology ring|decentralized` (with
 //! `--algo arsgd`) skips the parameter server entirely. Every replica
 //! lists the same `--peers addr0,addr1,...` (its own slot is `--id`)
-//! and joins the topology's collective shape (`cdsgd_ps::Shape::join`:
-//! bind its slot if any rank dials it, dial its ring successor or tree
-//! parent, accept the ranks that dial it), and each round synchronizes
+//! and joins the ring (`cdsgd_ps::WireRing::join`: bind its slot, dial
+//! its successor, accept its predecessor), and each round synchronizes
 //! by chunked allreduce — or, for `decentralized`, by codec-compressed
 //! neighbor gossip over the ring
 //! (`--codec 2bit|1bit|topk|qsgd`). `--servers` and the PS-only flags
@@ -90,7 +89,7 @@ use cd_sgd_repro::deploy::{
     parse_reconnect, parse_topology, trace_telemetry, AlgoDefaults,
 };
 use cdsgd_net::{FaultPlan, NetConfig};
-use cdsgd_ps::{Attach, NetCluster, PsBackend, TrafficStats};
+use cdsgd_ps::{Attach, NetCluster, PsBackend, TrafficStats, WireRing};
 
 fn main() {
     let console = Console::new();
@@ -174,7 +173,7 @@ fn main() {
     }
     if algo.uses_ring() && !collective_mode {
         console.error(
-            "arsgd needs a worker collective; pass --topology ring|tree|decentralized \
+            "arsgd needs a worker collective; pass --topology ring|decentralized \
              with --peers addr0,addr1,... (or use `cdsgd train --algo arsgd`)",
         );
         std::process::exit(2);
@@ -210,9 +209,9 @@ fn main() {
         cfg = cfg.with_worker_checkpoints(dir, ckpt_every);
     }
 
-    // ---- server-less collective deployment (--topology ring|tree|decentralized) ----
+    // ---- server-less collective deployment (--topology ring|decentralized) ----
     // No parameter server exists: every replica binds its own --peers slot,
-    // wires up the ring/tree over TCP, and synchronizes through allreduce
+    // wires up the ring over TCP, and synchronizes through allreduce
     // (or compressed neighbor gossip). The PS-only machinery — registration,
     // heartbeats, reconnect, chaos — has no server to talk to, so those
     // flags are rejected rather than silently ignored.
@@ -269,9 +268,7 @@ fn main() {
         // the PS path uses, so `--trace` shows per-frame wire accounting
         // for collective runs too.
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
-        let collective = topology
-            .shape()
-            .join(id, &peers, &NetConfig::default(), Arc::clone(&stats))
+        let collective = WireRing::join(id, &peers, &NetConfig::default(), Arc::clone(&stats))
             .unwrap_or_else(|e| {
                 console.error(format_args!(
                     "worker {id}: {} wiring failed: {e}",
@@ -286,7 +283,7 @@ fn main() {
             move |rng| build_model(&spec, rng),
             &train,
             Some(test),
-            Link::Collective(collective),
+            Link::Collective(Box::new(collective)),
         ) {
             Ok(report) => report,
             Err(e) => {

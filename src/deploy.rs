@@ -138,7 +138,7 @@ pub fn parse_algorithm(args: &[String], defaults: &AlgoDefaults) -> Result<Algor
     Ok(algo)
 }
 
-/// Parse `--topology <ps|ring|tree|decentralized>` into a
+/// Parse `--topology <ps|ring|decentralized>` into a
 /// [`cd_sgd::Topology`]. The decentralized mode also consumes `--codec
 /// <2bit|1bit|topk|qsgd>` (default 2bit) and its knobs (`--threshold`,
 /// `--topk-ratio`, `--qsgd-levels`) for the model-difference compressor.
@@ -152,7 +152,6 @@ pub fn parse_topology(args: &[String], defaults: &AlgoDefaults) -> Result<Topolo
     Ok(match name {
         "ps" => Topology::Ps,
         "ring" => Topology::Ring,
-        "tree" => Topology::Tree,
         "decentralized" => {
             let codec = match lookup(args, "codec").unwrap_or("2bit") {
                 "2bit" => cd_sgd::Codec::TwoBit {
@@ -170,11 +169,7 @@ pub fn parse_topology(args: &[String], defaults: &AlgoDefaults) -> Result<Topolo
             };
             Topology::Decentralized { codec }
         }
-        other => {
-            return Err(format!(
-                "unknown topology {other} (ps|ring|tree|decentralized)"
-            ))
-        }
+        other => return Err(format!("unknown topology {other} (ps|ring|decentralized)")),
     })
 }
 
@@ -454,7 +449,6 @@ mod tests {
             ("", Topology::Ps),
             ("--topology ps", Topology::Ps),
             ("--topology ring", Topology::Ring),
-            ("--topology tree", Topology::Tree),
             (
                 "--topology decentralized",
                 Topology::Decentralized {
@@ -501,6 +495,14 @@ mod tests {
                 .expect_err(&format!("args should fail: {args}"));
             assert!(!err.is_empty());
         }
+    }
+
+    #[test]
+    fn parse_topology_rejects_tree_and_lists_the_live_names() {
+        // `tree` names no topology: a usage error like any unknown name,
+        // whose message offers the three that exist.
+        let err = parse_topology(&argv("--topology tree"), &DEFAULTS).unwrap_err();
+        assert_eq!(err, "unknown topology tree (ps|ring|decentralized)");
     }
 
     #[test]

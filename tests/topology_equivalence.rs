@@ -1,7 +1,7 @@
-//! Topology equivalence (DESIGN.md §16): every allreduce transport —
-//! loopback queues or real TCP, ring or tree — must
-//! produce *bit-identical* training runs, because all of them fold
-//! chunks in the same pinned ring order. The decentralized compressed
+//! Topology equivalence (DESIGN.md §16): the ring allreduce on every
+//! transport — loopback queues or real TCP — must produce
+//! *bit-identical* training runs, because all of them fold chunks in
+//! the same pinned ring order. The decentralized compressed
 //! topology is approximate by construction (gossip consensus instead of
 //! exact averaging), so it is pinned by tolerance, and the ECQ-SGD leaf
 //! is pinned by its exact BitSgd degeneracy at α = β = 1.
@@ -9,7 +9,7 @@
 use cd_sgd::{Algorithm, Codec, Topology, TrainConfig, Trainer, TrainingHistory};
 use cdsgd_data::toy;
 use cdsgd_nn::models;
-use cdsgd_ps::{AllReduceBackend, Shape, WireMode};
+use cdsgd_ps::{AllReduceBackend, WireMode};
 
 fn cfg(algo: Algorithm, workers: usize, epochs: usize) -> TrainConfig {
     TrainConfig::new(algo, workers)
@@ -44,8 +44,8 @@ fn weight_hash(h: &TrainingHistory) -> u64 {
 #[test]
 fn allreduce_bit_identical_across_transports_and_topologies() {
     // The reduction-order contract makes every backend exact: chunk c
-    // accumulates in ring order starting at rank c (the tree root
-    // replays the same fold), so not just close — equal bits.
+    // accumulates in ring order starting at rank c, so not just close —
+    // equal bits.
     let reference = trainer(cfg(Algorithm::ArSgd, 4, 3)).run();
     assert!(
         reference.final_test_acc().unwrap() > 0.85,
@@ -71,26 +71,6 @@ fn allreduce_bit_identical_across_transports_and_topologies() {
             trainer(cfg(Algorithm::ArSgd, 4, 3))
                 .run_with(|_, _| Ok(Box::new(AllReduceBackend::ring(4, WireMode::Tcp)?) as _))
                 .unwrap(),
-        ),
-        (
-            "tree/loopback",
-            trainer(cfg(Algorithm::ArSgd, 4, 3))
-                .run_with(|_, _| {
-                    Ok(Box::new(AllReduceBackend::new(Shape::Tree, 4, WireMode::Loopback)?) as _)
-                })
-                .unwrap(),
-        ),
-        (
-            "tree/tcp",
-            trainer(cfg(Algorithm::ArSgd, 4, 3))
-                .run_with(|_, _| {
-                    Ok(Box::new(AllReduceBackend::new(Shape::Tree, 4, WireMode::Tcp)?) as _)
-                })
-                .unwrap(),
-        ),
-        (
-            "tree/fallback",
-            trainer(cfg(Algorithm::ArSgd, 4, 3).with_topology(Topology::Tree)).run(),
         ),
     ];
     for (name, h) in &variants {
