@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use cdsgd_bench::arg_usize;
 use cdsgd_compress::{Compressed, GradientCompressor, NoCompression, TwoBitQuantizer};
-use cdsgd_ps::{ParamServer, ServerConfig};
+use cdsgd_ps::{ParamClient, ParamServer, ServerConfig};
 use cdsgd_tensor::kernel;
 
 const CHILD_ENV: &str = "CDSGD_KERNELS_CHILD";

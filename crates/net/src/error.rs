@@ -39,13 +39,14 @@ pub enum NetError {
         /// First round that can no longer complete.
         round: u64,
     },
-    /// A cross-shard membership operation did not complete cleanly on
-    /// every shard. For a two-phase `register`, the join was already
-    /// rolled back on the shards that had admitted the worker before
-    /// this error returned; for a best-effort `leave`, every shard was
-    /// still attempted.
+    /// A request sent across shards did not complete cleanly on every
+    /// shard. For a two-phase `register`, the join was already rolled
+    /// back on the shards that had admitted the worker before this error
+    /// returned; for the best-effort kinds (`leave`, `cancel_join`,
+    /// `heartbeat`, `set_lr`, `shutdown`), every shard was still
+    /// attempted.
     Membership {
-        /// The operation that failed: `"register"` or `"leave"`.
+        /// The request that failed, e.g. `"register"` or `"heartbeat"`.
         op: &'static str,
         /// Shard indices that failed, in shard order.
         shards: Vec<usize>,
@@ -74,7 +75,7 @@ impl fmt::Display for NetError {
                 write!(f, "worker {id} lost; round {round} cannot complete")
             }
             NetError::Membership { op, shards, last } => {
-                write!(f, "membership {op} failed on shard(s) {shards:?}: {last}")
+                write!(f, "{op} failed on shard(s) {shards:?}: {last}")
             }
         }
     }

@@ -139,6 +139,43 @@ pub enum WireMsg {
     CheckpointAck { round: Option<u64> },
 }
 
+/// Whether a shard answers `msg`: the four requests that expect an
+/// answer, and the server-to-client kinds, which are answered with the
+/// error that retires the connection that sent them. The other six are
+/// fire-and-forget.
+pub fn answered(msg: &WireMsg) -> bool {
+    !matches!(
+        msg,
+        WireMsg::Push { .. }
+            | WireMsg::SetLr { .. }
+            | WireMsg::Heartbeat { .. }
+            | WireMsg::Leave { .. }
+            | WireMsg::CancelJoin { .. }
+            | WireMsg::Shutdown
+    )
+}
+
+/// Whether `reply` answers `request`: the one reply kind of each of the
+/// four answered requests, and for a pull only the reply that echoes its
+/// `(key, min_version)`. Every client layer that matches replies to
+/// requests asks this, and nothing else.
+pub fn answers(request: &WireMsg, reply: &WireMsg) -> bool {
+    match (request, reply) {
+        (
+            WireMsg::Pull { key, min_version },
+            WireMsg::PullReply {
+                key: k,
+                min_version: v,
+                ..
+            },
+        ) => (key, min_version) == (k, v),
+        (WireMsg::Snapshot, WireMsg::SnapshotReply { .. })
+        | (WireMsg::Register { .. }, WireMsg::RegisterAck { .. })
+        | (WireMsg::Checkpoint, WireMsg::CheckpointAck { .. }) => true,
+        _ => false,
+    }
+}
+
 /// Exact wire size of a push frame carrying a payload of
 /// `payload_wire_bytes` (= [`Compressed::wire_bytes`]): length prefix +
 /// opcode + worker + key + payload.

@@ -221,3 +221,89 @@ fn reserved_collective_phases_4_and_5_are_a_decode_error() {
         }
     }
 }
+
+#[test]
+fn each_answered_request_has_one_reply_kind_and_the_rest_none() {
+    use cdsgd_net::wire::{answered, answers};
+    use std::sync::Arc;
+    let weights: Arc<[f32]> = Arc::from(vec![1.0f32; 2]);
+    // One message of every kind: whether a shard answers it, and how
+    // many kinds in this table answer it as a request.
+    let table = [
+        (
+            WireMsg::Push {
+                worker: 1,
+                key: 3,
+                payload: Compressed::Raw(vec![1.0]),
+            },
+            false,
+            0,
+        ),
+        (
+            WireMsg::Pull {
+                key: 3,
+                min_version: 5,
+            },
+            true,
+            1,
+        ),
+        (
+            WireMsg::PullReply {
+                key: 3,
+                min_version: 5,
+                weights: Arc::clone(&weights),
+            },
+            true,
+            0,
+        ),
+        (WireMsg::SetLr { lr: 0.5 }, false, 0),
+        (WireMsg::Snapshot, true, 1),
+        (
+            WireMsg::SnapshotReply {
+                weights: vec![vec![1.0]],
+                versions: vec![2],
+            },
+            true,
+            0,
+        ),
+        (WireMsg::Shutdown, false, 0),
+        (WireMsg::Register { worker: 1 }, true, 1),
+        (WireMsg::RegisterAck { versions: vec![2] }, true, 0),
+        (WireMsg::Heartbeat { worker: 1 }, false, 0),
+        (WireMsg::Leave { worker: 1 }, false, 0),
+        (WireMsg::CancelJoin { worker: 1 }, false, 0),
+        (WireMsg::Checkpoint, true, 1),
+        (WireMsg::CheckpointAck { round: Some(2) }, true, 0),
+    ];
+    let kinds: std::collections::HashSet<_> = table
+        .iter()
+        .map(|(m, ..)| std::mem::discriminant(m))
+        .collect();
+    assert_eq!(kinds.len(), table.len(), "one row per kind");
+    for (request, is_answered, replies) in &table {
+        assert_eq!(answered(request), *is_answered, "{request:?}");
+        let n = table
+            .iter()
+            .filter(|(reply, ..)| answers(request, reply))
+            .count();
+        assert_eq!(n, *replies, "reply kinds answering {request:?}");
+    }
+    // Of the answered kinds, exactly the four requests expect a reply;
+    // the six fire-and-forget kinds expect none.
+    assert_eq!(table.iter().filter(|(_, _, r)| *r == 1).count(), 4);
+    assert_eq!(table.iter().filter(|(_, a, _)| !a).count(), 6);
+    // A pull reply for another key or version answers nothing.
+    let pull = WireMsg::Pull {
+        key: 3,
+        min_version: 5,
+    };
+    for (key, min_version) in [(4, 5), (3, 4), (3, 6)] {
+        let weights = Arc::clone(&weights);
+        let reply = WireMsg::PullReply {
+            key,
+            min_version,
+            weights,
+        };
+        assert!(!answers(&pull, &reply), "{reply:?} answered {pull:?}");
+    }
+}

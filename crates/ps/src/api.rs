@@ -8,10 +8,11 @@
 //! f32 round-trips are bit-exact, so the choice of backend cannot change
 //! the training trajectory — only its wall-clock cost.
 
-use crate::client::{PendingPull, PsClient};
+use crate::client::{settle, PendingPull, PendingReply};
 use crate::server::ParamServer;
 use crate::Key;
 use cdsgd_compress::{BufferPool, Compressed};
+use cdsgd_net::wire::WireMsg;
 use cdsgd_net::NetError;
 use std::sync::Arc;
 
@@ -20,14 +21,38 @@ use std::sync::Arc;
 /// `Send + Sync` because every method takes `&self` and a client handle
 /// may be shared across a worker's compute threads.
 ///
-/// Every method is fallible: a dead server or broken connection surfaces
-/// as a typed [`NetError`] instead of a worker-thread panic.
+/// A layer of the client stack writes two methods: [`ParamClient::request`]
+/// (one `match` on the [`WireMsg`], if the layer cares which kind it is)
+/// and [`ParamClient::pool`]. Every typed call is provided here, once: it
+/// builds its message with one saturating id conversion and reads its
+/// value from the reply. Every call is fallible: a dead server or broken
+/// connection surfaces as a typed [`NetError`] instead of a worker-thread
+/// panic.
 pub trait ParamClient: Send + Sync {
+    /// Send `msg` to the server. For the kinds a shard answers
+    /// ([`cdsgd_net::wire::answered`]), the reply it is owed; `None` for
+    /// the fire-and-forget rest.
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError>;
+
+    /// The payload buffer pool compressors should draw from, so push
+    /// payload storage recycles round over round.
+    fn pool(&self) -> &BufferPool;
+
     /// Push a gradient payload for `key` on behalf of `worker`.
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError>;
+    /// Non-blocking: aggregation happens on the server.
+    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
+        let (worker, key) = (wire_id(worker), wire_id(key));
+        self.request(WireMsg::Push {
+            worker,
+            key,
+            payload,
+        })
+        .map(drop)
+    }
 
     /// Pull `key` blocking until exactly `min_version` aggregate updates
-    /// have been applied.
+    /// have been applied. The snapshot is shared (`Arc` bump) with every
+    /// other worker pulling this version.
     fn pull(&self, key: Key, min_version: u64) -> Result<Arc<[f32]>, NetError> {
         self.pull_async(key, min_version)?.wait()
     }
@@ -37,7 +62,10 @@ pub trait ParamClient: Send + Sync {
     /// server keeps only the latest two versions of a key: a
     /// `min_version` further behind, or a `key` it does not own, fails
     /// this pull alone with an error.
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError>;
+    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
+        let key = wire_id(key);
+        owed(self, WireMsg::Pull { key, min_version }).map(PendingPull)
+    }
 
     /// Pull every key at `min_version` (resume / eval convenience):
     /// every request is on its way before the first reply is waited
@@ -53,73 +81,96 @@ pub trait ParamClient: Send + Sync {
     /// Elastic membership: register `worker` with the server's membership
     /// table and block for the per-key version ack — the versions the
     /// joiner's first pulls must target (see [`crate::ElasticConfig`]).
-    /// Backends without a membership control plane reject the call.
-    fn register(&self, _worker: usize) -> Result<Vec<u64>, NetError> {
-        Err(NetError::Io(
-            "membership is not supported by this backend".into(),
-        ))
+    /// On a fixed-membership server this is just the version handshake.
+    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
+        let worker = wire_id(worker);
+        call(self, WireMsg::Register { worker }, |reply| match reply {
+            WireMsg::RegisterAck { versions } => Some(versions),
+            _ => None,
+        })
     }
 
     /// Elastic membership: `worker` departs gracefully — its queued
-    /// pushes still feed their rounds, then the quorum shrinks. Default
-    /// no-op: on fixed membership there is no table to leave.
-    fn leave(&self, _worker: usize) -> Result<(), NetError> {
-        Ok(())
+    /// pushes still feed their rounds, then the quorum shrinks. Rides the
+    /// same ordered stream as this client's pushes, so it can never
+    /// overtake one. A no-op on a fixed-membership server.
+    fn leave(&self, worker: usize) -> Result<(), NetError> {
+        let worker = wire_id(worker);
+        self.request(WireMsg::Leave { worker }).map(drop)
     }
 
     /// Elastic membership: roll back this client's own tentative
     /// registration of `worker` — the two-phase cross-shard join
-    /// ([`crate::ShardedClient::register`]) revoking the shards it
-    /// admitted after a later shard failed. Unlike
-    /// [`ParamClient::leave`], the server honours the cancel only when
-    /// this connection's registration *promoted* the worker into the
-    /// active set, so a rollback that trails a re-registration of an
-    /// established member (a reconnect refresh) cannot demote it.
-    /// Default no-op: without a membership table there is nothing to
-    /// roll back.
-    fn cancel_join(&self, _worker: usize) -> Result<(), NetError> {
-        Ok(())
+    /// ([`crate::ShardedClient`]) revoking the shards it admitted after a
+    /// later shard failed. Unlike [`ParamClient::leave`], the server
+    /// honours the cancel only when this connection's registration
+    /// *promoted* the worker into the active set, so a rollback that
+    /// trails a re-registration of an established member (a reconnect
+    /// refresh) cannot demote it. It rides the same ordered stream as
+    /// the registration it revokes, so it can never overtake it.
+    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
+        let worker = wire_id(worker);
+        self.request(WireMsg::CancelJoin { worker }).map(drop)
     }
 
-    /// Elastic membership: liveness signal (pushes also count). Default
-    /// no-op.
-    fn heartbeat(&self, _worker: usize) -> Result<(), NetError> {
-        Ok(())
+    /// Elastic membership: liveness signal for the heartbeat timeout
+    /// (pushes also count).
+    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
+        let worker = wire_id(worker);
+        self.request(WireMsg::Heartbeat { worker }).map(drop)
     }
 
-    /// The payload buffer pool compressors should draw from, so push
-    /// payload storage recycles round over round.
-    fn pool(&self) -> &BufferPool;
+    /// Change the server's global learning rate (takes effect on the next
+    /// aggregate update).
+    fn set_lr(&self, lr: f32) -> Result<(), NetError> {
+        self.request(WireMsg::SetLr { lr }).map(drop)
+    }
+
+    /// All weights and per-key versions, in key order.
+    fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
+        call(self, WireMsg::Snapshot, |reply| match reply {
+            WireMsg::SnapshotReply { weights, versions } => Some((weights, versions)),
+            _ => None,
+        })
+    }
+
+    /// Ask the server to write a durable checkpoint of its current state
+    /// (recovery subsystem). Returns the captured round, or `None` if the
+    /// server refused (no checkpoint directory configured, a round
+    /// mid-flight, or the write failed — see its stderr).
+    fn checkpoint_now(&self) -> Result<Option<u64>, NetError> {
+        call(self, WireMsg::Checkpoint, |reply| match reply {
+            WireMsg::CheckpointAck { round } => Some(round),
+            _ => None,
+        })
+    }
+
+    /// Tell a `psd` server process to exit ([`WireMsg::Shutdown`]).
+    fn shutdown_server(&self) -> Result<(), NetError> {
+        self.request(WireMsg::Shutdown).map(drop)
+    }
 }
 
-impl ParamClient for PsClient {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        PsClient::push(self, worker, key, payload)
-    }
+/// A worker id or key as a [`WireMsg`] carries it. One no `u32` can hold
+/// becomes `u32::MAX`, which no shard admits or owns, instead of wrapping
+/// onto a real one.
+fn wire_id(id: usize) -> u32 {
+    u32::try_from(id).unwrap_or(u32::MAX)
+}
 
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        PsClient::pull_async(self, key, min_version)
-    }
+/// The reply `client` owes for an answered `msg`.
+fn owed<C: ParamClient + ?Sized>(client: &C, msg: WireMsg) -> Result<PendingReply, NetError> {
+    client.request(msg)?.ok_or(NetError::ServerGone)
+}
 
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        PsClient::register(self, worker)
-    }
-
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        PsClient::leave(self, worker)
-    }
-
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        PsClient::cancel_join(self, worker)
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        PsClient::heartbeat(self, worker)
-    }
-
-    fn pool(&self) -> &BufferPool {
-        PsClient::pool(self)
-    }
+/// Send an answered `msg` and wait for the value `take` finds in its
+/// reply.
+fn call<C: ParamClient + ?Sized, T>(
+    client: &C,
+    msg: WireMsg,
+    take: impl FnOnce(WireMsg) -> Option<T>,
+) -> Result<T, NetError> {
+    settle(owed(client, msg)?.wait(), take)
 }
 
 /// A running parameter-server deployment the trainer can drive: hands out

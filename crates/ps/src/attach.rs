@@ -2,11 +2,11 @@
 //! goodbye: the one place that layers its client stack (DESIGN.md §13).
 
 use crate::api::{ParamClient, PsBackend};
-use crate::client::PendingPull;
+use crate::client::PendingReply;
 use crate::fault::{FaultyClient, WorkerFault};
 use crate::net::{spawn_err, NetCluster, ReconnectingClient};
-use crate::Key;
-use cdsgd_compress::{BufferPool, Compressed};
+use cdsgd_compress::BufferPool;
+use cdsgd_net::wire::WireMsg;
 use cdsgd_net::{NetError, ReconnectConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -185,28 +185,17 @@ struct Rebased {
 }
 
 impl ParamClient for Rebased {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        self.inner.push(worker, key, payload)
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        self.inner.pull_async(key, min_version + self.base[key])
-    }
-
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        self.inner.register(worker)
-    }
-
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        self.inner.leave(worker)
-    }
-
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        self.inner.cancel_join(worker)
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        self.inner.heartbeat(worker)
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+        match msg {
+            // A key the model does not have keeps its version: the shard
+            // refuses it.
+            WireMsg::Pull { key, min_version } => {
+                let base = self.base.get(key as usize).copied().unwrap_or(0);
+                let min_version = min_version + base;
+                self.inner.request(WireMsg::Pull { key, min_version })
+            }
+            other => self.inner.request(other),
+        }
     }
 
     fn pool(&self) -> &BufferPool {

@@ -1,13 +1,11 @@
 //! Worker-side client handle.
 
+use crate::api::ParamClient;
 use crate::remote::Reissue;
-use crate::shard::answered;
-use crate::stats::TrafficStats;
-use crate::Key;
-use cdsgd_compress::{BufferPool, Compressed};
-use cdsgd_net::wire::WireMsg;
+use cdsgd_compress::BufferPool;
+use cdsgd_net::wire::{answered, WireMsg};
 use cdsgd_net::{NetError, Waker};
-use std::sync::mpsc::{self, Receiver, RecvError, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 /// What a request resolves to: the server's reply, or the typed failure
@@ -74,53 +72,48 @@ impl ShardTx {
     }
 }
 
-/// The value `take` finds in a received answer, or the error the answer
-/// carries. A requester whose server died before answering gets
-/// [`NetError::ServerGone`]; a reply of another kind than the request
-/// asked for breaks the protocol and is a [`NetError::Decode`].
+/// The value `take` finds in an answer, or the error the answer carries.
+/// A reply of another kind than the request asked for breaks the
+/// protocol and is a [`NetError::Decode`].
 pub(crate) fn settle<T>(
-    got: Result<Answer, RecvError>,
+    answer: Answer,
     take: impl FnOnce(WireMsg) -> Option<T>,
 ) -> Result<T, NetError> {
-    match got {
-        Err(RecvError) => Err(NetError::ServerGone),
-        Ok(Err(err)) => Err(err),
-        Ok(Ok(reply)) => {
-            take(reply).ok_or_else(|| NetError::Decode("a reply to another request".into()))
-        }
-    }
+    take(answer?).ok_or_else(|| NetError::Decode("a reply to another request".into()))
 }
 
-/// A worker id or key as a [`WireMsg`] carries it. One no `u32` can hold
-/// becomes `u32::MAX`, which no shard admits or owns, instead of wrapping
-/// onto a real one.
-fn wire_id(id: usize) -> u32 {
-    u32::try_from(id).unwrap_or(u32::MAX)
-}
-
-/// An outstanding asynchronous pull: resolves to the requested weight
-/// snapshot once the server reaches the version. Uniform across the
-/// in-process client and the networked [`crate::net::RemoteClient`] —
-/// both deliver the server's pull reply through this handle.
-pub struct PendingPull {
-    pub(crate) rx: Receiver<Answer>,
+/// The reply a request is owed ([`ParamClient::request`]): resolves once
+/// the server answers. Uniform across every client layer, in-process or
+/// networked.
+pub struct PendingReply {
+    rx: Receiver<Answer>,
     /// Set on a pull through a [`crate::net::ReconnectingClient`]: what
     /// issues it again if its connection dies before the reply.
     pub(crate) reissue: Option<Reissue>,
 }
 
-impl PendingPull {
-    /// Block until the snapshot arrives. [`NetError::ServerGone`] if the
+impl PendingReply {
+    pub(crate) fn new(rx: Receiver<Answer>) -> Self {
+        Self { rx, reissue: None }
+    }
+
+    /// A reply that is already here: what a layer that assembles one
+    /// answer from several shards hands out.
+    pub(crate) fn ready(answer: Answer) -> Self {
+        let (tx, rx) = mpsc::sync_channel(1);
+        // The channel has room for the one answer, and `rx` is alive.
+        let _ = tx.send(answer);
+        Self::new(rx)
+    }
+
+    /// Block until the reply arrives. [`NetError::ServerGone`] if the
     /// server (or the connection to it) died before replying; a typed
     /// error (e.g. [`NetError::WorkerLost`] from the server's round
-    /// deadline) if the server answered but the round failed. Through a
+    /// deadline) if the server answered but the request failed. Through a
     /// [`crate::net::ReconnectingClient`], a pull whose connection died
     /// is redialed and issued again by this call.
-    pub fn wait(&self) -> Result<Arc<[f32]>, NetError> {
-        let got = settle(self.rx.recv(), |reply| match reply {
-            WireMsg::PullReply { weights, .. } => Some(weights),
-            _ => None,
-        });
+    pub fn wait(&self) -> Result<WireMsg, NetError> {
+        let got = self.rx.recv().unwrap_or(Err(NetError::ServerGone));
         match &self.reissue {
             None => got,
             Some(reissue) => reissue.settle(got),
@@ -128,144 +121,46 @@ impl PendingPull {
     }
 }
 
-/// A cloneable, thread-safe handle for talking to a [`crate::ParamServer`].
-///
-/// Every method builds one [`WireMsg`] — the server's only request
-/// vocabulary — and every request returns `Result<_, NetError>`: a dead
-/// server surfaces as [`NetError::ServerGone`] instead of a worker-thread
-/// panic, so callers degrade gracefully (and the networked client slots
-/// in behind the same signatures via [`crate::ParamClient`]).
+/// An outstanding asynchronous pull ([`ParamClient::pull_async`]):
+/// resolves to the requested weight snapshot once the server reaches the
+/// version.
+pub struct PendingPull(pub(crate) PendingReply);
+
+impl PendingPull {
+    /// Block until the snapshot arrives; the errors are
+    /// [`PendingReply::wait`]'s.
+    pub fn wait(&self) -> Result<Arc<[f32]>, NetError> {
+        settle(self.0.wait(), |reply| match reply {
+            WireMsg::PullReply { weights, .. } => Some(weights),
+            _ => None,
+        })
+    }
+}
+
+/// A cloneable, thread-safe handle for talking to a [`crate::ParamServer`]
+/// in this process: each request goes to the server thread's channel.
+/// A dead server surfaces as [`NetError::ServerGone`] instead of a
+/// worker-thread panic.
 #[derive(Clone)]
 pub struct PsClient {
     shard: ShardTx,
-    stats: Arc<TrafficStats>,
     pool: BufferPool,
 }
 
 impl PsClient {
-    pub(crate) fn new(shard: ShardTx, stats: Arc<TrafficStats>, pool: BufferPool) -> Self {
-        Self { shard, stats, pool }
+    pub(crate) fn new(shard: ShardTx, pool: BufferPool) -> Self {
+        Self { shard, pool }
+    }
+}
+
+impl ParamClient for PsClient {
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+        Ok(self.shard.send(0, msg, None)?.map(PendingReply::new))
     }
 
-    /// Send a message the shard does not answer.
-    fn send(&self, msg: WireMsg) -> Result<(), NetError> {
-        self.shard.send(0, msg, None).map(drop)
-    }
-
-    /// Send a request and the receiver its answer arrives on.
-    fn request(&self, msg: WireMsg) -> Result<Receiver<Answer>, NetError> {
-        self.shard.send(0, msg, None)?.ok_or(NetError::ServerGone)
-    }
-
-    /// Send a request and wait for the value `take` finds in its answer.
-    fn call<T>(
-        &self,
-        msg: WireMsg,
-        take: impl FnOnce(WireMsg) -> Option<T>,
-    ) -> Result<T, NetError> {
-        settle(self.request(msg)?.recv(), take)
-    }
-
-    /// Push a gradient payload for `key` on behalf of `worker`.
-    /// Non-blocking: aggregation happens on the server thread.
-    pub fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        let (worker, key) = (wire_id(worker), wire_id(key));
-        self.send(WireMsg::Push {
-            worker,
-            key,
-            payload,
-        })
-    }
-
-    /// Pull the weights for `key`, blocking until exactly `min_version`
-    /// aggregate updates have been applied to it. The returned snapshot is
-    /// shared (`Arc` bump) with every other worker pulling this version —
-    /// the server never copies weights to serve a pull.
-    pub fn pull(&self, key: Key, min_version: u64) -> Result<Arc<[f32]>, NetError> {
-        self.pull_async(key, min_version)?.wait()
-    }
-
-    /// Fire-and-forget pull request: returns a handle that yields the
-    /// weights once the server reaches `min_version`. This is how delayed
-    /// algorithms overlap the pull transfer with the next iteration's
-    /// computation (MXNet's engine issues pulls asynchronously too).
-    pub fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let key = wire_id(key);
-        Ok(PendingPull {
-            rx: self.request(WireMsg::Pull { key, min_version })?,
-            reissue: None,
-        })
-    }
-
-    /// Change the server's global learning rate (takes effect on the next
-    /// aggregate update).
-    pub fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.send(WireMsg::SetLr { lr })
-    }
-
-    /// Snapshot all weights and per-key versions (diagnostics).
-    pub fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-        self.call(WireMsg::Snapshot, |reply| match reply {
-            WireMsg::SnapshotReply { weights, versions } => Some((weights, versions)),
-            _ => None,
-        })
-    }
-
-    /// Register `worker` with the membership table, blocking for the
-    /// per-key version ack (see [`crate::ElasticConfig`]). On a
-    /// fixed-membership server this is just the version handshake.
-    pub fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        let worker = wire_id(worker);
-        self.call(WireMsg::Register { worker }, |reply| match reply {
-            WireMsg::RegisterAck { versions } => Some(versions),
-            _ => None,
-        })
-    }
-
-    /// Graceful departure: `worker` stops gating round completion once
-    /// its queued pushes drain. No-op on a fixed-membership server.
-    pub fn leave(&self, worker: usize) -> Result<(), NetError> {
-        let worker = wire_id(worker);
-        self.send(WireMsg::Leave { worker })
-    }
-
-    /// Roll back a tentative registration of `worker`: the two-phase
-    /// cross-shard join revoking a shard it admitted after a later shard
-    /// failed. The server honours the cancel only from the connection
-    /// whose registration *promoted* the worker into the active set, so
-    /// a rollback that trails a reconnect's re-registration is a no-op
-    /// (unlike [`PsClient::leave`], which demotes unconditionally).
-    pub fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        let worker = wire_id(worker);
-        self.send(WireMsg::CancelJoin { worker })
-    }
-
-    /// Ask the server to write a durable shard checkpoint of its current
-    /// state (recovery subsystem). Returns the captured round, or `None`
-    /// if the server refused (no checkpoint directory configured, a
-    /// round mid-flight, or the write failed — see its stderr).
-    pub fn checkpoint_now(&self) -> Result<Option<u64>, NetError> {
-        self.call(WireMsg::Checkpoint, |reply| match reply {
-            WireMsg::CheckpointAck { round } => Some(round),
-            _ => None,
-        })
-    }
-
-    /// Liveness signal for the heartbeat timeout (pushes also count).
-    pub fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        let worker = wire_id(worker);
-        self.send(WireMsg::Heartbeat { worker })
-    }
-
-    /// Shared traffic counters.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
-    /// The payload buffer pool shared with the server: feed it to
-    /// [`cdsgd_compress::GradientCompressor::compress_into`] so each push
+    /// The payload buffer pool shared with the server, so each push
     /// reuses storage the server recycled after decoding earlier rounds.
-    pub fn pool(&self) -> &BufferPool {
+    fn pool(&self) -> &BufferPool {
         &self.pool
     }
 }

@@ -15,9 +15,9 @@
 //! detect.
 
 use crate::api::ParamClient;
-use crate::client::PendingPull;
-use crate::Key;
-use cdsgd_compress::{BufferPool, Compressed};
+use crate::client::PendingReply;
+use cdsgd_compress::BufferPool;
+use cdsgd_net::wire::WireMsg;
 use cdsgd_net::NetError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,35 +90,12 @@ impl FaultyClient {
 }
 
 impl ParamClient for FaultyClient {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
         self.check_dead()?;
-        self.on_push()?;
-        self.inner.push(worker, key, payload)
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        self.check_dead()?;
-        self.inner.pull_async(key, min_version)
-    }
-
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        self.check_dead()?;
-        self.inner.register(worker)
-    }
-
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        self.check_dead()?;
-        self.inner.leave(worker)
-    }
-
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        self.check_dead()?;
-        self.inner.cancel_join(worker)
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        self.check_dead()?;
-        self.inner.heartbeat(worker)
+        if let WireMsg::Push { .. } = msg {
+            self.on_push()?;
+        }
+        self.inner.request(msg)
     }
 
     fn pool(&self) -> &BufferPool {
@@ -130,6 +107,7 @@ impl ParamClient for FaultyClient {
 mod tests {
     use super::*;
     use crate::{ParamServer, ServerConfig};
+    use cdsgd_compress::Compressed;
 
     fn raw(v: f32) -> Compressed {
         Compressed::Raw(vec![v])

@@ -10,7 +10,7 @@
 //!   an I/O-free shard core that takes [`cdsgd_net::wire::WireMsg`]s,
 //!   the one request vocabulary of the in-process client, `psd` and the
 //!   wire alike, and is tested under seeded schedules on a fake clock.
-//! * Workers [`PsClient::push`] gradients — raw f32 or any
+//! * Workers [`ParamClient::push`] gradients — raw f32 or any
 //!   [`cdsgd_compress::Compressed`] payload; the server decodes before
 //!   aggregating (exactly as the paper notes: "server nodes must decode
 //!   the quantified gradients into 32 bits before updating global
@@ -18,7 +18,7 @@
 //! * Aggregation is synchronous per key and iteration: the global update
 //!   `W ← W − η/N · Σ_g decode(grad_g)` (paper eq. 10) fires once all `N`
 //!   workers' pushes for that round have arrived.
-//! * [`PsClient::pull`] blocks until the requested version (number of
+//! * [`ParamClient::pull`] blocks until the requested version (number of
 //!   completed updates) is available, which is precisely the dependency
 //!   the local-update mechanism removes from the critical path.
 //! * [`TrafficStats`] counts every byte that would cross the network, so
@@ -29,6 +29,13 @@
 //!   the trainer agnostic of the deployment shape, and the wire protocol
 //!   is bit-deterministic, so loopback, TCP, and in-process runs produce
 //!   identical weights.
+//! * A client speaks that same vocabulary: every layer of a worker's
+//!   client stack — [`PsClient`], [`RemoteClient`], [`ShardedClient`],
+//!   the reconnect, rebase and fault layers — is one
+//!   [`ParamClient::request`] taking a `WireMsg`, and the typed calls
+//!   (push, pull, membership, control) are written once, on the trait.
+//!   Which reply answers which request is decided in one place,
+//!   [`cdsgd_net::wire::answers`].
 //! * The [`collective`] module synchronizes workers with no server at
 //!   all: a two-verb [`Collective`] served by one ring, [`WireRing`],
 //!   over those same transports, bit-identical across substrates by a
@@ -50,7 +57,7 @@
 //! heartbeat thread and says goodbye on the stream the pushes rode.
 //!
 //! ```
-//! use cdsgd_ps::{ParamServer, ServerConfig};
+//! use cdsgd_ps::{ParamClient, ParamServer, ServerConfig};
 //! use cdsgd_compress::Compressed;
 //!
 //! let ps = ParamServer::start(vec![vec![0.0; 4]], ServerConfig::new(1, 0.5));
@@ -79,7 +86,7 @@ mod stats;
 pub use api::{InProcessBackend, ParamClient, PsBackend};
 pub use attach::{Attach, AttachedWorker};
 pub use cdsgd_net::NetError;
-pub use client::{PendingPull, PsClient};
+pub use client::{PendingPull, PendingReply, PsClient};
 pub use collective::{
     chunk_range, ring_ordered_sum, AllReduceBackend, Collective, CollectiveGroup, WireMode,
     WireRing,
@@ -90,7 +97,7 @@ pub use opt::{HeavyBall, Nesterov, PlainSgd, ServerOpt, ServerOptKind};
 pub use recover::{Checkpoint, CheckpointError, CheckpointPolicy, Durability};
 pub use server::{ElasticConfig, ParamServer, ServerConfig};
 pub use shard::MAX_ELASTIC_WORKERS;
-pub use sharded::{partition_keys, reassemble_snapshots, ShardedClient};
+pub use sharded::{partition_keys, ShardedClient};
 pub use stats::TrafficStats;
 
 /// Parameter key: index of a parameter tensor (layer) in the model's

@@ -46,7 +46,7 @@ use crate::client::{Answer, ShardTx};
 use crate::recover::Durability;
 use crate::server::{Outcome, ParamServer, ServerConfig};
 use crate::shard::Admission;
-use crate::sharded::{partition_keys, reassemble_snapshots, ShardedClient};
+use crate::sharded::{partition_keys, ShardedClient};
 use crate::stats::TrafficStats;
 use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::wire::{self, FrameHead, WireMsg, FRAME_PREFIX_BYTES};
@@ -675,7 +675,7 @@ pub struct NetCluster {
     pub(crate) num_keys: usize,
     /// One control link per shard, opened on first use
     /// ([`NetCluster::control`]).
-    control: OnceLock<Vec<RemoteClient>>,
+    control: OnceLock<ShardedClient<RemoteClient>>,
 }
 
 impl NetCluster {
@@ -766,13 +766,13 @@ impl NetCluster {
     }
 
     /// The control links (learning rate, snapshot, shutdown), one per
-    /// shard, dialed by the first call that needs them.
-    fn control(&self) -> Result<&[RemoteClient], NetError> {
+    /// shard behind one router, dialed by the first call that needs them.
+    fn control(&self) -> Result<&ShardedClient<RemoteClient>, NetError> {
         if let Some(control) = self.control.get() {
             return Ok(control);
         }
         let pool = BufferPool::new();
-        let control = self
+        let links = self
             .dialer
             .conns
             .iter()
@@ -781,6 +781,7 @@ impl NetCluster {
                 RemoteClient::new(t, Arc::clone(&self.dialer.stats), pool.clone())
             })
             .collect::<Result<_, _>>()?;
+        let control = ShardedClient::from_clients(links, pool);
         Ok(self.control.get_or_init(|| control))
     }
 
@@ -834,19 +835,11 @@ impl PsBackend for NetCluster {
     }
 
     fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        for c in self.control()? {
-            c.set_lr(lr)?;
-        }
-        Ok(())
+        self.control()?.set_lr(lr)
     }
 
     fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-        let shards = self
-            .control()?
-            .iter()
-            .map(|c| c.snapshot())
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(reassemble_snapshots(shards, self.num_keys))
+        self.control()?.snapshot()
     }
 
     fn bytes_pushed(&self) -> u64 {
@@ -862,10 +855,8 @@ impl PsBackend for NetCluster {
     }
 
     fn shutdown(self: Box<Self>) {
-        if self.remote_shutdown {
-            for c in self.control().unwrap_or_default() {
-                let _ = c.shutdown_server();
-            }
+        if let (true, Ok(c)) = (self.remote_shutdown, self.control()) {
+            let _ = c.shutdown_server();
         }
         let Self { control, local, .. } = *self;
         // Control clients first (joins their reader threads), then the
@@ -1096,6 +1087,24 @@ mod tests {
         assert_eq!(server.rejected_connections(), 0);
         drop(c1);
         server.shutdown();
+    }
+
+    #[test]
+    fn an_id_no_u32_holds_is_refused_not_wrapped_onto_a_real_one() {
+        // Key 1 << 32 truncated to 32 bits is key 0, and worker 1 << 32
+        // is worker 0: both must be refused, not served as those.
+        let cluster = NetCluster::start_loopback(init(2), ServerConfig::new(1, 1.0), 1).unwrap();
+        let c = cluster.client().unwrap();
+        assert!(c.pull(1 << 32, 0).is_err(), "pulled key 0 as key 1 << 32");
+        Box::new(cluster).shutdown();
+        let cluster = elastic_cluster();
+        let c = cluster.client().unwrap();
+        assert!(
+            c.register(1 << 32).is_err(),
+            "registered worker 1 << 32 as 0"
+        );
+        drop(c);
+        Box::new(cluster).shutdown();
     }
 
     #[test]
@@ -1898,6 +1907,21 @@ mod tests {
         Box::new(cluster).shutdown();
     }
 
+    #[test]
+    fn a_reconnecting_client_refuses_a_key_the_model_lacks() {
+        // Neither indexes its per-key replay tables off the end, nor has
+        // a refused pull redialed and issued again until retries run out.
+        let cluster = elastic_cluster();
+        let c = cluster.reconnecting_client(0, fast_rc()).unwrap();
+        let raw = Compressed::Raw(vec![1.0; 3]);
+        assert!(matches!(c.push(0, 1 << 32, raw), Err(NetError::Decode(_))));
+        assert!(matches!(c.pull(2, 0), Err(NetError::Decode(_))));
+        run_rounds(&c, 1);
+        assert_eq!(c.reconnects(), 0);
+        drop(c);
+        Box::new(cluster).shutdown();
+    }
+
     /// An injected link drop mid-run (every shard's transport dies after
     /// a send budget) reconnects, replays, and finishes with the exact
     /// weights of a fault-free run — the tentpole's exactly-once claim.
@@ -2185,6 +2209,8 @@ mod tests {
             assert_eq!(*joined, [k as f32 - 4.0; 3], "key {k}");
             assert_eq!(joined, c0.pull(k, 4).unwrap(), "key {k}");
         }
+        // A key the model lacks has no base to add: refused below.
+        assert!(c1.pull(1 << 32, 1).is_err());
         drop((c0, c1, attached0, attached1));
         Box::new(cluster).shutdown();
     }

@@ -5,19 +5,19 @@
 //! `psd` answers each connection strictly in request order, so a
 //! `RemoteClient` keeps one FIFO of waiters, appended under the writer
 //! lock (queue order is send order) and popped by the reader thread, one
-//! per reply. A reply that does not answer the front waiter's request —
-//! another kind, or a pull reply for another `(key, version)` — or that
-//! arrives with no request outstanding breaks the protocol: the reader
-//! closes the connection and every waiter resolves
-//! [`NetError::ServerGone`].
+//! per reply. A reply that does not answer the front waiter's request
+//! ([`wire::answers`]: another kind, or a pull reply for another
+//! `(key, version)`) or that arrives with no request outstanding breaks
+//! the protocol: the reader closes the connection and every waiter
+//! resolves [`NetError::ServerGone`].
 //!
 //! A `ReconnectingClient` runs no thread of its own: a failed send
 //! redials on the spot, and a pull whose connection dies before its reply
-//! is issued again by the thread waiting on it ([`PendingPull::wait`]),
+//! is issued again by the thread waiting on it ([`PendingReply::wait`]),
 //! after a redial (DESIGN.md §13).
 
 use crate::api::ParamClient;
-use crate::client::PendingPull;
+use crate::client::{Answer, PendingReply};
 use crate::net::{spawn_err, Bulk, HeadFirst, ShardDialer};
 use crate::sharded::ShardedClient;
 use crate::spares::Spares;
@@ -28,8 +28,8 @@ use cdsgd_net::wire::{self, FrameHead, WireMsg, FRAME_PREFIX_BYTES};
 use cdsgd_net::{NetError, ReconnectConfig, Tail, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 struct WriteHalf {
@@ -37,10 +37,12 @@ struct WriteHalf {
     buf: Vec<u8>,
 }
 
-/// Takes the reply to the oldest unanswered request on a connection:
-/// `true` once it has delivered the reply to its caller, `false` if the
-/// reply answers some other request.
-type Waiter = Box<dyn FnOnce(WireMsg) -> bool + Send>;
+/// The oldest unanswered request on a connection, and where its reply
+/// goes.
+struct Waiter {
+    request: WireMsg,
+    tx: SyncSender<Answer>,
+}
 
 /// A connection's waiters in send order; `None` once its reader has
 /// exited, so a later request fails at once instead of waiting forever.
@@ -97,76 +99,6 @@ impl RemoteClient {
             conn,
         })
     }
-
-    /// Encode and send one frame on the locked writer `w`.
-    fn send_on(&self, w: &mut WriteHalf, msg: &WireMsg) -> Result<(), NetError> {
-        wire::encode_msg_into(msg, &mut w.buf);
-        w.t.send_frame(&w.buf)?;
-        self.stats
-            .record_sent(self.conn, FRAME_PREFIX_BYTES + w.buf.len());
-        Ok(())
-    }
-
-    fn send(&self, msg: &WireMsg) -> Result<(), NetError> {
-        self.send_on(&mut self.writer.lock().unwrap(), msg)
-    }
-
-    /// Send `msg` and queue the waiter for its reply, whose value `take`
-    /// extracts (`None` for a reply that answers some other request).
-    fn request<T: Send + 'static>(
-        &self,
-        msg: &WireMsg,
-        take: impl FnOnce(WireMsg) -> Option<T> + Send + 'static,
-    ) -> Result<Receiver<T>, NetError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        // A caller that stopped waiting is fine.
-        let waiter: Waiter = Box::new(move |reply| take(reply).map(|v| tx.send(v)).is_some());
-        let mut w = self.writer.lock().unwrap();
-        match self.waiters.lock().unwrap().as_mut() {
-            Some(queue) => queue.push_back(waiter),
-            None => return Err(NetError::ServerGone),
-        }
-        let sent = self.send_on(&mut w, msg);
-        if sent.is_err() {
-            // Nothing went out, so nothing will answer: take the waiter
-            // back off the tail, where the writer lock kept it.
-            if let Some(queue) = self.waiters.lock().unwrap().as_mut() {
-                queue.pop_back();
-            }
-        }
-        sent.map(|()| rx)
-    }
-
-    /// Fetch all weights + versions from this shard.
-    pub fn snapshot(&self) -> Result<(Vec<Vec<f32>>, Vec<u64>), NetError> {
-        let rx = self.request(&WireMsg::Snapshot, |reply| match reply {
-            WireMsg::SnapshotReply { weights, versions } => Some((weights, versions)),
-            _ => None,
-        })?;
-        rx.recv().map_err(|_| NetError::ServerGone)
-    }
-
-    /// Ask this shard to write a durable checkpoint of its current state
-    /// ([`WireMsg::Checkpoint`]). Returns the captured round, or `None`
-    /// if the shard refused (see [`crate::PsClient::checkpoint_now`]).
-    pub fn checkpoint_now(&self) -> Result<Option<u64>, NetError> {
-        let rx = self.request(&WireMsg::Checkpoint, |reply| match reply {
-            WireMsg::CheckpointAck { round } => Some(round),
-            _ => None,
-        })?;
-        rx.recv().map_err(|_| NetError::ServerGone)
-    }
-
-    /// Change this shard's learning rate ([`WireMsg::SetLr`]; takes
-    /// effect on its next aggregate update).
-    pub fn set_lr(&self, lr: f32) -> Result<(), NetError> {
-        self.send(&WireMsg::SetLr { lr })
-    }
-
-    /// Tell the remote server process to exit ([`WireMsg::Shutdown`]).
-    pub fn shutdown_server(&self) -> Result<(), NetError> {
-        self.send(&WireMsg::Shutdown)
-    }
 }
 
 /// A [`RemoteClient`]'s reader thread: hand each reply to the oldest
@@ -214,8 +146,10 @@ fn read_replies(mut t: Box<dyn Transport>, conn: u64, waiters: &Waiters, stats: 
         let mut queue = waiters.lock().unwrap();
         let oldest = queue.as_mut().and_then(VecDeque::pop_front);
         drop(queue);
-        if !oldest.is_some_and(|answer| answer(msg)) {
-            break;
+        match oldest {
+            // A caller that stopped waiting is fine.
+            Some(w) if wire::answers(&w.request, &msg) => drop(w.tx.send(Ok(msg))),
+            _ => break,
         }
     }
     // Later requests now fail at once, and dropping the queued waiters
@@ -226,63 +160,53 @@ fn read_replies(mut t: Box<dyn Transport>, conn: u64, waiters: &Waiters, stats: 
 }
 
 impl ParamClient for RemoteClient {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        let n = {
-            let mut w = self.writer.lock().unwrap();
-            let WriteHalf { t, buf } = &mut *w;
-            // Header into `buf`; the payload's bulk goes to the socket
-            // from its own storage.
-            let tail = wire::encode_push_parts(worker as u32, key as u32, &payload, buf);
+    /// A push goes out as its header plus the payload's own storage; any
+    /// other message is encoded whole. The waiter of an answered one joins
+    /// the FIFO under the writer lock, so queue order is send order.
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+        let mut w = self.writer.lock().unwrap();
+        let WriteHalf { t, buf } = &mut *w;
+        if let WireMsg::Push {
+            worker,
+            key,
+            payload,
+        } = msg
+        {
+            let tail = wire::encode_push_parts(worker, key, &payload, buf);
             t.send_parts(buf, Tail::Bytes(tail))?;
-            FRAME_PREFIX_BYTES + buf.len() + tail.len()
+            let n = FRAME_PREFIX_BYTES + buf.len() + tail.len();
+            drop(w);
+            // Same formula the in-process server charges, so histories
+            // match across backends bit-for-bit.
+            self.stats.record_push(n);
+            self.stats.record_sent(self.conn, n);
+            payload.recycle(&self.pool);
+            return Ok(None);
+        }
+        wire::encode_msg_into(&msg, buf);
+        let reply = if wire::answered(&msg) {
+            let (tx, rx) = mpsc::sync_channel(1);
+            match self.waiters.lock().unwrap().as_mut() {
+                Some(queue) => queue.push_back(Waiter { request: msg, tx }),
+                None => return Err(NetError::ServerGone),
+            }
+            Some(PendingReply::new(rx))
+        } else {
+            None
         };
-        // Same formula the in-process server charges, so histories match
-        // across backends bit-for-bit.
-        self.stats.record_push(n);
-        self.stats.record_sent(self.conn, n);
-        payload.recycle(&self.pool);
-        Ok(())
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let key = key as u32;
-        let rx = self.request(&WireMsg::Pull { key, min_version }, move |reply| {
-            let asked = matches!(&reply, WireMsg::PullReply { key: k, min_version: v, .. }
-                if (*k, *v) == (key, min_version));
-            asked.then_some(Ok(reply))
-        })?;
-        Ok(PendingPull { rx, reissue: None })
-    }
-
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        let worker = worker as u32;
-        let rx = self.request(&WireMsg::Register { worker }, |reply| match reply {
-            WireMsg::RegisterAck { versions } => Some(versions),
-            _ => None,
-        })?;
-        rx.recv().map_err(|_| NetError::ServerGone)
-    }
-
-    /// Rides the same ordered stream as this client's pushes, so a leave
-    /// can never overtake an in-flight push.
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        self.send(&WireMsg::Leave {
-            worker: worker as u32,
-        })
-    }
-
-    /// Rides the same ordered stream as this connection's register, so
-    /// the cancel can never overtake the registration it revokes.
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        self.send(&WireMsg::CancelJoin {
-            worker: worker as u32,
-        })
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        self.send(&WireMsg::Heartbeat {
-            worker: worker as u32,
-        })
+        if let Err(e) = t.send_frame(buf) {
+            if reply.is_some() {
+                // Nothing went out, so nothing will answer: take the
+                // waiter back off the tail, where the writer lock kept it.
+                if let Some(queue) = self.waiters.lock().unwrap().as_mut() {
+                    queue.pop_back();
+                }
+            }
+            return Err(e);
+        }
+        self.stats
+            .record_sent(self.conn, FRAME_PREFIX_BYTES + buf.len());
+        Ok(reply)
     }
 
     fn pool(&self) -> &BufferPool {
@@ -360,6 +284,8 @@ struct ReconnectCtx {
     dialer: ShardDialer,
     pool: BufferPool,
     worker: usize,
+    /// Length of the per-key tables: the model's key count.
+    num_keys: usize,
     rc: ReconnectConfig,
     reconnects: AtomicU64,
 }
@@ -372,14 +298,8 @@ struct ReconnectCtx {
 /// outside it, and only the final prune/replay/install reacquires it.
 fn reconnect_session(ctx: &ReconnectCtx, observed_epoch: u64) -> Result<(), NetError> {
     let _redial = ctx.redial.lock().unwrap();
-    {
-        let s = ctx.session.lock().unwrap();
-        if let Some(e) = &s.failed {
-            return Err(e.clone());
-        }
-        if s.epoch != observed_epoch {
-            return Ok(());
-        }
+    if ctx.live()?.epoch != observed_epoch {
+        return Ok(());
     }
     let mut last = NetError::ServerGone;
     for attempt in 0..ctx.rc.retries {
@@ -450,16 +370,70 @@ fn reconnect_session(ctx: &ReconnectCtx, observed_epoch: u64) -> Result<(), NetE
 }
 
 impl ReconnectCtx {
+    /// The session, unless it failed for good (then that failure).
+    fn live(&self) -> Result<MutexGuard<'_, Session>, NetError> {
+        let s = self.session.lock().unwrap();
+        match &s.failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(s),
+        }
+    }
+
+    /// `key` as an index into the per-key replay tables. A key the model
+    /// does not have is refused here: no shard owns it, and a refused
+    /// pull would otherwise be redialed and issued again until the
+    /// retries ran out.
+    fn key(&self, key: u32) -> Result<Key, NetError> {
+        let k = key as usize;
+        if k < self.num_keys {
+            Ok(k)
+        } else {
+            Err(NetError::Decode(format!(
+                "key {key}: the model has keys 0..{}",
+                self.num_keys
+            )))
+        }
+    }
+
+    /// Buffer a push for replay, then send it on the current session; a
+    /// failed send redials (which replays it).
+    fn push(&self, worker: u32, key: u32, payload: Compressed) -> Result<(), NetError> {
+        let k = self.key(key)?;
+        let epoch = {
+            let mut s = self.live()?;
+            s.pushed[k] += 1;
+            let version = s.pushed[k];
+            s.replay[k].push_back((version, payload.clone()));
+            if s.replay[k].len() > REPLAY_DEPTH {
+                // Keep the buffer bounded for keys that are pushed but
+                // never pulled; under the normal ≤2-round lag this never
+                // trips.
+                let (_, stale) = s.replay[k].pop_front().expect("len checked");
+                stale.recycle(&self.pool);
+            }
+            let push = WireMsg::Push {
+                worker,
+                key,
+                payload,
+            };
+            match s.inner.request(push) {
+                Ok(_) => return Ok(()),
+                Err(_) => s.epoch,
+            }
+        };
+        // The replay buffer holds this push: it was buffered under the
+        // session lock, strictly before any install, so whichever redial
+        // installs the next session replays it.
+        reconnect_session(self, epoch)
+    }
+
     /// Issue a pull of `key` at `version` on the current session,
     /// redialing as needed: the in-flight pull, the version actually on
     /// the wire and the session epoch it rode.
-    fn issue(&self, key: Key, version: u64) -> Result<(PendingPull, u64, u64), NetError> {
+    fn issue(&self, key: Key, version: u64) -> Result<(PendingReply, u64, u64), NetError> {
         loop {
             let epoch = {
-                let s = self.session.lock().unwrap();
-                if let Some(e) = &s.failed {
-                    return Err(e.clone());
-                }
+                let s = self.live()?;
                 // Clamp a pull the server can no longer serve exactly
                 // (only reachable through CD-SGD's one-round-deep
                 // deferred pulls when the drop ate the reply): `version
@@ -470,7 +444,7 @@ impl ReconnectCtx {
                     _ => version,
                 };
                 match s.inner.pull_async(key, issued) {
-                    Ok(pending) => return Ok((pending, issued, s.epoch)),
+                    Ok(pending) => return Ok((pending.0, issued, s.epoch)),
                     Err(_) => s.epoch,
                 }
             };
@@ -489,6 +463,33 @@ impl ReconnectCtx {
             payload.recycle(&self.pool);
         }
     }
+
+    /// Register on the current connections (retrying through a
+    /// reconnect) and start the per-key push versions at the ack. Must
+    /// precede the first push, which the worker binary's flow
+    /// guarantees.
+    fn register(&self, worker: u32) -> Result<Vec<u64>, NetError> {
+        debug_assert_eq!(
+            worker as usize, self.worker,
+            "one reconnecting client per worker"
+        );
+        let epoch = {
+            let mut s = self.live()?;
+            match s.inner.register(self.worker) {
+                Ok(acked) => {
+                    s.pushed = acked.clone();
+                    s.acked = Some(acked.clone());
+                    return Ok(acked);
+                }
+                Err(_) => s.epoch,
+            }
+        };
+        reconnect_session(self, epoch)?;
+        let mut s = self.session.lock().unwrap();
+        let acked = s.acked.clone().expect("reconnect stores the ack");
+        s.pushed = acked.clone();
+        Ok(acked)
+    }
 }
 
 /// What a pull through a [`ReconnectingClient`] needs to be issued again
@@ -505,20 +506,17 @@ pub(crate) struct Reissue {
 }
 
 impl Reissue {
-    /// Finish the pull whose reply was `got`. An answer confirms the
+    /// Finish the pull whose answer was `got`. An answer confirms the
     /// replay entries it proves aggregated; a dead connection is redialed
     /// (a no-op if another thread already did) and the pull issued again
     /// on the fresh session, until it is answered or the session fails
     /// for good.
-    pub(crate) fn settle(
-        &self,
-        mut got: Result<Arc<[f32]>, NetError>,
-    ) -> Result<Arc<[f32]>, NetError> {
+    pub(crate) fn settle(&self, mut got: Answer) -> Answer {
         let (mut issued, mut epoch) = (self.issued, self.epoch);
         loop {
-            if let Ok(weights) = got {
+            if got.is_ok() {
                 self.ctx.confirm(self.key, issued);
-                return Ok(weights);
+                return got;
             }
             reconnect_session(&self.ctx, epoch)?;
             let (pending, i, e) = self.ctx.issue(self.key, self.version)?;
@@ -562,6 +560,7 @@ impl ReconnectingClient {
             dialer,
             pool,
             worker,
+            num_keys,
             rc,
             reconnects: AtomicU64::new(0),
         });
@@ -576,117 +575,59 @@ impl ReconnectingClient {
 }
 
 impl ParamClient for ReconnectingClient {
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        let epoch = {
-            let mut s = self.ctx.session.lock().unwrap();
-            if let Some(e) = &s.failed {
-                return Err(e.clone());
+    /// Pushes are buffered for replay and pulls carry a re-issue; a
+    /// failed push, register or leave redials. A heartbeat is
+    /// best-effort: a failed one means the link is down, and the push or
+    /// pull that discovers that redials — the heartbeat thread must not
+    /// die (or redial) over it, and it takes only a brief session-lock
+    /// hold, so heartbeats stay responsive while a redial sleeps through
+    /// its backoff. Anything else (a join rollback, a control request)
+    /// goes to the current session without a redial: a cancel is only
+    /// honoured from the connections whose registration it rolls back,
+    /// so re-sending it on a fresh session would be a no-op anyway.
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+        let ctx = &self.ctx;
+        match msg {
+            WireMsg::Push {
+                worker,
+                key,
+                payload,
+            } => ctx.push(worker, key, payload).map(|()| None),
+            WireMsg::Pull { key, min_version } => {
+                let key = ctx.key(key)?;
+                let (mut pending, issued, epoch) = ctx.issue(key, min_version)?;
+                pending.reissue = Some(Reissue {
+                    ctx: Arc::clone(ctx),
+                    key,
+                    version: min_version,
+                    issued,
+                    epoch,
+                });
+                Ok(Some(pending))
             }
-            s.pushed[key] += 1;
-            let version = s.pushed[key];
-            s.replay[key].push_back((version, payload.clone()));
-            if s.replay[key].len() > REPLAY_DEPTH {
-                // Keep the buffer bounded for keys that are pushed but
-                // never pulled; under the normal ≤2-round lag this never
-                // trips.
-                let (_, stale) = s.replay[key].pop_front().expect("len checked");
-                stale.recycle(&self.ctx.pool);
+            WireMsg::Register { worker } => {
+                let versions = ctx.register(worker)?;
+                Ok(Some(PendingReply::ready(Ok(WireMsg::RegisterAck {
+                    versions,
+                }))))
             }
-            match s.inner.push(worker, key, payload) {
-                Ok(()) => return Ok(()),
-                Err(_) => s.epoch,
+            WireMsg::Leave { .. } => {
+                let epoch = {
+                    let s = ctx.live()?;
+                    match s.inner.request(msg.clone()) {
+                        Ok(reply) => return Ok(reply),
+                        Err(_) => s.epoch,
+                    }
+                };
+                reconnect_session(ctx, epoch)?;
+                ctx.live()?.inner.request(msg)
             }
-        };
-        // The replay buffer holds this push: it was buffered under the
-        // session lock, strictly before any install, so whichever redial
-        // installs the next session replays it.
-        reconnect_session(&self.ctx, epoch)
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let (pending, issued, epoch) = self.ctx.issue(key, min_version)?;
-        let reissue = Reissue {
-            ctx: Arc::clone(&self.ctx),
-            key,
-            version: min_version,
-            issued,
-            epoch,
-        };
-        Ok(PendingPull {
-            reissue: Some(reissue),
-            ..pending
-        })
-    }
-
-    /// Registers on the current connections (retrying through a
-    /// reconnect) and starts the per-key push versions at the ack. Must
-    /// precede the first push, which the worker binary's flow
-    /// guarantees.
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-        debug_assert_eq!(
-            worker, self.ctx.worker,
-            "one reconnecting client per worker"
-        );
-        let epoch = {
-            let mut s = self.ctx.session.lock().unwrap();
-            if let Some(e) = &s.failed {
-                return Err(e.clone());
+            WireMsg::Heartbeat { .. } => {
+                let _ = ctx.live()?.inner.request(msg);
+                Ok(None)
             }
-            match s.inner.register(worker) {
-                Ok(acked) => {
-                    s.pushed = acked.clone();
-                    s.acked = Some(acked.clone());
-                    return Ok(acked);
-                }
-                Err(_) => s.epoch,
-            }
-        };
-        reconnect_session(&self.ctx, epoch)?;
-        let mut s = self.ctx.session.lock().unwrap();
-        let acked = s.acked.clone().expect("reconnect stores the ack");
-        s.pushed = acked.clone();
-        Ok(acked)
-    }
-
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        let epoch = {
-            let s = self.ctx.session.lock().unwrap();
-            if let Some(e) = &s.failed {
-                return Err(e.clone());
-            }
-            match s.inner.leave(worker) {
-                Ok(()) => return Ok(()),
-                Err(_) => s.epoch,
-            }
-        };
-        reconnect_session(&self.ctx, epoch)?;
-        self.ctx.session.lock().unwrap().inner.leave(worker)
-    }
-
-    /// Forwarded to the current session without a redial on failure: a
-    /// cancel is only honoured from the connections whose registration
-    /// it rolls back, so re-sending it on a fresh session would be a
-    /// server-side no-op anyway.
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        let s = self.ctx.session.lock().unwrap();
-        if let Some(e) = &s.failed {
-            return Err(e.clone());
+            other => ctx.live()?.inner.request(other),
         }
-        s.inner.cancel_join(worker)
-    }
-
-    /// Best-effort: a failed heartbeat means the link is down, and the
-    /// push or pull that discovers that triggers the reconnect — the
-    /// heartbeat thread must not die (or redial) over it. Takes only a
-    /// brief session-lock hold, so heartbeats stay responsive even while
-    /// a redial sleeps through its backoff schedule.
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        let s = self.ctx.session.lock().unwrap();
-        if let Some(e) = &s.failed {
-            return Err(e.clone());
-        }
-        let _ = s.inner.heartbeat(worker);
-        Ok(())
     }
 
     fn pool(&self) -> &BufferPool {

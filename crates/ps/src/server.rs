@@ -255,11 +255,7 @@ impl ParamServer {
 
     /// A client handle usable from any thread.
     pub fn client(&self) -> PsClient {
-        PsClient::new(
-            self.shard.clone(),
-            Arc::clone(&self.stats),
-            self.pool.clone(),
-        )
+        PsClient::new(self.shard.clone(), self.pool.clone())
     }
 
     /// Traffic counters.
@@ -276,7 +272,7 @@ impl ParamServer {
 
     /// The payload buffer pool shared between this server and its
     /// clients. Buffers recycled by the server after decoding a push are
-    /// handed back out through [`PsClient::pool`] /
+    /// handed back out through [`crate::ParamClient::pool`] /
     /// [`cdsgd_compress::GradientCompressor::compress_into`].
     pub fn pool(&self) -> &BufferPool {
         &self.pool
@@ -365,6 +361,7 @@ fn net_delay(delay_per_byte: f64, bytes: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamClient;
     use cdsgd_compress::{decompress_add, Compressed};
     use cdsgd_telemetry::Event;
 

@@ -49,21 +49,6 @@ pub const MAX_ELASTIC_WORKERS: usize = 4096;
 /// answer.
 pub(crate) type Owed<R> = (R, Result<WireMsg, NetError>);
 
-/// Whether the shard answers `msg`: the four requests that expect an
-/// answer, and the server-to-client kinds, which are answered with the
-/// error that retires the connection that sent them.
-pub(crate) fn answered(msg: &WireMsg) -> bool {
-    !matches!(
-        msg,
-        WireMsg::Push { .. }
-            | WireMsg::SetLr { .. }
-            | WireMsg::Heartbeat { .. }
-            | WireMsg::Leave { .. }
-            | WireMsg::CancelJoin { .. }
-            | WireMsg::Shutdown
-    )
-}
-
 /// Which pushes a shard accepts: from a worker id it admits, to a key it
 /// owns, at that key's length. The one admission check — the core runs it
 /// on every push, and the I/O loop on every push frame's head, before
@@ -443,8 +428,8 @@ impl<R> Shard<R> {
 
     /// Handle one request from connection `conn` (0 = in-process) at
     /// `now`. `reply` is where the answer goes, for the kinds that are
-    /// [`answered`]. Returns every reply the request made due: its own,
-    /// and those of parked pulls it released or failed.
+    /// [`cdsgd_net::wire::answered`]. Returns every reply the request made
+    /// due: its own, and those of parked pulls it released or failed.
     pub(crate) fn on(
         &mut self,
         conn: u64,

@@ -9,9 +9,9 @@
 //! [`crate::net::RemoteClient`]s ([`crate::NetCluster`]).
 
 use crate::api::ParamClient;
-use crate::client::PendingPull;
-use crate::Key;
-use cdsgd_compress::{BufferPool, Compressed};
+use crate::client::PendingReply;
+use cdsgd_compress::BufferPool;
+use cdsgd_net::wire::WireMsg;
 use cdsgd_net::NetError;
 
 /// A client that routes by key to the owning shard. Generic over the
@@ -34,22 +34,20 @@ pub fn partition_keys(init: Vec<Vec<f32>>, num_shards: usize) -> Vec<Vec<Vec<f32
     per_shard
 }
 
-/// Inverse of [`partition_keys`] for snapshots: interleave per-shard
-/// `(weights, versions)` back into global key order.
-pub fn reassemble_snapshots(
-    shards: Vec<(Vec<Vec<f32>>, Vec<u64>)>,
-    num_keys: usize,
-) -> (Vec<Vec<f32>>, Vec<u64>) {
-    let s = shards.len();
-    assert!(s > 0, "need at least one shard snapshot");
-    let mut weights = Vec::with_capacity(num_keys);
-    let mut versions = Vec::with_capacity(num_keys);
-    for k in 0..num_keys {
-        let (w, v) = &shards[k % s];
-        weights.push(w[k / s].clone());
-        versions.push(v[k / s]);
-    }
-    (weights, versions)
+/// Inverse of [`partition_keys`]: interleave per-shard lists, each in
+/// its shard's local key order, back into global key order. Shards whose
+/// key counts no round-robin split gives are a [`NetError::Decode`].
+fn interleave<T>(per_shard: Vec<Vec<T>>) -> Result<Vec<T>, NetError> {
+    let s = per_shard.len();
+    let num_keys = per_shard.iter().map(Vec::len).sum();
+    let mut shards: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+    (0..num_keys)
+        .map(|k| {
+            shards[k % s]
+                .next()
+                .ok_or_else(|| NetError::Decode(format!("shard {} holds no key {k}", k % s)))
+        })
+        .collect()
 }
 
 impl<C> ShardedClient<C> {
@@ -59,24 +57,90 @@ impl<C> ShardedClient<C> {
         assert!(!clients.is_empty(), "need at least one shard client");
         Self { clients, pool }
     }
+}
 
-    fn route(&self, key: Key) -> (usize, Key) {
-        let s = key % self.clients.len();
-        (s, key / self.clients.len())
+impl<C: ParamClient> ParamClient for ShardedClient<C> {
+    /// A push or pull goes to the shard that owns its key. A register is
+    /// the two-phase join below, a snapshot is asked of every shard and
+    /// answered as one, and the fire-and-forget kinds go to every shard,
+    /// best-effort: a shard skipped after an earlier failure would block
+    /// its rounds on a departed member (`Leave`), or evict a live one for
+    /// silence (`Heartbeat`). A cancel is safe to spray across shards
+    /// that never admitted the worker: each server's `joined_by` fence
+    /// makes it a no-op there.
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+        let ready = |reply| Ok(Some(PendingReply::ready(Ok(reply))));
+        let every = |op, msg| self.on_every_shard(op, msg).map(|()| None);
+        match msg {
+            WireMsg::Push {
+                worker,
+                key,
+                payload,
+            } => {
+                let (c, key) = self.route(key);
+                c.request(WireMsg::Push {
+                    worker,
+                    key,
+                    payload,
+                })
+            }
+            WireMsg::Pull { key, min_version } => {
+                let (c, key) = self.route(key);
+                c.request(WireMsg::Pull { key, min_version })
+            }
+            WireMsg::Register { worker } => ready(WireMsg::RegisterAck {
+                versions: self.join(worker as usize)?,
+            }),
+            WireMsg::Snapshot => {
+                let (mut weights, mut versions) = (Vec::new(), Vec::new());
+                for c in &self.clients {
+                    let (w, v) = c.snapshot()?;
+                    weights.push(w);
+                    versions.push(v);
+                }
+                ready(WireMsg::SnapshotReply {
+                    weights: interleave(weights)?,
+                    versions: interleave(versions)?,
+                })
+            }
+            WireMsg::Leave { .. } => every("leave", msg),
+            WireMsg::CancelJoin { .. } => every("cancel_join", msg),
+            WireMsg::Heartbeat { .. } => every("heartbeat", msg),
+            WireMsg::SetLr { .. } => every("set_lr", msg),
+            WireMsg::Shutdown => every("shutdown", msg),
+            // A checkpoint captures one shard's own round, so it is asked
+            // of a shard's client; a server-to-client kind is no request.
+            WireMsg::Checkpoint
+            | WireMsg::PullReply { .. }
+            | WireMsg::SnapshotReply { .. }
+            | WireMsg::RegisterAck { .. }
+            | WireMsg::CheckpointAck { .. } => Err(NetError::Decode(
+                "a sharded client sends no checkpoint or server-to-client frame".into(),
+            )),
+        }
     }
 
-    /// Best-effort `op` on *every* shard — a failure on shard `k` does
+    fn pool(&self) -> &BufferPool {
+        &self.pool
+    }
+}
+
+impl<C: ParamClient> ShardedClient<C> {
+    /// The shard owning global `key`, and the key's index there.
+    fn route(&self, key: u32) -> (&C, u32) {
+        let (key, n) = (key as usize, self.clients.len());
+        // `key / n <= key`, so it still fits.
+        (&self.clients[key % n], (key / n) as u32)
+    }
+
+    /// Best-effort `msg` to *every* shard — a failure on shard `k` does
     /// not skip shards `k+1..` — with the per-shard failures aggregated
-    /// into one [`NetError::Membership`].
-    fn on_every_shard(
-        &self,
-        op: &'static str,
-        f: impl Fn(&C) -> Result<(), NetError>,
-    ) -> Result<(), NetError> {
+    /// into one [`NetError::Membership`] named `op`.
+    fn on_every_shard(&self, op: &'static str, msg: WireMsg) -> Result<(), NetError> {
         let mut failed = Vec::new();
         let mut last = None;
         for (shard, c) in self.clients.iter().enumerate() {
-            if let Err(e) = f(c) {
+            if let Err(e) = c.request(msg.clone()) {
                 failed.push(shard);
                 last = Some(e);
             }
@@ -90,24 +154,10 @@ impl<C> ShardedClient<C> {
             }),
         }
     }
-}
-
-impl<C: ParamClient> ParamClient for ShardedClient<C> {
-    /// Push a gradient payload for global `key`.
-    fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
-        let (shard, local) = self.route(key);
-        self.clients[shard].push(worker, local, payload)
-    }
-
-    fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError> {
-        let (shard, local) = self.route(key);
-        self.clients[shard].pull_async(local, min_version)
-    }
 
     /// Two-phase join: tentatively register with every shard in shard
-    /// order, then interleave the per-shard version acks back into
-    /// global key order (inverse of the round-robin key partition, same
-    /// as [`reassemble_snapshots`]). If any shard fails, the join is
+    /// order, then [`interleave`] the per-shard version acks back into
+    /// global key order. If any shard fails, the join is
     /// rolled back with a best-effort [`ParamClient::cancel_join`] on
     /// the shards already joined *and* the failing shard itself (whose
     /// register may have landed even though its ack was lost), so no
@@ -118,7 +168,7 @@ impl<C: ParamClient> ParamClient for ShardedClient<C> {
     /// (the reconnect layer reuses this register) is a no-op and the
     /// active count can never drop below its pre-join value — which was
     /// a valid quorum (or zero) before this call started.
-    fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
+    fn join(&self, worker: usize) -> Result<Vec<u64>, NetError> {
         let mut per: Vec<Vec<u64>> = Vec::with_capacity(self.clients.len());
         for (shard, c) in self.clients.iter().enumerate() {
             match c.register(worker) {
@@ -135,34 +185,7 @@ impl<C: ParamClient> ParamClient for ShardedClient<C> {
                 }
             }
         }
-        let s = per.len();
-        let num_keys: usize = per.iter().map(|v| v.len()).sum();
-        Ok((0..num_keys).map(|k| per[k % s][k / s]).collect())
-    }
-
-    /// Best-effort departure from *every* shard: a shard skipped after
-    /// an earlier failure would block its rounds on a departed member
-    /// until heartbeat eviction.
-    fn leave(&self, worker: usize) -> Result<(), NetError> {
-        self.on_every_shard("leave", |c| c.leave(worker))
-    }
-
-    /// Best-effort join rollback on *every* shard. Safe to spray across
-    /// shards that never admitted the worker: each server's `joined_by`
-    /// fence makes the cancel a no-op there.
-    fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-        self.on_every_shard("cancel_join", |c| c.cancel_join(worker))
-    }
-
-    fn heartbeat(&self, worker: usize) -> Result<(), NetError> {
-        for c in &self.clients {
-            c.heartbeat(worker)?;
-        }
-        Ok(())
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
+        interleave(per)
     }
 }
 
@@ -171,6 +194,7 @@ mod tests {
     use super::*;
     use crate::client::PsClient;
     use crate::server::{ParamServer, ServerConfig};
+    use cdsgd_compress::Compressed;
 
     fn init(keys: usize) -> Vec<Vec<f32>> {
         (0..keys).map(|k| vec![k as f32; 2]).collect()
@@ -281,8 +305,7 @@ mod tests {
         let c = client(&ps);
         c.push(0, 2, Compressed::Raw(vec![1.0, 1.0])).unwrap();
         c.pull(2, 1).unwrap();
-        let per_shard = ps.iter().map(|s| s.client().snapshot().unwrap()).collect();
-        let (w, v) = reassemble_snapshots(per_shard, 5);
+        let (w, v) = c.snapshot().unwrap();
         assert_eq!(w.len(), 5);
         assert_eq!(v, vec![0, 0, 1, 0, 0]);
         assert_eq!(w[2], vec![1.0, 1.0]);
@@ -290,15 +313,26 @@ mod tests {
         shutdown(ps);
     }
 
+    #[test]
+    fn interleave_inverts_the_partition_and_refuses_a_misfit() {
+        let keys: Vec<Vec<f32>> = (0..5).map(|k| vec![k as f32]).collect();
+        assert_eq!(interleave(partition_keys(keys.clone(), 2)).unwrap(), keys);
+        // Acks or snapshots arrive from sockets: shards whose key counts
+        // no round-robin split gives are refused, not indexed past.
+        let misfit = interleave(vec![vec![0], vec![1, 3, 5]]);
+        assert!(matches!(misfit, Err(NetError::Decode(_))), "{misfit:?}");
+    }
+
     /// A scripted per-shard client: records membership calls and fails
-    /// register/leave on demand, so the router's transaction logic is
-    /// testable without servers.
+    /// register, or leave and heartbeat, on demand, so the router's
+    /// transaction logic is testable without servers.
     struct ScriptedShard {
         fail_register: bool,
         fail_leave: bool,
         registers: std::sync::Mutex<Vec<usize>>,
         leaves: std::sync::Mutex<Vec<usize>>,
         cancels: std::sync::Mutex<Vec<usize>>,
+        beats: std::sync::Mutex<Vec<usize>>,
         pool: BufferPool,
     }
 
@@ -310,35 +344,33 @@ mod tests {
                 registers: std::sync::Mutex::new(Vec::new()),
                 leaves: std::sync::Mutex::new(Vec::new()),
                 cancels: std::sync::Mutex::new(Vec::new()),
+                beats: std::sync::Mutex::new(Vec::new()),
                 pool: BufferPool::new(),
             }
         }
     }
 
     impl ParamClient for ScriptedShard {
-        fn push(&self, _: usize, _: Key, _: Compressed) -> Result<(), NetError> {
-            unimplemented!("membership tests never push")
-        }
-        fn pull_async(&self, _: Key, _: u64) -> Result<PendingPull, NetError> {
-            unimplemented!("membership tests never pull")
-        }
-        fn register(&self, worker: usize) -> Result<Vec<u64>, NetError> {
-            if self.fail_register {
-                return Err(NetError::Closed);
-            }
-            self.registers.lock().unwrap().push(worker);
-            Ok(vec![7])
-        }
-        fn leave(&self, worker: usize) -> Result<(), NetError> {
-            self.leaves.lock().unwrap().push(worker);
-            if self.fail_leave {
+        fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+            let (log, worker, fails) = match msg {
+                WireMsg::Register { worker } => {
+                    if self.fail_register {
+                        return Err(NetError::Closed);
+                    }
+                    self.registers.lock().unwrap().push(worker as usize);
+                    let ack = WireMsg::RegisterAck { versions: vec![7] };
+                    return Ok(Some(PendingReply::ready(Ok(ack))));
+                }
+                WireMsg::Leave { worker } => (&self.leaves, worker, self.fail_leave),
+                WireMsg::Heartbeat { worker } => (&self.beats, worker, self.fail_leave),
+                WireMsg::CancelJoin { worker } => (&self.cancels, worker, false),
+                other => return Err(NetError::Decode(format!("unscripted {other:?}"))),
+            };
+            log.lock().unwrap().push(worker as usize);
+            if fails {
                 return Err(NetError::ServerGone);
             }
-            Ok(())
-        }
-        fn cancel_join(&self, worker: usize) -> Result<(), NetError> {
-            self.cancels.lock().unwrap().push(worker);
-            Ok(())
+            Ok(None)
         }
         fn pool(&self) -> &BufferPool {
             &self.pool
@@ -407,6 +439,30 @@ mod tests {
         // Every shard saw the goodbye despite shard 0 failing first.
         for shard in &c.clients {
             assert_eq!(*shard.leaves.lock().unwrap(), [3]);
+        }
+    }
+
+    #[test]
+    fn heartbeat_reaches_every_shard_past_a_failing_one() {
+        let shards = vec![
+            ScriptedShard::new(false, true),
+            ScriptedShard::new(false, false),
+            ScriptedShard::new(false, false),
+        ];
+        let c = ShardedClient::from_clients(shards, BufferPool::new());
+        let err = c.heartbeat(5).unwrap_err();
+        assert_eq!(
+            err,
+            NetError::Membership {
+                op: "heartbeat",
+                shards: vec![0],
+                last: Box::new(NetError::ServerGone),
+            }
+        );
+        // A dead link to shard 0 must not silence the healthy shards
+        // behind it, or they would evict a live worker.
+        for shard in &c.clients {
+            assert_eq!(*shard.beats.lock().unwrap(), [5]);
         }
     }
 

@@ -162,6 +162,38 @@ if grep -n 'too_many_arguments' crates/ps/src/server.rs crates/ps/src/shard.rs; 
     exit 1
 fi
 
+# One client verb (DESIGN.md §13): every layer of the client stack is one
+# `ParamClient::request` taking a `WireMsg` (plus `pool`), and the typed
+# calls are written once, as the trait's provided methods. No implementor
+# — test fakes included — may override a typed call, no client may carry
+# an inherent copy of one, `remote.rs` may not grow its per-kind
+# take-closure `request<T>` back, and which reply answers which request
+# is decided in `net/wire.rs` alone.
+echo "==> every ParamClient impl is request + pool; the pairing rule lives in net/wire.rs"
+for f in $(git ls-files '*.rs'); do
+    awk '
+        / ParamClient for / && /^ *impl/ { inside = 1; end = substr($0, 1, match($0, /[^ ]/) - 1) "}"; next }
+        inside && $0 == end { inside = 0 }
+        inside && /^ *fn / && !/^ *fn (request|pool)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit bad }
+    ' "$f" || {
+        echo "ERROR: a ParamClient impl defines more than request and pool; write the call once on the trait" >&2
+        exit 1
+    }
+done
+for f in $(git ls-files 'crates/ps/src/*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" \
+        'pub fn \(push\|pull\|pull_async\|pull_all\|register\|leave\|cancel_join\|heartbeat\|set_lr\|snapshot\|checkpoint_now\|shutdown_server\)\b'; then
+        echo "ERROR: a client carries an inherent copy of a typed call; it is a ParamClient provided method" >&2
+        exit 1
+    fi
+done
+if grep -n 'fn request<' crates/ps/src/remote.rs ||
+    git grep -n 'fn \(answered\|answers\)\b' -- '*.rs' | grep -v '^crates/net/src/wire\.rs:'; then
+    echo "ERROR: a second request/reply pairing rule; ask cdsgd_net::wire::{answered, answers}" >&2
+    exit 1
+fi
+
 # One pass per server round (DESIGN.md §3): a round decodes, sums and
 # steps block by block through a stack buffer. The program half of
 # ps/shard.rs may neither name a key-sized `acc` nor decode a whole

@@ -4,7 +4,7 @@
 
 use cdsgd_compress::{Compressed, GradientCompressor, TwoBitQuantizer};
 use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes};
-use cdsgd_ps::{ParamServer, ServerConfig};
+use cdsgd_ps::{ParamClient, ParamServer, ServerConfig};
 use proptest::prelude::*;
 
 proptest! {

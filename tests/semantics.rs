@@ -8,10 +8,11 @@
 use cd_sgd::{
     run_standalone_worker, Algorithm, Event, Link, Sink, Telemetry, TrainConfig, Trainer,
 };
-use cdsgd_compress::{decompress, BufferPool, Compressed, GradientCompressor, TwoBitQuantizer};
+use cdsgd_compress::{decompress, BufferPool, GradientCompressor, TwoBitQuantizer};
 use cdsgd_data::{toy, Dataset};
+use cdsgd_net::wire::WireMsg;
 use cdsgd_nn::{models, Dense, Layer, Mode, Relu, Sequential, SoftmaxCrossEntropy};
-use cdsgd_ps::{NetError, ParamClient, ParamServer, PendingPull, PsClient, ServerConfig};
+use cdsgd_ps::{NetError, ParamClient, ParamServer, PendingReply, PsClient, ServerConfig};
 use cdsgd_telemetry::Op;
 use cdsgd_tensor::{SmallRng64, Tensor};
 use std::sync::{Arc, Mutex};
@@ -297,16 +298,17 @@ impl Layer for Probe {
 struct RecordingClient(PsClient, Log);
 
 impl ParamClient for RecordingClient {
-    fn push(&self, worker: usize, key: usize, payload: Compressed) -> Result<(), NetError> {
-        self.1.lock().unwrap().push(Did::Push(key));
-        self.0.push(worker, key, payload)
-    }
-    fn pull_async(&self, key: usize, min_version: u64) -> Result<PendingPull, NetError> {
-        self.1
-            .lock()
-            .unwrap()
-            .push(Did::PullAsync(key, min_version));
-        self.0.pull_async(key, min_version)
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+        match msg {
+            WireMsg::Push { key, .. } => self.1.lock().unwrap().push(Did::Push(key as usize)),
+            WireMsg::Pull { key, min_version } => self
+                .1
+                .lock()
+                .unwrap()
+                .push(Did::PullAsync(key as usize, min_version)),
+            _ => {}
+        }
+        self.0.request(msg)
     }
     fn pool(&self) -> &BufferPool {
         self.0.pool()
@@ -450,16 +452,16 @@ impl Layer for Spy {
 struct Key0Pushes(PsClient, Arc<Mutex<Vec<Vec<f32>>>>);
 
 impl ParamClient for Key0Pushes {
-    fn push(&self, worker: usize, key: usize, payload: Compressed) -> Result<(), NetError> {
-        if key == 0 {
+    fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
+        if let WireMsg::Push {
+            key: 0, payload, ..
+        } = &msg
+        {
             let mut g = vec![0.0; payload.len()];
-            decompress(&payload, &mut g);
+            decompress(payload, &mut g);
             self.1.lock().unwrap().push(g);
         }
-        self.0.push(worker, key, payload)
-    }
-    fn pull_async(&self, key: usize, min_version: u64) -> Result<PendingPull, NetError> {
-        self.0.pull_async(key, min_version)
+        self.0.request(msg)
     }
     fn pool(&self) -> &BufferPool {
         self.0.pool()
