@@ -26,6 +26,10 @@ pub enum ConfigError {
     InvalidErrorDecay(f32),
     /// A training run needs at least one worker.
     NoWorkers,
+    /// An emulated network bandwidth (bytes/second) that is not a finite
+    /// positive number: a link that carries nothing, or a negative or
+    /// NaN delay per byte.
+    InvalidBandwidth(f64),
     /// The algorithm was handed the wrong kind of worker link: a
     /// parameter-server algorithm a collective, or a server-less one
     /// (AR-SGD) a parameter-server client.
@@ -49,6 +53,12 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "error decay beta must be in [0, 1], got {b}")
             }
             ConfigError::NoWorkers => write!(f, "need at least one worker"),
+            ConfigError::InvalidBandwidth(b) => {
+                write!(
+                    f,
+                    "emulated network bandwidth must be finite and positive, got {b} bytes/s"
+                )
+            }
             ConfigError::LinkMismatch { algo, link } => {
                 write!(f, "{algo} cannot synchronize over a {link} link")
             }
@@ -388,9 +398,11 @@ pub struct TrainConfig {
     /// Apply random crop + flip augmentation to training batches
     /// (requires NCHW data).
     pub augment: bool,
-    /// Emulated network bandwidth in bytes/second shared through the
-    /// server thread (`None` = in-process speed). Lets the real trainer
-    /// reproduce the paper's communication-bound regimes.
+    /// Emulated network bandwidth in bytes/second: each server shard's
+    /// pushes and pull replies share one link of this bandwidth (`None` =
+    /// in-process speed; see `cdsgd_ps::ServerConfig::delay_per_byte`).
+    /// Lets the real trainer reproduce the paper's communication-bound
+    /// regimes.
     pub net_bytes_per_sec: Option<f64>,
     /// Scripted fault injection: `(worker, fault)` wraps that worker's
     /// parameter-server client in a [`cdsgd_ps::FaultyClient`] executing
@@ -584,9 +596,27 @@ impl TrainConfig {
     }
 
     /// Emulate a shared network of the given bandwidth (bytes/second).
+    /// [`TrainConfig::validate`] refuses one that is not finite and
+    /// positive.
     pub fn with_emulated_network(mut self, bytes_per_sec: f64) -> Self {
         self.net_bytes_per_sec = Some(bytes_per_sec);
         self
+    }
+
+    /// Structural validation of the whole run, done by the trainer
+    /// before any thread spawns: at least one worker, a valid algorithm
+    /// ([`Algorithm::validate`]) and, if set, a finite positive emulated
+    /// bandwidth. Struct-literal updates can bypass the checks of
+    /// [`TrainConfig::try_new`]; this catches them.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.num_workers == 0 {
+            return Err(ConfigError::NoWorkers);
+        }
+        self.algo.validate()?;
+        match self.net_bytes_per_sec {
+            Some(bps) if !(bps.is_finite() && bps > 0.0) => Err(ConfigError::InvalidBandwidth(bps)),
+            _ => Ok(()),
+        }
     }
 
     /// Choose the server-side optimizer (extension; default plain SGD).
@@ -817,6 +847,27 @@ mod tests {
         ] {
             assert_eq!(ok.validate(), Ok(()));
         }
+    }
+
+    #[test]
+    fn validate_refuses_a_bandwidth_that_is_not_finite_and_positive() {
+        let cfg = TrainConfig::new(Algorithm::SSgd, 2);
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(cfg.clone().with_emulated_network(1e6).validate(), Ok(()));
+        for bps in [0.0, -5.0 * 1024.0 * 1024.0, f64::NAN, f64::INFINITY] {
+            let err = cfg
+                .clone()
+                .with_emulated_network(bps)
+                .validate()
+                .unwrap_err();
+            assert!(
+                matches!(err, ConfigError::InvalidBandwidth(b) if b.to_bits() == bps.to_bits()),
+                "{bps}: {err:?}"
+            );
+        }
+        let mut none = cfg;
+        none.num_workers = 0;
+        assert_eq!(none.validate(), Err(ConfigError::NoWorkers));
     }
 
     #[test]

@@ -62,17 +62,16 @@ impl Trainer {
     /// Create a trainer. `builder` must be deterministic in the RNG.
     ///
     /// # Panics
-    /// Panics on a structurally invalid algorithm (see
-    /// [`crate::config::ConfigError`]) — configs built through
-    /// [`TrainConfig::new`]/[`TrainConfig::try_new`] are already valid,
-    /// but struct-literal updates can bypass that check.
+    /// Panics on a structurally invalid configuration (see
+    /// [`TrainConfig::validate`]); check it first for a typed
+    /// [`crate::config::ConfigError`].
     pub fn new(
         cfg: TrainConfig,
         builder: impl Fn(&mut SmallRng64) -> Sequential + Send + Sync + 'static,
         train: Dataset,
         test: Option<Dataset>,
     ) -> Self {
-        cfg.algo.validate().unwrap_or_else(|e| panic!("{e}"));
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Self {
             cfg,
             builder: Arc::new(builder),
@@ -743,7 +742,7 @@ pub fn run_standalone_worker(
 ) -> Result<Vec<(f32, Option<f32>)>, NetError> {
     let n = cfg.num_workers;
     assert!(id < n, "worker id {id} out of range for {n} workers");
-    cfg.algo.validate().unwrap_or_else(|e| panic!("{e}"));
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let ipe = (0..n)
         .map(|w| train.shard(w, n).len() / cfg.batch_size)
         .min()

@@ -1,16 +1,28 @@
 //! Worker-side client handle.
 
 use crate::api::ParamClient;
+use crate::link::{self, Link};
 use crate::remote::Reissue;
 use cdsgd_compress::BufferPool;
-use cdsgd_net::wire::{answered, WireMsg};
+use cdsgd_net::wire::{answered, push_frame_bytes, WireMsg};
 use cdsgd_net::{NetError, Waker};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What a request resolves to: the server's reply, or the typed failure
 /// it answered with.
 pub(crate) type Answer = Result<WireMsg, NetError>;
+
+/// An answer and the instant the emulated link finishes carrying it to
+/// its receiver (`None`: at once).
+pub(crate) type Delivery = (Answer, Option<Instant>);
+
+/// A request as the shard thread receives it: the connection it arrived
+/// on (0 = in-process), the message, where the answer goes for the kinds
+/// the shard answers, and — for a push on an emulated link — the instant
+/// the link finishes carrying it.
+pub(crate) type Request = (u64, WireMsg, Option<ReplyTx>, Option<Instant>);
 
 /// The sending half of an answer the server thread owes a requester.
 ///
@@ -23,7 +35,7 @@ pub(crate) struct ReplyTx {
     // Field order is load-bearing: fields drop in declaration order, so
     // the sender is gone (value delivered, or channel disconnected)
     // before the wake that makes the loop look at the receiver.
-    tx: SyncSender<Answer>,
+    tx: SyncSender<Delivery>,
     _wake: Option<WakeOnDrop>,
 }
 
@@ -36,28 +48,37 @@ impl Drop for WakeOnDrop {
 }
 
 impl ReplyTx {
-    /// Deliver the answer (a requester that stopped waiting is fine).
-    pub(crate) fn send(self, answer: Answer) {
-        let _ = self.tx.send(answer);
+    /// Deliver the answer, due at `at` (a requester that stopped waiting
+    /// is fine).
+    pub(crate) fn send(self, answer: Answer, at: Option<Instant>) {
+        let _ = self.tx.send((answer, at));
     }
 }
 
-/// The sending half of a shard thread's request channel. A request is the
-/// connection it arrived on (0 = in-process), the message, and — for the
-/// kinds the shard answers — where the answer goes.
+/// The sending half of a shard thread's request channel, and the shard's
+/// emulated link, which every push books on its way in.
 #[derive(Clone)]
-pub(crate) struct ShardTx(pub(crate) Sender<(u64, WireMsg, Option<ReplyTx>)>);
+pub(crate) struct ShardTx {
+    tx: Sender<Request>,
+    link: Arc<Link>,
+}
 
 impl ShardTx {
-    /// Hand `msg` from connection `conn` to the shard. For a message the
-    /// shard answers, the receiver its answer arrives on; `waker` is the
-    /// requester's event loop, if it has one.
+    pub(crate) fn new(tx: Sender<Request>, link: Arc<Link>) -> Self {
+        Self { tx, link }
+    }
+
+    /// Hand `msg` from connection `conn` to the shard. A push books its
+    /// frame on the link and joins the channel under the same hold, so
+    /// channel order is link order. For a message the shard answers, the
+    /// receiver its answer arrives on; `waker` is the requester's event
+    /// loop, if it has one.
     pub(crate) fn send(
         &self,
         conn: u64,
         msg: WireMsg,
         waker: Option<&Waker>,
-    ) -> Result<Option<Receiver<Answer>>, NetError> {
+    ) -> Result<Option<Receiver<Delivery>>, NetError> {
         let (reply, rx) = if answered(&msg) {
             let (tx, rx) = mpsc::sync_channel(1);
             let _wake = waker.cloned().map(WakeOnDrop);
@@ -65,9 +86,15 @@ impl ShardTx {
         } else {
             (None, None)
         };
-        self.0
-            .send((conn, msg, reply))
-            .map_err(|_| NetError::ServerGone)?;
+        match &msg {
+            WireMsg::Push { payload, .. } => {
+                let bytes = push_frame_bytes(payload.wire_bytes());
+                self.link
+                    .reserve_then(bytes, |at| self.tx.send((conn, msg, reply, at)))
+            }
+            _ => self.tx.send((conn, msg, reply, None)),
+        }
+        .map_err(|_| NetError::ServerGone)?;
         Ok(rx)
     }
 }
@@ -86,14 +113,14 @@ pub(crate) fn settle<T>(
 /// the server answers. Uniform across every client layer, in-process or
 /// networked.
 pub struct PendingReply {
-    rx: Receiver<Answer>,
+    rx: Receiver<Delivery>,
     /// Set on a pull through a [`crate::net::ReconnectingClient`]: what
     /// issues it again if its connection dies before the reply.
     pub(crate) reissue: Option<Reissue>,
 }
 
 impl PendingReply {
-    pub(crate) fn new(rx: Receiver<Answer>) -> Self {
+    pub(crate) fn new(rx: Receiver<Delivery>) -> Self {
         Self { rx, reissue: None }
     }
 
@@ -102,7 +129,7 @@ impl PendingReply {
     pub(crate) fn ready(answer: Answer) -> Self {
         let (tx, rx) = mpsc::sync_channel(1);
         // The channel has room for the one answer, and `rx` is alive.
-        let _ = tx.send(answer);
+        let _ = tx.send((answer, None));
         Self::new(rx)
     }
 
@@ -111,9 +138,11 @@ impl PendingReply {
     /// error (e.g. [`NetError::WorkerLost`] from the server's round
     /// deadline) if the server answered but the request failed. Through a
     /// [`crate::net::ReconnectingClient`], a pull whose connection died
-    /// is redialed and issued again by this call.
+    /// is redialed and issued again by this call. Behind an emulated
+    /// link, it returns once the link has carried the reply.
     pub fn wait(&self) -> Result<WireMsg, NetError> {
-        let got = self.rx.recv().unwrap_or(Err(NetError::ServerGone));
+        let (got, at) = self.rx.recv().unwrap_or((Err(NetError::ServerGone), None));
+        link::wait_until(at);
         match &self.reissue {
             None => got,
             Some(reissue) => reissue.settle(got),

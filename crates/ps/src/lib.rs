@@ -73,6 +73,7 @@ mod attach;
 mod client;
 pub mod collective;
 mod fault;
+mod link;
 pub mod net;
 pub mod opt;
 pub mod recover;

@@ -42,7 +42,7 @@
 //! per-direction copy table).
 
 use crate::api::{ParamClient, PsBackend};
-use crate::client::{Answer, ShardTx};
+use crate::client::{Delivery, ShardTx};
 use crate::recover::Durability;
 use crate::server::{Outcome, ParamServer, ServerConfig};
 use crate::shard::Admission;
@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use crate::remote::{ReconnectingClient, RemoteClient};
 
@@ -104,7 +104,10 @@ struct Conn {
     bulk: Bulk,
     /// Answers owed, in request order. Only the front is ever polled, so
     /// replies can never reorder.
-    replies: VecDeque<Receiver<Answer>>,
+    replies: VecDeque<Receiver<Delivery>>,
+    /// The front answer, resolved but held until the emulated link has
+    /// carried it; every answer behind it waits too.
+    held: Option<Delivery>,
     /// Transport connection id, tagged onto frame events.
     id: u64,
 }
@@ -118,6 +121,7 @@ impl Conn {
             rbuf: Vec::new(),
             bulk: Bulk::Bytes,
             replies: VecDeque::new(),
+            held: None,
         }
     }
 }
@@ -485,9 +489,11 @@ impl IoLoop {
                         poller.add(fd, c.t.pending_out_bytes() > 0);
                     }
                 }
+                // A held answer ends the wait when the link delivers it.
+                let due = conns.iter().filter_map(|c| c.held.as_ref()?.1).min();
                 // Only a broken descriptor set can fail here, and the
                 // pass below retires whichever connection broke it.
-                let _ = poller.wait(None);
+                let _ = poller.wait(due.map(|at| at.saturating_duration_since(Instant::now())));
                 // Drain before looking for work: a wake that races the
                 // pass is then kept for the next wait instead of lost.
                 if poller.is_ready(0) {
@@ -563,21 +569,34 @@ impl IoLoop {
         if c.t.pending_out_bytes() > 0 {
             c.t.poll_flush()?;
         }
-        // Outbound: pop resolved answers in request order while the
-        // transport's queued output stays under the per-connection bound.
+        // Outbound: pop resolved answers in request order, each once the
+        // emulated link has carried it, while the transport's queued
+        // output stays under the per-connection bound.
         while c.t.pending_out_bytes() < MAX_CONN_WBUF {
-            let Some(front) = c.replies.front() else {
+            let (answer, at) = match c.held.take() {
+                Some(held) => held,
+                None => {
+                    let Some(front) = c.replies.front() else {
+                        break;
+                    };
+                    match front.try_recv() {
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
+                        Ok(delivery) => {
+                            c.replies.pop_front();
+                            delivery
+                        }
+                    }
+                }
+            };
+            if at.is_some_and(|at| at > Instant::now()) {
+                c.held = Some((answer, at));
                 break;
-            };
-            let reply = match front.try_recv() {
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
-                // A typed failure (round deadline, stale pull, a frame
-                // the shard refused) kills the connection; the remote
-                // client surfaces ServerGone.
-                Ok(answer) => answer?,
-            };
-            c.replies.pop_front();
+            }
+            // A typed failure (round deadline, stale pull, a frame the
+            // shard refused) kills the connection; the remote client
+            // surfaces ServerGone.
+            let reply = answer?;
             // A pull reply's bulk is the shard's snapshot itself, sent
             // (and if need be queued) by reference; every other reply is
             // encoded whole.
@@ -900,6 +919,33 @@ mod tests {
         let (w, v) = c.snapshot().unwrap();
         assert_eq!(v, vec![0, 1]);
         assert_eq!(w[1], vec![0.0, -1.0, -2.0]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_emulated_link_delivers_no_reply_before_it_has_carried_it() {
+        // 10 KB/s: a 100-float push and its pull reply each take ~42 ms,
+        // and the pull cannot be answered before the push has arrived.
+        const BYTES_PER_S: f64 = 10_000.0;
+        let cfg = ServerConfig::new(1, 1.0).with_network_bandwidth(BYTES_PER_S);
+        let push = || Compressed::Raw(vec![1.0; 100]);
+        let bytes = push_frame_bytes(push().wire_bytes()) + pull_reply_frame_bytes(100);
+        let least = Duration::from_secs_f64(bytes as f64 / BYTES_PER_S);
+        let round_trip = |c: &dyn ParamClient| {
+            let t = Instant::now();
+            c.push(0, 0, push()).unwrap();
+            assert_eq!(*c.pull(0, 1).unwrap(), [-1.0; 100]);
+            t.elapsed()
+        };
+        // In-process, the puller waits out its reply's booking; over a
+        // transport, the I/O loop holds the reply until then.
+        let ps = ParamServer::start(vec![vec![0.0; 100]], cfg);
+        let took = round_trip(&ps.client());
+        assert!(took >= least, "in-process: {took:?} < {least:?}");
+        ps.shutdown();
+        let server = PsNetServer::start(vec![vec![0.0; 100]], cfg);
+        let took = round_trip(&loopback_client(&server));
+        assert!(took >= least, "loopback: {took:?} < {least:?}");
         server.shutdown();
     }
 

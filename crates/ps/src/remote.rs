@@ -17,7 +17,7 @@
 //! after a redial (DESIGN.md §13).
 
 use crate::api::ParamClient;
-use crate::client::{Answer, PendingReply};
+use crate::client::{Answer, Delivery, PendingReply};
 use crate::net::{spawn_err, Bulk, HeadFirst, ShardDialer};
 use crate::sharded::ShardedClient;
 use crate::spares::Spares;
@@ -41,7 +41,7 @@ struct WriteHalf {
 /// goes.
 struct Waiter {
     request: WireMsg,
-    tx: SyncSender<Answer>,
+    tx: SyncSender<Delivery>,
 }
 
 /// A connection's waiters in send order; `None` once its reader has
@@ -148,7 +148,7 @@ fn read_replies(mut t: Box<dyn Transport>, conn: u64, waiters: &Waiters, stats: 
         drop(queue);
         match oldest {
             // A caller that stopped waiting is fine.
-            Some(w) if wire::answers(&w.request, &msg) => drop(w.tx.send(Ok(msg))),
+            Some(w) if wire::answers(&w.request, &msg) => drop(w.tx.send((Ok(msg), None))),
             _ => break,
         }
     }

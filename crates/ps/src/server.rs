@@ -1,12 +1,13 @@
 //! The server thread: a thin loop around one [`Shard`].
 //!
-//! The `param-server` thread receives a request, charges the emulated
-//! NIC for a push, hands the request to the core, and for each reply the
-//! core owes charges the pull-reply bytes, then sends it. Every decision
-//! — aggregation, the version window, membership, deadlines — is the
-//! core's (`crate::shard`).
+//! The `param-server` thread receives a request, waits until the
+//! emulated link has carried it if it is a push, hands it to the core,
+//! and books each pull reply the core owes on the link before sending it
+//! with its delivery instant. Every decision — aggregation, the version
+//! window, membership, deadlines — is the core's (`crate::shard`).
 
-use crate::client::{PsClient, ReplyTx, ShardTx};
+use crate::client::{PsClient, ReplyTx, Request, ShardTx};
+use crate::link::{self, Link};
 use crate::opt::ServerOptKind;
 use crate::recover::Durability;
 use crate::shard::{Admission, Shard};
@@ -78,12 +79,15 @@ pub struct ServerConfig {
     /// extension benchmarks. Instantiated per key at server start via
     /// [`ServerOptKind::build`].
     pub opt: ServerOptKind,
-    /// Emulated network seconds charged per transferred byte (0 = the
-    /// in-process default, effectively infinite bandwidth). The server
-    /// thread sleeps `bytes × delay` while handling each push and each
-    /// pull reply, emulating a single shared full-duplex-less NIC; this
-    /// is what lets the *real* trainer exhibit the paper's communication
-    /// pressure (see the `fig5_real` harness).
+    /// Emulated network seconds per transferred byte (0 = the in-process
+    /// default, effectively infinite bandwidth). Every push frame and
+    /// every pull-reply frame books `bytes × delay` on one FIFO link the
+    /// shard's transfers share, in both directions, and its receiver
+    /// waits until the booked end: the shard sees a push only once the
+    /// link has carried it, a puller its reply likewise, while the shard
+    /// thread itself keeps computing. This is what lets the *real*
+    /// trainer exhibit the paper's communication pressure (see the
+    /// `fig5_real` harness).
     pub delay_per_byte: f64,
     /// How long an aggregate round may stay *partial* (some workers'
     /// pushes for the round arrived, others' have not) before the server
@@ -226,12 +230,18 @@ impl ParamServer {
         durability: Durability,
     ) -> Self {
         let (tx, rx) = mpsc::channel();
+        let link = Arc::new(Link::new(&cfg));
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
         let pool = BufferPool::new();
         let admission = Admission::new(&init, &cfg);
         let outcome = Arc::new(Outcome::default());
         let handle = {
-            let (stats, outcome, pool) = (Arc::clone(&stats), Arc::clone(&outcome), pool.clone());
+            let (stats, outcome, pool, link) = (
+                Arc::clone(&stats),
+                Arc::clone(&outcome),
+                pool.clone(),
+                Arc::clone(&link),
+            );
             // The shard is built on its own thread, overlapping whatever
             // the caller sets up next.
             std::thread::Builder::new()
@@ -239,12 +249,12 @@ impl ParamServer {
                 .spawn(move || {
                     let now = Instant::now();
                     let shard = Shard::new(init, cfg, durability, Arc::clone(&stats), pool, now);
-                    serve(shard, rx, cfg.delay_per_byte, &stats, &outcome)
+                    serve(shard, rx, &link, &stats, &outcome)
                 })
                 .expect("spawn server thread")
         };
         Self {
-            shard: ShardTx(tx),
+            shard: ShardTx::new(tx, link),
             stats,
             pool,
             admission,
@@ -301,13 +311,15 @@ impl Drop for ParamServer {
 
 /// The `param-server` thread: feed the core each request (or a tick when
 /// its timers are due), publish a failure the moment the core reaches
-/// one, and deliver what it owes — emulated-NIC time charged for the push
-/// on the way in and for each pull reply on the way out. Stops on
-/// [`WireMsg::Shutdown`] or once every request sender is gone.
+/// one, and deliver what it owes. On an emulated link a push reaches the
+/// core at the instant its sender booked, and each pull reply is booked
+/// here and leaves with its own delivery instant, for its receiver to
+/// wait out. Stops on [`WireMsg::Shutdown`] or once every request sender
+/// is gone.
 fn serve(
     mut shard: Shard<ReplyTx>,
-    requests: Receiver<(u64, WireMsg, Option<ReplyTx>)>,
-    delay_per_byte: f64,
+    requests: Receiver<Request>,
+    link: &Link,
     stats: &TrafficStats,
     outcome: &Outcome,
 ) {
@@ -318,17 +330,16 @@ fn serve(
         };
         let owed = match request {
             Err(RecvTimeoutError::Timeout) => shard.tick(Instant::now()),
-            Err(RecvTimeoutError::Disconnected) | Ok((_, WireMsg::Shutdown, _)) => break,
-            Ok((conn, msg, reply)) => {
+            Err(RecvTimeoutError::Disconnected) | Ok((_, WireMsg::Shutdown, ..)) => break,
+            Ok((conn, msg, reply, arrives)) => {
                 // Traffic is charged at the full encoded frame size (the
                 // same bytes `cdsgd-net` puts on a socket: length prefix +
                 // opcode + routing fields + payload), so in-process and
                 // TCP runs report identical communication volume.
                 if let WireMsg::Push { payload, .. } = &msg {
-                    let frame = push_frame_bytes(payload.wire_bytes());
-                    stats.record_push(frame);
-                    net_delay(delay_per_byte, frame);
+                    stats.record_push(push_frame_bytes(payload.wire_bytes()));
                 }
+                link::wait_until(arrives);
                 shard.on(conn, msg, reply, Instant::now())
             }
         };
@@ -340,22 +351,18 @@ fn serve(
             });
         }
         for (reply, answer) in owed {
-            if let Ok(WireMsg::PullReply { weights, .. }) = &answer {
-                let frame = pull_reply_frame_bytes(weights.len());
-                stats.record_pull(frame);
-                net_delay(delay_per_byte, frame);
-            }
-            reply.send(answer);
+            let arrives = match &answer {
+                Ok(WireMsg::PullReply { weights, .. }) => {
+                    let frame = pull_reply_frame_bytes(weights.len());
+                    stats.record_pull(frame);
+                    link.reserve(frame)
+                }
+                _ => None,
+            };
+            reply.send(answer, arrives);
         }
     }
     outcome.update(|s| s.1 = true);
-}
-
-/// Emulated transfer time for `bytes` at the configured delay.
-fn net_delay(delay_per_byte: f64, bytes: usize) {
-    if delay_per_byte > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(delay_per_byte * bytes as f64));
-    }
 }
 
 #[cfg(test)]
@@ -719,7 +726,10 @@ mod tests {
         // Worker 0 registers over a transport connection (id 7), which
         // fences pushes from *other wire connections*…
         let ack = from(7, WireMsg::Register { worker: 0 }).unwrap().recv();
-        assert_eq!(ack.unwrap(), Ok(WireMsg::RegisterAck { versions: vec![0] }));
+        assert_eq!(
+            ack.unwrap().0,
+            Ok(WireMsg::RegisterAck { versions: vec![0] })
+        );
         // …but never the in-process sentinel: conn 0 marks a trusted
         // same-process caller, not a supersedable wire session.
         c.push(0, 0, Compressed::Raw(vec![2.0])).unwrap();

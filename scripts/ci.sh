@@ -205,6 +205,22 @@ if sed '/^#\[cfg(test)\]/,$d' crates/ps/src/shard.rs |
     exit 1
 fi
 
+# One emulated link (DESIGN.md §9): every transfer books
+# `max(now, free_at) + bytes × delay` on its shard's `Link`, and its
+# receiver waits out its own deadline. No thread sleeps on the link's
+# behalf: the program half of ps/ defines no `net_delay`, and no file but
+# ps/link.rs reads `delay_per_byte` (the config may still set it).
+echo "==> ps/ emulates its link in ps/link.rs alone; no net_delay"
+for f in $(git ls-files 'crates/ps/src/*.rs'); do
+    prog=$(sed '/^#\[cfg(test)\]/,$d' "$f")
+    if grep -Hn --label="$f" '\bfn net_delay\b' <<<"$prog" ||
+        { [ "$f" != crates/ps/src/link.rs ] &&
+            grep -Hn --label="$f" '\.delay_per_byte\b' <<<"$prog" | grep -v '\.delay_per_byte = '; }; then
+        echo "ERROR: the emulated link is read or slept outside ps/link.rs; book it through Link" >&2
+        exit 1
+    fi
+done
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through

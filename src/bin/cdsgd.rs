@@ -8,7 +8,7 @@
 //!                [--dc-lambda 0] [--sync-period 4] [--ef-momentum 0.9] \
 //!                [--ecq-alpha 1] [--ecq-beta 1] \
 //!                [--lr 0.1] [--momentum 0 [--nesterov]] \
-//!                [--batch 32] [--samples 4000] [--seed 42] \
+//!                [--batch 32] [--samples 4000] [--seed 42] [--net-mibps 200] \
 //!                [--max-restarts 0] [--restart-backoff-ms 250] \
 //!                [--save final.ckpt] [--history hist.json] [--trace trace.jsonl]
 //! cdsgd simulate --model resnet50 --gpu v100 --batch 32 [--k 5] [--gbps 56]
@@ -393,6 +393,10 @@ fn cmd_train() {
         });
         cfg = cfg.with_emulated_network(m * 1024.0 * 1024.0);
     }
+    cfg.validate().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
 
     println!(
         "training {} on {dataset_name} ({} train / {} test samples, M={workers})",

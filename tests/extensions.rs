@@ -5,8 +5,10 @@
 
 use cd_sgd::{Algorithm, Codec, ServerOptKind, TrainConfig, Trainer, TrainingHistory};
 use cdsgd_data::toy;
+use cdsgd_net::NetConfig;
 use cdsgd_nn::models;
-use cdsgd_ps::{InProcessBackend, ParamServer};
+use cdsgd_ps::{InProcessBackend, NetCluster, ParamServer};
+use std::process::Command;
 
 fn run(algo: Algorithm, epochs: usize) -> TrainingHistory {
     let data = toy::gaussian_blobs(480, 8, 4, 0.6, 13);
@@ -104,6 +106,71 @@ fn emulated_network_slows_training_but_preserves_results() {
     let tf: f64 = fast.epochs.iter().map(|e| e.epoch_time_s).sum();
     let ts: f64 = slow.epochs.iter().map(|e| e.epoch_time_s).sum();
     assert!(ts > tf * 2.0, "slow {ts} vs fast {tf}");
+}
+
+/// The emulated link never delivers faster than its bandwidth: every
+/// byte a run moves books `1 / bandwidth` seconds on one FIFO link, so
+/// the run's epochs last at least that long — on the in-process server,
+/// and behind the TCP front-end, whose I/O loop holds each pull reply
+/// until the link has carried it.
+#[test]
+fn emulated_link_never_delivers_faster_than_its_bandwidth() {
+    const BYTES_PER_S: f64 = 100_000.0;
+    // 120 training samples, and a test set whose evaluation after each
+    // epoch's last round leaves the link idle for a few milliseconds:
+    // room for the epoch clock, which starts as the workers are released
+    // rather than before.
+    let (train, test) = toy::gaussian_blobs(4120, 6, 3, 0.5, 21).split(120.0 / 4120.0);
+    let trainer = || {
+        let cfg = TrainConfig::new(Algorithm::SSgd, 2)
+            .with_lr(0.2)
+            .with_batch_size(10)
+            .with_epochs(2)
+            .with_seed(21)
+            .with_emulated_network(BYTES_PER_S);
+        let test = Some(test.clone());
+        Trainer::new(cfg, |rng| models::mlp(&[6, 8, 3], rng), train.clone(), test)
+    };
+    let in_process = trainer().run();
+    // One shard: one link carries every byte.
+    let tcp = trainer()
+        .run_with(|init, cfg| {
+            Ok(Box::new(NetCluster::start_tcp_local(
+                init,
+                cfg,
+                1,
+                NetConfig::default(),
+            )?))
+        })
+        .expect("tcp run");
+    for (backend, h) in [("in-process", &in_process), ("tcp", &tcp)] {
+        let last = h.epochs.last().unwrap();
+        let bytes = last.cumulative_push_bytes + last.cumulative_pull_bytes;
+        let link_s = bytes as f64 / BYTES_PER_S;
+        let trained_s: f64 = h.epochs.iter().map(|e| e.epoch_time_s).sum();
+        assert!(
+            trained_s >= link_s,
+            "{backend}: {bytes} bytes took {trained_s} s, under the link's {link_s} s"
+        );
+    }
+    assert_eq!(in_process.final_weights, tcp.final_weights);
+}
+
+#[test]
+fn cdsgd_train_refuses_a_bandwidth_that_is_not_finite_and_positive() {
+    for mibps in ["0", "-5", "nan"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cdsgd"))
+            .args(["train", "--algo", "ssgd", "--dataset", "blobs"])
+            .args(["--samples", "200", "--epochs", "1", "--net-mibps", mibps])
+            .output()
+            .expect("run cdsgd train");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--net-mibps {mibps}: {stderr}");
+        assert!(
+            stderr.contains("bandwidth must be finite and positive"),
+            "--net-mibps {mibps}: {stderr}"
+        );
+    }
 }
 
 /// Build a trainer and run it explicitly through `Trainer::run_with` on
