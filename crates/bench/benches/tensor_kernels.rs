@@ -50,18 +50,12 @@ fn bench_gemm_paths(c: &mut Criterion) {
             &(a.clone(), b.clone()),
             |bench, (a, b)| {
                 let mut out = vec![0.0f32; n * n];
-                bench.iter(|| {
-                    out.fill(0.0);
-                    kernel::gemm(a.data(), b.data(), &mut out, n, n, n);
-                });
+                bench.iter(|| kernel::gemm(a.data(), b.data(), &mut out, n, n, n));
             },
         );
         g.bench_with_input(BenchmarkId::new("scalar", n), &(a, b), |bench, (a, b)| {
             let mut out = vec![0.0f32; n * n];
-            bench.iter(|| {
-                out.fill(0.0);
-                kernel::scalar::gemm_block(a.data(), b.data(), 0..n, &mut out, n, n);
-            });
+            bench.iter(|| kernel::scalar::gemm_block(a.data(), b.data(), 0..n, &mut out, n, n));
         });
     }
     g.finish();

@@ -3,7 +3,10 @@
 //! streaming ops run across gradient sizes from 4 Ki to 1 Mi elements;
 //! the three GEMM layouts run at the shapes a training step of the
 //! benchmark's MLP (batch 16, 784-1024-1024-10) and ResNet-8 actually
-//! issues, with dense and with ReLU-sparse (half exact zeros) A. The
+//! issues, with dense and with ReLU-sparse (half exact zeros) A; the NN
+//! and TN rows time `C = A·B` (C written, never read) and the NT rows
+//! `C += A·Bᵀ`, as `kernel` defines them. On an AVX-512 host the `simd`
+//! mode runs each GEMM at the width dispatch picks for its `n`. The
 //! `server_round` rows time where those kernels run on the server: one
 //! aggregate round of the MLP's six keys, pushed by two contributors
 //! (2-bit and raw) and pulled back through an in-process `ParamServer`.
@@ -48,11 +51,11 @@ const MODES: [(&str, Option<&str>); 2] = [("scalar", Some("1")), ("simd", None)]
 /// GEMM layout of a [`SHAPES`] row, named as `kernel` names them.
 #[derive(Clone, Copy)]
 enum Layout {
-    /// `C[m,n] += A[m,k] · B[k,n]` — every forward product.
+    /// `C[m,n] = A[m,k] · B[k,n]` — every forward product.
     Nn,
     /// `C[m,n] += A[m,k] · B[n,k]ᵀ` — `dX = dY·Wᵀ`, conv `dW`.
     Nt,
-    /// `C[m,n] += A[k,m]ᵀ · B[k,n]` — dense `dW = Xᵀ·dY`, conv `dcol`.
+    /// `C[m,n] = A[k,m]ᵀ · B[k,n]` — dense `dW = Xᵀ·dY`, conv `dcol`.
     Tn,
 }
 

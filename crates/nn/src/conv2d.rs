@@ -101,8 +101,7 @@ impl Conv2d {
                     kernel::reduce_sum(&dy_s[oc * out_plane..(oc + 1) * out_plane]);
             }
             if let Some((dx, dcol)) = &mut dx_dcol {
-                // dcol = Wᵀ · dy_s, scattered back through col2im.
-                dcol.fill_zero();
+                // dcol = Wᵀ · dy_s (written whole), scattered back through col2im.
                 kernel::gemm_tn(
                     self.weight.value.data(),
                     dy_s,

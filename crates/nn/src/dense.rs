@@ -53,8 +53,7 @@ impl Layer for Dense {
         let x = self.cached_x.take().expect("backward without forward");
         let (batch, inputs, outputs) = (x.shape()[0], self.in_features(), self.out_features());
         assert_eq!(dy.shape(), &[batch, outputs], "dy shape mismatch");
-        // dW = xᵀ·dy, straight into the gradient buffer ; db = Σ_rows dy
-        self.weight.grad.fill_zero();
+        // dW = xᵀ·dy, written straight over the gradient buffer ; db = Σ_rows dy
         kernel::gemm_tn(
             x.data(),
             dy.data(),

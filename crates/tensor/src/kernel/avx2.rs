@@ -1,20 +1,24 @@
-//! Hand-written AVX2 implementations of the kernel primitives.
+//! Hand-written AVX2 implementations of the kernel primitives other than
+//! the GEMMs, whose packed core (`super::gemm`) is written once for both
+//! vector widths. Both backends run these bodies.
 //!
-//! Every function here is constrained by the bit-identity contract in the
-//! [`super`] module docs: it must produce exactly the bytes the matching
-//! [`super::scalar`] function produces, for every input including
-//! `±0.0`, `NaN`, and `±inf` (up to NaN payloads in `dot` and the GEMMs,
-//! as the contract spells out). The techniques that make that possible:
+//! Every function here, and the GEMM core, is constrained by the
+//! bit-identity contract in the [`super`] module docs: it must produce
+//! exactly the bytes the matching [`super::scalar`] function produces,
+//! for every input including `±0.0`, `NaN`, and `±inf` (up to NaN
+//! payloads in `dot` and the GEMMs, as the contract spells out). The
+//! techniques that make that possible:
 //!
 //! * **No FMA.** `_mm256_fmadd_ps` rounds once where `mul` + `add`
 //!   rounds twice; we always use the two-instruction form because the
 //!   scalar reference does.
 //! * **Vectorize across independent outputs only.** Elementwise kernels
-//!   and the ikj-order GEMMs touch 8 unrelated output elements per
-//!   vector op, so per-element operation order is unchanged.
+//!   and the ikj-order GEMMs touch 8 (or, at zmm width, 16) unrelated
+//!   output elements per vector op, so per-element operation order is
+//!   unchanged.
 //! * **The transpose trick for GEMM-NT.** A dot product is a true
-//!   reduction, so instead of reassociating one dot we compute 8 output
-//!   columns per vector: B is transposed (8×8 in registers) into the
+//!   reduction, so instead of reassociating one dot we compute one output
+//!   column per lane: B is transposed (8×8 in registers) into the
 //!   packed panel, then `a[p]` is broadcast per `p`. Each lane
 //!   accumulates its column in strictly sequential `p` order — the same
 //!   order as one scalar dot.
@@ -34,7 +38,6 @@
 #![cfg(target_arch = "x86_64")]
 
 use std::arch::x86_64::*;
-use std::ops::Range;
 
 /// 8-lane block count helper: the largest multiple of `w` ≤ `n`.
 #[inline(always)]
@@ -277,477 +280,6 @@ pub unsafe fn reduce_max_abs(x: &[f32]) -> f32 {
         m = m.max(v.abs());
     }
     m
-}
-
-// ---------------------------------------------------------------------------
-// GEMM
-// ---------------------------------------------------------------------------
-//
-// One packed design behind all three layouts. The right-hand operand is
-// copied — for NT, transposed — into a `panel` of `KC` × `NB` floats (a
-// k-slice of one 64-column block, 16 KiB, L1 resident) that every output
-// row of the band then reuses; a row holds its 64 outputs in eight ymm
-// registers — eight independent add chains, enough to cover the add
-// latency — while it walks the panel in increasing `p`. Slices are
-// visited in increasing `p` too, so each output element still sees the
-// scalar reference's operation order exactly.
-//
-// What differs per layout is the loop order around that core, chosen so
-// the big operand streams through memory once, front to back:
-//
-// * NN/TN (`ikj`, zero-skip): k-slice outermost, so B's rows `p0..p0+KC`
-//   are one contiguous region; column blocks inside; C tiles are
-//   re-loaded once per slice. The zero-skip is a per-row *compaction*:
-//   the slice's non-zero positions are listed once and reused by every
-//   column block, so a ReLU-sparse row does half the work with no
-//   data-dependent branch in the hot loop. A row slice with no zeros
-//   (counted with one vector compare per 8 elements) walks the panel
-//   directly and pays nothing for the skip.
-// * NT (dot per output, no skip): column block outermost, so 64 rows of
-//   B are one contiguous region; the accumulators of a block are carried
-//   across its k-slices in a small scratch and added to C once, after
-//   the last slice — `c += Σ_p a·b` with the sum started from `0.0`, as
-//   the reference does.
-
-/// Output columns per panel: eight ymm accumulators per row.
-const NB: usize = 64;
-/// `p` values per panel: `KC · NB` floats = 16 KiB.
-const KC: usize = 64;
-/// Output rows per band. Bounds the per-band scratch (transposed A slice,
-/// non-zero lists, carried accumulators); a panel is packed once per
-/// band, so its cost is spread over up to this many rows.
-const MB: usize = 64;
-
-/// Per-thread GEMM scratch, allocated on a thread's first GEMM call and
-/// fully overwritten before every read (≈ 57 KiB).
-struct Scratch {
-    /// The packed right-hand panel, `KC` rows of `NB` floats.
-    panel: Vec<f32>,
-    /// TN only: the band's slice of Aᵀ, `MB` rows of `KC` floats.
-    a_t: Vec<f32>,
-    /// Per band row, the slice-relative positions of its non-zeros.
-    nz: Vec<u16>,
-    /// Per band row, how many positions `nz` holds (`kc` = no zeros, the
-    /// list is not written).
-    nz_len: Vec<usize>,
-    /// NT only: the accumulators carried between k-slices, `MB` × `NB`.
-    carry: Vec<f32>,
-}
-
-thread_local! {
-    static SCRATCH: std::cell::RefCell<Option<Scratch>> = const { std::cell::RefCell::new(None) };
-}
-
-fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        f(slot.get_or_insert_with(|| Scratch {
-            panel: vec![0.0; KC * NB],
-            a_t: vec![0.0; MB * KC],
-            nz: vec![0; MB * KC],
-            nz_len: vec![0; MB],
-            carry: vec![0.0; MB * NB],
-        }))
-    })
-}
-
-/// Drop the calling thread's scratch; whether it had one, i.e. has run
-/// a GEMM since the last call.
-#[cfg(test)]
-pub(super) fn take_scratch() -> bool {
-    SCRATCH.with(|cell| cell.borrow_mut().take().is_some())
-}
-
-/// Accumulator vectors a block of `nb` columns is computed with: 1, 2,
-/// 4 or 8, so the row cores exist in four widths, not eight. Columns
-/// `nb..8·vectors(nb)` are zero in the panel and never stored.
-fn vectors(nb: usize) -> usize {
-    nb.div_ceil(8).next_power_of_two()
-}
-
-/// `acc[v] += a[p] · panel[p][8v..8v+8]` for each `p` of `ps`, in the
-/// order given: `0..kc` for a row slice with no zeros, its non-zero list
-/// (increasing, so the surviving terms keep their order) otherwise.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn walk<const NV: usize>(
-    a: *const f32,
-    ps: impl Iterator<Item = usize>,
-    panel: *const f32,
-    acc: &mut [__m256; NV],
-) {
-    for p in ps {
-        let va = _mm256_broadcast_ss(&*a.add(p));
-        let row = panel.add(p * NB);
-        for (v, lane) in acc.iter_mut().enumerate() {
-            *lane = _mm256_add_ps(*lane, _mm256_mul_ps(va, _mm256_loadu_ps(row.add(8 * v))));
-        }
-    }
-}
-
-/// Load `nb` (≤ `8·NV`) floats at `c` into `NV` vectors; lanes past `nb`
-/// read as `0.0` and are dropped again by [`store_tile`].
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load_tile<const NV: usize>(c: *const f32, nb: usize) -> [__m256; NV] {
-    let mut edge = [0.0f32; NB];
-    let mut src = c;
-    if nb < 8 * NV {
-        std::ptr::copy_nonoverlapping(c, edge.as_mut_ptr(), nb);
-        src = edge.as_ptr();
-    }
-    let mut tile = [_mm256_setzero_ps(); NV];
-    for (v, lane) in tile.iter_mut().enumerate() {
-        *lane = _mm256_loadu_ps(src.add(8 * v));
-    }
-    tile
-}
-
-/// Store the first `nb` floats of `tile` at `c`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn store_tile<const NV: usize>(c: *mut f32, nb: usize, tile: &[__m256; NV]) {
-    let mut edge = [0.0f32; NB];
-    let dst = if nb < 8 * NV { edge.as_mut_ptr() } else { c };
-    for (v, lane) in tile.iter().enumerate() {
-        _mm256_storeu_ps(dst.add(8 * v), *lane);
-    }
-    if nb < 8 * NV {
-        std::ptr::copy_nonoverlapping(edge.as_ptr(), c, nb);
-    }
-}
-
-/// Pack `B[p0..p0+kc, j..j+nb]` (row stride `ldb`) into `panel`. A
-/// partial block is zero-padded to [`vectors`]: those lanes are computed
-/// and never stored, and must not hold stale subnormals or NaNs that
-/// would slow the multiplies down.
-#[target_feature(enable = "avx2")]
-unsafe fn pack_rows(b: *const f32, ldb: usize, kc: usize, nb: usize, panel: *mut f32) {
-    for p in 0..kc {
-        let (src, dst) = (b.add(p * ldb), panel.add(p * NB));
-        if nb == NB {
-            for v in 0..NB / 8 {
-                _mm256_storeu_ps(dst.add(8 * v), _mm256_loadu_ps(src.add(8 * v)));
-            }
-        } else {
-            std::ptr::write_bytes(dst, 0, 8 * vectors(nb));
-            std::ptr::copy_nonoverlapping(src, dst, nb);
-        }
-    }
-}
-
-/// Pack `B[j..j+nb, p0..p0+kc]ᵀ` (B row stride `ldb`) into `panel`:
-/// `panel[p][u] = B[j+u][p0+p]`. Full 8×8 tiles go through
-/// [`transpose8`], once per column block instead of once per output row;
-/// the ragged edges are copied element by element, zero-padded like
-/// [`pack_rows`].
-#[target_feature(enable = "avx2")]
-unsafe fn pack_cols(b: *const f32, ldb: usize, kc: usize, nb: usize, panel: *mut f32) {
-    let (kc8, nb8) = (blocks(kc, 8), blocks(nb, 8));
-    for u in (0..nb8).step_by(8) {
-        for p in (0..kc8).step_by(8) {
-            let src = b.add(u * ldb + p);
-            let tile = transpose8([
-                _mm256_loadu_ps(src),
-                _mm256_loadu_ps(src.add(ldb)),
-                _mm256_loadu_ps(src.add(2 * ldb)),
-                _mm256_loadu_ps(src.add(3 * ldb)),
-                _mm256_loadu_ps(src.add(4 * ldb)),
-                _mm256_loadu_ps(src.add(5 * ldb)),
-                _mm256_loadu_ps(src.add(6 * ldb)),
-                _mm256_loadu_ps(src.add(7 * ldb)),
-            ]);
-            for (q, &t) in tile.iter().enumerate() {
-                _mm256_storeu_ps(panel.add((p + q) * NB + u), t);
-            }
-        }
-        for p in kc8..kc {
-            for uu in u..u + 8 {
-                *panel.add(p * NB + uu) = *b.add(uu * ldb + p);
-            }
-        }
-    }
-    let padded = 8 * vectors(nb);
-    if nb8 < padded {
-        for p in 0..kc {
-            let dst = panel.add(p * NB + nb8);
-            std::ptr::write_bytes(dst, 0, padded - nb8);
-            for (uu, u) in (nb8..nb).enumerate() {
-                *dst.add(uu) = *b.add(u * ldb + p);
-            }
-        }
-    }
-}
-
-/// List the positions of the non-zeros of `a[..kc]` into `nz` (which
-/// must hold `kc` entries) and return how many there are. A slice with
-/// no zeros returns `kc` without writing the list — the common case on
-/// dense operands costs one compare per 8 elements.
-#[target_feature(enable = "avx2")]
-unsafe fn list_nonzeros(a: *const f32, kc: usize, nz: *mut u16) -> usize {
-    let zero = _mm256_setzero_ps();
-    let kc8 = blocks(kc, 8);
-    let mut zeros = 0u32;
-    for p in (0..kc8).step_by(8) {
-        // EQ_OQ: NaN is not a zero, `-0.0` is — as scalar `av == 0.0`.
-        let hit = _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_loadu_ps(a.add(p)), zero);
-        zeros += (_mm256_movemask_ps(hit) as u32).count_ones();
-    }
-    for p in kc8..kc {
-        zeros += (*a.add(p) == 0.0) as u32;
-    }
-    if zeros == 0 {
-        return kc;
-    }
-    // Branch-free compaction: always write, advance only past non-zeros.
-    let mut len = 0usize;
-    for p in 0..kc {
-        *nz.add(len) = p as u16;
-        len += (*a.add(p) != 0.0) as usize;
-    }
-    len
-}
-
-/// The ikj core for one packed panel: `C[r, ..nb] += A[r, ..kc] ·
-/// panel` for every band row `r`, skipping zeros of A through the
-/// rows' non-zero lists.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn ikj_rows<const NV: usize>(
-    a: *const f32,
-    lda: usize,
-    kc: usize,
-    s: &Scratch,
-    c: *mut f32,
-    ldc: usize,
-    rows: usize,
-    nb: usize,
-) {
-    let panel = s.panel.as_ptr();
-    for r in 0..rows {
-        let len = s.nz_len[r];
-        if len == 0 {
-            continue;
-        }
-        let (a_row, c_row) = (a.add(r * lda), c.add(r * ldc));
-        let mut tile = load_tile::<NV>(c_row, nb);
-        // C is walked a column block at a time, 256 bytes per row with a
-        // whole row between them — more concurrent streams than the
-        // hardware prefetcher follows once `k` is small (`dW = Xᵀ·dY`,
-        // `k` = batch). Ask for this row's tile of the next block now; it
-        // is needed a band of row walks later. (Past the end of C the
-        // hint is a no-op.)
-        for line in 0..NV / 2 {
-            _mm_prefetch::<_MM_HINT_T0>(c_row.wrapping_add(NB + 16 * line) as *const i8);
-        }
-        if len == kc {
-            walk(a_row, 0..kc, panel, &mut tile);
-        } else {
-            let listed = &s.nz[r * KC..r * KC + len];
-            walk(a_row, listed.iter().map(|&p| p as usize), panel, &mut tile);
-        }
-        store_tile(c_row, nb, &tile);
-    }
-}
-
-/// `C[rows, n] += Aᵀ-or-A · B[k, n]` with the zero-skip: the shared body
-/// of [`gemm_block`] (`a_cols = None`, A is `[m, k]`) and
-/// [`gemm_tn_block`] (`a_cols = Some(m)`, A is `[k, m]` and the band's
-/// slice is transposed into scratch first).
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_ikj(
-    a: &[f32],
-    a_cols: Option<usize>,
-    b: &[f32],
-    rows: Range<usize>,
-    c_chunk: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(c_chunk.len(), rows.len() * n);
-    with_scratch(|s| {
-        for band in (rows.start..rows.end).step_by(MB) {
-            let band_rows = MB.min(rows.end - band);
-            let c_band = c_chunk.as_mut_ptr().add((band - rows.start) * n);
-            for p0 in (0..k).step_by(KC) {
-                let kc = KC.min(k - p0);
-                let (a_band, lda) = match a_cols {
-                    None => (a.as_ptr().add(band * k + p0), k),
-                    Some(m) => {
-                        // Read along A's rows (contiguous), write down
-                        // the scratch's columns.
-                        for p in 0..kc {
-                            let src = a.as_ptr().add((p0 + p) * m + band);
-                            for r in 0..band_rows {
-                                *s.a_t.as_mut_ptr().add(r * KC + p) = *src.add(r);
-                            }
-                        }
-                        (s.a_t.as_ptr(), KC)
-                    }
-                };
-                for r in 0..band_rows {
-                    s.nz_len[r] =
-                        list_nonzeros(a_band.add(r * lda), kc, s.nz.as_mut_ptr().add(r * KC));
-                }
-                for j in (0..n).step_by(NB) {
-                    let nb = NB.min(n - j);
-                    pack_rows(b.as_ptr().add(p0 * n + j), n, kc, nb, s.panel.as_mut_ptr());
-                    let c = c_band.add(j);
-                    match vectors(nb) {
-                        1 => ikj_rows::<1>(a_band, lda, kc, s, c, n, band_rows, nb),
-                        2 => ikj_rows::<2>(a_band, lda, kc, s, c, n, band_rows, nb),
-                        4 => ikj_rows::<4>(a_band, lda, kc, s, c, n, band_rows, nb),
-                        _ => ikj_rows::<8>(a_band, lda, kc, s, c, n, band_rows, nb),
-                    }
-                }
-            }
-        }
-    })
-}
-
-/// `C[rows, n] += A[rows, k] · B[k, n]` (AVX2); see the section comment.
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_block(
-    a: &[f32],
-    b: &[f32],
-    rows: Range<usize>,
-    c_chunk: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    gemm_ikj(a, None, b, rows, c_chunk, k, n)
-}
-
-/// `C[rows, n] += A[k, m]ᵀ · B[k, n]` (AVX2); see the section comment.
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_tn_block(
-    a: &[f32],
-    b: &[f32],
-    rows: Range<usize>,
-    c_chunk: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    gemm_ikj(a, Some(m), b, rows, c_chunk, k, n)
-}
-
-/// Transpose an 8×8 f32 tile held in registers: output `q` holds input
-/// row elements at position `q` across lanes (`out[q]` lane `u` = `r[u]`
-/// lane `q`).
-#[target_feature(enable = "avx2")]
-unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
-    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
-    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
-    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
-    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
-    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
-    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
-    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
-    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
-    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-    let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-    let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-    let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-    let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-    [
-        _mm256_permute2f128_ps::<0x20>(u0, u4),
-        _mm256_permute2f128_ps::<0x20>(u1, u5),
-        _mm256_permute2f128_ps::<0x20>(u2, u6),
-        _mm256_permute2f128_ps::<0x20>(u3, u7),
-        _mm256_permute2f128_ps::<0x31>(u0, u4),
-        _mm256_permute2f128_ps::<0x31>(u1, u5),
-        _mm256_permute2f128_ps::<0x31>(u2, u6),
-        _mm256_permute2f128_ps::<0x31>(u3, u7),
-    ]
-}
-
-/// The dot-per-output core for one packed panel and k-slice: each band
-/// row's `nb` sums continue from `carry` (from `0.0` on the `first`
-/// slice) and, on the `last` slice, are added to C.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn dot_rows<const NV: usize>(
-    a: *const f32,
-    lda: usize,
-    kc: usize,
-    s: &mut Scratch,
-    (first, last): (bool, bool),
-    c: *mut f32,
-    ldc: usize,
-    rows: usize,
-    nb: usize,
-) {
-    let panel = s.panel.as_ptr();
-    for r in 0..rows {
-        let carry = s.carry.as_mut_ptr().add(r * NB);
-        let mut acc = if first {
-            [_mm256_setzero_ps(); NV]
-        } else {
-            load_tile::<NV>(carry, 8 * NV)
-        };
-        walk(a.add(r * lda), 0..kc, panel, &mut acc);
-        if last {
-            let c_row = c.add(r * ldc);
-            let mut tile = load_tile::<NV>(c_row, nb);
-            for (lane, sum) in tile.iter_mut().zip(&acc) {
-                *lane = _mm256_add_ps(*lane, *sum);
-            }
-            store_tile(c_row, nb, &tile);
-        } else {
-            store_tile(carry, 8 * NV, &acc);
-        }
-    }
-}
-
-/// `C[rows, n] += A[rows, k] · B[n, k]ᵀ` (AVX2); see the section comment.
-///
-/// Each output element is a dot product — a true reduction — so
-/// lane-striping one dot would reassociate it. Instead lane `u` of an
-/// accumulator owns output column `j+u` and adds its products in
-/// strictly increasing `p`, which is exactly the scalar sequential dot,
-/// including the `0.0` start and the single `c += acc` finish.
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_nt_block(
-    a: &[f32],
-    b: &[f32],
-    rows: Range<usize>,
-    c_chunk: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(c_chunk.len(), rows.len() * n);
-    if k == 0 {
-        // The reference still performs `c += 0.0`, which turns a `-0.0`
-        // in C into `+0.0`.
-        return super::scalar::gemm_nt_block(a, b, rows, c_chunk, k, n);
-    }
-    with_scratch(|s| {
-        for band in (rows.start..rows.end).step_by(MB) {
-            let band_rows = MB.min(rows.end - band);
-            let c_band = c_chunk.as_mut_ptr().add((band - rows.start) * n);
-            for j in (0..n).step_by(NB) {
-                let nb = NB.min(n - j);
-                for p0 in (0..k).step_by(KC) {
-                    let kc = KC.min(k - p0);
-                    pack_cols(b.as_ptr().add(j * k + p0), k, kc, nb, s.panel.as_mut_ptr());
-                    let a_band = a.as_ptr().add(band * k + p0);
-                    let ends = (p0 == 0, p0 + kc == k);
-                    let c = c_band.add(j);
-                    match vectors(nb) {
-                        1 => dot_rows::<1>(a_band, k, kc, s, ends, c, n, band_rows, nb),
-                        2 => dot_rows::<2>(a_band, k, kc, s, ends, c, n, band_rows, nb),
-                        4 => dot_rows::<4>(a_band, k, kc, s, ends, c, n, band_rows, nb),
-                        _ => dot_rows::<8>(a_band, k, kc, s, ends, c, n, band_rows, nb),
-                    }
-                }
-            }
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@
 //! 1-bit quantizer scans, bit packing, residual accumulation), and
 //! `cdsgd-ps` (optimizer `apply` and `apply_update`). Each primitive
 //! has exactly one scalar reference implementation in [`scalar`] and,
-//! where profitable, a hand-written AVX2 twin in `avx2`.
+//! where profitable, one SIMD implementation: the packed GEMM core in
+//! `gemm`, written once over a lane trait and instantiated at ymm
+//! (AVX2) and zmm (AVX-512F) width, and the AVX2 bodies of everything
+//! else in `avx2`.
 //!
 //! # Dispatch
 //!
@@ -16,9 +19,16 @@
 //! * `CDSGD_FORCE_SCALAR` set to anything except `""`/`"0"` pins the
 //!   scalar reference path (CI runs the whole workspace this way as a
 //!   second pass).
-//! * Otherwise, on `x86_64`, `is_x86_feature_detected!("avx2")` selects
-//!   the AVX2 backend at runtime.
+//! * Otherwise, on `x86_64`, runtime detection picks
+//!   [`Backend::Avx512`] when the host has `avx512f` (and `avx2`), else
+//!   [`Backend::Avx2`] when it has `avx2`.
 //! * Every other architecture always takes the scalar path.
+//!
+//! Both SIMD backends run the same AVX2 elementwise, packing and
+//! quantizer bodies; they differ in the GEMMs only. Under `Avx512` a
+//! GEMM whose `n` fills at least one 128-column zmm panel runs the zmm
+//! instance and a narrower one the ymm instance (zero-padding a narrow
+//! `n` out to 16 lanes costs more than the wider vectors save).
 //!
 //! Because the choice is cached, one process sees one backend for its
 //! whole lifetime; tests that need to compare backends either call
@@ -51,11 +61,18 @@
 //! and fall back to the scalar loop for the remainder, so
 //! non-multiple-of-8 lengths exercise both paths in one call.
 //!
+//! # Write or accumulate
+//!
+//! [`gemm`] and [`gemm_tn`] *write* C (`C = A·B`): C is never read, so
+//! callers need not clear it first. [`gemm_nt`] *accumulates*
+//! (`C += A·Bᵀ`), which is what the convolution's `dW`, summed over the
+//! samples of a batch, needs.
+//!
 //! # Threading
 //!
 //! Every kernel runs to completion on the caller's thread: none spawns,
 //! tiles or takes a lock, so a call costs its arithmetic and nothing
-//! else, and the thread-local GEMM scratch in `avx2` has exactly one
+//! else, and the thread-local GEMM scratch in `gemm` has exactly one
 //! user per thread. Parallelism lives one level up — one thread per
 //! worker, one per server shard.
 
@@ -63,6 +80,8 @@ pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod gemm;
 
 use std::sync::OnceLock;
 
@@ -71,8 +90,12 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Portable scalar reference implementations.
     Scalar,
-    /// Hand-written AVX2 (`std::arch`) implementations.
+    /// Hand-written AVX2 (`std::arch`) implementations; GEMMs at ymm
+    /// width.
     Avx2,
+    /// The AVX2 implementations, with GEMMs at zmm width (AVX-512F)
+    /// where `n` fills a zmm panel.
+    Avx512,
 }
 
 impl Backend {
@@ -81,6 +104,7 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
     }
 }
@@ -101,16 +125,20 @@ pub fn backend() -> Backend {
         }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Backend::Avx512;
+            }
             return Backend::Avx2;
         }
         Backend::Scalar
     })
 }
 
+/// Whether the AVX2 bodies run: under either SIMD backend.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn simd_active() -> bool {
-    backend() == Backend::Avx2
+    backend() != Backend::Scalar
 }
 
 /// Always `usize::MAX` — "never tiles", what `CDSGD_PAR_THRESHOLD=off`
@@ -306,37 +334,60 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 // GEMM
 // ---------------------------------------------------------------------------
 
-/// `C[m,n] += A[m,k] · B[k,n]`, row-major.
+/// Which product a GEMM call computes.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// `C[m,n] = A[m,k] · B[k,n]`.
+    Nn,
+    /// `C[m,n] += A[m,k] · B[n,k]ᵀ`.
+    Nt,
+    /// `C[m,n] = A[k,m]ᵀ · B[k,n]`.
+    Tn,
+}
+
+/// `layout`'s product on the packed core at the width the backend and
+/// `n` pick (module docs, Dispatch), else on the scalar reference. The
+/// public callers have asserted the slice sizes.
+fn run_gemm(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], [m, k, n]: [usize; 3]) {
+    #[cfg(target_arch = "x86_64")]
+    match backend() {
+        // SAFETY: `Avx512` implies AVX-512F was runtime-detected.
+        Backend::Avx512 if n >= gemm::ZMM_NB => {
+            return unsafe { gemm::zmm(layout, a, b, c, [m, k, n]) }
+        }
+        // SAFETY: both SIMD backends imply AVX2 was runtime-detected.
+        Backend::Avx2 | Backend::Avx512 => return unsafe { gemm::ymm(layout, a, b, c, [m, k, n]) },
+        Backend::Scalar => {}
+    }
+    match layout {
+        Layout::Nn => scalar::gemm_block(a, b, 0..m, c, k, n),
+        Layout::Nt => scalar::gemm_nt_block(a, b, 0..m, c, k, n),
+        Layout::Tn => scalar::gemm_tn_block(a, b, 0..m, c, m, k, n),
+    }
+}
+
+/// `C[m,n] = A[m,k] · B[k,n]`, row-major. C is written, never read.
 pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "kernel::gemm A size");
     assert_eq!(b.len(), k * n, "kernel::gemm B size");
     assert_eq!(c.len(), m * n, "kernel::gemm C size");
-    dispatch!(
-        avx2::gemm_block(a, b, 0..m, c, k, n),
-        scalar::gemm_block(a, b, 0..m, c, k, n)
-    )
+    run_gemm(Layout::Nn, a, b, c, [m, k, n])
 }
 
-/// `C[m,n] += A[m,k] · B[n,k]ᵀ`.
+/// `C[m,n] += A[m,k] · B[n,k]ᵀ`: accumulates into C.
 pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "kernel::gemm_nt A size");
     assert_eq!(b.len(), n * k, "kernel::gemm_nt B size");
     assert_eq!(c.len(), m * n, "kernel::gemm_nt C size");
-    dispatch!(
-        avx2::gemm_nt_block(a, b, 0..m, c, k, n),
-        scalar::gemm_nt_block(a, b, 0..m, c, k, n)
-    )
+    run_gemm(Layout::Nt, a, b, c, [m, k, n])
 }
 
-/// `C[m,n] += A[k,m]ᵀ · B[k,n]`.
+/// `C[m,n] = A[k,m]ᵀ · B[k,n]`. C is written, never read.
 pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "kernel::gemm_tn A size");
     assert_eq!(b.len(), k * n, "kernel::gemm_tn B size");
     assert_eq!(c.len(), m * n, "kernel::gemm_tn C size");
-    dispatch!(
-        avx2::gemm_tn_block(a, b, 0..m, c, m, k, n),
-        scalar::gemm_tn_block(a, b, 0..m, c, m, k, n)
-    )
+    run_gemm(Layout::Tn, a, b, c, [m, k, n])
 }
 
 // ---------------------------------------------------------------------------
@@ -514,15 +565,99 @@ mod tests {
         });
 
         // A GEMM takes no closure to report from; what shows where it ran
-        // is whose scratch it filled.
+        // is whose scratch it filled (one scratch serves both widths, so
+        // this holds whichever one `n` picked).
         #[cfg(target_arch = "x86_64")]
         if super::simd_active() {
             let (m, k, n) = (1024, 16, 1024);
             let (a, b) = (vec![1.0f32; k * m], vec![1.0f32; k * n]);
             let mut c = vec![0.0f32; m * n];
-            super::avx2::take_scratch();
+            super::gemm::take_scratch();
             super::gemm_tn(&a, &b, &mut c, m, k, n);
-            assert!(super::avx2::take_scratch(), "gemm_tn left its caller");
+            assert!(super::gemm::take_scratch(), "gemm_tn left its caller");
+        }
+    }
+
+    /// Both GEMM widths against the scalar reference, called directly so
+    /// the ymm core stays tested at `n ≥ 128` on hosts where dispatch
+    /// would take zmm there. Every `n` edge of a 64- and a 128-column
+    /// panel and every `k` edge of a slice, with dense and half-zero A
+    /// and ±0/NaN/±Inf specials. NN and TN start from a C of NaNs, so a
+    /// first slice that read C instead of starting from `+0.0` shows;
+    /// NT accumulates onto ordinary values. Any NaN matches any NaN (the
+    /// GEMMs' contract); every other value must be bit-equal.
+    #[cfg(target_arch = "x86_64")]
+    mod gemm_widths {
+        use super::super::gemm::{self, KC};
+        use super::super::scalar;
+        use super::super::Layout;
+        use proptest::prelude::*;
+
+        const NS: [usize; 11] = [1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 257];
+        const KS: [usize; 5] = [0, 1, KC - 1, KC, KC + 1];
+        const SPECIALS: [f32; 5] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+
+        type Entry = unsafe fn(Layout, &[f32], &[f32], &mut [f32], [usize; 3]);
+
+        /// Deterministic values: ordinary, an occasional special, and with
+        /// `sparse` about half exact zeros of either sign.
+        fn values(seed: u64, len: usize, sparse: bool) -> Vec<f32> {
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            (0..len)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    match s % 32 {
+                        0 => SPECIALS[(s >> 8) as usize % SPECIALS.len()],
+                        r if sparse && r % 2 == 1 => SPECIALS[r as usize / 16],
+                        _ => ((s >> 16) as i32 % 1000) as f32 / 37.0,
+                    }
+                })
+                .collect()
+        }
+
+        fn same_values(got: &[f32], want: &[f32]) -> bool {
+            got.iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+            #[test]
+            fn ymm_and_zmm_match_the_reference(seed in 0u64..1 << 20, m in 1usize..5, sparse in 0u8..2) {
+                let widths: [(&str, bool, Entry); 2] = [
+                    ("ymm", std::arch::is_x86_feature_detected!("avx2"), gemm::ymm),
+                    ("zmm", std::arch::is_x86_feature_detected!("avx512f"), gemm::zmm),
+                ];
+                for (n, k) in NS.iter().flat_map(|&n| KS.map(|k| (n, k))) {
+                    let a = values(seed, m * k, sparse == 1);
+                    let b = values(seed + 1, k * n, false);
+                    let nans = vec![f32::NAN; m * n];
+                    let acc = values(seed + 2, m * n, false);
+                    for layout in [Layout::Nn, Layout::Nt, Layout::Tn] {
+                        let (start, mut want) = match layout {
+                            Layout::Nt => (acc.clone(), acc.clone()),
+                            Layout::Nn | Layout::Tn => (nans.clone(), nans.clone()),
+                        };
+                        // The same buffers serve every layout: A read as
+                        // [m, k] or [k, m], B as [k, n] or [n, k].
+                        match layout {
+                            Layout::Nn => scalar::gemm_block(&a, &b, 0..m, &mut want, k, n),
+                            Layout::Nt => scalar::gemm_nt_block(&a, &b, 0..m, &mut want, k, n),
+                            Layout::Tn => scalar::gemm_tn_block(&a, &b, 0..m, &mut want, m, k, n),
+                        }
+                        for &(width, _, entry) in widths.iter().filter(|w| w.1) {
+                            let mut got = start.clone();
+                            // SAFETY: the width's feature was detected above;
+                            // the slices have the sizes `kernel::gemm*` assert.
+                            unsafe { entry(layout, &a, &b, &mut got, [m, k, n]) };
+                            prop_assert!(same_values(&got, &want), "{width} {m}x{k}x{n} layout {}", layout as u8);
+                        }
+                    }
+                }
+            }
         }
     }
 }

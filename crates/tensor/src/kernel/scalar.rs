@@ -1,8 +1,8 @@
 //! Scalar reference implementations of every kernel primitive.
 //!
 //! These are the *semantics* of the kernel layer: the dispatched SIMD
-//! paths in the private `avx2` sibling must reproduce each function here
-//! bit for bit
+//! paths in the private `avx2` and `gemm` siblings must reproduce each
+//! function here bit for bit
 //! (see the module docs of [`super`] for the contract, including the two
 //! reduction orders). The bodies are deliberately plain loops — they are
 //! what the pre-kernel code in `matmul.rs`/`ops.rs`/the compress crate
@@ -177,9 +177,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 // accumulation order per output element is strictly increasing `p`, and
 // `a` elements equal to 0.0 skip their contribution entirely — both are
 // load-bearing for bit-identity (skipping avoids `-0.0 + 0.0` flips on
-// ReLU-sparse activations).
+// ReLU-sparse activations). NN and TN write their rows of C, starting
+// each output from `+0.0`; NT adds its dot products to C.
 
-/// `C[rows, n] += A[rows, k] · B[k, n]` (ikj order).
+/// `C[rows, n] = A[rows, k] · B[k, n]` (ikj order); C is not read.
 pub fn gemm_block(
     a: &[f32],
     b: &[f32],
@@ -191,6 +192,7 @@ pub fn gemm_block(
     for (ri, i) in rows.enumerate() {
         let a_row = &a[i * k..(i + 1) * k];
         let c_row = &mut c_chunk[ri * n..(ri + 1) * n];
+        c_row.fill(0.0);
         for (p, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
                 continue;
@@ -226,7 +228,8 @@ pub fn gemm_nt_block(
     }
 }
 
-/// `C[rows, n] += A[k, m]ᵀ · B[k, n]` (strided A reads, ikj order).
+/// `C[rows, n] = A[k, m]ᵀ · B[k, n]` (strided A reads, ikj order); C is
+/// not read.
 pub fn gemm_tn_block(
     a: &[f32],
     b: &[f32],
@@ -238,6 +241,7 @@ pub fn gemm_tn_block(
 ) {
     for (ri, i) in rows.enumerate() {
         let c_row = &mut c_chunk[ri * n..(ri + 1) * n];
+        c_row.fill(0.0);
         for p in 0..k {
             let av = a[p * m + i];
             if av == 0.0 {

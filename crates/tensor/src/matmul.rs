@@ -1,7 +1,8 @@
 //! Matrix multiplication entry points.
 //!
-//! The actual microkernels (packed AVX2 + scalar reference) live in
-//! [`crate::kernel`]; this module keeps the shape-checked `Tensor` methods and the raw-slice `gemm*` API
+//! The actual microkernels (one packed SIMD core at ymm and zmm width,
+//! plus the scalar reference) live in [`crate::kernel`]; this module
+//! keeps the shape-checked `Tensor` methods and the raw-slice `gemm*` API
 //! other crates already use.
 //!
 //! Three layout variants cover everything the NN backward passes need

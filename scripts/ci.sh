@@ -221,6 +221,23 @@ for f in $(git ls-files 'crates/ps/src/*.rs'); do
     fi
 done
 
+# One GEMM source (DESIGN.md §15): the packed core is written once over a
+# lane trait and instantiated at ymm and zmm width, so none of its
+# building blocks may be defined twice under kernel/ — a copied zmm twin
+# fails here. And `gemm_tn` writes C, so the program half of nn/dense.rs
+# clears no gradient before the GEMM that writes it.
+echo "==> kernel/ defines the packed GEMM core once; nn/dense.rs zero-fills no GEMM output"
+dups=$(grep -rhoE '\bfn (walk|pack_rows|pack_cols|ikj_rows|dot_rows)\b' crates/tensor/src/kernel/ |
+    sort | uniq -d | tr '\n' ' ')
+if [ -n "$dups" ]; then
+    echo "ERROR: defined more than once under crates/tensor/src/kernel/: ${dups}— instantiate the one core" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/dense.rs | grep -n 'fill_zero'; then
+    echo "ERROR: nn/dense.rs zero-fills before a GEMM that writes its output" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through
