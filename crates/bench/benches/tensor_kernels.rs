@@ -1,7 +1,7 @@
 //! Math-kernel micro-benchmarks: the matmul and conv primitives that set
 //! τ (computation time per iteration) in the real in-process trainer.
 
-use cdsgd_tensor::{im2col, kernel, Conv2dGeom, SmallRng64, Tensor};
+use cdsgd_tensor::{im2col_into, kernel, Conv2dGeom, SmallRng64, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -62,7 +62,7 @@ fn bench_gemm_paths(c: &mut Criterion) {
 }
 
 fn bench_im2col(c: &mut Criterion) {
-    let mut g = c.benchmark_group("im2col");
+    let mut g = c.benchmark_group("im2col_into");
     let geom = Conv2dGeom {
         c: 16,
         h: 32,
@@ -74,9 +74,10 @@ fn bench_im2col(c: &mut Criterion) {
     };
     let mut rng = SmallRng64::new(2);
     let img = Tensor::randn(&[16 * 32 * 32], 1.0, &mut rng);
+    let mut col = vec![0.0f32; geom.col_rows() * geom.col_cols()];
     g.throughput(Throughput::Bytes((4 * img.len()) as u64));
     g.bench_function("c16_32x32_k3", |b| {
-        b.iter(|| im2col(img.data(), &geom));
+        b.iter(|| im2col_into(img.data(), &geom, &mut col));
     });
     g.finish();
 }

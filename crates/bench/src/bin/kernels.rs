@@ -10,8 +10,12 @@
 //! `server_round` rows time where those kernels run on the server: one
 //! aggregate round of the MLP's six keys, pushed by two contributors
 //! (2-bit and raw) and pulled back through an in-process `ParamServer`.
-//! Emits `BENCH_kernels.json` and prints a speedup table, a GFLOP/s table
-//! and the server-round quartiles.
+//! The `im2col_into` / `col2im` rows time one sample's unroll and its
+//! adjoint at ResNet-8's convolution geometries, and the `batchnorm`
+//! rows one train-mode forward (and forward + backward) of its
+//! batch-norm layers at batch 16. Emits `BENCH_kernels.json` and prints
+//! a speedup table, a GFLOP/s table, the conv/BN medians and the
+//! server-round quartiles.
 //!
 //! The backend choice is cached per process (`CDSGD_FORCE_SCALAR` is
 //! read once), so each mode runs in a child process: the parent
@@ -28,8 +32,9 @@ use std::time::Instant;
 
 use cdsgd_bench::arg_usize;
 use cdsgd_compress::{Compressed, GradientCompressor, NoCompression, TwoBitQuantizer};
+use cdsgd_nn::{BatchNorm2d, Layer, Mode};
 use cdsgd_ps::{ParamClient, ParamServer, ServerConfig};
-use cdsgd_tensor::kernel;
+use cdsgd_tensor::{col2im, im2col_into, kernel, Conv2dGeom, Tensor};
 
 const CHILD_ENV: &str = "CDSGD_KERNELS_CHILD";
 const MARKER: &str = "KERNELS_JSON ";
@@ -112,6 +117,20 @@ const SHAPES: [(Layout, usize, usize, usize, &str); 36] = [
     (Layout::Tn, 32, 16, 10, "resnet8 dW head"),
 ];
 
+/// `(in_c, hw, k, stride, pad, which convolution)`: ResNet-8's unrolls
+/// (every sample's forward, and again for its `dW`) and the `col2im`
+/// scatters of its `dx`, one sample each.
+const CONVS: [(usize, usize, usize, usize, usize, &str); 5] = [
+    (3, 32, 3, 1, 1, "resnet8 3>8 @32"),
+    (8, 32, 3, 1, 1, "resnet8 8>8 @32"),
+    (8, 32, 3, 2, 1, "resnet8 8>16 s2"),
+    (16, 16, 3, 2, 1, "resnet8 16>32 s2"),
+    (32, 8, 3, 1, 1, "resnet8 32>32 @8"),
+];
+
+/// `(channels, hw)`: ResNet-8's batch-norm layers, at batch 16.
+const BATCHNORMS: [(usize, usize); 3] = [(8, 32), (16, 16), (32, 8)];
+
 fn pseudo(n: usize, seed: u64) -> Vec<f32> {
     let mut s = seed | 1;
     (0..n)
@@ -138,9 +157,15 @@ fn median_s(iters: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// Median seconds of one `kernel::gemm*` call at a [`SHAPES`] row. The
-/// small shapes finish in microseconds, so a sample is as many calls as
-/// fill about two milliseconds.
+/// Median seconds of one `call`. Small ops finish in microseconds, so a
+/// sample is as many calls as fill about two milliseconds.
+fn time_call(iters: usize, mut call: impl FnMut()) -> f64 {
+    let once = median_s(3, &mut call);
+    let reps = ((2e-3 / once.max(1e-9)) as usize).clamp(1, 10_000);
+    median_s(iters, || (0..reps).for_each(|_| call())) / reps as f64
+}
+
+/// Median seconds of one `kernel::gemm*` call at a [`SHAPES`] row.
 fn time_gemm(layout: Layout, m: usize, k: usize, n: usize, relu: bool, iters: usize) -> f64 {
     let mut a = pseudo(m * k, 11);
     if relu {
@@ -149,7 +174,7 @@ fn time_gemm(layout: Layout, m: usize, k: usize, n: usize, relu: bool, iters: us
     }
     let b = pseudo(k * n, 23);
     let mut c = vec![0.0f32; m * n];
-    let mut call = || {
+    time_call(iters, || {
         let (a, b) = (black_box(&a), black_box(&b));
         match layout {
             Layout::Nn => kernel::gemm(a, b, &mut c, m, k, n),
@@ -157,10 +182,63 @@ fn time_gemm(layout: Layout, m: usize, k: usize, n: usize, relu: bool, iters: us
             Layout::Tn => kernel::gemm_tn(a, b, &mut c, m, k, n),
         }
         black_box(&c);
-    };
-    let once = median_s(3, &mut call);
-    let reps = ((2e-3 / once.max(1e-9)) as usize).clamp(1, 10_000);
-    median_s(iters, || (0..reps).for_each(|_| call())) / reps as f64
+    })
+}
+
+/// The [`CONVS`] and [`BATCHNORMS`] records.
+fn conv_bn_records(iters: usize) -> Vec<serde_json::Value> {
+    let mut records = Vec::new();
+    for (c, hw, k, stride, pad, what) in CONVS {
+        let g = Conv2dGeom {
+            c,
+            h: hw,
+            w: hw,
+            kh: k,
+            kw: k,
+            stride,
+            pad,
+        };
+        let img = pseudo(c * hw * hw, 83);
+        let mut col = pseudo(g.col_rows() * g.col_cols(), 89);
+        let shape = format!("{c}x{hw}x{hw} k{k} s{stride} p{pad}");
+        let unroll_s = time_call(iters, || {
+            im2col_into(black_box(&img), &g, &mut col);
+            black_box(&col);
+        });
+        let mut back = vec![0.0f32; img.len()];
+        let scatter_s = time_call(iters, || {
+            col2im(black_box(&col), &g, &mut back);
+            black_box(&back);
+        });
+        for (op, s) in [("im2col_into", unroll_s), ("col2im", scatter_s)] {
+            records.push(serde_json::json!({
+                "op": op, "shape": shape, "what": what, "median_s": s,
+            }));
+        }
+    }
+    for (ch, hw) in BATCHNORMS {
+        let shape = [16, ch, hw, hw];
+        let x = Tensor::from_vec(shape.to_vec(), pseudo(16 * ch * hw * hw, 97));
+        let dy = Tensor::from_vec(shape.to_vec(), pseudo(x.len(), 101));
+        let mut bn = BatchNorm2d::new(ch);
+        let fwd_s = time_call(iters, || {
+            black_box(bn.forward(black_box(&x), Mode::Train));
+        });
+        let fwd_bwd_s = time_call(iters, || {
+            bn.forward(black_box(&x), Mode::Train);
+            black_box(bn.backward(black_box(&dy)));
+        });
+        for (op, s) in [
+            ("batchnorm_forward", fwd_s),
+            ("batchnorm_forward_backward", fwd_bwd_s),
+        ] {
+            records.push(serde_json::json!({
+                "op": op, "shape": format!("16x{ch}x{hw}x{hw}"), "what": format!("resnet8 bn {ch} @{hw}"),
+                "median_s": s,
+            }));
+        }
+    }
+    records
 }
 
 /// The benchmark MLP's keys (784-1024-1024-10; weight, then bias, per
@@ -233,6 +311,7 @@ fn run_child(iters: usize) -> Vec<serde_json::Value> {
             }));
         }
     }
+    records.extend(conv_bn_records(iters));
     for (n, label) in SIZES {
         let symbols: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
         let mut packed = vec![0u8; n.div_ceil(4)];
@@ -367,6 +446,28 @@ fn main() {
             text("what"),
             gflops(&scalar),
             gflops(&simd)
+        );
+    }
+
+    // Conv unrolls and batch norm: microseconds per call, per mode.
+    println!(
+        "\n{:>26} {:>20} {:>20} {:>10} {:>10}",
+        "op", "shape", "issued by", "scalar_us", "simd_us"
+    );
+    for (row, s) in scalar.iter().enumerate() {
+        let op = s["op"].as_str().unwrap_or("?");
+        if !(op.starts_with("im2col") || op.starts_with("col2im") || op.starts_with("batchnorm")) {
+            continue;
+        }
+        let us = |records: &[serde_json::Value]| {
+            records[row]["median_s"].as_f64().unwrap_or(f64::NAN) * 1e6
+        };
+        println!(
+            "{op:>26} {:>20} {:>20} {:>10.1} {:>10.1}",
+            s["shape"].as_str().unwrap_or("?"),
+            s["what"].as_str().unwrap_or("?"),
+            us(&scalar),
+            us(&simd)
         );
     }
 

@@ -20,11 +20,9 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.mask = x
-            .data()
-            .iter()
-            .map(|&v| if v > 0.0 { 1.0 } else { 0.0 })
-            .collect();
+        self.mask.clear();
+        let mask = x.data().iter().map(|&v| if v > 0.0 { 1.0 } else { 0.0 });
+        self.mask.extend(mask);
         x.map(|v| v.max(0.0))
     }
 

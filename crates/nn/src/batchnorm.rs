@@ -1,6 +1,7 @@
 //! Batch normalization over NCHW feature maps.
 
 use crate::layer::{Layer, Mode, Param};
+use crate::util::channel_sums;
 use cdsgd_tensor::Tensor;
 
 /// Per-channel batch normalization (Ioffe & Szegedy), the "bn" in the
@@ -20,8 +21,13 @@ pub struct BatchNorm2d {
     beta: Param,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    /// Cache: normalized input, batch std-dev per channel, input shape.
-    cache: Option<(Tensor, Vec<f32>, Vec<usize>)>,
+    /// Per-channel mean and std-dev of the last forward.
+    mean: Vec<f32>,
+    std: Vec<f32>,
+    /// The last train-mode forward's input shape; its normalized input
+    /// is in `xhat`, a buffer reused from step to step.
+    cache: Option<[usize; 4]>,
+    xhat: Vec<f32>,
 }
 
 impl BatchNorm2d {
@@ -35,103 +41,105 @@ impl BatchNorm2d {
             beta: Param::new(Tensor::zeros(&[channels])),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
+            mean: vec![0.0; channels],
+            std: vec![0.0; channels],
             cache: None,
+            xhat: Vec::new(),
         }
     }
+}
 
-    /// Per-channel reduction size for an input shape.
-    fn plane(shape: &[usize]) -> usize {
-        shape[0] * shape[2] * shape[3]
-    }
-
-    /// Iterate linear indices of channel `c` for shape `[n,ch,h,w]`.
-    fn channel_indices(shape: &[usize], c: usize) -> impl Iterator<Item = usize> + '_ {
-        let (n, ch, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        (0..n).flat_map(move |s| {
-            let base = (s * ch + c) * h * w;
-            base..base + h * w
-        })
-    }
+/// `[n, c, h·w]` of an NCHW shape: the layout [`channel_sums`] walks.
+fn dims(shape: &[usize]) -> [usize; 3] {
+    [shape[0], shape[1], shape[2] * shape[3]]
 }
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(x.ndim(), 4, "BatchNorm2d expects [N,C,H,W]");
         assert_eq!(x.shape()[1], self.channels, "channel mismatch");
-        let shape = x.shape().to_vec();
-        let m = Self::plane(&shape) as f32;
-        let mut out = Tensor::zeros(&shape);
-        let mut xhat = Tensor::zeros(&shape);
-        let mut stds = vec![0.0f32; self.channels];
-        // The slices once, outside the per-element loops: an accessor
-        // call per element (a storage-kind check each) keeps them scalar.
-        let (xs, outs, xhats) = (x.data(), out.data_mut(), xhat.data_mut());
-
-        #[allow(clippy::needless_range_loop)]
-        for c in 0..self.channels {
-            let (mean, var) = match mode {
-                Mode::Train => {
-                    let mut sum = 0.0f32;
-                    for i in Self::channel_indices(&shape, c) {
-                        sum += xs[i];
-                    }
-                    let mean = sum / m;
-                    let mut var = 0.0f32;
-                    for i in Self::channel_indices(&shape, c) {
-                        let d = xs[i] - mean;
-                        var += d * d;
-                    }
-                    let var = var / m;
-                    self.running_mean[c] =
-                        self.momentum * self.running_mean[c] + (1.0 - self.momentum) * mean;
-                    self.running_var[c] =
-                        self.momentum * self.running_var[c] + (1.0 - self.momentum) * var;
-                    (mean, var)
+        let [n, ch, plane] = dims(x.shape());
+        let m = (n * plane) as f32;
+        let xs = x.data();
+        let (mean, var) = (&mut self.mean, &mut self.std);
+        match mode {
+            Mode::Train => {
+                channel_sums([n, ch, plane], 0.0, |_, i| xs[i], |c, s| mean[c] = s / m);
+                let sq = |c: usize, i: usize| {
+                    let d = xs[i] - mean[c];
+                    d * d
+                };
+                channel_sums([n, ch, plane], 0.0, sq, |c, s| var[c] = s / m);
+                let mu = self.momentum;
+                for c in 0..ch {
+                    self.running_mean[c] = mu * self.running_mean[c] + (1.0 - mu) * mean[c];
+                    self.running_var[c] = mu * self.running_var[c] + (1.0 - mu) * var[c];
                 }
-                Mode::Eval => (self.running_mean[c], self.running_var[c]),
-            };
-            let std = (var + self.eps).sqrt();
-            stds[c] = std;
-            let g = self.gamma.value.data()[c];
-            let b = self.beta.value.data()[c];
-            for i in Self::channel_indices(&shape, c) {
-                let xn = (xs[i] - mean) / std;
-                xhats[i] = xn;
-                outs[i] = g * xn + b;
+            }
+            Mode::Eval => {
+                mean.copy_from_slice(&self.running_mean);
+                var.copy_from_slice(&self.running_var);
             }
         }
-        if mode == Mode::Train {
-            self.cache = Some((xhat, stds, shape));
+        for v in var.iter_mut() {
+            *v = (*v + self.eps).sqrt(); // the variance becomes the std-dev
         }
+
+        let train = mode == Mode::Train;
+        if train {
+            self.xhat.resize(x.len(), 0.0);
+        }
+        let mut out = Tensor::zeros(x.shape());
+        let outs = out.data_mut();
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        for p in 0..n * ch {
+            let c = p % ch;
+            let (mean, std, g, b) = (self.mean[c], self.std[c], gamma[c], beta[c]);
+            let span = p * plane..(p + 1) * plane;
+            let (xs, outs) = (&xs[span.clone()], &mut outs[span.clone()]);
+            if train {
+                let xhats = &mut self.xhat[span];
+                for ((o, xh), &v) in outs.iter_mut().zip(xhats).zip(xs) {
+                    let xn = (v - mean) / std;
+                    *xh = xn;
+                    *o = g * xn + b;
+                }
+            } else {
+                for (o, &v) in outs.iter_mut().zip(xs) {
+                    *o = g * ((v - mean) / std) + b;
+                }
+            }
+        }
+        self.cache = train.then(|| [n, ch, x.shape()[2], x.shape()[3]]);
         out
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (xhat, stds, shape) = self.cache.take().expect("backward without train forward");
+        let shape = self.cache.take().expect("backward without train forward");
         assert_eq!(dy.shape(), shape.as_slice());
-        let m = Self::plane(&shape) as f32;
-        let mut dx = Tensor::zeros(&shape);
-        let (dys, xhats, dxs) = (dy.data(), xhat.data(), dx.data_mut());
+        let [n, ch, plane] = dims(&shape);
+        let m = (n * plane) as f32;
+        let (dys, xhats) = (dy.data(), &self.xhat[..]);
 
-        #[allow(clippy::needless_range_loop)]
-        for c in 0..self.channels {
-            // Standard BN backward:
-            // dβ = Σ dy ; dγ = Σ dy·x̂
-            // dx = γ/std · (dy − mean(dy) − x̂·mean(dy·x̂))
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for i in Self::channel_indices(&shape, c) {
-                sum_dy += dys[i];
-                sum_dy_xhat += dys[i] * xhats[i];
-            }
-            self.beta.grad.data_mut()[c] = sum_dy;
-            self.gamma.grad.data_mut()[c] = sum_dy_xhat;
-            let g = self.gamma.value.data()[c];
-            let scale = g / stds[c];
-            let mean_dy = sum_dy / m;
-            let mean_dy_xhat = sum_dy_xhat / m;
-            for i in Self::channel_indices(&shape, c) {
-                dxs[i] = scale * (dys[i] - mean_dy - xhats[i] * mean_dy_xhat);
+        // Standard BN backward:
+        // dβ = Σ dy ; dγ = Σ dy·x̂
+        // dx = γ/std · (dy − mean(dy) − x̂·mean(dy·x̂))
+        let (dbeta, dgamma) = (self.beta.grad.data_mut(), self.gamma.grad.data_mut());
+        channel_sums([n, ch, plane], 0.0, |_, i| dys[i], |c, s| dbeta[c] = s);
+        let dy_xhat = |_, i: usize| dys[i] * xhats[i];
+        channel_sums([n, ch, plane], 0.0, dy_xhat, |c, s| dgamma[c] = s);
+
+        let mut dx = Tensor::zeros(&shape);
+        let dxs = dx.data_mut();
+        let gamma = self.gamma.value.data();
+        for p in 0..n * ch {
+            let c = p % ch;
+            let scale = gamma[c] / self.std[c];
+            let (mean_dy, mean_dy_xhat) = (dbeta[c] / m, dgamma[c] / m);
+            let span = p * plane..(p + 1) * plane;
+            let (dxs, dys, xhats) = (&mut dxs[span.clone()], &dys[span.clone()], &xhats[span]);
+            for ((d, &g), &xh) in dxs.iter_mut().zip(dys).zip(xhats) {
+                *d = scale * (g - mean_dy - xh * mean_dy_xhat);
             }
         }
         dx
@@ -159,10 +167,9 @@ mod tests {
         let x = Tensor::randn(&[4, 3, 5, 5], 3.0, &mut rng).map(|v| v + 2.0);
         let y = bn.forward(&x, Mode::Train);
         // Each channel of y should have ~zero mean, ~unit variance.
-        let shape = x.shape().to_vec();
         for c in 0..3 {
-            let vals: Vec<f32> = BatchNorm2d::channel_indices(&shape, c)
-                .map(|i| y.data()[i])
+            let vals: Vec<f32> = (0..4)
+                .flat_map(|s| y.data()[(s * 3 + c) * 25..(s * 3 + c + 1) * 25].to_vec())
                 .collect();
             let m = vals.iter().sum::<f32>() / vals.len() as f32;
             let v = vals.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / vals.len() as f32;

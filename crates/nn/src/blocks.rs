@@ -7,7 +7,7 @@ use crate::conv2d::Conv2d;
 use crate::layer::{Layer, Mode, Param};
 use crate::pool::AvgPool2d;
 use crate::util::{concat_channels, split_channels};
-use cdsgd_tensor::{SmallRng64, Tensor};
+use cdsgd_tensor::{kernel, SmallRng64, Tensor};
 
 /// A basic ResNet v1 residual block:
 /// `relu( bn(conv3x3(relu(bn(conv3x3(x))))) + shortcut(x) )`.
@@ -52,23 +52,25 @@ impl ResidualBlock {
 
 impl Layer for ResidualBlock {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let main = {
+        let mut sum = {
             let h = self.conv1.forward(x, mode);
             let h = self.bn1.forward(&h, mode);
             let h = self.relu1.forward(&h, mode);
             let h = self.conv2.forward(&h, mode);
             self.bn2.forward(&h, mode)
         };
-        let shortcut = match &mut self.projection {
+        // main += shortcut, in the main path's buffer.
+        match &mut self.projection {
             Some((conv, bn)) => {
                 let s = conv.forward(x, mode);
-                bn.forward(&s, mode)
+                kernel::add_assign(sum.data_mut(), bn.forward(&s, mode).data());
             }
-            None => x.clone(),
-        };
-        let sum = main.add(&shortcut);
-        self.out_mask = sum.data().iter().map(|&v| v > 0.0).collect();
-        sum.map(|v| v.max(0.0))
+            None => kernel::add_assign(sum.data_mut(), x.data()),
+        }
+        self.out_mask.clear();
+        self.out_mask.extend(sum.data().iter().map(|&v| v > 0.0));
+        kernel::map_inplace(sum.data_mut(), |v| v.max(0.0));
+        sum
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {

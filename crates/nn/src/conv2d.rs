@@ -1,14 +1,20 @@
 //! 2-D convolution layer (im2col formulation).
 
 use crate::layer::{Layer, Mode, Param};
+use crate::util::channel_sums;
 use cdsgd_tensor::kernel;
-use cdsgd_tensor::{col2im, he_std, im2col, Conv2dGeom, SmallRng64, Tensor};
+use cdsgd_tensor::{col2im, he_std, im2col_into, Conv2dGeom, SmallRng64, Tensor};
 
 /// 2-D convolution over NCHW input.
 ///
 /// Weight layout is `[out_c, in_c * kh * kw]` (the im2col GEMM shape);
 /// bias is `[out_c]`. The spatial geometry is fixed at construction only
 /// in `(in_c, k, stride, pad)`; input H/W are discovered per forward.
+///
+/// A train-mode forward keeps a copy of its input, not its column
+/// matrices: backward unrolls each sample again for `dW`. The input copy
+/// and the one-sample column buffers are layer-owned and reused from
+/// step to step.
 #[derive(Debug)]
 pub struct Conv2d {
     in_c: usize,
@@ -18,9 +24,14 @@ pub struct Conv2d {
     pad: usize,
     weight: Param,
     bias: Param,
-    /// Cached per-forward state: geometry and the per-sample column
-    /// matrices (needed for dW), plus the batch size.
-    cache: Option<(Conv2dGeom, Vec<Tensor>)>,
+    /// The last train-mode forward's geometry and batch size; its input
+    /// is in `input`.
+    cache: Option<(Conv2dGeom, usize)>,
+    input: Vec<f32>,
+    /// One sample's column matrix `[in_c·k·k, OH·OW]`.
+    col: Vec<f32>,
+    /// One sample's column gradient `Wᵀ·dy`, same shape.
+    dcol: Vec<f32>,
 }
 
 impl Conv2d {
@@ -43,6 +54,9 @@ impl Conv2d {
             weight: Param::new(Tensor::randn(&[out_c, fan_in], he_std(fan_in), rng)),
             bias: Param::new(Tensor::zeros(&[out_c])),
             cache: None,
+            input: Vec::new(),
+            col: Vec::new(),
+            dcol: Vec::new(),
         }
     }
 
@@ -67,82 +81,74 @@ impl Conv2d {
     /// compute ∂loss/∂input (`Wᵀ·dy` per sample plus the `col2im`
     /// scatter — the part a first layer has no reader for).
     fn backprop(&mut self, dy: &Tensor, want_dx: bool) -> Option<Tensor> {
-        let (g, cols) = self.cache.take().expect("backward without forward");
-        let n = dy.shape()[0];
+        let (g, n) = self.cache.take().expect("backward without forward");
         assert_eq!(dy.shape()[1], self.out_c);
-        let out_plane = g.out_h() * g.out_w();
-        assert_eq!(dy.len(), n * self.out_c * out_plane, "dy size mismatch");
-        let img_len = g.c * g.h * g.w;
-        let fan_in = g.col_rows();
+        let (fan_in, out_plane) = (g.col_rows(), g.col_cols());
+        let (img_len, out_len) = (g.c * g.h * g.w, self.out_c * out_plane);
+        assert_eq!(dy.len(), n * out_len, "dy size mismatch");
 
         self.weight.grad.fill_zero();
         self.bias.grad.fill_zero();
-        // ∂loss/∂input and the per-sample column gradient it is built from.
-        let mut dx_dcol = want_dx.then(|| {
-            (
-                Tensor::zeros(&[n, g.c, g.h, g.w]),
-                Tensor::zeros(&[fan_in, out_plane]),
-            )
-        });
-        for (s, col) in cols.iter().enumerate() {
-            let dy_s = &dy.data()[s * self.out_c * out_plane..(s + 1) * self.out_c * out_plane];
-            // dW += dy_s · colᵀ, accumulated in place.
-            kernel::gemm_nt(
-                dy_s,
-                col.data(),
-                self.weight.grad.data_mut(),
-                self.out_c,
-                out_plane,
-                fan_in,
+        let mut dx = want_dx.then(|| Tensor::zeros(&[n, g.c, g.h, g.w]));
+        if want_dx {
+            self.dcol.resize(fan_in * out_plane, 0.0);
+        }
+        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        let (w, dys) = (self.weight.value.data(), dy.data());
+        for s in 0..n {
+            let dy_s = &dys[s * out_len..(s + 1) * out_len];
+            // dW += dy_s · colᵀ, accumulated in place, over the columns
+            // unrolled again from the kept input.
+            let x_s = &self.input[s * img_len..(s + 1) * img_len];
+            im2col_into(x_s, &g, &mut self.col);
+            kernel::gemm_nt(dy_s, &self.col, dw, self.out_c, out_plane, fan_in);
+            // db += Σ_spatial dy, each sum from -0.0 as `kernel::reduce_sum`'s.
+            channel_sums(
+                [1, self.out_c, out_plane],
+                -0.0,
+                |_, i| dy_s[i],
+                |oc, v| db[oc] += v,
             );
-            // db += Σ_spatial dy (sequential, order-pinned)
-            for oc in 0..self.out_c {
-                self.bias.grad.data_mut()[oc] +=
-                    kernel::reduce_sum(&dy_s[oc * out_plane..(oc + 1) * out_plane]);
-            }
-            if let Some((dx, dcol)) = &mut dx_dcol {
+            if let Some(dx) = &mut dx {
                 // dcol = Wᵀ · dy_s (written whole), scattered back through col2im.
-                kernel::gemm_tn(
-                    self.weight.value.data(),
-                    dy_s,
-                    dcol.data_mut(),
-                    fan_in,
-                    self.out_c,
-                    out_plane,
+                kernel::gemm_tn(w, dy_s, &mut self.dcol, fan_in, self.out_c, out_plane);
+                col2im(
+                    &self.dcol,
+                    &g,
+                    &mut dx.data_mut()[s * img_len..(s + 1) * img_len],
                 );
-                col2im(dcol, &g, &mut dx.data_mut()[s * img_len..(s + 1) * img_len]);
             }
         }
-        dx_dcol.map(|(dx, _)| dx)
+        dx
     }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(x.ndim(), 4, "Conv2d expects [N,C,H,W]");
         let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(c, self.in_c, "input channel mismatch");
         let g = self.geom(h, w);
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let img_len = c * h * w;
-        let out_plane = oh * ow;
-
-        let mut out = Tensor::zeros(&[n, self.out_c, oh, ow]);
-        let mut cols = Vec::with_capacity(n);
+        g.validate(); // before the output is sized from it
+        let (fan_in, out_plane) = (g.col_rows(), g.col_cols());
+        let (img_len, out_len) = (c * h * w, self.out_c * out_plane);
+        let mut out = Tensor::zeros(&[n, self.out_c, g.out_h(), g.out_w()]);
+        self.col.resize(fan_in * out_plane, 0.0);
+        let (wv, bias) = (self.weight.value.data(), self.bias.value.data());
+        let (xs, outs) = (x.data(), out.data_mut());
         for s in 0..n {
-            let col = im2col(&x.data()[s * img_len..(s + 1) * img_len], &g);
-            let y = self.weight.value.matmul(&col); // [out_c, oh*ow]
-            let dst =
-                &mut out.data_mut()[s * self.out_c * out_plane..(s + 1) * self.out_c * out_plane];
-            dst.copy_from_slice(y.data());
-            // Add bias per output channel.
-            for oc in 0..self.out_c {
-                let b = self.bias.value.data()[oc];
-                kernel::add_scalar(&mut dst[oc * out_plane..(oc + 1) * out_plane], b);
+            let dst = &mut outs[s * out_len..(s + 1) * out_len];
+            im2col_into(&xs[s * img_len..(s + 1) * img_len], &g, &mut self.col);
+            kernel::gemm(wv, &self.col, dst, self.out_c, fan_in, out_plane);
+            for (plane, &b) in dst.chunks_exact_mut(out_plane).zip(bias) {
+                kernel::add_scalar(plane, b);
             }
-            cols.push(col);
         }
-        self.cache = Some((g, cols));
+        self.cache = (mode == Mode::Train).then(|| {
+            self.input.clear();
+            self.input.extend_from_slice(x.data());
+            (g, n)
+        });
         out
     }
 
@@ -179,6 +185,14 @@ mod tests {
         assert_eq!(y.shape(), &[2, 8, 8, 8]);
         let dx = c.backward(&Tensor::ones(y.shape()));
         assert_eq!(dx.shape(), x.shape());
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than padded input")]
+    fn kernel_larger_than_padded_input_panics_before_the_output_is_sized() {
+        let mut rng = SmallRng64::new(4);
+        let mut c = Conv2d::new(1, 2, 5, 1, 0, &mut rng);
+        c.forward(&Tensor::zeros(&[1, 1, 2, 2]), Mode::Train);
     }
 
     #[test]

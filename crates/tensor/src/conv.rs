@@ -1,13 +1,11 @@
 //! im2col / col2im kernels for 2-D convolution.
 //!
 //! Convolution forward/backward in `cdsgd-nn` is expressed as matrix
-//! multiplication over "column" matrices: for each sample, `im2col` unrolls
-//! every receptive field into a column of shape `C·KH·KW`, so that
-//! `W[F, C·KH·KW] · col = out[F, OH·OW]`. `col2im` is its adjoint and is
-//! used to push gradients back to the input image.
-
-use crate::kernel;
-use crate::tensor::Tensor;
+//! multiplication over "column" matrices: for each sample, `im2col_into`
+//! unrolls every receptive field into a column of shape `C·KH·KW` of a
+//! caller-owned buffer, so that `W[F, C·KH·KW] · col = out[F, OH·OW]`.
+//! `col2im` is its adjoint and is used to push gradients back to the
+//! input image.
 
 /// Geometry of a conv2d application: input/kernel/stride/padding sizes and
 /// the derived output size.
@@ -64,101 +62,102 @@ impl Conv2dGeom {
     }
 }
 
-/// Unroll a single image `[C,H,W]` (given as a flat slice) into a column
-/// matrix `[C·KH·KW, OH·OW]`.
-pub fn im2col(img: &[f32], g: &Conv2dGeom) -> Tensor {
+/// The output columns `lo..hi` whose input column `oj·stride + kj − pad`
+/// lies inside `0..w` — one range per kernel column `kj`, shared by
+/// every row — and the input column of `lo` (`0` when the range is
+/// empty, so it always indexes the row).
+fn valid_cols(g: &Conv2dGeom, kj: usize) -> (usize, usize, usize) {
+    let ow = g.out_w();
+    let lo = g.pad.saturating_sub(kj).div_ceil(g.stride).min(ow);
+    let hi = (g.w + g.pad).saturating_sub(kj).div_ceil(g.stride).min(ow); // ≥ lo
+    let s = if lo < hi {
+        lo * g.stride + kj - g.pad
+    } else {
+        0
+    };
+    (lo, hi, s)
+}
+
+/// Unroll a single image `[C,H,W]` (given as a flat slice) into the
+/// column matrix `dst = [C·KH·KW, OH·OW]`. Every element of `dst` is
+/// written exactly once — padding taps as `0.0` — so the buffer can be
+/// reused across calls without clearing.
+pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
     g.validate();
     assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
+    assert_eq!(
+        dst.len(),
+        g.col_rows() * g.col_cols(),
+        "column size mismatch"
+    );
     let (oh, ow) = (g.out_h(), g.out_w());
-    let mut col = Tensor::zeros(&[g.col_rows(), g.col_cols()]);
-    let out = col.data_mut();
     let cols = oh * ow;
     for c in 0..g.c {
         let img_c = &img[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
+                let (lo, hi, s) = valid_cols(g, kj);
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oi in 0..oh {
-                    let ii = (oi * g.stride + ki) as isize - g.pad as isize;
-                    if ii < 0 || ii >= g.h as isize {
-                        continue; // zero padding — row already zeroed
-                    }
-                    let src_row = &img_c[ii as usize * g.w..(ii as usize + 1) * g.w];
-                    if g.stride == 1 {
-                        // jj = oj + (kj - pad): the valid oj range maps to a
-                        // contiguous span of the source row — one memcpy.
-                        let d = kj as isize - g.pad as isize;
-                        let lo = (-d).max(0) as usize;
-                        let hi = (g.w as isize - d).clamp(lo as isize, ow as isize) as usize;
-                        if lo < hi {
-                            let s = (lo as isize + d) as usize;
-                            out_row[oi * ow + lo..oi * ow + hi]
-                                .copy_from_slice(&src_row[s..s + (hi - lo)]);
-                        }
+                let out_row = &mut dst[row * cols..(row + 1) * cols];
+                for (oi, out) in out_row.chunks_exact_mut(ow).enumerate() {
+                    let ii = (oi * g.stride + ki).wrapping_sub(g.pad);
+                    if ii >= g.h {
+                        out.fill(0.0); // a padding row (`wrapping_sub` sends ii < 0 here)
                         continue;
                     }
-                    for oj in 0..ow {
-                        let jj = (oj * g.stride + kj) as isize - g.pad as isize;
-                        if jj < 0 || jj >= g.w as isize {
-                            continue;
+                    let src = &img_c[ii * g.w + s..(ii + 1) * g.w];
+                    out[..lo].fill(0.0);
+                    out[hi..].fill(0.0);
+                    if g.stride == 1 {
+                        out[lo..hi].copy_from_slice(&src[..hi - lo]);
+                    } else {
+                        for (j, o) in out[lo..hi].iter_mut().enumerate() {
+                            *o = src[j * g.stride];
                         }
-                        out_row[oi * ow + oj] = src_row[jj as usize];
                     }
                 }
             }
         }
     }
-    col
 }
 
-/// Adjoint of [`im2col`]: scatter-add a column matrix back into an image
-/// buffer `[C,H,W]` (flat slice, must be pre-zeroed by the caller if a
-/// fresh gradient is wanted; contributions are accumulated).
-pub fn col2im(col: &Tensor, g: &Conv2dGeom, img: &mut [f32]) {
+/// Adjoint of [`im2col_into`]: scatter-add a column matrix
+/// `[C·KH·KW, OH·OW]` back into an image buffer `[C,H,W]` (flat slices;
+/// contributions are accumulated, so `img` must be pre-zeroed by the
+/// caller if a fresh gradient is wanted).
+pub fn col2im(col: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
     g.validate();
     assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
     assert_eq!(
-        col.shape(),
-        &[g.col_rows(), g.col_cols()],
-        "column shape mismatch"
+        col.len(),
+        g.col_rows() * g.col_cols(),
+        "column size mismatch"
     );
     let (oh, ow) = (g.out_h(), g.out_w());
-    let data = col.data();
     let cols = oh * ow;
     for c in 0..g.c {
         let img_c = &mut img[c * g.h * g.w..(c + 1) * g.h * g.w];
         for ki in 0..g.kh {
             for kj in 0..g.kw {
+                let (lo, hi, s) = valid_cols(g, kj);
                 let row = (c * g.kh + ki) * g.kw + kj;
-                let col_row = &data[row * cols..(row + 1) * cols];
-                for oi in 0..oh {
-                    let ii = (oi * g.stride + ki) as isize - g.pad as isize;
-                    if ii < 0 || ii >= g.h as isize {
+                let col_row = &col[row * cols..(row + 1) * cols];
+                for (oi, src) in col_row.chunks_exact(ow).enumerate() {
+                    let ii = (oi * g.stride + ki).wrapping_sub(g.pad);
+                    if ii >= g.h {
                         continue;
                     }
-                    let dst_row = &mut img_c[ii as usize * g.w..(ii as usize + 1) * g.w];
+                    let dst = &mut img_c[ii * g.w + s..(ii + 1) * g.w];
                     if g.stride == 1 {
-                        // Adjoint of the im2col fast path: contiguous
-                        // accumulate through the vectorized kernel.
-                        let d = kj as isize - g.pad as isize;
-                        let lo = (-d).max(0) as usize;
-                        let hi = (g.w as isize - d).clamp(lo as isize, ow as isize) as usize;
-                        if lo < hi {
-                            let s = (lo as isize + d) as usize;
-                            kernel::add_assign(
-                                &mut dst_row[s..s + (hi - lo)],
-                                &col_row[oi * ow + lo..oi * ow + hi],
-                            );
+                        // `kernel::add_assign`'s adds, vectorized in line:
+                        // a dispatch per row costs more than the row.
+                        for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
+                            *d += v;
                         }
-                        continue;
-                    }
-                    for oj in 0..ow {
-                        let jj = (oj * g.stride + kj) as isize - g.pad as isize;
-                        if jj < 0 || jj >= g.w as isize {
-                            continue;
+                    } else {
+                        for (j, &v) in src[lo..hi].iter().enumerate() {
+                            dst[j * g.stride] += v;
                         }
-                        dst_row[jj as usize] += col_row[oi * ow + oj];
                     }
                 }
             }
@@ -170,6 +169,16 @@ pub fn col2im(col: &Tensor, g: &Conv2dGeom, img: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::rng::SmallRng64;
+    use crate::tensor::Tensor;
+
+    /// Allocating form of [`im2col_into`]: the geometry is validated
+    /// before the buffer is sized from it.
+    fn im2col(img: &[f32], g: &Conv2dGeom) -> Tensor {
+        g.validate();
+        let mut col = Tensor::zeros(&[g.col_rows(), g.col_cols()]);
+        im2col_into(img, g, col.data_mut());
+        col
+    }
 
     fn geom(c: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Conv2dGeom {
         Conv2dGeom {
@@ -280,7 +289,7 @@ mod tests {
             .sum();
 
         let mut back = vec![0.0f32; x.len()];
-        col2im(&y, &g, &mut back);
+        col2im(y.data(), &g, &mut back);
         let rhs: f32 = x.data().iter().zip(&back).map(|(a, b)| a * b).sum();
 
         assert!(

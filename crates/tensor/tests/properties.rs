@@ -1,9 +1,43 @@
 //! Property-based tests for the tensor substrate: algebraic identities that
 //! must hold for arbitrary shapes and data.
 
-use cdsgd_tensor::{col2im, contiguous_strides, im2col, numel, Conv2dGeom, SmallRng64, Tensor};
+use cdsgd_tensor::{
+    col2im, contiguous_strides, im2col_into, numel, Conv2dGeom, SmallRng64, Tensor,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The reference unroll, one tap at a time: row `(c·KH + ki)·KW + kj`,
+/// column `oi·OW + oj` holds the pixel under that tap, or `0.0` where
+/// the tap falls in the padding.
+fn reference_im2col(img: &[f32], g: &Conv2dGeom) -> Vec<f32> {
+    let (oh, ow) = (g.out_h() as isize, g.out_w() as isize);
+    let (h, w, s, p) = (
+        g.h as isize,
+        g.w as isize,
+        g.stride as isize,
+        g.pad as isize,
+    );
+    let mut col = Vec::new();
+    for c in 0..g.c as isize {
+        for ki in 0..g.kh as isize {
+            for kj in 0..g.kw as isize {
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let (ii, jj) = (oi * s + ki - p, oj * s + kj - p);
+                        let inside = (0..h).contains(&ii) && (0..w).contains(&jj);
+                        col.push(if inside {
+                            img[((c * h + ii) * w + jj) as usize]
+                        } else {
+                            0.0
+                        });
+                    }
+                }
+            }
+        }
+    }
+    col
+}
 
 fn small_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, 1..max_len)
@@ -137,6 +171,34 @@ proptest! {
     }
 
     #[test]
+    fn im2col_into_writes_every_element_of_the_reference_unroll(
+        seed in 0u64..500,
+        c in 1usize..3,
+        h in 1usize..8,
+        w in 1usize..8,
+    ) {
+        // Specials in the image are copied bit for bit; the NaN prefill
+        // shows any element the unroll leaves unwritten.
+        let mut img = Tensor::randn(&[c * h * w], 1.0, &mut SmallRng64::new(seed)).into_vec();
+        for (v, special) in img.iter_mut().step_by(5).zip([-0.0, f32::INFINITY, f32::NAN].iter().cycle()) {
+            *v = *special;
+        }
+        for (k, stride, pad) in (0..27).map(|i| ([1, 3, 5][i % 3], 1 + i / 3 % 3, i / 9)) {
+            if h + 2 * pad < k || w + 2 * pad < k {
+                continue;
+            }
+            let g = Conv2dGeom { c, h, w, kh: k, kw: k, stride, pad };
+            let mut col = vec![f32::NAN; g.col_rows() * g.col_cols()];
+            im2col_into(&img, &g, &mut col);
+            let want = reference_im2col(&img, &g);
+            prop_assert_eq!(col.len(), want.len());
+            for (i, (a, b)) in col.iter().zip(&want).enumerate() {
+                prop_assert!(a.to_bits() == b.to_bits(), "{:?}: element {} is {} want {}", g, i, a, b);
+            }
+        }
+    }
+
+    #[test]
     fn im2col_col2im_adjoint(
         seed in 0u64..500,
         c in 1usize..3,
@@ -150,9 +212,11 @@ proptest! {
         let mut rng = SmallRng64::new(seed);
         let x = Tensor::randn(&[c * hw * hw], 1.0, &mut rng);
         let y = Tensor::randn(&[g.col_rows(), g.col_cols()], 1.0, &mut rng);
-        let lhs: f32 = im2col(x.data(), &g).data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
+        let mut col = vec![0.0f32; y.len()];
+        im2col_into(x.data(), &g, &mut col);
+        let lhs: f32 = col.iter().zip(y.data()).map(|(a, b)| a * b).sum();
         let mut back = vec![0.0f32; x.len()];
-        col2im(&y, &g, &mut back);
+        col2im(y.data(), &g, &mut back);
         let rhs: f32 = x.data().iter().zip(&back).map(|(a, b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "{} vs {}", lhs, rhs);
     }

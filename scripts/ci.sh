@@ -238,6 +238,20 @@ if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/dense.rs | grep -n 'fill_zero'; then
     exit 1
 fi
 
+# Layer workspaces (DESIGN.md §15): Conv2d keeps its input and one
+# reused column buffer — no per-sample column tensors, no product into
+# a temporary that is then copied — and BatchNorm2d sums its channels
+# through util::channel_sums, not an index iterator per element.
+echo "==> nn/conv2d.rs holds no column tensors; nn/batchnorm.rs walks no channel index by index"
+if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/conv2d.rs | grep -nE 'Vec<Tensor>|\.matmul\('; then
+    echo "ERROR: nn/conv2d.rs keeps per-sample column tensors or multiplies into a temporary; unroll into the layer's column buffer and gemm into the output" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/batchnorm.rs | grep -n 'channel_indices'; then
+    echo "ERROR: nn/batchnorm.rs walks a channel index by index; sum through util::channel_sums" >&2
+    exit 1
+fi
+
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
 # command's trace is parsed back line by line through
