@@ -12,9 +12,9 @@
 //!    training reaches a final accuracy within tolerance of the
 //!    PS-based compressed baseline; the JSON records both sides.
 //!
-//! (The allocation-free steady state of the loopback ring is pinned
-//! where its buffers live: `cdsgd-net`'s
-//! `loopback_ping_pong_reuses_its_buffers` test.)
+//! The rings here are localhost TCP rings (`WireMode::Tcp`); the
+//! trainer's in-process fallback ring runs the same transport code over
+//! loopback socket pairs (`cdsgd_net::loopback_pair`).
 //!
 //! Usage: `cargo run --release -p cdsgd-bench --bin topologies
 //!         [--epochs 3] [--samples 480]`

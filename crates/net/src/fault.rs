@@ -16,7 +16,6 @@
 //! exists to catch.
 
 use crate::error::NetError;
-use crate::sys::Waker;
 use crate::transport::{Landing, Tail, Transport};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,8 +146,8 @@ impl Transport for FaultyTransport {
         self.inner.close()
     }
 
-    fn register(&mut self, waker: &Waker) -> Option<RawFd> {
-        self.inner.register(waker)
+    fn fd(&self) -> RawFd {
+        self.inner.fd()
     }
 
     fn try_clone(&self) -> Result<Box<dyn Transport>, NetError> {
@@ -244,17 +243,18 @@ mod tests {
     #[test]
     fn readiness_and_limits_reach_the_inner_transport() {
         let (a, b) = loopback_pair();
+        let inner_fd = b.fd();
         let mut b = FaultyTransport::new(Box::new(b), FaultPlan::new());
         let mut a = FaultyTransport::new(Box::new(a), FaultPlan::new());
-        // The wrapped loopback has no descriptor; it keeps the waker and
-        // calls it when a frame lands.
-        let (waker, rx) = crate::sys::wake_pair().unwrap();
-        assert_eq!(b.register(&waker), None);
+        // The wrapper hands out the inner link's descriptor, which polls
+        // readable once a frame is waiting.
+        assert_eq!(b.fd(), inner_fd);
         let mut poller = crate::sys::Poller::new();
-        poller.add(rx.fd(), false);
+        poller.add(b.fd(), false);
         assert_eq!(poller.wait(Some(Duration::ZERO)).unwrap(), 0);
         a.send_frame(b"12345").unwrap();
         assert_eq!(poller.wait(Some(Duration::from_secs(5))).unwrap(), 1);
+        b.set_nonblocking(true).unwrap();
         b.set_recv_limit(4);
         assert!(matches!(
             b.poll_recv_frame(&mut Vec::new()),
@@ -262,7 +262,7 @@ mod tests {
         ));
         // Closing through the wrapper closes the connection under it.
         b.close();
-        assert_eq!(a.send_frame(b"late"), Err(NetError::Closed));
+        assert_eq!(a.recv_frame(&mut Vec::new()), Err(NetError::Closed));
     }
 
     #[test]

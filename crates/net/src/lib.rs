@@ -7,11 +7,12 @@
 //! - [`wire`] — byte-exact codecs for [`cdsgd_compress::Compressed`]
 //!   payloads (invariant: `encode(c).len() == c.wire_bytes()`) and the
 //!   framed [`wire::WireMsg`] messages built from them.
-//! - [`transport`] — the [`transport::Transport`] trait with a TCP
-//!   backend ([`transport::TcpTransport`], length-prefixed frames,
-//!   `TCP_NODELAY`, bounded retry with exponential backoff) and an
-//!   in-memory loopback backend ([`transport::loopback_pair`]) that moves
-//!   the *same* frames through condvar-guarded queues.
+//! - [`transport`] — the [`transport::Transport`] trait and its one
+//!   implementation, [`transport::FrameStream`]: length-prefixed frames
+//!   over a byte stream, which is a TCP socket ([`transport::TcpTransport`],
+//!   `TCP_NODELAY`, bounded retry with exponential backoff) or one end of
+//!   an in-process Unix socket pair ([`transport::loopback_pair`]) — the
+//!   *same* code either way.
 //! - [`sys`] — `poll(2)` with a wake pipe, so an event loop blocks on
 //!   readiness instead of sleeping, and the `f32`-slice-as-wire-bytes
 //!   views behind the two-part send and the landed receive
@@ -31,16 +32,12 @@ pub use error::NetError;
 pub use fault::{FaultPlan, FaultyTransport};
 pub use sys::{wake_pair, Poller, WakeRx, Waker};
 pub use transport::{
-    loopback_pair, Landing, LoopbackTransport, NetConfig, ReconnectConfig, Tail, TcpAcceptor,
+    loopback_pair, FrameStream, Landing, NetConfig, ReconnectConfig, Tail, TcpAcceptor,
     TcpTransport, Transport, RECONNECT_BACKOFF_CAP,
 };
 pub use wire::{
     decode_compressed, decode_msg, encode_compressed_into, encode_msg_into, pull_reply_frame_bytes,
     push_frame_bytes, WireMsg, FRAME_PREFIX_BYTES, MAX_FRAME_BYTES,
-};
-
-pub use wire::{
-    encode_heartbeat_into, encode_leave_into, encode_register_ack_into, encode_register_into,
 };
 
 pub use wire::{

@@ -1,12 +1,14 @@
-//! Pluggable byte transports: a TCP backend and an in-memory loopback
-//! backend behind one [`Transport`] trait.
+//! The frame transport: one [`Transport`] trait and one implementation of
+//! it, [`FrameStream`], generic over the byte stream under it — a
+//! `TcpStream` ([`TcpTransport`]) or one end of an in-process
+//! `UnixStream` pair ([`loopback_pair`]).
 //!
-//! Both backends move *length-prefixed frames* (a `u32` little-endian body
-//! length followed by the body — see [`crate::wire`]), so the parameter
-//! server glue is written once against `Box<dyn Transport>` and runs
-//! bit-identically over a socket or a pair of in-process queues.
+//! Every link moves *length-prefixed frames* (a `u32` little-endian body
+//! length followed by the body — see [`crate::wire`]) through the same
+//! code, so the parameter server glue is written once against
+//! `Box<dyn Transport>` and runs bit-identically over either stream.
 //!
-//! A frame crosses the TCP backend with one copy per side, the kernel's:
+//! A frame crosses a link with one copy per side, the kernel's:
 //!
 //! - **Receive** is one state machine shared by the blocking and the
 //!   polled call: read the 4-byte prefix, bound it by the connection's
@@ -25,9 +27,8 @@
 //!   [`Tail::F32s`] is queued as the shared snapshot plus an offset, so N
 //!   connections behind one snapshot hold N references, not N copies.
 //!
-//! An event loop blocks on readiness through [`Transport::register`]: a
-//! socket hands out its descriptor for `poll(2)`, a queue-backed
-//! transport keeps the loop's [`Waker`] and calls it when a frame lands.
+//! Every link is a descriptor ([`Transport::fd`]), so an event loop waits
+//! for any number of them, of either kind, in one `poll(2)`.
 
 use crate::error::NetError;
 use crate::sys::{f32s_as_le_bytes, f32s_as_le_bytes_mut, wake_pair, Poller, WakeRx, Waker};
@@ -37,9 +38,50 @@ use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use stream::Stream;
+
+mod stream {
+    use std::io;
+    use std::net::{Shutdown, TcpStream};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    /// What a [`super::FrameStream`] needs of its byte stream besides
+    /// reads and writes through `&S`: four calls `TcpStream` and
+    /// `UnixStream` both have under these names. Sealed in this private
+    /// module — those two are the only implementors.
+    pub trait Stream: AsRawFd + Send + Sized + 'static {
+        fn try_clone(&self) -> io::Result<Self>;
+        fn shutdown(&self, how: Shutdown) -> io::Result<()>;
+        fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    }
+
+    macro_rules! forward {
+        ($($s:ty),*) => {$(
+            impl Stream for $s {
+                fn try_clone(&self) -> io::Result<Self> {
+                    <$s>::try_clone(self)
+                }
+                fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+                    <$s>::shutdown(self, how)
+                }
+                fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+                    <$s>::set_read_timeout(self, timeout)
+                }
+                fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+                    <$s>::set_nonblocking(self, nonblocking)
+                }
+            }
+        )*};
+    }
+    forward!(TcpStream, UnixStream);
+}
 
 /// Process-wide [`Transport::conn_id`] allocator: each connection
 /// endpoint constructed in this process gets a distinct id; clones of an
@@ -226,12 +268,6 @@ fn landing_bytes(storage: &mut [f32], rest: usize) -> Result<&mut [u8], NetError
         })
 }
 
-fn oversize(len: usize) -> NetError {
-    NetError::Io(format!(
-        "refusing to send {len}-byte frame over the {MAX_FRAME_BYTES}-byte limit"
-    ))
-}
-
 /// A bidirectional, connection-oriented frame transport.
 ///
 /// Implementations are `Send` so one endpoint can be driven from a
@@ -303,28 +339,19 @@ pub trait Transport: Send {
     // driven by an event loop as a pair of state machines — a read side
     // (`poll_recv_frame`) accumulating bytes until a frame completes,
     // and a write side (`send_parts`/`poll_flush`) draining a bounded
-    // internal queue as the peer accepts bytes — and tells the loop when
-    // to look through `register`.
+    // internal queue as the peer accepts bytes — and waits on `fd`.
 
     /// Switch the connection into (or out of) non-blocking mode, where
     /// sends queue what the peer refuses and only
     /// [`Transport::poll_recv_frame`] may receive (a blocking
     /// [`Transport::recv_frame`] would spuriously fail with
     /// [`NetError::Timeout`]).
-    ///
-    /// The default is a no-op: queue-backed transports (loopback) never
-    /// block on the poll path anyway.
-    fn set_nonblocking(&mut self, nonblocking: bool) -> Result<(), NetError> {
-        let _ = nonblocking;
-        Ok(())
-    }
+    fn set_nonblocking(&mut self, nonblocking: bool) -> Result<(), NetError>;
 
-    /// Tell an event loop how to wait for this connection: either
-    /// return the descriptor it should `poll(2)` (readable when a frame
-    /// may be waiting or the peer hung up, writable when queued output
-    /// can move), or return `None` and keep `waker`, calling it whenever
-    /// a frame is queued for this endpoint or its peer closes.
-    fn register(&mut self, waker: &Waker) -> Option<RawFd>;
+    /// The descriptor an event loop `poll(2)`s for this connection:
+    /// readable when a frame may be waiting or the peer hung up, writable
+    /// when queued output can move.
+    fn fd(&self) -> RawFd;
 
     /// Non-blocking receive: if a complete frame is available it lands
     /// in `out` and `Ok(true)` is returned; `Ok(false)` means no complete
@@ -335,20 +362,16 @@ pub trait Transport: Send {
 
     /// Drive previously queued output toward the peer without blocking.
     /// `Ok(true)` when the queue is fully drained.
-    fn poll_flush(&mut self) -> Result<bool, NetError> {
-        Ok(true)
-    }
+    fn poll_flush(&mut self) -> Result<bool, NetError>;
 
     /// Bytes accepted by a non-blocking send but not yet on the wire (a
     /// queued snapshot remainder counts by its bytes). Event loops use
     /// this as the per-connection backpressure signal.
-    fn pending_out_bytes(&self) -> usize {
-        0
-    }
+    fn pending_out_bytes(&self) -> usize;
 }
 
 // ---------------------------------------------------------------------------
-// TCP backend
+// the one implementation, over any stream
 // ---------------------------------------------------------------------------
 
 /// One piece of output a non-blocking socket refused.
@@ -363,7 +386,9 @@ impl Queued {
     fn bytes(&self) -> &[u8] {
         match self {
             Queued::Bytes(b) => b,
-            Queued::F32s(w) => f32s_as_le_bytes(w).expect("queued only where the view exists"),
+            // Queued only where the view exists (`OutQueue::send`), so
+            // the empty default is never what goes out.
+            Queued::F32s(w) => f32s_as_le_bytes(w).unwrap_or_default(),
         }
     }
 }
@@ -430,7 +455,9 @@ impl OutQueue {
         let tail_bytes = tail.bytes();
         let body_len = head.len() + tail_bytes.len();
         if body_len > MAX_FRAME_BYTES {
-            return Err(oversize(body_len));
+            return Err(NetError::Io(format!(
+                "refusing to send {body_len}-byte frame over the {MAX_FRAME_BYTES}-byte limit"
+            )));
         }
         let prefix = (body_len as u32).to_le_bytes();
         let parts = [&prefix[..], head, &tail_bytes[..]];
@@ -493,9 +520,10 @@ impl OutQueue {
     }
 }
 
-/// A TCP connection carrying length-prefixed frames.
-pub struct TcpTransport {
-    stream: TcpStream,
+/// A connection carrying length-prefixed frames over the byte stream `S`
+/// — the one [`Transport`] over a real link, whichever stream it is.
+pub struct FrameStream<S> {
+    stream: S,
     peer: String,
     timeout: Option<Duration>,
     conn: u64,
@@ -511,9 +539,12 @@ pub struct TcpTransport {
     rlanded: Option<usize>,
     /// Largest body accepted, checked before `rbody` grows.
     rlimit: usize,
-    /// Output the (non-blocking) socket refused.
+    /// Output the (non-blocking) stream refused.
     out: OutQueue,
 }
+
+/// A TCP connection carrying length-prefixed frames.
+pub type TcpTransport = FrameStream<TcpStream>;
 
 impl TcpTransport {
     /// Connect to `addr` with bounded retry and exponential backoff.
@@ -567,8 +598,27 @@ impl TcpTransport {
             next_conn_id(),
         ))
     }
+}
 
-    fn with_stream(stream: TcpStream, peer: String, timeout: Option<Duration>, conn: u64) -> Self {
+/// A connected pair of in-process endpoints: the two ends of a
+/// `UnixStream` pair, framed by the same code as a TCP connection. Frames
+/// sent on one side arrive on the other in order; once every handle of
+/// one side has dropped (or one [`Transport::close`]s), the other sees
+/// [`NetError::Closed`]. No receive deadline is installed.
+///
+/// # Panics
+/// If the process has no descriptors left for the pair.
+pub fn loopback_pair() -> (FrameStream<UnixStream>, FrameStream<UnixStream>) {
+    let (a, b) = UnixStream::pair().expect("create a loopback socket pair");
+    let end = |s, peer: &str| FrameStream::with_stream(s, peer.into(), None, next_conn_id());
+    (end(a, "loopback:b"), end(b, "loopback:a"))
+}
+
+impl<S: Stream> FrameStream<S>
+where
+    for<'a> &'a S: Read + Write,
+{
+    fn with_stream(stream: S, peer: String, timeout: Option<Duration>, conn: u64) -> Self {
         Self {
             stream,
             peer,
@@ -593,7 +643,7 @@ impl TcpTransport {
     }
 
     /// One step of the receive state machine: at most one read of the
-    /// prefix, or reads of the body until it is complete or the socket
+    /// prefix, or reads of the body until it is complete or the stream
     /// has no more — first into the frame buffer up to the landing's
     /// split, then the bulk straight into the storage the landing offered
     /// for it (or, when it offered none, on into the frame buffer).
@@ -602,7 +652,7 @@ impl TcpTransport {
     /// [`NetError::Timeout`] with all progress kept.
     fn advance(&mut self, landing: &mut dyn Landing) -> Result<bool, NetError> {
         if self.rprefix_len < FRAME_PREFIX_BYTES {
-            let n = match self.stream.read(&mut self.rprefix[self.rprefix_len..]) {
+            let n = match (&self.stream).read(&mut self.rprefix[self.rprefix_len..]) {
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return Ok(false),
                 Err(e) => return Err(e.into()),
@@ -659,7 +709,7 @@ impl TcpTransport {
             let bulk = landing_bytes(storage, rest)?;
             let done = self.rlanded.get_or_insert(0);
             while *done < rest {
-                match self.stream.read(&mut bulk[*done..]) {
+                match (&self.stream).read(&mut bulk[*done..]) {
                     Ok(0) => return Err(self.closed_mid_frame()),
                     Ok(n) => *done += n,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -673,7 +723,10 @@ impl TcpTransport {
     }
 }
 
-impl Transport for TcpTransport {
+impl<S: Stream> Transport for FrameStream<S>
+where
+    for<'a> &'a S: Read + Write,
+{
     fn send_parts(&mut self, head: &[u8], tail: Tail<'_>) -> Result<(), NetError> {
         self.out.send(&mut &self.stream, head, tail)
     }
@@ -740,8 +793,8 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn register(&mut self, _waker: &Waker) -> Option<RawFd> {
-        Some(self.stream.as_raw_fd())
+    fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 
     fn poll_recv_frame(&mut self, out: &mut dyn Landing) -> Result<bool, NetError> {
@@ -829,306 +882,6 @@ impl TcpAcceptor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// in-memory loopback backend
-// ---------------------------------------------------------------------------
-
-/// Spare frame buffers one direction of a loopback connection keeps for
-/// its sender. A lock-step exchange needs one; the rest absorb bursts.
-const MAX_SPARE_FRAMES: usize = 4;
-
-/// One direction of a loopback connection: a condvar-guarded frame queue.
-///
-/// Built by hand (rather than on channels) because the transport needs
-/// `recv_timeout` and multi-handle close semantics, and keeping it local
-/// means the loopback path exercises the exact framing contract TCP does.
-///
-/// Frame buffers change owner instead of being copied: a receive swaps
-/// the queued buffer into the caller's `out` and keeps the caller's old
-/// buffer as a spare, which the sender's next frame is written into. In
-/// steady state a connection therefore copies each frame once (into the
-/// queue) and allocates nothing.
-struct FrameQueue {
-    inner: Mutex<FrameQueueInner>,
-    ready: Condvar,
-}
-
-struct FrameQueueInner {
-    frames: VecDeque<Vec<u8>>,
-    /// Buffers handed back by receives, at most [`MAX_SPARE_FRAMES`].
-    spares: Vec<Vec<u8>>,
-    /// True once every sender handle for this direction has dropped.
-    closed: bool,
-    /// The event loop polling the receiving endpoint, if it registered:
-    /// woken after every push and on close.
-    waker: Option<Waker>,
-}
-
-impl FrameQueueInner {
-    /// Move the oldest queued frame into `out`, keeping `out`'s previous
-    /// buffer as a spare. `false` if no frame is queued.
-    fn pop_into(&mut self, out: &mut Vec<u8>) -> bool {
-        let Some(frame) = self.frames.pop_front() else {
-            return false;
-        };
-        let old = std::mem::replace(out, frame);
-        if old.capacity() > 0 && self.spares.len() < MAX_SPARE_FRAMES {
-            self.spares.push(old);
-        }
-        true
-    }
-}
-
-impl FrameQueue {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            inner: Mutex::new(FrameQueueInner {
-                frames: VecDeque::new(),
-                spares: Vec::new(),
-                closed: false,
-                waker: None,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Queue a copy of `head ++ tail`, written into a spare buffer when
-    /// one is available. The copy runs outside the lock so a polling
-    /// receiver is never held up by it.
-    fn push(&self, head: &[u8], tail: &[u8]) -> Result<(), NetError> {
-        let mut frame = self.inner.lock().unwrap().spares.pop().unwrap_or_default();
-        frame.clear();
-        frame.reserve(head.len() + tail.len());
-        frame.extend_from_slice(head);
-        frame.extend_from_slice(tail);
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
-            // The receiving endpoint dropped: mirror a TCP write against
-            // a closed socket.
-            return Err(NetError::Closed);
-        }
-        inner.frames.push_back(frame);
-        let waker = inner.waker.clone();
-        drop(inner);
-        self.ready.notify_one();
-        // After the frame is visible, so the woken loop finds it.
-        if let Some(w) = waker {
-            w.wake();
-        }
-        Ok(())
-    }
-
-    /// Blocking receive into `out` (see [`FrameQueueInner::pop_into`]).
-    fn pop(&self, timeout: Option<Duration>, out: &mut Vec<u8>) -> Result<(), NetError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if inner.pop_into(out) {
-                return Ok(());
-            }
-            if inner.closed {
-                return Err(NetError::Closed);
-            }
-            match deadline {
-                None => inner = self.ready.wait(inner).unwrap(),
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(NetError::Timeout);
-                    }
-                    let (guard, _) = self.ready.wait_timeout(inner, remaining).unwrap();
-                    inner = guard;
-                }
-            }
-        }
-    }
-
-    /// Non-blocking receive: `Ok(true)` if a frame was waiting and is now
-    /// in `out`, `Ok(false)` if the queue is empty but open, `Err(Closed)`
-    /// once drained *and* closed.
-    fn try_pop(&self, out: &mut Vec<u8>) -> Result<bool, NetError> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.pop_into(out) {
-            return Ok(true);
-        }
-        if inner.closed {
-            return Err(NetError::Closed);
-        }
-        Ok(false)
-    }
-
-    fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.closed = true;
-        let waker = inner.waker.clone();
-        drop(inner);
-        self.ready.notify_all();
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-}
-
-/// Closes a queue when the last handle of the owning endpoint drops, so
-/// clone-split endpoints only signal EOF once *all* their handles are
-/// gone (matching `TcpStream::try_clone` semantics).
-struct CloseOnDrop {
-    /// The queue this endpoint *sends* on — closing it is what the peer
-    /// observes as EOF.
-    send: Arc<FrameQueue>,
-    /// The queue this endpoint receives on; closing it too unblocks any
-    /// send the peer attempts afterwards.
-    recv: Arc<FrameQueue>,
-}
-
-impl Drop for CloseOnDrop {
-    fn drop(&mut self) {
-        self.send.close();
-        self.recv.close();
-    }
-}
-
-/// One endpoint of an in-memory loopback connection.
-pub struct LoopbackTransport {
-    send: Arc<FrameQueue>,
-    recv: Arc<FrameQueue>,
-    timeout: Option<Duration>,
-    /// Largest inbound frame accepted ([`Transport::set_recv_limit`]).
-    rlimit: usize,
-    conn: u64,
-    _close: Arc<CloseOnDrop>,
-    peer: &'static str,
-}
-
-impl LoopbackTransport {
-    /// Finish a receive whose queued frame was just swapped into
-    /// `out.frame()`. The queue has no length prefix to vet before the
-    /// frame exists, so the inbound limit is applied to the frame as it is
-    /// handed over; then a landing that takes the bulk gets it copied in,
-    /// once, and the frame buffer keeps only the head.
-    fn hand_over(&self, out: &mut dyn Landing) -> Result<(), NetError> {
-        let len = out.frame().len();
-        if len > self.rlimit {
-            return Err(NetError::Decode(format!(
-                "frame length {len} exceeds the {}-byte limit",
-                self.rlimit
-            )));
-        }
-        let split = split_at(out, len);
-        if split == len {
-            return Ok(());
-        }
-        let mut frame = std::mem::take(out.frame());
-        let (head, bulk) = frame.split_at(split);
-        let landed = out
-            .land(head, bulk.len())
-            .map(|storage| landing_bytes(storage, bulk.len()).map(|b| b.copy_from_slice(bulk)));
-        if landed.is_some() {
-            frame.truncate(split);
-        }
-        *out.frame() = frame;
-        landed.unwrap_or(Ok(()))
-    }
-}
-
-/// Create a connected pair of loopback endpoints. Frames sent on one
-/// side arrive on the other in order; dropping all handles of one side
-/// surfaces as [`NetError::Closed`] on the other.
-pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
-    let a_to_b = FrameQueue::new();
-    let b_to_a = FrameQueue::new();
-    let a = LoopbackTransport {
-        send: Arc::clone(&a_to_b),
-        recv: Arc::clone(&b_to_a),
-        timeout: None,
-        rlimit: MAX_FRAME_BYTES,
-        conn: next_conn_id(),
-        _close: Arc::new(CloseOnDrop {
-            send: Arc::clone(&a_to_b),
-            recv: Arc::clone(&b_to_a),
-        }),
-        peer: "loopback:b",
-    };
-    let b = LoopbackTransport {
-        send: Arc::clone(&b_to_a),
-        recv: Arc::clone(&a_to_b),
-        timeout: None,
-        rlimit: MAX_FRAME_BYTES,
-        conn: next_conn_id(),
-        _close: Arc::new(CloseOnDrop {
-            send: b_to_a,
-            recv: a_to_b,
-        }),
-        peer: "loopback:a",
-    };
-    (a, b)
-}
-
-impl Transport for LoopbackTransport {
-    fn send_parts(&mut self, head: &[u8], tail: Tail<'_>) -> Result<(), NetError> {
-        let tail = tail.bytes();
-        if head.len() + tail.len() > MAX_FRAME_BYTES {
-            return Err(oversize(head.len() + tail.len()));
-        }
-        self.send.push(head, &tail)
-    }
-
-    fn recv_frame(&mut self, out: &mut dyn Landing) -> Result<(), NetError> {
-        self.recv.pop(self.timeout, out.frame())?;
-        self.hand_over(out)
-    }
-
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
-        self.timeout = timeout;
-        Ok(())
-    }
-
-    fn set_recv_limit(&mut self, bytes: usize) {
-        self.rlimit = bytes.min(MAX_FRAME_BYTES);
-    }
-
-    fn try_clone(&self) -> Result<Box<dyn Transport>, NetError> {
-        Ok(Box::new(Self {
-            send: Arc::clone(&self.send),
-            recv: Arc::clone(&self.recv),
-            timeout: self.timeout,
-            rlimit: self.rlimit,
-            conn: self.conn,
-            _close: Arc::clone(&self._close),
-            peer: self.peer,
-        }))
-    }
-
-    fn close(&mut self) {
-        self.send.close();
-        self.recv.close();
-    }
-
-    fn conn_id(&self) -> u64 {
-        self.conn
-    }
-
-    fn peer(&self) -> String {
-        self.peer.to_string()
-    }
-
-    fn register(&mut self, waker: &Waker) -> Option<RawFd> {
-        self.recv.inner.lock().unwrap().waker = Some(waker.clone());
-        None
-    }
-
-    // Queue pushes never block, so sends never queue and the default
-    // `poll_flush` (always drained) is already correct; only the receive
-    // side needs a true poll.
-    fn poll_recv_frame(&mut self, out: &mut dyn Landing) -> Result<bool, NetError> {
-        if !self.recv.try_pop(out.frame())? {
-            return Ok(false);
-        }
-        self.hand_over(out)?;
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1157,226 +910,149 @@ mod tests {
         assert_eq!(rc.backoff_for(40), RECONNECT_BACKOFF_CAP);
     }
 
+    /// A connected (client, server) TCP pair, both blocking.
+    fn tcp_pair() -> (TcpTransport, TcpTransport) {
+        let cfg = fast_cfg();
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
+        let client = TcpTransport::connect(addr, &cfg).unwrap();
+        let server = acceptor.accept(Duration::from_secs(5)).unwrap();
+        (client, server)
+    }
+
+    /// Run `$body` once over a connected TCP pair and once over a
+    /// loopback pair — one behaviour, both stream kinds — with `$kind`
+    /// naming the pair in assertion messages. The first end's raw stream
+    /// (`a.stream`) is there to write bytes no frame encoder would.
+    macro_rules! over_both {
+        (|$kind:ident, $a:pat_param, $b:pat_param| $body:block) => {{
+            {
+                let ($kind, ($a, $b)) = ("tcp", tcp_pair());
+                $body
+            }
+            {
+                let ($kind, ($a, $b)) = ("loopback", loopback_pair());
+                $body
+            }
+        }};
+    }
+
     #[test]
     fn conn_ids_are_distinct_per_endpoint_and_stable_across_clone() {
-        let (a, b) = loopback_pair();
-        assert_ne!(a.conn_id(), b.conn_id());
-        assert_eq!(a.conn_id(), a.try_clone().unwrap().conn_id());
-
-        let cfg = fast_cfg();
-        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        let handle = std::thread::spawn(move || acceptor.accept(Duration::from_secs(5)).unwrap());
-        let client = TcpTransport::connect(addr, &cfg).unwrap();
-        let server = handle.join().unwrap();
-        assert_ne!(client.conn_id(), server.conn_id());
-        assert_eq!(client.conn_id(), client.try_clone().unwrap().conn_id());
-    }
-
-    #[test]
-    fn loopback_frames_round_trip_in_order() {
-        let (mut a, mut b) = loopback_pair();
-        a.send_frame(b"first").unwrap();
-        a.send_frame(b"").unwrap();
-        a.send_frame(b"third").unwrap();
-        let mut buf = Vec::new();
-        b.recv_frame(&mut buf).unwrap();
-        assert_eq!(buf, b"first");
-        b.recv_frame(&mut buf).unwrap();
-        assert_eq!(buf, b"");
-        b.recv_frame(&mut buf).unwrap();
-        assert_eq!(buf, b"third");
-    }
-
-    #[test]
-    fn loopback_timeout_and_close() {
-        let (a, mut b) = loopback_pair();
-        b.set_recv_timeout(Some(Duration::from_millis(10))).unwrap();
-        let mut buf = Vec::new();
-        assert_eq!(b.recv_frame(&mut buf), Err(NetError::Timeout));
-        drop(a);
-        assert_eq!(b.recv_frame(&mut buf), Err(NetError::Closed));
-    }
-
-    #[test]
-    fn loopback_clone_keeps_connection_open_until_all_handles_drop() {
-        let (a, mut b) = loopback_pair();
-        let mut a2 = a.try_clone().unwrap();
-        drop(a);
-        a2.send_frame(b"still alive").unwrap();
-        let mut buf = Vec::new();
-        b.recv_frame(&mut buf).unwrap();
-        assert_eq!(buf, b"still alive");
-        drop(a2);
-        assert_eq!(b.recv_frame(&mut buf), Err(NetError::Closed));
-    }
-
-    #[test]
-    fn loopback_ping_pong_reuses_its_buffers() {
-        // Frames change owner instead of being copied out, so after a
-        // warm-up the same few allocations circulate: before every send
-        // a spare big enough for the frame is waiting (the send
-        // allocates nothing), and every buffer a receive hands over was
-        // already seen during warm-up.
-        let (mut a, mut b) = loopback_pair();
-        let queues = [Arc::clone(&a.send), Arc::clone(&b.send)];
-        let body = vec![0x5au8; 1 << 20];
-        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
-        let mut exchange = |seen: &mut Vec<*const u8>| {
-            a.send_frame(&body).unwrap();
-            b.recv_frame(&mut at_b).unwrap();
-            b.send_frame(&at_b).unwrap();
-            a.recv_frame(&mut at_a).unwrap();
-            assert_eq!(at_a, body);
-            seen.extend([at_a.as_ptr(), at_b.as_ptr()]);
-        };
-        let mut warm = Vec::new();
-        for _ in 0..3 {
-            exchange(&mut warm);
-        }
-        let mut steady = Vec::new();
-        for _ in 0..20 {
-            for q in &queues {
-                let spares = &q.inner.lock().unwrap().spares;
-                assert!(spares.iter().any(|s| s.capacity() >= body.len()));
-            }
-            exchange(&mut steady);
-        }
-        assert!(
-            steady.iter().all(|p| warm.contains(p)),
-            "steady-state exchange allocated a fresh frame buffer"
-        );
-    }
-
-    #[test]
-    fn loopback_spares_are_bounded_when_one_side_only_sends() {
-        // The sender never sends again, so nothing drains the spares its
-        // peer's receives hand back: the list must stop at its bound
-        // instead of keeping every buffer ever received into.
-        let (mut a, mut b) = loopback_pair();
-        for _ in 0..3 * MAX_SPARE_FRAMES {
-            a.send_frame(b"one way").unwrap();
-        }
-        for _ in 0..3 * MAX_SPARE_FRAMES {
-            let mut out = Vec::with_capacity(64);
-            b.recv_frame(&mut out).unwrap();
-            assert_eq!(out, b"one way");
-        }
-        assert_eq!(a.send.inner.lock().unwrap().spares.len(), MAX_SPARE_FRAMES);
-    }
-
-    #[test]
-    fn loopback_recv_replaces_stale_longer_contents() {
-        let (mut a, mut b) = loopback_pair();
-        let mut out = vec![0xeeu8; 100];
-        a.send_frame(b"abc").unwrap();
-        b.recv_frame(&mut out).unwrap();
-        assert_eq!(out, b"abc");
-        // The spare `out` left behind carries its stale bytes into the
-        // next send, which must not leak them either.
-        let mut out = vec![0xeeu8; 100];
-        a.send_frame(b"").unwrap();
-        assert!(b.poll_recv_frame(&mut out).unwrap());
-        assert_eq!(out, b"");
-    }
-
-    #[test]
-    fn tcp_round_trip_and_clean_eof() {
-        let cfg = fast_cfg();
-        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        let handle = std::thread::spawn(move || {
-            let mut server = acceptor.accept(Duration::from_secs(5)).unwrap();
-            let mut buf = Vec::new();
-            server.recv_frame(&mut buf).unwrap();
-            server.send_frame(&buf).unwrap();
-            // Drop closes the socket: the client sees clean EOF.
+        over_both!(|kind, a, b| {
+            assert_ne!(a.conn_id(), b.conn_id(), "{kind}");
+            assert_eq!(a.conn_id(), a.try_clone().unwrap().conn_id(), "{kind}");
         });
-        let mut client = TcpTransport::connect(addr, &cfg).unwrap();
-        client.send_frame(b"ping").unwrap();
-        let mut buf = Vec::new();
-        client.recv_frame(&mut buf).unwrap();
-        assert_eq!(buf, b"ping");
-        handle.join().unwrap();
-        assert_eq!(client.recv_frame(&mut buf), Err(NetError::Closed));
     }
 
     #[test]
-    fn tcp_recv_timeout_preserves_partial_frame_state() {
-        let cfg = fast_cfg();
-        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        let handle = std::thread::spawn(move || {
-            let server = acceptor.accept(Duration::from_secs(5)).unwrap();
-            // Write the prefix + half the body, pause past the client's
-            // receive deadline, then finish the frame.
-            let mut raw = server.stream.try_clone().unwrap();
+    fn frames_round_trip_in_order() {
+        let bodies = [&b"first"[..], b"", b"third"];
+        over_both!(|kind, mut a, mut b| {
+            for body in bodies {
+                a.send_frame(body).unwrap();
+            }
+            // A buffer holding longer stale bytes takes exactly each frame.
+            let mut buf = vec![0xee; 100];
+            for body in bodies {
+                b.recv_frame(&mut buf).unwrap();
+                assert_eq!(buf, body, "{kind}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_timeout_keeps_partial_frame_state() {
+        over_both!(|kind, a, mut b| {
+            // The prefix and half the body, then a receive that times out
+            // mid-frame: the retry must still finish that frame.
+            let mut raw = a.stream.try_clone().unwrap();
             let body = b"split-frame-body";
             raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
             raw.write_all(&body[..7]).unwrap();
-            raw.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(120));
+            b.set_recv_timeout(Some(Duration::from_millis(40))).unwrap();
+            let mut buf = Vec::new();
+            assert_eq!(b.recv_frame(&mut buf), Err(NetError::Timeout), "{kind}");
             raw.write_all(&body[7..]).unwrap();
-            raw.flush().unwrap();
-            server
+            b.recv_frame(&mut buf).unwrap();
+            assert_eq!(buf, body, "{kind}");
         });
-        let mut client = TcpTransport::connect(addr, &cfg).unwrap();
-        client
-            .set_recv_timeout(Some(Duration::from_millis(40)))
-            .unwrap();
-        let mut buf = Vec::new();
-        // First call times out mid-frame; the retry must still decode the
-        // frame correctly from preserved state.
-        assert_eq!(client.recv_frame(&mut buf), Err(NetError::Timeout));
-        client
-            .set_recv_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        client.recv_frame(&mut buf).unwrap();
-        assert_eq!(buf, b"split-frame-body");
-        drop(handle.join().unwrap());
     }
 
     #[test]
-    fn loopback_poll_recv_returns_false_when_empty_then_the_frame() {
-        let (mut a, mut b) = loopback_pair();
-        let mut buf = Vec::new();
-        assert!(!b.poll_recv_frame(&mut buf).unwrap());
-        a.send_frame(b"polled").unwrap();
-        assert_eq!(a.pending_out_bytes(), 0, "loopback sends never queue");
-        assert!(b.poll_recv_frame(&mut buf).unwrap());
-        assert_eq!(buf, b"polled");
-        assert!(!b.poll_recv_frame(&mut buf).unwrap());
-        drop(a);
-        assert_eq!(b.poll_recv_frame(&mut buf), Err(NetError::Closed));
+    fn the_recv_limit_rejects_the_prefix_before_reserving_or_reading_a_body() {
+        over_both!(|kind, a, mut b| {
+            b.set_recv_limit(1 << 10);
+            let mut raw = a.stream.try_clone().unwrap();
+            // A frame at the limit passes...
+            raw.write_all(&(1u32 << 10).to_le_bytes()).unwrap();
+            raw.write_all(&[7u8; 1 << 10]).unwrap();
+            let mut out = Vec::new();
+            b.recv_frame(&mut out).unwrap();
+            assert_eq!(out, [7u8; 1 << 10], "{kind}");
+            // ...and four hostile bytes announcing 512 MiB are an error at
+            // once — not a timeout waiting for a body, not an allocation.
+            raw.write_all(&(512u32 << 20).to_le_bytes()).unwrap();
+            for _ in 0..2 {
+                assert!(
+                    matches!(b.recv_frame(&mut out), Err(NetError::Decode(_))),
+                    "{kind}"
+                );
+                assert!(b.rbody.capacity() <= 1 << 10, "{kind}");
+            }
+        });
     }
 
     #[test]
-    fn tcp_poll_round_trip_without_blocking() {
-        let cfg = fast_cfg();
-        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        let handle = std::thread::spawn(move || acceptor.accept(Duration::from_secs(5)).unwrap());
-        let mut client = TcpTransport::connect(addr, &cfg).unwrap();
-        let mut server = handle.join().unwrap();
-        server.set_nonblocking(true).unwrap();
+    fn close_wakes_a_reader_blocked_on_a_clone() {
+        over_both!(|kind, mut a, _b| {
+            let mut reader = a.try_clone().unwrap();
+            reader.set_recv_timeout(None).unwrap();
+            let blocked = std::thread::spawn(move || reader.recv_frame(&mut Vec::new()));
+            a.close();
+            assert_eq!(blocked.join().unwrap(), Err(NetError::Closed), "{kind}");
+        });
+    }
 
-        let mut buf = Vec::new();
-        assert!(
-            !server.poll_recv_frame(&mut buf).unwrap(),
-            "nothing sent yet"
-        );
-        client.send_frame(b"ping").unwrap();
-        // Poll until the kernel delivers the bytes (bounded spin).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !server.poll_recv_frame(&mut buf).unwrap() {
-            assert!(Instant::now() < deadline, "frame never arrived");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(buf, b"ping");
+    #[test]
+    fn eof_arrives_only_after_every_clone_drops() {
+        over_both!(|kind, a, mut b| {
+            let mut a2 = a.try_clone().unwrap();
+            drop(a);
+            a2.send_frame(b"still alive").unwrap();
+            let mut buf = Vec::new();
+            b.recv_frame(&mut buf).unwrap();
+            assert_eq!(buf, b"still alive", "{kind}");
+            drop(a2);
+            assert_eq!(b.recv_frame(&mut buf), Err(NetError::Closed), "{kind}");
+        });
+    }
 
-        server.send_frame(b"pong").unwrap();
-        while !server.poll_flush().unwrap() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(server.pending_out_bytes(), 0);
-        client.recv_frame(&mut buf).unwrap();
-        assert_eq!(buf, b"pong");
+    #[test]
+    fn poll_round_trip_without_blocking() {
+        over_both!(|kind, mut a, mut b| {
+            b.set_nonblocking(true).unwrap();
+            let mut buf = Vec::new();
+            assert!(
+                !b.poll_recv_frame(&mut buf).unwrap(),
+                "{kind}: nothing sent"
+            );
+            a.send_frame(b"ping").unwrap();
+            // Poll until the kernel delivers the bytes (bounded spin).
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !b.poll_recv_frame(&mut buf).unwrap() {
+                assert!(Instant::now() < deadline, "{kind}: frame never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(buf, b"ping", "{kind}");
+
+            b.send_frame(b"pong").unwrap();
+            while !b.poll_flush().unwrap() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(b.pending_out_bytes(), 0, "{kind}");
+            a.recv_frame(&mut buf).unwrap();
+            assert_eq!(buf, b"pong", "{kind}");
+        });
     }
 
     #[test]
@@ -1420,26 +1096,23 @@ mod tests {
     }
 
     #[test]
-    fn tcp_poll_recv_sees_clean_eof_as_closed() {
-        let cfg = fast_cfg();
-        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        let handle = std::thread::spawn(move || acceptor.accept(Duration::from_secs(5)).unwrap());
-        let client = TcpTransport::connect(addr, &cfg).unwrap();
-        let mut server = handle.join().unwrap();
-        server.set_nonblocking(true).unwrap();
-        drop(client);
-        let mut buf = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match server.poll_recv_frame(&mut buf) {
-                Ok(false) => {
-                    assert!(Instant::now() < deadline, "EOF never surfaced");
-                    std::thread::sleep(Duration::from_millis(1));
+    fn poll_recv_sees_clean_eof_as_closed() {
+        over_both!(|kind, a, mut b| {
+            b.set_nonblocking(true).unwrap();
+            drop(a);
+            let mut buf = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                match b.poll_recv_frame(&mut buf) {
+                    Ok(false) => {
+                        assert!(Instant::now() < deadline, "{kind}: EOF never surfaced");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Err(NetError::Closed) => break,
+                    other => panic!("{kind}: expected Closed, got {other:?}"),
                 }
-                Err(NetError::Closed) => break,
-                other => panic!("expected Closed, got {other:?}"),
             }
-        }
+        });
     }
 
     #[test]
@@ -1481,15 +1154,6 @@ mod tests {
         ));
         drop(handle.join().unwrap());
     }
-    /// A connected (client, server) TCP pair, both blocking.
-    fn tcp_pair() -> (TcpTransport, TcpTransport) {
-        let cfg = fast_cfg();
-        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", cfg.clone()).unwrap();
-        let client = TcpTransport::connect(addr, &cfg).unwrap();
-        let server = acceptor.accept(Duration::from_secs(5)).unwrap();
-        (client, server)
-    }
-
     #[test]
     fn tcp_frame_dribbled_one_byte_at_a_time_across_polls() {
         // Every byte of the prefix and the body arrives in its own read:
@@ -1547,66 +1211,23 @@ mod tests {
     }
 
     #[test]
-    fn tcp_recv_limit_rejects_the_prefix_before_reserving_or_reading_a_body() {
-        let (client, mut server) = tcp_pair();
-        server.set_recv_limit(1 << 10);
-        let mut raw = client.stream.try_clone().unwrap();
-        // A frame at the limit passes...
-        raw.write_all(&(1u32 << 10).to_le_bytes()).unwrap();
-        raw.write_all(&[7u8; 1 << 10]).unwrap();
-        let mut out = Vec::new();
-        server.recv_frame(&mut out).unwrap();
-        assert_eq!(out, [7u8; 1 << 10]);
-        // ...and four hostile bytes announcing 512 MiB are an error at
-        // once — not a timeout waiting for a body, not an allocation.
-        raw.write_all(&(512u32 << 20).to_le_bytes()).unwrap();
-        for _ in 0..2 {
-            assert!(matches!(
-                server.recv_frame(&mut out),
-                Err(NetError::Decode(_))
-            ));
-            assert!(server.rbody.capacity() <= 1 << 10);
-        }
-    }
-
-    #[test]
-    fn loopback_recv_limit_rejects_an_oversized_frame() {
-        let (mut a, mut b) = loopback_pair();
-        b.set_recv_limit(8);
-        a.send_frame(b"12345678").unwrap();
-        a.send_frame(b"123456789").unwrap();
-        let mut out = Vec::new();
-        b.recv_frame(&mut out).unwrap();
-        assert_eq!(out, b"12345678");
-        assert!(matches!(
-            b.poll_recv_frame(&mut out),
-            Err(NetError::Decode(_))
-        ));
-    }
-
-    #[test]
     fn two_part_send_is_the_frame_send_frame_produces() {
         let weights: Arc<[f32]> = vec![1.5f32, -2.25, 0.0, 1.0e-8].into();
         let tail_bytes: Vec<u8> = weights.iter().flat_map(|v| v.to_le_bytes()).collect();
         let mut whole = b"head".to_vec();
         whole.extend_from_slice(&tail_bytes);
-
-        let (mut client, mut server) = tcp_pair();
-        let (mut la, mut lb) = loopback_pair();
-        let ends: [(&mut dyn Transport, &mut dyn Transport); 2] =
-            [(&mut client, &mut server), (&mut la, &mut lb)];
-        for (tx, rx) in ends {
+        over_both!(|kind, mut tx, mut rx| {
             let mut out = Vec::new();
             tx.send_parts(b"head", Tail::Bytes(&tail_bytes)).unwrap();
             rx.recv_frame(&mut out).unwrap();
-            assert_eq!(out, whole);
+            assert_eq!(out, whole, "{kind}");
             tx.send_parts(b"head", Tail::F32s(&weights)).unwrap();
             rx.recv_frame(&mut out).unwrap();
-            assert_eq!(out, whole);
+            assert_eq!(out, whole, "{kind}");
             tx.send_parts(b"", Tail::NONE).unwrap();
             rx.recv_frame(&mut out).unwrap();
-            assert_eq!(out, b"");
-        }
+            assert_eq!(out, b"", "{kind}");
+        });
     }
 
     /// A landing that reads `head` bytes first and takes the rest of a
@@ -1667,14 +1288,10 @@ mod tests {
     }
 
     #[test]
-    fn loopback_and_tcp_land_the_same_frames() {
+    fn the_landed_receive_is_the_same_over_both_streams() {
         let bodies = landing_bodies();
-        let (mut client, mut server) = tcp_pair();
-        let (mut la, mut lb) = loopback_pair();
         let mut got = Vec::new();
-        let ends: [(&mut dyn Transport, &mut dyn Transport); 2] =
-            [(&mut client, &mut server), (&mut la, &mut lb)];
-        for (tx, rx) in ends {
+        over_both!(|kind, mut tx, mut rx| {
             let mut landed = Vec::new();
             std::thread::scope(|s| {
                 // Its own thread: the megabyte frame outgrows a socket
@@ -1687,14 +1304,14 @@ mod tests {
                     // Head plus landed bulk is the frame that was sent.
                     let mut whole = frame.clone();
                     whole.extend_from_slice(bulk.as_deref().unwrap_or_default());
-                    assert_eq!(&whole, body);
+                    assert_eq!(&whole, body, "{kind}");
                     let lands = body.len() > 13 && (body.len() - 13) % 4 == 0;
-                    assert_eq!(bulk.is_some(), lands, "{}-byte body", body.len());
+                    assert_eq!(bulk.is_some(), lands, "{kind}: {}-byte body", body.len());
                     landed.push((frame, bulk));
                 }
             });
             got.push(landed);
-        }
+        });
         assert_eq!(got[0], got[1]);
     }
 
@@ -1745,21 +1362,17 @@ mod tests {
 
     #[test]
     fn storage_of_the_wrong_size_is_a_decode_error() {
-        let (mut client, mut server) = tcp_pair();
-        let (mut la, mut lb) = loopback_pair();
-        let ends: [(&mut dyn Transport, &mut dyn Transport); 2] =
-            [(&mut client, &mut server), (&mut la, &mut lb)];
-        for (tx, rx) in ends {
+        over_both!(|kind, mut tx, mut rx| {
             tx.send_frame(&[0u8; 13 + 8]).unwrap();
             let mut offer = Offer {
                 extra: 1,
                 ..Offer::new(13)
             };
-            assert!(matches!(
-                rx.recv_frame(&mut offer),
-                Err(NetError::Decode(_))
-            ));
-        }
+            assert!(
+                matches!(rx.recv_frame(&mut offer), Err(NetError::Decode(_))),
+                "{kind}"
+            );
+        });
     }
 
     /// A writer that accepts `budget` more bytes, then refuses.
@@ -1860,19 +1473,5 @@ mod tests {
         assert_eq!(first, Some(NetError::Closed));
         assert_eq!(second, Some(NetError::Closed));
         assert!(t0.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn close_wakes_a_reader_blocked_on_another_handle() {
-        let (mut client, _server) = tcp_pair();
-        let (mut la, _lb) = loopback_pair();
-        let ends: [&mut dyn Transport; 2] = [&mut client, &mut la];
-        for t in ends {
-            let mut reader = t.try_clone().unwrap();
-            reader.set_recv_timeout(None).unwrap();
-            let blocked = std::thread::spawn(move || reader.recv_frame(&mut Vec::new()));
-            t.close();
-            assert_eq!(blocked.join().unwrap(), Err(NetError::Closed));
-        }
     }
 }

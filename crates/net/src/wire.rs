@@ -786,14 +786,6 @@ pub fn encode_push_parts<'a>(
     encode_compressed_parts(payload, buf)
 }
 
-/// Encode a pull request body into `buf` (cleared first).
-pub fn encode_pull_into(key: u32, min_version: u64, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_PULL);
-    put_u32(buf, key);
-    put_u64(buf, min_version);
-}
-
 /// Encode a pull-reply body into `buf` (cleared first). Takes the weight
 /// slice by reference so the server can frame an `Arc<[f32]>` snapshot
 /// without materialising a `Vec`.
@@ -813,127 +805,85 @@ pub fn encode_pull_reply_head_into(key: u32, min_version: u64, buf: &mut Vec<u8>
     put_u64(buf, min_version);
 }
 
-/// Encode a set-lr body into `buf` (cleared first).
-pub fn encode_set_lr_into(lr: f32, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_SET_LR);
-    put_f32(buf, lr);
-}
-
-/// Encode a snapshot request body into `buf` (cleared first).
-pub fn encode_snapshot_into(buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_SNAPSHOT);
-}
-
-/// Encode a snapshot reply body into `buf` (cleared first). Layout: key
-/// count, then per key its version, length, and raw f32 weights.
-pub fn encode_snapshot_reply_into(weights: &[Vec<f32>], versions: &[u64], buf: &mut Vec<u8>) {
-    assert_eq!(weights.len(), versions.len(), "snapshot key count mismatch");
-    buf.clear();
-    buf.push(OP_SNAPSHOT_REPLY);
-    put_u32(buf, weights.len() as u32);
-    for (w, &v) in weights.iter().zip(versions) {
-        put_u64(buf, v);
-        put_u32(buf, w.len() as u32);
-        put_f32s(buf, w);
-    }
-}
-
-/// Encode a shutdown body into `buf` (cleared first).
-pub fn encode_shutdown_into(buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_SHUTDOWN);
-}
-
-/// Encode a register body into `buf` (cleared first).
-pub fn encode_register_into(worker: u32, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_REGISTER);
-    put_u32(buf, worker);
-}
-
-/// Encode a register-ack body into `buf` (cleared first). Layout: key
-/// count, then one `u64` version per key.
-pub fn encode_register_ack_into(versions: &[u64], buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_REGISTER_ACK);
-    put_u32(buf, versions.len() as u32);
-    for &v in versions {
-        put_u64(buf, v);
-    }
-}
-
-/// Encode a heartbeat body into `buf` (cleared first).
-pub fn encode_heartbeat_into(worker: u32, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_HEARTBEAT);
-    put_u32(buf, worker);
-}
-
-/// Encode a leave body into `buf` (cleared first).
-pub fn encode_leave_into(worker: u32, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_LEAVE);
-    put_u32(buf, worker);
-}
-
-/// Encode a cancel-join body into `buf` (cleared first).
-pub fn encode_cancel_join_into(worker: u32, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_CANCEL_JOIN);
-    put_u32(buf, worker);
-}
-
-/// Encode a checkpoint request body into `buf` (cleared first).
-pub fn encode_checkpoint_into(buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_CHECKPOINT);
-}
-
-/// Encode a checkpoint-ack body into `buf` (cleared first). Layout: a
-/// success byte, then the captured round (present only on success).
-pub fn encode_checkpoint_ack_into(round: Option<u64>, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(OP_CHECKPOINT_ACK);
-    match round {
-        Some(r) => {
-            buf.push(1);
-            put_u64(buf, r);
-        }
-        None => buf.push(0),
-    }
-}
-
-/// Encode any [`WireMsg`] into `buf` (cleared first). The per-message
-/// `encode_*_into` helpers are the zero-copy hot paths; this encodes the
-/// small replies, and exists for symmetry with [`decode_msg`].
+/// Encode any [`WireMsg`] into `buf` (cleared first): the one message
+/// encoder, each kind's bytes written in its arm. A push and a pull reply
+/// are the bytes of their two-part forms joined ([`encode_push_parts`],
+/// [`encode_pull_reply_head_into`]), which the hot paths send unjoined.
+///
+/// # Panics
+/// If a snapshot reply's weights and versions differ in key count, or a
+/// push payload breaks its own invariants ([`encode_compressed_parts`]).
 pub fn encode_msg_into(msg: &WireMsg, buf: &mut Vec<u8>) {
+    buf.clear();
     match msg {
         WireMsg::Push {
             worker,
             key,
             payload,
         } => encode_push_into(*worker, *key, payload, buf),
-        WireMsg::Pull { key, min_version } => encode_pull_into(*key, *min_version, buf),
+        WireMsg::Pull { key, min_version } => {
+            buf.push(OP_PULL);
+            put_u32(buf, *key);
+            put_u64(buf, *min_version);
+        }
         WireMsg::PullReply {
             key,
             min_version,
             weights,
         } => encode_pull_reply_into(*key, *min_version, weights, buf),
-        WireMsg::SetLr { lr } => encode_set_lr_into(*lr, buf),
-        WireMsg::Snapshot => encode_snapshot_into(buf),
-        WireMsg::SnapshotReply { weights, versions } => {
-            encode_snapshot_reply_into(weights, versions, buf)
+        WireMsg::SetLr { lr } => {
+            buf.push(OP_SET_LR);
+            put_f32(buf, *lr);
         }
-        WireMsg::Shutdown => encode_shutdown_into(buf),
-        WireMsg::Register { worker } => encode_register_into(*worker, buf),
-        WireMsg::RegisterAck { versions } => encode_register_ack_into(versions, buf),
-        WireMsg::Heartbeat { worker } => encode_heartbeat_into(*worker, buf),
-        WireMsg::Leave { worker } => encode_leave_into(*worker, buf),
-        WireMsg::CancelJoin { worker } => encode_cancel_join_into(*worker, buf),
-        WireMsg::Checkpoint => encode_checkpoint_into(buf),
-        WireMsg::CheckpointAck { round } => encode_checkpoint_ack_into(*round, buf),
+        WireMsg::Snapshot => buf.push(OP_SNAPSHOT),
+        // Key count, then per key its version, length and raw weights.
+        WireMsg::SnapshotReply { weights, versions } => {
+            assert_eq!(weights.len(), versions.len(), "snapshot key count mismatch");
+            buf.push(OP_SNAPSHOT_REPLY);
+            put_u32(buf, weights.len() as u32);
+            for (w, &v) in weights.iter().zip(versions) {
+                put_u64(buf, v);
+                put_u32(buf, w.len() as u32);
+                put_f32s(buf, w);
+            }
+        }
+        WireMsg::Shutdown => buf.push(OP_SHUTDOWN),
+        WireMsg::Register { worker } => {
+            buf.push(OP_REGISTER);
+            put_u32(buf, *worker);
+        }
+        // Key count, then one version per key.
+        WireMsg::RegisterAck { versions } => {
+            buf.push(OP_REGISTER_ACK);
+            put_u32(buf, versions.len() as u32);
+            for &v in versions {
+                put_u64(buf, v);
+            }
+        }
+        WireMsg::Heartbeat { worker } => {
+            buf.push(OP_HEARTBEAT);
+            put_u32(buf, *worker);
+        }
+        WireMsg::Leave { worker } => {
+            buf.push(OP_LEAVE);
+            put_u32(buf, *worker);
+        }
+        WireMsg::CancelJoin { worker } => {
+            buf.push(OP_CANCEL_JOIN);
+            put_u32(buf, *worker);
+        }
+        WireMsg::Checkpoint => buf.push(OP_CHECKPOINT),
+        // A success byte, then the captured round only on success.
+        WireMsg::CheckpointAck { round } => {
+            buf.push(OP_CHECKPOINT_ACK);
+            match round {
+                Some(r) => {
+                    buf.push(1);
+                    put_u64(buf, *r);
+                }
+                None => buf.push(0),
+            }
+        }
     }
 }
 
@@ -1376,7 +1326,13 @@ mod tests {
         assert!(decode_head(&frame[..13], 5).is_err());
         assert!(decode_head(&frame[..12], 12).is_err());
         assert!(decode_head(&frame[..14], 12).is_err());
-        encode_pull_into(3, 9, &mut frame);
+        encode_msg_into(
+            &WireMsg::Pull {
+                key: 3,
+                min_version: 9,
+            },
+            &mut frame,
+        );
         assert!(decode_head(&frame, 8).is_err());
     }
 
@@ -1402,7 +1358,8 @@ mod tests {
         assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
         // One version short of the count is refused too.
         let mut frame = Vec::new();
-        encode_register_ack_into(&[1, 2], &mut frame);
+        let versions = vec![1, 2];
+        encode_msg_into(&WireMsg::RegisterAck { versions }, &mut frame);
         frame[1] = 3;
         assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
     }
@@ -1413,7 +1370,8 @@ mod tests {
         assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
         // Two empty keys take 24 bytes; a third cannot fit in them.
         let mut frame = Vec::new();
-        encode_snapshot_reply_into(&[vec![], vec![]], &[1, 2], &mut frame);
+        let (weights, versions) = (vec![vec![], vec![]], vec![1, 2]);
+        encode_msg_into(&WireMsg::SnapshotReply { weights, versions }, &mut frame);
         frame[1] = 3;
         assert!(matches!(decode_msg(&frame), Err(NetError::Decode(_))));
     }
@@ -1421,7 +1379,13 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut buf = Vec::new();
-        encode_pull_into(1, 2, &mut buf);
+        encode_msg_into(
+            &WireMsg::Pull {
+                key: 1,
+                min_version: 2,
+            },
+            &mut buf,
+        );
         buf.push(0);
         assert!(matches!(decode_msg(&buf), Err(NetError::Decode(_))));
     }
@@ -1463,7 +1427,13 @@ mod tests {
     fn collective_decode_rejects_corruption() {
         // Wrong leading tag: a PS frame body must not parse.
         let mut buf = Vec::new();
-        encode_pull_into(1, 2, &mut buf);
+        encode_msg_into(
+            &WireMsg::Pull {
+                key: 1,
+                min_version: 2,
+            },
+            &mut buf,
+        );
         assert!(decode_collective(&buf).is_err());
         // Truncated payload.
         let mut buf = Vec::new();

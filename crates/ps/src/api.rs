@@ -3,7 +3,7 @@
 //! The trainer and workers speak to the parameter server exclusively
 //! through these traits, so the same training loop runs bit-identically
 //! whether the server lives in this process ([`crate::PsClient`]), behind
-//! an in-memory loopback transport, or across localhost TCP
+//! an in-process loopback transport, or across localhost TCP
 //! ([`crate::net::RemoteClient`]). Wire encoding is deterministic and
 //! f32 round-trips are bit-exact, so the choice of backend cannot change
 //! the training trajectory — only its wall-clock cost.

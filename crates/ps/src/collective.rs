@@ -9,14 +9,13 @@
 //!
 //! Every member dials its successor and accepts its predecessor. One
 //! builder per substrate yields each member's `(next, prev)` links —
-//! loopback queues inside one process, localhost TCP inside one process
-//! ([`AllReduceBackend::ring`]), or one rank of a multi-process group
-//! joining a shared peer list ([`WireRing::join`]) — and the two TCP
-//! substrates share one dial (connect + rank hello) and one labelled
-//! accept. Both substrates then run one step loop: a step that cannot
+//! loopback socket pairs inside one process, localhost TCP inside one
+//! process ([`AllReduceBackend::ring`]), or one rank of a multi-process
+//! group joining a shared peer list ([`WireRing::join`]) — and the two
+//! TCP substrates share one dial (connect + rank hello) and one labelled
+//! accept. Every substrate then runs one step loop: a step that cannot
 //! finish at once yields its CPU between looks for its first
-//! millisecond, then sleeps in `poll(2)` on its sockets, or on the wake
-//! pipe a loopback queue signals.
+//! millisecond, then sleeps in `poll(2)` on its links' descriptors.
 //!
 //! # Reduction-order contract
 //!
@@ -54,13 +53,12 @@ use crate::api::{ParamClient, PsBackend};
 use crate::stats::TrafficStats;
 use cdsgd_net::{
     decode_collective, encode_collective_bytes_into, encode_collective_parts, loopback_pair,
-    wake_pair, NetConfig, NetError, Poller, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx,
-    Waker, COLLECTIVE_EXCHANGE, COLLECTIVE_GATHER, COLLECTIVE_HELLO, COLLECTIVE_SCATTER,
-    FRAME_PREFIX_BYTES,
+    NetConfig, NetError, Poller, Tail, TcpAcceptor, TcpTransport, Transport, COLLECTIVE_EXCHANGE,
+    COLLECTIVE_GATHER, COLLECTIVE_HEADER_BYTES, COLLECTIVE_HELLO, COLLECTIVE_SCATTER,
+    FRAME_PREFIX_BYTES, MAX_FRAME_BYTES,
 };
 use cdsgd_tensor::kernel;
 use std::net::ToSocketAddrs;
-use std::os::fd::RawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -138,18 +136,6 @@ struct LinkIo<'a> {
     recv: Option<&'a mut Vec<u8>>,
 }
 
-/// What a ring step waits on when neither link can move: each link's
-/// descriptor from [`Transport::register`] — `None` for a loopback
-/// queue, which writes the wake pipe instead — and that pipe.
-struct Wait {
-    fds: [Option<RawFd>; 2],
-    /// Held so the pipe stays open: a pipe whose last writer closed
-    /// would read as ready forever.
-    _waker: Waker,
-    woken: WakeRx,
-    poller: Poller,
-}
-
 /// One full-duplex step over a member's two links: write every pending
 /// frame and read one frame into every expecting buffer, without any
 /// global send/receive ordering across the group. A send writes what the
@@ -158,10 +144,10 @@ struct Wait {
 /// against a peer doing the same. While the step is unfinished it yields
 /// between looks for the first [`SPIN`] of the step, then sleeps in
 /// `poll(2)` until the step deadline, on the descriptor of every link
-/// that still has a send or a receive pending and on the wake pipe.
+/// that still has a send or a receive pending.
 fn duplex_step(
     stats: &TrafficStats,
-    wait: &mut Wait,
+    poller: &mut Poller,
     mut links: [LinkIo<'_>; 2],
 ) -> Result<(), NetError> {
     for l in &mut links {
@@ -199,20 +185,13 @@ fn duplex_step(
         if remaining.is_zero() {
             return Err(NetError::Timeout);
         }
-        wait.poller.clear();
-        wait.poller.add(wait.woken.fd(), false);
-        for (i, fd) in wait.fds.iter().enumerate() {
-            if let Some(fd) = fd.filter(|_| !(flushed[i] && got[i])) {
-                wait.poller.add(fd, !flushed[i]);
+        poller.clear();
+        for (i, l) in links.iter().enumerate() {
+            if !(flushed[i] && got[i]) {
+                poller.add(l.link.fd(), !flushed[i]);
             }
         }
-        wait.poller.wait(Some(remaining))?;
-        // Drained after the wait and before the next look, so a wake
-        // that races the look ends the following wait instead of being
-        // lost; a stale wake from an earlier step costs one extra look.
-        if wait.poller.is_ready(0) {
-            wait.woken.drain();
-        }
+        poller.wait(Some(remaining))?;
     }
 }
 
@@ -298,7 +277,7 @@ fn accept_prev(
 }
 
 /// Every member's links of an `n`-member ring over in-process loopback
-/// queues: one pair per link, no hellos.
+/// socket pairs: one pair per link, no hellos.
 fn loopback_links(n: usize) -> Vec<Links> {
     let (next, mut prev): (Vec<_>, Vec<_>) = (0..n).map(|_| loopback_pair()).unzip();
     // Pair `r` joins rank `r` to `r + 1`, so rank `r`'s `prev` is the
@@ -335,13 +314,13 @@ fn tcp_links(n: usize, stats: &TrafficStats) -> Result<Vec<Links>, NetError> {
 
 /// A member of the two-phase, order-pinned ring all-reduce. Its neighbor
 /// links are [`Transport`]s: each chunk travels as a length-prefixed
-/// collective frame over loopback queues or TCP sockets. Both links are
+/// collective frame over a loopback socket pair or TCP. Both links are
 /// bidirectional, so the same member also serves
 /// [`Collective::neighbor_exchange`] for decentralized training.
 ///
 /// A dead neighbor surfaces as a typed error from the next operation
 /// ([`NetError::Closed`] as soon as its endpoint drops, or the I/O error
-/// of writing to a reset socket), never a panic or a wait for the step
+/// of writing to a closed socket), never a panic or a wait for the step
 /// timeout.
 pub struct WireRing {
     rank: usize,
@@ -350,7 +329,7 @@ pub struct WireRing {
     next: Box<dyn Transport>,
     /// Link to rank `(rank − 1) % n`; all-reduce chunks come in here.
     prev: Box<dyn Transport>,
-    wait: Wait,
+    poller: Poller,
     stats: Arc<TrafficStats>,
     frame: Vec<u8>,
     rbuf: Vec<u8>,
@@ -376,31 +355,21 @@ impl WireRing {
         Self::new(rank, n, (next, prev), stats)
     }
 
-    /// Put both links in the polled mode [`duplex_step`] pumps and
-    /// register them once for its wait.
+    /// Put both links in the polled mode [`duplex_step`] pumps.
     fn new(
         rank: usize,
         n: usize,
         (mut next, mut prev): Links,
         stats: Arc<TrafficStats>,
     ) -> Result<Self, NetError> {
-        let (waker, woken) = wake_pair()?;
-        let mut fds = [None; 2];
-        for (fd, link) in fds.iter_mut().zip([&mut next, &mut prev]) {
-            link.set_nonblocking(true)?;
-            *fd = link.register(&waker);
-        }
+        next.set_nonblocking(true)?;
+        prev.set_nonblocking(true)?;
         Ok(Self {
             rank,
             n,
             next,
             prev,
-            wait: Wait {
-                fds,
-                _waker: waker,
-                woken,
-                poller: Poller::new(),
-            },
+            poller: Poller::new(),
             stats,
             frame: Vec::new(),
             rbuf: Vec::new(),
@@ -415,6 +384,11 @@ impl WireRing {
     /// chunk and copies what it takes verbatim.
     fn phase(&mut self, phase: u8, data: &mut [f32]) -> Result<(), NetError> {
         let (len, n) = (data.len(), self.n);
+        // No chunk is longer than `⌈len / n⌉` elements, so neither is any
+        // frame a legitimate predecessor sends: a longer prefix is refused
+        // before anything is reserved for it.
+        self.prev
+            .set_recv_limit(COLLECTIVE_HEADER_BYTES + 4 * len.div_ceil(n));
         let start = if phase == COLLECTIVE_SCATTER {
             self.rank
         } else {
@@ -430,7 +404,7 @@ impl WireRing {
             self.stats.record_push(4 * src.len());
             duplex_step(
                 &self.stats,
-                &mut self.wait,
+                &mut self.poller,
                 [
                     LinkIo {
                         link: self.next.as_mut(),
@@ -496,12 +470,17 @@ impl Collective for WireRing {
         encode_collective_bytes_into(COLLECTIVE_EXCHANGE, self.rank as u32, send, &mut self.frame);
         self.stats.record_push(send.len());
         self.stats.record_push(send.len());
+        // An exchange payload's size is whatever the codec made of the
+        // neighbours' state, not a chunk's: both links take up to the
+        // global limit again (an all-reduce bounds `prev` per phase).
+        self.next.set_recv_limit(MAX_FRAME_BYTES);
+        self.prev.set_recv_limit(MAX_FRAME_BYTES);
         // Both links are bidirectional: send the one frame to the
         // successor on `next` and to the predecessor back along `prev`,
         // then collect both.
         duplex_step(
             &self.stats,
-            &mut self.wait,
+            &mut self.poller,
             [
                 LinkIo {
                     link: self.next.as_mut(),
@@ -541,7 +520,8 @@ pub struct CollectiveGroup {
 /// Which substrate a collective group runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireMode {
-    /// Loopback [`Transport`] queues — real frames, no sockets.
+    /// In-process loopback socket pairs ([`loopback_pair`]) — the frames
+    /// and code of TCP, no network stack.
     Loopback,
     /// Localhost TCP sockets.
     Tcp,
@@ -879,21 +859,49 @@ mod tests {
             drop(members.remove(1));
             let t0 = Instant::now();
             let results = on_all(members, |_, mut m| m.allreduce_mean(&mut [1.0f32; 12]));
-            // Rank 2 reads from the dead rank: EOF at a frame boundary.
-            assert_eq!(results[1], Err(NetError::Closed), "{mode:?}");
-            // Rank 0 writes to it. A loopback queue refuses at once; a
-            // socket may take the first chunk and refuse a later one
-            // with the I/O error of writing to a reset connection, unless
-            // rank 2's own exit closes its read side first.
-            match (mode, &results[0]) {
-                (_, Err(NetError::Closed)) | (WireMode::Tcp, Err(NetError::Io(_))) => {}
-                (_, other) => panic!("{mode:?}: rank 0 got {other:?}"),
+            // Rank 2 reads from the dead rank: EOF at a frame boundary —
+            // unless rank 0 failed first and closed its link, and a Unix
+            // socket refuses rank 2's send to it at once (a TCP socket
+            // takes that first write).
+            match (mode, &results[1]) {
+                (_, Err(NetError::Closed)) | (WireMode::Loopback, Err(NetError::Io(_))) => {}
+                (_, other) => panic!("{mode:?}: rank 2 got {other:?}"),
+            }
+            // Rank 0 writes to it. A socket may take the first chunk and
+            // refuse a later one with the I/O error of writing to a closed
+            // connection, unless rank 2's own exit closes its read side
+            // first.
+            match &results[0] {
+                Err(NetError::Closed | NetError::Io(_)) => {}
+                other => panic!("{mode:?}: rank 0 got {other:?}"),
             }
             assert!(
                 t0.elapsed() < Duration::from_secs(1),
                 "{mode:?}: a dead neighbour must not cost the {STEP_TIMEOUT:?} step timeout"
             );
         }
+    }
+
+    #[test]
+    fn a_predecessor_announcing_an_oversized_chunk_fails_the_step_at_its_prefix() {
+        use std::io::Write;
+        // Rank 0 of two: its successor is a loopback end nobody reads (a
+        // chunk fits in the socket buffer unread), its predecessor a raw
+        // socket that sends four bytes announcing a 512 MiB body and
+        // nothing else. A link that trusted the prefix would reserve the
+        // body and wait the step timeout for it; a bounded one refuses
+        // the prefix, before the transport reserves anything.
+        let (next, _successor) = loopback_pair();
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        let prev = acceptor.accept(STEP_TIMEOUT).unwrap();
+        let links: Links = (Box::new(next), Box::new(prev));
+        let mut member = WireRing::new(0, 2, links, Arc::new(TrafficStats::new())).unwrap();
+        raw.write_all(&(512u32 << 20).to_le_bytes()).unwrap();
+        let t0 = Instant::now();
+        let got = member.allreduce_mean(&mut [1.0f32; 8]);
+        assert!(matches!(got, Err(NetError::Decode(_))), "{got:?}");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
     }
 
     /// CPU time the calling thread has used so far: utime + stime from

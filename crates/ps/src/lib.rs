@@ -25,10 +25,10 @@
 //!   experiments can report communication volume per algorithm.
 //!
 //! * The [`net`] module serves the same server over real transports
-//!   (in-memory loopback or TCP): [`ParamClient`] / [`PsBackend`] keep
-//!   the trainer agnostic of the deployment shape, and the wire protocol
-//!   is bit-deterministic, so loopback, TCP, and in-process runs produce
-//!   identical weights.
+//!   (in-process loopback sockets or TCP): [`ParamClient`] /
+//!   [`PsBackend`] keep the trainer agnostic of the deployment shape,
+//!   and the wire protocol is bit-deterministic, so loopback, TCP, and
+//!   in-process runs produce identical weights.
 //! * A client speaks that same vocabulary: every layer of a worker's
 //!   client stack — [`PsClient`], [`RemoteClient`], [`ShardedClient`],
 //!   the reconnect, rebase and fault layers — is one

@@ -126,6 +126,26 @@ if grep -n "fn decode_msg_reusing\|type SnapshotSlot\|SnapshotSlot<" crates/net/
     exit 1
 fi
 
+# One stream transport, one message encoder (DESIGN.md §9): every link is
+# a `FrameStream` over a TCP or Unix socket, so the hand-built loopback
+# queue may not grow back in the program half of net/, and
+# `encode_msg_into` writes each message kind in its arm — no per-kind
+# encoder beside it. Every link is a descriptor, so ps/ polls no
+# `Option<RawFd>` (the wake path of a link that had none).
+echo "==> net/ frames through one stream transport and one message encoder; ps/ polls only descriptors"
+for f in $(git ls-files 'crates/net/src/*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" \
+        -e '\bstruct \(FrameQueue\|LoopbackTransport\)\b' \
+        -e '\bfn encode_\(pull\|set_lr\|snapshot\|snapshot_reply\|shutdown\|register\|register_ack\|heartbeat\|leave\|cancel_join\|checkpoint\|checkpoint_ack\)_into\b'; then
+        echo "ERROR: a second transport or a per-kind message encoder is back in net/; use FrameStream and encode_msg_into" >&2
+        exit 1
+    fi
+done
+if git grep -n 'Option<RawFd>' -- 'crates/ps/src/*.rs'; then
+    echo "ERROR: ps/ polls a link that may have no descriptor; every Transport has an fd" >&2
+    exit 1
+fi
+
 # One reply path per PS connection (DESIGN.md §13): a `RemoteClient`
 # matches replies to one FIFO of waiters, and a pull whose connection
 # died is re-issued by the thread waiting on it. Neither the reconnect
