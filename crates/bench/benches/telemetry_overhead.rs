@@ -17,6 +17,9 @@ use cdsgd_data::toy;
 use cdsgd_nn::models;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+/// A named way to build the run's telemetry handle.
+type Variant<'a> = (&'a str, Box<dyn Fn() -> Telemetry>);
+
 fn bench_epoch(c: &mut Criterion) {
     let mut g = c.benchmark_group("epoch_2workers_telemetry");
     g.sample_size(10);
@@ -24,7 +27,7 @@ fn bench_epoch(c: &mut Criterion) {
     let jsonl_path =
         std::env::temp_dir().join(format!("cdsgd_{}_bench_trace.jsonl", std::process::id()));
 
-    let variants: Vec<(&str, Box<dyn Fn() -> Telemetry>)> = vec![
+    let variants: Vec<Variant> = vec![
         ("disabled", Box::new(Telemetry::disabled)),
         ("null_sink", Box::new(|| Telemetry::new(Arc::new(NullSink)))),
         (

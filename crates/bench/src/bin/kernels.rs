@@ -11,9 +11,11 @@
 //! aggregate round of the MLP's six keys, pushed by two contributors
 //! (2-bit and raw) and pulled back through an in-process `ParamServer`.
 //! The `im2col_into` / `col2im` rows time one sample's unroll and its
-//! adjoint at ResNet-8's convolution geometries, and the `batchnorm`
-//! rows one train-mode forward (and forward + backward) of its
-//! batch-norm layers at batch 16. Emits `BENCH_kernels.json` and prints
+//! adjoint at ResNet-8's convolution geometries, the `batchnorm` rows
+//! one train-mode forward (and forward + backward) of its batch-norm
+//! layers at batch 16, and the `channel_sums` rows each of the four
+//! per-channel sums those layers take (mean, variance, `Σdy`, `Σdy·x̂`).
+//! Emits `BENCH_kernels.json` and prints
 //! a speedup table, a GFLOP/s table, the conv/BN medians and the
 //! server-round quartiles.
 //!
@@ -34,7 +36,8 @@ use cdsgd_bench::arg_usize;
 use cdsgd_compress::{Compressed, GradientCompressor, NoCompression, TwoBitQuantizer};
 use cdsgd_nn::{BatchNorm2d, Layer, Mode};
 use cdsgd_ps::{ParamClient, ParamServer, ServerConfig};
-use cdsgd_tensor::{col2im, im2col_into, kernel, Conv2dGeom, Tensor};
+use cdsgd_tensor::kernel::{self, ChannelTerm};
+use cdsgd_tensor::{col2im, im2col_into, Conv2dGeom, Tensor};
 
 const CHILD_ENV: &str = "CDSGD_KERNELS_CHILD";
 const MARKER: &str = "KERNELS_JSON ";
@@ -119,13 +122,17 @@ const SHAPES: [(Layout, usize, usize, usize, &str); 36] = [
 
 /// `(in_c, hw, k, stride, pad, which convolution)`: ResNet-8's unrolls
 /// (every sample's forward, and again for its `dW`) and the `col2im`
-/// scatters of its `dx`, one sample each.
-const CONVS: [(usize, usize, usize, usize, usize, &str); 5] = [
+/// scatters of its `dx`, one sample each — all nine of its
+/// convolutions, the two 8→8 at 32×32 sharing a row.
+const CONVS: [(usize, usize, usize, usize, usize, &str); 8] = [
     (3, 32, 3, 1, 1, "resnet8 3>8 @32"),
     (8, 32, 3, 1, 1, "resnet8 8>8 @32"),
     (8, 32, 3, 2, 1, "resnet8 8>16 s2"),
+    (16, 16, 3, 1, 1, "resnet8 16>16 @16"),
+    (8, 32, 1, 2, 0, "resnet8 1x1 8>16 s2"),
     (16, 16, 3, 2, 1, "resnet8 16>32 s2"),
     (32, 8, 3, 1, 1, "resnet8 32>32 @8"),
+    (16, 16, 1, 2, 0, "resnet8 1x1 16>32 s2"),
 ];
 
 /// `(channels, hw)`: ResNet-8's batch-norm layers, at batch 16.
@@ -220,6 +227,25 @@ fn conv_bn_records(iters: usize) -> Vec<serde_json::Value> {
         let shape = [16, ch, hw, hw];
         let x = Tensor::from_vec(shape.to_vec(), pseudo(16 * ch * hw * hw, 97));
         let dy = Tensor::from_vec(shape.to_vec(), pseudo(x.len(), 101));
+        let dims = [16, ch, hw * hw];
+        let means = pseudo(ch, 103);
+        let terms = [
+            ("mean", ChannelTerm::Value(x.data())),
+            ("var", ChannelTerm::SqDev(x.data(), &means)),
+            ("dbeta", ChannelTerm::Value(dy.data())),
+            ("dgamma", ChannelTerm::Product(dy.data(), x.data())),
+        ];
+        for (term, sum) in terms {
+            let mut sums = vec![0.0f32; ch];
+            let s = time_call(iters, || {
+                kernel::channel_sums(dims, 0.0, black_box(sum), |c, v| sums[c] = v);
+                black_box(&sums);
+            });
+            records.push(serde_json::json!({
+                "op": "channel_sums", "term": term, "shape": format!("16x{ch}x{hw}x{hw}"),
+                "what": format!("resnet8 bn {ch} @{hw} {term}"), "median_s": s,
+            }));
+        }
         let mut bn = BatchNorm2d::new(ch);
         let fwd_s = time_call(iters, || {
             black_box(bn.forward(black_box(&x), Mode::Train));
@@ -449,14 +475,16 @@ fn main() {
         );
     }
 
-    // Conv unrolls and batch norm: microseconds per call, per mode.
+    // Conv unrolls, batch norm and its channel sums: microseconds per
+    // call, per mode.
     println!(
         "\n{:>26} {:>20} {:>20} {:>10} {:>10}",
         "op", "shape", "issued by", "scalar_us", "simd_us"
     );
     for (row, s) in scalar.iter().enumerate() {
         let op = s["op"].as_str().unwrap_or("?");
-        if !(op.starts_with("im2col") || op.starts_with("col2im") || op.starts_with("batchnorm")) {
+        let layer_ops = ["im2col", "col2im", "batchnorm", "channel_sums"];
+        if !layer_ops.iter().any(|prefix| op.starts_with(prefix)) {
             continue;
         }
         let us = |records: &[serde_json::Value]| {

@@ -109,7 +109,7 @@ mod tests {
         let mut q = QsgdQuantizer::new(4, 2);
         let grad = vec![0.6f32, -0.3, 0.1];
         let trials = 20_000;
-        let mut mean = vec![0.0f64; 3];
+        let mut mean = [0.0f64; 3];
         for _ in 0..trials {
             for (m, v) in mean.iter_mut().zip(decode(&q.compress(0, &grad))) {
                 *m += v as f64;

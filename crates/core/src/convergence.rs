@@ -206,7 +206,7 @@ mod tests {
     fn problem_is_convex_and_solvable() {
         let p = LogisticProblem::generate(500, 10, 0);
         let (w_star, l_star) = p.solve(2_000);
-        assert!(l_star < p.loss(&vec![0.0; 10]), "optimum beats the origin");
+        assert!(l_star < p.loss(&[0.0; 10]), "optimum beats the origin");
         // Gradient at the optimum is near zero.
         let mut g = vec![0.0f32; 10];
         p.grad_range(&w_star, 0, p.len(), &mut g);

@@ -79,8 +79,8 @@ mod tests {
         for i in 0..d.len() {
             let c = d.y[i];
             counts[c] += 1;
-            for k in 0..dim {
-                centroids[c][k] += d.x.data()[i * dim + k];
+            for (acc, &v) in centroids[c].iter_mut().zip(&d.x.data()[i * dim..]) {
+                *acc += v;
             }
         }
         for (c, cnt) in centroids.iter_mut().zip(&counts) {

@@ -12,7 +12,9 @@ pub enum NetError {
     /// A receive deadline elapsed with no complete frame available. The
     /// partial state (if any) is preserved; the same call may be retried.
     Timeout,
-    /// The peer closed the connection cleanly at a frame boundary.
+    /// The peer is gone: it closed the connection at a frame boundary,
+    /// or hung up so that a write found the pipe broken or a read found
+    /// the connection reset.
     Closed,
     /// Bytes arrived but did not parse as a valid frame or payload.
     Decode(String),
@@ -88,7 +90,13 @@ impl From<std::io::Error> for NetError {
         use std::io::ErrorKind;
         match e.kind() {
             ErrorKind::WouldBlock | ErrorKind::TimedOut => NetError::Timeout,
-            ErrorKind::UnexpectedEof => NetError::Closed,
+            // A peer that hung up, seen from either direction. An aborted
+            // connection (`ConnectionAborted`, what `accept` reports for a
+            // peer that left before it was accepted) stays an `Io`: only a
+            // listener's closer may stop an accept loop with `Closed`.
+            ErrorKind::UnexpectedEof | ErrorKind::BrokenPipe | ErrorKind::ConnectionReset => {
+                NetError::Closed
+            }
             _ => NetError::Io(e.to_string()),
         }
     }
@@ -113,8 +121,20 @@ mod tests {
             NetError::from(Error::new(ErrorKind::UnexpectedEof, "e")),
             NetError::Closed
         );
-        assert!(matches!(
+        assert_eq!(
             NetError::from(Error::new(ErrorKind::BrokenPipe, "b")),
+            NetError::Closed
+        );
+        assert_eq!(
+            NetError::from(Error::new(ErrorKind::ConnectionReset, "r")),
+            NetError::Closed
+        );
+        assert!(matches!(
+            NetError::from(Error::new(ErrorKind::ConnectionAborted, "a")),
+            NetError::Io(_)
+        ));
+        assert!(matches!(
+            NetError::from(Error::new(ErrorKind::PermissionDenied, "p")),
             NetError::Io(_)
         ));
     }

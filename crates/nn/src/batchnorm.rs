@@ -1,7 +1,7 @@
 //! Batch normalization over NCHW feature maps.
 
 use crate::layer::{Layer, Mode, Param};
-use crate::util::channel_sums;
+use cdsgd_tensor::kernel::{self, ChannelTerm};
 use cdsgd_tensor::Tensor;
 
 /// Per-channel batch normalization (Ioffe & Szegedy), the "bn" in the
@@ -49,7 +49,7 @@ impl BatchNorm2d {
     }
 }
 
-/// `[n, c, h·w]` of an NCHW shape: the layout [`channel_sums`] walks.
+/// `[n, c, h·w]` of an NCHW shape: the layout the batch-norm kernels walk.
 fn dims(shape: &[usize]) -> [usize; 3] {
     [shape[0], shape[1], shape[2] * shape[3]]
 }
@@ -64,12 +64,10 @@ impl Layer for BatchNorm2d {
         let (mean, var) = (&mut self.mean, &mut self.std);
         match mode {
             Mode::Train => {
-                channel_sums([n, ch, plane], 0.0, |_, i| xs[i], |c, s| mean[c] = s / m);
-                let sq = |c: usize, i: usize| {
-                    let d = xs[i] - mean[c];
-                    d * d
-                };
-                channel_sums([n, ch, plane], 0.0, sq, |c, s| var[c] = s / m);
+                let dims = [n, ch, plane];
+                kernel::channel_sums(dims, 0.0, ChannelTerm::Value(xs), |c, s| mean[c] = s / m);
+                let sq = ChannelTerm::SqDev(xs, mean);
+                kernel::channel_sums(dims, 0.0, sq, |c, s| var[c] = s / m);
                 let mu = self.momentum;
                 for c in 0..ch {
                     self.running_mean[c] = mu * self.running_mean[c] + (1.0 - mu) * mean[c];
@@ -90,26 +88,14 @@ impl Layer for BatchNorm2d {
             self.xhat.resize(x.len(), 0.0);
         }
         let mut out = Tensor::zeros(x.shape());
-        let outs = out.data_mut();
-        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
-        for p in 0..n * ch {
-            let c = p % ch;
-            let (mean, std, g, b) = (self.mean[c], self.std[c], gamma[c], beta[c]);
-            let span = p * plane..(p + 1) * plane;
-            let (xs, outs) = (&xs[span.clone()], &mut outs[span.clone()]);
-            if train {
-                let xhats = &mut self.xhat[span];
-                for ((o, xh), &v) in outs.iter_mut().zip(xhats).zip(xs) {
-                    let xn = (v - mean) / std;
-                    *xh = xn;
-                    *o = g * xn + b;
-                }
-            } else {
-                for (o, &v) in outs.iter_mut().zip(xs) {
-                    *o = g * ((v - mean) / std) + b;
-                }
-            }
-        }
+        kernel::bn_normalize(
+            [n, ch, plane],
+            xs,
+            (&self.mean, &self.std),
+            (self.gamma.value.data(), self.beta.value.data()),
+            train.then_some(&mut self.xhat[..]),
+            out.data_mut(),
+        );
         self.cache = train.then(|| [n, ch, x.shape()[2], x.shape()[3]]);
         out
     }
@@ -117,31 +103,25 @@ impl Layer for BatchNorm2d {
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let shape = self.cache.take().expect("backward without train forward");
         assert_eq!(dy.shape(), shape.as_slice());
-        let [n, ch, plane] = dims(&shape);
-        let m = (n * plane) as f32;
+        let dims = dims(&shape);
         let (dys, xhats) = (dy.data(), &self.xhat[..]);
 
         // Standard BN backward:
         // dβ = Σ dy ; dγ = Σ dy·x̂
         // dx = γ/std · (dy − mean(dy) − x̂·mean(dy·x̂))
         let (dbeta, dgamma) = (self.beta.grad.data_mut(), self.gamma.grad.data_mut());
-        channel_sums([n, ch, plane], 0.0, |_, i| dys[i], |c, s| dbeta[c] = s);
-        let dy_xhat = |_, i: usize| dys[i] * xhats[i];
-        channel_sums([n, ch, plane], 0.0, dy_xhat, |c, s| dgamma[c] = s);
+        kernel::channel_sums(dims, 0.0, ChannelTerm::Value(dys), |c, s| dbeta[c] = s);
+        let dy_xhat = ChannelTerm::Product(dys, xhats);
+        kernel::channel_sums(dims, 0.0, dy_xhat, |c, s| dgamma[c] = s);
 
         let mut dx = Tensor::zeros(&shape);
-        let dxs = dx.data_mut();
-        let gamma = self.gamma.value.data();
-        for p in 0..n * ch {
-            let c = p % ch;
-            let scale = gamma[c] / self.std[c];
-            let (mean_dy, mean_dy_xhat) = (dbeta[c] / m, dgamma[c] / m);
-            let span = p * plane..(p + 1) * plane;
-            let (dxs, dys, xhats) = (&mut dxs[span.clone()], &dys[span.clone()], &xhats[span]);
-            for ((d, &g), &xh) in dxs.iter_mut().zip(dys).zip(xhats) {
-                *d = scale * (g - mean_dy - xh * mean_dy_xhat);
-            }
-        }
+        kernel::bn_input_grad(
+            dims,
+            (dys, xhats),
+            (self.gamma.value.data(), &self.std),
+            (dbeta, dgamma),
+            dx.data_mut(),
+        );
         dx
     }
 

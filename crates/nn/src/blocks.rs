@@ -338,7 +338,7 @@ mod tests {
         let mut rng = SmallRng64::new(5);
         let mut b = ResidualBlock::new(2, 2, 1, &mut rng);
         let x = Tensor::randn(&[1, 2, 3, 3], 0.5, &mut rng);
-        let w = Tensor::randn(&[1 * 2 * 3 * 3], 1.0, &mut rng);
+        let w = Tensor::randn(&[2 * 3 * 3], 1.0, &mut rng);
         // Loss = <y, w>; clone block state per evaluation to keep BN
         // running stats out of the picture is unnecessary since train-mode
         // BN uses batch stats only.

@@ -1,8 +1,7 @@
 //! 2-D convolution layer (im2col formulation).
 
 use crate::layer::{Layer, Mode, Param};
-use crate::util::channel_sums;
-use cdsgd_tensor::kernel;
+use cdsgd_tensor::kernel::{self, ChannelTerm};
 use cdsgd_tensor::{col2im, he_std, im2col_into, Conv2dGeom, SmallRng64, Tensor};
 
 /// 2-D convolution over NCHW input.
@@ -103,12 +102,8 @@ impl Conv2d {
             im2col_into(x_s, &g, &mut self.col);
             kernel::gemm_nt(dy_s, &self.col, dw, self.out_c, out_plane, fan_in);
             // db += Σ_spatial dy, each sum from -0.0 as `kernel::reduce_sum`'s.
-            channel_sums(
-                [1, self.out_c, out_plane],
-                -0.0,
-                |_, i| dy_s[i],
-                |oc, v| db[oc] += v,
-            );
+            let dims = [1, self.out_c, out_plane];
+            kernel::channel_sums(dims, -0.0, ChannelTerm::Value(dy_s), |oc, v| db[oc] += v);
             if let Some(dx) = &mut dx {
                 // dcol = Wᵀ · dy_s (written whole), scattered back through col2im.
                 kernel::gemm_tn(w, dy_s, &mut self.dcol, fan_in, self.out_c, out_plane);

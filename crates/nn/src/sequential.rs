@@ -309,7 +309,7 @@ mod tests {
     fn export_into_reuses_buffers_and_matches_export() {
         let mut rng = SmallRng64::new(9);
         let mut m = tiny_model(&mut rng);
-        let mut scratch: Vec<Vec<f32>> = vec![Vec::with_capacity(64); 7]; // extra slots shrink
+        let mut scratch: Vec<Vec<f32>> = (0..7).map(|_| Vec::with_capacity(64)).collect(); // extra slots shrink
         m.export_params_into(&mut scratch);
         assert_eq!(scratch, m.export_params());
         let ptrs: Vec<*const f32> = scratch.iter().map(|v| v.as_ptr()).collect();

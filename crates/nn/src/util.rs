@@ -67,92 +67,10 @@ pub fn split_channels(x: &Tensor, sizes: &[usize]) -> Vec<Tensor> {
     parts
 }
 
-/// `emit(c, init + Σ term(c, i))` for every channel `c` of an NCHW
-/// tensor of `[n, ch, plane]` (`plane = H·W`), where `i` runs over the
-/// flat indices of channel `c` — sample 0's plane, then sample 1's, …
-/// — and each sum is folded in exactly that order, so its bits are
-/// those of the sequential loop. What is fast is that eight channels'
-/// chains advance together in the inner loop: independent adds overlap
-/// instead of each waiting on the last. Channels past the last full
-/// eight are summed one at a time.
-pub(crate) fn channel_sums(
-    dims: [usize; 3],
-    init: f32,
-    term: impl Fn(usize, usize) -> f32,
-    mut emit: impl FnMut(usize, f32),
-) {
-    let full = dims[1] / 8 * 8;
-    for c0 in (0..full).step_by(8) {
-        let sums: [f32; 8] = chains(dims, c0, init, &term);
-        (0..8).for_each(|j| emit(c0 + j, sums[j]));
-    }
-    for c in full..dims[1] {
-        let [sum]: [f32; 1] = chains(dims, c, init, &term);
-        emit(c, sum);
-    }
-}
-
-/// The sums of channels `c0..c0 + W`, their `W` chains interleaved.
-#[inline(always)]
-fn chains<const W: usize>(
-    [n, ch, plane]: [usize; 3],
-    c0: usize,
-    init: f32,
-    term: &impl Fn(usize, usize) -> f32,
-) -> [f32; W] {
-    let mut acc = [init; W];
-    for s in 0..n {
-        let base = (s * ch + c0) * plane;
-        for i in base..base + plane {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += term(c0 + j, i + j * plane);
-            }
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdsgd_tensor::SmallRng64;
-
-    #[test]
-    fn channel_sums_equal_the_sequential_fold_bit_for_bit() {
-        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38];
-        let mut rng = SmallRng64::new(6);
-        for ch in [1, 3, 8, 12, 17, 32] {
-            let (n, plane) = (3, 7);
-            let mut x = Tensor::randn(&[n * ch * plane], 1.0, &mut rng).into_vec();
-            for (v, &sp) in x
-                .iter_mut()
-                .skip(2)
-                .step_by(11)
-                .zip(specials.iter().cycle())
-            {
-                *v = sp;
-            }
-            // The last channel is all `-0.0`: its sum keeps the sign of `init`.
-            for s in 0..n {
-                let c = (s * ch + ch - 1) * plane;
-                x[c..c + plane].fill(-0.0);
-            }
-            for init in [0.0, -0.0] {
-                let mut got = vec![f32::NAN; ch];
-                channel_sums([n, ch, plane], init, |_, i| x[i], |c, v| got[c] = v);
-                for (c, got) in got.iter().enumerate() {
-                    let want = (0..n)
-                        .flat_map(|s| (s * ch + c) * plane..(s * ch + c + 1) * plane)
-                        .fold(init, |acc, i| acc + x[i]);
-                    // NaN payloads of NaN + NaN are not pinned (kernel docs).
-                    assert!(
-                        got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(),
-                        "C={ch} c={c} init={init:?}: {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn concat_then_split_round_trips() {

@@ -1,11 +1,13 @@
-//! im2col / col2im kernels for 2-D convolution.
+//! Geometry of the im2col / col2im unrolls for 2-D convolution.
 //!
 //! Convolution forward/backward in `cdsgd-nn` is expressed as matrix
-//! multiplication over "column" matrices: for each sample, `im2col_into`
-//! unrolls every receptive field into a column of shape `C·KH·KW` of a
-//! caller-owned buffer, so that `W[F, C·KH·KW] · col = out[F, OH·OW]`.
-//! `col2im` is its adjoint and is used to push gradients back to the
-//! input image.
+//! multiplication over "column" matrices: for each sample,
+//! [`im2col_into`](crate::im2col_into) unrolls every receptive field
+//! into a column of shape `C·KH·KW` of a caller-owned buffer, so that
+//! `W[F, C·KH·KW] · col = out[F, OH·OW]`. [`col2im`](crate::col2im) is
+//! its adjoint and is used to push gradients back to the input image.
+//! Both are kernels (`crate::kernel`); this module holds the geometry
+//! they share.
 
 /// Geometry of a conv2d application: input/kernel/stride/padding sizes and
 /// the derived output size.
@@ -62,112 +64,10 @@ impl Conv2dGeom {
     }
 }
 
-/// The output columns `lo..hi` whose input column `oj·stride + kj − pad`
-/// lies inside `0..w` — one range per kernel column `kj`, shared by
-/// every row — and the input column of `lo` (`0` when the range is
-/// empty, so it always indexes the row).
-fn valid_cols(g: &Conv2dGeom, kj: usize) -> (usize, usize, usize) {
-    let ow = g.out_w();
-    let lo = g.pad.saturating_sub(kj).div_ceil(g.stride).min(ow);
-    let hi = (g.w + g.pad).saturating_sub(kj).div_ceil(g.stride).min(ow); // ≥ lo
-    let s = if lo < hi {
-        lo * g.stride + kj - g.pad
-    } else {
-        0
-    };
-    (lo, hi, s)
-}
-
-/// Unroll a single image `[C,H,W]` (given as a flat slice) into the
-/// column matrix `dst = [C·KH·KW, OH·OW]`. Every element of `dst` is
-/// written exactly once — padding taps as `0.0` — so the buffer can be
-/// reused across calls without clearing.
-pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
-    g.validate();
-    assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
-    assert_eq!(
-        dst.len(),
-        g.col_rows() * g.col_cols(),
-        "column size mismatch"
-    );
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
-    for c in 0..g.c {
-        let img_c = &img[c * g.h * g.w..(c + 1) * g.h * g.w];
-        for ki in 0..g.kh {
-            for kj in 0..g.kw {
-                let (lo, hi, s) = valid_cols(g, kj);
-                let row = (c * g.kh + ki) * g.kw + kj;
-                let out_row = &mut dst[row * cols..(row + 1) * cols];
-                for (oi, out) in out_row.chunks_exact_mut(ow).enumerate() {
-                    let ii = (oi * g.stride + ki).wrapping_sub(g.pad);
-                    if ii >= g.h {
-                        out.fill(0.0); // a padding row (`wrapping_sub` sends ii < 0 here)
-                        continue;
-                    }
-                    let src = &img_c[ii * g.w + s..(ii + 1) * g.w];
-                    out[..lo].fill(0.0);
-                    out[hi..].fill(0.0);
-                    if g.stride == 1 {
-                        out[lo..hi].copy_from_slice(&src[..hi - lo]);
-                    } else {
-                        for (j, o) in out[lo..hi].iter_mut().enumerate() {
-                            *o = src[j * g.stride];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Adjoint of [`im2col_into`]: scatter-add a column matrix
-/// `[C·KH·KW, OH·OW]` back into an image buffer `[C,H,W]` (flat slices;
-/// contributions are accumulated, so `img` must be pre-zeroed by the
-/// caller if a fresh gradient is wanted).
-pub fn col2im(col: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
-    g.validate();
-    assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
-    assert_eq!(
-        col.len(),
-        g.col_rows() * g.col_cols(),
-        "column size mismatch"
-    );
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
-    for c in 0..g.c {
-        let img_c = &mut img[c * g.h * g.w..(c + 1) * g.h * g.w];
-        for ki in 0..g.kh {
-            for kj in 0..g.kw {
-                let (lo, hi, s) = valid_cols(g, kj);
-                let row = (c * g.kh + ki) * g.kw + kj;
-                let col_row = &col[row * cols..(row + 1) * cols];
-                for (oi, src) in col_row.chunks_exact(ow).enumerate() {
-                    let ii = (oi * g.stride + ki).wrapping_sub(g.pad);
-                    if ii >= g.h {
-                        continue;
-                    }
-                    let dst = &mut img_c[ii * g.w + s..(ii + 1) * g.w];
-                    if g.stride == 1 {
-                        // `kernel::add_assign`'s adds, vectorized in line:
-                        // a dispatch per row costs more than the row.
-                        for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
-                            *d += v;
-                        }
-                    } else {
-                        for (j, &v) in src[lo..hi].iter().enumerate() {
-                            dst[j * g.stride] += v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{col2im, im2col_into};
     use crate::rng::SmallRng64;
     use crate::tensor::Tensor;
 

@@ -22,10 +22,19 @@
 //!   packed panel, then `a[p]` is broadcast per `p`. Each lane
 //!   accumulates its column in strictly sequential `p` order — the same
 //!   order as one scalar dot.
+//! * **The same transpose for per-channel sums.** `channel_sums` folds
+//!   each channel in (sample, position) order; an 8×8 transpose of eight
+//!   channels' planes puts channel `c0 + j` in lane `j`, so each lane's
+//!   adds are exactly its channel's scalar chain.
 //! * **Preserved zero-skips.** The GEMM `av == 0.0` skip (by walking a
-//!   list of the non-zero positions) and the 2-bit decoder's "no write
-//!   for code 0" (by blend) are kept: `c + 0.0` is not a bitwise no-op
-//!   when `c` is `-0.0`.
+//!   list of the non-zero positions), the 2-bit decoder's "no write for
+//!   code 0" and `col2im`'s wrapped padding taps (both by blend) are
+//!   kept: `c + 0.0` is not a bitwise no-op when `c` is `-0.0`.
+//! * **One source, compiled twice.** Batch norm's normalize and
+//!   input-gradient passes are the scalar reference's slice loops,
+//!   `#[inline(always)]` into an `avx2` function: the compiler
+//!   vectorizes the same operations in the same order, and Rust never
+//!   contracts a `mul` + `add` into an FMA.
 //! * **Ordered-quiet compares.** `_CMP_GE_OQ`/`_CMP_LE_OQ` return false
 //!   for NaN, matching scalar `>=`/`<=`; `_mm256_max_ps(x, acc)` keeps
 //!   `acc` when `x` is NaN, matching `f32::max`'s NaN-skipping fold.
@@ -38,6 +47,11 @@
 #![cfg(target_arch = "x86_64")]
 
 use std::arch::x86_64::*;
+use std::ops::Range;
+
+use super::gemm::transpose8;
+use super::ChannelTerm;
+use crate::Conv2dGeom;
 
 /// 8-lane block count helper: the largest multiple of `w` ≤ `n`.
 #[inline(always)]
@@ -652,4 +666,293 @@ unsafe fn unpack_1bit_acc<const STORE: bool>(signs: &[u8], scale: f32, out: &mut
     } else {
         super::scalar::unpack_1bit_add(&signs[n8 / 8..], scale, &mut out[n8..]);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Convolution unrolls, per-channel sums and batch norm
+// ---------------------------------------------------------------------------
+
+/// Row `(ki, kj)` of a size-keeping, stride-1 geometry (`shifts_planes`
+/// in [`super`]) as one shifted plane: output position `o` of the row
+/// reads image position `o + shift`; the positions `o` in `inside` land
+/// inside the image plane; and the output columns `oj` in `cols` are the
+/// ones whose tap `oj + kj − pad` did not wrap into a neighbouring image
+/// row. The size-keeping geometry makes `|kj − pad| < w` and
+/// `|shift| < h·w`, so neither range is ever empty.
+fn plane_shift(g: &Conv2dGeom, ki: usize, kj: usize) -> (isize, Range<usize>, Range<usize>) {
+    let (w, hw) = (g.w, g.h * g.w);
+    let dx = kj as isize - g.pad as isize;
+    let shift = (ki as isize - g.pad as isize) * w as isize + dx;
+    let inside = shift.min(0).unsigned_abs()..hw - shift.max(0) as usize;
+    let cols = dx.min(0).unsigned_abs()..w - dx.max(0) as usize;
+    (shift, inside, cols)
+}
+
+/// Which lanes of a shifted-plane row are taps: lane `l` of the vector
+/// at output position `o` is one when its column `(o + l) % w` lies in
+/// `cols` (its tap did not wrap into a neighbouring image row).
+#[derive(Clone, Copy)]
+struct Taps {
+    /// The current vector's lane columns.
+    oj: __m256i,
+    /// `8 % w` and `8 % w − w`: a column's two candidates one vector on.
+    step: __m256i,
+    step_back: __m256i,
+    /// `cols.start − 1` and `cols.end`.
+    lo: __m256i,
+    hi: __m256i,
+}
+
+impl Taps {
+    /// The lane columns of the first vector of row `(shift, inside, cols)`
+    /// (from [`plane_shift`]).
+    #[inline(always)]
+    unsafe fn new(w: usize, shift: isize, cols: &Range<usize>) -> Self {
+        let wv = _mm256_set1_epi32(w as i32);
+        // `inside` starts at output column 0 — or, when the tap reaches
+        // back, at `−shift mod w`: `pad − kj` left of the centre
+        // (`cols.start`), `w − (kj − pad)` right of it (`cols.end`).
+        let first = match (shift < 0, cols.start) {
+            (false, _) => 0,
+            (true, 0) => cols.end,
+            (true, left) => left,
+        };
+        let mut oj = _mm256_add_epi32(
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            _mm256_set1_epi32(first as i32),
+        );
+        // `min_epu32(v, v − w)` wraps a column in `0..2w` back into `0..w`:
+        // below `w`, `v − w` is a huge unsigned.
+        for _ in 0..8usize.div_ceil(w) {
+            oj = _mm256_min_epu32(oj, _mm256_sub_epi32(oj, wv));
+        }
+        let step = _mm256_set1_epi32((8 % w) as i32);
+        Self {
+            oj,
+            step,
+            step_back: _mm256_sub_epi32(step, wv),
+            lo: _mm256_set1_epi32(cols.start as i32 - 1),
+            hi: _mm256_set1_epi32(cols.end as i32),
+        }
+    }
+
+    /// The current vector's tap mask (all ones per tap lane), moving on
+    /// to the next vector. Both candidates of the next columns come from
+    /// the current ones, so the carried chain is one add and one min.
+    #[inline(always)]
+    unsafe fn next(&mut self) -> __m256 {
+        let (oj, lo, hi) = (self.oj, self.lo, self.hi);
+        let kept = _mm256_and_si256(_mm256_cmpgt_epi32(oj, lo), _mm256_cmpgt_epi32(hi, oj));
+        self.oj = _mm256_min_epu32(
+            _mm256_add_epi32(oj, self.step),
+            _mm256_add_epi32(oj, self.step_back),
+        );
+        _mm256_castsi256_ps(kept)
+    }
+}
+
+/// [`super::scalar::im2col_into`] (AVX2) for a size-keeping, stride-1
+/// geometry: each row of the column matrix is its shifted plane — one
+/// copy when no column wraps, else a masked copy that writes `+0.0`
+/// into the wrapped lanes — and `0.0` outside the image, every padding
+/// tap the `0.0` the row path writes. The channel loop sits innermost,
+/// so a row's shift and masks are set up once for every channel.
+///
+/// # Safety
+/// AVX2 must be available; `g` must pass `shifts_planes` and the slices
+/// have the sizes `kernel::im2col_into` asserts.
+#[target_feature(enable = "avx2")]
+pub unsafe fn im2col_planes(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
+    let (w, hw) = (g.w, g.h * g.w);
+    for ki in 0..g.kh {
+        for kj in 0..g.kw {
+            let (shift, inside, cols) = plane_shift(g, ki, kj);
+            let from = inside.start.wrapping_add_signed(shift);
+            let n8 = blocks(inside.len(), 8);
+            let taps = Taps::new(w, shift, &cols);
+            for (c, img_c) in img.chunks_exact(hw).enumerate() {
+                let row = (c * g.kh + ki) * g.kw + kj;
+                let out = &mut dst[row * hw..(row + 1) * hw];
+                out[..inside.start].fill(0.0);
+                out[inside.end..].fill(0.0);
+                let (out, src) = (&mut out[inside.clone()], &img_c[from..from + inside.len()]);
+                if cols.len() == w {
+                    out.copy_from_slice(src);
+                    continue;
+                }
+                let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
+                let mut taps = taps;
+                let mut k = 0;
+                while k < n8 {
+                    _mm256_storeu_ps(
+                        op.add(k),
+                        _mm256_and_ps(_mm256_loadu_ps(sp.add(k)), taps.next()),
+                    );
+                    k += 8;
+                }
+                for k in n8..src.len() {
+                    out[k] = if cols.contains(&((inside.start + k) % w)) {
+                        src[k]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// [`super::scalar::col2im`] (AVX2) for a size-keeping, stride-1
+/// geometry: each row of the column matrix is one add into its shifted
+/// plane, eight positions per vector. Lanes whose column wrapped are
+/// padding taps, which the row path never adds: a blend gives them back
+/// their old bits — never `+ 0.0`, which turns a `−0.0` into `+0.0`.
+/// Each image element belongs to one channel and receives its taps in
+/// the row path's `(ki, kj)` order, one add each, so the sums keep their
+/// bits; the channel loop sits innermost so that a row's shift and masks
+/// are set up once for every channel.
+///
+/// # Safety
+/// AVX2 must be available; `g` must pass `shifts_planes` and the slices
+/// have the sizes `kernel::col2im` asserts.
+#[target_feature(enable = "avx2")]
+pub unsafe fn col2im_planes(col: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
+    let (w, hw) = (g.w, g.h * g.w);
+    for ki in 0..g.kh {
+        for kj in 0..g.kw {
+            let (shift, inside, cols) = plane_shift(g, ki, kj);
+            let from = inside.start.wrapping_add_signed(shift);
+            let n8 = blocks(inside.len(), 8);
+            let taps = Taps::new(w, shift, &cols);
+            for (c, img_c) in img.chunks_exact_mut(hw).enumerate() {
+                let row = (c * g.kh + ki) * g.kw + kj;
+                let dst = &mut img_c[from..from + inside.len()];
+                let src = &col[row * hw + inside.start..row * hw + inside.end];
+                let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
+                let mut k = 0;
+                if cols.len() == w {
+                    // No column wraps: every lane is a tap.
+                    while k < n8 {
+                        let sum =
+                            _mm256_add_ps(_mm256_loadu_ps(dp.add(k)), _mm256_loadu_ps(sp.add(k)));
+                        _mm256_storeu_ps(dp.add(k), sum);
+                        k += 8;
+                    }
+                } else {
+                    let mut taps = taps;
+                    while k < n8 {
+                        let d = _mm256_loadu_ps(dp.add(k));
+                        let sum = _mm256_add_ps(d, _mm256_loadu_ps(sp.add(k)));
+                        _mm256_storeu_ps(dp.add(k), _mm256_blendv_ps(d, sum, taps.next()));
+                        k += 8;
+                    }
+                }
+                for k in n8..src.len() {
+                    if cols.contains(&((inside.start + k) % w)) {
+                        dst[k] += src[k];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`super::scalar::channel_sums`] (AVX2), eight channels per vector.
+/// Each step loads eight positions of eight channels' planes and
+/// [`transpose8`] turns the tile into eight vectors whose lane `j` holds
+/// channel `c0 + j`'s term at one position; adding them in position
+/// order advances every lane's chain exactly as the reference advances
+/// that channel's. A plane's last `plane % 8` positions are added lane
+/// by lane in the same order, and channels past the last full eight take
+/// the reference's one-channel chains.
+#[target_feature(enable = "avx2")]
+pub unsafe fn channel_sums(
+    dims: [usize; 3],
+    init: f32,
+    term: ChannelTerm,
+    mut emit: impl FnMut(usize, f32),
+) {
+    let [n, ch, plane] = dims;
+    let (full, p8) = (blocks(ch, 8), blocks(plane, 8));
+    for c0 in (0..full).step_by(8) {
+        let mut acc = _mm256_set1_ps(init);
+        for s in 0..n {
+            let base = (s * ch + c0) * plane;
+            for i in (base..base + p8).step_by(8) {
+                for t in transpose8(term_rows(term, c0, i, plane)) {
+                    acc = _mm256_add_ps(acc, t);
+                }
+            }
+            if p8 < plane {
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+                for i in base + p8..base + plane {
+                    for (j, l) in lanes.iter_mut().enumerate() {
+                        *l += term.at(c0 + j, i + j * plane);
+                    }
+                }
+                acc = _mm256_loadu_ps(lanes.as_ptr());
+            }
+        }
+        let mut sums = [0.0f32; 8];
+        _mm256_storeu_ps(sums.as_mut_ptr(), acc);
+        for (j, &sum) in sums.iter().enumerate() {
+            emit(c0 + j, sum);
+        }
+    }
+    super::scalar::channel_sums_from(dims, full, init, term, emit)
+}
+
+/// Row `j` of a [`channel_sums`] tile: channel `c0 + j`'s terms at flat
+/// indices `at + j·plane ..+ 8`, each computed with the reference's
+/// operations. The caller's asserted slice sizes keep every load in
+/// bounds.
+#[inline(always)]
+unsafe fn term_rows(term: ChannelTerm, c0: usize, at: usize, plane: usize) -> [__m256; 8] {
+    let mut rows = [_mm256_setzero_ps(); 8];
+    for (j, r) in rows.iter_mut().enumerate() {
+        let i = at + j * plane;
+        *r = match term {
+            ChannelTerm::Value(x) => _mm256_loadu_ps(x.as_ptr().add(i)),
+            ChannelTerm::SqDev(x, mean) => {
+                let d = _mm256_sub_ps(
+                    _mm256_loadu_ps(x.as_ptr().add(i)),
+                    _mm256_set1_ps(mean[c0 + j]),
+                );
+                _mm256_mul_ps(d, d)
+            }
+            ChannelTerm::Product(a, b) => _mm256_mul_ps(
+                _mm256_loadu_ps(a.as_ptr().add(i)),
+                _mm256_loadu_ps(b.as_ptr().add(i)),
+            ),
+        };
+    }
+    rows
+}
+
+/// [`super::scalar::bn_normalize`], the same body compiled for AVX2: its
+/// slice loops vectorize at ymm width with the same operations in the
+/// same order (Rust never contracts `γ·x̂ + β` into an FMA).
+#[target_feature(enable = "avx2")]
+pub unsafe fn bn_normalize(
+    dims: [usize; 3],
+    x: &[f32],
+    mean_std: (&[f32], &[f32]),
+    gamma_beta: (&[f32], &[f32]),
+    xhat: Option<&mut [f32]>,
+    out: &mut [f32],
+) {
+    super::scalar::bn_normalize(dims, x, mean_std, gamma_beta, xhat, out)
+}
+
+/// [`super::scalar::bn_input_grad`], the same body compiled for AVX2.
+#[target_feature(enable = "avx2")]
+pub unsafe fn bn_input_grad(
+    dims: [usize; 3],
+    dy_xhat: (&[f32], &[f32]),
+    gamma_std: (&[f32], &[f32]),
+    sums: (&[f32], &[f32]),
+    dx: &mut [f32],
+) {
+    super::scalar::bn_input_grad(dims, dy_xhat, gamma_std, sums, dx)
 }

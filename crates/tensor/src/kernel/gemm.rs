@@ -298,7 +298,7 @@ unsafe fn pack_cols<L: Lanes>(b: *const f32, ldb: usize, kc: usize, nb: usize, p
 /// row elements at position `q` across lanes (`out[q]` lane `u` = `r[u]`
 /// lane `q`).
 #[inline(always)]
-unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+pub(super) unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
     let t0 = _mm256_unpacklo_ps(r[0], r[1]);
     let t1 = _mm256_unpackhi_ps(r[0], r[1]);
     let t2 = _mm256_unpacklo_ps(r[2], r[3]);

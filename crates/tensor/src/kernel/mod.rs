@@ -2,8 +2,9 @@
 //! compute-bound inner loop in the workspace.
 //!
 //! All four hot layers route through this module — `cdsgd-tensor`
-//! (GEMM, elementwise, reductions, im2col), `cdsgd-nn` (dense/conv
-//! forward+backward, activations, losses), `cdsgd-compress` (2-bit and
+//! (GEMM, elementwise, reductions, im2col/col2im), `cdsgd-nn` (dense/conv
+//! forward+backward, batch norm's per-channel sums and passes,
+//! activations, losses), `cdsgd-compress` (2-bit and
 //! 1-bit quantizer scans, bit packing, residual accumulation), and
 //! `cdsgd-ps` (optimizer `apply` and `apply_update`). Each primitive
 //! has exactly one scalar reference implementation in [`scalar`] and,
@@ -52,10 +53,10 @@
 //! The hardware returns the first operand's payload and the optimizer is
 //! free to swap operands, so the same source yields different payloads
 //! in debug and release builds. It only shows in kernels that add two
-//! computed values — [`dot`] and the three GEMMs; for those the contract
-//! (and `tests/kernel_identity.rs`, which feeds all of them NaN/Inf
-//! specials in both profiles) is: a NaN exactly where the reference has
-//! a NaN, every other value bit-equal.
+//! computed values — [`dot`], the three GEMMs, [`channel_sums`] and
+//! [`col2im`]; for those the contract (and `tests/kernel_identity.rs`,
+//! which feeds them NaN/Inf specials in both profiles) is: a NaN exactly
+//! where the reference has a NaN, every other value bit-equal.
 //!
 //! Tail handling: vector bodies process the largest lane-width multiple
 //! and fall back to the scalar loop for the remainder, so
@@ -84,6 +85,8 @@ mod avx2;
 mod gemm;
 
 use std::sync::OnceLock;
+
+use crate::Conv2dGeom;
 
 /// Which kernel backend this process dispatches to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -328,6 +331,187 @@ pub fn reduce_max_abs(x: &[f32]) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "kernel::dot length mismatch");
     dispatch!(avx2::dot(a, b), scalar::dot(a, b))
+}
+
+// ---------------------------------------------------------------------------
+// Convolution unrolls, per-channel sums and batch norm
+// ---------------------------------------------------------------------------
+
+/// Whether stride-1 geometry `g` keeps the image's size (`2·pad + 1 = k`
+/// both ways) on an image at least as large as the kernel: then every
+/// row `(c, ki, kj)` of the column matrix is the channel's plane shifted
+/// by `(ki − pad)·w + (kj − pad)`, and the SIMD backends move it whole.
+/// Strided geometries and images smaller than the kernel take the row
+/// path.
+#[cfg(target_arch = "x86_64")]
+fn shifts_planes(g: &Conv2dGeom) -> bool {
+    g.stride == 1 && g.out_h() == g.h && g.out_w() == g.w && g.h >= g.kh && g.w >= g.kw
+}
+
+/// Unroll a single image `[C,H,W]` (given as a flat slice) into the
+/// column matrix `dst = [C·KH·KW, OH·OW]`, so that
+/// `W[F, C·KH·KW] · dst = out[F, OH·OW]`. Every element of `dst` is
+/// written — padding taps as `0.0` — so the buffer can be reused across
+/// calls without clearing.
+///
+/// The scalar backend unrolls output row by output row
+/// ([`scalar::im2col_into`]). On the SIMD backends, a stride-1 geometry
+/// that keeps the image's size (`2·pad + 1 = k`, an image at least as
+/// large as the kernel) has its rows copied as whole shifted planes,
+/// with `0.0` in the columns that wrapped into a neighbouring image row
+/// — the same bits.
+pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
+    g.validate();
+    assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
+    assert_eq!(
+        dst.len(),
+        g.col_rows() * g.col_cols(),
+        "column size mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() && shifts_planes(g) {
+        // SAFETY: `simd_active()` implies AVX2 was runtime-detected; the
+        // sizes are asserted above and the geometry checked.
+        return unsafe { avx2::im2col_planes(img, g, dst) };
+    }
+    scalar::im2col_into(img, g, dst)
+}
+
+/// Adjoint of [`im2col_into`]: scatter-add a column matrix
+/// `[C·KH·KW, OH·OW]` back into an image buffer `[C,H,W]` (flat slices;
+/// contributions are accumulated, so `img` must be pre-zeroed by the
+/// caller if a fresh gradient is wanted). Image elements no tap lands on
+/// keep their bits.
+///
+/// The scalar backend adds output row by output row
+/// ([`scalar::col2im`]); the SIMD backends add a size-keeping
+/// geometry's rows (as in [`im2col_into`]) as whole shifted planes,
+/// blending the wrapped columns back to their old bits.
+pub fn col2im(col: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
+    g.validate();
+    assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
+    assert_eq!(
+        col.len(),
+        g.col_rows() * g.col_cols(),
+        "column size mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() && shifts_planes(g) {
+        // SAFETY: `simd_active()` implies AVX2 was runtime-detected; the
+        // sizes are asserted above and the geometry checked.
+        return unsafe { avx2::col2im_planes(col, g, img) };
+    }
+    scalar::col2im(col, g, img)
+}
+
+/// What [`channel_sums`] adds up for channel `c` at flat index `i` of an
+/// NCHW tensor.
+#[derive(Clone, Copy, Debug)]
+pub enum ChannelTerm<'a> {
+    /// `x[i]`.
+    Value(&'a [f32]),
+    /// `(x[i] − mean[c])²`, as `let d = x[i] − mean[c]; d·d`.
+    SqDev(&'a [f32], &'a [f32]),
+    /// `a[i]·b[i]`.
+    Product(&'a [f32], &'a [f32]),
+}
+
+impl ChannelTerm<'_> {
+    /// The term for channel `c` at flat index `i`.
+    #[inline(always)]
+    fn at(self, c: usize, i: usize) -> f32 {
+        match self {
+            ChannelTerm::Value(x) => x[i],
+            ChannelTerm::SqDev(x, mean) => {
+                let d = x[i] - mean[c];
+                d * d
+            }
+            ChannelTerm::Product(a, b) => a[i] * b[i],
+        }
+    }
+}
+
+/// `emit(c, init + Σ term(c, i))` for every channel `c` of an NCHW
+/// tensor of `[n, ch, plane]` (`plane = H·W`), where `i` runs over the
+/// flat indices of channel `c` — sample 0's plane, then sample 1's, …
+/// — and each sum is folded in exactly that order, so its bits are
+/// those of the sequential loop: batch norm's mean, variance, `Σdy` and
+/// `Σdy·x̂`, and a convolution's bias gradient.
+///
+/// Eight channels advance together on every backend, as eight
+/// independent chains: interleaved scalar adds in [`scalar`], one
+/// vector's lanes on the SIMD backends, which turn eight planes'
+/// positions into lanes with an 8×8 register transpose. Channels past
+/// the last full eight, and on the SIMD backends each plane's last
+/// `plane % 8` positions, are added one at a time in the same order.
+pub fn channel_sums(dims: [usize; 3], init: f32, term: ChannelTerm, emit: impl FnMut(usize, f32)) {
+    let len = dims.iter().product::<usize>();
+    match term {
+        ChannelTerm::Value(x) => assert_eq!(x.len(), len, "kernel::channel_sums size"),
+        ChannelTerm::SqDev(x, mean) => {
+            assert_eq!(x.len(), len, "kernel::channel_sums size");
+            assert_eq!(mean.len(), dims[1], "kernel::channel_sums means");
+        }
+        ChannelTerm::Product(a, b) => {
+            assert_eq!(a.len(), len, "kernel::channel_sums size");
+            assert_eq!(b.len(), len, "kernel::channel_sums size");
+        }
+    }
+    dispatch!(
+        avx2::channel_sums(dims, init, term, emit),
+        scalar::channel_sums(dims, init, term, emit)
+    )
+}
+
+/// Batch norm's normalize pass over `[n, ch, plane]`, per channel
+/// `x̂ = (x − mean) / std` and `out = γ·x̂ + β`; `xhat`, when given (a
+/// train-mode forward), receives `x̂`. One scalar body, compiled a
+/// second time at AVX2 width for the SIMD backends.
+pub fn bn_normalize(
+    dims: [usize; 3],
+    x: &[f32],
+    mean_std: (&[f32], &[f32]),
+    gamma_beta: (&[f32], &[f32]),
+    xhat: Option<&mut [f32]>,
+    out: &mut [f32],
+) {
+    let len = dims.iter().product::<usize>();
+    assert_eq!(x.len(), len, "kernel::bn_normalize size");
+    assert_eq!(out.len(), len, "kernel::bn_normalize size");
+    if let Some(xhat) = &xhat {
+        assert_eq!(xhat.len(), len, "kernel::bn_normalize size");
+    }
+    for per_channel in [mean_std.0, mean_std.1, gamma_beta.0, gamma_beta.1] {
+        assert_eq!(per_channel.len(), dims[1], "kernel::bn_normalize channels");
+    }
+    dispatch!(
+        avx2::bn_normalize(dims, x, mean_std, gamma_beta, xhat, out),
+        scalar::bn_normalize(dims, x, mean_std, gamma_beta, xhat, out)
+    )
+}
+
+/// Batch norm's input gradient over `[n, ch, plane]`: with
+/// `m = n·plane`, `dx = γ/std · (dy − Σdy/m − x̂·Σdy·x̂/m)` per channel.
+/// One scalar body, compiled a second time at AVX2 width, like
+/// [`bn_normalize`].
+pub fn bn_input_grad(
+    dims: [usize; 3],
+    dy_xhat: (&[f32], &[f32]),
+    gamma_std: (&[f32], &[f32]),
+    sums: (&[f32], &[f32]),
+    dx: &mut [f32],
+) {
+    let len = dims.iter().product::<usize>();
+    for per_element in [dy_xhat.0, dy_xhat.1, &*dx] {
+        assert_eq!(per_element.len(), len, "kernel::bn_input_grad size");
+    }
+    for per_channel in [gamma_std.0, gamma_std.1, sums.0, sums.1] {
+        assert_eq!(per_channel.len(), dims[1], "kernel::bn_input_grad channels");
+    }
+    dispatch!(
+        avx2::bn_input_grad(dims, dy_xhat, gamma_std, sums, dx),
+        scalar::bn_input_grad(dims, dy_xhat, gamma_std, sums, dx)
+    )
 }
 
 // ---------------------------------------------------------------------------

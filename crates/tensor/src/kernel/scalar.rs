@@ -15,6 +15,9 @@
 
 use std::ops::Range;
 
+use super::ChannelTerm;
+use crate::Conv2dGeom;
+
 // ---------------------------------------------------------------------------
 // Elementwise (BLAS-1 style)
 // ---------------------------------------------------------------------------
@@ -465,5 +468,234 @@ pub fn unpack_1bit_store(signs: &[u8], scale: f32, out: &mut [f32]) {
             } else {
                 -scale
             };
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Convolution unrolls
+// ---------------------------------------------------------------------------
+
+/// The output columns `lo..hi` whose input column `oj·stride + kj − pad`
+/// lies inside `0..w` — one range per kernel column `kj`, shared by
+/// every row — and the input column of `lo` (`0` when the range is
+/// empty, so it always indexes the row).
+fn valid_cols(g: &Conv2dGeom, kj: usize) -> (usize, usize, usize) {
+    let ow = g.out_w();
+    let lo = g.pad.saturating_sub(kj).div_ceil(g.stride).min(ow);
+    let hi = (g.w + g.pad).saturating_sub(kj).div_ceil(g.stride).min(ow); // ≥ lo
+    let s = if lo < hi {
+        lo * g.stride + kj - g.pad
+    } else {
+        0
+    };
+    (lo, hi, s)
+}
+
+/// Unroll one image `[C,H,W]` into the column matrix
+/// `dst = [C·KH·KW, OH·OW]` output row by output row: each row's valid
+/// columns are one copy (stride 1) or a strided gather, its padding runs
+/// are filled with `0.0`. Every element of `dst` is written.
+pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
+    debug_assert_eq!(img.len(), g.c * g.h * g.w);
+    debug_assert_eq!(dst.len(), g.col_rows() * g.col_cols());
+    let ow = g.out_w();
+    let cols = g.col_cols();
+    for c in 0..g.c {
+        let img_c = &img[c * g.h * g.w..(c + 1) * g.h * g.w];
+        for ki in 0..g.kh {
+            for kj in 0..g.kw {
+                let (lo, hi, s) = valid_cols(g, kj);
+                let row = (c * g.kh + ki) * g.kw + kj;
+                let out_row = &mut dst[row * cols..(row + 1) * cols];
+                for (oi, out) in out_row.chunks_exact_mut(ow).enumerate() {
+                    let ii = (oi * g.stride + ki).wrapping_sub(g.pad);
+                    if ii >= g.h {
+                        out.fill(0.0); // a padding row (`wrapping_sub` sends ii < 0 here)
+                        continue;
+                    }
+                    let src = &img_c[ii * g.w + s..(ii + 1) * g.w];
+                    out[..lo].fill(0.0);
+                    out[hi..].fill(0.0);
+                    if g.stride == 1 {
+                        out[lo..hi].copy_from_slice(&src[..hi - lo]);
+                    } else {
+                        for (j, o) in out[lo..hi].iter_mut().enumerate() {
+                            *o = src[j * g.stride];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adjoint of [`im2col_into`], output row by output row: each row's
+/// valid columns are added into their image row (`img[..] += col[..]`);
+/// padding taps add nothing, so the image elements they would land on
+/// keep their bits.
+pub fn col2im(col: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
+    debug_assert_eq!(img.len(), g.c * g.h * g.w);
+    debug_assert_eq!(col.len(), g.col_rows() * g.col_cols());
+    let ow = g.out_w();
+    let cols = g.col_cols();
+    for c in 0..g.c {
+        let img_c = &mut img[c * g.h * g.w..(c + 1) * g.h * g.w];
+        for ki in 0..g.kh {
+            for kj in 0..g.kw {
+                let (lo, hi, s) = valid_cols(g, kj);
+                let row = (c * g.kh + ki) * g.kw + kj;
+                let col_row = &col[row * cols..(row + 1) * cols];
+                for (oi, src) in col_row.chunks_exact(ow).enumerate() {
+                    let ii = (oi * g.stride + ki).wrapping_sub(g.pad);
+                    if ii >= g.h {
+                        continue;
+                    }
+                    let dst = &mut img_c[ii * g.w + s..(ii + 1) * g.w];
+                    if g.stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
+                            *d += v;
+                        }
+                    } else {
+                        for (j, &v) in src[lo..hi].iter().enumerate() {
+                            dst[j * g.stride] += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Per-channel sums and batch norm
+// ---------------------------------------------------------------------------
+
+/// `emit(c, init + Σ term(c, i))` for every channel `c` of `[n, ch,
+/// plane]`, each sum folded in (sample, position) order. Eight
+/// channels' chains advance together in the inner loop, so independent
+/// adds overlap instead of each waiting on the last; channels past the
+/// last full eight are summed one at a time.
+pub fn channel_sums(dims: [usize; 3], init: f32, term: ChannelTerm, emit: impl FnMut(usize, f32)) {
+    channel_sums_from(dims, 0, init, term, emit)
+}
+
+/// [`channel_sums`] for channels `from..` only.
+pub(super) fn channel_sums_from(
+    dims: [usize; 3],
+    from: usize,
+    init: f32,
+    term: ChannelTerm,
+    emit: impl FnMut(usize, f32),
+) {
+    // One match per call: each arm folds with its own term in line.
+    match term {
+        ChannelTerm::Value(x) => fold_channels(dims, from, init, |_, i| x[i], emit),
+        ChannelTerm::SqDev(x, mean) => {
+            let sq = |c: usize, i: usize| {
+                let d = x[i] - mean[c];
+                d * d
+            };
+            fold_channels(dims, from, init, sq, emit)
+        }
+        ChannelTerm::Product(a, b) => fold_channels(dims, from, init, |_, i| a[i] * b[i], emit),
+    }
+}
+
+#[inline(always)]
+fn fold_channels(
+    dims: [usize; 3],
+    from: usize,
+    init: f32,
+    term: impl Fn(usize, usize) -> f32,
+    mut emit: impl FnMut(usize, f32),
+) {
+    let full = from + (dims[1] - from) / 8 * 8;
+    for c0 in (from..full).step_by(8) {
+        let sums: [f32; 8] = chains(dims, c0, init, &term);
+        (0..8).for_each(|j| emit(c0 + j, sums[j]));
+    }
+    for c in full..dims[1] {
+        let [sum]: [f32; 1] = chains(dims, c, init, &term);
+        emit(c, sum);
+    }
+}
+
+/// The sums of channels `c0..c0 + W`, their `W` chains interleaved.
+#[inline(always)]
+fn chains<const W: usize>(
+    [n, ch, plane]: [usize; 3],
+    c0: usize,
+    init: f32,
+    term: &impl Fn(usize, usize) -> f32,
+) -> [f32; W] {
+    let mut acc = [init; W];
+    for s in 0..n {
+        let base = (s * ch + c0) * plane;
+        for i in base..base + plane {
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a += term(c0 + j, i + j * plane);
+            }
+        }
+    }
+    acc
+}
+
+/// Batch norm's normalize pass over `[n, ch, plane]`: with
+/// `(mean, std)` and `(γ, β)` per channel, `x̂ = (x − mean) / std` and
+/// `out = γ·x̂ + β`, each plane one slice loop; `xhat`, when given,
+/// receives `x̂`. Written once: the AVX2 backend compiles this same body
+/// again at its width.
+#[inline(always)]
+pub fn bn_normalize(
+    dims: [usize; 3],
+    x: &[f32],
+    (mean, std): (&[f32], &[f32]),
+    (gamma, beta): (&[f32], &[f32]),
+    mut xhat: Option<&mut [f32]>,
+    out: &mut [f32],
+) {
+    let [n, ch, plane] = dims;
+    for p in 0..n * ch {
+        let c = p % ch;
+        let (mean, std, g, b) = (mean[c], std[c], gamma[c], beta[c]);
+        let span = p * plane..(p + 1) * plane;
+        let (xs, outs) = (&x[span.clone()], &mut out[span.clone()]);
+        if let Some(xhat) = xhat.as_deref_mut() {
+            for ((o, xh), &v) in outs.iter_mut().zip(&mut xhat[span]).zip(xs) {
+                let xn = (v - mean) / std;
+                *xh = xn;
+                *o = g * xn + b;
+            }
+        } else {
+            for (o, &v) in outs.iter_mut().zip(xs) {
+                *o = g * ((v - mean) / std) + b;
+            }
+        }
+    }
+}
+
+/// Batch norm's input gradient over `[n, ch, plane]`, from `(γ, std)`
+/// and the sums `(Σdy, Σdy·x̂)` per channel: with `m = n·plane`,
+/// `dx = γ/std · (dy − Σdy/m − x̂·Σdy·x̂/m)`, each plane one slice loop.
+/// Written once, like [`bn_normalize`].
+#[inline(always)]
+pub fn bn_input_grad(
+    dims: [usize; 3],
+    (dy, xhat): (&[f32], &[f32]),
+    (gamma, std): (&[f32], &[f32]),
+    (sum_dy, sum_dy_xhat): (&[f32], &[f32]),
+    dx: &mut [f32],
+) {
+    let [n, ch, plane] = dims;
+    let m = (n * plane) as f32;
+    for p in 0..n * ch {
+        let c = p % ch;
+        let scale = gamma[c] / std[c];
+        let (mean_dy, mean_dy_xhat) = (sum_dy[c] / m, sum_dy_xhat[c] / m);
+        let span = p * plane..(p + 1) * plane;
+        let (dxs, dys, xhats) = (&mut dx[span.clone()], &dy[span.clone()], &xhat[span]);
+        for ((d, &g), &xh) in dxs.iter_mut().zip(dys).zip(xhats) {
+            *d = scale * (g - mean_dy - xh * mean_dy_xhat);
+        }
     }
 }

@@ -31,7 +31,8 @@ mod rng;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col_into, Conv2dGeom};
+pub use conv::Conv2dGeom;
+pub use kernel::{col2im, im2col_into};
 pub use rng::{he_std, xavier_std, SmallRng64};
 pub use shape::{contiguous_strides, numel, Shape};
 pub use tensor::Tensor;

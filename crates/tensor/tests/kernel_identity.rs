@@ -6,14 +6,16 @@
 //! bit-identity contract (the end-to-end half is the pinned weight
 //! hashes in `tests/strategy_equivalence.rs`).
 //!
-//! One narrowing, for the kernels that add two computed values (`dot`
-//! and the three GEMMs): when both addends are NaN, *which* NaN comes
+//! One narrowing, for the kernels that add two computed values (`dot`,
+//! the three GEMMs, `channel_sums` and `col2im`): when both addends are
+//! NaN, *which* NaN comes
 //! out depends on operand order, which the optimizer may swap, so the
 //! same source gives different payloads in debug and release. There a
 //! NaN must land on a NaN and every other value must match bit for bit
 //! ([`assert_same_values`]).
 
 use cdsgd_tensor::kernel::{self, scalar};
+use cdsgd_tensor::{col2im, im2col_into, Conv2dGeom};
 use proptest::prelude::*;
 
 const SPECIALS: [f32; 8] = [
@@ -567,4 +569,216 @@ fn backend_reports_and_env_is_documented() {
     // Scalar. Either way the name is stable for trace/bench output.
     let b = kernel::backend();
     assert!(matches!(b.name(), "scalar" | "avx2" | "avx512"));
+}
+
+// ---------------------------------------------------------------------------
+// Convolution unrolls, per-channel sums and batch norm
+// ---------------------------------------------------------------------------
+
+/// `[n, ch, plane]` values with a special (±0.0, NaN, ±Inf, 3e38) every
+/// eleventh element and the last channel all `-0.0`, whose sum keeps
+/// the sign of `init`.
+fn channel_values(seed: u64, [n, ch, plane]: [usize; 3]) -> Vec<f32> {
+    let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38];
+    let mut x = fill(seed, n * ch * plane, false);
+    for (v, &sp) in x
+        .iter_mut()
+        .skip(2)
+        .step_by(11)
+        .zip(specials.iter().cycle())
+    {
+        *v = sp;
+    }
+    for s in 0..n {
+        let c = (s * ch + ch - 1) * plane;
+        x[c..c + plane].fill(-0.0);
+    }
+    x
+}
+
+/// Every channel sum, dispatched and scalar, equals the sequential fold
+/// over (sample, position) — on the SIMD backends through the vector
+/// path for each full eight channels and the scalar chains for the rest,
+/// with planes that leave no tail (8, 1024) and ones that do (7, 49).
+/// The sums add two computed values, so a NaN must match a NaN (module
+/// docs); every other value is bit-equal.
+#[test]
+fn channel_sums_equal_the_sequential_fold() {
+    for ch in [1, 3, 8, 12, 17, 32] {
+        for plane in [7, 8, 49, 1024] {
+            let dims = [2, ch, plane];
+            let (a, b) = (
+                channel_values(ch as u64, dims),
+                channel_values(plane as u64, dims),
+            );
+            let means = fill(ch as u64 + 5, ch, false);
+            let terms = [
+                ("value", kernel::ChannelTerm::Value(&a)),
+                ("sq_dev", kernel::ChannelTerm::SqDev(&a, &means)),
+                ("product", kernel::ChannelTerm::Product(&a, &b)),
+            ];
+            let term_at = |what: &str, c: usize, i: usize| match what {
+                "value" => a[i],
+                "sq_dev" => {
+                    let d = a[i] - means[c];
+                    d * d
+                }
+                _ => a[i] * b[i],
+            };
+            for (what, term) in terms {
+                for init in [0.0, -0.0] {
+                    let mut got = vec![f32::NAN; ch];
+                    let mut reference = vec![f32::NAN; ch];
+                    kernel::channel_sums(dims, init, term, |c, v| got[c] = v);
+                    scalar::channel_sums(dims, init, term, |c, v| reference[c] = v);
+                    let want: Vec<f32> = (0..ch)
+                        .map(|c| {
+                            (0..2)
+                                .flat_map(|s| (s * ch + c) * plane..(s * ch + c + 1) * plane)
+                                .fold(init, |acc, i| acc + term_at(what, c, i))
+                        })
+                        .collect();
+                    let case = format!("{what} C={ch} plane={plane} init={init:?}");
+                    assert_same_values(&got, &want, &format!("dispatched {case}"));
+                    assert_same_values(&reference, &want, &format!("scalar {case}"));
+                }
+            }
+        }
+    }
+}
+
+/// The normalize and input-gradient passes, dispatched against the
+/// scalar body, with specials in the activations: bit-equal, `x̂`
+/// included.
+#[test]
+fn batchnorm_passes_match_the_scalar_body() {
+    for (ch, plane) in [(3, 7), (8, 1024), (16, 256), (32, 64), (17, 49)] {
+        let dims = [3, ch, plane];
+        let len = 3 * ch * plane;
+        let x = channel_values(ch as u64 + 40, dims);
+        let mean = fill(41, ch, false);
+        let std: Vec<f32> = fill(42, ch, false).iter().map(|v| v.abs() + 0.5).collect();
+        let (gamma, beta) = (fill(43, ch, false), fill(44, ch, false));
+        for train in [true, false] {
+            let (mut out_a, mut out_b) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            let (mut xhat_a, mut xhat_b) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            let stats = ((&mean[..], &std[..]), (&gamma[..], &beta[..]));
+            kernel::bn_normalize(
+                dims,
+                &x,
+                stats.0,
+                stats.1,
+                train.then_some(&mut xhat_a[..]),
+                &mut out_a,
+            );
+            scalar::bn_normalize(
+                dims,
+                &x,
+                stats.0,
+                stats.1,
+                train.then_some(&mut xhat_b[..]),
+                &mut out_b,
+            );
+            assert_bits_eq(
+                &out_a,
+                &out_b,
+                &format!("bn_normalize {ch}@{plane} train={train}"),
+            );
+            assert_bits_eq(&xhat_a, &xhat_b, &format!("bn_normalize x̂ {ch}@{plane}"));
+        }
+        let dy = channel_values(ch as u64 + 50, dims);
+        let xhat = fill(51, len, false);
+        let (sum_dy, sum_dy_xhat) = (fill(52, ch, false), fill(53, ch, false));
+        let (mut dx_a, mut dx_b) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+        let args = (
+            (&dy[..], &xhat[..]),
+            (&gamma[..], &std[..]),
+            (&sum_dy[..], &sum_dy_xhat[..]),
+        );
+        kernel::bn_input_grad(dims, args.0, args.1, args.2, &mut dx_a);
+        scalar::bn_input_grad(dims, args.0, args.1, args.2, &mut dx_b);
+        assert_bits_eq(&dx_a, &dx_b, &format!("bn_input_grad {ch}@{plane}"));
+    }
+}
+
+/// Every stride-1 geometry over images 1×1 to 5×7, kernels 1/3/5 and
+/// padding 0–2 (the size-keeping ones take the shifted-plane path on
+/// the SIMD backends, the rest the row path), stride 2 beside them, and
+/// ResNet-8's three size-keeping convolutions.
+fn unroll_geometries() -> Vec<Conv2dGeom> {
+    let mut geoms = Vec::new();
+    for (h, w) in [(1, 1), (2, 2), (3, 3), (5, 7)] {
+        for k in [1, 3, 5] {
+            for pad in [0, 1, 2] {
+                for stride in [1, 2] {
+                    let g = Conv2dGeom {
+                        c: 2,
+                        h,
+                        w,
+                        kh: k,
+                        kw: k,
+                        stride,
+                        pad,
+                    };
+                    if h + 2 * pad >= k && w + 2 * pad >= k {
+                        geoms.push(g);
+                    }
+                }
+            }
+        }
+    }
+    for (c, hw) in [(3, 32), (8, 32), (32, 8)] {
+        geoms.push(Conv2dGeom {
+            c,
+            h: hw,
+            w: hw,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
+        });
+    }
+    geoms
+}
+
+/// The unroll writes every element (the buffer starts as NaN) with the
+/// row path's bits, padding taps as `+0.0`.
+#[test]
+fn im2col_into_matches_the_row_path() {
+    for g in unroll_geometries() {
+        let img = fill(g.h as u64 * 31 + g.w as u64, g.c * g.h * g.w, true);
+        let len = g.col_rows() * g.col_cols();
+        let (mut got, mut want) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+        im2col_into(&img, &g, &mut got);
+        scalar::im2col_into(&img, &g, &mut want);
+        assert_bits_eq(&got, &want, &format!("im2col_into {g:?}"));
+    }
+}
+
+/// The scatter-add into an image pre-filled with `-0.0`, NaN and
+/// ordinary values: the elements a tap lands on get the row path's sums
+/// (the columns carry ±0.0 and ±Inf but no NaN, so no add sees two
+/// NaNs), and the ones no tap lands on keep their bits — an added
+/// `+0.0` would turn their `-0.0` into `+0.0`.
+#[test]
+fn col2im_matches_the_row_path_and_leaves_untouched_bits() {
+    for g in unroll_geometries() {
+        let len = g.c * g.h * g.w;
+        let mut start = fill(g.kh as u64 * 7 + g.pad as u64, len, false);
+        for (i, v) in start.iter_mut().enumerate() {
+            match i % 3 {
+                0 => *v = -0.0,
+                1 if i % 5 == 1 => *v = f32::NAN,
+                _ => {}
+            }
+        }
+        let col: Vec<f32> = fill(g.w as u64 + 99, g.col_rows() * g.col_cols(), true)
+            .into_iter()
+            .map(|v| if v.is_nan() { -0.0 } else { v })
+            .collect();
+        let (mut got, mut want) = (start.clone(), start.clone());
+        col2im(&col, &g, &mut got);
+        scalar::col2im(&col, &g, &mut want);
+        assert_bits_eq(&got, &want, &format!("col2im {g:?}"));
+    }
 }

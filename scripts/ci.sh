@@ -261,14 +261,14 @@ fi
 # Layer workspaces (DESIGN.md §15): Conv2d keeps its input and one
 # reused column buffer — no per-sample column tensors, no product into
 # a temporary that is then copied — and BatchNorm2d sums its channels
-# through util::channel_sums, not an index iterator per element.
+# through kernel::channel_sums, not an index iterator per element.
 echo "==> nn/conv2d.rs holds no column tensors; nn/batchnorm.rs walks no channel index by index"
 if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/conv2d.rs | grep -nE 'Vec<Tensor>|\.matmul\('; then
     echo "ERROR: nn/conv2d.rs keeps per-sample column tensors or multiplies into a temporary; unroll into the layer's column buffer and gemm into the output" >&2
     exit 1
 fi
 if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/batchnorm.rs | grep -n 'channel_indices'; then
-    echo "ERROR: nn/batchnorm.rs walks a channel index by index; sum through util::channel_sums" >&2
+    echo "ERROR: nn/batchnorm.rs walks a channel index by index; sum through kernel::channel_sums" >&2
     exit 1
 fi
 
@@ -361,8 +361,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# Every target — tests, benches and bins included — not just the libraries.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

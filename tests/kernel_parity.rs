@@ -1,15 +1,17 @@
-//! End-to-end backend parity: one full CD-SGD training run must land on
-//! bit-identical final weights whether the kernel layer dispatches to
-//! the native SIMD backend or is pinned to the scalar reference with
-//! `CDSGD_FORCE_SCALAR=1`.
+//! End-to-end backend parity: full CD-SGD training runs — an MLP and a
+//! ResNet-8 — must land on bit-identical final weights whether the
+//! kernel layer dispatches to the native SIMD backend or is pinned to
+//! the scalar reference with `CDSGD_FORCE_SCALAR=1`.
 //!
 //! The backend choice is cached process-wide (a `OnceLock` read once at
 //! first kernel call), so the scalar run happens in a child process: the
 //! test re-executes its own binary with the override set and compares
-//! the hash the child prints against the parent's native-run hash.
+//! the hashes the child prints against the parent's native-run hashes.
 
 use cd_sgd::{Algorithm, TrainConfig, Trainer, TrainingHistory};
 use cd_sgd_repro::deploy;
+use cdsgd_data::synth;
+use cdsgd_nn::models;
 use cdsgd_tensor::kernel;
 use std::process::Command;
 
@@ -30,10 +32,10 @@ fn weight_hash(h: &TrainingHistory) -> u64 {
     acc
 }
 
-/// A short CD-SGD run that exercises every kernel family: GEMM (dense
-/// layers), 2-bit threshold scan + packing (the codec), residual
-/// accumulate, and the server's `sgd_step` apply path.
-fn run_once() -> u64 {
+/// A short CD-SGD run that exercises every kernel family of a dense
+/// model: GEMM (dense layers), 2-bit threshold scan + packing (the
+/// codec), residual accumulate, and the server's `sgd_step` apply path.
+fn mlp_run() -> u64 {
     let (train, test) = deploy::build_dataset("blobs", 480, 5);
     let cfg = TrainConfig::new(Algorithm::cd_sgd(0.05, 0.05, 2, 3), 2)
         .with_lr(0.2)
@@ -50,6 +52,28 @@ fn run_once() -> u64 {
     weight_hash(&h)
 }
 
+/// Two CD-SGD epochs of `resnet_cifar(8, 1, 10)`, which adds the
+/// convolution and batch-norm kernels: the size-keeping 3×3 unrolls and
+/// their adjoints move whole shifted planes on the SIMD backends, and
+/// every batch norm (8, 16 and 32 channels) and bias gradient sums its
+/// channels eight per vector.
+fn resnet_run() -> u64 {
+    let (train, test) = synth::cifar_like(48, 9).split(0.85);
+    let cfg = TrainConfig::new(Algorithm::cd_sgd(0.05, 0.05, 2, 1), 2)
+        .with_lr(0.1)
+        .with_batch_size(8)
+        .with_epochs(2)
+        .with_seed(9);
+    let model = |rng: &mut _| models::resnet_cifar(8, 1, 10, rng);
+    weight_hash(&Trainer::new(cfg, model, train, Some(test)).run())
+}
+
+/// A compared run: its name and the weight hash it ends on.
+type Run = (&'static str, fn() -> u64);
+
+/// The runs compared.
+const RUNS: [Run; 2] = [("mlp", mlp_run), ("resnet8", resnet_run)];
+
 #[test]
 fn native_and_forced_scalar_runs_produce_identical_weights() {
     if std::env::var(CHILD_ENV).is_ok() {
@@ -59,11 +83,13 @@ fn native_and_forced_scalar_runs_produce_identical_weights() {
             "scalar",
             "child must run on the scalar reference backend"
         );
-        println!("PARITY_HASH {:#018x}", run_once());
+        for (name, run) in RUNS {
+            println!("PARITY_HASH {name} {:#018x}", run());
+        }
         return;
     }
 
-    let native = run_once();
+    let native: Vec<u64> = RUNS.iter().map(|(_, run)| run()).collect();
 
     let exe = std::env::current_exe().expect("test binary path");
     let out = Command::new(exe)
@@ -82,19 +108,21 @@ fn native_and_forced_scalar_runs_produce_identical_weights() {
         "forced-scalar child failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // libtest may interleave its progress line with ours, so locate the
-    // marker anywhere in the stream rather than at line starts.
-    let scalar = stdout
-        .split("PARITY_HASH ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|h| u64::from_str_radix(h.trim_start_matches("0x"), 16).ok())
-        .unwrap_or_else(|| panic!("no PARITY_HASH marker in child output:\n{stdout}"));
-
-    assert_eq!(
-        native,
-        scalar,
-        "final weights diverged between the {} backend and the scalar reference",
-        kernel::backend().name()
-    );
+    for ((name, _), native) in RUNS.iter().zip(native) {
+        // libtest may interleave its progress line with ours, so locate
+        // the marker anywhere in the stream rather than at line starts.
+        let marker = format!("PARITY_HASH {name} ");
+        let scalar = stdout
+            .split(&marker)
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|h| u64::from_str_radix(h.trim_start_matches("0x"), 16).ok())
+            .unwrap_or_else(|| panic!("no {marker}marker in child output:\n{stdout}"));
+        assert_eq!(
+            native,
+            scalar,
+            "{name}: final weights diverged between the {} backend and the scalar reference",
+            kernel::backend().name()
+        );
+    }
 }

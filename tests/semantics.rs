@@ -126,7 +126,7 @@ fn cd_sgd_single_worker_matches_algorithm1_exactly() {
 
         // Server side (eq. 10, N = 1), with 2-bit compression in the
         // compression iterations of the formal phase.
-        let compress = round >= warmup && (round - warmup) % k != 0;
+        let compress = round >= warmup && !(round - warmup).is_multiple_of(k);
         for (key, (w, g)) in global.iter_mut().zip(&grads).enumerate() {
             if compress {
                 let payload = quantizer.compress(key, g);
@@ -145,7 +145,7 @@ fn cd_sgd_single_worker_matches_algorithm1_exactly() {
         // Worker side: warm-up adopts the new globals; the formal phase
         // builds W^loc_{r+1} = W_r − lr_loc·grad_r (eq. 11) where W_r is
         // the *previous* round's global weights.
-        if round + 1 <= warmup {
+        if round < warmup {
             w_loc = global.clone();
         } else {
             w_loc = prev_global.clone();
