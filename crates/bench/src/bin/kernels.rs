@@ -11,7 +11,15 @@
 //! aggregate round of the MLP's six keys, pushed by two contributors
 //! (2-bit and raw) and pulled back through an in-process `ParamServer`.
 //! The `im2col_into` / `col2im` rows time one sample's unroll and its
-//! adjoint at ResNet-8's convolution geometries, the `batchnorm` rows
+//! adjoint at ResNet-8's convolution geometries; the `conv_forward` and
+//! `conv_weight_grad` rows time one sample's implicit-GEMM forward
+//! (`W·col(x)`) and weight gradient (`dW += dy·col(x)ᵀ`) there, each
+//! beside its explicit form (`im2col_into`, then `gemm` or `gemm_nt`)
+//! timed alternately in the same run (`explicit_s`); the
+//! `col2im_placed` rows time the stride-2 adjoints with the image placed
+//! 0, 64 B, 2 KiB and 4 KiB past the page-aligned end of the column
+//! matrix (4K-aliasing between the two shows as a gap between the 64 B
+//! and 2 KiB rows and the 0 and 4 KiB ones). The `batchnorm` rows
 //! one train-mode forward (and forward + backward) of its batch-norm
 //! layers at batch 16, and the `channel_sums` rows each of the four
 //! per-channel sums those layers take (mean, variance, `Σdy`, `Σdy·x̂`).
@@ -120,20 +128,24 @@ const SHAPES: [(Layout, usize, usize, usize, &str); 36] = [
     (Layout::Tn, 32, 16, 10, "resnet8 dW head"),
 ];
 
-/// `(in_c, hw, k, stride, pad, which convolution)`: ResNet-8's unrolls
-/// (every sample's forward, and again for its `dW`) and the `col2im`
-/// scatters of its `dx`, one sample each — all nine of its
-/// convolutions, the two 8→8 at 32×32 sharing a row.
-const CONVS: [(usize, usize, usize, usize, usize, &str); 8] = [
-    (3, 32, 3, 1, 1, "resnet8 3>8 @32"),
-    (8, 32, 3, 1, 1, "resnet8 8>8 @32"),
-    (8, 32, 3, 2, 1, "resnet8 8>16 s2"),
-    (16, 16, 3, 1, 1, "resnet8 16>16 @16"),
-    (8, 32, 1, 2, 0, "resnet8 1x1 8>16 s2"),
-    (16, 16, 3, 2, 1, "resnet8 16>32 s2"),
-    (32, 8, 3, 1, 1, "resnet8 32>32 @8"),
-    (16, 16, 1, 2, 0, "resnet8 1x1 16>32 s2"),
+/// `(in_c, out_c, hw, k, stride, pad, which convolution)`: ResNet-8's
+/// convolutions, one sample each — the unrolls and `col2im` scatters,
+/// the implicit-GEMM forward and weight gradient — all nine of them,
+/// the two 8→8 at 32×32 sharing a row.
+const CONVS: [(usize, usize, usize, usize, usize, usize, &str); 8] = [
+    (3, 8, 32, 3, 1, 1, "resnet8 3>8 @32"),
+    (8, 8, 32, 3, 1, 1, "resnet8 8>8 @32"),
+    (8, 16, 32, 3, 2, 1, "resnet8 8>16 s2"),
+    (16, 16, 16, 3, 1, 1, "resnet8 16>16 @16"),
+    (8, 16, 32, 1, 2, 0, "resnet8 1x1 8>16 s2"),
+    (16, 32, 16, 3, 2, 1, "resnet8 16>32 s2"),
+    (32, 32, 8, 3, 1, 1, "resnet8 32>32 @8"),
+    (16, 32, 16, 1, 2, 0, "resnet8 1x1 16>32 s2"),
 ];
+
+/// Where the `col2im_placed` rows put the image past the page-aligned
+/// end of the column matrix, in bytes.
+const PLACEMENTS: [usize; 4] = [0, 64, 2048, 4096];
 
 /// `(channels, hw)`: ResNet-8's batch-norm layers, at batch 16.
 const BATCHNORMS: [(usize, usize); 3] = [(8, 32), (16, 16), (32, 8)];
@@ -172,6 +184,24 @@ fn time_call(iters: usize, mut call: impl FnMut()) -> f64 {
     median_s(iters, || (0..reps).for_each(|_| call())) / reps as f64
 }
 
+/// Median seconds of one call of `first` and of `second`, timed in
+/// alternating samples (as [`time_call`] sizes them) so that both see
+/// the same stretch of a shared host.
+fn time_pair(iters: usize, mut first: impl FnMut(), mut second: impl FnMut()) -> (f64, f64) {
+    let once = median_s(3, &mut first).max(median_s(3, &mut second));
+    let reps = ((2e-3 / once.max(1e-9)) as usize).clamp(1, 10_000);
+    let (mut a, mut b) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+    for _ in 0..iters {
+        a.push(median_s(1, || (0..reps).for_each(|_| first())) / reps as f64);
+        b.push(median_s(1, || (0..reps).for_each(|_| second())) / reps as f64);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        v[v.len() / 2]
+    };
+    (median(a), median(b))
+}
+
 /// Median seconds of one `kernel::gemm*` call at a [`SHAPES`] row.
 fn time_gemm(layout: Layout, m: usize, k: usize, n: usize, relu: bool, iters: usize) -> f64 {
     let mut a = pseudo(m * k, 11);
@@ -195,7 +225,7 @@ fn time_gemm(layout: Layout, m: usize, k: usize, n: usize, relu: bool, iters: us
 /// The [`CONVS`] and [`BATCHNORMS`] records.
 fn conv_bn_records(iters: usize) -> Vec<serde_json::Value> {
     let mut records = Vec::new();
-    for (c, hw, k, stride, pad, what) in CONVS {
+    for (c, m, hw, k, stride, pad, what) in CONVS {
         let g = Conv2dGeom {
             c,
             h: hw,
@@ -221,6 +251,55 @@ fn conv_bn_records(iters: usize) -> Vec<serde_json::Value> {
             records.push(serde_json::json!({
                 "op": op, "shape": shape, "what": what, "median_s": s,
             }));
+        }
+        let (fan_in, plane) = (g.col_rows(), g.col_cols());
+        let w = pseudo(m * fan_in, 91);
+        let (mut out, mut explicit) = (Vec::with_capacity(m * plane), vec![0.0f32; m * plane]);
+        let (implicit_s, explicit_s) = time_pair(
+            iters,
+            || {
+                out.clear();
+                kernel::conv_forward(black_box(&w), black_box(&img), &g, &mut out);
+                black_box(&out);
+            },
+            || {
+                im2col_into(black_box(&img), &g, &mut col);
+                kernel::gemm(black_box(&w), &col, &mut explicit, m, fan_in, plane);
+                black_box(&explicit);
+            },
+        );
+        records.push(conv_record(
+            "conv_forward",
+            &shape,
+            m,
+            what,
+            implicit_s,
+            explicit_s,
+        ));
+        let dy = pseudo(m * plane, 93);
+        let (mut dw, mut explicit) = (vec![0.0f32; m * fan_in], vec![0.0f32; m * fan_in]);
+        let (implicit_s, explicit_s) = time_pair(
+            iters,
+            || {
+                kernel::conv_weight_grad(black_box(&dy), black_box(&img), &g, &mut dw);
+                black_box(&dw);
+            },
+            || {
+                im2col_into(black_box(&img), &g, &mut col);
+                kernel::gemm_nt(black_box(&dy), &col, &mut explicit, m, plane, fan_in);
+                black_box(&explicit);
+            },
+        );
+        records.push(conv_record(
+            "conv_weight_grad",
+            &shape,
+            m,
+            what,
+            implicit_s,
+            explicit_s,
+        ));
+        if stride > 1 {
+            records.extend(placed_col2im_records(&g, &shape, what, iters));
         }
     }
     for (ch, hw) in BATCHNORMS {
@@ -265,6 +344,56 @@ fn conv_bn_records(iters: usize) -> Vec<serde_json::Value> {
         }
     }
     records
+}
+
+/// A `conv_forward` / `conv_weight_grad` record: the implicit GEMM's
+/// median and its explicit form's, from one [`time_pair`].
+fn conv_record(
+    op: &str,
+    shape: &str,
+    m: usize,
+    what: &str,
+    implicit_s: f64,
+    explicit_s: f64,
+) -> serde_json::Value {
+    serde_json::json!({
+        "op": op, "shape": shape, "out_c": m, "what": what,
+        "median_s": implicit_s, "explicit_s": explicit_s,
+    })
+}
+
+/// The `col2im` adjoint of `g` with the image at each of [`PLACEMENTS`]
+/// past the end of the column matrix, both carved from one page-aligned
+/// allocation (the column matrix padded to whole pages).
+fn placed_col2im_records(
+    g: &Conv2dGeom,
+    shape: &str,
+    what: &str,
+    iters: usize,
+) -> Vec<serde_json::Value> {
+    const PAGE: usize = 4096 / 4;
+    let (col_len, img_len) = (g.col_rows() * g.col_cols(), g.c * g.h * g.w);
+    let col_span = col_len.next_multiple_of(PAGE);
+    let mut buf = vec![0.0f32; PAGE + col_span + PLACEMENTS[3] / 4 + img_len];
+    let base = buf.as_ptr().align_offset(4096).min(PAGE - 1);
+    let col = pseudo(col_len, 89);
+    buf[base..base + col_len].copy_from_slice(&col);
+    PLACEMENTS
+        .iter()
+        .map(|&bytes| {
+            let at = base + col_span + bytes / 4;
+            let (head, tail) = buf.split_at_mut(at);
+            let (col, img) = (&head[base..base + col_len], &mut tail[..img_len]);
+            let s = time_call(iters, || {
+                col2im(black_box(col), g, img);
+                black_box(&img);
+            });
+            serde_json::json!({
+                "op": "col2im_placed", "shape": shape, "what": what,
+                "img_offset_bytes": bytes, "median_s": s,
+            })
+        })
+        .collect()
 }
 
 /// The benchmark MLP's keys (784-1024-1024-10; weight, then bias, per
@@ -483,15 +612,27 @@ fn main() {
     );
     for (row, s) in scalar.iter().enumerate() {
         let op = s["op"].as_str().unwrap_or("?");
-        let layer_ops = ["im2col", "col2im", "batchnorm", "channel_sums"];
+        let layer_ops = ["im2col", "col2im", "batchnorm", "channel_sums", "conv_"];
         if !layer_ops.iter().any(|prefix| op.starts_with(prefix)) {
             continue;
         }
         let us = |records: &[serde_json::Value]| {
             records[row]["median_s"].as_f64().unwrap_or(f64::NAN) * 1e6
         };
+        let us_of = |records: &[serde_json::Value], key: &str| {
+            records[row][key].as_f64().unwrap_or(f64::NAN) * 1e6
+        };
+        let extra = match (s["explicit_s"].is_null(), s["img_offset_bytes"].as_u64()) {
+            (false, _) => format!(
+                "  explicit {:.1} / {:.1}",
+                us_of(&scalar, "explicit_s"),
+                us_of(&simd, "explicit_s")
+            ),
+            (true, Some(bytes)) => format!("  img +{bytes} B"),
+            (true, None) => String::new(),
+        };
         println!(
-            "{op:>26} {:>20} {:>20} {:>10.1} {:>10.1}",
+            "{op:>26} {:>20} {:>20} {:>10.1} {:>10.1}{extra}",
             s["shape"].as_str().unwrap_or("?"),
             s["what"].as_str().unwrap_or("?"),
             us(&scalar),

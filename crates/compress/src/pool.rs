@@ -13,14 +13,15 @@
 //! Cloning a `BufferPool` is cheap and shares the underlying free lists,
 //! which is how the server thread and all worker threads exchange
 //! buffers. Each free list is capped so a burst of in-flight payloads
-//! cannot pin memory forever.
+//! cannot pin memory forever: at what two aggregate rounds can hold
+//! ([`BufferPool::for_round`]), and at no fewer than 64 buffers.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Maximum number of retained buffers per element type. Generous for the
-/// steady state (a few payloads in flight per worker per key) while
-/// bounding worst-case retention.
-const MAX_PER_KIND: usize = 64;
+/// Buffers retained per element type by a pool that knows nothing of its
+/// rounds, and the least a round-sized one retains: a few payloads in
+/// flight per worker per key of a small model.
+const MIN_PER_KIND: usize = 64;
 
 /// Shared free lists for the vector types payloads are built from.
 #[derive(Clone, Debug, Default)]
@@ -28,7 +29,7 @@ pub struct BufferPool {
     inner: Arc<Mutex<PoolInner>>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PoolInner {
     f32s: Vec<Vec<f32>>,
     bytes: Vec<Vec<u8>>,
@@ -36,6 +37,22 @@ struct PoolInner {
     u32s: Vec<Vec<u32>>,
     hits: u64,
     misses: u64,
+    /// Buffers retained per element type.
+    cap: usize,
+}
+
+impl Default for PoolInner {
+    fn default() -> Self {
+        Self {
+            f32s: Vec::new(),
+            bytes: Vec::new(),
+            i8s: Vec::new(),
+            u32s: Vec::new(),
+            hits: 0,
+            misses: 0,
+            cap: MIN_PER_KIND,
+        }
+    }
 }
 
 macro_rules! take_put {
@@ -43,7 +60,7 @@ macro_rules! take_put {
         /// Take a cleared buffer (empty, but typically with capacity from
         /// an earlier life) or a fresh one if the pool is empty.
         pub fn $take(&self) -> Vec<$t> {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut inner = self.lock();
             match inner.$field.pop() {
                 Some(mut v) => {
                     inner.hits += 1;
@@ -63,8 +80,8 @@ macro_rules! take_put {
             if v.capacity() == 0 {
                 return;
             }
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if inner.$field.len() < MAX_PER_KIND {
+            let mut inner = self.lock();
+            if inner.$field.len() < inner.cap {
                 inner.$field.push(v);
             }
         }
@@ -72,9 +89,27 @@ macro_rules! take_put {
 }
 
 impl BufferPool {
-    /// Fresh pool with empty free lists.
+    /// Fresh pool with empty free lists, retaining 64 buffers per element
+    /// type.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fresh pool for a server whose rounds carry `payloads` pushes
+    /// (keys × workers): each free list retains two rounds of them —
+    /// the round being aggregated and the next, which workers encode
+    /// before the first is recycled when they do not wait for its pull
+    /// — and never fewer than 64. A many-key model then recycles every
+    /// payload instead of dropping those past a fixed cap and allocating
+    /// them again the next round.
+    pub fn for_round(payloads: usize) -> Self {
+        let pool = Self::default();
+        pool.lock().cap = (2 * payloads).max(MIN_PER_KIND);
+        pool
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     take_put!(take_f32, put_f32, f32s, f32);
@@ -89,7 +124,7 @@ impl BufferPool {
     /// length circulate no element is written twice; failing that, a
     /// buffer is filled out with zeros.
     pub fn take_f32_len(&self, len: usize) -> Vec<f32> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         let fit = (0..inner.f32s.len())
             .filter(|&i| inner.f32s[i].len() >= len)
             .min_by_key(|&i| inner.f32s[i].len());
@@ -111,12 +146,12 @@ impl BufferPool {
 
     /// Number of takes served from the free lists.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).hits
+        self.lock().hits
     }
 
     /// Number of takes that had to allocate fresh.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).misses
+        self.lock().misses
     }
 }
 
@@ -167,14 +202,29 @@ mod tests {
     #[test]
     fn free_lists_are_capped() {
         let pool = BufferPool::new();
-        for _ in 0..(MAX_PER_KIND + 10) {
+        for _ in 0..(MIN_PER_KIND + 10) {
             pool.put_u32(vec![0u32; 4]);
         }
         let mut reclaimed = 0;
         while pool.take_u32().capacity() > 0 {
             reclaimed += 1;
         }
-        assert_eq!(reclaimed, MAX_PER_KIND);
+        assert_eq!(reclaimed, MIN_PER_KIND);
+    }
+
+    #[test]
+    fn a_round_sized_pool_retains_two_rounds_and_never_less_than_the_floor() {
+        for (payloads, retained) in [(200, 400), (12, MIN_PER_KIND)] {
+            let pool = BufferPool::for_round(payloads);
+            for _ in 0..2 * payloads + MIN_PER_KIND {
+                pool.put_bytes(vec![0u8; 4]);
+            }
+            let mut reclaimed = 0;
+            while pool.take_bytes().capacity() > 0 {
+                reclaimed += 1;
+            }
+            assert_eq!(reclaimed, retained, "for_round({payloads})");
+        }
     }
 
     #[test]

@@ -1,8 +1,20 @@
 //! Pointwise activation layers: ReLU, Sigmoid, Tanh.
 
 use crate::layer::{Layer, Mode};
-use cdsgd_tensor::kernel;
 use cdsgd_tensor::Tensor;
+
+/// `f(dy[i], saved[i])` per element into a new tensor of `dy`'s shape,
+/// each element written once: no zero fill before.
+fn backward_with(dy: &Tensor, saved: &[f32], f: impl Fn(f32, f32) -> f32) -> Tensor {
+    assert_eq!(dy.len(), saved.len(), "backward without matching forward");
+    let dx = dy
+        .data()
+        .iter()
+        .zip(saved)
+        .map(|(&g, &v)| f(g, v))
+        .collect();
+    Tensor::from_vec(dy.shape().to_vec(), dx)
+}
 
 /// Rectified linear unit: `max(0, x)`.
 #[derive(Debug, Default)]
@@ -27,22 +39,9 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        assert_eq!(
-            dy.len(),
-            self.mask.len(),
-            "backward without matching forward"
-        );
-        let mut out = Tensor::zeros(dy.shape());
         // Branch (not `g * m`): the gated-off lanes must be literal 0.0,
         // never `-0.0` or NaN from the incoming gradient.
-        kernel::zip_into(out.data_mut(), dy.data(), &self.mask, |g, m| {
-            if m != 0.0 {
-                g
-            } else {
-                0.0
-            }
-        });
-        out
+        backward_with(dy, &self.mask, |g, m| if m != 0.0 { g } else { 0.0 })
     }
 
     fn name(&self) -> &'static str {
@@ -71,16 +70,7 @@ impl Layer for Sigmoid {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        assert_eq!(
-            dy.len(),
-            self.out.len(),
-            "backward without matching forward"
-        );
-        let mut out = Tensor::zeros(dy.shape());
-        kernel::zip_into(out.data_mut(), dy.data(), &self.out, |g, y| {
-            g * y * (1.0 - y)
-        });
-        out
+        backward_with(dy, &self.out, |g, y| g * y * (1.0 - y))
     }
 
     fn name(&self) -> &'static str {
@@ -109,16 +99,7 @@ impl Layer for Tanh {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        assert_eq!(
-            dy.len(),
-            self.out.len(),
-            "backward without matching forward"
-        );
-        let mut out = Tensor::zeros(dy.shape());
-        kernel::zip_into(out.data_mut(), dy.data(), &self.out, |g, y| {
-            g * (1.0 - y * y)
-        });
-        out
+        backward_with(dy, &self.out, |g, y| g * (1.0 - y * y))
     }
 
     fn name(&self) -> &'static str {

@@ -87,17 +87,18 @@ impl Layer for BatchNorm2d {
         if train {
             self.xhat.resize(x.len(), 0.0);
         }
-        let mut out = Tensor::zeros(x.shape());
+        // Written whole by the kernel: built without a zero fill.
+        let mut out = Vec::with_capacity(x.len());
         kernel::bn_normalize(
             [n, ch, plane],
             xs,
             (&self.mean, &self.std),
             (self.gamma.value.data(), self.beta.value.data()),
             train.then_some(&mut self.xhat[..]),
-            out.data_mut(),
+            &mut out,
         );
         self.cache = train.then(|| [n, ch, x.shape()[2], x.shape()[3]]);
-        out
+        Tensor::from_vec(x.shape().to_vec(), out)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -114,15 +115,15 @@ impl Layer for BatchNorm2d {
         let dy_xhat = ChannelTerm::Product(dys, xhats);
         kernel::channel_sums(dims, 0.0, dy_xhat, |c, s| dgamma[c] = s);
 
-        let mut dx = Tensor::zeros(&shape);
+        let mut dx = Vec::with_capacity(dy.len());
         kernel::bn_input_grad(
             dims,
             (dys, xhats),
             (self.gamma.value.data(), &self.std),
             (dbeta, dgamma),
-            dx.data_mut(),
+            &mut dx,
         );
-        dx
+        Tensor::from_vec(shape.to_vec(), dx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,8 +1,8 @@
-//! 2-D convolution layer (im2col formulation).
+//! 2-D convolution layer (implicit-GEMM formulation).
 
 use crate::layer::{Layer, Mode, Param};
 use cdsgd_tensor::kernel::{self, ChannelTerm};
-use cdsgd_tensor::{col2im, he_std, im2col_into, Conv2dGeom, SmallRng64, Tensor};
+use cdsgd_tensor::{col2im, he_std, Conv2dGeom, SmallRng64, Tensor};
 
 /// 2-D convolution over NCHW input.
 ///
@@ -10,10 +10,13 @@ use cdsgd_tensor::{col2im, he_std, im2col_into, Conv2dGeom, SmallRng64, Tensor};
 /// bias is `[out_c]`. The spatial geometry is fixed at construction only
 /// in `(in_c, k, stride, pad)`; input H/W are discovered per forward.
 ///
-/// A train-mode forward keeps a copy of its input, not its column
-/// matrices: backward unrolls each sample again for `dW`. The input copy
-/// and the one-sample column buffers are layer-owned and reused from
-/// step to step.
+/// Forward and the `dW` half of backward are implicit GEMMs over each
+/// sample's column matrix (`kernel::conv_forward`,
+/// `kernel::conv_weight_grad`), which is never written: a train-mode
+/// forward keeps a copy of its input for backward to read. `dx` is
+/// `Wᵀ·dy` per sample into a column gradient, scattered back by
+/// `col2im`. The input copy and that one-sample column gradient are
+/// layer-owned and reused from step to step.
 #[derive(Debug)]
 pub struct Conv2d {
     in_c: usize,
@@ -27,9 +30,7 @@ pub struct Conv2d {
     /// is in `input`.
     cache: Option<(Conv2dGeom, usize)>,
     input: Vec<f32>,
-    /// One sample's column matrix `[in_c·k·k, OH·OW]`.
-    col: Vec<f32>,
-    /// One sample's column gradient `Wᵀ·dy`, same shape.
+    /// One sample's column gradient `Wᵀ·dy`, `[in_c·k·k, OH·OW]`.
     dcol: Vec<f32>,
 }
 
@@ -54,7 +55,6 @@ impl Conv2d {
             bias: Param::new(Tensor::zeros(&[out_c])),
             cache: None,
             input: Vec::new(),
-            col: Vec::new(),
             dcol: Vec::new(),
         }
     }
@@ -96,11 +96,10 @@ impl Conv2d {
         let (w, dys) = (self.weight.value.data(), dy.data());
         for s in 0..n {
             let dy_s = &dys[s * out_len..(s + 1) * out_len];
-            // dW += dy_s · colᵀ, accumulated in place, over the columns
-            // unrolled again from the kept input.
+            // dW += dy_s · colᵀ, accumulated in place, the columns read
+            // from the kept input.
             let x_s = &self.input[s * img_len..(s + 1) * img_len];
-            im2col_into(x_s, &g, &mut self.col);
-            kernel::gemm_nt(dy_s, &self.col, dw, self.out_c, out_plane, fan_in);
+            kernel::conv_weight_grad(dy_s, x_s, &g, dw);
             // db += Σ_spatial dy, each sum from -0.0 as `kernel::reduce_sum`'s.
             let dims = [1, self.out_c, out_plane];
             kernel::channel_sums(dims, -0.0, ChannelTerm::Value(dy_s), |oc, v| db[oc] += v);
@@ -125,16 +124,14 @@ impl Layer for Conv2d {
         assert_eq!(c, self.in_c, "input channel mismatch");
         let g = self.geom(h, w);
         g.validate(); // before the output is sized from it
-        let (fan_in, out_plane) = (g.col_rows(), g.col_cols());
+        let out_plane = g.col_cols();
         let (img_len, out_len) = (c * h * w, self.out_c * out_plane);
-        let mut out = Tensor::zeros(&[n, self.out_c, g.out_h(), g.out_w()]);
-        self.col.resize(fan_in * out_plane, 0.0);
+        // Each sample's `W·col` is appended: the output is never zeroed.
+        let mut out = Vec::with_capacity(n * out_len);
         let (wv, bias) = (self.weight.value.data(), self.bias.value.data());
-        let (xs, outs) = (x.data(), out.data_mut());
         for s in 0..n {
-            let dst = &mut outs[s * out_len..(s + 1) * out_len];
-            im2col_into(&xs[s * img_len..(s + 1) * img_len], &g, &mut self.col);
-            kernel::gemm(wv, &self.col, dst, self.out_c, fan_in, out_plane);
+            kernel::conv_forward(wv, &x.data()[s * img_len..(s + 1) * img_len], &g, &mut out);
+            let dst = &mut out[s * out_len..];
             for (plane, &b) in dst.chunks_exact_mut(out_plane).zip(bias) {
                 kernel::add_scalar(plane, b);
             }
@@ -144,7 +141,7 @@ impl Layer for Conv2d {
             self.input.extend_from_slice(x.data());
             (g, n)
         });
-        out
+        Tensor::from_vec(vec![n, self.out_c, g.out_h(), g.out_w()], out)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {

@@ -232,7 +232,8 @@ impl ParamServer {
         let (tx, rx) = mpsc::channel();
         let link = Arc::new(Link::new(&cfg));
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
-        let pool = BufferPool::new();
+        // A round holds one push per key per worker.
+        let pool = BufferPool::for_round(init.len() * cfg.num_workers);
         let admission = Admission::new(&init, &cfg);
         let outcome = Arc::new(Outcome::default());
         let handle = {
@@ -421,6 +422,50 @@ mod tests {
         // The server thread survived both and keeps serving.
         assert_eq!(*c.pull(0, 1).unwrap(), [-1.0]);
         assert_eq!(*c.pull(0, 2).unwrap(), [-2.0]);
+        ps.shutdown();
+    }
+
+    /// ResNet-8's round: two workers push 2-bit payloads of 38 keys, 76
+    /// in flight, each encoded into storage drawn from the server's pool
+    /// as a worker's codec draws it. Every payload of a round is encoded
+    /// before the first is pushed, so a round needs all 76 at once
+    /// whatever the server thread's timing. Once the pool has seen a
+    /// round, the server recycles every payload it aggregates and a later
+    /// round allocates none.
+    #[test]
+    fn a_steady_round_of_a_many_key_model_misses_no_take() {
+        use cdsgd_compress::{GradientCompressor, TwoBitQuantizer};
+        let (keys, workers) = (38, 2);
+        let init: Vec<Vec<f32>> = (0..keys).map(|k| vec![0.0; 16 + k]).collect();
+        let ps = ParamServer::start(init.clone(), ServerConfig::new(workers, 0.1));
+        let c = ps.client();
+        let mut codecs: Vec<TwoBitQuantizer> =
+            (0..workers).map(|_| TwoBitQuantizer::new(0.5)).collect();
+        let mut round = |version: u64| {
+            let mut payloads = Vec::new();
+            for (w, codec) in codecs.iter_mut().enumerate() {
+                for (k, w0) in init.iter().enumerate() {
+                    let grad: Vec<f32> = w0.iter().map(|_| (w + k) as f32 - 20.0).collect();
+                    payloads.push((w, k, codec.compress_into(k, &grad, ps.pool())));
+                }
+            }
+            for (w, k, payload) in payloads {
+                c.push(w, k, payload).unwrap();
+            }
+            for k in 0..keys {
+                c.pull(k, version).unwrap();
+            }
+        };
+        round(1);
+        let misses = ps.pool().misses();
+        for version in 2..6 {
+            round(version);
+        }
+        assert_eq!(
+            ps.pool().misses(),
+            misses,
+            "a steady round allocated payload storage"
+        );
         ps.shutdown();
     }
 

@@ -940,7 +940,7 @@ pub unsafe fn bn_normalize(
     mean_std: (&[f32], &[f32]),
     gamma_beta: (&[f32], &[f32]),
     xhat: Option<&mut [f32]>,
-    out: &mut [f32],
+    out: &mut Vec<f32>,
 ) {
     super::scalar::bn_normalize(dims, x, mean_std, gamma_beta, xhat, out)
 }
@@ -952,7 +952,7 @@ pub unsafe fn bn_input_grad(
     dy_xhat: (&[f32], &[f32]),
     gamma_std: (&[f32], &[f32]),
     sums: (&[f32], &[f32]),
-    dx: &mut [f32],
+    dx: &mut Vec<f32>,
 ) {
     super::scalar::bn_input_grad(dims, dy_xhat, gamma_std, sums, dx)
 }

@@ -67,7 +67,9 @@
 //! [`gemm`] and [`gemm_tn`] *write* C (`C = A·B`): C is never read, so
 //! callers need not clear it first. [`gemm_nt`] *accumulates*
 //! (`C += A·Bᵀ`), which is what the convolution's `dW`, summed over the
-//! samples of a batch, needs.
+//! samples of a batch, needs — [`conv_weight_grad`] too. [`conv_forward`],
+//! [`bn_normalize`] and [`bn_input_grad`] *append* their output to a
+//! `Vec`, so a layer builds a fresh output with no zero fill at all.
 //!
 //! # Threading
 //!
@@ -464,7 +466,8 @@ pub fn channel_sums(dims: [usize; 3], init: f32, term: ChannelTerm, emit: impl F
 }
 
 /// Batch norm's normalize pass over `[n, ch, plane]`, per channel
-/// `x̂ = (x − mean) / std` and `out = γ·x̂ + β`; `xhat`, when given (a
+/// `x̂ = (x − mean) / std` and `out = γ·x̂ + β`, appended to `out` (so
+/// a fresh output is built without a zero fill); `xhat`, when given (a
 /// train-mode forward), receives `x̂`. One scalar body, compiled a
 /// second time at AVX2 width for the SIMD backends.
 pub fn bn_normalize(
@@ -473,11 +476,10 @@ pub fn bn_normalize(
     mean_std: (&[f32], &[f32]),
     gamma_beta: (&[f32], &[f32]),
     xhat: Option<&mut [f32]>,
-    out: &mut [f32],
+    out: &mut Vec<f32>,
 ) {
     let len = dims.iter().product::<usize>();
     assert_eq!(x.len(), len, "kernel::bn_normalize size");
-    assert_eq!(out.len(), len, "kernel::bn_normalize size");
     if let Some(xhat) = &xhat {
         assert_eq!(xhat.len(), len, "kernel::bn_normalize size");
     }
@@ -491,18 +493,18 @@ pub fn bn_normalize(
 }
 
 /// Batch norm's input gradient over `[n, ch, plane]`: with
-/// `m = n·plane`, `dx = γ/std · (dy − Σdy/m − x̂·Σdy·x̂/m)` per channel.
-/// One scalar body, compiled a second time at AVX2 width, like
-/// [`bn_normalize`].
+/// `m = n·plane`, `dx = γ/std · (dy − Σdy/m − x̂·Σdy·x̂/m)` per channel,
+/// appended to `dx`. One scalar body, compiled a second time at AVX2
+/// width, like [`bn_normalize`].
 pub fn bn_input_grad(
     dims: [usize; 3],
     dy_xhat: (&[f32], &[f32]),
     gamma_std: (&[f32], &[f32]),
     sums: (&[f32], &[f32]),
-    dx: &mut [f32],
+    dx: &mut Vec<f32>,
 ) {
     let len = dims.iter().product::<usize>();
-    for per_element in [dy_xhat.0, dy_xhat.1, &*dx] {
+    for per_element in [dy_xhat.0, dy_xhat.1] {
         assert_eq!(per_element.len(), len, "kernel::bn_input_grad size");
     }
     for per_channel in [gamma_std.0, gamma_std.1, sums.0, sums.1] {
@@ -529,19 +531,32 @@ enum Layout {
     Tn,
 }
 
-/// `layout`'s product on the packed core at the width the backend and
-/// `n` pick (module docs, Dispatch), else on the scalar reference. The
-/// public callers have asserted the slice sizes.
+/// One instance of the packed core (`gemm::ymm` or `gemm::zmm`).
+#[cfg(target_arch = "x86_64")]
+type Core = unsafe fn(Layout, &[f32], gemm::Rhs, *mut f32, [usize; 3]);
+
+/// The packed core's instance for a product `n` columns wide, at the
+/// width the backend and `n` pick (module docs, Dispatch); `None` on the
+/// scalar backend. Calling it is sound: the backend detected its
+/// feature.
+#[cfg(target_arch = "x86_64")]
+fn simd_core(n: usize) -> Option<Core> {
+    match backend() {
+        Backend::Avx512 if n >= gemm::ZMM_NB => Some(gemm::zmm),
+        Backend::Avx2 | Backend::Avx512 => Some(gemm::ymm),
+        Backend::Scalar => None,
+    }
+}
+
+/// `layout`'s product on the packed core (see [`simd_core`]), else on
+/// the scalar reference. The public callers have asserted the slice
+/// sizes.
 fn run_gemm(layout: Layout, a: &[f32], b: &[f32], c: &mut [f32], [m, k, n]: [usize; 3]) {
     #[cfg(target_arch = "x86_64")]
-    match backend() {
-        // SAFETY: `Avx512` implies AVX-512F was runtime-detected.
-        Backend::Avx512 if n >= gemm::ZMM_NB => {
-            return unsafe { gemm::zmm(layout, a, b, c, [m, k, n]) }
-        }
-        // SAFETY: both SIMD backends imply AVX2 was runtime-detected.
-        Backend::Avx2 | Backend::Avx512 => return unsafe { gemm::ymm(layout, a, b, c, [m, k, n]) },
-        Backend::Scalar => {}
+    if let Some(core) = simd_core(n) {
+        // SAFETY: the backend detected the core's feature; the sizes are
+        // asserted by the caller.
+        return unsafe { core(layout, a, gemm::Rhs::Dense(b), c.as_mut_ptr(), [m, k, n]) };
     }
     match layout {
         Layout::Nn => scalar::gemm_block(a, b, 0..m, c, k, n),
@@ -572,6 +587,72 @@ pub fn gemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     assert_eq!(b.len(), k * n, "kernel::gemm_tn B size");
     assert_eq!(c.len(), m * n, "kernel::gemm_tn C size");
     run_gemm(Layout::Tn, a, b, c, [m, k, n])
+}
+
+// ---------------------------------------------------------------------------
+// Convolution as an implicit GEMM
+// ---------------------------------------------------------------------------
+
+/// One image's convolution, `out = W · col(img)`: `W` is
+/// `[m, C·KH·KW]` and the `[m, OH·OW]` product is *appended* to `out`,
+/// so a batch's output is built without a zero fill.
+///
+/// The bits are those of [`im2col_into`] followed by [`gemm`], which is
+/// what the scalar reference does ([`scalar::conv_forward`]). The SIMD
+/// backends never write the column matrix: the packed GEMM core reads
+/// it from the image while it packs each panel (`gemm`'s module docs,
+/// "The image operand").
+pub fn conv_forward(w: &[f32], img: &[f32], g: &Conv2dGeom, out: &mut Vec<f32>) {
+    g.validate();
+    assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
+    let (k, n) = (g.col_rows(), g.col_cols());
+    assert!(
+        k > 0 && w.len().is_multiple_of(k),
+        "kernel::conv_forward W size"
+    );
+    let m = w.len() / k;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(core) = simd_core(n) {
+        out.reserve(m * n);
+        let start = out.len();
+        // SAFETY: the backend detected the core's feature and the sizes
+        // are asserted above; C is `m·n` floats of `out`'s spare
+        // capacity, every one of which NN writes before `set_len`.
+        unsafe {
+            let c = out.as_mut_ptr().add(start);
+            core(Layout::Nn, w, gemm::Rhs::Image(img, g), c, [m, k, n]);
+            out.set_len(start + m * n);
+        }
+        return;
+    }
+    scalar::conv_forward(w, img, g, out)
+}
+
+/// One image's weight gradient, `dW += dy · col(img)ᵀ`: `dy` is the
+/// image's output gradient `[m, OH·OW]` and `dw` the `[m, C·KH·KW]`
+/// gradient it accumulates into, as [`gemm_nt`] does.
+///
+/// The bits are those of [`im2col_into`] followed by [`gemm_nt`] (the
+/// scalar reference, [`scalar::conv_weight_grad`]); the SIMD backends
+/// read the column matrix from the image, as [`conv_forward`] does.
+pub fn conv_weight_grad(dy: &[f32], img: &[f32], g: &Conv2dGeom, dw: &mut [f32]) {
+    g.validate();
+    assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
+    let (n, k) = (g.col_rows(), g.col_cols());
+    assert!(
+        dy.len().is_multiple_of(k),
+        "kernel::conv_weight_grad dy size"
+    );
+    let m = dy.len() / k;
+    assert_eq!(dw.len(), m * n, "kernel::conv_weight_grad dW size");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(core) = simd_core(n) {
+        let b = gemm::Rhs::Image(img, g);
+        // SAFETY: the backend detected the core's feature; the sizes are
+        // asserted above.
+        return unsafe { core(Layout::Nt, dy, b, dw.as_mut_ptr(), [m, k, n]) };
+    }
+    scalar::conv_weight_grad(dy, img, g, dw)
 }
 
 // ---------------------------------------------------------------------------
@@ -781,7 +862,7 @@ mod tests {
         const KS: [usize; 5] = [0, 1, KC - 1, KC, KC + 1];
         const SPECIALS: [f32; 5] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 
-        type Entry = unsafe fn(Layout, &[f32], &[f32], &mut [f32], [usize; 3]);
+        type Entry = super::super::Core;
 
         /// Deterministic values: ordinary, an occasional special, and with
         /// `sparse` about half exact zeros of either sign.
@@ -836,9 +917,85 @@ mod tests {
                             let mut got = start.clone();
                             // SAFETY: the width's feature was detected above;
                             // the slices have the sizes `kernel::gemm*` assert.
-                            unsafe { entry(layout, &a, &b, &mut got, [m, k, n]) };
+                                let b = gemm::Rhs::Dense(&b);
+                            unsafe { entry(layout, &a, b, got.as_mut_ptr(), [m, k, n]) };
                             prop_assert!(same_values(&got, &want), "{width} {m}x{k}x{n} layout {}", layout as u8);
                         }
+                    }
+                }
+            }
+        }
+
+        /// The image operand at both widths, called directly (so the ymm
+        /// instance also runs where dispatch would take zmm), NN and NT,
+        /// against the explicit unroll and the reference products — with
+        /// output widths on both sides of a zmm panel, a stride-3
+        /// geometry (the one-lane-at-a-time gather) and specials in every
+        /// operand.
+        #[test]
+        fn image_operand_matches_the_unroll_at_both_widths() {
+            use crate::Conv2dGeom;
+            let widths: [(bool, Entry); 2] = [
+                (std::arch::is_x86_feature_detected!("avx2"), gemm::ymm),
+                (std::arch::is_x86_feature_detected!("avx512f"), gemm::zmm),
+            ];
+            let geoms = [
+                (2, 5, 33, 3, 1, 1),
+                (3, 6, 9, 3, 2, 1),
+                (6, 5, 9, 5, 1, 2),
+                (1, 1, 1, 3, 1, 1),
+                (4, 9, 7, 3, 2, 0),
+                (2, 7, 7, 3, 3, 1),
+                (8, 16, 16, 3, 2, 1),
+            ];
+            for (seed, (c, h, w, kk, stride, pad)) in (0u64..).zip(geoms) {
+                let g = Conv2dGeom {
+                    c,
+                    h,
+                    w,
+                    kh: kk,
+                    kw: kk,
+                    stride,
+                    pad,
+                };
+                let (rows, cols) = (g.col_rows(), g.col_cols());
+                let img = values(seed, c * h * w, false);
+                let mut col = vec![f32::NAN; rows * cols];
+                scalar::im2col_into(&img, &g, &mut col);
+                for m in [1, 5] {
+                    let a = values(seed + 1, m * rows.max(cols), m == 5);
+                    let acc = values(seed + 2, m * rows, false);
+                    let mut nn = vec![f32::NAN; m * cols];
+                    scalar::gemm_block(&a[..m * rows], &col, 0..m, &mut nn, rows, cols);
+                    let mut nt = acc.clone();
+                    scalar::gemm_nt_block(&a[..m * cols], &col, 0..m, &mut nt, cols, rows);
+                    for &(_, entry) in widths.iter().filter(|w| w.0) {
+                        let b = gemm::Rhs::Image(&img, &g);
+                        let mut got = vec![f32::NAN; m * cols];
+                        // SAFETY: the width's feature was detected above;
+                        // A and C have the sizes `kernel::conv_*` assert.
+                        unsafe {
+                            entry(
+                                Layout::Nn,
+                                &a[..m * rows],
+                                b,
+                                got.as_mut_ptr(),
+                                [m, rows, cols],
+                            )
+                        };
+                        assert!(same_values(&got, &nn), "NN m={m} {g:?}");
+                        let mut got = acc.clone();
+                        // SAFETY: as for NN; C holds `m·rows` floats.
+                        unsafe {
+                            entry(
+                                Layout::Nt,
+                                &a[..m * cols],
+                                b,
+                                got.as_mut_ptr(),
+                                [m, cols, rows],
+                            )
+                        };
+                        assert!(same_values(&got, &nt), "NT m={m} {g:?}");
                     }
                 }
             }

@@ -529,6 +529,26 @@ pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
     }
 }
 
+/// `kernel::conv_forward`'s reference: [`im2col_into`] into a fresh
+/// column matrix, then [`gemm_block`] appended to `out`.
+pub fn conv_forward(w: &[f32], img: &[f32], g: &Conv2dGeom, out: &mut Vec<f32>) {
+    let (k, n) = (g.col_rows(), g.col_cols());
+    let mut col = vec![0.0; k * n];
+    im2col_into(img, g, &mut col);
+    let (m, start) = (w.len() / k, out.len());
+    out.resize(start + m * n, 0.0);
+    gemm_block(w, &col, 0..m, &mut out[start..], k, n);
+}
+
+/// `kernel::conv_weight_grad`'s reference: [`im2col_into`] into a fresh
+/// column matrix, then [`gemm_nt_block`] into `dw`.
+pub fn conv_weight_grad(dy: &[f32], img: &[f32], g: &Conv2dGeom, dw: &mut [f32]) {
+    let (n, k) = (g.col_rows(), g.col_cols());
+    let mut col = vec![0.0; n * k];
+    im2col_into(img, g, &mut col);
+    gemm_nt_block(dy, &col, 0..dy.len() / k, dw, k, n);
+}
+
 /// Adjoint of [`im2col_into`], output row by output row: each row's
 /// valid columns are added into their image row (`img[..] += col[..]`);
 /// padding taps add nothing, so the image elements they would land on
@@ -642,9 +662,10 @@ fn chains<const W: usize>(
 
 /// Batch norm's normalize pass over `[n, ch, plane]`: with
 /// `(mean, std)` and `(γ, β)` per channel, `x̂ = (x − mean) / std` and
-/// `out = γ·x̂ + β`, each plane one slice loop; `xhat`, when given,
-/// receives `x̂`. Written once: the AVX2 backend compiles this same body
-/// again at its width.
+/// `out = γ·x̂ + β`, each plane one slice loop, *appended* to `out`
+/// (which is never zero-filled first); `xhat`, when given, receives
+/// `x̂`. Written once: the AVX2 backend compiles this same body again at
+/// its width.
 #[inline(always)]
 pub fn bn_normalize(
     dims: [usize; 3],
@@ -652,50 +673,60 @@ pub fn bn_normalize(
     (mean, std): (&[f32], &[f32]),
     (gamma, beta): (&[f32], &[f32]),
     mut xhat: Option<&mut [f32]>,
-    out: &mut [f32],
+    out: &mut Vec<f32>,
 ) {
     let [n, ch, plane] = dims;
+    let (start, len) = (out.len(), n * ch * plane);
+    out.reserve(len);
+    let dst = &mut out.spare_capacity_mut()[..len];
     for p in 0..n * ch {
         let c = p % ch;
         let (mean, std, g, b) = (mean[c], std[c], gamma[c], beta[c]);
         let span = p * plane..(p + 1) * plane;
-        let (xs, outs) = (&x[span.clone()], &mut out[span.clone()]);
+        let (xs, outs) = (&x[span.clone()], &mut dst[span.clone()]);
         if let Some(xhat) = xhat.as_deref_mut() {
             for ((o, xh), &v) in outs.iter_mut().zip(&mut xhat[span]).zip(xs) {
                 let xn = (v - mean) / std;
                 *xh = xn;
-                *o = g * xn + b;
+                o.write(g * xn + b);
             }
         } else {
             for (o, &v) in outs.iter_mut().zip(xs) {
-                *o = g * ((v - mean) / std) + b;
+                o.write(g * ((v - mean) / std) + b);
             }
         }
     }
+    // SAFETY: the planes above wrote all `len` floats past `start`.
+    unsafe { out.set_len(start + len) }
 }
 
 /// Batch norm's input gradient over `[n, ch, plane]`, from `(γ, std)`
 /// and the sums `(Σdy, Σdy·x̂)` per channel: with `m = n·plane`,
-/// `dx = γ/std · (dy − Σdy/m − x̂·Σdy·x̂/m)`, each plane one slice loop.
-/// Written once, like [`bn_normalize`].
+/// `dx = γ/std · (dy − Σdy/m − x̂·Σdy·x̂/m)`, each plane one slice loop,
+/// appended to `dx`. Written once, like [`bn_normalize`].
 #[inline(always)]
 pub fn bn_input_grad(
     dims: [usize; 3],
     (dy, xhat): (&[f32], &[f32]),
     (gamma, std): (&[f32], &[f32]),
     (sum_dy, sum_dy_xhat): (&[f32], &[f32]),
-    dx: &mut [f32],
+    dx: &mut Vec<f32>,
 ) {
     let [n, ch, plane] = dims;
     let m = (n * plane) as f32;
+    let (start, len) = (dx.len(), n * ch * plane);
+    dx.reserve(len);
+    let dst = &mut dx.spare_capacity_mut()[..len];
     for p in 0..n * ch {
         let c = p % ch;
         let scale = gamma[c] / std[c];
         let (mean_dy, mean_dy_xhat) = (sum_dy[c] / m, sum_dy_xhat[c] / m);
         let span = p * plane..(p + 1) * plane;
-        let (dxs, dys, xhats) = (&mut dx[span.clone()], &dy[span.clone()], &xhat[span]);
+        let (dxs, dys, xhats) = (&mut dst[span.clone()], &dy[span.clone()], &xhat[span]);
         for ((d, &g), &xh) in dxs.iter_mut().zip(dys).zip(xhats) {
-            *d = scale * (g - mean_dy - xh * mean_dy_xhat);
+            d.write(scale * (g - mean_dy - xh * mean_dy_xhat));
         }
     }
+    // SAFETY: the planes above wrote all `len` floats past `start`.
+    unsafe { dx.set_len(start + len) }
 }

@@ -649,7 +649,7 @@ fn channel_sums_equal_the_sequential_fold() {
 
 /// The normalize and input-gradient passes, dispatched against the
 /// scalar body, with specials in the activations: bit-equal, `x̂`
-/// included.
+/// included, each output appended after what its buffer held.
 #[test]
 fn batchnorm_passes_match_the_scalar_body() {
     for (ch, plane) in [(3, 7), (8, 1024), (16, 256), (32, 64), (17, 49)] {
@@ -660,7 +660,7 @@ fn batchnorm_passes_match_the_scalar_body() {
         let std: Vec<f32> = fill(42, ch, false).iter().map(|v| v.abs() + 0.5).collect();
         let (gamma, beta) = (fill(43, ch, false), fill(44, ch, false));
         for train in [true, false] {
-            let (mut out_a, mut out_b) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            let (mut out_a, mut out_b) = (vec![-0.0], vec![-0.0]);
             let (mut xhat_a, mut xhat_b) = (vec![f32::NAN; len], vec![f32::NAN; len]);
             let stats = ((&mean[..], &std[..]), (&gamma[..], &beta[..]));
             kernel::bn_normalize(
@@ -685,11 +685,15 @@ fn batchnorm_passes_match_the_scalar_body() {
                 &format!("bn_normalize {ch}@{plane} train={train}"),
             );
             assert_bits_eq(&xhat_a, &xhat_b, &format!("bn_normalize x̂ {ch}@{plane}"));
+            assert_eq!(
+                (out_a.len(), out_a[0].to_bits()),
+                (len + 1, (-0.0f32).to_bits())
+            );
         }
         let dy = channel_values(ch as u64 + 50, dims);
         let xhat = fill(51, len, false);
         let (sum_dy, sum_dy_xhat) = (fill(52, ch, false), fill(53, ch, false));
-        let (mut dx_a, mut dx_b) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+        let (mut dx_a, mut dx_b) = (vec![-0.0], vec![-0.0]);
         let args = (
             (&dy[..], &xhat[..]),
             (&gamma[..], &std[..]),
@@ -698,6 +702,10 @@ fn batchnorm_passes_match_the_scalar_body() {
         kernel::bn_input_grad(dims, args.0, args.1, args.2, &mut dx_a);
         scalar::bn_input_grad(dims, args.0, args.1, args.2, &mut dx_b);
         assert_bits_eq(&dx_a, &dx_b, &format!("bn_input_grad {ch}@{plane}"));
+        assert_eq!(
+            (dx_a.len(), dx_a[0].to_bits()),
+            (len + 1, (-0.0f32).to_bits())
+        );
     }
 }
 
@@ -780,5 +788,107 @@ fn col2im_matches_the_row_path_and_leaves_untouched_bits() {
         col2im(&col, &g, &mut got);
         scalar::col2im(&col, &g, &mut want);
         assert_bits_eq(&got, &want, &format!("col2im {g:?}"));
+    }
+}
+
+/// `(geometry, output channels)` for the implicit-GEMM convolutions:
+/// ResNet-8's nine convolutions (the two 8→8 at 32×32 share a
+/// geometry); strides 1 and 2 (and 3, the core's one-lane-at-a-time
+/// gather) with padding 0–2 and kernels 1, 3 and 5
+/// over images whose widths 7, 9 and 33 put a position run across the
+/// lane groups, and 1×1 and 2×3 images smaller than kernel + padding.
+/// Output widths `OH·OW` (forward) and `C·K·K` (weight gradient) fall on
+/// both sides of the 128-column zmm panel, so on an AVX-512 host both
+/// instances of the core run.
+fn conv_geometries() -> Vec<(Conv2dGeom, usize)> {
+    let geom = |c, h, w, k, stride, pad| Conv2dGeom {
+        c,
+        h,
+        w,
+        kh: k,
+        kw: k,
+        stride,
+        pad,
+    };
+    let mut geoms = vec![
+        (geom(3, 32, 32, 3, 1, 1), 8),
+        (geom(8, 32, 32, 3, 1, 1), 8),
+        (geom(8, 32, 32, 3, 2, 1), 16),
+        (geom(16, 16, 16, 3, 1, 1), 16),
+        (geom(8, 32, 32, 1, 2, 0), 16),
+        (geom(16, 16, 16, 3, 2, 1), 32),
+        (geom(32, 8, 8, 3, 1, 1), 32),
+        (geom(16, 16, 16, 1, 2, 0), 32),
+    ];
+    for (c, h, w) in [(1, 1, 1), (2, 2, 3), (2, 3, 7), (6, 5, 9), (2, 5, 33)] {
+        for k in [1, 3, 5] {
+            for pad in [0, 1, 2] {
+                for stride in [1, 2, 3] {
+                    if h + 2 * pad >= k && w + 2 * pad >= k {
+                        geoms.push((geom(c, h, w, k, stride, pad), 1 + (h + k) % 5));
+                    }
+                }
+            }
+        }
+    }
+    geoms
+}
+
+/// `v` with every negative value and NaN turned into `+0.0` — a
+/// post-ReLU operand, half exact zeros.
+fn relu(v: Vec<f32>) -> Vec<f32> {
+    v.into_iter().map(|x| x.max(0.0)).collect()
+}
+
+/// `conv_forward` against the explicit unroll and `gemm`, with
+/// specials in the image and in dense and ReLU-sparse weights: a NaN
+/// where the reference has one, every other bit equal, appended after
+/// what `out` already held.
+#[test]
+fn conv_forward_is_im2col_then_gemm() {
+    for (seed, (g, m)) in (0u64..).zip(conv_geometries()) {
+        let (k, n) = (g.col_rows(), g.col_cols());
+        let img = fill(seed + 300, g.c * g.h * g.w, true);
+        let mut col = vec![f32::NAN; k * n];
+        im2col_into(&img, &g, &mut col);
+        for w in [
+            fill(seed + 400, m * k, true),
+            relu(fill(seed + 500, m * k, true)),
+        ] {
+            let mut want = vec![f32::NAN; m * n];
+            kernel::gemm(&w, &col, &mut want, m, k, n);
+            let mut got = vec![-0.0, f32::NAN];
+            kernel::conv_forward(&w, &img, &g, &mut got);
+            assert_bits_eq(&got[..2], &[-0.0, f32::NAN], "conv_forward kept prefix");
+            assert_same_values(&got[2..], &want, &format!("conv_forward m={m} {g:?}"));
+        }
+    }
+}
+
+/// `conv_weight_grad` against the explicit unroll and `gemm_nt`, with
+/// specials in the image, in dense and ReLU-sparse `dy` and in the `dW`
+/// it accumulates onto (`-0.0` included, which an added `+0.0` flips).
+#[test]
+fn conv_weight_grad_is_im2col_then_gemm_nt() {
+    for (seed, (g, m)) in (0u64..).zip(conv_geometries()) {
+        let (k, n) = (g.col_cols(), g.col_rows());
+        let img = fill(seed + 600, g.c * g.h * g.w, true);
+        let mut col = vec![f32::NAN; n * k];
+        im2col_into(&img, &g, &mut col);
+        let dw: Vec<f32> = fill(seed + 700, m * n, true)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| if i % 4 == 0 { -0.0 } else { v })
+            .collect();
+        for dy in [
+            fill(seed + 800, m * k, true),
+            relu(fill(seed + 900, m * k, true)),
+        ] {
+            let mut want = dw.clone();
+            kernel::gemm_nt(&dy, &col, &mut want, m, k, n);
+            let mut got = dw.clone();
+            kernel::conv_weight_grad(&dy, &img, &g, &mut got);
+            assert_same_values(&got, &want, &format!("conv_weight_grad m={m} {g:?}"));
+        }
     }
 }

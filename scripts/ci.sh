@@ -259,18 +259,35 @@ if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/dense.rs | grep -n 'fill_zero'; then
 fi
 
 # Layer workspaces (DESIGN.md §15): Conv2d keeps its input and one
-# reused column buffer — no per-sample column tensors, no product into
-# a temporary that is then copied — and BatchNorm2d sums its channels
-# through kernel::channel_sums, not an index iterator per element.
-echo "==> nn/conv2d.rs holds no column tensors; nn/batchnorm.rs walks no channel index by index"
-if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/conv2d.rs | grep -nE 'Vec<Tensor>|\.matmul\('; then
-    echo "ERROR: nn/conv2d.rs keeps per-sample column tensors or multiplies into a temporary; unroll into the layer's column buffer and gemm into the output" >&2
+# reused column-gradient buffer, and reads its column matrices from the
+# image inside the GEMM (kernel::conv_forward, kernel::conv_weight_grad):
+# no explicit unroll grows back beside the implicit operand, no per-sample
+# column tensors, no product into a temporary that is then copied.
+# BatchNorm2d sums its channels through kernel::channel_sums, not an
+# index iterator per element. And a layer output that a kernel writes
+# whole is built without a zero fill first: the program halves of
+# nn/{conv2d,batchnorm,activation}.rs bind no `Tensor::zeros` to fill in
+# (Conv2d's `dx`, a col2im scatter-add target, is zeroed in place).
+echo "==> nn/conv2d.rs unrolls no columns; nn/batchnorm.rs walks no channel index by index; no zero-filled layer outputs"
+conv=$(sed '/^#\[cfg(test)\]/,$d' crates/nn/src/conv2d.rs)
+if grep -nE 'Vec<Tensor>|\.matmul\(' <<<"$conv"; then
+    echo "ERROR: nn/conv2d.rs keeps per-sample column tensors or multiplies into a temporary; gemm into the output" >&2
+    exit 1
+fi
+if grep -n 'im2col_into' <<<"$conv"; then
+    echo "ERROR: nn/conv2d.rs unrolls a column matrix again; read it from the image through kernel::conv_forward / conv_weight_grad" >&2
     exit 1
 fi
 if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/batchnorm.rs | grep -n 'channel_indices'; then
     echo "ERROR: nn/batchnorm.rs walks a channel index by index; sum through kernel::channel_sums" >&2
     exit 1
 fi
+for f in crates/nn/src/conv2d.rs crates/nn/src/batchnorm.rs crates/nn/src/activation.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'let mut [a-z_]* = Tensor::zeros('; then
+        echo "ERROR: a layer zero-fills an output a kernel then writes whole; append it or collect it" >&2
+        exit 1
+    fi
+done
 
 # A `--trace` run with no second flag must carry every lane: both
 # workers' op spans and the server's (lane = worker count). The same
