@@ -23,6 +23,15 @@
 //! one train-mode forward (and forward + backward) of its batch-norm
 //! layers at batch 16, and the `channel_sums` rows each of the four
 //! per-channel sums those layers take (mean, variance, `Σdy`, `Σdy·x̂`).
+//! The elementwise rows time each kernel whose AVX2 body is its scalar
+//! source compiled again (`axpy` … `sign_residual`, batch norm's two
+//! passes over 8 channels) at 2 Ki elements (the server's block), 16 Ki
+//! and 1 Mi; the `encode` rows one `compress_into` of every codec (2-bit
+//! with and without residual, 1-bit, QSGD at 4 levels, top-1 %, raw) at
+//! 64 Ki and 1 Mi, its payload recycled into the pool it came from, and
+//! the `decode` rows one 2-bit `decompress`. Those rows all work in one
+//! arena allocated once (see [`REGION`]), so every run puts each operand
+//! at the same place, and record the quartiles beside the median.
 //! Emits `BENCH_kernels.json` and prints
 //! a speedup table, a GFLOP/s table, the conv/BN medians and the
 //! server-round quartiles.
@@ -41,7 +50,10 @@ use std::process::Command;
 use std::time::Instant;
 
 use cdsgd_bench::arg_usize;
-use cdsgd_compress::{Compressed, GradientCompressor, NoCompression, TwoBitQuantizer};
+use cdsgd_compress::{
+    decompress, BufferPool, Compressed, GradientCompressor, NoCompression, OneBitQuantizer,
+    QsgdQuantizer, TopKSparsifier, TwoBitQuantizer,
+};
 use cdsgd_nn::{BatchNorm2d, Layer, Mode};
 use cdsgd_ps::{ParamClient, ParamServer, ServerConfig};
 use cdsgd_tensor::kernel::{self, ChannelTerm};
@@ -59,6 +71,31 @@ const SIZES: [(usize, &str); 4] = [
 ];
 
 const OPS: [&str; 4] = ["pack_2bit", "unpack_2bit", "quantize_2bit", "apply_update"];
+
+/// Element counts of the elementwise rows: the server round's block
+/// (`BLOCK` in `ps/shard.rs`), 16 Ki and 1 Mi.
+const MAP_SIZES: [(usize, &str); 3] = [(2 * 1024, "2Ki"), (16 * 1024, "16Ki"), (1 << 20, "1Mi")];
+
+/// The kernels whose AVX2 body is their scalar source compiled again.
+const MAPS: [&str; 14] = [
+    "axpy",
+    "scale",
+    "add_assign",
+    "add_scalar",
+    "add_into",
+    "zero_add",
+    "scale_add",
+    "sgd_step",
+    "decay_add",
+    "nesterov_step",
+    "threshold_scan_store",
+    "sign_residual",
+    "bn_normalize",
+    "bn_input_grad",
+];
+
+/// Element counts of the `encode` and `decode` rows.
+const CODEC_SIZES: [(usize, &str); 2] = [(64 * 1024, "64Ki"), (1 << 20, "1Mi")];
 
 /// The two dispatch modes, with the `CDSGD_FORCE_SCALAR` value (if any)
 /// that selects each.
@@ -163,25 +200,43 @@ fn pseudo(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Median wall-clock seconds over `iters` runs of `f`.
-fn median_s(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+/// `[q1, median, q3]` of `times`.
+fn quartiles(mut times: Vec<f64>) -> [f64; 3] {
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+    let n = times.len();
+    [times[n / 4], times[n / 2], times[3 * n / 4]]
 }
 
-/// Median seconds of one `call`. Small ops finish in microseconds, so a
-/// sample is as many calls as fill about two milliseconds.
-fn time_call(iters: usize, mut call: impl FnMut()) -> f64 {
+/// `[q1, median, q3]` wall-clock seconds over `iters` runs of `f`.
+fn quartiles_s(iters: usize, mut f: impl FnMut()) -> [f64; 3] {
+    quartiles(
+        (0..iters)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
+/// Median wall-clock seconds over `iters` runs of `f`.
+fn median_s(iters: usize, f: impl FnMut()) -> f64 {
+    quartiles_s(iters, f)[1]
+}
+
+/// `[q1, median, q3]` seconds of one `call`. Small ops finish in
+/// microseconds, so a sample is as many calls as fill about two
+/// milliseconds.
+fn call_quartiles(iters: usize, mut call: impl FnMut()) -> [f64; 3] {
     let once = median_s(3, &mut call);
     let reps = ((2e-3 / once.max(1e-9)) as usize).clamp(1, 10_000);
-    median_s(iters, || (0..reps).for_each(|_| call())) / reps as f64
+    quartiles_s(iters, || (0..reps).for_each(|_| call())).map(|s| s / reps as f64)
+}
+
+/// Median seconds of one `call` (see [`call_quartiles`]).
+fn time_call(iters: usize, call: impl FnMut()) -> f64 {
+    call_quartiles(iters, call)[1]
 }
 
 /// Median seconds of one call of `first` and of `second`, timed in
@@ -396,6 +451,113 @@ fn placed_col2im_records(
         .collect()
 }
 
+/// Floats per region of the arena the elementwise, `encode` and
+/// `decode` rows share — four regions, `x` and `z` read, `y` and `out`
+/// written: 1 Mi, and one cache line more, so that the regions' starts
+/// sit 64 B apart modulo 4 KiB and no two of them alias in the store
+/// buffer.
+const REGION: usize = (1 << 20) + 16;
+
+/// The first `n` floats of the arena's `x`, `z`, `y` and `out`.
+fn regions(arena: &mut [f32], n: usize) -> (&[f32], &[f32], &mut [f32], &mut [f32]) {
+    let (x, rest) = arena.split_at_mut(REGION);
+    let (z, rest) = rest.split_at_mut(REGION);
+    let (y, out) = rest.split_at_mut(REGION);
+    (&x[..n], &z[..n], &mut y[..n], &mut out[..n])
+}
+
+/// One record per [`MAPS`] kernel and [`MAP_SIZES`] count. The in-place
+/// kernels keep `y` bounded however often they run: `scale` flips its
+/// sign, `decay_add` halves it, and the adds move it by at most a few
+/// hundred thousand over a run.
+fn map_records(arena: &mut [f32], iters: usize) -> Vec<serde_json::Value> {
+    let (a, b) = (black_box(1e-3f32), black_box(0.5f32));
+    let ch = 8;
+    let stats: Vec<f32> = pseudo(ch, 41).iter().map(|v| v.abs() + 0.5).collect();
+    let per_ch = (&stats[..], &stats[..]);
+    let (mut bytes, mut bools) = (vec![0u8; 1 << 20], vec![false; 1 << 20]);
+    let mut appended = Vec::with_capacity(1 << 20);
+    let mut records = Vec::new();
+    for (n, label) in MAP_SIZES {
+        let (x, z, y, out) = regions(arena, n);
+        let (bytes, bools, dims) = (&mut bytes[..n], &mut bools[..n], [1, ch, n / ch]);
+        for op in MAPS {
+            let [q1, median, q3] = match op {
+                "axpy" => call_quartiles(iters, || kernel::axpy(a, x, y)),
+                "scale" => call_quartiles(iters, || kernel::scale(y, -1.0)),
+                "add_assign" => call_quartiles(iters, || kernel::add_assign(y, x)),
+                "add_scalar" => call_quartiles(iters, || kernel::add_scalar(y, a)),
+                "add_into" => call_quartiles(iters, || kernel::add_into(out, x, z)),
+                "zero_add" => call_quartiles(iters, || kernel::zero_add(out, x)),
+                "scale_add" => call_quartiles(iters, || kernel::scale_add(out, x, a, z)),
+                "sgd_step" => call_quartiles(iters, || kernel::sgd_step(out, x, z, a)),
+                "decay_add" => call_quartiles(iters, || kernel::decay_add(y, b, x)),
+                "nesterov_step" => {
+                    call_quartiles(iters, || kernel::nesterov_step(out, x, z, y, a, b))
+                }
+                "threshold_scan_store" => {
+                    call_quartiles(iters, || kernel::threshold_scan_store(x, b, bytes, out))
+                }
+                "sign_residual" => {
+                    call_quartiles(iters, || kernel::sign_residual(x, a, bools, out))
+                }
+                "bn_normalize" => call_quartiles(iters, || {
+                    appended.clear();
+                    kernel::bn_normalize(dims, x, per_ch, per_ch, Some(&mut *out), &mut appended)
+                }),
+                "bn_input_grad" => call_quartiles(iters, || {
+                    appended.clear();
+                    kernel::bn_input_grad(dims, (x, z), per_ch, per_ch, &mut appended)
+                }),
+                _ => unreachable!("{op} is not in MAPS"),
+            };
+            records.push(serde_json::json!({
+                "op": op, "n": n, "label": label,
+                "median_s": median, "q1_s": q1, "q3_s": q3,
+            }));
+        }
+    }
+    records
+}
+
+/// One `encode` record per codec and one 2-bit `decode` record per
+/// [`CODEC_SIZES`] count. Each encode hands its payload back to the
+/// pool it drew it from, so every call after the first reuses one
+/// buffer, as a worker's steady state does.
+fn codec_records(arena: &mut [f32], iters: usize) -> Vec<serde_json::Value> {
+    let pool = BufferPool::new();
+    let mut records = Vec::new();
+    for (n, label) in CODEC_SIZES {
+        let (grad, _, _, out) = regions(arena, n);
+        let codecs: [(&str, Box<dyn GradientCompressor>); 6] = [
+            ("2bit", Box::new(TwoBitQuantizer::new(0.5))),
+            (
+                "2bit_no_residual",
+                Box::new(TwoBitQuantizer::new(0.5).with_residual(false)),
+            ),
+            ("1bit", Box::new(OneBitQuantizer::new())),
+            ("qsgd4", Box::new(QsgdQuantizer::new(4, 7))),
+            ("topk1pct", Box::new(TopKSparsifier::new(0.01))),
+            ("raw", Box::new(NoCompression)),
+        ];
+        for (codec, mut c) in codecs {
+            let [q1, median, q3] =
+                call_quartiles(iters, || c.compress_into(0, grad, &pool).recycle(&pool));
+            records.push(serde_json::json!({
+                "op": "encode", "codec": codec, "n": n, "label": label,
+                "median_s": median, "q1_s": q1, "q3_s": q3,
+            }));
+        }
+        let payload = TwoBitQuantizer::new(0.5).compress(0, grad);
+        let [q1, median, q3] = call_quartiles(iters, || decompress(&payload, out));
+        records.push(serde_json::json!({
+            "op": "decode", "codec": "2bit", "n": n, "label": label,
+            "median_s": median, "q1_s": q1, "q3_s": q3,
+        }));
+    }
+    records
+}
+
 /// The benchmark MLP's keys (784-1024-1024-10; weight, then bias, per
 /// layer).
 const MLP_KEYS: [usize; 6] = [784 * 1024, 1024, 1024 * 1024, 1024, 1024 * 10, 10];
@@ -439,10 +601,7 @@ fn time_server_round(two_bit: bool, iters: usize) -> [f64; 3] {
     };
     round();
     round();
-    let mut times: Vec<f64> = (0..iters).map(|_| round()).collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = times.len();
-    [times[n / 4], times[n / 2], times[3 * n / 4]]
+    quartiles((0..iters).map(|_| round()).collect())
 }
 
 /// One mode's measurements: a record per (op, size), per GEMM shape and
@@ -467,6 +626,9 @@ fn run_child(iters: usize) -> Vec<serde_json::Value> {
         }
     }
     records.extend(conv_bn_records(iters));
+    let mut arena = pseudo(4 * REGION, 31);
+    records.extend(map_records(&mut arena, iters));
+    records.extend(codec_records(&mut arena, iters));
     for (n, label) in SIZES {
         let symbols: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
         let mut packed = vec![0u8; n.div_ceil(4)];
@@ -578,6 +740,34 @@ fn main() {
             let v = median_of(&simd, op, n).unwrap_or(f64::NAN);
             println!("{op:>14} {label:>7} {s:>12.6} {v:>12.6} {:>8.2}", s / v);
         }
+    }
+
+    // Elementwise, encode and decode rows: microseconds per call, median
+    // with quartiles, per mode.
+    println!(
+        "\n{:>20} {:>16} {:>6} {:>24} {:>24} {:>7}",
+        "op", "codec", "size", "scalar_us q1-med-q3", "simd_us q1-med-q3", "simd_x"
+    );
+    for (row, s) in scalar.iter().enumerate() {
+        let op = s["op"].as_str().unwrap_or("?");
+        if s["q1_s"].is_null() || op == "server_round" {
+            continue;
+        }
+        let us = |records: &[serde_json::Value], key: &str| {
+            records[row][key].as_f64().unwrap_or(f64::NAN) * 1e6
+        };
+        let cell = |records: &[serde_json::Value]| {
+            let [q1, med, q3] = ["q1_s", "median_s", "q3_s"].map(|key| us(records, key));
+            format!("{q1:.2}-{med:.2}-{q3:.2}")
+        };
+        println!(
+            "{op:>20} {:>16} {:>6} {:>24} {:>24} {:>7.2}",
+            s["codec"].as_str().unwrap_or("-"),
+            s["label"].as_str().unwrap_or("?"),
+            cell(&scalar),
+            cell(&simd),
+            us(&scalar, "median_s") / us(&simd, "median_s")
+        );
     }
 
     // GEMM table: GFLOP/s (nominal `2·m·k·n`, zeros in A counted) per

@@ -1,6 +1,6 @@
-//! Hand-written AVX2 implementations of the kernel primitives other than
-//! the GEMMs, whose packed core (`super::gemm`) is written once for both
-//! vector widths. Both backends run these bodies.
+//! AVX2 implementations of the kernel primitives other than the GEMMs,
+//! whose packed core (`super::gemm`) is written once for both vector
+//! widths. Both SIMD backends run these bodies.
 //!
 //! Every function here, and the GEMM core, is constrained by the
 //! bit-identity contract in the [`super`] module docs: it must produce
@@ -9,13 +9,28 @@
 //! payloads in `dot` and the GEMMs, as the contract spells out). The
 //! techniques that make that possible:
 //!
+//! * **One source, compiled twice.** A kernel that maps each element on
+//!   its own has no body here: `compiled_for_avx2!` emits an `avx2`
+//!   function whose body is its `#[inline(always)]` scalar reference, so
+//!   the compiler vectorizes that one source with the same operations in
+//!   the same order (Rust never fuses a `mul` + `add` into an FMA nor
+//!   reassociates). The nine map twins they replaced took ×0.93–1.04
+//!   of the hand-written time, `threshold_scan_store` ×0.62–0.85 and
+//!   `sign_residual` ×0.07–0.16 (DESIGN.md §15). What stays here beat
+//!   its own scalar source compiled for AVX2 on one buffer: bit packing
+//!   (that source takes ×13–30 the time), `quantize_2bit` (×5.4–5.9)
+//!   and the `unpack_*_{add,store}` decoders (×6.4–10.6), whose
+//!   per-element shifts the compiler leaves scalar; `dot` (×1.3–4.2), a
+//!   reduction it may not reassociate; `reduce_max_abs` (×0.94–1.15:
+//!   even to 16 Ki, behind at 1 Mi); `channel_sums` and `col2im_planes`,
+//!   which restructure the reference's loops (a register transpose,
+//!   shifted planes) rather than vectorize them.
 //! * **No FMA.** `_mm256_fmadd_ps` rounds once where `mul` + `add`
 //!   rounds twice; we always use the two-instruction form because the
 //!   scalar reference does.
-//! * **Vectorize across independent outputs only.** Elementwise kernels
-//!   and the ikj-order GEMMs touch 8 (or, at zmm width, 16) unrelated
-//!   output elements per vector op, so per-element operation order is
-//!   unchanged.
+//! * **Vectorize across independent outputs only.** The ikj-order GEMMs
+//!   touch 8 (or, at zmm width, 16) unrelated output elements per vector
+//!   op, so per-element operation order is unchanged.
 //! * **The transpose trick for GEMM-NT.** A dot product is a true
 //!   reduction, so instead of reassociating one dot we compute one output
 //!   column per lane: B is transposed (8×8 in registers) into the
@@ -30,11 +45,6 @@
 //!   list of the non-zero positions), the 2-bit decoder's "no write for
 //!   code 0" and `col2im`'s wrapped padding taps (both by blend) are
 //!   kept: `c + 0.0` is not a bitwise no-op when `c` is `-0.0`.
-//! * **One source, compiled twice.** Batch norm's normalize and
-//!   input-gradient passes are the scalar reference's slice loops,
-//!   `#[inline(always)]` into an `avx2` function: the compiler
-//!   vectorizes the same operations in the same order, and Rust never
-//!   contracts a `mul` + `add` into an FMA.
 //! * **Ordered-quiet compares.** `_CMP_GE_OQ`/`_CMP_LE_OQ` return false
 //!   for NaN, matching scalar `>=`/`<=`; `_mm256_max_ps(x, acc)` keeps
 //!   `acc` when `x` is NaN, matching `f32::max`'s NaN-skipping fold.
@@ -60,183 +70,51 @@ fn blocks(n: usize, w: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise
+// Compiled from the scalar source
 // ---------------------------------------------------------------------------
 
-/// `y[i] += alpha * x[i]` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n8 = blocks(y.len(), 8);
-    let va = _mm256_set1_ps(alpha);
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let vy = _mm256_loadu_ps(yp.add(i));
-        let vx = _mm256_loadu_ps(xp.add(i));
-        _mm256_storeu_ps(yp.add(i), _mm256_add_ps(vy, _mm256_mul_ps(va, vx)));
-        i += 8;
-    }
-    for i in n8..y.len() {
-        y[i] += alpha * x[i];
-    }
+/// For each `name(args)` listed, `pub unsafe fn name(args)` enabled for
+/// AVX2, whose body is [`super::scalar`]'s `#[inline(always)]` function
+/// of that name and signature: one source, vectorized at ymm width.
+macro_rules! compiled_for_avx2 {
+    ($($name:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {$(
+        #[doc = concat!("[`super::scalar::", stringify!($name), "`], compiled for AVX2.")]
+        #[doc = "\n# Safety\nAVX2 must be available; the slice sizes are the reference's."]
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn $name($($arg: $ty),*) {
+            super::scalar::$name($($arg),*)
+        }
+    )*};
 }
 
-/// `y[i] *= s` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn scale(y: &mut [f32], s: f32) {
-    let n8 = blocks(y.len(), 8);
-    let vs = _mm256_set1_ps(s);
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i < n8 {
-        _mm256_storeu_ps(yp.add(i), _mm256_mul_ps(_mm256_loadu_ps(yp.add(i)), vs));
-        i += 8;
-    }
-    for v in &mut y[n8..] {
-        *v *= s;
-    }
-}
-
-/// `y[i] += x[i]` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn add_assign(y: &mut [f32], x: &[f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n8 = blocks(y.len(), 8);
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let s = _mm256_add_ps(_mm256_loadu_ps(yp.add(i)), _mm256_loadu_ps(xp.add(i)));
-        _mm256_storeu_ps(yp.add(i), s);
-        i += 8;
-    }
-    for i in n8..y.len() {
-        y[i] += x[i];
-    }
-}
-
-/// `y[i] += b` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn add_scalar(y: &mut [f32], b: f32) {
-    let n8 = blocks(y.len(), 8);
-    let vb = _mm256_set1_ps(b);
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i < n8 {
-        _mm256_storeu_ps(yp.add(i), _mm256_add_ps(_mm256_loadu_ps(yp.add(i)), vb));
-        i += 8;
-    }
-    for v in &mut y[n8..] {
-        *v += b;
-    }
-}
-
-/// `out[i] = a[i] + b[i]` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn add_into(out: &mut [f32], a: &[f32], b: &[f32]) {
-    debug_assert_eq!(out.len(), a.len());
-    debug_assert_eq!(out.len(), b.len());
-    let n8 = blocks(out.len(), 8);
-    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let s = _mm256_add_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)));
-        _mm256_storeu_ps(op.add(i), s);
-        i += 8;
-    }
-    for i in n8..out.len() {
-        out[i] = a[i] + b[i];
-    }
-}
-
-/// `out[i] = a[i] + alpha * b[i]` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]) {
-    debug_assert_eq!(out.len(), a.len());
-    debug_assert_eq!(out.len(), b.len());
-    let n8 = blocks(out.len(), 8);
-    let va = _mm256_set1_ps(alpha);
-    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let s = _mm256_add_ps(
-            _mm256_loadu_ps(ap.add(i)),
-            _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(i))),
-        );
-        _mm256_storeu_ps(op.add(i), s);
-        i += 8;
-    }
-    for i in n8..out.len() {
-        out[i] = a[i] + alpha * b[i];
-    }
-}
-
-/// `out[i] = w[i] - step * g[i]` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sgd_step(out: &mut [f32], w: &[f32], g: &[f32], step: f32) {
-    debug_assert_eq!(out.len(), w.len());
-    debug_assert_eq!(out.len(), g.len());
-    let n8 = blocks(out.len(), 8);
-    let vs = _mm256_set1_ps(step);
-    let (wp, gp, op) = (w.as_ptr(), g.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let d = _mm256_sub_ps(
-            _mm256_loadu_ps(wp.add(i)),
-            _mm256_mul_ps(vs, _mm256_loadu_ps(gp.add(i))),
-        );
-        _mm256_storeu_ps(op.add(i), d);
-        i += 8;
-    }
-    for i in n8..out.len() {
-        out[i] = w[i] - step * g[i];
-    }
-}
-
-/// `v[i] = mu * v[i] + g[i]` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn decay_add(v: &mut [f32], mu: f32, g: &[f32]) {
-    debug_assert_eq!(v.len(), g.len());
-    let n8 = blocks(v.len(), 8);
-    let vm = _mm256_set1_ps(mu);
-    let (vp, gp) = (v.as_mut_ptr(), g.as_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let s = _mm256_add_ps(
-            _mm256_mul_ps(vm, _mm256_loadu_ps(vp.add(i))),
-            _mm256_loadu_ps(gp.add(i)),
-        );
-        _mm256_storeu_ps(vp.add(i), s);
-        i += 8;
-    }
-    for i in n8..v.len() {
-        v[i] = mu * v[i] + g[i];
-    }
-}
-
-/// `out[i] = w[i] - step * (g[i] + mu * v[i])` (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn nesterov_step(out: &mut [f32], w: &[f32], g: &[f32], v: &[f32], step: f32, mu: f32) {
-    debug_assert_eq!(out.len(), w.len());
-    debug_assert_eq!(out.len(), g.len());
-    debug_assert_eq!(out.len(), v.len());
-    let n8 = blocks(out.len(), 8);
-    let vs = _mm256_set1_ps(step);
-    let vm = _mm256_set1_ps(mu);
-    let (wp, gp, vp, op) = (w.as_ptr(), g.as_ptr(), v.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let look = _mm256_add_ps(
-            _mm256_loadu_ps(gp.add(i)),
-            _mm256_mul_ps(vm, _mm256_loadu_ps(vp.add(i))),
-        );
-        let d = _mm256_sub_ps(_mm256_loadu_ps(wp.add(i)), _mm256_mul_ps(vs, look));
-        _mm256_storeu_ps(op.add(i), d);
-        i += 8;
-    }
-    for i in n8..out.len() {
-        out[i] = w[i] - step * (g[i] + mu * v[i]);
-    }
+compiled_for_avx2! {
+    axpy(alpha: f32, x: &[f32], y: &mut [f32]);
+    scale(y: &mut [f32], s: f32);
+    add_assign(y: &mut [f32], x: &[f32]);
+    add_scalar(y: &mut [f32], b: f32);
+    add_into(out: &mut [f32], a: &[f32], b: &[f32]);
+    zero_add(out: &mut [f32], x: &[f32]);
+    scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]);
+    sgd_step(out: &mut [f32], w: &[f32], g: &[f32], step: f32);
+    decay_add(v: &mut [f32], mu: f32, g: &[f32]);
+    nesterov_step(out: &mut [f32], w: &[f32], g: &[f32], v: &[f32], step: f32, mu: f32);
+    threshold_scan_store(corrected: &[f32], thr: f32, symbols: &mut [u8], res: &mut [f32]);
+    sign_residual(corrected: &[f32], scale: f32, bits: &mut [bool], res: &mut [f32]);
+    bn_normalize(
+        dims: [usize; 3],
+        x: &[f32],
+        mean_std: (&[f32], &[f32]),
+        gamma_beta: (&[f32], &[f32]),
+        xhat: Option<&mut [f32]>,
+        out: &mut Vec<f32>,
+    );
+    bn_input_grad(
+        dims: [usize; 3],
+        dy_xhat: (&[f32], &[f32]),
+        gamma_std: (&[f32], &[f32]),
+        sums: (&[f32], &[f32]),
+        dx: &mut Vec<f32>,
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -443,58 +321,6 @@ pub unsafe fn unpack_1bit(bytes: &[u8], out: &mut [bool]) {
 // Quantizer scans
 // ---------------------------------------------------------------------------
 
-/// Body of the symbol-emitting 2-bit threshold scan: given the
-/// corrected vector `x`, emit `q`, store `x - q` through `res_out`, and
-/// write symbols from the two compare masks.
-#[target_feature(enable = "avx2")]
-unsafe fn threshold_core(
-    x: __m256,
-    vthr: __m256,
-    vnthr: __m256,
-    res_out: *mut f32,
-    symbols: &mut [u8],
-) {
-    let mpos = _mm256_cmp_ps::<_CMP_GE_OQ>(x, vthr);
-    let mneg = _mm256_cmp_ps::<_CMP_LE_OQ>(x, vnthr);
-    let q = _mm256_or_ps(_mm256_and_ps(mpos, vthr), _mm256_and_ps(mneg, vnthr));
-    _mm256_storeu_ps(res_out, _mm256_sub_ps(x, q));
-    let m1 = _mm256_movemask_ps(mpos) as u32;
-    let m2 = _mm256_movemask_ps(mneg) as u32;
-    for (l, s) in symbols.iter_mut().enumerate() {
-        *s = (((m1 >> l) & 1) | (((m2 >> l) & 1) << 1)) as u8;
-    }
-}
-
-/// [`super::scalar::threshold_scan_store`] (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn threshold_scan_store(
-    corrected: &[f32],
-    thr: f32,
-    symbols: &mut [u8],
-    res: &mut [f32],
-) {
-    debug_assert_eq!(corrected.len(), symbols.len());
-    debug_assert_eq!(corrected.len(), res.len());
-    let n8 = blocks(corrected.len(), 8);
-    let vthr = _mm256_set1_ps(thr);
-    let vnthr = _mm256_set1_ps(-thr);
-    let (cp, rp) = (corrected.as_ptr(), res.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let x = _mm256_loadu_ps(cp.add(i));
-        threshold_core(x, vthr, vnthr, rp.add(i), &mut symbols[i..i + 8]);
-        i += 8;
-    }
-    if n8 < corrected.len() {
-        super::scalar::threshold_scan_store(
-            &corrected[n8..],
-            thr,
-            &mut symbols[n8..],
-            &mut res[n8..],
-        );
-    }
-}
-
 /// [`super::scalar::quantize_2bit`] (AVX2): eight elements per
 /// iteration. The two compare masks come out as 8-bit movemasks; a
 /// Morton spread moves bit `l` of each to bit `2l`, so `pos | neg << 1`
@@ -540,33 +366,6 @@ pub unsafe fn quantize_2bit(
         // `n8` is a multiple of 4: the tail starts on a byte boundary.
         let res = res.map(|r| &mut r[n8..]);
         super::scalar::quantize_2bit(&grad[n8..], thr, res, &mut packed[n8 / 4..]);
-    }
-}
-
-/// [`super::scalar::sign_residual`] (AVX2).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sign_residual(corrected: &[f32], scale: f32, bits: &mut [bool], res: &mut [f32]) {
-    debug_assert_eq!(corrected.len(), bits.len());
-    debug_assert_eq!(corrected.len(), res.len());
-    let n8 = blocks(corrected.len(), 8);
-    let vpos = _mm256_set1_ps(scale);
-    let vneg = _mm256_set1_ps(-scale);
-    let zero = _mm256_setzero_ps();
-    let (cp, rp) = (corrected.as_ptr(), res.as_mut_ptr());
-    let mut i = 0;
-    while i < n8 {
-        let x = _mm256_loadu_ps(cp.add(i));
-        let mpos = _mm256_cmp_ps::<_CMP_GE_OQ>(x, zero);
-        let q = _mm256_blendv_ps(vneg, vpos, mpos);
-        _mm256_storeu_ps(rp.add(i), _mm256_sub_ps(x, q));
-        let m = _mm256_movemask_ps(mpos) as u32;
-        for (l, bit) in bits[i..i + 8].iter_mut().enumerate() {
-            *bit = (m >> l) & 1 == 1;
-        }
-        i += 8;
-    }
-    if n8 < corrected.len() {
-        super::scalar::sign_residual(&corrected[n8..], scale, &mut bits[n8..], &mut res[n8..]);
     }
 }
 
@@ -669,7 +468,7 @@ unsafe fn unpack_1bit_acc<const STORE: bool>(signs: &[u8], scale: f32, out: &mut
 }
 
 // ---------------------------------------------------------------------------
-// Convolution unrolls, per-channel sums and batch norm
+// col2im and per-channel sums
 // ---------------------------------------------------------------------------
 
 /// Row `(ki, kj)` of a size-keeping, stride-1 geometry (`shifts_planes`
@@ -748,57 +547,6 @@ impl Taps {
             _mm256_add_epi32(oj, self.step_back),
         );
         _mm256_castsi256_ps(kept)
-    }
-}
-
-/// [`super::scalar::im2col_into`] (AVX2) for a size-keeping, stride-1
-/// geometry: each row of the column matrix is its shifted plane — one
-/// copy when no column wraps, else a masked copy that writes `+0.0`
-/// into the wrapped lanes — and `0.0` outside the image, every padding
-/// tap the `0.0` the row path writes. The channel loop sits innermost,
-/// so a row's shift and masks are set up once for every channel.
-///
-/// # Safety
-/// AVX2 must be available; `g` must pass `shifts_planes` and the slices
-/// have the sizes `kernel::im2col_into` asserts.
-#[target_feature(enable = "avx2")]
-pub unsafe fn im2col_planes(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
-    let (w, hw) = (g.w, g.h * g.w);
-    for ki in 0..g.kh {
-        for kj in 0..g.kw {
-            let (shift, inside, cols) = plane_shift(g, ki, kj);
-            let from = inside.start.wrapping_add_signed(shift);
-            let n8 = blocks(inside.len(), 8);
-            let taps = Taps::new(w, shift, &cols);
-            for (c, img_c) in img.chunks_exact(hw).enumerate() {
-                let row = (c * g.kh + ki) * g.kw + kj;
-                let out = &mut dst[row * hw..(row + 1) * hw];
-                out[..inside.start].fill(0.0);
-                out[inside.end..].fill(0.0);
-                let (out, src) = (&mut out[inside.clone()], &img_c[from..from + inside.len()]);
-                if cols.len() == w {
-                    out.copy_from_slice(src);
-                    continue;
-                }
-                let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
-                let mut taps = taps;
-                let mut k = 0;
-                while k < n8 {
-                    _mm256_storeu_ps(
-                        op.add(k),
-                        _mm256_and_ps(_mm256_loadu_ps(sp.add(k)), taps.next()),
-                    );
-                    k += 8;
-                }
-                for k in n8..src.len() {
-                    out[k] = if cols.contains(&((inside.start + k) % w)) {
-                        src[k]
-                    } else {
-                        0.0
-                    };
-                }
-            }
-        }
     }
 }
 
@@ -928,31 +676,4 @@ unsafe fn term_rows(term: ChannelTerm, c0: usize, at: usize, plane: usize) -> [_
         };
     }
     rows
-}
-
-/// [`super::scalar::bn_normalize`], the same body compiled for AVX2: its
-/// slice loops vectorize at ymm width with the same operations in the
-/// same order (Rust never contracts `γ·x̂ + β` into an FMA).
-#[target_feature(enable = "avx2")]
-pub unsafe fn bn_normalize(
-    dims: [usize; 3],
-    x: &[f32],
-    mean_std: (&[f32], &[f32]),
-    gamma_beta: (&[f32], &[f32]),
-    xhat: Option<&mut [f32]>,
-    out: &mut Vec<f32>,
-) {
-    super::scalar::bn_normalize(dims, x, mean_std, gamma_beta, xhat, out)
-}
-
-/// [`super::scalar::bn_input_grad`], the same body compiled for AVX2.
-#[target_feature(enable = "avx2")]
-pub unsafe fn bn_input_grad(
-    dims: [usize; 3],
-    dy_xhat: (&[f32], &[f32]),
-    gamma_std: (&[f32], &[f32]),
-    sums: (&[f32], &[f32]),
-    dx: &mut Vec<f32>,
-) {
-    super::scalar::bn_input_grad(dims, dy_xhat, gamma_std, sums, dx)
 }

@@ -11,7 +11,8 @@
 //! where profitable, one SIMD implementation: the packed GEMM core in
 //! `gemm`, written once over a lane trait and instantiated at ymm
 //! (AVX2) and zmm (AVX-512F) width, and the AVX2 bodies of everything
-//! else in `avx2`.
+//! else in `avx2` — for the elementwise maps and batch norm's passes,
+//! the scalar source itself compiled with AVX2 enabled.
 //!
 //! # Dispatch
 //!
@@ -25,8 +26,10 @@
 //!   [`Backend::Avx2`] when it has `avx2`.
 //! * Every other architecture always takes the scalar path.
 //!
-//! Both SIMD backends run the same AVX2 elementwise, packing and
-//! quantizer bodies; they differ in the GEMMs only. Under `Avx512` a
+//! Both SIMD backends run the same AVX2 bodies outside the GEMMs: the
+//! elementwise maps and batch norm's passes compiled from their scalar
+//! source, the packing, quantizer, decode, `col2im` and channel-sum
+//! kernels written by hand. They differ in the GEMMs only. Under `Avx512` a
 //! GEMM whose `n` fills at least one 128-column zmm panel runs the zmm
 //! instance and a narrower one the ymm instance (zero-padding a narrow
 //! `n` out to 16 lanes costs more than the wider vectors save).
@@ -59,8 +62,10 @@
 //! where the reference has a NaN, every other value bit-equal.
 //!
 //! Tail handling: vector bodies process the largest lane-width multiple
-//! and fall back to the scalar loop for the remainder, so
-//! non-multiple-of-8 lengths exercise both paths in one call.
+//! and fall back to a scalar loop for the remainder — the reference's
+//! own loop in a hand-written body, the compiler's remainder loop in a
+//! compiled one — so non-multiple-of-8 lengths exercise both paths in
+//! one call.
 //!
 //! # Write or accumulate
 //!
@@ -95,8 +100,9 @@ use crate::Conv2dGeom;
 pub enum Backend {
     /// Portable scalar reference implementations.
     Scalar,
-    /// Hand-written AVX2 (`std::arch`) implementations; GEMMs at ymm
-    /// width.
+    /// AVX2: the elementwise maps compiled from their scalar source at
+    /// ymm width, the other kernels hand-written (`std::arch`); GEMMs at
+    /// ymm width.
     Avx2,
     /// The AVX2 implementations, with GEMMs at zmm width (AVX-512F)
     /// where `n` fills a zmm panel.
@@ -199,11 +205,10 @@ pub fn add_into(out: &mut [f32], a: &[f32], b: &[f32]) {
 }
 
 /// `out[i] = 0.0 + x[i]`: one pass for `out.fill(0.0)` followed by
-/// [`add_assign`], same bits. Scalar in every backend — two streams and
-/// one add, which the compiler vectorizes as it stands.
+/// [`add_assign`], same bits.
 pub fn zero_add(out: &mut [f32], x: &[f32]) {
     assert_eq!(out.len(), x.len(), "kernel::zero_add length mismatch");
-    scalar::zero_add(out, x)
+    dispatch!(avx2::zero_add(out, x), scalar::zero_add(out, x))
 }
 
 /// `out[i] = a[i] + alpha * b[i]`.
@@ -342,9 +347,9 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// Whether stride-1 geometry `g` keeps the image's size (`2·pad + 1 = k`
 /// both ways) on an image at least as large as the kernel: then every
 /// row `(c, ki, kj)` of the column matrix is the channel's plane shifted
-/// by `(ki − pad)·w + (kj − pad)`, and the SIMD backends move it whole.
-/// Strided geometries and images smaller than the kernel take the row
-/// path.
+/// by `(ki − pad)·w + (kj − pad)`, and the SIMD backends' [`col2im`]
+/// adds it whole. Strided geometries and images smaller than the kernel
+/// take the row path.
 #[cfg(target_arch = "x86_64")]
 fn shifts_planes(g: &Conv2dGeom) -> bool {
     g.stride == 1 && g.out_h() == g.h && g.out_w() == g.w && g.h >= g.kh && g.w >= g.kw
@@ -356,12 +361,11 @@ fn shifts_planes(g: &Conv2dGeom) -> bool {
 /// written — padding taps as `0.0` — so the buffer can be reused across
 /// calls without clearing.
 ///
-/// The scalar backend unrolls output row by output row
-/// ([`scalar::im2col_into`]). On the SIMD backends, a stride-1 geometry
-/// that keeps the image's size (`2·pad + 1 = k`, an image at least as
-/// large as the kernel) has its rows copied as whole shifted planes,
-/// with `0.0` in the columns that wrapped into a neighbouring image row
-/// — the same bits.
+/// Every backend unrolls output row by output row
+/// ([`scalar::im2col_into`]): no training path writes a column matrix
+/// ([`conv_forward`] and [`conv_weight_grad`] read it from the image),
+/// so this is the explicit reference those two are checked and timed
+/// against.
 pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
     g.validate();
     assert_eq!(img.len(), g.c * g.h * g.w, "image size mismatch");
@@ -370,12 +374,6 @@ pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
         g.col_rows() * g.col_cols(),
         "column size mismatch"
     );
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() && shifts_planes(g) {
-        // SAFETY: `simd_active()` implies AVX2 was runtime-detected; the
-        // sizes are asserted above and the geometry checked.
-        return unsafe { avx2::im2col_planes(img, g, dst) };
-    }
     scalar::im2col_into(img, g, dst)
 }
 
@@ -387,7 +385,7 @@ pub fn im2col_into(img: &[f32], g: &Conv2dGeom, dst: &mut [f32]) {
 ///
 /// The scalar backend adds output row by output row
 /// ([`scalar::col2im`]); the SIMD backends add a size-keeping
-/// geometry's rows (as in [`im2col_into`]) as whole shifted planes,
+/// geometry's rows (see `shifts_planes`) as whole shifted planes,
 /// blending the wrapped columns back to their old bits.
 pub fn col2im(col: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
     g.validate();

@@ -9,6 +9,11 @@
 //! executed, hoisted into one place so there is exactly one reference
 //! implementation of each primitive.
 //!
+//! The elementwise maps and batch norm's two passes are also the AVX2
+//! backend's code: they are `#[inline(always)]`, and `avx2` compiles
+//! each one again inside a function with AVX2 enabled, so one source
+//! serves both backends.
+//!
 //! The module is public so tests and benches can pin a path explicitly
 //! (bit-identity proptests compare these against the dispatched entry
 //! points; `cdsgd-bench` reports scalar-vs-SIMD for the same buffer).
@@ -23,6 +28,7 @@ use crate::Conv2dGeom;
 // ---------------------------------------------------------------------------
 
 /// `y[i] += alpha * x[i]`.
+#[inline(always)]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, &xi) in y.iter_mut().zip(x) {
@@ -31,6 +37,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 /// `y[i] *= s`.
+#[inline(always)]
 pub fn scale(y: &mut [f32], s: f32) {
     for v in y {
         *v *= s;
@@ -38,6 +45,7 @@ pub fn scale(y: &mut [f32], s: f32) {
 }
 
 /// `y[i] += x[i]`.
+#[inline(always)]
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, &xi) in y.iter_mut().zip(x) {
@@ -46,6 +54,7 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
 }
 
 /// `y[i] += b` (row-bias broadcast add).
+#[inline(always)]
 pub fn add_scalar(y: &mut [f32], b: f32) {
     for v in y {
         *v += b;
@@ -53,6 +62,7 @@ pub fn add_scalar(y: &mut [f32], b: f32) {
 }
 
 /// `out[i] = a[i] + b[i]` (residual accumulate into a scratch buffer).
+#[inline(always)]
 pub fn add_into(out: &mut [f32], a: &[f32], b: &[f32]) {
     debug_assert_eq!(out.len(), a.len());
     debug_assert_eq!(out.len(), b.len());
@@ -64,6 +74,7 @@ pub fn add_into(out: &mut [f32], a: &[f32], b: &[f32]) {
 /// `out[i] = 0.0 + x[i]` — the bits `out.fill(0.0)` then [`add_assign`]
 /// leave (a `-0.0` comes out `+0.0`), in one pass: how a server round
 /// stores its first raw payload into the aggregation buffer.
+#[inline(always)]
 pub fn zero_add(out: &mut [f32], x: &[f32]) {
     debug_assert_eq!(out.len(), x.len());
     for (o, &xv) in out.iter_mut().zip(x) {
@@ -72,6 +83,7 @@ pub fn zero_add(out: &mut [f32], x: &[f32]) {
 }
 
 /// `out[i] = a[i] + alpha * b[i]` (out-of-place axpy).
+#[inline(always)]
 pub fn scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]) {
     debug_assert_eq!(out.len(), a.len());
     debug_assert_eq!(out.len(), b.len());
@@ -84,6 +96,7 @@ pub fn scale_add(out: &mut [f32], a: &[f32], alpha: f32, b: &[f32]) {
 /// eq. 10) and the second half of heavy-ball. Kept as its own primitive
 /// (rather than `scale_add` with `-step`) so the expression tree matches
 /// the historical loop exactly even for NaN payload propagation.
+#[inline(always)]
 pub fn sgd_step(out: &mut [f32], w: &[f32], g: &[f32], step: f32) {
     debug_assert_eq!(out.len(), w.len());
     debug_assert_eq!(out.len(), g.len());
@@ -94,6 +107,7 @@ pub fn sgd_step(out: &mut [f32], w: &[f32], g: &[f32], step: f32) {
 
 /// `v[i] = mu * v[i] + g[i]` — momentum/velocity decay-accumulate
 /// (heavy-ball, Nesterov, and DGC momentum correction all use it).
+#[inline(always)]
 pub fn decay_add(v: &mut [f32], mu: f32, g: &[f32]) {
     debug_assert_eq!(v.len(), g.len());
     for (vi, &gi) in v.iter_mut().zip(g) {
@@ -103,6 +117,7 @@ pub fn decay_add(v: &mut [f32], mu: f32, g: &[f32]) {
 
 /// `out[i] = w[i] - step * (g[i] + mu * v[i])` — the Nesterov look-ahead
 /// step, fused so no scratch buffer is needed.
+#[inline(always)]
 pub fn nesterov_step(out: &mut [f32], w: &[f32], g: &[f32], v: &[f32], step: f32, mu: f32) {
     debug_assert_eq!(out.len(), w.len());
     debug_assert_eq!(out.len(), g.len());
@@ -335,6 +350,7 @@ pub fn threshold_scan_residual(grad: &[f32], thr: f32, symbols: &mut [u8], res: 
 /// corrected[i]` directly and writes the remainder into `res` (used by
 /// the adaptive codec, whose threshold depends on `corrected` as a
 /// whole).
+#[inline(always)]
 pub fn threshold_scan_store(corrected: &[f32], thr: f32, symbols: &mut [u8], res: &mut [f32]) {
     debug_assert_eq!(corrected.len(), symbols.len());
     debug_assert_eq!(corrected.len(), res.len());
@@ -399,6 +415,7 @@ pub fn quantize_2bit(grad: &[f32], thr: f32, mut res: Option<&mut [f32]>, packed
 
 /// 1-bit sign scan with residual update: `bits[i] = x >= 0.0` (NaN →
 /// `false`), quantum `±scale`, `res[i] = x - q`.
+#[inline(always)]
 pub fn sign_residual(corrected: &[f32], scale: f32, bits: &mut [bool], res: &mut [f32]) {
     debug_assert_eq!(corrected.len(), bits.len());
     debug_assert_eq!(corrected.len(), res.len());

@@ -17,6 +17,7 @@
 use cdsgd_tensor::kernel::{self, scalar};
 use cdsgd_tensor::{col2im, im2col_into, Conv2dGeom};
 use proptest::prelude::*;
+use std::hint::black_box;
 
 const SPECIALS: [f32; 8] = [
     f32::NAN,
@@ -83,8 +84,11 @@ fn assert_same_values(got: &[f32], want: &[f32], what: &str) {
 }
 
 /// Lengths that pin down the edge cases: empty, single element, one
-/// short of / exactly / one past each vector width boundary.
-const EDGE_LENS: [usize; 10] = [0, 1, 3, 7, 8, 9, 15, 31, 32, 33];
+/// short of / exactly / one past each vector width boundary — 8 and 32
+/// for the hand-written AVX2 bodies, and the 32- and 64-element bodies
+/// (and their remainder loops) the compiler makes of a scalar map at
+/// ymm width and under `-C target-cpu=native`.
+const EDGE_LENS: [usize; 16] = [0, 1, 3, 7, 8, 9, 15, 31, 32, 33, 63, 64, 65, 127, 128, 129];
 
 proptest! {
     #[test]
@@ -381,17 +385,157 @@ proptest! {
     }
 }
 
-/// Pin the exact boundary lengths (empty, 1, ±1 around the 8/32 lane
-/// multiples) that random lengths only hit probabilistically.
+/// The operands of one [`elementwise_table`] row: three vectors of one
+/// length, every third element a [`SPECIALS`] value, and the scalars
+/// `a`, `b` the rows pass as coefficients.
+///
+/// The scalars go through `black_box`, so both bodies take them at run
+/// time, as every program call does. A literal would be folded into the
+/// inlined reference: LLVM may rewrite `w - 0.1·x` as `w + (−0.1)·x`
+/// and then swap the operands of that add, which picks the other
+/// payload when `w` and `x` are both NaN.
+struct Operands {
+    x: Vec<f32>,
+    y: Vec<f32>,
+    z: Vec<f32>,
+    a: f32,
+    b: f32,
+}
+
+impl Operands {
+    fn new(len: usize) -> Self {
+        let with_specials = |seed: u64| {
+            let mut v = fill(seed, len, true);
+            for (i, x) in v.iter_mut().enumerate().step_by(3) {
+                *x = SPECIALS[(i / 3 + seed as usize) % SPECIALS.len()];
+            }
+            v
+        };
+        let seed = len as u64 * 3;
+        Self {
+            x: with_specials(seed + 11),
+            y: with_specials(seed + 12),
+            z: with_specials(seed + 13),
+            a: black_box(0.1),
+            b: black_box(0.9),
+        }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `(name, dispatched, scalar)` rows for every kernel whose AVX2 body is
+/// its scalar source compiled again: each row runs one body on
+/// [`Operands`] and returns the bits of everything it wrote, in the
+/// order written. In the body, written once and expanded for both,
+/// `k` names the path: `kernel` (dispatched) or `scalar`.
+macro_rules! elementwise_table {
+    ($($name:literal: |$o:ident, $n:ident| $body:expr;)*) => {
+        [$((
+            $name,
+            (|$o: &Operands| { use kernel as k; let $n = $o.x.len(); $body })
+                as fn(&Operands) -> Vec<u32>,
+            (|$o: &Operands| { use scalar as k; let $n = $o.x.len(); $body })
+                as fn(&Operands) -> Vec<u32>,
+        )),*]
+    };
+}
+
+/// Pin the exact boundary lengths (empty, 1, ±1 around the 8/32/64
+/// lane multiples) that random lengths only hit probabilistically: every
+/// compiled elementwise kernel against its scalar reference, with
+/// specials, strict bit equality; then the hand-written `dot`,
+/// `pack_2bit` and `quantize_2bit`.
 #[test]
 fn edge_lengths_elementwise() {
+    let table = elementwise_table! {
+        "axpy": |o, _n| {
+            let mut y = o.y.clone();
+            k::axpy(o.a, &o.x, &mut y);
+            bits(&y)
+        };
+        "scale": |o, _n| {
+            let mut y = o.y.clone();
+            k::scale(&mut y, o.a);
+            bits(&y)
+        };
+        "add_assign": |o, _n| {
+            let mut y = o.y.clone();
+            k::add_assign(&mut y, &o.x);
+            bits(&y)
+        };
+        "add_scalar": |o, _n| {
+            let mut y = o.y.clone();
+            k::add_scalar(&mut y, o.a);
+            bits(&y)
+        };
+        "add_into": |o, n| {
+            let mut out = vec![f32::NAN; n];
+            k::add_into(&mut out, &o.x, &o.y);
+            bits(&out)
+        };
+        "zero_add": |o, n| {
+            let mut out = vec![f32::NAN; n];
+            k::zero_add(&mut out, &o.x);
+            bits(&out)
+        };
+        "scale_add": |o, n| {
+            let mut out = vec![f32::NAN; n];
+            k::scale_add(&mut out, &o.x, o.a, &o.y);
+            bits(&out)
+        };
+        "sgd_step": |o, n| {
+            let mut out = vec![f32::NAN; n];
+            k::sgd_step(&mut out, &o.x, &o.y, o.a);
+            bits(&out)
+        };
+        "decay_add": |o, _n| {
+            let mut v = o.y.clone();
+            k::decay_add(&mut v, o.b, &o.x);
+            bits(&v)
+        };
+        "nesterov_step": |o, n| {
+            let mut out = vec![f32::NAN; n];
+            k::nesterov_step(&mut out, &o.x, &o.y, &o.z, o.a, o.b);
+            bits(&out)
+        };
+        "threshold_scan_store": |o, n| {
+            let (mut symbols, mut res) = (vec![9u8; n], o.y.clone());
+            k::threshold_scan_store(&o.x, o.b, &mut symbols, &mut res);
+            symbols.iter().map(|&s| s as u32).chain(bits(&res)).collect()
+        };
+        "sign_residual": |o, n| {
+            let (mut signs, mut res) = (vec![true; n], o.y.clone());
+            k::sign_residual(&o.x, o.a, &mut signs, &mut res);
+            signs.iter().map(|&s| s as u32).chain(bits(&res)).collect()
+        };
+        "bn_normalize": |o, n| {
+            let (mut out, mut xhat) = (vec![-0.0], vec![f32::NAN; n]);
+            let stats = ((&[o.a][..], &[o.b][..]), (&[o.b][..], &[o.a][..]));
+            k::bn_normalize([1, 1, n], &o.x, stats.0, stats.1, Some(&mut xhat), &mut out);
+            bits(&out).into_iter().chain(bits(&xhat)).collect()
+        };
+        "bn_input_grad": |o, n| {
+            let mut dx = vec![-0.0];
+            let per_channel = ((&[o.b][..], &[o.a][..]), (&[o.a][..], &[o.b][..]));
+            k::bn_input_grad([1, 1, n], (&o.x, &o.y), per_channel.0, per_channel.1, &mut dx);
+            bits(&dx)
+        };
+    };
     for &len in &EDGE_LENS {
+        let operands = Operands::new(len);
+        for (name, dispatched, reference) in &table {
+            assert_eq!(
+                dispatched(&operands),
+                reference(&operands),
+                "{name} edge len {len}"
+            );
+        }
+
         let x = fill(len as u64 + 11, len, true);
-        let mut a = fill(len as u64 + 13, len, true);
-        let mut b = a.clone();
-        kernel::axpy(1.5, &x, &mut a);
-        scalar::axpy(1.5, &x, &mut b);
-        assert_bits_eq(&a, &b, "axpy edge");
+        let a = fill(len as u64 + 13, len, true);
 
         assert!(
             same_value(kernel::dot(&x, &a), scalar::dot(&x, &a)),
@@ -710,8 +854,8 @@ fn batchnorm_passes_match_the_scalar_body() {
 }
 
 /// Every stride-1 geometry over images 1×1 to 5×7, kernels 1/3/5 and
-/// padding 0–2 (the size-keeping ones take the shifted-plane path on
-/// the SIMD backends, the rest the row path), stride 2 beside them, and
+/// padding 0–2 (the size-keeping ones take `col2im`'s shifted-plane
+/// path on the SIMD backends, the rest the row path), stride 2 beside them, and
 /// ResNet-8's three size-keeping convolutions.
 fn unroll_geometries() -> Vec<Conv2dGeom> {
     let mut geoms = Vec::new();
@@ -747,20 +891,6 @@ fn unroll_geometries() -> Vec<Conv2dGeom> {
         });
     }
     geoms
-}
-
-/// The unroll writes every element (the buffer starts as NaN) with the
-/// row path's bits, padding taps as `+0.0`.
-#[test]
-fn im2col_into_matches_the_row_path() {
-    for g in unroll_geometries() {
-        let img = fill(g.h as u64 * 31 + g.w as u64, g.c * g.h * g.w, true);
-        let len = g.col_rows() * g.col_cols();
-        let (mut got, mut want) = (vec![f32::NAN; len], vec![f32::NAN; len]);
-        im2col_into(&img, &g, &mut got);
-        scalar::im2col_into(&img, &g, &mut want);
-        assert_bits_eq(&got, &want, &format!("im2col_into {g:?}"));
-    }
 }
 
 /// The scatter-add into an image pre-filled with `-0.0`, NaN and

@@ -258,6 +258,21 @@ if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/dense.rs | grep -n 'fill_zero'; then
     exit 1
 fi
 
+# One source per elementwise kernel (DESIGN.md §15): a kernel that maps
+# each element on its own gets its AVX2 body by compiling the scalar
+# reference again, through the one `compiled_for_avx2!` list in
+# kernel/avx2.rs. The program half of that file may define none of them
+# by hand, and the SIMD im2col that no program path called may not grow
+# back.
+echo "==> kernel/avx2.rs defines no elementwise kernel by hand and no SIMD im2col"
+if sed '/^#\[cfg(test)\]/,$d' crates/tensor/src/kernel/avx2.rs | grep -nE \
+    -e '\bfn (axpy|scale|add_assign|add_scalar|add_into|zero_add|scale_add|sgd_step)\b' \
+    -e '\bfn (decay_add|nesterov_step|threshold_scan_store|threshold_core|sign_residual)\b' \
+    -e '\bfn (bn_normalize|bn_input_grad)\b' -e 'im2col_planes'; then
+    echo "ERROR: kernel/avx2.rs writes an elementwise kernel by hand or unrolls im2col; list it in compiled_for_avx2!" >&2
+    exit 1
+fi
+
 # Layer workspaces (DESIGN.md §15): Conv2d keeps its input and one
 # reused column-gradient buffer, and reads its column matrices from the
 # image inside the GEMM (kernel::conv_forward, kernel::conv_weight_grad):
@@ -321,11 +336,11 @@ if grep -l "cdsgd-telemetry" crates/compress/Cargo.toml crates/tensor/Cargo.toml
     exit 1
 fi
 
-# The criterion benches (crates/bench/benches/, `harness = false`) are
-# built by neither `cargo build` nor `cargo test`, yet they sit on the
-# public API (`Trainer`, `Telemetry`, the `GradientCompressor` trait,
-# `kernel::scalar`): compile them, run nothing, so a stale bench fails
-# here instead of rotting.
+# The criterion bench (crates/bench/benches/telemetry_overhead.rs,
+# `harness = false`) is built by neither `cargo build` nor `cargo test`,
+# yet it sits on the public API (`Trainer`, `Telemetry`, the sinks):
+# compile it, run nothing, so a stale bench fails here instead of
+# rotting.
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
@@ -358,6 +373,16 @@ run_tests cargo test --release -q --test strategy_equivalence --test kernel_pari
 # target-feature-dependent compile errors the portable build skips.
 echo "==> RUSTFLAGS='-C target-cpu=native' cargo build --release"
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native cargo build --release
+
+# With one source per elementwise kernel, compiler flags are the only
+# thing that can split an AVX2 body from its scalar reference: both are
+# compiled again here with the host's vector widths and instructions, so
+# the identity suites and the backend-parity hash run in that build too.
+echo "==> RUSTFLAGS='-C target-cpu=native' cargo test --release -q: kernel_identity, kernel_parity"
+run_tests env RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+    cargo test --release -q -p cdsgd-tensor --test kernel_identity
+run_tests env RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+    cargo test --release -q --test kernel_parity
 
 # The benchmark package (benchmark/, BENCHMARK.json) is its own
 # workspace, so the passes above never reach it: its unit tests and the
