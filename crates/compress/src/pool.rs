@@ -11,7 +11,7 @@
 //! all.
 //!
 //! Cloning a `BufferPool` is cheap and shares the underlying free lists,
-//! which is how the server thread and all worker threads exchange
+//! which is how the parameter server and all worker threads exchange
 //! buffers. Each free list is capped so a burst of in-flight payloads
 //! cannot pin memory forever: at what two aggregate rounds can hold
 //! ([`BufferPool::for_round`]), and at no fewer than 64 buffers.

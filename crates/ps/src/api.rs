@@ -38,8 +38,9 @@ pub trait ParamClient: Send + Sync {
     /// payload storage recycles round over round.
     fn pool(&self) -> &BufferPool;
 
-    /// Push a gradient payload for `key` on behalf of `worker`.
-    /// Non-blocking: aggregation happens on the server.
+    /// Push a gradient payload for `key` on behalf of `worker`. Waits
+    /// for no reply; to a server in this process, the push whose
+    /// arrival completes a round runs its aggregation on this thread.
     fn push(&self, worker: usize, key: Key, payload: Compressed) -> Result<(), NetError> {
         let (worker, key) = (wire_id(worker), wire_id(key));
         self.request(WireMsg::Push {
@@ -220,8 +221,8 @@ pub trait PsBackend {
     fn shutdown(self: Box<Self>);
 }
 
-/// The classic single-process deployment: one [`ParamServer`] thread in
-/// the trainer's own process, clients talking over channels.
+/// The classic single-process deployment: one [`ParamServer`] in the
+/// trainer's own process, run by the worker threads that use it.
 pub struct InProcessBackend {
     ps: ParamServer,
 }

@@ -1,12 +1,14 @@
-//! Worker-side client handle.
+//! Worker-side client handle: [`PsClient`] runs a shard in this process
+//! on the caller's thread, and so does its [`PendingReply`] while the
+//! answer is not ready (`crate::server::ShardHost`).
 
 use crate::api::ParamClient;
-use crate::link::{self, Link};
 use crate::remote::Reissue;
+use crate::server::ShardHost;
 use cdsgd_compress::BufferPool;
-use cdsgd_net::wire::{answered, push_frame_bytes, WireMsg};
+use cdsgd_net::wire::{answered, WireMsg};
 use cdsgd_net::{NetError, Waker};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -18,13 +20,7 @@ pub(crate) type Answer = Result<WireMsg, NetError>;
 /// its receiver (`None`: at once).
 pub(crate) type Delivery = (Answer, Option<Instant>);
 
-/// A request as the shard thread receives it: the connection it arrived
-/// on (0 = in-process), the message, where the answer goes for the kinds
-/// the shard answers, and — for a push on an emulated link — the instant
-/// the link finishes carrying it.
-pub(crate) type Request = (u64, WireMsg, Option<ReplyTx>, Option<Instant>);
-
-/// The sending half of an answer the server thread owes a requester.
+/// The sending half of an answer the shard owes a requester.
 ///
 /// A requester that blocks on the receiver needs nothing more. An event
 /// loop that parks in `poll(2)` instead passes its [`Waker`] along, and
@@ -48,54 +44,25 @@ impl Drop for WakeOnDrop {
 }
 
 impl ReplyTx {
+    /// For a message the shard answers, where its answer goes and the
+    /// receiver it arrives on; `waker` is the requester's event loop, if
+    /// it has one.
+    pub(crate) fn pair(
+        msg: &WireMsg,
+        waker: Option<&Waker>,
+    ) -> (Option<ReplyTx>, Option<Receiver<Delivery>>) {
+        if !answered(msg) {
+            return (None, None);
+        }
+        let (tx, rx) = mpsc::sync_channel(1);
+        let _wake = waker.cloned().map(WakeOnDrop);
+        (Some(ReplyTx { tx, _wake }), Some(rx))
+    }
+
     /// Deliver the answer, due at `at` (a requester that stopped waiting
     /// is fine).
     pub(crate) fn send(self, answer: Answer, at: Option<Instant>) {
         let _ = self.tx.send((answer, at));
-    }
-}
-
-/// The sending half of a shard thread's request channel, and the shard's
-/// emulated link, which every push books on its way in.
-#[derive(Clone)]
-pub(crate) struct ShardTx {
-    tx: Sender<Request>,
-    link: Arc<Link>,
-}
-
-impl ShardTx {
-    pub(crate) fn new(tx: Sender<Request>, link: Arc<Link>) -> Self {
-        Self { tx, link }
-    }
-
-    /// Hand `msg` from connection `conn` to the shard. A push books its
-    /// frame on the link and joins the channel under the same hold, so
-    /// channel order is link order. For a message the shard answers, the
-    /// receiver its answer arrives on; `waker` is the requester's event
-    /// loop, if it has one.
-    pub(crate) fn send(
-        &self,
-        conn: u64,
-        msg: WireMsg,
-        waker: Option<&Waker>,
-    ) -> Result<Option<Receiver<Delivery>>, NetError> {
-        let (reply, rx) = if answered(&msg) {
-            let (tx, rx) = mpsc::sync_channel(1);
-            let _wake = waker.cloned().map(WakeOnDrop);
-            (Some(ReplyTx { tx, _wake }), Some(rx))
-        } else {
-            (None, None)
-        };
-        match &msg {
-            WireMsg::Push { payload, .. } => {
-                let bytes = push_frame_bytes(payload.wire_bytes());
-                self.link
-                    .reserve_then(bytes, |at| self.tx.send((conn, msg, reply, at)))
-            }
-            _ => self.tx.send((conn, msg, reply, None)),
-        }
-        .map_err(|_| NetError::ServerGone)?;
-        Ok(rx)
     }
 }
 
@@ -117,11 +84,18 @@ pub struct PendingReply {
     /// Set on a pull through a [`crate::net::ReconnectingClient`]: what
     /// issues it again if its connection dies before the reply.
     pub(crate) reissue: Option<Reissue>,
+    /// Set on a request to a shard in this process: the shard this
+    /// waiter runs until its answer comes.
+    host: Option<Arc<ShardHost>>,
 }
 
 impl PendingReply {
     pub(crate) fn new(rx: Receiver<Delivery>) -> Self {
-        Self { rx, reissue: None }
+        Self {
+            rx,
+            reissue: None,
+            host: None,
+        }
     }
 
     /// A reply that is already here: what a layer that assembles one
@@ -139,10 +113,18 @@ impl PendingReply {
     /// deadline) if the server answered but the request failed. Through a
     /// [`crate::net::ReconnectingClient`], a pull whose connection died
     /// is redialed and issued again by this call. Behind an emulated
-    /// link, it returns once the link has carried the reply.
+    /// link, it returns once the link has carried the reply. Waiting on a
+    /// shard in this process runs it: the deliveries of its link and its
+    /// round deadline and liveness timers need no other thread.
     pub fn wait(&self) -> Result<WireMsg, NetError> {
-        let (got, at) = self.rx.recv().unwrap_or((Err(NetError::ServerGone), None));
-        link::wait_until(at);
+        let got = match &self.host {
+            Some(host) => host.wait(&self.rx),
+            // A reply read off a connection has been carried already.
+            None => self
+                .rx
+                .recv()
+                .map_or(Err(NetError::ServerGone), |(got, _)| got),
+        };
         match &self.reissue {
             None => got,
             Some(reissue) => reissue.settle(got),
@@ -167,30 +149,27 @@ impl PendingPull {
 }
 
 /// A cloneable, thread-safe handle for talking to a [`crate::ParamServer`]
-/// in this process: each request goes to the server thread's channel.
-/// A dead server surfaces as [`NetError::ServerGone`] instead of a
+/// in this process: each request runs the shard on the calling thread.
+/// A stopped server surfaces as [`NetError::ServerGone`] instead of a
 /// worker-thread panic.
 #[derive(Clone)]
 pub struct PsClient {
-    shard: ShardTx,
-    pool: BufferPool,
-}
-
-impl PsClient {
-    pub(crate) fn new(shard: ShardTx, pool: BufferPool) -> Self {
-        Self { shard, pool }
-    }
+    pub(crate) shard: Arc<ShardHost>,
 }
 
 impl ParamClient for PsClient {
     fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
-        Ok(self.shard.send(0, msg, None)?.map(PendingReply::new))
+        let rx = self.shard.send(0, msg, None)?;
+        Ok(rx.map(|rx| PendingReply {
+            host: Some(Arc::clone(&self.shard)),
+            ..PendingReply::new(rx)
+        }))
     }
 
     /// The payload buffer pool shared with the server, so each push
     /// reuses storage the server recycled after decoding earlier rounds.
     fn pool(&self) -> &BufferPool {
-        &self.pool
+        &self.shard.pool
     }
 }
 

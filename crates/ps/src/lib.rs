@@ -4,9 +4,10 @@
 //! semantics — the substrate standing in for the paper's PS architecture
 //! over InfiniBand (DESIGN.md §2).
 //!
-//! * One server thread owns the global weights, sharded by integer key
-//!   (one key per layer parameter). It only moves messages: every decision
-//!   — aggregation, the pull window, membership, deadlines — is made by
+//! * One lock guards the global weights, sharded by integer key (one key
+//!   per layer parameter), and the thread that delivers a message runs
+//!   them: the server has no thread of its own. Every decision —
+//!   aggregation, the pull window, membership, deadlines — is made by
 //!   an I/O-free shard core that takes [`cdsgd_net::wire::WireMsg`]s,
 //!   the one request vocabulary of the in-process client, `psd` and the
 //!   wire alike, and is tested under seeded schedules on a fake clock.

@@ -6,12 +6,14 @@
 //! starting when it is booked or when the transfer booked before it
 //! ends, whichever is later — `max(now, free_at) + bytes / bandwidth` —
 //! and its receiver waits until the booked end. No thread sleeps on the
-//! link's behalf: the shard thread decodes, sums and steps while the
+//! link's behalf: a push waits in its shard's in-flight queue
+//! (`crate::server`) until the first thread to run the shard after its
+//! booked end delivers it, that thread decodes, sums and steps while the
 //! link carries the next transfer, and a waiter that wakes late delays
 //! itself, never the schedule.
 
 use crate::server::ServerConfig;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A shard's emulated link (see the module docs). Without emulation
@@ -35,41 +37,21 @@ impl Link {
     /// Book `bytes` on the link: the instant their transfer ends, or
     /// `None` without emulation.
     pub(crate) fn reserve(&self, bytes: usize) -> Option<Instant> {
-        self.reserve_then(bytes, |at| at)
-    }
-
-    /// Book `bytes` and hand the booked end to `then` while the link is
-    /// still held, so whatever `then` enqueues lands in booking order.
-    pub(crate) fn reserve_then<R>(
-        &self,
-        bytes: usize,
-        then: impl FnOnce(Option<Instant>) -> R,
-    ) -> R {
         if self.delay_per_byte == 0.0 {
-            return then(None);
+            return None;
         }
-        let mut free_at = self.free_at.lock().expect("link poisoned");
+        // The one critical section cannot panic.
+        let mut free_at = self.free_at.lock().unwrap_or_else(PoisonError::into_inner);
         let start = (*free_at).max(Instant::now());
         *free_at = start + Duration::from_secs_f64(self.delay_per_byte * bytes as f64);
-        then(Some(*free_at))
-    }
-}
-
-/// Block until `at`, the end a transfer was booked for: at once for
-/// `None` or an instant already past.
-pub(crate) fn wait_until(at: Option<Instant>) {
-    if let Some(left) = at.and_then(|at| at.checked_duration_since(Instant::now())) {
-        std::thread::sleep(left);
+        Some(*free_at)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ShardTx;
-    use cdsgd_compress::Compressed;
-    use cdsgd_net::wire::{push_frame_bytes, WireMsg};
-    use std::sync::{mpsc, Arc, Barrier};
+    use std::sync::{Arc, Barrier};
 
     fn link(delay_per_byte: f64) -> Link {
         let mut cfg = ServerConfig::new(1, 1.0);
@@ -129,48 +111,5 @@ mod tests {
             );
             prev_end = Some(end);
         }
-    }
-
-    #[test]
-    fn a_push_takes_its_channel_place_in_booking_order() {
-        let (tx, rx) = mpsc::channel();
-        let shard = ShardTx::new(tx, Arc::new(link(1e-6)));
-        let threads: Vec<_> = (0..4)
-            .map(|worker| {
-                let shard = shard.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..50 {
-                        let payload = Compressed::Raw(vec![0.0; 1 + worker as usize]);
-                        let push = WireMsg::Push {
-                            worker,
-                            key: 0,
-                            payload,
-                        };
-                        shard.send(0, push, None).unwrap();
-                    }
-                })
-            })
-            .collect();
-        threads.into_iter().for_each(|t| t.join().unwrap());
-        drop(shard);
-        let mut prev: Option<Instant> = None;
-        let mut received = 0;
-        for (_, msg, _, at) in rx {
-            let WireMsg::Push { payload, .. } = msg else {
-                panic!("only pushes were sent")
-            };
-            let at = at.expect("an emulated link books every push");
-            let lasts =
-                Duration::from_secs_f64(1e-6 * push_frame_bytes(payload.wire_bytes()) as f64);
-            if let Some(prev) = prev {
-                assert!(
-                    at >= prev + lasts,
-                    "a push sits in the channel ahead of an earlier booking"
-                );
-            }
-            prev = Some(at);
-            received += 1;
-        }
-        assert_eq!(received, 200);
     }
 }

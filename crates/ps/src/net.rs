@@ -17,14 +17,18 @@
 //! constant thread count. An I/O thread blocks in exactly one place —
 //! `poll(2)` over its wake pipe plus the descriptor of every socket it
 //! owns — so an idle server makes no passes at all, and a busy one adds
-//! no latency floor of its own. Whatever can create work without
-//! touching one of those sockets writes the wake pipe: the shard thread
-//! resolving a parked pull/snapshot/register/checkpoint reply (the reply
-//! sender carries the waker — see `ReplyTx`), [`PsNetServer::attach`] and
-//! [`PsNetServer::shutdown`]. Every connection, loopback or TCP, is a
-//! descriptor in that set. The wait is level-triggered, so work that
-//! appears between a pass and the wait that follows it ends that wait at
-//! once.
+//! no latency floor of its own. The I/O thread that lands a frame runs
+//! the shard on it, under the shard's one lock (`crate::server`), and
+//! its wait is bounded by the shard's next due instant too — the next
+//! push the emulated link delivers, or the next tick of its round
+//! deadline and liveness timers. Whatever can create work without
+//! touching one of those sockets writes the wake pipe: the thread that
+//! runs the shard resolving a parked pull/snapshot/register/checkpoint
+//! reply (the reply sender carries the waker — see `ReplyTx`),
+//! [`PsNetServer::attach`] and [`PsNetServer::shutdown`]. Every
+//! connection, loopback or TCP, is a descriptor in that set. The wait is
+//! level-triggered, so work that appears between a pass and the wait
+//! that follows it ends that wait at once.
 //!
 //! Each connection keeps a per-connection read buffer and a FIFO of
 //! pending replies with a bounded outbound queue: replies go out in
@@ -43,10 +47,9 @@
 //! per-direction copy table).
 
 use crate::api::{ParamClient, PsBackend};
-use crate::client::{Delivery, ShardTx};
+use crate::client::Delivery;
 use crate::recover::Durability;
-use crate::server::{Outcome, ParamServer, ServerConfig};
-use crate::shard::Admission;
+use crate::server::{ParamServer, ServerConfig, ShardHost};
 use crate::sharded::{partition_keys, ShardedClient};
 use crate::stats::TrafficStats;
 use cdsgd_compress::{BufferPool, Compressed};
@@ -224,9 +227,7 @@ struct IoThread {
 /// [`PsNetServer::io_threads`] event-loop threads — per-connection cost
 /// is a buffer, not a thread pair.
 pub struct PsNetServer {
-    ps: Mutex<Option<ParamServer>>,
-    stats: Arc<TrafficStats>,
-    outcome: Arc<Outcome>,
+    ps: ParamServer,
     stop: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// New connections are handed to I/O threads round-robin.
@@ -244,8 +245,7 @@ pub struct PsNetServer {
 }
 
 impl PsNetServer {
-    /// Start a server thread owning `init` and ready to accept
-    /// connections.
+    /// Start a server owning `init` and ready to accept connections.
     pub fn start(init: Vec<Vec<f32>>, cfg: ServerConfig) -> Arc<Self> {
         Self::start_with(init, cfg, Telemetry::disabled(), Durability::default())
     }
@@ -263,7 +263,6 @@ impl PsNetServer {
         durability: Durability,
     ) -> Arc<Self> {
         let ps = ParamServer::start_with(init, cfg, telemetry, durability);
-        let stats = ps.shared_stats();
         let stop = Arc::new(AtomicBool::new(false));
         #[cfg(test)]
         let passes = Arc::new(AtomicU64::new(0));
@@ -277,9 +276,6 @@ impl PsNetServer {
                 wake: wake_rx,
                 waker: waker.clone(),
                 shard: ps.shard.clone(),
-                admission: ps.admission.clone(),
-                pool: ps.pool().clone(),
-                stats: Arc::clone(&stats),
                 stop: Arc::clone(&stop),
                 #[cfg(test)]
                 passes: Arc::clone(&passes),
@@ -293,10 +289,8 @@ impl PsNetServer {
             );
         }
         Arc::new(Self {
-            stats,
-            outcome: Arc::clone(&ps.outcome),
-            recv_limit: wire::max_inbound_body_bytes(ps.admission.longest_key()),
-            ps: Mutex::new(Some(ps)),
+            recv_limit: wire::max_inbound_body_bytes(ps.shard.admission.longest_key()),
+            ps,
             stop,
             threads: Mutex::new(threads),
             io,
@@ -360,7 +354,7 @@ impl PsNetServer {
     /// Count and report one failed/rejected connection attempt.
     fn reject(&self, err: &NetError) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.stats.telemetry().emit(|| Event::ConnRejected {
+        self.ps.stats().telemetry().emit(|| Event::ConnRejected {
             reason: err.to_string(),
         });
     }
@@ -380,26 +374,27 @@ impl PsNetServer {
     /// The failure that ended aggregation (the inner server's round
     /// deadline fired), if any.
     pub fn failure(&self) -> Option<NetError> {
-        self.outcome.failure()
+        self.ps.failure()
     }
 
     /// Block until some client sends a [`WireMsg::Shutdown`] frame (the
     /// `psd` binary parks its main thread here) — `Ok(())` — or the inner
     /// server's round deadline declares a worker lost — `Err(WorkerLost)`,
     /// so the hosting process can exit nonzero instead of serving a dead
-    /// round forever. The shard thread wakes it either way.
+    /// round forever. Whichever thread runs the shard wakes it either
+    /// way.
     pub fn wait_for_shutdown(&self) -> Result<(), NetError> {
-        self.outcome.wait()
+        self.ps.shard.wait_for_shutdown()
     }
 
     /// Traffic counters (shared with the inner server: protocol-level
     /// push/pull plus transport-level sent/received).
     pub fn stats(&self) -> &TrafficStats {
-        &self.stats
+        self.ps.stats()
     }
 
     /// Stop serving: wake the accept and I/O threads out of their waits
-    /// (they drop all connections), stop the server thread, join them.
+    /// (they drop all connections), stop the shard, join the threads.
     /// Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -409,9 +404,7 @@ impl PsNetServer {
         for io in &self.io {
             io.waker.wake();
         }
-        if let Some(ps) = self.ps.lock().unwrap().take() {
-            ps.shutdown();
-        }
+        self.ps.shard.shutdown();
         let threads = std::mem::take(&mut *self.threads.lock().unwrap());
         for t in threads {
             let _ = t.join();
@@ -426,22 +419,16 @@ impl Drop for PsNetServer {
 }
 
 /// One I/O thread: block until something can have changed, adopt new
-/// connections, then visit every connection — read ready frames,
-/// dispatch to the shard thread, pop resolved replies (FIFO, bounded
-/// outbound queue), flush.
+/// connections, then visit every connection — read ready frames and
+/// run the shard on each, pop resolved replies (FIFO, bounded outbound
+/// queue), flush — and last run the shard on what its link has carried
+/// and on its timers.
 struct IoLoop {
     conns: Receiver<Conn>,
     wake: WakeRx,
     /// This thread's own waker: every answer it is owed ends its wait.
     waker: Waker,
-    shard: ShardTx,
-    /// Checked on every push frame's head, before anything is reserved
-    /// for its payload, and on every push handed on — the only check a
-    /// frame no longer than its head meets. A push that fails it retires
-    /// its connection.
-    admission: Admission,
-    pool: BufferPool,
-    stats: Arc<TrafficStats>,
+    shard: Arc<ShardHost>,
     stop: Arc<AtomicBool>,
     #[cfg(test)]
     passes: Arc<AtomicU64>,
@@ -462,12 +449,12 @@ impl IoLoop {
         else {
             return Bulk::Bytes;
         };
-        match self.admission.push(worker, key, len) {
+        match self.shard.admission.push(worker, key, len) {
             Err(e) => Bulk::Refused(e),
             Ok(_) if raw => Bulk::Landed(WireMsg::Push {
                 worker,
                 key,
-                payload: Compressed::Raw(self.pool.take_f32_len(len)),
+                payload: Compressed::Raw(self.shard.pool.take_f32_len(len)),
             }),
             Ok(_) => Bulk::Bytes,
         }
@@ -477,6 +464,9 @@ impl IoLoop {
         let mut conns: Vec<Conn> = Vec::new();
         let mut head = Vec::new();
         let mut poller = Poller::new();
+        // When the shard must run again: the next push the link delivers,
+        // or its next tick.
+        let mut shard_due = None;
         loop {
             poller.clear();
             poller.add(self.wake.fd(), false);
@@ -487,7 +477,8 @@ impl IoLoop {
                 poller.add(c.fd, c.t.pending_out_bytes() > 0);
             }
             // A held answer ends the wait when the link delivers it.
-            let due = conns.iter().filter_map(|c| c.held.as_ref()?.1).min();
+            let held = conns.iter().filter_map(|c| c.held.as_ref()?.1);
+            let due = held.chain(shard_due).min();
             // Only a broken descriptor set can fail here, and the pass
             // below retires whichever connection broke it.
             let _ = poller.wait(due.map(|at| at.saturating_duration_since(Instant::now())));
@@ -517,12 +508,13 @@ impl IoLoop {
                     }
                 }
             }
+            shard_due = self.shard.tick();
         }
     }
 
     /// One visit to one connection; `Err` retires it.
     fn service(&self, c: &mut Conn, head: &mut Vec<u8>) -> Result<(), NetError> {
-        let stats = &*self.stats;
+        let stats = &*self.shard.stats;
         // Inbound: drain up to READ_BURST ready frames.
         for _ in 0..READ_BURST {
             let mut landing = HeadFirst {
@@ -536,8 +528,9 @@ impl IoLoop {
             // A raw push's payload is already in the storage the shard
             // recycles aggregated payloads into; any other push is
             // decoded into it.
-            let (frame, msg) = std::mem::take(&mut c.bulk)
-                .finish(&c.rbuf, |bytes| wire::decode_msg_pooled(bytes, &self.pool));
+            let (frame, msg) = std::mem::take(&mut c.bulk).finish(&c.rbuf, |bytes| {
+                wire::decode_msg_pooled(bytes, &self.shard.pool)
+            });
             stats.record_received(c.id, frame);
             let msg = msg?;
             if let WireMsg::Push {
@@ -546,7 +539,7 @@ impl IoLoop {
                 payload,
             } = &msg
             {
-                self.admission.push_payload(*worker, *key, payload)?;
+                self.shard.admission.push_payload(*worker, *key, payload)?;
             }
             // Every frame goes to the shard as it is; the answer to one
             // it answers is owed in arrival order.
@@ -1396,7 +1389,7 @@ mod tests {
     #[test]
     fn a_reply_resolved_between_a_pass_and_the_wait_is_not_lost() {
         // Each round parks a pull and then completes it with a push, so
-        // the shard thread resolves the reply at an arbitrary point of
+        // the shard resolves the reply at an arbitrary point of
         // the I/O thread's pass/wait cycle — including right after the
         // pass found nothing and before the wait began. The wake is
         // level-triggered, so that wait returns at once; an
@@ -1425,9 +1418,6 @@ mod tests {
             wake,
             waker: waker.clone(),
             shard: ps.shard.clone(),
-            admission: ps.admission.clone(),
-            pool: ps.pool().clone(),
-            stats: ps.shared_stats(),
             stop: Arc::new(AtomicBool::new(false)),
             passes: Arc::new(AtomicU64::new(0)),
         };
@@ -1495,7 +1485,7 @@ mod tests {
         // The one buffer of the key's length in the shard's pool.
         let offered = vec![0.0f32; N];
         let at = offered.as_ptr();
-        io.pool.put_f32(offered);
+        io.shard.pool.put_f32(offered);
         let (mut conn, mut peer) = tcp_conn();
         let mut frame = Vec::new();
         wire::encode_push_into(0, 0, &Compressed::Raw(grad), &mut frame);
@@ -1772,7 +1762,7 @@ mod tests {
         use crate::ElasticConfig;
         // One frame each on its own connection, over loopback and over
         // TCP; every one must be hung up on (a `NetError::Decode` inside
-        // the loop), none may reach the shard thread's `assert`s, size a
+        // the loop), none may reach the shard's `assert`s, size a
         // table from the wire, or have payload storage reserved for it.
         let hang_up = |server: &Arc<PsNetServer>, what: &str, frame: &[u8]| {
             let (hostile, server_end) = loopback_pair();

@@ -1,24 +1,25 @@
-//! The server thread: a thin loop around one [`Shard`].
-//!
-//! The `param-server` thread receives a request, waits until the
-//! emulated link has carried it if it is a push, hands it to the core,
-//! and books each pull reply the core owes on the link before sending it
-//! with its delivery instant. Every decision — aggregation, the version
-//! window, membership, deadlines — is the core's (`crate::shard`).
+//! A parameter-server shard in this process: one lock around a
+//! [`Shard`] and what its emulated [`Link`] is carrying to it, and no
+//! thread of its own. Whichever thread delivers a message runs the
+//! shard — a worker's request, a `psd` I/O thread that lands a frame, a
+//! waiter whose answer is not ready — on every message the link has
+//! carried, then ticks it. Waits are bounded by the next arrival and by
+//! [`Shard::tick_every`], so deadlines and heartbeat eviction need no
+//! message to fire. Every decision is the core's (`crate::shard`).
 
-use crate::client::{PsClient, ReplyTx, Request, ShardTx};
-use crate::link::{self, Link};
+use crate::client::{Answer, Delivery, PsClient, ReplyTx};
+use crate::link::Link;
 use crate::opt::ServerOptKind;
 use crate::recover::Durability;
-use crate::shard::{Admission, Shard};
+use crate::shard::{Admission, Owed, Shard};
 use crate::stats::TrafficStats;
 use cdsgd_compress::BufferPool;
 use cdsgd_net::wire::{pull_reply_frame_bytes, push_frame_bytes, WireMsg};
-use cdsgd_net::NetError;
+use cdsgd_net::{NetError, Waker};
 use cdsgd_telemetry::Telemetry;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Dynamic-membership configuration (extension): when set on a
@@ -84,8 +85,8 @@ pub struct ServerConfig {
     /// every pull-reply frame books `bytes × delay` on one FIFO link the
     /// shard's transfers share, in both directions, and its receiver
     /// waits until the booked end: the shard sees a push only once the
-    /// link has carried it, a puller its reply likewise, while the shard
-    /// thread itself keeps computing. This is what lets the *real*
+    /// link has carried it, a puller its reply likewise, and no thread
+    /// sleeps on the link's behalf. This is what lets the *real*
     /// trainer exhibit the paper's communication pressure (see the
     /// `fig5_real` harness).
     pub delay_per_byte: f64,
@@ -160,52 +161,217 @@ impl ServerConfig {
     }
 }
 
-/// How a shard ended, for whoever waits on it: the failure that ended
-/// aggregation, and whether the shard thread has stopped. The shard
-/// thread signals both through one condvar.
-#[derive(Default)]
-pub(crate) struct Outcome {
-    /// `(failure, stopped)`.
-    state: Mutex<(Option<NetError>, bool)>,
-    changed: Condvar,
+/// A message on its way to the shard: the connection it came on (0 =
+/// in-process), the message, and where its answer goes.
+type Inbound = (u64, WireMsg, Option<ReplyTx>);
+
+/// What the shard lock guards.
+struct Hosted {
+    /// `None` once the shard has stopped.
+    shard: Option<Shard<ReplyTx>>,
+    /// The failure that ended aggregation; it outlives the shard.
+    failed: Option<NetError>,
+    /// What the link is carrying, in booking order, with the instant each
+    /// may be delivered: a push at its booked end, any other message with
+    /// the one ahead of it.
+    in_flight: VecDeque<(Instant, Inbound)>,
 }
 
-impl Outcome {
-    fn update(&self, f: impl FnOnce(&mut (Option<NetError>, bool))) {
-        f(&mut self.state.lock().expect("outcome poisoned"));
-        self.changed.notify_all();
+/// A shard run by the threads that use it (see the module docs), and
+/// what its clients and front-ends share.
+pub(crate) struct ShardHost {
+    state: Mutex<Hosted>,
+    /// Signalled when the shard answers, fails or stops, or a message
+    /// goes in flight with none ahead: a waiter then looks again.
+    changed: Condvar,
+    link: Link,
+    pub(crate) stats: Arc<TrafficStats>,
+    /// Checked by `psd` on every push frame's head, outside the lock,
+    /// before anything is reserved for its payload, and on every push
+    /// handed on: a push that fails it retires its connection.
+    pub(crate) admission: Admission,
+    pub(crate) pool: BufferPool,
+}
+
+impl ShardHost {
+    /// The shard's state, locked. A panic while the shard ran leaves it
+    /// half-stepped: a poisoned lock stops it, and every later caller
+    /// meets [`NetError::ServerGone`].
+    fn lock(&self) -> MutexGuard<'_, Hosted> {
+        self.state.lock().unwrap_or_else(|poisoned| {
+            let mut state = poisoned.into_inner();
+            self.stop(&mut state);
+            state
+        })
     }
 
-    pub(crate) fn failure(&self) -> Option<NetError> {
-        self.state.lock().expect("outcome poisoned").0.clone()
-    }
-
-    /// Block until the shard fails — `Err` with the verdict — or its
-    /// thread stops — `Ok(())`.
-    pub(crate) fn wait(&self) -> Result<(), NetError> {
-        let mut state = self.state.lock().expect("outcome poisoned");
-        loop {
-            match &*state {
-                (Some(err), _) => return Err(err.clone()),
-                (None, true) => return Ok(()),
-                (None, false) => state = self.changed.wait(state).expect("outcome poisoned"),
-            }
+    /// Stop the shard: every answer it owes, parked or in flight,
+    /// resolves [`NetError::ServerGone`] as its sender goes with it.
+    fn stop(&self, state: &mut Hosted) {
+        if state.shard.take().is_some() {
+            state.in_flight.clear();
+            self.changed.notify_all();
         }
     }
+
+    /// Stop the shard, once: what dropping its [`ParamServer`] does.
+    pub(crate) fn shutdown(&self) {
+        self.stop(&mut self.lock());
+    }
+
+    /// Block until the shard fails — `Err` with the verdict — or stops
+    /// — `Ok(())`.
+    pub(crate) fn wait_for_shutdown(&self) -> Result<(), NetError> {
+        let mut state = self.lock();
+        while state.failed.is_none() && state.shard.is_some() {
+            // A poisoned lock is met, and stops the shard, on `lock`.
+            drop(self.changed.wait(state));
+            state = self.lock();
+        }
+        state.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Hand `msg` from connection `conn` to the shard and run it; the
+    /// receiver its answer arrives on, for the kinds the shard answers
+    /// (`waker`: the requester's event loop, if it has one).
+    pub(crate) fn send(
+        &self,
+        conn: u64,
+        msg: WireMsg,
+        waker: Option<&Waker>,
+    ) -> Result<Option<Receiver<Delivery>>, NetError> {
+        let (reply, rx) = ReplyTx::pair(&msg, waker);
+        let mut state = self.lock();
+        if state.shard.is_none() {
+            return Err(NetError::ServerGone);
+        }
+        // A push is charged at its full frame (the bytes `cdsgd-net`
+        // puts on a socket) and waits in flight until the link has
+        // carried it, and so does any message behind it.
+        let at = match &msg {
+            WireMsg::Push { payload, .. } => {
+                let frame = push_frame_bytes(payload.wire_bytes());
+                self.stats.record_push(frame);
+                self.link.reserve(frame)
+            }
+            _ => state.in_flight.back().map(|m| m.0),
+        };
+        let inbound = (conn, msg, reply);
+        let Some(at) = at else {
+            self.run(&mut state, Some(inbound));
+            return Ok(rx);
+        };
+        if state.in_flight.is_empty() {
+            // A waiter must now wake when this arrives.
+            self.changed.notify_all();
+        }
+        state.in_flight.push_back((at, inbound));
+        self.run(&mut state, None);
+        Ok(rx)
+    }
+
+    /// Run the shard on what the link has carried and on its timers, as
+    /// a `psd` I/O thread does once a pass; when to again at the latest
+    /// (`None`: once a message arrives).
+    pub(crate) fn tick(&self) -> Option<Instant> {
+        self.run(&mut self.lock(), None)
+    }
+
+    /// Block until `rx` holds its answer and the link has carried it,
+    /// running the shard whenever the link delivers a message or a timer
+    /// falls due first; [`NetError::ServerGone`] if the shard stopped
+    /// without answering.
+    pub(crate) fn wait(&self, rx: &Receiver<Delivery>) -> Answer {
+        let (mut got, mut ran) = (None, None);
+        loop {
+            // Answers are sent under the lock: once this wait has run the
+            // shard, one not here yet comes with a signal it will see.
+            if got.is_none() {
+                got = match rx.try_recv() {
+                    Ok(delivery) => Some(delivery),
+                    Err(TryRecvError::Empty) => None,
+                    Err(TryRecvError::Disconnected) => return Err(NetError::ServerGone),
+                };
+            }
+            let now = Instant::now();
+            if let Some((answer, _)) = got.take_if(|(_, at)| at.is_none_or(|at| at <= now)) {
+                return answer;
+            }
+            if let Some((state, next)) = ran.take() {
+                // A poisoned lock is met, and stops the shard, below.
+                let due = got.as_ref().and_then(|d| d.1).into_iter().chain(next).min();
+                let left = due.map_or(Duration::MAX, |due| due.saturating_duration_since(now));
+                drop(self.changed.wait_timeout(state, left));
+            }
+            let mut state = self.lock();
+            let next = self.run(&mut state, None);
+            ran = Some((state, next));
+        }
+    }
+
+    /// Run the shard at `now` on `first` (a message delivered at once),
+    /// then on every message the link has carried by `now`, then tick it;
+    /// stop it on [`WireMsg::Shutdown`]. When it must run again at the
+    /// latest: the next arrival or tick.
+    fn run(&self, state: &mut Hosted, mut first: Option<Inbound>) -> Option<Instant> {
+        let now = Instant::now();
+        loop {
+            let arrived = first.take().or_else(|| {
+                state.in_flight.front().filter(|m| m.0 <= now)?;
+                state.in_flight.pop_front().map(|m| m.1)
+            });
+            if let Some((_, WireMsg::Shutdown, _)) = arrived {
+                self.stop(state);
+            }
+            let core = state.shard.as_mut()?;
+            let Some((conn, msg, reply)) = arrived else {
+                let owed = core.tick(now);
+                let tick = core.tick_every().map(|every| now + every);
+                self.answer(state, owed);
+                let next = state.in_flight.front().map(|m| m.0);
+                return next.into_iter().chain(tick).min();
+            };
+            let owed = core.on(conn, msg, reply, now);
+            self.answer(state, owed);
+        }
+    }
+
+    /// Publish the shard's failure, then send what it owes: each pull
+    /// reply booked on the link and sent with its delivery instant, for
+    /// its receiver to wait out.
+    fn answer(&self, state: &mut Hosted, owed: Vec<Owed<ReplyTx>>) {
+        // Published first: a caller failed by the verdict finds it on the
+        // handle.
+        if state.failed.is_none() {
+            state.failed = state.shard.as_ref().and_then(|s| s.failure().cloned());
+            if state.failed.is_some() {
+                self.changed.notify_all();
+            }
+        }
+        if owed.is_empty() {
+            return;
+        }
+        for (reply, answer) in owed {
+            let arrives = match &answer {
+                Ok(WireMsg::PullReply { weights, .. }) => {
+                    let frame = pull_reply_frame_bytes(weights.len());
+                    self.stats.record_pull(frame);
+                    self.link.reserve(frame)
+                }
+                _ => None,
+            };
+            reply.send(answer, arrives);
+        }
+        self.changed.notify_all();
+    }
 }
 
-/// Handle to a running parameter server. Dropping without calling
-/// [`ParamServer::shutdown`] stops the server thread too.
+/// Handle to a parameter server in this process. Dropping it without
+/// calling [`ParamServer::shutdown`] stops the server too.
 pub struct ParamServer {
-    /// Where requests to the shard thread go — also for front-ends that
-    /// serve it over transports, which run its `admission` check on frame
-    /// heads and wait on its `outcome`.
-    pub(crate) shard: ShardTx,
-    pub(crate) admission: Admission,
-    pub(crate) outcome: Arc<Outcome>,
-    stats: Arc<TrafficStats>,
-    pool: BufferPool,
-    handle: Option<JoinHandle<()>>,
+    /// The shard every client reaches, and every front-end that serves
+    /// it over transports.
+    pub(crate) shard: Arc<ShardHost>,
 }
 
 impl ParamServer {
@@ -229,56 +395,46 @@ impl ParamServer {
         telemetry: Telemetry,
         durability: Durability,
     ) -> Self {
-        let (tx, rx) = mpsc::channel();
-        let link = Arc::new(Link::new(&cfg));
         let stats = Arc::new(TrafficStats::with_telemetry(telemetry));
         // A round holds one push per key per worker.
         let pool = BufferPool::for_round(init.len() * cfg.num_workers);
         let admission = Admission::new(&init, &cfg);
-        let outcome = Arc::new(Outcome::default());
-        let handle = {
-            let (stats, outcome, pool, link) = (
-                Arc::clone(&stats),
-                Arc::clone(&outcome),
-                pool.clone(),
-                Arc::clone(&link),
-            );
-            // The shard is built on its own thread, overlapping whatever
-            // the caller sets up next.
-            std::thread::Builder::new()
-                .name("param-server".into())
-                .spawn(move || {
-                    let now = Instant::now();
-                    let shard = Shard::new(init, cfg, durability, Arc::clone(&stats), pool, now);
-                    serve(shard, rx, &link, &stats, &outcome)
-                })
-                .expect("spawn server thread")
+        let link = Link::new(&cfg);
+        let now = Instant::now();
+        let shard = Shard::new(init, cfg, durability, Arc::clone(&stats), pool.clone(), now);
+        let state = Hosted {
+            shard: Some(shard),
+            failed: None,
+            in_flight: VecDeque::new(),
         };
-        Self {
-            shard: ShardTx::new(tx, link),
+        let shard = Arc::new(ShardHost {
+            state: Mutex::new(state),
+            changed: Condvar::new(),
+            link,
             stats,
-            pool,
             admission,
-            outcome,
-            handle: Some(handle),
-        }
+            pool,
+        });
+        Self { shard }
     }
 
     /// A client handle usable from any thread.
     pub fn client(&self) -> PsClient {
-        PsClient::new(self.shard.clone(), self.pool.clone())
+        PsClient {
+            shard: Arc::clone(&self.shard),
+        }
     }
 
     /// Traffic counters.
     pub fn stats(&self) -> &TrafficStats {
-        &self.stats
+        &self.shard.stats
     }
 
     /// Shared ownership of the traffic counters, so a caller can keep
     /// reading them after the server itself has been consumed (e.g. to
     /// check final accounting once a training run shuts it down).
     pub fn shared_stats(&self) -> Arc<TrafficStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.shard.stats)
     }
 
     /// The payload buffer pool shared between this server and its
@@ -286,84 +442,26 @@ impl ParamServer {
     /// handed back out through [`crate::ParamClient::pool`] /
     /// [`cdsgd_compress::GradientCompressor::compress_into`].
     pub fn pool(&self) -> &BufferPool {
-        &self.pool
+        &self.shard.pool
     }
 
     /// The failure that ended aggregation (a round deadline fired, a
     /// departure broke the quorum, a trusted caller pushed what the shard
     /// cannot take). `None` while healthy.
     pub fn failure(&self) -> Option<NetError> {
-        self.outcome.failure()
+        self.shard.lock().failed.clone()
     }
 
-    /// Stop the server thread and wait for it to exit (what dropping the
-    /// handle does).
+    /// Stop the server (what dropping the handle does): every answer it
+    /// still owes resolves [`NetError::ServerGone`], and so does every
+    /// later request.
     pub fn shutdown(self) {}
 }
 
 impl Drop for ParamServer {
     fn drop(&mut self) {
-        let _ = self.shard.send(0, WireMsg::Shutdown, None);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.shard.shutdown();
     }
-}
-
-/// The `param-server` thread: feed the core each request (or a tick when
-/// its timers are due), publish a failure the moment the core reaches
-/// one, and deliver what it owes. On an emulated link a push reaches the
-/// core at the instant its sender booked, and each pull reply is booked
-/// here and leaves with its own delivery instant, for its receiver to
-/// wait out. Stops on [`WireMsg::Shutdown`] or once every request sender
-/// is gone.
-fn serve(
-    mut shard: Shard<ReplyTx>,
-    requests: Receiver<Request>,
-    link: &Link,
-    stats: &TrafficStats,
-    outcome: &Outcome,
-) {
-    loop {
-        let request = match shard.tick_every() {
-            Some(every) => requests.recv_timeout(every),
-            None => requests.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        let owed = match request {
-            Err(RecvTimeoutError::Timeout) => shard.tick(Instant::now()),
-            Err(RecvTimeoutError::Disconnected) | Ok((_, WireMsg::Shutdown, ..)) => break,
-            Ok((conn, msg, reply, arrives)) => {
-                // Traffic is charged at the full encoded frame size (the
-                // same bytes `cdsgd-net` puts on a socket: length prefix +
-                // opcode + routing fields + payload), so in-process and
-                // TCP runs report identical communication volume.
-                if let WireMsg::Push { payload, .. } = &msg {
-                    stats.record_push(push_frame_bytes(payload.wire_bytes()));
-                }
-                link::wait_until(arrives);
-                shard.on(conn, msg, reply, Instant::now())
-            }
-        };
-        // Published before any reply goes out: a caller failed by the
-        // verdict finds it on the handle.
-        if let Some(err) = shard.failure() {
-            outcome.update(|s| {
-                s.0.get_or_insert_with(|| err.clone());
-            });
-        }
-        for (reply, answer) in owed {
-            let arrives = match &answer {
-                Ok(WireMsg::PullReply { weights, .. }) => {
-                    let frame = pull_reply_frame_bytes(weights.len());
-                    stats.record_pull(frame);
-                    link.reserve(frame)
-                }
-                _ => None,
-            };
-            reply.send(answer, arrives);
-        }
-    }
-    outcome.update(|s| s.1 = true);
 }
 
 #[cfg(test)]
@@ -372,6 +470,7 @@ mod tests {
     use crate::ParamClient;
     use cdsgd_compress::{decompress_add, Compressed};
     use cdsgd_telemetry::Event;
+    use std::sync::mpsc;
 
     #[test]
     fn single_worker_update_rule() {
@@ -419,7 +518,7 @@ mod tests {
         // Version 0 is two aggregates behind; key 1 does not exist.
         assert!(matches!(c.pull(0, 0), Err(NetError::Io(_))));
         assert!(matches!(c.pull(1, 0), Err(NetError::Io(_))));
-        // The server thread survived both and keeps serving.
+        // The shard survived both and keeps serving.
         assert_eq!(*c.pull(0, 1).unwrap(), [-1.0]);
         assert_eq!(*c.pull(0, 2).unwrap(), [-2.0]);
         ps.shutdown();
@@ -429,7 +528,7 @@ mod tests {
     /// in flight, each encoded into storage drawn from the server's pool
     /// as a worker's codec draws it. Every payload of a round is encoded
     /// before the first is pushed, so a round needs all 76 at once
-    /// whatever the server thread's timing. Once the pool has seen a
+    /// whatever the server's timing. Once the pool has seen a
     /// round, the server recycles every payload it aggregates and a later
     /// round allocates none.
     #[test]
@@ -584,7 +683,7 @@ mod tests {
         // A key the shard does not own, a known key at the wrong length,
         // a worker past a 2-worker fixed quorum: each is a broken trusted
         // caller. The shard fails with the typed error naming the push,
-        // and its thread keeps answering with it.
+        // and keeps answering with it.
         for (worker, key, len) in [(0, 9, 2), (0, 0, 3), (7, 0, 2)] {
             let ps = ParamServer::start(vec![vec![0.0; 2]], ServerConfig::new(2, 1.0));
             let c = ps.client();
@@ -599,6 +698,129 @@ mod tests {
             assert_eq!(c.register(0).unwrap_err(), err);
             ps.shutdown();
         }
+    }
+
+    /// Worker 0 pushes and waits on its pull, and no other message is
+    /// ever sent: the waiter alone runs the shard's timers. Its pull
+    /// fails once the round deadline has passed, within one tick of it —
+    /// behind an emulated link, counted from the instant the link
+    /// delivered the push, which opened the partial round.
+    #[test]
+    fn a_round_deadline_fires_with_no_thread_but_the_waiter() {
+        const DEADLINE: Duration = Duration::from_millis(400);
+        // 4 KB/s: the push frame takes about 100 ms.
+        const BYTES_PER_S: f64 = 4_000.0;
+        let push = || Compressed::Raw(vec![1.0; 100]);
+        let frame = push_frame_bytes(push().wire_bytes());
+        let carried = Duration::from_secs_f64(frame as f64 / BYTES_PER_S);
+        let plain = ServerConfig::new(2, 1.0).with_round_deadline(DEADLINE);
+        let emulated = plain.with_network_bandwidth(BYTES_PER_S);
+        for (cfg, carried) in [(plain, Duration::ZERO), (emulated, carried)] {
+            let ps = ParamServer::start(vec![vec![0.0; 100]], cfg);
+            let every = ps
+                .shard
+                .lock()
+                .shard
+                .as_ref()
+                .unwrap()
+                .tick_every()
+                .unwrap();
+            let c = ps.client();
+            let t = Instant::now();
+            c.push(0, 0, push()).unwrap();
+            let err = c.pull(0, 1).unwrap_err();
+            let took = t.elapsed();
+            let lost = NetError::WorkerLost { id: 1, round: 0 };
+            assert_eq!(err, lost);
+            assert_eq!(ps.failure(), Some(lost));
+            assert!(took >= carried + DEADLINE, "failed after {took:?}");
+            assert!(
+                took <= carried + DEADLINE + every,
+                "failed after {took:?}, past the deadline and a tick of {every:?}"
+            );
+            ps.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_ticking_waiter_hands_out_no_reply_before_the_link_has_carried_it() {
+        // 4 KB/s, and a deadline far off: the waiter runs the shard on
+        // every tick and every arrival, and still hands the puller its
+        // reply only once the link has carried both pushes and the reply.
+        const BYTES_PER_S: f64 = 4_000.0;
+        let cfg = ServerConfig::new(2, 1.0)
+            .with_network_bandwidth(BYTES_PER_S)
+            .with_round_deadline(Duration::from_secs(20));
+        let push = || Compressed::Raw(vec![1.0; 100]);
+        let bytes = 2 * push_frame_bytes(push().wire_bytes()) + pull_reply_frame_bytes(100);
+        let least = Duration::from_secs_f64(bytes as f64 / BYTES_PER_S);
+        let ps = ParamServer::start(vec![vec![0.0; 100]], cfg);
+        let c = ps.client();
+        let t = Instant::now();
+        c.push(0, 0, push()).unwrap();
+        c.push(1, 0, push()).unwrap();
+        assert_eq!(*c.pull(0, 1).unwrap(), [-1.0; 100]);
+        let took = t.elapsed();
+        assert!(took >= least, "{took:?} < {least:?}");
+        ps.shutdown();
+    }
+
+    #[test]
+    fn messages_wait_in_flight_in_booking_order() {
+        // 10 ms per byte: pushes booked by four threads far faster than
+        // the link carries them all wait in flight, each booked behind
+        // the last, and a snapshot handed in behind them waits with the
+        // last of them. Stopping answers the snapshot `ServerGone`.
+        const DELAY: f64 = 1e-2;
+        let mut cfg = ServerConfig::new(4, 1.0);
+        cfg.delay_per_byte = DELAY;
+        let ps = ParamServer::start(vec![vec![0.0]], cfg);
+        let threads: Vec<_> = (0..4)
+            .map(|worker| {
+                let c = ps.client();
+                std::thread::spawn(move || {
+                    for _ in 0..50 {
+                        c.push(worker, 0, Compressed::Raw(vec![1.0])).unwrap();
+                    }
+                })
+            })
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        let snapshot = ps.shard.send(0, WireMsg::Snapshot, None).unwrap();
+        {
+            let state = ps.shard.lock();
+            let lasts = Duration::from_secs_f64(
+                DELAY * push_frame_bytes(Compressed::Raw(vec![1.0]).wire_bytes()) as f64,
+            );
+            let at: Vec<Instant> = state.in_flight.iter().map(|m| m.0).collect();
+            assert_eq!(at.len(), 201);
+            assert!(at[..200].windows(2).all(|w| w[1] >= w[0] + lasts));
+            assert_eq!(at[200], at[199]);
+            assert_eq!(state.in_flight[200].1 .1, WireMsg::Snapshot);
+        }
+        ps.shutdown();
+        assert_eq!(snapshot.unwrap().recv(), Err(mpsc::RecvError));
+    }
+
+    #[test]
+    fn a_poisoned_shard_lock_is_server_gone_to_every_later_caller() {
+        let ps = ParamServer::start(vec![vec![0.0]], ServerConfig::new(2, 1.0));
+        let c = ps.client();
+        let parked = c.pull_async(0, 1).unwrap();
+        let shard = Arc::clone(&ps.shard);
+        let panicked = std::thread::spawn(move || {
+            let _running = shard.state.lock();
+            panic!("a panic while the shard runs");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(
+            c.push(0, 0, Compressed::Raw(vec![1.0])),
+            Err(NetError::ServerGone)
+        );
+        assert_eq!(parked.wait().unwrap_err(), NetError::ServerGone);
+        assert_eq!(c.pull(0, 0).unwrap_err(), NetError::ServerGone);
+        ps.shutdown();
     }
 
     #[test]
@@ -794,7 +1016,8 @@ mod tests {
         );
         let c = ps.client();
         c.leave(1).unwrap();
-        // The failure cell is written by the server thread; poll briefly.
+        // The failure cell is written by whoever runs the shard; poll
+        // briefly.
         let t = Instant::now();
         while ps.failure().is_none() && t.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(5));

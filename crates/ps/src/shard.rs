@@ -8,9 +8,11 @@
 //! a tick, each with the caller's `now`. Its output is the replies it
 //! owes, each paired with the handle it was given. It never sleeps, never
 //! reads the clock (the telemetry span clock aside, which decides
-//! nothing) and never sends on a channel: the `param-server` thread
-//! ([`crate::ParamServer`]) is the loop that does, and a test runs it
-//! with plain tokens and a fake clock.
+//! nothing) and never sends on a channel. Whichever thread delivers a
+//! message to a [`crate::ParamServer`] — a worker's request, a `psd` I/O
+//! thread, a waiter whose answer is not ready — does those under the
+//! server's one lock (`crate::server`), and a test runs the core with
+//! plain tokens and a fake clock.
 //!
 //! The three rules CD-SGD's correctness rests on live here and nowhere
 //! else: synchronous per-key aggregation (paper eq. 10), the exact
@@ -479,8 +481,8 @@ impl<R> Shard<R> {
                 let ack = WireMsg::CheckpointAck { round };
                 self.owed.extend(reply.map(|r| (r, Ok(ack))));
             }
-            // Stopping is the server thread's to do; the core has nothing to
-            // decide.
+            // Stopping is the host's to do (`crate::server`); the core
+            // has nothing to decide.
             WireMsg::Shutdown => {}
             WireMsg::PullReply { .. }
             | WireMsg::SnapshotReply { .. }

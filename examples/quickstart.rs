@@ -21,7 +21,8 @@ fn main() {
         20,   // warm-up iterations
     );
 
-    // 3. A training run: 2 worker threads + a parameter-server thread.
+    // 3. A training run: 2 worker threads sharing one in-process
+    //    parameter server, which the threads that use it run.
     for algo in [Algorithm::SSgd, cd] {
         let cfg = TrainConfig::new(algo, 2)
             .with_lr(0.2)

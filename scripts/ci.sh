@@ -214,6 +214,20 @@ if grep -n 'fn request<' crates/ps/src/remote.rs ||
     exit 1
 fi
 
+# No server thread (DESIGN.md §13): whichever thread delivers a message
+# to a shard — a worker's request, a `psd` I/O thread, a waiter whose
+# answer is not ready — runs it under the shard's one lock. The program
+# halves of ps/{server,client,link}.rs may neither spawn a thread nor
+# name the `param-server` thread that relayed every request.
+echo "==> ps/{server,client,link}.rs spawn no thread and name no param-server"
+for f in crates/ps/src/server.rs crates/ps/src/client.rs crates/ps/src/link.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -Hn --label="$f" 'thread::spawn\|thread::Builder\|param-server'; then
+        echo "ERROR: a shard has a thread of its own again; run it on the thread that delivers" >&2
+        exit 1
+    fi
+done
+
 # One pass per server round (DESIGN.md §3): a round decodes, sums and
 # steps block by block through a stack buffer. The program half of
 # ps/shard.rs may neither name a key-sized `acc` nor decode a whole
