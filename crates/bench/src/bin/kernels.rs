@@ -31,7 +31,10 @@
 //! 64 Ki and 1 Mi, its payload recycled into the pool it came from, and
 //! the `decode` rows one 2-bit `decompress`. Those rows all work in one
 //! arena allocated once (see [`REGION`]), so every run puts each operand
-//! at the same place, and record the quartiles beside the median.
+//! at the same place, and record the quartiles beside the median. The
+//! `emit` rows, timed once in the parent process since an emit has no
+//! SIMD path, are one telemetry event emitted on a disabled handle and
+//! into a `NullSink` — what an instrumented site costs an untraced run.
 //! Emits `BENCH_kernels.json` and prints
 //! a speedup table, a GFLOP/s table, the conv/BN medians and the
 //! server-round quartiles.
@@ -47,8 +50,10 @@
 
 use std::hint::black_box;
 use std::process::Command;
+use std::sync::Arc;
 use std::time::Instant;
 
+use cd_sgd::{Event, NullSink, Telemetry};
 use cdsgd_bench::arg_usize;
 use cdsgd_compress::{
     decompress, BufferPool, Compressed, GradientCompressor, NoCompression, OneBitQuantizer,
@@ -558,6 +563,30 @@ fn codec_records(arena: &mut [f32], iters: usize) -> Vec<serde_json::Value> {
     records
 }
 
+/// One `emit` record per telemetry handle a training loop holds: disabled
+/// (an `Option` test; the event is never built) and a `NullSink` (the
+/// event built and handed to a sink that drops it).
+fn emit_records(iters: usize) -> Vec<serde_json::Value> {
+    let sinks = [
+        ("disabled", Telemetry::disabled()),
+        ("null_sink", Telemetry::new(Arc::new(NullSink))),
+    ];
+    sinks
+        .into_iter()
+        .map(|(sink, telemetry)| {
+            let [q1, median, q3] = call_quartiles(iters, || {
+                black_box(&telemetry).emit(|| Event::Push {
+                    bytes: black_box(81),
+                })
+            });
+            serde_json::json!({
+                "op": "emit", "sink": sink,
+                "median_s": median, "q1_s": q1, "q3_s": q3,
+            })
+        })
+        .collect()
+}
+
 /// The benchmark MLP's keys (784-1024-1024-10; weight, then bias, per
 /// layer).
 const MLP_KEYS: [usize; 6] = [784 * 1024, 1024, 1024 * 1024, 1024, 1024 * 10, 10];
@@ -851,10 +880,24 @@ fn main() {
         );
     }
 
+    // Telemetry emits: nanoseconds, median with quartiles.
+    let emits = emit_records(iters);
+    println!("\n{:>14} {:>10} {:>24}", "op", "sink", "ns q1-med-q3");
+    for r in &emits {
+        let ns = |key: &str| r[key].as_f64().unwrap_or(f64::NAN) * 1e9;
+        println!(
+            "{:>14} {:>10} {:>24}",
+            "emit",
+            r["sink"].as_str().unwrap_or("?"),
+            format!("{:.2}-{:.2}-{:.2}", ns("q1_s"), ns("median_s"), ns("q3_s"))
+        );
+    }
+
     let out = serde_json::json!({
         "bench": "kernels",
         "sizes": SIZES.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
         "iters": iters,
+        "emit": emits,
         "modes": modes
             .iter()
             .map(|(mode, v)| {

@@ -325,8 +325,8 @@ pub trait Transport: Send {
     /// Shut the connection down in both directions, for every handle of
     /// it: a receive blocked on another handle returns at once (clean
     /// EOF), and the peer sees EOF after the frames already sent. This
-    /// is how an owner stops its own reader thread without waiting out
-    /// a timer.
+    /// is how an owner ends a read in progress on another handle without
+    /// waiting out a timer.
     fn close(&mut self);
 
     /// Human-readable peer description for error messages.

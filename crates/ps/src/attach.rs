@@ -4,7 +4,7 @@
 use crate::api::{ParamClient, PsBackend};
 use crate::client::PendingReply;
 use crate::fault::{FaultyClient, WorkerFault};
-use crate::net::{spawn_err, NetCluster, ReconnectingClient};
+use crate::net::{NetCluster, ReconnectingClient};
 use cdsgd_compress::BufferPool;
 use cdsgd_net::wire::WireMsg;
 use cdsgd_net::{NetError, ReconnectConfig};
@@ -164,7 +164,7 @@ fn spawn_heartbeat(
                 std::thread::sleep(every);
             }
         })
-        .map_err(spawn_err)?;
+        .map_err(|e| NetError::Io(format!("spawn heartbeat thread: {e}")))?;
     Ok((stop, thread))
 }
 

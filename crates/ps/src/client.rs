@@ -1,9 +1,10 @@
 //! Worker-side client handle: [`PsClient`] runs a shard in this process
 //! on the caller's thread, and so does its [`PendingReply`] while the
-//! answer is not ready (`crate::server::ShardHost`).
+//! answer is not ready (`crate::server::ShardHost`); one owed over a
+//! connection reads it (`crate::remote`).
 
 use crate::api::ParamClient;
-use crate::remote::Reissue;
+use crate::remote::{Reissue, Replies};
 use crate::server::ShardHost;
 use cdsgd_compress::BufferPool;
 use cdsgd_net::wire::{answered, WireMsg};
@@ -76,6 +77,14 @@ pub(crate) fn settle<T>(
     take(answer?).ok_or_else(|| NetError::Decode("a reply to another request".into()))
 }
 
+/// What a waiter runs until its answer comes.
+pub(crate) enum Drive {
+    /// A shard in this process.
+    Shard(Arc<ShardHost>),
+    /// The read half of a connection: the waiter reads its replies.
+    Conn(Arc<Replies>),
+}
+
 /// The reply a request is owed ([`ParamClient::request`]): resolves once
 /// the server answers. Uniform across every client layer, in-process or
 /// networked.
@@ -84,17 +93,16 @@ pub struct PendingReply {
     /// Set on a pull through a [`crate::net::ReconnectingClient`]: what
     /// issues it again if its connection dies before the reply.
     pub(crate) reissue: Option<Reissue>,
-    /// Set on a request to a shard in this process: the shard this
-    /// waiter runs until its answer comes.
-    host: Option<Arc<ShardHost>>,
+    /// What brings the answer; `None` once it is here.
+    drive: Option<Drive>,
 }
 
 impl PendingReply {
-    pub(crate) fn new(rx: Receiver<Delivery>) -> Self {
+    pub(crate) fn new(rx: Receiver<Delivery>, drive: Option<Drive>) -> Self {
         Self {
             rx,
             reissue: None,
-            host: None,
+            drive,
         }
     }
 
@@ -104,7 +112,7 @@ impl PendingReply {
         let (tx, rx) = mpsc::sync_channel(1);
         // The channel has room for the one answer, and `rx` is alive.
         let _ = tx.send((answer, None));
-        Self::new(rx)
+        Self::new(rx, None)
     }
 
     /// Block until the reply arrives. [`NetError::ServerGone`] if the
@@ -115,11 +123,12 @@ impl PendingReply {
     /// is redialed and issued again by this call. Behind an emulated
     /// link, it returns once the link has carried the reply. Waiting on a
     /// shard in this process runs it: the deliveries of its link and its
-    /// round deadline and liveness timers need no other thread.
+    /// round deadline and liveness timers need no other thread. Waiting
+    /// on a connection reads it, until this reply has been read.
     pub fn wait(&self) -> Result<WireMsg, NetError> {
-        let got = match &self.host {
-            Some(host) => host.wait(&self.rx),
-            // A reply read off a connection has been carried already.
+        let got = match &self.drive {
+            Some(Drive::Shard(host)) => host.wait(&self.rx),
+            Some(Drive::Conn(replies)) => replies.wait(&self.rx),
             None => self
                 .rx
                 .recv()
@@ -160,10 +169,7 @@ pub struct PsClient {
 impl ParamClient for PsClient {
     fn request(&self, msg: WireMsg) -> Result<Option<PendingReply>, NetError> {
         let rx = self.shard.send(0, msg, None)?;
-        Ok(rx.map(|rx| PendingReply {
-            host: Some(Arc::clone(&self.shard)),
-            ..PendingReply::new(rx)
-        }))
+        Ok(rx.map(|rx| PendingReply::new(rx, Some(Drive::Shard(Arc::clone(&self.shard))))))
     }
 
     /// The payload buffer pool shared with the server, so each push

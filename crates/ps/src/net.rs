@@ -2,7 +2,8 @@
 //! [`Transport`], talk to one through [`RemoteClient`], and deploy whole
 //! sharded groups with [`NetCluster`]. This file holds the `psd` event
 //! loop and the deployments; the client half ([`RemoteClient`],
-//! [`ReconnectingClient`]) has a module of its own, re-exported here.
+//! [`ReconnectingClient`]) has a module of its own, re-exported here, and
+//! runs no thread: the thread that waits on a reply reads it.
 //!
 //! The protocol is the frame vocabulary of [`cdsgd_net::wire`]; encoding
 //! is deterministic and f32 round-trips are bit-exact, so training over
@@ -87,10 +88,6 @@ const MAX_CONN_WBUF: usize = 1 << 20;
 /// Frames read from one connection per event-loop visit, so a firehose
 /// connection cannot starve its neighbours on the same I/O thread.
 const READ_BURST: usize = 32;
-
-pub(crate) fn spawn_err(e: std::io::Error) -> NetError {
-    NetError::Io(format!("spawn connection thread: {e}"))
-}
 
 // ---------------------------------------------------------------------------
 // server side
@@ -861,7 +858,7 @@ impl PsBackend for NetCluster {
             let _ = c.shutdown_server();
         }
         let Self { control, local, .. } = *self;
-        // Control clients first (joins their reader threads), then the
+        // Control clients first (closes their connections), then the
         // locally-owned servers.
         drop(control);
         for server in local {
@@ -1221,12 +1218,127 @@ mod tests {
         let got = within(Duration::from_secs(5), move || pending.wait());
         assert_eq!(got, Err(NetError::ServerGone));
         assert_eq!(peer.recv_frame(&mut frame), Err(NetError::Closed));
-        // A reply with no request outstanding.
+        // A reply with no request outstanding: the next request's wait
+        // reads it first, and the pull goes out before the close.
         let (c, mut peer) = peer_of();
         answer(&mut peer, WireMsg::RegisterAck { versions: vec![0] });
-        assert_eq!(peer.recv_frame(&mut frame), Err(NetError::Closed));
         let got = within(Duration::from_secs(5), move || c.pull(0, 0));
         assert_eq!(got, Err(NetError::ServerGone));
+        peer.recv_frame(&mut frame).unwrap();
+        let pull = WireMsg::Pull {
+            key: 0,
+            min_version: 0,
+        };
+        assert_eq!(wire::decode_msg(&frame), Ok(pull));
+        assert_eq!(peer.recv_frame(&mut frame), Err(NetError::Closed));
+    }
+
+    /// A client of `server` over loopback, or over TCP through a
+    /// listener of its own, and the client's traffic counters.
+    fn counted_client(server: &Arc<PsNetServer>, tcp: bool) -> (RemoteClient, Arc<TrafficStats>) {
+        let t: Box<dyn Transport> = if tcp {
+            let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+            let t = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
+            server
+                .attach(Box::new(acceptor.accept(Duration::from_secs(5)).unwrap()))
+                .unwrap();
+            Box::new(t)
+        } else {
+            let (a, b) = loopback_pair();
+            server.attach(Box::new(b)).unwrap();
+            Box::new(a)
+        };
+        let stats = Arc::new(TrafficStats::new());
+        let c = RemoteClient::new(t, Arc::clone(&stats), BufferPool::new()).unwrap();
+        (c, stats)
+    }
+
+    #[test]
+    fn a_later_waiter_reads_an_earlier_waiters_reply() {
+        for tcp in [true, false] {
+            let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+            let (c, stats) = counted_client(&server, tcp);
+            within(Duration::from_secs(20), move || {
+                // Both park: no reply exists before the first push.
+                let early = c.pull_async(0, 1).unwrap();
+                let late = c.pull_async(0, 2).unwrap();
+                std::thread::scope(|s| {
+                    let late = s.spawn(move || late.wait());
+                    c.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+                    // Nobody else reads: the later waiter has taken the
+                    // earlier reply off the connection...
+                    while stats.bytes_pulled() == 0 {
+                        std::thread::yield_now();
+                    }
+                    // ...and handed it over while it reads on for its own,
+                    // which only the second push makes.
+                    assert_eq!(*early.wait().unwrap(), [-1.0; 3]);
+                    c.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+                    assert_eq!(*late.join().unwrap().unwrap(), [-2.0; 3]);
+                });
+            });
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_request_hands_over_the_replies_that_have_arrived() {
+        for tcp in [true, false] {
+            let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+            let (c, stats) = counted_client(&server, tcp);
+            within(Duration::from_secs(20), move || {
+                // Nobody waits: only a later request takes the first
+                // reply off the connection once it has arrived.
+                let mut pending = vec![c.pull_async(0, 0).unwrap()];
+                while stats.bytes_pulled() == 0 {
+                    pending.push(c.pull_async(0, 0).unwrap());
+                }
+                for p in pending {
+                    assert_eq!(*p.wait().unwrap(), [0.0; 3]);
+                }
+            });
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_pull_dropped_unwaited_does_not_stall_a_later_waiter() {
+        for client in [tcp_client, loopback_client] {
+            let server = PsNetServer::start(init(1), ServerConfig::new(1, 1.0));
+            let c = client(&server);
+            within(Duration::from_secs(20), move || {
+                // One answered at once, one parked until the push: both
+                // replies come in ahead of the last pull's.
+                drop(c.pull_async(0, 0).unwrap());
+                drop(c.pull_async(0, 1).unwrap());
+                c.push(0, 0, Compressed::Raw(vec![1.0; 3])).unwrap();
+                assert_eq!(*c.pull(0, 1).unwrap(), [-1.0; 3]);
+            });
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_push_goes_out_past_an_unread_reply_of_its_size() {
+        // 8 MiB each way, more than a socket's send and receive buffers
+        // hold together: the push completes only if the server reads
+        // while its own write of the reply is stuck.
+        const N: usize = 1 << 21;
+        for client in [tcp_client, loopback_client] {
+            let server = PsNetServer::start(vec![vec![0.5; N]], ServerConfig::new(1, 1.0));
+            let c = client(&server);
+            let served = Arc::clone(&server);
+            within(Duration::from_secs(60), move || {
+                let unread = c.pull_async(0, 0).unwrap();
+                while served.stats().bytes_sent() == 0 {
+                    std::thread::yield_now();
+                }
+                c.push(0, 0, Compressed::Raw(vec![1.0; N])).unwrap();
+                assert!(unread.wait().unwrap().iter().all(|w| *w == 0.5));
+                assert!(c.pull(0, 1).unwrap().iter().all(|w| *w == -0.5));
+            });
+            server.shutdown();
+        }
     }
 
     #[test]

@@ -214,16 +214,18 @@ if grep -n 'fn request<' crates/ps/src/remote.rs ||
     exit 1
 fi
 
-# No server thread (DESIGN.md §13): whichever thread delivers a message
-# to a shard — a worker's request, a `psd` I/O thread, a waiter whose
-# answer is not ready — runs it under the shard's one lock. The program
-# halves of ps/{server,client,link}.rs may neither spawn a thread nor
-# name the `param-server` thread that relayed every request.
-echo "==> ps/{server,client,link}.rs spawn no thread and name no param-server"
-for f in crates/ps/src/server.rs crates/ps/src/client.rs crates/ps/src/link.rs; do
+# No server or client thread (DESIGN.md §13): whichever thread delivers
+# a message to a shard — a worker's request, a `psd` I/O thread, a waiter
+# whose answer is not ready — runs it under the shard's one lock, and
+# whichever thread waits on a remote reply reads it off the connection.
+# The program halves of ps/{server,client,link,remote}.rs may neither
+# spawn a thread nor name the `param-server` thread that relayed every
+# request or the `ps-client-read` thread that read every reply.
+echo "==> ps/{server,client,link,remote}.rs spawn no thread and name no relay thread"
+for f in crates/ps/src/server.rs crates/ps/src/client.rs crates/ps/src/link.rs crates/ps/src/remote.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" |
-        grep -Hn --label="$f" 'thread::spawn\|thread::Builder\|param-server'; then
-        echo "ERROR: a shard has a thread of its own again; run it on the thread that delivers" >&2
+        grep -Hn --label="$f" 'thread::spawn\|thread::Builder\|param-server\|ps-client-read'; then
+        echo "ERROR: a shard or a client has a thread of its own again; run it on the thread that delivers or waits" >&2
         exit 1
     fi
 done
@@ -349,14 +351,6 @@ if grep -l "cdsgd-telemetry" crates/compress/Cargo.toml crates/tensor/Cargo.toml
     echo "ERROR: a compute crate names cdsgd-telemetry in its manifest" >&2
     exit 1
 fi
-
-# The criterion bench (crates/bench/benches/telemetry_overhead.rs,
-# `harness = false`) is built by neither `cargo build` nor `cargo test`,
-# yet it sits on the public API (`Trainer`, `Telemetry`, the sinks):
-# compile it, run nothing, so a stale bench fails here instead of
-# rotting.
-echo "==> cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
 
 echo "==> cargo test -q --workspace"
 run_tests cargo test -q --workspace

@@ -174,7 +174,7 @@ fn main() {
         trace.flush();
         std::process::exit(1);
     }
-    // Shutdown joins every connection's reader/writer thread, so the
+    // Shutdown joins the accept and I/O threads, so the
     // counters read below are final — no in-flight frame can bump them
     // after the STATS line prints.
     server.shutdown();
