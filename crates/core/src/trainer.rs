@@ -275,12 +275,12 @@ impl Trainer {
                 link,
                 iters_per_epoch: ipe,
                 barrier: Arc::clone(&barrier),
-                report: report_tx.clone(),
             };
+            let report = report_tx.clone();
             handles.push(Some(
                 std::thread::Builder::new()
                     .name(format!("worker-{w}"))
-                    .spawn(move || run_worker(args))
+                    .spawn(move || run_worker(args, |r| report.send(r).is_ok()))
                     .expect("spawn worker"),
             ));
         }
@@ -627,11 +627,11 @@ impl Respawner<'_> {
             link: Link::Ps(Arc::from(client)),
             iters_per_epoch: self.ipe,
             barrier: Arc::clone(self.barrier),
-            report: self.report.clone(),
         };
+        let report = self.report.clone();
         std::thread::Builder::new()
             .name(format!("worker-{w}r{}", self.budget.used()))
-            .spawn(move || run_worker(args))
+            .spawn(move || run_worker(args, |r| report.send(r).is_ok()))
             .ok()
     }
 }
@@ -753,38 +753,30 @@ pub fn run_standalone_worker(
     );
     let mut wrng = SmallRng64::new(cfg.seed);
     let model = (builder)(&mut wrng);
-    let epochs = cfg.epochs;
     let telemetry = cfg.telemetry.clone();
-    let (report_tx, report_rx) = mpsc::channel::<EpochReport>();
-    // Drain reports as they arrive, so epoch rollup events stream out
-    // live (with real per-epoch wall-clock) instead of all at exit. Push
-    // and pull byte totals are zero here: a standalone worker's traffic
-    // lives in its client-side frame events, not in this rollup.
-    let drainer = std::thread::Builder::new()
-        .name("worker-report-drain".into())
-        .spawn(move || {
-            let mut epoch_start = Instant::now();
-            let mut out = vec![(0.0, None); epochs];
-            for r in report_rx.iter() {
-                let batches = r.batches.max(1) as f64;
-                let loss = (r.loss_sum / batches) as f32;
-                let acc = (r.acc_sum / batches) as f32;
-                telemetry.emit(|| Event::Epoch {
-                    epoch: r.epoch,
-                    train_loss: loss,
-                    train_acc: acc,
-                    test_acc: r.test_acc,
-                    seconds: epoch_start.elapsed().as_secs_f64(),
-                    push_bytes: 0,
-                    pull_bytes: 0,
-                });
-                epoch_start = Instant::now();
-                out[r.epoch] = (loss, r.test_acc);
-            }
-            telemetry.flush();
-            out
-        })
-        .expect("spawn report drain thread");
+    let mut out = vec![(0.0, None); cfg.epochs];
+    let mut epoch_start = Instant::now();
+    // Each report becomes an `Epoch` event on this thread as it is made,
+    // with real per-epoch wall-clock. Push and pull byte totals are zero
+    // here: a standalone worker's traffic lives in its client-side frame
+    // events, not in this rollup.
+    let report = |r: EpochReport| {
+        let batches = r.batches.max(1) as f64;
+        let loss = (r.loss_sum / batches) as f32;
+        let acc = (r.acc_sum / batches) as f32;
+        telemetry.emit(|| Event::Epoch {
+            epoch: r.epoch,
+            train_loss: loss,
+            train_acc: acc,
+            test_acc: r.test_acc,
+            seconds: epoch_start.elapsed().as_secs_f64(),
+            push_bytes: 0,
+            pull_bytes: 0,
+        });
+        epoch_start = Instant::now();
+        out[r.epoch] = (loss, r.test_acc);
+        true
+    };
     let args = WorkerArgs {
         id,
         shard: train.shard(id, n),
@@ -796,13 +788,11 @@ pub fn run_standalone_worker(
         // No trainer thread to rendezvous with: a 1-party barrier makes
         // every `wait` a no-op.
         barrier: Arc::new(PoisonBarrier::new(1)),
-        report: report_tx,
     };
-    // `args` (and with it the report sender) drops when the worker
-    // returns, ending the drainer's loop — join it even on error so the
-    // rollup events are flushed before the caller sees the failure.
-    let result = run_worker(args);
-    let out = drainer.join().expect("report drain thread");
+    // Flushed even on error, so the rollup events are out before the
+    // caller sees the failure.
+    let result = run_worker(args, report);
+    telemetry.flush();
     result?;
     Ok(out)
 }

@@ -16,7 +16,6 @@ use cdsgd_ps::recover::{self, Checkpoint, CheckpointError, Kind};
 use cdsgd_ps::NetError;
 use cdsgd_telemetry::Op;
 use cdsgd_tensor::{SmallRng64, Tensor};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// What a worker reports at the end of each epoch.
@@ -52,13 +51,16 @@ pub(crate) struct WorkerArgs {
     /// Epoch rendezvous with the trainer; poisoned by the supervisor when
     /// another worker is lost, so `wait` is fallible.
     pub barrier: Arc<PoisonBarrier>,
-    pub report: Sender<EpochReport>,
 }
 
-/// Run one worker to completion. See the crate docs for the exact
-/// correspondence with the paper's Algorithm 1. A dead server or broken
-/// connection surfaces as `Err`, not a panic.
-pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
+/// Run one worker to completion, handing each epoch's report to
+/// `report` (`false`: nobody listens any more). See the crate docs for
+/// the exact correspondence with the paper's Algorithm 1. A dead server
+/// or broken connection surfaces as `Err`, not a panic.
+pub(crate) fn run_worker(
+    mut a: WorkerArgs,
+    mut report: impl FnMut(EpochReport) -> bool,
+) -> Result<(), NetError> {
     let loss_fn = SoftmaxCrossEntropy;
     let mut rng =
         SmallRng64::new(a.cfg.seed ^ (a.id as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F));
@@ -220,7 +222,7 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
         let final_weights = (a.id == 0 && epoch + 1 == a.cfg.epochs)
             .then(|| strategy.final_weights(&mut a.model))
             .flatten();
-        let report = EpochReport {
+        let epoch_report = EpochReport {
             worker: a.id,
             epoch,
             loss_sum,
@@ -229,10 +231,10 @@ pub(crate) fn run_worker(mut a: WorkerArgs) -> Result<(), NetError> {
             test_acc,
             final_weights,
         };
-        // A dropped receiver means the trainer is gone (aborting or
+        // Nobody listening means the trainer is gone (aborting or
         // dropped by its caller): exit cleanly, it is not this worker's
         // failure.
-        if a.report.send(report).is_err() {
+        if !report(epoch_report) {
             return Ok(());
         }
         a.barrier.wait()?;

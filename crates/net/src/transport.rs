@@ -129,11 +129,12 @@ impl Default for NetConfig {
 /// backoff cap.
 pub const RECONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
-/// Client-side auto-reconnect policy: how a worker survives a transient
-/// link drop to a parameter-server shard (redial every shard, re-register,
-/// replay unaggregated pushes — see `cdsgd-ps`). Never armed by default;
-/// a config with `retries == 0` disables reconnection entirely and the
-/// fault-free code paths are untouched.
+/// Client-side auto-reconnect policy: the retry budget of a worker's
+/// session with its parameter-server shards (`cdsgd_ps::WorkerSession`),
+/// which survives a transient link drop by redialing every shard,
+/// re-registering and replaying the unaggregated pushes. Not armed by
+/// default: a session without one (or with `retries == 0`) keeps no
+/// replay copies and returns a failed request's own error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReconnectConfig {
     /// Redial attempts per link drop before the failure becomes fatal.

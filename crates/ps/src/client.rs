@@ -4,7 +4,8 @@
 //! connection reads it (`crate::remote`).
 
 use crate::api::ParamClient;
-use crate::remote::{Reissue, Replies};
+use crate::attach::Reissue;
+use crate::remote::Replies;
 use crate::server::ShardHost;
 use cdsgd_compress::BufferPool;
 use cdsgd_net::wire::{answered, WireMsg};
@@ -90,8 +91,8 @@ pub(crate) enum Drive {
 /// networked.
 pub struct PendingReply {
     rx: Receiver<Delivery>,
-    /// Set on a pull through a [`crate::net::ReconnectingClient`]: what
-    /// issues it again if its connection dies before the reply.
+    /// Set on a pull through a [`crate::WorkerSession`]: what confirms
+    /// it, or issues it again if its connection dies before the reply.
     pub(crate) reissue: Option<Reissue>,
     /// What brings the answer; `None` once it is here.
     drive: Option<Drive>,
@@ -119,12 +120,13 @@ impl PendingReply {
     /// server (or the connection to it) died before replying; a typed
     /// error (e.g. [`NetError::WorkerLost`] from the server's round
     /// deadline) if the server answered but the request failed. Through a
-    /// [`crate::net::ReconnectingClient`], a pull whose connection died
-    /// is redialed and issued again by this call. Behind an emulated
-    /// link, it returns once the link has carried the reply. Waiting on a
-    /// shard in this process runs it: the deliveries of its link and its
-    /// round deadline and liveness timers need no other thread. Waiting
-    /// on a connection reads it, until this reply has been read.
+    /// [`crate::WorkerSession`] with a retry budget, a pull whose
+    /// connection died is redialed and issued again by this call. Behind
+    /// an emulated link, it returns once the link has carried the reply.
+    /// Waiting on a shard in this process runs it: the deliveries of its
+    /// link and its round deadline and liveness timers need no other
+    /// thread. Waiting on a connection reads it, until this reply has
+    /// been read.
     pub fn wait(&self) -> Result<WireMsg, NetError> {
         let got = match &self.drive {
             Some(Drive::Shard(host)) => host.wait(&self.rx),

@@ -32,7 +32,7 @@
 //!   in-process runs produce identical weights.
 //! * A client speaks that same vocabulary: every layer of a worker's
 //!   client stack — [`PsClient`], [`RemoteClient`], [`ShardedClient`],
-//!   the reconnect, rebase and fault layers — is one
+//!   the [`WorkerSession`] and the fault layer — is one
 //!   [`ParamClient::request`] taking a `WireMsg`, and the typed calls
 //!   (push, pull, membership, control) are written once, on the trait.
 //!   Which reply answers which request is decided in one place,
@@ -53,9 +53,11 @@
 //! [`NetCluster::connect`] with [`NetCluster::traced`].
 //! [`AllReduceBackend::ring`] is the one server-less backend, and
 //! [`WireRing::join`] wires one rank of a multi-process group. A networked
-//! worker's client stack (dial → register → rebase → heartbeat → fault)
-//! is layered by [`NetCluster::attach`], whose [`AttachedWorker`] owns the
-//! heartbeat thread and says goodbye on the stream the pushes rode.
+//! worker's client stack (dial → register → heartbeat → fault) is layered
+//! by [`NetCluster::attach`] around one [`WorkerSession`], whose rebase,
+//! replay and re-issue rules live in an I/O-free core; its
+//! [`AttachedWorker`] owns the heartbeat thread and says goodbye on the
+//! connections the pushes rode.
 //!
 //! ```
 //! use cdsgd_ps::{ParamClient, ParamServer, ServerConfig};
@@ -80,13 +82,14 @@ pub mod opt;
 pub mod recover;
 mod remote;
 mod server;
+mod session;
 mod shard;
 mod sharded;
 mod spares;
 mod stats;
 
 pub use api::{InProcessBackend, ParamClient, PsBackend};
-pub use attach::{Attach, AttachedWorker};
+pub use attach::{Attach, AttachedWorker, WorkerSession};
 pub use cdsgd_net::NetError;
 pub use client::{PendingPull, PendingReply, PsClient};
 pub use collective::{

@@ -1,9 +1,9 @@
 //! Networked front-end: serve a [`ParamServer`] over any
 //! [`Transport`], talk to one through [`RemoteClient`], and deploy whole
 //! sharded groups with [`NetCluster`]. This file holds the `psd` event
-//! loop and the deployments; the client half ([`RemoteClient`],
-//! [`ReconnectingClient`]) has a module of its own, re-exported here, and
-//! runs no thread: the thread that waits on a reply reads it.
+//! loop and the deployments; the client half ([`RemoteClient`]) has a
+//! module of its own, re-exported here, and runs no thread: the thread
+//! that waits on a reply reads it.
 //!
 //! The protocol is the frame vocabulary of [`cdsgd_net::wire`]; encoding
 //! is deterministic and f32 round-trips are bit-exact, so training over
@@ -57,7 +57,7 @@ use cdsgd_compress::{BufferPool, Compressed};
 use cdsgd_net::wire::{self, FrameHead, WireMsg, FRAME_PREFIX_BYTES};
 use cdsgd_net::{
     loopback_pair, wake_pair, FaultPlan, FaultyTransport, Landing, NetConfig, NetError, Poller,
-    ReconnectConfig, Tail, TcpAcceptor, TcpTransport, Transport, WakeRx, Waker,
+    Tail, TcpAcceptor, TcpTransport, Transport, WakeRx, Waker,
 };
 use cdsgd_telemetry::{Event, Telemetry};
 use std::collections::VecDeque;
@@ -68,7 +68,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub use crate::remote::{ReconnectingClient, RemoteClient};
+pub use crate::remote::RemoteClient;
 
 /// The accept loop's deadline, the one wait that still runs on a timer.
 /// Shutdown also wakes it explicitly, so this bounds nothing a user
@@ -615,8 +615,9 @@ enum ShardConn {
 }
 
 /// Everything needed to (re)dial every shard of a cluster — the piece
-/// of [`NetCluster`] a [`ReconnectingClient`] carries so it can rebuild
-/// its connections after a link drop without holding the cluster.
+/// of [`NetCluster`] a [`crate::WorkerSession`] carries so it can
+/// rebuild its connections after a link drop without holding the
+/// cluster.
 #[derive(Clone)]
 pub(crate) struct ShardDialer {
     conns: Vec<ShardConn>,
@@ -664,7 +665,7 @@ impl ShardDialer {
 pub struct NetCluster {
     /// How to reach every shard; worker clients dial through it (and
     /// take its armed fault plan), control clients open plain links.
-    dialer: ShardDialer,
+    pub(crate) dialer: ShardDialer,
     /// Locally-owned shard servers (empty when connecting to external
     /// processes).
     local: Vec<Arc<PsNetServer>>,
@@ -810,16 +811,6 @@ impl NetCluster {
     /// get clean transports unless re-armed.
     pub fn arm_chaos(&self, plan: FaultPlan) {
         *self.dialer.chaos.lock().unwrap() = Some(plan);
-    }
-
-    /// A worker client that survives transient link drops: see
-    /// [`ReconnectingClient`].
-    pub(crate) fn reconnecting_client(
-        &self,
-        worker: usize,
-        rc: ReconnectConfig,
-    ) -> Result<ReconnectingClient, NetError> {
-        ReconnectingClient::new(self.dialer.clone(), worker, self.num_keys, rc)
     }
 }
 
@@ -2024,6 +2015,17 @@ mod tests {
         .unwrap()
     }
 
+    impl NetCluster {
+        /// A bare session with a retry budget.
+        fn reconnecting_client(
+            &self,
+            worker: usize,
+            rc: cdsgd_net::ReconnectConfig,
+        ) -> Result<crate::WorkerSession, NetError> {
+            crate::WorkerSession::dial(self.dialer.clone(), worker, self.num_keys, Some(rc))
+        }
+    }
+
     fn fast_rc() -> cdsgd_net::ReconnectConfig {
         cdsgd_net::ReconnectConfig {
             retries: 5,
@@ -2401,6 +2403,25 @@ mod tests {
         let (faulty, reconnects) = run(Some(5));
         assert_eq!(reconnects, 1, "the armed drop fires exactly once");
         assert_eq!(faulty, reference);
+    }
+
+    #[test]
+    fn a_session_without_a_budget_returns_the_cut_and_dials_once() {
+        let cluster = elastic_cluster();
+        // Each shard's link carries one frame, then dies.
+        cluster.arm_chaos(cdsgd_net::FaultPlan::new().kill_after_sends(1));
+        let attached = cluster.attach(0, Attach::default()).unwrap();
+        let c = attached.client();
+        let raw = || Compressed::Raw(vec![1.0; 3]);
+        c.push(0, 0, raw()).unwrap();
+        // A redial would take the next plan armed; nothing may take it.
+        cluster.arm_chaos(cdsgd_net::FaultPlan::new());
+        assert_eq!(c.push(0, 0, raw()), Err(NetError::Closed));
+        assert_eq!(c.pull(0, 1).unwrap_err(), NetError::Closed);
+        assert_eq!(attached.reconnects(), 0);
+        assert!(cluster.dialer.chaos.lock().unwrap().is_some(), "redialed");
+        drop((c, attached));
+        Box::new(cluster).shutdown();
     }
 
     #[test]

@@ -230,6 +230,29 @@ for f in crates/ps/src/server.rs crates/ps/src/client.rs crates/ps/src/link.rs c
     fi
 done
 
+# One worker session (DESIGN.md §13): `attach` dials one client stack, a
+# `WorkerSession`, with or without a retry budget, and the rebase,
+# replay and re-issue rules live in its I/O-free core, ps/session.rs.
+# No second dial path (`self.client()` in attach.rs) and no separate
+# rebasing layer may grow back; the core's program half names no lock,
+# clock, sleep, transport or dial; and a standalone `worker` runs no
+# thread to turn its epoch reports into events.
+echo "==> one worker session: no Rebased layer or second dial; an I/O-free session core; no report drain thread"
+if git grep -n 'struct Rebased\b' -- 'crates/ps/src/*.rs' ||
+    grep -n 'self\.client()' crates/ps/src/attach.rs; then
+    echo "ERROR: attach has a second dial path or a rebasing layer again; dial one WorkerSession" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/ps/src/session.rs |
+    grep -nwE 'Mutex|Condvar|Instant|sleep|Transport|dial'; then
+    echo "ERROR: the session core does I/O, locks or reads a clock; leave that to the shell in ps/attach.rs" >&2
+    exit 1
+fi
+if grep -n 'worker-report-drain' crates/core/src/trainer.rs; then
+    echo "ERROR: a standalone worker drains its reports on a thread again; emit them on its own" >&2
+    exit 1
+fi
+
 # One pass per server round (DESIGN.md §3): a round decodes, sums and
 # steps block by block through a stack buffer. The program half of
 # ps/shard.rs may neither name a key-sized `acc` nor decode a whole

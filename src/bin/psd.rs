@@ -57,8 +57,8 @@ use std::time::Duration;
 
 use cd_sgd::{Console, Telemetry};
 use cd_sgd_repro::deploy::{
-    arg, arg_or, flag, initial_weights, parse_elastic, parse_reconnect, parse_recovery,
-    parse_server_opt, trace_telemetry,
+    arg, arg_or, check_model, flag, initial_weights, parse_elastic, parse_reconnect,
+    parse_recovery, parse_server_opt, trace_telemetry,
 };
 use cdsgd_net::{NetConfig, TcpAcceptor};
 use cdsgd_ps::recover::{load_latest, CheckpointPolicy, Durability};
@@ -82,6 +82,11 @@ fn main() {
         std::process::exit(2);
     }
 
+    // A shard holds no dataset: only the spec itself is checked here.
+    if let Err(e) = check_model(&model, None) {
+        console.error(e);
+        std::process::exit(2);
+    }
     let init = initial_weights(&model, seed);
     let shard_init = partition_keys(init, num_shards).swap_remove(shard);
     console.status(format_args!(

@@ -67,9 +67,10 @@
 //! backoff, re-registers, replays the pushes the completed rounds did
 //! not consume (exactly once), and re-issues its outstanding pulls —
 //! the run then finishes as if the drop never happened. Requires
-//! elastic servers (`psd --min-quorum`); with neither flag the
-//! reconnect machinery is never built and the run takes the exact
-//! legacy code paths. `--chaos-drop-sends N` injects the matching
+//! elastic servers (`psd --min-quorum`); with neither flag the same
+//! session has no retry budget: it keeps no replay copies, never
+//! redials, and a dropped link ends the run with that link's own error,
+//! exactly as a plain client would. `--chaos-drop-sends N` injects the matching
 //! fault: every shard connection of this replica's training client dies
 //! after N sent frames.
 //!
@@ -85,7 +86,7 @@ use std::time::Duration;
 
 use cd_sgd::{run_standalone_worker, Console, Link, Telemetry, Topology, TrainConfig, WorkerFault};
 use cd_sgd_repro::deploy::{
-    arg, arg_or, build_dataset, build_model, flag, initial_weights, parse_algorithm,
+    arg, arg_or, build_dataset, build_model, check_model, flag, initial_weights, parse_algorithm,
     parse_reconnect, parse_topology, trace_telemetry, AlgoDefaults,
 };
 use cdsgd_net::{FaultPlan, NetConfig};
@@ -146,6 +147,11 @@ fn main() {
             std::process::exit(2)
         })
     });
+
+    if let Err(e) = check_model(&model, Some(&dataset)) {
+        console.error(e);
+        std::process::exit(2);
+    }
 
     let argv: Vec<String> = std::env::args().collect();
     let defaults = AlgoDefaults {
@@ -332,7 +338,8 @@ fn main() {
     }
     // The flags map one-to-one onto the attach options; the layering of
     // the client stack they select is `NetCluster::attach`'s decision
-    // (DESIGN.md §13). With none of them set this is a plain dial.
+    // (DESIGN.md §13). With none of them set it is one session with no
+    // retry budget.
     let attached = cluster
         .attach(
             id,

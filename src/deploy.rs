@@ -8,32 +8,32 @@
 //! (and the integration tests) calls these helpers with the same flags.
 
 use cd_sgd::{Algorithm, JsonlSink, ServerOptKind, Telemetry, Topology};
-use cdsgd_data::{synth, toy, Dataset};
+use cdsgd_data::synth::{self, SynthSpec};
+use cdsgd_data::{toy, Dataset};
 use cdsgd_nn::{models, Sequential};
 use cdsgd_tensor::SmallRng64;
 
 /// Value of `--name <value>` from the process arguments, if present.
 pub fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == &format!("--{name}"))
-        .and_then(|i| args.get(i + 1).cloned())
+    lookup(&process_args(), name).map(str::to_string)
 }
 
 /// Parsed `--name <value>`, or `default` when the flag is absent.
 /// Exits with status 2 on an unparsable value.
 pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    arg(name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --{name}: {v}");
-            std::process::exit(2)
-        })
+    lookup_or(&process_args(), name, default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
     })
 }
 
 /// Is the boolean switch `--name` present?
 pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == format!("--{name}"))
+    switch(&process_args(), name)
+}
+
+fn process_args() -> Vec<String> {
+    std::env::args().collect()
 }
 
 /// Telemetry from the shared `--trace <path>` flag: a [`JsonlSink`]
@@ -72,8 +72,8 @@ pub struct AlgoDefaults {
     pub warmup: usize,
 }
 
-/// `--name <value>` within an explicit argument slice (the testable
-/// counterpart of [`arg`]).
+/// `--name <value>` within an argument slice: the one flag grammar
+/// [`arg`] and every parser read.
 fn lookup<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == &format!("--{name}"))
@@ -81,15 +81,25 @@ fn lookup<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parsed `--name <value>` from an argument slice, or `default` when
-/// absent; a malformed value is a usage `Err`, never a panic.
+/// Is the switch `--name` in `args`?
+fn switch(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == &format!("--{name}"))
+}
+
+/// Parsed `--name <value>` from an argument slice, `None` when absent;
+/// a malformed value is a usage `Err`, never a panic.
+fn lookup_parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    lookup(args, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value for --{name}: {v}"))
+        })
+        .transpose()
+}
+
+/// [`lookup_parsed`], or `default` when absent.
 fn lookup_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match lookup(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for --{name}: {v}")),
-    }
+    Ok(lookup_parsed(args, name)?.unwrap_or(default))
 }
 
 /// Parse `--algo` plus its knob flags (`--local-lr`, `--threshold`,
@@ -205,9 +215,11 @@ pub fn parse_elastic(args: &[String]) -> Result<Option<cdsgd_ps::ElasticConfig>,
 /// attempts per link drop) and `--reconnect-backoff-ms <ms>` (base of
 /// the exponential backoff between attempts, doubled per attempt and
 /// capped at [`cdsgd_net::RECONNECT_BACKOFF_CAP`]). Either flag alone
-/// arms reconnection; neither present means the machinery is never
-/// built (`Ok(None)`), keeping default runs bit-identical. `Err`
-/// carries a usage message for stderr; callers exit 2 on it.
+/// gives the worker's session a retry budget; neither present means
+/// none (`Ok(None)`): the same session keeps no replay copies, never
+/// redials and returns a failed request's own error, so default runs
+/// stay bit-identical. `Err` carries a usage message for stderr;
+/// callers exit 2 on it.
 pub fn parse_reconnect(args: &[String]) -> Result<Option<cdsgd_net::ReconnectConfig>, String> {
     let has_retries = lookup(args, "reconnect-retries").is_some();
     let has_backoff = lookup(args, "reconnect-backoff-ms").is_some();
@@ -253,14 +265,8 @@ pub struct RecoveryFlags {
 /// without it is an error rather than a silently inert flag.
 pub fn parse_recovery(args: &[String]) -> Result<RecoveryFlags, String> {
     let dir = lookup(args, "checkpoint-dir").map(std::path::PathBuf::from);
-    let every: Option<u64> = match lookup(args, "checkpoint-every") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("invalid value for --checkpoint-every: {v}"))?,
-        ),
-    };
-    let resume = args.iter().any(|a| a == "--resume");
+    let every: Option<u64> = lookup_parsed(args, "checkpoint-every")?;
+    let resume = switch(args, "resume");
     if every == Some(0) {
         return Err("--checkpoint-every must be at least 1 round".into());
     }
@@ -279,7 +285,7 @@ pub fn parse_server_opt(args: &[String]) -> Result<ServerOptKind, String> {
     if !(0.0..1.0).contains(&momentum) {
         return Err(format!("--momentum must be in [0, 1), got {momentum}"));
     }
-    let nesterov = args.iter().any(|a| a == "--nesterov");
+    let nesterov = switch(args, "nesterov");
     if nesterov {
         if momentum == 0.0 {
             return Err("--nesterov requires --momentum > 0".into());
@@ -292,29 +298,90 @@ pub fn parse_server_opt(args: &[String]) -> Result<ServerOptKind, String> {
     }
 }
 
-/// Build a model from a spec string: `mlp:8,32,4` (layer sizes) or
-/// `lenet5[:classes]`. Deterministic in the RNG, so every process seeded
-/// identically constructs bit-identical weights.
-pub fn build_model(spec: &str, rng: &mut SmallRng64) -> Sequential {
+/// A parsed `--model` spec.
+enum ModelSpec {
+    /// `mlp:<sizes>`: dense layers of these widths, input first.
+    Mlp(Vec<usize>),
+    /// `lenet5[:classes]` (10 classes by default).
+    Lenet5(usize),
+}
+
+/// Parse `--model`: an unknown or malformed spec is a usage `Err`.
+fn parse_model(spec: &str) -> Result<ModelSpec, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
+    let malformed = |form: &str| format!("malformed model spec {spec} ({form})");
     match kind {
         "mlp" => {
             let sizes: Vec<usize> = rest
                 .split(',')
-                .map(|s| s.trim().parse().expect("mlp layer size"))
-                .collect();
-            assert!(sizes.len() >= 2, "mlp spec needs at least in,out sizes");
-            models::mlp(&sizes, rng)
+                .map(|s| s.trim().parse())
+                .collect::<Result<_, _>>()
+                .map_err(|_| malformed("mlp:<sizes>"))?;
+            match sizes.len() {
+                0 | 1 => Err(malformed("mlp needs at least in,out sizes")),
+                _ => Ok(ModelSpec::Mlp(sizes)),
+            }
         }
-        "lenet5" => {
-            let classes = if rest.is_empty() {
-                10
-            } else {
-                rest.parse().expect("lenet5 class count")
-            };
-            models::lenet5(classes, rng)
-        }
-        other => panic!("unknown model spec {other} (mlp:<sizes>|lenet5[:classes])"),
+        "lenet5" if rest.is_empty() => Ok(ModelSpec::Lenet5(10)),
+        "lenet5" => rest
+            .parse()
+            .map(ModelSpec::Lenet5)
+            .map_err(|_| malformed("lenet5[:classes]")),
+        other => Err(format!(
+            "unknown model spec {other} (mlp:<sizes>|lenet5[:classes])"
+        )),
+    }
+}
+
+/// Build a model from a spec string: `mlp:8,32,4` (layer sizes) or
+/// `lenet5[:classes]`. Deterministic in the RNG, so every process seeded
+/// identically constructs bit-identical weights. Panics on a spec
+/// [`check_model`] refuses.
+pub fn build_model(spec: &str, rng: &mut SmallRng64) -> Sequential {
+    match parse_model(spec).unwrap_or_else(|e| panic!("{e}")) {
+        ModelSpec::Mlp(sizes) => models::mlp(&sizes, rng),
+        ModelSpec::Lenet5(classes) => models::lenet5(classes, rng),
+    }
+}
+
+/// Features per `blobs` sample.
+const BLOBS_DIM: usize = 8;
+
+/// The `[channels, height, width]` of one image of `spec`.
+fn image_shape(spec: SynthSpec) -> Vec<usize> {
+    vec![spec.channels, spec.size, spec.size]
+}
+
+/// The shape of one sample of dataset `name`.
+fn sample_shape(name: &str) -> Result<Vec<usize>, String> {
+    match name {
+        "blobs" => Ok(vec![BLOBS_DIM]),
+        "mnist" => Ok(image_shape(SynthSpec::mnist())),
+        "cifar" => Ok(image_shape(SynthSpec::cifar())),
+        other => Err(format!("unknown dataset {other} (blobs|mnist|cifar)")),
+    }
+}
+
+/// Refuse a `--model` that is unknown or malformed, or whose first layer
+/// cannot take the samples of `dataset` (when one is given; an unknown
+/// one is refused too), naming both shapes. `worker` and `psd` call it
+/// before they touch the network, and exit 2 on `Err`.
+pub fn check_model(model: &str, dataset: Option<&str>) -> Result<(), String> {
+    let takes = match parse_model(model)? {
+        ModelSpec::Mlp(sizes) => vec![sizes[0]],
+        ModelSpec::Lenet5(_) => image_shape(SynthSpec::mnist()),
+    };
+    let Some(name) = dataset else {
+        return Ok(());
+    };
+    let gives = sample_shape(name)?;
+    if takes == gives {
+        Ok(())
+    } else {
+        Err(format!(
+            "--model {model} takes samples of shape {takes:?}, \
+             but --dataset {name} gives {gives:?}"
+        ))
     }
 }
 
@@ -329,7 +396,7 @@ pub fn initial_weights(spec: &str, seed: u64) -> Vec<Vec<f32>> {
 /// Build the `(train, test)` datasets every process agrees on.
 pub fn build_dataset(name: &str, samples: usize, seed: u64) -> (Dataset, Dataset) {
     let data = match name {
-        "blobs" => toy::gaussian_blobs(samples, 8, 4, 0.6, seed),
+        "blobs" => toy::gaussian_blobs(samples, BLOBS_DIM, 4, 0.6, seed),
         "mnist" => synth::mnist_like(samples, seed),
         "cifar" => synth::cifar_like(samples, seed),
         other => panic!("unknown dataset {other} (blobs|mnist|cifar)"),
@@ -363,6 +430,30 @@ mod tests {
     #[should_panic(expected = "unknown model spec")]
     fn bad_model_spec_panics() {
         initial_weights("transformer:96", 1);
+    }
+
+    #[test]
+    fn check_model_refuses_a_spec_or_a_dataset_the_model_cannot_take() {
+        assert_eq!(check_model("mlp:8,32,4", Some("blobs")), Ok(()));
+        assert_eq!(check_model("lenet5", Some("mnist")), Ok(()));
+        assert_eq!(check_model("lenet5:4", None), Ok(()));
+        assert_eq!(
+            check_model("mlp:784,1024,1024,10", Some("mnist")).unwrap_err(),
+            "--model mlp:784,1024,1024,10 takes samples of shape [784], \
+             but --dataset mnist gives [1, 28, 28]"
+        );
+        for (model, dataset) in [
+            ("lenet5", Some("cifar")),
+            ("mlp:8,32,4", Some("imagenet")),
+            ("transformer:96", None),
+            ("mlp:8", None),
+            ("mlp:8,x,4", None),
+            ("mlp:", None),
+            ("lenet5:ten", None),
+        ] {
+            let err = check_model(model, dataset).expect_err(model);
+            assert!(!err.is_empty());
+        }
     }
 
     fn argv(s: &str) -> Vec<String> {
@@ -546,7 +637,7 @@ mod tests {
     fn parse_reconnect_maps_flags() {
         use cdsgd_net::ReconnectConfig;
         use std::time::Duration;
-        // No reconnect flags: the machinery is never built — the
+        // No reconnect flags: a session with no retry budget — the
         // bit-identical default.
         assert_eq!(parse_reconnect(&argv("")).unwrap(), None);
         assert_eq!(

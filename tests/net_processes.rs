@@ -118,6 +118,22 @@ fn spawn_worker(id: usize, servers: &str) -> Child {
 }
 
 #[test]
+fn a_model_the_dataset_does_not_fit_is_a_usage_error() {
+    // Refused before any dial: nothing listens at the address.
+    let out = Command::new(env!("CARGO_BIN_EXE_worker"))
+        .args(["--servers", "127.0.0.1:9", "--dataset", "mnist"])
+        .args(["--model", "mlp:784,1024,1024,10"])
+        .output()
+        .expect("run worker");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("[784]") && stderr.contains("[1, 28, 28]"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn two_psd_processes_and_two_workers_match_in_process_run() {
     // Expected result: the identical configuration trained in-process.
     let (train, test) = deploy::build_dataset("blobs", 480, SEED);
